@@ -15,12 +15,8 @@ The multi-series engine exists so that the O(1) update can be ran on
 * the fully columnar ``ingest_columnar({key: values})`` form -- arrays in,
   arrays out, records on demand -- which additionally skips the per-row
   ``EngineRecord`` construction that otherwise dominates large-fleet
-  steady state,
-* the same columnar stream with ``time_block_rounds = 1`` -- the legacy
-  one-round-at-a-time kernel driving -- as the committed baseline the
-  time-blocked kernel (the default, which advances whole blocks of
-  rounds per array op) is gated against: blocked must reach at least
-  ``TIME_BLOCKED_FLOOR`` times the per-round throughput, and
+  steady state (the kernel advances every planned round of a batch per
+  call: whole blocks of rounds per array op),
 * a group-growth micro-benchmark absorbing 500 series into a fleet kernel
   one at a time, whose two halves are compared to show the
   capacity-doubling absorption path is linear rather than quadratic,
@@ -97,12 +93,6 @@ ABSORB_RATIO_CEILING = 3.0
 #: most a tenth of the throughput; shared with check_perf_regression so
 #: the two CI steps enforce one policy.
 WAL_INGEST_FLOOR = 0.9
-
-#: minimum time-blocked / per-round columnar-results throughput ratio on
-#: the largest fleet: advancing T rounds x N series per array op must
-#: beat driving the same kernel one round at a time by at least this
-#: factor; shared with check_perf_regression.
-TIME_BLOCKED_FLOOR = 1.5
 
 #: minimum full-checkpoint / incremental-checkpoint latency ratio on a
 #: 1000-series fleet with one dirty cohort; shared with
@@ -248,10 +238,9 @@ def _bench_engine_fleet(
             )
         )
 
-        def timed_pass(block_rounds):
+        def timed_pass():
             # rewind() restores the identical engine state before every
-            # pass, so blocked and per-round runs consume the same stream.
-            engine.time_block_rounds = block_rounds
+            # pass, so every pass consumes the same stream.
             rewind()
             start = time.perf_counter()
             result = engine.ingest_columnar(columnar)
@@ -259,39 +248,18 @@ def _bench_engine_fleet(
             assert len(result) == (online_points - 1) * n_series
             return elapsed
 
-        # The blocked-vs-per-round ratio is gated, so the two sides are
-        # measured as alternating pairs -- a load spike on a busy machine
-        # lands on both sides instead of skewing the ratio -- and each
-        # side keeps its best pass.  One untimed pass per side first pays
-        # the one-off workspace allocations.  ``time_block_rounds = 1``
-        # drives the kernel one round at a time: the pre-time-blocking
-        # code path, kept for the oracle tests and as the baseline the
-        # blocked path is gated against.
-        timed_pass(None)
-        timed_pass(1)
-        best_blocked = math.inf
-        best_per_round = math.inf
-        for _ in range(5):
-            best_blocked = min(best_blocked, timed_pass(None))
-            best_per_round = min(best_per_round, timed_pass(1))
-        engine.time_block_rounds = None
-        blocked = _engine_row(
-            "engine ingest (columnar results)",
-            n_series,
-            online_points - 1,
-            best_blocked,
+        # One untimed pass first pays the one-off workspace allocations;
+        # the row keeps the best of five timed passes, so a load spike on
+        # a busy machine does not set the number.
+        timed_pass()
+        rows.append(
+            _engine_row(
+                "engine ingest (columnar results)",
+                n_series,
+                online_points - 1,
+                min(timed_pass() for _ in range(5)),
+            )
         )
-        rows.append(blocked)
-        per_round = _engine_row(
-            "engine ingest (columnar results, per-round)",
-            n_series,
-            online_points - 1,
-            best_per_round,
-        )
-        per_round["time_blocked_speedup"] = (
-            blocked["points_per_sec"] / per_round["points_per_sec"]
-        )
-        rows.append(per_round)
     return rows
 
 
@@ -480,9 +448,9 @@ def _bench_supervision(n_series: int, online_points: int) -> list[dict]:
     each chunk is its own call, matching the router's one-request-per-
     batch granularity -- over their own contiguous stream windows.  The
     windows run as alternating pairs with the starting side swapped each
-    round, and each side keeps its best pass (the blocked-vs-per-round
-    idiom): the gated ratio is overhead in the ~1% range, so a single
-    load spike landing on one side would otherwise dominate it.
+    round, and each side keeps its best pass: the gated ratio is overhead
+    in the ~1% range, so a single load spike landing on one side would
+    otherwise dominate it.
     """
     from repro.faults import RetryPolicy
 
@@ -675,8 +643,6 @@ def _check_columnar_paths(rows: list[dict], largest: int) -> list[str]:
       rotted -- this was a real historical regression);
     * columnar *results* must beat the eager record list (skipping the
       per-row record construction is the whole point);
-    * the time-blocked kernel (the default) must beat driving the same
-      stream one round at a time by at least ``TIME_BLOCKED_FLOOR``;
     * one-at-a-time absorption must stay linear (halves ratio well under
       the ~4x a quadratic path would show).
 
@@ -687,7 +653,6 @@ def _check_columnar_paths(rows: list[dict], largest: int) -> list[str]:
     columnar_out = _config_throughput(
         rows, "engine ingest (columnar results)", largest
     )
-    blocked = next(row for row in rows if "time_blocked_speedup" in row)
     absorb = next(row for row in rows if "absorb_halves_ratio" in row)
     checks = [
         (
@@ -699,11 +664,6 @@ def _check_columnar_paths(rows: list[dict], largest: int) -> list[str]:
             f"columnar results > row records ({columnar_out:.0f} vs "
             f"{row_form:.0f} pts/s)",
             columnar_out > row_form,
-        ),
-        (
-            f"time-blocked >= {TIME_BLOCKED_FLOOR:.1f}x per-round "
-            f"(speedup {blocked['time_blocked_speedup']:.2f})",
-            blocked["time_blocked_speedup"] >= TIME_BLOCKED_FLOOR,
         ),
         (
             "one-at-a-time absorption linear (halves ratio "
@@ -845,11 +805,6 @@ def _emit(rows: list[dict], smoke: bool) -> None:
             for row in rows
             if row["config"] == "engine ingest (columnar results)"
         },
-        time_blocked_speedup=next(
-            row["time_blocked_speedup"]
-            for row in rows
-            if "time_blocked_speedup" in row
-        ),
         absorb_halves_ratio=next(
             row["absorb_halves_ratio"]
             for row in rows

@@ -14,11 +14,10 @@ large fleet -- the property this gate protects -- while machine speed
 cancels out.  A ratio drop of more than ``--tolerance`` (default 0.30,
 i.e. 30%) vs the baseline fails the gate.  The gate additionally checks,
 within the current run alone, that columnar *input* did not fall behind
-row input (a historical regression), that the time-blocked kernel beats
-the per-round baseline by at least ``TIME_BLOCKED_FLOOR``, that
-one-at-a-time kernel absorption stayed linear, that group-committing
-ingested batches to the write-ahead log keeps at least
-``WAL_INGEST_FLOOR`` of the WAL-off throughput, that the fault-
+row input (a historical regression), that one-at-a-time kernel
+absorption stayed linear, that group-committing ingested batches to the
+write-ahead log keeps at least ``WAL_INGEST_FLOOR`` of the WAL-off
+throughput, that the fault-
 supervision retry wrapper keeps at least ``SUPERVISED_INGEST_FLOOR`` of
 the direct-call ingest throughput, that an incremental
 checkpoint of the 1000-series fleet with one dirty cohort stays at least
@@ -93,7 +92,6 @@ def current_run_checks(current: dict, source: str) -> list[str]:
         INPUT_PATH_TOLERANCE,
         SHARDED_COLUMNAR_FLOOR,
         SUPERVISED_INGEST_FLOOR,
-        TIME_BLOCKED_FLOOR,
         WAL_INGEST_FLOOR,
     )
     from bench_serving import SERVED_COLUMNAR_FLOOR
@@ -108,20 +106,6 @@ def current_run_checks(current: dict, source: str) -> list[str]:
         failures.append(
             f"columnar input path fell behind row input "
             f"({columnar_in:.0f} vs {row_form:.0f} pts/s)"
-        )
-    try:
-        blocked = current["time_blocked_speedup"]
-    except KeyError as error:
-        raise SystemExit(
-            f"{source}: missing {error.args[0]!r}; regenerate with "
-            "bench_engine_throughput.py (the workload includes the "
-            "per-round baseline row)"
-        )
-    if blocked < TIME_BLOCKED_FLOOR:
-        failures.append(
-            f"time-blocked kernel is only {blocked:.2f}x the per-round "
-            f"baseline on the {GATED_FLEET}-series columnar-results ingest "
-            f"(required: {TIME_BLOCKED_FLOOR:.1f}x)"
         )
     absorb = current.get("absorb_halves_ratio")
     if absorb is not None and absorb >= ABSORB_RATIO_CEILING:

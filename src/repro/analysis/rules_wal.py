@@ -11,8 +11,7 @@ class -- the engine is the real subject, fixtures stand in for it in
 tests): walking the method body in statement order, any *mutation* --
 
 * a ``self._process*`` / ``self._ingest*`` / ``self._advance*`` /
-  ``self._sequential*`` / ``self._apply*`` / ``self._with_wal_suppressed``
-  call (the engine's state-advancing helpers), or
+  ``self._apply*`` call (the engine's state-advancing helpers), or
 * a store to / mutating call on ``self._series`` / ``self._groups`` /
   ``self._absorbed`` / ``self._group_of`` / ``self._warm`` (the engine's
   fleet dictionaries)
@@ -37,9 +36,7 @@ _MUTATING_CALL_PREFIXES = (
     "_process",
     "_ingest",
     "_advance",
-    "_sequential",
     "_apply",
-    "_with_wal_suppressed",
 )
 _MUTATED_ATTRS = frozenset(
     {"_series", "_groups", "_absorbed", "_group_of", "_warm"}

@@ -30,7 +30,7 @@ The kernel is deliberately dumb about membership: it packs already-warm
 scalar models (:meth:`FleetKernel.pack`), extracts any member back into an
 equivalent scalar model (:meth:`FleetKernel.extract` /
 :meth:`FleetKernel.write_into`), and advances all or a subset of columns
-(:meth:`FleetKernel.update`).  Grouping series by configuration, lazy
+(:meth:`FleetKernel.update_block`).  Grouping series by configuration, lazy
 absorption and checkpoint (de)materialization live in the streaming engine
 (:mod:`repro.streaming.engine`).
 """
@@ -45,7 +45,6 @@ import numpy as np
 from repro.core.nsigma import NSigma
 from repro.core.oneshotstl import (
     OneShotSTL,
-    _advance_states,
     _IterationState,
     _search_best_shift,
 )
@@ -246,13 +245,13 @@ class ColumnarNSigma:
 
 
 class FleetUpdate:
-    """Per-point outputs of one :meth:`FleetKernel.update` call.
+    """Per-point outputs of one :meth:`FleetKernel.update_block` call.
 
-    All fields are arrays over the updated columns, in column order:
-    ``value`` carries the (possibly imputed) observation, ``residual`` the
-    post-shift-search residual and ``detection_residual`` the pre-search
-    residual that downstream anomaly scorers must consume (the same
-    contract as the scalar model's ``last_detection_residual``).
+    All fields are ``(rounds, n)`` arrays over the updated columns, in
+    column order: ``value`` carries the (possibly imputed) observation,
+    ``residual`` the post-shift-search residual and ``detection_residual``
+    the pre-search residual that downstream anomaly scorers must consume
+    (the same contract as the scalar model's ``last_detection_residual``).
     """
 
     __slots__ = ("value", "trend", "seasonal", "residual", "detection_residual")
@@ -305,12 +304,11 @@ class FleetKernel:
         # Scalar workspace shared by the per-series fallback paths.
         self._workspace = ContributionWorkspace(self.lambda1, self.lambda2)
         # Reusable per-update workspaces (allocated lazily, sized to n):
-        # the row-index gather vector and the per-iteration pattern/rhs
-        # buffers of _advance_batched.  Purely an allocation-avoidance
-        # cache -- no decomposition state lives here.
+        # the row-index gather vector and the reweighted-iteration pattern
+        # buffer.  Purely an allocation-avoidance cache -- no decomposition
+        # state lives here.
         self._arange: np.ndarray | None = None
         self._pattern_values: np.ndarray | None = None
-        self._rhs_values: np.ndarray | None = None
         # Round-blocked workspaces (update_block): per-iteration trend
         # histories, staged right-hand sides, per-round seasonal phases
         # and the non-final-iteration seasonal scratch row.
@@ -604,111 +602,36 @@ class FleetKernel:
     # -------------------------------------------------------------- streaming
 
     @hotpath
-    def update(
-        self, values: np.ndarray, columns: np.ndarray | None = None
-    ) -> FleetUpdate:
-        """Decompose one new observation per (selected) series.
-
-        ``values`` holds one observation per updated column (NaN marks a
-        missing observation and is imputed with the series' own one-step
-        forecast, exactly like the scalar model).  With ``columns=None``
-        every member advances; otherwise only the given columns advance
-        (gather -> batched update -> scatter), so a fleet whose series
-        arrive on different schedules still takes the array path.
-        """
-        if columns is not None:
-            columns = np.asarray(columns, dtype=np.intp)
-            sub = self.select(columns)
-            result = sub.update(np.asarray(values, dtype=float))
-            self.assign(columns, sub)
-            return result
-
-        n = self._n
-        rows = self._rows()
-        values = np.asarray(values, dtype=float)
-        if values.shape != (n,):
-            raise ValueError(f"values must have shape ({n},)")
-
-        # Missing observations: impute with the model's own one-step
-        # forecast (latest trend + seasonal buffer at the current phase).
-        finite = np.isfinite(values)
-        if not finite.all():
-            phase = self.global_index % self.period
-            forecast = self.last_trend + self.seasonal_buffer[rows, phase]
-            values = np.where(finite, values, forecast)
-
-        # Advance every series through the I IRLS iterations with one
-        # batched solver append + tail solve per iteration.  The advance
-        # updates the trend-pair state in place, so the pre-advance pairs
-        # are copied out first for the per-series shift-search fallback --
-        # only when the shift search is enabled at all.
-        anchor = self.seasonal_buffer[rows, self.global_index % self.period]
-        if self.shift_window > 0:
-            previous_trends = [
-                (state.previous_trend.copy(), state.before_previous_trend.copy())
-                for state in self.iteration_states
-            ]
-        else:
-            previous_trends = None
-        trend, seasonal = self._advance_batched(values, anchor)
-        residual = (values - trend) - seasonal
-        detection_residual = residual
-
-        chosen_shift = np.zeros(n, dtype=np.int64)
-        if self.shift_window > 0:
-            _, flagged = self.monitor.score(residual)
-            if flagged.any():
-                trend = trend.copy()
-                seasonal = seasonal.copy()
-                residual = residual.copy()
-                for index in np.flatnonzero(flagged):
-                    shift, chosen_trend, chosen_seasonal = (
-                        self._shift_search_fallback(
-                            int(index), float(values[index]), previous_trends
-                        )
-                    )
-                    chosen_shift[index] = shift
-                    trend[index] = chosen_trend
-                    seasonal[index] = chosen_seasonal
-                    residual[index] = (
-                        float(values[index]) - chosen_trend
-                    ) - chosen_seasonal
-                    if shift != 0:
-                        self.last_applied_shift[index] = shift
-
-        # The monitor tracks the *detection* residual so that one corrected
-        # point does not mask a persistent problem from the statistics.
-        # All per-series state is written in place (never rebound) so the
-        # arrays keep their append capacity (see :meth:`append`).
-        self.monitor.update(detection_residual)
-        position = (self.global_index + chosen_shift) % self.period
-        self.seasonal_buffer[rows, position] = seasonal
-        self.global_index += 1
-        self.points_processed += 1
-        np.copyto(self.last_trend, trend)
-        np.copyto(self.last_detection_residual, detection_residual)
-        return FleetUpdate(values, trend, seasonal, residual, detection_residual)
-
-    @hotpath
     def update_block(
         self, values: np.ndarray, columns: np.ndarray | None = None
     ) -> FleetUpdate:
         """Decompose a ``(rounds, n)`` block of observations round by round.
 
-        Semantically identical (float for float, shift searches, errors
-        and all) to calling :meth:`update` once per row of ``values``, but
-        all-finite stretches of rounds advance as one *staged run*: the
-        solver extends skip validation and pivot guards over pre-staged
-        scratch (:meth:`BatchedIncrementalLDLT.extend_solve`), the
-        per-iteration trend recurrences run over a block-resident history
-        instead of copying state per round, and seasonal-buffer scatters
-        plus the phase counters commit once per run.  A run ends early --
-        and the remaining rounds re-stage -- whenever a round contains a
-        missing observation, trips the seasonality-shift search, or goes
-        non-finite under the unguarded solves (that round replays on the
-        guarded per-round path, reproducing the exact scalar behavior).
+        Semantically identical (float for float, shift searches and all)
+        to advancing every member's scalar :class:`OneShotSTL` once per row
+        of ``values``, but rounds advance in *staged runs*: the solver
+        extends skip validation and pivot guards over pre-staged scratch
+        (:meth:`BatchedIncrementalLDLT.extend_solve`), the per-iteration
+        trend recurrences run over a block-resident history instead of
+        copying state per round, and seasonal-buffer scatters plus the
+        phase counters commit once per run.  Three events end a run early
+        (the remaining rounds re-stage):
 
-        The returned :class:`FleetUpdate` carries ``(rounds, n)`` arrays.
+        * a round with missing observations is imputed from live state
+          (latest trend + seasonal buffer at the current phase, exactly
+          like the scalar model) and advances as a one-round run;
+        * a round that trips the seasonality-shift search finishes its
+          flagged members on the scalar search path;
+        * a round that goes non-finite under the unguarded solves is rolled
+          back and ends the *call*: the returned arrays then cover only the
+          rounds before it, the kernel holds exactly the state after those
+          rounds, and the caller must advance that round member by member
+          through the scalar models (:meth:`extract` / :meth:`load`) --
+          which is by definition the scalar behavior, pivot errors
+          included -- before submitting the rest.
+
+        The returned :class:`FleetUpdate` carries ``(rounds advanced, n)``
+        arrays.
         """
         if columns is not None:
             columns = np.asarray(columns, dtype=np.intp)
@@ -726,27 +649,26 @@ class FleetKernel:
         seasonal_out = np.empty((n_rounds, n))
         residual_out = np.empty((n_rounds, n))
         detection_out = np.empty((n_rounds, n))
-        clean = np.isfinite(values).all(axis=1)
+        finite = np.isfinite(values)
+        clean = finite.all(axis=1)
         run_cap = min(self.period, _MAX_BLOCK_ROUNDS)
         row = 0
         while row < n_rounds:
-            if not clean[row]:
-                # Rounds with missing observations impute from live state;
-                # the per-round path handles them exactly.
-                result = self.update(values[row])
-                value_out[row] = result.value
-                trend_out[row] = result.trend
-                seasonal_out[row] = result.seasonal
-                residual_out[row] = result.residual
-                detection_out[row] = result.detection_residual
-                row += 1
-                continue
             stop = row + 1
-            limit = min(n_rounds, row + run_cap)
-            while stop < limit and clean[stop]:
-                stop += 1
-            row = self._advance_block(
-                values,
+            if clean[row]:
+                limit = min(n_rounds, row + run_cap)
+                while stop < limit and clean[stop]:
+                    stop += 1
+            else:
+                # Missing observations: impute with the model's own
+                # one-step forecast, which reads live state -- so the
+                # round is its own run.
+                phase = self.global_index % self.period
+                anchor = self.seasonal_buffer[self._rows(), phase]
+                forecast = self.last_trend + anchor
+                value_out[row] = np.where(finite[row], values[row], forecast)
+            row, solved = self._advance_block(
+                value_out,
                 row,
                 stop,
                 trend_out,
@@ -754,8 +676,14 @@ class FleetKernel:
                 residual_out,
                 detection_out,
             )
+            if not solved:
+                break
         return FleetUpdate(
-            value_out, trend_out, seasonal_out, residual_out, detection_out
+            value_out[:row],
+            trend_out[:row],
+            seasonal_out[:row],
+            residual_out[:row],
+            detection_out[:row],
         )
 
     # ------------------------------------------------------------- internals
@@ -770,12 +698,14 @@ class FleetKernel:
         seasonal_out: np.ndarray,
         residual_out: np.ndarray,
         detection_out: np.ndarray,
-    ) -> int:
+    ) -> tuple[int, bool]:
         """Advance the all-finite rounds ``[start, stop)`` as one staged run.
 
-        Returns the index one past the last round actually advanced: the
-        whole run normally, or less when a shift-search trigger or a
-        non-finite solve ended the run early.  ``stop - start`` never
+        Returns ``(next_round, solved)``: the index one past the last
+        round actually advanced -- the whole run normally, or less when a
+        shift-search trigger or a non-finite solve ended the run early --
+        and whether every solve stayed finite (``False`` means round
+        ``next_round`` was rolled back).  ``stop - start`` never
         exceeds ``min(period, _MAX_BLOCK_ROUNDS)``, which guarantees no
         round of the run reads a seasonal slot an earlier round wrote --
         the precondition for staging anchors and deferring the seasonal
@@ -878,16 +808,10 @@ class FleetKernel:
                 math.isfinite(float(trend_row.sum()))
                 and math.isfinite(float(seasonal_row.sum()))
             ):
-                return self._blocked_abort_round(
-                    values,
-                    start,
-                    r,
-                    phases_view,
-                    trend_out,
-                    seasonal_out,
-                    residual_out,
-                    detection_out,
+                self._blocked_abort_round(
+                    start, r, phases_view, trend_out, seasonal_out, detection_out
                 )
+                return start + r, False
             trend_out[start + r] = trend_row
             residual_row = residual_out[start + r]
             np.subtract(values[start + r], trend_row, out=residual_row)
@@ -910,13 +834,13 @@ class FleetKernel:
                     )
                     monitor.update_stats(detection_row)
                     self._block_commit(r, hists, trend_out[start + r], detection_row)
-                    return start + r + 1
+                    return start + r + 1, True
             monitor.update_stats(detection_row)
         self._block_flush(start, n_rounds, phases_view, seasonal_out)
         self._block_commit(
             n_rounds - 1, hists, trend_out[stop - 1], detection_out[stop - 1]
         )
-        return stop
+        return stop, True
 
     def _block_workspaces(
         self, n_rounds: int
@@ -941,7 +865,6 @@ class FleetKernel:
             self._pattern_values = pattern_values = np.empty(
                 (_PATTERN_ROWS.size, n)
             )
-            self._rhs_values = np.empty((2, n))
         pattern0 = self._block_pattern0
         if pattern0 is None or pattern0.shape[1] != n:
             self._block_pattern0 = pattern0 = np.empty((_PATTERN_ROWS.size, n))
@@ -949,8 +872,8 @@ class FleetKernel:
             self._block_weight_q = np.empty(n)
         # The first IRLS iteration's weights are the raw lambdas on every
         # round (its ``next_p``/``next_q`` are 1.0), so its pattern-value
-        # buffer is filled once per run -- same scalar broadcasts as the
-        # per-round fill it replaces.
+        # buffer is filled once per run -- the scalar broadcasts of
+        # ContributionWorkspace.fill's steady-state pattern.
         pattern0[:4] = 1.0
         pattern0[4] = self.lambda1
         pattern0[5] = self.lambda1
@@ -1023,9 +946,9 @@ class FleetKernel:
 
         The run's deferred rounds are flushed first (the scalar candidate
         search reads the live seasonal buffer and counters), then this
-        round mirrors :meth:`update`'s flagged handling.  The run ends
-        here: a chosen shift redirects this round's seasonal write, so
-        later rounds must re-stage against the post-shift state.
+        round mirrors the scalar ``OneShotSTL.update``'s flagged handling.
+        The run ends here: a chosen shift redirects this round's seasonal
+        write, so later rounds must re-stage against the post-shift state.
         """
         self._block_flush(start, r, phases_view, seasonal_out)
         previous_trends = [(hist[r + 1], hist[r]) for hist in hists]
@@ -1061,21 +984,19 @@ class FleetKernel:
 
     def _blocked_abort_round(
         self,
-        values: np.ndarray,
         start: int,
         r: int,
         phases_view: np.ndarray,
         trend_out: np.ndarray,
         seasonal_out: np.ndarray,
-        residual_out: np.ndarray,
         detection_out: np.ndarray,
-    ) -> int:
+    ) -> None:
         """Round ``r`` went non-finite under the unguarded staged solves.
 
-        Rolls every iteration solver back to its pre-round state, restores
-        the trend pairs and deferred writes, and replays the round on the
-        guarded per-round path -- reproducing the scalar path's values or
-        its exact pivot error (whichever the scalar path produces).
+        Rolls every iteration solver back to its pre-round state and
+        restores the trend pairs and deferred writes, leaving the kernel
+        exactly as it was after round ``r - 1`` so the caller can replay
+        round ``r`` through the scalar models.
         """
         hists = self._block_hists
         for state, hist in zip(self.iteration_states, hists):
@@ -1086,75 +1007,6 @@ class FleetKernel:
         if r > 0:
             np.copyto(self.last_trend, trend_out[start + r - 1])
             np.copyto(self.last_detection_residual, detection_out[start + r - 1])
-        result = self.update(values[start + r])
-        trend_out[start + r] = result.trend
-        seasonal_out[start + r] = result.seasonal
-        residual_out[start + r] = result.residual
-        detection_out[start + r] = result.detection_residual
-        return start + r + 1
-
-    @hotpath
-    def _advance_batched(
-        self, values: np.ndarray, anchor: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched mirror of :func:`repro.core.oneshotstl._advance_states`.
-
-        Every elementwise operation happens in the same order as the scalar
-        code, so the results are identical float for float.
-        """
-        n = self._n
-        epsilon = self.epsilon
-        next_p = np.ones(n)
-        next_q = np.ones(n)
-        # The pattern/rhs workspaces are cell-major ((13, n) / (2, n)) so
-        # the batched solver consumes their transposed views without a
-        # transposition copy (see BatchedIncrementalLDLT.extend).
-        pattern_values = self._pattern_values
-        if pattern_values is None or pattern_values.shape[1] != n:
-            self._pattern_values = pattern_values = np.empty(
-                (_PATTERN_ROWS.size, n)
-            )
-            self._rhs_values = np.empty((2, n))
-        rhs = self._rhs_values
-        pattern_values[:4] = 1.0
-        rhs[0] = values
-        rhs[1] = values + anchor
-        pattern_t = pattern_values.T
-        rhs_t = rhs.T
-        trend = seasonal = None
-        for state in self.iteration_states:
-            # Mirrors ContributionWorkspace.fill's steady-state pattern.
-            first_weight = self.lambda1 * next_p
-            second_weight = self.lambda2 * next_q
-            pattern_values[4] = first_weight
-            pattern_values[5] = first_weight
-            pattern_values[6] = -first_weight
-            pattern_values[7] = second_weight
-            pattern_values[8] = 4.0 * second_weight
-            pattern_values[9] = second_weight
-            pattern_values[10] = -2.0 * second_weight
-            pattern_values[11] = second_weight
-            pattern_values[12] = -2.0 * second_weight
-            solver = state.solver
-            solver.extend(2, _PATTERN_ROWS, _PATTERN_COLS, pattern_t, rhs_t)
-            tail = solver.tail_solution(2)
-            trend = tail[:, 0]
-            seasonal = tail[:, 1]
-            next_p = 0.5 / np.maximum(np.abs(trend - state.previous_trend), epsilon)
-            next_q = 0.5 / np.maximum(
-                np.abs(
-                    trend
-                    - 2.0 * state.previous_trend
-                    + state.before_previous_trend
-                ),
-                epsilon,
-            )
-            # In-place writes (not rebinds) keep the trend-pair arrays'
-            # append capacity; update() copies the pre-advance pairs out
-            # beforehand when the shift-search fallback may need them.
-            np.copyto(state.before_previous_trend, state.previous_trend)
-            np.copyto(state.previous_trend, trend)
-        return trend, seasonal
 
     def _shift_search_fallback(
         self,

@@ -321,10 +321,6 @@ class ShardRouter:
         failover the replacement is re-armed with only the plan's
         ``persist=True`` injectors (the crash-loop shape), so one-shot
         faults do not repeat.
-    fault_injection:
-        Legacy test knob: ``{shard_id: {"kill_point": ..., "kill_after":
-        n}}`` arms a single ``SIGKILL`` (equivalent to a one-injector
-        plan).
     """
 
     def __init__(
@@ -342,7 +338,6 @@ class ShardRouter:
         recovery: str = "quarantine",
         close_timeout: float = 30.0,
         fault_plans: dict | None = None,
-        fault_injection: dict | None = None,
     ):
         if not isinstance(cluster, ClusterSpec):
             raise TypeError(
@@ -376,7 +371,6 @@ class ShardRouter:
         #: the plan currently armed in each live worker (for survivor
         #: re-arming on failover)
         self._armed_plans: dict[str, FaultPlan] = {}
-        self._fault_injection = dict(fault_injection or {})
         self._spec_dict = cluster.engine.to_dict()
         try:
             self._ctx = multiprocessing.get_context("fork")
@@ -412,7 +406,6 @@ class ShardRouter:
                 self._armed_plans[shard_id] = plan
             else:
                 self._armed_plans.pop(shard_id, None)
-        options.update(self._fault_injection.pop(shard_id, {}))
         return options
 
     def _spawn(self, spec: ShardSpec) -> _ShardWorker:

@@ -41,36 +41,11 @@ from typing import Any
 
 from repro.durability import DirectoryCheckpointStore
 from repro.durability.lock import DEFAULT_STALE_AFTER
-from repro.faults import WORKER_RECV, WORKER_REPLY, FaultInjector, FaultPlan
+from repro.faults import WORKER_RECV, WORKER_REPLY, FaultPlan
 from repro.specs import EngineSpec
 from repro.streaming.engine import MultiSeriesEngine
 
 __all__ = ["worker_main"]
-
-
-def _build_plan(options: dict) -> FaultPlan:
-    """Assemble the worker's fault plan from its options.
-
-    ``fault_plan`` ships a full :meth:`FaultPlan.to_dict` document; the
-    legacy ``kill_point`` / ``kill_after`` pair (PR 7's oracle tests)
-    translates into one SIGKILL injector appended to it.
-    """
-    plan = FaultPlan.from_dict(
-        options.get("fault_plan") or {"injectors": []}
-    )
-    kill_point = options.get("kill_point")
-    if kill_point is None:
-        return plan
-    return FaultPlan(
-        plan.injectors
-        + (
-            FaultInjector(
-                point=str(kill_point),
-                action="sigkill",
-                after=int(options.get("kill_after", 1)),
-            ),
-        )
-    )
 
 
 def _points_total(engine: MultiSeriesEngine) -> int:
@@ -105,9 +80,8 @@ def worker_main(
         ``wal_sync`` / ``stale_after`` store knobs;
         ``checkpoint_interval`` engine knob; ``recovery`` selects the
         engine's corruption policy (``strict|truncate|quarantine``);
-        ``fault_plan`` (a :meth:`FaultPlan.to_dict` document) and the
-        legacy ``kill_point`` + ``kill_after`` arm fault injection
-        (tests only).
+        ``fault_plan`` (a :meth:`FaultPlan.to_dict` document) arms
+        fault injection (tests only).
     """
     options = options or {}
     spec = EngineSpec.from_dict(spec_dict)
@@ -121,7 +95,9 @@ def worker_main(
         # The plan installs before recovery so injectors can target
         # recovery-time boundaries (e.g. crash while re-checkpointing a
         # quarantined store) as well as serving-time ones.
-        plan = _build_plan(options)
+        plan = FaultPlan.from_dict(
+            options.get("fault_plan") or {"injectors": []}
+        )
         plan.install(store)
         had_state = store.read_manifest() is not None
         engine = MultiSeriesEngine.open(

@@ -36,23 +36,22 @@ Two deliberate differences from the scalar solver's *shape* (not values):
   corresponds to absolute index ``size - w + i`` of that member's system.
 
 Internally the corrected state lives in a pair of capacity-managed
-*ping-pong* buffers: every :meth:`extend` computes the new trailing state
-into the inactive buffer and flips, which makes :meth:`rollback` an O(1)
-flip back (the previous state is still sitting in the other buffer) and
-removes all per-point allocation from the hot path (the extended-block
-workspaces are reused call to call).  The spare columns of the buffers
-double as append capacity: absorbing ``m`` late-joining members costs O(m)
-amortized instead of one full copy per absorption.  :meth:`undo_state` /
-:meth:`extract_pre_extend` expose the saved pre-extend state so a caller
-can rebuild one member's pre-extend scalar state without rolling back the
-rest of the fleet -- which is how the fleet kernel retries a single
-series' seasonality-shift search while the other series keep their
-committed update.
+*ping-pong* buffers: every :meth:`extend_solve` computes the new trailing
+state into the inactive buffer and flips, which makes :meth:`rollback` an
+O(1) flip back (the previous state is still sitting in the other buffer)
+and removes all per-point allocation from the hot path (the staged
+extended-block workspace is reused call to call).  The spare columns of
+the buffers double as append capacity: absorbing ``m`` late-joining
+members costs O(m) amortized instead of one full copy per absorption.
+:meth:`undo_state` / :meth:`extract_pre_extend` expose the saved
+pre-extend state so a caller can rebuild one member's pre-extend scalar
+state without rolling back the rest of the fleet -- which is how the fleet
+kernel retries a single series' seasonality-shift search while the other
+series keep their committed update.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -123,10 +122,6 @@ class BatchedIncrementalLDLT:
         self._s_buffers: list[np.ndarray | None] = [sizes, None]
         self._cur = 0
         self._undo_ok = False
-        #: reusable extended-block workspaces keyed by block size, and the
-        #: reusable tail-solve workspaces (allocated lazily, grown with n)
-        self._extend_scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._tail_scratch: tuple[np.ndarray, np.ndarray] | None = None
         #: cache of the last validated update-pattern arrays (the fleet
         #: kernel passes the same module-constant pattern on every point)
         self._pattern_cache: tuple | None = None
@@ -263,7 +258,7 @@ class BatchedIncrementalLDLT:
         Series-major views (``(n, w, w)`` / ``(n, w)`` / ``(n,)``) of the
         inactive buffer side.  Requires an unconsumed undo level; the views
         must be treated as read-only (they will be overwritten by the next
-        :meth:`extend`).
+        :meth:`extend_solve`).
         """
         if not self._undo_ok:
             raise ValueError("no extend to read back (a single undo level is kept)")
@@ -278,7 +273,7 @@ class BatchedIncrementalLDLT:
     def extract_pre_extend(self, index: int) -> IncrementalBandedLDLT:
         """Scalar solver equal to member ``index`` *before* the last extend.
 
-        Requires an unconsumed undo level (i.e. :meth:`extend` was called
+        Requires an unconsumed undo level (i.e. :meth:`extend_solve` was called
         and neither :meth:`rollback` nor another state rebinding happened
         since).  Used by the fleet kernel to rerun one series' point without
         disturbing the rest of the batch.
@@ -392,7 +387,7 @@ class BatchedIncrementalLDLT:
 
     @hotpath
     def rollback(self) -> None:
-        """Undo the most recent :meth:`extend` for the whole batch in O(1)."""
+        """Undo the most recent :meth:`extend_solve` for the whole batch in O(1)."""
         if not self._undo_ok:
             raise ValueError("no extend to roll back (a single undo level is kept)")
         self._cur = 1 - self._cur
@@ -435,114 +430,20 @@ class BatchedIncrementalLDLT:
         self._pattern_cache = (rows, columns, num_new, checked_rows, checked_columns)
         return checked_rows, checked_columns
 
-    @hotpath
-    def extend(
-        self,
-        num_new: int,
-        rows: np.ndarray,
-        columns: np.ndarray,
-        values: np.ndarray,
-        rhs_new: np.ndarray,
-    ) -> None:
-        """Append ``num_new`` variables to every member system.
-
-        Parameters
-        ----------
-        num_new:
-            Number of appended variables per system
-            (``1 <= num_new <= half_bandwidth``).
-        rows, columns:
-            Shared coefficient-update positions in *local* trailing-block
-            coordinates ``[0, half_bandwidth + num_new)``, shape ``(k,)``.
-            Every member receives the same update pattern (the fleet kernel
-            guarantees this: the steady-state OneShotSTL point touches the
-            same local positions for every series).  As in the scalar
-            solver, each value is added at ``(row, column)`` *and* at the
-            mirrored position.
-        values:
-            Per-member update values, shape ``(n, k)``.  Passing the
-            transposed view of a C-contiguous ``(k, n)`` buffer (as the
-            fleet kernel does) avoids an internal transposition copy.
-        rhs_new:
-            Per-member right-hand sides of the appended variables, shape
-            ``(n, num_new)``; same transposition note as ``values``.
-        """
-        w = self.half_bandwidth
-        if not 1 <= num_new <= w:
-            raise ValueError(f"num_new must be in [1, {w}], got {num_new}")
-        block = w + num_new
-        n = self._n
-        rows, columns = self._validated_pattern(num_new, rows, columns)
-        values = np.asarray(values, dtype=float)
-        rhs_new = np.asarray(rhs_new, dtype=float)
-        if values.shape != (n, rows.size):
-            raise ValueError(f"values must have shape ({n}, {rows.size})")
-        if rhs_new.shape != (n, num_new):
-            raise ValueError(f"rhs_new must have shape ({n}, {num_new})")
-        # Cell-major working copies (no-ops when the caller passed
-        # transposed views of contiguous buffers).
-        values_t = np.ascontiguousarray(values.T)
-        rhs_t = np.ascontiguousarray(rhs_new.T)
-
-        # Extended corrected block over local indices [0, block): the old
-        # trailing block in the top-left corner, zeros elsewhere.  The
-        # workspace is persistent (reused call to call) so the hot path
-        # allocates nothing.
-        scratch = self._extend_scratch.get(block)
-        if scratch is None or scratch[0].shape[2] < n:
-            scratch = (np.empty((block, block, n)), np.empty((block, n)))
-            self._extend_scratch[block] = scratch
-        matrix = scratch[0][:, :, :n]
-        rhs = scratch[1][:, :n]
-        matrix[:w, w:] = 0.0
-        matrix[w:, :] = 0.0
-        matrix[:w, :w] = self._m_state()
-        rhs[:w] = self._b_state()
-        rhs[w:] = rhs_t
-
-        # Apply the shared update pattern entry by entry, in caller order --
-        # cells hit by several entries must accumulate in the same order as
-        # the scalar solver's sequential `+=` for exact reproducibility.
-        for position in range(rows.size):
-            row, column = rows[position], columns[position]
-            matrix[row, column] += values_t[position]
-            if row != column:
-                matrix[column, row] += values_t[position]
-
-        # Eliminate the num_new oldest variables (they are finalized now),
-        # folding their Schur-complement correction into the new trailing
-        # block.  Same sweep order as the scalar kernel; the scalar kernel's
-        # `if factor != 0.0` skip is a pure no-op for finite operands
-        # (x - 0.0 * y == x up to the sign of a zero), so the unconditional
-        # vectorized form computes the same values.
-        for k in range(num_new):
-            pivot = matrix[k, k]
-            if not math.isfinite(pivot.sum()) or (pivot == 0.0).any():
-                bad = np.flatnonzero(~np.isfinite(pivot) | (pivot == 0.0))
-                if bad.size:
-                    raise ValueError(
-                        f"zero or invalid pivot while finalizing local index "
-                        f"{k} of member systems {bad.tolist()}"
-                    )
-            factor = matrix[k + 1 :, k] / pivot
-            matrix[k + 1 :, k + 1 :] -= factor[:, None, :] * matrix[k, None, k + 1 :]
-            rhs[k + 1 :] -= factor * rhs[k]
-
-        # Commit the new trailing state into the inactive buffer and flip:
-        # the pre-extend state stays intact on the other side, which is the
-        # whole of rollback().
-        sizes = self._sizes
-        other = self._other_side(self._m_buffers[self._cur].shape[2])
-        self._m_buffers[other][:, :, :n] = matrix[num_new:, num_new:]
-        self._b_buffers[other][:, :n] = rhs[num_new:]
-        np.add(sizes, num_new, out=self._s_buffers[other][:n])
-        self._cur = other
-        self._undo_ok = True
-
     def begin_extend_block(
         self, num_new: int, rows: np.ndarray, columns: np.ndarray
     ) -> None:
         """Stage a run of :meth:`extend_solve` calls sharing one pattern.
+
+        ``num_new`` variables (``1 <= num_new <= half_bandwidth``) are
+        appended to every member system per :meth:`extend_solve`;
+        ``rows``/``columns`` are the shared coefficient-update positions in
+        *local* trailing-block coordinates ``[0, half_bandwidth +
+        num_new)``, shape ``(k,)``.  Every member receives the same update
+        pattern (the fleet kernel guarantees this: the steady-state
+        OneShotSTL point touches the same local positions for every
+        series).  As in the scalar solver, each value is added at ``(row,
+        column)`` *and* at the mirrored position.
 
         Validates the shared update pattern once and pre-sizes the staged
         augmented workspace, so each :meth:`extend_solve` of the run
@@ -612,7 +513,7 @@ class BatchedIncrementalLDLT:
         out_trend: np.ndarray,
         out_seasonal: np.ndarray,
     ) -> None:
-        """One staged :meth:`extend` fused with a two-entry tail solve.
+        """Append the staged variables to every member and solve the tail.
 
         Requires a preceding :meth:`begin_extend_block`.  ``values_t`` is
         the cell-major ``(k, n)`` pattern-value buffer and ``rhs_t`` the
@@ -620,17 +521,19 @@ class BatchedIncrementalLDLT:
         entries land in ``out_seasonal`` (local row ``w - 1``) and
         ``out_trend`` (row ``w - 2``), both shape ``(n,)``.
 
-        Values are identical to ``extend(...)`` followed by
+        For finite operands the values are identical to every member's
+        scalar :meth:`IncrementalBandedLDLT.extend` followed by
         ``tail_solution(2)`` -- the tail sweep continues the extend's
         elimination in the same scratch (the committed trailing state *is*
         the partially eliminated block), the dead back-substitution rows
-        below ``w - 2`` are skipped, and the pivot guards are dropped: a
-        zero/invalid pivot propagates non-finite values into the outputs
-        instead of raising, which the caller screens post hoc (the fleet
-        kernel rolls the round back and replays it on the guarded per-round
-        path to reproduce the exact scalar error).  The committed ping-pong
-        state and the single undo level behave exactly as after
-        :meth:`extend`.
+        below ``w - 2`` are skipped, and the scalar solver's pivot guards
+        are dropped: a zero/invalid pivot propagates non-finite values into
+        the outputs instead of raising, which the caller screens post hoc
+        (the fleet kernel rolls the round back with :meth:`rollback`, and
+        the round replays through the scalar solvers to reproduce the exact
+        scalar values or error).  The new trailing state is committed into
+        the inactive ping-pong buffer and the pre-extend state stays intact
+        on the other side as the single undo level.
         """
         w = self.half_bandwidth
         num_new = self._block_pattern[0]
@@ -639,20 +542,21 @@ class BatchedIncrementalLDLT:
         # The staged workspace is *augmented*: the right-hand side rides as
         # column ``block`` of the matrix, so each elimination sweep updates
         # matrix and RHS in one array operation (the per-element multiply
-        # and subtract are the unfused ones of extend(), so values match
-        # bit for bit).  The sweep temporaries are deliberately allocated
-        # fresh: repeated same-size allocations reuse hot addresses, which
-        # beats per-solver persistent buffers that multiply the working
-        # set by the iteration count.
+        # and subtract are the unfused ones of the scalar extend, so values
+        # match bit for bit).  The sweep temporaries are deliberately
+        # allocated fresh: repeated same-size allocations reuse hot
+        # addresses, which beats per-solver persistent buffers that
+        # multiply the working set by the iteration count.
         aug = self._block_scratch[:, :, :n]
         aug[:w, w:block] = 0.0
         aug[w:, :block] = 0.0
         aug[:w, :w] = self._m_state()
         aug[:w, block] = self._b_state()
         aug[w:, block] = rhs_t
-        # Same sequential per-entry accumulation as extend() -- cells hit
-        # by several pattern entries fold in caller order -- through the
-        # cell views staged by begin_extend_block.
+        # Sequential per-entry accumulation -- cells hit by several pattern
+        # entries must fold in caller order, like the scalar solver's
+        # sequential `+=` -- through the cell views staged by
+        # begin_extend_block.
         for view, mirror, position in self._block_cells:
             value = values_t[position]
             np.add(view, value, out=view)
@@ -661,7 +565,10 @@ class BatchedIncrementalLDLT:
         # Sweeps stop at the staged per-sweep row limit: appended rows
         # that have not coupled in yet carry an exact ``+-0.0`` factor,
         # and subtracting ``+-0.0 * pivot_row`` is bitwise a no-op (see
-        # begin_extend_block).
+        # begin_extend_block).  Same sweep order as the scalar kernel,
+        # whose `if factor != 0.0` skip is likewise a pure no-op for finite
+        # operands (x - 0.0 * y == x up to the sign of a zero), so the
+        # unconditional vectorized form computes the same values.
         limits = self._block_limits
         for k in range(num_new):
             limit = limits[k]
@@ -679,63 +586,16 @@ class BatchedIncrementalLDLT:
         self._cur = other
         self._undo_ok = True
         # Fused tail: continuing the elimination over the trailing block in
-        # the same scratch performs exactly tail_solution's fresh sweep
+        # the same scratch performs exactly the scalar tail_solution's sweep
         # (its final pivot iteration touches no rows and is skipped).
         for k in range(num_new, block - 1):
             limit = limits[k]
             factor = aug[k + 1 : limit, k] / aug[k, k]
             aug[k + 1 : limit, k + 1 :] -= factor[:, None, :] * aug[k, None, k + 1 :]
         # Back substitution of the last two rows only (the rest is dead),
-        # with tail_solution's accumulation order.
+        # with the scalar tail_solution's accumulation order.
         tmp = self._block_tmp[:n]
         np.divide(aug[block - 1, block], aug[block - 1, block - 1], out=out_seasonal)
         np.multiply(aug[block - 2, block - 1], out_seasonal, out=tmp)
         np.subtract(aug[block - 2, block], tmp, out=tmp)
         np.divide(tmp, aug[block - 2, block - 2], out=out_trend)
-
-    @hotpath
-    def tail_solution(self, count: int) -> np.ndarray:
-        """Last ``count`` solution entries of every member, shape ``(n, count)``.
-
-        ``count`` may not exceed the half bandwidth (same contract as the
-        scalar solver in incremental mode).
-        """
-        w = self.half_bandwidth
-        if count < 1:
-            raise ValueError("count must be at least 1")
-        if count > w:
-            raise ValueError(
-                f"count ({count}) cannot exceed the half bandwidth ({w})"
-            )
-        n = self._n
-        scratch = self._tail_scratch
-        if scratch is None or scratch[0].shape[2] < n:
-            scratch = (np.empty((w, w, n)), np.empty((w, n)))
-            self._tail_scratch = scratch
-        matrix = scratch[0][:, :, :n]
-        rhs = scratch[1][:, :n]
-        matrix[:] = self._m_state()
-        rhs[:] = self._b_state()
-        # Forward elimination, mirroring the scalar kernel sweep for sweep.
-        for k in range(w):
-            pivot = matrix[k, k]
-            if not math.isfinite(pivot.sum()) or (pivot == 0.0).any():
-                bad = np.flatnonzero(~np.isfinite(pivot) | (pivot == 0.0))
-                if bad.size:
-                    raise ValueError(
-                        f"singular trailing system at pivot {k} of member "
-                        f"systems {bad.tolist()}"
-                    )
-            factor = matrix[k + 1 :, k] / pivot
-            matrix[k + 1 :, k + 1 :] -= factor[:, None, :] * matrix[k, None, k + 1 :]
-            rhs[k + 1 :] -= factor * rhs[k]
-        # Back substitution with the scalar kernel's accumulation order.
-        # The solution array is freshly allocated -- it is returned to the
-        # caller, which may hold on to views of it across later calls.
-        solution = np.empty((w, n))
-        for i in range(w - 1, -1, -1):
-            accumulator = rhs[i]
-            for j in range(i + 1, w):
-                accumulator = accumulator - matrix[i, j] * solution[j]
-            solution[i] = accumulator / matrix[i, i]
-        return solution[w - count :].T

@@ -12,15 +12,22 @@ keyed streams over the shared fast kernel, with
   :class:`~repro.specs.PipelineSpec` overrides so heterogeneous fleets
   (different periods or thresholds per metric class) live in one engine;
   :attr:`spec` reports the configuration in use;
-* **batched ingest over a columnar fleet kernel** -- ``ingest`` accepts a
+* **one batch path over a columnar fleet kernel** -- ``ingest`` accepts a
   row batch ``[(key, value), ...]``, a columnar batch ``{key: values}`` or
-  parallel ``(keys, values)`` arrays, and routes same-configuration live
-  series through a struct-of-arrays :class:`~repro.core.fleet.FleetKernel`
-  that advances the whole group with a handful of NumPy array operations
+  parallel ``(keys, values)`` arrays, and :meth:`ingest_grid` /
+  :meth:`ingest_many` take pre-normalized ``(round_keys, grid)`` pairs;
+  every form becomes a round-major ``(rounds, keys)`` value grid (row
+  batches that are whole rounds over one key list reshape to one, ragged
+  ones split into one-row grids) and advances through a single routine
+  that routes same-configuration live series through a struct-of-arrays
+  :class:`~repro.core.fleet.FleetKernel` -- all planned rounds of the
+  batch in one kernel call per cohort, a handful of NumPy array operations
   per point instead of a Python loop -- with outputs *exactly* equal to the
   per-series scalar path (series are grouped by their
   :class:`~repro.specs.PipelineSpec`; warming, incompatible or
-  shift-diverging series fall back per series);
+  shift-diverging series fall back per series, and a batch the scalar
+  path would reject runs strictly sequentially so it raises at the same
+  observation);
 * **columnar results** -- :meth:`ingest_columnar` (or ``ingest(...,
   columnar_results=True)``) keeps the outputs in struct-of-arrays form as
   an :class:`IngestResult`: parallel ``index``/``value``/``trend``/
@@ -65,10 +72,9 @@ import enum
 import gc
 import os
 import time
-import warnings
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, Tuple
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -226,7 +232,7 @@ class IngestResult:
         self.detection_residual = np.full(size, np.nan)
         self.live = np.zeros(size, dtype=bool)
         #: sparse {position: EngineRecord} for rows that were produced by
-        #: the scalar path (warming rows, custom pipelines): those records
+        #: the scalar path (warming rows, off-kernel series): those records
         #: are returned verbatim instead of being rebuilt from the arrays.
         self._eager: dict | None = None
         self._keys: list | None = None
@@ -272,33 +278,14 @@ class IngestResult:
         record = engine_record.record
         if record is None:
             return
-        try:
-            fields = (
-                int(record.index),
-                float(record.value),
-                float(record.trend),
-                float(record.seasonal),
-                float(record.residual),
-                float(record.anomaly_score),
-                bool(record.is_anomaly),
-                float(record.detection_residual),
-            )
-        except (AttributeError, TypeError, ValueError):
-            # A custom (factory-built) pipeline may emit record objects
-            # without the standard numeric fields; they are still returned
-            # verbatim by __getitem__, only the columnar mirror (including
-            # ``live``) stays unset -- never a torn half-written row.
-            return
-        (
-            self.index[position],
-            self.value[position],
-            self.trend[position],
-            self.seasonal[position],
-            self.residual[position],
-            self.anomaly_score[position],
-            self.is_anomaly[position],
-            self.detection_residual[position],
-        ) = fields
+        self.index[position] = record.index
+        self.value[position] = record.value
+        self.trend[position] = record.trend
+        self.seasonal[position] = record.seasonal
+        self.residual[position] = record.residual
+        self.anomaly_score[position] = record.anomaly_score
+        self.is_anomaly[position] = record.is_anomaly
+        self.detection_residual[position] = record.detection_residual
         self.live[position] = True
 
     def __len__(self) -> int:
@@ -491,7 +478,7 @@ class _FleetGroup:
         self.latency_window = int(latency_window)
         self.track_latency = bool(track_latency)
         #: pending per-column latency ring (one row per column, one slot
-        #: per retained duration): a whole cohort round records its shared
+        #: per retained duration): a whole cohort block records its shared
         #: per-point duration with a few array writes instead of a Python
         #: append per key; the ring is folded into the per-series
         #: RingBuffers only at materialization boundaries.
@@ -565,21 +552,6 @@ class _FleetGroup:
             self.column_of[key] = len(self.keys)
             self.keys.append(key)
         self._all_columns = np.arange(len(self.keys), dtype=np.intp)
-
-    def record_latency(self, columns: np.ndarray | None, per_point: float) -> None:
-        """Record one cohort round's shared per-point duration (O(1) Python).
-
-        ``columns=None`` means the round advanced every column.
-        """
-        counts = self.latency_counts
-        if columns is None:
-            slots = counts % self.latency_window
-            self.latency_values[self._all_columns, slots] = per_point
-            counts += 1
-        else:
-            slots = counts[columns] % self.latency_window
-            self.latency_values[columns, slots] = per_point
-            counts[columns] += 1
 
     def record_latency_block(
         self, columns: np.ndarray | None, per_point: float, rounds: int
@@ -666,97 +638,53 @@ class _FleetGroup:
 class MultiSeriesEngine:
     """A keyed fleet of online decomposition pipelines behind one ingest API.
 
-    The supported way to construct an engine is from a declarative
-    :class:`~repro.specs.EngineSpec` -- :meth:`from_spec`, or
-    :meth:`for_oneshotstl` for the common case -- because only spec-built
-    engines can be persisted with :meth:`save`.  Passing a
-    ``pipeline_factory`` callable directly is deprecated (it cannot be
-    serialized, shipped to a worker, or rebuilt from a checkpoint) but
-    still works for fully custom pipelines.
+    An engine is built from a declarative :class:`~repro.specs.EngineSpec`
+    -- :meth:`from_spec`, or :meth:`for_oneshotstl` for the common case --
+    which is plain data: it can be serialized, shipped to a worker, and
+    rebuilt from a checkpoint.  Per-key configuration goes in the spec's
+    ``overrides``.
+
+    Every public ingest form (:meth:`ingest` rows / parallel arrays /
+    ``{key: values}`` dicts, :meth:`ingest_grid`, :meth:`ingest_many`)
+    normalizes to a round-major ``(round_keys, grid)`` pair and advances
+    through one batch routine; :meth:`process` is the single-observation
+    scalar path, and the reference every batch route equals float for
+    float.
 
     Parameters
     ----------
-    pipeline_factory:
-        Deprecated.  Callable invoked with a series key the first time that
-        key appears; must return a *fresh* :class:`StreamingPipeline` (or
-        any object with the same ``initialize`` / ``process`` / ``forecast``
-        interface).  Use an :class:`~repro.specs.EngineSpec` with per-key
-        ``overrides`` instead.
-    initialization_length:
-        Number of leading observations buffered per series before its batch
-        initialization phase runs.  Should cover at least two seasonal
-        periods of the slowest configured decomposer (the paper uses about
-        four).  Warmup values must be finite (non-finite samples are
-        rejected with ``ValueError`` before they can poison the window);
-        once live, NaN gaps are handled by the decomposer's own
-        missing-value imputation.
-    latency_window:
-        Number of most recent per-point processing durations retained per
-        series for the latency percentiles in :meth:`fleet_stats`.
-    track_latency:
-        Set to False to skip the two clock reads per point (marginally
-        faster ingest, no latency percentiles in the stats).
     spec:
-        Keyword-only.  An :class:`~repro.specs.EngineSpec` that fully
-        configures the engine; mutually exclusive with the other
-        parameters.  Prefer :meth:`from_spec`.
+        Keyword-only.  The :class:`~repro.specs.EngineSpec` that fully
+        configures the engine: the pipelines, and
+
+        * ``initialization_length`` -- the number of leading observations
+          buffered per series before its batch initialization phase runs.
+          Should cover at least two seasonal periods of the slowest
+          configured decomposer (the paper uses about four).  Warmup
+          values must be finite (non-finite samples are rejected with
+          ``ValueError`` before they can poison the window); once live,
+          NaN gaps are handled by the decomposer's own missing-value
+          imputation;
+        * ``latency_window`` -- the number of most recent per-point
+          processing durations retained per series for the latency
+          percentiles in :meth:`fleet_stats`;
+        * ``track_latency`` -- False skips the two clock reads per point
+          (marginally faster ingest, no latency percentiles in the stats).
     """
 
-    def __init__(
-        self,
-        pipeline_factory: Callable[[Hashable], StreamingPipeline] | None = None,
-        initialization_length: int | None = None,
-        latency_window: int | None = None,
-        track_latency: bool | None = None,
-        *,
-        spec: EngineSpec | None = None,
-    ):
-        if spec is not None:
-            if (
-                pipeline_factory is not None
-                or initialization_length is not None
-                or latency_window is not None
-                or track_latency is not None
-            ):
-                raise ValueError(
-                    "pass either spec= or (pipeline_factory, "
-                    "initialization_length, latency_window, track_latency), "
-                    "not both; a spec-built engine takes every setting from "
-                    "the spec"
-                )
-            if not isinstance(spec, EngineSpec):
-                raise TypeError(
-                    f"spec must be an EngineSpec, got {type(spec).__name__}"
-                )
-            self.spec: EngineSpec | None = spec
-            pipeline_factory = self._spec_factory(spec)
-            initialization_length = spec.initialization_length
-            latency_window = spec.latency_window
-            track_latency = spec.track_latency
-        else:
-            if pipeline_factory is None or initialization_length is None:
-                raise TypeError(
-                    "MultiSeriesEngine requires either spec= or both "
-                    "pipeline_factory and initialization_length"
-                )
-            warnings.warn(
-                "constructing MultiSeriesEngine from a pipeline factory is "
-                "deprecated: factory-built engines cannot be saved to a "
-                "portable checkpoint.  Describe the fleet with an "
-                "EngineSpec (repro.specs) and use MultiSeriesEngine."
-                "from_spec(); per-key configuration goes in spec.overrides.",
-                DeprecationWarning,
-                stacklevel=2,
+    def __init__(self, *, spec: EngineSpec):
+        if not isinstance(spec, EngineSpec):
+            raise TypeError(
+                f"spec must be an EngineSpec, got {type(spec).__name__}"
             )
-            self.spec = None
-        self.pipeline_factory = pipeline_factory
+        self.spec = spec
         self.initialization_length = check_positive_int(
-            initialization_length, "initialization_length", minimum=2
+            spec.initialization_length, "initialization_length", minimum=2
         )
         self.latency_window = check_positive_int(
-            1024 if latency_window is None else latency_window, "latency_window"
+            spec.latency_window, "latency_window"
         )
-        self.track_latency = True if track_latency is None else bool(track_latency)
+        self.track_latency = bool(spec.track_latency)
         self._series: dict[Hashable, _SeriesState] = {}
         #: routes batched ingest of same-spec live series through the
         #: columnar fleet kernel; set to False to force the scalar path
@@ -768,13 +696,6 @@ class MultiSeriesEngine:
         #: overhead than the scalar loop it replaces, so tiny fleets (and
         #: single-key batches) stay on the scalar path.
         self.kernel_min_cohort = 8
-        #: rounds advanced per kernel invocation on the grid fast path:
-        #: ``None`` (default) drives every planned round of a batch as one
-        #: time-block (the kernel splits internally on NaN rounds and
-        #: shift-search triggers); ``1`` forces the legacy round-at-a-time
-        #: path -- the oracle tests and the bench baseline use it to
-        #: compare the two bit-identical paths.
-        self.time_block_rounds: int | None = None
         #: smallest live-member fraction a kernel group may fall to before
         #: its survivors are re-homed: extraction (shard migration) leaves
         #: dead columns behind, and a sparse group pays full-width array
@@ -797,7 +718,6 @@ class MultiSeriesEngine:
         self._store: CheckpointStore | None = None
         self._generation = 0
         self._replaying = False
-        self._wal_suppressed = False
         self._wal_records_pending = 0
         self._cohort_of: dict[Hashable, int] = {}
         self._cohort_members: dict[int, list] = {}
@@ -812,15 +732,6 @@ class MultiSeriesEngine:
         self.last_recovery: RecoveryReport | None = None
 
     # --------------------------------------------------------- construction
-
-    @staticmethod
-    def _spec_factory(
-        spec: EngineSpec,
-    ) -> Callable[[Hashable], StreamingPipeline]:
-        def factory(key: Hashable) -> StreamingPipeline:
-            return StreamingPipeline.from_spec(spec.pipeline_for(key))
-
-        return factory
 
     @classmethod
     def from_spec(cls, spec: EngineSpec) -> "MultiSeriesEngine":
@@ -910,7 +821,8 @@ class MultiSeriesEngine:
             return record
         state = self._series.get(key)
         if state is None:
-            state = _SeriesState(self.pipeline_factory(key), self.latency_window)
+            pipeline = StreamingPipeline.from_spec(self.spec.pipeline_for(key))
+            state = _SeriesState(pipeline, self.latency_window)
             self._series[key] = state
 
         if not state.live:
@@ -1010,12 +922,8 @@ class MultiSeriesEngine:
         if isinstance(batch, dict):
             round_keys, grid = self._grid_from_dict(batch)
             self._wal_append("grid", round_keys, grid)
-            result = self._with_wal_suppressed(
-                self._ingest_grid, round_keys, grid, columnar_results
-            )
-            self._maybe_auto_checkpoint()
-            return result
-        if (
+            result = self._ingest_grid(round_keys, grid, columnar_results)
+        elif (
             isinstance(batch, tuple)
             and len(batch) == 2
             and isinstance(batch[1], np.ndarray)
@@ -1028,6 +936,8 @@ class MultiSeriesEngine:
                     "length with a 1-D value array"
                 )
             keys = list(keys)
+            self._wal_append("rows", keys, values)
+            result = self._ingest_rows(keys, values, columnar_results)
         else:
             rows = list(batch)
             try:
@@ -1037,27 +947,12 @@ class MultiSeriesEngine:
                 # Malformed rows or unconvertible values: let the sequential
                 # path raise (or not) with its per-record semantics.
                 self._wal_append("raw_rows", rows)
-                result = self._with_wal_suppressed(
-                    self._ingest_raw_rows, rows, columnar_results
-                )
-                self._maybe_auto_checkpoint()
-                return result
-        self._wal_append("rows", keys, values)
-        result = self._with_wal_suppressed(
-            self._ingest_keys_values, keys, values, columnar_results
-        )
+                result = self._ingest_sequential(rows, columnar_results)
+            else:
+                self._wal_append("rows", keys, values)
+                result = self._ingest_rows(keys, values, columnar_results)
         self._maybe_auto_checkpoint()
         return result
-
-    def _ingest_raw_rows(self, rows: list, columnar_results: bool):
-        """Per-record processing of rows that resisted columnar conversion."""
-        process = self._process_unlogged
-        records = [process(key, value) for key, value in rows]
-        if columnar_results:
-            return IngestResult.from_records(
-                [record.key for record in records], records
-            )
-        return records
 
     def ingest_columnar(self, batch: dict | tuple | Sequence) -> IngestResult:
         """Ingest a batch and keep the results columnar (arrays out).
@@ -1086,7 +981,7 @@ class MultiSeriesEngine:
         is the shard-transport entry point -- a
         :class:`~repro.sharding.ShardRouter` ships each worker its slice
         of a batch as a ``(keys, grid)`` pair, and the worker feeds it
-        straight to the engine's columnar fast path.  Results default to
+        straight to the engine's batch routine.  Results default to
         columnar (:class:`IngestResult`), the form that fans back in as
         arrays.
 
@@ -1094,20 +989,9 @@ class MultiSeriesEngine:
         in a durable session the grid is logged in one record before any
         state advances.
         """
-        round_keys = list(round_keys)
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 2 or grid.shape[1] != len(round_keys):
-            raise ValueError(
-                "ingest_grid() expects a round-major (L, n) grid with one "
-                f"column per key; got shape {grid.shape} for "
-                f"{len(round_keys)} keys"
-            )
-        if len(set(round_keys)) != len(round_keys):
-            raise ValueError("ingest_grid() keys must be unique")
+        round_keys, grid = self._checked_grid(round_keys, grid)
         self._wal_append("grid", round_keys, grid)
-        result = self._with_wal_suppressed(
-            self._ingest_grid, round_keys, grid, columnar_results
-        )
+        result = self._ingest_grid(round_keys, grid, columnar_results)
         self._maybe_auto_checkpoint()
         return result
 
@@ -1134,39 +1018,42 @@ class MultiSeriesEngine:
         suffix of the group -- each surviving record is complete -- and
         replay applies the surviving prefix exactly as if those batches
         alone had been ingested.
+
+        Once the group is committed, every batch in it is applied exactly
+        as replay would apply it: a batch rejected by validation
+        (``ValueError`` / ``TypeError``, e.g. an infinite value) does not
+        stop the batches journaled after it -- otherwise the live engine
+        would sit behind its own WAL -- and the first such error is
+        re-raised after the last batch has been applied.
         """
         normalized = []
         for batch in batches:
             if isinstance(batch, dict):
-                round_keys, grid = self._grid_from_dict(batch)
+                normalized.append(self._grid_from_dict(batch))
             elif isinstance(batch, tuple) and len(batch) == 2:
-                round_keys = list(batch[0])
-                grid = np.asarray(batch[1], dtype=float)
-                if grid.ndim != 2 or grid.shape[1] != len(round_keys):
-                    raise ValueError(
-                        "ingest_many() grid batches must be round-major "
-                        f"(L, n) with one column per key; got shape "
-                        f"{grid.shape} for {len(round_keys)} keys"
-                    )
-                if len(set(round_keys)) != len(round_keys):
-                    raise ValueError("ingest_many() keys must be unique")
+                normalized.append(self._checked_grid(*batch))
             else:
                 raise TypeError(
                     "ingest_many() accepts {key: values} dicts or "
                     "(round_keys, grid) pairs; got "
                     f"{type(batch).__name__}"
                 )
-            normalized.append((round_keys, grid))
         self._wal_append_many(
             [("grid", round_keys, grid) for round_keys, grid in normalized]
         )
-        results = [
-            self._with_wal_suppressed(
-                self._ingest_grid, round_keys, grid, columnar_results
-            )
-            for round_keys, grid in normalized
-        ]
+        results = []
+        rejected = None
+        for round_keys, grid in normalized:
+            try:
+                results.append(
+                    self._ingest_grid(round_keys, grid, columnar_results)
+                )
+            except (ValueError, TypeError) as error:
+                if rejected is None:
+                    rejected = error
         self._maybe_auto_checkpoint()
+        if rejected is not None:
+            raise rejected
         return results
 
     @staticmethod
@@ -1193,128 +1080,203 @@ class MultiSeriesEngine:
             return [], np.zeros((0, 0))
         return list(batch), np.stack(columns, axis=1)
 
-    def _sequential_fallback(
-        self, keys: list, values, columnar_results: bool
-    ):
-        """Strictly sequential per-observation processing (exact raise order)."""
-        process = self.process
-        records = [process(key, value) for key, value in zip(keys, values)]
+    @staticmethod
+    def _checked_grid(
+        round_keys: Sequence[Hashable], grid: np.ndarray
+    ) -> tuple[list, np.ndarray]:
+        """Validate a pre-normalized ``(round_keys, grid)`` pair."""
+        round_keys = list(round_keys)
+        grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 2 or grid.shape[1] != len(round_keys):
+            raise ValueError(
+                "a (round_keys, grid) batch must be a round-major (L, n) "
+                f"grid with one column per key; got shape {grid.shape} for "
+                f"{len(round_keys)} keys"
+            )
+        if len(set(round_keys)) != len(round_keys):
+            raise ValueError("(round_keys, grid) keys must be unique")
+        return round_keys, grid
+
+    def _ingest_sequential(self, rows: Iterable, columnar_results: bool):
+        """Strictly sequential per-observation processing (exact raise order).
+
+        The scalar reference every batched route equals, and the route
+        itself for rows that resisted columnar conversion and for batches
+        :meth:`_runs_sequentially` keeps off the kernel.
+        """
+        process = self._process_unlogged
+        records = [process(key, value) for key, value in rows]
         if columnar_results:
-            return IngestResult.from_records(keys, records)
+            return IngestResult.from_records(
+                [record.key for record in records], records
+            )
         return records
 
-    @hotpath
-    def _ingest_grid(
-        self, round_keys: list, grid: np.ndarray, columnar_results: bool
-    ):
-        """Advance a round-major ``(L, n)`` value grid, one round per row.
+    def _runs_sequentially(self, round_keys: list, grid: np.ndarray) -> bool:
+        """Whether a batch must take the strictly sequential scalar path.
 
-        This is the columnar fast path: the round structure is implied by
-        the grid (every key appears exactly once per round), so the
-        per-observation occurrence bookkeeping of the generic path is
-        skipped entirely, and once every key is kernel-absorbed the
-        per-round routing collapses to a cached plan of pure array
-        operations.
+        True when nothing is (or could become) kernel-batched at this
+        batch width, and when the batch holds a value the scalar path
+        rejects: NaN aimed at an already-absorbed series is a missing
+        point the kernel imputes; anything else (infinities, NaN during
+        warmup or on a scalar-path series) must raise exactly where the
+        sequential path would, so the whole batch stays sequential.
         """
-        n_rounds, n = grid.shape
-        if n_rounds * n == 0:
-            result = IngestResult(round_keys, n_rounds)
-            return result if columnar_results else []
         if not self.fleet_kernel_enabled or (
-            n < self.kernel_min_cohort and not self._absorbed
+            len(round_keys) < self.kernel_min_cohort and not self._absorbed
         ):
-            keys = round_keys * n_rounds
-            return self._sequential_fallback(
-                keys, grid.reshape(-1), columnar_results
-            )
+            return True
         bad = ~np.isfinite(grid)
         if bad.any():
-            # NaN aimed at an already-absorbed series is a missing point the
-            # kernel imputes; anything else (infinities, NaN during warmup
-            # or on a scalar-path series) must raise exactly where the
-            # sequential path would, so the whole batch stays sequential.
             for row, column in zip(*np.nonzero(bad)):
                 if not (
                     np.isnan(grid[row, column])
                     and round_keys[column] in self._absorbed
                 ):
-                    keys = round_keys * n_rounds
-                    return self._sequential_fallback(
-                        keys, grid.reshape(-1), columnar_results
-                    )
-        result = IngestResult(round_keys, n_rounds)
-        flat = grid.reshape(-1)
-        plan = self._grid_plan(round_keys)
-        block_rounds = self.time_block_rounds
+                    return True
+        return False
+
+    def _ingest_rows(
+        self, keys: list, values: np.ndarray, columnar_results: bool
+    ):
+        """Advance parallel ``(keys, values)`` rows as round-major grids.
+
+        A batch that is a whole number of rounds over one repeating unique
+        key list -- what a producer emitting round after round builds --
+        *is* a grid, and reshapes to one.  Anything else (ragged rounds,
+        repeated keys) splits into rounds holding each key's k-th
+        occurrence (values for one key apply oldest first); every such
+        round is a one-row grid whose outputs land at the rows' input
+        positions.
+        """
+        if not keys:
+            return IngestResult([], 0) if columnar_results else []
+        try:
+            width = keys.index(keys[0], 1)
+        except ValueError:
+            width = len(keys)
+        cycle = keys[:width]
+        n_rounds, ragged = divmod(len(keys), width)
+        if not ragged and len(set(cycle)) == width and keys == cycle * n_rounds:
+            return self._ingest_grid(
+                cycle, values.reshape(n_rounds, width), columnar_results
+            )
+        if self._runs_sequentially(keys, values[None, :]):
+            return self._ingest_sequential(zip(keys, values), columnar_results)
+        result = IngestResult(keys, 1)
+        occurrence: dict = {}
+        rounds: list[tuple[list, list]] = []
+        for position, key in enumerate(keys):
+            seen = occurrence.get(key, 0)
+            occurrence[key] = seen + 1
+            if seen == len(rounds):
+                rounds.append(([], []))
+            rounds[seen][0].append(key)
+            rounds[seen][1].append(position)
+        for round_keys, taken in rounds:
+            slots = np.array(taken, dtype=np.intp)
+            self._ingest_grid(
+                round_keys, values[slots][None, :], True, result, slots
+            )
+        return result if columnar_results else result.records()
+
+    @hotpath
+    def _ingest_grid(
+        self,
+        round_keys: list,
+        grid: np.ndarray,
+        columnar_results: bool,
+        result: IngestResult | None = None,
+        slots: np.ndarray | None = None,
+    ):
+        """Advance a round-major ``(L, n)`` value grid: the one batch routine.
+
+        Every key appears exactly once per round, so the round structure
+        is implied by the grid.  Each pass plans the current round
+        (:meth:`_grid_plan`): keys on the kernel advance cohort by cohort
+        through :meth:`_advance_cohort_block`, keys off it through the
+        single-key scalar path.  While any key is off the kernel the
+        batch advances one round per pass (a warming key may go live and
+        be absorbed during the round); once every key is routed, all
+        remaining rounds advance as one block of pure array operations.
+
+        ``result``/``slots`` redirect a one-round grid's outputs into an
+        existing result, column ``j`` landing at ``slots[j]``
+        (:meth:`_ingest_rows` scatters its one-row grids back to the
+        rows' input order this way, having already ruled out the
+        sequential path).  By default the grid gets its own result in
+        round-major order: cell ``(l, j)`` at ``l * n + j``.
+        """
+        n_rounds, n = grid.shape
+        if result is None:
+            if n_rounds * n == 0:
+                result = IngestResult(round_keys, n_rounds)
+                return result if columnar_results else []
+            if self._runs_sequentially(round_keys, grid):
+                return self._ingest_sequential(
+                    zip(round_keys * n_rounds, grid.reshape(-1)),
+                    columnar_results,
+                )
+            result = IngestResult(round_keys, n_rounds)
+            slots = np.arange(n, dtype=np.intp)
         row = 0
         while row < n_rounds:
-            if plan is None:
-                # repro: allow[HP001] cold fallback: runs only while keys
-                # are still warming; collapses to the cached pure-array
-                # plan once every key is absorbed
-                entries = [
-                    (key, row * n + j) for j, key in enumerate(round_keys)
-                ]
-                self._process_round(entries, flat, result)
-                # Warming keys may have gone live and been absorbed during
-                # the round; once every key is routed the remaining rounds
-                # take the planned (pure array) path.
-                plan = self._grid_plan(round_keys)
-                row += 1
-                continue
-            stop = (
-                n_rounds
-                if block_rounds is None
-                else min(n_rounds, row + block_rounds)
-            )
-            if stop - row == 1:
-                # One planned round left (or time_block_rounds == 1): the
-                # round-at-a-time kernel path, unchanged.
-                base = row * n
-                row_values = grid[row]
-                for group, columns, takes, full in plan:
-                    self._advance_cohort(
-                        group,
-                        columns,
-                        takes + base,
-                        row_values[takes],
-                        full,
-                        result,
-                    )
-            else:
-                for group, columns, takes, full in plan:
-                    self._advance_cohort_block(
-                        group, columns, takes, grid, row, stop, n, full, result
-                    )
+            cohorts, scalar = self._grid_plan(round_keys)
+            stop = row + 1 if scalar else n_rounds
+            offsets = n * np.arange(row, stop, dtype=np.intp)[:, None]
+            for group, columns, takes, full in cohorts:
+                self._advance_cohort_block(
+                    group,
+                    columns,
+                    grid[row:stop, takes],
+                    slots[takes] + offsets,
+                    full,
+                    result,
+                )
+            for key, j in scalar:
+                result._set_eager(
+                    slots[j] + row * n, self._process_unlogged(key, grid[row, j])
+                )
             row = stop
         return result if columnar_results else result.records()
 
-    def _grid_plan(self, round_keys: list):
-        """Cacheable per-group routing of one full round.
+    def _grid_plan(self, round_keys: list) -> tuple[list, list]:
+        """Per-group routing of one round: ``(cohorts, scalar)``.
 
-        Returns ``[(group, columns, takes, full), ...]`` covering every
-        key, or ``None`` when any key is off the kernel path (warming,
-        never-absorbable, or in a cohort below the kernel minimum) -- the
-        generic round machinery handles those rounds.
+        Newly eligible live series are absorbed first.  ``cohorts`` is
+        ``[(group, columns, takes, full), ...]`` for the keys the kernel
+        advances (``takes`` are their grid columns); ``scalar`` is
+        ``[(key, j), ...]`` for the keys off the kernel path -- warming,
+        never-absorbable, or in a cohort below the kernel minimum.
         """
         absorbed = self._absorbed
-        parts: dict[int, list] = {}
-        groups: dict[int, _FleetGroup] = {}
+        pending = [key for key in round_keys if key not in absorbed]
+        if pending:
+            self._absorb_eligible(pending)
+        parts: dict[int, tuple[_FleetGroup, list, list]] = {}
+        scalar = []
         for j, key in enumerate(round_keys):
             location = absorbed.get(key)
             if location is None:
-                return None
+                scalar.append((key, j))
+                continue
             group, column = location
-            identity = id(group)
-            groups[identity] = group
-            parts.setdefault(identity, []).append((column, j))
-        plan = []
-        for identity, members in parts.items():
-            group = groups[identity]
+            part = parts.get(id(group))
+            if part is None:
+                part = parts[id(group)] = (group, [], [])
+            part[1].append(column)
+            part[2].append(j)
+        cohorts = []
+        for group, members, taken in parts.values():
             if len(members) < min(self.kernel_min_cohort, group.n_series):
-                return None
-            columns = np.array([column for column, _j in members], dtype=np.intp)
-            takes = np.array([j for _column, j in members], dtype=np.intp)
+                # A round touching only a few members of a large group is
+                # cheaper through the single-key path (which materializes
+                # and writes back just those columns) than through a
+                # gathered sub-kernel.
+                scalar.extend((round_keys[j], j) for j in taken)
+                continue
+            columns = np.array(members, dtype=np.intp)
+            takes = np.array(taken, dtype=np.intp)
             full = columns.size == group.kernel.n_series
             if full:
                 # Whole-group rounds take the in-place (no gather/scatter)
@@ -1323,59 +1285,18 @@ class MultiSeriesEngine:
                 order = np.argsort(columns)
                 columns = columns[order]
                 takes = takes[order]
-            plan.append((group, columns, takes, full))
-        return plan
+            cohorts.append((group, columns, takes, full))
+        return cohorts, scalar
 
-    def _ingest_keys_values(
-        self, keys: list, values: np.ndarray, columnar_results: bool
-    ):
-        if not keys:
-            return IngestResult([], 0) if columnar_results else []
-        if not self.fleet_kernel_enabled or (
-            len(keys) < self.kernel_min_cohort and not self._absorbed
-        ):
-            # Nothing is (or could become) kernel-batched at this batch
-            # size: skip the round-building machinery entirely.
-            return self._sequential_fallback(keys, values, columnar_results)
-        bad = ~np.isfinite(values)
-        if bad.any():
-            # Same contract as the grid path: only NaN-to-absorbed-series
-            # may proceed columnar, everything else raises sequentially.
-            for position in np.flatnonzero(bad):
-                if not (
-                    np.isnan(values[position])
-                    and keys[position] in self._absorbed
-                ):
-                    return self._sequential_fallback(
-                        keys, values, columnar_results
-                    )
+    def _absorb_eligible(self, keys: list) -> None:
+        """Absorb every newly eligible live series among ``keys``.
 
-        # Split the batch into rounds holding at most one observation per
-        # key (values for one key apply oldest first), then advance each
-        # round's kernel cohorts with batched array ops and everything else
-        # through the scalar path.
-        result = IngestResult(keys, 1)
-        occurrence: dict = {}
-        rounds: list[list] = []
-        for position, key in enumerate(keys):
-            seen = occurrence.get(key, 0)
-            occurrence[key] = seen + 1
-            if seen == len(rounds):
-                rounds.append([])
-            rounds[seen].append((key, position))
-        for round_entries in rounds:
-            self._process_round(round_entries, values, result)
-        return result if columnar_results else result.records()
-
-    def _process_round(
-        self, entries: list, values: np.ndarray, result: IngestResult
-    ) -> None:
-        """Process one round (unique keys) of a batched ingest."""
-        # Absorb every newly eligible series first, cohort-at-a-time, so a
-        # fleet that goes live together is packed in one shot.
+        Cohort-at-a-time, so a fleet that goes live together is packed in
+        one shot.
+        """
         to_absorb: dict[str, list] = {}
-        for key, _position in entries:
-            if key in self._absorbed or key in self._never_absorb:
+        for key in keys:
+            if key in self._never_absorb:
                 continue
             state = self._series.get(key)
             if state is None or not state.live:
@@ -1403,161 +1324,87 @@ class MultiSeriesEngine:
             for _spec, key, _state in items:
                 self._absorbed[key] = (group, group.column_of[key])
 
-        # Partition the round into kernel cohorts and scalar leftovers.
-        parts: dict[int, list] = {}
-        groups: dict[int, _FleetGroup] = {}
-        scalar_entries = []
-        for key, position in entries:
-            location = self._absorbed.get(key)
-            if location is None:
-                scalar_entries.append((key, position))
-            else:
-                group, column = location
-                identity = id(group)
-                groups[identity] = group
-                parts.setdefault(identity, []).append((key, position, column))
-        for identity, members in parts.items():
-            group = groups[identity]
-            if len(members) < min(self.kernel_min_cohort, group.n_series):
-                # A round touching only a few members of a large group is
-                # cheaper through the single-key path (which materializes
-                # and writes back just those columns) than through a
-                # gathered sub-kernel.
-                for key, position, _column in members:
-                    result._set_eager(
-                        position, self.process(key, float(values[position]))
-                    )
-                continue
-            full = len(members) == group.kernel.n_series
-            if full:
-                members = sorted(members, key=lambda member: member[2])
-            columns = np.array(
-                [column for _key, _position, column in members], dtype=np.intp
-            )
-            positions = np.array(
-                [position for _key, position, _column in members], dtype=np.intp
-            )
-            self._advance_cohort(
-                group, columns, positions, values[positions], full, result
-            )
-        for key, position in scalar_entries:
-            result._set_eager(
-                position, self.process(key, float(values[position]))
-            )
-
-    @hotpath
-    def _advance_cohort(
-        self,
-        group: _FleetGroup,
-        columns: np.ndarray,
-        positions: np.ndarray,
-        batch_values: np.ndarray,
-        full: bool,
-        result: IngestResult,
-    ) -> None:
-        """Advance one kernel cohort and scatter the outputs columnar.
-
-        The per-member bookkeeping -- record indices, pending point and
-        anomaly counters, latency accounting -- is all batched array
-        operations; no per-row Python objects are built here (records are
-        materialized lazily by the :class:`IngestResult`).
-        """
-        track_latency = self._track_latency_now()
-        if track_latency:
-            start = time.perf_counter()
-        if full:
-            out = group.kernel.update(batch_values)
-            scores, flags = group.scorer.update(out.detection_residual)
-        else:
-            out = group.kernel.update(batch_values, columns=columns)
-            scorer = group.scorer.select(columns)
-            scores, flags = scorer.update(out.detection_residual)
-            group.scorer.assign(columns, scorer)
-        if track_latency:
-            per_point = (time.perf_counter() - start) / columns.size
-            group.record_latency(None if full else columns, per_point)
-        result.index[positions] = group.indices if full else group.indices[columns]
-        result.value[positions] = out.value
-        result.trend[positions] = out.trend
-        result.seasonal[positions] = out.seasonal
-        result.residual[positions] = out.residual
-        result.anomaly_score[positions] = scores
-        result.is_anomaly[positions] = flags
-        result.detection_residual[positions] = out.detection_residual
-        result.live[positions] = True
-        if full:
-            group.indices += 1
-            group.points_pending += 1
-            group.anomalies_pending[flags] += 1
-        else:
-            group.indices[columns] += 1
-            group.points_pending[columns] += 1
-            flagged = columns[flags]
-            if flagged.size:
-                group.anomalies_pending[flagged] += 1
-
     @hotpath
     def _advance_cohort_block(
         self,
         group: _FleetGroup,
         columns: np.ndarray,
-        takes: np.ndarray,
-        grid: np.ndarray,
-        row: int,
-        stop: int,
-        n: int,
+        block_values: np.ndarray,
+        positions: np.ndarray,
         full: bool,
         result: IngestResult,
     ) -> None:
-        """Advance one kernel cohort ``stop - row`` rounds in one block.
+        """Advance one kernel cohort through a ``(rounds, m)`` value block.
 
-        The time-blocked counterpart of :meth:`_advance_cohort`: one
-        :meth:`FleetKernel.update_block` call moves the whole cohort
+        One :meth:`FleetKernel.update_block` call moves the whole cohort
         through every round of the block (splitting internally on NaN
-        rounds and shift-search triggers, bit-identically to the
-        round-at-a-time path), and every scatter into the
-        :class:`IngestResult` is one 2-D fancy write instead of one write
-        per round.
+        rounds and shift-search triggers, bit-identically to the scalar
+        path), and every scatter into the :class:`IngestResult` is one 2-D
+        fancy write at ``positions``, the block's ``(rounds, m)`` output
+        slots.  The per-member bookkeeping -- record indices, pending
+        point and anomaly counters, latency accounting -- is all batched
+        array operations; no per-row Python objects are built here
+        (records are materialized lazily by the :class:`IngestResult`).
+
+        A round that went non-finite under the kernel's unguarded solves
+        comes back rolled back, ending the kernel call early.  It replays
+        key by key through the single-key scalar path -- which owns the
+        scorer, the record index and the counters, so the values, the
+        error and what is applied before an error are the scalar engine's
+        by construction -- and the loop resubmits the rest of the block.
         """
+        kernel = group.kernel
+        group_scorer = group.scorer
         track_latency = self._track_latency_now()
-        if track_latency:
-            start = time.perf_counter()
-        rounds = stop - row
-        block_values = grid[row:stop, takes]
-        if full:
-            out = group.kernel.update_block(block_values)
-            scores, flags = group.scorer.update_block(out.detection_residual)
-        else:
-            out = group.kernel.update_block(block_values, columns=columns)
-            scorer = group.scorer.select(columns)
-            scores, flags = scorer.update_block(out.detection_residual)
-            group.scorer.assign(columns, scorer)
-        if track_latency:
-            per_point = (time.perf_counter() - start) / (rounds * columns.size)
-            group.record_latency_block(
-                None if full else columns, per_point, rounds
-            )
-        positions = takes[None, :] + n * np.arange(row, stop, dtype=np.intp)[:, None]
-        round_offsets = np.arange(rounds, dtype=np.int64)[:, None]
-        indices = group.indices if full else group.indices[columns]
-        result.index[positions] = indices[None, :] + round_offsets
-        result.value[positions] = out.value
-        result.trend[positions] = out.trend
-        result.seasonal[positions] = out.seasonal
-        result.residual[positions] = out.residual
-        result.anomaly_score[positions] = scores
-        result.is_anomaly[positions] = flags
-        result.detection_residual[positions] = out.detection_residual
-        result.live[positions] = True
-        anomalies = flags.sum(axis=0)
-        if full:
-            group.indices += rounds
-            group.points_pending += rounds
-            group.anomalies_pending += anomalies
-        else:
-            group.indices[columns] += rounds
-            group.points_pending[columns] += rounds
-            group.anomalies_pending[columns] += anomalies
+        while block_values.shape[0]:
+            if track_latency:
+                start = time.perf_counter()
+            if full:
+                out = kernel.update_block(block_values)
+                scores, flags = group_scorer.update_block(out.detection_residual)
+            else:
+                out = kernel.update_block(block_values, columns=columns)
+                scorer = group_scorer.select(columns)
+                scores, flags = scorer.update_block(out.detection_residual)
+                group_scorer.assign(columns, scorer)
+            rounds = scores.shape[0]
+            if track_latency and rounds:
+                per_point = (time.perf_counter() - start) / (rounds * columns.size)
+                group.record_latency_block(
+                    None if full else columns, per_point, rounds
+                )
+            advanced = positions[:rounds]
+            round_offsets = np.arange(rounds, dtype=np.int64)[:, None]
+            indices = group.indices if full else group.indices[columns]
+            result.index[advanced] = indices[None, :] + round_offsets
+            result.value[advanced] = out.value
+            result.trend[advanced] = out.trend
+            result.seasonal[advanced] = out.seasonal
+            result.residual[advanced] = out.residual
+            result.anomaly_score[advanced] = scores
+            result.is_anomaly[advanced] = flags
+            result.detection_residual[advanced] = out.detection_residual
+            result.live[advanced] = True
+            anomalies = flags.sum(axis=0)
+            if full:
+                group.indices += rounds
+                group.points_pending += rounds
+                group.anomalies_pending += anomalies
+            else:
+                group.indices[columns] += rounds
+                group.points_pending[columns] += rounds
+                group.anomalies_pending[columns] += anomalies
+            if rounds == block_values.shape[0]:
+                return
+            for j, column in enumerate(columns.tolist()):
+                result._set_eager(
+                    positions[rounds, j],
+                    self._process_unlogged(
+                        group.keys[column], block_values[rounds, j]
+                    ),
+                )
+            block_values = block_values[rounds + 1 :]
+            positions = positions[rounds + 1 :]
 
     def _absorption_spec(self, key: Hashable, state: _SeriesState):
         """Spec to group ``key`` under, or None (not yet / never packable)."""
@@ -1575,11 +1422,7 @@ class MultiSeriesEngine:
             # Otherwise the solvers are still in dense warm-up: retry on a
             # later round.
             return None
-        spec = pipeline.spec
-        if spec is None:
-            self._never_absorb.add(key)
-            return None
-        return spec
+        return pipeline.spec
 
     def forecast(self, key: Hashable, horizon: int) -> np.ndarray:
         """Forecast ``horizon`` values ahead for one live series."""
@@ -1934,13 +1777,6 @@ class MultiSeriesEngine:
                 "engine is already attached to a checkpoint store; close() "
                 "the current session first"
             )
-        if self.spec is None:
-            raise ValueError(
-                "only spec-built engines can open a durable session: the "
-                "manifest stores the EngineSpec so recovery needs no "
-                "code-side configuration (construct via from_spec() or "
-                "for_oneshotstl())"
-            )
         store = self._coerce_store(store)
         if store.read_manifest() is not None:
             raise ValueError(
@@ -2273,8 +2109,8 @@ class MultiSeriesEngine:
     def _apply_wal_record(self, record: tuple) -> None:
         """Re-apply one logged batch during recovery.
 
-        Each record replays through exactly the code path that produced
-        it.  A record that raises a *validation* error (``ValueError`` /
+        Each record replays through exactly the routine that applied it
+        live.  A record that raises a *validation* error (``ValueError`` /
         ``TypeError``, e.g. a non-finite warmup value or a malformed row)
         raised identically in the original run *after* the same partial
         application, so those are swallowed and replay continues -- just
@@ -2291,9 +2127,9 @@ class MultiSeriesEngine:
             if kind == "grid":
                 self._ingest_grid(record[1], record[2], True)
             elif kind == "rows":
-                self._ingest_keys_values(record[1], record[2], True)
+                self._ingest_rows(record[1], record[2], True)
             elif kind == "raw_rows":
-                self._ingest_raw_rows(record[1], False)
+                self._ingest_sequential(record[1], False)
             elif kind == "point":
                 self._process_unlogged(record[1], record[2])
             else:
@@ -2309,7 +2145,7 @@ class MultiSeriesEngine:
 
     def _wal_append(self, kind: str, *parts) -> None:
         """Append one ingest record to the session WAL (no-op when detached)."""
-        if self._store is None or self._replaying or self._wal_suppressed:
+        if self._store is None or self._replaying:
             return
         self._store.wal_append(encode_wal_record(kind, *parts))
         self._wal_records_pending += 1
@@ -2320,30 +2156,12 @@ class MultiSeriesEngine:
         Encoding is skipped entirely when detached (or replaying), so the
         WAL-off ingest path pays nothing for the group-commit plumbing.
         """
-        if (
-            self._store is None
-            or self._replaying
-            or self._wal_suppressed
-            or not batches
-        ):
+        if self._store is None or self._replaying or not batches:
             return
         self._store.wal_append_many(
             [encode_wal_record(kind, *parts) for kind, *parts in batches]
         )
         self._wal_records_pending += len(batches)
-
-    def _with_wal_suppressed(self, call, *args):
-        """Run ``call`` with per-observation WAL logging disabled.
-
-        Batched ingest logs once per call; the per-observation
-        :meth:`process` invocations it makes internally must not log again.
-        """
-        previous = self._wal_suppressed
-        self._wal_suppressed = True
-        try:
-            return call(*args)
-        finally:
-            self._wal_suppressed = previous
 
     def _maybe_auto_checkpoint(self) -> None:
         """Checkpoint when the configured WAL-record interval has passed.
@@ -2356,7 +2174,6 @@ class MultiSeriesEngine:
             self.checkpoint_interval is None
             or self._store is None
             or self._replaying
-            or self._wal_suppressed
         ):
             return
         if self._wal_records_pending >= self.checkpoint_interval:
@@ -2584,9 +2401,8 @@ class MultiSeriesEngine:
         generation}``: the declarative :class:`EngineSpec` (as a plain
         dict) plus the full per-series state, so :meth:`load` can rebuild
         an equivalent engine in a fresh process from the file alone and
-        continue the stream bit-identically.  Only spec-built engines can
-        be saved -- a factory callable has no portable representation.
-        ``path`` may be anything :class:`os.PathLike`.
+        continue the stream bit-identically.  ``path`` may be anything
+        :class:`os.PathLike`.
 
         This is a thin shim over
         :class:`~repro.durability.SingleSnapshotStore`: the whole fleet is
@@ -2604,12 +2420,6 @@ class MultiSeriesEngine:
         flat representation), so checkpoint files carry pickle's trust
         model: :meth:`load` must only be given files from trusted sources.
         """
-        if self.spec is None:
-            raise ValueError(
-                "only spec-built engines can be saved: construct via "
-                "MultiSeriesEngine.from_spec() (or for_oneshotstl()) "
-                "instead of a pipeline factory"
-            )
         self._sync_all()
         payload = {
             "format_version": CHECKPOINT_FORMAT_VERSION,

@@ -32,9 +32,7 @@ from repro.streaming import (
     CHECKPOINT_FORMAT_VERSION,
     MultiSeriesEngine,
     SeriesStatus,
-    StreamingPipeline,
 )
-from repro.core import OneShotSTL
 
 from tests.conftest import PathLikeWrapper, SimulatedCrash, make_seasonal_series
 
@@ -201,15 +199,6 @@ class TestCheckpointValidation:
             pickle.dump(payload, stream)
         with pytest.raises(ValueError, match="malformed"):
             MultiSeriesEngine.load(path)
-
-    def test_factory_built_engine_cannot_save(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            engine = MultiSeriesEngine(
-                lambda key: StreamingPipeline(OneShotSTL(PERIOD, shift_window=0)),
-                initialization_length=INIT,
-            )
-        with pytest.raises(ValueError, match="spec-built"):
-            engine.save(tmp_path / "nope.ckpt")
 
 
 def uniform_spec():
@@ -800,6 +789,38 @@ class TestGroupCommitDurability:
         oracle.ingest_many(grids)
         tail = list(interleaved_batches(make_fleet_data(10, length=PERIOD)))
         _assert_continues_identically(recovered, oracle, tail)
+
+    def test_rejected_batch_does_not_strand_the_rest_of_the_group(self, tmp_path):
+        """A mid-group rejection leaves live state equal to reopened state.
+
+        Both batches are journaled before either applies, so the batch
+        behind the rejected one must still apply -- exactly as replay
+        applies it -- or the live engine sits behind its own WAL.
+        """
+        data = make_fleet_data(10)
+        grids = self._grid_batches(data, 12)
+        engine = MultiSeriesEngine.open(tmp_path / "store", spec=uniform_spec())
+        engine.ingest_many(grids[:-2])
+        keys = list(data)
+        before = engine.series_stats(keys[0]).points
+        poisoned = np.stack([grids[-2][key] for key in keys], axis=1)
+        poisoned[4, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.ingest_many([(keys, poisoned), grids[-1]])
+        # Rounds 0-3 and the keys ahead of the bad cell applied, the rest
+        # of the rejected batch did not -- and then the whole good batch.
+        live = {key: engine.series_stats(key).points for key in keys}
+        assert live == {
+            key: before + 4 + (position < 3) + 12
+            for position, key in enumerate(keys)
+        }
+        engine.close(checkpoint=False)
+        recovered = MultiSeriesEngine.open(tmp_path / "store")
+        assert {
+            key: recovered.series_stats(key).points for key in keys
+        } == live
+        tail = list(interleaved_batches(make_fleet_data(10, length=PERIOD)))
+        _assert_continues_identically(recovered, engine, tail)
 
     @pytest.mark.parametrize(
         "point", ["wal.append.before", "wal.append.torn", "wal.append.after"]

@@ -14,15 +14,16 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import OneShotSTL
 from repro.core.fleet import ColumnarNSigma, FleetKernel
 from repro.core.nsigma import NSigma
 from repro.core.online_system import HALF_BANDWIDTH, ContributionWorkspace
-from repro.decomposition import OnlineSTL
 from repro.solvers import BatchedIncrementalLDLT, IncrementalBandedLDLT
 from repro.specs import DecomposerSpec, DetectorSpec, EngineSpec, PipelineSpec
-from repro.streaming import IngestResult, MultiSeriesEngine, StreamingPipeline
+from repro.streaming import IngestResult, MultiSeriesEngine
 from repro.streaming.latency import summarize_latencies
 
 from tests.conftest import make_seasonal_series
@@ -52,8 +53,44 @@ def warm_models(streams, warm_points, **params):
     return models
 
 
+def pattern_values(p, q):
+    """Cell-major ``(13, n)`` steady-state pattern values for weights p, q."""
+    first = 1.0 * p
+    second = 1.0 * q
+    values = np.empty((13, p.size))
+    values[:4] = 1.0
+    values[4] = first
+    values[5] = first
+    values[6] = -first
+    values[7] = second
+    values[8] = 4.0 * second
+    values[9] = second
+    values[10] = -2.0 * second
+    values[11] = second
+    values[12] = -2.0 * second
+    return values
+
+
+PATTERN_ROWS = HALF_BANDWIDTH + ContributionWorkspace._ROW_OFFSETS
+PATTERN_COLS = HALF_BANDWIDTH + ContributionWorkspace._COL_OFFSETS
+
+
+def assert_same_trailing_state(batch, solvers):
+    """Every member's trailing state equals its scalar solver's, exactly."""
+    for index, solver in enumerate(solvers):
+        extracted = batch.extract(index)
+        assert extracted.size == solver.size
+        assert extracted._m_trail == solver._m_trail
+        assert extracted._bp_trail == solver._bp_trail
+
+
 class TestBatchedSolverOracle:
-    """BatchedIncrementalLDLT equals n scalar solvers, bit for bit."""
+    """BatchedIncrementalLDLT equals n scalar solvers, bit for bit.
+
+    The reference is the scalar :class:`IncrementalBandedLDLT`
+    (``extend`` + ``tail_solution``); the batch advances through its one
+    path, ``begin_extend_block`` / ``extend_solve``.
+    """
 
     def _warm_solver_states(self, n, extra_points=0):
         """Scalar per-iteration solvers fed through real OneShotSTL updates."""
@@ -61,12 +98,17 @@ class TestBatchedSolverOracle:
         models = warm_models(streams, 8 + extra_points, shift_window=0)
         return [model._iterations_state[0].solver for model in models], models
 
-    def test_extend_and_tail_match_scalars(self):
+    def _extend_solve(self, batch, values_t, rhs_t):
+        trend = np.empty(batch.n_series)
+        seasonal = np.empty(batch.n_series)
+        batch.extend_solve(values_t, rhs_t, trend, seasonal)
+        return trend, seasonal
+
+    def test_extend_solve_matches_scalars(self):
         solvers, models = self._warm_solver_states(5)
         batch = BatchedIncrementalLDLT.pack([s.copy() for s in solvers])
+        batch.begin_extend_block(2, PATTERN_ROWS, PATTERN_COLS)
         rng = np.random.default_rng(0)
-        rows = HALF_BANDWIDTH + ContributionWorkspace._ROW_OFFSETS
-        cols = HALF_BANDWIDTH + ContributionWorkspace._COL_OFFSETS
         for _step in range(20):
             observations = rng.normal(0.0, 1.0, 5)
             anchors = rng.normal(0.0, 1.0, 5)
@@ -85,55 +127,55 @@ class TestBatchedSolverOracle:
                     float(qw),
                 )
                 solver.extend(2, updates, rhs, check_indices=False)
-                expected.append(solver.tail_solution(HALF_BANDWIDTH))
-            first = 1.0 * p
-            second = 1.0 * q
-            values = np.empty((5, 13))
-            values[:, :4] = 1.0
-            values[:, 4] = first
-            values[:, 5] = first
-            values[:, 6] = -first
-            values[:, 7] = second
-            values[:, 8] = 4.0 * second
-            values[:, 9] = second
-            values[:, 10] = -2.0 * second
-            values[:, 11] = second
-            values[:, 12] = -2.0 * second
-            rhs = np.stack([observations, observations + anchors], axis=1)
-            batch.extend(2, rows, cols, values, rhs)
-            assert np.array_equal(
-                batch.tail_solution(HALF_BANDWIDTH), np.array(expected)
+                expected.append(solver.tail_solution(2))
+            trend, seasonal = self._extend_solve(
+                batch,
+                pattern_values(p, q),
+                np.stack([observations, observations + anchors]),
             )
+            expected = np.array(expected)
+            assert np.array_equal(trend, expected[:, 0])
+            assert np.array_equal(seasonal, expected[:, 1])
+            # The committed trailing state carries every solution entry
+            # the next extend can still reach.
+            assert_same_trailing_state(batch, solvers)
+
+    def test_begin_extend_block_validates_the_pattern(self):
+        solvers, _models = self._warm_solver_states(2)
+        batch = BatchedIncrementalLDLT.pack(solvers)
+        with pytest.raises(ValueError, match="num_new"):
+            batch.begin_extend_block(0, PATTERN_ROWS, PATTERN_COLS)
+        with pytest.raises(ValueError, match="extended trailing block"):
+            batch.begin_extend_block(
+                2, PATTERN_ROWS + HALF_BANDWIDTH, PATTERN_COLS
+            )
+        with pytest.raises(ValueError, match="equal-length"):
+            batch.begin_extend_block(2, PATTERN_ROWS[:-1], PATTERN_COLS)
 
     def test_rollback_is_exact_and_single_level(self):
         solvers, _models = self._warm_solver_states(3)
         batch = BatchedIncrementalLDLT.pack(solvers)
-        before = batch.copy()
-        rows = HALF_BANDWIDTH + ContributionWorkspace._ROW_OFFSETS
-        cols = HALF_BANDWIDTH + ContributionWorkspace._COL_OFFSETS
-        values = np.ones((3, 13))
-        rhs = np.ones((3, 2))
-        batch.extend(2, rows, cols, values, rhs)
-        after = batch.tail_solution(2)
-        batch.rollback()
-        assert np.array_equal(
-            batch.tail_solution(2), before.tail_solution(2)
-        )
+        batch.begin_extend_block(2, PATTERN_ROWS, PATTERN_COLS)
+        values_t = np.ones((13, 3))
+        rhs_t = np.ones((2, 3))
         with pytest.raises(ValueError, match="no extend to roll back"):
             batch.rollback()
-        batch.extend(2, rows, cols, values, rhs)
-        assert np.array_equal(batch.tail_solution(2), after)
+        after = self._extend_solve(batch, values_t, rhs_t)
+        batch.rollback()
+        assert_same_trailing_state(batch, solvers)
+        with pytest.raises(ValueError, match="no extend to roll back"):
+            batch.rollback()
+        again = self._extend_solve(batch, values_t, rhs_t)
+        assert np.array_equal(again[0], after[0])
+        assert np.array_equal(again[1], after[1])
 
     def test_pack_extract_round_trip(self):
         solvers, _models = self._warm_solver_states(4, extra_points=3)
         batch = BatchedIncrementalLDLT.pack(solvers)
+        assert_same_trailing_state(batch, solvers)
         for index, solver in enumerate(solvers):
-            extracted = batch.extract(index)
-            assert extracted.size == solver.size
-            assert extracted._m_trail == solver._m_trail
-            assert extracted._bp_trail == solver._bp_trail
             assert np.array_equal(
-                extracted.tail_solution(2), solver.tail_solution(2)
+                batch.extract(index).tail_solution(2), solver.tail_solution(2)
             )
 
     def test_pack_rejects_dense_mode_solvers(self):
@@ -141,57 +183,100 @@ class TestBatchedSolverOracle:
             BatchedIncrementalLDLT.pack([IncrementalBandedLDLT(4)])
 
     def test_select_assign_round_trip(self):
-        solvers, _models = self._warm_solver_states(5)
+        solvers, models = self._warm_solver_states(5)
         batch = BatchedIncrementalLDLT.pack(solvers)
         columns = np.array([1, 3])
         sub = batch.select(columns)
-        assert np.array_equal(
-            sub.tail_solution(2), batch.tail_solution(2)[columns]
+        assert_same_trailing_state(sub, [solvers[1], solvers[3]])
+        # Advance the gathered members only, scatter them back: the
+        # selected columns move, the others stay put.
+        sub.begin_extend_block(2, PATTERN_ROWS, PATTERN_COLS)
+        self._extend_solve(
+            sub, pattern_values(np.ones(2), np.ones(2)), np.ones((2, 2))
         )
         batch.assign(columns, sub)
-        assert np.array_equal(batch.tail_solution(2)[columns], sub.tail_solution(2))
+        workspace = ContributionWorkspace(1.0, 1.0)
+        for column in columns:
+            updates, rhs = workspace.fill(
+                models[column]._points_processed, 1.0, 0.0, 1.0, 1.0
+            )
+            solvers[column].extend(2, updates, rhs, check_indices=False)
+        assert_same_trailing_state(batch, solvers)
+
+
+def block_sizes(points, rounds_per_block):
+    """``points`` rounds cut into blocks of ``rounds_per_block`` (+ remainder)."""
+    sizes = [rounds_per_block] * (points // rounds_per_block)
+    if points % rounds_per_block:
+        sizes.append(points % rounds_per_block)
+    return sizes
+
+
+def assert_blocks_match_scalar(kernel, scalar, streams, start, block_sizes, columns=None):
+    """Drive ``update_block`` in the given block sizes against scalar models.
+
+    Every output field of every round must equal the per-series scalar
+    ``OneShotSTL.update`` float for float (``columns`` restricts both
+    sides to a subset of members).  Returns the next stream position.
+    """
+    members = range(len(scalar)) if columns is None else columns
+    position = start
+    for rounds in block_sizes:
+        values = np.array(
+            [
+                [streams[member][position + step] for member in members]
+                for step in range(rounds)
+            ],
+            dtype=float,
+        )
+        out = kernel.update_block(values, columns=columns)
+        assert out.value.shape == values.shape
+        for step in range(rounds):
+            for slot, member in enumerate(members):
+                point = scalar[member].update(float(values[step, slot]))
+                assert point.value == out.value[step, slot]
+                assert point.trend == out.trend[step, slot]
+                assert point.seasonal == out.seasonal[step, slot]
+                assert point.residual == out.residual[step, slot]
+                assert (
+                    scalar[member].last_detection_residual
+                    == out.detection_residual[step, slot]
+                )
+        position += rounds
+    return position
 
 
 class TestFleetKernelOracle:
-    """FleetKernel.update equals scalar OneShotSTL.update exactly."""
+    """FleetKernel.update_block equals scalar OneShotSTL.update exactly."""
 
-    def run_pair(self, streams, points, **params):
+    def run_pair(self, streams, points, rounds_per_block=1, **params):
         """Advance scalar models and a packed kernel over the same streams."""
         scalar = warm_models(streams, 8, **params)
         kernel = FleetKernel.pack(warm_models(streams, 8, **params))
-        start = INIT + 8
-        for step in range(points):
-            values = np.array(
-                [stream[start + step] for stream in streams], dtype=float
-            )
-            points_scalar = [
-                model.update(float(value))
-                for model, value in zip(scalar, values)
-            ]
-            out = kernel.update(values)
-            for i, point in enumerate(points_scalar):
-                assert point.value == out.value[i]
-                assert point.trend == out.trend[i]
-                assert point.seasonal == out.seasonal[i]
-                assert point.residual == out.residual[i]
-                assert (
-                    scalar[i].last_detection_residual
-                    == out.detection_residual[i]
-                )
+        assert_blocks_match_scalar(
+            kernel, scalar, streams, INIT + 8, block_sizes(points, rounds_per_block)
+        )
         return scalar, kernel
 
-    def test_plain_fleet_matches(self):
+    @pytest.mark.parametrize("rounds_per_block", [1, 7, PERIOD * 3])
+    def test_plain_fleet_matches(self, rounds_per_block):
+        """T=1, T not dividing the batch, and the whole batch in one call."""
         streams = [fleet_series(i) for i in range(6)]
-        self.run_pair(streams, PERIOD * 3, shift_window=0)
+        self.run_pair(streams, PERIOD * 3, rounds_per_block, shift_window=0)
 
-    def test_shift_search_divergence_matches(self):
+    @pytest.mark.parametrize("rounds_per_block", [1, PERIOD])
+    def test_shift_search_divergence_matches(self, rounds_per_block):
         """Series whose shift search triggers fall back without drift."""
         streams = [
             fleet_series(i, spike=(INIT + 20 + i if i % 2 == 0 else None))
             for i in range(6)
         ]
         scalar, kernel = self.run_pair(
-            streams, PERIOD * 2, shift_window=20, shift_threshold=5.0
+            streams,
+            PERIOD * 2,
+            rounds_per_block,
+            shift_window=20,
+            shift_threshold=5.0,
         )
         # The spike must actually have exercised the divergence path.
         assert any(model.current_shift != 0 for model in scalar)
@@ -200,12 +285,13 @@ class TestFleetKernelOracle:
             np.array([model.current_shift for model in scalar]),
         )
 
-    def test_nan_inputs_are_imputed_identically(self):
+    @pytest.mark.parametrize("rounds_per_block", [1, PERIOD])
+    def test_nan_inputs_are_imputed_identically(self, rounds_per_block):
         streams = [
             fleet_series(i, missing=(INIT + 15 if i in (1, 4) else None))
             for i in range(5)
         ]
-        self.run_pair(streams, PERIOD * 2, shift_window=20)
+        self.run_pair(streams, PERIOD * 2, rounds_per_block, shift_window=20)
 
     def test_mixed_phase_fleet_matches(self):
         """Members at different stream ages still advance in one batch."""
@@ -219,39 +305,37 @@ class TestFleetKernelOracle:
             for value in stream[INIT + 8 : INIT + 8 + extra]:
                 model.update(float(value))
         kernel = FleetKernel.pack(staggered)
-        for step in range(PERIOD):
-            values = np.array(
-                [
-                    stream[INIT + 8 + extra + step]
-                    for extra, stream in enumerate(streams)
-                ]
-            )
-            expected = [
-                model.update(float(value))
-                for model, value in zip(scalar, values)
-            ]
-            out = kernel.update(values)
-            for i, point in enumerate(expected):
-                assert point.trend == out.trend[i]
-                assert point.residual == out.residual[i]
+        shifted = [stream[extra:] for extra, stream in enumerate(streams)]
+        assert_blocks_match_scalar(
+            kernel, scalar, shifted, INIT + 8, [1] * 5 + [PERIOD - 5]
+        )
 
-    def test_subset_update_matches(self):
+    @pytest.mark.parametrize("rounds_per_block", [1, PERIOD])
+    def test_subset_update_matches(self, rounds_per_block):
         streams = [fleet_series(i) for i in range(6)]
         scalar = warm_models(streams, 8, shift_window=0)
         kernel = FleetKernel.pack(warm_models(streams, 8, shift_window=0))
         columns = np.array([0, 2, 5])
-        for step in range(PERIOD):
-            values = np.array(
-                [streams[c][INIT + 8 + step] for c in columns], dtype=float
-            )
-            expected = [
-                scalar[c].update(float(value))
-                for c, value in zip(columns, values)
-            ]
-            out = kernel.update(values, columns=columns)
-            for j, point in enumerate(expected):
-                assert point.trend == out.trend[j]
-                assert point.residual == out.residual[j]
+        assert_blocks_match_scalar(
+            kernel,
+            scalar,
+            streams,
+            INIT + 8,
+            block_sizes(PERIOD, rounds_per_block),
+            columns=columns,
+        )
+        # The untouched members were not advanced.
+        assert kernel.points_processed.tolist() == [
+            8 + PERIOD if member in columns else 8 for member in range(6)
+        ]
+
+    def test_update_block_validates_shape(self):
+        streams = [fleet_series(i) for i in range(3)]
+        kernel = FleetKernel.pack(warm_models(streams, 8, shift_window=0))
+        with pytest.raises(ValueError, match=r"shape \(rounds, 3\)"):
+            kernel.update_block(np.zeros(3))
+        with pytest.raises(ValueError, match=r"shape \(rounds, 3\)"):
+            kernel.update_block(np.zeros((2, 4)))
 
     def test_extract_continues_identically(self):
         streams = [fleet_series(i) for i in range(5)]
@@ -459,13 +543,19 @@ class TestEngineKernelOracle:
         assert len(fast._groups) == 2
 
     def test_incompatible_decomposers_stay_on_scalar_path(self):
-        def factory(key):
-            if key.startswith("slow"):
-                return StreamingPipeline(OnlineSTL(PERIOD))
-            return StreamingPipeline(OneShotSTL(PERIOD, shift_window=0))
-
-        with pytest.warns(DeprecationWarning):
-            engine = MultiSeriesEngine(factory, initialization_length=INIT)
+        spec = EngineSpec(
+            pipeline=PipelineSpec(
+                DecomposerSpec("oneshotstl", {"period": PERIOD, "shift_window": 0})
+            ),
+            initialization_length=INIT,
+            overrides={
+                f"slow-{i}": PipelineSpec(
+                    DecomposerSpec("online_stl", {"period": PERIOD})
+                )
+                for i in range(2)
+            },
+        )
+        engine = MultiSeriesEngine.from_spec(spec)
         engine.kernel_min_cohort = 2
         data = {f"slow-{i}": fleet_series(i) for i in range(2)}
         data.update({f"fast-{i}": fleet_series(5 + i) for i in range(4)})
@@ -717,7 +807,7 @@ class TestAmortizedAbsorption:
         values = fleet_series(0)[INIT + 10 : INIT + 10 + PERIOD]
         for value in values:
             point = scalar.update(float(value))
-            out = kernel.update(np.full(kernel.n_series, float(value)))
+            out = kernel.update_block(np.full((1, kernel.n_series), float(value)))
             assert np.all(out.trend == point.trend)
             assert np.all(out.residual == point.residual)
         base_after = kernel.seasonal_buffer.base
@@ -920,60 +1010,55 @@ class TestLatencyEdgeCases:
             assert latency.p99_seconds >= latency.median_seconds > 0
 
 
+RESULT_FIELDS = (
+    "index",
+    "value",
+    "trend",
+    "seasonal",
+    "residual",
+    "anomaly_score",
+    "is_anomaly",
+    "detection_residual",
+    "live",
+)
+
+
+def assert_results_equal(result, expected):
+    """Two :class:`IngestResult` s agree field for field (NaN == NaN)."""
+    assert result.keys == expected.keys
+    for field in RESULT_FIELDS:
+        assert np.array_equal(
+            getattr(result, field), getattr(expected, field), equal_nan=True
+        ), field
+
+
 class TestTimeBlockedOracle:
-    """The time-blocked advance equals the round-at-a-time path exactly.
+    """The time-blocked advance equals the scalar path at every batch size.
 
     ``FleetKernel.update_block`` moves T rounds x N series per call,
     splitting internally on NaN rounds and shift-search triggers; every
     output and every piece of post-block state must be float-for-float
-    identical to T consecutive ``update`` calls, and the engine's
-    ``time_block_rounds=None`` (blocked) grid path must match
-    ``time_block_rounds=1`` (legacy) on the same batches.
+    identical to T scalar ``OneShotSTL.update`` calls per series, and the
+    engine's grid path must match the scalar engine whatever the number of
+    rounds a batch carries.
     """
 
-    def kernel_pair(self, streams, **params):
-        return (
-            FleetKernel.pack(warm_models(streams, 8, **params)),
-            FleetKernel.pack(warm_models(streams, 8, **params)),
-        )
-
     def assert_block_matches(self, streams, rounds_per_block, points, **params):
-        blocked, per_round = self.kernel_pair(streams, **params)
-        start = INIT + 8
-        fields = ("value", "trend", "seasonal", "residual", "detection_residual")
-        for block_start in range(0, points, rounds_per_block):
-            block_stop = min(points, block_start + rounds_per_block)
-            values = np.array(
-                [
-                    [stream[start + step] for stream in streams]
-                    for step in range(block_start, block_stop)
-                ],
-                dtype=float,
-            )
-            out = blocked.update_block(values)
-            for row in range(values.shape[0]):
-                expected = per_round.update(values[row])
-                for field in fields:
-                    assert np.array_equal(
-                        getattr(out, field)[row],
-                        getattr(expected, field),
-                        equal_nan=True,
-                    ), field
-        # Post-block state: both kernels continue identically.
-        tail = np.array(
-            [stream[start + points] for stream in streams], dtype=float
+        scalar = warm_models(streams, 8, **params)
+        kernel = FleetKernel.pack(warm_models(streams, 8, **params))
+        # Post-block state: one more round continues identically.
+        assert_blocks_match_scalar(
+            kernel,
+            scalar,
+            streams,
+            INIT + 8,
+            block_sizes(points, rounds_per_block) + [1],
         )
-        continued_blocked = blocked.update(tail)
-        continued = per_round.update(tail)
-        for field in fields:
-            assert np.array_equal(
-                getattr(continued_blocked, field),
-                getattr(continued, field),
-                equal_nan=True,
-            ), field
         assert np.array_equal(
-            blocked.last_applied_shift, per_round.last_applied_shift
+            kernel.last_applied_shift,
+            np.array([model.current_shift for model in scalar]),
         )
+        return scalar
 
     def test_plain_block_matches(self):
         streams = [fleet_series(i) for i in range(6)]
@@ -987,6 +1072,11 @@ class TestTimeBlockedOracle:
             streams, rounds_per_block, PERIOD * 2, shift_window=0
         )
 
+    def test_run_cap_splits_long_blocks_identically(self):
+        """One call longer than min(period, 64) rounds re-stages mid-call."""
+        streams = [fleet_series(i, length=PERIOD * 12) for i in range(4)]
+        self.assert_block_matches(streams, PERIOD * 5, PERIOD * 5, shift_window=0)
+
     def test_nan_rounds_split_the_block_identically(self):
         streams = [
             fleet_series(i, missing=(INIT + 15 + i if i in (1, 3) else None))
@@ -999,40 +1089,11 @@ class TestTimeBlockedOracle:
             fleet_series(i, spike=(INIT + 20 + i if i % 2 == 0 else None))
             for i in range(6)
         ]
-        blocked, per_round = self.kernel_pair(
-            streams, shift_window=20, shift_threshold=5.0
-        )
-        self.assert_block_matches(
+        scalar = self.assert_block_matches(
             streams, PERIOD, PERIOD * 2, shift_window=20, shift_threshold=5.0
         )
         # The spikes must actually have exercised the mid-block fallback.
-        scalar = warm_models(streams, 8, shift_window=20, shift_threshold=5.0)
-        start = INIT + 8
-        for step in range(PERIOD * 2):
-            for model, stream in zip(scalar, streams):
-                model.update(float(stream[start + step]))
         assert any(model.current_shift != 0 for model in scalar)
-
-    def test_subset_block_matches(self):
-        streams = [fleet_series(i) for i in range(6)]
-        blocked, per_round = self.kernel_pair(streams, shift_window=0)
-        columns = np.array([0, 2, 5])
-        start = INIT + 8
-        values = np.array(
-            [
-                [streams[c][start + step] for c in columns]
-                for step in range(PERIOD)
-            ],
-            dtype=float,
-        )
-        out = blocked.update_block(values, columns=columns)
-        for row in range(PERIOD):
-            expected = per_round.update(values[row], columns=columns)
-            assert np.array_equal(out.trend[row], expected.trend)
-            assert np.array_equal(out.residual[row], expected.residual)
-            assert np.array_equal(
-                out.detection_residual[row], expected.detection_residual
-            )
 
     def test_columnar_nsigma_block_matches(self):
         rng = np.random.default_rng(5)
@@ -1041,64 +1102,43 @@ class TestTimeBlockedOracle:
             for value in rng.normal(0.0, 1.0, 50):
                 scorer.update(float(value))
         blocked = ColumnarNSigma.pack(scorers)
-        per_round = ColumnarNSigma.pack(scorers)
         values = rng.normal(0.0, 2.0, (30, 4))
         scores, flags = blocked.update_block(values)
         for row in range(30):
-            expected_scores, expected_flags = per_round.update(values[row])
-            assert np.array_equal(scores[row], expected_scores)
-            assert np.array_equal(flags[row], expected_flags)
-        assert np.array_equal(blocked.mean, per_round.mean)
-        assert np.array_equal(blocked.m2, per_round.m2)
-        assert np.array_equal(blocked.count, per_round.count)
-
-    def engine_block_pair(self, **engine_kwargs):
-        """Identically configured engines: blocked grid path vs legacy."""
-        engines = []
-        for block_rounds in (None, 1):
-            engine = MultiSeriesEngine.for_oneshotstl(PERIOD, **engine_kwargs)
-            engine.kernel_min_cohort = 2
-            engine.time_block_rounds = block_rounds
-            engines.append(engine)
-        return engines
+            for column, scorer in enumerate(scorers):
+                verdict = scorer.update(float(values[row, column]))
+                assert verdict.score == scores[row, column]
+                assert verdict.is_anomaly == bool(flags[row, column])
+        assert blocked.mean.tolist() == [scorer._mean for scorer in scorers]
+        assert blocked.m2.tolist() == [scorer._m2 for scorer in scorers]
+        assert blocked.count.tolist() == [scorer._count for scorer in scorers]
 
     def assert_engine_grids_match(self, data, chunk, **engine_kwargs):
-        blocked, per_round = self.engine_block_pair(**engine_kwargs)
+        """Dict batches of ``chunk`` rounds: kernel engine == scalar engine."""
+        fast, reference = engine_pair(len(data), **engine_kwargs)
         length = len(next(iter(data.values())))
-        fields = (
-            "index",
-            "value",
-            "trend",
-            "seasonal",
-            "residual",
-            "anomaly_score",
-            "is_anomaly",
-            "detection_residual",
-            "live",
-        )
         for start in range(0, length, chunk):
             batch = {
                 key: values[start : start + chunk]
                 for key, values in data.items()
             }
-            out_blocked = blocked.ingest_columnar(batch)
-            out_per_round = per_round.ingest_columnar(batch)
-            for field in fields:
-                assert np.array_equal(
-                    getattr(out_blocked, field),
-                    getattr(out_per_round, field),
-                    equal_nan=True,
-                ), field
-        assert blocked._absorbed, "the kernel path never engaged"
+            assert_results_equal(
+                fast.ingest_columnar(batch), reference.ingest_columnar(batch)
+            )
+        assert fast._absorbed, "the kernel path never engaged"
         for key in data:
-            stats_blocked = blocked.series_stats(key)
-            stats_per_round = per_round.series_stats(key)
-            assert stats_blocked.points == stats_per_round.points
-            assert stats_blocked.anomalies == stats_per_round.anomalies
-        return blocked, per_round
+            stats_fast = fast.series_stats(key)
+            stats_reference = reference.series_stats(key)
+            assert stats_fast.points == stats_reference.points
+            assert stats_fast.anomalies == stats_reference.anomalies
 
-    def test_engine_blocked_grid_matches_per_round(self):
-        """Warming -> live transition happens mid-batch on both paths."""
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 37])
+    def test_engine_grid_matches_scalar_at_every_batch_size(self, chunk):
+        """One round per batch, T dividing and not dividing the data.
+
+        The warming -> live transition happens mid-batch for the larger
+        sizes; a spike and a NaN gap split the runs.
+        """
         data = {
             f"m-{i}": fleet_series(
                 i,
@@ -1107,28 +1147,12 @@ class TestTimeBlockedOracle:
             )
             for i in range(8)
         }
-        self.assert_engine_grids_match(data, chunk=37)
+        self.assert_engine_grids_match(data, chunk)
 
-    @pytest.mark.parametrize("block_rounds", [2, 7, 1000])
-    def test_engine_explicit_block_sizes_match(self, block_rounds):
-        """T dividing, not dividing, and exceeding the batch length."""
+    def test_engine_whole_stream_in_one_batch_matches(self):
+        """T exceeding the data: warm-up, absorption and every run in one call."""
         data = {f"m-{i}": fleet_series(i) for i in range(6)}
-        blocked, per_round = self.engine_block_pair()
-        blocked.time_block_rounds = block_rounds
-        length = len(next(iter(data.values())))
-        for start in range(0, length, 50):
-            batch = {
-                key: values[start : start + 50] for key, values in data.items()
-            }
-            out_blocked = blocked.ingest_columnar(batch)
-            out_per_round = per_round.ingest_columnar(batch)
-            assert np.array_equal(
-                out_blocked.trend, out_per_round.trend, equal_nan=True
-            )
-            assert np.array_equal(
-                out_blocked.is_anomaly, out_per_round.is_anomaly
-            )
-        assert blocked._absorbed
+        self.assert_engine_grids_match(data, 1000)
 
     def test_blocked_latency_counts_every_round(self):
         data = {f"m-{i}": fleet_series(i) for i in range(8)}
@@ -1145,3 +1169,213 @@ class TestTimeBlockedOracle:
             assert latency is not None
             assert latency.points == min(length - INIT, 1024)
             assert latency.p99_seconds >= latency.median_seconds > 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+class TestNonFiniteSolveReplay:
+    """Finite-but-overflowing observations: the kernel's rolled-back rounds.
+
+    Magnitudes near the float64 ceiling make the unguarded staged solve
+    (or its finiteness screen) go non-finite; the kernel rolls the round
+    back and the engine replays it through the scalar pipelines, so the
+    kernel engine must still equal its ``fleet_kernel_enabled = False``
+    twin -- same values, or the same error at the same observation.
+    """
+
+    @pytest.fixture
+    def rolled_back(self, monkeypatch):
+        """Spy on ``FleetKernel._blocked_abort_round``."""
+        calls = []
+        original = FleetKernel._blocked_abort_round
+
+        def spy(kernel, start, r, *rest):
+            calls.append(start + r)
+            return original(kernel, start, r, *rest)
+
+        monkeypatch.setattr(FleetKernel, "_blocked_abort_round", spy)
+        return calls
+
+    def warmed_pair(self, data, **engine_kwargs):
+        fast, reference = engine_pair(len(data), **engine_kwargs)
+        warm = {key: values[: INIT + 20] for key, values in data.items()}
+        fast.ingest(warm)
+        reference.ingest(warm)
+        assert len(fast._absorbed) == len(data)
+        return fast, reference
+
+    @pytest.mark.parametrize("chunk", [1, 5, PERIOD])
+    def test_overflowing_rounds_replay_to_the_same_values(self, rolled_back, chunk):
+        """Two 1e308 cells in one round overflow the kernel's screen."""
+        data = {f"m-{i}": fleet_series(i) for i in range(6)}
+        fast, reference = self.warmed_pair(data, track_latency=False)
+        keys = list(data)
+        block = np.array(
+            [data[key][INIT + 20 : INIT + 20 + PERIOD] for key in keys]
+        ).T
+        block[3, [1, 2]] = 1e308
+        block[9, [1, 2]] = -1e308
+        block[15, [0, 4]] = 1.2e308
+        for start in range(0, PERIOD, chunk):
+            rounds = block[start : start + chunk]
+            assert_results_equal(
+                fast.ingest_grid(keys, rounds), reference.ingest_grid(keys, rounds)
+            )
+        assert len(rolled_back) == 3
+        tail = {key: values[INIT + 20 + PERIOD :] for key, values in data.items()}
+        assert_results_equal(
+            fast.ingest_columnar(tail), reference.ingest_columnar(tail)
+        )
+        for key in keys:
+            assert fast.series_stats(key) == reference.series_stats(key)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 12])
+    @pytest.mark.parametrize("shift_window", [0, 20])
+    def test_poisoned_series_raises_like_the_scalar_engine(
+        self, rolled_back, chunk, shift_window
+    ):
+        """Same error, same observation, same per-key progress afterwards."""
+        data = {f"m-{i}": fleet_series(i) for i in range(6)}
+        fast, reference = self.warmed_pair(
+            data, shift_window=shift_window, track_latency=False
+        )
+        keys = list(data)
+        block = np.array(
+            [data[key][INIT + 20 : INIT + 32] for key in keys]
+        ).T
+        rng = np.random.default_rng(3)
+        block[:, 2] = rng.choice([1.7e308, -1.7e308, 1e308, -1e308, 1.0], size=12)
+        outcomes = []
+        for engine in (fast, reference):
+            failure = None
+            for start in range(0, 12, chunk):
+                try:
+                    engine.ingest_grid(keys, block[start : start + chunk])
+                except ValueError as error:
+                    failure = (start, str(error))
+                    break
+            outcomes.append(
+                (failure, [engine.series_stats(key) for key in keys])
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is not None, "the stream never poisoned the solver"
+        assert rolled_back, "the kernel never rolled a round back"
+        # Keys ahead of the failing one took the round, the rest did not.
+        points = [stats.points for stats in outcomes[0][1]]
+        assert points[0] == points[1] == points[2] + 1
+        assert points[2] == points[3] == points[4] == points[5]
+
+
+class TestIngestFormsProperty:
+    """Every public batch form equals the scalar engine, float for float."""
+
+    KEYS = [f"m-{i}" for i in range(10)]
+    _warm = None
+
+    @classmethod
+    def warm_state(cls):
+        """Snapshot of a fleet past warm-up (built once, restored per example)."""
+        if cls._warm is None:
+            engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+            engine.ingest(
+                {
+                    key: fleet_series(i)[: INIT + 12]
+                    for i, key in enumerate(cls.KEYS)
+                }
+            )
+            cls._warm = engine.snapshot()
+        return cls._warm
+
+    def random_rows(self, rng, cursors, streams):
+        """One row batch: rectangular, ragged, or with repeated keys."""
+        shape = rng.integers(3)
+        chosen = list(
+            rng.choice(self.KEYS, size=rng.integers(1, 11), replace=False)
+        )
+        if shape == 0:  # whole rounds over one key list
+            keys = chosen * int(rng.integers(1, 5))
+        elif shape == 1:  # whole rounds plus a partial or reshuffled one
+            extra = list(rng.permutation(chosen))[: rng.integers(1, len(chosen) + 1)]
+            keys = chosen * int(rng.integers(0, 3)) + extra
+        else:  # arbitrary interleaving, keys repeat back to back
+            keys = list(rng.choice(chosen, size=rng.integers(1, 25)))
+        rows = []
+        for key in keys:
+            value = streams[key][cursors[key] % streams[key].size]
+            cursors[key] += 1
+            # Every key is live and kernel-absorbed: NaN is a missing cell.
+            rows.append((key, float("nan") if rng.random() < 0.05 else float(value)))
+        return rows
+
+    @staticmethod
+    def as_grids(rows):
+        """Rows -> the equivalent ``(round_keys, grid)`` sequence.
+
+        Round k holds every key's k-th occurrence; consecutive rounds over
+        one key list stack into a multi-round grid.
+        """
+        occurrence = {}
+        rounds = []
+        for key, value in rows:
+            seen = occurrence.get(key, 0)
+            occurrence[key] = seen + 1
+            if seen == len(rounds):
+                rounds.append(([], []))
+            rounds[seen][0].append(key)
+            rounds[seen][1].append(value)
+        grids = []
+        for round_keys, values in rounds:
+            if grids and grids[-1][0] == round_keys:
+                grids[-1][1].append(values)
+            else:
+                grids.append((round_keys, [values]))
+        return [(round_keys, np.array(grid)) for round_keys, grid in grids]
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_all_forms_equal_the_scalar_engine(self, seed):
+        rng = np.random.default_rng(seed)
+        streams = {
+            key: fleet_series(i)[INIT + 12 :] for i, key in enumerate(self.KEYS)
+        }
+        forms = ("scalar", "rows", "parallel", "dict", "grid")
+        engines = {}
+        for form in forms:
+            engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+            engine.kernel_min_cohort = 2
+            engine.fleet_kernel_enabled = form != "scalar"
+            engine.restore(self.warm_state())
+            engines[form] = engine
+        collected = {form: {key: [] for key in self.KEYS} for form in forms}
+
+        def keep(form, records):
+            for record in records:
+                collected[form][record.key].append(record.record)
+
+        # One clean full-width round first, so every key is absorbed and
+        # later NaN cells reach the kernel instead of the sequential path.
+        batches = [[(key, float(streams[key][0])) for key in self.KEYS]]
+        cursors = dict.fromkeys(self.KEYS, 1)
+        batches += [
+            self.random_rows(rng, cursors, streams)
+            for _ in range(rng.integers(3, 9))
+        ]
+        for rows in batches:
+            keys = [key for key, _value in rows]
+            values = np.array([value for _key, value in rows])
+            keep("scalar", engines["scalar"].ingest(rows))
+            keep("rows", engines["rows"].ingest(rows))
+            keep("parallel", engines["parallel"].ingest_columnar((keys, values)))
+            for round_keys, grid in self.as_grids(rows):
+                keep(
+                    "dict",
+                    engines["dict"].ingest(dict(zip(round_keys, grid.T))),
+                )
+                keep("grid", engines["grid"].ingest_grid(round_keys, grid))
+        for form in forms[1:]:
+            assert len(engines[form]._absorbed) == len(self.KEYS)
+            assert collected[form] == collected["scalar"], form
+            for key in self.KEYS:
+                assert engines[form].series_stats(key) == engines[
+                    "scalar"
+                ].series_stats(key)

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.durability import DirectoryCheckpointStore, StoreLockedError
+from repro.faults import FaultInjector
 from repro.sharding import (
     ClusterSpec,
     ConsistentHashRing,
@@ -331,11 +332,14 @@ class TestFailoverOracle:
         ).shard_for(next(iter(data)))
         router = ShardRouter(
             cluster,
-            fault_injection={
-                victim: {
-                    "kill_point": kill_point,
-                    "kill_after": self.WARM_BATCHES + 1,
-                }
+            fault_plans={
+                victim: [
+                    FaultInjector(
+                        point=kill_point,
+                        action="sigkill",
+                        after=self.WARM_BATCHES + 1,
+                    )
+                ]
             },
         )
         try:
@@ -388,8 +392,12 @@ class TestFailoverOracle:
         router = ShardRouter(
             cluster,
             checkpoint_interval=1,  # every batch checkpoints
-            fault_injection={
-                victim: {"kill_point": "manifest.swap.tmp", "kill_after": 3}
+            fault_plans={
+                victim: [
+                    FaultInjector(
+                        point="manifest.swap.tmp", action="sigkill", after=3
+                    )
+                ]
             },
         )
         try:
@@ -416,8 +424,12 @@ class TestFailoverOracle:
         router = ShardRouter(
             cluster,
             auto_recover=False,
-            fault_injection={
-                victim: {"kill_point": "wal.append.before", "kill_after": 1}
+            fault_plans={
+                victim: [
+                    FaultInjector(
+                        point="wal.append.before", action="sigkill", after=1
+                    )
+                ]
             },
         )
         try:
@@ -518,8 +530,12 @@ class TestStoreOwnership:
         victim = cluster.shards[0].shard_id
         router = ShardRouter(
             cluster,
-            fault_injection={
-                victim: {"kill_point": "wal.append.after", "kill_after": 2}
+            fault_plans={
+                victim: [
+                    FaultInjector(
+                        point="wal.append.after", action="sigkill", after=2
+                    )
+                ]
             },
         )
         try:

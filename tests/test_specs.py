@@ -289,27 +289,3 @@ class TestEngineSpecNative:
         assert engine.spec is not None
         assert engine.spec.pipeline.decomposer.name == "oneshotstl"
         assert engine.spec.pipeline.decomposer.params["shift_window"] == 0
-
-    def test_factory_constructor_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="EngineSpec"):
-            MultiSeriesEngine(
-                lambda key: StreamingPipeline(OneShotSTL(PERIOD, shift_window=0)),
-                initialization_length=INIT,
-            )
-
-    def test_spec_and_factory_are_mutually_exclusive(self):
-        spec = EngineSpec(
-            pipeline=PipelineSpec(DecomposerSpec("oneshotstl", {"period": PERIOD})),
-            initialization_length=INIT,
-        )
-        with pytest.raises(ValueError, match="not both"):
-            MultiSeriesEngine(
-                lambda key: None, initialization_length=INIT, spec=spec
-            )
-        # Every non-spec setting is owned by the spec -- no silent ignores.
-        with pytest.raises(ValueError, match="not both"):
-            MultiSeriesEngine(latency_window=64, spec=spec)
-        with pytest.raises(ValueError, match="not both"):
-            MultiSeriesEngine(track_latency=False, spec=spec)
-        with pytest.raises(TypeError, match="requires either"):
-            MultiSeriesEngine()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import OneShotSTL
-from repro.decomposition import OnlineSTL
+from repro.specs import DecomposerSpec, EngineSpec, PipelineSpec
 from repro.streaming import MultiSeriesEngine, StreamingPipeline
 
 from tests.conftest import make_seasonal_series
@@ -131,15 +131,18 @@ class TestBatchedIngestEquivalence:
         assert engine.series_stats("a").points == 2
         assert engine.series_stats("b").points == 1
 
-    def test_heterogeneous_pipeline_factory(self):
-        """Per-key configuration flows through the factory."""
-
-        def factory(key):
-            if key == "slow":
-                return StreamingPipeline(OnlineSTL(PERIOD))
-            return StreamingPipeline(OneShotSTL(PERIOD, shift_window=0))
-
-        engine = MultiSeriesEngine(factory, initialization_length=INIT)
+    def test_heterogeneous_spec_overrides(self):
+        """Per-key configuration flows through ``EngineSpec.overrides``."""
+        spec = EngineSpec(
+            pipeline=PipelineSpec(
+                DecomposerSpec("oneshotstl", {"period": PERIOD, "shift_window": 0})
+            ),
+            initialization_length=INIT,
+            overrides={
+                "slow": PipelineSpec(DecomposerSpec("online_stl", {"period": PERIOD}))
+            },
+        )
+        engine = MultiSeriesEngine.from_spec(spec)
         data = make_fleet_data(1)["host-0"]
         for value in data:
             engine.process("slow", float(value))
