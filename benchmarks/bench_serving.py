@@ -107,9 +107,14 @@ def _bench_in_process(
     client's 1/``N_CLIENTS`` key slice as its own columnar batch -- so
     the served/in-process ratio isolates what the wire costs.  The
     distinction matters: ingesting a key *subset* of a large fleet
-    restages the fleet kernel and costs ~2x per point before any
-    network is involved, and that engine property must not be billed to
-    the serving layer.  ``full_width`` (every key in one batch) rides
+    gathers and scatters the cohort's columns around a narrower kernel
+    run and costs about 1.06x per point before any network is involved
+    (four repeats of this function: 1.02-1.10x, 1.53-1.75 us/point for
+    the four 250-wide slices against 1.45-1.67 for full-width batches;
+    it was 1.9-2.1x, 3.6-3.7 against 1.75-1.86, while the kernel paid
+    its NumPy dispatch once per round and iteration whatever the
+    width), and that engine property must not be billed to the serving
+    layer.  ``full_width`` (every key in one batch) rides
     along as the context row.
     """
     n_series = len(keys)

@@ -4,27 +4,38 @@ A production fleet runs the O(1) online decomposition on thousands of
 metrics at once.  Advancing each series through its own Python
 :class:`~repro.core.oneshotstl.OneShotSTL` instance pays the interpreter
 cost ``n`` times per point; this module instead keeps the *whole fleet's*
-state in struct-of-arrays form and advances every series with a handful of
-NumPy operations per IRLS iteration:
+state in struct-of-arrays form, with the IRLS-iteration axis stacked next
+to the series axis:
 
-* the per-iteration incremental solvers become one
-  :class:`~repro.solvers.batched_ldlt.BatchedIncrementalLDLT` per IRLS
-  iteration (``(n, w, w)`` corrected trailing blocks);
+* the ``I`` per-iteration incremental solvers of every series are one
+  :class:`~repro.solvers.batched_ldlt.BatchedIncrementalLDLT`
+  (``(w, w, I, n)`` corrected trailing blocks), the per-iteration trend
+  pairs one ``(2, I, n)`` array;
 * seasonal buffers, trends, phase counters and the residual monitor's
-  Welford statistics become contiguous ``(n, ...)`` arrays.
+  Welford statistics are contiguous ``(n, ...)`` arrays.
 
-Because every array operation is elementwise over the series axis and is
-applied in exactly the order the scalar model performs it, the kernel's
-outputs equal the scalar path's outputs *exactly* -- the oracle tests
-assert float-for-float equality, shift searches and all.
+The paper's update is ``I`` chained solves per point, and solve ``(i, r)``
+-- IRLS iteration ``i`` of round ``r`` -- reads only ``(i - 1, r)`` (its
+weights) and ``(i, r - 1)`` (its solver state and trend pair).  All solves
+on an anti-diagonal ``i + r = s`` of that grid are therefore independent,
+and a run of ``T`` rounds advances in ``T + I - 1`` *wavefront steps*, each
+one stacked extend -> eliminate -> tail-solve -> reweight over the slab of
+iterations active on that diagonal (:meth:`FleetKernel._advance_run`).
+``T = 1`` and ``I = 1`` are the degenerate cases of the one schedule.
+Because every array operation is elementwise over the (iteration, series)
+slab and is applied in exactly the order the scalar model performs it, the
+kernel's outputs equal the scalar path's outputs *exactly* -- the oracle
+tests assert float-for-float equality, shift searches and all.
 
-Series whose seasonality-shift search triggers diverge from the lockstep
-batch: those (rare) series fall back to the scalar search
-(:func:`repro.core.oneshotstl._search_best_shift` -- the same code the
-scalar model runs), reading their pre-advance state back out of the batched
-solvers' undo level, and the chosen state is scattered back into the
-columnar arrays.  The fleet therefore pays the expensive search only for
-the series that trigger it, exactly like the scalar model does.
+A run commits once, at its end; until then the committed state is the
+pre-run state.  A series whose residual monitor trips mid-run is only
+*marked*: the run finishes for everyone, and before the commit each marked
+series is rebuilt from the pre-run state (:meth:`FleetKernel.extract`),
+replayed through its scalar :meth:`OneShotSTL.update` for the whole run --
+shift search included, by definition the scalar bits -- and loaded back
+over its speculative results.  The fleet therefore pays the expensive
+search only for the series that trigger it, exactly like the scalar model
+does, and the cohort never stops for them.
 
 The kernel is deliberately dumb about membership: it packs already-warm
 scalar models (:meth:`FleetKernel.pack`), extracts any member back into an
@@ -43,15 +54,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.nsigma import NSigma
-from repro.core.oneshotstl import (
-    OneShotSTL,
-    _IterationState,
-    _search_best_shift,
-)
+from repro.core.oneshotstl import OneShotSTL, _IterationState
 from repro.analysis import hotpath
 from repro.core.online_system import HALF_BANDWIDTH, ContributionWorkspace
 from repro.solvers.batched_ldlt import BatchedIncrementalLDLT
-from repro.utils import amortized_append
+from repro.utils import amortized_append, amortized_append_columns
 
 __all__ = ["ColumnarNSigma", "FleetKernel", "FleetUpdate"]
 
@@ -61,10 +68,10 @@ __all__ = ["ColumnarNSigma", "FleetKernel", "FleetUpdate"]
 _PATTERN_ROWS = HALF_BANDWIDTH + ContributionWorkspace._ROW_OFFSETS
 _PATTERN_COLS = HALF_BANDWIDTH + ContributionWorkspace._COL_OFFSETS
 
-#: ceiling on the rounds advanced per staged run of :meth:`FleetKernel.
+#: ceiling on the rounds advanced per run of :meth:`FleetKernel.
 #: update_block`.  Runs must not exceed ``period`` (a longer run would
 #: read a seasonal slot an earlier round of the same run wrote); the
-#: constant additionally bounds the blocked workspaces for huge periods.
+#: constant additionally bounds the run workspaces for huge periods.
 _MAX_BLOCK_ROUNDS = 64
 
 
@@ -182,7 +189,16 @@ class ColumnarNSigma:
             self.m2[columns],
         )
 
-    def assign(self, columns: np.ndarray, other: "ColumnarNSigma") -> None:
+    def copy(self) -> "ColumnarNSigma":
+        return ColumnarNSigma(
+            self.threshold,
+            self.minimum_std,
+            self.count.copy(),
+            self.mean.copy(),
+            self.m2.copy(),
+        )
+
+    def assign(self, columns, other: "ColumnarNSigma") -> None:
         self.count[columns] = other.count
         self.mean[columns] = other.mean
         self.m2[columns] = other.m2
@@ -264,22 +280,6 @@ class FleetUpdate:
         self.detection_residual = detection_residual
 
 
-class _BatchedIterationState:
-    """Columnar counterpart of one per-IRLS-iteration ``_IterationState``."""
-
-    __slots__ = ("solver", "previous_trend", "before_previous_trend")
-
-    def __init__(
-        self,
-        solver: BatchedIncrementalLDLT,
-        previous_trend: np.ndarray,
-        before_previous_trend: np.ndarray,
-    ):
-        self.solver = solver
-        self.previous_trend = previous_trend
-        self.before_previous_trend = before_previous_trend
-
-
 class FleetKernel:
     """Columnar OneShotSTL state for ``n`` series sharing one configuration.
 
@@ -301,27 +301,17 @@ class FleetKernel:
         self.shift_threshold = float(params["shift_threshold"])
         self.epsilon = float(params["epsilon"])
         self._n = int(n_series)
-        # Scalar workspace shared by the per-series fallback paths.
-        self._workspace = ContributionWorkspace(self.lambda1, self.lambda2)
-        # Reusable per-update workspaces (allocated lazily, sized to n):
-        # the row-index gather vector and the reweighted-iteration pattern
-        # buffer.  Purely an allocation-avoidance cache -- no decomposition
-        # state lives here.
         self._arange: np.ndarray | None = None
-        self._pattern_values: np.ndarray | None = None
-        # Round-blocked workspaces (update_block): per-iteration trend
-        # histories, staged right-hand sides, per-round seasonal phases
-        # and the non-final-iteration seasonal scratch row.
-        self._block_hists: list[np.ndarray] | None = None
-        self._block_rhs: np.ndarray | None = None
-        self._block_phases: np.ndarray | None = None
-        self._block_seasonal: np.ndarray | None = None
-        # First-iteration pattern values are round-invariant (the raw
-        # lambdas), so they are staged once per run; the reweighting
-        # scratch rows avoid per-iteration temporaries.
-        self._block_pattern0: np.ndarray | None = None
-        self._block_weight_p: np.ndarray | None = None
-        self._block_weight_q: np.ndarray | None = None
+        # (step, iteration) coordinates of every iteration's pre-run trend
+        # pair in the skewed trend history of a run (see _advance_run);
+        # shifted by the run length they address the post-run pair.
+        iteration_axis = np.arange(self.iterations)
+        self._pair_steps = np.stack([iteration_axis, iteration_axis + 1])
+        self._pair_iterations = np.stack([iteration_axis, iteration_axis])
+        # Run workspaces (allocated lazily, sized to the widest run seen):
+        # purely an allocation-avoidance cache -- no decomposition state
+        # lives here between runs.
+        self._workspaces: tuple | None = None
 
     def _rows(self) -> np.ndarray:
         """``np.arange(n_series)`` (cached; used for per-series gathers)."""
@@ -388,28 +378,38 @@ class FleetKernel:
         kernel.monitor = ColumnarNSigma.pack(
             [model._residual_monitor for model in models]
         )
-        kernel.iteration_states = []
-        for iteration in range(kernel.iterations):
-            states = [model._iterations_state[iteration] for model in models]
-            kernel.iteration_states.append(
-                _BatchedIterationState(
-                    solver=BatchedIncrementalLDLT.pack(
-                        [state.solver for state in states]
-                    ),
-                    previous_trend=np.array(
-                        [state.previous_trend for state in states], dtype=float
-                    ),
-                    before_previous_trend=np.array(
-                        [state.before_previous_trend for state in states],
-                        dtype=float,
-                    ),
-                )
-            )
+        kernel.solver = BatchedIncrementalLDLT.pack(
+            [
+                [state.solver for state in model._iterations_state]
+                for model in models
+            ]
+        )
+        kernel._pairs = np.ascontiguousarray(
+            np.array(
+                [
+                    [
+                        (state.before_previous_trend, state.previous_trend)
+                        for state in model._iterations_state
+                    ]
+                    for model in models
+                ],
+                dtype=float,
+            ).transpose(2, 1, 0)
+        )
         return kernel
 
     @property
     def n_series(self) -> int:
         return self._n
+
+    @property
+    def trend_pairs(self) -> np.ndarray:
+        """Per-iteration ``(before_previous, previous)`` trends, ``(2, I, n)``.
+
+        A live view of a capacity-managed buffer (spare trailing columns
+        are append capacity).
+        """
+        return self._pairs[..., : self._n]
 
     def get_params(self) -> dict:
         """The uniform OneShotSTL constructor parameters of the fleet."""
@@ -445,36 +445,20 @@ class FleetKernel:
         The model keeps its identity (and its workspace/initializer
         attributes); only the evolving decomposition state is written.
         """
-        model._seasonal_buffer[:] = self.seasonal_buffer[index]
-        model._global_index = int(self.global_index[index])
-        model._points_processed = int(self.points_processed[index])
-        model._last_trend = float(self.last_trend[index])
-        model._last_detection_residual = float(
-            self.last_detection_residual[index]
-        )
-        model._last_applied_shift = int(self.last_applied_shift[index])
-        self.monitor.write_into(index, model._residual_monitor)
-        for iteration, batched in enumerate(self.iteration_states):
-            state = model._iterations_state[iteration]
-            state.solver = batched.solver.extract(index)
-            state.previous_trend = float(batched.previous_trend[index])
-            state.before_previous_trend = float(
-                batched.before_previous_trend[index]
-            )
+        self.write_members(np.array([index], dtype=np.intp), [model])
 
     def write_members(
         self, columns: np.ndarray, models: Sequence[OneShotSTL]
     ) -> None:
         """Overwrite ``models[i]`` with member ``columns[i]``, for all ``i``.
 
-        The batched form of :meth:`write_into`: every per-series state
-        array is gathered once and bulk-converted (``ndarray.tolist()``
-        yields exact Python scalars), and the per-iteration solvers come
-        out of :meth:`BatchedIncrementalLDLT.extract_many`.  This is the
+        Every per-series state array is gathered once and bulk-converted
+        (``ndarray.tolist()`` yields exact Python scalars), and the
+        per-iteration solvers come out of
+        :meth:`BatchedIncrementalLDLT.extract_many`.  This is the
         cohort-granular state export the durable checkpoint layer runs on:
         writing one dirty cohort of a large fleet touches only that
-        cohort's columns, never the whole kernel.  Values are identical to
-        repeated :meth:`write_into` calls.
+        cohort's columns, never the whole kernel.
         """
         columns = np.asarray(columns, dtype=np.intp)
         seasonal = self.seasonal_buffer[columns]
@@ -483,14 +467,8 @@ class FleetKernel:
         last_trend = self.last_trend[columns].tolist()
         last_detection = self.last_detection_residual[columns].tolist()
         last_shift = self.last_applied_shift[columns].tolist()
-        per_iteration = [
-            (
-                batched.solver.extract_many(columns),
-                batched.previous_trend[columns].tolist(),
-                batched.before_previous_trend[columns].tolist(),
-            )
-            for batched in self.iteration_states
-        ]
+        solvers = self.solver.extract_many(columns)
+        pairs = self.trend_pairs[..., columns].transpose(2, 1, 0).tolist()
         self.monitor.write_many(
             columns, [model._residual_monitor for model in models]
         )
@@ -501,12 +479,12 @@ class FleetKernel:
             model._last_trend = last_trend[position]
             model._last_detection_residual = last_detection[position]
             model._last_applied_shift = last_shift[position]
-            for state, (solvers, previous, before) in zip(
-                model._iterations_state, per_iteration
+            for state, solver, (before_previous, previous) in zip(
+                model._iterations_state, solvers[position], pairs[position]
             ):
-                state.solver = solvers[position]
-                state.previous_trend = previous[position]
-                state.before_previous_trend = before[position]
+                state.solver = solver
+                state.previous_trend = previous
+                state.before_previous_trend = before_previous
 
     def load(self, index: int, model: OneShotSTL) -> None:
         """Overwrite member ``index`` with a scalar model's state."""
@@ -517,22 +495,19 @@ class FleetKernel:
         self.last_detection_residual[index] = model._last_detection_residual
         self.last_applied_shift[index] = model._last_applied_shift
         self.monitor.load(index, model._residual_monitor)
-        for iteration, batched in enumerate(self.iteration_states):
-            state = model._iterations_state[iteration]
-            batched.solver.load(index, state.solver)
-            batched.previous_trend[index] = state.previous_trend
-            batched.before_previous_trend[index] = state.before_previous_trend
-
-    def unpack(self) -> list[OneShotSTL]:
-        """Materialize every member as an independent scalar model."""
-        return [self.extract(index) for index in range(self._n)]
+        states = model._iterations_state
+        self.solver.load(index, [state.solver for state in states])
+        self.trend_pairs[..., index] = [
+            [state.before_previous_trend for state in states],
+            [state.previous_trend for state in states],
+        ]
 
     # ------------------------------------------------------ batch membership
 
     def append(self, other: "FleetKernel") -> None:
         """Append the members of ``other`` (same configuration required).
 
-        Growth is amortized: every columnar array (and the batched solvers'
+        Growth is amortized: every columnar array (and the stacked solver's
         state buffers) carries hidden spare capacity that is doubled when
         exhausted, so absorbing a trickle of late-joining series one
         cohort at a time costs O(total members) instead of one full-fleet
@@ -555,14 +530,10 @@ class FleetKernel:
             self.last_applied_shift, other.last_applied_shift
         )
         self.monitor.append(other.monitor)
-        for mine, theirs in zip(self.iteration_states, other.iteration_states):
-            mine.solver.append(theirs.solver)
-            mine.previous_trend = amortized_append(
-                mine.previous_trend, theirs.previous_trend
-            )
-            mine.before_previous_trend = amortized_append(
-                mine.before_previous_trend, theirs.before_previous_trend
-            )
+        self.solver.append(other.solver)
+        self._pairs = amortized_append_columns(
+            self._pairs, self._n, other.trend_pairs
+        )
         self._n += other._n
 
     def select(self, columns: np.ndarray) -> "FleetKernel":
@@ -575,14 +546,8 @@ class FleetKernel:
         sub.last_detection_residual = self.last_detection_residual[columns]
         sub.last_applied_shift = self.last_applied_shift[columns]
         sub.monitor = self.monitor.select(columns)
-        sub.iteration_states = [
-            _BatchedIterationState(
-                solver=state.solver.select(columns),
-                previous_trend=state.previous_trend[columns],
-                before_previous_trend=state.before_previous_trend[columns],
-            )
-            for state in self.iteration_states
-        ]
+        sub.solver = self.solver.select(columns)
+        sub._pairs = np.take(self.trend_pairs, columns, axis=-1)
         return sub
 
     def assign(self, columns: np.ndarray, other: "FleetKernel") -> None:
@@ -594,10 +559,8 @@ class FleetKernel:
         self.last_detection_residual[columns] = other.last_detection_residual
         self.last_applied_shift[columns] = other.last_applied_shift
         self.monitor.assign(columns, other.monitor)
-        for mine, theirs in zip(self.iteration_states, other.iteration_states):
-            mine.solver.assign(columns, theirs.solver)
-            mine.previous_trend[columns] = theirs.previous_trend
-            mine.before_previous_trend[columns] = theirs.before_previous_trend
+        self.solver.assign(columns, other.solver)
+        self.trend_pairs[..., columns] = other.trend_pairs
 
     # -------------------------------------------------------------- streaming
 
@@ -605,30 +568,31 @@ class FleetKernel:
     def update_block(
         self, values: np.ndarray, columns: np.ndarray | None = None
     ) -> FleetUpdate:
-        """Decompose a ``(rounds, n)`` block of observations round by round.
+        """Decompose a ``(rounds, n)`` block of observations.
 
         Semantically identical (float for float, shift searches and all)
         to advancing every member's scalar :class:`OneShotSTL` once per row
-        of ``values``, but rounds advance in *staged runs*: the solver
-        extends skip validation and pivot guards over pre-staged scratch
-        (:meth:`BatchedIncrementalLDLT.extend_solve`), the per-iteration
-        trend recurrences run over a block-resident history instead of
-        copying state per round, and seasonal-buffer scatters plus the
-        phase counters commit once per run.  Three events end a run early
-        (the remaining rounds re-stage):
+        of ``values``, but the rounds advance in *runs* of up to
+        ``min(period, 64)`` rounds, each on the wavefront schedule of
+        :meth:`_advance_run` and committed once, at its end.  What ends a
+        run early, and what does not:
 
         * a round with missing observations is imputed from live state
           (latest trend + seasonal buffer at the current phase, exactly
           like the scalar model) and advances as a one-round run;
-        * a round that trips the seasonality-shift search finishes its
-          flagged members on the scalar search path;
-        * a round that goes non-finite under the unguarded solves is rolled
-          back and ends the *call*: the returned arrays then cover only the
-          rounds before it, the kernel holds exactly the state after those
-          rounds, and the caller must advance that round member by member
-          through the scalar models (:meth:`extract` / :meth:`load`) --
-          which is by definition the scalar behavior, pivot errors
-          included -- before submitting the rest.
+        * a member that trips the seasonality-shift search does *not* end
+          the run: it is replayed through its scalar model for the whole
+          run before the commit, while the rest of the cohort keeps its
+          batched results;
+        * a round that goes non-finite under the unguarded solves (or a
+          scalar replay that raises) ends the *call*: nothing of that run
+          is committed, its clean prefix is re-run, the returned arrays
+          then cover only the rounds before the offending one, the kernel
+          holds exactly the state after those rounds, and the caller must
+          advance that round member by member through the scalar models
+          (:meth:`extract` / :meth:`load`) -- which is by definition the
+          scalar behavior, pivot errors included -- before submitting the
+          rest.
 
         The returned :class:`FleetUpdate` carries ``(rounds advanced, n)``
         arrays.
@@ -667,7 +631,7 @@ class FleetKernel:
                 anchor = self.seasonal_buffer[self._rows(), phase]
                 forecast = self.last_trend + anchor
                 value_out[row] = np.where(finite[row], values[row], forecast)
-            row, solved = self._advance_block(
+            row, solved = self._advance_run(
                 value_out,
                 row,
                 stop,
@@ -689,7 +653,7 @@ class FleetKernel:
     # ------------------------------------------------------------- internals
 
     @hotpath
-    def _advance_block(
+    def _advance_run(
         self,
         values: np.ndarray,
         start: int,
@@ -699,351 +663,267 @@ class FleetKernel:
         residual_out: np.ndarray,
         detection_out: np.ndarray,
     ) -> tuple[int, bool]:
-        """Advance the all-finite rounds ``[start, stop)`` as one staged run.
+        """Advance the all-finite rounds ``[start, stop)`` as one run.
 
-        Returns ``(next_round, solved)``: the index one past the last
-        round actually advanced -- the whole run normally, or less when a
-        shift-search trigger or a non-finite solve ended the run early --
-        and whether every solve stayed finite (``False`` means round
-        ``next_round`` was rolled back).  ``stop - start`` never
-        exceeds ``min(period, _MAX_BLOCK_ROUNDS)``, which guarantees no
-        round of the run reads a seasonal slot an earlier round wrote --
-        the precondition for staging anchors and deferring the seasonal
-        scatter to run end.
+        Solve ``(i, r)`` -- iteration ``i`` of round ``r`` -- needs only
+        ``(i - 1, r)`` and ``(i, r - 1)``, so step ``s`` of the run solves
+        the whole anti-diagonal ``i + r = s`` at once: iterations
+        ``[lo, hi)`` with ``lo = max(0, s - T + 1)`` and ``hi = min(I, s +
+        1)``, in ``T + I - 1`` steps.  Everything a step touches is laid
+        out so that slab is a plain slice: the trend history is kept in
+        *step* coordinates (``hist[s + 2, i]`` is the trend of ``(i, s -
+        i)``, so "previous round, same iteration" is ``hist[s + 1]`` and
+        the round before ``hist[s]``), the right-hand sides are staged in
+        reversed round order (iteration ``i`` of step ``s`` reads row ``T
+        - 1 - s + i``), and the reweighting of ``(i, r)`` lands in weight
+        row ``i + 1``, where ``(i + 1, r)`` picks it up on the next step
+        (row 0 stays 1.0: ``x * 1.0 == x`` bit for bit, so the first
+        iteration's raw lambdas need no special case).
+
+        Returns ``(next_round, solved)``: ``(stop, True)`` normally.  A
+        round that went non-finite on a column whose batched values are
+        used, or a scalar replay that raised, commits nothing, re-runs the
+        rounds before it and returns ``(that round, False)``.  ``stop -
+        start`` never exceeds ``min(period, _MAX_BLOCK_ROUNDS)``, which
+        guarantees no round of the run reads a seasonal slot an earlier
+        round wrote -- the precondition for staging anchors and deferring
+        the seasonal scatter to run end.
         """
-        n = self._n
         n_rounds = stop - start
-        rows = self._rows()
-        period = self.period
-        hists, rhs_block, phases, pattern_values = self._block_workspaces(n_rounds)
-        states = self.iteration_states
-        solvers = [state.solver for state in states]
-        n_iterations = len(states)
+        n_iterations = self.iterations
         last = n_iterations - 1
-        # Seed each iteration's trend history with its pre-run pair and
-        # stage the shared right-hand sides and seasonal phases for the
-        # whole run up front.
-        for iteration in range(n_iterations):
-            hist = hists[iteration]
-            state = states[iteration]
-            np.copyto(hist[0], state.before_previous_trend)
-            np.copyto(hist[1], state.previous_trend)
-            solvers[iteration].begin_extend_block(2, _PATTERN_ROWS, _PATTERN_COLS)
-        phases_view = phases[:n_rounds]
+        rows = self._rows()
+        hist, rhs, phases, weights, pattern, seasonal = self._run_workspaces(
+            n_rounds
+        )
+        solver = self.solver
+        # Seed every iteration's pre-run trend pair on its diagonal and
+        # stage the right-hand sides and seasonal phases of the whole run.
+        hist[self._pair_steps, self._pair_iterations] = self.trend_pairs
         np.remainder(
-            self.global_index[None, :] + np.arange(n_rounds)[:, None],
-            period,
-            out=phases_view,
+            self.global_index[None, :] + np.arange(n_rounds - 1, -1, -1)[:, None],
+            self.period,
+            out=phases,
         )
-        rhs_view = rhs_block[:n_rounds]
-        rhs_view[:, 0] = values[start:stop]
+        reversed_values = values[start:stop][::-1]
+        rhs[0] = reversed_values
         np.add(
-            values[start:stop],
-            self.seasonal_buffer[rows[None, :], phases_view],
-            out=rhs_view[:, 1],
+            reversed_values, self.seasonal_buffer[rows[None, :], phases], out=rhs[1]
         )
+        solver.begin_run(2, _PATTERN_ROWS, _PATTERN_COLS)
         lambda1 = self.lambda1
         lambda2 = self.lambda2
         epsilon = self.epsilon
-        shift_window = self.shift_window
+        for step in range(n_rounds + last):
+            lo = max(0, step - n_rounds + 1)
+            hi = min(n_iterations, step + 1)
+            # The same per-entry products as the scalar
+            # ContributionWorkspace.fill (multiplication commutes bitwise);
+            # entries that share a value share its array.
+            weight_p = weights[0, lo:hi]
+            weight_q = weights[1, lo:hi]
+            first, minus_first, second, four_second, minus_two_second = pattern[
+                :, lo:hi
+            ]
+            np.multiply(weight_p, lambda1, out=first)
+            np.negative(first, out=minus_first)
+            np.multiply(weight_q, lambda2, out=second)
+            np.multiply(second, 4.0, out=four_second)
+            np.multiply(second, -2.0, out=minus_two_second)
+            trend = hist[step + 2, lo:hi]
+            offset = n_rounds - 1 - step
+            solver.extend_solve(
+                lo,
+                hi,
+                (
+                    1.0,
+                    1.0,
+                    1.0,
+                    1.0,
+                    first,
+                    first,
+                    minus_first,
+                    second,
+                    four_second,
+                    second,
+                    minus_two_second,
+                    second,
+                    minus_two_second,
+                ),
+                rhs[:, offset + lo : offset + hi],
+                trend,
+                seasonal[lo:hi],
+            )
+            if hi == n_iterations:
+                # The round's last iteration completed: its seasonal value
+                # is the round's output, and its reweighting is dead
+                # (weights restart at 1.0 each round).
+                seasonal_out[start + step - last] = seasonal[last]
+                hi = last
+                trend = trend[: hi - lo]
+            if hi > lo:
+                # Same operation sequence as the scalar 0.5 / max(|diff|,
+                # eps), into the next iteration's weight rows.
+                previous = hist[step + 1, lo:hi]
+                weight_p = weights[0, lo + 1 : hi + 1]
+                weight_q = weights[1, lo + 1 : hi + 1]
+                np.subtract(trend, previous, out=weight_p)
+                np.absolute(weight_p, out=weight_p)
+                np.maximum(weight_p, epsilon, out=weight_p)
+                np.divide(0.5, weight_p, out=weight_p)
+                np.multiply(previous, 2.0, out=weight_q)
+                np.subtract(trend, weight_q, out=weight_q)
+                np.add(weight_q, hist[step, lo:hi], out=weight_q)
+                np.absolute(weight_q, out=weight_q)
+                np.maximum(weight_q, epsilon, out=weight_q)
+                np.divide(0.5, weight_q, out=weight_q)
+        trend_block = trend_out[start:stop]
+        seasonal_block = seasonal_out[start:stop]
+        residual_block = residual_out[start:stop]
+        detection_block = detection_out[start:stop]
+        trend_block[:] = hist[n_iterations + 1 : n_iterations + 1 + n_rounds, last]
+        np.subtract(values[start:stop], trend_block, out=residual_block)
+        np.subtract(residual_block, seasonal_block, out=residual_block)
+        detection_block[:] = residual_block
+        # The residual monitor is scored and updated round by round; a
+        # column that trips it is marked for scalar replay, and from then
+        # on its batched values (no longer used) are out of the screen.
         monitor = self.monitor
-        seasonal_scratch = self._block_seasonal
-        hist_last = hists[last]
-        pattern0 = self._block_pattern0
-        weight_p = self._block_weight_p
-        weight_q = self._block_weight_q
-        pattern_values[:4] = 1.0
+        pre_run_monitor = monitor.copy()
+        search = self.shift_window > 0
+        finite = np.isfinite(trend_block.sum(axis=1) + seasonal_block.sum(axis=1))
+        marked = None
+        bad = n_rounds
         for r in range(n_rounds):
-            rhs_r = rhs_view[r]
-            for iteration in range(n_iterations):
-                if iteration == 0:
-                    # next_p/next_q start each round at 1.0, so the first
-                    # iteration's weights are the raw lambdas
-                    # (x * 1.0 == x bit for bit) -- the round-invariant
-                    # pattern0 buffer staged by _block_workspaces.
-                    values_buffer = pattern0
-                else:
-                    # The same per-row products as the scalar sequence
-                    # (multiplication commutes bitwise; rows 5/9/11/12 are
-                    # copies of already-computed rows), written without
-                    # intermediate temporaries.
-                    np.multiply(weight_p, lambda1, out=pattern_values[4])
-                    pattern_values[5] = pattern_values[4]
-                    np.negative(pattern_values[4], out=pattern_values[6])
-                    np.multiply(weight_q, lambda2, out=pattern_values[7])
-                    np.multiply(pattern_values[7], 4.0, out=pattern_values[8])
-                    pattern_values[9] = pattern_values[7]
-                    np.multiply(pattern_values[7], -2.0, out=pattern_values[10])
-                    pattern_values[11] = pattern_values[7]
-                    pattern_values[12] = pattern_values[10]
-                    values_buffer = pattern_values
-                hist = hists[iteration]
-                trend_row = hist[r + 2]
-                if iteration == last:
-                    seasonal_row = seasonal_out[start + r]
-                else:
-                    seasonal_row = seasonal_scratch
-                solvers[iteration].extend_solve(
-                    values_buffer, rhs_r, trend_row, seasonal_row
+            if not finite[r] and (
+                marked is None
+                or not math.isfinite(
+                    float(trend_block[r, ~marked].sum())
+                    + float(seasonal_block[r, ~marked].sum())
                 )
-                if iteration != last:
-                    # The final iteration's reweighting is dead (weights
-                    # reset each round), so it is skipped.  Same operation
-                    # sequence as the scalar 0.5 / max(|diff|, eps), into
-                    # the reused weight rows.
-                    previous = hist[r + 1]
-                    np.subtract(trend_row, previous, out=weight_p)
-                    np.absolute(weight_p, out=weight_p)
-                    np.maximum(weight_p, epsilon, out=weight_p)
-                    np.divide(0.5, weight_p, out=weight_p)
-                    np.multiply(previous, 2.0, out=weight_q)
-                    np.subtract(trend_row, weight_q, out=weight_q)
-                    np.add(weight_q, hist[r], out=weight_q)
-                    np.absolute(weight_q, out=weight_q)
-                    np.maximum(weight_q, epsilon, out=weight_q)
-                    np.divide(0.5, weight_q, out=weight_q)
-            trend_row = hist_last[r + 2]
-            seasonal_row = seasonal_out[start + r]
-            if not (
-                math.isfinite(float(trend_row.sum()))
-                and math.isfinite(float(seasonal_row.sum()))
             ):
-                self._blocked_abort_round(
-                    start, r, phases_view, trend_out, seasonal_out, detection_out
-                )
-                return start + r, False
-            trend_out[start + r] = trend_row
-            residual_row = residual_out[start + r]
-            np.subtract(values[start + r], trend_row, out=residual_row)
-            np.subtract(residual_row, seasonal_row, out=residual_row)
-            detection_row = detection_out[start + r]
-            detection_row[:] = residual_row
-            if shift_window > 0:
-                flagged = monitor.score(residual_row)[1]
+                bad = r
+                break
+            detection_row = detection_block[r]
+            if search:
+                flagged = monitor.score(detection_row)[1]
                 if flagged.any():
-                    self._blocked_flagged_round(
-                        values,
-                        start,
-                        r,
-                        flagged,
-                        phases_view,
-                        trend_out,
-                        seasonal_out,
-                        residual_out,
-                        hists,
-                    )
-                    monitor.update_stats(detection_row)
-                    self._block_commit(r, hists, trend_out[start + r], detection_row)
-                    return start + r + 1, True
+                    marked = flagged if marked is None else marked | flagged
             monitor.update_stats(detection_row)
-        self._block_flush(start, n_rounds, phases_view, seasonal_out)
-        self._block_commit(
-            n_rounds - 1, hists, trend_out[stop - 1], detection_out[stop - 1]
-        )
+        replays = ()
+        if marked is not None and bad == n_rounds:
+            replays, bad = self._replay_marked(
+                np.flatnonzero(marked), pre_run_monitor, values, start, n_rounds
+            )
+        if bad < n_rounds:
+            monitor.assign(slice(None), pre_run_monitor)
+            if bad == 0:
+                return start, False
+            return (
+                self._advance_run(
+                    values,
+                    start,
+                    start + bad,
+                    trend_out,
+                    seasonal_out,
+                    residual_out,
+                    detection_out,
+                )[0],
+                False,
+            )
+        # Commit: within a run every series writes ``n_rounds`` distinct
+        # seasonal slots (runs never exceed ``period`` rounds), so one
+        # fancy scatter equals the per-round scatters.
+        self.seasonal_buffer[rows[None, :], phases] = seasonal_block[::-1]
+        self.global_index += n_rounds
+        self.points_processed += n_rounds
+        self.trend_pairs[...] = hist[
+            self._pair_steps + n_rounds, self._pair_iterations
+        ]
+        np.copyto(self.last_trend, trend_block[-1])
+        np.copyto(self.last_detection_residual, detection_block[-1])
+        solver.commit_run()
+        for column, model, points in replays:
+            self.load(column, model)
+            (
+                trend_block[:, column],
+                seasonal_block[:, column],
+                residual_block[:, column],
+                detection_block[:, column],
+            ) = np.array(points).T
         return stop, True
 
-    def _block_workspaces(
-        self, n_rounds: int
-    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-        """(Re)size the round-blocked workspaces for an ``n_rounds`` run."""
+    def _run_workspaces(self, n_rounds: int) -> tuple:
+        """(Re)size the run workspaces; returns views for an ``n_rounds`` run.
+
+        ``(hist, rhs, phases, weights, pattern, seasonal)``: the skewed
+        trend history ``(T + I + 1, I, n)``, the reversed-round right-hand
+        sides ``(2, T, n)`` and phases ``(T, n)``, the IRLS weights ``(2,
+        I, n)`` (row 0 is the constant 1.0 of a round's first iteration),
+        the five distinct weighted pattern values ``(5, I, n)`` and the
+        per-iteration seasonal scratch ``(I, n)``.
+        """
         n = self._n
-        hists = self._block_hists
+        n_iterations = self.iterations
+        workspaces = self._workspaces
         if (
-            hists is None
-            or len(hists) != self.iterations
-            or hists[0].shape[0] < n_rounds + 2
-            or hists[0].shape[1] != n
+            workspaces is None
+            or workspaces[0].shape[2] != n
+            or workspaces[1].shape[1] < n_rounds
         ):
-            self._block_hists = hists = [
-                np.empty((n_rounds + 2, n)) for _ in range(self.iterations)
-            ]
-            self._block_rhs = np.empty((n_rounds, 2, n))
-            self._block_phases = np.empty((n_rounds, n), dtype=np.int64)
-            self._block_seasonal = np.empty(n)
-        pattern_values = self._pattern_values
-        if pattern_values is None or pattern_values.shape[1] != n:
-            self._pattern_values = pattern_values = np.empty(
-                (_PATTERN_ROWS.size, n)
+            weights = np.empty((2, n_iterations, n))
+            weights[:, 0] = 1.0
+            self._workspaces = workspaces = (
+                np.empty((n_rounds + n_iterations + 1, n_iterations, n)),
+                np.empty((2, n_rounds, n)),
+                np.empty((n_rounds, n), dtype=np.int64),
+                weights,
+                np.empty((5, n_iterations, n)),
+                np.empty((n_iterations, n)),
             )
-        pattern0 = self._block_pattern0
-        if pattern0 is None or pattern0.shape[1] != n:
-            self._block_pattern0 = pattern0 = np.empty((_PATTERN_ROWS.size, n))
-            self._block_weight_p = np.empty(n)
-            self._block_weight_q = np.empty(n)
-        # The first IRLS iteration's weights are the raw lambdas on every
-        # round (its ``next_p``/``next_q`` are 1.0), so its pattern-value
-        # buffer is filled once per run -- the scalar broadcasts of
-        # ContributionWorkspace.fill's steady-state pattern.
-        pattern0[:4] = 1.0
-        pattern0[4] = self.lambda1
-        pattern0[5] = self.lambda1
-        pattern0[6] = -self.lambda1
-        pattern0[7] = self.lambda2
-        pattern0[8] = 4.0 * self.lambda2
-        pattern0[9] = self.lambda2
-        pattern0[10] = -2.0 * self.lambda2
-        pattern0[11] = self.lambda2
-        pattern0[12] = -2.0 * self.lambda2
-        return hists, self._block_rhs, self._block_phases, pattern_values
+        hist, rhs, phases, weights, pattern, seasonal = workspaces
+        return hist, rhs[:, :n_rounds], phases[:n_rounds], weights, pattern, seasonal
 
-    def _block_flush(
+    def _replay_marked(
         self,
-        start: int,
-        count: int,
-        phases_view: np.ndarray,
-        seasonal_out: np.ndarray,
-    ) -> None:
-        """Apply the deferred seasonal scatters and counters of a run prefix.
-
-        Within a run every series writes ``count`` distinct seasonal
-        slots (runs never exceed ``period`` rounds), so one fancy scatter
-        equals the per-round scatters.
-        """
-        if count == 0:
-            return
-        rows = self._rows()
-        self.seasonal_buffer[rows[None, :], phases_view[:count]] = seasonal_out[
-            start : start + count
-        ]
-        self.global_index += count
-        self.points_processed += count
-
-    def _block_commit(
-        self,
-        r: int,
-        hists: list[np.ndarray],
-        trend_row: np.ndarray,
-        detection_row: np.ndarray,
-    ) -> None:
-        """Write the trend pairs and last-point state back after a run.
-
-        ``r`` is the last round (run-relative) actually advanced; the
-        per-iteration pairs come out of the block-resident histories,
-        which are authoritative during a run.
-        """
-        states = self.iteration_states
-        for iteration in range(len(states)):
-            state = states[iteration]
-            hist = hists[iteration]
-            np.copyto(state.before_previous_trend, hist[r + 1])
-            np.copyto(state.previous_trend, hist[r + 2])
-        np.copyto(self.last_trend, trend_row)
-        np.copyto(self.last_detection_residual, detection_row)
-
-    def _blocked_flagged_round(
-        self,
+        columns: np.ndarray,
+        pre_run_monitor: ColumnarNSigma,
         values: np.ndarray,
         start: int,
-        r: int,
-        flagged: np.ndarray,
-        phases_view: np.ndarray,
-        trend_out: np.ndarray,
-        seasonal_out: np.ndarray,
-        residual_out: np.ndarray,
-        hists: list[np.ndarray],
-    ) -> None:
-        """Finish flagged round ``r`` of a run on the per-series search path.
+        n_rounds: int,
+    ) -> tuple[list, int]:
+        """Replay the marked columns of a finished, uncommitted run.
 
-        The run's deferred rounds are flushed first (the scalar candidate
-        search reads the live seasonal buffer and counters), then this
-        round mirrors the scalar ``OneShotSTL.update``'s flagged handling.
-        The run ends here: a chosen shift redirects this round's seasonal
-        write, so later rounds must re-stage against the post-shift state.
+        Each column is rebuilt from the pre-run state (nothing of the run
+        is committed yet; the monitor, updated in place, comes from its
+        pre-run copy) and advanced through the scalar
+        :meth:`OneShotSTL.update` for the whole run -- shift searches and
+        all.  Returns ``(replays, bad)``: ``(column, model, points)`` per
+        column, ``points`` holding each round's ``(trend, seasonal,
+        residual, detection_residual)``, and the first round at which a
+        replay raised (``n_rounds`` when none did; later columns stop
+        there, the run is abandoned anyway).
         """
-        self._block_flush(start, r, phases_view, seasonal_out)
-        previous_trends = [(hist[r + 1], hist[r]) for hist in hists]
-        rows = self._rows()
-        chosen_shift = np.zeros(self._n, dtype=np.int64)
-        trend_row = trend_out[start + r]
-        seasonal_row = seasonal_out[start + r]
-        residual_row = residual_out[start + r]
-        values_row = values[start + r]
-        states = self.iteration_states
-        for index in np.flatnonzero(flagged):
-            shift, chosen_trend, chosen_seasonal = self._shift_search_fallback(
-                int(index), float(values_row[index]), previous_trends
-            )
-            chosen_shift[index] = shift
-            trend_row[index] = chosen_trend
-            seasonal_row[index] = chosen_seasonal
-            residual_row[index] = (
-                float(values_row[index]) - chosen_trend
-            ) - chosen_seasonal
-            if shift != 0:
-                self.last_applied_shift[index] = shift
-            # The fallback scattered the chosen trend pair into the
-            # columnar pair arrays (stale during a run); refresh this
-            # round's history row so the run-end write-back keeps the
-            # chosen state (the pre-round row is unchanged by search).
-            for state, hist in zip(states, hists):
-                hist[r + 2][index] = state.previous_trend[index]
-        position = (self.global_index + chosen_shift) % self.period
-        self.seasonal_buffer[rows, position] = seasonal_row
-        self.global_index += 1
-        self.points_processed += 1
-
-    def _blocked_abort_round(
-        self,
-        start: int,
-        r: int,
-        phases_view: np.ndarray,
-        trend_out: np.ndarray,
-        seasonal_out: np.ndarray,
-        detection_out: np.ndarray,
-    ) -> None:
-        """Round ``r`` went non-finite under the unguarded staged solves.
-
-        Rolls every iteration solver back to its pre-round state and
-        restores the trend pairs and deferred writes, leaving the kernel
-        exactly as it was after round ``r - 1`` so the caller can replay
-        round ``r`` through the scalar models.
-        """
-        hists = self._block_hists
-        for state, hist in zip(self.iteration_states, hists):
-            state.solver.rollback()
-            np.copyto(state.before_previous_trend, hist[r])
-            np.copyto(state.previous_trend, hist[r + 1])
-        self._block_flush(start, r, phases_view, seasonal_out)
-        if r > 0:
-            np.copyto(self.last_trend, trend_out[start + r - 1])
-            np.copyto(self.last_detection_residual, detection_out[start + r - 1])
-
-    def _shift_search_fallback(
-        self,
-        index: int,
-        value: float,
-        previous_trends: list[tuple[np.ndarray, np.ndarray]],
-    ) -> tuple[int, float, float]:
-        """Scalar shift search for one flagged series.
-
-        Reads the series' pre-advance state back out of the batched
-        solvers' undo level, runs the exact scalar candidate search, and
-        scatters the chosen state into the columnar arrays.  Returns
-        ``(chosen_shift, trend, seasonal)``.
-        """
-        states = [
-            _IterationState(
-                solver=batched.solver.extract_pre_extend(index),
-                previous_trend=float(previous[index]),
-                before_previous_trend=float(before_previous[index]),
-            )
-            for batched, (previous, before_previous) in zip(
-                self.iteration_states, previous_trends
-            )
-        ]
-        chosen_states, trend, seasonal, shift = _search_best_shift(
-            states,
-            value,
-            self.seasonal_buffer[index],
-            int(self.global_index[index]),
-            self.period,
-            self.shift_window,
-            int(self.points_processed[index]),
-            self._workspace,
-            self.epsilon,
-        )
-        for batched, state in zip(self.iteration_states, chosen_states):
-            batched.solver.load(index, state.solver)
-            batched.previous_trend[index] = state.previous_trend
-            batched.before_previous_trend[index] = state.before_previous_trend
-        return shift, trend, seasonal
+        replays = []
+        bad = n_rounds
+        for column in columns.tolist():
+            model = self.extract(column)
+            pre_run_monitor.write_into(column, model._residual_monitor)
+            points = []
+            try:
+                for value in values[start : start + bad, column].tolist():
+                    point = model.update(value)
+                    points.append(
+                        (
+                            point.trend,
+                            point.seasonal,
+                            point.residual,
+                            model.last_detection_residual,
+                        )
+                    )
+            except ValueError:
+                # The scalar solver's pivot guard: the engine's replay of
+                # this round raises the same error at the same observation.
+                bad = len(points)
+            replays.append((column, model, points))
+        return replays, bad

@@ -12,8 +12,9 @@ subpackage provides:
   banded LDL^T solver (a generalization of the paper's OnlineDoolittle,
   Algorithm 4).
 * :mod:`repro.solvers.batched_ldlt` -- the struct-of-arrays batched form of
-  the same solver: ``n`` independent systems advanced in lockstep with one
-  array operation per elimination step, bit-for-bit equal to running ``n``
+  the same solver: the ``I`` IRLS-iteration systems of each of ``n`` series
+  in one stacked state, any slab of iterations advanced with one array
+  operation per elimination step, bit-for-bit equal to running ``I x n``
   scalar solvers.
 """
 

@@ -1338,8 +1338,8 @@ class MultiSeriesEngine:
 
         One :meth:`FleetKernel.update_block` call moves the whole cohort
         through every round of the block (splitting internally on NaN
-        rounds and shift-search triggers, bit-identically to the scalar
-        path), and every scatter into the :class:`IngestResult` is one 2-D
+        rounds and replaying shift-search triggers through the scalar
+        models, bit-identically to the scalar path), and every scatter into the :class:`IngestResult` is one 2-D
         fancy write at ``positions``, the block's ``(rounds, m)`` output
         slots.  The per-member bookkeeping -- record indices, pending
         point and anomaly counters, latency accounting -- is all batched
@@ -1347,7 +1347,7 @@ class MultiSeriesEngine:
         (records are materialized lazily by the :class:`IngestResult`).
 
         A round that went non-finite under the kernel's unguarded solves
-        comes back rolled back, ending the kernel call early.  It replays
+        is left uncommitted and ends the kernel call early.  It replays
         key by key through the single-key scalar path -- which owns the
         scorer, the record index and the counters, so the values, the
         error and what is applied before an error are the scalar engine's

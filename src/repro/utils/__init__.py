@@ -1,6 +1,6 @@
 """Small shared utilities used across the OneShotSTL reproduction."""
 
-from repro.utils.growable import amortized_append
+from repro.utils.growable import amortized_append, amortized_append_columns
 from repro.utils.validation import (
     as_float_array,
     check_period,
@@ -12,6 +12,7 @@ from repro.utils.validation import (
 
 __all__ = [
     "amortized_append",
+    "amortized_append_columns",
     "as_float_array",
     "check_period",
     "check_positive",

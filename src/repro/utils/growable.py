@@ -8,14 +8,16 @@ a trickle of one-at-a-time joins into quadratic total work.
 :func:`amortized_append` implements the classic fix: the logical array is a
 view into a larger base allocation, and appending reuses the spare
 capacity, so a sequence of ``m`` single-row appends costs O(m) amortized
-copying instead of O(m^2).
+copying instead of O(m^2).  Cell-major state, whose series axis is the
+*trailing* one, grows the same way through
+:func:`amortized_append_columns`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["amortized_append"]
+__all__ = ["amortized_append", "amortized_append_columns"]
 
 #: smallest base allocation (rows) created when capacity is first needed
 _MIN_CAPACITY = 8
@@ -69,3 +71,25 @@ def amortized_append(view: np.ndarray, new_rows) -> np.ndarray:
         base[:n] = view
     base[n : n + m] = new_rows
     return base[: n + m]
+
+
+def amortized_append_columns(
+    buffer: np.ndarray, used: int, new_columns: np.ndarray
+) -> np.ndarray:
+    """Write ``new_columns`` at ``buffer[..., used : used + m]``, doubling on demand.
+
+    The trailing-axis counterpart of :func:`amortized_append` for
+    cell-major state (``(..., capacity)`` buffers whose logical array is
+    ``buffer[..., :used]``; the caller tracks ``used``).  Returns the
+    buffer that now holds ``used + m`` columns: the same object while the
+    spare capacity lasts, otherwise a fresh allocation of twice the
+    required size carrying the first ``used`` columns over.
+    """
+    m = new_columns.shape[-1]
+    if buffer.shape[-1] < used + m:
+        capacity = max(2 * (used + m), _MIN_CAPACITY)
+        grown = np.empty(buffer.shape[:-1] + (capacity,), dtype=buffer.dtype)
+        grown[..., :used] = buffer[..., :used]
+        buffer = grown
+    buffer[..., used : used + m] = new_columns
+    return buffer

@@ -54,10 +54,10 @@ def warm_models(streams, warm_points, **params):
 
 
 def pattern_values(p, q):
-    """Cell-major ``(13, n)`` steady-state pattern values for weights p, q."""
+    """Cell-major ``(13, ...)`` steady-state pattern values for weights p, q."""
     first = 1.0 * p
     second = 1.0 * q
-    values = np.empty((13, p.size))
+    values = np.empty((13,) + p.shape)
     values[:4] = 1.0
     values[4] = first
     values[5] = first
@@ -75,133 +75,174 @@ PATTERN_ROWS = HALF_BANDWIDTH + ContributionWorkspace._ROW_OFFSETS
 PATTERN_COLS = HALF_BANDWIDTH + ContributionWorkspace._COL_OFFSETS
 
 
-def assert_same_trailing_state(batch, solvers):
-    """Every member's trailing state equals its scalar solver's, exactly."""
-    for index, solver in enumerate(solvers):
+def assert_same_trailing_state(batch, members):
+    """Every system's trailing state equals its scalar solver's, exactly."""
+    for index, solvers in enumerate(members):
         extracted = batch.extract(index)
-        assert extracted.size == solver.size
-        assert extracted._m_trail == solver._m_trail
-        assert extracted._bp_trail == solver._bp_trail
+        assert len(extracted) == len(solvers)
+        for mine, solver in zip(extracted, solvers):
+            assert mine.size == solver.size
+            assert mine._m_trail == solver._m_trail
+            assert mine._bp_trail == solver._bp_trail
+
+
+def wavefront(n_rounds, n_iterations):
+    """The ``(lo, hi)`` iteration slabs of a run, one per anti-diagonal."""
+    return [
+        (max(0, step - n_rounds + 1), min(n_iterations, step + 1))
+        for step in range(n_rounds + n_iterations - 1)
+    ]
 
 
 class TestBatchedSolverOracle:
-    """BatchedIncrementalLDLT equals n scalar solvers, bit for bit.
+    """The stacked BatchedIncrementalLDLT equals I x n scalar solvers, bit for bit.
 
     The reference is the scalar :class:`IncrementalBandedLDLT`
-    (``extend`` + ``tail_solution``); the batch advances through its one
-    path, ``begin_extend_block`` / ``extend_solve``.
+    (``extend`` + ``tail_solution``); the stack advances through its one
+    path, ``begin_run`` / ``extend_solve`` / ``commit_run``.
     """
 
-    def _warm_solver_states(self, n, extra_points=0):
+    ITERATIONS = 3
+
+    def _warm_members(self, n, extra_points=0):
         """Scalar per-iteration solvers fed through real OneShotSTL updates."""
         streams = [fleet_series(i) for i in range(n)]
-        models = warm_models(streams, 8 + extra_points, shift_window=0)
-        return [model._iterations_state[0].solver for model in models], models
+        models = warm_models(
+            streams, 8 + extra_points, shift_window=0, iterations=self.ITERATIONS
+        )
+        return [
+            [state.solver for state in model._iterations_state] for model in models
+        ]
 
-    def _extend_solve(self, batch, values_t, rhs_t):
-        trend = np.empty(batch.n_series)
-        seasonal = np.empty(batch.n_series)
-        batch.extend_solve(values_t, rhs_t, trend, seasonal)
+    def _extend_solve(self, batch, lo, hi, p, q, observations, anchors):
+        trend = np.empty((hi - lo, batch.n_series))
+        seasonal = np.empty((hi - lo, batch.n_series))
+        rhs = np.stack([observations, observations + anchors])
+        batch.extend_solve(lo, hi, pattern_values(p, q), rhs, trend, seasonal)
         return trend, seasonal
 
-    def test_extend_solve_matches_scalars(self):
-        solvers, models = self._warm_solver_states(5)
-        batch = BatchedIncrementalLDLT.pack([s.copy() for s in solvers])
-        batch.begin_extend_block(2, PATTERN_ROWS, PATTERN_COLS)
-        rng = np.random.default_rng(0)
-        for _step in range(20):
-            observations = rng.normal(0.0, 1.0, 5)
-            anchors = rng.normal(0.0, 1.0, 5)
-            p = np.abs(rng.normal(1.0, 0.3, 5)) + 0.1
-            q = np.abs(rng.normal(1.0, 0.3, 5)) + 0.1
-            workspace = ContributionWorkspace(1.0, 1.0)
-            expected = []
-            for model, solver, value, anchor, pw, qw in zip(
-                models, solvers, observations, anchors, p, q
-            ):
+    def _scalar_extend_solve(self, members, lo, hi, p, q, observations, anchors):
+        """The same slab through every scalar solver: ``(trend, seasonal)``."""
+        workspace = ContributionWorkspace(1.0, 1.0)
+        expected = np.empty((2, hi - lo, len(members)))
+        for member, solvers in enumerate(members):
+            for slot, solver in enumerate(solvers[lo:hi]):
                 updates, rhs = workspace.fill(
-                    model._points_processed + _step,
-                    float(value),
-                    float(anchor),
-                    float(pw),
-                    float(qw),
+                    solver.size // 2,
+                    float(observations[slot, member]),
+                    float(anchors[slot, member]),
+                    float(p[slot, member]),
+                    float(q[slot, member]),
                 )
                 solver.extend(2, updates, rhs, check_indices=False)
-                expected.append(solver.tail_solution(2))
-            trend, seasonal = self._extend_solve(
-                batch,
-                pattern_values(p, q),
-                np.stack([observations, observations + anchors]),
-            )
-            expected = np.array(expected)
-            assert np.array_equal(trend, expected[:, 0])
-            assert np.array_equal(seasonal, expected[:, 1])
+                expected[:, slot, member] = solver.tail_solution(2)
+        return expected
+
+    @pytest.mark.parametrize("n_rounds", [1, 2, 3, 7])
+    def test_wavefront_runs_match_scalars(self, n_rounds):
+        """Slabs of every width, fresh and warm iterations mixed in one step."""
+        members = self._warm_members(5)
+        batch = BatchedIncrementalLDLT.pack(
+            [[solver.copy() for solver in solvers] for solvers in members]
+        )
+        rng = np.random.default_rng(n_rounds)
+        for _run in range(4):
+            batch.begin_run(2, PATTERN_ROWS, PATTERN_COLS)
+            for lo, hi in wavefront(n_rounds, self.ITERATIONS):
+                shape = (hi - lo, 5)
+                p = np.abs(rng.normal(1.0, 0.3, shape)) + 0.1
+                q = np.abs(rng.normal(1.0, 0.3, shape)) + 0.1
+                slab = (p, q, rng.normal(0.0, 1.0, shape), rng.normal(0.0, 1.0, shape))
+                expected = self._scalar_extend_solve(members, lo, hi, *slab)
+                trend, seasonal = self._extend_solve(batch, lo, hi, *slab)
+                assert np.array_equal(trend, expected[0])
+                assert np.array_equal(seasonal, expected[1])
+            batch.commit_run()
             # The committed trailing state carries every solution entry
             # the next extend can still reach.
-            assert_same_trailing_state(batch, solvers)
+            assert_same_trailing_state(batch, members)
 
-    def test_begin_extend_block_validates_the_pattern(self):
-        solvers, _models = self._warm_solver_states(2)
-        batch = BatchedIncrementalLDLT.pack(solvers)
+    def test_begin_run_validates_the_pattern(self):
+        batch = BatchedIncrementalLDLT.pack(self._warm_members(2))
         with pytest.raises(ValueError, match="num_new"):
-            batch.begin_extend_block(0, PATTERN_ROWS, PATTERN_COLS)
+            batch.begin_run(0, PATTERN_ROWS, PATTERN_COLS)
         with pytest.raises(ValueError, match="extended trailing block"):
-            batch.begin_extend_block(
-                2, PATTERN_ROWS + HALF_BANDWIDTH, PATTERN_COLS
-            )
+            batch.begin_run(2, PATTERN_ROWS + HALF_BANDWIDTH, PATTERN_COLS)
         with pytest.raises(ValueError, match="equal-length"):
-            batch.begin_extend_block(2, PATTERN_ROWS[:-1], PATTERN_COLS)
+            batch.begin_run(2, PATTERN_ROWS[:-1], PATTERN_COLS)
 
-    def test_rollback_is_exact_and_single_level(self):
-        solvers, _models = self._warm_solver_states(3)
-        batch = BatchedIncrementalLDLT.pack(solvers)
-        batch.begin_extend_block(2, PATTERN_ROWS, PATTERN_COLS)
-        values_t = np.ones((13, 3))
-        rhs_t = np.ones((2, 3))
-        with pytest.raises(ValueError, match="no extend to roll back"):
-            batch.rollback()
-        after = self._extend_solve(batch, values_t, rhs_t)
-        batch.rollback()
-        assert_same_trailing_state(batch, solvers)
-        with pytest.raises(ValueError, match="no extend to roll back"):
-            batch.rollback()
-        again = self._extend_solve(batch, values_t, rhs_t)
-        assert np.array_equal(again[0], after[0])
-        assert np.array_equal(again[1], after[1])
+    def test_uncommitted_run_is_the_undo_level(self):
+        """Nothing of a run shows before commit_run; abandoning it is exact."""
+        members = self._warm_members(3)
+        batch = BatchedIncrementalLDLT.pack(members)
+        ones = np.ones((self.ITERATIONS, 3))
+        slab = (ones, ones, ones, 0.0 * ones)
+        first = tuple(part[:1] for part in slab)
+        with pytest.raises(ValueError, match="no complete run"):
+            batch.commit_run()
+        batch.begin_run(2, PATTERN_ROWS, PATTERN_COLS)
+        with pytest.raises(ValueError, match="skips an iteration"):
+            self._extend_solve(batch, 1, 2, *first)
+        self._extend_solve(batch, 0, 1, *first)
+        with pytest.raises(ValueError, match="no complete run"):
+            batch.commit_run()  # iterations 1 and 2 never entered the run
+        self._extend_solve(batch, 0, 3, *slab)
+        assert_same_trailing_state(batch, members)
+        # Opening another run abandons the first: the pre-run state again.
+        batch.begin_run(2, PATTERN_ROWS, PATTERN_COLS)
+        trend, seasonal = self._extend_solve(batch, 0, 3, *slab)
+        assert_same_trailing_state(batch, members)
+        batch.commit_run()
+        expected = self._scalar_extend_solve(members, 0, 3, *slab)
+        assert np.array_equal(trend, expected[0])
+        assert np.array_equal(seasonal, expected[1])
+        assert_same_trailing_state(batch, members)
 
     def test_pack_extract_round_trip(self):
-        solvers, _models = self._warm_solver_states(4, extra_points=3)
-        batch = BatchedIncrementalLDLT.pack(solvers)
-        assert_same_trailing_state(batch, solvers)
-        for index, solver in enumerate(solvers):
-            assert np.array_equal(
-                batch.extract(index).tail_solution(2), solver.tail_solution(2)
-            )
+        members = self._warm_members(4, extra_points=3)
+        batch = BatchedIncrementalLDLT.pack(members)
+        assert (batch.n_series, batch.iterations) == (4, self.ITERATIONS)
+        assert_same_trailing_state(batch, members)
+        for index, solvers in enumerate(members):
+            for mine, solver in zip(batch.extract(index), solvers):
+                assert np.array_equal(mine.tail_solution(2), solver.tail_solution(2))
 
-    def test_pack_rejects_dense_mode_solvers(self):
+    def test_pack_rejects_dense_mode_and_ragged_members(self):
         with pytest.raises(ValueError, match="dense warm-up"):
-            BatchedIncrementalLDLT.pack([IncrementalBandedLDLT(4)])
+            BatchedIncrementalLDLT.pack([[IncrementalBandedLDLT(4)]])
+        members = self._warm_members(2)
+        with pytest.raises(ValueError, match="expected 3"):
+            BatchedIncrementalLDLT.pack([members[0], members[1][:2]])
 
     def test_select_assign_round_trip(self):
-        solvers, models = self._warm_solver_states(5)
-        batch = BatchedIncrementalLDLT.pack(solvers)
+        members = self._warm_members(5)
+        batch = BatchedIncrementalLDLT.pack(members)
         columns = np.array([1, 3])
         sub = batch.select(columns)
-        assert_same_trailing_state(sub, [solvers[1], solvers[3]])
+        assert_same_trailing_state(sub, [members[1], members[3]])
         # Advance the gathered members only, scatter them back: the
         # selected columns move, the others stay put.
-        sub.begin_extend_block(2, PATTERN_ROWS, PATTERN_COLS)
-        self._extend_solve(
-            sub, pattern_values(np.ones(2), np.ones(2)), np.ones((2, 2))
-        )
+        ones = np.ones((self.ITERATIONS, 2))
+        slab = (ones, ones, ones, 0.0 * ones)
+        sub.begin_run(2, PATTERN_ROWS, PATTERN_COLS)
+        self._extend_solve(sub, 0, self.ITERATIONS, *slab)
+        sub.commit_run()
         batch.assign(columns, sub)
-        workspace = ContributionWorkspace(1.0, 1.0)
-        for column in columns:
-            updates, rhs = workspace.fill(
-                models[column]._points_processed, 1.0, 0.0, 1.0, 1.0
-            )
-            solvers[column].extend(2, updates, rhs, check_indices=False)
-        assert_same_trailing_state(batch, solvers)
+        self._scalar_extend_solve(
+            [members[1], members[3]], 0, self.ITERATIONS, *slab
+        )
+        assert_same_trailing_state(batch, members)
+
+    def test_append_and_load_round_trip(self):
+        members = self._warm_members(4)
+        batch = BatchedIncrementalLDLT.pack(members[:1])
+        for solvers in members[1:]:
+            batch.append(BatchedIncrementalLDLT.pack([solvers]))
+        assert_same_trailing_state(batch, members)
+        batch.load(0, members[3])
+        assert_same_trailing_state(batch, [members[3]] + members[1:])
+        with pytest.raises(ValueError, match="expected 3 solvers"):
+            batch.load(0, members[3][:2])
 
 
 def block_sizes(points, rounds_per_block):
@@ -212,12 +253,39 @@ def block_sizes(points, rounds_per_block):
     return sizes
 
 
+def assert_same_model_state(kernel, scalar, members):
+    """The given members extract to their scalar models' exact state."""
+    for member in members:
+        mine, model = kernel.extract(member), scalar[member]
+        assert np.array_equal(mine._seasonal_buffer, model._seasonal_buffer)
+        for field in (
+            "_global_index",
+            "_points_processed",
+            "_last_trend",
+            "_last_detection_residual",
+            "_last_applied_shift",
+        ):
+            assert getattr(mine, field) == getattr(model, field), field
+        for field in ("_count", "_mean", "_m2"):
+            assert getattr(mine._residual_monitor, field) == getattr(
+                model._residual_monitor, field
+            ), field
+        for state, expected in zip(mine._iterations_state, model._iterations_state):
+            assert state.previous_trend == expected.previous_trend
+            assert state.before_previous_trend == expected.before_previous_trend
+            assert state.solver.size == expected.solver.size
+            assert state.solver._m_trail == expected.solver._m_trail
+            assert state.solver._bp_trail == expected.solver._bp_trail
+
+
 def assert_blocks_match_scalar(kernel, scalar, streams, start, block_sizes, columns=None):
     """Drive ``update_block`` in the given block sizes against scalar models.
 
     Every output field of every round must equal the per-series scalar
-    ``OneShotSTL.update`` float for float (``columns`` restricts both
-    sides to a subset of members).  Returns the next stream position.
+    ``OneShotSTL.update`` float for float, and after every block every
+    member must extract to its scalar model's full state (``columns``
+    restricts the advance to a subset of members; the others must not
+    move).  Returns the next stream position.
     """
     members = range(len(scalar)) if columns is None else columns
     position = start
@@ -242,8 +310,30 @@ def assert_blocks_match_scalar(kernel, scalar, streams, start, block_sizes, colu
                     scalar[member].last_detection_residual
                     == out.detection_residual[step, slot]
                 )
+        assert_same_model_state(kernel, scalar, range(len(scalar)))
         position += rounds
     return position
+
+
+_WARM_FLEETS = {}
+
+
+def warm_fleet(n_series, **params):
+    """``(streams, scalar models, packed kernel)`` over ``fleet_series(0..n)``.
+
+    The warm models are built once per configuration and deep-copied, so
+    the wide grids below do not pay the batch initialization per case.
+    """
+    key = (n_series, tuple(sorted(params.items())))
+    if key not in _WARM_FLEETS:
+        streams = [fleet_series(i) for i in range(n_series)]
+        _WARM_FLEETS[key] = (streams, warm_models(streams, 8, **params))
+    streams, models = _WARM_FLEETS[key]
+    return (
+        [stream.copy() for stream in streams],
+        copy.deepcopy(models),
+        FleetKernel.pack(copy.deepcopy(models)),
+    )
 
 
 class TestFleetKernelOracle:
@@ -360,6 +450,147 @@ class TestFleetKernelOracle:
         assert not FleetKernel.eligible(model)
         with pytest.raises(ValueError, match="not packable"):
             FleetKernel.pack([model])
+
+
+class TestWavefrontSchedule:
+    """One schedule for every (I, T, N): T + I - 1 stacked solves per run."""
+
+    @pytest.mark.parametrize("n_series", [1, 8, 61])
+    @pytest.mark.parametrize("iterations", [1, 2, 8])
+    def test_every_run_length_matches(self, iterations, n_series):
+        """T in {1, 2, I-1, I, I+1, 2I+3, period, period+5}, back to back."""
+        lengths = sorted(
+            {
+                1,
+                2,
+                iterations - 1,
+                iterations,
+                iterations + 1,
+                2 * iterations + 3,
+                PERIOD,
+                PERIOD + 5,
+            }
+            - {0}
+        )
+        streams, scalar, kernel = warm_fleet(n_series, iterations=iterations)
+        assert_blocks_match_scalar(kernel, scalar, streams, INIT + 8, lengths)
+
+    @pytest.mark.parametrize(
+        "iterations,n_rounds", [(8, 1), (8, 7), (8, 8), (8, PERIOD), (2, 3), (1, 5)]
+    )
+    def test_a_run_of_t_rounds_is_t_plus_i_minus_1_stacked_solves(
+        self, monkeypatch, iterations, n_rounds
+    ):
+        calls = []
+        original = BatchedIncrementalLDLT.extend_solve
+
+        def spy(solver, lo, hi, *rest):
+            calls.append((lo, hi))
+            return original(solver, lo, hi, *rest)
+
+        monkeypatch.setattr(BatchedIncrementalLDLT, "extend_solve", spy)
+        streams, _scalar, kernel = warm_fleet(4, iterations=iterations)
+        block = np.array(streams)[:, INIT + 8 : INIT + 8 + n_rounds].T
+        assert kernel.update_block(block).value.shape == block.shape
+        assert len(calls) == n_rounds + iterations - 1
+        assert calls == wavefront(n_rounds, iterations)
+
+
+class TestMarkedColumns:
+    """A tripped monitor marks a column; the run finishes for everyone.
+
+    Marked columns are replayed through their scalar models from the
+    pre-run state before the run commits, so outputs and full state equal
+    the scalar path wherever and however often the monitor trips.
+    """
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Record runs, replayed columns and the searches each replay ran."""
+        from repro.core import oneshotstl
+
+        seen = {"runs": [], "replays": [], "searches": 0}
+        search = oneshotstl._search_best_shift
+        advance = FleetKernel._advance_run
+        replay = FleetKernel._replay_marked
+
+        def search_spy(*args):
+            seen["searches"] += 1
+            return search(*args)
+
+        def advance_spy(kernel, values, start, stop, *rest):
+            seen["runs"].append((start, stop))
+            return advance(kernel, values, start, stop, *rest)
+
+        def replay_spy(kernel, columns, *rest):
+            before = seen["searches"]
+            result = replay(kernel, columns, *rest)
+            seen["replays"].append((columns.tolist(), seen["searches"] - before))
+            return result
+
+        monkeypatch.setattr(oneshotstl, "_search_best_shift", search_spy)
+        monkeypatch.setattr(FleetKernel, "_advance_run", advance_spy)
+        monkeypatch.setattr(FleetKernel, "_replay_marked", replay_spy)
+        return seen
+
+    def check(self, spikes, n_series=6, nan_cells=(), columns=None):
+        """One PERIOD-round block with +10 spikes at ``(column, round)``."""
+        streams, scalar, kernel = warm_fleet(n_series)
+        for column, r in spikes:
+            streams[column][INIT + 8 + r] += 10.0
+        for column, r in nan_cells:
+            streams[column][INIT + 8 + r] = np.nan
+        assert_blocks_match_scalar(
+            kernel, scalar, streams, INIT + 8, [PERIOD, 5], columns=columns
+        )
+
+    def test_two_columns_tripping_at_different_rounds_of_one_run(self, spies):
+        self.check([(1, 3), (4, 17)])
+        # The tripped block stayed one run; both columns replayed in it.
+        assert spies["runs"] == [(0, PERIOD), (0, 5)]
+        assert [columns for columns, _ in spies["replays"]] == [[1, 4]]
+
+    def test_one_column_tripping_twice_in_a_run(self, spies):
+        self.check([(2, 5), (2, 14)])
+        assert spies["runs"][0] == (0, PERIOD)
+        columns, searches = spies["replays"][0]
+        assert columns == [2] and searches >= 2
+
+    def test_trips_in_the_first_and_the_last_round(self, spies):
+        self.check([(0, 0), (3, PERIOD - 1)])
+        assert spies["runs"][0] == (0, PERIOD)
+        assert spies["replays"][0][0] == [0, 3]
+
+    def test_every_column_tripping_in_one_round(self, spies):
+        self.check([(column, 9) for column in range(6)])
+        assert spies["runs"][0] == (0, PERIOD)
+        assert spies["replays"][0][0] == list(range(6))
+
+    def test_trip_in_a_block_that_also_has_a_nan_round(self, spies):
+        self.check([(2, 4), (3, 15)], nan_cells=[(1, 10)])
+        # The NaN round is its own run; the trips end none.
+        assert spies["runs"][:3] == [(0, 10), (10, 11), (11, PERIOD)]
+        assert [columns for columns, _ in spies["replays"][:2]] == [[2], [3]]
+
+    def test_trips_in_a_column_subset(self, spies):
+        # Columns are positions in the gathered sub-kernel.
+        self.check([(2, 6), (5, 11)], columns=np.array([0, 2, 5]))
+        assert spies["runs"][0] == (0, PERIOD)
+        assert spies["replays"][0][0] == [1, 2]
+
+    @given(
+        st.lists(st.integers(1, PERIOD + 6), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 59)), max_size=4),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 59)), max_size=4),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_blocks_spikes_and_gaps_match(self, lengths, spikes, gaps):
+        streams, scalar, kernel = warm_fleet(5, iterations=3)
+        for column, offset in spikes:
+            streams[column][INIT + 8 + offset] += 10.0
+        for column, offset in gaps:
+            streams[column][INIT + 8 + offset] = np.nan
+        assert_blocks_match_scalar(kernel, scalar, streams, INIT + 8, lengths)
 
 
 class TestColumnarNSigma:
@@ -801,6 +1032,7 @@ class TestAmortizedAbsorption:
         base = kernel.seasonal_buffer.base
         assert base is not None and base.shape[0] > kernel.n_series
         assert kernel.last_trend.base is not None
+        assert kernel._pairs.shape[-1] > kernel.n_series
         # ...and advancing after growth still matches the scalar model
         # bit for bit (updates write in place, never rebinding the views).
         scalar = copy.deepcopy(prototype)
@@ -1174,26 +1406,30 @@ class TestTimeBlockedOracle:
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 class TestNonFiniteSolveReplay:
-    """Finite-but-overflowing observations: the kernel's rolled-back rounds.
+    """Finite-but-overflowing observations: the kernel's short returns.
 
-    Magnitudes near the float64 ceiling make the unguarded staged solve
-    (or its finiteness screen) go non-finite; the kernel rolls the round
-    back and the engine replays it through the scalar pipelines, so the
-    kernel engine must still equal its ``fleet_kernel_enabled = False``
-    twin -- same values, or the same error at the same observation.
+    Magnitudes near the float64 ceiling make the unguarded stacked solve
+    (or its finiteness screen) go non-finite, or a marked column's scalar
+    replay raise; the kernel then commits nothing of that run, re-runs the
+    rounds before the offending one and returns short, and the engine
+    replays that round through the scalar pipelines -- so the kernel engine
+    must still equal its ``fleet_kernel_enabled = False`` twin: same
+    values, or the same error at the same observation.
     """
 
     @pytest.fixture
-    def rolled_back(self, monkeypatch):
-        """Spy on ``FleetKernel._blocked_abort_round``."""
+    def returned_short(self, monkeypatch):
+        """``(rounds submitted, rounds returned)`` of every short kernel call."""
         calls = []
-        original = FleetKernel._blocked_abort_round
+        original = FleetKernel.update_block
 
-        def spy(kernel, start, r, *rest):
-            calls.append(start + r)
-            return original(kernel, start, r, *rest)
+        def spy(kernel, values, columns=None):
+            out = original(kernel, values, columns)
+            if columns is None and out.value.shape[0] < len(values):
+                calls.append((len(values), out.value.shape[0]))
+            return out
 
-        monkeypatch.setattr(FleetKernel, "_blocked_abort_round", spy)
+        monkeypatch.setattr(FleetKernel, "update_block", spy)
         return calls
 
     def warmed_pair(self, data, **engine_kwargs):
@@ -1205,7 +1441,7 @@ class TestNonFiniteSolveReplay:
         return fast, reference
 
     @pytest.mark.parametrize("chunk", [1, 5, PERIOD])
-    def test_overflowing_rounds_replay_to_the_same_values(self, rolled_back, chunk):
+    def test_overflowing_rounds_replay_to_the_same_values(self, returned_short, chunk):
         """Two 1e308 cells in one round overflow the kernel's screen."""
         data = {f"m-{i}": fleet_series(i) for i in range(6)}
         fast, reference = self.warmed_pair(data, track_latency=False)
@@ -1216,12 +1452,24 @@ class TestNonFiniteSolveReplay:
         block[3, [1, 2]] = 1e308
         block[9, [1, 2]] = -1e308
         block[15, [0, 4]] = 1.2e308
+        stopped_at = []
         for start in range(0, PERIOD, chunk):
             rounds = block[start : start + chunk]
+            seen = len(returned_short)
             assert_results_equal(
                 fast.ingest_grid(keys, rounds), reference.ingest_grid(keys, rounds)
             )
-        assert len(rolled_back) == 3
+            # The engine resubmits what follows a replayed round, so a
+            # later call of the same batch starts past the batch's start.
+            stopped_at += [
+                start + len(rounds) - submitted + returned
+                for submitted, returned in returned_short[seen:]
+            ]
+        # The kernel really returned short, right at a poisoned round.
+        # (Round 9 poisons columns that round 3 already pushed over the
+        # monitor's threshold: when they are marked earlier in the same
+        # run they are replayed, and nothing is left to stop for.)
+        assert {3, 15} <= set(stopped_at) <= {3, 9, 15}
         tail = {key: values[INIT + 20 + PERIOD :] for key, values in data.items()}
         assert_results_equal(
             fast.ingest_columnar(tail), reference.ingest_columnar(tail)
@@ -1232,7 +1480,7 @@ class TestNonFiniteSolveReplay:
     @pytest.mark.parametrize("chunk", [1, 4, 12])
     @pytest.mark.parametrize("shift_window", [0, 20])
     def test_poisoned_series_raises_like_the_scalar_engine(
-        self, rolled_back, chunk, shift_window
+        self, returned_short, chunk, shift_window
     ):
         """Same error, same observation, same per-key progress afterwards."""
         data = {f"m-{i}": fleet_series(i) for i in range(6)}
@@ -1259,11 +1507,76 @@ class TestNonFiniteSolveReplay:
             )
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is not None, "the stream never poisoned the solver"
-        assert rolled_back, "the kernel never rolled a round back"
+        assert returned_short, "the kernel never returned short"
         # Keys ahead of the failing one took the round, the rest did not.
         points = [stats.points for stats in outcomes[0][1]]
         assert points[0] == points[1] == points[2] + 1
         assert points[2] == points[3] == points[4] == points[5]
+
+
+    def poisoned_after_a_trip(self, block):
+        """Column 2 trips the monitor at round 2, then overflows from round 5."""
+        rng = np.random.default_rng(3)
+        block[2, 2] += 10.0
+        block[5:, 2] = rng.choice([1.7e308, -1.7e308, 1e308, -1e308], size=7)
+        return block
+
+    def test_marked_column_whose_replay_raises_returns_short(self):
+        """Kernel level: nothing of the run commits, the clean prefix does."""
+        streams, scalar, kernel = warm_fleet(6)
+        block = self.poisoned_after_a_trip(
+            np.array(streams)[:, INIT + 8 : INIT + 8 + 12].T.copy()
+        )
+        replays = []
+        original = kernel._replay_marked
+
+        def spy(columns, monitor, values, start, n_rounds):
+            result = original(columns, monitor, values, start, n_rounds)
+            replays.append((columns.tolist(), n_rounds, result[1]))
+            return result
+
+        kernel._replay_marked = spy
+        out = kernel.update_block(block)
+        # The batch itself never stopped: column 2 was marked at round 2,
+        # its replay raised at round 7, and the 7-round prefix re-ran.
+        assert replays == [([2], 12, 7), ([2], 7, 7)]
+        assert out.value.shape == (7, 6)
+        for step in range(7):
+            for member, model in enumerate(scalar):
+                point = model.update(float(block[step, member]))
+                assert point.trend == out.trend[step, member]
+                assert point.seasonal == out.seasonal[step, member]
+                assert point.residual == out.residual[step, member]
+        assert_same_model_state(kernel, scalar, range(6))
+        # The caller's scalar replay of round 7 is what raises.
+        with pytest.raises(ValueError, match="pivot"):
+            kernel.extract(2).update(float(block[7, 2]))
+
+    def test_marked_column_replay_raising_matches_the_scalar_engine(
+        self, returned_short
+    ):
+        """Engine level: same error, same observation, same per-key progress."""
+        data = {f"m-{i}": fleet_series(i) for i in range(6)}
+        fast, reference = self.warmed_pair(data, track_latency=False)
+        keys = list(data)
+        block = self.poisoned_after_a_trip(
+            np.array([data[key][INIT + 20 : INIT + 32] for key in keys]).T
+        )
+        before = fast.series_stats(keys[0]).points
+        outcomes = []
+        for engine in (fast, reference):
+            with pytest.raises(ValueError, match="pivot") as raised:
+                engine.ingest_grid(keys, block)
+            outcomes.append(
+                (str(raised.value), [engine.series_stats(key) for key in keys])
+            )
+        assert outcomes[0] == outcomes[1]
+        assert len(returned_short) == 1 and returned_short[0][0] == 12
+        failed_at = returned_short[0][1]
+        assert failed_at > 5, "the replay, not the batch screen, stopped the run"
+        # Keys ahead of the failing one took the round, the rest did not.
+        points = [stats.points - before for stats in outcomes[0][1]]
+        assert points == [failed_at + 1] * 2 + [failed_at] * 4
 
 
 class TestIngestFormsProperty:
