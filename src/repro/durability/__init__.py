@@ -12,6 +12,9 @@ log-structured durability, applied to streaming decomposition state):
   ``save``/``load`` API, now atomic;
 * the format layer -- versioned manifest schema, segment/WAL codecs and
   the v1 snapshot migration;
+* :mod:`repro.durability.recovery` -- the one reader of a store, drained
+  by ``store.verify()`` and ``MultiSeriesEngine.open`` alike so the scrub
+  and recovery cannot disagree about what is damage;
 * error types that always say which file, what was found and what was
   expected.
 

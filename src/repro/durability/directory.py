@@ -13,12 +13,14 @@ Durability model
   old or its new content after a crash.  The manifest rename is the commit
   point of a checkpoint: segments referenced only by an un-renamed
   manifest are garbage, never half-adopted state.
-* **WAL appends** are length- and CRC-framed.  Reading stops at the first
-  incomplete or checksum-failing frame, so a crash mid-append costs at
-  most the in-flight record and can never corrupt recovery.  Appends are
-  flushed to the OS on every record (surviving a process crash); pass
-  ``wal_sync=True`` to also ``fsync`` per append and survive host power
-  loss at a substantial throughput cost.
+* **WAL appends** are length- and CRC-framed.  Reading a part stops at
+  the first incomplete or checksum-failing frame, so a crash mid-append
+  costs at most the in-flight record and can never corrupt recovery
+  (such a torn tail is only legitimate on the chain's *final* part;
+  :mod:`repro.durability.recovery` treats it as damage elsewhere).
+  Appends are flushed to the OS on every record (surviving a process
+  crash); pass ``wal_sync=True`` to also ``fsync`` per append and survive
+  host power loss at a substantial throughput cost.
 * **Group commit**: :meth:`wal_append_many` frames a whole batch of
   records up front and writes it with *one* ``flush`` (and one ``fsync``
   when ``wal_sync=True``).  Framing is identical to per-record appends,
@@ -52,12 +54,9 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
 from repro.durability.errors import CheckpointError, CorruptCheckpointError
-from repro.durability.format import (
-    decode_segment,
-    next_wal_name,
-    validate_manifest,
-)
+from repro.durability.format import next_wal_name, validate_manifest
 from repro.durability.lock import DEFAULT_STALE_AFTER, LOCK_FILE_NAME, StoreLock
+from repro.durability.recovery import WalWalk, read_cohort
 from repro.durability.scrub import ScrubFinding, ScrubReport
 from repro.durability.store import (
     CheckpointStore,
@@ -74,6 +73,15 @@ _MANIFEST_FILE = "MANIFEST.json"
 _SEGMENT_DIRECTORY = "segments"
 _WAL_DIRECTORY = "wal"
 _QUARANTINE_DIRECTORY = "quarantine"
+
+
+def _file_names(directory: Path) -> list[str]:
+    """Sorted names of the finished files in ``directory`` (no ``*.tmp``)."""
+    return sorted(
+        entry.name
+        for entry in directory.iterdir()
+        if entry.is_file() and not entry.name.endswith(".tmp")
+    )
 
 
 class DirectoryCheckpointStore(CheckpointStore):
@@ -233,7 +241,8 @@ class DirectoryCheckpointStore(CheckpointStore):
         except FileNotFoundError:
             raise CorruptCheckpointError(
                 f"{path}: cohort segment named by the manifest is missing; "
-                "the store has been tampered with or partially copied"
+                "the store has been tampered with or partially copied",
+                problem="missing",
             ) from None
 
     def delete_segment(self, name: str) -> None:
@@ -244,11 +253,7 @@ class DirectoryCheckpointStore(CheckpointStore):
             pass
 
     def list_segments(self) -> list[str]:
-        return sorted(
-            entry.name
-            for entry in self._segments.iterdir()
-            if entry.is_file() and not entry.name.endswith(".tmp")
-        )
+        return _file_names(self._segments)
 
     # ------------------------------------------------------------------ WAL
 
@@ -258,26 +263,6 @@ class DirectoryCheckpointStore(CheckpointStore):
             raise ValueError(f"WAL name {name!r} must be a bare file name")
         return path
 
-    @staticmethod
-    def _read_frames(handle: BinaryIO) -> Iterator[tuple[bytes, int]]:
-        """Yield ``(payload, end_offset)`` for every complete frame.
-
-        Streams one frame at a time (a long WAL is never loaded whole),
-        stopping at the first incomplete or checksum-failing frame.
-        """
-        header_size = _FRAME_HEADER.size
-        offset = 0
-        while True:
-            header = handle.read(header_size)
-            if len(header) < header_size:
-                return
-            length, checksum = _FRAME_HEADER.unpack(header)
-            payload = handle.read(length)
-            if len(payload) < length or zlib.crc32(payload) != checksum:
-                return
-            offset += header_size + length
-            yield payload, offset
-
     def wal_start(self, name: str) -> None:
         self.close_wal()
         path = self._wal_path(name)
@@ -285,23 +270,28 @@ class DirectoryCheckpointStore(CheckpointStore):
         # frames written after torn bytes would sit beyond the readable
         # prefix and be silently lost on the next recovery.
         keep = 0
-        try:
-            with open(path, "rb") as handle:
-                for _payload, keep in self._read_frames(handle):
-                    pass
-                handle.seek(0, os.SEEK_END)
-                total = handle.tell()
-            if keep < total:
-                with open(path, "r+b") as handle:
-                    handle.truncate(keep)
-        except FileNotFoundError:
+        for _payload, keep in self.wal_frames(name):
             pass
+        if keep < (self.wal_size(name) or 0):
+            with open(path, "r+b") as handle:
+                handle.truncate(keep)
         self._wal_handle = open(path, "ab")
         self._wal_open_name = name
         self._wal_good_offset = keep
         self._wal_torn = False
 
-    def wal_append(self, record: bytes) -> None:
+    def wal_append_many(self, records: list[bytes]) -> None:
+        """Group-commit: frame every record, then one write/flush/fsync.
+
+        Framing is byte-identical to ``len(records)`` individual appends
+        (``wal_append`` *is* a group of one); only the I/O cadence
+        changes.  The ``wal.append.*`` fault points fire once per
+        *batch*, and the torn simulation persists half of the
+        concatenated batch -- some complete leading frames, then a torn
+        one -- which is exactly the mid-batch crash window.
+        """
+        if not records:
+            return
         if self._wal_handle is None:
             raise RuntimeError(
                 "no WAL segment is open for appending; call wal_start() first"
@@ -317,54 +307,6 @@ class DirectoryCheckpointStore(CheckpointStore):
                 handle.truncate(self._wal_good_offset)
             self._wal_handle = open(self._wal_path(name), "ab")
             self._wal_torn = False
-        frame = _FRAME_HEADER.pack(len(record), zlib.crc32(record)) + record
-        self._fault("wal.append.before")
-        try:
-            self._fault("wal.append.torn")
-        except BaseException:
-            # Simulated crash mid-write: persist a torn half-frame exactly
-            # like a real kill between write() and completion would.
-            self._wal_torn = True
-            self._wal_handle.write(frame[: max(1, len(frame) // 2)])
-            self._wal_handle.flush()
-            raise
-        try:
-            self._wal_handle.write(frame)
-            self._wal_handle.flush()
-            if self.wal_sync:
-                os.fsync(self._wal_handle.fileno())
-        except BaseException:
-            # write()/flush() may have persisted part of the frame.
-            self._wal_torn = True
-            raise
-        self._wal_good_offset += len(frame)
-        self._fault("wal.append.after")
-        self._maybe_rotate()
-
-    def wal_append_many(self, records: list[bytes]) -> None:
-        """Group-commit: frame every record, then one write/flush/fsync.
-
-        Framing is byte-identical to ``len(records)`` individual appends;
-        only the I/O cadence changes.  The ``wal.append.*`` fault points
-        fire once per *batch*, and the torn simulation persists half of
-        the concatenated batch -- some complete leading frames, then a
-        torn one -- which is exactly the mid-batch crash window.
-        """
-        if not records:
-            return
-        if self._wal_handle is None:
-            raise RuntimeError(
-                "no WAL segment is open for appending; call wal_start() first"
-            )
-        if self._wal_torn:
-            # Same repair as wal_append: drop torn bytes left by a failed
-            # earlier append before writing anything new.
-            name = self._wal_open_name
-            self._wal_handle.close()
-            with open(self._wal_path(name), "r+b") as handle:
-                handle.truncate(self._wal_good_offset)
-            self._wal_handle = open(self._wal_path(name), "ab")
-            self._wal_torn = False
         batch = b"".join(
             _FRAME_HEADER.pack(len(record), zlib.crc32(record)) + record
             for record in records
@@ -373,6 +315,8 @@ class DirectoryCheckpointStore(CheckpointStore):
         try:
             self._fault("wal.append.torn")
         except BaseException:
+            # Simulated crash mid-write: persist a torn half-batch exactly
+            # like a real kill between write() and completion would.
             self._wal_torn = True
             self._wal_handle.write(batch[: max(1, len(batch) // 2)])
             self._wal_handle.flush()
@@ -383,6 +327,7 @@ class DirectoryCheckpointStore(CheckpointStore):
             if self.wal_sync:
                 os.fsync(self._wal_handle.fileno())
         except BaseException:
+            # write()/flush() may have persisted part of the batch.
             self._wal_torn = True
             raise
         self._wal_good_offset += len(batch)
@@ -402,30 +347,34 @@ class DirectoryCheckpointStore(CheckpointStore):
         self.wal_start(successor)
         self._fault("wal.rotate.after")
 
-    def wal_records(self, name: str) -> Iterator[bytes]:
-        try:
-            handle = open(self._wal_path(name), "rb")
-        except FileNotFoundError:
-            return
-        with handle:
-            # A torn tail (incomplete frame or failed checksum) ends the
-            # stream silently: the in-flight record was lost to the crash.
-            for payload, _offset in self._read_frames(handle):
-                yield payload
-
     def wal_frames(self, name: str) -> Iterator[tuple[bytes, int]]:
-        """Yield ``(payload, end_offset)`` for every readable frame.
+        """Stream ``(payload, end_offset)`` per complete frame.
 
-        Like :meth:`wal_records` but with each frame's end byte offset,
-        so corruption-tolerant recovery can say exactly where the
-        readable prefix of a damaged segment ends.
+        One frame is read at a time: a long WAL is never loaded whole.
         """
         try:
             handle = open(self._wal_path(name), "rb")
         except FileNotFoundError:
             return
+        header_size = _FRAME_HEADER.size
+        offset = 0
         with handle:
-            yield from self._read_frames(handle)
+            while True:
+                header = handle.read(header_size)
+                if len(header) < header_size:
+                    return
+                length, checksum = _FRAME_HEADER.unpack(header)
+                payload = handle.read(length)
+                if len(payload) < length or checksum != zlib.crc32(payload):
+                    return
+                offset += header_size + length
+                yield payload, offset
+
+    def wal_size(self, name: str) -> int | None:
+        try:
+            return self._wal_path(name).stat().st_size
+        except FileNotFoundError:
+            return None
 
     def wal_tail(self, name: str) -> tuple[int, int, int]:
         """``(frames, good_offset, total_bytes)`` of one WAL segment.
@@ -439,22 +388,12 @@ class DirectoryCheckpointStore(CheckpointStore):
             self._wal_handle.flush()
         frames = 0
         good = 0
-        with open(self._wal_path(name), "rb") as handle:
-            for _payload, good in self._read_frames(handle):
-                frames += 1
-            handle.seek(0, os.SEEK_END)
-            total = handle.tell()
-        return frames, good, total
+        for _payload, good in self.wal_frames(name):
+            frames += 1
+        return frames, good, self._wal_path(name).stat().st_size
 
     def list_wals(self) -> list[str]:
-        return sorted(
-            entry.name
-            for entry in self._wals.iterdir()
-            if entry.is_file() and not entry.name.endswith(".tmp")
-        )
-
-    def wal_exists(self, name: str) -> bool:
-        return self._wal_path(name).is_file()
+        return _file_names(self._wals)
 
     def wal_delete(self, name: str) -> None:
         if name == self._wal_open_name:
@@ -494,35 +433,31 @@ class DirectoryCheckpointStore(CheckpointStore):
         os.replace(self._segment_path(name), target)
         return target
 
-    def quarantine_wal_segment(self, name: str) -> Path:
-        """Move a whole WAL segment aside; returns its new path."""
-        if name == self._wal_open_name:
-            raise ValueError(
-                f"refusing to quarantine the open WAL segment {name!r}"
-            )
-        target = self._quarantine_target(name)
-        os.replace(self._wal_path(name), target)
-        return target
-
     def quarantine_wal_suffix(self, name: str, from_offset: int) -> int:
-        """Move a WAL segment's bytes from ``from_offset`` on aside.
+        """Move a WAL part's bytes from ``from_offset`` on aside.
 
-        The readable prefix stays in place (its frames replayed fine);
+        From offset 0 the whole file moves, under its own name.  Past it
+        the readable prefix stays in place (its frames replayed fine);
         the damaged suffix is copied to quarantine and truncated away so
         later appends cannot sit beyond unreadable bytes.  Returns the
-        number of bytes quarantined.
+        number of bytes quarantined (0 for a part that does not exist).
         """
         if name == self._wal_open_name:
             raise ValueError(
                 f"refusing to edit the open WAL segment {name!r}"
             )
         path = self._wal_path(name)
+        size = self.wal_size(name)
+        if size is None:
+            return 0
+        if from_offset == 0:
+            os.replace(path, self._quarantine_target(name))
+            return size
         with open(path, "rb") as handle:
             handle.seek(from_offset)
             suffix = handle.read()
         if suffix:
             target = self._quarantine_target(f"{name}.suffix@{from_offset}")
-            target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(suffix)
             with open(path, "r+b") as handle:
                 handle.truncate(from_offset)
@@ -531,11 +466,7 @@ class DirectoryCheckpointStore(CheckpointStore):
     def list_quarantined(self) -> list[str]:
         """Names of every quarantined artifact (empty when dir absent)."""
         try:
-            return sorted(
-                entry.name
-                for entry in self.quarantine_dir.iterdir()
-                if entry.is_file()
-            )
+            return _file_names(self.quarantine_dir)
         except FileNotFoundError:
             return []
 
@@ -544,114 +475,55 @@ class DirectoryCheckpointStore(CheckpointStore):
     def verify(self, deep: bool = True) -> ScrubReport:
         """Scrub manifest -> segments -> WAL chain; report every problem.
 
-        Read-only: nothing is repaired or quarantined.  ``deep`` also
-        unpickles each cohort segment (CRC alone cannot catch a segment
-        written corrupt); frame CRCs already cover WAL payloads.  A torn
-        tail on the *final* WAL segment is reported non-fatal -- it is
-        ordinary crash debris that recovery truncates silently.
+        Read-only: nothing is repaired or quarantined.  The walk is
+        :mod:`repro.durability.recovery`'s, the one ``open()`` recovers
+        through, so a fatal finding is exactly what a strict recovery
+        raises on; a torn tail on the *final* WAL part is reported
+        non-fatal -- ordinary crash debris that recovery truncates
+        silently.  ``deep`` also unpickles cohort segments and WAL
+        records (a CRC cannot catch bytes written corrupt).
         """
-        findings: list[ScrubFinding] = []
-        segments_checked = 0
-        wal_checked = 0
-        frames_checked = 0
-        source = self.manifest_path
         try:
             manifest = self.read_manifest()
             if manifest is not None:
-                manifest = validate_manifest(manifest, source)
+                manifest = validate_manifest(manifest, self.manifest_path)
         except CheckpointError as error:
-            findings.append(
-                ScrubFinding("manifest", "invalid", str(error))
-            )
-            manifest = None
+            return ScrubReport((ScrubFinding("manifest", "invalid", str(error)),))
         if manifest is None:
-            return ScrubReport(findings=tuple(findings))
-
+            return ScrubReport()
+        findings: list[ScrubFinding] = []
         for cohort in manifest["cohorts"]:
-            name = cohort["segment"]
             try:
-                payload = self._segment_path(name).read_bytes()
-            except FileNotFoundError:
+                read_cohort(self, cohort, decode=deep)
+            except CorruptCheckpointError as error:
                 findings.append(
-                    ScrubFinding(
-                        name,
-                        "missing",
-                        "cohort segment named by the manifest is absent",
-                    )
+                    ScrubFinding(cohort["segment"], error.problem, str(error))
                 )
-                continue
-            segments_checked += 1
-            expected_crc = cohort.get("crc")
-            if expected_crc is not None and zlib.crc32(payload) != expected_crc:
-                findings.append(
-                    ScrubFinding(
-                        name,
-                        "crc_mismatch",
-                        f"segment bytes hash to {zlib.crc32(payload)}, "
-                        f"manifest says {expected_crc}",
-                    )
+        missing = sum(finding.problem == "missing" for finding in findings)
+        walk = WalWalk(self, manifest["wal"], decode=deep)
+        for _record in walk:
+            pass
+        if walk.stop is not None:
+            findings.append(
+                ScrubFinding(walk.stop.segment, walk.stop.problem, walk.stop.reason)
+            )
+        if walk.torn is not None:
+            name, offset, unread = walk.torn
+            findings.append(
+                ScrubFinding(
+                    name,
+                    "torn_tail",
+                    f"{unread} torn bytes after the last complete frame "
+                    f"(offset {offset}) -- crash debris, repaired on next "
+                    "recovery",
+                    fatal=False,
                 )
-                continue
-            if deep:
-                try:
-                    decode_segment(payload, self._segment_path(name))
-                except CheckpointError as error:
-                    findings.append(
-                        ScrubFinding(name, "undecodable", str(error))
-                    )
-
-        # The replayable chain is the manifest's, extended by existence
-        # (rotation after the checkpoint adds parts the manifest never
-        # saw) -- the same walk recovery does.
-        chain = list(manifest["wal"])
-        while True:
-            successor = next_wal_name(chain[-1])
-            if not self.wal_exists(successor):
-                break
-            chain.append(successor)
-        for position, name in enumerate(chain):
-            final = position == len(chain) - 1
-            try:
-                frames, good, total = self.wal_tail(name)
-            except FileNotFoundError:
-                findings.append(
-                    ScrubFinding(
-                        name,
-                        "missing",
-                        "WAL segment named by the manifest chain is absent",
-                    )
-                )
-                continue
-            wal_checked += 1
-            frames_checked += frames
-            if good < total:
-                if final:
-                    findings.append(
-                        ScrubFinding(
-                            name,
-                            "torn_tail",
-                            f"{total - good} torn bytes after the last "
-                            f"complete frame (offset {good}) -- crash "
-                            "debris, repaired on next recovery",
-                            fatal=False,
-                        )
-                    )
-                else:
-                    findings.append(
-                        ScrubFinding(
-                            name,
-                            "trailing_bytes",
-                            f"{total - good} unreadable bytes at offset "
-                            f"{good} of a non-final chain segment: every "
-                            "record after them (including later segments) "
-                            "is unreachable",
-                        )
-                    )
+            )
         return ScrubReport(
             findings=tuple(findings),
-            segments_checked=segments_checked,
-            wal_segments_checked=wal_checked,
-            wal_frames_checked=frames_checked,
+            segments_checked=len(manifest["cohorts"]) - missing,
+            wal_segments_checked=walk.parts,
+            wal_frames_checked=walk.frames,
         )
 
     def close_wal(self) -> None:

@@ -32,8 +32,15 @@ class CorruptCheckpointError(CheckpointError):
 
     Raised for unreadable pickles, invalid manifest JSON, malformed
     sections and checksum mismatches.  The message always names the
-    offending file and what was found there.
+    offending file and what was found there; ``problem`` is the stable
+    slug a scrub finding files the damage under (``missing``,
+    ``crc_mismatch``, ``undecodable``, ``trailing_bytes``, ``empty``, or
+    ``invalid`` when the raiser named none).
     """
+
+    def __init__(self, message: str, problem: str = "invalid"):
+        super().__init__(message)
+        self.problem = problem
 
 
 class StoreLockedError(CheckpointError):

@@ -7,7 +7,11 @@ One format version covers every durable artifact the engine writes:
 * the **store manifest** (``MANIFEST.json`` of a directory store): JSON of
   ``{format_version, generation, engine_spec, cohorts, wal}`` -- the root
   of a durable session, naming the per-cohort segment files and the WAL
-  segment that together reconstruct the engine;
+  chain that together reconstruct the engine (the chain continues, by
+  :func:`next_wal_name`, through every rotated part that exists; only
+  its final part may be torn or absent).  The manifest carries no
+  checksum of its own: :func:`validate_manifest` checks its shape and
+  its names, and a valid manifest is the store's truth;
 * **cohort segments**: a pickle of ``{key: per-series state}`` for one
   cohort of series;
 * **WAL records**: a pickle of one ingested batch in columnar form,
@@ -34,11 +38,14 @@ Version history
 The codecs here are pure data-plumbing -- they know nothing about the
 engine -- so the streaming layer can evolve independently of the bytes on
 disk, and a future sharding router can read manifests without importing
-the engine at all.
+the engine at all.  Reading a *store* with them -- which artifacts, in
+which order, and what counts as damage -- is
+:mod:`repro.durability.recovery`.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import re
 from dataclasses import dataclass
@@ -60,6 +67,7 @@ __all__ = [
     "segment_name",
     "validate_manifest",
     "wal_name",
+    "wal_position",
 ]
 
 #: version stamp written into (and required from) every durable artifact
@@ -104,14 +112,20 @@ def wal_name(generation: int, part: int = 0) -> str:
 _WAL_NAME = re.compile(r"^wal-(\d{8})(?:-(\d{4}))?\.log$")
 
 
-def next_wal_name(name: str) -> str:
-    """Name of the WAL part that follows ``name`` after a rotation."""
+def wal_position(name: str) -> tuple[int, int] | None:
+    """``(generation, part)`` of a WAL part name; ``None`` for any other file."""
     match = _WAL_NAME.match(name)
     if match is None:
+        return None
+    return int(match.group(1)), int(match.group(2) or 0)
+
+
+def next_wal_name(name: str) -> str:
+    """Name of the WAL part that follows ``name`` after a rotation."""
+    position = wal_position(name)
+    if position is None:
         raise ValueError(f"not a WAL segment name: {name!r}")
-    generation = int(match.group(1))
-    part = int(match.group(2)) if match.group(2) is not None else 0
-    return wal_name(generation, part + 1)
+    return wal_name(position[0], position[1] + 1)
 
 
 # ---------------------------------------------------------------- snapshots
@@ -202,27 +216,30 @@ def validate_manifest(manifest: Any, source: object) -> dict:
         raise CheckpointVersionError(source, version, CHECKPOINT_FORMAT_VERSION)
     cohorts = manifest["cohorts"]
     if not isinstance(cohorts, list) or not all(
-        isinstance(cohort, Mapping) and "id" in cohort and "segment" in cohort
+        isinstance(cohort, Mapping)
+        and "id" in cohort
+        and isinstance(segment := cohort.get("segment"), str)
+        and os.path.basename(segment) == segment
         for cohort in cohorts
     ):
         raise CorruptCheckpointError(
             f"{source}: manifest 'cohorts' must be a list of "
-            "{id, segment, ...} objects"
+            "{id, segment, ...} objects naming bare segment files"
         )
     validated = dict(manifest)
     # v2 -> v3: the single WAL name becomes a length-1 chain.
     wal = validated["wal"]
-    if isinstance(wal, str):
-        validated["wal"] = [wal]
-    elif not (
-        isinstance(wal, list)
-        and wal
-        and all(isinstance(name, str) for name in wal)
+    chain = [wal] if isinstance(wal, str) else wal
+    if not (
+        isinstance(chain, list)
+        and chain
+        and all(isinstance(name, str) and wal_position(name) for name in chain)
     ):
         raise CorruptCheckpointError(
             f"{source}: manifest 'wal' must be a non-empty ordered list of "
             f"WAL segment names, found {wal!r}"
         )
+    validated["wal"] = chain
     validated["format_version"] = CHECKPOINT_FORMAT_VERSION
     return validated
 
@@ -241,12 +258,14 @@ def decode_segment(payload: bytes, source: object) -> dict:
         states = pickle.loads(payload)
     except Exception as error:
         raise CorruptCheckpointError(
-            f"{source}: cohort segment is not a readable pickle ({error})"
+            f"{source}: cohort segment is not a readable pickle ({error})",
+            problem="undecodable",
         ) from error
     if not isinstance(states, dict):
         raise CorruptCheckpointError(
             f"{source}: cohort segment must decode to a dict of per-series "
-            f"state, found {type(states).__name__}"
+            f"state, found {type(states).__name__}",
+            problem="undecodable",
         )
     return states
 
@@ -265,11 +284,13 @@ def decode_wal_record(payload: bytes, source: object) -> tuple:
         record = pickle.loads(payload)
     except Exception as error:
         raise CorruptCheckpointError(
-            f"{source}: WAL record is not a readable pickle ({error})"
+            f"{source}: WAL record is not a readable pickle ({error})",
+            problem="undecodable",
         ) from error
     if not isinstance(record, tuple) or not record or not isinstance(record[0], str):
         raise CorruptCheckpointError(
             f"{source}: WAL record must decode to a (kind, ...) tuple, "
-            f"found {type(record).__name__}"
+            f"found {type(record).__name__}",
+            problem="undecodable",
         )
     return record

@@ -1,11 +1,12 @@
 """Scrub reports, quarantine records, and the manifest key codec.
 
 Pure data types shared by :meth:`DirectoryCheckpointStore.verify` (the
-offline scrub) and the engine's corruption-tolerant recovery (the
-``strict | truncate | quarantine`` policy of ``MultiSeriesEngine.open``).
-Nothing here touches disk -- these are the *vocabulary* the store and
-engine use to say exactly what was damaged and what was done about it,
-down to the series keys affected, so "degraded" is never silent.
+offline scrub) and the engine's recovery (the ``strict | truncate |
+quarantine`` policy of ``MultiSeriesEngine.open``).  Nothing here reads
+or judges a store -- that is :mod:`repro.durability.recovery`, the one
+walk both of them drain; these are the *vocabulary* they use to say
+exactly what was damaged and what was done about it, down to the series
+keys affected, so "degraded" is never silent.
 
 The manifest key codec at the bottom exists because quarantine must name
 a corrupt cohort's keys *without decoding its segment* (the segment is
@@ -33,10 +34,10 @@ __all__ = [
 ]
 
 #: recovery policies accepted by ``MultiSeriesEngine.open(recovery=...)``
-#: -- ``strict`` raises on any damage (the pre-PR-9 behavior),
-#: ``truncate`` stops WAL replay at the first bad frame but still raises
-#: on segment damage, ``quarantine`` moves damaged artifacts aside and
-#: serves every unaffected series.
+#: -- ``strict`` raises on any damage ``store.verify()`` calls fatal,
+#: ``truncate`` ends WAL replay where the chain stops being readable but
+#: still raises on segment damage, ``quarantine`` moves damaged artifacts
+#: aside and serves every unaffected series.
 RECOVERY_POLICIES = ("strict", "truncate", "quarantine")
 
 
@@ -49,10 +50,11 @@ class ScrubFinding:
 
     ``artifact`` is the file (or ``"manifest"``); ``problem`` is a stable
     machine-readable slug (``missing``, ``crc_mismatch``, ``undecodable``,
-    ``trailing_bytes``, ``torn_tail``, ``invalid``); ``detail`` is the
-    human sentence.  ``fatal`` findings mean a strict recovery of this
-    store would raise; a non-fatal finding (the torn tail of the *final*
-    WAL segment) is ordinary crash debris that recovery repairs silently.
+    ``trailing_bytes``, ``empty``, ``torn_tail``, ``invalid``);
+    ``detail`` is the human sentence.  ``fatal`` findings mean a strict
+    recovery of this store raises; a non-fatal finding (the torn tail of
+    the *final* WAL part) is ordinary crash debris that recovery repairs
+    silently.
     """
 
     artifact: str
@@ -116,7 +118,9 @@ class QuarantinedWalSuffix:
     moved aside instead of replayed.
 
     ``from_offset`` is the byte offset of the first unreadable frame in
-    ``segment``; everything before it replayed normally.
+    ``segment``; everything before it replayed normally.  A part the
+    chain is *missing* is listed with zero bytes, ahead of the parts
+    stranded behind it.
     """
 
     segment: str

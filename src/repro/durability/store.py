@@ -13,9 +13,14 @@ invariants:
 * :meth:`write_manifest` and :meth:`write_segment` are **atomic**: after a
   crash at any moment a reader sees either the complete old artifact or
   the complete new one, never a torn mixture;
-* :meth:`wal_records` returns the longest **complete prefix** of appended
+* the WAL **chain** (the manifest's parts, then every rotated successor
+  that exists) reads back as the longest **complete prefix** of appended
   records: a crash mid-append may lose the in-flight record, but never
-  yields a damaged one and never drops an earlier record.
+  yields a damaged one and never drops an earlier record.  Only the
+  chain's *final* part may therefore be torn or absent; anywhere else
+  that is damage, and :mod:`repro.durability.recovery` (the one reader
+  of a store) ends the chain there.  :meth:`wal_frames` reads one part
+  and judges nothing.
 
 :class:`SingleSnapshotStore` is the degenerate one-file store behind the
 legacy ``engine.save(path)`` / ``MultiSeriesEngine.load(path)`` API: a
@@ -130,30 +135,32 @@ class CheckpointStore(ABC):
         existing segment continues after its last complete record.
         """
 
-    @abstractmethod
     def wal_append(self, record: bytes) -> None:
         """Append one record to the open WAL segment and flush it."""
-
-    def wal_append_many(self, records: list[bytes]) -> None:
-        """Append a batch of records (group commit where the backend can).
-
-        The default is a per-record loop; backends override it to frame
-        every record up front and pay one flush/fsync for the whole
-        batch.  Record framing is unchanged either way: replay cannot
-        tell a group commit from individual appends, and a crash
-        mid-batch loses only a suffix of the batch.
-        """
-        for record in records:
-            self.wal_append(record)
+        self.wal_append_many([record])
 
     @abstractmethod
-    def wal_records(self, name: str) -> Iterator[bytes]:
-        """Iterate the longest complete prefix of records in segment ``name``.
+    def wal_append_many(self, records: list[bytes]) -> None:
+        """Append a batch of records with one flush (a group commit).
 
-        A torn tail (crash mid-append) ends the iteration silently; a
-        missing segment yields nothing -- both are the defined crash
-        windows, not errors.
+        Each record is framed on its own, so replay cannot tell a group
+        commit from individual appends, and a crash mid-batch loses only
+        a suffix of the batch.
         """
+
+    @abstractmethod
+    def wal_frames(self, name: str) -> Iterator[tuple[bytes, int]]:
+        """Yield ``(record, end_offset)`` for each complete record of part ``name``.
+
+        Iteration ends silently at the first incomplete or damaged
+        record, and a missing part yields nothing: whether that is crash
+        debris or damage depends on the part's place in the chain
+        (``end_offset`` against :meth:`wal_size` says what was left unread).
+        """
+
+    @abstractmethod
+    def wal_size(self, name: str) -> int | None:
+        """Bytes stored in part ``name``, debris included; ``None`` if absent."""
 
     @abstractmethod
     def list_wals(self) -> list[str]:
@@ -164,13 +171,8 @@ class CheckpointStore(ABC):
         """Delete one WAL segment (missing segments are ignored)."""
 
     def wal_exists(self, name: str) -> bool:
-        """Whether WAL segment ``name`` is present (even if empty).
-
-        Recovery walks the rotation chain by *existence*, not by record
-        count: a crash between opening a fresh part and its first append
-        leaves an empty segment that is still part of the chain.
-        """
-        return name in self.list_wals()
+        """Whether WAL segment ``name`` is present (even if empty)."""
+        return self.wal_size(name) is not None
 
     def close(self) -> None:
         """Release any open handles (idempotent)."""

@@ -91,19 +91,6 @@ __all__ = [
     "ShardRouter",
 ]
 
-#: IngestResult array fields, in the order workers reply them
-_RESULT_FIELDS = (
-    "index",
-    "value",
-    "trend",
-    "seasonal",
-    "residual",
-    "anomaly_score",
-    "is_anomaly",
-    "detection_residual",
-    "live",
-)
-
 #: worker-reported exception kinds treated as transient (retry in place);
 #: everything else either maps to a local exception type or is a bug.
 _TRANSIENT_KINDS = frozenset(
@@ -695,10 +682,26 @@ class ShardRouter:
 
     # ------------------------------------------------------------- retry layer
 
-    def _retry_readonly(
-        self, worker: _ShardWorker, message: tuple, first: _TransientShardError
+    def _retry_request(
+        self,
+        worker: _ShardWorker,
+        message: tuple,
+        first: _TransientShardError,
+        mutating: bool,
     ) -> Any:
-        """Re-send an idempotent command under the retry policy."""
+        """Re-send a command under the retry policy after a transient error.
+
+        An idempotent command is simply sent again.  A *mutating* one
+        (ingest/process) is not safe to re-send blind: the failure can
+        land *between* the worker's WAL append and its state advance,
+        leaving the record in the log with the state (and confirmed
+        count) unchanged -- a blind re-send would then apply the slice
+        twice on the next crash recovery.  So each mutating retry first
+        verifies the worker's durable count did not move (if it did,
+        something half-applied: raise rather than guess), then has the
+        worker checkpoint -- a fresh WAL generation discards the
+        ambiguous tail -- and only then re-sends.
+        """
         shard_id = worker.spec.shard_id
         if self._retry is None:
             raise ShardingError(
@@ -709,6 +712,17 @@ class ShardRouter:
         for pause in self._retry.delays():
             time.sleep(pause)
             try:
+                if mutating:
+                    points = int(self._request(worker, "points_total", None))
+                    if points != worker.points_confirmed:
+                        worker.points_confirmed = points
+                        raise ShardingError(
+                            f"shard {shard_id!r}: durable point count moved "
+                            f"during a failed request ({last.kind}: "
+                            f"{last.message}); a partial apply happened, "
+                            "not re-sending"
+                        )
+                    self._request(worker, "checkpoint", None)
                 return self._request(worker, message[0], message[1])
             except _TransientShardError as error:
                 last = error
@@ -716,51 +730,6 @@ class ShardRouter:
             f"shard {shard_id!r}: transient {last.kind} persisted through "
             f"{self._retry.attempts} attempts: {last.message}"
         ) from None
-
-    def _retry_mutating(
-        self, worker: _ShardWorker, message: tuple, first: _TransientShardError
-    ) -> Any:
-        """Re-send a *mutating* command (ingest/process) safely.
-
-        A transient failure can land *between* the worker's WAL append
-        and its state advance, leaving the record in the log with the
-        state (and confirmed count) unchanged -- a blind re-send would
-        then apply the slice twice on the next crash recovery.  So each
-        retry first verifies the worker's durable count did not move
-        (if it did, something half-applied: raise rather than guess),
-        then has the worker checkpoint -- a fresh WAL generation
-        discards the ambiguous tail -- and only then re-sends.
-        """
-        shard_id = worker.spec.shard_id
-        if self._retry is None:
-            raise ShardingError(
-                f"shard {shard_id!r}: {first.kind}: {first.message} "
-                "(retry disabled)"
-            ) from None
-        last = first
-        delays = self._retry.delays()
-        while True:
-            pause = next(delays, None)
-            if pause is None:
-                raise ShardingError(
-                    f"shard {shard_id!r}: transient {last.kind} persisted "
-                    f"through {self._retry.attempts} attempts: {last.message}"
-                ) from None
-            time.sleep(pause)
-            try:
-                points = int(self._request(worker, "points_total", None))
-                if points != worker.points_confirmed:
-                    worker.points_confirmed = points
-                    raise ShardingError(
-                        f"shard {shard_id!r}: durable point count moved "
-                        f"during a failed request ({last.kind}: "
-                        f"{last.message}); a partial apply happened, not "
-                        "re-sending"
-                    )
-                self._request(worker, "checkpoint", None)
-                return self._request(worker, message[0], message[1])
-            except _TransientShardError as error:
-                last = error
 
     def _request_supervised(
         self, shard_id: str, command: str, payload: Any = None
@@ -779,9 +748,7 @@ class ShardRouter:
                 try:
                     return self._request(worker, command, payload)
                 except _TransientShardError as error:
-                    return self._retry_readonly(
-                        worker, (command, payload), error
-                    )
+                    return self._retry_request(worker, (command, payload), error, False)
             except _WorkerDied as died:
                 if not self.auto_recover:
                     raise WorkerCrashError(
@@ -940,7 +907,7 @@ class ShardRouter:
         """
         if isinstance(batch, dict):
             round_keys, grid = MultiSeriesEngine._grid_from_dict(batch)
-            return self._ingest_grid(round_keys, grid, allow_partial)
+            return self._fan_out("ingest", round_keys, grid, allow_partial)
         if (
             isinstance(batch, tuple)
             and len(batch) == 2
@@ -958,7 +925,9 @@ class ShardRouter:
             rows = list(batch)
             keys = [row[0] for row in rows]
             values = np.array([row[1] for row in rows], dtype=float)
-        return self._ingest_rows(keys, values, allow_partial)
+        return self._fan_out(
+            "ingest_rows", keys, values.reshape(1, -1), allow_partial
+        )
 
     def ingest_grid(
         self,
@@ -989,103 +958,22 @@ class ShardRouter:
             )
         if len(set(keys)) != len(keys):
             raise ValueError("ingest_grid keys must be unique")
-        return self._ingest_grid(keys, grid, allow_partial)
+        return self._fan_out("ingest", keys, grid, allow_partial)
 
-    def _ingest_grid(
-        self, round_keys: list, grid: np.ndarray, allow_partial: bool = False
+    def _fan_out(
+        self, command: str, keys: list, grid: np.ndarray, allow_partial: bool
     ) -> IngestResult | DegradedResult:
-        """Fan a round-major ``(L, n)`` grid out by column, fan arrays in."""
+        """Fan a round-major ``(rounds, n)`` grid out by column, fan arrays in.
+
+        ``command`` is how a shard's slice travels: ``"ingest"`` ships the
+        ``(rounds, width)`` sub-grid for ``ingest_grid``; ``"ingest_rows"``
+        (a flat row batch is a one-round grid whose keys may repeat)
+        ships that single row.  Everything else -- down-shard split,
+        send, drain, casualties, degraded result -- is the same.
+        """
         n_rounds, n = grid.shape
-        result = IngestResult(round_keys, n_rounds)
+        result = IngestResult(keys, n_rounds)
         if n_rounds * n == 0:
-            return (
-                DegradedResult(result=result) if allow_partial else result
-            )
-        parts = self._ring.assignments(round_keys)
-        down_shards, skipped = self._partition_down(
-            parts, round_keys, allow_partial
-        )
-        sent: list[tuple[_ShardWorker, np.ndarray, int, tuple, list]] = []
-        casualties: dict[str, tuple[int, int, str, list]] = {}
-        for shard_id, positions in parts.items():
-            if shard_id in down_shards:
-                continue
-            worker = self._alive(shard_id, allow_down=True)
-            columns = np.asarray(positions, dtype=np.intp)
-            sub_keys = [round_keys[position] for position in positions]
-            sub_grid = np.ascontiguousarray(grid[:, columns])
-            rows_in_flight = n_rounds * columns.size
-            message = ("ingest", (sub_keys, sub_grid))
-            try:
-                worker.conn.send(message)
-            except (BrokenPipeError, OSError):
-                casualties[shard_id] = (
-                    worker.points_confirmed,
-                    rows_in_flight,
-                    "crash",
-                    sub_keys,
-                )
-                continue
-            sent.append((worker, columns, rows_in_flight, message, sub_keys))
-        shard_error: BaseException | None = None
-        for worker, columns, rows_in_flight, message, sub_keys in sent:
-            shard_id = worker.spec.shard_id
-            try:
-                try:
-                    arrays = self._request_reply(worker)
-                except _TransientShardError as error:
-                    arrays = self._retry_mutating(worker, message, error)
-            except _WorkerDied as died:
-                casualties[shard_id] = (
-                    worker.points_confirmed,
-                    rows_in_flight,
-                    died.cause,
-                    sub_keys,
-                )
-                continue
-            except (ValueError, TypeError, KeyError, RuntimeError) as error:
-                # The shard applied a prefix of its slice and rejected a
-                # value; other shards' replies still need draining.  The
-                # worker's confirmed count is re-synced lazily below.
-                shard_error = shard_error or error
-                self._resync_points(worker)
-                continue
-            except ShardingError as error:
-                # Retry exhaustion / unexpected worker error: the worker
-                # is alive, so drain the rest and re-raise.
-                shard_error = shard_error or error
-                self._resync_points(worker)
-                continue
-            worker.points_confirmed += rows_in_flight
-            width = columns.size
-            for name, shard_array in zip(_RESULT_FIELDS, arrays):
-                getattr(result, name).reshape(n_rounds, n)[:, columns] = (
-                    shard_array.reshape(n_rounds, width)
-                )
-        failovers: dict[str, bool] = {}
-        if casualties:
-            failovers, lost, tripped = self._handle_casualties(
-                casualties, allow_partial
-            )
-            skipped.extend(lost)
-            down_shards.extend(tripped)
-        if shard_error is not None:
-            raise shard_error
-        if allow_partial:
-            return DegradedResult(
-                result=result,
-                skipped_keys=tuple(skipped),
-                down_shards=tuple(down_shards),
-                failovers=failovers,
-            )
-        return result
-
-    def _ingest_rows(
-        self, keys: list, values: np.ndarray, allow_partial: bool = False
-    ) -> IngestResult | DegradedResult:
-        """Fan a flat ``(keys, values)`` batch out by row position."""
-        result = IngestResult(keys, 1 if keys else 0)
-        if not keys:
             return (
                 DegradedResult(result=result) if allow_partial else result
             )
@@ -1097,47 +985,56 @@ class ShardRouter:
             if shard_id in down_shards:
                 continue
             worker = self._alive(shard_id, allow_down=True)
-            take = np.asarray(positions, dtype=np.intp)
+            columns = np.asarray(positions, dtype=np.intp)
             sub_keys = [keys[position] for position in positions]
-            message = ("ingest_rows", (sub_keys, values[take]))
+            sub_grid = np.ascontiguousarray(grid[:, columns])
+            message = (
+                command,
+                (sub_keys, sub_grid if command == "ingest" else sub_grid[0]),
+            )
             try:
                 worker.conn.send(message)
             except (BrokenPipeError, OSError):
                 casualties[shard_id] = (
                     worker.points_confirmed,
-                    take.size,
+                    n_rounds * columns.size,
                     "crash",
                     sub_keys,
                 )
                 continue
-            sent.append((worker, take, message, sub_keys))
+            sent.append((worker, columns, message, sub_keys))
         shard_error: BaseException | None = None
-        for worker, take, message, sub_keys in sent:
-            shard_id = worker.spec.shard_id
+        for worker, columns, message, sub_keys in sent:
+            rows_in_flight = n_rounds * columns.size
             try:
                 try:
                     arrays = self._request_reply(worker)
                 except _TransientShardError as error:
-                    arrays = self._retry_mutating(worker, message, error)
+                    arrays = self._retry_request(worker, message, error, True)
             except _WorkerDied as died:
-                casualties[shard_id] = (
+                casualties[worker.spec.shard_id] = (
                     worker.points_confirmed,
-                    take.size,
+                    rows_in_flight,
                     died.cause,
                     sub_keys,
                 )
                 continue
-            except (ValueError, TypeError, KeyError, RuntimeError) as error:
+            except (
+                ValueError, TypeError, KeyError, RuntimeError, ShardingError
+            ) as error:
+                # Either the shard applied a prefix of its slice and
+                # rejected a value, or retries ran out / the worker raised
+                # something unexpected.  The worker is alive in both cases
+                # and other shards' replies still need draining, so note
+                # the first error, re-sync the confirmed count and go on.
                 shard_error = shard_error or error
                 self._resync_points(worker)
                 continue
-            except ShardingError as error:
-                shard_error = shard_error or error
-                self._resync_points(worker)
-                continue
-            worker.points_confirmed += take.size
-            for name, shard_array in zip(_RESULT_FIELDS, arrays):
-                getattr(result, name)[take] = shard_array
+            worker.points_confirmed += rows_in_flight
+            for name, shard_array in zip(IngestResult.FIELDS, arrays):
+                getattr(result, name).reshape(n_rounds, n)[:, columns] = (
+                    shard_array.reshape(n_rounds, columns.size)
+                )
         failovers: dict[str, bool] = {}
         if casualties:
             failovers, lost, tripped = self._handle_casualties(
@@ -1170,8 +1067,14 @@ class ShardRouter:
 
     # ------------------------------------------------------------ single-key
 
-    def process(self, key: Hashable, value: float) -> Any:
-        """Ingest one observation for one series on its shard."""
+    def _request_key(
+        self, key: Hashable, command: str, payload: Any, rows: int
+    ) -> Any:
+        """One series' command on its shard, applying ``rows`` points (0: a read).
+
+        A command that applies points is retried as a mutation, and its
+        points are in flight if the worker dies.
+        """
         shard_id = self.shard_of(key)
         health = self._health.get(shard_id)
         if health is not None and health.down:
@@ -1179,42 +1082,27 @@ class ShardRouter:
                 shard_id, health.last_error or "circuit breaker open", (key,)
             )
         worker = self._alive(shard_id)
-        message = ("process", (key, value))
         try:
             try:
-                record = self._request(worker, message[0], message[1])
+                reply = self._request(worker, command, payload)
             except _TransientShardError as error:
-                record = self._retry_mutating(worker, message, error)
+                reply = self._retry_request(worker, (command, payload), error, rows > 0)
         except _WorkerDied as died:
             self._handle_casualties(
-                {shard_id: (worker.points_confirmed, 1, died.cause, [key])},
+                {shard_id: (worker.points_confirmed, rows, died.cause, [key])},
                 allow_partial=False,
             )
             raise AssertionError("unreachable: strict casualties raise")
-        worker.points_confirmed += 1
-        return record
+        worker.points_confirmed += rows
+        return reply
+
+    def process(self, key: Hashable, value: float) -> Any:
+        """Ingest one observation for one series on its shard."""
+        return self._request_key(key, "process", (key, value), 1)
 
     def forecast(self, key: Hashable, horizon: int) -> np.ndarray:
         """Forecast ``horizon`` values ahead for one live series."""
-        shard_id = self.shard_of(key)
-        health = self._health.get(shard_id)
-        if health is not None and health.down:
-            raise ShardDownError(
-                shard_id, health.last_error or "circuit breaker open", (key,)
-            )
-        worker = self._alive(shard_id)
-        message = ("forecast", (key, int(horizon)))
-        try:
-            try:
-                return self._request(worker, message[0], message[1])
-            except _TransientShardError as error:
-                return self._retry_readonly(worker, message, error)
-        except _WorkerDied as died:
-            self._handle_casualties(
-                {shard_id: (worker.points_confirmed, 0, died.cause, [key])},
-                allow_partial=False,
-            )
-            raise AssertionError("unreachable: strict casualties raise")
+        return self._request_key(key, "forecast", (key, int(horizon)), 0)
 
     def series_stats(self, key: Hashable) -> Any:
         """One series' :class:`~repro.streaming.SeriesStats`, from its shard.

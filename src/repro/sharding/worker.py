@@ -43,9 +43,14 @@ from repro.durability import DirectoryCheckpointStore
 from repro.durability.lock import DEFAULT_STALE_AFTER
 from repro.faults import WORKER_RECV, WORKER_REPLY, FaultPlan
 from repro.specs import EngineSpec
-from repro.streaming.engine import MultiSeriesEngine
+from repro.streaming.engine import IngestResult, MultiSeriesEngine
 
 __all__ = ["worker_main"]
+
+
+def _reply_arrays(result: IngestResult) -> tuple:
+    """The wire form of one ingest's result: its arrays, in field order."""
+    return tuple(getattr(result, name) for name in IngestResult.FIELDS)
 
 
 def _points_total(engine: MultiSeriesEngine) -> int:
@@ -150,31 +155,11 @@ def worker_main(
             if command == "ingest":
                 round_keys, grid = payload
                 result = engine.ingest_grid(round_keys, grid)
-                reply: Any = (
-                    result.index,
-                    result.value,
-                    result.trend,
-                    result.seasonal,
-                    result.residual,
-                    result.anomaly_score,
-                    result.is_anomaly,
-                    result.detection_residual,
-                    result.live,
-                )
+                reply: Any = _reply_arrays(result)
             elif command == "ingest_rows":
                 keys, values = payload
                 result = engine.ingest((list(keys), values), columnar_results=True)
-                reply = (
-                    result.index,
-                    result.value,
-                    result.trend,
-                    result.seasonal,
-                    result.residual,
-                    result.anomaly_score,
-                    result.is_anomaly,
-                    result.detection_residual,
-                    result.live,
-                )
+                reply = _reply_arrays(result)
             elif command == "process":
                 key, value = payload
                 reply = engine.process(key, value)

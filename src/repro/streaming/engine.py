@@ -102,15 +102,13 @@ from repro.durability.scrub import (
 )
 from repro.durability.format import (
     build_manifest,
-    decode_segment,
-    decode_wal_record,
     encode_segment,
     encode_wal_record,
-    next_wal_name,
     segment_name,
     validate_manifest,
     wal_name,
 )
+from repro.durability.recovery import WalWalk, read_cohort
 from repro.specs import DecomposerSpec, DetectorSpec, EngineSpec, PipelineSpec
 from repro.streaming.buffer import RingBuffer
 from repro.streaming.latency import LatencyReport, summarize_latencies
@@ -201,9 +199,9 @@ class IngestResult:
     consumers keep working against a columnar result.
     """
 
-    __slots__ = (
-        "_keys_cycle",
-        "_rounds",
+    #: the columnar fields, in the order they cross a process boundary
+    #: (a shard worker replies them as a tuple, the router fans them in)
+    FIELDS = (
         "index",
         "value",
         "trend",
@@ -213,10 +211,8 @@ class IngestResult:
         "is_anomaly",
         "detection_residual",
         "live",
-        "_eager",
-        "_keys",
-        "_status",
     )
+    __slots__ = ("_keys_cycle", "_rounds", *FIELDS, "_eager", "_keys", "_status")
 
     def __init__(self, keys_cycle: list, rounds: int):
         size = len(keys_cycle) * rounds
@@ -804,7 +800,7 @@ class MultiSeriesEngine:
         unaffected -- but callers retry-looping a rejected value will
         grow the WAL by one dead record per attempt.
         """
-        self._wal_append("point", key, value)
+        self._wal_append([("point", key, value)])
         record = self._process_unlogged(key, value)
         self._maybe_auto_checkpoint()
         return record
@@ -921,7 +917,7 @@ class MultiSeriesEngine:
         """
         if isinstance(batch, dict):
             round_keys, grid = self._grid_from_dict(batch)
-            self._wal_append("grid", round_keys, grid)
+            self._wal_append([("grid", round_keys, grid)])
             result = self._ingest_grid(round_keys, grid, columnar_results)
         elif (
             isinstance(batch, tuple)
@@ -936,7 +932,7 @@ class MultiSeriesEngine:
                     "length with a 1-D value array"
                 )
             keys = list(keys)
-            self._wal_append("rows", keys, values)
+            self._wal_append([("rows", keys, values)])
             result = self._ingest_rows(keys, values, columnar_results)
         else:
             rows = list(batch)
@@ -946,10 +942,10 @@ class MultiSeriesEngine:
             except (TypeError, ValueError, IndexError):
                 # Malformed rows or unconvertible values: let the sequential
                 # path raise (or not) with its per-record semantics.
-                self._wal_append("raw_rows", rows)
+                self._wal_append([("raw_rows", rows)])
                 result = self._ingest_sequential(rows, columnar_results)
             else:
-                self._wal_append("rows", keys, values)
+                self._wal_append([("rows", keys, values)])
                 result = self._ingest_rows(keys, values, columnar_results)
         self._maybe_auto_checkpoint()
         return result
@@ -990,7 +986,7 @@ class MultiSeriesEngine:
         state advances.
         """
         round_keys, grid = self._checked_grid(round_keys, grid)
-        self._wal_append("grid", round_keys, grid)
+        self._wal_append([("grid", round_keys, grid)])
         result = self._ingest_grid(round_keys, grid, columnar_results)
         self._maybe_auto_checkpoint()
         return result
@@ -1038,7 +1034,7 @@ class MultiSeriesEngine:
                     "(round_keys, grid) pairs; got "
                     f"{type(batch).__name__}"
                 )
-        self._wal_append_many(
+        self._wal_append(
             [("grid", round_keys, grid) for round_keys, grid in normalized]
         )
         results = []
@@ -1339,9 +1335,10 @@ class MultiSeriesEngine:
         One :meth:`FleetKernel.update_block` call moves the whole cohort
         through every round of the block (splitting internally on NaN
         rounds and replaying shift-search triggers through the scalar
-        models, bit-identically to the scalar path), and every scatter into the :class:`IngestResult` is one 2-D
-        fancy write at ``positions``, the block's ``(rounds, m)`` output
-        slots.  The per-member bookkeeping -- record indices, pending
+        models, bit-identically to the scalar path), and every scatter
+        into the :class:`IngestResult` is one 2-D fancy write at
+        ``positions``, the block's ``(rounds, m)`` output slots.  The
+        per-member bookkeeping -- record indices, pending
         point and anomaly counters, latency accounting -- is all batched
         array operations; no per-row Python objects are built here
         (records are materialized lazily by the :class:`IngestResult`).
@@ -1712,19 +1709,26 @@ class MultiSeriesEngine:
         ``__main__`` or in modules absent on the recovery side will fail
         the replay with :class:`~repro.durability.CorruptCheckpointError`).
 
-        ``recovery`` selects the corruption policy:
+        ``recovery`` selects the corruption policy.  Every policy reads
+        the store through the walk ``store.verify()`` reports from
+        (:mod:`repro.durability.recovery`), so they differ only in what
+        they do about a damaged cohort segment or a WAL chain that stops
+        being readable anywhere but at the torn tail of its *final* part:
 
-        * ``"strict"`` (default): any damaged artifact raises
-          :class:`~repro.durability.CorruptCheckpointError` -- nothing is
-          modified, nothing is silently lost.
-        * ``"truncate"``: a corrupt WAL frame ends replay there (the
-          readable prefix is kept, the rest of the chain is dropped from
-          replay but left on disk); segment damage still raises.
-        * ``"quarantine"``: damaged cohort segments and WAL suffixes are
-          *moved aside* into the store's ``quarantine/`` directory and
-          recovery continues with every unaffected series; the surviving
-          state is re-checkpointed immediately so the store is consistent
-          again.  What happened -- down to the affected series keys -- is
+        * ``"strict"`` (default): raises
+          :class:`~repro.durability.CorruptCheckpointError` naming the
+          artifact (and byte offset) -- nothing is modified, nothing is
+          silently lost, and ``store.verify().ok`` says beforehand
+          whether it will.
+        * ``"truncate"``: a broken WAL chain ends replay there (the
+          readable prefix is kept, the rest is dropped and pruned by the
+          immediate re-checkpoint); segment damage still raises.
+        * ``"quarantine"``: damaged cohort segments and the unreadable
+          WAL remainder are *moved aside* into the store's
+          ``quarantine/`` directory and recovery continues with every
+          unaffected series; the surviving state is re-checkpointed
+          immediately so the store is consistent again.  What happened
+          -- down to the affected series keys and the records lost -- is
           recorded on ``engine.last_recovery``.
         """
         if recovery not in RECOVERY_POLICIES:
@@ -1744,13 +1748,12 @@ class MultiSeriesEngine:
             engine = cls.from_spec(spec)
             engine.attach_store(store, checkpoint=False)
             return engine
+        manifest = validate_manifest(manifest, store.describe())
         if spec is not None:
             # Cross-check before recovery runs: rebuilding segments and
             # replaying the WAL of a large store is expensive, and a
             # mismatched spec fails regardless of what they contain.
-            stored = EngineSpec.from_dict(
-                validate_manifest(manifest, store.describe())["engine_spec"]
-            )
+            stored = EngineSpec.from_dict(manifest["engine_spec"])
             if stored != spec:
                 store.close()
                 raise ValueError(
@@ -1807,9 +1810,13 @@ class MultiSeriesEngine:
         manifest: dict,
         recovery: str = "strict",
     ) -> "MultiSeriesEngine":
-        """Rebuild an engine from a manifest + segments + WAL tail."""
+        """Rebuild an engine from a validated manifest + segments + WAL tail.
+
+        The store is read through :mod:`repro.durability.recovery`, the
+        walk ``store.verify()`` reports from; ``recovery`` only decides
+        what happens to a cohort error or a WAL stop (see :meth:`open`).
+        """
         source = store.describe()
-        manifest = validate_manifest(manifest, source)
         if recovery == "quarantine" and not hasattr(store, "quarantine_segment"):
             raise ValueError(
                 "recovery='quarantine' needs a store with quarantine "
@@ -1822,31 +1829,12 @@ class MultiSeriesEngine:
         for cohort in manifest["cohorts"]:
             cohort_id = int(cohort["id"])
             name = cohort["segment"]
-            # Validate the whole cohort before committing any of it to
-            # the engine: damage discovered on the Nth key must not leave
-            # keys 0..N-1 half-registered (strict recovery re-raises, but
-            # quarantine keeps going with the rest of the store).
+            # The whole cohort is validated before any of it is committed
+            # to the engine: damage discovered on the Nth key must not
+            # leave keys 0..N-1 half-registered (quarantine keeps going
+            # with the rest of the store).
             try:
-                payload = store.read_segment(name)
-                expected_crc = cohort.get("crc")
-                if (
-                    expected_crc is not None
-                    and zlib.crc32(payload) != expected_crc
-                ):
-                    raise CorruptCheckpointError(
-                        f"{source}/{name}: segment bytes fail their "
-                        f"manifest CRC (found {zlib.crc32(payload)}, "
-                        f"manifest says {expected_crc})"
-                    )
-                states = decode_segment(payload, f"{source}/{name}")
-                for key, state in states.items():
-                    if not isinstance(state, _SeriesState):
-                        raise CorruptCheckpointError(
-                            f"{source}/{name}: checkpoint per-series state "
-                            f"is malformed (key {key!r} holds a "
-                            f"{type(state).__name__}, expected engine "
-                            "series state)"
-                        )
+                states = read_cohort(store, cohort, state_type=_SeriesState)
             except CorruptCheckpointError as error:
                 if recovery != "quarantine":
                     raise
@@ -1861,86 +1849,86 @@ class MultiSeriesEngine:
                         f"{source}/{name}: cannot quarantine this cohort "
                         "-- the manifest records no key list for it "
                         "(checkpoint written by an older build?); recover "
-                        "strict from a backup instead"
+                        "strict from a backup instead",
+                        problem=error.problem,
                     ) from error
-                store.quarantine_segment(name)
+                if error.problem != "missing":
+                    store.quarantine_segment(name)
                 quarantined_cohorts.append(
                     QuarantinedCohort(cohort_id, name, keys, str(error))
                 )
                 quarantined_keys.update(keys)
                 continue
-            members = []
-            markers = {}
-            for key, state in states.items():
-                engine._series[key] = state
-                members.append(key)
-                # Progress markers are taken *before* WAL replay, so they
-                # describe what the segment holds: replayed series drift
-                # past their marker and read as dirty at the next
-                # checkpoint, untouched series stay clean.
-                markers[key] = state.points
-            engine._cohort_members[cohort_id] = members
+            # Progress markers are taken *before* WAL replay, so they
+            # describe what the segment holds: replayed series drift past
+            # their marker and read as dirty at the next checkpoint,
+            # untouched series stay clean.
+            engine._series.update(states)
+            engine._cohort_members[cohort_id] = list(states)
             engine._cohort_segments[cohort_id] = name
-            engine._cohort_markers[cohort_id] = markers
+            engine._cohort_markers[cohort_id] = {
+                key: state.points for key, state in states.items()
+            }
             if cohort.get("crc") is not None:
                 engine._cohort_crcs[cohort_id] = int(cohort["crc"])
-            for key in members:
-                engine._cohort_of[key] = cohort_id
+            engine._cohort_of.update(dict.fromkeys(states, cohort_id))
         engine._next_cohort_id = (
             max(engine._cohort_members, default=-1) + 1
         )
         engine._generation = int(manifest["generation"])
         engine._store = store
+        walk = WalWalk(store, manifest["wal"])
         # _replaying also suspends latency recording (see _track_latency_now):
         # the ring buffers hold *observed ingest* durations, and
         # replay-speed timings (on the record-free columnar path, usually
         # much faster) would fabricate post-recovery latency percentiles.
         engine._replaying = True
-        # Size-based rotation may have opened parts past the last manifest
-        # write, so the chain is extended by *existence* beyond what the
-        # manifest recorded -- a crash can even land between opening a
-        # fresh part and its first append, leaving an empty segment that
-        # is still the chain's live tail (record counts would miss it).
-        chain = list(manifest["wal"])
-        while True:
-            successor = next_wal_name(chain[-1])
-            if not store.wal_exists(successor):
-                break
-            chain.append(successor)
-        replayed = 0
-        lost = 0
-        quarantined_wal: list[QuarantinedWalSuffix] = []
-        findings: list = []
-        repaired = False
         try:
-            if recovery == "strict" and not quarantined_keys:
-                for name in chain:
-                    for payload in store.wal_records(name):
-                        engine._apply_wal_record(
-                            decode_wal_record(payload, f"{source}/{name}")
-                        )
-                        replayed += 1
-            else:
-                (
-                    replayed,
-                    lost,
-                    quarantined_wal,
-                    findings,
-                    repaired,
-                ) = engine._replay_wal_tolerant(
-                    store, chain, recovery, quarantined_keys, source
-                )
+            for record in walk:
+                record = engine._filter_wal_record(record, quarantined_keys)
+                if record is not None:
+                    engine._apply_wal_record(record)
         finally:
             engine._replaying = False
+        stop = walk.stop
+        quarantined_wal: list[QuarantinedWalSuffix] = []
+        findings: list[ScrubFinding] = []
+        if stop is not None and recovery == "strict":
+            # Records after a hole would replay into a stream missing its
+            # middle.  Nothing on disk has been touched.
+            raise CorruptCheckpointError(
+                f"{source}/{stop.segment}: WAL chain is unreadable from "
+                f"byte offset {stop.offset}: {stop.reason}.  {walk.frames} "
+                f"records precede it, at least {stop.frames_lost} are "
+                "unreachable; recovery='truncate' or 'quarantine' keeps "
+                "the prefix",
+                problem=stop.problem,
+            )
+        if stop is not None:
+            remainder = [(stop.segment, stop.offset, stop.reason)]
+            remainder += [
+                (later, 0, "follows a damaged chain segment")
+                for later in stop.later
+            ]
+            for name, offset, reason in remainder:
+                if recovery == "quarantine":
+                    moved = store.quarantine_wal_suffix(name, offset)
+                    quarantined_wal.append(
+                        QuarantinedWalSuffix(name, offset, moved, reason)
+                    )
+                else:  # truncate: drop without preserving
+                    findings.append(
+                        ScrubFinding(name, "truncated", reason, fatal=False)
+                    )
         engine.last_recovery = RecoveryReport(
             policy=recovery,
             quarantined_cohorts=tuple(quarantined_cohorts),
             quarantined_wal=tuple(quarantined_wal),
-            wal_records_replayed=replayed,
-            wal_records_lost=lost,
+            wal_records_replayed=walk.frames,
+            wal_records_lost=0 if stop is None else stop.frames_lost,
             findings=tuple(findings),
         )
-        if quarantined_cohorts or repaired:
+        if quarantined_cohorts or stop is not None:
             # The store references artifacts that were moved aside (or a
             # WAL remainder that must not be extended): re-checkpoint the
             # surviving state immediately so the manifest, segments and a
@@ -1954,108 +1942,9 @@ class MultiSeriesEngine:
             # un-checkpointed WAL backlog, and a crash-looping process
             # would otherwise reset the counter on every restart and
             # never auto-checkpoint.
-            store.wal_start(chain[-1])
-            engine._wal_records_pending = replayed
+            store.wal_start(walk.chain[-1])
+            engine._wal_records_pending = walk.frames
         return engine
-
-    def _replay_wal_tolerant(
-        self,
-        store: CheckpointStore,
-        chain: list,
-        recovery: str,
-        skip_keys: set,
-        source: str,
-    ) -> tuple:
-        """Replay a WAL chain under ``truncate``/``quarantine`` policy.
-
-        Returns ``(replayed, lost, quarantined_wal, findings, repaired)``.
-        Replay stops at the first unreadable point -- a frame that fails
-        its CRC (trailing bytes) or decodes to garbage -- because records
-        after a gap would replay into a stream missing its middle.  Under
-        ``quarantine`` the unread remainder is preserved in the store's
-        quarantine directory; under ``truncate`` it is simply dropped
-        (the immediate re-checkpoint prunes it).  A torn tail on the
-        *final* chain segment is ordinary crash debris, repaired exactly
-        as strict recovery does, not treated as corruption.
-        """
-        replayed = 0
-        lost = 0
-        quarantined: list[QuarantinedWalSuffix] = []
-        findings: list = []
-        stop: tuple | None = None
-        for position, name in enumerate(chain):
-            final = position == len(chain) - 1
-            offset = 0
-            segment_replayed = 0
-            for payload, end in store.wal_frames(name):
-                try:
-                    record = decode_wal_record(payload, f"{source}/{name}")
-                except CorruptCheckpointError as error:
-                    stop = (position, offset, str(error))
-                    break
-                filtered = self._filter_wal_record(record, skip_keys)
-                if filtered is not None:
-                    self._apply_wal_record(filtered)
-                replayed += 1
-                segment_replayed += 1
-                offset = end
-            if stop is not None:
-                frames_total, _good, _total = store.wal_tail(name)
-                lost += max(0, frames_total - segment_replayed)
-                break
-            if not store.wal_exists(name):
-                continue
-            _frames, good, total = store.wal_tail(name)
-            if good < total and not final:
-                stop = (
-                    position,
-                    good,
-                    f"{total - good} unreadable bytes mid-chain (offset "
-                    f"{good}); records beyond them are unreachable",
-                )
-                break
-        if stop is None:
-            return replayed, lost, quarantined, findings, False
-        position, offset, reason = stop
-        name = chain[position]
-        remainder = chain[position + 1 :]
-        if recovery == "quarantine":
-            dropped = store.quarantine_wal_suffix(name, offset)
-            quarantined.append(
-                QuarantinedWalSuffix(name, offset, dropped, reason)
-            )
-            for later in remainder:
-                if not store.wal_exists(later):
-                    continue
-                frames_total, _good, total = store.wal_tail(later)
-                lost += frames_total
-                store.quarantine_wal_segment(later)
-                quarantined.append(
-                    QuarantinedWalSuffix(
-                        later,
-                        0,
-                        total,
-                        "follows a damaged chain segment",
-                    )
-                )
-        else:  # truncate: drop without preserving
-            findings.append(
-                ScrubFinding(name, "truncated", reason, fatal=False)
-            )
-            for later in remainder:
-                if not store.wal_exists(later):
-                    continue
-                frames_total, _good, _total = store.wal_tail(later)
-                lost += frames_total
-                findings.append(
-                    ScrubFinding(
-                        later,
-                        "truncated",
-                        "follows a damaged chain segment",
-                        fatal=False,
-                    )
-                )
-        return replayed, lost, quarantined, findings, True
 
     @staticmethod
     def _filter_wal_record(record: tuple, skip_keys: set) -> tuple | None:
@@ -2065,46 +1954,22 @@ class MultiSeriesEngine:
         key: its checkpointed base state is gone, so replay would
         fabricate a partial series holding only post-checkpoint points.
         """
-        if not skip_keys:
-            return record
         kind = record[0]
-        if kind == "grid":
-            round_keys, grid = record[1], record[2]
-            keep = [
-                index
-                for index, key in enumerate(round_keys)
-                if key not in skip_keys
-            ]
-            if len(keep) == len(round_keys):
-                return record
-            if not keep:
-                return None
-            return (
-                "grid",
-                [round_keys[index] for index in keep],
-                grid[:, keep],
-            )
-        if kind == "rows":
-            keys, values = record[1], record[2]
-            keep = [
-                index for index, key in enumerate(keys) if key not in skip_keys
-            ]
-            if len(keep) == len(keys):
-                return record
-            if not keep:
-                return None
-            return ("rows", [keys[index] for index in keep], values[keep])
-        if kind == "raw_rows":
-            rows = record[1]
-            kept = [row for row in rows if row[0] not in skip_keys]
-            if len(kept) == len(rows):
-                return record
-            if not kept:
-                return None
-            return ("raw_rows", kept)
+        if not skip_keys or kind not in ("grid", "rows", "raw_rows", "point"):
+            return record
         if kind == "point":
             return None if record[1] in skip_keys else record
-        return record
+        keys = [row[0] for row in record[1]] if kind == "raw_rows" else record[1]
+        keep = [index for index, key in enumerate(keys) if key not in skip_keys]
+        if len(keep) == len(keys):
+            return record
+        if not keep:
+            return None
+        if kind == "raw_rows":
+            return ("raw_rows", [record[1][index] for index in keep])
+        kept_keys = [keys[index] for index in keep]
+        # a grid keeps columns (round-major), parallel rows keep positions
+        return (kind, kept_keys, record[2][..., keep])
 
     def _apply_wal_record(self, record: tuple) -> None:
         """Re-apply one logged batch during recovery.
@@ -2143,25 +2008,19 @@ class MultiSeriesEngine:
         except (ValueError, TypeError):
             pass
 
-    def _wal_append(self, kind: str, *parts) -> None:
-        """Append one ingest record to the session WAL (no-op when detached)."""
-        if self._store is None or self._replaying:
-            return
-        self._store.wal_append(encode_wal_record(kind, *parts))
-        self._wal_records_pending += 1
+    def _wal_append(self, records: list) -> None:
+        """Journal one WAL record per ``(kind, *parts)`` tuple, as one group.
 
-    def _wal_append_many(self, batches: list) -> None:
-        """Group-commit one WAL record per ``(kind, *parts)`` batch.
-
-        Encoding is skipped entirely when detached (or replaying), so the
-        WAL-off ingest path pays nothing for the group-commit plumbing.
+        One flush (one ``fsync`` when the store syncs) covers the group.
+        Nothing is even encoded when detached or replaying, so the
+        WAL-off ingest path pays nothing for the plumbing.
         """
-        if self._store is None or self._replaying or not batches:
+        if self._store is None or self._replaying or not records:
             return
         self._store.wal_append_many(
-            [encode_wal_record(kind, *parts) for kind, *parts in batches]
+            [encode_wal_record(*record) for record in records]
         )
-        self._wal_records_pending += len(batches)
+        self._wal_records_pending += len(records)
 
     def _maybe_auto_checkpoint(self) -> None:
         """Checkpoint when the configured WAL-record interval has passed.

@@ -5,6 +5,7 @@ that silently stops firing (or starts over-firing) is caught here rather
 than by a regression slipping into the real tree.
 """
 
+import ast
 import subprocess
 import sys
 import textwrap
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+import repro.streaming.engine as engine_module
 from repro.analysis.engine import analyze_source
 from repro.analysis.rules_registry import check_registry
 from repro.anomaly.base import AnomalyDetector
@@ -275,6 +277,64 @@ def test_append_inside_loop_does_not_dominate():
         """
     )
     assert rules(findings) == ["WAL001"]
+
+
+def test_group_append_after_a_mutation_is_flagged():
+    findings = run(
+        """
+        class Engine:
+            def ingest_many(self, batches):
+                results = [self._ingest_grid(*batch) for batch in batches]
+                self._wal_append([("grid", *batch) for batch in batches])
+                return results
+        """
+    )
+    assert rules(findings) == ["WAL001"]
+    assert "_ingest_grid" in findings[0].message
+
+
+def test_group_append_before_the_mutations_is_clean():
+    # ingest_many's shape: normalize in a loop, one group append, apply.
+    findings = run(
+        """
+        class Engine:
+            def ingest_many(self, batches):
+                normalized = []
+                for batch in batches:
+                    normalized.append(self._checked_grid(*batch))
+                self._wal_append([("grid", *batch) for batch in normalized])
+                results = []
+                for round_keys, grid in normalized:
+                    results.append(self._ingest_grid(round_keys, grid))
+                return results
+        """
+    )
+    assert findings == []
+
+
+def test_the_engine_journals_through_one_writer_the_rule_sees():
+    # WAL001 finds journaling methods by their ``self._wal_append`` call,
+    # so a method appending to the store any other way would be outside
+    # the invariant (as ingest_many was, through _wal_append_many).
+    tree = ast.parse(Path(engine_module.__file__).read_text())
+    engine = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "MultiSeriesEngine"
+    )
+    store_writers = set()
+    journaling = set()
+    for method in engine.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        for node in ast.walk(method):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr.startswith("wal_append"):
+                    store_writers.add(method.name)
+                if node.func.attr == "_wal_append":
+                    journaling.add(method.name)
+    assert store_writers == {"_wal_append"}
+    assert {"process", "ingest", "ingest_grid", "ingest_many"} <= journaling
 
 
 def test_method_without_wal_append_is_not_checked():

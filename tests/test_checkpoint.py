@@ -399,7 +399,7 @@ class TestDurableSession:
         # segments (the manifest's wal entry is the ordered chain).
         assert isinstance(manifest["wal"], list)
         for name in manifest["wal"]:
-            assert list(store.wal_records(name)) == []
+            assert [payload for payload, _ in store.wal_frames(name)] == []
         recovered = MultiSeriesEngine.open(store)
         assert recovered.fleet_stats().points_total == PERIOD * 5 * 3
 
@@ -849,7 +849,7 @@ class TestGroupCommitDurability:
         fresh_store = DirectoryCheckpointStore(tmp_path / "store")
         manifest = fresh_store.read_manifest()
         survived = sum(
-            1 for name in manifest["wal"] for _ in fresh_store.wal_records(name)
+            1 for name in manifest["wal"] for _ in fresh_store.wal_frames(name)
         )
         if point == "wal.append.before":
             assert survived == 0

@@ -38,6 +38,11 @@ from repro.durability.format import (
 )
 
 
+def wal_payloads(store, name) -> list:
+    """The complete records of one WAL part, in order."""
+    return [payload for payload, _end in store.wal_frames(name)]
+
+
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         path = tmp_path / "blob"
@@ -67,7 +72,7 @@ class TestWal:
             store.wal_append(record)
         store.close()
         fresh = DirectoryCheckpointStore(tmp_path / "store")
-        assert list(fresh.wal_records(wal_name(0))) == records
+        assert wal_payloads(fresh, wal_name(0)) == records
 
     def test_torn_tail_is_dropped(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
@@ -83,7 +88,7 @@ class TestWal:
             store.wal_append(b"lost-in-flight")
         store.close()
         fresh = DirectoryCheckpointStore(tmp_path / "store")
-        assert list(fresh.wal_records(wal_name(0))) == [b"kept"]
+        assert wal_payloads(fresh, wal_name(0)) == [b"kept"]
 
     def test_flipped_byte_ends_the_prefix(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
@@ -96,7 +101,7 @@ class TestWal:
         data[-1] ^= 0xFF  # corrupt the last payload byte
         path.write_bytes(bytes(data))
         fresh = DirectoryCheckpointStore(tmp_path / "store")
-        assert list(fresh.wal_records(wal_name(0))) == [b"first"]
+        assert wal_payloads(fresh, wal_name(0)) == [b"first"]
 
     def test_reopen_appends_after_existing_records(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
@@ -106,7 +111,7 @@ class TestWal:
         again = DirectoryCheckpointStore(tmp_path / "store")
         again.wal_start(wal_name(0))
         again.wal_append(b"two")
-        assert list(again.wal_records(wal_name(0))) == [b"one", b"two"]
+        assert wal_payloads(again, wal_name(0)) == [b"one", b"two"]
 
     def test_wal_start_truncates_torn_tail_before_appending(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
@@ -127,7 +132,7 @@ class TestWal:
         again = DirectoryCheckpointStore(tmp_path / "store")
         again.wal_start(wal_name(0))
         again.wal_append(b"after-recovery")
-        assert list(again.wal_records(wal_name(0))) == [b"kept", b"after-recovery"]
+        assert wal_payloads(again, wal_name(0)) == [b"kept", b"after-recovery"]
 
     def test_append_after_in_session_failure_recovers_the_tail(self, tmp_path):
         """A failed append must not strand later appends beyond torn bytes.
@@ -150,7 +155,7 @@ class TestWal:
         with pytest.raises(SimulatedCrash):
             store.wal_append(b"lost-in-flight")
         store.wal_append(b"after-the-error")  # same session, same handle
-        assert list(store.wal_records(wal_name(0))) == [
+        assert wal_payloads(store, wal_name(0)) == [
             b"kept",
             b"after-the-error",
         ]
@@ -181,7 +186,7 @@ class TestWal:
 
     def test_missing_segment_yields_nothing(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
-        assert list(store.wal_records(wal_name(7))) == []
+        assert wal_payloads(store, wal_name(7)) == []
 
     def test_open_segment_cannot_be_deleted(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
@@ -440,13 +445,13 @@ class TestWalGroupCommit:
         ).read_bytes()
         assert grouped_bytes == individual_bytes
         fresh = DirectoryCheckpointStore(tmp_path / "grouped")
-        assert list(fresh.wal_records(wal_name(0))) == records
+        assert wal_payloads(fresh, wal_name(0)) == records
 
     def test_empty_batch_is_a_noop(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
         store.wal_start(wal_name(0))
         store.wal_append_many([])
-        assert list(store.wal_records(wal_name(0))) == []
+        assert wal_payloads(store, wal_name(0)) == []
 
     def test_fault_points_fire_once_per_batch(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
@@ -472,7 +477,7 @@ class TestWalGroupCommit:
             store.wal_append_many(batch)
         store.close()
         fresh = DirectoryCheckpointStore(tmp_path / "store")
-        survived = list(fresh.wal_records(wal_name(0)))
+        survived = wal_payloads(fresh, wal_name(0))
         assert survived[0] == b"before-the-batch"
         tail = survived[1:]
         # Strictly a prefix of the batch: no holes, no damaged records,
@@ -495,13 +500,13 @@ class TestWalGroupCommit:
         # Same session keeps appending: the torn bytes must be dropped
         # first (the whole failed batch rolls back to the good offset).
         store.wal_append_many([b"after-a", b"after-b"])
-        assert list(store.wal_records(wal_name(0))) == [b"after-a", b"after-b"]
+        assert wal_payloads(store, wal_name(0)) == [b"after-a", b"after-b"]
 
     def test_group_commit_respects_wal_sync(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store", wal_sync=True)
         store.wal_start(wal_name(0))
         store.wal_append_many([b"one", b"two"])
-        assert list(store.wal_records(wal_name(0))) == [b"one", b"two"]
+        assert wal_payloads(store, wal_name(0)) == [b"one", b"two"]
 
 
 class TestWalRotation:
@@ -531,7 +536,7 @@ class TestWalRotation:
         assert names == [wal_name(0, part) for part in range(len(names))]
         # Every record is readable, in order, across the chain.
         collected = [
-            record for name in names for record in store.wal_records(name)
+            record for name in names for record, _ in store.wal_frames(name)
         ]
         assert collected == [b"x" * 40] * 4
 
@@ -544,10 +549,10 @@ class TestWalRotation:
         names = store.list_wals()
         # The batch lands whole in the first segment (group commit is one
         # write); rotation seals it afterwards.
-        assert list(store.wal_records(wal_name(0))) == [b"y" * 30] * 5
+        assert wal_payloads(store, wal_name(0)) == [b"y" * 30] * 5
         assert names == [wal_name(0), wal_name(0, 1)]
         store.wal_append(b"tail")
-        assert list(store.wal_records(wal_name(0, 1))) == [b"tail"]
+        assert wal_payloads(store, wal_name(0, 1)) == [b"tail"]
 
     def test_wal_exists_sees_empty_segments(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
@@ -577,8 +582,8 @@ class TestWalRotation:
         store.close()
         fresh = DirectoryCheckpointStore(tmp_path / "store")
         assert fresh.wal_exists(wal_name(0, 1))
-        assert list(fresh.wal_records(wal_name(0, 1))) == []
-        assert list(fresh.wal_records(wal_name(0))) == [b"z" * 40]
+        assert wal_payloads(fresh, wal_name(0, 1)) == []
+        assert wal_payloads(fresh, wal_name(0)) == [b"z" * 40]
 
 
 class TestManifestWalChain:

@@ -9,7 +9,11 @@ Three tiers of evidence:
 * store-level corruption tests: ``store.verify()`` against
   hand-corrupted bytes, and ``MultiSeriesEngine.open`` under the
   ``strict | truncate | quarantine`` recovery policies -- quarantine
-  must name exactly the cohort keys it dropped and serve the rest;
+  must name exactly the cohort keys it dropped and serve the rest --
+  and, because both read the store through one walk, a property over
+  {artifact x flip/truncate/delete x offset}: ``verify().ok`` iff a
+  strict open succeeds, and a tolerant recovery's state is the scalar
+  reference fed exactly the replayed prefix;
 * cross-process supervision tests: a parametrized {boundary x injector}
   fault matrix against an uninterrupted twin engine (the survived
   verdict and the recovered stream must both match what the boundary
@@ -22,11 +26,22 @@ watchdog, not the sleep, sets the pace.
 """
 
 import json
+import pickle
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.durability import CorruptCheckpointError, DirectoryCheckpointStore
+from repro.durability import (
+    RECOVERY_POLICIES,
+    CheckpointError,
+    CorruptCheckpointError,
+    DirectoryCheckpointStore,
+)
 from repro.durability.scrub import decode_manifest_keys
 from repro.faults import (
     WORKER_RECV,
@@ -462,6 +477,328 @@ class TestRecoveryPolicies:
         assert store.list_quarantined() == []
         assert store.verify().ok
         engine.close(checkpoint=False)
+
+
+# --------------------------------------------------------------------------
+# one store walk: verify() and recovery read through the same reader
+# --------------------------------------------------------------------------
+
+
+def tree_bytes(root) -> dict:
+    """Every file under ``root`` and its bytes (did anything touch the store?)."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def strict_open(path) -> MultiSeriesEngine:
+    return MultiSeriesEngine.open(
+        DirectoryCheckpointStore(path), spec=engine_spec(), recovery="strict"
+    )
+
+
+class TestChainDamage:
+    """A WAL chain may only be torn or absent at its *final* part."""
+
+    def _chain(self, tmp_path) -> tuple[list, dict]:
+        """One record per part (a 1-byte cap rotates on every append)."""
+        populate_store(tmp_path, wal_batches=3, wal_segment_bytes=1)
+        store = DirectoryCheckpointStore(tmp_path)
+        ends = {
+            name: [end for _payload, end in store.wal_frames(name)]
+            for name in store.list_wals()
+        }
+        chain = sorted(ends)
+        assert [len(ends[name]) for name in chain] == [1, 1, 1, 0]
+        return chain, ends
+
+    @pytest.mark.parametrize("damage", ["crc", "truncated", "garbage"])
+    def test_strict_raises_on_a_damaged_non_final_part(self, tmp_path, damage):
+        chain, ends = self._chain(tmp_path)
+        damaged = tmp_path / "wal" / chain[1]
+        raw = damaged.read_bytes()
+        if damage == "crc":
+            flip_byte(damaged, offset=len(raw) - 2)
+            offset, problem = 0, "trailing_bytes"
+        elif damage == "truncated":
+            damaged.write_bytes(raw[: len(raw) // 2])
+            offset, problem = 0, "trailing_bytes"
+        else:  # a frame whose CRC holds but whose payload is no record
+            store = DirectoryCheckpointStore(tmp_path)
+            store.wal_start(chain[1])
+            store.wal_append(pickle.dumps(42))
+            store.close()
+            offset, problem = len(raw), "undecodable"
+        before = tree_bytes(tmp_path)
+        report = DirectoryCheckpointStore(tmp_path).verify()
+        assert not report.ok
+        assert [(f.artifact, f.problem) for f in report.findings] == [
+            (chain[1], problem)
+        ]
+        with pytest.raises(CorruptCheckpointError) as error:
+            strict_open(tmp_path)
+        assert chain[1] in str(error.value)
+        assert f"offset {offset}" in str(error.value)
+        assert error.value.problem == problem
+        assert tree_bytes(tmp_path) == before
+
+    def test_a_gap_in_the_chain_is_never_a_clean_recovery(self, tmp_path):
+        chain, _ends = self._chain(tmp_path)
+        (tmp_path / "wal" / chain[1]).unlink()
+        before = tree_bytes(tmp_path)
+        report = DirectoryCheckpointStore(tmp_path).verify()
+        assert not report.ok
+        assert [(f.artifact, f.problem) for f in report.findings] == [
+            (chain[1], "missing")
+        ]
+        with pytest.raises(CorruptCheckpointError, match=chain[1]):
+            strict_open(tmp_path)
+        assert tree_bytes(tmp_path) == before
+
+        store = DirectoryCheckpointStore(tmp_path)
+        engine = MultiSeriesEngine.open(
+            store, spec=engine_spec(), recovery="quarantine"
+        )
+        recovery = engine.last_recovery
+        assert not recovery.clean
+        assert recovery.wal_records_replayed == 1
+        assert recovery.wal_records_lost == 1  # the part past the gap
+        assert [suffix.segment for suffix in recovery.quarantined_wal] == chain[1:]
+        # The unreachable parts (one with a record, one empty) moved aside.
+        assert set(chain[2:]) <= set(store.list_quarantined())
+        assert store.verify().ok
+        engine.close(checkpoint=False)
+
+    def test_a_missing_final_part_is_the_checkpoint_crash_window(self, tmp_path):
+        # A crash between the manifest swap and wal_start leaves the
+        # manifest naming a part that was never created.
+        populate_store(tmp_path, wal_batches=1)
+        engine = strict_open(tmp_path)
+        engine.close(checkpoint=True)
+        store = DirectoryCheckpointStore(tmp_path)
+        (tmp_path / "wal" / store.read_manifest()["wal"][0]).unlink()
+        assert store.verify().findings == ()
+        strict_open(tmp_path).close(checkpoint=False)
+
+
+# One pristine store per layout, copied and damaged once per example:
+# "sealed" holds one record per part (every part but the empty last one
+# is sealed, so any damage to a record is a stop); "tail" packs several
+# records per part and leaves records in the final part (damage there is
+# crash debris).  The tail mixes every WAL record kind.
+
+TAIL_CUT = PERIOD * 5
+LAYOUTS = {"sealed": 1, "tail": 700}
+
+
+def tail_batches(data: dict) -> list:
+    """The post-checkpoint batches: ``(form, payload)``, one WAL record each."""
+    keys = sorted(data)
+    step = PERIOD // 2
+    cuts = [TAIL_CUT + index * step for index in range(8)]
+    rows = [(key, data[key][cuts[1]]) for key in keys]
+    return [
+        ("grid", slice_batch(data, cuts[0], cuts[1])),
+        ("rows", (keys, np.array([value for _key, value in rows]))),
+        ("point", (keys[0], data[keys[0]][cuts[1] + 1])),
+        # an unconvertible value journals the raw rows; the batch applies
+        # up to the bad row and raises, live and at replay alike
+        ("raw_rows", [(key, data[key][cuts[1] + 2]) for key in keys[1:3]]
+         + [(keys[3], "not-a-number")]),
+        ("grid", slice_batch({k: data[k] for k in keys[3:]}, cuts[1] + 1, cuts[3])),
+        ("grid", slice_batch({k: data[k] for k in keys[:3]}, cuts[1] + 3, cuts[3])),
+        ("grid", slice_batch(data, cuts[3], cuts[4])),
+    ]
+
+
+def apply_batch(engine: MultiSeriesEngine, form: str, payload) -> None:
+    if form == "point":
+        engine.process(*payload)
+    elif form == "raw_rows":
+        with pytest.raises((ValueError, TypeError)):
+            engine.ingest(payload)
+    else:
+        engine.ingest_columnar(payload)
+
+
+def apply_scalar(engine: MultiSeriesEngine, form: str, payload) -> None:
+    """The same batch, one ``process`` call per point (the scalar path)."""
+    if form == "grid":
+        length = len(next(iter(payload.values())))
+        rows = [(key, payload[key][t]) for t in range(length) for key in payload]
+    elif form == "rows":
+        rows = list(zip(*payload))
+    elif form == "point":
+        rows = [payload]
+    else:
+        rows = payload
+    for key, value in rows:
+        try:
+            engine.process(key, value)
+        except (ValueError, TypeError):
+            return  # a rejected row ends its batch, exactly as ingest does
+
+
+def series_view(engine: MultiSeriesEngine) -> dict:
+    view = {}
+    for key in engine.keys():
+        stats = engine.series_stats(key)
+        forecast = (
+            engine.forecast(key, PERIOD).tobytes()
+            if stats.status.value == "live"
+            else None
+        )
+        view[key] = (stats.status, stats.points, stats.anomalies, forecast)
+    return view
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """``{layout: (path, tail frame ends by part, reference views)}``.
+
+    ``reference views[k]`` is the per-key state of a scalar engine fed the
+    checkpointed prefix plus the first ``k`` tail batches.
+    """
+    data = fleet_data(6)
+    batches = tail_batches(data)
+    reference = MultiSeriesEngine.from_spec(engine_spec())
+    apply_scalar(reference, "grid", slice_batch(data, 0, TAIL_CUT))
+    views = [series_view(reference)]
+    for form, payload in batches:
+        apply_scalar(reference, form, payload)
+        views.append(series_view(reference))
+    stores = {}
+    for layout, segment_bytes in LAYOUTS.items():
+        path = tmp_path_factory.mktemp(layout)
+        store = DirectoryCheckpointStore(path, wal_segment_bytes=segment_bytes)
+        engine = MultiSeriesEngine.open(store, spec=engine_spec())
+        engine.checkpoint_cohort_size = 3
+        engine.ingest_columnar(slice_batch(data, 0, TAIL_CUT))
+        engine.checkpoint()
+        for form, payload in batches:
+            apply_batch(engine, form, payload)
+        engine.close(checkpoint=False)
+        store = DirectoryCheckpointStore(path)
+        ends = {
+            name: [end for _payload, end in store.wal_frames(name)]
+            for name in sorted(store.list_wals())
+        }
+        assert sum(map(len, ends.values())) == len(batches)
+        stores[layout] = (path, ends, views)
+    # the layouts are what the comment above says they are
+    sealed = list(stores["sealed"][1].values())
+    assert all(len(part) == 1 for part in sealed[:-1]) and sealed[-1] == []
+    tail = list(stores["tail"][1].values())
+    assert max(map(len, tail[:-1])) >= 2 and len(tail[-1]) >= 1
+    return stores
+
+
+def damage_artifact(path, kind: str, offset: int) -> None:
+    if kind == "delete":
+        path.unlink()
+    elif kind == "truncate":
+        with open(path, "r+b") as handle:
+            handle.truncate(offset)
+    else:
+        flip_byte(path, offset=offset)
+
+
+class TestVerifyAgreesWithRecovery:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_verify_ok_iff_strict_opens_and_tolerant_state_is_a_prefix(
+        self, pristine, data
+    ):
+        layout = data.draw(st.sampled_from(sorted(LAYOUTS)), label="layout")
+        source, ends, views = pristine[layout]
+        artifacts = sorted(
+            str(path.relative_to(source))
+            for path in source.rglob("*")
+            if path.is_file()
+        )
+        artifact = data.draw(st.sampled_from(artifacts), label="artifact")
+        size = (source / artifact).stat().st_size
+        kind = data.draw(
+            st.sampled_from(["flip", "truncate", "delete"] if size else ["delete"]),
+            label="damage",
+        )
+        offset = data.draw(st.integers(0, max(size - 1, 0)), label="offset")
+        manifest = artifact == "MANIFEST.json"
+        written = len(views) - 1
+
+        with tempfile.TemporaryDirectory() as scratch:
+            stores = []
+            for policy in RECOVERY_POLICIES:
+                copy = Path(scratch) / policy
+                shutil.copytree(source, copy)
+                damage_artifact(copy / artifact, kind, offset)
+                stores.append(copy)
+            strict_path, *tolerant = stores
+            if manifest and kind == "flip":
+                try:
+                    damaged = json.loads((strict_path / artifact).read_text())
+                except ValueError:
+                    damaged = None
+                # The store cannot vouch for what only the engine can
+                # read: a flip that leaves the spec valid but different.
+                assume(
+                    not isinstance(damaged, dict)
+                    or damaged.get("engine_spec")
+                    == read_manifest_json(source)["engine_spec"]
+                )
+
+            untouched = tree_bytes(strict_path)
+            ok = DirectoryCheckpointStore(strict_path).verify().ok
+            try:
+                strict_open(strict_path).close(checkpoint=False)
+                opened = True
+            except CheckpointError:
+                opened = False
+                assert tree_bytes(strict_path) == untouched
+            assert ok == opened
+
+            part = Path(artifact).name
+            frames = ends.get(part, [])
+            sealed = part in ends and part != list(ends)[-1]
+            for policy, path in zip(RECOVERY_POLICIES[1:], tolerant):
+                store = DirectoryCheckpointStore(path)
+                try:
+                    engine = MultiSeriesEngine.open(
+                        store, spec=engine_spec(), recovery=policy
+                    )
+                except CheckpointError:
+                    assert not opened  # tolerant policies raise on less
+                    continue
+                report = engine.last_recovery
+                view = series_view(engine)
+                engine.close(checkpoint=False)
+                if report is None:  # the manifest was deleted: a new session
+                    assert manifest and view == {}
+                    continue
+                assert report.clean == opened
+                assert DirectoryCheckpointStore(path).verify().ok
+                replayed, lost = report.wal_records_replayed, report.wal_records_lost
+                assert replayed + lost <= written
+                if layout == "sealed" and sealed and (
+                    kind == "flip" or (kind == "truncate" and offset)
+                ):
+                    assert replayed + lost == written
+                # A manifest carries no checksum: a flip that leaves it
+                # valid *is* the store's truth.  A sealed part cut at a
+                # frame boundary is a shorter, fully readable part; only
+                # a frame header carrying its sequence number could tell.
+                silent = manifest or (
+                    kind == "truncate" and sealed and offset in frames[:-1]
+                )
+                if not silent:
+                    expected = {
+                        key: state
+                        for key, state in views[replayed].items()
+                        if key not in report.affected_keys
+                    }
+                    assert view == expected
 
 
 # --------------------------------------------------------------------------
