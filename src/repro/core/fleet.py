@@ -29,13 +29,19 @@ tests assert float-for-float equality, shift searches and all.
 
 A run commits once, at its end; until then the committed state is the
 pre-run state.  A series whose residual monitor trips mid-run is only
-*marked*: the run finishes for everyone, and before the commit each marked
-series is rebuilt from the pre-run state (:meth:`FleetKernel.extract`),
-replayed through its scalar :meth:`OneShotSTL.update` for the whole run --
-shift search included, by definition the scalar bits -- and loaded back
-over its speculative results.  The fleet therefore pays the expensive
-search only for the series that trigger it, exactly like the scalar model
-does, and the cohort never stops for them.
+*marked*: the run finishes for everyone, and before the commit the marked
+columns are gathered from the pre-run state into one *narrow* kernel that
+advances the run again itself, cut into shorter runs at the rounds that
+tripped (:meth:`FleetKernel._replay_marked`), and is scattered back over
+their speculative results.  A one-round run that trips is the base case,
+and there the paper's seasonality-shift search (Section 3.4) is a kernel
+run too: its ``2H + 1`` trials start from one pre-point state and differ
+only in the seasonal anchor ``v[(t + c) mod T]``, so the tripped columns x
+their candidate shifts are the columns of one stacked ``T = 1`` solve
+(:meth:`FleetKernel._search_shifts`) -- ``I`` wavefront steps, not ``(2H +
+1) x I`` scalar advances on copies.  The scalar
+:func:`repro.core.oneshotstl._search_best_shift` is not called from here;
+it stays the sequential reference the oracle tests compare against.
 
 The kernel is deliberately dumb about membership: it packs already-warm
 scalar models (:meth:`FleetKernel.pack`), extracts any member back into an
@@ -308,6 +314,16 @@ class FleetKernel:
         iteration_axis = np.arange(self.iterations)
         self._pair_steps = np.stack([iteration_axis, iteration_axis + 1])
         self._pair_iterations = np.stack([iteration_axis, iteration_axis])
+        # Candidate shifts of the Section 3.4 search in the scalar order
+        # [0, -H..-1, 1..H].  A candidate whose anchor phase ``c mod
+        # period`` repeats an earlier one is the same trial and can never
+        # win the scalar's strict ``<``, so each phase is kept once, at its
+        # first occurrence (2H + 1 > period leaves ``period`` candidates).
+        window = self.shift_window
+        by_phase: dict[int, int] = {}
+        for shift in (0, *range(-window, 0), *range(1, window + 1)):
+            by_phase.setdefault(shift % self.period, shift)
+        self._shifts = np.array(list(by_phase.values()))
         # Run workspaces (allocated lazily, sized to the widest run seen):
         # purely an allocation-avoidance cache -- no decomposition state
         # lives here between runs.
@@ -581,24 +597,33 @@ class FleetKernel:
           (latest trend + seasonal buffer at the current phase, exactly
           like the scalar model) and advances as a one-round run;
         * a member that trips the seasonality-shift search does *not* end
-          the run: it is replayed through its scalar model for the whole
-          run before the commit, while the rest of the cohort keeps its
+          the run: the marked members are replayed together, as one narrow
+          kernel gathered from the pre-run state, before the commit --
+          their candidate shifts searched as columns of a stacked solve in
+          the rounds that trip -- while the rest of the cohort keeps its
           batched results;
-        * a round that goes non-finite under the unguarded solves (or a
-          scalar replay that raises) ends the *call*: nothing of that run
-          is committed, its clean prefix is re-run, the returned arrays
-          then cover only the rounds before the offending one, the kernel
-          holds exactly the state after those rounds, and the caller must
-          advance that round member by member through the scalar models
-          (:meth:`extract` / :meth:`load`) -- which is by definition the
-          scalar behavior, pivot errors included -- before submitting the
-          rest.
+        * a round that goes non-finite under the unguarded solves -- in
+          the run, in a replay or in any *candidate* of a search -- ends
+          the *call*: nothing of that run is committed, its clean prefix
+          is re-run, the returned arrays then cover only the rounds before
+          the offending one, the kernel holds exactly the state after
+          those rounds, and the caller must advance that round member by
+          member through the scalar models (:meth:`extract` /
+          :meth:`load`) -- which is by definition the scalar behavior,
+          pivot errors included -- before submitting the rest.
 
-        The returned :class:`FleetUpdate` carries ``(rounds advanced, n)``
-        arrays.
+        ``columns`` restricts the advance to a subset of members (no
+        repeats: a member advances once per round).  The returned
+        :class:`FleetUpdate` carries ``(rounds advanced, n)`` arrays.
         """
         if columns is not None:
             columns = np.asarray(columns, dtype=np.intp)
+            member = np.zeros(self._n, dtype=bool)
+            member[columns] = True
+            if np.count_nonzero(member) != columns.size:
+                # A repeated member would advance as two gathered copies,
+                # return two result columns and scatter one state back.
+                raise ValueError("columns must not repeat a member")
             sub = self.select(columns)
             result = sub.update_block(np.asarray(values, dtype=float))
             self.assign(columns, sub)
@@ -680,14 +705,20 @@ class FleetKernel:
         (row 0 stays 1.0: ``x * 1.0 == x`` bit for bit, so the first
         iteration's raw lambdas need no special case).
 
+        A column whose monitor trips is marked and, once the run has
+        finished for everyone, replayed before the commit: searched in
+        place when the run is one round long (:meth:`_search_shifts`),
+        else advanced again in a narrow kernel that cuts the run at the
+        tripped rounds (:meth:`_replay_marked`).
+
         Returns ``(next_round, solved)``: ``(stop, True)`` normally.  A
         round that went non-finite on a column whose batched values are
-        used, or a scalar replay that raised, commits nothing, re-runs the
-        rounds before it and returns ``(that round, False)``.  ``stop -
-        start`` never exceeds ``min(period, _MAX_BLOCK_ROUNDS)``, which
-        guarantees no round of the run reads a seasonal slot an earlier
-        round wrote -- the precondition for staging anchors and deferring
-        the seasonal scatter to run end.
+        used, in a replay or in a candidate of a search commits nothing,
+        re-runs the rounds before it and returns ``(that round, False)``.
+        ``stop - start`` never exceeds ``min(period, _MAX_BLOCK_ROUNDS)``,
+        which guarantees no round of the run reads a seasonal slot an
+        earlier round wrote -- the precondition for staging anchors and
+        deferring the seasonal scatter to run end.
         """
         n_rounds = stop - start
         n_iterations = self.iterations
@@ -786,13 +817,14 @@ class FleetKernel:
         np.subtract(residual_block, seasonal_block, out=residual_block)
         detection_block[:] = residual_block
         # The residual monitor is scored and updated round by round; a
-        # column that trips it is marked for scalar replay, and from then
-        # on its batched values (no longer used) are out of the screen.
+        # column that trips it is marked for replay, and from then on its
+        # batched values (no longer used) are out of the screen.
         monitor = self.monitor
         pre_run_monitor = monitor.copy()
         search = self.shift_window > 0
         finite = np.isfinite(trend_block.sum(axis=1) + seasonal_block.sum(axis=1))
         marked = None
+        cuts = []
         bad = n_rounds
         for r in range(n_rounds):
             if not finite[r] and (
@@ -809,12 +841,20 @@ class FleetKernel:
                 flagged = monitor.score(detection_row)[1]
                 if flagged.any():
                     marked = flagged if marked is None else marked | flagged
+                    cuts += (r, r + 1)
             monitor.update_stats(detection_row)
-        replays = ()
+        replayed = None
         if marked is not None and bad == n_rounds:
-            replays, bad = self._replay_marked(
-                np.flatnonzero(marked), pre_run_monitor, values, start, n_rounds
-            )
+            columns = np.flatnonzero(marked)
+            if n_rounds == 1:
+                replayed, points, bad = self._search_shifts(
+                    columns, values[start, columns]
+                )
+            else:
+                cuts.append(n_rounds)
+                replayed, points, bad = self._replay_marked(
+                    columns, pre_run_monitor, values[start:stop, columns], cuts
+                )
         if bad < n_rounds:
             monitor.assign(slice(None), pre_run_monitor)
             if bad == 0:
@@ -843,15 +883,100 @@ class FleetKernel:
         np.copyto(self.last_trend, trend_block[-1])
         np.copyto(self.last_detection_residual, detection_block[-1])
         solver.commit_run()
-        for column, model, points in replays:
-            self.load(column, model)
-            (
-                trend_block[:, column],
-                seasonal_block[:, column],
-                residual_block[:, column],
-                detection_block[:, column],
-            ) = np.array(points).T
+        if replayed is not None:
+            self.assign(columns, replayed)
+            trend_block[:, columns] = points[0]
+            seasonal_block[:, columns] = points[1]
+            residual_block[:, columns] = points[2]
+            detection_block[:, columns] = points[3]
         return stop, True
+
+    @hotpath
+    def _replay_marked(
+        self,
+        columns: np.ndarray,
+        pre_run_monitor: ColumnarNSigma,
+        values: np.ndarray,
+        cuts: list,
+    ) -> tuple["FleetKernel", np.ndarray, int]:
+        """Replay the marked columns of a finished, uncommitted run.
+
+        The columns are gathered from the pre-run state (nothing of the
+        run is committed yet; the monitor, updated in place, comes from
+        its pre-run copy) into one narrow kernel that advances the run's
+        ``(rounds, k)`` ``values`` itself.  ``cuts`` is its schedule:
+        ascending, ``r`` and ``r + 1`` for every round ``r`` the
+        speculative run saw trip, then the run length.  Each such round
+        becomes a one-round run, which searches what trips in place
+        (:meth:`_search_shifts`); the rounds between advance as ordinary
+        runs.  A column that a search moved off its speculative trajectory
+        may trip elsewhere: the narrow kernel's own run then marks and
+        replays it the same way, on ever shorter runs.
+
+        Returns ``(kernel, points, bad)``: the narrow kernel after the run,
+        its ``(4, rounds, k)`` trend / seasonal / residual / detection
+        residual, and the first round that went non-finite (the run
+        length when none did).
+        """
+        sub = self.select(columns)
+        sub.monitor = pre_run_monitor.select(columns)
+        points = np.empty((4,) + values.shape)
+        row = 0
+        solved = True
+        for stop in cuts:
+            if solved and row < stop:
+                row, solved = sub._advance_run(values, row, stop, *points)
+        return sub, points, values.shape[0] if solved else row
+
+    @hotpath
+    def _search_shifts(
+        self, columns: np.ndarray, values: np.ndarray
+    ) -> tuple["FleetKernel | None", np.ndarray | None, int]:
+        """Seasonality-shift search (Section 3.4) of a one-round run.
+
+        Every member of ``columns`` tripped the monitor on the run's only
+        round, on observation ``values[j]``.  Its candidate shifts are
+        independent trials from one pre-round state that differ only in
+        the anchor phase ``(global_index + c) % period``, so they become
+        columns: the pre-round state (the run is not committed yet) is
+        gathered once per candidate and the candidate rides in the
+        gathered ``global_index`` -- the anchor read *and* the seasonal
+        write at the shifted slot then fall out of the ordinary staging
+        and commit -- and one ``I``-step run advances them all.  The
+        winner is the first smallest ``|residual|`` in the scalar's
+        candidate order (its strict ``<``).
+
+        Returns ``(kernel, points, bad)`` like :meth:`_replay_marked`: the
+        winners as a ``k``-column kernel with the scalar's bookkeeping --
+        ``global_index`` advanced by one, ``last_applied_shift`` written
+        only by a non-zero shift, ``last_detection_residual`` the
+        candidate-0 (pre-search) residual the run's loop already fed the
+        monitor -- or ``(None, None, 0)`` when a candidate went non-finite.
+        """
+        shifts = self._shifts
+        n_shifts = shifts.size
+        wide = self.select(np.repeat(columns, n_shifts))
+        # A trial is a plain advance: candidates do not search.
+        wide.shift_window = 0
+        wide.global_index += np.tile(shifts, columns.size)
+        trials = np.empty((4, 1, wide._n))
+        observed = np.repeat(values, n_shifts)[None, :]
+        if not wide._advance_run(observed, 0, 1, *trials)[1]:
+            return None, None, 0
+        residual = trials[2, 0].reshape(columns.size, n_shifts)
+        best = np.abs(residual).argmin(axis=1)
+        picks = best + np.arange(0, wide._n, n_shifts)
+        chosen = shifts[best]
+        winners = wide.select(picks)
+        winners.global_index -= chosen
+        winners.last_applied_shift = np.where(
+            chosen != 0, chosen, winners.last_applied_shift
+        )
+        winners.last_detection_residual[:] = residual[:, 0]
+        winners.monitor = self.monitor.select(columns)
+        points = trials[:, :, picks]
+        points[3, 0] = residual[:, 0]
+        return winners, points, 1
 
     def _run_workspaces(self, n_rounds: int) -> tuple:
         """(Re)size the run workspaces; returns views for an ``n_rounds`` run.
@@ -883,47 +1008,3 @@ class FleetKernel:
             )
         hist, rhs, phases, weights, pattern, seasonal = workspaces
         return hist, rhs[:, :n_rounds], phases[:n_rounds], weights, pattern, seasonal
-
-    def _replay_marked(
-        self,
-        columns: np.ndarray,
-        pre_run_monitor: ColumnarNSigma,
-        values: np.ndarray,
-        start: int,
-        n_rounds: int,
-    ) -> tuple[list, int]:
-        """Replay the marked columns of a finished, uncommitted run.
-
-        Each column is rebuilt from the pre-run state (nothing of the run
-        is committed yet; the monitor, updated in place, comes from its
-        pre-run copy) and advanced through the scalar
-        :meth:`OneShotSTL.update` for the whole run -- shift searches and
-        all.  Returns ``(replays, bad)``: ``(column, model, points)`` per
-        column, ``points`` holding each round's ``(trend, seasonal,
-        residual, detection_residual)``, and the first round at which a
-        replay raised (``n_rounds`` when none did; later columns stop
-        there, the run is abandoned anyway).
-        """
-        replays = []
-        bad = n_rounds
-        for column in columns.tolist():
-            model = self.extract(column)
-            pre_run_monitor.write_into(column, model._residual_monitor)
-            points = []
-            try:
-                for value in values[start : start + bad, column].tolist():
-                    point = model.update(value)
-                    points.append(
-                        (
-                            point.trend,
-                            point.seasonal,
-                            point.residual,
-                            model.last_detection_residual,
-                        )
-                    )
-            except ValueError:
-                # The scalar solver's pivot guard: the engine's replay of
-                # this round raises the same error at the same observation.
-                bad = len(points)
-            replays.append((column, model, points))
-        return replays, bad

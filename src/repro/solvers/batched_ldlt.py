@@ -44,9 +44,11 @@ pre-run state from the committed side the first time that iteration is
 extended and keeps all of its progress on the other side, so the
 committed side stays untouched -- it is the run's single undo level --
 until :meth:`commit_run` flips the two.  A run that is simply never
-committed costs nothing to abandon, every scalar read-back
-(:meth:`extract`) before the commit still sees the pre-run state, and the
-hot path allocates nothing but the sweep temporaries.  The spare columns
+committed costs nothing to abandon, every read-back before the commit
+(:meth:`extract`, and the :meth:`select` gathers -- repeats allowed -- that
+the fleet kernel replays tripped columns and their shift candidates from)
+still sees the pre-run state, and the hot path allocates nothing but the
+sweep temporaries.  The spare columns
 of the buffers double as append capacity: absorbing ``m`` late-joining
 members costs O(m) amortized instead of one full copy per absorption.
 """
@@ -285,12 +287,17 @@ class BatchedIncrementalLDLT:
     def select(self, columns: np.ndarray) -> "BatchedIncrementalLDLT":
         """Gathered copy of the members at ``columns``."""
         m_state, b_state, s_state = self._state()
-        return BatchedIncrementalLDLT(
+        sub = BatchedIncrementalLDLT(
             self.half_bandwidth,
             np.take(m_state, columns, axis=-1),
             np.take(b_state, columns, axis=-1),
             np.take(s_state, columns, axis=-1),
         )
+        # Same half bandwidth, same validated pattern: a gathered stack
+        # that is advanced right away (the fleet kernel's replays) does
+        # not validate it again.
+        sub._pattern_cache = self._pattern_cache
+        return sub
 
     def assign(self, columns: np.ndarray, other: "BatchedIncrementalLDLT") -> None:
         """Scatter the members of ``other`` back into ``columns``."""

@@ -1334,8 +1334,9 @@ class MultiSeriesEngine:
 
         One :meth:`FleetKernel.update_block` call moves the whole cohort
         through every round of the block (splitting internally on NaN
-        rounds and replaying shift-search triggers through the scalar
-        models, bit-identically to the scalar path), and every scatter
+        rounds and replaying the members whose shift search triggers as
+        one narrow kernel, their candidate shifts as columns of a stacked
+        solve -- bit-identically to the scalar path), and every scatter
         into the :class:`IngestResult` is one 2-D fancy write at
         ``positions``, the block's ``(rounds, m)`` output slots.  The
         per-member bookkeeping -- record indices, pending
@@ -1344,11 +1345,12 @@ class MultiSeriesEngine:
         (records are materialized lazily by the :class:`IngestResult`).
 
         A round that went non-finite under the kernel's unguarded solves
-        is left uncommitted and ends the kernel call early.  It replays
-        key by key through the single-key scalar path -- which owns the
-        scorer, the record index and the counters, so the values, the
-        error and what is applied before an error are the scalar engine's
-        by construction -- and the loop resubmits the rest of the block.
+        (a shift-search candidate included) is left uncommitted and ends
+        the kernel call early.  It replays key by key through the
+        single-key scalar path -- which owns the scorer, the record index
+        and the counters, so the values, the error and what is applied
+        before an error are the scalar engine's by construction -- and
+        the loop resubmits the rest of the block.
         """
         kernel = group.kernel
         group_scorer = group.scorer

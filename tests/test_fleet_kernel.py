@@ -10,15 +10,18 @@ identical, shift searches, NaN imputation and checkpoints included.  These
 tests pin that promise at each layer.
 """
 
+import contextlib
 import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import OneShotSTL
 from repro.core.fleet import ColumnarNSigma, FleetKernel
+from repro.core.oneshotstl import _search_best_shift
+from repro.decomposition.base import DecompositionPoint
 from repro.core.nsigma import NSigma
 from repro.core.online_system import HALF_BANDWIDTH, ContributionWorkspace
 from repro.solvers import BatchedIncrementalLDLT, IncrementalBandedLDLT
@@ -427,6 +430,13 @@ class TestFleetKernelOracle:
         with pytest.raises(ValueError, match=r"shape \(rounds, 3\)"):
             kernel.update_block(np.zeros((2, 4)))
 
+    def test_update_block_rejects_repeated_columns(self):
+        """A member advances once per round: nothing moves, nothing returns."""
+        _streams, scalar, kernel = warm_fleet(3)
+        with pytest.raises(ValueError, match="must not repeat"):
+            kernel.update_block(np.zeros((2, 2)), columns=[1, 1])
+        assert_same_model_state(kernel, scalar, range(3))
+
     def test_extract_continues_identically(self):
         streams = [fleet_series(i) for i in range(5)]
         scalar, kernel = self.run_pair(streams, PERIOD, shift_window=20)
@@ -499,36 +509,49 @@ class TestWavefrontSchedule:
 class TestMarkedColumns:
     """A tripped monitor marks a column; the run finishes for everyone.
 
-    Marked columns are replayed through their scalar models from the
-    pre-run state before the run commits, so outputs and full state equal
-    the scalar path wherever and however often the monitor trips.
+    Marked columns are replayed together, as one narrow kernel gathered
+    from the pre-run state, before the run commits; a round that trips
+    there searches its candidate shifts as columns.  Outputs and full
+    state equal the scalar path wherever and however often the monitor
+    trips.
     """
 
     @pytest.fixture
     def spies(self, monkeypatch):
-        """Record runs, replayed columns and the searches each replay ran."""
-        from repro.core import oneshotstl
+        """Record the block's own runs, its replays and their searches.
 
-        seen = {"runs": [], "replays": [], "searches": 0}
-        search = oneshotstl._search_best_shift
+        A replay advances a narrow kernel through the same methods, so
+        only calls made outside any replay or search count as the block's.
+        """
+        seen = {"runs": [], "replays": [], "searches": 0, "depth": 0}
+        search = FleetKernel._search_shifts
         advance = FleetKernel._advance_run
         replay = FleetKernel._replay_marked
 
+        def nested(call, *args):
+            seen["depth"] += 1
+            try:
+                return call(*args)
+            finally:
+                seen["depth"] -= 1
+
         def search_spy(*args):
             seen["searches"] += 1
-            return search(*args)
+            return nested(search, *args)
 
         def advance_spy(kernel, values, start, stop, *rest):
-            seen["runs"].append((start, stop))
+            if not seen["depth"]:
+                seen["runs"].append((start, stop))
             return advance(kernel, values, start, stop, *rest)
 
         def replay_spy(kernel, columns, *rest):
             before = seen["searches"]
-            result = replay(kernel, columns, *rest)
-            seen["replays"].append((columns.tolist(), seen["searches"] - before))
+            result = nested(replay, kernel, columns, *rest)
+            if not seen["depth"]:
+                seen["replays"].append((columns.tolist(), seen["searches"] - before))
             return result
 
-        monkeypatch.setattr(oneshotstl, "_search_best_shift", search_spy)
+        monkeypatch.setattr(FleetKernel, "_search_shifts", search_spy)
         monkeypatch.setattr(FleetKernel, "_advance_run", advance_spy)
         monkeypatch.setattr(FleetKernel, "_replay_marked", replay_spy)
         return seen
@@ -578,19 +601,359 @@ class TestMarkedColumns:
         assert spies["runs"][0] == (0, PERIOD)
         assert spies["replays"][0][0] == [1, 2]
 
+    @pytest.mark.parametrize("rounds_per_block", [1, PERIOD])
+    def test_tripped_columns_are_searched_as_columns_of_one_stacked_solve(
+        self, monkeypatch, rounds_per_block
+    ):
+        """No scalar model anywhere; k trips in a round cost I widened solves."""
+        from repro.core import oneshotstl
+
+        streams, _scalar, kernel = warm_fleet(6)
+        for column in (1, 2, 4):
+            streams[column][INIT + 8 + 9] += 10.0
+        block = np.array(streams)[:, INIT + 8 : INIT + 8 + PERIOD].T
+
+        def forbid(owner, name):
+            def called(*args, **kwargs):
+                raise AssertionError(f"{name} ran during update_block")
+
+            monkeypatch.setattr(owner, name, called)
+
+        forbid(OneShotSTL, "__init__")
+        forbid(OneShotSTL, "update")
+        forbid(oneshotstl, "_search_best_shift")
+        forbid(FleetKernel, "extract")
+        forbid(FleetKernel, "load")
+        searches = []
+        searching = []
+        search = FleetKernel._search_shifts
+        extend = BatchedIncrementalLDLT.extend_solve
+
+        def search_spy(kernel, columns, values):
+            searches.append((columns.size, []))
+            searching.append(True)
+            try:
+                return search(kernel, columns, values)
+            finally:
+                searching.pop()
+
+        def extend_spy(solver, lo, hi, *rest):
+            if searching:
+                searches[-1][1].append((solver.n_series, lo, hi))
+            return extend(solver, lo, hi, *rest)
+
+        monkeypatch.setattr(FleetKernel, "_search_shifts", search_spy)
+        monkeypatch.setattr(BatchedIncrementalLDLT, "extend_solve", extend_spy)
+        for start in range(0, PERIOD, rounds_per_block):
+            rounds = block[start : start + rounds_per_block]
+            assert kernel.update_block(rounds).value.shape == rounds.shape
+        # The three spiked columns tripped together in round 9 and were
+        # searched together; every search, whatever it found, is I steps
+        # on k x (distinct candidate phases) columns.
+        assert 3 in [tripped for tripped, _ in searches]
+        phases = min(2 * kernel.shift_window + 1, PERIOD)
+        for tripped, solves in searches:
+            assert solves == [
+                (tripped * phases, iteration, iteration + 1)
+                for iteration in range(kernel.iterations)
+            ]
+
+    @pytest.mark.parametrize("period,shift_window", [(8, 20), (8, 3), (50, 20)])
+    def test_trips_match_at_other_periods(self, period, shift_window):
+        """2H + 1 above and below the period; runs capped at a short period."""
+        streams, scalar, kernel = period_fleet(
+            period, iterations=3, shift_window=shift_window
+        )
+        streams[1][5] += 10.0
+        streams[3][period - 1] += 10.0
+        # A 3-sample phase shift: consecutive trips, shifted seasonal writes.
+        streams[2][2 : 2 * period] = streams[2][5 : 2 * period + 3].copy()
+        with recorded_searches() as searches:
+            assert_blocks_match_scalar(
+                kernel, scalar, streams, 0, [period, period + 3, 1, 4]
+            )
+        assert any(any(shifts) for _, shifts in searches)
+
+    #: One drawn case pinned: a phase shift from the block's first round
+    #: on member 0, which is also spiked in the block's last round, two
+    #: more shifted members, a second spike beside it and a gap later on.
+    PINNED = (
+        [PERIOD, PERIOD + 6],
+        [(0, PERIOD - 1), (2, PERIOD - 1)],
+        [(4, PERIOD + 10)],
+        [(0, 0, 30), (1, 5, 30), (3, 5, 30)],
+    )
+
     @given(
         st.lists(st.integers(1, PERIOD + 6), min_size=1, max_size=4),
         st.lists(st.tuples(st.integers(0, 4), st.integers(0, 59)), max_size=4),
         st.lists(st.tuples(st.integers(0, 4), st.integers(0, 59)), max_size=4),
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 59), st.integers(1, 30)),
+            max_size=3,
+        ),
     )
+    @example(*PINNED)
     @settings(max_examples=25, deadline=None)
-    def test_random_blocks_spikes_and_gaps_match(self, lengths, spikes, gaps):
-        streams, scalar, kernel = warm_fleet(5, iterations=3)
-        for column, offset in spikes:
-            streams[column][INIT + 8 + offset] += 10.0
-        for column, offset in gaps:
-            streams[column][INIT + 8 + offset] = np.nan
-        assert_blocks_match_scalar(kernel, scalar, streams, INIT + 8, lengths)
+    def test_random_blocks_spikes_and_gaps_match(self, lengths, spikes, gaps, episodes):
+        """+10 spikes, NaN gaps and 3-sample phase-shift episodes.
+
+        An episode (the paper's Syn2 shape) makes a member trip in
+        consecutive rounds and choose non-zero shifts, so a later round of
+        the same block reads a seasonal slot the search wrote.  Every case
+        runs full width, through a ``columns=`` subset and on a width-1
+        kernel (which takes every event on its one member).
+        """
+        searched = {}
+        for mode, n_series, columns in (
+            ("full", 5, None),
+            ("subset", 5, np.array([0, 1, 3])),
+            ("single", 1, None),
+        ):
+            streams, scalar, kernel = warm_fleet(n_series, iterations=3)
+            for column, offset, length in episodes:
+                stream = streams[column % n_series]
+                start = INIT + 8 + offset
+                stop = min(start + length, stream.size - 3)
+                stream[start:stop] = stream[start + 3 : stop + 3].copy()
+            for column, offset in spikes:
+                streams[column % n_series][INIT + 8 + offset] += 10.0
+            for column, offset in gaps:
+                streams[column % n_series][INIT + 8 + offset] = np.nan
+            with recorded_searches() as searched[mode]:
+                assert_blocks_match_scalar(
+                    kernel, scalar, streams, INIT + 8, lengths, columns=columns
+                )
+        if (lengths, spikes, gaps, episodes) == self.PINNED:
+            # The pinned case really is the shape the docstring describes.
+            assert any(len(rounds) > 1 for rounds, _ in searched["full"])
+            shifted = {
+                rounds[0]: shifts[0] for rounds, shifts in searched["single"] if shifts[0]
+            }
+            first_run = [r for r in shifted if r < PERIOD]
+            assert {0, PERIOD - 1} <= set(first_run)
+            assert any(r + 1 in shifted for r in first_run)
+            assert any(r + shifted[r] in range(r + 1, PERIOD) for r in first_run)
+
+
+@contextlib.contextmanager
+def recorded_searches():
+    """Collect ``(rounds, shifts)`` of every ``FleetKernel._search_shifts`` call.
+
+    Per searched column, the round of the test stream it was searched in
+    and the chosen shift modulo the period (read off the seasonal slot the
+    search wrote).
+    """
+    calls = []
+    original = FleetKernel._search_shifts
+
+    def spy(kernel, columns, values):
+        winners, points, bad = original(kernel, columns, values)
+        if winners is not None:
+            written = winners.seasonal_buffer != kernel.seasonal_buffer[columns]
+            shifts = (
+                written.argmax(axis=1) - kernel.global_index[columns]
+            ) % kernel.period
+            rounds = kernel.points_processed[columns] - 8
+            calls.append((rounds.tolist(), shifts.tolist()))
+        return winners, points, bad
+
+    FleetKernel._search_shifts = spy
+    try:
+        yield calls
+    finally:
+        FleetKernel._search_shifts = original
+
+
+_PERIOD_FLEETS = {}
+
+
+def period_fleet(period, n_series=4, **params):
+    """``(streams, scalar models, packed kernel)`` of period-``period`` series.
+
+    Member ``i`` is warmed ``8 + 3 i`` points, so the members sit at
+    different phases; ``streams[i][0]`` is its next observation.
+    """
+    key = (period, n_series, tuple(sorted(params.items())))
+    if key not in _PERIOD_FLEETS:
+        streams, models = [], []
+        for index in range(n_series):
+            values = make_seasonal_series(
+                period * 8 + 40, period, seed=500 + index
+            )["values"]
+            warm = 4 * period + 8 + 3 * index
+            model = OneShotSTL(period, **params)
+            model.initialize(values[: 4 * period])
+            for value in values[4 * period : warm]:
+                model.update(float(value))
+            streams.append(values[warm:])
+            models.append(model)
+        _PERIOD_FLEETS[key] = (streams, models)
+    streams, models = _PERIOD_FLEETS[key]
+    return (
+        [stream.copy() for stream in streams],
+        copy.deepcopy(models),
+        FleetKernel.pack(copy.deepcopy(models)),
+    )
+
+
+def scalar_search(kernel, column, value):
+    """Member ``column`` after the scalar search of ``value``.
+
+    ``_search_best_shift`` on the extracted pre-point state, followed by
+    the bookkeeping ``OneShotSTL.update`` does around it (the monitor is
+    the caller's business on both sides and stays as extracted).  Returns
+    ``(model, point, chosen shift)``.
+    """
+    model = kernel.extract(column)
+
+    def search(shift_window):
+        return _search_best_shift(
+            model._iterations_state,
+            value,
+            model._seasonal_buffer,
+            model._global_index,
+            model.period,
+            shift_window,
+            model._points_processed,
+            model._workspace,
+            model.epsilon,
+        )
+
+    _, plain_trend, plain_seasonal, _ = search(0)
+    states, trend, seasonal, shift = search(model.shift_window)
+    model._iterations_state = states
+    model._last_detection_residual = value - plain_trend - plain_seasonal
+    if shift != 0:
+        model._last_applied_shift = shift
+    model._seasonal_buffer[(model._global_index + shift) % model.period] = seasonal
+    model._global_index += 1
+    model._points_processed += 1
+    model._last_trend = trend
+    point = DecompositionPoint(value, trend, seasonal, value - trend - seasonal)
+    return model, point, shift
+
+
+class TestShiftSearchOracle:
+    """The columnar search equals ``_search_best_shift``, float for float.
+
+    ``FleetKernel._search_shifts`` evaluates the candidate shifts of the
+    tripped columns as columns of one stacked solve; the reference is the
+    scalar's sequential search on the same extracted pre-point state.
+    Chosen shift, outputs and the full post-search state must agree --
+    ties included, where the first candidate in the scalar order
+    ``[0, -H..-1, 1..H]`` wins.
+    """
+
+    def assert_search_matches(self, kernel, columns, values):
+        """Search ``columns`` both ways; returns the chosen shifts."""
+        columns = np.asarray(columns)
+        values = np.asarray(values, dtype=float)
+        # A sentinel makes "written only by a non-zero shift" visible.
+        kernel.last_applied_shift[:] = 99
+        untouched = [kernel.extract(member) for member in range(kernel.n_series)]
+        winners, points, bad = kernel._search_shifts(columns, values)
+        assert bad == 1 and points.shape == (4, 1, columns.size)
+        assert_same_model_state(kernel, untouched, range(kernel.n_series))
+        expected = []
+        shifts = []
+        for slot, (column, value) in enumerate(zip(columns.tolist(), values.tolist())):
+            model, point, shift = scalar_search(kernel, column, value)
+            assert point.trend == points[0, 0, slot]
+            assert point.seasonal == points[1, 0, slot]
+            assert point.residual == points[2, 0, slot]
+            assert model._last_detection_residual == points[3, 0, slot]
+            expected.append(model)
+            shifts.append(shift)
+        assert_same_model_state(winners, expected, range(columns.size))
+        assert winners.last_applied_shift.tolist() == [
+            shift or 99 for shift in shifts
+        ]
+        return shifts
+
+    @staticmethod
+    def forecast(kernel, shift=0):
+        """Every member's one-step forecast at its phase shifted by ``shift``."""
+        phase = (kernel.global_index + shift) % kernel.period
+        return kernel.last_trend + kernel.seasonal_buffer[kernel._rows(), phase]
+
+    @pytest.mark.parametrize("period", [8, 24, 50])
+    @pytest.mark.parametrize("shift_window", [0, 3, 20])
+    @pytest.mark.parametrize("iterations", [1, 3, 8])
+    def test_search_matches_the_scalar_search(self, iterations, shift_window, period):
+        """2H + 1 below and above the period, one column and several."""
+        kernel = period_fleet(
+            period, iterations=iterations, shift_window=shift_window
+        )[2]
+        rng = np.random.default_rng(100 * period + 10 * shift_window + iterations)
+        chosen = []
+        for columns in ([0, 1, 2, 3], [2], [3, 0]):
+            values = self.forecast(kernel)[columns] + rng.normal(0.0, 2.0, len(columns))
+            chosen += self.assert_search_matches(kernel, columns, values)
+        if shift_window == 0:
+            assert chosen == [0] * 7  # search off: the plain advance
+        else:
+            assert any(chosen), "no trial ever beat the plain advance"
+
+    @pytest.mark.parametrize(
+        "period,shift_window,expected",
+        [
+            (50, 20, [0, *range(-20, 0), *range(1, 21)]),
+            (24, 20, [0, *range(-20, 0), 1, 2, 3]),
+            (24, 3, [0, -3, -2, -1, 1, 2, 3]),
+            (8, 20, [0, -20, -19, -18, -17, -15, -14, -13]),
+            (8, 3, [0, -3, -2, -1, 1, 2, 3]),
+        ],
+    )
+    def test_each_phase_is_tried_once_at_its_first_candidate(
+        self, period, shift_window, expected
+    ):
+        """A repeated phase is the same trial; the scalar's ``<`` never takes it."""
+        kernel = period_fleet(period, iterations=1, shift_window=shift_window)[2]
+        assert kernel._shifts.tolist() == expected
+        assert len(expected) == min(2 * shift_window + 1, period)
+
+    def test_flat_seasonal_buffer_keeps_shift_zero(self):
+        """Every anchor equal: every trial ties, candidate 0 came first."""
+        kernel = period_fleet(24, iterations=3, shift_window=20)[2]
+        kernel.seasonal_buffer[:] = 0.25
+        values = self.forecast(kernel) + 5.0
+        assert self.assert_search_matches(kernel, [0, 1, 2, 3], values) == [0] * 4
+
+    def test_aliased_phase_reports_the_first_candidate_in_scalar_order(self):
+        """T = 8, H = 20: phase +4 is first tried as shift -20, and says so."""
+        kernel = period_fleet(8, iterations=3, shift_window=20)[2]
+        kernel.seasonal_buffer[:] = np.linspace(-3.0, 3.0, 8)[
+            np.random.default_rng(8).permuted(np.tile(np.arange(8), (4, 1)), axis=1)
+        ]
+        shifts = self.assert_search_matches(
+            kernel, [0, 1, 2, 3], self.forecast(kernel, 4)
+        )
+        assert shifts == [-20] * 4
+
+    @pytest.mark.parametrize("shift_window,shift,reported", [(3, 2, 2), (20, 5, -19)])
+    def test_value_equal_to_the_forecast_at_a_shifted_phase(
+        self, shift_window, shift, reported
+    ):
+        kernel = period_fleet(24, iterations=8, shift_window=shift_window)[2]
+        kernel.seasonal_buffer[:] *= 4.0  # anchors well apart
+        shifts = self.assert_search_matches(
+            kernel, [1, 3], self.forecast(kernel, shift)[[1, 3]]
+        )
+        assert shifts == [reported] * 2
+
+    def test_equal_residuals_at_a_negative_and_a_positive_shift(self):
+        """The same anchor at phases -2 and +2: -2 is earlier in scalar order."""
+        kernel = period_fleet(24, iterations=3, shift_window=3)[2]
+        rows = kernel._rows()
+        kernel.seasonal_buffer[:] *= 4.0
+        kernel.seasonal_buffer[rows, (kernel.global_index + 2) % 24] = (
+            kernel.seasonal_buffer[rows, (kernel.global_index - 2) % 24]
+        )
+        shifts = self.assert_search_matches(
+            kernel, [0, 1, 2, 3], self.forecast(kernel, 2)
+        )
+        assert shifts == [-2] * 4
 
 
 class TestColumnarNSigma:
@@ -1530,9 +1893,9 @@ class TestNonFiniteSolveReplay:
         replays = []
         original = kernel._replay_marked
 
-        def spy(columns, monitor, values, start, n_rounds):
-            result = original(columns, monitor, values, start, n_rounds)
-            replays.append((columns.tolist(), n_rounds, result[1]))
+        def spy(columns, monitor, values, cuts):
+            result = original(columns, monitor, values, cuts)
+            replays.append((columns.tolist(), len(values), result[2]))
             return result
 
         kernel._replay_marked = spy
