@@ -16,7 +16,14 @@ decorator:
 * **HP003** -- no ``try``/``except`` inside a loop (zero-cost only until
   it isn't; error handling belongs outside the per-point path);
 * **HP004** -- no ``**kwargs`` forwarding anywhere in the function (it
-  allocates a dict per call and hides the callee's real signature).
+  allocates a dict per call and hides the callee's real signature);
+* **HP005** -- under ``core/`` and ``solvers/``, no BLAS-backed
+  reduction anywhere in the function: ``np.dot``, ``@`` / ``np.matmul``,
+  ``np.correlate``, ``np.einsum`` or anything in ``np.linalg``.  The
+  kernel equals the scalar model bit for bit because both apply the same
+  elementwise IEEE operations in the same order; a BLAS reduction picks
+  its own summation order and fused multiply-adds per build and per CPU,
+  which no column-wise NumPy code can reproduce.
 
 The whole body of a ``for``/``while`` statement counts as "inside the
 loop", including the iterable expression -- hoist it if it matters.
@@ -25,6 +32,7 @@ loop", including the iterable expression -- hoist it if it matters.
 from __future__ import annotations
 
 import ast
+from pathlib import PurePath
 
 from repro.analysis.findings import Finding
 
@@ -50,6 +58,10 @@ _ALLOC_LABELS: dict[type, str] = {
 }
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
+
+_BIT_EXACT_DIRS = frozenset({"core", "solvers"})
+_NUMPY_NAMES = frozenset({"np", "numpy"})
+_BLAS_FUNCTIONS = frozenset({"dot", "matmul", "correlate", "einsum"})
 
 
 def _is_hotpath(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -124,13 +136,50 @@ def _scan(
         _scan(child, in_loop or enters_loop, name, path, findings)
 
 
+def _blas_reduction(node: ast.AST) -> str | None:
+    """How ``node`` spells a BLAS-backed reduction, or None if it is none."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+        node.op, ast.MatMult
+    ):
+        return "@"
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return None
+    owner = node.func.value
+    if isinstance(owner, ast.Name) and owner.id in _NUMPY_NAMES:
+        if node.func.attr in _BLAS_FUNCTIONS:
+            return f"{owner.id}.{node.func.attr}"
+    elif (
+        isinstance(owner, ast.Attribute)
+        and owner.attr == "linalg"
+        and isinstance(owner.value, ast.Name)
+        and owner.value.id in _NUMPY_NAMES
+    ):
+        return f"{owner.value.id}.linalg.{node.func.attr}"
+    return None
+
+
 def check(tree: ast.AST, path: str) -> list[Finding]:
     """Run the HP00x rules over every ``@hotpath`` function in ``tree``."""
     findings: list[Finding] = []
+    bit_exact = bool(_BIT_EXACT_DIRS & set(PurePath(path).parts))
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_hotpath(
             node
         ):
             for child in ast.iter_child_nodes(node):
                 _scan(child, False, node.name, path, findings)
+            if bit_exact:
+                for inner in ast.walk(node):
+                    spelled = _blas_reduction(inner)
+                    if spelled is not None:
+                        findings.append(
+                            Finding(
+                                path,
+                                inner.lineno,
+                                "HP005",
+                                f"{node.name}: '{spelled}' is a BLAS-backed "
+                                "reduction; its bits depend on the BLAS build, "
+                                "so spell the sum out elementwise",
+                            )
+                        )
     return findings

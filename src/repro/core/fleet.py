@@ -43,7 +43,16 @@ their candidate shifts are the columns of one stacked ``T = 1`` solve
 :func:`repro.core.oneshotstl._search_best_shift` is not called from here;
 it stays the sequential reference the oracle tests compare against.
 
-The kernel is deliberately dumb about membership: it packs already-warm
+A series is on the kernel from its first online point.  The solver is
+born in the Schur form the stacked state holds (a fresh block is ``w``
+phantom unit pivots, see :mod:`repro.solvers.incremental_ldlt`), and the
+two points that lack one or both trend-difference terms keep the
+steady-state update pattern with those terms' weights gated to ``0.0``:
+every skipped entry then lands as ``+0.0`` on a real cell or on a phantom
+diagonal (``1.0 + 0.0``), or as ``-0.0`` on a cell that is ``+0.0``
+(``+0.0 + -0.0 = +0.0``) -- bitwise the scalar model's reduced pattern.
+
+The kernel is deliberately dumb about membership: it packs initialized
 scalar models (:meth:`FleetKernel.pack`), extracts any member back into an
 equivalent scalar model (:meth:`FleetKernel.extract` /
 :meth:`FleetKernel.write_into`), and advances all or a subset of columns
@@ -68,9 +77,9 @@ from repro.utils import amortized_append, amortized_append_columns
 
 __all__ = ["ColumnarNSigma", "FleetKernel", "FleetUpdate"]
 
-#: local trailing-block coordinates of the steady-state per-point update
-#: pattern (ContributionWorkspace offsets shifted to the appended trend
-#: variable, which always sits at local index ``HALF_BANDWIDTH``).
+#: local trailing-block coordinates of the per-point update pattern
+#: (ContributionWorkspace offsets shifted to the appended trend variable,
+#: which always sits at local index ``HALF_BANDWIDTH``).
 _PATTERN_ROWS = HALF_BANDWIDTH + ContributionWorkspace._ROW_OFFSETS
 _PATTERN_COLS = HALF_BANDWIDTH + ContributionWorkspace._COL_OFFSETS
 
@@ -291,11 +300,10 @@ class FleetKernel:
 
     Use :meth:`pack` to build a kernel from live scalar models; all members
     must share the constructor hyper-parameters (they normally come from
-    one :class:`~repro.specs.PipelineSpec`), be initialized, be past the
-    solver warm-up (every per-iteration solver in incremental mode, which
-    holds after ``3 * HALF_BANDWIDTH / 2`` online points) and use the
+    one :class:`~repro.specs.PipelineSpec`), be initialized -- with any
+    number of online points behind them, none included -- and use the
     default (non-custom) initializer path.  :meth:`eligible` reports
-    whether a model can currently be packed.
+    whether a model can be packed.
     """
 
     def __init__(self, params: dict, n_series: int):
@@ -340,18 +348,16 @@ class FleetKernel:
 
     @staticmethod
     def eligible(model) -> bool:
-        """Whether ``model`` is a packable, warm OneShotSTL instance."""
-        if type(model) is not OneShotSTL:
-            return False
-        if not getattr(model, "_initialized", False) or model._initializer is not None:
-            return False
-        return all(
-            state.solver.is_incremental for state in model._iterations_state
+        """Whether ``model`` is an initialized default-initializer OneShotSTL."""
+        return (
+            type(model) is OneShotSTL
+            and model._initialized
+            and model._initializer is None
         )
 
     @classmethod
     def pack(cls, models: Sequence[OneShotSTL]) -> "FleetKernel":
-        """Lift warm scalar models into one columnar kernel.
+        """Lift initialized scalar models into one columnar kernel.
 
         The scalar instances are left untouched (their state is copied); a
         model that later needs to leave the batch is rebuilt with
@@ -364,8 +370,7 @@ class FleetKernel:
             if not cls.eligible(model):
                 raise ValueError(
                     f"model {index} is not packable (must be an initialized "
-                    "OneShotSTL past solver warm-up, without a custom "
-                    "initializer)"
+                    "OneShotSTL without a custom initializer)"
                 )
             if model.get_params() != reference:
                 raise ValueError(
@@ -731,10 +736,9 @@ class FleetKernel:
         # Seed every iteration's pre-run trend pair on its diagonal and
         # stage the right-hand sides and seasonal phases of the whole run.
         hist[self._pair_steps, self._pair_iterations] = self.trend_pairs
+        reversed_rounds = np.arange(n_rounds - 1, -1, -1)[:, None]
         np.remainder(
-            self.global_index[None, :] + np.arange(n_rounds - 1, -1, -1)[:, None],
-            self.period,
-            out=phases,
+            self.global_index[None, :] + reversed_rounds, self.period, out=phases
         )
         reversed_values = values[start:stop][::-1]
         rhs[0] = reversed_values
@@ -742,12 +746,22 @@ class FleetKernel:
             reversed_values, self.seasonal_buffer[rows[None, :], phases], out=rhs[1]
         )
         solver.begin_run(2, _PATTERN_ROWS, _PATTERN_COLS)
+        # A column's first online point has no trend-difference term and
+        # its second no second difference (the scalar model's reduced
+        # point_contributions pattern): only in a run that holds such a
+        # point, stage per (round, column) -- reversed rounds, like the
+        # right-hand sides -- where each term's weight is gated to 0.0.
+        young = None
+        if self.points_processed.min(initial=2) < 2:
+            age = self.points_processed[None, :] + reversed_rounds
+            young = np.stack((age < 1, age < 2))
         lambda1 = self.lambda1
         lambda2 = self.lambda2
         epsilon = self.epsilon
         for step in range(n_rounds + last):
             lo = max(0, step - n_rounds + 1)
             hi = min(n_iterations, step + 1)
+            offset = n_rounds - 1 - step
             # The same per-entry products as the scalar
             # ContributionWorkspace.fill (multiplication commutes bitwise);
             # entries that share a value share its array.
@@ -757,12 +771,14 @@ class FleetKernel:
                 :, lo:hi
             ]
             np.multiply(weight_p, lambda1, out=first)
-            np.negative(first, out=minus_first)
             np.multiply(weight_q, lambda2, out=second)
+            if young is not None:
+                np.copyto(first, 0.0, where=young[0, offset + lo : offset + hi])
+                np.copyto(second, 0.0, where=young[1, offset + lo : offset + hi])
+            np.negative(first, out=minus_first)
             np.multiply(second, 4.0, out=four_second)
             np.multiply(second, -2.0, out=minus_two_second)
             trend = hist[step + 2, lo:hi]
-            offset = n_rounds - 1 - step
             solver.extend_solve(
                 lo,
                 hi,

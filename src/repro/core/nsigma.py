@@ -98,12 +98,21 @@ class NSigma:
     def update(self, value: float) -> NSigmaVerdict:
         """Score ``value`` and then fold it into the running statistics."""
         verdict = self.score(value)
+        self.update_stats(value)
+        return verdict
+
+    def update_stats(self, value: float) -> None:
+        """Fold ``value`` into the running statistics without scoring it.
+
+        The mutation half of :meth:`update` (scoring reads but never
+        writes): what seeds a monitor with values nobody wants verdicts
+        for, such as an initialization window's residuals.
+        """
         value = float(value)
         self._count += 1
         delta = value - self._mean
         self._mean += delta / self._count
         self._m2 += delta * (value - self._mean)
-        return verdict
 
     def score_series(self, values) -> np.ndarray:
         """Score every value of a series in streaming order.

@@ -274,8 +274,8 @@ class OneShotSTL(OnlineDecomposer):
         self._last_trend = float(result.trend[-1])
         self._last_detection_residual = float(result.residual[-1])
         self._residual_monitor = NSigma(self.shift_threshold)
-        for residual_value in result.residual:
-            self._residual_monitor.update(float(residual_value))
+        for residual_value in result.residual.tolist():
+            self._residual_monitor.update_stats(residual_value)
 
         self._iterations_state = [
             _IterationState(

@@ -9,9 +9,18 @@ Interior points, whose neighbourhood is a full window, are computed with a
 vectorized convolution formulation; points near the boundaries fall back to
 an explicit small loop.  This keeps the cost at ``O(n * window)`` with
 numpy doing the heavy lifting.
+
+Without robustness weights the regression weights depend on the series
+length and the span only, so the unweighted local-linear smooth -- STL's
+low-pass filter and, until an outer pass has produced weights, its trend
+smoother -- reads every data-free quantity from a table computed once per
+``(n, window)`` (:func:`_unweighted_tables`) and is left with the sums
+over the data, on the same operands in the same calls: the same bits.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +77,89 @@ def _point_fit(
     return float(intercept)
 
 
+@lru_cache(maxsize=16)
+def _unweighted_tables(n: int, window: int) -> tuple:
+    """Everything an unweighted degree-1 smooth knows before it sees data.
+
+    ``(kernel, kernel_offsets, interior, boundary)`` for ``n >= window``
+    (odd): the full-window kernel, plain and times its offsets; the
+    interior's ``s1``, ``s2``, ``safe`` and the two guarded divisors, from
+    the very calls :func:`loess_smooth` makes on an all-ones weight
+    vector; and, per boundary centre, ``(center, start, stop, weights,
+    offsets, s0, s1, s2, denominator)`` as :func:`_point_fit` computes
+    them.  A boundary
+    centre's span is ``half + 1`` on both edges, so its weight vector is a
+    slice of the one kernel and the table stays ``O(n + window)``.  The
+    arrays are shared between calls and read-only.
+    """
+    half = window // 2
+    offsets = np.arange(-half, half + 1, dtype=float)
+    kernel = tricube_weights(offsets / (half + 1.0))
+    kernel_offsets = kernel * offsets
+    ones = np.ones(n)
+    s0 = np.correlate(ones, kernel, mode="valid")
+    s1 = np.correlate(ones, kernel_offsets, mode="valid")
+    s2 = np.correlate(ones, kernel * offsets ** 2, mode="valid")
+    denominator = s0 * s2 - s1 ** 2
+    safe = np.abs(denominator) > 1e-12
+    interior = (
+        s1,
+        s2,
+        safe,
+        np.where(safe, denominator, 1.0),
+        np.where(s0 > 0, s0, 1.0),
+    )
+    for array in (kernel, offsets, kernel_offsets, *interior):
+        array.setflags(write=False)
+    boundary = []
+    for center in (*range(half), *range(n - half, n)):
+        start = max(0, center - half)
+        stop = min(n, center + half + 1)
+        first = start - center + half
+        weights = kernel[first : first + stop - start]
+        int_offsets = np.arange(start, stop) - center
+        total = weights.sum()
+        moment1 = np.dot(weights, int_offsets)
+        moment2 = np.dot(weights, int_offsets ** 2)
+        boundary.append(
+            (
+                center,
+                start,
+                stop,
+                weights,
+                offsets[first : first + stop - start],
+                total,
+                moment1,
+                moment2,
+                total * moment2 - moment1 ** 2,
+            )
+        )
+    return kernel, kernel_offsets, interior, boundary
+
+
+def _smooth_unweighted(values: np.ndarray, window: int) -> np.ndarray:
+    """Degree-1 LOESS of ``values`` with unit weights, ``n >= window``."""
+    n = values.size
+    half = window // 2
+    kernel, kernel_offsets, interior, boundary = _unweighted_tables(n, window)
+    s1, s2, safe, safe_denominator, positive_s0 = interior
+    t0 = np.correlate(values, kernel, mode="valid")
+    t1 = np.correlate(values, kernel_offsets, mode="valid")
+    smoothed = np.empty(n)
+    smoothed[half : n - half] = np.where(
+        safe, (s2 * t0 - s1 * t1) / safe_denominator, t0 / positive_s0
+    )
+    for center, start, stop, weights, offsets, total, m1, m2, denominator in boundary:
+        window_values = values[start:stop]
+        fit0 = np.dot(weights, window_values)
+        if abs(denominator) < 1e-12:
+            smoothed[center] = fit0 / total
+        else:
+            fit1 = np.dot(weights, offsets * window_values)
+            smoothed[center] = (m2 * fit0 - m1 * fit1) / denominator
+    return smoothed
+
+
 def loess_smooth(
     values,
     window: int,
@@ -105,6 +197,8 @@ def loess_smooth(
     if window >= 2 * n:
         window = 2 * (n - 1) + 1
     half = window // 2
+    if robustness_weights is None and degree == 1 and n >= window > 1:
+        return _smooth_unweighted(values, window)
     if robustness_weights is None:
         robustness = np.ones(n)
     else:

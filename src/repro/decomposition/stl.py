@@ -92,6 +92,9 @@ class STL(BatchDecomposer):
         trend = np.zeros(n)
         seasonal = np.zeros(n)
         robustness = np.ones(n)
+        # Until an outer pass has produced weights the trend smoother is
+        # unweighted, which LOESS serves from its per-(n, window) tables.
+        trend_robustness = None
 
         total_outer = max(1, self.outer_iterations)
         for outer in range(total_outer):
@@ -105,10 +108,11 @@ class STL(BatchDecomposer):
                     deseasonalized,
                     self.trend_window,
                     degree=1,
-                    robustness_weights=robustness,
+                    robustness_weights=trend_robustness,
                 )
             if outer < total_outer - 1 and self.outer_iterations > 0:
                 robustness = self._robustness_weights(values - trend - seasonal)
+                trend_robustness = robustness
 
         residual = values - trend - seasonal
         return DecompositionResult(

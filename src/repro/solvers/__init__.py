@@ -6,8 +6,7 @@ subpackage provides:
 
 * :mod:`repro.solvers.ldlt` -- batch symmetric Doolittle factorization for
   dense and banded matrices (paper Algorithm 3), used by the batch JointSTL
-  model, the Algorithm-2 reference implementation, and the warm-up phase of
-  the incremental solver.
+  model and the Algorithm-2 reference implementation.
 * :mod:`repro.solvers.incremental_ldlt` -- the O(1)-per-append incremental
   banded LDL^T solver (a generalization of the paper's OnlineDoolittle,
   Algorithm 4).

@@ -26,16 +26,15 @@ round-to-nearest binary64, and no reductions or fused operations are
 involved), so the stacked solver reproduces the scalar solvers' results
 exactly -- the test suite asserts equality on every path.
 
-Two deliberate differences from the scalar solver's *shape* (not values):
-
-* all member systems must already be in incremental mode (the dense warm-up
-  of a fresh stream is a few points long and stays on the scalar path;
-  :meth:`pack` lifts scalar solvers into the stack once they are warm);
-* coefficient updates are addressed in *local* trailing-block coordinates
-  (``0 .. w + num_new``) rather than absolute indices, because member
-  systems may have different absolute sizes (series go live at different
-  times) while sharing the same local update pattern.  Local index ``i``
-  corresponds to absolute index ``size - w + i`` of that member's system.
+One deliberate difference from the scalar solver's *shape* (not values):
+coefficient updates are addressed in *local* trailing-block coordinates
+(``0 .. w + num_new``) rather than absolute indices, because member
+systems may have different absolute sizes (series go live at different
+times) while sharing the same local update pattern.  Local index ``i``
+corresponds to absolute index ``size - w + i`` of that member's system --
+for a member shorter than ``w`` the leading local indices are its phantom
+unit pivots (see :mod:`repro.solvers.incremental_ldlt`), which a caller
+may only ever add ``+-0.0`` to.
 
 Advancing is transactional per *run* (:meth:`begin_run` ...
 :meth:`extend_solve` ... :meth:`commit_run`).  The state lives in a pair
@@ -69,9 +68,10 @@ __all__ = ["BatchedIncrementalLDLT"]
 class BatchedIncrementalLDLT:
     """``I x n`` independent incremental banded solvers in one stacked state.
 
-    Instances are normally created with :meth:`pack` (from warm scalar
-    solvers).  The constructor takes the cell-major state itself and keeps
-    the arrays it is given (when they are contiguous float64 / int64).
+    Instances are normally created with :meth:`pack` (from scalar
+    solvers of any size, empty ones included).  The constructor takes the
+    cell-major state itself and keeps the arrays it is given (when they
+    are contiguous float64 / int64).
 
     Parameters
     ----------
@@ -157,11 +157,11 @@ class BatchedIncrementalLDLT:
     def pack(
         cls, members: Sequence[Sequence[IncrementalBandedLDLT]]
     ) -> "BatchedIncrementalLDLT":
-        """Lift warm scalar solvers into one stacked state.
+        """Lift scalar solvers into one stacked state.
 
         ``members[k]`` holds the ``I`` per-iteration solvers of member
-        ``k``.  Every solver must already be in incremental mode and share
-        the same half bandwidth; the scalar instances are left untouched.
+        ``k``.  Every solver must share the same half bandwidth; the
+        scalar instances are left untouched.
         """
         if not members or not members[0]:
             raise ValueError("pack() needs at least one solver")
@@ -178,11 +178,6 @@ class BatchedIncrementalLDLT:
                     raise ValueError(
                         f"member {index} has half bandwidth "
                         f"{solver.half_bandwidth}, expected {w}"
-                    )
-                if not solver.is_incremental:
-                    raise ValueError(
-                        f"member {index} is still in dense warm-up mode; only "
-                        "incremental-mode solvers can be packed"
                     )
         m_trail = np.array(
             [[solver._m_trail for solver in solvers] for solvers in members],
@@ -235,9 +230,6 @@ class BatchedIncrementalLDLT:
             for m_trail, bp_trail, size in zip(m_member, b_member, s_member):
                 solver = IncrementalBandedLDLT(self.half_bandwidth)
                 solver.size = size
-                solver._incremental = True
-                solver._dense_matrix = None
-                solver._dense_rhs = None
                 solver._m_trail = m_trail
                 solver._bp_trail = bp_trail
                 solvers.append(solver)
@@ -249,8 +241,6 @@ class BatchedIncrementalLDLT:
         if len(solvers) != self._iterations:
             raise ValueError(f"expected {self._iterations} solvers")
         for solver in solvers:
-            if not solver.is_incremental:
-                raise ValueError("only incremental-mode solvers can be loaded")
             if solver.half_bandwidth != self.half_bandwidth:
                 raise ValueError("half bandwidth mismatch")
         m_state, b_state, s_state = self._state()
@@ -376,8 +366,9 @@ class BatchedIncrementalLDLT:
         are the shared coefficient-update positions in *local*
         trailing-block coordinates ``[0, half_bandwidth + num_new)``, shape
         ``(k,)``.  Every system receives the same update pattern (the
-        fleet kernel guarantees this: the steady-state OneShotSTL point
-        touches the same local positions for every series and iteration).
+        fleet kernel guarantees this: a OneShotSTL point touches the same
+        local positions for every series and iteration, and a series'
+        first two points carry exact zeros where they lack a term).
         As in the scalar solver, each value is added at ``(row, column)``
         *and* at the mirrored position.
 

@@ -53,11 +53,17 @@ get two further conveniences:
   point with candidate shifts without paying for a deep snapshot on the
   (overwhelmingly common) points where the search never triggers.
 
-For the first few appends (while the system is still smaller than a few
-bandwidths) the solver simply keeps the dense matrix and solves it exactly;
-once large enough it transparently switches to the incremental
-representation.  The switch is exact: results match a full dense solve to
-machine precision, which is verified by the test suite.
+A fresh solver already *is* that Schur form: the corrected block starts
+as the ``w x w`` identity with a zero right-hand side.  Read as a system,
+those are ``w`` *phantom* variables ahead of the stream -- decoupled unit
+pivots with solution 0.  While the stream is shorter than ``w`` they fill
+the leading rows of the block, and nothing ever couples to them (updates
+may only address real indices), so when an append finalizes one its
+elimination factor is exactly ``0.0 / 1.0 = 0.0``: the sweep skips it and
+the real cells keep their bits.  A stream therefore runs the one
+elimination from its first append -- there is no separate start-up
+representation -- and every size, from 1 up, matches a full dense solve
+to machine precision, which is verified by the test suite.
 """
 
 from __future__ import annotations
@@ -68,7 +74,6 @@ from typing import Iterable, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis import hotpath
-from repro.solvers.ldlt import ldlt_factor
 
 __all__ = ["IncrementalBandedLDLT"]
 
@@ -88,45 +93,63 @@ class IncrementalBandedLDLT:
     half_bandwidth:
         Half bandwidth ``w`` of the system: ``A[i, j] == 0`` whenever
         ``|i - j| > w``.
-    warmup_size:
-        System size below which a dense representation is kept.  Must be at
-        least ``2 * half_bandwidth``; the default of ``3 * w`` leaves a
-        comfortable margin.
     """
 
-    def __init__(self, half_bandwidth: int, warmup_size: int | None = None):
+    def __init__(self, half_bandwidth: int):
         if half_bandwidth < 1:
             raise ValueError("half_bandwidth must be at least 1")
         self.half_bandwidth = int(half_bandwidth)
-        minimum_warmup = 2 * self.half_bandwidth
-        if warmup_size is None:
-            warmup_size = 3 * self.half_bandwidth
-        if warmup_size < minimum_warmup:
-            raise ValueError(
-                f"warmup_size must be at least {minimum_warmup}, got {warmup_size}"
-            )
-        self.warmup_size = int(warmup_size)
-
         self.size = 0
-        self._dense_matrix: np.ndarray | None = np.zeros((0, 0))
-        self._dense_rhs: np.ndarray | None = np.zeros(0)
-        self._incremental = False
-
         w = self.half_bandwidth
         #: corrected trailing block (raw trailing coefficients minus the
         #: Schur correction of every finalized column) and its rhs, stored
-        #: as plain Python floats for the scalar kernel.
-        self._m_trail: list[list[float]] = [[0.0] * w for _ in range(w)]
+        #: as plain Python floats for the scalar kernel.  It covers the
+        #: absolute indices ``[size - w, size)``; the negative ones are the
+        #: phantom unit pivots of a stream shorter than ``w``.
+        self._m_trail: list[list[float]] = [
+            [1.0 if row == column else 0.0 for column in range(w)]
+            for row in range(w)
+        ]
         self._bp_trail: list[float] = [0.0] * w
         #: saved pre-extend state references for :meth:`rollback`.
         self._undo: tuple | None = None
 
-    # ------------------------------------------------------------------ API
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled solver, folding the retired dense form.
 
-    @property
-    def is_incremental(self) -> bool:
-        """Whether the solver has switched to the O(1) incremental mode."""
-        return self._incremental
+        Stores written before a solver was born in Schur form hold, for a
+        system of fewer than ``3w`` variables, its dense matrix and
+        right-hand side.  Such a state is replayed into a fresh solver
+        ``w`` rows at a time through :meth:`extend` -- the dense matrix is
+        banded, so every row's entries lie within the block its append
+        opens -- which leaves exactly the Schur form of the same system.
+        """
+        if "_incremental" not in state:
+            self.__dict__.update(state)
+            return
+        self.__init__(state["half_bandwidth"])
+        if state["_incremental"]:
+            self.size = state["size"]
+            self._m_trail = state["_m_trail"]
+            self._bp_trail = state["_bp_trail"]
+            return
+        w = self.half_bandwidth
+        matrix = state["_dense_matrix"].tolist()
+        rhs = state["_dense_rhs"].tolist()
+        for start in range(0, len(rhs), w):
+            stop = min(start + w, len(rhs))
+            self.extend(
+                stop - start,
+                [
+                    (row, column, matrix[row][column])
+                    for row in range(start, stop)
+                    for column in range(max(0, row - w), row + 1)
+                ],
+                rhs[start:stop],
+            )
+        self._undo = None
+
+    # ------------------------------------------------------------------ API
 
     def copy(self) -> "IncrementalBandedLDLT":
         """Return an independent deep copy of the solver state.
@@ -136,15 +159,8 @@ class IncrementalBandedLDLT:
         committing their effect.  The pending :meth:`rollback` level, if
         any, is not carried over.
         """
-        clone = IncrementalBandedLDLT(self.half_bandwidth, self.warmup_size)
+        clone = IncrementalBandedLDLT(self.half_bandwidth)
         clone.size = self.size
-        clone._incremental = self._incremental
-        if self._dense_matrix is not None:
-            clone._dense_matrix = self._dense_matrix.copy()
-            clone._dense_rhs = self._dense_rhs.copy()
-        else:
-            clone._dense_matrix = None
-            clone._dense_rhs = None
         clone._m_trail = [row[:] for row in self._m_trail]
         clone._bp_trail = self._bp_trail[:]
         return clone
@@ -161,14 +177,7 @@ class IncrementalBandedLDLT:
         """
         if self._undo is None:
             raise ValueError("no extend to roll back (a single undo level is kept)")
-        (
-            self.size,
-            self._incremental,
-            self._dense_matrix,
-            self._dense_rhs,
-            self._m_trail,
-            self._bp_trail,
-        ) = self._undo
+        self.size, self._m_trail, self._bp_trail = self._undo
         self._undo = None
 
     @hotpath
@@ -236,42 +245,73 @@ class IncrementalBandedLDLT:
         if len(rhs_list) != num_new:
             raise ValueError(f"rhs_new must have length {num_new}")
 
-        if self._incremental:
-            self._extend_incremental(num_new, entries, rhs_list, check_indices)
-        else:
-            self._extend_dense(num_new, entries, rhs_list, check_indices)
-            if self.size >= self.warmup_size:
-                self._switch_to_incremental()
+        block = w + num_new
+        old_size = self.size
+        new_size = old_size + num_new
+        # Negative while phantoms still fill the head of the block; they
+        # are not addressable (checked updates start at index 0).
+        old_boundary = old_size - w
+        lowest_mutable = max(0, old_boundary)
+
+        # Extended corrected block over absolute indices
+        # [old_boundary, new_size), as plain floats.
+        matrix = [row[:] + [0.0] * num_new for row in self._m_trail]
+        zero_row = [0.0] * block
+        for _ in range(num_new):
+            matrix.append(zero_row[:])
+        rhs = self._bp_trail + rhs_list
+        for row_index, column_index, value in entries:
+            if row_index < column_index:
+                row_index, column_index = column_index, row_index
+            if check_indices:
+                _check_entry(row_index, column_index, new_size, lowest_mutable, w)
+            local_row = row_index - old_boundary
+            local_column = column_index - old_boundary
+            matrix[local_row][local_column] += value
+            if local_row != local_column:
+                matrix[local_column][local_row] += value
+
+        # Eliminate the num_new oldest variables: they are finalized now, so
+        # fold their Schur-complement correction into the new trailing block.
+        for k in range(num_new):
+            pivot = matrix[k][k]
+            if pivot == 0.0 or not math.isfinite(pivot):
+                raise ValueError(
+                    f"zero or invalid pivot while finalizing index {old_boundary + k}"
+                )
+            pivot_row = matrix[k]
+            pivot_rhs = rhs[k]
+            for i in range(k + 1, block):
+                factor = matrix[i][k] / pivot
+                if factor != 0.0:
+                    row = matrix[i]
+                    for j in range(k + 1, block):
+                        row[j] -= factor * pivot_row[j]
+                    rhs[i] -= factor * pivot_rhs
+
+        self._undo = (old_size, self._m_trail, self._bp_trail)
+        self._m_trail = [row[num_new:] for row in matrix[num_new:]]
+        self._bp_trail = rhs[num_new:]
+        self.size = new_size
 
     @hotpath
     def tail_solution(self, count: int) -> np.ndarray:
         """Return the last ``count`` entries of the solution of ``A x = b``.
 
-        ``count`` may not exceed the half bandwidth once the solver is in
-        incremental mode (the OneShotSTL model needs only the last two
-        entries: the newest trend and seasonal values).
+        ``count`` may exceed neither the half bandwidth nor the system
+        size (the OneShotSTL model needs only the last two entries: the
+        newest trend and seasonal values).
         """
         if self.size == 0:
             raise ValueError("the system is empty")
         if count < 1:
             raise ValueError("count must be at least 1")
-        if not self._incremental:
-            lower, diag = ldlt_factor(self._dense_matrix)
-            z = self._dense_rhs.copy()
-            for k in range(self.size):
-                z[k] -= np.dot(lower[k, :k], z[:k])
-            x = z / diag
-            for k in range(self.size - 2, -1, -1):
-                x[k] -= np.dot(lower[k + 1 :, k], x[k + 1 :])
-            if count > self.size:
-                raise ValueError("count exceeds the system size")
-            return x[-count:]
-
+        if count > self.size:
+            raise ValueError("count exceeds the system size")
         w = self.half_bandwidth
         if count > w:
             raise ValueError(
-                f"count ({count}) cannot exceed the half bandwidth ({w}) "
-                "in incremental mode"
+                f"count ({count}) cannot exceed the half bandwidth ({w})"
             )
         # The corrected trailing system is exactly what the last w entries
         # of the global solution satisfy: no finalized variable can reach
@@ -299,120 +339,6 @@ class IncrementalBandedLDLT:
                 accumulator -= row[j] * solution[j]
             solution[i] = accumulator / row[i]
         return np.array(solution[w - count :])
-
-    # --------------------------------------------------------- dense warm-up
-
-    def _extend_dense(
-        self, num_new: int, entries, rhs_list: list[float], check_indices: bool
-    ) -> None:
-        w = self.half_bandwidth
-        old_size = self.size
-        new_size = old_size + num_new
-        lowest_mutable = max(0, old_size - w)
-        matrix = np.zeros((new_size, new_size))
-        matrix[:old_size, :old_size] = self._dense_matrix
-        rhs = np.zeros(new_size)
-        rhs[:old_size] = self._dense_rhs
-        rhs[old_size:] = rhs_list
-        for row, column, value in entries:
-            if row < column:
-                row, column = column, row
-            if check_indices:
-                _check_entry(row, column, new_size, lowest_mutable, w)
-            matrix[row, column] += value
-            if row != column:
-                matrix[column, row] += value
-        self._undo = (
-            self.size,
-            self._incremental,
-            self._dense_matrix,
-            self._dense_rhs,
-            self._m_trail,
-            self._bp_trail,
-        )
-        self._dense_matrix = matrix
-        self._dense_rhs = rhs
-        self.size = new_size
-
-    def _switch_to_incremental(self) -> None:
-        w = self.half_bandwidth
-        n = self.size
-        boundary = n - w
-        lower, diag = ldlt_factor(self._dense_matrix)
-        z = self._dense_rhs.copy()
-        for k in range(n):
-            z[k] -= np.dot(lower[k, :k], z[:k])
-
-        # Corrected trailing block: the part of the normal equations the
-        # tail actually sees, i.e. L_tail D_tail L_tail^T and L_tail z_tail.
-        tail_lower = lower[boundary:, boundary:]
-        tail_diag = diag[boundary:]
-        self._m_trail = ((tail_lower * tail_diag) @ tail_lower.T).tolist()
-        self._bp_trail = (tail_lower @ z[boundary:]).tolist()
-
-        self._dense_matrix = None
-        self._dense_rhs = None
-        self._incremental = True
-
-    # ------------------------------------------------------ incremental mode
-
-    @hotpath
-    def _extend_incremental(
-        self, num_new: int, entries, rhs_list: list[float], check_indices: bool
-    ) -> None:
-        w = self.half_bandwidth
-        block = w + num_new
-        old_size = self.size
-        new_size = old_size + num_new
-        old_boundary = old_size - w
-
-        # Extended corrected block over absolute indices
-        # [old_boundary, new_size), as plain floats.
-        matrix = [row[:] + [0.0] * num_new for row in self._m_trail]
-        zero_row = [0.0] * block
-        for _ in range(num_new):
-            matrix.append(zero_row[:])
-        rhs = self._bp_trail + rhs_list
-        for row_index, column_index, value in entries:
-            if row_index < column_index:
-                row_index, column_index = column_index, row_index
-            if check_indices:
-                _check_entry(row_index, column_index, new_size, old_boundary, w)
-            local_row = row_index - old_boundary
-            local_column = column_index - old_boundary
-            matrix[local_row][local_column] += value
-            if local_row != local_column:
-                matrix[local_column][local_row] += value
-
-        # Eliminate the num_new oldest variables: they are finalized now, so
-        # fold their Schur-complement correction into the new trailing block.
-        for k in range(num_new):
-            pivot = matrix[k][k]
-            if pivot == 0.0 or not math.isfinite(pivot):
-                raise ValueError(
-                    f"zero or invalid pivot while finalizing index {old_boundary + k}"
-                )
-            pivot_row = matrix[k]
-            pivot_rhs = rhs[k]
-            for i in range(k + 1, block):
-                factor = matrix[i][k] / pivot
-                if factor != 0.0:
-                    row = matrix[i]
-                    for j in range(k + 1, block):
-                        row[j] -= factor * pivot_row[j]
-                    rhs[i] -= factor * pivot_rhs
-
-        self._undo = (
-            self.size,
-            self._incremental,
-            self._dense_matrix,
-            self._dense_rhs,
-            self._m_trail,
-            self._bp_trail,
-        )
-        self._m_trail = [row[num_new:] for row in matrix[num_new:]]
-        self._bp_trail = rhs[num_new:]
-        self.size = new_size
 
 
 def _check_entry(

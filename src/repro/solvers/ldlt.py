@@ -3,8 +3,8 @@
 Two variants are provided:
 
 * :func:`ldlt_factor` / :func:`ldlt_solve` operate on dense symmetric
-  matrices.  They are used for small systems (the warm-up phase of the
-  incremental solver and unit tests).
+  matrices.  They are used for small systems (unit tests and dense
+  references).
 * :class:`BandedLDLT` operates on symmetric banded matrices stored in
   *lower band* form and runs in ``O(n * w^2)`` time, where ``w`` is the
   half bandwidth.  It backs the exact Algorithm-2 reference implementation

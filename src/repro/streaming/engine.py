@@ -81,7 +81,6 @@ import numpy as np
 from repro.analysis import hotpath
 from repro.core.fleet import ColumnarNSigma, FleetKernel
 from repro.core.nsigma import NSigma
-from repro.core.oneshotstl import OneShotSTL
 from repro.durability import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointStore,
@@ -1192,9 +1191,11 @@ class MultiSeriesEngine:
         (:meth:`_grid_plan`): keys on the kernel advance cohort by cohort
         through :meth:`_advance_cohort_block`, keys off it through the
         single-key scalar path.  While any key is off the kernel the
-        batch advances one round per pass (a warming key may go live and
-        be absorbed during the round); once every key is routed, all
-        remaining rounds advance as one block of pure array operations.
+        batch advances one round per pass (the round that completes a
+        warming key's window initializes it, and the next pass's plan
+        absorbs it, so its first online point is already a kernel point);
+        once every key is routed, all remaining rounds advance as one
+        block of pure array operations.
 
         ``result``/``slots`` redirect a one-round grid's outputs into an
         existing result, column ``j`` landing at ``slots[j]``
@@ -1239,7 +1240,9 @@ class MultiSeriesEngine:
     def _grid_plan(self, round_keys: list) -> tuple[list, list]:
         """Per-group routing of one round: ``(cohorts, scalar)``.
 
-        Newly eligible live series are absorbed first.  ``cohorts`` is
+        Series that went live since the last pass are absorbed first (a
+        cohort enters the kernel in the pass after the round that
+        initialized it).  ``cohorts`` is
         ``[(group, columns, takes, full), ...]`` for the keys the kernel
         advances (``takes`` are their grid columns); ``scalar`` is
         ``[(key, j), ...]`` for the keys off the kernel path -- warming,
@@ -1406,20 +1409,18 @@ class MultiSeriesEngine:
             positions = positions[rounds + 1 :]
 
     def _absorption_spec(self, key: Hashable, state: _SeriesState):
-        """Spec to group ``key`` under, or None (not yet / never packable)."""
+        """Spec to group the live series ``key`` under, or None (never packable).
+
+        A packable series is packable from the moment it is initialized,
+        so there is no "not yet": the answer is final either way.
+        """
         pipeline = state.pipeline
         if (
             type(pipeline) is not StreamingPipeline
-            or type(pipeline.decomposer) is not OneShotSTL
             or type(pipeline.scorer) is not NSigma
+            or not FleetKernel.eligible(pipeline.decomposer)
         ):
             self._never_absorb.add(key)
-            return None
-        if not FleetKernel.eligible(pipeline.decomposer):
-            if pipeline.decomposer._initializer is not None:
-                self._never_absorb.add(key)
-            # Otherwise the solvers are still in dense warm-up: retry on a
-            # later round.
             return None
         return pipeline.spec
 

@@ -125,8 +125,11 @@ class StreamingPipeline:
         """Run the decomposer's initialization phase and warm up the scorer."""
         values = as_float_array(values, "values", min_length=2)
         result = self.decomposer.initialize(values)
-        for residual_value in result.residual:
-            self.scorer.update(float(residual_value))
+        # Seeding wants the statistics, not 96 discarded verdicts; a scorer
+        # without the statistics-only half is fed through update().
+        seed = getattr(self.scorer, "update_stats", self.scorer.update)
+        for residual_value in result.residual.tolist():
+            seed(residual_value)
         self._index = values.size
         self._initialized = True
 

@@ -196,6 +196,75 @@ def test_kwargs_forwarding_is_flagged_even_outside_loops():
     assert rules(findings) == ["HP004"]
 
 
+# --------------------------------------------------------------- HP005
+
+
+def test_blas_reductions_on_a_solver_hotpath_are_flagged():
+    findings = run(
+        """
+        @hotpath
+        def tail(lower, z, x, kernel):
+            z[0] -= np.dot(lower[0], z)
+            y = lower @ x
+            y @= lower
+            c = np.correlate(x, kernel, mode="valid")
+            e = numpy.einsum("ij,j->i", lower, x)
+            m = np.matmul(lower, x)
+            return np.linalg.solve(lower, z), y, c, e, m
+        """,
+        "src/repro/solvers/fixture.py",
+    )
+    assert rules(findings) == ["HP005"] * 7
+    spelled = [finding.message.split("'")[1] for finding in findings]
+    assert sorted(spelled) == sorted(
+        [
+            "np.dot",
+            "@",
+            "@",
+            "np.correlate",
+            "numpy.einsum",
+            "np.matmul",
+            "np.linalg.solve",
+        ]
+    )
+
+
+def test_elementwise_arithmetic_on_a_core_hotpath_is_clean():
+    findings = run(
+        """
+        @hotpath
+        def sweep(aug, k, out):
+            factor = aug[k + 1 :, k] / aug[k, k]
+            aug[k + 1 :, k + 1 :] -= factor[:, None] * aug[k, None, k + 1 :]
+            np.multiply(aug[k], 2.0, out=out)
+            return out.sum(axis=0), aug.dot
+        """
+    )
+    assert findings == []
+
+
+def test_blas_reductions_are_free_off_the_hotpath_and_outside_core_and_solvers():
+    source = """
+        {marker}
+        def smooth(values, kernel):
+            return np.correlate(values, kernel, mode="valid") @ kernel
+        """
+    assert run(source.format(marker=""), "src/repro/solvers/fixture.py") == []
+    assert run(source.format(marker="@hotpath"), "src/repro/decomposition/x.py") == []
+    assert rules(run(source.format(marker="@hotpath"))) == ["HP005", "HP005"]
+
+
+def test_blas_reduction_suppressed_with_reason():
+    findings = run(
+        """
+        @hotpath
+        def reference(a, b):
+            return np.dot(a, b)  # repro: allow[HP005] oracle, not on a bit-exact path
+        """
+    )
+    assert findings == []
+
+
 # --------------------------------------------------------------- WAL001
 
 

@@ -120,6 +120,20 @@ class TestNSigma:
         assert clone.std == scorer.std
         assert clone.count == scorer.count
 
+    def test_update_stats_is_update_without_the_verdict(self):
+        """Seeding a monitor leaves exactly the statistics scoring would."""
+        rng = np.random.default_rng(8)
+        values = (1e3 + rng.normal(0.0, 2.0, size=96)).tolist()
+        scored, seeded = NSigma(), NSigma()
+        for value in values:
+            scored.update(value)
+            assert seeded.update_stats(value) is None
+        assert (seeded._count, seeded._mean, seeded._m2) == (
+            scored._count,
+            scored._mean,
+            scored._m2,
+        )
+
 
 class TestNSigmaDetector:
     def test_detects_spike(self):

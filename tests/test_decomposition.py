@@ -93,6 +93,18 @@ class TestLoess:
         assert smoothed.min() >= values.min() - spread
         assert smoothed.max() <= values.max() + spread
 
+    @pytest.mark.parametrize("n,window", [(96, 37), (96, 25), (30, 29), (31, 3), (500, 75)])
+    def test_unweighted_tables_give_the_weighted_path_bits(self, n, window):
+        """``None`` is served from per-(n, window) tables, all-ones weights
+        by the general code: the same operands in the same calls."""
+        rng = np.random.default_rng(n + window)
+        values = rng.normal(0.0, 1.0, size=n) + 0.05 * np.arange(n)
+        for _ in range(2):  # the second call reads the cached table
+            assert np.array_equal(
+                loess_smooth(values, window),
+                loess_smooth(values, window, robustness_weights=np.ones(n)),
+            )
+
 
 class TestSTL:
     def test_next_odd(self):

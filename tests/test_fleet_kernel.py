@@ -19,8 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import OneShotSTL
-from repro.core.fleet import ColumnarNSigma, FleetKernel
+from repro.core.fleet import ColumnarNSigma, FleetKernel, FleetUpdate
 from repro.core.oneshotstl import _search_best_shift
+from repro.decomposition import STL
 from repro.decomposition.base import DecompositionPoint
 from repro.core.nsigma import NSigma
 from repro.core.online_system import HALF_BANDWIDTH, ContributionWorkspace
@@ -45,7 +46,7 @@ def fleet_series(index, length=PERIOD * 10, spike=None, missing=None):
 
 
 def warm_models(streams, warm_points, **params):
-    """One initialized scalar model per stream, advanced past solver warm-up."""
+    """One initialized scalar model per stream, ``warm_points`` points online."""
     models = []
     for values in streams:
         model = OneShotSTL(PERIOD, **params)
@@ -210,12 +211,19 @@ class TestBatchedSolverOracle:
             for mine, solver in zip(batch.extract(index), solvers):
                 assert np.array_equal(mine.tail_solution(2), solver.tail_solution(2))
 
-    def test_pack_rejects_dense_mode_and_ragged_members(self):
-        with pytest.raises(ValueError, match="dense warm-up"):
-            BatchedIncrementalLDLT.pack([[IncrementalBandedLDLT(4)]])
+    def test_pack_takes_fresh_solvers_and_rejects_ragged_members(self):
+        fresh = [[IncrementalBandedLDLT(4) for _ in range(self.ITERATIONS)]]
+        assert_same_trailing_state(BatchedIncrementalLDLT.pack(fresh), fresh)
         members = self._warm_members(2)
         with pytest.raises(ValueError, match="expected 3"):
             BatchedIncrementalLDLT.pack([members[0], members[1][:2]])
+        with pytest.raises(ValueError, match="half bandwidth 3, expected 4"):
+            BatchedIncrementalLDLT.pack(
+                [members[0], [IncrementalBandedLDLT(3)] * self.ITERATIONS]
+            )
+        batch = BatchedIncrementalLDLT.pack(members)
+        with pytest.raises(ValueError, match="half bandwidth mismatch"):
+            batch.load(0, [IncrementalBandedLDLT(3)] * self.ITERATIONS)
 
     def test_select_assign_round_trip(self):
         members = self._warm_members(5)
@@ -454,12 +462,98 @@ class TestFleetKernelOracle:
         with pytest.raises(ValueError, match="different hyper-parameters"):
             FleetKernel.pack([model_a, model_b])
 
-    def test_pack_rejects_cold_models(self):
+    def test_pack_takes_initialized_models_only(self):
+        """Zero online points pack; no or a custom initialization does not."""
+        window = fleet_series(0)[:INIT]
         model = OneShotSTL(PERIOD)
-        model.initialize(fleet_series(0)[:INIT])
         assert not FleetKernel.eligible(model)
         with pytest.raises(ValueError, match="not packable"):
             FleetKernel.pack([model])
+        model.initialize(window)
+        assert FleetKernel.eligible(model)
+        kernel = FleetKernel.pack([model])
+        assert kernel.points_processed.tolist() == [0]
+        assert_same_model_state(kernel, [model], [0])
+        custom = OneShotSTL(PERIOD, initializer=STL(PERIOD, seasonal_window="periodic"))
+        custom.initialize(window)
+        assert not FleetKernel.eligible(custom)
+        with pytest.raises(ValueError, match="custom initializer"):
+            FleetKernel.pack([custom])
+
+    #: what each member of a cold fleet meets: a +10 spike on online point 0
+    #: resp. 1 (both trip the monitor on point 1, so the shift search runs on
+    #: a column that is one point old) and a NaN on point 0 (imputed from
+    #: the initialization alone, a one-round run)
+    COLD_EVENTS = {0: ("spike", 0), 1: ("spike", 1), 2: ("nan", 0)}
+    COLD_ROUNDS = 9
+
+    @staticmethod
+    def cold_stream(index, event=None, length=PERIOD * 10):
+        stream = fleet_series(index, length=length)
+        if event is not None:
+            kind, point = event
+            if kind == "spike":
+                stream[INIT + point] += 10.0
+            else:
+                stream[INIT + point] = np.nan
+        return stream
+
+    @pytest.mark.parametrize("rounds_per_block", [1, 2, 8])
+    @pytest.mark.parametrize("mode", ["full", "subset", "single"])
+    def test_cold_start_matches(self, mode, rounds_per_block):
+        """Packed at 0 online points: rounds 0-8 equal the scalar models."""
+        if mode == "single":
+            fleets = [([self.cold_stream(m, e)], None) for m, e in self.COLD_EVENTS.items()]
+        else:
+            streams = [self.cold_stream(m, self.COLD_EVENTS.get(m)) for m in range(6)]
+            fleets = [(streams, None if mode == "full" else np.array([0, 1, 2, 4]))]
+        searched = []
+        for streams, columns in fleets:
+            scalar = warm_models(streams, 0)
+            kernel = FleetKernel.pack(warm_models(streams, 0))
+            assert not kernel.points_processed.any()
+            with recorded_searches() as searches:
+                assert_blocks_match_scalar(
+                    kernel,
+                    scalar,
+                    streams,
+                    INIT,
+                    block_sizes(self.COLD_ROUNDS, rounds_per_block),
+                    columns=columns,
+                )
+            # recorded_searches reports rounds relative to 8 warm points.
+            searched += [r + 8 for rounds, _ in searches for r in rounds]
+        assert 1 in searched, "no shift search ran on a cold column"
+
+    def test_late_joiner_at_zero_beside_members_at_500(self):
+        """A mixed-age run: the joiner's gated terms leave the others alone."""
+        rounds = self.COLD_ROUNDS
+        streams = [fleet_series(i, length=INIT + 500 + rounds) for i in range(3)]
+        joiner = self.cold_stream(3, ("spike", 0), length=INIT + rounds)
+        # Every member's next observation sits at position INIT + 500.
+        streams.append(np.concatenate([np.zeros(500), joiner]))
+        old = warm_models(streams[:3], 500)
+
+        def mixed_fleet():
+            scalar = copy.deepcopy(old) + warm_models([joiner], 0)
+            kernel = FleetKernel.pack(copy.deepcopy(old))
+            kernel.append(FleetKernel.pack(warm_models([joiner], 0)))
+            assert kernel.points_processed.tolist() == [500, 500, 500, 0]
+            return scalar, kernel
+
+        scalar, kernel = mixed_fleet()
+        with recorded_searches() as searches:
+            assert_blocks_match_scalar(kernel, scalar, streams, INIT + 500, [rounds])
+        # The joiner was searched on its second point (recorded_searches
+        # reports rounds relative to 8 warm points).
+        assert any(1 - 8 in rounds for rounds, _ in searches)
+        block = np.array(streams)[:, INIT + 500 :].T
+        with_joiner = mixed_fleet()[1].update_block(block)
+        without = FleetKernel.pack(copy.deepcopy(old)).update_block(block[:, :3])
+        for field in FleetUpdate.__slots__:
+            assert np.array_equal(
+                getattr(with_joiner, field)[:, :3], getattr(without, field)
+            ), field
 
 
 class TestWavefrontSchedule:
@@ -1177,6 +1271,87 @@ class TestEngineKernelOracle:
             for position in range(PERIOD * 7, PERIOD * 8)
         ]
         assert live_records(fast, batches) == live_records(reference, batches)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 8])
+    @pytest.mark.parametrize("nan_on_point_0", [False, True])
+    def test_cold_cohort_matches_from_its_first_online_point(
+        self, nan_on_point_0, chunk
+    ):
+        """Absorbed at 0 online points: rounds 0-8 equal the scalar engine.
+
+        The cohort meets a spike on online point 0 and one on point 1
+        (see ``TestFleetKernelOracle.COLD_EVENTS``).  With a NaN on point 0
+        as well, the batch that carries it finds the series live but not
+        absorbed yet and runs sequentially; the cohort then enters the
+        kernel with the next batch, still cold when that is point 1.
+        """
+        oracle = TestFleetKernelOracle
+        events = dict(oracle.COLD_EVENTS)
+        if not nan_on_point_0:
+            del events[2]
+        keys = [f"m-{i}" for i in range(8)]
+        grid = np.array([oracle.cold_stream(i, events.get(i)) for i in range(8)]).T
+        fast, reference = engine_pair(8)
+        for engine in (fast, reference):
+            engine.ingest_grid(keys, grid[:INIT])
+        assert not fast._absorbed
+        stop = INIT + oracle.COLD_ROUNDS
+        with recorded_searches() as searches:
+            for start in range(INIT, stop, chunk):
+                rounds = grid[start : min(start + chunk, stop)]
+                assert_results_equal(
+                    fast.ingest_grid(keys, rounds), reference.ingest_grid(keys, rounds)
+                )
+                if not nan_on_point_0 or start > INIT:
+                    assert set(fast._absorbed) == set(keys)
+        if not nan_on_point_0 or chunk == 1:
+            # The spikes were searched on a column one point old
+            # (recorded_searches reports rounds relative to 8 warm points).
+            assert any(1 - 8 in rounds for rounds, _ in searches)
+        (group,) = fast._groups.values()
+        assert group.kernel.points_processed.tolist() == [oracle.COLD_ROUNDS] * 8
+
+    def test_default_fleet_never_takes_a_scalar_update_on_its_way_in(
+        self, monkeypatch
+    ):
+        """One grid initializes a cohort and keeps going, all on the kernel.
+
+        The pass after the round that completed the initialization windows
+        absorbs every key; the remaining rounds are one kernel block.
+        """
+        n_series, online = 32, 16
+        keys = [f"m-{i}" for i in range(n_series)]
+        grid = np.array(
+            [fleet_series(i, length=INIT + online) for i in range(n_series)]
+        ).T
+        initialized = []
+        initialize = OneShotSTL.initialize
+
+        def initialize_spy(model, values):
+            initialized.append(model)
+            return initialize(model, values)
+
+        def update(*args):
+            raise AssertionError("OneShotSTL.update ran during a grid ingest")
+
+        monkeypatch.setattr(OneShotSTL, "initialize", initialize_spy)
+        monkeypatch.setattr(OneShotSTL, "update", update)
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
+        absorbed_at_pass = []
+        plan = engine._grid_plan
+
+        def plan_spy(round_keys):
+            planned = plan(round_keys)
+            absorbed_at_pass.append(len(engine._absorbed))
+            return planned
+
+        monkeypatch.setattr(engine, "_grid_plan", plan_spy)
+        result = engine.ingest_grid(keys, grid)
+        assert absorbed_at_pass == [0] * INIT + [n_series]
+        assert len(initialized) == len(set(map(id, initialized))) == n_series
+        assert result.live.reshape(grid.shape).sum(axis=1).tolist() == (
+            [0] * INIT + [n_series] * online
+        )
 
     def test_forecast_sees_kernel_state(self):
         data = {f"m-{i}": fleet_series(i) for i in range(8)}

@@ -1,5 +1,7 @@
 """Tests for the LDL^T solver substrate."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,7 +171,9 @@ def _random_growth_step(rng, old_size, num_new, w):
 
 
 class TestIncrementalBandedLDLT:
-    @pytest.mark.parametrize("w,num_new", [(4, 2), (4, 1), (3, 3), (2, 1), (5, 2)])
+    @pytest.mark.parametrize(
+        "w,num_new", [(4, 2), (4, 1), (3, 3), (2, 1), (5, 2), (1, 1)]
+    )
     def test_matches_dense_reference(self, w, num_new):
         rng = np.random.default_rng(42 + w * 10 + num_new)
         incremental = IncrementalBandedLDLT(w)
@@ -186,7 +190,6 @@ class TestIncrementalBandedLDLT:
                 reference.tail_solution(count),
                 atol=1e-8,
             )
-        assert incremental.is_incremental
 
     def test_copy_is_independent(self):
         rng = np.random.default_rng(3)
@@ -236,9 +239,29 @@ class TestIncrementalBandedLDLT:
         for _ in range(10):
             updates, rhs_new = _random_growth_step(rng, solver.size, 1, 2)
             solver.extend(1, updates, rhs_new)
-        assert solver.is_incremental
         with pytest.raises(ValueError):
             solver.tail_solution(3)
+
+    def test_tail_count_limited_to_the_real_variables(self):
+        """Phantom pivots fill the block of a short stream; they are not
+        part of its solution."""
+        rng = np.random.default_rng(6)
+        solver = IncrementalBandedLDLT(4)
+        reference = DenseReference()
+        for size in (1, 2, 3):
+            updates, rhs_new = _random_growth_step(rng, solver.size, 1, 4)
+            solver.extend(1, updates, rhs_new)
+            reference.extend(1, updates, rhs_new)
+            np.testing.assert_allclose(
+                solver.tail_solution(size), reference.tail_solution(size), atol=1e-12
+            )
+            with pytest.raises(ValueError, match="system size"):
+                solver.tail_solution(size + 1)
+
+    def test_phantom_indices_are_not_addressable(self):
+        solver = IncrementalBandedLDLT(4)
+        with pytest.raises(ValueError, match="allowed indices start at 0"):
+            solver.extend(1, [(0, 0, 5.0), (0, -1, 1.0)], [1.0])
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -367,22 +390,29 @@ class TestRollback:
                 replayed.tail_solution(count), straight.tail_solution(count)
             )
 
-    def test_rollback_across_the_incremental_switch(self):
+    @pytest.mark.parametrize("size", [2, 4, 6])
+    def test_rollback_below_at_and_above_the_half_bandwidth(self, size):
+        """One representation from the first append: a rollback restores
+        the pre-extend state bit for bit whether phantom pivots still fill
+        the block (size < w), have just left it (== w) or are long gone."""
         rng = np.random.default_rng(23)
-        solver = IncrementalBandedLDLT(2)  # warmup at size 6
-        for _ in range(2):
-            updates, rhs_new = _random_growth_step(rng, solver.size, 2, 2)
+        w = 4
+        solver = IncrementalBandedLDLT(w)
+        while solver.size < size:
+            updates, rhs_new = _random_growth_step(rng, solver.size, 2, w)
             solver.extend(2, updates, rhs_new)
-        assert not solver.is_incremental
-        before_tail = solver.tail_solution(2).copy()
-        updates, rhs_new = _random_growth_step(rng, solver.size, 2, 2)
+        before = solver.copy()
+        before_tail = solver.tail_solution(2)
+        updates, rhs_new = _random_growth_step(rng, solver.size, 2, w)
         solver.extend(2, updates, rhs_new)
-        assert solver.is_incremental
+        after_tail = solver.tail_solution(2)
         solver.rollback()
-        assert not solver.is_incremental
-        np.testing.assert_allclose(solver.tail_solution(2), before_tail)
+        assert solver.size == before.size == size
+        assert solver._m_trail == before._m_trail
+        assert solver._bp_trail == before._bp_trail
+        np.testing.assert_array_equal(solver.tail_solution(2), before_tail)
         solver.extend(2, updates, rhs_new)
-        assert solver.is_incremental
+        np.testing.assert_array_equal(solver.tail_solution(2), after_tail)
 
     def test_single_undo_level(self):
         solver = IncrementalBandedLDLT(2)
@@ -403,3 +433,94 @@ class TestRollback:
         with pytest.raises(ValueError):
             clone.rollback()  # pending undo level is not carried over
         solver.rollback()  # the original still has its own undo level
+
+
+class TestParentStoreMigration:
+    """A store written before the solver was born in Schur form pickled,
+    for a series with fewer than six online points, a dense-mode solver."""
+
+    @staticmethod
+    def _load(state):
+        solver = IncrementalBandedLDLT.__new__(IncrementalBandedLDLT)
+        solver.__setstate__(state)
+        return solver
+
+    @pytest.mark.parametrize("size", [2, 6, 10])
+    def test_dense_mode_state_folds_into_the_schur_form(self, size):
+        rng = np.random.default_rng(31 + size)
+        w = 4
+        reference = DenseReference()
+        while reference.matrix.shape[0] < size:
+            updates, rhs_new = _random_growth_step(
+                rng, reference.matrix.shape[0], 2, w
+            )
+            reference.extend(2, updates, rhs_new)
+        solver = self._load(
+            {
+                "half_bandwidth": w,
+                "warmup_size": 3 * w,
+                "size": size,
+                "_dense_matrix": reference.matrix.copy(),
+                "_dense_rhs": reference.rhs.copy(),
+                "_incremental": False,
+                "_m_trail": [[0.0] * w for _ in range(w)],
+                "_bp_trail": [0.0] * w,
+                "_undo": (size - 2, False, np.zeros((0, 0)), np.zeros(0), [], []),
+            }
+        )
+        assert vars(solver).keys() == vars(IncrementalBandedLDLT(w)).keys()
+        assert solver.size == size
+        with pytest.raises(ValueError):
+            solver.rollback()  # the retired form's undo level is not kept
+        count = min(w, size)
+        np.testing.assert_allclose(
+            solver.tail_solution(count),
+            reference.tail_solution(count),
+            rtol=0,
+            atol=1e-12,
+        )
+        for _ in range(3):
+            updates, rhs_new = _random_growth_step(rng, solver.size, 2, w)
+            solver.extend(2, updates, rhs_new)
+            reference.extend(2, updates, rhs_new)
+            np.testing.assert_allclose(
+                solver.tail_solution(w), reference.tail_solution(w), rtol=0, atol=1e-12
+            )
+
+    def test_incremental_mode_state_loads_as_it_is(self):
+        rng = np.random.default_rng(37)
+        w = 4
+        live = IncrementalBandedLDLT(w)
+        for _ in range(8):
+            updates, rhs_new = _random_growth_step(rng, live.size, 2, w)
+            live.extend(2, updates, rhs_new)
+        solver = self._load(
+            {
+                "half_bandwidth": w,
+                "warmup_size": 3 * w,
+                "size": live.size,
+                "_dense_matrix": None,
+                "_dense_rhs": None,
+                "_incremental": True,
+                "_m_trail": [row[:] for row in live._m_trail],
+                "_bp_trail": live._bp_trail[:],
+                "_undo": None,
+            }
+        )
+        assert vars(solver).keys() == vars(live).keys()
+        assert (solver.size, solver._m_trail, solver._bp_trail) == (
+            live.size,
+            live._m_trail,
+            live._bp_trail,
+        )
+
+    def test_current_pickle_round_trips_with_its_undo_level(self):
+        rng = np.random.default_rng(38)
+        live = IncrementalBandedLDLT(4)
+        for _ in range(3):
+            updates, rhs_new = _random_growth_step(rng, live.size, 2, 4)
+            live.extend(2, updates, rhs_new)
+        loaded = pickle.loads(pickle.dumps(live))
+        assert vars(loaded) == vars(live)
+        loaded.rollback()
+        assert loaded.size == live.size - 2
