@@ -13,8 +13,9 @@ tests): walking the method body in statement order, any *mutation* --
 * a ``self._process*`` / ``self._ingest*`` / ``self._advance*`` /
   ``self._apply*`` call (the engine's state-advancing helpers), or
 * a store to / mutating call on ``self._series`` / ``self._groups`` /
-  ``self._absorbed`` / ``self._group_of`` / ``self._warm`` (the engine's
-  fleet dictionaries)
+  ``self._absorbed`` / ``self._never_absorb`` (the engine's fleet
+  mappings: the roster with the scalar homes, the kernel groups, the
+  column of every absorbed key, and the keys that never absorb)
 
 -- must come after a point where the append has happened on **every**
 path: a plain append statement establishes it, an ``if`` establishes it
@@ -38,9 +39,7 @@ _MUTATING_CALL_PREFIXES = (
     "_advance",
     "_apply",
 )
-_MUTATED_ATTRS = frozenset(
-    {"_series", "_groups", "_absorbed", "_group_of", "_warm"}
-)
+_MUTATED_ATTRS = frozenset({"_series", "_groups", "_absorbed", "_never_absorb"})
 
 
 def _is_self_attr(node: ast.AST, names: frozenset[str]) -> bool:

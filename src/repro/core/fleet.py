@@ -53,12 +53,13 @@ diagonal (``1.0 + 0.0``), or as ``-0.0`` on a cell that is ``+0.0``
 (``+0.0 + -0.0 = +0.0``) -- bitwise the scalar model's reduced pattern.
 
 The kernel is deliberately dumb about membership: it packs initialized
-scalar models (:meth:`FleetKernel.pack`), extracts any member back into an
-equivalent scalar model (:meth:`FleetKernel.extract` /
-:meth:`FleetKernel.write_into`), and advances all or a subset of columns
-(:meth:`FleetKernel.update_block`).  Grouping series by configuration, lazy
-absorption and checkpoint (de)materialization live in the streaming engine
-(:mod:`repro.streaming.engine`).
+scalar models (:meth:`FleetKernel.pack`), builds fresh equivalent scalar
+models of any members (:meth:`FleetKernel.extract_many`; nothing is ever
+written back into an existing model), takes one back
+(:meth:`FleetKernel.load`), and advances all or a subset of columns
+(:meth:`FleetKernel.update_block`).  Grouping series by configuration,
+absorption and which boundary needs scalar state at all live in the
+streaming engine (:mod:`repro.streaming.engine`).
 """
 
 from __future__ import annotations
@@ -153,30 +154,26 @@ class ColumnarNSigma:
 
     def extract(self, index: int) -> NSigma:
         """Materialize member ``index`` as an equivalent scalar scorer."""
-        scorer = NSigma(self.threshold, self.minimum_std)
-        self.write_into(index, scorer)
-        return scorer
+        return self.extract_many([index])[0]
 
-    def write_into(self, index: int, scorer: NSigma) -> None:
-        """Overwrite a scalar scorer's state with member ``index``."""
-        scorer._count = int(self.count[index])
-        scorer._mean = float(self.mean[index])
-        scorer._m2 = float(self.m2[index])
+    def extract_many(self, columns: Sequence[int] | np.ndarray) -> list[NSigma]:
+        """Materialize the members at ``columns`` as fresh scalar scorers.
 
-    def write_many(self, columns: np.ndarray, scorers: Sequence[NSigma]) -> None:
-        """Overwrite ``scorers[i]`` with member ``columns[i]``, for all ``i``.
-
-        One gather + bulk ``tolist`` per state array instead of three
-        per-member array indexings; values are identical to repeated
-        :meth:`write_into` calls.
+        One gather + bulk ``tolist`` per state array (exact Python
+        scalars) instead of three array indexings per member.
         """
-        counts = self.count[columns].tolist()
-        means = self.mean[columns].tolist()
-        m2s = self.m2[columns].tolist()
-        for position, scorer in enumerate(scorers):
-            scorer._count = counts[position]
-            scorer._mean = means[position]
-            scorer._m2 = m2s[position]
+        scorers = []
+        for count, mean, m2 in zip(
+            self.count[columns].tolist(),
+            self.mean[columns].tolist(),
+            self.m2[columns].tolist(),
+        ):
+            scorer = NSigma(self.threshold, self.minimum_std)
+            scorer._count = count
+            scorer._mean = mean
+            scorer._m2 = m2
+            scorers.append(scorer)
+        return scorers
 
     def load(self, index: int, scorer: NSigma) -> None:
         """Overwrite member ``index`` with a scalar scorer's state."""
@@ -360,8 +357,8 @@ class FleetKernel:
         """Lift initialized scalar models into one columnar kernel.
 
         The scalar instances are left untouched (their state is copied); a
-        model that later needs to leave the batch is rebuilt with
-        :meth:`extract` or :meth:`write_into`.
+        member that later needs scalar form is built afresh by
+        :meth:`extract_many`.
         """
         if not models:
             raise ValueError("pack() needs at least one model")
@@ -448,64 +445,63 @@ class FleetKernel:
 
     def extract(self, index: int) -> OneShotSTL:
         """Materialize member ``index`` as an equivalent scalar model."""
-        model = OneShotSTL(**self.get_params())
-        model._initialized = True
-        model._seasonal_buffer = self.seasonal_buffer[index].copy()
-        model._workspace = ContributionWorkspace(self.lambda1, self.lambda2)
-        model._residual_monitor = NSigma(self.shift_threshold)
-        model._iterations_state = [
-            _IterationState(solver=None, previous_trend=0.0, before_previous_trend=0.0)
-            for _ in range(self.iterations)
-        ]
-        self.write_into(index, model)
-        return model
+        return self.extract_many([index])[0]
 
-    def write_into(self, index: int, model: OneShotSTL) -> None:
-        """Overwrite a live scalar model's state with member ``index``.
-
-        The model keeps its identity (and its workspace/initializer
-        attributes); only the evolving decomposition state is written.
-        """
-        self.write_members(np.array([index], dtype=np.intp), [model])
-
-    def write_members(
-        self, columns: np.ndarray, models: Sequence[OneShotSTL]
-    ) -> None:
-        """Overwrite ``models[i]`` with member ``columns[i]``, for all ``i``.
+    def extract_many(self, columns: Sequence[int] | np.ndarray) -> list[OneShotSTL]:
+        """Materialize the members at ``columns`` as fresh scalar models.
 
         Every per-series state array is gathered once and bulk-converted
         (``ndarray.tolist()`` yields exact Python scalars), and the
         per-iteration solvers come out of
-        :meth:`BatchedIncrementalLDLT.extract_many`.  This is the
-        cohort-granular state export the durable checkpoint layer runs on:
-        writing one dirty cohort of a large fleet touches only that
-        cohort's columns, never the whole kernel.
+        :meth:`BatchedIncrementalLDLT.extract_many`, so building one
+        cohort of a large fleet touches only that cohort's columns.  The
+        models own their state (nothing aliases the kernel) and carry
+        their attributes in the order :meth:`OneShotSTL.initialize` sets
+        them, so they pickle like models that were never packed.
         """
         columns = np.asarray(columns, dtype=np.intp)
+        params = self.get_params()
         seasonal = self.seasonal_buffer[columns]
-        global_index = self.global_index[columns].tolist()
-        points_processed = self.points_processed[columns].tolist()
-        last_trend = self.last_trend[columns].tolist()
-        last_detection = self.last_detection_residual[columns].tolist()
-        last_shift = self.last_applied_shift[columns].tolist()
         solvers = self.solver.extract_many(columns)
         pairs = self.trend_pairs[..., columns].transpose(2, 1, 0).tolist()
-        self.monitor.write_many(
-            columns, [model._residual_monitor for model in models]
-        )
-        for position, model in enumerate(models):
-            model._seasonal_buffer[:] = seasonal[position]
+        global_index = self.global_index[columns].tolist()
+        last_shift = self.last_applied_shift[columns].tolist()
+        last_trend = self.last_trend[columns].tolist()
+        last_detection = self.last_detection_residual[columns].tolist()
+        monitors = self.monitor.extract_many(columns)
+        points_processed = self.points_processed[columns].tolist()
+        models = []
+        for position in range(columns.size):
+            model = OneShotSTL(**params)
+            model._initialized = True
+            model._seasonal_buffer = seasonal[position].copy()
             model._global_index = global_index[position]
-            model._points_processed = points_processed[position]
+            model._last_applied_shift = last_shift[position]
             model._last_trend = last_trend[position]
             model._last_detection_residual = last_detection[position]
-            model._last_applied_shift = last_shift[position]
-            for state, solver, (before_previous, previous) in zip(
-                model._iterations_state, solvers[position], pairs[position]
-            ):
-                state.solver = solver
-                state.previous_trend = previous
-                state.before_previous_trend = before_previous
+            model._residual_monitor = monitors[position]
+            model._iterations_state = [
+                _IterationState(
+                    solver=solver,
+                    previous_trend=previous,
+                    before_previous_trend=before_previous,
+                )
+                for solver, (before_previous, previous) in zip(
+                    solvers[position], pairs[position]
+                )
+            ]
+            model._workspace = ContributionWorkspace(self.lambda1, self.lambda2)
+            model._points_processed = points_processed[position]
+            models.append(model)
+        return models
+
+    def forecast(self, index: int, horizon: int) -> np.ndarray:
+        """Member ``index``'s next ``horizon`` values, read off its column.
+
+        The same gather and the same add as :meth:`OneShotSTL.forecast`.
+        """
+        positions = (self.global_index[index] + np.arange(horizon)) % self.period
+        return self.last_trend[index] + self.seasonal_buffer[index, positions]
 
     def load(self, index: int, model: OneShotSTL) -> None:
         """Overwrite member ``index`` with a scalar model's state."""

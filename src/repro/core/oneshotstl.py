@@ -381,11 +381,8 @@ class OneShotSTL(OnlineDecomposer):
         """
         self._require_initialized()
         horizon = check_positive_int(horizon, "horizon")
-        predictions = np.empty(horizon)
-        for step in range(horizon):
-            position = (self._global_index + step) % self.period
-            predictions[step] = self._last_trend + self._seasonal_buffer[position]
-        return predictions
+        positions = (self._global_index + np.arange(horizon)) % self.period
+        return self._last_trend + self._seasonal_buffer[positions]
 
     # ------------------------------------------------------------- internals
 

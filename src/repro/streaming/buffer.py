@@ -35,8 +35,17 @@ class RingBuffer:
         self._count = min(self._count + 1, self.capacity)
 
     def extend(self, values) -> None:
-        for value in values:
-            self.append(value)
+        """Append every value in order; only the last ``capacity`` survive."""
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        values = np.asarray(values, dtype=float).reshape(-1)[-self.capacity :]
+        # At most two slice writes: up to the end of the storage, then
+        # the wrapped remainder from its start.
+        head = min(values.size, self.capacity - self._next)
+        self._storage[self._next : self._next + head] = values[:head]
+        self._storage[: values.size - head] = values[head:]
+        self._next = (self._next + values.size) % self.capacity
+        self._count = min(self._count + values.size, self.capacity)
 
     def latest(self) -> float:
         if self._count == 0:

@@ -59,10 +59,16 @@ keyed streams over the shared fast kernel, with
   per-key update-latency percentiles (via
   :func:`repro.streaming.latency.summarize_latencies`) across the fleet.
 
-Every series is an ordinary :class:`~repro.streaming.pipeline.StreamingPipeline`,
-so the engine's outputs are *identical* to running N independent pipelines
-by hand -- the test suite asserts this -- while amortizing the per-call
-overhead and centralizing bookkeeping.
+A series has exactly one home.  While it is warming, not kernel-eligible
+or in too small a cohort it is an ordinary
+:class:`~repro.streaming.pipeline.StreamingPipeline` (plus counters); once
+absorbed it is a column of its cohort's kernel arrays and nothing else --
+the scalar objects are consumed by the absorption, reads (``forecast``,
+``series_stats``, ``fleet_stats``) come straight off the columns, and
+scalar state is built afresh, by one function, only where a boundary
+needs it (``snapshot``/``checkpoint``/``save``/``extract_series`` and the
+single-key ``process``).  Either way the outputs are *identical* to
+running N independent pipelines by hand -- the test suite asserts this.
 """
 
 from __future__ import annotations
@@ -140,11 +146,6 @@ class SeriesStatus(str, enum.Enum):
     # "SeriesStatus.WARMING"; keep the pre-enum log/format output.
     __str__ = str.__str__
     __format__ = str.__format__
-
-
-#: deprecated aliases kept for backward compatibility
-WARMING = SeriesStatus.WARMING
-LIVE = SeriesStatus.LIVE
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,7 +418,13 @@ class FleetStats:
 
 
 class _SeriesState:
-    """Internal per-key record: pipeline, warmup buffer and counters."""
+    """Scalar home of one series: pipeline, warmup buffer and counters.
+
+    What a series is while it is off the kernel, and the shape every
+    boundary speaks (``snapshot``, ``save``, ``extract_series`` and v3
+    store segments are ``{key: _SeriesState}``): the module path and the
+    slots are part of the store format.
+    """
 
     __slots__ = ("pipeline", "warmup", "live", "points", "anomalies", "latencies")
 
@@ -431,17 +438,17 @@ class _SeriesState:
 
 
 class _FleetGroup:
-    """Columnar state of one same-spec cohort of live series.
+    """Columnar home of one same-spec cohort of live series.
 
-    While a series is *absorbed* into a group, the columnar arrays (the
-    :class:`FleetKernel`, the columnar pipeline scorer, the per-series
-    record indices and the pending point/anomaly counters) are
-    authoritative and the series' pipeline object is stale; the engine
-    re-materializes the object state at every boundary that needs it
-    (single-key ``process``/``forecast``, ``series_stats``,
-    ``snapshot``/``save``).  ``_FleetGroup`` is engine-internal bookkeeping
-    and is deliberately *not* part of the checkpoint format: checkpoints
-    carry only the ordinary per-series state, so the on-disk format is
+    An absorbed series *is* its column: the :class:`FleetKernel`, the
+    columnar pipeline scorer and the per-column totals (record index,
+    points, anomalies, latency ring) are the only copy of its state --
+    :meth:`absorb` consumes the scalar objects it packs.  Reads index the
+    arrays; the one way back to scalar form is :meth:`materialize`, which
+    builds *fresh* states, and :meth:`load` takes one back after a
+    single-key detour.  ``_FleetGroup`` is engine-internal bookkeeping and
+    is deliberately *not* part of the checkpoint format: checkpoints
+    carry materialized per-series state, so the on-disk format is
     identical whether or not the kernel path ever ran.
     """
 
@@ -452,37 +459,35 @@ class _FleetGroup:
         "kernel",
         "scorer",
         "indices",
-        "points_pending",
-        "anomalies_pending",
+        "points",
+        "anomalies",
         "latency_window",
-        "track_latency",
         "latency_values",
         "latency_counts",
-        "_all_columns",
     )
 
     def __init__(self, spec: PipelineSpec, latency_window: int, track_latency: bool):
         self.spec = spec
-        self.keys: list = []
-        self.column_of: dict = {}
+        self.keys: list[Hashable | None] = []
+        self.column_of: dict[Hashable, int] = {}
         self.kernel: FleetKernel | None = None
         self.scorer: ColumnarNSigma | None = None
+        #: per-column totals: next record index, points seen (warmup
+        #: included) and anomalies flagged
         self.indices = np.zeros(0, dtype=np.int64)
-        self.points_pending = np.zeros(0, dtype=np.int64)
-        self.anomalies_pending = np.zeros(0, dtype=np.int64)
+        self.points = np.zeros(0, dtype=np.int64)
+        self.anomalies = np.zeros(0, dtype=np.int64)
         self.latency_window = int(latency_window)
-        self.track_latency = bool(track_latency)
-        #: pending per-column latency ring (one row per column, one slot
-        #: per retained duration): a whole cohort block records its shared
-        #: per-point duration with a few array writes instead of a Python
-        #: append per key; the ring is folded into the per-series
-        #: RingBuffers only at materialization boundaries.
-        self.latency_values = (
-            np.zeros((0, self.latency_window)) if self.track_latency else None
+        #: per-column latency ring, ``(n, window)``: column ``c`` has seen
+        #: ``latency_counts[c]`` durations, the k-th in slot ``k % window``,
+        #: so a cohort block records its shared per-point duration with a
+        #: few array writes.  None while nothing was ever recorded (an
+        #: engine that does not track latency, absorbing series that
+        #: carry no history either).
+        self.latency_values: np.ndarray | None = (
+            np.zeros((0, self.latency_window)) if track_latency else None
         )
         self.latency_counts = np.zeros(0, dtype=np.int64)
-        #: cached arange over the group's columns (regrown on absorb)
-        self._all_columns = np.zeros(0, dtype=np.intp)
 
     @property
     def n_series(self) -> int:
@@ -498,8 +503,8 @@ class _FleetGroup:
         """Mark ``column`` dead after its series leaves the engine.
 
         The column's kernel state stays in place but nothing routes to it
-        anymore (it is out of ``column_of``), so it is never advanced,
-        synced or exported again.  Dead columns cost array width -- full
+        anymore (it is out of ``column_of``), so it is never advanced or
+        materialized again.  Dead columns cost array width -- full
         in-place rounds become gathered sub-kernel rounds -- until the
         engine re-homes the survivors (see
         ``MultiSeriesEngine._rebalance_groups``).
@@ -507,17 +512,19 @@ class _FleetGroup:
         self.column_of.pop(key, None)
         self.keys[column] = None
 
-    def absorb(self, keys: list, states: list) -> None:
-        """Append a cohort of live series to the columnar arrays at once.
+    def absorb(self, members: dict[Hashable, _SeriesState]) -> None:
+        """Move a cohort of live series into the columnar arrays at once.
 
-        Cohort absorption is amortized O(cohort): members are packed with
-        one array write per state array into the hidden spare capacity the
-        columnar arrays carry (capacity doubling, see
-        :func:`repro.utils.amortized_append` and the solver's buffer pair),
-        so even an adversarial arrival pattern -- one late series joining a
-        large group per round -- costs O(total members), not one full-group
-        copy per cohort.
+        The states are consumed: everything they hold is copied into the
+        columns and the caller drops them.  Cohort absorption is
+        amortized O(cohort): members are packed with one array write per
+        state array into the hidden spare capacity the columnar arrays
+        carry (capacity doubling, see :func:`repro.utils.amortized_append`
+        and the solver's buffer pair), so even an adversarial arrival
+        pattern -- one late series joining a large group per round --
+        costs O(total members), not one full-group copy per cohort.
         """
+        states = list(members.values())
         new_kernel = FleetKernel.pack(
             [state.pipeline.decomposer for state in states]
         )
@@ -531,25 +538,90 @@ class _FleetGroup:
             self.kernel.append(new_kernel)
             self.scorer.append(new_scorer)
         self.indices = amortized_append(
-            self.indices,
-            np.array([state.pipeline._index for state in states], dtype=np.int64),
+            self.indices, [state.pipeline._index for state in states]
         )
-        grown = np.zeros(len(states), dtype=np.int64)
-        self.points_pending = amortized_append(self.points_pending, grown)
-        self.anomalies_pending = amortized_append(self.anomalies_pending, grown)
-        if self.track_latency:
-            self.latency_counts = amortized_append(self.latency_counts, grown)
+        self.points = amortized_append(
+            self.points, [state.points for state in states]
+        )
+        self.anomalies = amortized_append(
+            self.anomalies, [state.anomalies for state in states]
+        )
+        self.latency_counts = amortized_append(
+            self.latency_counts, np.zeros(len(states), dtype=np.int64)
+        )
+        if self.latency_values is not None:
             self.latency_values = amortized_append(
                 self.latency_values,
                 np.empty((len(states), self.latency_window)),
             )
-        for key in keys:
-            self.column_of[key] = len(self.keys)
-            self.keys.append(key)
-        self._all_columns = np.arange(len(self.keys), dtype=np.intp)
+        first = len(self.keys)
+        self.keys.extend(members)
+        self.column_of.update(zip(members, range(first, len(self.keys))))
+        for column, state in enumerate(states, first):
+            if len(state.latencies):
+                self._store_latencies(column, state.latencies)
+
+    def materialize(self, columns: Sequence[int] | np.ndarray) -> list[_SeriesState]:
+        """Fresh scalar states of the members at ``columns``: the one way out.
+
+        One gathered read per state array (see
+        :meth:`FleetKernel.extract_many`), whatever the size of the group
+        around the columns.  The states alias nothing in the group, so
+        the caller owns them -- a checkpoint pickles them, a snapshot
+        hands them out, a single-key detour advances one and
+        :meth:`load` takes it back.
+        """
+        columns = np.asarray(columns, dtype=np.intp)
+        models = self.kernel.extract_many(columns)
+        scorers = self.scorer.extract_many(columns)
+        indices = self.indices[columns].tolist()
+        points = self.points[columns].tolist()
+        anomalies = self.anomalies[columns].tolist()
+        states = []
+        for position, column in enumerate(columns.tolist()):
+            pipeline = StreamingPipeline(models[position], scorer=scorers[position])
+            pipeline._index = indices[position]
+            pipeline._initialized = True
+            pipeline._spec = self.spec
+            state = _SeriesState(pipeline, self.latency_window)
+            state.live = True
+            state.points = points[position]
+            state.anomalies = anomalies[position]
+            state.latencies.extend(self.latencies(column))
+            states.append(state)
+        return states
+
+    def load(self, column: int, state: _SeriesState) -> None:
+        """Take a materialized (and since advanced) member back into ``column``."""
+        pipeline = state.pipeline
+        self.kernel.load(column, pipeline.decomposer)
+        self.scorer.load(column, pipeline.scorer)
+        self.indices[column] = pipeline._index
+        self.points[column] = state.points
+        self.anomalies[column] = state.anomalies
+        self._store_latencies(column, state.latencies)
+
+    def latencies(self, column: int) -> np.ndarray:
+        """The durations column ``column`` retains, oldest first."""
+        if self.latency_values is None:
+            return np.zeros(0)
+        count = int(self.latency_counts[column])
+        take = min(count, self.latency_window)
+        slots = np.arange(count - take, count) % self.latency_window
+        return self.latency_values[column, slots]
+
+    def _store_latencies(self, column: int, ring: RingBuffer) -> None:
+        """Make ``ring``'s most recent durations the history of ``column``."""
+        if self.latency_values is None:
+            if not len(ring):
+                return
+            self.latency_values = np.zeros((len(self.keys), self.latency_window))
+        durations = ring.to_array()[-self.latency_window :]
+        self.latency_values[column, : durations.size] = durations
+        self.latency_counts[column] = durations.size
 
     def record_latency_block(
-        self, columns: np.ndarray | None, per_point: float, rounds: int
+        self, columns: np.ndarray, per_point: float, rounds: int
     ) -> None:
         """Record a whole time-block's shared per-point duration.
 
@@ -557,77 +629,11 @@ class _FleetGroup:
         every round in it gets the same amortized per-point duration:
         ``rounds`` consecutive ring slots per column are written at once.
         """
-        counts = self.latency_counts
-        offsets = np.arange(rounds)
-        if columns is None:
-            slots = (counts[:, None] + offsets[None, :]) % self.latency_window
-            self.latency_values[self._all_columns[:, None], slots] = per_point
-            counts += rounds
-        else:
-            slots = (
-                counts[columns][:, None] + offsets[None, :]
-            ) % self.latency_window
-            self.latency_values[columns[:, None], slots] = per_point
-            counts[columns] += rounds
-
-    def sync_series(self, column: int, state: _SeriesState) -> None:
-        """Write column ``column`` back into the series' object state."""
-        pipeline = state.pipeline
-        self.kernel.write_into(column, pipeline.decomposer)
-        self.scorer.write_into(column, pipeline.scorer)
-        pipeline._index = int(self.indices[column])
-        self.flush_counters(column, state)
-        self.flush_latency(column, state)
-
-    def sync_members(self, columns: np.ndarray, states: list) -> None:
-        """Batched :meth:`sync_series` over a cohort of columns.
-
-        One gathered export per state array (see
-        :meth:`FleetKernel.write_members`) instead of per-member array
-        indexing -- this is what makes exporting a dirty cohort for an
-        incremental checkpoint cheap even when the cohort lives inside a
-        much larger kernel group.  State written is identical to calling
-        :meth:`sync_series` per member.
-        """
-        columns = np.asarray(columns, dtype=np.intp)
-        pipelines = [state.pipeline for state in states]
-        self.kernel.write_members(
-            columns, [pipeline.decomposer for pipeline in pipelines]
-        )
-        self.scorer.write_many(
-            columns, [pipeline.scorer for pipeline in pipelines]
-        )
-        indices = self.indices[columns].tolist()
-        for position, (column, state) in enumerate(zip(columns.tolist(), states)):
-            pipelines[position]._index = indices[position]
-            self.flush_counters(column, state)
-            self.flush_latency(column, state)
-
-    def load_series(self, column: int, state: _SeriesState) -> None:
-        """Refresh column ``column`` from the series' object state."""
-        pipeline = state.pipeline
-        self.kernel.load(column, pipeline.decomposer)
-        self.scorer.load(column, pipeline.scorer)
-        self.indices[column] = pipeline._index
-
-    def flush_counters(self, column: int, state: _SeriesState) -> None:
-        """Fold the column's pending counters into the series' counters."""
-        state.points += int(self.points_pending[column])
-        state.anomalies += int(self.anomalies_pending[column])
-        self.points_pending[column] = 0
-        self.anomalies_pending[column] = 0
-
-    def flush_latency(self, column: int, state: _SeriesState) -> None:
-        """Fold the column's pending latency ring into the series' buffer."""
-        if not self.track_latency:
-            return
-        count = int(self.latency_counts[column])
-        if count == 0:
-            return
-        take = min(count, self.latency_window)
-        slots = np.arange(count - take, count) % self.latency_window
-        state.latencies.extend(self.latency_values[column, slots])
-        self.latency_counts[column] = 0
+        slots = (
+            self.latency_counts[columns][:, None] + np.arange(rounds)
+        ) % self.latency_window
+        self.latency_values[columns[:, None], slots] = per_point
+        self.latency_counts[columns] += rounds
 
 
 class MultiSeriesEngine:
@@ -680,7 +686,9 @@ class MultiSeriesEngine:
             spec.latency_window, "latency_window"
         )
         self.track_latency = bool(spec.track_latency)
-        self._series: dict[Hashable, _SeriesState] = {}
+        #: the fleet's roster in first-seen order: a key's scalar home, or
+        #: None while the key lives in kernel columns (see ``_absorbed``)
+        self._series: dict[Hashable, _SeriesState | None] = {}
         #: routes batched ingest of same-spec live series through the
         #: columnar fleet kernel; set to False to force the scalar path
         #: (outputs are identical either way -- the oracle tests rely on
@@ -787,9 +795,9 @@ class MultiSeriesEngine:
         point).
 
         A key that batched ingest absorbed into the fleet kernel keeps its
-        single-key semantics: the series' object state is materialized from
-        the columnar arrays, processed through the ordinary scalar
-        pipeline, and written back, so mixing ``process`` and ``ingest``
+        single-key semantics: a scalar state is built from its column,
+        advanced through the ordinary scalar pipeline, loaded back into
+        the column and dropped, so mixing ``process`` and ``ingest``
         freely is safe (and exactly equal to never batching at all).
 
         In a durable session the observation is WAL-appended *before*
@@ -797,7 +805,8 @@ class MultiSeriesEngine:
         change).  A rejected observation therefore still leaves a record
         behind; replay re-rejects it identically, so recovery is
         unaffected -- but callers retry-looping a rejected value will
-        grow the WAL by one dead record per attempt.
+        grow the WAL by one dead record per attempt.  A rejected *first*
+        observation does not create the key.
         """
         self._wal_append([("point", key, value)])
         record = self._process_unlogged(key, value)
@@ -809,18 +818,14 @@ class MultiSeriesEngine:
         location = self._absorbed.get(key)
         if location is not None:
             group, column = location
-            state = self._series[key]
-            group.sync_series(column, state)
+            (state,) = group.materialize([column])
             record = self._process_live(key, state, float(value))
-            group.load_series(column, state)
+            group.load(column, state)
             return record
         state = self._series.get(key)
-        if state is None:
-            pipeline = StreamingPipeline.from_spec(self.spec.pipeline_for(key))
-            state = _SeriesState(pipeline, self.latency_window)
-            self._series[key] = state
-
-        if not state.live:
+        if state is None or not state.live:
+            # Validated before the key exists: a rejected first
+            # observation must not leave a zero-point series behind.
             value = float(value)
             if not np.isfinite(value):
                 # Online NaN gaps are imputed by the decomposer, but the
@@ -830,6 +835,11 @@ class MultiSeriesEngine:
                 raise ValueError(
                     f"series {key!r} is still warming up and received a "
                     f"non-finite value ({value}); warmup values must be finite"
+                )
+            if state is None:
+                pipeline = StreamingPipeline.from_spec(self.spec.pipeline_for(key))
+                state = self._series[key] = _SeriesState(
+                    pipeline, self.latency_window
                 )
             state.warmup.append(value)
             state.points += 1
@@ -1270,7 +1280,7 @@ class MultiSeriesEngine:
             if len(members) < min(self.kernel_min_cohort, group.n_series):
                 # A round touching only a few members of a large group is
                 # cheaper through the single-key path (which materializes
-                # and writes back just those columns) than through a
+                # and loads back just those columns) than through a
                 # gathered sub-kernel.
                 scalar.extend((round_keys[j], j) for j in taken)
                 continue
@@ -1293,7 +1303,7 @@ class MultiSeriesEngine:
         Cohort-at-a-time, so a fleet that goes live together is packed in
         one shot.
         """
-        to_absorb: dict[str, list] = {}
+        to_absorb: dict[str, tuple[PipelineSpec, dict]] = {}
         for key in keys:
             if key in self._never_absorb:
                 continue
@@ -1302,25 +1312,25 @@ class MultiSeriesEngine:
                 continue
             spec = self._absorption_spec(key, state)
             if spec is not None:
-                to_absorb.setdefault(spec.to_json(sort_keys=True), []).append(
-                    (spec, key, state)
+                _spec, members = to_absorb.setdefault(
+                    spec.to_json(sort_keys=True), (spec, {})
                 )
-        for spec_key, items in to_absorb.items():
+                members[key] = state
+        for spec_key, (spec, members) in to_absorb.items():
             group = self._groups.get(spec_key)
             if group is None:
-                if len(items) < self.kernel_min_cohort:
+                if len(members) < self.kernel_min_cohort:
                     # Too small a cohort to pay off; the keys stay on the
                     # scalar path and are reconsidered on later rounds
                     # (e.g. once more series of this spec go live).
                     continue
                 group = self._groups[spec_key] = _FleetGroup(
-                    items[0][0], self.latency_window, self.track_latency
+                    spec, self.latency_window, self.track_latency
                 )
-            group.absorb(
-                [key for _spec, key, _state in items],
-                [state for _spec, _key, state in items],
-            )
-            for _spec, key, _state in items:
+            group.absorb(members)
+            for key in members:
+                # The columns are the series now; its scalar home is gone.
+                self._series[key] = None
                 self._absorbed[key] = (group, group.column_of[key])
 
     @hotpath
@@ -1342,8 +1352,8 @@ class MultiSeriesEngine:
         solve -- bit-identically to the scalar path), and every scatter
         into the :class:`IngestResult` is one 2-D fancy write at
         ``positions``, the block's ``(rounds, m)`` output slots.  The
-        per-member bookkeeping -- record indices, pending
-        point and anomaly counters, latency accounting -- is all batched
+        per-member bookkeeping -- record indices, point and anomaly
+        totals, latency accounting -- is all batched
         array operations; no per-row Python objects are built here
         (records are materialized lazily by the :class:`IngestResult`).
 
@@ -1372,13 +1382,10 @@ class MultiSeriesEngine:
             rounds = scores.shape[0]
             if track_latency and rounds:
                 per_point = (time.perf_counter() - start) / (rounds * columns.size)
-                group.record_latency_block(
-                    None if full else columns, per_point, rounds
-                )
+                group.record_latency_block(columns, per_point, rounds)
             advanced = positions[:rounds]
             round_offsets = np.arange(rounds, dtype=np.int64)[:, None]
-            indices = group.indices if full else group.indices[columns]
-            result.index[advanced] = indices[None, :] + round_offsets
+            result.index[advanced] = group.indices[columns][None, :] + round_offsets
             result.value[advanced] = out.value
             result.trend[advanced] = out.trend
             result.seasonal[advanced] = out.seasonal
@@ -1387,15 +1394,9 @@ class MultiSeriesEngine:
             result.is_anomaly[advanced] = flags
             result.detection_residual[advanced] = out.detection_residual
             result.live[advanced] = True
-            anomalies = flags.sum(axis=0)
-            if full:
-                group.indices += rounds
-                group.points_pending += rounds
-                group.anomalies_pending += anomalies
-            else:
-                group.indices[columns] += rounds
-                group.points_pending[columns] += rounds
-                group.anomalies_pending[columns] += anomalies
+            group.indices[columns] += rounds
+            group.points[columns] += rounds
+            group.anomalies[columns] += flags.sum(axis=0)
             if rounds == block_values.shape[0]:
                 return
             for j, column in enumerate(columns.tolist()):
@@ -1427,39 +1428,35 @@ class MultiSeriesEngine:
     def forecast(self, key: Hashable, horizon: int) -> np.ndarray:
         """Forecast ``horizon`` values ahead for one live series."""
         state = self._series[key]
+        if state is None:
+            group, column = self._absorbed[key]
+            return group.kernel.forecast(
+                column, check_positive_int(horizon, "horizon")
+            )
         if not state.live:
             raise RuntimeError(f"series {key!r} is still warming up")
-        location = self._absorbed.get(key)
-        if location is not None:
-            group, column = location
-            group.sync_series(column, state)
         return state.pipeline.forecast(horizon)
 
-    def _sync_all(self) -> None:
-        """Materialize every absorbed series' object state from the kernel."""
-        self._sync_keys(self._absorbed)
+    def _materialized(self, keys: Iterable[Hashable]) -> dict:
+        """``{key: scalar state}`` of the given series, in the order given.
 
-    def _sync_keys(self, keys: Iterable[Hashable]) -> None:
-        """Materialize the given absorbed series, batched group by group.
-
-        Non-absorbed keys are skipped (their object state is already
-        authoritative); the per-group batches go through
-        :meth:`_FleetGroup.sync_members`, so exporting a cohort costs a
-        handful of gathered array reads rather than per-series indexing.
+        A key off the kernel maps to its own ``_SeriesState`` (the live
+        object, not a copy); an absorbed key to a fresh state built from
+        its column, one :meth:`_FleetGroup.materialize` per group, so
+        exporting a cohort costs a handful of gathered array reads
+        rather than per-series indexing.  Nothing in the engine changes.
         """
+        states = {key: self._series[key] for key in keys}
         by_group: dict[int, tuple[_FleetGroup, list, list]] = {}
-        for key in keys:
-            location = self._absorbed.get(key)
-            if location is None:
-                continue
-            group, column = location
-            entry = by_group.get(id(group))
-            if entry is None:
-                entry = by_group[id(group)] = (group, [], [])
-            entry[1].append(column)
-            entry[2].append(self._series[key])
-        for group, columns, states in by_group.values():
-            group.sync_members(np.asarray(columns, dtype=np.intp), states)
+        for key, state in states.items():
+            if state is None:
+                group, column = self._absorbed[key]
+                entry = by_group.setdefault(id(group), (group, [], []))
+                entry[1].append(column)
+                entry[2].append(key)
+        for group, columns, members in by_group.values():
+            states.update(zip(members, group.materialize(columns)))
+        return states
 
     def _reset_fleet_groups(self) -> None:
         """Drop all columnar bookkeeping (after replacing ``_series``)."""
@@ -1474,29 +1471,20 @@ class MultiSeriesEngine:
         enough churn a group advances a wide kernel for a thinning cohort
         and its full-round (in-place, no gather/scatter) path becomes
         unreachable.  Groups whose occupancy falls below
-        :attr:`group_min_occupancy` are dissolved: the survivors' object
-        state is materialized (batched) and they return to the scalar
-        path, from which the next batched ingest re-absorbs them into a
-        fresh, dense group.  Scalar and kernel paths produce identical
-        state, so re-homing never perturbs the stream.
+        :attr:`group_min_occupancy` are dissolved: the survivors are
+        materialized (batched) and return to the scalar path, from which
+        the next batched ingest re-absorbs them into a fresh, dense
+        group.  Scalar and kernel paths produce identical state, so
+        re-homing never perturbs the stream.
         """
         dissolved = []
         for spec_key, group in self._groups.items():
             if group.n_series and group.occupancy >= self.group_min_occupancy:
                 continue
-            survivors = [
-                (column, key)
-                for column, key in enumerate(group.keys)
-                if key is not None
-            ]
-            if survivors:
-                columns = np.array(
-                    [column for column, _key in survivors], dtype=np.intp
-                )
-                states = [self._series[key] for _column, key in survivors]
-                group.sync_members(columns, states)
-                for _column, key in survivors:
-                    del self._absorbed[key]
+            survivors = list(group.column_of)
+            self._series.update(self._materialized(survivors))
+            for key in survivors:
+                del self._absorbed[key]
             dissolved.append(spec_key)
         for spec_key in dissolved:
             del self._groups[spec_key]
@@ -1515,22 +1503,31 @@ class MultiSeriesEngine:
 
     def live_keys(self) -> list[Hashable]:
         """Keys of the series that completed initialization."""
-        return [key for key, state in self._series.items() if state.live]
+        return [
+            key
+            for key, state in self._series.items()
+            if state is None or state.live
+        ]
 
     def series_stats(self, key: Hashable) -> SeriesStats:
         """Statistics of a single series."""
         state = self._series[key]
-        location = self._absorbed.get(key)
-        if location is not None:
-            group, column = location
-            group.flush_counters(column, state)
-            group.flush_latency(column, state)
-        latencies = state.latencies.to_array()
+        if state is None:
+            group, column = self._absorbed[key]
+            live = True
+            points = int(group.points[column])
+            anomalies = int(group.anomalies[column])
+            latencies = group.latencies(column)
+        else:
+            live = state.live
+            points = state.points
+            anomalies = state.anomalies
+            latencies = state.latencies.to_array()
         return SeriesStats(
             key=key,
-            status=SeriesStatus.LIVE if state.live else SeriesStatus.WARMING,
-            points=state.points,
-            anomalies=state.anomalies,
+            status=SeriesStatus.LIVE if live else SeriesStatus.WARMING,
+            points=points,
+            anomalies=anomalies,
             latency=(
                 summarize_latencies(latencies, method=f"series[{key!r}]")
                 if latencies.size
@@ -1558,15 +1555,15 @@ class MultiSeriesEngine:
     def extract_series(self, keys: Iterable[Hashable]) -> dict:
         """Remove the given series from this engine and return their state.
 
-        The returned mapping ``{key: state}`` holds each series' complete,
-        materialized state (pipeline, warmup buffer, counters, latency
-        ring) -- the same per-series objects a checkpoint carries, so it
+        The returned mapping ``{key: state}`` holds each series' complete
+        scalar state (pipeline, warmup buffer, counters, latency ring)
+        -- the same per-series objects a checkpoint carries, so it
         pickles across process boundaries -- ready to hand to
         :meth:`adopt_series` on another engine.  Extraction is the drain
         half of a live shard migration.
 
-        Kernel-absorbed series are synced out first and their columns
-        vacated; groups whose occupancy falls below
+        Kernel-absorbed series are materialized from their columns, which
+        are then vacated; groups whose occupancy falls below
         :attr:`group_min_occupancy` are dissolved and their survivors
         re-homed (see ``_rebalance_groups``).  Durable cohorts that held
         an extracted key are forced dirty, and in a durable session the
@@ -1590,8 +1587,7 @@ class MultiSeriesEngine:
             )
         if len(set(keys)) != len(keys):
             raise ValueError("extract_series() keys must be unique")
-        self._sync_keys(keys)
-        extracted = {}
+        extracted = self._materialized(keys)
         touched_cohorts = set()
         for key in keys:
             location = self._absorbed.pop(key, None)
@@ -1599,7 +1595,7 @@ class MultiSeriesEngine:
                 group, column = location
                 group.vacate(column, key)
             self._never_absorb.discard(key)
-            extracted[key] = self._series.pop(key)
+            del self._series[key]
             cohort_id = self._cohort_of.pop(key, None)
             if cohort_id is not None:
                 self._cohort_members[cohort_id].remove(key)
@@ -2044,23 +2040,19 @@ class MultiSeriesEngine:
     # ------------------------------------------------ incremental checkpoints
 
     def _series_marker(self, key: Hashable) -> int:
-        """Monotone progress counter of one series (cheap, no sync needed).
+        """Monotone progress counter of one series: its observation count.
 
-        The marker is the series' total observation count in one uniform
-        basis: the flushed ``points`` counter plus, for kernel-absorbed
-        series, the group's pending (not yet flushed) points for that
-        column.  Every mutation of a series advances it, every flush
-        preserves it (the flush moves pending into ``points``), and it
-        never switches representation when a series migrates between the
-        scalar and kernel paths -- so a stale marker can never alias a
-        newer state, which is what lets :meth:`checkpoint` trust "marker
-        unchanged" to mean "cohort segment still valid".
+        One counter in one place -- the column's ``points`` total for an
+        absorbed series, the state's otherwise; absorption and
+        materialization copy it, every mutation of a series advances it
+        -- so a stale marker can never alias a newer state, which is
+        what lets :meth:`checkpoint` trust "marker unchanged" to mean
+        "cohort segment still valid".
         """
         state = self._series[key]
-        location = self._absorbed.get(key)
-        if location is not None:
-            group, column = location
-            return state.points + int(group.points_pending[column])
+        if state is None:
+            group, column = self._absorbed[key]
+            return int(group.points[column])
         return state.points
 
     def _assign_cohorts(self) -> None:
@@ -2091,12 +2083,6 @@ class MultiSeriesEngine:
             return True
         get = markers.get
         return any(get(key) != self._series_marker(key) for key in members)
-
-    def _export_cohort(self, cohort_id: int) -> dict:
-        """Materialize one cohort's per-series state, batched per group."""
-        members = self._cohort_members[cohort_id]
-        self._sync_keys(members)
-        return {key: self._series[key] for key in members}
 
     def checkpoint(self) -> CheckpointSummary:
         """Persist all changes since the last checkpoint to the store.
@@ -2134,7 +2120,7 @@ class MultiSeriesEngine:
         crcs = dict(self._cohort_crcs)
         for cohort_id in dirty:
             name = segment_name(generation, cohort_id)
-            states = self._export_cohort(cohort_id)
+            states = self._materialized(self._cohort_members[cohort_id])
             payload = encode_segment(states)
             store.write_segment(name, payload)
             segments[cohort_id] = name
@@ -2218,12 +2204,14 @@ class MultiSeriesEngine:
         to disk by the caller).  For a checkpoint that survives process
         boundaries and carries its own configuration, use :meth:`save`.
 
-        Kernel-absorbed series are materialized first, so the checkpoint
-        always holds plain per-series state -- the same shape whether or
-        not batched ingest ever ran.
+        The checkpoint always holds plain per-series state -- the same
+        shape whether or not batched ingest ever ran: a kernel-absorbed
+        series is built fresh from its columns (already independent, so
+        it is not copied again), any other is deep-copied.
         """
-        self._sync_all()
-        return copy.deepcopy(self._series)
+        states = self._materialized(self._series)
+        scalar = {key: states[key] for key in states if key not in self._absorbed}
+        return {**states, **copy.deepcopy(scalar)}
 
     def restore(self, checkpoint: dict) -> None:
         """Rewind the engine to a checkpoint taken with :meth:`snapshot`.
@@ -2282,11 +2270,10 @@ class MultiSeriesEngine:
         flat representation), so checkpoint files carry pickle's trust
         model: :meth:`load` must only be given files from trusted sources.
         """
-        self._sync_all()
         payload = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "engine_spec": self.spec.to_dict(),
-            "series": self._series,
+            "series": self._materialized(self._series),
             "generation": self._generation,
         }
         SingleSnapshotStore(path).write(payload)

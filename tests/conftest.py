@@ -1,7 +1,13 @@
 """Shared fixtures for the OneShotSTL reproduction test suite."""
 
+import io
+import pickle
+
 import numpy as np
 import pytest
+
+from repro.core.online_system import ContributionWorkspace
+from repro.solvers import IncrementalBandedLDLT
 
 
 class SimulatedCrash(RuntimeError):
@@ -16,6 +22,34 @@ class PathLikeWrapper:
 
     def __fspath__(self) -> str:
         return self._path
+
+
+class _CanonicalPickler(pickle.Pickler):
+    """Pickles model state without the bytes that are not state.
+
+    A ``ContributionWorkspace`` holds ``np.empty`` scratch (whatever the
+    allocator handed out) and a scalar solver keeps one undo level of its
+    last ``extend``; neither is decomposition state, and both differ
+    between two objects that are otherwise equal bit for bit.
+    """
+
+    def reducer_override(self, obj):
+        if isinstance(obj, ContributionWorkspace):
+            return ContributionWorkspace, (obj.lambda1, obj.lambda2)
+        if isinstance(obj, IncrementalBandedLDLT):
+            new, args, state = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:3]
+            return new, args, dict(state, _undo=None)
+        return NotImplemented
+
+
+def canonical_bytes(obj) -> bytes:
+    """``pickle.dumps(obj)`` modulo uninitialised scratch and undo levels.
+
+    Equal bytes mean equal types, attribute order, sharing and floats.
+    """
+    stream = io.BytesIO()
+    _CanonicalPickler(stream, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return stream.getvalue()
 
 
 def make_seasonal_series(

@@ -12,6 +12,7 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repro.streaming.engine as engine_module
 from repro.analysis.engine import analyze_source
@@ -305,6 +306,37 @@ def test_store_to_series_dict_before_append_is_flagged():
         """
     )
     assert rules(findings) == ["WAL001"]
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        "self._series[key] = None",
+        "self._groups[key] = group",
+        "self._absorbed[key] = (group, 0)",
+        "self._never_absorb.add(key)",
+        "del self._absorbed[key]",
+    ],
+)
+def test_store_to_each_fleet_mapping_before_append_is_flagged(mutation):
+    findings = run(
+        f"""
+        class Engine:
+            def put(self, key, group):
+                {mutation}
+                self._wal_append("put", key)
+        """
+    )
+    assert rules(findings) == ["WAL001"]
+
+
+def test_guarded_fleet_mappings_are_the_engines():
+    """The rule guards attributes the engine has, and all of its mappings."""
+    from repro.analysis.rules_wal import _MUTATED_ATTRS
+
+    engine = engine_module.MultiSeriesEngine.for_oneshotstl(24)
+    assert all(hasattr(engine, name) for name in _MUTATED_ATTRS)
+    assert _MUTATED_ATTRS == {"_series", "_groups", "_absorbed", "_never_absorb"}
 
 
 def test_branch_local_appends_dominate_later_mutation():

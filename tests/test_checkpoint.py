@@ -34,7 +34,12 @@ from repro.streaming import (
     SeriesStatus,
 )
 
-from tests.conftest import PathLikeWrapper, SimulatedCrash, make_seasonal_series
+from tests.conftest import (
+    PathLikeWrapper,
+    SimulatedCrash,
+    canonical_bytes,
+    make_seasonal_series,
+)
 
 PERIOD = 24
 INIT = 4 * PERIOD
@@ -702,42 +707,30 @@ class TestAtomicSaveAndErrors:
 
 
 class TestBatchedStateExport:
-    """The cohort-granular kernel export equals the per-member path."""
+    """The cohort-granular kernel export equals the per-member one."""
 
-    def test_sync_members_matches_sync_series(self):
+    def test_extract_many_matches_extract(self):
         data = make_fleet_data(10, length=PERIOD * 6)
-        batches = list(interleaved_batches(data))
-        batched_engine = MultiSeriesEngine.from_spec(uniform_spec())
-        member_engine = MultiSeriesEngine.from_spec(uniform_spec())
-        for batch in batches:
-            batched_engine.ingest(batch)
-            member_engine.ingest(batch)
-        assert batched_engine._absorbed, "fleet kernel should have engaged"
-
-        # One engine materializes via the batched export (snapshot uses
-        # _sync_keys -> sync_members), the other via per-member syncs.
-        for key, (group, column) in member_engine._absorbed.items():
-            group.sync_series(column, member_engine._series[key])
-        batched = batched_engine.snapshot()
-        for key in member_engine.keys():
-            expected = member_engine._series[key].pipeline
-            actual = batched[key].pipeline
-            assert actual._index == expected._index
-            assert np.array_equal(
-                actual.decomposer._seasonal_buffer,
-                expected.decomposer._seasonal_buffer,
-            )
-            assert actual.decomposer._last_trend == expected.decomposer._last_trend
-            assert actual.scorer._mean == expected.scorer._mean
-            assert actual.scorer._m2 == expected.scorer._m2
-            for mine, theirs in zip(
-                actual.decomposer._iterations_state,
-                expected.decomposer._iterations_state,
-            ):
-                assert mine.solver._m_trail == theirs.solver._m_trail
-                assert mine.solver._bp_trail == theirs.solver._bp_trail
-                assert mine.solver.size == theirs.solver.size
-                assert mine.previous_trend == theirs.previous_trend
+        engine = MultiSeriesEngine.from_spec(uniform_spec())
+        for batch in interleaved_batches(data):
+            engine.ingest(batch)
+        assert engine._absorbed, "fleet kernel should have engaged"
+        (group,) = engine._groups.values()
+        columns = [7, 2, 9, 0]
+        for columnar in (group.kernel, group.scorer, group.kernel.solver):
+            batched = columnar.extract_many(np.array(columns))
+            assert len(batched) == len(columns)
+            for column, member in zip(columns, batched):
+                assert canonical_bytes(member) == canonical_bytes(
+                    columnar.extract(column)
+                )
+        # ... and the members are the columns: advancing one by hand
+        # continues exactly like the engine does.
+        key = group.keys[7]
+        model = group.kernel.extract_many([7])[0]
+        expected = model.update(1.25)
+        record = engine.process(key, 1.25).record
+        assert (record.trend, record.seasonal) == (expected.trend, expected.seasonal)
 
 
 class TestSeriesStatusEnum:

@@ -310,6 +310,24 @@ class TestOneShotSTL:
         ]
         assert np.mean(np.abs(forecast[:period] - expected)) < 0.5
 
+    def test_forecast_is_the_per_step_loop_bit_for_bit(self, medium_seasonal):
+        """One gather and one add == the horizon-long Python loop it replaced."""
+        period = medium_seasonal["period"]
+        values = medium_seasonal["values"]
+        model = OneShotSTL(period, shift_window=10)
+        model.initialize(values[: 4 * period])
+        for value in values[4 * period : 7 * period + 3]:
+            model.update(float(value))
+        assert model.current_shift != 0  # the trend break made a search move
+        for horizon in (1, period - 1, period, 3 * period + 5):
+            looped = np.empty(horizon)
+            for step in range(horizon):
+                position = (model._global_index + step) % period
+                looped[step] = model._last_trend + model._seasonal_buffer[position]
+            forecast = model.forecast(horizon)
+            assert forecast.shape == (horizon,)
+            assert forecast.tolist() == looped.tolist()
+
     def test_seasonality_shift_is_detected_and_applied(self):
         period = 50
         cycles = 14

@@ -1,0 +1,336 @@
+"""A series has one home: scalar objects while off the kernel, columns after.
+
+Absorption consumes a series' ``_SeriesState`` -> ``StreamingPipeline`` ->
+``OneShotSTL`` -> solvers; from then on reads come off the columns, and
+``_FleetGroup.materialize`` -- the one way out -- builds fresh scalar
+state where a boundary needs it.  Pinned here:
+
+* no scalar object survives an absorption, whatever is called afterwards;
+* reads are pure: interleaving them changes no later output and no byte
+  of the next checkpoint, and everything equals the scalar reference
+  (``fleet_kernel_enabled = False``) float for float;
+* the boundary still speaks ``{key: _SeriesState}``: store format v3.
+"""
+
+import gc
+import io
+import pickle
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import OneShotSTL
+from repro.durability.format import decode_segment
+from repro.solvers import IncrementalBandedLDLT
+from repro.streaming import (
+    IngestResult,
+    MultiSeriesEngine,
+    RingBuffer,
+    StreamingPipeline,
+)
+from repro.streaming.engine import _SeriesState
+
+from tests.conftest import canonical_bytes, make_seasonal_series
+
+PERIOD = 24
+INIT = 4 * PERIOD
+KEYS = [f"m-{i}" for i in range(10)]
+SCALAR_TYPES = (OneShotSTL, StreamingPipeline, IncrementalBandedLDLT, RingBuffer)
+
+
+def stream(index, length=PERIOD * 40):
+    values = make_seasonal_series(length, PERIOD, seed=700 + index)["values"]
+    values[INIT + 7 * (index + 3) :: 53] += 4.0  # spikes: flags and searches
+    return values
+
+
+STREAMS = np.column_stack([stream(index) for index in range(len(KEYS))])
+
+
+def scalar_census():
+    gc.collect()
+    return sum(isinstance(obj, SCALAR_TYPES) for obj in gc.get_objects())
+
+
+class TestAbsorbedSeriesHaveNoScalarObjects:
+    def test_object_census(self, tmp_path):
+        baseline = scalar_census()
+        engine = MultiSeriesEngine.open(
+            tmp_path / "store",
+            spec=MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=True).spec,
+        )
+        # The round that completes the windows, then the first online
+        # points: the cohort is absorbed inside this one batch.
+        engine.ingest_grid(KEYS, STREAMS[: INIT + 4])
+        assert set(engine._absorbed) == set(KEYS)
+        assert scalar_census() == baseline
+
+        calls = {
+            "process": lambda: engine.process(KEYS[3], 0.5),
+            "forecast": lambda: engine.forecast(KEYS[0], 30),
+            "series_stats": lambda: engine.series_stats(KEYS[1]),
+            "fleet_stats": lambda: engine.fleet_stats(),
+            "subset grid": lambda: engine.ingest_grid(KEYS[:2], STREAMS[200:201, :2]),
+            "snapshot": lambda: engine.snapshot(),
+            "checkpoint": lambda: engine.checkpoint(),
+        }
+        for name, call in calls.items():
+            returned = call()
+            assert returned is not None
+            del returned  # a snapshot *is* scalar objects: the caller's
+            assert scalar_census() == baseline, f"{name} left scalar objects"
+        assert set(engine._absorbed) == set(KEYS)
+        assert all(state is None for state in engine._series.values())
+        engine.close()
+
+
+def warm_state():
+    """A fleet past warm-up, as a scalar-path snapshot (restored per run)."""
+    engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+    engine.fleet_kernel_enabled = False
+    engine.ingest_grid(KEYS, STREAMS[: INIT + 12])
+    return engine.snapshot()
+
+
+WARM = warm_state()
+
+READS = st.one_of(
+    st.tuples(st.just("forecast"), st.integers(0, 9), st.integers(1, 3 * PERIOD)),
+    st.tuples(st.just("series_stats"), st.integers(0, 9)),
+    st.tuples(st.sampled_from(["fleet_stats", "live_keys", "snapshot", "checkpoint"])),
+)
+WRITES = st.one_of(
+    st.tuples(st.just("grid"), st.integers(1, 3)),
+    st.tuples(st.just("process"), st.integers(0, 9)),
+    st.tuples(
+        st.just("subset"),
+        st.lists(st.integers(0, 9), min_size=1, max_size=9, unique=True),
+        st.integers(1, 2),
+    ),
+)
+
+
+class Run:
+    """One engine fed the shared write schedule."""
+
+    def __init__(self, directory, kernel):
+        self.engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+        self.engine.fleet_kernel_enabled = kernel
+        self.engine.checkpoint_cohort_size = 4
+        self.engine.restore(WARM)
+        self.engine.attach_store(directory, checkpoint=False)
+        self.cursors = [INIT + 12] * len(KEYS)
+
+    def take(self, columns, rounds):
+        block = np.column_stack(
+            [STREAMS[self.cursors[c] : self.cursors[c] + rounds, c] for c in columns]
+        )
+        for column in columns:
+            self.cursors[column] += rounds
+        return block
+
+    def write(self, step):
+        """Apply one write; returns its outputs as plain comparable data."""
+        engine = self.engine
+        if step[0] == "process":
+            (value,) = self.take([step[1]], 1).reshape(-1)
+            return engine.process(KEYS[step[1]], value).record
+        columns = list(range(len(KEYS))) if step[0] == "grid" else step[1]
+        result = engine.ingest_grid(
+            [KEYS[c] for c in columns], self.take(columns, step[-1])
+        )
+        return [getattr(result, field).tolist() for field in IngestResult.FIELDS]
+
+    def read(self, step):
+        engine = self.engine
+        if step[0] == "forecast":
+            return engine.forecast(KEYS[step[1]], step[2]).tolist()
+        if step[0] == "series_stats":
+            return engine.series_stats(KEYS[step[1]])
+        if step[0] == "fleet_stats":
+            stats = engine.fleet_stats()
+            return stats.series_live, stats.points_total, stats.anomalies_total
+        if step[0] == "snapshot":
+            return canonical_bytes(engine.snapshot())
+        if step[0] == "checkpoint":
+            return engine.checkpoint().cohorts_total
+        return engine.live_keys()
+
+    def segments(self):
+        """``{cohort id: canonical segment bytes}`` of a fresh checkpoint."""
+        engine = self.engine
+        engine.checkpoint()
+        store = engine._store
+        return {
+            cohort["id"]: canonical_bytes(
+                decode_segment(store.read_segment(cohort["segment"]), "test")
+            )
+            for cohort in store.read_manifest()["cohorts"]
+        }
+
+
+class TestReadsArePure:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        schedule=st.lists(
+            st.tuples(WRITES, st.lists(READS, max_size=3)), min_size=1, max_size=6
+        )
+    )
+    def test_interleaved_reads_change_nothing(self, schedule):
+        with tempfile.TemporaryDirectory() as root:
+            read, unread, reference = (
+                Run(f"{root}/read", kernel=True),
+                Run(f"{root}/unread", kernel=True),
+                Run(f"{root}/reference", kernel=False),
+            )
+            # Full-width first, so the kernel runs absorb the fleet; the
+            # closing full-width batch dirties every cohort.
+            steps = [(("grid", 1), [])] + schedule + [(("grid", 2), [])]
+            for write, reads in steps:
+                expected = reference.write(write)
+                assert unread.write(write) == expected
+                assert read.write(write) == expected
+                for step in reads:
+                    # ... and every read answers what the scalar
+                    # reference answers at the same point of the stream.
+                    assert read.read(step) == reference.read(step)
+            assert set(read.engine._absorbed) == set(KEYS)
+            segments = read.segments()
+            assert segments == unread.segments()
+            assert segments == reference.segments()
+            for run in (read, unread, reference):
+                run.engine.close(checkpoint=False)
+
+
+class TestForecastOffTheColumns:
+    def test_engine_forecast_equals_scalar_reference(self):
+        engines = []
+        for kernel in (True, False):
+            engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=10)
+            engine.fleet_kernel_enabled = kernel
+            engine.ingest_grid(KEYS, STREAMS[: INIT + 3 * PERIOD + 5])
+            engines.append(engine)
+        fast, reference = engines
+        assert set(fast._absorbed) == set(KEYS) and not reference._absorbed
+        shifted = 0
+        for key, (group, column) in fast._absorbed.items():
+            shifted += int(group.kernel.last_applied_shift[column] != 0)
+            for horizon in (1, PERIOD - 1, PERIOD, 3 * PERIOD + 5):
+                forecast = fast.forecast(key, horizon)
+                assert forecast.shape == (horizon,)
+                assert forecast.tolist() == reference.forecast(key, horizon).tolist()
+        assert shifted, "no search applied a shift: the case is not covered"
+        assert set(fast._absorbed) == set(KEYS)  # nothing was un-absorbed
+
+
+class TestLatencyRingHasOneHome:
+    def test_adopted_ring_of_another_capacity_keeps_the_newest_in_order(self):
+        donor = MultiSeriesEngine.for_oneshotstl(PERIOD, latency_window=64)
+        donor.ingest_grid(KEYS, STREAMS[: INIT + 40])
+        states = donor.extract_series(KEYS)
+        for position, state in enumerate(states.values()):
+            state.latencies.clear()
+            state.latencies.extend(position + np.arange(40.0))  # oldest first
+
+        # Narrower and wider than the donor's 64; an engine that records
+        # nothing itself only allocates the ring because history arrived.
+        for window, tracking in ((16, False), (16, True), (256, False), (256, True)):
+            engine = MultiSeriesEngine.for_oneshotstl(
+                PERIOD, latency_window=window, track_latency=tracking
+            )
+            engine.adopt_series(pickle.loads(pickle.dumps(states)))
+            engine.ingest_grid(KEYS, STREAMS[INIT + 40 : INIT + 42])
+            assert set(engine._absorbed) == set(KEYS)
+            recorded = 2 if tracking else 0
+            kept = min(40 + recorded, window)
+            for position, key in enumerate(KEYS):
+                adopted = (position + np.arange(40.0))[40 - (kept - recorded) :]
+                group, column = engine._absorbed[key]
+                durations = group.latencies(column)
+                assert durations.size == kept
+                assert durations[: kept - recorded].tolist() == adopted.tolist()
+                assert engine.series_stats(key).latency.points == kept
+                # ... and the way out carries the same ring.
+                ring = engine.snapshot()[key].latencies
+                assert ring.capacity == window
+                assert ring.to_array().tolist() == durations.tolist()
+
+    def test_single_key_process_appends_to_the_column_ring(self):
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, latency_window=8)
+        engine.ingest_grid(KEYS, STREAMS[: INIT + 5])
+        group, column = engine._absorbed[KEYS[2]]
+        before = group.latencies(column)
+        assert before.size == 5
+        engine.process(KEYS[2], 0.5)
+        after = group.latencies(column)
+        assert after[:-1].tolist() == before.tolist() and after.size == 6
+        for _ in range(4):
+            engine.process(KEYS[2], 0.5)
+        assert group.latencies(column).size == 8
+        assert group.latencies(column)[:4].tolist() == after[2:].tolist()
+
+
+class _RecordingUnpickler(pickle.Unpickler):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.names = set()
+
+    def find_class(self, module, name):
+        self.names.add(f"{module}.{name}")
+        return super().find_class(module, name)
+
+
+class TestStoreFormatV3:
+    """What a segment, a ``save`` file and an ``extract_series`` payload
+    name when unpickled -- the classes a store written by an earlier
+    build needs to find, where it needs to find them."""
+
+    GLOBALS = {
+        "repro.streaming.engine._SeriesState",
+        "repro.streaming.pipeline.StreamingPipeline",
+        "repro.streaming.buffer.RingBuffer",
+        "repro.core.oneshotstl.OneShotSTL",
+        "repro.core.oneshotstl._IterationState",
+        "repro.core.nsigma.NSigma",
+        "repro.core.online_system.ContributionWorkspace",
+        "repro.solvers.incremental_ldlt.IncrementalBandedLDLT",
+        "repro.specs.PipelineSpec",
+        "repro.specs.DecomposerSpec",
+        "repro.specs.DetectorSpec",
+    }
+
+    def test_series_state_slots_are_pinned(self):
+        assert _SeriesState.__module__ == "repro.streaming.engine"
+        assert _SeriesState.__slots__ == (
+            "pipeline",
+            "warmup",
+            "live",
+            "points",
+            "anomalies",
+            "latencies",
+        )
+
+    def test_segment_names_the_same_classes_from_either_home(self, tmp_path):
+        engine = MultiSeriesEngine.open(
+            tmp_path / "store", spec=MultiSeriesEngine.for_oneshotstl(PERIOD).spec
+        )
+        engine.checkpoint_cohort_size = len(KEYS) + 1
+        engine.ingest_grid(KEYS, STREAMS[: INIT + 4])
+        engine.process("warming", 1.0)  # a scalar home beside the columns
+        assert set(engine._absorbed) == set(KEYS)
+        engine.checkpoint()
+        payloads = [
+            engine._store.read_segment(name) for name in engine._store.list_segments()
+        ]
+        assert len(payloads) == 1
+        engine.save(tmp_path / "fleet.ckpt")
+        payloads.append((tmp_path / "fleet.ckpt").read_bytes())
+        payloads.append(pickle.dumps(engine.extract_series(KEYS[:3])))
+        for payload in payloads:
+            unpickler = _RecordingUnpickler(io.BytesIO(payload))
+            unpickler.load()
+            ours = {name for name in unpickler.names if name.startswith("repro.")}
+            assert ours == self.GLOBALS
+        engine.close()

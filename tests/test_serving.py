@@ -295,6 +295,15 @@ class TestAppIngestParity:
         assert response.status == 422
         assert "re-send" in response.json()["detail"]
 
+    def test_rejected_first_observation_lists_no_key(self):
+        """A key whose first value was rejected never shows up in /v1/keys."""
+        app = make_app()
+        bad = encode_grid(["seen", "ghost"], np.array([[1.0, np.inf]]))
+        assert app.handle(Request.post("/v1/ingest", bad)).status == 422
+        listed = app.handle(Request.get("/v1/keys")).json()
+        assert (listed["keys"], listed["count"]) == (["seen"], 1)
+        assert app.handle(Request.get("/v1/series/ghost/stats")).status == 404
+
 
 # ----------------------------------------------------------- pagination
 

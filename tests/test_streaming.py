@@ -60,6 +60,35 @@ class TestRingBuffer:
         assert buffer.latest() == 4.0
         assert len(buffer) == 3
 
+    @pytest.mark.parametrize("capacity", [1, 3, 8])
+    @pytest.mark.parametrize("chunks", [[2, 3], [1, 1, 1, 1, 1], [7], [0, 20, 2], [8, 8, 3]])
+    def test_extend_matches_the_append_loop(self, capacity, chunks):
+        """Array extend == one append per value, across wrap-around and
+        input longer than the capacity (only the last ``capacity`` stay)."""
+        values = np.arange(1.0, sum(chunks) + 1.0)
+        extended, appended = RingBuffer(capacity), RingBuffer(capacity)
+        start = 0
+        for size in chunks:
+            chunk = values[start : start + size]
+            start += size
+            extended.extend(chunk)
+            for value in chunk:
+                appended.append(value)
+            assert len(extended) == len(appended)
+            assert extended.is_full == appended.is_full
+            assert extended.to_array().tolist() == appended.to_array().tolist()
+            if len(appended):
+                assert extended.latest() == appended.latest()
+        # appends after an extend land where the loop would have put them
+        extended.append(-1.0)
+        appended.append(-1.0)
+        assert extended.to_array().tolist() == appended.to_array().tolist()
+
+    def test_extend_accepts_any_iterable(self):
+        buffer = RingBuffer(4)
+        buffer.extend(float(value) for value in range(6))
+        assert buffer.to_array().tolist() == [2.0, 3.0, 4.0, 5.0]
+
     def test_clear(self):
         buffer = RingBuffer(2)
         buffer.append(1.0)

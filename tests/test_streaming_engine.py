@@ -83,6 +83,39 @@ class TestLazyInitialization:
         # ...and the rejected sample was never counted.
         assert engine.series_stats("m").points == values.size
 
+    @pytest.mark.parametrize("rejected", [float("nan"), float("inf"), "x"])
+    def test_rejected_first_observation_creates_no_key(self, rejected):
+        """Regression: the key used to be registered before validation."""
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
+        with pytest.raises(ValueError):
+            engine.process("k", rejected)
+        assert engine.keys() == [] and "k" not in engine and len(engine) == 0
+        stats = engine.fleet_stats()
+        assert (stats.series_total, stats.series_warming) == (0, 0)
+        # The first *accepted* value starts an ordinary warm-up.
+        values = make_seasonal_series(PERIOD * 5, PERIOD, seed=23)["values"]
+        statuses = [engine.process("k", float(value)).status for value in values]
+        assert statuses == ["warming"] * INIT + ["live"] * (values.size - INIT)
+        assert engine.series_stats("k").points == values.size
+
+    def test_rejected_first_observation_in_a_grid_creates_no_key(self, tmp_path):
+        engine = MultiSeriesEngine.open(
+            tmp_path / "store",
+            spec=MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0).spec,
+        )
+        with pytest.raises(ValueError):
+            engine.ingest_grid(["a", "b"], np.array([[1.0, np.inf]]))
+        # "a" was applied before the rejection, "b" never existed -- here,
+        # in the next checkpoint's cohort, and after replaying the WAL.
+        assert engine.keys() == ["a"]
+        assert engine.fleet_stats().series_warming == 1
+        assert engine.checkpoint().series_written == 1
+        engine.close(checkpoint=False)
+        with pytest.raises(ValueError):
+            engine.ingest_grid(["c", "d"], np.array([[np.nan, 1.0]]))
+        assert engine.keys() == ["a"]
+        assert MultiSeriesEngine.open(tmp_path / "store").keys() == ["a"]
+
     def test_nan_while_live_is_imputed_not_rejected(self):
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
         values = make_seasonal_series(PERIOD * 5, PERIOD, seed=22)["values"]
