@@ -19,6 +19,7 @@ RULES: dict[str, str] = {
     "REG002": "component spec does not round-trip to a fixed point",
     "SLOTS001": "hot-module dataclass does not declare slots=True",
     "SPEC001": "spec dataclass field is not a JSON primitive or nested spec",
+    "PRIV001": "sharding/serving code reads a private attribute off another object",
     "SUP001": "suppression names an unknown rule id",
     "SUP002": "suppression does not state a reason",
     "PARSE001": "source file does not parse",

@@ -1,4 +1,4 @@
-"""SLOTS001 / SPEC001: structural discipline rules.
+"""SLOTS001 / SPEC001 / PRIV001: structural discipline rules.
 
 * **SLOTS001** -- dataclasses defined under ``core/``, ``solvers/`` or
   ``streaming/`` must declare ``slots=True``.  These are the modules whose
@@ -11,6 +11,11 @@
   spec types (``*Spec``).  The spec layer's portability guarantee -- a
   spec is pure data that survives JSON -- is only as strong as its field
   types.
+* **PRIV001** -- code under ``sharding/`` or ``serving/``, the tiers above
+  the engine, may read a ``_private`` attribute only off ``self`` or
+  ``cls``.  A router summing ``engine._series_marker(key)`` or calling
+  ``MultiSeriesEngine._grid_from_dict`` pins the engine's internals from
+  outside; what a tier needs from the one below is a public name there.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from repro.analysis.findings import Finding
 __all__ = ["check"]
 
 _SLOTTED_DIRS = frozenset({"core", "solvers", "streaming"})
+_UPPER_TIER_DIRS = frozenset({"sharding", "serving"})
 _PRIMITIVES = frozenset({"str", "int", "float", "bool", "dict", "list", "tuple"})
 
 
@@ -126,12 +132,35 @@ def _check_spec_fields(tree: ast.AST, path: str, findings: list[Finding]) -> Non
                 )
 
 
+def _check_private_access(tree: ast.AST, path: str, findings: list[Finding]) -> None:
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        name = node.attr
+        if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id in ("self", "cls"):
+            continue
+        findings.append(
+            Finding(
+                path,
+                node.lineno,
+                "PRIV001",
+                f"'{ast.unparse(node)}' reaches into a private attribute of "
+                "another object; give the owner a public name for it",
+            )
+        )
+
+
 def check(tree: ast.AST, path: str) -> list[Finding]:
     """Run the structural rules that apply to ``path``."""
     findings: list[Finding] = []
     parts = PurePath(path).parts
     if _SLOTTED_DIRS & set(parts):
         _check_slots(tree, path, findings)
+    if _UPPER_TIER_DIRS & set(parts):
+        _check_private_access(tree, path, findings)
     if parts and parts[-1] == "specs.py":
         _check_spec_fields(tree, path, findings)
     return findings

@@ -81,7 +81,12 @@ from repro.sharding.errors import (
 from repro.sharding.hashring import ConsistentHashRing
 from repro.sharding.spec import ClusterSpec, ShardSpec
 from repro.sharding.worker import worker_main
-from repro.streaming.engine import FleetStats, IngestResult, MultiSeriesEngine
+from repro.streaming.engine import (
+    FleetStats,
+    IngestResult,
+    batch_record,
+    grid_record,
+)
 
 __all__ = [
     "ClusterStats",
@@ -887,8 +892,12 @@ class ShardRouter:
 
         Accepts the engine's batched input forms -- a columnar ``{key:
         values}`` grid (the fast path), parallel ``(keys, values)``
-        arrays, or an iterable of ``(key, value)`` rows -- partitions by
-        shard, sends **one message per shard**, and returns one combined
+        arrays, or an iterable of ``(key, value)`` rows -- normalizes
+        them with the engine's own
+        :func:`~repro.streaming.engine.batch_record` (so rows that do not
+        convert apply up to the first bad one and then raise, as they do
+        on one engine), partitions by shard, sends **one message per
+        shard**, and returns one combined
         :class:`~repro.streaming.IngestResult` in the equivalent input
         order.  Per-shard application is not transactional across the
         cluster (a validation error on one shard leaves other shards'
@@ -905,29 +914,11 @@ class ShardRouter:
         surviving shards and returns a :class:`DegradedResult` naming
         every skipped key.
         """
-        if isinstance(batch, dict):
-            round_keys, grid = MultiSeriesEngine._grid_from_dict(batch)
-            return self._fan_out("ingest", round_keys, grid, allow_partial)
-        if (
-            isinstance(batch, tuple)
-            and len(batch) == 2
-            and isinstance(batch[1], np.ndarray)
-        ):
-            keys, values = batch
-            values = np.asarray(values, dtype=float)
-            keys = list(keys)
-            if values.ndim != 1 or len(keys) != values.size:
-                raise ValueError(
-                    "parallel-array ingest expects (keys, values) of equal "
-                    "length with a 1-D value array"
-                )
-        else:
-            rows = list(batch)
-            keys = [row[0] for row in rows]
-            values = np.array([row[1] for row in rows], dtype=float)
-        return self._fan_out(
-            "ingest_rows", keys, values.reshape(1, -1), allow_partial
-        )
+        record, error = batch_record(batch)
+        result = self._fan_out(record, allow_partial)
+        if error is not None:
+            raise error
+        return result
 
     def ingest_grid(
         self,
@@ -947,30 +938,23 @@ class ShardRouter:
         :class:`~repro.streaming.IngestResult` comes back in round-major
         order.  Error/partial semantics are exactly :meth:`ingest`'s.
         """
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim == 1:
-            grid = grid.reshape(1, -1)
-        keys = list(round_keys)
-        if grid.ndim != 2 or grid.shape[1] != len(keys):
-            raise ValueError(
-                "ingest_grid expects a round-major (rounds, n_keys) grid; "
-                f"got shape {grid.shape} for {len(keys)} keys"
-            )
-        if len(set(keys)) != len(keys):
-            raise ValueError("ingest_grid keys must be unique")
-        return self._fan_out("ingest", keys, grid, allow_partial)
+        grid = np.atleast_2d(np.asarray(grid, dtype=float))
+        return self._fan_out(grid_record(round_keys, grid), allow_partial)
 
     def _fan_out(
-        self, command: str, keys: list, grid: np.ndarray, allow_partial: bool
+        self, record: tuple, allow_partial: bool
     ) -> IngestResult | DegradedResult:
-        """Fan a round-major ``(rounds, n)`` grid out by column, fan arrays in.
+        """Fan a normalized batch out by column, fan the result arrays in.
 
-        ``command`` is how a shard's slice travels: ``"ingest"`` ships the
-        ``(rounds, width)`` sub-grid for ``ingest_grid``; ``"ingest_rows"``
-        (a flat row batch is a one-round grid whose keys may repeat)
-        ships that single row.  Everything else -- down-shard split,
-        send, drain, casualties, degraded result -- is the same.
+        A ``grid`` record ships each shard its ``(rounds, width)``
+        sub-grid for ``ingest_grid`` (``"ingest"``); a ``rows`` record is
+        a one-round grid whose keys may repeat, and ships that single row
+        (``"ingest_rows"``).  Everything else -- down-shard split, send,
+        drain, casualties, degraded result -- is the same.
         """
+        kind, keys, grid = record
+        command = "ingest" if kind == "grid" else "ingest_rows"
+        grid = np.atleast_2d(grid)
         n_rounds, n = grid.shape
         result = IngestResult(keys, n_rounds)
         if n_rounds * n == 0:

@@ -53,11 +53,6 @@ def _reply_arrays(result: IngestResult) -> tuple:
     return tuple(getattr(result, name) for name in IngestResult.FIELDS)
 
 
-def _points_total(engine: MultiSeriesEngine) -> int:
-    """Total observations applied, without materializing fleet stats."""
-    return sum(engine._series_marker(key) for key in engine.keys())
-
-
 def worker_main(
     conn: Any,
     shard_id: str,
@@ -130,7 +125,7 @@ def worker_main(
                 "pid": os.getpid(),
                 "shard_id": shard_id,
                 "recovered": had_state,
-                "points_total": _points_total(engine),
+                "points_total": engine.points_total(),
                 "recovery": recovery_info,
             },
         )
@@ -173,7 +168,7 @@ def worker_main(
             elif command == "keys":
                 reply = engine.keys()
             elif command == "points_total":
-                reply = _points_total(engine)
+                reply = engine.points_total()
             elif command == "checkpoint":
                 reply = engine.checkpoint()
             elif command == "extract":

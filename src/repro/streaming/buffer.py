@@ -22,6 +22,30 @@ class RingBuffer:
         self._next = 0
         self._count = 0
 
+    def __getstate__(self) -> dict:
+        """The attributes, with the storage cut to the values it retains.
+
+        Oldest first, so ``_next`` is where the next append lands in the
+        re-padded array.  A series carries one ring per segment, ``save``
+        file and hand-off payload: pickling the zero padding made a young
+        ring cost its full capacity everywhere it travelled.
+        """
+        return {
+            "capacity": self.capacity,
+            "_storage": self.to_array(),
+            "_next": self._count % self.capacity,
+            "_count": self._count,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        # A ring pickled with its whole backing array (every build before
+        # __getstate__ existed) has the same four attributes: padding it
+        # is then a plain copy.
+        self.__dict__.update(state)
+        storage = np.zeros(self.capacity)
+        storage[: self._storage.size] = self._storage
+        self._storage = storage
+
     def __len__(self) -> int:
         return self._count
 

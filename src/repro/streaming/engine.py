@@ -12,22 +12,25 @@ keyed streams over the shared fast kernel, with
   :class:`~repro.specs.PipelineSpec` overrides so heterogeneous fleets
   (different periods or thresholds per metric class) live in one engine;
   :attr:`spec` reports the configuration in use;
-* **one batch path over a columnar fleet kernel** -- ``ingest`` accepts a
+* **one way in, over a columnar fleet kernel** -- ``ingest`` accepts a
   row batch ``[(key, value), ...]``, a columnar batch ``{key: values}`` or
   parallel ``(keys, values)`` arrays, and :meth:`ingest_grid` /
   :meth:`ingest_many` take pre-normalized ``(round_keys, grid)`` pairs;
-  every form becomes a round-major ``(rounds, keys)`` value grid (row
-  batches that are whole rounds over one key list reshape to one, ragged
-  ones split into one-row grids) and advances through a single routine
+  every form is normalized (:func:`batch_record`, :func:`grid_record`)
+  to the record the write-ahead log holds and applied by the function
+  recovery replays the log with -- live ingest *is* replay -- as a
+  round-major ``(rounds, keys)`` value grid (row batches that are whole
+  rounds over one key list reshape to one, ragged ones split into
+  one-row grids) advancing through a single routine
   that routes same-configuration live series through a struct-of-arrays
   :class:`~repro.core.fleet.FleetKernel` -- all planned rounds of the
   batch in one kernel call per cohort, a handful of NumPy array operations
   per point instead of a Python loop -- with outputs *exactly* equal to the
   per-series scalar path (series are grouped by their
   :class:`~repro.specs.PipelineSpec`; warming, incompatible or
-  shift-diverging series fall back per series, and a batch the scalar
-  path would reject runs strictly sequentially so it raises at the same
-  observation);
+  shift-diverging series fall back per series, and a cell the scalar
+  path might reject is applied on its own, in input order, so it raises
+  at the same observation while the rest of the batch stays batched);
 * **columnar results** -- :meth:`ingest_columnar` (or ``ingest(...,
   columnar_results=True)``) keeps the outputs in struct-of-arrays form as
   an :class:`IngestResult`: parallel ``index``/``value``/``trend``/
@@ -128,6 +131,8 @@ __all__ = [
     "MultiSeriesEngine",
     "SeriesStatus",
     "SeriesStats",
+    "batch_record",
+    "grid_record",
 ]
 
 
@@ -233,14 +238,6 @@ class IngestResult:
         self._eager: dict | None = None
         self._keys: list | None = None
         self._status: np.ndarray | None = None
-
-    @classmethod
-    def from_records(cls, keys: list, records: list) -> "IngestResult":
-        """Wrap eagerly built records (the engine's sequential fallback)."""
-        result = cls(list(keys), 1 if keys else 0)
-        for position, record in enumerate(records):
-            result._set_eager(position, record)
-        return result
 
     # ------------------------------------------------------- columnar views
 
@@ -455,7 +452,6 @@ class _FleetGroup:
     __slots__ = (
         "spec",
         "keys",
-        "column_of",
         "kernel",
         "scorer",
         "indices",
@@ -468,8 +464,7 @@ class _FleetGroup:
 
     def __init__(self, spec: PipelineSpec, latency_window: int, track_latency: bool):
         self.spec = spec
-        self.keys: list[Hashable | None] = []
-        self.column_of: dict[Hashable, int] = {}
+        self.keys: list[Hashable] = []
         self.kernel: FleetKernel | None = None
         self.scorer: ColumnarNSigma | None = None
         #: per-column totals: next record index, points seen (warmup
@@ -488,29 +483,6 @@ class _FleetGroup:
             np.zeros((0, self.latency_window)) if track_latency else None
         )
         self.latency_counts = np.zeros(0, dtype=np.int64)
-
-    @property
-    def n_series(self) -> int:
-        """Live (non-vacated) members of the group."""
-        return len(self.column_of)
-
-    @property
-    def occupancy(self) -> float:
-        """Fraction of columns holding a live member (1.0 = no vacancies)."""
-        return len(self.column_of) / len(self.keys) if self.keys else 1.0
-
-    def vacate(self, column: int, key: Hashable) -> None:
-        """Mark ``column`` dead after its series leaves the engine.
-
-        The column's kernel state stays in place but nothing routes to it
-        anymore (it is out of ``column_of``), so it is never advanced or
-        materialized again.  Dead columns cost array width -- full
-        in-place rounds become gathered sub-kernel rounds -- until the
-        engine re-homes the survivors (see
-        ``MultiSeriesEngine._rebalance_groups``).
-        """
-        self.column_of.pop(key, None)
-        self.keys[column] = None
 
     def absorb(self, members: dict[Hashable, _SeriesState]) -> None:
         """Move a cohort of live series into the columnar arrays at once.
@@ -556,7 +528,6 @@ class _FleetGroup:
             )
         first = len(self.keys)
         self.keys.extend(members)
-        self.column_of.update(zip(members, range(first, len(self.keys))))
         for column, state in enumerate(states, first):
             if len(state.latencies):
                 self._store_latencies(column, state.latencies)
@@ -590,6 +561,25 @@ class _FleetGroup:
             state.latencies.extend(self.latencies(column))
             states.append(state)
         return states
+
+    def remove(self, columns: Sequence[int]) -> None:
+        """Drop the members at ``columns``; the survivors close ranks.
+
+        One gathered copy per state array, so a group never carries a
+        dead column: whatever leaves, the rest still advance full-width.
+        Survivors change column (the caller re-reads ``keys``), and at
+        least one must stay: an emptied group is dropped instead.
+        """
+        keep = np.setdiff1d(np.arange(len(self.keys)), columns)
+        self.kernel = self.kernel.select(keep)
+        self.scorer = self.scorer.select(keep)
+        self.indices = self.indices[keep]
+        self.points = self.points[keep]
+        self.anomalies = self.anomalies[keep]
+        self.latency_counts = self.latency_counts[keep]
+        if self.latency_values is not None:
+            self.latency_values = self.latency_values[keep]
+        self.keys = [self.keys[column] for column in keep.tolist()]
 
     def load(self, column: int, state: _SeriesState) -> None:
         """Take a materialized (and since advanced) member back into ``column``."""
@@ -636,6 +626,83 @@ class _FleetGroup:
         self.latency_counts[columns] += rounds
 
 
+def grid_record(round_keys: Sequence[Hashable], grid: np.ndarray) -> tuple:
+    """A ``(round_keys, grid)`` pair, checked, as a ``("grid", keys, grid)`` record."""
+    round_keys = list(round_keys)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2 or grid.shape[1] != len(round_keys):
+        raise ValueError(
+            "a (round_keys, grid) batch must be a round-major (L, n) "
+            f"grid with one column per key; got shape {grid.shape} for "
+            f"{len(round_keys)} keys"
+        )
+    if len(set(round_keys)) != len(round_keys):
+        raise ValueError("(round_keys, grid) keys must be unique")
+    return "grid", round_keys, grid
+
+
+def batch_record(batch: dict | tuple | Iterable) -> tuple[tuple, Exception | None]:
+    """Any batch :meth:`MultiSeriesEngine.ingest` takes, as ``(record, error)``.
+
+    ``record`` is what the write-ahead log journals and replay applies:
+    ``("grid", keys, grid)`` (round-major ``(L, n)``) for a dict,
+    ``("rows", keys, values)`` for parallel arrays and ``(key, value)``
+    rows.  Rows that do not convert (a malformed row, a value ``float``
+    refuses) normalize to the rows ahead of the first such one, and
+    ``error`` is the exception to raise once those are applied -- what
+    feeding the rows one by one does.  A shape the form itself rules out
+    raises here, before anything is journaled.
+    """
+    if isinstance(batch, dict):
+        length = None
+        columns = []
+        for key, values in batch.items():
+            values = np.atleast_1d(np.asarray(values, dtype=float))
+            if values.ndim != 1:
+                raise ValueError(
+                    f"columnar ingest values for key {key!r} must be scalars "
+                    "or 1-D arrays"
+                )
+            if length is None:
+                length = values.size
+            elif values.size != length:
+                raise ValueError(
+                    "columnar ingest requires equal-length value arrays; "
+                    f"key {key!r} has {values.size} values, expected {length}"
+                )
+            columns.append(values)
+        grid = np.stack(columns, axis=1) if columns else np.zeros((0, 0))
+        return ("grid", list(batch), grid), None
+    if (
+        isinstance(batch, tuple)
+        and len(batch) == 2
+        and isinstance(batch[1], np.ndarray)
+    ):
+        keys, values = batch
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or len(keys) != values.size:
+            raise ValueError(
+                "parallel-array ingest expects (keys, values) of equal "
+                "length with a 1-D value array"
+            )
+        return ("rows", list(keys), values), None
+    rows = list(batch)
+    error = None
+    try:
+        keys = [row[0] for row in rows]
+        values = np.array([row[1] for row in rows], dtype=float)
+    except (TypeError, ValueError, IndexError):
+        keys, converted = [], []
+        try:
+            for key, value in rows:
+                converted.append(float(value))
+                keys.append(key)
+        except (TypeError, ValueError) as failure:
+            error = failure
+        values = np.array(converted, dtype=float)
+    return ("rows", keys, values), error
+
+
 class MultiSeriesEngine:
     """A keyed fleet of online decomposition pipelines behind one ingest API.
 
@@ -645,12 +712,22 @@ class MultiSeriesEngine:
     rebuilt from a checkpoint.  Per-key configuration goes in the spec's
     ``overrides``.
 
-    Every public ingest form (:meth:`ingest` rows / parallel arrays /
-    ``{key: values}`` dicts, :meth:`ingest_grid`, :meth:`ingest_many`)
-    normalizes to a round-major ``(round_keys, grid)`` pair and advances
-    through one batch routine; :meth:`process` is the single-observation
-    scalar path, and the reference every batch route equals float for
-    float.
+    Every public ingest form (:meth:`process`, :meth:`ingest` rows /
+    parallel arrays / ``{key: values}`` dicts, :meth:`ingest_grid`,
+    :meth:`ingest_many`) is an adaptor over one commit, so they share
+    its contract.  The call normalizes to WAL-shaped records; in a
+    durable session (:meth:`open`) the records are journaled as one
+    group *before* validation or any state change; each is then applied
+    by the function recovery replays a log with.  Application is not
+    transactional: a rejected observation (a non-finite value the
+    series cannot take, a value that does not convert) raises with every
+    earlier observation of its batch applied and every later one not --
+    live and at replay alike, so recovery is unaffected, though a caller
+    retry-looping a rejected batch grows the log by one dead record per
+    attempt.  :attr:`checkpoint_interval` is looked at after the call's
+    records are applied, never mid-batch.  Batches advance through one
+    grid routine; :meth:`process` is the single-observation scalar path,
+    and the reference every batch route equals float for float.
 
     Parameters
     ----------
@@ -699,13 +776,6 @@ class MultiSeriesEngine:
         #: overhead than the scalar loop it replaces, so tiny fleets (and
         #: single-key batches) stay on the scalar path.
         self.kernel_min_cohort = 8
-        #: smallest live-member fraction a kernel group may fall to before
-        #: its survivors are re-homed: extraction (shard migration) leaves
-        #: dead columns behind, and a sparse group pays full-width array
-        #: ops for a shrinking cohort.  Survivors released below this
-        #: occupancy re-absorb into a fresh dense group on the next
-        #: batched ingest, bit-identically.
-        self.group_min_occupancy = 0.5
         self._groups: dict[str, _FleetGroup] = {}
         self._absorbed: dict[Hashable, tuple[_FleetGroup, int]] = {}
         self._never_absorb: set = set()
@@ -800,21 +870,16 @@ class MultiSeriesEngine:
         the column and dropped, so mixing ``process`` and ``ingest``
         freely is safe (and exactly equal to never batching at all).
 
-        In a durable session the observation is WAL-appended *before*
-        validation runs (logging must precede any chance of a state
-        change).  A rejected observation therefore still leaves a record
-        behind; replay re-rejects it identically, so recovery is
-        unaffected -- but callers retry-looping a rejected value will
-        grow the WAL by one dead record per attempt.  A rejected *first*
+        Journaled as one ``point`` record (see the class docstring for
+        what a rejected observation leaves behind); a rejected *first*
         observation does not create the key.
         """
-        self._wal_append([("point", key, value)])
-        record = self._process_unlogged(key, value)
-        self._maybe_auto_checkpoint()
+        (record,) = self._commit([("point", key, value)])
         return record
 
     def _process_unlogged(self, key: Hashable, value: float) -> EngineRecord:
-        """The body of :meth:`process`, without WAL logging (replay path)."""
+        """Apply one observation: a ``point`` record, a cell off the kernel,
+        or a cell the scalar path might reject."""
         location = self._absorbed.get(key)
         if location is not None:
             group, column = location
@@ -911,53 +976,18 @@ class MultiSeriesEngine:
         iteration for the whole cohort -- with results identical to
         processing every observation through :meth:`process`.
 
-        Application is *not* transactional: a rejected observation (e.g. a
-        non-finite value, during warmup or live) raises out of the batch
-        with every earlier observation already applied and every later one
-        unapplied (batches containing such values are processed strictly
-        sequentially to keep that contract).  Callers that need to resume
-        should sanitize values up front, or re-submit only the tail of the
-        batch that follows the offending observation.
-
-        In a durable session (:meth:`open`) the *normalized* batch is
-        appended to the write-ahead log -- in columnar form, one record
-        per call -- before any state advances, so replaying the log
-        reproduces the batch (including a mid-batch rejection) exactly.
+        Application is *not* transactional (see the class docstring).
+        Only the cells the scalar path might reject leave the batched
+        route -- each is applied on its own, at its place in input order
+        -- and the stretches between them still advance through the
+        kernel.  Callers that need to resume should sanitize values up
+        front, or re-submit only the tail of the batch that follows the
+        offending observation.  The batch is journaled in normalized,
+        columnar form, one record per call.
         """
-        if isinstance(batch, dict):
-            round_keys, grid = self._grid_from_dict(batch)
-            self._wal_append([("grid", round_keys, grid)])
-            result = self._ingest_grid(round_keys, grid, columnar_results)
-        elif (
-            isinstance(batch, tuple)
-            and len(batch) == 2
-            and isinstance(batch[1], np.ndarray)
-        ):
-            keys, values = batch
-            values = np.asarray(values, dtype=float)
-            if values.ndim != 1 or len(keys) != values.size:
-                raise ValueError(
-                    "parallel-array ingest expects (keys, values) of equal "
-                    "length with a 1-D value array"
-                )
-            keys = list(keys)
-            self._wal_append([("rows", keys, values)])
-            result = self._ingest_rows(keys, values, columnar_results)
-        else:
-            rows = list(batch)
-            try:
-                keys = [row[0] for row in rows]
-                values = np.array([row[1] for row in rows], dtype=float)
-            except (TypeError, ValueError, IndexError):
-                # Malformed rows or unconvertible values: let the sequential
-                # path raise (or not) with its per-record semantics.
-                self._wal_append([("raw_rows", rows)])
-                result = self._ingest_sequential(rows, columnar_results)
-            else:
-                self._wal_append([("rows", keys, values)])
-                result = self._ingest_rows(keys, values, columnar_results)
-        self._maybe_auto_checkpoint()
-        return result
+        record, error = batch_record(batch)
+        (result,) = self._commit([record], error)
+        return result if columnar_results else result.records()
 
     def ingest_columnar(self, batch: dict | tuple | Sequence) -> IngestResult:
         """Ingest a batch and keep the results columnar (arrays out).
@@ -988,17 +1018,10 @@ class MultiSeriesEngine:
         of a batch as a ``(keys, grid)`` pair, and the worker feeds it
         straight to the engine's batch routine.  Results default to
         columnar (:class:`IngestResult`), the form that fans back in as
-        arrays.
-
-        WAL and auto-checkpoint semantics match :meth:`ingest` exactly:
-        in a durable session the grid is logged in one record before any
-        state advances.
+        arrays; the grid is journaled as one record.
         """
-        round_keys, grid = self._checked_grid(round_keys, grid)
-        self._wal_append([("grid", round_keys, grid)])
-        result = self._ingest_grid(round_keys, grid, columnar_results)
-        self._maybe_auto_checkpoint()
-        return result
+        (result,) = self._commit([grid_record(round_keys, grid)])
+        return result if columnar_results else result.records()
 
     def ingest_many(
         self,
@@ -1024,126 +1047,106 @@ class MultiSeriesEngine:
         replay applies the surviving prefix exactly as if those batches
         alone had been ingested.
 
-        Once the group is committed, every batch in it is applied exactly
-        as replay would apply it: a batch rejected by validation
-        (``ValueError`` / ``TypeError``, e.g. an infinite value) does not
-        stop the batches journaled after it -- otherwise the live engine
-        would sit behind its own WAL -- and the first such error is
-        re-raised after the last batch has been applied.
+        A batch rejected by validation (``ValueError`` / ``TypeError``)
+        does not stop the batches journaled after it -- replay would
+        apply them, and the live engine must not sit behind its own WAL
+        -- and the first such error is re-raised after the last batch.
         """
-        normalized = []
+        records = []
         for batch in batches:
             if isinstance(batch, dict):
-                normalized.append(self._grid_from_dict(batch))
+                records.append(batch_record(batch)[0])
             elif isinstance(batch, tuple) and len(batch) == 2:
-                normalized.append(self._checked_grid(*batch))
+                records.append(grid_record(*batch))
             else:
                 raise TypeError(
                     "ingest_many() accepts {key: values} dicts or "
                     "(round_keys, grid) pairs; got "
                     f"{type(batch).__name__}"
                 )
-        self._wal_append(
-            [("grid", round_keys, grid) for round_keys, grid in normalized]
-        )
+        results = self._commit(records)
+        if columnar_results:
+            return results
+        return [result.records() for result in results]
+
+    def _commit(self, records: list, error: Exception | None = None) -> list:
+        """Journal ``records`` as one group, then apply each: the one way in.
+
+        The records reach state through :meth:`_apply`, the function
+        :meth:`_recover` feeds a surviving log to.  Replay swallows a
+        record's validation error and goes on; so does this, or the
+        engine would sit behind its own log.  The first such error (else
+        ``error``, the row the normalizer could not convert past) is
+        raised after the group -- and after the auto-checkpoint, which
+        therefore only ever drops fully applied records from the log.
+        """
+        self._wal_append(records)
         results = []
         rejected = None
-        for round_keys, grid in normalized:
+        for record in records:
             try:
-                results.append(
-                    self._ingest_grid(round_keys, grid, columnar_results)
-                )
-            except (ValueError, TypeError) as error:
-                if rejected is None:
-                    rejected = error
-        self._maybe_auto_checkpoint()
+                results.append(self._apply(record))
+            except (ValueError, TypeError) as failure:
+                rejected = rejected or failure
+        interval = self.checkpoint_interval
+        if (
+            self._store is not None
+            and interval is not None
+            and self._wal_records_pending >= interval
+        ):
+            self.checkpoint()
+        rejected = rejected or error
         if rejected is not None:
             raise rejected
         return results
 
-    @staticmethod
-    def _grid_from_dict(batch: dict) -> tuple[list, np.ndarray]:
-        """Validate ``{key: values}`` into a round-major ``(L, n)`` grid."""
-        length = None
-        columns = []
-        for key, values in batch.items():
-            values = np.atleast_1d(np.asarray(values, dtype=float))
-            if values.ndim != 1:
-                raise ValueError(
-                    f"columnar ingest values for key {key!r} must be scalars "
-                    "or 1-D arrays"
-                )
-            if length is None:
-                length = values.size
-            elif values.size != length:
-                raise ValueError(
-                    "columnar ingest requires equal-length value arrays; "
-                    f"key {key!r} has {values.size} values, expected {length}"
-                )
-            columns.append(values)
-        if not columns:
-            return [], np.zeros((0, 0))
-        return list(batch), np.stack(columns, axis=1)
+    def _apply(self, record: tuple) -> "IngestResult | EngineRecord":
+        """Advance state by one WAL-shaped record, live and at replay alike.
 
-    @staticmethod
-    def _checked_grid(
-        round_keys: Sequence[Hashable], grid: np.ndarray
-    ) -> tuple[list, np.ndarray]:
-        """Validate a pre-normalized ``(round_keys, grid)`` pair."""
-        round_keys = list(round_keys)
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 2 or grid.shape[1] != len(round_keys):
-            raise ValueError(
-                "a (round_keys, grid) batch must be a round-major (L, n) "
-                f"grid with one column per key; got shape {grid.shape} for "
-                f"{len(round_keys)} keys"
-            )
-        if len(set(round_keys)) != len(round_keys):
-            raise ValueError("(round_keys, grid) keys must be unique")
-        return round_keys, grid
-
-    def _ingest_sequential(self, rows: Iterable, columnar_results: bool):
-        """Strictly sequential per-observation processing (exact raise order).
-
-        The scalar reference every batched route equals, and the route
-        itself for rows that resisted columnar conversion and for batches
-        :meth:`_runs_sequentially` keeps off the kernel.
+        A validation error (``ValueError`` / ``TypeError``) leaves exactly
+        the observations ahead of the rejected one applied, whoever calls.
         """
-        process = self._process_unlogged
-        records = [process(key, value) for key, value in rows]
-        if columnar_results:
-            return IngestResult.from_records(
-                [record.key for record in records], records
-            )
-        return records
+        kind, *parts = record
+        if kind == "grid":
+            return self._ingest_grid(*parts)
+        if kind == "rows":
+            return self._ingest_rows(*parts)
+        return self._process_unlogged(*parts)
 
-    def _runs_sequentially(self, round_keys: list, grid: np.ndarray) -> bool:
-        """Whether a batch must take the strictly sequential scalar path.
+    def _clean_spans(
+        self, keys: list, grid: np.ndarray, result: IngestResult
+    ) -> Iterator[tuple[int, int]]:
+        """Cut a batch *at* the cells the scalar path might reject.
 
-        True when nothing is (or could become) kernel-batched at this
-        batch width, and when the batch holds a value the scalar path
-        rejects: NaN aimed at an already-absorbed series is a missing
-        point the kernel imputes; anything else (infinities, NaN during
-        warmup or on a scalar-path series) must raise exactly where the
-        sequential path would, so the whole batch stays sequential.
+        Yields the row-major spans ``[start, stop)`` between such cells
+        for the caller to advance, and applies the cell behind a span on
+        its own before handing out the next: a rejection raises at the
+        same observation, with the same message, as feeding the cells one
+        by one.  Suspect is an infinity anywhere and NaN on a key that is
+        not absorbed (it may be warming; on an absorbed series NaN is a
+        missing point the kernel imputes).  Conservative is fine -- a
+        harmless cell costs one single-key update -- missing one is not.
         """
-        if not self.fleet_kernel_enabled or (
-            len(round_keys) < self.kernel_min_cohort and not self._absorbed
-        ):
-            return True
         bad = ~np.isfinite(grid)
+        suspects: list = []
         if bad.any():
-            for row, column in zip(*np.nonzero(bad)):
-                if not (
-                    np.isnan(grid[row, column])
-                    and round_keys[column] in self._absorbed
-                ):
-                    return True
-        return False
+            absorbed = self._absorbed
+            imputed = np.fromiter(
+                (key in absorbed for key in keys), dtype=bool, count=len(keys)
+            )
+            suspects = np.flatnonzero(bad & ~(np.isnan(grid) & imputed)).tolist()
+        n = grid.shape[1]
+        start = 0
+        for stop in (*suspects, grid.size):
+            yield start, stop
+            if stop < grid.size:
+                row, column = divmod(stop, n)
+                result._set_eager(
+                    stop, self._process_unlogged(keys[column], grid[row, column])
+                )
+            start = stop + 1
 
-    def _ingest_rows(
-        self, keys: list, values: np.ndarray, columnar_results: bool
-    ):
+    def _ingest_rows(self, keys: list, values: np.ndarray) -> IngestResult:
         """Advance parallel ``(keys, values)`` rows as round-major grids.
 
         A batch that is a whole number of rounds over one repeating unique
@@ -1152,10 +1155,11 @@ class MultiSeriesEngine:
         repeated keys) splits into rounds holding each key's k-th
         occurrence (values for one key apply oldest first); every such
         round is a one-row grid whose outputs land at the rows' input
-        positions.
+        positions.  Regrouping reorders rows across keys, so each clean
+        span (:meth:`_clean_spans`) regroups on its own.
         """
         if not keys:
-            return IngestResult([], 0) if columnar_results else []
+            return IngestResult([], 0)
         try:
             width = keys.index(keys[0], 1)
         except ValueError:
@@ -1163,74 +1167,79 @@ class MultiSeriesEngine:
         cycle = keys[:width]
         n_rounds, ragged = divmod(len(keys), width)
         if not ragged and len(set(cycle)) == width and keys == cycle * n_rounds:
-            return self._ingest_grid(
-                cycle, values.reshape(n_rounds, width), columnar_results
-            )
-        if self._runs_sequentially(keys, values[None, :]):
-            return self._ingest_sequential(zip(keys, values), columnar_results)
+            return self._ingest_grid(cycle, values.reshape(n_rounds, width))
         result = IngestResult(keys, 1)
-        occurrence: dict = {}
-        rounds: list[tuple[list, list]] = []
-        for position, key in enumerate(keys):
-            seen = occurrence.get(key, 0)
-            occurrence[key] = seen + 1
-            if seen == len(rounds):
-                rounds.append(([], []))
-            rounds[seen][0].append(key)
-            rounds[seen][1].append(position)
-        for round_keys, taken in rounds:
-            slots = np.array(taken, dtype=np.intp)
-            self._ingest_grid(
-                round_keys, values[slots][None, :], True, result, slots
-            )
-        return result if columnar_results else result.records()
+        for start, stop in self._clean_spans(keys, values[None, :], result):
+            occurrence: dict = {}
+            rounds: list[tuple[list, list]] = []
+            for position in range(start, stop):
+                key = keys[position]
+                seen = occurrence.get(key, 0)
+                occurrence[key] = seen + 1
+                if seen == len(rounds):
+                    rounds.append(([], []))
+                rounds[seen][0].append(key)
+                rounds[seen][1].append(position)
+            for round_keys, taken in rounds:
+                slots = np.array(taken, dtype=np.intp)
+                self._advance_grid(
+                    round_keys, values[slots][None, :], result, slots, 0
+                )
+        return result
+
+    def _ingest_grid(self, round_keys: list, grid: np.ndarray) -> IngestResult:
+        """Advance a round-major ``(L, n)`` value grid: the one batch routine.
+
+        Each clean span (:meth:`_clean_spans`; almost always the whole
+        grid) advances as rectangles: its whole rows as one, and the part
+        of a row on either side of a cut.
+        """
+        n_rounds, n = grid.shape
+        result = IngestResult(round_keys, n_rounds)
+        for start, stop in self._clean_spans(round_keys, grid, result):
+            while start < stop:
+                row, column = divmod(start, n)
+                width = min(stop - start, n - column)
+                rows = (stop - start) // n if width == n else 1
+                self._advance_grid(
+                    round_keys[column : column + width],
+                    grid[row : row + rows, column : column + width],
+                    result,
+                    np.arange(start, start + width, dtype=np.intp),
+                    n,
+                )
+                start += rows * width
+        return result
 
     @hotpath
-    def _ingest_grid(
+    def _advance_grid(
         self,
         round_keys: list,
         grid: np.ndarray,
-        columnar_results: bool,
-        result: IngestResult | None = None,
-        slots: np.ndarray | None = None,
-    ):
-        """Advance a round-major ``(L, n)`` value grid: the one batch routine.
+        result: IngestResult,
+        slots: np.ndarray,
+        stride: int,
+    ) -> None:
+        """Advance a clean ``(L, n)`` rectangle; cell ``(l, j)`` lands at
+        ``result`` position ``slots[j] + l * stride``.
 
         Every key appears exactly once per round, so the round structure
         is implied by the grid.  Each pass plans the current round
         (:meth:`_grid_plan`): keys on the kernel advance cohort by cohort
         through :meth:`_advance_cohort_block`, keys off it through the
         single-key scalar path.  While any key is off the kernel the
-        batch advances one round per pass (the round that completes a
+        rectangle advances one round per pass (the round that completes a
         warming key's window initializes it, and the next pass's plan
         absorbs it, so its first online point is already a kernel point);
         once every key is routed, all remaining rounds advance as one
         block of pure array operations.
-
-        ``result``/``slots`` redirect a one-round grid's outputs into an
-        existing result, column ``j`` landing at ``slots[j]``
-        (:meth:`_ingest_rows` scatters its one-row grids back to the
-        rows' input order this way, having already ruled out the
-        sequential path).  By default the grid gets its own result in
-        round-major order: cell ``(l, j)`` at ``l * n + j``.
         """
-        n_rounds, n = grid.shape
-        if result is None:
-            if n_rounds * n == 0:
-                result = IngestResult(round_keys, n_rounds)
-                return result if columnar_results else []
-            if self._runs_sequentially(round_keys, grid):
-                return self._ingest_sequential(
-                    zip(round_keys * n_rounds, grid.reshape(-1)),
-                    columnar_results,
-                )
-            result = IngestResult(round_keys, n_rounds)
-            slots = np.arange(n, dtype=np.intp)
+        n_rounds = grid.shape[0]
         row = 0
         while row < n_rounds:
             cohorts, scalar = self._grid_plan(round_keys)
             stop = row + 1 if scalar else n_rounds
-            offsets = n * np.arange(row, stop, dtype=np.intp)[:, None]
+            offsets = stride * np.arange(row, stop, dtype=np.intp)[:, None]
             for group, columns, takes, full in cohorts:
                 self._advance_cohort_block(
                     group,
@@ -1242,10 +1251,10 @@ class MultiSeriesEngine:
                 )
             for key, j in scalar:
                 result._set_eager(
-                    slots[j] + row * n, self._process_unlogged(key, grid[row, j])
+                    slots[j] + row * stride,
+                    self._process_unlogged(key, grid[row, j]),
                 )
             row = stop
-        return result if columnar_results else result.records()
 
     def _grid_plan(self, round_keys: list) -> tuple[list, list]:
         """Per-group routing of one round: ``(cohorts, scalar)``.
@@ -1258,9 +1267,12 @@ class MultiSeriesEngine:
         ``[(key, j), ...]`` for the keys off the kernel path -- warming,
         never-absorbable, or in a cohort below the kernel minimum.
         """
+        if not self.fleet_kernel_enabled:
+            return [], list(zip(round_keys, range(len(round_keys))))
         absorbed = self._absorbed
         pending = [key for key in round_keys if key not in absorbed]
-        if pending:
+        # Fewer keys than the cohort minimum cannot found a group.
+        if pending and (self._groups or len(pending) >= self.kernel_min_cohort):
             self._absorb_eligible(pending)
         parts: dict[int, tuple[_FleetGroup, list, list]] = {}
         scalar = []
@@ -1277,7 +1289,7 @@ class MultiSeriesEngine:
             part[2].append(j)
         cohorts = []
         for group, members, taken in parts.values():
-            if len(members) < min(self.kernel_min_cohort, group.n_series):
+            if len(members) < min(self.kernel_min_cohort, len(group.keys)):
                 # A round touching only a few members of a large group is
                 # cheaper through the single-key path (which materializes
                 # and loads back just those columns) than through a
@@ -1286,7 +1298,7 @@ class MultiSeriesEngine:
                 continue
             columns = np.array(members, dtype=np.intp)
             takes = np.array(taken, dtype=np.intp)
-            full = columns.size == group.kernel.n_series
+            full = columns.size == len(group.keys)
             if full:
                 # Whole-group rounds take the in-place (no gather/scatter)
                 # kernel path; results are scattered back by position, so
@@ -1327,11 +1339,12 @@ class MultiSeriesEngine:
                 group = self._groups[spec_key] = _FleetGroup(
                     spec, self.latency_window, self.track_latency
                 )
+            first = len(group.keys)
             group.absorb(members)
-            for key in members:
-                # The columns are the series now; its scalar home is gone.
+            for column, key in enumerate(members, first):
+                # The column is the series now; its scalar home is gone.
                 self._series[key] = None
-                self._absorbed[key] = (group, group.column_of[key])
+                self._absorbed[key] = (group, column)
 
     @hotpath
     def _advance_cohort_block(
@@ -1464,31 +1477,6 @@ class MultiSeriesEngine:
         self._absorbed = {}
         self._never_absorb = set()
 
-    def _rebalance_groups(self) -> None:
-        """Re-home the members of sparse kernel groups (post-churn compaction).
-
-        Extraction vacates columns without shrinking the arrays, so after
-        enough churn a group advances a wide kernel for a thinning cohort
-        and its full-round (in-place, no gather/scatter) path becomes
-        unreachable.  Groups whose occupancy falls below
-        :attr:`group_min_occupancy` are dissolved: the survivors are
-        materialized (batched) and return to the scalar path, from which
-        the next batched ingest re-absorbs them into a fresh, dense
-        group.  Scalar and kernel paths produce identical state, so
-        re-homing never perturbs the stream.
-        """
-        dissolved = []
-        for spec_key, group in self._groups.items():
-            if group.n_series and group.occupancy >= self.group_min_occupancy:
-                continue
-            survivors = list(group.column_of)
-            self._series.update(self._materialized(survivors))
-            for key in survivors:
-                del self._absorbed[key]
-            dissolved.append(spec_key)
-        for spec_key in dissolved:
-            del self._groups[spec_key]
-
     # ------------------------------------------------------------- fleet API
 
     def __len__(self) -> int:
@@ -1550,6 +1538,16 @@ class MultiSeriesEngine:
             per_series=per_series,
         )
 
+    def points_total(self) -> int:
+        """:attr:`FleetStats.points_total` without the per-series reports:
+        one array sum per kernel group plus the scalar homes."""
+        scalar = sum(
+            state.points for state in self._series.values() if state is not None
+        )
+        return scalar + sum(
+            int(group.points.sum()) for group in self._groups.values()
+        )
+
     # ------------------------------------- series migration (shard handoff)
 
     def extract_series(self, keys: Iterable[Hashable]) -> dict:
@@ -1563,9 +1561,9 @@ class MultiSeriesEngine:
         half of a live shard migration.
 
         Kernel-absorbed series are materialized from their columns, which
-        are then vacated; groups whose occupancy falls below
-        :attr:`group_min_occupancy` are dissolved and their survivors
-        re-homed (see ``_rebalance_groups``).  Durable cohorts that held
+        are then removed: the group's survivors close ranks (one gathered
+        copy, see ``_FleetGroup.remove``) and keep advancing full-width,
+        and a group left empty is dropped.  Durable cohorts that held
         an extracted key are forced dirty, and in a durable session the
         extraction is committed with an immediate :meth:`checkpoint`
         before returning: extraction is a control-plane operation with no
@@ -1590,10 +1588,7 @@ class MultiSeriesEngine:
         extracted = self._materialized(keys)
         touched_cohorts = set()
         for key in keys:
-            location = self._absorbed.pop(key, None)
-            if location is not None:
-                group, column = location
-                group.vacate(column, key)
+            self._absorbed.pop(key, None)
             self._never_absorb.discard(key)
             del self._series[key]
             cohort_id = self._cohort_of.pop(key, None)
@@ -1608,7 +1603,18 @@ class MultiSeriesEngine:
             if not self._cohort_members[cohort_id]:
                 del self._cohort_members[cohort_id]
                 self._cohort_segments.pop(cohort_id, None)
-        self._rebalance_groups()
+        for spec_key, group in list(self._groups.items()):
+            gone = [
+                column
+                for column, key in enumerate(group.keys)
+                if key not in self._absorbed
+            ]
+            if len(gone) == len(group.keys):
+                del self._groups[spec_key]
+            elif gone:
+                group.remove(gone)
+                for column, key in enumerate(group.keys):
+                    self._absorbed[key] = (group, column)
         if self._store is not None:
             self.checkpoint()
         return extracted
@@ -1877,16 +1883,32 @@ class MultiSeriesEngine:
         engine._generation = int(manifest["generation"])
         engine._store = store
         walk = WalWalk(store, manifest["wal"])
-        # _replaying also suspends latency recording (see _track_latency_now):
+        # _replaying suspends latency recording (see _track_latency_now):
         # the ring buffers hold *observed ingest* durations, and
         # replay-speed timings (on the record-free columnar path, usually
         # much faster) would fabricate post-recovery latency percentiles.
         engine._replaying = True
         try:
             for record in walk:
+                if record[0] == "raw_rows":
+                    # Unconverted rows, as earlier builds journaled a
+                    # malformed batch: its convertible prefix applied.
+                    record = batch_record(record[1])[0]
+                elif record[0] not in ("grid", "rows", "point"):
+                    raise CorruptCheckpointError(
+                        f"{source}: unknown WAL record kind {record[0]!r} "
+                        "(this build understands grid/rows/raw_rows/point)"
+                    )
                 record = engine._filter_wal_record(record, quarantined_keys)
-                if record is not None:
-                    engine._apply_wal_record(record)
+                if record is None:
+                    continue
+                try:
+                    engine._apply(record)
+                except (ValueError, TypeError):
+                    # Rejected live too, after the same partial
+                    # application.  Anything else is a failure the
+                    # original run did not have, and fails recovery.
+                    pass
         finally:
             engine._replaying = False
         stop = walk.stop
@@ -1954,88 +1976,33 @@ class MultiSeriesEngine:
         fabricate a partial series holding only post-checkpoint points.
         """
         kind = record[0]
-        if not skip_keys or kind not in ("grid", "rows", "raw_rows", "point"):
+        if not skip_keys:
             return record
         if kind == "point":
             return None if record[1] in skip_keys else record
-        keys = [row[0] for row in record[1]] if kind == "raw_rows" else record[1]
+        keys = record[1]
         keep = [index for index, key in enumerate(keys) if key not in skip_keys]
         if len(keep) == len(keys):
             return record
         if not keep:
             return None
-        if kind == "raw_rows":
-            return ("raw_rows", [record[1][index] for index in keep])
         kept_keys = [keys[index] for index in keep]
         # a grid keeps columns (round-major), parallel rows keep positions
         return (kind, kept_keys, record[2][..., keep])
-
-    def _apply_wal_record(self, record: tuple) -> None:
-        """Re-apply one logged batch during recovery.
-
-        Each record replays through exactly the routine that applied it
-        live.  A record that raises a *validation* error (``ValueError`` /
-        ``TypeError``, e.g. a non-finite warmup value or a malformed row)
-        raised identically in the original run *after* the same partial
-        application, so those are swallowed and replay continues -- just
-        as the original caller kept going.  Anything else (``OSError``,
-        ``MemoryError``, ...) is a replay-side failure that the original
-        run did not have: it propagates, failing recovery loudly instead
-        of silently diverging from the logged stream.
-        """
-        kind = record[0]
-        try:
-            # columnar_results=True: replay only needs the state advance,
-            # so skip the per-row record materialization (the dominant
-            # cost of the eager path) entirely.
-            if kind == "grid":
-                self._ingest_grid(record[1], record[2], True)
-            elif kind == "rows":
-                self._ingest_rows(record[1], record[2], True)
-            elif kind == "raw_rows":
-                self._ingest_sequential(record[1], False)
-            elif kind == "point":
-                self._process_unlogged(record[1], record[2])
-            else:
-                raise CorruptCheckpointError(
-                    f"{self._store.describe()}: unknown WAL record kind "
-                    f"{kind!r} (this build understands grid/rows/raw_rows/"
-                    "point)"
-                )
-        except CorruptCheckpointError:
-            raise
-        except (ValueError, TypeError):
-            pass
 
     def _wal_append(self, records: list) -> None:
         """Journal one WAL record per ``(kind, *parts)`` tuple, as one group.
 
         One flush (one ``fsync`` when the store syncs) covers the group.
-        Nothing is even encoded when detached or replaying, so the
-        WAL-off ingest path pays nothing for the plumbing.
+        Nothing is even encoded when detached, so the WAL-off ingest path
+        pays nothing for the plumbing.
         """
-        if self._store is None or self._replaying or not records:
+        if self._store is None or not records:
             return
         self._store.wal_append_many(
             [encode_wal_record(*record) for record in records]
         )
         self._wal_records_pending += len(records)
-
-    def _maybe_auto_checkpoint(self) -> None:
-        """Checkpoint when the configured WAL-record interval has passed.
-
-        Runs only after a *completed* top-level ingest/process call (never
-        mid-batch, never during replay), so the WAL records dropped by the
-        checkpoint are all fully applied.
-        """
-        if (
-            self.checkpoint_interval is None
-            or self._store is None
-            or self._replaying
-        ):
-            return
-        if self._wal_records_pending >= self.checkpoint_interval:
-            self.checkpoint()
 
     # ------------------------------------------------ incremental checkpoints
 

@@ -395,18 +395,18 @@ def test_group_append_after_a_mutation_is_flagged():
 
 
 def test_group_append_before_the_mutations_is_clean():
-    # ingest_many's shape: normalize in a loop, one group append, apply.
+    # _commit's shape: one group append, then every record applied.
     findings = run(
         """
         class Engine:
-            def ingest_many(self, batches):
-                normalized = []
-                for batch in batches:
-                    normalized.append(self._checked_grid(*batch))
-                self._wal_append([("grid", *batch) for batch in normalized])
+            def _commit(self, records):
+                self._wal_append(records)
                 results = []
-                for round_keys, grid in normalized:
-                    results.append(self._ingest_grid(round_keys, grid))
+                for record in records:
+                    try:
+                        results.append(self._apply(record))
+                    except ValueError:
+                        pass
                 return results
         """
     )
@@ -416,7 +416,8 @@ def test_group_append_before_the_mutations_is_clean():
 def test_the_engine_journals_through_one_writer_the_rule_sees():
     # WAL001 finds journaling methods by their ``self._wal_append`` call,
     # so a method appending to the store any other way would be outside
-    # the invariant (as ingest_many was, through _wal_append_many).
+    # the invariant (as ingest_many was, through _wal_append_many).  One
+    # method journals, and every public ingest form goes through it.
     tree = ast.parse(Path(engine_module.__file__).read_text())
     engine = next(
         node
@@ -425,6 +426,7 @@ def test_the_engine_journals_through_one_writer_the_rule_sees():
     )
     store_writers = set()
     journaling = set()
+    committing = set()
     for method in engine.body:
         if not isinstance(method, ast.FunctionDef):
             continue
@@ -434,8 +436,11 @@ def test_the_engine_journals_through_one_writer_the_rule_sees():
                     store_writers.add(method.name)
                 if node.func.attr == "_wal_append":
                     journaling.add(method.name)
+                if node.func.attr == "_commit":
+                    committing.add(method.name)
     assert store_writers == {"_wal_append"}
-    assert {"process", "ingest", "ingest_grid", "ingest_many"} <= journaling
+    assert journaling == {"_commit"}
+    assert committing == {"process", "ingest", "ingest_grid", "ingest_many"}
 
 
 def test_method_without_wal_append_is_not_checked():
@@ -524,6 +529,66 @@ def test_primitive_and_nested_spec_fields_are_clean():
             kind: ClassVar[object] = None
         """,
         path="src/repro/specs.py",
+    )
+    assert findings == []
+
+
+# -------------------------------------------------------------- PRIV001
+
+ROUTER_PATH = "src/repro/sharding/fixture.py"
+
+
+def test_private_attribute_of_another_object_is_flagged_above_the_engine():
+    # the two reaches the rule was written against, in both upper tiers
+    findings = run(
+        """
+        def normalize(batch):
+            return MultiSeriesEngine._grid_from_dict(batch)
+
+        def points_total(engine):
+            return sum(engine._series_marker(key) for key in engine.keys())
+        """,
+        path=ROUTER_PATH,
+    )
+    assert rules(findings) == ["PRIV001", "PRIV001"]
+    assert "MultiSeriesEngine._grid_from_dict" in findings[0].message
+    assert "engine._series_marker" in findings[1].message
+    served = run("total = backend._engine.points\n", path="src/repro/serving/fixture.py")
+    assert rules(served) == ["PRIV001"]
+
+
+def test_own_private_attributes_dunders_and_public_names_are_clean():
+    findings = run(
+        """
+        class Router:
+            def __init__(self):
+                self._workers = {}
+
+            @classmethod
+            def build(cls):
+                return cls._default()
+
+            def total(self, engine):
+                return engine.points_total() + len(self._workers) + len(engine.__dict__)
+        """,
+        path=ROUTER_PATH,
+    )
+    assert findings == []
+
+
+def test_private_access_is_free_below_the_upper_tiers():
+    source = "marker = engine._series_marker(key)\n"
+    assert run(source, path="src/repro/streaming/fixture.py") == []
+    assert rules(run(source, path=ROUTER_PATH)) == ["PRIV001"]
+
+
+def test_private_access_suppressed_with_reason():
+    findings = run(
+        """
+        # repro: allow[PRIV001] test seam: no public form of this counter yet
+        marker = engine._series_marker(key)
+        """,
+        path=ROUTER_PATH,
     )
     assert findings == []
 

@@ -19,6 +19,8 @@ rebuild are specified against.
 """
 
 import pickle
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.durability import (
     CorruptCheckpointError,
     DirectoryCheckpointStore,
 )
+from repro.durability.format import decode_wal_record, encode_wal_record
 from repro.specs import DecomposerSpec, EngineSpec, PipelineSpec
 from repro.streaming import (
     CHECKPOINT_FORMAT_VERSION,
@@ -641,6 +644,62 @@ class TestV1Migration:
             assert [r.record for r in expected_batch] == [
                 r.record for r in actual_batch
             ]
+
+
+class TestEveryWalKindStillReplays:
+    """``tests/data/store_v3_four_wal_kinds``: a v3 store written by the
+    last build that journaled unconverted rows -- a manifest with no
+    cohorts and one WAL part holding a ``grid``, a ``rows``, a ``point``
+    and a ``raw_rows`` record (the last one cut short by ``("b", "x")``)."""
+
+    STORE = Path(__file__).parent / "data" / "store_v3_four_wal_kinds"
+
+    def test_a_log_with_all_four_kinds_replays_to_the_scalar_reference(
+        self, tmp_path
+    ):
+        shutil.copytree(self.STORE, tmp_path / "store")
+        store = DirectoryCheckpointStore(tmp_path / "store")
+        (part,) = store.read_manifest()["wal"]
+        kinds = [
+            decode_wal_record(payload, part)[0]
+            for payload, _end in store.wal_frames(part)
+        ]
+        assert kinds == ["grid", "rows", "point", "raw_rows"]
+        recovered = MultiSeriesEngine.open(store)
+        assert recovered.last_recovery.wal_records_replayed == 4
+
+        # What the writer was fed, one ``process`` call per cell.
+        steps = np.arange(40)
+        data = np.column_stack(
+            [
+                1 + k + np.sin(2 * np.pi * steps / 4) + 0.01 * ((steps * 7 + k * 3) % 5)
+                for k in range(3)
+            ]
+        )
+        keys = ["a", "b", "c"]
+        cells = [(key, data[t, j]) for t in range(12) for j, key in enumerate(keys)]
+        cells += [(key, data[12, j]) for j, key in enumerate(keys)]
+        cells += [("a", data[13, 0]), ("b", data[13, 1])]
+        cells += [("c", data[13, 2]), ("a", data[14, 0])]  # then ("b", "x")
+        reference = MultiSeriesEngine.from_spec(recovered.spec)
+        reference.fleet_kernel_enabled = False
+        for key, value in cells:
+            reference.process(key, float(value))
+        assert recovered.keys() == reference.keys()
+        for key in keys:
+            assert recovered.series_stats(key) == reference.series_stats(key)
+        tail = [[(key, data[t, j]) for j, key in enumerate(keys)] for t in range(15, 40)]
+        _assert_continues_identically(recovered, reference, tail)
+        recovered.close(checkpoint=False)
+
+    def test_a_kind_no_build_wrote_fails_recovery_loudly(self, tmp_path):
+        shutil.copytree(self.STORE, tmp_path / "store")
+        store = DirectoryCheckpointStore(tmp_path / "store")
+        store.wal_start(store.read_manifest()["wal"][-1])
+        store.wal_append_many([encode_wal_record("columns", ["a"], [1.0])])
+        store.close()
+        with pytest.raises(CorruptCheckpointError, match="unknown WAL record kind"):
+            MultiSeriesEngine.open(tmp_path / "store")
 
 
 class TestAtomicSaveAndErrors:

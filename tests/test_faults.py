@@ -587,7 +587,7 @@ class TestChainDamage:
 # "sealed" holds one record per part (every part but the empty last one
 # is sealed, so any damage to a record is a stop); "tail" packs several
 # records per part and leaves records in the final part (damage there is
-# crash debris).  The tail mixes every WAL record kind.
+# crash debris).  The tail mixes every WAL record kind a build writes.
 
 TAIL_CUT = PERIOD * 5
 LAYOUTS = {"sealed": 1, "tail": 700}
@@ -603,9 +603,9 @@ def tail_batches(data: dict) -> list:
         ("grid", slice_batch(data, cuts[0], cuts[1])),
         ("rows", (keys, np.array([value for _key, value in rows]))),
         ("point", (keys[0], data[keys[0]][cuts[1] + 1])),
-        # an unconvertible value journals the raw rows; the batch applies
-        # up to the bad row and raises, live and at replay alike
-        ("raw_rows", [(key, data[key][cuts[1] + 2]) for key in keys[1:3]]
+        # an unconvertible value journals the rows ahead of it; the batch
+        # applies up to the bad row and raises, at replay it just ends
+        ("malformed", [(key, data[key][cuts[1] + 2]) for key in keys[1:3]]
          + [(keys[3], "not-a-number")]),
         ("grid", slice_batch({k: data[k] for k in keys[3:]}, cuts[1] + 1, cuts[3])),
         ("grid", slice_batch({k: data[k] for k in keys[:3]}, cuts[1] + 3, cuts[3])),
@@ -616,7 +616,7 @@ def tail_batches(data: dict) -> list:
 def apply_batch(engine: MultiSeriesEngine, form: str, payload) -> None:
     if form == "point":
         engine.process(*payload)
-    elif form == "raw_rows":
+    elif form == "malformed":
         with pytest.raises((ValueError, TypeError)):
             engine.ingest(payload)
     else:

@@ -12,6 +12,7 @@ tests pin that promise at each layer.
 
 import contextlib
 import copy
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from repro.core.nsigma import NSigma
 from repro.core.online_system import HALF_BANDWIDTH, ContributionWorkspace
 from repro.solvers import BatchedIncrementalLDLT, IncrementalBandedLDLT
 from repro.specs import DecomposerSpec, DetectorSpec, EngineSpec, PipelineSpec
-from repro.streaming import IngestResult, MultiSeriesEngine
+from repro.streaming import IngestResult, MultiSeriesEngine, StreamingPipeline
 from repro.streaming.latency import summarize_latencies
 
 from tests.conftest import make_seasonal_series
@@ -2230,3 +2231,187 @@ class TestIngestFormsProperty:
                 assert engines[form].series_stats(key) == engines[
                     "scalar"
                 ].series_stats(key)
+
+    # ------------------------------------------------ cells the scalar path
+    # might reject: the same forms against a per-cell ``process`` loop
+
+    ODD, YOUNG = "odd-period", "young"
+    _mixed = None
+
+    @classmethod
+    def mixed_fleet(cls):
+        """``(spec, snapshot)``: ten absorbable keys, one with a period of
+        its own (a cohort of one: scalar path for good) and one still
+        eight points short of its initialization window."""
+        if cls._mixed is None:
+            base = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False).spec
+            odd = PipelineSpec(
+                decomposer=DecomposerSpec("oneshotstl", {"period": 12}),
+                detector=base.pipeline.detector,
+            )
+            spec = EngineSpec(
+                pipeline=base.pipeline,
+                overrides={cls.ODD: odd},
+                initialization_length=base.initialization_length,
+                latency_window=base.latency_window,
+                track_latency=False,
+            )
+            engine = MultiSeriesEngine.from_spec(spec)
+            engine.fleet_kernel_enabled = False
+            keys = cls.KEYS + [cls.ODD]
+            engine.ingest(
+                {key: fleet_series(i)[: INIT + 12] for i, key in enumerate(keys)}
+            )
+            engine.ingest({cls.YOUNG: fleet_series(11)[: INIT - 8]})
+            cls._mixed = (spec, engine.snapshot())
+        return cls._mixed
+
+    def suspect_batch(self, rng, cursors, streams):
+        """``(rows, shape)``: a batch with NaN / infinite cells sprinkled in.
+
+        ``shape`` is ``(rounds, width)`` when the rows are whole rounds
+        over one key list (and so also a dict and a grid), else None.
+        """
+        everyone = self.KEYS + [self.ODD, self.YOUNG]
+        chosen = list(rng.choice(everyone, size=rng.integers(1, 13), replace=False))
+        if rng.random() < 0.5:
+            shape = (int(rng.integers(1, 5)), len(chosen))
+            keys = chosen * shape[0]
+        else:
+            shape = None
+            keys = list(rng.choice(chosen, size=rng.integers(1, 30)))
+        rows = []
+        for key in keys:
+            value = float(streams[key][cursors[key] % streams[key].size])
+            cursors[key] += 1
+            if rng.random() < (0.05 if key in self.KEYS else 0.15):
+                value = float(rng.choice([np.nan, np.nan, np.inf, -np.inf]))
+            rows.append((key, value))
+        return rows, shape
+
+    @staticmethod
+    def feed(engine, form, rows, shape):
+        """Ingest ``rows`` through one public form; records out, in row order."""
+        keys = [key for key, _value in rows]
+        values = np.array([value for _key, value in rows])
+        if form == "rows" or (shape is None and form != "parallel"):
+            return engine.ingest(rows)
+        if form == "parallel":
+            return engine.ingest_columnar((keys, values)).records()
+        grid = values.reshape(shape)
+        if form == "dict":
+            return engine.ingest(dict(zip(keys[: shape[1]], grid.T)))
+        if form == "grid":
+            return engine.ingest_grid(keys[: shape[1]], grid).records()
+        (result,) = engine.ingest_many([(keys[: shape[1]], grid)])
+        return result.records()
+
+    @staticmethod
+    def view(engine):
+        view = {}
+        for key in engine.keys():
+            stats = engine.series_stats(key)
+            live = stats.status.value == "live"
+            forecast = engine.forecast(key, PERIOD).tobytes() if live else None
+            view[key] = (stats.status, stats.points, stats.anomalies, forecast)
+        return view
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_suspect_cells_equal_the_per_cell_oracle(self, seed):
+        """NaN and infinities on absorbed, scalar-path and warming keys.
+
+        The oracle is independent of every batch routine: a twin engine
+        that never batches, fed one ``process`` call per cell, where a
+        rejected cell ends its batch.  Every form must return the same
+        records, raise the same error at the same cell (the per-key
+        point counts say which cells applied), and -- being durable --
+        come back from a kill-and-reopen in the oracle's state.
+        """
+        rng = np.random.default_rng(seed)
+        spec, warm = self.mixed_fleet()
+        everyone = self.KEYS + [self.ODD, self.YOUNG]
+        streams = {
+            key: fleet_series(i)[INIT + 12 :] for i, key in enumerate(everyone)
+        }
+        forms = ("rows", "parallel", "dict", "grid", "many")
+        with tempfile.TemporaryDirectory() as root:
+            oracle = MultiSeriesEngine.from_spec(spec)
+            oracle.fleet_kernel_enabled = False
+            oracle.restore(warm)
+            engines = {}
+            for form in forms:
+                engine = MultiSeriesEngine.from_spec(spec)
+                engine.kernel_min_cohort = 2
+                engine.restore(warm)
+                engine.attach_store(f"{root}/{form}")
+                engines[form] = engine
+            # One clean round over the absorbable keys: NaN on them is a
+            # missing cell from here on, on the other two it is suspect.
+            batches = [([(key, float(streams[key][0])) for key in self.KEYS], None)]
+            cursors = dict.fromkeys(everyone, 1)
+            batches += [
+                self.suspect_batch(rng, cursors, streams)
+                for _ in range(rng.integers(3, 7))
+            ]
+            for rows, shape in batches:
+                expected, failure = [], None
+                for key, value in rows:
+                    try:
+                        expected.append(oracle.process(key, value))
+                    except (ValueError, TypeError) as error:
+                        failure = (type(error), str(error))
+                        break
+                reference = self.view(oracle)
+                for form, engine in engines.items():
+                    try:
+                        got, raised = self.feed(engine, form, rows, shape), None
+                    except (ValueError, TypeError) as error:
+                        got, raised = None, (type(error), str(error))
+                    assert raised == failure, form
+                    if failure is None:
+                        assert got == expected, form
+                    assert self.view(engine) == reference, form
+            for form, engine in engines.items():
+                assert set(self.KEYS) <= set(engine._absorbed)
+                assert self.ODD not in engine._absorbed
+                # killed: no close, no checkpoint -- the log is all there is
+                reopened = MultiSeriesEngine.open(f"{root}/{form}")
+                assert self.view(reopened) == reference, form
+                reopened.close(checkpoint=False)
+
+    def test_a_suspect_cell_on_a_scalar_key_costs_no_absorbed_series_a_detour(
+        self, monkeypatch
+    ):
+        """Cost, pinned by census rather than by clock: one NaN (or one
+        infinity) on a key that is off the kernel anyway must not send
+        the absorbed keys of the batch through materialize -> scalar
+        ``process`` -> load, which is what building these objects means."""
+        spec, warm = self.mixed_fleet()
+        engine = MultiSeriesEngine.from_spec(spec)
+        engine.kernel_min_cohort = 2
+        engine.restore(warm)
+        keys = self.KEYS + [self.ODD]
+        block = np.column_stack(
+            [fleet_series(i)[INIT + 12 : INIT + 21] for i in range(len(keys))]
+        )
+        engine.ingest_grid(keys, block[:1])
+        assert set(engine._absorbed) == set(self.KEYS)
+        built = []
+        for scalar_type in (OneShotSTL, StreamingPipeline):
+            original = scalar_type.__init__
+
+            def counting(self, *args, _original=original, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(scalar_type, "__init__", counting)
+        gap, poisoned = block[1:5].copy(), block[5:9].copy()
+        gap[2, -1] = np.nan
+        poisoned[3, -1] = np.inf
+        assert engine.ingest_grid(keys, gap).live.all()
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.ingest_grid(keys, poisoned)
+        assert built == []
+        points = [engine.series_stats(key).points for key in keys]
+        assert points == [points[0]] * len(self.KEYS) + [points[0] - 1]

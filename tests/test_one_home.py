@@ -86,6 +86,82 @@ class TestAbsorbedSeriesHaveNoScalarObjects:
         engine.close()
 
 
+class TestAGroupHasNoDeadColumns:
+    """Extraction compacts: whatever leaves, the rest advance full-width."""
+
+    CUT, END = INIT + 20, INIT + 44
+    MOVED = [1, 2, 4, 5, 7, 9]  # 60% of the cohort, not contiguous
+    STAYED = [0, 3, 6, 8]
+
+    @staticmethod
+    def outputs(result, width):
+        return {
+            name: getattr(result, name).reshape(-1, width)
+            for name in IngestResult.FIELDS
+        }
+
+    def test_both_halves_of_a_split_cohort_equal_the_unmoved_reference(self):
+        baseline = scalar_census()
+        reference = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+        reference.ingest_grid(KEYS, STREAMS[: self.CUT])
+        expected = self.outputs(
+            reference.ingest_grid(KEYS, STREAMS[self.CUT : self.END]), len(KEYS)
+        )
+
+        donor = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+        donor.ingest_grid(KEYS, STREAMS[: self.CUT])
+        # The target already runs a cohort of its own: the newcomers
+        # join its group, they do not found one.
+        locals_ = [f"t-{i}" for i in range(8)]
+        target = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+        target.ingest_grid(locals_, STREAMS[: self.CUT, :8] + 1.0)
+        moved = [KEYS[i] for i in self.MOVED]
+        stayed = [KEYS[i] for i in self.STAYED]
+        target.adopt_series(pickle.loads(pickle.dumps(donor.extract_series(moved))))
+
+        (group,) = donor._groups.values()
+        assert group.keys == stayed and group.kernel.n_series == len(stayed)
+        assert group.points.shape == group.indices.shape == (len(stayed),)
+        assert donor._absorbed == {
+            key: (group, column) for column, key in enumerate(stayed)
+        }
+        widths = []
+        advance = group.kernel.update_block
+
+        def spy(values, columns=None):
+            widths.append(columns)
+            return advance(values, columns)
+
+        group.kernel.update_block = spy
+        window = STREAMS[self.CUT : self.END]
+        halves = (
+            (donor, stayed, window[:, self.STAYED], self.STAYED),
+            (
+                target,
+                locals_ + moved,
+                np.hstack([window[:, :8] + 1.0, window[:, self.MOVED]]),
+                self.MOVED,
+            ),
+        )
+        for engine, keys, block, members in halves:
+            got = self.outputs(engine.ingest_grid(keys, block), len(keys))
+            for name, array in got.items():
+                assert (
+                    array[:, -len(members) :].tolist()
+                    == expected[name][:, members].tolist()
+                ), name
+            assert set(engine._absorbed) == set(keys)
+            for key, index in zip(keys[-len(members) :], members):
+                assert engine.series_stats(key) == reference.series_stats(KEYS[index])
+        assert widths == [None], "the survivors left the full-width path"
+        assert len(target._groups) == 1
+        assert scalar_census() == baseline
+
+        # A group nobody is left in is dropped, not kept empty.
+        donor.extract_series(stayed)
+        assert donor._groups == {} and donor._absorbed == {} and len(donor) == 0
+
+
 def warm_state():
     """A fleet past warm-up, as a scalar-path snapshot (restored per run)."""
     engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
@@ -256,6 +332,23 @@ class TestLatencyRingHasOneHome:
                 ring = engine.snapshot()[key].latencies
                 assert ring.capacity == window
                 assert ring.to_array().tolist() == durations.tolist()
+
+    def test_a_segment_carries_no_ring_padding(self, tmp_path):
+        # A default ring holds 1,024 durations; a series 40 points old (or
+        # one that records none) must not carry 8 KB of zeros per segment.
+        for tracking in (True, False):
+            engine = MultiSeriesEngine.open(
+                tmp_path / f"tracking-{tracking}",
+                spec=MultiSeriesEngine.for_oneshotstl(
+                    PERIOD, track_latency=tracking
+                ).spec,
+            )
+            engine.ingest_grid(KEYS, STREAMS[: INIT + 40])
+            engine.checkpoint()
+            store = engine._store
+            stored = sum(len(store.read_segment(name)) for name in store.list_segments())
+            assert stored / len(KEYS) < 4096
+            engine.close()
 
     def test_single_key_process_appends_to_the_column_ring(self):
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD, latency_window=8)

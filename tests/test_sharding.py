@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.durability import DirectoryCheckpointStore, StoreLockedError
+from repro.durability.format import decode_wal_record
 from repro.faults import FaultInjector
 from repro.sharding import (
     ClusterSpec,
@@ -284,6 +285,39 @@ class TestShardRouterParity:
             probe = make_seasonal_series(1, PERIOD, seed=999)["values"][0]
             for key in keys[:4]:
                 assert router.process(key, probe) == reference.process(key, probe)
+
+    def test_a_malformed_row_ends_its_batch_the_same_way_everywhere(self, tmp_path):
+        """The row ahead of it applies, it raises, the row behind it does
+        not apply -- in one engine, across a cluster, and after reopening
+        either: what was journaled is the convertible prefix."""
+        rows = [("a", 1.0), ("b", "x"), ("c", 2.0)]
+        message = "could not convert string to float: 'x'"
+        engine = MultiSeriesEngine.open(tmp_path / "single", spec=engine_spec())
+        with pytest.raises(ValueError, match=message):
+            engine.ingest(rows)
+        assert engine.keys() == ["a"] and engine.points_total() == 1
+        store = DirectoryCheckpointStore(tmp_path / "single")
+        journaled = [
+            decode_wal_record(payload, part)
+            for part in store.read_manifest()["wal"]
+            for payload, _end in store.wal_frames(part)
+        ]
+        assert [(kind, keys, values.tolist()) for kind, keys, values in journaled] == [
+            ("rows", ["a"], [1.0])
+        ]
+        reopened = MultiSeriesEngine.open(store)  # the first one never closed
+        assert reopened.keys() == ["a"] and reopened.points_total() == 1
+        reopened.close(checkpoint=False)
+
+        cluster = ClusterSpec.for_root(engine_spec(), tmp_path / "cluster", 2)
+        for _session in ("live", "restarted"):
+            with ShardRouter(cluster) as router:
+                if _session == "live":
+                    with pytest.raises(ValueError, match=message):
+                        router.ingest(rows)
+                shard_keys = router.keys()
+                assert sorted(sum(shard_keys.values(), [])) == ["a"]
+                assert router.stats().points_total == 1
 
     def test_restart_recovers_from_stores(self, tmp_path):
         data = fleet_data(12, length=PERIOD * 6)

@@ -1,5 +1,8 @@
 """Tests for the streaming utilities (ring buffer, pipeline, latency harness)."""
 
+import base64
+import pickle
+
 import numpy as np
 import pytest
 
@@ -64,13 +67,20 @@ class TestRingBuffer:
     @pytest.mark.parametrize("chunks", [[2, 3], [1, 1, 1, 1, 1], [7], [0, 20, 2], [8, 8, 3]])
     def test_extend_matches_the_append_loop(self, capacity, chunks):
         """Array extend == one append per value, across wrap-around and
-        input longer than the capacity (only the last ``capacity`` stay)."""
+        input longer than the capacity (only the last ``capacity`` stay).
+
+        The extended ring also goes through pickle before every chunk --
+        empty, part-filled, full and wrapped -- and carries on from there.
+        """
         values = np.arange(1.0, sum(chunks) + 1.0)
         extended, appended = RingBuffer(capacity), RingBuffer(capacity)
         start = 0
         for size in chunks:
             chunk = values[start : start + size]
             start += size
+            pickled = pickle.dumps(extended)
+            assert len(pickled) < 400 + 8 * len(extended)  # no padding travels
+            extended = pickle.loads(pickled)
             extended.extend(chunk)
             for value in chunk:
                 appended.append(value)
@@ -83,6 +93,35 @@ class TestRingBuffer:
         extended.append(-1.0)
         appended.append(-1.0)
         assert extended.to_array().tolist() == appended.to_array().tolist()
+
+    #: ``pickle.dumps(ring, protocol=4)`` at the commit before
+    #: ``__getstate__`` existed: capacity 8, 5 then 6 values extended, so
+    #: the whole backing array travels and the oldest value sits at slot 3.
+    WHOLE_ARRAY_PICKLE = base64.b64decode(
+        "gASVJgEAAAAAAACMFnJlcHJvLnN0cmVhbWluZy5idWZmZXKUjApSaW5nQnVmZmVylJOUKYGU"
+        "fZQojAhjYXBhY2l0eZRLCIwIX3N0b3JhZ2WUjBZudW1weS5fY29yZS5tdWx0aWFycmF5lIwM"
+        "X3JlY29uc3RydWN0lJOUjAVudW1weZSMB25kYXJyYXmUk5RLAIWUQwFilIeUUpQoSwFLCIWU"
+        "aAqMBWR0eXBllJOUjAJmOJSJiIeUUpQoSwOMATyUTk5OSv////9K/////0sAdJRiiUNAAAAA"
+        "AAAAKkAAAAAAAAAsQAAAAAAAAC5AAAAAAAAA+D8AAAAAAAAAQAAAAAAAACRAAAAAAAAAJkAA"
+        "AAAAAAAoQJR0lGKMBV9uZXh0lEsDjAZfY291bnSUSwh1Yi4="
+    )
+
+    def test_a_ring_pickled_with_its_whole_array_loads_and_continues(self):
+        ring = pickle.loads(self.WHOLE_ARRAY_PICKLE)
+        twin = RingBuffer(8)
+        twin.extend(np.arange(5.0) * 0.5)
+        twin.extend(10 + np.arange(6.0))
+        assert ring.capacity == 8 and len(ring) == 8 and ring.is_full
+        assert ring.to_array().tolist() == twin.to_array().tolist()
+        for buffer in (ring, twin):
+            buffer.extend([20.0, 21.0, 22.0])
+            buffer.append(23.0)
+        assert ring.to_array().tolist() == twin.to_array().tolist()
+        assert ring.latest() == 23.0
+        # ... and from here on it travels without its padding too
+        assert pickle.loads(pickle.dumps(ring)).to_array().tolist() == (
+            twin.to_array().tolist()
+        )
 
     def test_extend_accepts_any_iterable(self):
         buffer = RingBuffer(4)
