@@ -8,22 +8,30 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from repro.analysis import rules_hotpath, rules_structure, rules_wal
+from repro.analysis import rules_hotpath, rules_native, rules_structure, rules_wal
 from repro.analysis.findings import Finding
 from repro.analysis.suppressions import collect_suppressions, filter_findings
 
-__all__ = ["analyze_paths", "analyze_source", "iter_python_files", "main"]
+__all__ = ["analyze_paths", "analyze_source", "iter_source_files", "main"]
 
 #: the pure-AST rules, each ``(tree, path) -> [Finding]``
 AST_RULES: tuple[Callable[[ast.AST, str], list[Finding]], ...] = (
     rules_hotpath.check,
+    rules_native.check,
     rules_wal.check,
     rules_structure.check,
 )
 
 
 def analyze_source(source: str, path: str) -> list[Finding]:
-    """Run every AST rule over one source text, honouring suppressions."""
+    """Run every rule for ``path``'s language over one source text.
+
+    A ``.c`` file gets the native-source rule (which has no suppression
+    syntax); anything else is Python: every AST rule, honouring
+    suppressions.
+    """
+    if path.endswith(".c"):
+        return rules_native.check_c_source(source, path)
     suppressions, findings = collect_suppressions(source, path)
     try:
         tree = ast.parse(source)
@@ -37,17 +45,22 @@ def analyze_source(source: str, path: str) -> list[Finding]:
     return filter_findings(findings, suppressions)
 
 
-def iter_python_files(paths: Iterable[Path]) -> list[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
+#: what the analyzer reads: Python everywhere, and the C the loader builds
+_SUFFIXES = (".py", ".c")
+
+
+def iter_source_files(paths: Iterable[Path]) -> list[Path]:
+    """Expand files/directories into a sorted list of ``.py`` and ``.c`` files."""
     files: set[Path] = set()
     for path in paths:
         path = Path(path)
         if path.is_dir():
-            files.update(path.rglob("*.py"))
-        elif path.suffix == ".py":
+            for suffix in _SUFFIXES:
+                files.update(path.rglob("*" + suffix))
+        elif path.suffix in _SUFFIXES:
             files.add(path)
         else:
-            raise FileNotFoundError(f"{path}: not a Python file or directory")
+            raise FileNotFoundError(f"{path}: not a Python or C file or directory")
     return sorted(files)
 
 
@@ -72,7 +85,7 @@ def analyze_paths(
 ) -> list[Finding]:
     """Run the full analysis (AST rules + registry rule) over ``paths``."""
     findings: list[Finding] = []
-    for file in iter_python_files(paths):
+    for file in iter_source_files(paths):
         findings.extend(analyze_source(file.read_text(), str(file)))
     if registry:
         from repro.analysis.rules_registry import check_registry

@@ -14,6 +14,7 @@ RULES: dict[str, str] = {
     "HP003": "@hotpath function enters try/except inside a loop",
     "HP004": "@hotpath function forwards **kwargs",
     "HP005": "@hotpath core/solvers function calls a BLAS-backed reduction",
+    "HP006": "native source or its compiler flags can change floating-point bits",
     "WAL001": "state mutation is not dominated by the _wal_append call",
     "REG001": "concrete component subclass is not registered",
     "REG002": "component spec does not round-trip to a fixed point",

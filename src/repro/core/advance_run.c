@@ -1,0 +1,243 @@
+/*
+ * advance_run: one run of the fleet kernel's T x I solve grid, per column.
+ *
+ * The native body of repro.core.fleet.FleetKernel._advance_run.  For every
+ * column, round r = 0 .. T-1 and IRLS iteration i = 0 .. I-1 it performs
+ * exactly the IEEE-754 double operations, in exactly the order, that the
+ * NumPy wavefront (FleetKernel._run_wavefront + BatchedIncrementalLDLT.
+ * extend_solve) performs for solve (i, r): stage the 6 x 7 augmented block,
+ * fold the 13 pattern cells in caller order (mirrored), eliminate, store the
+ * trailing block, tail-sweep, back-substitute two rows, reweight.  Solve
+ * (i, r) reads only (i - 1, r) and (i, r - 1), so the order the grid is
+ * walked in cannot change a bit; here a chunk of LANES columns walks it
+ * round by round with its I x 22 doubles of state in cache for the whole run.
+ *
+ * Bit-equality rules (checked by `python -m repro.analysis`, rule HP006):
+ * doubles only; every multiply-then-subtract is two roundings (the loader
+ * compiles with -ffp-contract=off); no reductions -- lanes never meet, the
+ * lane loop is innermost so the compiler may vectorise across columns only;
+ * nothing from <math.h> but fabs; np.maximum's NaN-propagating semantics are
+ * spelled out; no guards -- a zero pivot propagates non-finite values that
+ * the caller screens post hoc, as it does for the NumPy body.
+ *
+ * Layouts are the Python side's: blocks (4, 4, I, capacity), right-hand
+ * sides (4, I, capacity), trend pairs (2, I, pair_capacity); `in` is the
+ * committed side of the solver's ping-pong (never written), `out` the
+ * working side.  `anchors` is (T, n) in REVERSED round order -- row
+ * T - 1 - r is round r's, the order the kernel stages phases in.
+ */
+
+#include <math.h>
+#include <stdint.h>
+
+#define LANES 8
+#define W 4           /* half bandwidth */
+#define BLOCK 6       /* W + the 2 variables a point appends */
+#define RHS 6         /* column of the right-hand side in the augmented block */
+#define STATE 22      /* per (iteration, lane): 16 block + 4 rhs + 2 trends */
+
+/* The update pattern of one online point in local block coordinates
+ * (HALF_BANDWIDTH + ContributionWorkspace._ROW_OFFSETS / _COL_OFFSETS) and,
+ * per entry, which of the six distinct values it adds. */
+enum { ONE, FIRST, MINUS_FIRST, SECOND, FOUR_SECOND, MINUS_TWO_SECOND, VALUES };
+static const int CELL_ROW[13] = {4, 5, 5, 5, 4, 2, 4, 4, 2, 0, 4, 4, 2};
+static const int CELL_COL[13] = {4, 5, 4, 5, 4, 2, 2, 4, 2, 0, 2, 0, 0};
+static const int CELL_VALUE[13] = {
+    ONE, ONE, ONE, ONE, FIRST, FIRST, MINUS_FIRST, SECOND, FOUR_SECOND,
+    SECOND, MINUS_TWO_SECOND, SECOND, MINUS_TWO_SECOND};
+/* Rows a sweep on pivot k reaches: appended rows that have not coupled in
+ * yet carry an exact zero factor (BatchedIncrementalLDLT._staged_pattern). */
+static const int SWEEP_LIMIT[BLOCK - 1] = {5, 5, 5, 5, 6};
+
+/* Doubles of scratch a run of `iterations` IRLS iterations needs. */
+int64_t advance_run_scratch(int64_t iterations)
+{
+    return iterations * STATE * LANES;
+}
+
+static inline void sweep(double a[BLOCK][BLOCK + 1][LANES], int k)
+{
+    for (int row = k + 1; row < SWEEP_LIMIT[k]; row++) {
+        double factor[LANES];
+        for (int l = 0; l < LANES; l++)
+            factor[l] = a[row][k][l] / a[k][k][l];
+        for (int col = k + 1; col <= RHS; col++)
+            for (int l = 0; l < LANES; l++) {
+                double product = factor[l] * a[k][col][l];
+                a[row][col][l] = a[row][col][l] - product;
+            }
+    }
+}
+
+void advance_run(
+    int64_t n_rounds, int64_t n_iterations, int64_t n,
+    const double *blocks_in, const double *rhs_in,
+    double *blocks_out, double *rhs_out, int64_t capacity,
+    const double *pairs_in, double *pairs_out, int64_t pair_capacity,
+    const double *values, int64_t value_stride,
+    const double *anchors, const int64_t *points_processed,
+    double lambda1, double lambda2, double epsilon,
+    double *trend_out, double *seasonal_out, int64_t out_stride,
+    double *restrict scratch)
+{
+    const int64_t I = n_iterations;
+    for (int64_t base = 0; base < n; base += LANES) {
+        const int64_t live = n - base < LANES ? n - base : LANES;
+        int64_t column[LANES]; /* spare lanes of the last chunk redo lane 0 */
+        for (int l = 0; l < LANES; l++)
+            column[l] = base + (l < live ? l : 0);
+
+        /* Pre-run state of the chunk: committed side -> scratch. */
+        for (int64_t i = 0; i < I; i++) {
+            double *state = scratch + i * STATE * LANES;
+            for (int cell = 0; cell < W * W; cell++)
+                for (int l = 0; l < LANES; l++)
+                    state[cell * LANES + l] =
+                        blocks_in[(cell * I + i) * capacity + column[l]];
+            for (int row = 0; row < W; row++)
+                for (int l = 0; l < LANES; l++)
+                    state[(16 + row) * LANES + l] =
+                        rhs_in[(row * I + i) * capacity + column[l]];
+            for (int slot = 0; slot < 2; slot++)
+                for (int l = 0; l < LANES; l++)
+                    state[(20 + slot) * LANES + l] =
+                        pairs_in[(slot * I + i) * pair_capacity + column[l]];
+        }
+
+        for (int64_t r = 0; r < n_rounds; r++) {
+            double value[LANES], anchored[LANES], weight_p[LANES], weight_q[LANES];
+            double trend[LANES], seasonal[LANES];
+            int no_first[LANES], no_second[LANES];
+            for (int l = 0; l < LANES; l++) {
+                value[l] = values[r * value_stride + column[l]];
+                anchored[l] =
+                    value[l] + anchors[(n_rounds - 1 - r) * n + column[l]];
+                /* A column's first online point has no trend-difference
+                 * term and its second no second difference. */
+                int64_t age = points_processed[column[l]] + r;
+                no_first[l] = age < 1;
+                no_second[l] = age < 2;
+                weight_p[l] = 1.0;
+                weight_q[l] = 1.0;
+            }
+            for (int64_t i = 0; i < I; i++) {
+                double *state = scratch + i * STATE * LANES;
+                double *before_previous = state + 20 * LANES;
+                double *previous = state + 21 * LANES;
+                double a[BLOCK][BLOCK + 1][LANES];
+                double v[VALUES][LANES];
+
+                for (int l = 0; l < LANES; l++) {
+                    double first = weight_p[l] * lambda1;
+                    double second = weight_q[l] * lambda2;
+                    if (no_first[l])
+                        first = 0.0;
+                    if (no_second[l])
+                        second = 0.0;
+                    v[ONE][l] = 1.0;
+                    v[FIRST][l] = first;
+                    v[MINUS_FIRST][l] = -first;
+                    v[SECOND][l] = second;
+                    v[FOUR_SECOND][l] = second * 4.0;
+                    v[MINUS_TWO_SECOND][l] = second * -2.0;
+                }
+
+                /* Stage: trailing block and its right-hand side top left,
+                 * zeros in the appended rows and columns, the point's two
+                 * right-hand sides below. */
+                for (int row = 0; row < W; row++) {
+                    for (int col = 0; col < W; col++)
+                        for (int l = 0; l < LANES; l++)
+                            a[row][col][l] = state[(row * W + col) * LANES + l];
+                    for (int l = 0; l < LANES; l++) {
+                        a[row][W][l] = 0.0;
+                        a[row][W + 1][l] = 0.0;
+                        a[row][RHS][l] = state[(16 + row) * LANES + l];
+                    }
+                }
+                for (int row = W; row < BLOCK; row++)
+                    for (int col = 0; col < BLOCK; col++)
+                        for (int l = 0; l < LANES; l++)
+                            a[row][col][l] = 0.0;
+                for (int l = 0; l < LANES; l++) {
+                    a[W][RHS][l] = value[l];
+                    a[W + 1][RHS][l] = anchored[l];
+                }
+
+                /* Fold the pattern, entry by entry, each also mirrored. */
+                for (int entry = 0; entry < 13; entry++) {
+                    const int row = CELL_ROW[entry], col = CELL_COL[entry];
+                    const double *add = v[CELL_VALUE[entry]];
+                    for (int l = 0; l < LANES; l++)
+                        a[row][col][l] = a[row][col][l] + add[l];
+                    if (row != col)
+                        for (int l = 0; l < LANES; l++)
+                            a[col][row][l] = a[col][row][l] + add[l];
+                }
+
+                sweep(a, 0);
+                sweep(a, 1);
+                /* The new trailing state is final here; the tail sweeps
+                 * below destroy it. */
+                for (int row = 0; row < W; row++) {
+                    for (int col = 0; col < W; col++)
+                        for (int l = 0; l < LANES; l++)
+                            state[(row * W + col) * LANES + l] =
+                                a[row + 2][col + 2][l];
+                    for (int l = 0; l < LANES; l++)
+                        state[(16 + row) * LANES + l] = a[row + 2][RHS][l];
+                }
+                sweep(a, 2);
+                sweep(a, 3);
+                sweep(a, 4);
+
+                /* Back substitution of the last two rows. */
+                for (int l = 0; l < LANES; l++) {
+                    seasonal[l] = a[5][RHS][l] / a[5][5][l];
+                    double t = a[4][5][l] * seasonal[l];
+                    t = a[4][RHS][l] - t;
+                    trend[l] = t / a[4][4][l];
+                }
+
+                /* IRLS weights of the round's next iteration:
+                 * 0.5 / max(|diff|, epsilon), max as np.maximum (a NaN
+                 * difference stays NaN). */
+                for (int l = 0; l < LANES; l++) {
+                    double d = trend[l] - previous[l];
+                    d = fabs(d);
+                    d = (d >= epsilon || d != d) ? d : epsilon;
+                    weight_p[l] = 0.5 / d;
+                    double e = previous[l] * 2.0;
+                    e = trend[l] - e;
+                    e = e + before_previous[l];
+                    e = fabs(e);
+                    e = (e >= epsilon || e != e) ? e : epsilon;
+                    weight_q[l] = 0.5 / e;
+                    before_previous[l] = previous[l];
+                    previous[l] = trend[l];
+                }
+            }
+            for (int l = 0; l < live; l++) {
+                trend_out[r * out_stride + base + l] = trend[l];
+                seasonal_out[r * out_stride + base + l] = seasonal[l];
+            }
+        }
+
+        /* Post-run state of the chunk: scratch -> working side. */
+        for (int64_t i = 0; i < I; i++) {
+            const double *state = scratch + i * STATE * LANES;
+            for (int cell = 0; cell < W * W; cell++)
+                for (int l = 0; l < live; l++)
+                    blocks_out[(cell * I + i) * capacity + base + l] =
+                        state[cell * LANES + l];
+            for (int row = 0; row < W; row++)
+                for (int l = 0; l < live; l++)
+                    rhs_out[(row * I + i) * capacity + base + l] =
+                        state[(16 + row) * LANES + l];
+            for (int slot = 0; slot < 2; slot++)
+                for (int l = 0; l < live; l++)
+                    pairs_out[(slot * I + i) * pair_capacity + base + l] =
+                        state[(20 + slot) * LANES + l];
+        }
+    }
+}

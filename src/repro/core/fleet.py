@@ -16,16 +16,45 @@ to the series axis:
 
 The paper's update is ``I`` chained solves per point, and solve ``(i, r)``
 -- IRLS iteration ``i`` of round ``r`` -- reads only ``(i - 1, r)`` (its
-weights) and ``(i, r - 1)`` (its solver state and trend pair).  All solves
-on an anti-diagonal ``i + r = s`` of that grid are therefore independent,
-and a run of ``T`` rounds advances in ``T + I - 1`` *wavefront steps*, each
-one stacked extend -> eliminate -> tail-solve -> reweight over the slab of
-iterations active on that diagonal (:meth:`FleetKernel._advance_run`).
-``T = 1`` and ``I = 1`` are the degenerate cases of the one schedule.
-Because every array operation is elementwise over the (iteration, series)
-slab and is applied in exactly the order the scalar model performs it, the
-kernel's outputs equal the scalar path's outputs *exactly* -- the oracle
-tests assert float-for-float equality, shift searches and all.
+weights) and ``(i, r - 1)`` (its solver state and trend pair).  Every
+column's ``T x I`` grid of solves is therefore independent of every other
+column's, each solve is a fixed sequence of elementwise IEEE-754 double
+operations -- stage, fold the 13 pattern cells, eliminate, tail-sweep,
+back-substitute, reweight, exactly the order the scalar model performs
+them in -- and *the order the grid is walked in cannot change a bit*.
+A run of ``T`` rounds (:meth:`FleetKernel._advance_run`) has two bodies
+that walk it differently and produce the same floats, signs of zeros and
+non-finite propagation included:
+
+* the **native run** (:meth:`FleetKernel._run_native`): one call into
+  ``advance_run.c``, a C routine beside this module that
+  :mod:`repro.core._native` compiles on first use (``-ffp-contract=off``,
+  never ``-ffast-math``) and loads with ``ctypes``.  It walks the grid
+  column-chunk by column-chunk, round by round, iteration by iteration,
+  with a chunk's ``I x 22`` doubles of state in cache for the whole run
+  -- the computation moved to where the state lives, instead of the whole
+  ``(6, 7, I, n)`` workspace swept past one NumPy operator at a time.
+  Lanes (columns) are its innermost loop, so the compiler may vectorise
+  across columns only; there is no reduction anywhere.
+* the **NumPy wavefront** (:meth:`FleetKernel._run_wavefront`), the
+  *reference schedule*: all solves on an anti-diagonal ``i + r = s`` are
+  independent, so a run advances in ``T + I - 1`` steps, each one stacked
+  extend -> eliminate -> tail-solve -> reweight over the slab of
+  iterations active on that diagonal
+  (:meth:`~repro.solvers.batched_ldlt.BatchedIncrementalLDLT.extend_solve`).
+  It is what the native body is checked against and what runs on a
+  machine without a C compiler.
+
+Which body a process runs is decided once, from what the machine has, by
+:func:`kernel_backend` at the first kernel construction: compiler found,
+source built and loaded, and a fixed small run reproduced bit for bit --
+else the wavefront, with a warning.  There is no option, argument or
+environment variable to select one; ``/health`` and the serving start-up
+line report the choice.  ``T = 1`` and ``I = 1`` are the degenerate cases
+of either body.  The scalar :class:`~repro.core.oneshotstl.OneShotSTL`
+stays pure Python on purpose: it is the independent oracle both bodies
+are tested against -- the oracle tests assert float-for-float equality,
+shift searches and all, under each.
 
 A run commits once, at its end; until then the committed state is the
 pre-run state.  A series whose residual monitor trips mid-run is only
@@ -38,8 +67,8 @@ and there the paper's seasonality-shift search (Section 3.4) is a kernel
 run too: its ``2H + 1`` trials start from one pre-point state and differ
 only in the seasonal anchor ``v[(t + c) mod T]``, so the tripped columns x
 their candidate shifts are the columns of one stacked ``T = 1`` solve
-(:meth:`FleetKernel._search_shifts`) -- ``I`` wavefront steps, not ``(2H +
-1) x I`` scalar advances on copies.  The scalar
+(:meth:`FleetKernel._search_shifts`) -- one native call (``I`` wavefront
+steps), not ``(2H + 1) x I`` scalar advances on copies.  The scalar
 :func:`repro.core.oneshotstl._search_best_shift` is not called from here;
 it stays the sequential reference the oracle tests compare against.
 
@@ -65,10 +94,12 @@ streaming engine (:mod:`repro.streaming.engine`).
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Sequence
 
 import numpy as np
 
+from repro.core import _native
 from repro.core.nsigma import NSigma
 from repro.core.oneshotstl import OneShotSTL, _IterationState
 from repro.analysis import hotpath
@@ -76,7 +107,7 @@ from repro.core.online_system import HALF_BANDWIDTH, ContributionWorkspace
 from repro.solvers.batched_ldlt import BatchedIncrementalLDLT
 from repro.utils import amortized_append, amortized_append_columns
 
-__all__ = ["ColumnarNSigma", "FleetKernel", "FleetUpdate"]
+__all__ = ["ColumnarNSigma", "FleetKernel", "FleetUpdate", "kernel_backend"]
 
 #: local trailing-block coordinates of the per-point update pattern
 #: (ContributionWorkspace offsets shifted to the appended trend variable,
@@ -89,6 +120,111 @@ _PATTERN_COLS = HALF_BANDWIDTH + ContributionWorkspace._COL_OFFSETS
 #: read a seasonal slot an earlier round of the same run wrote); the
 #: constant additionally bounds the run workspaces for huge periods.
 _MAX_BLOCK_ROUNDS = 64
+
+#: The native body of a run -- ``(advance_run, scratch_doubles)``, the
+#: ``ctypes`` functions of ``advance_run.c`` -- or None for the NumPy
+#: wavefront.  Written once, by :func:`kernel_backend`; the test suite
+#: runs every oracle under both bodies by patching this one attribute.
+_native_run: tuple | None = None
+#: :func:`kernel_backend`'s answer, None until the body has been chosen
+_backend: dict | None = None
+
+
+def kernel_backend() -> dict:
+    """Which body advances a run in this process, and why.
+
+    ``{"body": "native" | "numpy", "reason", "compiler", "flags"}``.  The
+    first call -- the first :class:`FleetKernel` constructed, if nobody
+    asked earlier -- chooses, for the life of the process and from what
+    the machine has alone: the native body when a C compiler is on PATH,
+    ``advance_run.c`` builds and loads (:mod:`repro.core._native`) and a
+    fixed small run comes out of it bit for bit as it comes out of the
+    NumPy wavefront; else the wavefront, with one warning.  No option,
+    argument or environment variable selects a body.
+    """
+    global _native_run, _backend
+    if _backend is None:
+        routines, report = _native.load()
+        # The wavefront, unless the native body proves itself (the check
+        # builds kernels, which must find the choice already made).
+        _backend = {"body": "numpy", **report}
+        if routines is not None:
+            try:
+                failure = None if _same_bits(routines) else "different bits"
+            except Exception as error:  # a library that cannot even be called
+                failure = f"{type(error).__name__}: {error}"
+            if failure is None:
+                _native_run = routines
+                _backend["body"] = "native"
+            else:
+                _backend["reason"] = (
+                    "self-check failed: the compiled advance_run does not "
+                    "reproduce the NumPy wavefront bit for bit "
+                    f"({failure}; {report['reason']})"
+                )
+        if _native_run is None:
+            warnings.warn(
+                "repro fleet kernel: running the NumPy wavefront, several "
+                f"times slower than the native body -- {_backend['reason']}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return dict(_backend)
+
+
+def _same_bits(routines: tuple) -> bool:
+    """Solve one fixed tiny run under both bodies; whether every bit agrees.
+
+    Three columns (a last chunk narrower than the routine's lane count)
+    aged 0, 1 and 7 points take a three-round run -- both gated patterns,
+    the steady one, second and third rounds -- from a made-up positive
+    definite state that differs in every cell, iteration and column, so a
+    transposed index cannot hide.  Outputs, post-run trend pairs and the
+    solver's working side are compared as bytes, signs of zeros included.
+    """
+    n_rounds, n_iterations, n = 3, 3, 3
+    params = {
+        "period": 4, "lambda1": 2.0, "lambda2": 3.0, "iterations": n_iterations,
+        "shift_window": 0, "shift_threshold": 5.0, "epsilon": 1e-8,
+    }  # fmt: skip
+    ramp = np.arange(16.0 * n_iterations * n).reshape(4, 4, n_iterations, n)
+    blocks = (ramp + ramp.transpose(1, 0, 2, 3)) / 512.0
+    blocks[np.arange(4), np.arange(4)] += 2.0
+    values = np.array([[0.5, -1.25, 3.0], [0.75, -1.0, 2.5], [0.25, -1.5, 3.5]])
+    images = []
+    for body in (None, routines):
+        kernel = FleetKernel(params, n)
+        kernel.seasonal_buffer = np.sin(np.arange(4.0 * n)).reshape(n, 4)
+        kernel.global_index = np.array([0, 1, 7])
+        kernel.points_processed = np.array([0, 1, 7])
+        kernel.solver = BatchedIncrementalLDLT(
+            HALF_BANDWIDTH,
+            blocks.copy(),
+            np.cos(np.arange(4.0 * n_iterations * n)).reshape(4, n_iterations, n),
+            np.zeros((n_iterations, n), dtype=np.int64),
+        )
+        kernel._pairs = np.sin(np.arange(2.0 * n_iterations * n)).reshape(
+            2, n_iterations, n
+        )
+        outputs = np.empty((2, n_rounds, n))
+        _phases, pairs = kernel._solve_run(body, values, 0, n_rounds, *outputs)
+        working = kernel.solver.run_buffers(2, n_rounds)[2:]
+        images.append(
+            b"".join(array.tobytes() for array in (outputs, pairs, *working))
+        )
+    return images[0] == images[1]
+
+
+def _row_stride(block: np.ndarray) -> int:
+    """Elements between the rows of a 2-D float64 block with contiguous rows."""
+    row_bytes, item_bytes = block.strides
+    if (
+        block.dtype != np.float64
+        or (block.shape[1] > 1 and item_bytes != 8)
+        or row_bytes % 8
+    ):
+        raise ValueError("a native run needs float64 blocks with contiguous rows")
+    return row_bytes // 8
 
 
 class ColumnarNSigma:
@@ -333,6 +469,9 @@ class FleetKernel:
         # purely an allocation-avoidance cache -- no decomposition state
         # lives here between runs.
         self._workspaces: tuple | None = None
+        self._native_workspace: tuple | None = None
+        if _backend is None:
+            kernel_backend()
 
     def _rows(self) -> np.ndarray:
         """``np.arange(n_series)`` (cached; used for per-series gathers)."""
@@ -634,6 +773,9 @@ class FleetKernel:
         if values.ndim != 2 or values.shape[1] != n:
             raise ValueError(f"values must have shape (rounds, {n})")
         n_rounds = values.shape[0]
+        # The call's one private block: row-contiguous whatever strides
+        # the caller's array had (``ndarray.copy`` is C-ordered), which
+        # is the layout every run below hands its body.
         value_out = values.copy()
         trend_out = np.empty((n_rounds, n))
         seasonal_out = np.empty((n_rounds, n))
@@ -678,18 +820,49 @@ class FleetKernel:
 
     # ------------------------------------------------------------- internals
 
-    @hotpath
-    def _advance_run(
+    def _solve_run(
         self,
+        native: tuple | None,
         values: np.ndarray,
         start: int,
         stop: int,
         trend_out: np.ndarray,
         seasonal_out: np.ndarray,
-        residual_out: np.ndarray,
-        detection_out: np.ndarray,
-    ) -> tuple[int, bool]:
-        """Advance the all-finite rounds ``[start, stop)`` as one run.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stage and solve the ``T x I`` grid of the run ``[start, stop)``.
+
+        ``native`` is the body: the loaded routines, or None for the
+        reference wavefront.  Either writes the run's trends and seasonals
+        into rows ``[start, stop)`` of the outputs and leaves the solver
+        with a complete, uncommitted run.  Returns ``(phases, pairs)``:
+        the run's ``(T, n)`` seasonal phases in reversed round order (row
+        ``T - 1 - r`` is round ``r``'s) and the post-run ``(2, I, n)``
+        trend pairs.
+        """
+        reversed_rounds = np.arange(stop - start - 1, -1, -1)[:, None]
+        phases = (self.global_index[None, :] + reversed_rounds) % self.period
+        anchors = self.seasonal_buffer[self._rows()[None, :], phases]
+        if native is None:
+            pairs = self._run_wavefront(
+                values, start, stop, anchors, trend_out, seasonal_out
+            )
+        else:
+            pairs = self._run_native(
+                native, values, start, stop, anchors, trend_out, seasonal_out
+            )
+        return phases, pairs
+
+    @hotpath
+    def _run_wavefront(
+        self,
+        values: np.ndarray,
+        start: int,
+        stop: int,
+        anchors: np.ndarray,
+        trend_out: np.ndarray,
+        seasonal_out: np.ndarray,
+    ) -> np.ndarray:
+        """The solve grid of a run on the NumPy wavefront (reference body).
 
         Solve ``(i, r)`` -- iteration ``i`` of round ``r`` -- needs only
         ``(i - 1, r)`` and ``(i, r - 1)``, so step ``s`` of the run solves
@@ -706,41 +879,23 @@ class FleetKernel:
         (row 0 stays 1.0: ``x * 1.0 == x`` bit for bit, so the first
         iteration's raw lambdas need no special case).
 
-        A column whose monitor trips is marked and, once the run has
-        finished for everyone, replayed before the commit: searched in
-        place when the run is one round long (:meth:`_search_shifts`),
-        else advanced again in a narrow kernel that cuts the run at the
-        tripped rounds (:meth:`_replay_marked`).
-
-        Returns ``(next_round, solved)``: ``(stop, True)`` normally.  A
-        round that went non-finite on a column whose batched values are
-        used, in a replay or in a candidate of a search commits nothing,
-        re-runs the rounds before it and returns ``(that round, False)``.
-        ``stop - start`` never exceeds ``min(period, _MAX_BLOCK_ROUNDS)``,
-        which guarantees no round of the run reads a seasonal slot an
-        earlier round wrote -- the precondition for staging anchors and
-        deferring the seasonal scatter to run end.
+        Writes the run's trends and seasonals into rows ``[start, stop)``
+        of ``trend_out`` / ``seasonal_out``, leaves the solver with a
+        complete uncommitted run and returns the post-run ``(2, I, n)``
+        trend pairs.
         """
         n_rounds = stop - start
         n_iterations = self.iterations
         last = n_iterations - 1
-        rows = self._rows()
-        hist, rhs, phases, weights, pattern, seasonal = self._run_workspaces(
-            n_rounds
-        )
+        hist, rhs, weights, pattern, seasonal = self._run_workspaces(n_rounds)
         solver = self.solver
         # Seed every iteration's pre-run trend pair on its diagonal and
-        # stage the right-hand sides and seasonal phases of the whole run.
+        # stage the right-hand sides of the whole run.
         hist[self._pair_steps, self._pair_iterations] = self.trend_pairs
         reversed_rounds = np.arange(n_rounds - 1, -1, -1)[:, None]
-        np.remainder(
-            self.global_index[None, :] + reversed_rounds, self.period, out=phases
-        )
         reversed_values = values[start:stop][::-1]
         rhs[0] = reversed_values
-        np.add(
-            reversed_values, self.seasonal_buffer[rows[None, :], phases], out=rhs[1]
-        )
+        np.add(reversed_values, anchors, out=rhs[1])
         solver.begin_run(2, _PATTERN_ROWS, _PATTERN_COLS)
         # A column's first online point has no trend-difference term and
         # its second no second difference (the scalar model's reduced
@@ -820,11 +975,118 @@ class FleetKernel:
                 np.absolute(weight_q, out=weight_q)
                 np.maximum(weight_q, epsilon, out=weight_q)
                 np.divide(0.5, weight_q, out=weight_q)
+        trend_out[start:stop] = hist[
+            n_iterations + 1 : n_iterations + 1 + n_rounds, last
+        ]
+        return hist[self._pair_steps + n_rounds, self._pair_iterations]
+
+    def _run_native(
+        self,
+        routines: tuple,
+        values: np.ndarray,
+        start: int,
+        stop: int,
+        anchors: np.ndarray,
+        trend_out: np.ndarray,
+        seasonal_out: np.ndarray,
+    ) -> np.ndarray:
+        """The solve grid of a run as one call into ``advance_run.c``.
+
+        Same contract as :meth:`_run_wavefront`, same bits: the C routine
+        performs each solve's operations in the same order, per column,
+        reading the committed side of the solver's ping-pong and writing
+        the working side.
+        """
+        n = self._n
+        advance_run, scratch_doubles = routines
+        pairs_in = self._pairs
+        workspace = self._native_workspace
+        if workspace is None or workspace[0].shape != pairs_in.shape:
+            self._native_workspace = workspace = (
+                np.empty_like(pairs_in),
+                np.empty(scratch_doubles(self.iterations)),
+            )
+        pairs_out, scratch = workspace
+        block = values[start:stop]
+        trend_block = trend_out[start:stop]
+        seasonal_block = seasonal_out[start:stop]
+        out_stride = _row_stride(trend_block)
+        if _row_stride(seasonal_block) != out_stride:
+            raise ValueError("trend and seasonal outputs must share a layout")
+        points_processed = np.ascontiguousarray(self.points_processed, dtype=np.int64)
+        blocks_in, rhs_in, blocks_out, rhs_out = self.solver.run_buffers(
+            2, stop - start
+        )
+        advance_run(
+            stop - start,
+            self.iterations,
+            n,
+            blocks_in.ctypes.data,
+            rhs_in.ctypes.data,
+            blocks_out.ctypes.data,
+            rhs_out.ctypes.data,
+            blocks_in.shape[-1],
+            pairs_in.ctypes.data,
+            pairs_out.ctypes.data,
+            pairs_in.shape[-1],
+            block.ctypes.data,
+            _row_stride(block),
+            anchors.ctypes.data,
+            points_processed.ctypes.data,
+            self.lambda1,
+            self.lambda2,
+            self.epsilon,
+            trend_block.ctypes.data,
+            seasonal_block.ctypes.data,
+            out_stride,
+            scratch.ctypes.data,
+        )
+        return pairs_out[..., :n]
+
+    @hotpath
+    def _advance_run(
+        self,
+        values: np.ndarray,
+        start: int,
+        stop: int,
+        trend_out: np.ndarray,
+        seasonal_out: np.ndarray,
+        residual_out: np.ndarray,
+        detection_out: np.ndarray,
+    ) -> tuple[int, bool]:
+        """Advance the all-finite rounds ``[start, stop)`` as one run.
+
+        Stages the run's seasonal phases and anchors, hands the ``T x I``
+        solve grid to the body this process runs (:meth:`_run_native`, one
+        call into ``advance_run.c``, or the reference
+        :meth:`_run_wavefront`; see :func:`kernel_backend`), then screens,
+        monitors, replays and commits around it -- none of which depends
+        on the body: both produce the same bits.
+
+        A column whose monitor trips is marked and, once the run has
+        finished for everyone, replayed before the commit: searched in
+        place when the run is one round long (:meth:`_search_shifts`),
+        else advanced again in a narrow kernel that cuts the run at the
+        tripped rounds (:meth:`_replay_marked`).
+
+        Returns ``(next_round, solved)``: ``(stop, True)`` normally.  A
+        round that went non-finite on a column whose batched values are
+        used, in a replay or in a candidate of a search commits nothing,
+        re-runs the rounds before it and returns ``(that round, False)``.
+        ``stop - start`` never exceeds ``min(period, _MAX_BLOCK_ROUNDS)``,
+        which guarantees no round of the run reads a seasonal slot an
+        earlier round wrote -- the precondition for staging anchors and
+        deferring the seasonal scatter to run end.
+        """
+        n_rounds = stop - start
+        rows = self._rows()
+        phases, pairs = self._solve_run(
+            _native_run, values, start, stop, trend_out, seasonal_out
+        )
         trend_block = trend_out[start:stop]
         seasonal_block = seasonal_out[start:stop]
         residual_block = residual_out[start:stop]
         detection_block = detection_out[start:stop]
-        trend_block[:] = hist[n_iterations + 1 : n_iterations + 1 + n_rounds, last]
         np.subtract(values[start:stop], trend_block, out=residual_block)
         np.subtract(residual_block, seasonal_block, out=residual_block)
         detection_block[:] = residual_block
@@ -889,12 +1151,10 @@ class FleetKernel:
         self.seasonal_buffer[rows[None, :], phases] = seasonal_block[::-1]
         self.global_index += n_rounds
         self.points_processed += n_rounds
-        self.trend_pairs[...] = hist[
-            self._pair_steps + n_rounds, self._pair_iterations
-        ]
+        self.trend_pairs[...] = pairs
         np.copyto(self.last_trend, trend_block[-1])
         np.copyto(self.last_detection_residual, detection_block[-1])
-        solver.commit_run()
+        self.solver.commit_run()
         if replayed is not None:
             self.assign(columns, replayed)
             trend_block[:, columns] = points[0]
@@ -932,6 +1192,10 @@ class FleetKernel:
         """
         sub = self.select(columns)
         sub.monitor = pre_run_monitor.select(columns)
+        # The caller's ``block[start:stop, columns]`` gather comes out
+        # column-major; rows must be contiguous for the native body (once
+        # per replay -- every cut below reads this one block).
+        values = np.ascontiguousarray(values)
         points = np.empty((4,) + values.shape)
         row = 0
         solved = True
@@ -991,14 +1255,14 @@ class FleetKernel:
         return winners, points, 1
 
     def _run_workspaces(self, n_rounds: int) -> tuple:
-        """(Re)size the run workspaces; returns views for an ``n_rounds`` run.
+        """(Re)size the wavefront's workspaces; returns views for an ``n_rounds`` run.
 
-        ``(hist, rhs, phases, weights, pattern, seasonal)``: the skewed
-        trend history ``(T + I + 1, I, n)``, the reversed-round right-hand
-        sides ``(2, T, n)`` and phases ``(T, n)``, the IRLS weights ``(2,
-        I, n)`` (row 0 is the constant 1.0 of a round's first iteration),
-        the five distinct weighted pattern values ``(5, I, n)`` and the
-        per-iteration seasonal scratch ``(I, n)``.
+        ``(hist, rhs, weights, pattern, seasonal)``: the skewed trend
+        history ``(T + I + 1, I, n)``, the reversed-round right-hand sides
+        ``(2, T, n)``, the IRLS weights ``(2, I, n)`` (row 0 is the
+        constant 1.0 of a round's first iteration), the five distinct
+        weighted pattern values ``(5, I, n)`` and the per-iteration
+        seasonal scratch ``(I, n)``.
         """
         n = self._n
         n_iterations = self.iterations
@@ -1013,10 +1277,9 @@ class FleetKernel:
             self._workspaces = workspaces = (
                 np.empty((n_rounds + n_iterations + 1, n_iterations, n)),
                 np.empty((2, n_rounds, n)),
-                np.empty((n_rounds, n), dtype=np.int64),
                 weights,
                 np.empty((5, n_iterations, n)),
                 np.empty((n_iterations, n)),
             )
-        hist, rhs, phases, weights, pattern, seasonal = workspaces
-        return hist, rhs[:, :n_rounds], phases[:n_rounds], weights, pattern, seasonal
+        hist, rhs, weights, pattern, seasonal = workspaces
+        return hist, rhs[:, :n_rounds], weights, pattern, seasonal

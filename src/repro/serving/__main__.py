@@ -10,7 +10,9 @@ Sharded mode (front a whole cluster; workers are spawned per the spec)::
 
     python -m repro.serving --cluster cluster_spec.json --port 8080
 
-The process prints one ready line (``repro-serving ready on http://...``)
+The process prints one ready line (``repro-serving (kernel: native) ready
+on http://HOST:PORT`` -- which body its fleet kernels, or with
+``--cluster`` its workers', run; port last)
 once the socket is bound, serves until SIGTERM/SIGINT, then drains
 in-flight requests, checkpoints, releases the store lease, and exits 0.
 """

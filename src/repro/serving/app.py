@@ -55,6 +55,7 @@ from urllib.parse import unquote
 
 import numpy as np
 
+from repro.core.fleet import kernel_backend
 from repro.serving.protocol import (
     CONTENT_TYPE_COLUMNAR,
     CONTENT_TYPE_JSON,
@@ -314,6 +315,7 @@ class EngineBackend:
             "status": "degraded" if quarantined else "ok",
             "series": len(self.engine),
             "durable": getattr(self.engine, "_store", None) is not None,
+            "kernel": kernel_backend(),
             "down_shards": [],
             "quarantined_keys": list(quarantined),
         }
@@ -374,6 +376,7 @@ class RouterBackend:
                 "quarantined_keys": [
                     str(key) for key in shard.quarantined_keys
                 ],
+                "kernel": shard.kernel,
             }
             if shard.state == "down":
                 down.append(shard_id)

@@ -87,6 +87,20 @@ def _render(response: Response, *, keep_alive: bool) -> bytes:
     return head + response.body
 
 
+def _kernel_bodies(health: dict) -> str:
+    """The kernel bodies behind a backend's health: ``native``, ``native+numpy``.
+
+    An engine backend reports its own process; a cluster front builds no
+    kernel, so its line carries what its shards' workers reported.
+    """
+    if "kernel" in health:
+        reports = [health["kernel"]]
+    else:
+        reports = [shard["kernel"] for shard in health["shards"].values()]
+    bodies = {report["body"] for report in reports if report}
+    return "+".join(sorted(bodies)) or "unknown"
+
+
 class ServingServer:
     """Serve a :class:`ServingApp` over HTTP/1.1 on one listening socket.
 
@@ -284,8 +298,10 @@ class ServingServer:
         )
         self.port = server.sockets[0].getsockname()[1]
         stream = self._ready_stream if self._ready_stream is not None else sys.stdout
+        # One line, port last: launchers parse it as ``...:PORT``.
         print(
-            f"repro-serving ready on http://{self.host}:{self.port}",
+            f"repro-serving (kernel: {_kernel_bodies(self.app.backend.health())}) "
+            f"ready on http://{self.host}:{self.port}",
             file=stream,
             flush=True,
         )

@@ -136,6 +136,8 @@ class ShardHealth:
     ``consecutive_failures`` is the breaker's current count (reset by any
     successful reply).  ``quarantined_keys`` names series the shard's
     last recovery had to quarantine (empty when recovery was clean).
+    ``kernel`` is the worker's :func:`repro.core.fleet.kernel_backend`
+    report -- which body its fleet kernels run, and why -- as of its start.
     """
 
     shard_id: str
@@ -147,6 +149,7 @@ class ShardHealth:
     last_error: str | None = None
     last_failure_cause: str | None = None
     quarantined_keys: tuple = ()
+    kernel: dict | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -682,6 +685,7 @@ class ShardRouter:
                 last_error=health.last_error,
                 last_failure_cause=health.last_failure_cause,
                 quarantined_keys=health.quarantined_keys,
+                kernel=worker.ready_info.get("kernel"),
             )
         return report
 

@@ -39,6 +39,7 @@ import os
 import traceback
 from typing import Any
 
+from repro.core.fleet import kernel_backend
 from repro.durability import DirectoryCheckpointStore
 from repro.durability.lock import DEFAULT_STALE_AFTER
 from repro.faults import WORKER_RECV, WORKER_REPLY, FaultPlan
@@ -127,6 +128,7 @@ def worker_main(
                 "recovered": had_state,
                 "points_total": engine.points_total(),
                 "recovery": recovery_info,
+                "kernel": kernel_backend(),
             },
         )
     )

@@ -6,11 +6,18 @@ monitored series -- in one state, and advances any contiguous slab of
 iterations ``[lo, hi)`` of every series with a handful of NumPy array
 operations instead of a Python loop over scalar
 :class:`~repro.solvers.incremental_ldlt.IncrementalBandedLDLT` instances.
-It is the linear-algebra substrate of the fleet kernel
-(:class:`repro.core.fleet.FleetKernel`), whose wavefront schedule solves
-one anti-diagonal of the (round x iteration) grid per call: the number of
-array operations a run of ``T`` rounds costs is proportional to
-``T + I - 1``, not to ``T * I``.
+It plays two roles for the fleet kernel
+(:class:`repro.core.fleet.FleetKernel`).  It is the *state container* of
+every kernel: the committed / working ping-pong below is where a fleet's
+solver state lives, whichever body advances it -- the kernel's native run
+(``repro/core/advance_run.c``) borrows both sides through
+:meth:`BatchedIncrementalLDLT.run_buffers`, reads the committed one,
+writes the working one, and :meth:`commit_run` flips them as for any run.
+And :meth:`extend_solve` is the *reference arithmetic*: the NumPy body
+whose wavefront schedule solves one anti-diagonal of the (round x
+iteration) grid per call (``T + I - 1`` stacked steps a run, not ``T *
+I``), which the native run must reproduce bit for bit and which is what
+runs on a machine without a C compiler.
 
 The state layout is columnar (struct of arrays) and *cell-major*, with the
 iteration axis next to the series axis: the corrected trailing blocks are
@@ -37,7 +44,8 @@ unit pivots (see :mod:`repro.solvers.incremental_ldlt`), which a caller
 may only ever add ``+-0.0`` to.
 
 Advancing is transactional per *run* (:meth:`begin_run` ...
-:meth:`extend_solve` ... :meth:`commit_run`).  The state lives in a pair
+:meth:`extend_solve` ... :meth:`commit_run`, or :meth:`run_buffers` ...
+:meth:`commit_run` when a routine outside this class does the extends).  The state lives in a pair
 of capacity-managed *ping-pong* buffers: a run reads each iteration's
 pre-run state from the committed side the first time that iteration is
 extended and keeps all of its progress on the other side, so the
@@ -391,6 +399,13 @@ class BatchedIncrementalLDLT:
                 scratch[: plane * k].reshape(block, block + 1, k, self._n)
                 for k in range(1, self._iterations + 1)
             )
+        self._size_working_side()
+        self._entered = 0
+        self._extends[:] = 0
+        self._run = (num_new, cells, limits)
+
+    def _size_working_side(self) -> None:
+        """Give the working side of the ping-pong the committed side's shape."""
         cur = self._cur
         committed = self._m_buffers[cur]
         working = self._m_buffers[1 - cur]
@@ -398,9 +413,37 @@ class BatchedIncrementalLDLT:
             self._m_buffers[1 - cur] = np.empty_like(committed)
             self._b_buffers[1 - cur] = np.empty_like(self._b_buffers[cur])
             self._s_buffers[1 - cur] = np.empty_like(self._s_buffers[cur])
-        self._entered = 0
-        self._extends[:] = 0
-        self._run = (num_new, cells, limits)
+
+    def run_buffers(
+        self, num_new: int, n_extends: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Open a run that a routine outside this class advances.
+
+        Returns the full-capacity ``(committed blocks, committed
+        right-hand sides, working blocks, working right-hand sides)``
+        buffers -- ``(w, w, I, capacity)`` and ``(w, I, capacity)``, C
+        contiguous, members in the leading ``n_series`` columns.  The
+        caller promises what a run of :meth:`extend_solve` calls
+        guarantees by construction: it only *reads* the committed side,
+        and before :meth:`commit_run` it has written the working side of
+        every iteration of every member with that system's state after
+        ``n_extends`` extends of ``num_new`` variables each.  Until the
+        commit every read-back still sees the pre-run state, and opening
+        another run abandons this one.
+        """
+        if not 1 <= num_new <= self.half_bandwidth or n_extends < 1:
+            raise ValueError("num_new must be in [1, half_bandwidth], n_extends >= 1")
+        self._size_working_side()
+        self._entered = self._iterations
+        self._extends[:] = n_extends
+        self._run = (num_new, None, None)
+        cur = self._cur
+        return (
+            self._m_buffers[cur],
+            self._b_buffers[cur],
+            self._m_buffers[1 - cur],
+            self._b_buffers[1 - cur],
+        )
 
     @hotpath
     def extend_solve(

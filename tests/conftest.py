@@ -91,3 +91,24 @@ def medium_seasonal():
     return make_seasonal_series(
         length=50 * 10, period=50, seed=2, trend_break=300, trend_break_size=3.0
     )
+
+
+@pytest.fixture(params=["native", "numpy"])
+def kernel_body(request, monkeypatch):
+    """Run the test once per body of the fleet kernel's run; yields its name.
+
+    ``native`` is what :func:`repro.core.fleet.kernel_backend` chose (the
+    test skips, saying why, on a machine where that is not the native
+    body); ``numpy`` patches the one module attribute that holds the
+    choice, so kernels built in the test advance on the reference
+    wavefront.  Suites opt in with ``pytest.mark.usefixtures("kernel_body")``
+    as a module's ``pytestmark`` or on the classes that reach a kernel.
+    """
+    from repro.core import fleet
+
+    backend = fleet.kernel_backend()
+    if request.param == "numpy":
+        monkeypatch.setattr(fleet, "_native_run", None)
+    elif backend["body"] != "native":
+        pytest.skip(f"no native body on this machine: {backend['reason']}")
+    return request.param

@@ -266,6 +266,101 @@ def test_blas_reduction_suppressed_with_reason():
     assert findings == []
 
 
+# --------------------------------------------------------------- HP006
+
+NATIVE_PATH = "src/repro/core/fixture.c"
+
+
+def test_value_changing_c_constructs_are_flagged():
+    findings = run(
+        """
+        #include <math.h>
+        #pragma STDC FP_CONTRACT ON
+        static float narrow(long double x) { return (float)x; }
+        void step(double *a, const double *b, double eps, int n)
+        {
+            for (int l = 0; l < n; l++) {
+                a[l] = fma(a[l], b[l], 1.0);
+                a[l] = fmax (fabs(a[l]), eps);
+                a[l] = fmin(a[l], sqrt(b[l])) + expf(1.0f);
+            }
+        }
+        """,
+        NATIVE_PATH,
+    )
+    assert rules(findings) == ["HP006"] * 9
+    assert [finding.line for finding in findings] == [3, 4, 4, 4, 8, 9, 10, 10, 10]
+    flagged = sorted(finding.message.split("'")[1] for finding in findings)
+    assert flagged == sorted(
+        "#pragma|float|float|long double|fma(|fmax(|fmin(|sqrt(|expf(".split("|")
+    )
+
+
+def test_plain_double_arithmetic_in_c_is_clean():
+    findings = run(
+        """
+        /* no fma( here, no float, no #pragma: comments are not code */
+        #include <math.h>
+        #include <stdint.h>
+        // d = fmax(d, eps) would drop the NaN
+        static const char *NOTE = "float fmin( #pragma";
+        void step(double *a, const double *b, double eps, int64_t n)
+        {
+            for (int64_t l = 0; l < n; l++) {
+                double d = fabs(a[l] - b[l]);
+                double product = d * b[l];
+                a[l] = (d >= eps || d != d) ? a[l] - product : eps;
+            }
+        }
+        """,
+        NATIVE_PATH,
+    )
+    assert findings == []
+
+
+def test_compiler_flags_must_pin_contraction_and_stay_value_safe():
+    source = """
+        COMPILERS = ("cc", "gcc")
+        FLAGS = ({flags})
+        """
+    safe = '"-O3", "-ffp-contract=off", "-fPIC", "-shared"'
+    assert run(source.format(flags=safe), "src/repro/core/_loader.py") == []
+    findings = run(
+        source.format(flags='"-O3", "-fPIC", "-shared"'), "src/repro/core/_loader.py"
+    )
+    assert rules(findings) == ["HP006"]
+    assert "-ffp-contract=off" in findings[0].message
+    for flag in (
+        "-ffast-math",
+        "-Ofast",
+        "-funsafe-math-optimizations",
+        "-ffinite-math-only",
+        "-fassociative-math",
+    ):
+        findings = run(
+            source.format(flags=f'{safe}, "{flag}"'), "src/repro/solvers/_loader.py"
+        )
+        assert rules(findings) == ["HP006"], flag
+        assert flag in findings[0].message
+    # Elsewhere in the tree a FLAGS tuple is somebody else's business.
+    assert run(source.format(flags='"-Ofast"'), "src/repro/serving/x.py") == []
+
+
+def test_the_shipped_native_source_and_flags_are_read(tmp_path):
+    """`analyze_paths` picks up *.c beside the Python it walks."""
+    from repro.analysis.engine import analyze_paths
+
+    package = tmp_path / "src" / "repro" / "core"
+    package.mkdir(parents=True)
+    (package / "kernel.c").write_text("double f(double x) { return fmax(x, 0.0); }\n")
+    (package / "_loader.py").write_text('FLAGS = ("-Ofast", "-ffp-contract=off")\n')
+    findings = analyze_paths([tmp_path / "src"], registry=False)
+    assert [(Path(f.path).name, f.rule) for f in findings] == [
+        ("_loader.py", "HP006"),
+        ("kernel.c", "HP006"),
+    ]
+
+
 # --------------------------------------------------------------- WAL001
 
 

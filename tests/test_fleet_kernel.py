@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import OneShotSTL
+from repro.core import OneShotSTL, fleet
 from repro.core.fleet import ColumnarNSigma, FleetKernel, FleetUpdate
 from repro.core.oneshotstl import _search_best_shift
 from repro.decomposition import STL
@@ -35,6 +35,9 @@ from tests.conftest import make_seasonal_series
 
 PERIOD = 24
 INIT = 4 * PERIOD
+
+#: every test here runs under both bodies of the kernel's run
+pytestmark = pytest.mark.usefixtures("kernel_body")
 
 
 def fleet_series(index, length=PERIOD * 10, spike=None, missing=None):
@@ -97,6 +100,20 @@ def wavefront(n_rounds, n_iterations):
         (max(0, step - n_rounds + 1), min(n_iterations, step + 1))
         for step in range(n_rounds + n_iterations - 1)
     ]
+
+
+def spy_on_native_runs(monkeypatch):
+    """Record ``(T, I, n)`` of every native run from here on (if one is loaded)."""
+    calls = []
+    if fleet._native_run is not None:
+        advance_run, scratch_doubles = fleet._native_run
+
+        def spy(n_rounds, n_iterations, n, *rest):
+            calls.append((n_rounds, n_iterations, n))
+            return advance_run(n_rounds, n_iterations, n, *rest)
+
+        monkeypatch.setattr(fleet, "_native_run", (spy, scratch_doubles))
+    return calls
 
 
 class TestBatchedSolverOracle:
@@ -584,8 +601,9 @@ class TestWavefrontSchedule:
         "iterations,n_rounds", [(8, 1), (8, 7), (8, 8), (8, PERIOD), (2, 3), (1, 5)]
     )
     def test_a_run_of_t_rounds_is_t_plus_i_minus_1_stacked_solves(
-        self, monkeypatch, iterations, n_rounds
+        self, monkeypatch, kernel_body, iterations, n_rounds
     ):
+        """... on the wavefront; on the native body it is ONE call, (T, I, n)."""
         calls = []
         original = BatchedIncrementalLDLT.extend_solve
 
@@ -594,11 +612,76 @@ class TestWavefrontSchedule:
             return original(solver, lo, hi, *rest)
 
         monkeypatch.setattr(BatchedIncrementalLDLT, "extend_solve", spy)
+        native_calls = spy_on_native_runs(monkeypatch)
         streams, _scalar, kernel = warm_fleet(4, iterations=iterations)
         block = np.array(streams)[:, INIT + 8 : INIT + 8 + n_rounds].T
         assert kernel.update_block(block).value.shape == block.shape
-        assert len(calls) == n_rounds + iterations - 1
-        assert calls == wavefront(n_rounds, iterations)
+        if kernel_body == "native":
+            assert calls == []
+            assert native_calls == [(n_rounds, iterations, 4)]
+        else:
+            assert native_calls == []
+            assert len(calls) == n_rounds + iterations - 1
+            assert calls == wavefront(n_rounds, iterations)
+
+
+class TestRunBoundary:
+    """What crosses into a run's body: any layout, young columns, any I."""
+
+    def test_columns_aged_zero_and_one_inside_a_three_round_run(self):
+        """Both gated patterns and the steady one in one T = 3 run."""
+        ages = (500, 500, 500, 0, 1)
+        streams = [
+            np.concatenate(
+                [np.zeros(500 - age), fleet_series(i, length=INIT + age + 3)]
+            )
+            for i, age in enumerate(ages)
+        ]
+        live = [stream[500 - age :] for stream, age in zip(streams, ages)]
+
+        def models():
+            return [warm_models([values], age)[0] for values, age in zip(live, ages)]
+
+        scalar = models()
+        kernel = FleetKernel.pack(models()[:3])
+        kernel.append(FleetKernel.pack(models()[3:]))
+        assert kernel.points_processed.tolist() == list(ages)
+        assert_blocks_match_scalar(kernel, scalar, streams, INIT + 500, [3])
+
+    @pytest.mark.parametrize("iterations", [1, 2, 8, 40])
+    def test_any_iteration_count(self, iterations):
+        """The body's scratch is sized from I: no count switches bodies."""
+        streams, scalar, kernel = warm_fleet(3, iterations=iterations)
+        assert_blocks_match_scalar(kernel, scalar, streams, INIT + 8, [1, 3, PERIOD])
+
+    @pytest.mark.parametrize(
+        "layout", ["fortran", "column_sliced", "row_reversed", "read_only"]
+    )
+    def test_any_input_layout_gives_the_same_bits_and_is_left_alone(self, layout):
+        """Strides are the caller's business; a tripped column replays too."""
+        streams, _scalar, kernel = warm_fleet(6)
+        streams[2][INIT + 8 + 5] += 10.0
+        block = np.array(streams)[:, INIT + 8 : INIT + 8 + PERIOD].T.copy()
+        if layout == "fortran":
+            given = np.asfortranarray(block)
+        elif layout == "column_sliced":
+            given = np.full((PERIOD, 12), np.nan)[:, ::2]
+            given[:] = block
+        elif layout == "row_reversed":
+            given = block[::-1].copy()[::-1]
+        else:
+            given = block.copy()
+            given.setflags(write=False)
+        assert layout == "read_only" or not given.flags.c_contiguous
+        expected = copy.deepcopy(kernel).update_block(block)
+        with recorded_searches() as searches:
+            out = kernel.update_block(given)
+        assert searches, "the spiked column was never replayed"
+        for field in FleetUpdate.__slots__:
+            assert getattr(out, field).tobytes() == getattr(expected, field).tobytes()
+        assert given.tobytes() == block.tobytes()
+        if layout == "column_sliced":
+            assert np.isnan(given.base[:, 1::2]).all()
 
 
 class TestMarkedColumns:
@@ -698,9 +781,13 @@ class TestMarkedColumns:
 
     @pytest.mark.parametrize("rounds_per_block", [1, PERIOD])
     def test_tripped_columns_are_searched_as_columns_of_one_stacked_solve(
-        self, monkeypatch, rounds_per_block
+        self, monkeypatch, kernel_body, rounds_per_block
     ):
-        """No scalar model anywhere; k trips in a round cost I widened solves."""
+        """No scalar model anywhere; k trips in a round cost I widened solves.
+
+        On the native body a search is ONE ``T = 1`` call of width ``tripped
+        x phases``, and a replay one call per cut of its schedule.
+        """
         from repro.core import oneshotstl
 
         streams, _scalar, kernel = warm_fleet(6)
@@ -719,39 +806,78 @@ class TestMarkedColumns:
         forbid(oneshotstl, "_search_best_shift")
         forbid(FleetKernel, "extract")
         forbid(FleetKernel, "load")
+        # Searches and replays nest (a replayed column may trip again);
+        # every solve is recorded with the nesting depth it ran at.
+        depth = [0]
         searches = []
-        searching = []
+        replays = []
+        solves = []
         search = FleetKernel._search_shifts
+        replay = FleetKernel._replay_marked
         extend = BatchedIncrementalLDLT.extend_solve
 
-        def search_spy(kernel, columns, values):
-            searches.append((columns.size, []))
-            searching.append(True)
+        def nested(record, tag, call, *args):
+            entry = [depth[0], len(solves), None, tag]
+            record.append(entry)
+            depth[0] += 1
             try:
-                return search(kernel, columns, values)
+                return call(*args)
             finally:
-                searching.pop()
+                depth[0] -= 1
+                entry[2] = len(solves)
+
+        def search_spy(kernel, columns, values):
+            return nested(searches, columns.size, search, kernel, columns, values)
+
+        def replay_spy(kernel, columns, monitor, values, cuts):
+            cuts = list(cuts)
+            return nested(replays, cuts, replay, kernel, columns, monitor, values, cuts)
 
         def extend_spy(solver, lo, hi, *rest):
-            if searching:
-                searches[-1][1].append((solver.n_series, lo, hi))
+            solves.append((depth[0], solver.n_series, lo, hi))
             return extend(solver, lo, hi, *rest)
 
         monkeypatch.setattr(FleetKernel, "_search_shifts", search_spy)
+        monkeypatch.setattr(FleetKernel, "_replay_marked", replay_spy)
         monkeypatch.setattr(BatchedIncrementalLDLT, "extend_solve", extend_spy)
+        if kernel_body == "native":
+            advance_run, scratch_doubles = fleet._native_run
+
+            def native_spy(n_rounds, n_iterations, n, *rest):
+                solves.append((depth[0], n, n_rounds, n_iterations))
+                return advance_run(n_rounds, n_iterations, n, *rest)
+
+            monkeypatch.setattr(fleet, "_native_run", (native_spy, scratch_doubles))
         for start in range(0, PERIOD, rounds_per_block):
             rounds = block[start : start + rounds_per_block]
             assert kernel.update_block(rounds).value.shape == rounds.shape
         # The three spiked columns tripped together in round 9 and were
         # searched together; every search, whatever it found, is I steps
-        # on k x (distinct candidate phases) columns.
-        assert 3 in [tripped for tripped, _ in searches]
+        # -- or one native T = 1 call -- on k x (distinct candidate
+        # phases) columns.
         phases = min(2 * kernel.shift_window + 1, PERIOD)
-        for tripped, solves in searches:
-            assert solves == [
-                (tripped * phases, iteration, iteration + 1)
-                for iteration in range(kernel.iterations)
-            ]
+        assert 3 in [tripped for _level, _first, _last, tripped in searches]
+        for level, first, last, tripped in searches:
+            own = [solve[1:] for solve in solves[first:last] if solve[0] == level + 1]
+            if kernel_body == "native":
+                assert own == [(tripped * phases, 1, kernel.iterations)]
+            else:
+                assert own == [
+                    (tripped * phases, iteration, iteration + 1)
+                    for iteration in range(kernel.iterations)
+                ]
+        # A replay is one narrow run per cut of its schedule (what trips
+        # inside a cut nests one level deeper): one native call each.
+        assert bool(replays) == (rounds_per_block > 1)
+        for level, first, last, cuts in replays:
+            own = [solve[1:] for solve in solves[first:last] if solve[0] == level + 1]
+            lengths = [b - a for a, b in zip([0] + cuts, cuts) if b > a]
+            if kernel_body == "native":
+                assert [n_rounds for _n, n_rounds, _i in own] == lengths
+            else:
+                assert len(own) == sum(
+                    length + kernel.iterations - 1 for length in lengths
+                )
 
     @pytest.mark.parametrize("period,shift_window", [(8, 20), (8, 3), (50, 20)])
     def test_trips_match_at_other_periods(self, period, shift_window):

@@ -1,0 +1,216 @@
+"""The native body's loader: private cache, atomic build, honest fall-back.
+
+:mod:`repro.core._native` compiles ``advance_run.c`` on first use and
+:func:`repro.core.fleet.kernel_backend` decides -- once, from what the
+machine has -- which body a run takes.  Whatever goes wrong on the way
+(no compiler, a compile error, a damaged cache, a library that computes
+different bits) must end on the NumPy wavefront with the reason on
+record, never in an exception out of ``FleetKernel``.
+"""
+
+import ctypes
+import os
+import stat
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core import _native, fleet
+from repro.core.fleet import kernel_backend
+
+from tests.test_fleet_kernel import INIT, assert_blocks_match_scalar, warm_fleet
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+#: position of the ``trend_out`` pointer among ``advance_run``'s arguments
+TREND_OUT = 18
+
+needs_compiler = pytest.mark.skipif(
+    kernel_backend()["body"] != "native",
+    reason=f"no native body on this machine: {kernel_backend()['reason']}",
+)
+
+
+@pytest.fixture
+def undecided(monkeypatch, tmp_path):
+    """A process that has not chosen its body yet, on an empty private cache."""
+    monkeypatch.setattr(fleet, "_backend", None)
+    monkeypatch.setattr(fleet, "_native_run", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    return tmp_path / "repro-oneshotstl"
+
+
+def cache_files(directory):
+    return sorted(path.name for path in directory.iterdir())
+
+
+def choosing_process(cache_home):
+    """A fresh interpreter that chooses its body against ``cache_home``."""
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "from repro.core.fleet import kernel_backend\n"
+            "print(kernel_backend()['body'])\n",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(cache_home)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+@needs_compiler
+def test_four_processes_on_an_empty_cache_leave_one_library(tmp_path):
+    processes = [choosing_process(tmp_path) for _ in range(4)]
+    for process in processes:
+        out, err = process.communicate(timeout=120)
+        assert process.returncode == 0, err
+        assert out.strip() == "native", err
+    directory = tmp_path / "repro-oneshotstl"
+    assert stat.S_IMODE(directory.stat().st_mode) == 0o700
+    (library,) = cache_files(directory)
+    assert library.startswith("advance_run-") and library.endswith(".so")
+
+
+@needs_compiler
+def test_cold_then_warm_and_a_warm_start_spawns_nothing(undecided, monkeypatch):
+    assert kernel_backend()["body"] == "native"
+    assert kernel_backend()["reason"].startswith("compiled ")
+    (library,) = cache_files(undecided)
+    monkeypatch.setattr(fleet, "_backend", None)
+
+    def no_children(*args, **kwargs):
+        raise AssertionError("a warm start ran a child process")
+
+    monkeypatch.setattr(subprocess, "run", no_children)
+    backend = kernel_backend()
+    assert backend["body"] == "native"
+    assert backend["reason"] == f"loaded {library}"
+    assert backend["compiler"] and "-ffp-contract=off" in backend["flags"]
+    # Served on /health: names, not the directories they live in.
+    assert os.sep not in backend["reason"] + backend["compiler"]
+
+
+def test_no_compiler_means_the_numpy_body_and_one_warning(undecided, monkeypatch):
+    monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+    with pytest.warns(RuntimeWarning, match="no C compiler") as caught:
+        streams, scalar, kernel = warm_fleet(3)
+        assert_blocks_match_scalar(kernel, scalar, streams, INIT + 8, [1, 5])
+        warm_fleet(2)
+    assert len(caught) == 1
+    backend = kernel_backend()
+    assert backend["body"] == "numpy" and backend["compiler"] is None
+    assert fleet._native_run is None
+    assert not undecided.exists()
+
+
+@needs_compiler
+def test_a_compile_error_means_the_numpy_body_and_no_litter(undecided, monkeypatch):
+    def failing(command, **kwargs):
+        return subprocess.CompletedProcess(command, 1, "", "advance_run.c:1: error: no")
+
+    monkeypatch.setattr(subprocess, "run", failing)
+    with pytest.warns(RuntimeWarning, match="error: no"):
+        streams, scalar, kernel = warm_fleet(3)
+    assert_blocks_match_scalar(kernel, scalar, streams, INIT + 8, [3])
+    assert kernel_backend()["body"] == "numpy"
+    assert cache_files(undecided) == []
+
+
+@needs_compiler
+def test_a_compiler_that_cannot_run_means_the_numpy_body(undecided, monkeypatch):
+    def missing(command, **kwargs):
+        raise FileNotFoundError(command[0])
+
+    monkeypatch.setattr(subprocess, "run", missing)
+    with pytest.warns(RuntimeWarning, match="could not run"):
+        warm_fleet(1)
+    assert kernel_backend()["body"] == "numpy"
+    assert cache_files(undecided) == []
+
+
+@needs_compiler
+def test_a_truncated_cached_library_is_rebuilt(undecided):
+    # Built by another process and cut short before this one ever loads
+    # that path: truncating a library that is already mapped would crash
+    # the process that mapped it -- which is why builds are moved into
+    # place, never written there.
+    builder = choosing_process(undecided.parent)
+    assert builder.communicate(timeout=120)[0].strip() == "native"
+    (planted,) = undecided.iterdir()
+    complete = planted.read_bytes()
+    planted.write_bytes(complete[:100])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        backend = kernel_backend()
+    assert backend["body"] == "native"
+    assert backend["reason"] == f"compiled {planted.name}"
+    assert cache_files(undecided) == [planted.name]
+    assert len(planted.read_bytes()) == len(complete)
+
+
+@needs_compiler
+def test_a_cache_someone_else_can_write_is_not_trusted(undecided, monkeypatch):
+    undecided.mkdir(mode=0o777)
+    undecided.chmod(0o777)
+    assert kernel_backend()["body"] == "native"
+    # Built in a private temporary directory instead, dropped once loaded.
+    assert kernel_backend()["reason"].startswith("compiled ")
+    assert cache_files(undecided) == []
+
+
+@needs_compiler
+def test_without_a_user_id_the_build_goes_to_a_private_temporary(
+    undecided, monkeypatch
+):
+    monkeypatch.delattr(os, "geteuid")
+    assert kernel_backend()["body"] == "native"
+    assert cache_files(undecided) == []
+
+
+@needs_compiler
+def test_a_body_that_cannot_be_called_is_refused_not_raised(undecided, monkeypatch):
+    load = _native.load
+
+    def uncallable_load():
+        (_advance_run, scratch_doubles), report = load()
+
+        def rejects(*arguments):
+            raise ctypes.ArgumentError("argument 4: wrong type")
+
+        return (rejects, scratch_doubles), report
+
+    monkeypatch.setattr(_native, "load", uncallable_load)
+    with pytest.warns(RuntimeWarning, match="self-check failed.*ArgumentError"):
+        streams, scalar, kernel = warm_fleet(2)
+    assert kernel_backend()["body"] == "numpy"
+    assert_blocks_match_scalar(kernel, scalar, streams, INIT + 8, [2])
+
+
+@needs_compiler
+def test_a_body_one_ulp_off_fails_the_self_check_and_is_refused(
+    undecided, monkeypatch
+):
+    load = _native.load
+
+    def perturbed_load():
+        (advance_run, scratch_doubles), report = load()
+
+        def one_ulp_off(*arguments):
+            advance_run(*arguments)
+            first_trend = ctypes.c_double.from_address(arguments[TREND_OUT])
+            first_trend.value = np.nextafter(first_trend.value, np.inf)
+
+        return (one_ulp_off, scratch_doubles), report
+
+    monkeypatch.setattr(_native, "load", perturbed_load)
+    with pytest.warns(RuntimeWarning, match="self-check failed"):
+        backend = kernel_backend()
+    assert backend["body"] == "numpy"
+    assert fleet._native_run is None
+    streams, scalar, kernel = warm_fleet(3)
+    assert_blocks_match_scalar(kernel, scalar, streams, INIT + 8, [4])

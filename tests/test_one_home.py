@@ -18,6 +18,7 @@ import pickle
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,9 @@ PERIOD = 24
 INIT = 4 * PERIOD
 KEYS = [f"m-{i}" for i in range(10)]
 SCALAR_TYPES = (OneShotSTL, StreamingPipeline, IncrementalBandedLDLT, RingBuffer)
+
+#: every test here runs under both bodies of the kernel's run
+pytestmark = pytest.mark.usefixtures("kernel_body")
 
 
 def stream(index, length=PERIOD * 40):

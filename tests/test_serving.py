@@ -29,6 +29,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.fleet import kernel_backend
 from repro.serving import (
     AnomalyEvent,
     EngineBackend,
@@ -202,6 +203,14 @@ class TestAppRouting:
         assert body["draining"] is False
         assert body["down_shards"] == []
         assert body["quarantined_keys"] == []
+        # Which body the fleet kernels run: a fall-back to the several
+        # times slower NumPy wavefront must be visible from outside.
+        assert body["kernel"] == kernel_backend()
+        assert body["kernel"]["body"] in ("native", "numpy")
+        assert set(body["kernel"]) == {"body", "reason", "compiler", "flags"}
+        # Unauthenticated: names, never the directories they live in.
+        assert os.sep not in body["kernel"]["reason"]
+        assert os.sep not in (body["kernel"]["compiler"] or "")
 
     def test_url_encoded_keys_route(self):
         app = make_app()
@@ -484,7 +493,9 @@ class TestBackpressure:
 
 
 class TestRouterBackend:
-    def test_cluster_serving_end_to_end(self, tmp_path):
+    def test_cluster_serving_end_to_end(self, tmp_path, monkeypatch):
+        from repro.serving import app as serving_app
+        from repro.serving.server import _kernel_bodies
         from repro.sharding import ClusterSpec, ShardRouter
 
         spec = fresh_engine().spec
@@ -506,6 +517,17 @@ class TestRouterBackend:
             assert health["status"] == "ok"
             assert sorted(health["shards"]) == ["shard-000", "shard-001"]
             assert health["down_shards"] == []
+            # Each worker process reports the body *it* chose.
+            for shard in health["shards"].values():
+                assert shard["kernel"]["body"] == kernel_backend()["body"]
+            # The front builds no kernel: it neither chooses a body nor
+            # reports one of its own, and its ready line is the workers'.
+            monkeypatch.setattr(
+                serving_app, "kernel_backend", lambda: pytest.fail("front chose")
+            )
+            front = app.backend.health()
+            assert "kernel" not in front
+            assert _kernel_bodies(front) == kernel_backend()["body"]
             listed = app.handle(Request.get("/v1/keys")).json()
             assert listed["keys"] == sorted(keys)
             for key in keys[:3]:
@@ -671,6 +693,7 @@ class TestServerLifecycle:
         try:
             ready = process.stdout.readline()
             assert "ready on http://" in ready, ready
+            assert f"(kernel: {kernel_backend()['body']})" in ready, ready
             port = int(ready.rsplit(":", 1)[1])
             keys, grid = fleet_grid(6, PERIOD * 40, seed=61)
             rounds_per_batch = PERIOD

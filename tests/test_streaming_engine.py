@@ -278,6 +278,8 @@ class TestFleetStats:
         assert stats.points_total == 1
 
 
+#: the one class here whose series are absorbed into a FleetKernel
+@pytest.mark.usefixtures("kernel_body")
 class TestScale:
     def test_sustains_many_concurrent_series(self):
         """A large keyed fleet streams through one engine without issue."""
