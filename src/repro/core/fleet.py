@@ -95,17 +95,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Sequence
+from itertools import chain
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core import _native
-from repro.core.nsigma import NSigma
+from repro.core.nsigma import DEFAULT_MINIMUM_STD, NSigma
 from repro.core.oneshotstl import OneShotSTL, _IterationState
 from repro.analysis import hotpath
 from repro.core.online_system import HALF_BANDWIDTH, ContributionWorkspace
 from repro.solvers.batched_ldlt import BatchedIncrementalLDLT
-from repro.utils import amortized_append, amortized_append_columns
+from repro.utils import amortized_append, amortized_append_columns, owned_arrays
 
 __all__ = ["ColumnarNSigma", "FleetKernel", "FleetUpdate", "kernel_backend"]
 
@@ -346,6 +347,23 @@ class ColumnarNSigma:
             self.m2.copy(),
         )
 
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The members' whole state as ordered named arrays (not copies)."""
+        return {"count": self.count, "mean": self.mean, "m2": self.m2}
+
+    @classmethod
+    def from_arrays(
+        cls, threshold: float, minimum_std: float, arrays: Mapping[str, np.ndarray]
+    ) -> "ColumnarNSigma":
+        """Inverse of :meth:`to_arrays`; the scorers own copies.
+
+        Raises ``ValueError`` unless ``arrays`` is exactly the three
+        moments, equally long and correctly typed.
+        """
+        n = len(arrays["count"]) if "count" in arrays else 0
+        layout = {"count": (np.int64, (n,)), "mean": (float, (n,)), "m2": (float, (n,))}
+        return cls(threshold, minimum_std, *owned_arrays(arrays, layout))
+
     def assign(self, columns, other: "ColumnarNSigma") -> None:
         self.count[columns] = other.count
         self.mean[columns] = other.mean
@@ -462,8 +480,10 @@ class FleetKernel:
         # first occurrence (2H + 1 > period leaves ``period`` candidates).
         window = self.shift_window
         by_phase: dict[int, int] = {}
-        for shift in (0, *range(-window, 0), *range(1, window + 1)):
+        for shift in chain((0,), range(-window, 0), range(1, window + 1)):
             by_phase.setdefault(shift % self.period, shift)
+            if len(by_phase) == self.period:
+                break  # every phase has its first occurrence
         self._shifts = np.array(list(by_phase.values()))
         # Run workspaces (allocated lazily, sized to the widest run seen):
         # purely an allocation-avoidance cache -- no decomposition state
@@ -705,6 +725,88 @@ class FleetKernel:
         sub.solver = self.solver.select(columns)
         sub._pairs = np.take(self.trend_pairs, columns, axis=-1)
         return sub
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The members' whole committed state as ordered named arrays.
+
+        Live arrays in the layout the kernel computes on, not copies (a
+        gathered sub-kernel, :meth:`select`, is the copy to ship); with
+        :meth:`get_params` they are everything :meth:`from_arrays` needs.
+        """
+        blocks, rhs, sizes = self.solver.state()
+        arrays = {
+            "seasonal_buffer": self.seasonal_buffer,
+            "global_index": self.global_index,
+            "points_processed": self.points_processed,
+            "last_trend": self.last_trend,
+            "last_detection_residual": self.last_detection_residual,
+            "last_applied_shift": self.last_applied_shift,
+            "trend_pairs": self.trend_pairs,
+            "solver_blocks": blocks,
+            "solver_rhs": rhs,
+            "solver_sizes": sizes,
+        }
+        for name, array in self.monitor.to_arrays().items():
+            arrays[f"monitor_{name}"] = array
+        return arrays
+
+    @classmethod
+    def from_arrays(
+        cls, params: Mapping, arrays: Mapping[str, np.ndarray]
+    ) -> "FleetKernel":
+        """Inverse of :meth:`to_arrays`: a kernel that owns copies.
+
+        No scalar model is built on the way.  ``params`` and ``arrays``
+        may come off a disk: anything but exactly the named arrays, in
+        the shapes ``params`` implies -- ``(n, T)`` seasonal buffers,
+        ``(2, I, n)`` trend pairs, ``(w, w, I, n)`` solver blocks... --
+        raises ``ValueError`` (``KeyError`` / ``TypeError`` for a
+        ``params`` that is not a parameter set at all), before anything
+        is sized from ``params``.
+        """
+        period = int(params["period"])
+        iterations = int(params["iterations"])
+        if period < 1 or iterations < 1 or int(params["shift_window"]) < 0:
+            raise ValueError(f"not a kernel parameter set: {dict(params)}")
+        index = arrays.get("global_index")
+        n = len(index) if index is not None and index.ndim == 1 else 0
+        w = HALF_BANDWIDTH
+        layout = {
+            "seasonal_buffer": (float, (n, period)),
+            "global_index": (np.int64, (n,)),
+            "points_processed": (np.int64, (n,)),
+            "last_trend": (float, (n,)),
+            "last_detection_residual": (float, (n,)),
+            "last_applied_shift": (np.int64, (n,)),
+            "trend_pairs": (float, (2, iterations, n)),
+            "solver_blocks": (float, (w, w, iterations, n)),
+            "solver_rhs": (float, (w, iterations, n)),
+            "solver_sizes": (np.int64, (iterations, n)),
+        }
+        state: dict[str, np.ndarray] = {}
+        monitor: dict[str, np.ndarray] = {}
+        for name, array in arrays.items():
+            if name.startswith("monitor_"):
+                monitor[name[len("monitor_") :]] = array
+            else:
+                state[name] = array
+        owned = owned_arrays(state, layout)
+        kernel = cls(params, n)
+        (
+            kernel.seasonal_buffer,
+            kernel.global_index,
+            kernel.points_processed,
+            kernel.last_trend,
+            kernel.last_detection_residual,
+            kernel.last_applied_shift,
+            kernel._pairs,
+            *solver_state,
+        ) = owned
+        kernel.solver = BatchedIncrementalLDLT(w, *solver_state)
+        kernel.monitor = ColumnarNSigma.from_arrays(
+            kernel.shift_threshold, DEFAULT_MINIMUM_STD, monitor
+        )
+        return kernel
 
     def assign(self, columns: np.ndarray, other: "FleetKernel") -> None:
         """Scatter the members of ``other`` back into ``columns``."""

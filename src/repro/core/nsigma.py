@@ -29,7 +29,11 @@ import numpy as np
 from repro.registry import register_scorer
 from repro.utils import as_float_array, check_positive
 
-__all__ = ["NSigma", "NSigmaVerdict"]
+__all__ = ["DEFAULT_MINIMUM_STD", "NSigma", "NSigmaVerdict"]
+
+#: floor of the running standard deviation unless a caller names another
+#: (OneShotSTL's residual monitor never does)
+DEFAULT_MINIMUM_STD = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +58,9 @@ class NSigma:
         constant warm-up prefix does not produce infinite scores.
     """
 
-    def __init__(self, threshold: float = 5.0, minimum_std: float = 1e-12):
+    def __init__(
+        self, threshold: float = 5.0, minimum_std: float = DEFAULT_MINIMUM_STD
+    ):
         self.threshold = check_positive(threshold, "threshold")
         self.minimum_std = check_positive(minimum_std, "minimum_std")
         self._count = 0

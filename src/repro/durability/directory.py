@@ -3,7 +3,9 @@
 Layout under the root directory::
 
     MANIFEST.json            -- JSON manifest (the commit point)
-    segments/seg-*.pkl       -- per-cohort state blobs
+    segments/seg-*           -- per-cohort state blobs (``.seg``; a
+                                cohort untouched since a format-3 build
+                                wrote it keeps its ``.pkl`` file)
     wal/wal-*.log            -- write-ahead-log segments
 
 Durability model
@@ -480,8 +482,11 @@ class DirectoryCheckpointStore(CheckpointStore):
         through, so a fatal finding is exactly what a strict recovery
         raises on; a torn tail on the *final* WAL part is reported
         non-fatal -- ordinary crash debris that recovery truncates
-        silently.  ``deep`` also unpickles cohort segments and WAL
-        records (a CRC cannot catch bytes written corrupt).
+        silently.  ``deep`` also decodes what the CRCs cover (a CRC
+        cannot catch bytes written corrupt): a cohort segment's header
+        and array sections are checked structurally -- lengths against
+        shapes, dtypes, names -- and only its fallback section and the
+        WAL records are unpickled.
         """
         try:
             manifest = self.read_manifest()

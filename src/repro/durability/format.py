@@ -12,8 +12,12 @@ One format version covers every durable artifact the engine writes:
   its final part may be torn or absent).  The manifest carries no
   checksum of its own: :func:`validate_manifest` checks its shape and
   its names, and a valid manifest is the store's truth;
-* **cohort segments**: a pickle of ``{key: per-series state}`` for one
-  cohort of series;
+* **cohort segments**: one cohort of series, as the state arrays of the
+  members that live in kernel columns plus a pickle of ``{key: per-series
+  state}`` for the members that do not
+  (:mod:`repro.durability.segment` owns the byte layout;
+  :func:`encode_segment` / :func:`decode_segment` here are the
+  scalar-state codec of that fallback section);
 * **WAL records**: a pickle of one ingested batch in columnar form,
   appended *before* the engine advances its state.
 
@@ -34,6 +38,25 @@ Version history
     (``wal-GGGGGGGG-PPPP.log``).  Version-2 manifests and snapshots are
     migrated on read: the single WAL name is wrapped into a length-1
     chain; per-series and per-cohort state is unchanged.
+4
+    A cohort segment is the columns themselves.  Series absorbed into
+    the fleet kernel are written as a gathered copy of their kernel
+    state -- a magic, a JSON header (per kernel group: pipeline spec,
+    resolved hyper-parameters, keys in column order, one ``{name, dtype,
+    shape}`` per array) and the raw little-endian arrays -- with no
+    scalar object built and no pickle on the way out, and read back with
+    ``np.frombuffer``.  Series that are not columns (warming, not
+    kernel-eligible, in too small a cohort) ride behind the arrays in a
+    fallback section: the version-3 pickle of ``{key: per-series
+    state}``, unchanged.  Segments **self-identify** by their first
+    bytes, because a version-4 manifest legitimately names version-3
+    segments (cohorts that were clean at the first version-4 checkpoint
+    keep their file byte for byte).  A version-3 store is therefore read
+    as a store whose every segment is all fallback: no upgrade step, no
+    second reader; its series re-enter the kernel at their first batch
+    and the next checkpoint writes them as columns.  Manifests, WAL
+    records and single-file snapshots are unchanged and migrate by
+    stamping the version.
 
 The codecs here are pure data-plumbing -- they know nothing about the
 engine -- so the streaming layer can evolve independently of the bytes on
@@ -71,10 +94,10 @@ __all__ = [
 ]
 
 #: version stamp written into (and required from) every durable artifact
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 #: older artifact versions that migrate transparently on read
-MIGRATABLE_FORMAT_VERSIONS = (1, 2)
+MIGRATABLE_FORMAT_VERSIONS = (1, 2, 3)
 
 #: manifest keys required by :func:`validate_manifest`
 _MANIFEST_KEYS = ("format_version", "generation", "engine_spec", "cohorts", "wal")
@@ -99,7 +122,7 @@ class CheckpointSummary:
 
 def segment_name(generation: int, cohort_id: int) -> str:
     """Canonical file name of one cohort's segment at one generation."""
-    return f"seg-{generation:08d}-{cohort_id:06d}.pkl"
+    return f"seg-{generation:08d}-{cohort_id:06d}.seg"
 
 
 def wal_name(generation: int, part: int = 0) -> str:
@@ -153,10 +176,10 @@ def migrate_snapshot_payload(payload: Any, source: object) -> dict:
     if version == CHECKPOINT_FORMAT_VERSION:
         return dict(payload)
     if version in MIGRATABLE_FORMAT_VERSIONS:
-        # v1/v2 -> v3: the per-series state is unchanged; stamp the
+        # Older -> current: the per-series state is unchanged; stamp the
         # lineage counter (a v1 snapshot predates generations).  The WAL
-        # chain lives only in directory-store manifests, so single-file
-        # snapshots need nothing else.
+        # chain and columnar segments live only in directory stores, so
+        # single-file snapshots need nothing else.
         migrated = dict(payload)
         migrated["format_version"] = CHECKPOINT_FORMAT_VERSION
         migrated.setdefault("generation", 0)
@@ -248,7 +271,8 @@ def validate_manifest(manifest: Any, source: object) -> dict:
 
 
 def encode_segment(states: dict) -> bytes:
-    """Serialize one cohort's ``{key: per-series state}`` mapping."""
+    """Serialize a ``{key: per-series state}`` mapping (the scalar-state
+    codec: a whole segment before format 4, the fallback section since)."""
     return pickle.dumps(states, protocol=pickle.HIGHEST_PROTOCOL)
 
 

@@ -11,8 +11,12 @@ decided only here, and both consumers drain it:
 cohort error or a :class:`WalStop`.  ``ScrubReport.ok`` ("a strict
 recovery would succeed") holds because the two cannot walk differently.
 
-* A cohort is its segment's bytes, checked against the manifest's CRC,
-  decoded, and (when the caller names a type) type-checked per series.
+* A cohort is its segment's bytes, checked against the manifest's CRC
+  and split (:func:`repro.durability.segment.split_segment`) into the
+  array sections of its column groups, whose structure is checked, not
+  unpickled, and a fallback section, which is unpickled and (when the
+  caller names a type) type-checked per series.  A segment of format 3
+  or earlier is all fallback; there is no second reader.
 * The chain is the manifest's parts extended by every rotated successor
   that *exists* -- a crash can land between opening a part and its first
   append, so record counts would miss the live tail.
@@ -37,6 +41,7 @@ from repro.durability.format import (
     next_wal_name,
     wal_position,
 )
+from repro.durability.segment import ColumnGroup, split_segment
 from repro.durability.store import CheckpointStore
 
 __all__ = ["WalStop", "WalWalk", "read_cohort", "wal_chain"]
@@ -47,11 +52,15 @@ def read_cohort(
     cohort: Mapping[str, Any],
     decode: bool = True,
     state_type: type | None = None,
-) -> dict | None:
-    """One manifest cohort's ``{key: state}``, or raise saying what is wrong.
+) -> tuple[list[ColumnGroup], dict] | None:
+    """One manifest cohort's ``(column groups, {key: state})``, or raise
+    saying what is wrong.
 
-    Every failure is a :class:`CorruptCheckpointError` whose ``problem``
-    is ``missing``, ``crc_mismatch`` or ``undecodable``.  ``decode=False``
+    The groups are the segment's array sections (views of its bytes,
+    structurally checked; what they must hold to be a kernel is the
+    engine's check), the mapping its unpickled fallback section.  Every
+    failure is a :class:`CorruptCheckpointError` whose ``problem`` is
+    ``missing``, ``crc_mismatch`` or ``undecodable``.  ``decode=False``
     stops after the CRC (a shallow scrub) and returns ``None``.
     """
     name = cohort["segment"]
@@ -66,7 +75,9 @@ def read_cohort(
         )
     if not decode:
         return None
-    states = decode_segment(payload, source)
+    groups, fallback = split_segment(payload, source)
+    # Only a segment that carries columns may carry no scalar state.
+    states = decode_segment(fallback, source) if fallback or not groups else {}
     if state_type is not None:
         for key, state in states.items():
             if not isinstance(state, state_type):
@@ -76,7 +87,7 @@ def read_cohort(
                     f"expected {state_type.__name__})",
                     problem="undecodable",
                 )
-    return states
+    return groups, states
 
 
 def wal_chain(

@@ -14,7 +14,13 @@ Tokens come from ``blake2b`` (stdlib, keyed-hash-quality dispersion,
 stable everywhere); both shard points and keys hash through it.  Key
 bytes are canonicalized per type (``str``/``bytes``/``int`` and a
 ``repr`` fallback) so equal keys always land on the same shard while
-``"1"`` and ``1`` stay distinct.
+``"1"`` and ``1`` stay distinct: ``1``, ``1.0`` and ``True`` are one
+dict key in an engine, so they are one key here.
+
+A fleet routes the same keys batch after batch, so the ring remembers
+each key's owner: one dict entry per key ever routed (the workers hold
+state for every one of them anyway), dropped whole whenever a shard
+joins or leaves.
 """
 
 from __future__ import annotations
@@ -48,6 +54,10 @@ def _key_bytes(key: Hashable) -> bytes:
         return b"i:" + str(int(key)).encode()
     if isinstance(key, int):
         return b"i:" + str(key).encode()
+    if isinstance(key, float) and key.is_integer():
+        # 1.0 == 1 as a dict key too (and the owner memo would otherwise
+        # hand whichever form came first to both).
+        return b"i:" + str(int(key)).encode()
     return b"r:" + repr(key).encode("utf-8", "backslashreplace")
 
 
@@ -76,6 +86,8 @@ class ConsistentHashRing:
         #: sorted ring tokens and the shard owning each, kept parallel
         self._tokens: list[int] = []
         self._owners: list[str] = []
+        #: key -> owning shard, for the ring as it stands
+        self._memo: dict[Hashable, str] = {}
         for shard_id in shard_ids:
             self.add_shard(shard_id)
 
@@ -104,6 +116,7 @@ class ConsistentHashRing:
         if shard_id in self._shards:
             raise ValueError(f"shard {shard_id!r} is already on the ring")
         self._shards.add(shard_id)
+        self._memo = {}
         for token in self._shard_tokens(shard_id):
             at = bisect_right(self._tokens, token)
             self._tokens.insert(at, token)
@@ -113,6 +126,7 @@ class ConsistentHashRing:
         if shard_id not in self._shards:
             raise ValueError(f"shard {shard_id!r} is not on the ring")
         self._shards.remove(shard_id)
+        self._memo = {}
         keep = [
             (token, owner)
             for token, owner in zip(self._tokens, self._owners)
@@ -125,12 +139,15 @@ class ConsistentHashRing:
 
     def shard_for(self, key: Hashable) -> str:
         """The shard owning ``key`` (first ring point at/after its hash)."""
-        if not self._tokens:
-            raise ValueError("cannot route on an empty ring (no shards)")
-        at = bisect_right(self._tokens, _token(_key_bytes(key)))
-        if at == len(self._tokens):
-            at = 0
-        return self._owners[at]
+        owner = self._memo.get(key)
+        if owner is None:
+            if not self._tokens:
+                raise ValueError("cannot route on an empty ring (no shards)")
+            at = bisect_right(self._tokens, _token(_key_bytes(key)))
+            if at == len(self._tokens):
+                at = 0
+            owner = self._memo[key] = self._owners[at]
+        return owner
 
     def assignments(self, keys: Sequence[Hashable]) -> dict[str, list[int]]:
         """Partition key *positions* by owning shard.

@@ -741,20 +741,30 @@ class ShardRouter:
         ) from None
 
     def _request_supervised(
-        self, shard_id: str, command: str, payload: Any = None
+        self,
+        shard_id: str,
+        command: str,
+        payload: Any = None,
+        in_flight: bool = False,
     ) -> Any:
         """Idempotent command with transient retry and one failover retry.
 
-        Used by the fleet-wide reads (``stats``/``keys``) and
-        ``checkpoint``: a worker death during one of these is recovered
-        in place (failover, then one re-send to the replacement) instead
-        of surfacing an internal exception.
+        Used by ``series_stats``, the fleet-wide reads (``stats`` /
+        ``keys``) and ``checkpoint``: a worker death during one of these
+        is recovered in place (failover, then one re-send to the
+        replacement) instead of surfacing an internal exception.
+        ``in_flight`` says the command is already on the worker's pipe
+        (:meth:`_request_fleet` sends to every shard before it waits):
+        the first attempt then only awaits the reply.
         """
         retried_death = False
         while True:
             worker = self._alive(shard_id)
             try:
                 try:
+                    if in_flight:
+                        in_flight = False
+                        return self._request_reply(worker)
                     return self._request(worker, command, payload)
                 except _TransientShardError as error:
                     return self._retry_request(worker, (command, payload), error, False)
@@ -1106,21 +1116,53 @@ class ShardRouter:
 
     # -------------------------------------------------------------- fleet ops
 
+    def _request_fleet(self, command: str, allow_partial: bool = False) -> dict:
+        """One idempotent command on every shard: ``{shard_id: reply}``.
+
+        The command goes out to every live worker before any reply is
+        awaited, so the shards work side by side and the call costs the
+        slowest shard, not their sum; replies are then drained in shard
+        order through :meth:`_request_supervised`, shard by shard, so a
+        shard whose send or reply fails gets its retries, the hang
+        watchdog and one failover re-send alone, the others' replies
+        intact.  A down shard maps to ``None`` with ``allow_partial``;
+        otherwise the first error is raised -- after every reply already
+        asked for has been drained, or the next command on that pipe
+        would read this one's answer.
+        """
+        sent = set()
+        for shard_id in sorted(self._workers):
+            try:
+                self._alive(shard_id).conn.send((command, None))
+            except (ShardDownError, BrokenPipeError, OSError):
+                # down, or found dead: the supervised pass below raises
+                # for the one and fails the other over
+                continue
+            sent.add(shard_id)
+        report: dict[str, Any] = {}
+        failure: Exception | None = None
+        for shard_id in sorted(self._workers):
+            try:
+                report[shard_id] = self._request_supervised(
+                    shard_id, command, in_flight=shard_id in sent
+                )
+            except ShardDownError as down:
+                report[shard_id] = None
+                if not allow_partial:
+                    failure = failure or down
+            except Exception as error:  # noqa: BLE001 -- raised once drained
+                failure = failure or error
+        if failure is not None:
+            raise failure
+        return report
+
     def keys(self, *, allow_partial: bool = False) -> dict:
         """Every shard's series keys: ``{shard_id: [key, ...]}``.
 
         With ``allow_partial=True`` a down shard maps to ``None``
         instead of raising :class:`ShardDownError`.
         """
-        report: dict[str, Any] = {}
-        for shard_id in sorted(self._workers):
-            try:
-                report[shard_id] = self._request_supervised(shard_id, "keys")
-            except ShardDownError:
-                if not allow_partial:
-                    raise
-                report[shard_id] = None
-        return report
+        return self._request_fleet("keys", allow_partial)
 
     def stats(self, *, allow_partial: bool = False) -> ClusterStats:
         """Aggregate fleet statistics across every shard.
@@ -1129,15 +1171,10 @@ class ShardRouter:
         series are absent from the totals -- and named in the returned
         :attr:`ClusterStats.down_shards`.
         """
-        shards: dict[str, FleetStats] = {}
-        down: list[str] = []
-        for shard_id in sorted(self._workers):
-            try:
-                shards[shard_id] = self._request_supervised(shard_id, "stats")
-            except ShardDownError:
-                if not allow_partial:
-                    raise
-                down.append(shard_id)
+        replies = self._request_fleet("stats", allow_partial)
+        shards: dict[str, FleetStats] = {
+            shard_id: reply for shard_id, reply in replies.items() if reply is not None
+        }
         return ClusterStats(
             series_total=sum(s.series_total for s in shards.values()),
             series_live=sum(s.series_live for s in shards.values()),
@@ -1145,15 +1182,13 @@ class ShardRouter:
             points_total=sum(s.points_total for s in shards.values()),
             anomalies_total=sum(s.anomalies_total for s in shards.values()),
             shards=shards,
-            down_shards=tuple(down),
+            down_shards=tuple(sorted(set(replies) - set(shards))),
         )
 
     def checkpoint(self) -> dict:
-        """Checkpoint every shard; returns ``{shard_id: CheckpointSummary}``."""
-        return {
-            shard_id: self._request_supervised(shard_id, "checkpoint")
-            for shard_id in sorted(self._workers)
-        }
+        """Checkpoint every shard, side by side; returns
+        ``{shard_id: CheckpointSummary}``."""
+        return self._request_fleet("checkpoint")
 
     # ------------------------------------------------------- shard elasticity
 

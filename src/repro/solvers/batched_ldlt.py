@@ -149,8 +149,10 @@ class BatchedIncrementalLDLT:
 
     # ------------------------------------------------------- state plumbing
 
-    def _state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Committed ``(blocks, right-hand sides, sizes)`` as live views."""
+    def state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Committed ``(blocks, right-hand sides, sizes)`` as live views:
+        ``(w, w, I, n)``, ``(w, I, n)`` and ``(I, n)``, the cell-major
+        arrays the constructor takes."""
         n = self._n
         cur = self._cur
         return (
@@ -228,7 +230,7 @@ class BatchedIncrementalLDLT:
         of exporting a dirty cohort's state for an incremental checkpoint.
         """
         columns = np.asarray(columns, dtype=np.intp)
-        m_state, b_state, s_state = self._state()
+        m_state, b_state, s_state = self.state()
         m_lists = m_state[..., columns].transpose(3, 2, 0, 1).tolist()
         b_lists = b_state[..., columns].transpose(2, 1, 0).tolist()
         sizes = s_state[..., columns].T.tolist()
@@ -251,7 +253,7 @@ class BatchedIncrementalLDLT:
         for solver in solvers:
             if solver.half_bandwidth != self.half_bandwidth:
                 raise ValueError("half bandwidth mismatch")
-        m_state, b_state, s_state = self._state()
+        m_state, b_state, s_state = self.state()
         m_state[..., index] = np.array(
             [solver._m_trail for solver in solvers], dtype=float
         ).transpose(1, 2, 0)
@@ -277,14 +279,14 @@ class BatchedIncrementalLDLT:
             raise ValueError("half bandwidth or iteration count mismatch")
         cur = self._cur
         for buffers, state in zip(
-            (self._m_buffers, self._b_buffers, self._s_buffers), other._state()
+            (self._m_buffers, self._b_buffers, self._s_buffers), other.state()
         ):
             buffers[cur] = amortized_append_columns(buffers[cur], self._n, state)
         self._n += other._n
 
     def select(self, columns: np.ndarray) -> "BatchedIncrementalLDLT":
         """Gathered copy of the members at ``columns``."""
-        m_state, b_state, s_state = self._state()
+        m_state, b_state, s_state = self.state()
         sub = BatchedIncrementalLDLT(
             self.half_bandwidth,
             np.take(m_state, columns, axis=-1),
@@ -299,7 +301,7 @@ class BatchedIncrementalLDLT:
 
     def assign(self, columns: np.ndarray, other: "BatchedIncrementalLDLT") -> None:
         """Scatter the members of ``other`` back into ``columns``."""
-        for mine, theirs in zip(self._state(), other._state()):
+        for mine, theirs in zip(self.state(), other.state()):
             mine[..., columns] = theirs
 
     # -------------------------------------------------------------- advancing

@@ -69,9 +69,11 @@ absorbed it is a column of its cohort's kernel arrays and nothing else --
 the scalar objects are consumed by the absorption, reads (``forecast``,
 ``series_stats``, ``fleet_stats``) come straight off the columns, and
 scalar state is built afresh, by one function, only where a boundary
-needs it (``snapshot``/``checkpoint``/``save``/``extract_series`` and the
-single-key ``process``).  Either way the outputs are *identical* to
-running N independent pipelines by hand -- the test suite asserts this.
+needs it (``snapshot``/``save``/``extract_series`` and the single-key
+``process``; a durable ``checkpoint`` writes the columns as they are and
+``open`` reads them back as columns).  Either way the outputs are
+*identical* to running N independent pipelines by hand -- the test suite
+asserts this.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ import numpy as np
 from repro.analysis import hotpath
 from repro.core.fleet import ColumnarNSigma, FleetKernel
 from repro.core.nsigma import NSigma
+from repro.core.oneshotstl import OneShotSTL
 from repro.durability import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointStore,
@@ -117,11 +120,12 @@ from repro.durability.format import (
     wal_name,
 )
 from repro.durability.recovery import WalWalk, read_cohort
+from repro.durability.segment import ColumnGroup, encode_columnar_segment
 from repro.specs import DecomposerSpec, DetectorSpec, EngineSpec, PipelineSpec
 from repro.streaming.buffer import RingBuffer
 from repro.streaming.latency import LatencyReport, summarize_latencies
 from repro.streaming.pipeline import StreamingPipeline, StreamRecord
-from repro.utils import amortized_append, check_positive_int
+from repro.utils import amortized_append, check_positive_int, owned_arrays
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -417,10 +421,11 @@ class FleetStats:
 class _SeriesState:
     """Scalar home of one series: pipeline, warmup buffer and counters.
 
-    What a series is while it is off the kernel, and the shape every
-    boundary speaks (``snapshot``, ``save``, ``extract_series`` and v3
-    store segments are ``{key: _SeriesState}``): the module path and the
-    slots are part of the store format.
+    What a series is while it is off the kernel, and the shape the
+    scalar boundaries speak (``snapshot``, ``save``, ``extract_series``,
+    the fallback section of a store segment and every segment of format
+    3 are ``{key: _SeriesState}``): the module path and the slots are
+    part of the store format.
     """
 
     __slots__ = ("pipeline", "warmup", "live", "points", "anomalies", "latencies")
@@ -434,6 +439,12 @@ class _SeriesState:
         self.latencies = RingBuffer(latency_window)
 
 
+#: per-column arrays a group saves beside its kernel's and its scorer's:
+#: the totals, and the latency ring when it keeps one
+_TOTAL_ARRAYS = ("indices", "points", "anomalies")
+_RING_ARRAYS = ("latency_counts", "latency_values")
+
+
 class _FleetGroup:
     """Columnar home of one same-spec cohort of live series.
 
@@ -441,12 +452,14 @@ class _FleetGroup:
     columnar pipeline scorer and the per-column totals (record index,
     points, anomalies, latency ring) are the only copy of its state --
     :meth:`absorb` consumes the scalar objects it packs.  Reads index the
-    arrays; the one way back to scalar form is :meth:`materialize`, which
-    builds *fresh* states, and :meth:`load` takes one back after a
-    single-key detour.  ``_FleetGroup`` is engine-internal bookkeeping and
-    is deliberately *not* part of the checkpoint format: checkpoints
-    carry materialized per-series state, so the on-disk format is
-    identical whether or not the kernel path ever ran.
+    arrays, and so does the store: a checkpoint writes a gathered copy of
+    the columns themselves (:meth:`save_columns`) and recovery appends
+    them back (:meth:`from_columns`, :meth:`extend`) without a scalar
+    object in between, so the arrays named there are part of the store
+    format.  The one way to scalar form is :meth:`materialize`, which
+    builds *fresh* states for the boundaries that speak ``{key:
+    _SeriesState}``, and :meth:`load` takes one back after a single-key
+    detour.
     """
 
     __slots__ = (
@@ -497,40 +510,189 @@ class _FleetGroup:
         costs O(total members), not one full-group copy per cohort.
         """
         states = list(members.values())
-        new_kernel = FleetKernel.pack(
-            [state.pipeline.decomposer for state in states]
+        first = self._append(
+            list(members),
+            FleetKernel.pack([state.pipeline.decomposer for state in states]),
+            ColumnarNSigma.pack([state.pipeline.scorer for state in states]),
+            [state.pipeline._index for state in states],
+            [state.points for state in states],
+            [state.anomalies for state in states],
         )
-        new_scorer = ColumnarNSigma.pack(
-            [state.pipeline.scorer for state in states]
-        )
-        if self.kernel is None:
-            self.kernel = new_kernel
-            self.scorer = new_scorer
-        else:
-            self.kernel.append(new_kernel)
-            self.scorer.append(new_scorer)
-        self.indices = amortized_append(
-            self.indices, [state.pipeline._index for state in states]
-        )
-        self.points = amortized_append(
-            self.points, [state.points for state in states]
-        )
-        self.anomalies = amortized_append(
-            self.anomalies, [state.anomalies for state in states]
-        )
-        self.latency_counts = amortized_append(
-            self.latency_counts, np.zeros(len(states), dtype=np.int64)
-        )
-        if self.latency_values is not None:
-            self.latency_values = amortized_append(
-                self.latency_values,
-                np.empty((len(states), self.latency_window)),
-            )
-        first = len(self.keys)
-        self.keys.extend(members)
         for column, state in enumerate(states, first):
             if len(state.latencies):
                 self._store_latencies(column, state.latencies)
+
+    def _append(
+        self,
+        keys: list,
+        kernel: FleetKernel,
+        scorer: ColumnarNSigma,
+        indices: Sequence[int] | np.ndarray,
+        points: Sequence[int] | np.ndarray,
+        anomalies: Sequence[int] | np.ndarray,
+    ) -> int:
+        """Append ``len(keys)`` columns with no latency history yet;
+        returns the first new column."""
+        if self.kernel is None:
+            self.kernel = kernel
+            self.scorer = scorer
+        else:
+            self.kernel.append(kernel)
+            self.scorer.append(scorer)
+        self.indices = amortized_append(self.indices, indices)
+        self.points = amortized_append(self.points, points)
+        self.anomalies = amortized_append(self.anomalies, anomalies)
+        self.latency_counts = amortized_append(
+            self.latency_counts, np.zeros(len(keys), dtype=np.int64)
+        )
+        if self.latency_values is not None:
+            self.latency_values = amortized_append(
+                self.latency_values, np.zeros((len(keys), self.latency_window))
+            )
+        first = len(self.keys)
+        self.keys.extend(keys)
+        return first
+
+    def save_columns(self, columns: Sequence[int] | np.ndarray) -> ColumnGroup:
+        """The members at ``columns`` as the arrays a checkpoint writes.
+
+        One gathered copy per state array -- the kernel's
+        (:meth:`FleetKernel.to_arrays`), the pipeline scorer's moments
+        (``scorer_*``), the totals and, when the group keeps one, the
+        latency ring -- and a ``meta`` naming the pipeline spec and the
+        resolved hyper-parameters the arrays belong to.  No scalar
+        object is built.  The ring is cut to the slots in use (``count %
+        window`` addressing never reaches past ``max(count)``), so a
+        young cohort does not carry a window of padding.
+        """
+        columns = np.asarray(columns, dtype=np.intp)
+        arrays = self.kernel.select(columns).to_arrays()
+        for name, array in self.scorer.select(columns).to_arrays().items():
+            arrays[f"scorer_{name}"] = array
+        arrays["indices"] = self.indices[columns]
+        arrays["points"] = self.points[columns]
+        arrays["anomalies"] = self.anomalies[columns]
+        if self.latency_values is not None:
+            counts = self.latency_counts[columns]
+            width = min(self.latency_window, int(counts.max(initial=0)))
+            arrays["latency_counts"] = counts
+            arrays["latency_values"] = self.latency_values[columns, :width]
+        meta = {
+            "spec": self.spec.to_dict(),
+            "kernel": self.kernel.get_params(),
+            "scorer": {
+                "threshold": self.scorer.threshold,
+                "minimum_std": self.scorer.minimum_std,
+            },
+        }
+        return ColumnGroup(meta, arrays)
+
+    @classmethod
+    def from_columns(
+        cls,
+        keys: list,
+        saved: ColumnGroup,
+        latency_window: int,
+        track_latency: bool,
+    ) -> "_FleetGroup":
+        """A standalone group of ``keys`` from what :meth:`save_columns` wrote.
+
+        The inverse, through the constructors that take columnar state:
+        no scalar object is built.  ``saved`` comes off a disk, so
+        everything is checked before it is believed -- the arrays present
+        and their shapes against the key count and the hyper-parameters,
+        those against what the pipeline spec states -- and a mismatch
+        raises ``ValueError`` / ``KeyError`` / ``TypeError``.  A ring
+        saved under another ``latency_window`` keeps its newest
+        ``min(count, window)`` durations, in order.
+        """
+        meta = saved.meta
+        spec = PipelineSpec.from_dict(meta["spec"])
+        params = meta["kernel"]
+        scorer_params = meta["scorer"]
+        if (
+            spec.decomposer.component_class() is not OneShotSTL
+            or spec.detector.component_class() is not NSigma
+            or any(
+                params[name] != value
+                for name, value in spec.decomposer.params.items()
+            )
+            or any(
+                scorer_params[name] != value
+                for name, value in spec.detector.params.items()
+            )
+        ):
+            raise ValueError(
+                f"columns of {params} / {scorer_params} do not belong to the "
+                f"pipeline spec {meta['spec']}"
+            )
+        n = len(keys)
+        kernel_arrays: dict[str, np.ndarray] = {}
+        scorer_arrays: dict[str, np.ndarray] = {}
+        rest: dict[str, np.ndarray] = {}
+        for name, array in saved.arrays.items():
+            if name.startswith("scorer_"):
+                scorer_arrays[name[len("scorer_") :]] = array
+            elif name in _TOTAL_ARRAYS or name in _RING_ARRAYS:
+                rest[name] = array
+            else:
+                kernel_arrays[name] = array
+        kernel = FleetKernel.from_arrays(params, kernel_arrays)
+        if kernel.n_series != n:
+            raise ValueError(f"{kernel.n_series} columns for {n} keys")
+        scorer = ColumnarNSigma.from_arrays(
+            float(scorer_params["threshold"]),
+            float(scorer_params["minimum_std"]),
+            scorer_arrays,
+        )
+        layout: dict[str, tuple[type, tuple]] = dict.fromkeys(
+            _TOTAL_ARRAYS, (np.int64, (n,))
+        )
+        if any(name in rest for name in _RING_ARRAYS):
+            values = rest.get("latency_values")
+            ragged = values is None or values.ndim != 2
+            width = 0 if ragged else values.shape[1]
+            layout["latency_counts"] = (np.int64, (n,))
+            layout["latency_values"] = (float, (n, width))
+        indices, points, anomalies, *ring = owned_arrays(rest, layout)
+        group = cls(spec, latency_window, track_latency)
+        group._append(keys, kernel, scorer, indices, points, anomalies)
+        if ring:
+            group._restore_latencies(*ring)
+        return group
+
+    def _restore_latencies(self, counts: np.ndarray, values: np.ndarray) -> None:
+        """Make a saved ring -- ``(n, width)`` slots addressed ``k % width``,
+        ``counts`` durations seen -- the history of this (fresh) group."""
+        if counts.min(initial=0) < 0:
+            raise ValueError("a latency ring cannot hold a negative count")
+        width = values.shape[1]
+        kept = np.minimum(counts, min(width, self.latency_window))
+        most = int(kept.max(initial=0))
+        if not most:
+            return
+        offsets = np.arange(most)
+        slots = ((counts - kept)[:, None] + offsets) % width
+        durations = values[np.arange(len(self.keys))[:, None], slots]
+        durations[offsets >= kept[:, None]] = 0.0
+        self._ring()[:, :most] = durations
+        self.latency_counts[:] = kept
+
+    def extend(self, other: "_FleetGroup") -> int:
+        """Append every column of ``other`` (same spec, same latency
+        window; consumed); returns the first new column."""
+        first = self._append(
+            other.keys,
+            other.kernel,
+            other.scorer,
+            other.indices,
+            other.points,
+            other.anomalies,
+        )
+        if other.latency_values is not None:
+            self._ring()[first:] = other.latency_values
+            self.latency_counts[first:] = other.latency_counts
+        return first
 
     def materialize(self, columns: Sequence[int] | np.ndarray) -> list[_SeriesState]:
         """Fresh scalar states of the members at ``columns``: the one way out.
@@ -538,9 +700,10 @@ class _FleetGroup:
         One gathered read per state array (see
         :meth:`FleetKernel.extract_many`), whatever the size of the group
         around the columns.  The states alias nothing in the group, so
-        the caller owns them -- a checkpoint pickles them, a snapshot
-        hands them out, a single-key detour advances one and
-        :meth:`load` takes it back.
+        the caller owns them -- a snapshot hands them out, ``save`` and
+        ``extract_series`` pickle them, a single-key detour advances one
+        and :meth:`load` takes it back.  (A checkpoint does not come
+        this way: it writes the columns, :meth:`save_columns`.)
         """
         columns = np.asarray(columns, dtype=np.intp)
         models = self.kernel.extract_many(columns)
@@ -602,13 +765,17 @@ class _FleetGroup:
 
     def _store_latencies(self, column: int, ring: RingBuffer) -> None:
         """Make ``ring``'s most recent durations the history of ``column``."""
-        if self.latency_values is None:
-            if not len(ring):
-                return
-            self.latency_values = np.zeros((len(self.keys), self.latency_window))
+        if self.latency_values is None and not len(ring):
+            return
         durations = ring.to_array()[-self.latency_window :]
-        self.latency_values[column, : durations.size] = durations
+        self._ring()[column, : durations.size] = durations
         self.latency_counts[column] = durations.size
+
+    def _ring(self) -> np.ndarray:
+        """The latency ring, allocated when the first history arrives."""
+        if self.latency_values is None:
+            self.latency_values = np.zeros((len(self.keys), self.latency_window))
+        return self.latency_values
 
     def record_latency_block(
         self, columns: np.ndarray, per_point: float, rounds: int
@@ -1708,11 +1875,16 @@ class MultiSeriesEngine:
         :attr:`kernel_min_cohort` -- are process-local, not part of the
         stream's configuration, so they are not stored in the manifest:
         re-set them after ``open()`` if you changed the defaults.  And
-        WAL records carry their keys/values via pickle, so they share the
-        checkpoint's portability constraints: keys and values must
+        pickle is still how three things travel: WAL records (their keys
+        and values), the fallback section of a segment (series that are
+        not kernel columns, and every segment a format-3 build wrote)
+        and the ``save`` / ``extract_series`` payloads.  Those must
         unpickle in the recovering process (classes defined in a script's
-        ``__main__`` or in modules absent on the recovery side will fail
-        the replay with :class:`~repro.durability.CorruptCheckpointError`).
+        ``__main__`` or in modules absent on the recovery side fail with
+        :class:`~repro.durability.CorruptCheckpointError`) and carry
+        pickle's trust model; the kernel columns of a segment -- all of
+        a default fleet's checkpointed state -- are a JSON header and raw
+        arrays, checked structurally and never unpickled.
 
         ``recovery`` selects the corruption policy.  Every policy reads
         the store through the walk ``store.verify()`` reports from
@@ -1839,7 +2011,10 @@ class MultiSeriesEngine:
             # leave keys 0..N-1 half-registered (quarantine keeps going
             # with the rest of the store).
             try:
-                states = read_cohort(store, cohort, state_type=_SeriesState)
+                saved, states = read_cohort(store, cohort, state_type=_SeriesState)
+                members, groups = engine._decode_cohort(
+                    f"{source}/{name}", saved, states
+                )
             except CorruptCheckpointError as error:
                 if recovery != "quarantine":
                     raise
@@ -1864,19 +2039,27 @@ class MultiSeriesEngine:
                 )
                 quarantined_keys.update(keys)
                 continue
+            # What was a column when saved is a column again, appended to
+            # its spec's group; the rest are scalar homes, as before.
+            engine._series.update((key, states.get(key)) for key in members)
+            for restored in groups:
+                spec_key = restored.spec.to_json(sort_keys=True)
+                group = engine._groups.setdefault(spec_key, restored)
+                first = 0 if group is restored else group.extend(restored)
+                for column, key in enumerate(restored.keys, first):
+                    engine._absorbed[key] = (group, column)
             # Progress markers are taken *before* WAL replay, so they
             # describe what the segment holds: replayed series drift past
             # their marker and read as dirty at the next checkpoint,
             # untouched series stay clean.
-            engine._series.update(states)
-            engine._cohort_members[cohort_id] = list(states)
+            engine._cohort_members[cohort_id] = members
             engine._cohort_segments[cohort_id] = name
             engine._cohort_markers[cohort_id] = {
-                key: state.points for key, state in states.items()
+                key: engine._series_marker(key) for key in members
             }
             if cohort.get("crc") is not None:
                 engine._cohort_crcs[cohort_id] = int(cohort["crc"])
-            engine._cohort_of.update(dict.fromkeys(states, cohort_id))
+            engine._cohort_of.update(dict.fromkeys(members, cohort_id))
         engine._next_cohort_id = (
             max(engine._cohort_members, default=-1) + 1
         )
@@ -1967,6 +2150,66 @@ class MultiSeriesEngine:
             engine._wal_records_pending = walk.frames
         return engine
 
+    def _decode_cohort(
+        self, source: str, saved: list[ColumnGroup], states: dict
+    ) -> tuple[list, list[_FleetGroup]]:
+        """``(members, groups)`` of one read segment, validated whole.
+
+        ``members`` is the cohort's key order -- every column group's
+        ``positions``, the fallback ``states`` in the places left --
+        and ``groups`` one standalone :class:`_FleetGroup` per saved
+        column group.  Nothing of the engine is touched: a cohort is
+        committed only once all of it decoded, so damage found in its
+        last group cannot leave the first half-registered.  Everything
+        wrong with what a header claims is
+        ``CorruptCheckpointError(problem="undecodable")``.
+        """
+        groups = []
+        joined = dict(self._groups)
+        try:
+            n_columns = sum(len(columnar.meta["keys"]) for columnar in saved)
+            members: list = [None] * (len(states) + n_columns)
+            free = set(range(len(members)))
+            for columnar in saved:
+                keys = list(decode_manifest_keys(columnar.meta["keys"]))
+                positions = columnar.meta["positions"]
+                taken = set(positions)
+                if not len(keys) == len(positions) == len(taken) or not taken <= free:
+                    raise ValueError(
+                        f"positions {positions} do not place {len(keys)} keys "
+                        f"in a cohort of {len(members)}"
+                    )
+                free -= taken
+                for position, key in zip(positions, keys):
+                    members[position] = key
+                restored = _FleetGroup.from_columns(
+                    keys, columnar, self.latency_window, self.track_latency
+                )
+                # The group these columns will join -- the engine's, or an
+                # earlier one of this segment -- must be able to take them.
+                peer = joined.setdefault(restored.spec.to_json(sort_keys=True), restored)
+                if (
+                    peer.kernel.get_params() != restored.kernel.get_params()
+                    or peer.scorer.threshold != restored.scorer.threshold
+                    or peer.scorer.minimum_std != restored.scorer.minimum_std
+                ):
+                    raise ValueError(
+                        f"columns of {restored.kernel.get_params()} cannot join "
+                        f"their spec's group of {peer.kernel.get_params()}"
+                    )
+                groups.append(restored)
+            for position, key in zip(sorted(free), states):
+                members[position] = key
+            if len(set(members)) != len(members):
+                raise ValueError("a key appears twice in the cohort")
+        except (ValueError, KeyError, TypeError) as error:
+            raise CorruptCheckpointError(
+                f"{source}: cohort segment's columns are malformed "
+                f"({type(error).__name__}: {error})",
+                problem="undecodable",
+            ) from error
+        return members, groups
+
     @staticmethod
     def _filter_wal_record(record: tuple, skip_keys: set) -> tuple | None:
         """Drop quarantined keys from a WAL record (``None``: drop it all).
@@ -2051,13 +2294,53 @@ class MultiSeriesEngine:
         get = markers.get
         return any(get(key) != self._series_marker(key) for key in members)
 
+    def _encode_cohort(self, members: list) -> bytes:
+        """One cohort's segment: its kernel columns, gathered, as they are.
+
+        Per kernel group with members in the cohort, one
+        :meth:`_FleetGroup.save_columns` -- no scalar object is built for
+        an absorbed series and nothing of it is pickled -- with the
+        members' keys and their places in the cohort's order in the
+        group's ``meta``.  The members that are not columns (warming,
+        never absorbable, below the cohort minimum, or keyed by
+        something JSON cannot carry) ride in the fallback section as the
+        scalar-state codec's ``{key: state}``, in cohort order.
+        """
+        by_group: dict[int, tuple[_FleetGroup, list, list]] = {}
+        for position, key in enumerate(members):
+            location = self._absorbed.get(key)
+            if location is not None:
+                group, column = location
+                entry = by_group.setdefault(id(group), (group, [], []))
+                entry[1].append(column)
+                entry[2].append(position)
+        saved = []
+        scalar = set(range(len(members)))
+        for group, columns, positions in by_group.values():
+            keys = encode_manifest_keys(members[position] for position in positions)
+            if keys is None:
+                continue
+            columnar = group.save_columns(columns)
+            columnar.meta.update(keys=keys, positions=positions)
+            saved.append(columnar)
+            scalar.difference_update(positions)
+        fallback = b""
+        if scalar:
+            fallback = encode_segment(
+                self._materialized(members[position] for position in sorted(scalar))
+            )
+        return encode_columnar_segment(saved, fallback)
+
     def checkpoint(self) -> CheckpointSummary:
         """Persist all changes since the last checkpoint to the store.
 
         Only *dirty* cohorts -- those whose series ingested anything since
         their segment was written -- are re-serialized; clean cohorts keep
         their existing segment files, so checkpointing a mostly-idle fleet
-        writes a handful of segments plus one manifest.  The sequence is
+        writes a handful of segments plus one manifest.  A segment is a
+        gathered write of the kernel columns its series live in
+        (:meth:`_encode_cohort`): no scalar model is built and nothing
+        of an absorbed series is pickled.  The sequence is
         crash-safe at every step: segments first (atomic each), then the
         manifest swap (the commit point), then WAL truncation and garbage
         collection -- a crash anywhere leaves either the old or the new
@@ -2087,14 +2370,14 @@ class MultiSeriesEngine:
         crcs = dict(self._cohort_crcs)
         for cohort_id in dirty:
             name = segment_name(generation, cohort_id)
-            states = self._materialized(self._cohort_members[cohort_id])
-            payload = encode_segment(states)
+            members = self._cohort_members[cohort_id]
+            payload = self._encode_cohort(members)
             store.write_segment(name, payload)
             segments[cohort_id] = name
             crcs[cohort_id] = zlib.crc32(payload)
-            series_written += len(states)
+            series_written += len(members)
             new_markers[cohort_id] = {
-                key: self._series_marker(key) for key in states
+                key: self._series_marker(key) for key in members
             }
         cohorts = []
         for cohort_id in sorted(self._cohort_members):

@@ -7,6 +7,7 @@ from repro.utils.validation import (
     check_positive,
     check_positive_int,
     check_probability,
+    owned_arrays,
     sliding_window_view,
 )
 
@@ -18,5 +19,6 @@ __all__ = [
     "check_positive",
     "check_positive_int",
     "check_probability",
+    "owned_arrays",
     "sliding_window_view",
 ]

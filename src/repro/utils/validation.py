@@ -7,6 +7,8 @@ raised early, before any expensive computation starts.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 __all__ = [
@@ -15,6 +17,7 @@ __all__ = [
     "check_positive_int",
     "check_period",
     "check_probability",
+    "owned_arrays",
     "sliding_window_view",
 ]
 
@@ -109,3 +112,28 @@ def sliding_window_view(values: np.ndarray, window: int) -> np.ndarray:
             f"window ({window}) cannot exceed the series length ({values.size})"
         )
     return np.lib.stride_tricks.sliding_window_view(values, window)
+
+
+def owned_arrays(
+    arrays: Mapping[str, np.ndarray], layout: dict[str, tuple[type, tuple]]
+) -> list[np.ndarray]:
+    """Writable copies of exactly the arrays ``layout`` names, in its order.
+
+    ``layout`` maps each name to ``(dtype, shape)``.  A missing or extra
+    name, a float array where integers belong (or the reverse) and any
+    other shape raise ``ValueError``: the arrays come off a disk.
+    """
+    if set(arrays) != set(layout):
+        raise ValueError(
+            f"expected the arrays {sorted(layout)}, found {sorted(arrays)}"
+        )
+    owned = []
+    for name, (dtype, shape) in layout.items():
+        array = arrays[name]
+        if array.dtype.kind != np.dtype(dtype).kind or array.shape != shape:
+            raise ValueError(
+                f"array {name!r} is {array.dtype} {array.shape}, expected "
+                f"{np.dtype(dtype)} {shape}"
+            )
+        owned.append(np.array(array, dtype=dtype))
+    return owned

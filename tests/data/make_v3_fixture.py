@@ -1,0 +1,58 @@
+"""Writes tests/data/store_v3_absorbed_fleet (+ a save file and an
+extract_series payload) with the PARENT build (format 3).  Run with
+PYTHONPATH=<parent>/src; argument: output directory."""
+import pickle
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from repro.durability import DirectoryCheckpointStore
+from repro.streaming import MultiSeriesEngine
+
+out = Path(sys.argv[1])
+PERIOD, INIT = 8, 16
+KEYS = [f"m-{i:02d}" for i in range(10)]
+
+
+def stream(k, length=120):
+    steps = np.arange(length)
+    values = (
+        1 + 0.5 * k + 0.01 * steps + np.sin(2 * np.pi * steps / PERIOD)
+        + 0.05 * (((steps * 7 + k * 3) % 11) - 5) / 5
+    )
+    values[INIT + 9 + 3 * k :: 37] += 3.0  # spikes: flags and shift searches
+    return values
+
+
+DATA = np.column_stack([stream(k) for k in range(len(KEYS))])
+LATE = stream(10)
+
+spec = MultiSeriesEngine.for_oneshotstl(
+    PERIOD, initialization_length=INIT, track_latency=False
+).spec
+store = DirectoryCheckpointStore(out / "store_v3_absorbed_fleet")
+engine = MultiSeriesEngine.open(store, spec=spec)
+engine.checkpoint_cohort_size = 4
+engine.ingest_grid(KEYS, DATA[:40])
+for value in LATE[:5]:
+    engine.process("late", float(value))
+assert set(engine._absorbed) == set(KEYS)
+engine.checkpoint()
+# The tail leaves cohort 1 (m-04..m-07) untouched: all three record kinds.
+touched = [0, 1, 2, 3, 8, 9]
+engine.ingest_grid([KEYS[c] for c in touched], DATA[40:44, touched])
+engine.ingest(([KEYS[0], KEYS[9], KEYS[0]], np.array([DATA[44, 0], DATA[44, 9], DATA[45, 0]])))
+engine.process("late", float(LATE[5]))
+engine.close(checkpoint=False)
+
+# A save file and an extract_series payload of a like fleet, same build.
+twin = MultiSeriesEngine.from_spec(spec)
+twin.ingest_grid(KEYS, DATA[:40])
+for value in LATE[:5]:
+    twin.process("late", float(value))
+twin.save(out / "v3_save_file.ckpt")
+(out / "v3_extract_payload.pkl").write_bytes(
+    pickle.dumps(twin.extract_series(KEYS[:9] + ["late"]), protocol=pickle.HIGHEST_PROTOCOL)
+)
+print(sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()))

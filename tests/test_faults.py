@@ -28,6 +28,7 @@ watchdog, not the sleep, sets the pace.
 import json
 import pickle
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from repro.durability import (
     DirectoryCheckpointStore,
 )
 from repro.durability.scrub import decode_manifest_keys
+from repro.durability.segment import SEGMENT_MAGIC
 from repro.faults import (
     WORKER_RECV,
     WORKER_REPLY,
@@ -588,9 +590,33 @@ class TestChainDamage:
 # is sealed, so any damage to a record is a stop); "tail" packs several
 # records per part and leaves records in the final part (damage there is
 # crash debris).  The tail mixes every WAL record kind a build writes.
+# The checkpointed fleet is six absorbed series and one warming one in
+# cohorts of three, so the segments are columnar: a header, one section
+# per state array and -- in the cohort of the warming key -- a fallback.
 
 TAIL_CUT = PERIOD * 5
 LAYOUTS = {"sealed": 1, "tail": 700}
+WARMING_KEY = "a-warming-key"
+
+
+def segment_regions(payload: bytes) -> dict:
+    """``{region: (start, stop)}`` of a columnar segment's bytes: the
+    framing, the header, each array section and the fallback."""
+    assert payload.startswith(SEGMENT_MAGIC)
+    (length,) = struct.unpack_from("<I", payload, 4)
+    regions = {"frame": (0, 8), "header": (8, 8 + length)}
+    header = json.loads(payload[8 : 8 + length])
+    offset = 8 + length
+    for group in header["groups"]:
+        for section in group["sections"]:
+            size = 8 * int(np.prod(section["shape"]))
+            if size:
+                regions[section["name"]] = (offset, offset + size)
+            offset += size
+    if header["fallback"]:
+        regions["fallback"] = (offset, offset + header["fallback"])
+    assert offset + header["fallback"] == len(payload)
+    return regions
 
 
 def tail_batches(data: dict) -> list:
@@ -664,6 +690,7 @@ def pristine(tmp_path_factory):
     data = fleet_data(6)
     batches = tail_batches(data)
     reference = MultiSeriesEngine.from_spec(engine_spec())
+    reference.process(WARMING_KEY, 1.0)
     apply_scalar(reference, "grid", slice_batch(data, 0, TAIL_CUT))
     views = [series_view(reference)]
     for form, payload in batches:
@@ -675,7 +702,10 @@ def pristine(tmp_path_factory):
         store = DirectoryCheckpointStore(path, wal_segment_bytes=segment_bytes)
         engine = MultiSeriesEngine.open(store, spec=engine_spec())
         engine.checkpoint_cohort_size = 3
+        engine.kernel_min_cohort = 2  # six series are a kernel cohort
+        engine.process(WARMING_KEY, 1.0)
         engine.ingest_columnar(slice_batch(data, 0, TAIL_CUT))
+        assert set(engine._absorbed) == set(data)
         engine.checkpoint()
         for form, payload in batches:
             apply_batch(engine, form, payload)
@@ -724,7 +754,14 @@ class TestVerifyAgreesWithRecovery:
             st.sampled_from(["flip", "truncate", "delete"] if size else ["delete"]),
             label="damage",
         )
-        offset = data.draw(st.integers(0, max(size - 1, 0)), label="offset")
+        start, stop = 0, max(size, 1)
+        if artifact.startswith("segments/") and kind != "delete":
+            # Aim: the framing, the header, every kind of array section
+            # and the fallback section are each hit on purpose.
+            regions = segment_regions((source / artifact).read_bytes())
+            region = data.draw(st.sampled_from(sorted(regions)), label="region")
+            start, stop = regions[region]
+        offset = data.draw(st.integers(start, stop - 1), label="offset")
         manifest = artifact == "MANIFEST.json"
         written = len(views) - 1
 
@@ -773,6 +810,19 @@ class TestVerifyAgreesWithRecovery:
                     continue
                 report = engine.last_recovery
                 view = series_view(engine)
+                if artifact.startswith("segments/") and report.quarantined_cohorts:
+                    # Exactly the damaged cohort's keys are gone, and
+                    # nothing of it is half-registered anywhere.
+                    (cohort,) = [
+                        cohort
+                        for cohort in read_manifest_json(source)["cohorts"]
+                        if cohort["segment"] == Path(artifact).name
+                    ]
+                    assert set(report.affected_keys) == set(cohort["keys"])
+                    columns = [key for g in engine._groups.values() for key in g.keys]
+                    assert sorted(columns) == sorted(engine._absorbed)
+                    assert set(engine._absorbed) <= set(engine.keys())
+                    assert not set(cohort["keys"]) & set(engine.keys())
                 engine.close(checkpoint=False)
                 if report is None:  # the manifest was deleted: a new session
                     assert manifest and view == {}
@@ -799,6 +849,46 @@ class TestVerifyAgreesWithRecovery:
                         if key not in report.affected_keys
                     }
                     assert view == expected
+
+
+    def test_every_region_of_a_columnar_segment_is_covered(self, pristine):
+        """The matrix above samples; this walks: one flip and one cut in
+        the framing, the header, every array section and the fallback of
+        every segment -- each is fatal to ``verify()`` and to a strict
+        open, and costs a quarantine open exactly that cohort."""
+        source, _ends, views = pristine["tail"]
+        cohorts = read_manifest_json(source)["cohorts"]
+        seen = set()
+        for cohort in cohorts:
+            artifact = Path("segments") / cohort["segment"]
+            regions = segment_regions((source / artifact).read_bytes())
+            seen.update(regions)
+            for (start, stop), kind in (
+                (extent, kind)
+                for extent in regions.values()
+                for kind in ("flip", "truncate")
+            ):
+                with tempfile.TemporaryDirectory() as scratch:
+                    copy = Path(scratch) / "store"
+                    shutil.copytree(source, copy)
+                    damage_artifact(copy / artifact, kind, (start + stop) // 2)
+                    report = DirectoryCheckpointStore(copy).verify()
+                    assert [f.artifact for f in report.findings if f.fatal] == [
+                        cohort["segment"]
+                    ]
+                    with pytest.raises(CorruptCheckpointError):
+                        strict_open(copy)
+                    engine = MultiSeriesEngine.open(copy, recovery="quarantine")
+                    assert set(engine.last_recovery.affected_keys) == set(cohort["keys"])
+                    assert series_view(engine) == {
+                        key: state
+                        for key, state in views[-1].items()
+                        if key not in cohort["keys"]
+                    }
+                    engine.close(checkpoint=False)
+        assert {"frame", "header", "fallback", "seasonal_buffer", "solver_blocks",
+                "trend_pairs", "monitor_m2", "scorer_mean", "points",
+                "latency_values"} <= seen  # fmt: skip
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,9 @@ state where a boundary needs it.  Pinned here:
 * reads are pure: interleaving them changes no later output and no byte
   of the next checkpoint, and everything equals the scalar reference
   (``fleet_kernel_enabled = False``) float for float;
-* the boundary still speaks ``{key: _SeriesState}``: store format v3.
+* ``snapshot`` / ``save`` / ``extract_series`` still speak ``{key:
+  _SeriesState}``; a store segment (format 4) is the columns themselves,
+  and holds the same state whichever home wrote it.
 """
 
 import gc
@@ -23,7 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import OneShotSTL
-from repro.durability.format import decode_segment
+from repro.durability.recovery import read_cohort
+from repro.durability.scrub import decode_manifest_keys
+from repro.durability.segment import split_segment
 from repro.solvers import IncrementalBandedLDLT
 from repro.streaming import (
     IngestResult,
@@ -31,7 +35,7 @@ from repro.streaming import (
     RingBuffer,
     StreamingPipeline,
 )
-from repro.streaming.engine import _SeriesState
+from repro.streaming.engine import _FleetGroup, _SeriesState
 
 from tests.conftest import canonical_bytes, make_seasonal_series
 
@@ -239,16 +243,39 @@ class Run:
         return engine.live_keys()
 
     def segments(self):
-        """``{cohort id: canonical segment bytes}`` of a fresh checkpoint."""
+        """``{cohort id: decoded sections}`` of a fresh checkpoint."""
         engine = self.engine
         engine.checkpoint()
         store = engine._store
         return {
-            cohort["id"]: canonical_bytes(
-                decode_segment(store.read_segment(cohort["segment"]), "test")
-            )
+            cohort["id"]: decoded_sections(store, cohort)
             for cohort in store.read_manifest()["cohorts"]
         }
+
+
+def decoded_sections(store, cohort):
+    """One all-live, one-spec segment as ``(keys, hyper-parameters,
+    {section: bytes})``: the column group a kernel engine wrote, or --
+    for the scalar reference, whose segment is all fallback -- the
+    columns absorption makes of the states it holds."""
+    groups, states = read_cohort(store, cohort)
+    if states:
+        assert not groups
+        keys = list(states)
+        spec = next(iter(states.values())).pipeline.spec
+        group = _FleetGroup(spec, latency_window=1, track_latency=False)
+        group.absorb(states)
+        saved = group.save_columns(np.arange(len(keys)))
+    else:
+        (saved,) = groups
+        keys = list(decode_manifest_keys(saved.meta["keys"]))
+        assert saved.meta["positions"] == list(range(len(keys)))
+    described = {name: saved.meta[name] for name in ("spec", "kernel", "scorer")}
+    sections = {
+        name: (array.dtype.str, array.shape, array.tobytes())
+        for name, array in saved.arrays.items()
+    }
+    return keys, described, sections
 
 
 class TestReadsArePure:
@@ -380,9 +407,10 @@ class _RecordingUnpickler(pickle.Unpickler):
 
 
 class TestStoreFormatV3:
-    """What a segment, a ``save`` file and an ``extract_series`` payload
-    name when unpickled -- the classes a store written by an earlier
-    build needs to find, where it needs to find them."""
+    """What a segment's fallback section, a ``save`` file and an
+    ``extract_series`` payload name when unpickled -- the classes a
+    store written by an earlier build (all fallback) needs to find, where
+    it needs to find them.  A series that is a column names none."""
 
     GLOBALS = {
         "repro.streaming.engine._SeriesState",
@@ -398,6 +426,12 @@ class TestStoreFormatV3:
         "repro.specs.DetectorSpec",
     }
 
+    @staticmethod
+    def names(payload):
+        unpickler = _RecordingUnpickler(io.BytesIO(payload))
+        unpickler.load()
+        return {name for name in unpickler.names if name.startswith("repro.")}
+
     def test_series_state_slots_are_pinned(self):
         assert _SeriesState.__module__ == "repro.streaming.engine"
         assert _SeriesState.__slots__ == (
@@ -410,24 +444,33 @@ class TestStoreFormatV3:
         )
 
     def test_segment_names_the_same_classes_from_either_home(self, tmp_path):
-        engine = MultiSeriesEngine.open(
-            tmp_path / "store", spec=MultiSeriesEngine.for_oneshotstl(PERIOD).spec
-        )
-        engine.checkpoint_cohort_size = len(KEYS) + 1
-        engine.ingest_grid(KEYS, STREAMS[: INIT + 4])
-        engine.process("warming", 1.0)  # a scalar home beside the columns
-        assert set(engine._absorbed) == set(KEYS)
-        engine.checkpoint()
-        payloads = [
-            engine._store.read_segment(name) for name in engine._store.list_segments()
-        ]
-        assert len(payloads) == 1
-        engine.save(tmp_path / "fleet.ckpt")
-        payloads.append((tmp_path / "fleet.ckpt").read_bytes())
-        payloads.append(pickle.dumps(engine.extract_series(KEYS[:3])))
-        for payload in payloads:
-            unpickler = _RecordingUnpickler(io.BytesIO(payload))
-            unpickler.load()
-            ours = {name for name in unpickler.names if name.startswith("repro.")}
-            assert ours == self.GLOBALS
-        engine.close()
+        fallbacks = {}
+        for kernel in (True, False):
+            engine = MultiSeriesEngine.open(
+                tmp_path / f"store-{kernel}",
+                spec=MultiSeriesEngine.for_oneshotstl(PERIOD).spec,
+            )
+            engine.fleet_kernel_enabled = kernel
+            engine.checkpoint_cohort_size = len(KEYS) + 1
+            engine.ingest_grid(KEYS, STREAMS[: INIT + 4])
+            engine.process("warming", 1.0)  # a scalar home beside the columns
+            assert set(engine._absorbed) == (set(KEYS) if kernel else set())
+            engine.checkpoint()
+            (name,) = engine._store.list_segments()
+            groups, fallbacks[kernel] = split_segment(
+                engine._store.read_segment(name), name
+            )
+            assert len(groups) == kernel
+            payloads = []
+            engine.save(tmp_path / "fleet.ckpt")
+            payloads.append((tmp_path / "fleet.ckpt").read_bytes())
+            payloads.append(pickle.dumps(engine.extract_series(KEYS[:3])))
+            for payload in payloads:
+                assert self.names(payload) == self.GLOBALS
+            engine.close()
+        # Columns name no class: only the warming key is pickled beside
+        # them.  With every series in a scalar home the fallback *is* the
+        # segment an earlier build wrote, live states and all.
+        assert pickle.loads(fallbacks[True]).keys() == {"warming"}
+        assert self.names(fallbacks[True]) < self.GLOBALS
+        assert self.names(fallbacks[False]) == self.GLOBALS

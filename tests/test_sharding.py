@@ -18,13 +18,14 @@ the whole module stays in tier-1 time budgets.
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.durability import DirectoryCheckpointStore, StoreLockedError
 from repro.durability.format import decode_wal_record
-from repro.faults import FaultInjector
+from repro.faults import WORKER_REPLY, FaultInjector
 from repro.sharding import (
     ClusterSpec,
     ConsistentHashRing,
@@ -147,6 +148,47 @@ class TestConsistentHashRing:
         ring = ConsistentHashRing(self.SHARDS)
         assert ring.shard_for(True) == ring.shard_for(1)
         assert ring.shard_for(False) == ring.shard_for(0)
+
+    def test_equal_keys_share_a_shard_whatever_their_type(self):
+        """``{1: ..., 1.0: ..., True: ...}`` is one engine key: one shard."""
+        ring = ConsistentHashRing(self.SHARDS)
+        for key in range(-50, 200):
+            owner = ring.shard_for(key)
+            # each form first on a ring of its own: no memo to lean on
+            assert ConsistentHashRing(self.SHARDS).shard_for(float(key)) == owner
+            assert ring.shard_for(float(key)) == owner
+        assert ring.shard_for(1.0) == ring.shard_for(True) == ring.shard_for(1)
+        assert ring.shard_for(0.0) == ring.shard_for(False) == ring.shard_for(-0.0)
+        # a float that equals no int keeps a route of its own
+        assert ConsistentHashRing(self.SHARDS).shard_for(1.5) in ring
+        for odd in (float("inf"), float("nan")):
+            assert ring.shard_for(odd) in ring
+
+    def test_memo_answers_what_a_fresh_ring_answers(self):
+        """Hits and misses agree with an unmemoised ring across membership
+        changes: the memo is dropped whole when a shard joins or leaves."""
+        keys = [f"key-{index}" for index in range(300)] + list(range(100))
+        ring = ConsistentHashRing(self.SHARDS)
+        members = list(self.SHARDS)
+
+        def fresh_owners():
+            return [ConsistentHashRing(members).shard_for(key) for key in keys]
+
+        for change in (None, ("add", "shard-new"), ("remove", "shard-001"),
+                       ("remove", "shard-new"), ("add", "shard-001")):
+            if change is not None:
+                verb, shard = change
+                getattr(ring, f"{verb}_shard")(shard)
+                members.remove(shard) if verb == "remove" else members.append(shard)
+            expected = fresh_owners()
+            assert [ring.shard_for(key) for key in keys] == expected  # misses
+            assert [ring.shard_for(key) for key in keys] == expected  # hits
+            parts = ring.assignments(keys)
+            assert all(
+                expected[position] == shard
+                for shard, positions in parts.items()
+                for position in positions
+            )
 
     def test_assignments_partition_positions_in_order(self):
         ring = ConsistentHashRing(self.SHARDS)
@@ -538,6 +580,84 @@ class TestElasticity:
                 router.add_shard(
                     ShardSpec("shard-000", str(tmp_path / "elsewhere"))
                 )
+
+
+class TestFleetRequestsFanOut:
+    """``checkpoint`` / ``stats`` / ``keys`` reach every worker before the
+    router waits on any, and a shard that fails is supervised alone."""
+
+    DELAY = 0.5
+
+    def test_a_fleet_request_costs_the_slowest_shard_not_the_sum(self, tmp_path):
+        data = fleet_data(16, length=PERIOD * 3)
+        cluster = ClusterSpec.for_root(engine_spec(), tmp_path, 3)
+        # Hit 1 of every worker's reply boundary is the ingest; the three
+        # fleet requests that follow are each held back on every shard.
+        slow = FaultInjector(
+            point=WORKER_REPLY, action="delay", duration=self.DELAY, after=2, times=3
+        )
+        router = ShardRouter(
+            cluster, fault_plans={shard.shard_id: [slow] for shard in cluster.shards}
+        )
+        try:
+            router.ingest(data)
+            for request in (router.checkpoint, router.stats, router.keys):
+                start = time.perf_counter()
+                reply = request()
+                elapsed = time.perf_counter() - start
+                # one delay, not one per shard (3 x DELAY back to back)
+                assert self.DELAY <= elapsed < 2 * self.DELAY, request.__name__
+            assert sorted(reply) == router.shard_ids
+            assert sorted(key for keys in reply.values() for key in keys) == sorted(data)
+            assert all(h.restarts == 0 for h in router.health().values())
+        finally:
+            router.close(checkpoint=False)
+
+    def test_a_worker_killed_mid_checkpoint_is_failed_over_alone(self, tmp_path):
+        data = fleet_data(16, length=PERIOD * 4)
+        cluster = ClusterSpec.for_root(engine_spec(), tmp_path, 3)
+        victim = cluster.shards[1].shard_id
+        router = ShardRouter(
+            cluster,
+            fault_plans={
+                # swap 1 is the empty store's first manifest, at open
+                victim: [
+                    FaultInjector(point="manifest.swap.tmp", action="sigkill", after=2)
+                ]
+            },
+        )
+        try:
+            reference = MultiSeriesEngine.from_spec(engine_spec())
+            router.ingest(data)
+            reference.ingest_columnar(data)
+            owned = {
+                shard_id: len(keys) for shard_id, keys in router.keys().items()
+            }
+            assert all(owned.values())
+            # The victim dies with its segments written and its manifest
+            # not swapped; it is failed over and the command re-sent once.
+            summaries = router.checkpoint()
+            assert sorted(summaries) == router.shard_ids
+            for shard_id, summary in summaries.items():
+                assert summary.series_total == owned[shard_id]
+                assert summary.series_written == owned[shard_id]
+            health = router.health()
+            assert {s: h.restarts for s, h in health.items()} == {
+                shard_id: int(shard_id == victim) for shard_id in router.shard_ids
+            }
+            assert all(h.state == "up" for h in health.values())
+            assert router.stats().points_total == reference.fleet_stats().points_total
+            tail = {
+                key: make_seasonal_series(PERIOD * 5, PERIOD, seed=700 + index)[
+                    "values"
+                ][PERIOD * 4 :]
+                for index, key in enumerate(data)
+            }
+            assert_results_identical(
+                router.ingest(tail), reference.ingest_columnar(tail), "after failover"
+            )
+        finally:
+            router.close(checkpoint=False)
 
 
 class TestStoreOwnership:
