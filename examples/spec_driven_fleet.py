@@ -1,4 +1,4 @@
-"""Spec-driven fleet: JSON configuration, per-key overrides, portable checkpoints.
+"""Spec-driven fleet: JSON configuration, per-key overrides, portable stores.
 
 Where ``fleet_monitoring.py`` hand-wires its engine, this script treats the
 deployment as *data*, the way a production config system would:
@@ -10,11 +10,11 @@ deployment as *data*, the way a production config system would:
 * most metrics run the fleet default (OneShotSTL, 15-minute daily
   seasonality), while one latency metric overrides to a different period
   and a stricter threshold -- heterogeneous fleets, one engine;
-* mid-stream the engine is saved to a **versioned portable checkpoint**
-  (``{format_version, engine_spec, per-series state}``) and reloaded as a
-  brand-new engine built only from that file, simulating a worker handoff;
-  the script verifies the continued stream is identical to the
-  uninterrupted one.
+* mid-stream the engine checkpoints into a **versioned store directory**
+  (``MANIFEST.json`` with the format version and the spec, one segment
+  per cohort of series) and a brand-new engine is opened from that
+  directory alone, simulating a worker handoff; the script verifies the
+  continued stream is identical to the uninterrupted one.
 
 Run with:  PYTHONPATH=src python examples/spec_driven_fleet.py
 """
@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import EngineSpec, MultiSeriesEngine, build
+from repro.durability import DirectoryCheckpointStore
 
 PERIOD = 96  # one day at 15-minute resolution
 DAYS = 7
@@ -106,15 +107,30 @@ def main() -> None:
     for batch in batches(0, cut):
         engine.ingest(batch)
 
-    checkpoint = Path(tempfile.gettempdir()) / "spec_driven_fleet.ckpt"
-    engine.save(checkpoint)
-    print(f"\nsaved checkpoint: {checkpoint} ({checkpoint.stat().st_size} bytes)")
+    with tempfile.TemporaryDirectory() as scratch:
+        store = Path(scratch) / "fleet-store"
+        # Bind the engine to the store (its current state is checkpointed
+        # at once) and end the session: the directory is the handoff.
+        engine.attach_store(store)
+        engine.close()
+        manifest = json.loads((store / "MANIFEST.json").read_text())
+        stored = sum(path.stat().st_size for path in store.rglob("*") if path.is_file())
+        print(
+            f"\ncheckpointed into {store.name}/: format {manifest['format_version']}, "
+            f"{len(manifest['cohorts'])} cohort segment(s), {stored} bytes"
+        )
 
-    # Continue the original engine...
-    original_tail = [engine.ingest(batch) for batch in batches(cut, length)]
-    # ...and, independently, a fresh engine built only from the file.
-    restored = MultiSeriesEngine.load(checkpoint)
-    restored_tail = [restored.ingest(batch) for batch in batches(cut, length)]
+        # Continue the original engine...
+        original_tail = [engine.ingest(batch) for batch in batches(cut, length)]
+        # ...and, independently, a fresh engine opened from the directory
+        # alone: configuration from the manifest, state from the segments.
+        restored = MultiSeriesEngine.open(store)
+        restored_tail = [restored.ingest(batch) for batch in batches(cut, length)]
+        restored.close()
+        report = DirectoryCheckpointStore(store).verify(deep=True)
+        print(report)
+        if not report.ok:
+            raise SystemExit("the store does not verify after the handoff!")
 
     identical = all(
         [r.record for r in expected] == [r.record for r in actual]
@@ -129,7 +145,6 @@ def main() -> None:
     for key in keys:
         series = stats.per_series[key]
         print(f"  {key:22s} status={series.status.value:7s} anomalies={series.anomalies}")
-    checkpoint.unlink()
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ RULES: dict[str, str] = {
     "SLOTS001": "hot-module dataclass does not declare slots=True",
     "SPEC001": "spec dataclass field is not a JSON primitive or nested spec",
     "PRIV001": "sharding/serving code reads a private attribute off another object",
+    "PKL001": "module imports a pickle-family serializer outside the allowlist",
     "SUP001": "suppression names an unknown rule id",
     "SUP002": "suppression does not state a reason",
     "PARSE001": "source file does not parse",

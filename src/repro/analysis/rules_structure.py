@@ -1,4 +1,4 @@
-"""SLOTS001 / SPEC001 / PRIV001: structural discipline rules.
+"""SLOTS001 / SPEC001 / PRIV001 / PKL001: structural discipline rules.
 
 * **SLOTS001** -- dataclasses defined under ``core/``, ``solvers/`` or
   ``streaming/`` must declare ``slots=True``.  These are the modules whose
@@ -16,6 +16,12 @@
   ``cls``.  A router summing ``engine._series_marker(key)`` or calling
   ``MultiSeriesEngine._grid_from_dict`` pins the engine's internals from
   outside; what a tier needs from the one below is a public name there.
+* **PKL001** -- no module under ``repro`` imports ``pickle``,
+  ``cPickle``, ``shelve``, ``marshal`` or ``dill``, except the ones in
+  :data:`PICKLE_ALLOWLIST`.  State leaves an engine as segment bytes
+  (named arrays plus a JSON header); pickle is left only where
+  ``durability/format.py`` encodes WAL records and a segment's fallback
+  section, so a new serialization path has to say why it is not those.
 """
 
 from __future__ import annotations
@@ -25,11 +31,14 @@ from pathlib import PurePath
 
 from repro.analysis.findings import Finding
 
-__all__ = ["check"]
+__all__ = ["PICKLE_ALLOWLIST", "check"]
 
 _SLOTTED_DIRS = frozenset({"core", "solvers", "streaming"})
 _UPPER_TIER_DIRS = frozenset({"sharding", "serving"})
 _PRIMITIVES = frozenset({"str", "int", "float", "bool", "dict", "list", "tuple"})
+_PICKLE_MODULES = frozenset({"pickle", "cPickle", "_pickle", "shelve", "marshal", "dill"})
+#: the modules under ``repro`` that may import one, as path-part suffixes
+PICKLE_ALLOWLIST = (("durability", "format.py"),)
 
 
 def _dataclass_decorator(cls: ast.ClassDef) -> ast.expr | ast.Call | None:
@@ -153,6 +162,27 @@ def _check_private_access(tree: ast.AST, path: str, findings: list[Finding]) -> 
         )
 
 
+def _check_pickle_imports(tree: ast.AST, path: str, findings: list[Finding]) -> None:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] in _PICKLE_MODULES:
+                findings.append(
+                    Finding(
+                        path,
+                        node.lineno,
+                        "PKL001",
+                        f"imports {name!r}: state leaves an engine as segment "
+                        "bytes; pickle is durability/format.py's alone",
+                    )
+                )
+
+
 def check(tree: ast.AST, path: str) -> list[Finding]:
     """Run the structural rules that apply to ``path``."""
     findings: list[Finding] = []
@@ -161,6 +191,10 @@ def check(tree: ast.AST, path: str) -> list[Finding]:
         _check_slots(tree, path, findings)
     if _UPPER_TIER_DIRS & set(parts):
         _check_private_access(tree, path, findings)
+    if "repro" in parts and not any(
+        parts[-len(allowed) :] == allowed for allowed in PICKLE_ALLOWLIST
+    ):
+        _check_pickle_imports(tree, path, findings)
     if parts and parts[-1] == "specs.py":
         _check_spec_fields(tree, path, findings)
     return findings

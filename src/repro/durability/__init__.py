@@ -1,17 +1,16 @@
 """Durable engine sessions: checkpoint stores, segments and the WAL.
 
-This package turns the engine's persistence from "one big pickle per
-``save()``" into a database-grade lifecycle (the Cambridge Report's
-log-structured durability, applied to streaming decomposition state):
+This package is the engine's one persistence format, run as a
+database-grade lifecycle (the Cambridge Report's log-structured
+durability, applied to streaming decomposition state):
 
 * :class:`CheckpointStore` -- the storage contract: an atomic manifest,
   per-cohort state segments, and an appendable write-ahead log;
 * :class:`DirectoryCheckpointStore` -- the directory-backed
   implementation (tmp-write + rename everywhere, CRC-framed WAL);
-* :class:`SingleSnapshotStore` -- the one-file store behind the legacy
-  ``save``/``load`` API, now atomic;
-* the format layer -- versioned manifest schema, segment/WAL codecs and
-  the v1 snapshot migration;
+* the format layer -- versioned manifest schema and the segment / WAL
+  codecs (:mod:`repro.durability.segment` owns a segment's byte layout,
+  which is also what a shard handoff ships);
 * :mod:`repro.durability.recovery` -- the one reader of a store, drained
   by ``store.verify()`` and ``MultiSeriesEngine.open`` alike so the scrub
   and recovery cannot disagree about what is damage;
@@ -33,11 +32,7 @@ from repro.durability.errors import (
     StoreLockedError,
 )
 from repro.durability.lock import StoreLock
-from repro.durability.format import (
-    CHECKPOINT_FORMAT_VERSION,
-    CheckpointSummary,
-    migrate_snapshot_payload,
-)
+from repro.durability.format import CHECKPOINT_FORMAT_VERSION, CheckpointSummary
 from repro.durability.scrub import (
     RECOVERY_POLICIES,
     QuarantinedCohort,
@@ -46,11 +41,7 @@ from repro.durability.scrub import (
     ScrubFinding,
     ScrubReport,
 )
-from repro.durability.store import (
-    CheckpointStore,
-    SingleSnapshotStore,
-    atomic_write_bytes,
-)
+from repro.durability.store import CheckpointStore, atomic_write_bytes
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -66,9 +57,7 @@ __all__ = [
     "RecoveryReport",
     "ScrubFinding",
     "ScrubReport",
-    "SingleSnapshotStore",
     "StoreLock",
     "StoreLockedError",
     "atomic_write_bytes",
-    "migrate_snapshot_payload",
 ]

@@ -1,10 +1,10 @@
 """Checkpoint-store error types.
 
-All durability errors subclass :class:`ValueError` so existing callers
-that guard ``save``/``load`` with ``except ValueError`` keep working, but
-the finer-grained classes let new code distinguish "this file is from a
-different format era" (:class:`CheckpointVersionError` -- possibly fixable
-by migrating or upgrading) from "this file is damaged"
+All durability errors subclass :class:`ValueError` so callers that guard
+``open`` with ``except ValueError`` keep working, but the finer-grained
+classes let new code distinguish "this file is from a different format
+era" (:class:`CheckpointVersionError` -- open it with a build that reads
+that version) from "this file is damaged"
 (:class:`CorruptCheckpointError` -- fall back to an older generation or a
 backup).
 
@@ -70,8 +70,8 @@ class CheckpointVersionError(CheckpointError):
     """A checkpoint artifact comes from an unsupported format version.
 
     Carries the offending ``source`` (file or store), the ``found``
-    version and the ``expected`` version so tooling can decide whether a
-    migration applies.
+    version and the ``expected`` version so tooling can say which build
+    reads it.
     """
 
     def __init__(

@@ -2,42 +2,40 @@
 
 One format version covers every durable artifact the engine writes:
 
-* the **single-file snapshot** (``MultiSeriesEngine.save``): a pickle of
-  ``{format_version, engine_spec, series, generation}``;
 * the **store manifest** (``MANIFEST.json`` of a directory store): JSON of
   ``{format_version, generation, engine_spec, cohorts, wal}`` -- the root
   of a durable session, naming the per-cohort segment files and the WAL
   chain that together reconstruct the engine (the chain continues, by
   :func:`next_wal_name`, through every rotated part that exists; only
   its final part may be torn or absent).  The manifest carries no
-  checksum of its own: :func:`validate_manifest` checks its shape and
-  its names, and a valid manifest is the store's truth;
+  checksum of its own: :func:`validate_manifest` checks its shape, its
+  types and its names, and a valid manifest is the store's truth;
 * **cohort segments**: one cohort of series, as the state arrays of the
   members that live in kernel columns plus a pickle of ``{key: per-series
   state}`` for the members that do not
   (:mod:`repro.durability.segment` owns the byte layout;
   :func:`encode_segment` / :func:`decode_segment` here are the
-  scalar-state codec of that fallback section);
+  scalar-state codec of that fallback section).  The same bytes move a
+  series between engines (``extract_series`` / ``adopt_series``);
 * **WAL records**: a pickle of one ingested batch in columnar form,
   appended *before* the engine advances its state.
 
 Version history
 ---------------
-1
-    PR 2's single-file snapshot: ``{format_version, engine_spec, series}``.
-2
-    Adds the durable-session artifacts (manifest / segments / WAL) and a
-    ``generation`` lineage counter to the single-file snapshot.  Version-1
-    snapshots are migrated on read (:func:`migrate_snapshot_payload`):
-    the per-series state is unchanged, so migration only stamps the new
-    fields.
+1, 2
+    A one-file pickled snapshot and a manifest naming one WAL file
+    (``wal-GGGGGGGG.log``).  No longer read: such an artifact is a
+    :class:`CheckpointVersionError` naming the found and the expected
+    version, and nothing on disk is touched.
 3
-    The manifest's ``wal`` entry becomes an ordered *chain* of WAL
-    segment names (size-based rotation seals a segment and opens the
-    next part), and WAL file names gain a part suffix
-    (``wal-GGGGGGGG-PPPP.log``).  Version-2 manifests and snapshots are
-    migrated on read: the single WAL name is wrapped into a length-1
-    chain; per-series and per-cohort state is unchanged.
+    The manifest's ``wal`` entry is an ordered *chain* of WAL parts
+    (``wal-GGGGGGGG-PPPP.log``; size-based rotation seals one and opens
+    the next), starting at the manifest's generation.  Every segment is
+    a pickle of ``{key: per-series state}`` -- version 4's fallback
+    section, read by the same code -- and the WAL may hold ``raw_rows``
+    records, which still replay.  The oldest store that opens.  A solver
+    pickled in the dense form that preceded the Schur form (a state
+    carrying ``_incremental``) is refused as undecodable, not replayed.
 4
     A cohort segment is the columns themselves.  Series absorbed into
     the fleet kernel are written as a gathered copy of their kernel
@@ -54,9 +52,9 @@ Version history
     keep their file byte for byte).  A version-3 store is therefore read
     as a store whose every segment is all fallback: no upgrade step, no
     second reader; its series re-enter the kernel at their first batch
-    and the next checkpoint writes them as columns.  Manifests, WAL
-    records and single-file snapshots are unchanged and migrate by
-    stamping the version.
+    and the next checkpoint writes them as columns.  Manifests and WAL
+    records are unchanged; a version-3 manifest reads by stamping the
+    version.
 
 The codecs here are pure data-plumbing -- they know nothing about the
 engine -- so the streaming layer can evolve independently of the bytes on
@@ -85,7 +83,6 @@ __all__ = [
     "decode_wal_record",
     "encode_segment",
     "encode_wal_record",
-    "migrate_snapshot_payload",
     "next_wal_name",
     "segment_name",
     "validate_manifest",
@@ -96,8 +93,8 @@ __all__ = [
 #: version stamp written into (and required from) every durable artifact
 CHECKPOINT_FORMAT_VERSION = 4
 
-#: older artifact versions that migrate transparently on read
-MIGRATABLE_FORMAT_VERSIONS = (1, 2, 3)
+#: older store versions that open as they are
+MIGRATABLE_FORMAT_VERSIONS = (3,)
 
 #: manifest keys required by :func:`validate_manifest`
 _MANIFEST_KEYS = ("format_version", "generation", "engine_spec", "cohorts", "wal")
@@ -130,9 +127,7 @@ def wal_name(generation: int, part: int = 0) -> str:
     return f"wal-{generation:08d}-{part:04d}.log"
 
 
-#: both WAL name shapes: v3 ``wal-GGGGGGGG-PPPP.log`` and the legacy v2
-#: ``wal-GGGGGGGG.log`` (a rotation of a legacy name continues at part 1)
-_WAL_NAME = re.compile(r"^wal-(\d{8})(?:-(\d{4}))?\.log$")
+_WAL_NAME = re.compile(r"^wal-(\d{8})-(\d{4})\.log$")
 
 
 def wal_position(name: str) -> tuple[int, int] | None:
@@ -140,7 +135,7 @@ def wal_position(name: str) -> tuple[int, int] | None:
     match = _WAL_NAME.match(name)
     if match is None:
         return None
-    return int(match.group(1)), int(match.group(2) or 0)
+    return int(match.group(1)), int(match.group(2))
 
 
 def next_wal_name(name: str) -> str:
@@ -149,50 +144,6 @@ def next_wal_name(name: str) -> str:
     if position is None:
         raise ValueError(f"not a WAL segment name: {name!r}")
     return wal_name(position[0], position[1] + 1)
-
-
-# ---------------------------------------------------------------- snapshots
-
-
-def migrate_snapshot_payload(payload: Any, source: object) -> dict:
-    """Validate a single-file snapshot payload, migrating old versions.
-
-    Returns a payload at :data:`CHECKPOINT_FORMAT_VERSION`.  Raises
-    :class:`CorruptCheckpointError` when the payload is not a snapshot at
-    all, and :class:`CheckpointVersionError` when it comes from a version
-    this build neither speaks nor migrates -- both naming ``source``.
-    """
-    if not isinstance(payload, Mapping) or "format_version" not in payload:
-        found = (
-            f"keys {sorted(payload)}"
-            if isinstance(payload, Mapping)
-            else f"a {type(payload).__name__}"
-        )
-        raise CorruptCheckpointError(
-            f"{source}: not a MultiSeriesEngine checkpoint (missing "
-            f"format_version; found {found})"
-        )
-    version = payload["format_version"]
-    if version == CHECKPOINT_FORMAT_VERSION:
-        return dict(payload)
-    if version in MIGRATABLE_FORMAT_VERSIONS:
-        # Older -> current: the per-series state is unchanged; stamp the
-        # lineage counter (a v1 snapshot predates generations).  The WAL
-        # chain and columnar segments live only in directory stores, so
-        # single-file snapshots need nothing else.
-        migrated = dict(payload)
-        migrated["format_version"] = CHECKPOINT_FORMAT_VERSION
-        migrated.setdefault("generation", 0)
-        return migrated
-    raise CheckpointVersionError(
-        source,
-        version,
-        CHECKPOINT_FORMAT_VERSION,
-        detail=(
-            f"migratable older versions: {list(MIGRATABLE_FORMAT_VERSIONS)}; "
-            "re-save the checkpoint with a matching build"
-        ),
-    )
 
 
 # ----------------------------------------------------------------- manifest
@@ -219,8 +170,21 @@ def build_manifest(
     }
 
 
+def _is_count(value: Any) -> bool:
+    """Whether ``value`` is an integer >= 0 (a ``bool`` is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def validate_manifest(manifest: Any, source: object) -> dict:
-    """Check a decoded manifest's shape; raise with file context if bad."""
+    """Check a decoded manifest; raise with file context if it is bad.
+
+    What recovery reads as a number is one (``format_version``,
+    ``generation``, cohort ``id`` and, when present, ``series`` and
+    ``crc``: integers >= 0), cohort ids are unique and the WAL chain
+    starts at the manifest's generation, so a manifest that passes
+    opens and keeps every series through its next checkpoint.  A version
+    this build does not read is :class:`CheckpointVersionError`.
+    """
     if not isinstance(manifest, Mapping):
         raise CorruptCheckpointError(
             f"{source}: manifest must be a JSON object, found "
@@ -232,6 +196,12 @@ def validate_manifest(manifest: Any, source: object) -> dict:
             f"{source}: manifest is missing required keys {missing} "
             f"(expected {list(_MANIFEST_KEYS)}, found {sorted(manifest)})"
         )
+    for field in ("format_version", "generation"):
+        if not _is_count(manifest[field]):
+            raise CorruptCheckpointError(
+                f"{source}: manifest {field!r} must be an integer >= 0, "
+                f"found {manifest[field]!r}"
+            )
     version = manifest["format_version"]
     if version != CHECKPOINT_FORMAT_VERSION and version not in (
         MIGRATABLE_FORMAT_VERSIONS
@@ -240,19 +210,23 @@ def validate_manifest(manifest: Any, source: object) -> dict:
     cohorts = manifest["cohorts"]
     if not isinstance(cohorts, list) or not all(
         isinstance(cohort, Mapping)
-        and "id" in cohort
+        and _is_count(cohort.get("id"))
+        and all(_is_count(cohort[name]) for name in ("series", "crc") if name in cohort)
         and isinstance(segment := cohort.get("segment"), str)
         and os.path.basename(segment) == segment
         for cohort in cohorts
     ):
         raise CorruptCheckpointError(
-            f"{source}: manifest 'cohorts' must be a list of "
-            "{id, segment, ...} objects naming bare segment files"
+            f"{source}: manifest 'cohorts' must be a list of {{id, segment, "
+            "...}} objects with integer ids >= 0 (and integer series / crc "
+            "when present) naming bare segment files"
         )
-    validated = dict(manifest)
-    # v2 -> v3: the single WAL name becomes a length-1 chain.
-    wal = validated["wal"]
-    chain = [wal] if isinstance(wal, str) else wal
+    ids = [cohort["id"] for cohort in cohorts]
+    if len(set(ids)) != len(ids):
+        raise CorruptCheckpointError(
+            f"{source}: manifest cohort ids must be unique, found {ids}"
+        )
+    chain = manifest["wal"]
     if not (
         isinstance(chain, list)
         and chain
@@ -260,9 +234,17 @@ def validate_manifest(manifest: Any, source: object) -> dict:
     ):
         raise CorruptCheckpointError(
             f"{source}: manifest 'wal' must be a non-empty ordered list of "
-            f"WAL segment names, found {wal!r}"
+            f"WAL segment names, found {chain!r}"
         )
-    validated["wal"] = chain
+    first = wal_position(chain[0])
+    if first is None or first[0] != manifest["generation"]:
+        # A checkpoint of generation g always starts the chain at
+        # wal_name(g); the next one would reopen a replayed part.
+        raise CorruptCheckpointError(
+            f"{source}: manifest WAL chain starts at {chain[0]!r}, which "
+            f"does not belong to generation {manifest['generation']}"
+        )
+    validated = dict(manifest)
     validated["format_version"] = CHECKPOINT_FORMAT_VERSION
     return validated
 

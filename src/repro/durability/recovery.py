@@ -16,7 +16,8 @@ recovery would succeed") holds because the two cannot walk differently.
   array sections of its column groups, whose structure is checked, not
   unpickled, and a fallback section, which is unpickled and (when the
   caller names a type) type-checked per series.  A segment of format 3
-  or earlier is all fallback; there is no second reader.
+  is all fallback, and a shard handoff payload is a segment without a
+  manifest; there is no second reader.
 * The chain is the manifest's parts extended by every rotated successor
   that *exists* -- a crash can land between opening a part and its first
   append, so record counts would miss the live tail.
@@ -41,10 +42,38 @@ from repro.durability.format import (
     next_wal_name,
     wal_position,
 )
-from repro.durability.segment import ColumnGroup, split_segment
+from repro.durability.segment import SEGMENT_MAGIC, ColumnGroup, split_segment
 from repro.durability.store import CheckpointStore
 
-__all__ = ["WalStop", "WalWalk", "read_cohort", "wal_chain"]
+__all__ = ["WalStop", "WalWalk", "read_cohort", "unpack_cohort", "wal_chain"]
+
+
+def unpack_cohort(
+    payload: bytes, source: object, state_type: type | None = None
+) -> tuple[list[ColumnGroup], dict]:
+    """``(column groups, {key: state})`` of a segment's bytes (a store's,
+    once its CRC passed, or a handoff payload), or raise
+    ``CorruptCheckpointError(problem="undecodable")``.
+
+    The groups are array sections (views of the bytes, structurally
+    checked; what they must hold to be a kernel is the engine's check),
+    the mapping the unpickled fallback section, type-checked when
+    ``state_type`` is named.
+    """
+    groups, fallback = split_segment(payload, source)
+    # A columnar payload says what it holds; anything else is one pickle.
+    columnar = payload[: len(SEGMENT_MAGIC)] == SEGMENT_MAGIC
+    states = decode_segment(fallback, source) if fallback or not columnar else {}
+    if state_type is not None:
+        for key, state in states.items():
+            if not isinstance(state, state_type):
+                raise CorruptCheckpointError(
+                    f"{source}: checkpoint per-series state is malformed "
+                    f"(key {key!r} holds a {type(state).__name__}, "
+                    f"expected {state_type.__name__})",
+                    problem="undecodable",
+                )
+    return groups, states
 
 
 def read_cohort(
@@ -56,12 +85,11 @@ def read_cohort(
     """One manifest cohort's ``(column groups, {key: state})``, or raise
     saying what is wrong.
 
-    The groups are the segment's array sections (views of its bytes,
-    structurally checked; what they must hold to be a kernel is the
-    engine's check), the mapping its unpickled fallback section.  Every
-    failure is a :class:`CorruptCheckpointError` whose ``problem`` is
-    ``missing``, ``crc_mismatch`` or ``undecodable``.  ``decode=False``
-    stops after the CRC (a shallow scrub) and returns ``None``.
+    The segment's bytes are checked against the manifest's CRC, then
+    decoded by :func:`unpack_cohort`.  Every failure is a
+    :class:`CorruptCheckpointError` whose ``problem`` is ``missing``,
+    ``crc_mismatch`` or ``undecodable``.  ``decode=False`` stops after
+    the CRC (a shallow scrub) and returns ``None``.
     """
     name = cohort["segment"]
     source = f"{store.describe()}/{name}"
@@ -75,19 +103,7 @@ def read_cohort(
         )
     if not decode:
         return None
-    groups, fallback = split_segment(payload, source)
-    # Only a segment that carries columns may carry no scalar state.
-    states = decode_segment(fallback, source) if fallback or not groups else {}
-    if state_type is not None:
-        for key, state in states.items():
-            if not isinstance(state, state_type):
-                raise CorruptCheckpointError(
-                    f"{source}: checkpoint per-series state is malformed "
-                    f"(key {key!r} holds a {type(state).__name__}, "
-                    f"expected {state_type.__name__})",
-                    problem="undecodable",
-                )
-    return groups, states
+    return unpack_cohort(payload, source, state_type)
 
 
 def wal_chain(

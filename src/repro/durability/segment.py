@@ -30,8 +30,10 @@ about it.
 A segment says what it is by its first bytes, so a reader needs no
 version from outside: :func:`split_segment` hands back the groups and
 the fallback of a columnar segment, and treats any other payload as
-*all fallback* -- which is exactly what a segment written by format 3 and
-earlier is (a pickle starts with ``\\x80``, never with the magic).
+*all fallback* -- which is exactly what a segment written by format 3 is
+(a pickle starts with ``\\x80``, never with the magic).  The same bytes,
+without a manifest around them, are how a series moves between engines
+(``MultiSeriesEngine.extract_series`` / ``adopt_series``).
 
 Decoding allocates nothing the payload does not back: the header is
 checked against the payload's length -- every section's byte count from
@@ -117,7 +119,7 @@ def split_segment(payload: bytes, source: object) -> tuple[list[ColumnGroup], by
     """``(groups, fallback)`` of any cohort segment.
 
     A payload that does not open with :data:`SEGMENT_MAGIC` is a segment
-    of format 3 or earlier -- all fallback, no groups.  The arrays of a
+    of format 3 -- all fallback, no groups.  The arrays of a
     columnar segment are read-only views of ``payload``.
     """
     if payload[: len(SEGMENT_MAGIC)] != SEGMENT_MAGIC:

@@ -1,4 +1,4 @@
-"""Checkpoint storage abstraction and the single-file snapshot store.
+"""Checkpoint storage abstraction and its atomic-write primitive.
 
 :class:`CheckpointStore` is the contract a durable engine session is
 written against: a small namespaced blob store (one **manifest**, many
@@ -21,26 +21,17 @@ invariants:
   that is damage, and :mod:`repro.durability.recovery` (the one reader
   of a store) ends the chain there.  :meth:`wal_frames` reads one part
   and judges nothing.
-
-:class:`SingleSnapshotStore` is the degenerate one-file store behind the
-legacy ``engine.save(path)`` / ``MultiSeriesEngine.load(path)`` API: a
-single whole-engine snapshot, written atomically (tmp file + ``fsync`` +
-``os.replace``), with no WAL and no incremental segments.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Callable, Iterator
 
-from repro.durability.errors import CorruptCheckpointError
-
 __all__ = [
     "CheckpointStore",
-    "SingleSnapshotStore",
     "atomic_write_bytes",
     "fsync_directory",
 ]
@@ -176,50 +167,3 @@ class CheckpointStore(ABC):
 
     def close(self) -> None:
         """Release any open handles (idempotent)."""
-
-
-class SingleSnapshotStore:
-    """One pickle file holding one whole-engine snapshot.
-
-    This is the storage behind the legacy ``save``/``load`` API: no WAL,
-    no per-cohort segments, the whole engine serialized on every write --
-    but the write is **atomic** (tmp + fsync + ``os.replace``), so a crash
-    mid-save can no longer truncate the only copy of the checkpoint.
-
-    The container format is pickle (the numeric per-series state has no
-    flat representation), so snapshot files carry pickle's trust model:
-    :meth:`read` must only be pointed at files from trusted sources.
-    """
-
-    def __init__(self, path: str | os.PathLike):
-        self.path = Path(os.fspath(path))
-
-    def describe(self) -> str:
-        return str(self.path)
-
-    def write(
-        self, payload: dict, pre_replace_hook: Callable[[], None] | None = None
-    ) -> None:
-        """Atomically replace the snapshot with ``payload`` (pickled)."""
-        atomic_write_bytes(
-            self.path,
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
-            pre_replace_hook=pre_replace_hook,
-        )
-
-    def read(self) -> dict:
-        """Load the snapshot payload.
-
-        Raises ``FileNotFoundError`` if no snapshot exists and
-        :class:`CorruptCheckpointError` (naming the file) if the bytes are
-        not a readable pickle.
-        """
-        with open(self.path, "rb") as stream:
-            data = stream.read()
-        try:
-            return pickle.loads(data)
-        except Exception as error:
-            raise CorruptCheckpointError(
-                f"{self.path}: not a readable checkpoint pickle ({error}); "
-                "expected a file written by MultiSeriesEngine.save()"
-            ) from error

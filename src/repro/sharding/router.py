@@ -57,8 +57,9 @@ is layered by how much actually went wrong:
 migrate exactly the keys the ring reassigns (about ``1/n`` of the space)
 by drain-and-adopt: the source engine extracts and commits, the target
 adopts and commits, both via the engine's
-``extract_series``/``adopt_series`` handoff -- the moved series continue
-bit-identically on their new shard.
+``extract_series``/``adopt_series`` handoff, which ships the series as
+the bytes of a store segment -- the moved series continue
+bit-identically on their new shard, as kernel columns.
 """
 
 from __future__ import annotations
@@ -1220,23 +1221,23 @@ class ShardRouter:
     ) -> int:
         """Move ``keys`` from ``source`` to ``target`` (drain, then adopt).
 
-        The source commits the extraction (checkpoint) before the states
-        travel, the target commits the adoption on arrival -- the moved
-        series continue bit-identically.  The router holds the states for
-        the in-between moment; see ``extract_series`` for the crash
-        window trade-off.
+        The source commits the extraction (checkpoint) before the series
+        travel -- as the bytes of a store segment -- and the target
+        commits the adoption on arrival: the moved series continue
+        bit-identically.  The router holds the payload for the in-between
+        moment; see ``extract_series`` for the crash window trade-off.
         """
         if not keys:
             return 0
-        states = self._fleet_request(source, "extract", keys)
-        self._fleet_request(target, "adopt", states)
+        payload = self._fleet_request(source, "extract", keys)
+        self._fleet_request(target, "adopt", payload)
         source.points_confirmed = int(
             self._fleet_request(source, "points_total", None)
         )
         target.points_confirmed = int(
             self._fleet_request(target, "points_total", None)
         )
-        return len(states)
+        return len(keys)
 
     def add_shard(self, spec: ShardSpec) -> int:
         """Grow the cluster by one shard, live-migrating its keys to it.

@@ -177,7 +177,7 @@ def worker_main(
                 reply = engine.extract_series(payload)
             elif command == "adopt":
                 engine.adopt_series(payload)
-                reply = len(payload)
+                reply = None
             elif command == "ping":
                 reply = "pong"
             elif command == "close":

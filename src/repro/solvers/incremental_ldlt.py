@@ -115,39 +115,19 @@ class IncrementalBandedLDLT:
         self._undo: tuple | None = None
 
     def __setstate__(self, state: dict) -> None:
-        """Restore a pickled solver, folding the retired dense form.
+        """Restore a pickled solver, refusing the retired dense form.
 
-        Stores written before a solver was born in Schur form hold, for a
-        system of fewer than ``3w`` variables, its dense matrix and
-        right-hand side.  Such a state is replayed into a fresh solver
-        ``w`` rows at a time through :meth:`extend` -- the dense matrix is
-        banded, so every row's entries lie within the block its append
-        opens -- which leaves exactly the Schur form of the same system.
+        A solver pickled before it was born in Schur form carries an
+        ``_incremental`` flag; installed as it is, it would solve the
+        wrong system, so it raises ``ValueError`` (to a store reader, an
+        undecodable segment).
         """
-        if "_incremental" not in state:
-            self.__dict__.update(state)
-            return
-        self.__init__(state["half_bandwidth"])
-        if state["_incremental"]:
-            self.size = state["size"]
-            self._m_trail = state["_m_trail"]
-            self._bp_trail = state["_bp_trail"]
-            return
-        w = self.half_bandwidth
-        matrix = state["_dense_matrix"].tolist()
-        rhs = state["_dense_rhs"].tolist()
-        for start in range(0, len(rhs), w):
-            stop = min(start + w, len(rhs))
-            self.extend(
-                stop - start,
-                [
-                    (row, column, matrix[row][column])
-                    for row in range(start, stop)
-                    for column in range(max(0, row - w), row + 1)
-                ],
-                rhs[start:stop],
+        if "_incremental" in state:
+            raise ValueError(
+                "an IncrementalBandedLDLT pickled in the retired dense form "
+                "(it carries '_incremental') is not readable by this build"
             )
-        self._undo = None
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ API
 

@@ -26,9 +26,9 @@ class RingBuffer:
         """The attributes, with the storage cut to the values it retains.
 
         Oldest first, so ``_next`` is where the next append lands in the
-        re-padded array.  A series carries one ring per segment, ``save``
-        file and hand-off payload: pickling the zero padding made a young
-        ring cost its full capacity everywhere it travelled.
+        re-padded array.  A scalar-home series carries one ring per
+        segment fallback and hand-off payload: pickling the zero padding
+        made a young ring cost its full capacity everywhere it travelled.
         """
         return {
             "capacity": self.capacity,

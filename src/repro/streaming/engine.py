@@ -51,13 +51,11 @@ keyed streams over the shared fast kernel, with
   markers make dirtiness detection O(fleet) array reads), and reopening
   the store after a crash recovers the latest consistent manifest and
   replays the surviving WAL prefix bit-identically -- the engine picks up
-  the stream exactly where the surviving log ends;
-* **portable versioned checkpoints** -- the legacy one-file form:
-  :meth:`save` writes ``{format_version, engine_spec, per-series state}``
-  atomically to a single file and :meth:`MultiSeriesEngine.load` rebuilds
-  a fully equivalent engine from that file alone, in a different process
-  if desired; the in-memory :meth:`snapshot` / :meth:`restore` pair
-  remains for cheap same-process rewind;
+  the stream exactly where the surviving log ends; a store's directory
+  alone rebuilds the engine in another process, the in-memory
+  :meth:`snapshot` / :meth:`restore` pair rewinds the same process, and
+  :meth:`extract_series` / :meth:`adopt_series` move series between
+  engines as the bytes of a store segment;
 * **fleet statistics** -- :meth:`fleet_stats` aggregates anomaly counts and
   per-key update-latency percentiles (via
   :func:`repro.streaming.latency.summarize_latencies`) across the fleet.
@@ -69,11 +67,11 @@ absorbed it is a column of its cohort's kernel arrays and nothing else --
 the scalar objects are consumed by the absorption, reads (``forecast``,
 ``series_stats``, ``fleet_stats``) come straight off the columns, and
 scalar state is built afresh, by one function, only where a boundary
-needs it (``snapshot``/``save``/``extract_series`` and the single-key
-``process``; a durable ``checkpoint`` writes the columns as they are and
-``open`` reads them back as columns).  Either way the outputs are
-*identical* to running N independent pipelines by hand -- the test suite
-asserts this.
+needs it (``snapshot`` and the single-key ``process``; a durable
+``checkpoint`` and a shard handoff write the columns as they are, and
+``open`` and ``adopt_series`` read them back as columns).  Either way
+the outputs are *identical* to running N independent pipelines by hand
+-- the test suite asserts this.
 """
 
 from __future__ import annotations
@@ -99,8 +97,6 @@ from repro.durability import (
     CheckpointSummary,
     CorruptCheckpointError,
     DirectoryCheckpointStore,
-    SingleSnapshotStore,
-    migrate_snapshot_payload,
 )
 from repro.durability.scrub import (
     RECOVERY_POLICIES,
@@ -119,7 +115,7 @@ from repro.durability.format import (
     validate_manifest,
     wal_name,
 )
-from repro.durability.recovery import WalWalk, read_cohort
+from repro.durability.recovery import WalWalk, read_cohort, unpack_cohort
 from repro.durability.segment import ColumnGroup, encode_columnar_segment
 from repro.specs import DecomposerSpec, DetectorSpec, EngineSpec, PipelineSpec
 from repro.streaming.buffer import RingBuffer
@@ -422,10 +418,10 @@ class _SeriesState:
     """Scalar home of one series: pipeline, warmup buffer and counters.
 
     What a series is while it is off the kernel, and the shape the
-    scalar boundaries speak (``snapshot``, ``save``, ``extract_series``,
-    the fallback section of a store segment and every segment of format
-    3 are ``{key: _SeriesState}``): the module path and the slots are
-    part of the store format.
+    scalar boundaries speak (``snapshot`` and the fallback section of a
+    store segment or a handoff payload -- every segment of format 3 --
+    are ``{key: _SeriesState}``): the module path and the slots are part
+    of the store format.
     """
 
     __slots__ = ("pipeline", "warmup", "live", "points", "anomalies", "latencies")
@@ -452,14 +448,14 @@ class _FleetGroup:
     columnar pipeline scorer and the per-column totals (record index,
     points, anomalies, latency ring) are the only copy of its state --
     :meth:`absorb` consumes the scalar objects it packs.  Reads index the
-    arrays, and so does the store: a checkpoint writes a gathered copy of
-    the columns themselves (:meth:`save_columns`) and recovery appends
-    them back (:meth:`from_columns`, :meth:`extend`) without a scalar
-    object in between, so the arrays named there are part of the store
-    format.  The one way to scalar form is :meth:`materialize`, which
-    builds *fresh* states for the boundaries that speak ``{key:
-    _SeriesState}``, and :meth:`load` takes one back after a single-key
-    detour.
+    arrays, and so do the store and a shard handoff: a checkpoint or an
+    extraction writes a gathered copy of the columns themselves
+    (:meth:`save_columns`), and recovery or adoption appends them back
+    (:meth:`from_columns`, :meth:`extend`) without a scalar object in
+    between, so the arrays named there are part of the store format.
+    The one way to scalar form is :meth:`materialize`, which builds
+    *fresh* states for ``snapshot``, the fallback section and the
+    single-key detour, and :meth:`load` takes one back after that detour.
     """
 
     __slots__ = (
@@ -700,10 +696,11 @@ class _FleetGroup:
         One gathered read per state array (see
         :meth:`FleetKernel.extract_many`), whatever the size of the group
         around the columns.  The states alias nothing in the group, so
-        the caller owns them -- a snapshot hands them out, ``save`` and
-        ``extract_series`` pickle them, a single-key detour advances one
-        and :meth:`load` takes it back.  (A checkpoint does not come
-        this way: it writes the columns, :meth:`save_columns`.)
+        the caller owns them -- a snapshot hands them out, the fallback
+        section pickles those whose keys JSON cannot carry, a single-key
+        detour (or the non-finite hand-back) advances one and
+        :meth:`load` takes it back.  (A checkpoint or a handoff does not
+        come this way: it writes the columns, :meth:`save_columns`.)
         """
         columns = np.asarray(columns, dtype=np.intp)
         models = self.kernel.extract_many(columns)
@@ -998,8 +995,9 @@ class MultiSeriesEngine:
         ``initialization_length`` defaults to four periods, the paper's
         initialization window.  Extra keyword arguments are forwarded to
         :class:`repro.core.OneShotSTL` and must be primitive values (they
-        are stored in the engine's :class:`EngineSpec`, so the resulting
-        engine supports :meth:`save`).
+        are stored in the engine's :class:`EngineSpec`, so a store the
+        resulting engine checkpoints into reopens from its directory
+        alone).
         """
         if initialization_length is None:
             initialization_length = 4 * int(period)
@@ -1638,6 +1636,19 @@ class MultiSeriesEngine:
             states.update(zip(members, group.materialize(columns)))
         return states
 
+    def _install(self, members: list, groups: list[_FleetGroup], states: dict) -> None:
+        """Make a decoded cohort (:meth:`_decode_cohort`) part of the fleet,
+        at recovery and adoption alike: what was a column is a column,
+        appended to its spec's group (or founding it), the rest are
+        scalar homes."""
+        self._series.update((key, states.get(key)) for key in members)
+        for restored in groups:
+            spec_key = restored.spec.to_json(sort_keys=True)
+            group = self._groups.setdefault(spec_key, restored)
+            first = 0 if group is restored else group.extend(restored)
+            for column, key in enumerate(restored.keys, first):
+                self._absorbed[key] = (group, column)
+
     def _reset_fleet_groups(self) -> None:
         """Drop all columnar bookkeeping (after replacing ``_series``)."""
         self._groups = {}
@@ -1717,27 +1728,26 @@ class MultiSeriesEngine:
 
     # ------------------------------------- series migration (shard handoff)
 
-    def extract_series(self, keys: Iterable[Hashable]) -> dict:
+    def extract_series(self, keys: Iterable[Hashable]) -> bytes:
         """Remove the given series from this engine and return their state.
 
-        The returned mapping ``{key: state}`` holds each series' complete
-        scalar state (pipeline, warmup buffer, counters, latency ring)
-        -- the same per-series objects a checkpoint carries, so it
-        pickles across process boundaries -- ready to hand to
-        :meth:`adopt_series` on another engine.  Extraction is the drain
-        half of a live shard migration.
+        The returned bytes are a store segment of exactly these series
+        (:meth:`_encode_cohort`, the checkpoint's own codec; no scalar
+        object is built for an absorbed series), for :meth:`adopt_series`
+        on another engine, in this process or another: the drain half of
+        a live shard migration.
 
-        Kernel-absorbed series are materialized from their columns, which
-        are then removed: the group's survivors close ranks (one gathered
-        copy, see ``_FleetGroup.remove``) and keep advancing full-width,
-        and a group left empty is dropped.  Durable cohorts that held
-        an extracted key are forced dirty, and in a durable session the
-        extraction is committed with an immediate :meth:`checkpoint`
-        before returning: extraction is a control-plane operation with no
-        WAL representation, so the manifest must move past it atomically
-        -- otherwise a crash would recover the extracted series into
-        *this* engine while another engine also serves them.  (The
-        migration coordinator holds the returned states until the target
+        The columns are then removed: the group's survivors close ranks
+        (one gathered copy, see ``_FleetGroup.remove``) and keep
+        advancing full-width, and a group left empty is dropped.  Durable
+        cohorts that held an extracted key are forced dirty, and in a
+        durable session the extraction is committed with an immediate
+        :meth:`checkpoint` before returning: extraction is a
+        control-plane operation with no WAL representation, so the
+        manifest must move past it atomically -- otherwise a crash would
+        recover the extracted series into *this* engine while another
+        engine also serves them.  (The
+        migration coordinator holds the returned bytes until the target
         engine has committed its :meth:`adopt_series`; a coordinator
         crash inside that window loses the in-flight series, which is the
         usual hand-off trade against duplicating them.)
@@ -1752,7 +1762,7 @@ class MultiSeriesEngine:
             )
         if len(set(keys)) != len(keys):
             raise ValueError("extract_series() keys must be unique")
-        extracted = self._materialized(keys)
+        payload = self._encode_cohort(keys)
         touched_cohorts = set()
         for key in keys:
             self._absorbed.pop(key, None)
@@ -1784,39 +1794,41 @@ class MultiSeriesEngine:
                     self._absorbed[key] = (group, column)
         if self._store is not None:
             self.checkpoint()
-        return extracted
+        return payload
 
-    def adopt_series(self, states: dict) -> None:
+    def adopt_series(self, payload: bytes) -> None:
         """Install series extracted from another engine (shard handoff).
 
-        ``states`` is the mapping returned by :meth:`extract_series` --
-        same process or unpickled from another one.  Adopted series keep
-        their exact stream position: the next observation each one sees
-        continues bit-identically to never having moved (the engine's
-        scalar and kernel paths guarantee this; adopted live series are
-        re-absorbed lazily by the next batched ingest).  Keys already
-        present in this engine are rejected before anything is installed.
+        ``payload`` is what :meth:`extract_series` returned.  It is read
+        as recovery reads a segment and validated whole first: bytes that
+        do not decode, or columns that cannot join this engine's group of
+        their spec, raise :class:`~repro.durability.CorruptCheckpointError`
+        and keys already present ``ValueError``, with nothing installed.
+        (The payload has no checksum of its own: what carried it vouches
+        for its bytes, this check for their structure.)  What was a
+        column is a column at once -- no ``FleetKernel.pack`` -- and every
+        series continues bit-identically to never having moved.
 
         In a durable session the adoption is committed with an immediate
         :meth:`checkpoint` before returning, so once this method returns
         the migration's target side is crash-safe.
         """
-        if not isinstance(states, dict) or not all(
-            isinstance(state, _SeriesState) for state in states.values()
-        ):
+        if not isinstance(payload, (bytes, bytearray)):
             raise TypeError(
-                "adopt_series() takes the mapping returned by "
-                "extract_series(): {key: per-series state}"
+                "adopt_series() takes the bytes extract_series() returned, "
+                f"got {type(payload).__name__}"
             )
-        duplicates = [key for key in states if key in self._series]
+        source = "adopt_series() payload"
+        saved, states = unpack_cohort(bytes(payload), source, _SeriesState)
+        members, groups = self._decode_cohort(source, saved, states)
+        duplicates = [key for key in members if key in self._series]
         if duplicates:
             raise ValueError(
                 "cannot adopt series already present in this engine: "
                 f"{duplicates!r}"
             )
-        for key, state in states.items():
-            self._series[key] = state
-        if self._store is not None and states:
+        self._install(members, groups, states)
+        if self._store is not None and members:
             self.checkpoint()
 
     # ------------------------------------------------------ durable sessions
@@ -1875,10 +1887,10 @@ class MultiSeriesEngine:
         :attr:`kernel_min_cohort` -- are process-local, not part of the
         stream's configuration, so they are not stored in the manifest:
         re-set them after ``open()`` if you changed the defaults.  And
-        pickle is still how three things travel: WAL records (their keys
-        and values), the fallback section of a segment (series that are
-        not kernel columns, and every segment a format-3 build wrote)
-        and the ``save`` / ``extract_series`` payloads.  Those must
+        pickle is still how two things travel: WAL records (their keys
+        and values) and the fallback section of a segment -- series that
+        are not kernel columns, in a store or an :meth:`extract_series`
+        payload, and every segment a format-3 build wrote.  Those must
         unpickle in the recovering process (classes defined in a script's
         ``__main__`` or in modules absent on the recovery side fail with
         :class:`~repro.durability.CorruptCheckpointError`) and carry
@@ -1971,6 +1983,10 @@ class MultiSeriesEngine:
         self._cohort_segments = {}
         self._cohort_markers = {}
         self._cohort_crcs = {}
+        # Without a manifest nothing in the store is reachable; a WAL part
+        # left behind by a lost one would be replayed as this session's.
+        for name in store.list_wals():
+            store.wal_delete(name)
         store.write_manifest(
             build_manifest(0, self.spec.to_dict(), [], wal_name(0))
         )
@@ -2004,7 +2020,7 @@ class MultiSeriesEngine:
         quarantined_cohorts: list[QuarantinedCohort] = []
         quarantined_keys: set = set()
         for cohort in manifest["cohorts"]:
-            cohort_id = int(cohort["id"])
+            cohort_id = cohort["id"]
             name = cohort["segment"]
             # The whole cohort is validated before any of it is committed
             # to the engine: damage discovered on the Nth key must not
@@ -2039,15 +2055,7 @@ class MultiSeriesEngine:
                 )
                 quarantined_keys.update(keys)
                 continue
-            # What was a column when saved is a column again, appended to
-            # its spec's group; the rest are scalar homes, as before.
-            engine._series.update((key, states.get(key)) for key in members)
-            for restored in groups:
-                spec_key = restored.spec.to_json(sort_keys=True)
-                group = engine._groups.setdefault(spec_key, restored)
-                first = 0 if group is restored else group.extend(restored)
-                for column, key in enumerate(restored.keys, first):
-                    engine._absorbed[key] = (group, column)
+            engine._install(members, groups, states)
             # Progress markers are taken *before* WAL replay, so they
             # describe what the segment holds: replayed series drift past
             # their marker and read as dirty at the next checkpoint,
@@ -2058,12 +2066,12 @@ class MultiSeriesEngine:
                 key: engine._series_marker(key) for key in members
             }
             if cohort.get("crc") is not None:
-                engine._cohort_crcs[cohort_id] = int(cohort["crc"])
+                engine._cohort_crcs[cohort_id] = cohort["crc"]
             engine._cohort_of.update(dict.fromkeys(members, cohort_id))
         engine._next_cohort_id = (
             max(engine._cohort_members, default=-1) + 1
         )
-        engine._generation = int(manifest["generation"])
+        engine._generation = manifest["generation"]
         engine._store = store
         walk = WalWalk(store, manifest["wal"])
         # _replaying suspends latency recording (see _track_latency_now):
@@ -2302,24 +2310,24 @@ class MultiSeriesEngine:
         an absorbed series and nothing of it is pickled -- with the
         members' keys and their places in the cohort's order in the
         group's ``meta``.  The members that are not columns (warming,
-        never absorbable, below the cohort minimum, or keyed by
-        something JSON cannot carry) ride in the fallback section as the
-        scalar-state codec's ``{key: state}``, in cohort order.
+        never absorbable, below the cohort minimum) and the columns keyed
+        by something JSON cannot carry ride in the fallback section as
+        the scalar-state codec's ``{key: state}``, in cohort order.
         """
-        by_group: dict[int, tuple[_FleetGroup, list, list]] = {}
+        by_group: dict[int, tuple[_FleetGroup, list, list, list]] = {}
         for position, key in enumerate(members):
             location = self._absorbed.get(key)
-            if location is not None:
-                group, column = location
-                entry = by_group.setdefault(id(group), (group, [], []))
-                entry[1].append(column)
-                entry[2].append(position)
+            encoded = encode_manifest_keys([key]) if location is not None else None
+            if location is None or encoded is None:
+                continue
+            group, column = location
+            entry = by_group.setdefault(id(group), (group, [], [], []))
+            entry[1].append(column)
+            entry[2].append(position)
+            entry[3].extend(encoded)
         saved = []
         scalar = set(range(len(members)))
-        for group, columns, positions in by_group.values():
-            keys = encode_manifest_keys(members[position] for position in positions)
-            if keys is None:
-                continue
+        for group, columns, positions, keys in by_group.values():
             columnar = group.save_columns(columns)
             columnar.meta.update(keys=keys, positions=positions)
             saved.append(columnar)
@@ -2354,8 +2362,7 @@ class MultiSeriesEngine:
             raise RuntimeError(
                 "engine has no checkpoint store: open a durable session "
                 "with MultiSeriesEngine.open(store, spec=...) or "
-                "attach_store() first (save(path) writes one-shot "
-                "snapshots without a session)"
+                "attach_store() first (snapshot() is the in-memory rewind)"
             )
         self._assign_cohorts()
         generation = self._generation + 1
@@ -2452,7 +2459,8 @@ class MultiSeriesEngine:
         The checkpoint is an independent deep copy: later ingests do not
         mutate it, and it can be restored any number of times (or pickled
         to disk by the caller).  For a checkpoint that survives process
-        boundaries and carries its own configuration, use :meth:`save`.
+        boundaries and carries its own configuration, use a durable
+        session (:meth:`open` / :meth:`checkpoint`).
 
         The checkpoint always holds plain per-series state -- the same
         shape whether or not batched ingest ever ran: a kernel-absorbed
@@ -2493,80 +2501,3 @@ class MultiSeriesEngine:
         self._cohort_segments = {}
         self._cohort_markers = {}
         self._next_cohort_id = 0
-
-    def save(self, path: "str | os.PathLike") -> None:
-        """Write a portable one-file checkpoint to ``path`` (atomically).
-
-        The file carries ``{format_version, engine_spec, series,
-        generation}``: the declarative :class:`EngineSpec` (as a plain
-        dict) plus the full per-series state, so :meth:`load` can rebuild
-        an equivalent engine in a fresh process from the file alone and
-        continue the stream bit-identically.  ``path`` may be anything
-        :class:`os.PathLike`.
-
-        This is a thin shim over
-        :class:`~repro.durability.SingleSnapshotStore`: the whole fleet is
-        re-serialized on every call, but the write is atomic (tmp file +
-        fsync + ``os.replace``), so a crash mid-save leaves the previous
-        checkpoint intact instead of a truncated file.
-
-        .. deprecated:: save/load remain supported, but new deployments
-           should prefer the durable session API (:meth:`open` /
-           :meth:`checkpoint`): it adds a write-ahead log between
-           checkpoints (nothing ingested is lost to a crash) and
-           re-serializes only the cohorts that changed.
-
-        The container format is pickle (the numeric per-series state has no
-        flat representation), so checkpoint files carry pickle's trust
-        model: :meth:`load` must only be given files from trusted sources.
-        """
-        payload = {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "engine_spec": self.spec.to_dict(),
-            "series": self._materialized(self._series),
-            "generation": self._generation,
-        }
-        SingleSnapshotStore(path).write(payload)
-
-    @classmethod
-    def load(cls, path: "str | os.PathLike") -> "MultiSeriesEngine":
-        """Rebuild an engine from a checkpoint written by :meth:`save`.
-
-        The engine is reconstructed from the embedded spec (via the
-        component registry), then the per-series state is installed, so the
-        restored engine continues the stream exactly where :meth:`save`
-        left off.  ``path`` may be anything :class:`os.PathLike`.
-
-        Version-1 checkpoints (written before the durability redesign)
-        are migrated transparently; any other ``format_version`` mismatch
-        raises :class:`~repro.durability.CheckpointVersionError` (a
-        ``ValueError``) naming the file, the found and the expected
-        version.  Unreadable or malformed files raise
-        :class:`~repro.durability.CorruptCheckpointError` with the same
-        context.
-
-        .. warning:: Checkpoints are pickle files; unpickling runs before
-           any validation can happen, so only load checkpoints you trust
-           (i.e. that your own deployment saved).
-        """
-        snapshot = SingleSnapshotStore(path)
-        payload = migrate_snapshot_payload(snapshot.read(), snapshot.describe())
-        try:
-            spec_data = payload["engine_spec"]
-            series = payload["series"]
-        except KeyError as error:
-            raise CorruptCheckpointError(
-                f"{snapshot.describe()}: checkpoint is missing required "
-                f"section {error.args[0]!r} (expected engine_spec, series)"
-            ) from None
-        engine = cls.from_spec(EngineSpec.from_dict(spec_data))
-        if not isinstance(series, dict) or not all(
-            isinstance(state, _SeriesState) for state in series.values()
-        ):
-            raise CorruptCheckpointError(
-                f"{snapshot.describe()}: checkpoint per-series state is "
-                "malformed (expected a dict of engine series state)"
-            )
-        engine._series = series
-        engine._generation = int(payload.get("generation", 0))
-        return engine

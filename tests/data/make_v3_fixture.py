@@ -1,7 +1,5 @@
-"""Writes tests/data/store_v3_absorbed_fleet (+ a save file and an
-extract_series payload) with the PARENT build (format 3).  Run with
-PYTHONPATH=<parent>/src; argument: output directory."""
-import pickle
+"""Writes tests/data/store_v3_absorbed_fleet with the PARENT build
+(format 3).  Run with PYTHONPATH=<parent>/src; argument: output directory."""
 import sys
 from pathlib import Path
 
@@ -46,13 +44,4 @@ engine.ingest(([KEYS[0], KEYS[9], KEYS[0]], np.array([DATA[44, 0], DATA[44, 9], 
 engine.process("late", float(LATE[5]))
 engine.close(checkpoint=False)
 
-# A save file and an extract_series payload of a like fleet, same build.
-twin = MultiSeriesEngine.from_spec(spec)
-twin.ingest_grid(KEYS, DATA[:40])
-for value in LATE[:5]:
-    twin.process("late", float(value))
-twin.save(out / "v3_save_file.ckpt")
-(out / "v3_extract_payload.pkl").write_bytes(
-    pickle.dumps(twin.extract_series(KEYS[:9] + ["late"]), protocol=pickle.HIGHEST_PROTOCOL)
-)
 print(sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()))

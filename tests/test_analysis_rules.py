@@ -688,6 +688,50 @@ def test_private_access_suppressed_with_reason():
     assert findings == []
 
 
+# --------------------------------------------------------------- PKL001
+
+FORMAT_PATH = "src/repro/durability/format.py"
+
+
+def test_a_pickle_family_import_is_flagged_under_repro():
+    findings = run(
+        """
+        import pickle
+        import marshal as wire, json
+        from shelve import open as shelf
+        from dill import dumps
+        import cPickle
+        """,
+        path="src/repro/sharding/fixture.py",
+    )
+    assert rules(findings) == ["PKL001"] * 5
+    assert "'pickle'" in findings[0].message
+    assert [finding.line for finding in findings] == [2, 3, 4, 5, 6]
+
+
+def test_the_allowlisted_module_and_other_imports_are_clean():
+    source = "import pickle\nfrom pickle import HIGHEST_PROTOCOL\n"
+    assert run(source, path=FORMAT_PATH) == []
+    # ... which names one file, not its directory or its name elsewhere
+    assert rules(run(source, path="src/repro/durability/store.py")) == ["PKL001"] * 2
+    assert rules(run(source, path="src/repro/streaming/format.py")) == ["PKL001"] * 2
+    clean = "import json\nfrom repro.durability.format import encode_segment\n"
+    assert run(clean, path="src/repro/streaming/fixture.py") == []
+    # outside the package (tests, benchmarks) the rule does not apply
+    assert run(source, path="tests/test_fixture.py") == []
+
+
+def test_pickle_import_suppressed_with_reason():
+    findings = run(
+        """
+        # repro: allow[PKL001] a debugging dump that never reaches a store
+        import pickle
+        """,
+        path="src/repro/core/fixture.py",
+    )
+    assert findings == []
+
+
 # ------------------------------------------------------- suppressions
 
 

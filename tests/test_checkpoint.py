@@ -2,11 +2,12 @@
 
 Two contracts under test:
 
-* the portable one-file checkpoint: ``save(path)`` writes everything
-  needed -- format version, declarative engine spec, per-series state --
-  so that ``MultiSeriesEngine.load(path)`` in a *fresh* context (nothing
-  shared with the original engine) continues the stream bit-identically
-  to the uninterrupted run;
+* a store is portable: its directory alone -- manifest (format version,
+  declarative engine spec), segments, WAL -- rebuilds the engine in a
+  *fresh* context (nothing shared with the original engine) that
+  continues the stream bit-identically to the uninterrupted run, and a
+  manifest that is not one this build reads is refused, by name, before
+  anything on disk changes;
 * the durable session: ``MultiSeriesEngine.open(store, spec=...)`` +
   write-ahead log + incremental ``checkpoint()``.  The recovery oracle
   (``TestDurabilityOracle``) kills the engine at injected crash points
@@ -18,14 +19,17 @@ This is the interface the sharding router and the periodicity-drift
 rebuild are specified against.
 """
 
+import json
 import pickle
 import shutil
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.durability import (
+    CheckpointVersionError,
     CorruptCheckpointError,
     DirectoryCheckpointStore,
 )
@@ -75,9 +79,17 @@ def heterogeneous_spec():
     )
 
 
-class TestSaveLoadDurability:
+def reopened(engine, path):
+    """Checkpoint ``engine`` into a fresh store at ``path``, end the
+    session, and rebuild an engine from the directory alone."""
+    engine.attach_store(path)
+    engine.close()
+    return MultiSeriesEngine.open(path)
+
+
+class TestReopenFromTheStoreAlone:
     def test_fresh_engine_continues_bit_identically(self, tmp_path):
-        """Save mid-stream, reload into a fresh engine, diff the two tails."""
+        """Checkpoint mid-stream, reopen in a fresh engine, diff the tails."""
         data = make_fleet_data(3)
         engine = MultiSeriesEngine.from_spec(heterogeneous_spec())
         batches = list(interleaved_batches(data))
@@ -85,11 +97,9 @@ class TestSaveLoadDurability:
         for batch in batches[:cut]:
             engine.ingest(batch)
 
-        path = tmp_path / "fleet.ckpt"
-        engine.save(path)
+        restored_engine = reopened(engine, tmp_path / "store")
 
         uninterrupted = [engine.ingest(batch) for batch in batches[cut:]]
-        restored_engine = MultiSeriesEngine.load(path)
         restored = [restored_engine.ingest(batch) for batch in batches[cut:]]
 
         for expected_batch, actual_batch in zip(uninterrupted, restored):
@@ -106,10 +116,8 @@ class TestSaveLoadDurability:
         engine = MultiSeriesEngine.from_spec(spec)
         for batch in interleaved_batches(data):
             engine.ingest(batch)
-        path = tmp_path / "fleet.ckpt"
-        engine.save(path)
 
-        restored = MultiSeriesEngine.load(path)
+        restored = reopened(engine, tmp_path / "store")
         assert restored.spec == spec
         original_stats = engine.fleet_stats()
         restored_stats = restored.fleet_stats()
@@ -123,15 +131,13 @@ class TestSaveLoadDurability:
         )
 
     def test_restored_engine_accepts_new_keys(self, tmp_path):
-        """The embedded spec must keep lazily creating series after load."""
+        """The manifest's spec must keep lazily creating series."""
         data = make_fleet_data(1, length=PERIOD * 6)
         engine = MultiSeriesEngine.from_spec(heterogeneous_spec())
         for batch in interleaved_batches(data):
             engine.ingest(batch)
-        path = tmp_path / "fleet.ckpt"
-        engine.save(path)
 
-        restored = MultiSeriesEngine.load(path)
+        restored = reopened(engine, tmp_path / "store")
         values = make_seasonal_series(PERIOD * 6, PERIOD, seed=41)["values"]
         statuses = [
             restored.process("brand-new", float(value)).status for value in values
@@ -145,10 +151,8 @@ class TestSaveLoadDurability:
         half_window = INIT // 2
         for value in values[:half_window]:
             engine.process("m", float(value))
-        path = tmp_path / "warming.ckpt"
-        engine.save(path)
 
-        restored = MultiSeriesEngine.load(path)
+        restored = reopened(engine, tmp_path / "store")
         assert restored.series_stats("m").status == SeriesStatus.WARMING
         statuses = [
             restored.process("m", float(value)).status
@@ -157,56 +161,109 @@ class TestSaveLoadDurability:
         assert statuses[INIT - half_window - 1] == SeriesStatus.WARMING
         assert statuses[-1] == SeriesStatus.LIVE
 
-    def test_save_is_isolated_from_later_ingest(self, tmp_path):
+    def test_a_closed_store_is_isolated_from_later_ingest(self, tmp_path):
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
         values = make_seasonal_series(PERIOD * 6, PERIOD, seed=43)["values"]
         for value in values:
             engine.process("m", float(value))
-        path = tmp_path / "frozen.ckpt"
-        engine.save(path)
-        points_at_save = engine.series_stats("m").points
-        engine.process("m", 1.0)
+        engine.attach_store(tmp_path / "store")
+        engine.close()
+        points_at_close = engine.series_stats("m").points
+        engine.process("m", 1.0)  # detached: not journaled
 
-        restored = MultiSeriesEngine.load(path)
-        assert restored.series_stats("m").points == points_at_save
+        restored = MultiSeriesEngine.open(tmp_path / "store")
+        assert restored.series_stats("m").points == points_at_close
+
+    def test_attach_store_and_open_accept_pathlike(self, tmp_path):
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
+        values = make_seasonal_series(PERIOD * 5, PERIOD, seed=51)["values"]
+        for value in values:
+            engine.process("m", float(value))
+        restored = reopened(engine, PathLikeWrapper(tmp_path / "store"))
+        assert restored.series_stats("m").points == len(values)
+
+
+def closed_store(path) -> Path:
+    """A store holding one checkpointed series (the manifest at ``path``)."""
+    engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
+    values = make_seasonal_series(PERIOD * 5, PERIOD, seed=44)["values"]
+    for value in values:
+        engine.process("m", float(value))
+    reopened(engine, path).close(checkpoint=False)
+    return Path(path)
+
+
+def edit_manifest(path, edit) -> None:
+    manifest_path = Path(path) / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def tree_bytes(root) -> dict:
+    return {
+        str(file.relative_to(root)): file.read_bytes()
+        for file in sorted(Path(root).rglob("*"))
+        if file.is_file()
+    }
 
 
 class TestCheckpointValidation:
     def test_format_version_mismatch_rejected(self, tmp_path):
-        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
-        values = make_seasonal_series(PERIOD * 5, PERIOD, seed=44)["values"]
-        for value in values:
-            engine.process("m", float(value))
-        path = tmp_path / "fleet.ckpt"
-        engine.save(path)
-
-        with open(path, "rb") as stream:
-            payload = pickle.load(stream)
-        payload["format_version"] = CHECKPOINT_FORMAT_VERSION + 1
-        with open(path, "wb") as stream:
-            pickle.dump(payload, stream)
-
+        path = closed_store(tmp_path / "store")
+        newer = CHECKPOINT_FORMAT_VERSION + 1
+        edit_manifest(path, lambda manifest: manifest.update(format_version=newer))
         with pytest.raises(ValueError, match="format_version"):
-            MultiSeriesEngine.load(path)
+            MultiSeriesEngine.open(path)
 
-    def test_payload_without_version_rejected(self, tmp_path):
-        path = tmp_path / "bogus.ckpt"
-        with open(path, "wb") as stream:
-            pickle.dump({"series": {}}, stream)
-        with pytest.raises(ValueError, match="format_version"):
-            MultiSeriesEngine.load(path)
+    def test_manifest_without_version_rejected(self, tmp_path):
+        path = closed_store(tmp_path / "store")
+        edit_manifest(path, lambda manifest: manifest.pop("format_version"))
+        with pytest.raises(CorruptCheckpointError, match="format_version"):
+            MultiSeriesEngine.open(path)
 
     def test_malformed_series_section_rejected(self, tmp_path):
-        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
-        path = tmp_path / "fleet.ckpt"
-        engine.save(path)
-        with open(path, "rb") as stream:
-            payload = pickle.load(stream)
-        payload["series"] = {"m": "not-a-series-state"}
-        with open(path, "wb") as stream:
-            pickle.dump(payload, stream)
-        with pytest.raises(ValueError, match="malformed"):
-            MultiSeriesEngine.load(path)
+        path = closed_store(tmp_path / "store")
+        manifest = json.loads((path / "MANIFEST.json").read_text())
+        (cohort,) = manifest["cohorts"]
+        payload = pickle.dumps({"m": "not-a-series-state"})
+        (path / "segments" / cohort["segment"]).write_bytes(payload)
+        crc = zlib.crc32(payload)
+        edit_manifest(path, lambda manifest: manifest["cohorts"][0].update(crc=crc))
+        with pytest.raises(CorruptCheckpointError, match="malformed") as error:
+            MultiSeriesEngine.open(path)
+        assert error.value.problem == "undecodable"
+
+
+class TestFormatsThisBuildDoesNotRead:
+    @pytest.mark.parametrize("version", [1, 2, CHECKPOINT_FORMAT_VERSION + 7])
+    def test_a_store_stamped_another_version_is_refused_by_name(
+        self, tmp_path, version
+    ):
+        path = closed_store(tmp_path / "store")
+        edit_manifest(path, lambda manifest: manifest.update(format_version=version))
+        before = tree_bytes(path)
+        report = DirectoryCheckpointStore(path).verify()
+        assert [(f.artifact, f.problem) for f in report.findings] == [
+            ("manifest", "invalid")
+        ]
+        with pytest.raises(CheckpointVersionError) as error:
+            MultiSeriesEngine.open(path)
+        assert (error.value.found, error.value.expected) == (
+            version,
+            CHECKPOINT_FORMAT_VERSION,
+        )
+        message = str(error.value)
+        assert str(path) in message and str(version) in message
+        assert str(CHECKPOINT_FORMAT_VERSION) in message
+        assert tree_bytes(path) == before
+
+    def test_an_unreadable_manifest_names_the_file(self, tmp_path):
+        path = closed_store(tmp_path / "store")
+        (path / "MANIFEST.json").write_bytes(b"certainly not JSON")
+        with pytest.raises(CorruptCheckpointError) as error:
+            MultiSeriesEngine.open(path)
+        assert str(path / "MANIFEST.json") in str(error.value)
 
 
 def uniform_spec():
@@ -445,6 +502,26 @@ class TestDurableSession:
             == engine.fleet_stats().points_total
         )
 
+    def test_a_store_that_lost_its_manifest_reopens_as_a_new_session(
+        self, tmp_path
+    ):
+        """What a lost manifest named is unreachable, and stays so: its WAL
+        parts must not be taken for the new session's own."""
+        data = make_fleet_data(3)
+        engine = MultiSeriesEngine.open(tmp_path / "store", spec=uniform_spec())
+        for batch in list(interleaved_batches(data))[: PERIOD * 5]:
+            engine.ingest(batch)
+        engine.checkpoint()
+        engine.ingest([("host-0", 1.0)])  # a record in the generation-1 WAL
+        engine.close(checkpoint=False)
+        (tmp_path / "store" / "MANIFEST.json").unlink()
+
+        fresh = MultiSeriesEngine.open(tmp_path / "store", spec=uniform_spec())
+        assert fresh.keys() == []
+        fresh.checkpoint()  # generation 1 again
+        fresh.close(checkpoint=False)
+        assert MultiSeriesEngine.open(tmp_path / "store").keys() == []
+
     def test_reattach_to_fresh_store_writes_full_segments(self, tmp_path):
         """A second store must not inherit segment references from the first.
 
@@ -617,35 +694,6 @@ class TestDurabilityOracle:
         _assert_continues_identically(recovered, oracle, batches[kill_at:])
 
 
-class TestV1Migration:
-    def test_v1_checkpoint_loads_and_continues_bit_identically(self, tmp_path):
-        data = make_fleet_data(3)
-        batches = list(interleaved_batches(data))
-        engine = MultiSeriesEngine.from_spec(heterogeneous_spec())
-        cut = PERIOD * 6
-        for batch in batches[:cut]:
-            engine.ingest(batch)
-        path = tmp_path / "fleet.ckpt"
-        engine.save(path)
-
-        # Rewrite the file as a version-1 checkpoint (the pre-durability
-        # format had no generation field).
-        with open(path, "rb") as stream:
-            payload = pickle.load(stream)
-        payload["format_version"] = 1
-        payload.pop("generation")
-        with open(path, "wb") as stream:
-            pickle.dump(payload, stream)
-
-        restored = MultiSeriesEngine.load(path)
-        uninterrupted = [engine.ingest(batch) for batch in batches[cut:]]
-        migrated = [restored.ingest(batch) for batch in batches[cut:]]
-        for expected_batch, actual_batch in zip(uninterrupted, migrated):
-            assert [r.record for r in expected_batch] == [
-                r.record for r in actual_batch
-            ]
-
-
 class TestEveryWalKindStillReplays:
     """``tests/data/store_v3_four_wal_kinds``: a v3 store written by the
     last build that journaled unconverted rows -- a manifest with no
@@ -702,67 +750,97 @@ class TestEveryWalKindStillReplays:
             MultiSeriesEngine.open(tmp_path / "store")
 
 
-class TestAtomicSaveAndErrors:
-    def test_crashed_save_leaves_previous_checkpoint_intact(
-        self, tmp_path, monkeypatch
-    ):
-        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
+class TestACrashedCheckpointKeepsThePreviousOne:
+    """Each file is written tmp-first and renamed: a kill inside the
+    segment write or the manifest swap leaves the previous checkpoint --
+    and the WAL that covers what came after it -- exactly as it was."""
+
+    @pytest.mark.parametrize("point", ["segment.write.tmp", "manifest.swap.tmp"])
+    def test_the_previous_manifest_and_its_wal_survive(self, tmp_path, point):
         values = make_seasonal_series(PERIOD * 6, PERIOD, seed=50)["values"]
-        for value in values:
+        store = DirectoryCheckpointStore(tmp_path / "store")
+        engine = MultiSeriesEngine.open(store, spec=uniform_spec())
+        for value in values[:-5]:
             engine.process("m", float(value))
-        path = tmp_path / "fleet.ckpt"
-        engine.save(path)
-        points_at_save = engine.series_stats("m").points
-
-        engine.process("m", 1.0)
-
-        def exploding_replace(src, dst):
-            raise SimulatedCrash("mid-save")
-
-        import repro.durability.store as store_module
-
-        monkeypatch.setattr(store_module.os, "replace", exploding_replace)
+        engine.checkpoint()
+        committed = store.read_manifest()
+        for value in values[-5:]:
+            engine.process("m", float(value))
+        _arm(store, point)
         with pytest.raises(SimulatedCrash):
-            engine.save(path)
-        monkeypatch.undo()
+            engine.checkpoint()
 
-        restored = MultiSeriesEngine.load(path)
-        assert restored.series_stats("m").points == points_at_save
+        fresh = DirectoryCheckpointStore(tmp_path / "store")
+        assert fresh.read_manifest() == committed
+        assert fresh.verify().ok
+        recovered = MultiSeriesEngine.open(fresh)
+        assert recovered.series_stats("m").points == len(values)
+        assert recovered.last_recovery.wal_records_replayed == 5
 
-    def test_version_mismatch_error_names_file_found_and_expected(
-        self, tmp_path
-    ):
-        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
-        path = tmp_path / "fleet.ckpt"
-        engine.save(path)
-        with open(path, "rb") as stream:
-            payload = pickle.load(stream)
-        payload["format_version"] = CHECKPOINT_FORMAT_VERSION + 7
-        with open(path, "wb") as stream:
-            pickle.dump(payload, stream)
-        with pytest.raises(ValueError) as error:
-            MultiSeriesEngine.load(path)
-        message = str(error.value)
-        assert str(path) in message
-        assert str(CHECKPOINT_FORMAT_VERSION + 7) in message
-        assert str(CHECKPOINT_FORMAT_VERSION) in message
 
-    def test_unreadable_checkpoint_names_the_file(self, tmp_path):
-        path = tmp_path / "garbage.ckpt"
-        path.write_bytes(b"certainly not a pickle")
+class TestManifestIsTypeChecked:
+    """What recovery reads as a number is one: ``verify()`` and a strict
+    ``open()`` refuse the same manifests, and a manifest both accept
+    keeps every series through ``checkpoint()`` and a reopen."""
+
+    @staticmethod
+    def _store(path):
+        data = make_fleet_data(12, length=PERIOD * 6)
+        engine = MultiSeriesEngine.open(path, spec=uniform_spec())
+        engine.checkpoint_cohort_size = 4  # 12 series -> 3 cohorts
+        for batch in interleaved_batches(data):
+            engine.ingest(batch)
+        engine.close()
+        return data
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["cohorts"][0].update(id="x"),
+            lambda m: m["cohorts"][0].update(id=None),
+            lambda m: m["cohorts"][0].update(id=True),
+            lambda m: m["cohorts"][0].update(id=1.5),
+            lambda m: m["cohorts"][0].update(id=m["cohorts"][1]["id"]),
+            lambda m: m["cohorts"][1].update(series="4"),
+            lambda m: m["cohorts"][1].update(crc=str(m["cohorts"][1]["crc"])),
+            lambda m: m.update(generation="x"),
+            lambda m: m.update(generation=-1),
+            lambda m: m.update(generation=m["generation"] - 1),
+        ],
+        ids=[
+            "id-str",
+            "id-null",
+            "id-bool",
+            "id-float",
+            "id-duplicate",
+            "series-str",
+            "crc-str",
+            "generation-str",
+            "generation-negative",
+            "generation-behind-its-wal",
+        ],
+    )
+    def test_verify_and_open_refuse_alike(self, tmp_path, edit):
+        self._store(tmp_path / "store")
+        edit_manifest(tmp_path / "store", edit)
+        before = tree_bytes(tmp_path / "store")
+        report = DirectoryCheckpointStore(tmp_path / "store").verify()
+        assert [(f.artifact, f.problem) for f in report.findings] == [
+            ("manifest", "invalid")
+        ]
         with pytest.raises(CorruptCheckpointError) as error:
-            MultiSeriesEngine.load(path)
-        assert str(path) in str(error.value)
+            MultiSeriesEngine.open(tmp_path / "store")
+        assert error.value.problem == "invalid"
+        assert tree_bytes(tmp_path / "store") == before
 
-    def test_save_and_load_accept_pathlike(self, tmp_path):
-        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
-        values = make_seasonal_series(PERIOD * 5, PERIOD, seed=51)["values"]
-        for value in values:
-            engine.process("m", float(value))
-        wrapped = PathLikeWrapper(tmp_path / "fleet.ckpt")
-        engine.save(wrapped)
-        restored = MultiSeriesEngine.load(wrapped)
-        assert restored.series_stats("m").points == len(values)
+    def test_a_valid_store_keeps_every_series_through_a_checkpoint(self, tmp_path):
+        data = self._store(tmp_path / "store")
+        engine = MultiSeriesEngine.open(tmp_path / "store")
+        summary = engine.checkpoint()
+        engine.close(checkpoint=False)
+        again = MultiSeriesEngine.open(tmp_path / "store")
+        assert summary.series_total == len(again.keys()) == len(data)
+        assert again.fleet_stats().points_total == len(data) * PERIOD * 6
 
 
 class TestBatchedStateExport:
@@ -960,28 +1038,3 @@ class TestWalRotationRecovery:
             recovered.fleet_stats().points_total
             == engine.fleet_stats().points_total
         )
-
-    def test_v2_manifest_recovers(self, tmp_path):
-        """A store written by a v2 build (single WAL name) still opens."""
-        import json
-
-        data = make_fleet_data(5)
-        engine = MultiSeriesEngine.open(tmp_path / "store", spec=uniform_spec())
-        batches = list(interleaved_batches(data))
-        for batch in batches[: PERIOD * 6]:
-            engine.ingest(batch)
-        engine.checkpoint()
-        engine.close(checkpoint=False)
-        manifest_path = tmp_path / "store" / "MANIFEST.json"
-        manifest = json.loads(manifest_path.read_text())
-        # Rewrite as a v2 manifest: version stamp + single WAL name.  The
-        # v3 name shape differs, so point it at a legacy-shaped segment.
-        (tmp_path / "store" / "wal" / "wal-00000001.log").write_bytes(b"")
-        manifest["format_version"] = 2
-        manifest["wal"] = "wal-00000001.log"
-        manifest_path.write_text(json.dumps(manifest))
-        recovered = MultiSeriesEngine.open(tmp_path / "store")
-        oracle = MultiSeriesEngine.from_spec(uniform_spec())
-        for batch in batches[: PERIOD * 6]:
-            oracle.ingest(batch)
-        _assert_continues_identically(recovered, oracle, batches[PERIOD * 6 :])

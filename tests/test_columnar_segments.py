@@ -16,6 +16,11 @@ to the spec's group.  Pinned here:
   open float for float, under both kernel bodies, latency ring and all;
 * no scalar object is *constructed* for an absorbed series, neither by
   ``checkpoint()`` nor by ``open()``;
+* a shard handoff is the same codec: ``extract_series`` returns a
+  segment's bytes, ``adopt_series`` reads them the way ``open()`` does
+  and appends the columns to the target's group -- float for float,
+  nothing constructed, nothing packed, and nothing installed from bytes
+  that do not decode whole;
 * a store the parent commit (format 3) wrote keeps opening, and its
   clean cohorts keep their pickled segments byte for byte.
 """
@@ -519,6 +524,12 @@ def mixed_streams(length=PERIOD * 14):
 
 STREAMS = mixed_streams()
 CUT, KILL, END = INIT + 21, INIT + 40, INIT + 70
+#: a key the manifest's JSON codec cannot carry (fleet default spec)
+ODD = frozenset({"odd"})
+#: a handoff target's own cohort of the fleet default spec
+LOCALS = [f"t-{i}" for i in range(8)]
+for _index, _key in enumerate([ODD, *LOCALS]):
+    STREAMS[_key] = make_seasonal_series(PERIOD * 14, PERIOD, seed=500 + _index)["values"]
 
 
 def feed(engine, start, stop, keys=ROSTER):
@@ -716,6 +727,145 @@ class TestNoScalarObjectIsBuilt:
 
 
 # --------------------------------------------------------------------------
+# a shard handoff: the checkpoint's codec between two engines
+# --------------------------------------------------------------------------
+
+#: absorbed keys of two specs, a warming key and a key JSON cannot carry
+HANDED = [*A_KEYS[::2], *B_KEYS[1::2], "warming", ODD]
+STAYED = [key for key in [*ROSTER, ODD] if key not in HANDED]
+
+
+def handoff_engines():
+    """``(source, twin, target)``: the source and its never-split twin
+    hold the mixed roster plus ``ODD`` up to ``CUT``; the target, whose
+    ``latency_window`` is 8 against their 32, runs a cohort of its own."""
+    engines = []
+    for window, keys in ((32, [*ROSTER, ODD]), (32, [*ROSTER, ODD]), (8, LOCALS)):
+        engine = MultiSeriesEngine.from_spec(mixed_spec(window, track_latency=True))
+        if keys is not LOCALS:
+            engine.process("warming", float(STREAMS["warming"][0]))
+        feed(engine, 0, CUT, keys)
+        engines.append(engine)
+    source, _twin, target = engines
+    assert set(source._absorbed) == {*A_KEYS, *B_KEYS, ODD}
+    assert set(target._absorbed) == set(LOCALS)
+    return engines
+
+
+def per_key(engine, keys, start, stop):
+    """``{key: [field bytes per block]}`` of rounds ``[start, stop)``."""
+    got: dict = {key: [] for key in keys}
+    row = start
+    for size in (3, 7, 1, 12, 64):
+        if row >= stop:
+            break
+        block = np.column_stack([STREAMS[key][row : min(row + size, stop)] for key in keys])
+        result = engine.ingest_grid(keys, block)
+        for name in IngestResult.FIELDS:
+            array = getattr(result, name).reshape(block.shape)
+            for column, key in enumerate(keys):
+                got[key].append(array[:, column].tobytes())
+        row += block.shape[0]
+    return got
+
+
+def fleet_shape(engine):
+    """Everything an adoption installs into: roster, columns, groups."""
+    groups = [
+        (group.spec.to_json(), list(map(repr, group.keys)))
+        for group in engine._groups.values()
+    ]
+    return engine.keys(), sorted(map(repr, engine._absorbed)), sorted(groups)
+
+
+@pytest.mark.usefixtures("kernel_body")
+class TestHandoff:
+    def test_extract_adopt_continue_equals_the_uninterrupted_run(self):
+        source, twin, target = handoff_engines()
+        payload = source.extract_series(HANDED)
+        groups, fallback = split_segment(payload, "payload")
+        assert sorted(len(group.meta["keys"]) for group in groups) == [4, 5]
+        assert list(pickle.loads(fallback)) == ["warming", ODD]
+        assert source.keys() == [key for key in ["warming", *ROSTER, ODD] if key in STAYED]
+
+        target.adopt_series(payload)
+        # Columns at once: A's join the target's group, B's found one.
+        assert set(target._absorbed) == {*LOCALS, *A_KEYS[::2], *B_KEYS[1::2]}
+        assert sorted(len(group.keys) for group in target._groups.values()) == [4, 13]
+        assert target._series[ODD] is not None and target._series["warming"] is not None
+
+        expected = per_key(twin, [*ROSTER, ODD, "warming"], CUT, END)
+        moved = per_key(target, [*LOCALS, *HANDED], CUT, END)
+        stayed = per_key(source, STAYED, CUT, END)
+        for key in HANDED:
+            assert moved[key] == expected[key], key
+        for key in STAYED:
+            assert stayed[key] == expected[key], key
+        # ... and the target's own cohort did not notice.
+        alone = MultiSeriesEngine.from_spec(mixed_spec(8, track_latency=True))
+        feed(alone, 0, CUT, LOCALS)
+        reference = per_key(alone, LOCALS, CUT, END)
+        assert all(moved[key] == reference[key] for key in LOCALS)
+        for key in HANDED:
+            assert target.series_stats(key).points == twin.series_stats(key).points
+            assert target.series_stats(key).anomalies == twin.series_stats(key).anomalies
+
+    def test_extract_and_adopt_construct_nothing_and_the_next_batch_packs_nothing(
+        self, constructions, monkeypatch
+    ):
+        source, _twin, target = handoff_engines()
+        absorbed = [key for key in HANDED if key in source._absorbed and key != ODD]
+        nothing = dict.fromkeys(constructions, 0)
+        constructions.update(nothing)
+        target.adopt_series(source.extract_series([*absorbed, "warming"]))
+        assert constructions == nothing, "the handoff built scalar objects"
+        packs = []
+        monkeypatch.setattr(
+            FleetKernel, "pack", classmethod(lambda cls, models: packs.append(len(models)))
+        )
+        per_key(target, [*LOCALS, *absorbed], CUT, CUT + 12)
+        assert packs == [] and constructions == nothing
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "cannot-join", "present"])
+    def test_bytes_that_do_not_decode_whole_install_nothing(self, damage):
+        source, _twin, target = handoff_engines()
+        payload = source.extract_series(HANDED)
+        header, body = unframe(payload)
+        if damage == "flip":
+            # every byte of the framing, and the header's first and last
+            (length,) = struct.unpack_from("<I", payload, 4)
+            cases = [*range(8), 8, 8 + length - 1]
+            broken = []
+            for offset in cases:
+                flipped = bytearray(payload)
+                flipped[offset] ^= 0x01
+                broken.append(bytes(flipped))
+        elif damage == "truncate":
+            size = len(payload)
+            broken = [payload[:cut] for cut in (0, 3, 8, 40, size // 2, size - 1)]
+        elif damage == "cannot-join":
+            # consistent in itself; it is the target's group that refuses
+            for group in header["groups"]:
+                if group["meta"]["spec"] == SPEC_A.to_dict():
+                    group["meta"]["kernel"]["epsilon"] *= 2
+            broken = [reframe(header, body)]
+        else:
+            target.process("b-1", 1.0)  # a key the payload also carries
+            broken = [payload]
+        before = fleet_shape(target)
+        for bad in broken:
+            if damage == "present":
+                with pytest.raises(ValueError, match="already present"):
+                    target.adopt_series(bad)
+            else:
+                with pytest.raises(CorruptCheckpointError):
+                    target.adopt_series(bad)
+            assert fleet_shape(target) == before
+        with pytest.raises(TypeError, match="bytes"):
+            target.adopt_series({"a-0": None})
+
+
+# --------------------------------------------------------------------------
 # a store the parent commit wrote
 # --------------------------------------------------------------------------
 
@@ -856,24 +1006,3 @@ class TestAStoreWrittenByFormat3:
         assert reopened.keys() == reference.keys()
         v3_continue(reopened, reference)
         reopened.close(checkpoint=False)
-
-    def test_a_save_file_and_a_handoff_payload_of_format_3_still_load(self):
-        restored = MultiSeriesEngine.load(DATA / "v3_save_file.ckpt")
-        reference = v3_reference(with_tail=False)
-        adopted = MultiSeriesEngine.from_spec(reference.spec)
-        adopted.adopt_series(pickle.loads((DATA / "v3_extract_payload.pkl").read_bytes()))
-        keys = V3_KEYS + ["late"]
-        streams = dict(zip(V3_KEYS, V3_DATA.T), late=V3_LATE)
-        block = np.column_stack(
-            [streams[key][(5 if key == "late" else 40) :][:30] for key in keys]
-        )
-        expected = reference.ingest_grid(keys, block)
-        assert outputs(restored.ingest_grid(keys, block)) == outputs(expected)
-        moved = [key for key in keys if key != "m-09"]
-        columns = [keys.index(key) for key in moved]
-        got = adopted.ingest_grid(moved, block[:, columns])
-        for name in IngestResult.FIELDS:
-            assert (
-                getattr(got, name).reshape(30, -1).tobytes()
-                == getattr(expected, name).reshape(30, -1)[:, columns].tobytes()
-            )

@@ -21,11 +21,9 @@ from repro.durability import (
     CheckpointVersionError,
     CorruptCheckpointError,
     DirectoryCheckpointStore,
-    SingleSnapshotStore,
     StoreLock,
     StoreLockedError,
     atomic_write_bytes,
-    migrate_snapshot_payload,
 )
 from repro.durability.format import (
     CHECKPOINT_FORMAT_VERSION,
@@ -35,6 +33,7 @@ from repro.durability.format import (
     next_wal_name,
     validate_manifest,
     wal_name,
+    wal_position,
 )
 
 
@@ -229,6 +228,49 @@ class TestManifestAndSegments:
         assert str(CHECKPOINT_FORMAT_VERSION) in message
         assert "format_version" in message
 
+    @staticmethod
+    def _two_cohorts():
+        cohorts = [
+            {"id": 0, "segment": "seg-00000002-000000.seg", "series": 3, "crc": 7},
+            {"id": 1, "segment": "seg-00000001-000001.seg", "series": 2},
+        ]
+        return build_manifest(2, {}, cohorts, wal_name(2))
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            pytest.param(("cohorts", 0, "id"), "x", id="id-str"),
+            pytest.param(("cohorts", 0, "id"), None, id="id-null"),
+            pytest.param(("cohorts", 0, "id"), True, id="id-bool"),
+            pytest.param(("cohorts", 0, "id"), 1.5, id="id-float"),
+            pytest.param(("cohorts", 0, "id"), -1, id="id-negative"),
+            pytest.param(("cohorts", 0, "id"), 1, id="id-duplicate"),
+            pytest.param(("cohorts", 1, "series"), "2", id="series-str"),
+            pytest.param(("cohorts", 1, "series"), 2.0, id="series-float"),
+            pytest.param(("cohorts", 0, "crc"), "7", id="crc-str"),
+            pytest.param(("cohorts", 0, "crc"), -7, id="crc-negative"),
+            pytest.param(("generation",), "x", id="generation-str"),
+            pytest.param(("generation",), -2, id="generation-negative"),
+            pytest.param(("generation",), False, id="generation-bool"),
+            # the chain still starts at generation 2's part
+            pytest.param(("generation",), 1, id="generation-behind-its-wal"),
+            pytest.param(("format_version",), "4", id="format-str"),
+            pytest.param(("format_version",), True, id="format-bool"),
+        ],
+    )
+    def test_what_recovery_reads_as_a_number_is_one(self, where, value):
+        manifest = self._two_cohorts()
+        validate_manifest(manifest, "store")
+        *path, field = where
+        target = manifest
+        for step in path:
+            target = target[step]
+        target[field] = value
+        with pytest.raises(CorruptCheckpointError) as error:
+            validate_manifest(manifest, "store")
+        assert error.value.problem == "invalid"
+        assert "store" in str(error.value)
+
     def test_manifest_missing_keys_lists_them(self, tmp_path):
         with pytest.raises(CorruptCheckpointError, match="cohorts"):
             validate_manifest(
@@ -273,56 +315,6 @@ class TestWalRecordCodec:
     def test_non_tuple_payload_rejected(self):
         with pytest.raises(CorruptCheckpointError, match="kind"):
             decode_wal_record(pickle.dumps({"not": "a tuple"}), "wal-file")
-
-
-class TestSnapshotMigration:
-    def test_v1_payload_upgrades_in_place(self):
-        migrated = migrate_snapshot_payload(
-            {"format_version": 1, "engine_spec": {}, "series": {}}, "ckpt"
-        )
-        assert migrated["format_version"] == CHECKPOINT_FORMAT_VERSION
-        assert migrated["generation"] == 0
-
-    def test_future_version_names_everything(self):
-        with pytest.raises(CheckpointVersionError) as error:
-            migrate_snapshot_payload({"format_version": 42}, "some.ckpt")
-        message = str(error.value)
-        assert "some.ckpt" in message and "42" in message
-        assert str(CHECKPOINT_FORMAT_VERSION) in message
-
-    def test_non_mapping_payload_rejected(self):
-        with pytest.raises(CorruptCheckpointError, match="format_version"):
-            migrate_snapshot_payload(["not", "a", "dict"], "some.ckpt")
-
-
-class TestSingleSnapshotStore:
-    def test_round_trip(self, tmp_path):
-        store = SingleSnapshotStore(tmp_path / "snap.ckpt")
-        store.write({"format_version": CHECKPOINT_FORMAT_VERSION})
-        assert store.read() == {"format_version": CHECKPOINT_FORMAT_VERSION}
-
-    def test_crash_mid_write_keeps_previous_snapshot(self, tmp_path):
-        store = SingleSnapshotStore(tmp_path / "snap.ckpt")
-        store.write({"value": "old"})
-
-        def boom():
-            raise SimulatedCrash("mid-save")
-
-        with pytest.raises(SimulatedCrash):
-            store.write({"value": "new"}, pre_replace_hook=boom)
-        assert store.read() == {"value": "old"}
-
-    def test_unreadable_pickle_names_the_file(self, tmp_path):
-        path = tmp_path / "snap.ckpt"
-        path.write_bytes(b"this is not a pickle")
-        with pytest.raises(CorruptCheckpointError) as error:
-            SingleSnapshotStore(path).read()
-        assert str(path) in str(error.value)
-
-    def test_accepts_pathlike(self, tmp_path):
-        store = SingleSnapshotStore(PathLikeWrapper(tmp_path / "snap.ckpt"))
-        store.write({"ok": True})
-        assert SingleSnapshotStore(tmp_path / "snap.ckpt").read() == {"ok": True}
 
 
 class TestStoreLock:
@@ -514,10 +506,12 @@ class TestWalRotation:
         assert next_wal_name(wal_name(3)) == wal_name(3, 1)
         assert next_wal_name(wal_name(3, 41)) == wal_name(3, 42)
 
-    def test_next_wal_name_continues_a_legacy_chain(self):
-        # v2 stores named segments wal-GGGGGGGG.log; rotation of a
-        # recovered legacy segment continues at part 1.
-        assert next_wal_name("wal-00000007.log") == wal_name(7, 1)
+    def test_a_name_without_a_part_is_no_wal_part(self):
+        # Format 2 named one WAL file per generation, wal-GGGGGGGG.log;
+        # no store this build opens can name one.
+        assert wal_position("wal-00000007.log") is None
+        with pytest.raises(ValueError, match="WAL segment name"):
+            next_wal_name("wal-00000007.log")
 
     def test_next_wal_name_rejects_foreign_names(self):
         with pytest.raises(ValueError, match="WAL segment name"):
@@ -596,13 +590,17 @@ class TestManifestWalChain:
         manifest = build_manifest(2, {}, [], chain)
         assert manifest["wal"] == chain
 
-    def test_v2_manifest_migrates_on_validate(self):
-        manifest = build_manifest(1, {"fake": "spec"}, [], "wal-00000001.log")
-        manifest["format_version"] = 2
-        manifest["wal"] = "wal-00000001.log"  # v2 stored a single name
-        validated = validate_manifest(manifest, "store")
-        assert validated["format_version"] == CHECKPOINT_FORMAT_VERSION
-        assert validated["wal"] == ["wal-00000001.log"]
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_manifest_of_format_1_or_2_is_refused_by_name(self, version):
+        manifest = build_manifest(1, {"fake": "spec"}, [], wal_name(1))
+        manifest["format_version"] = version
+        with pytest.raises(CheckpointVersionError) as error:
+            validate_manifest(manifest, "store")
+        assert (error.value.found, error.value.expected) == (
+            version,
+            CHECKPOINT_FORMAT_VERSION,
+        )
+        assert "store" in str(error.value)
 
     def test_malformed_wal_chain_rejected(self):
         manifest = build_manifest(0, {}, [], wal_name(0))
@@ -612,14 +610,3 @@ class TestManifestWalChain:
         manifest["wal"] = [wal_name(0), 7]
         with pytest.raises(CorruptCheckpointError, match="WAL segment names"):
             validate_manifest(manifest, "store")
-
-    def test_v2_snapshot_payload_migrates(self):
-        payload = {
-            "format_version": 2,
-            "engine_spec": {"fake": "spec"},
-            "series": {},
-            "generation": 5,
-        }
-        migrated = migrate_snapshot_payload(payload, "snap")
-        assert migrated["format_version"] == CHECKPOINT_FORMAT_VERSION
-        assert migrated["generation"] == 5

@@ -11,9 +11,11 @@ Three tiers of evidence:
   ``strict | truncate | quarantine`` recovery policies -- quarantine
   must name exactly the cohort keys it dropped and serve the rest --
   and, because both read the store through one walk, a property over
-  {artifact x flip/truncate/delete x offset}: ``verify().ok`` iff a
-  strict open succeeds, and a tolerant recovery's state is the scalar
-  reference fed exactly the replayed prefix;
+  {artifact x flip/truncate/delete x offset, and manifest fields set to
+  what is not a number or a format this build reads}: ``verify().ok``
+  iff a strict open succeeds, what opens strictly keeps every series
+  through a checkpoint and a reopen, and a tolerant recovery's state is
+  the scalar reference fed exactly the replayed prefix;
 * cross-process supervision tests: a parametrized {boundary x injector}
   fault matrix against an uninterrupted twin engine (the survived
   verdict and the recovered stream must both match what the boundary
@@ -38,8 +40,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.durability import (
+    CHECKPOINT_FORMAT_VERSION,
     RECOVERY_POLICIES,
     CheckpointError,
+    CheckpointVersionError,
     CorruptCheckpointError,
     DirectoryCheckpointStore,
 )
@@ -725,6 +729,31 @@ def pristine(tmp_path_factory):
     return stores
 
 
+#: a manifest field set to what recovery cannot read as a number (or a
+#: format this build no longer reads): ``(field, value)``
+MANIFEST_EDITS = st.one_of(
+    st.tuples(
+        st.just("cohort_id"), st.sampled_from(["x", None, True, 1.5, "duplicate"])
+    ),
+    st.tuples(
+        st.just("generation"),
+        st.one_of(st.text(max_size=3), st.integers(max_value=-1)),
+    ),
+    st.tuples(st.just("format_version"), st.sampled_from([1, 2])),
+)
+
+
+def edit_manifest_field(path, edit: tuple) -> None:
+    field, value = edit
+    manifest = json.loads(path.read_text())
+    if field == "cohort_id":
+        cohorts = manifest["cohorts"]
+        cohorts[-1]["id"] = cohorts[0]["id"] if value == "duplicate" else value
+    else:
+        manifest[field] = value
+    path.write_text(json.dumps(manifest))
+
+
 def damage_artifact(path, kind: str, offset: int) -> None:
     if kind == "delete":
         path.unlink()
@@ -750,10 +779,10 @@ class TestVerifyAgreesWithRecovery:
         )
         artifact = data.draw(st.sampled_from(artifacts), label="artifact")
         size = (source / artifact).stat().st_size
-        kind = data.draw(
-            st.sampled_from(["flip", "truncate", "delete"] if size else ["delete"]),
-            label="damage",
-        )
+        manifest = artifact == "MANIFEST.json"
+        kinds = ["flip", "truncate", "delete"] if size else ["delete"]
+        kind = data.draw(st.sampled_from(kinds + ["field"] * manifest), label="damage")
+        edit = data.draw(MANIFEST_EDITS, label="edit") if kind == "field" else None
         start, stop = 0, max(size, 1)
         if artifact.startswith("segments/") and kind != "delete":
             # Aim: the framing, the header, every kind of array section
@@ -762,7 +791,6 @@ class TestVerifyAgreesWithRecovery:
             region = data.draw(st.sampled_from(sorted(regions)), label="region")
             start, stop = regions[region]
         offset = data.draw(st.integers(start, stop - 1), label="offset")
-        manifest = artifact == "MANIFEST.json"
         written = len(views) - 1
 
         with tempfile.TemporaryDirectory() as scratch:
@@ -770,7 +798,10 @@ class TestVerifyAgreesWithRecovery:
             for policy in RECOVERY_POLICIES:
                 copy = Path(scratch) / policy
                 shutil.copytree(source, copy)
-                damage_artifact(copy / artifact, kind, offset)
+                if edit is None:
+                    damage_artifact(copy / artifact, kind, offset)
+                else:
+                    edit_manifest_field(copy / artifact, edit)
                 stores.append(copy)
             strict_path, *tolerant = stores
             if manifest and kind == "flip":
@@ -789,12 +820,28 @@ class TestVerifyAgreesWithRecovery:
             untouched = tree_bytes(strict_path)
             ok = DirectoryCheckpointStore(strict_path).verify().ok
             try:
-                strict_open(strict_path).close(checkpoint=False)
-                opened = True
-            except CheckpointError:
+                engine = strict_open(strict_path)
+            except CheckpointError as error:
                 opened = False
                 assert tree_bytes(strict_path) == untouched
+                if edit is not None and edit[0] == "format_version":
+                    assert isinstance(error, CheckpointVersionError)
+                    assert (error.found, error.expected) == (
+                        edit[1],
+                        CHECKPOINT_FORMAT_VERSION,
+                    )
+            else:
+                opened = True
+                # What opens strictly keeps every series through the
+                # next checkpoint and a reopen.
+                kept = series_view(engine)
+                engine.checkpoint()
+                engine.close(checkpoint=False)
+                again = strict_open(strict_path)
+                assert series_view(again) == kept
+                again.close(checkpoint=False)
             assert ok == opened
+            assert not (opened and edit is not None)
 
             part = Path(artifact).name
             frames = ends.get(part, [])

@@ -1805,40 +1805,39 @@ class TestKernelCheckpointing:
             for position in range(start, stop)
         ]
 
-    def test_save_load_round_trip_through_kernel(self, tmp_path):
+    def test_checkpoint_open_round_trip_through_kernel(self, tmp_path):
         data = {f"m-{i}": fleet_series(i, length=PERIOD * 12) for i in range(8)}
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
         engine.kernel_min_cohort = 2
         for batch in self.run_batches(data, 0, PERIOD * 8):
             engine.ingest(batch)
         assert engine._absorbed
-        path = tmp_path / "fleet.ckpt"
-        engine.save(path)
+        engine.attach_store(tmp_path / "store")
+        engine.close()
 
-        restored = MultiSeriesEngine.load(path)
-        restored.kernel_min_cohort = 2
+        restored = MultiSeriesEngine.open(tmp_path / "store")
+        # What was a column when checkpointed is a column when opened.
+        assert set(restored._absorbed) == set(engine._absorbed)
         tail = self.run_batches(data, PERIOD * 8, PERIOD * 12)
         continued = [engine.ingest(batch) for batch in tail]
         reloaded = [restored.ingest(batch) for batch in tail]
         for before, after in zip(continued, reloaded):
             assert [r.record for r in before] == [r.record for r in after]
-        # The restored engine re-absorbs its fleet on the batched path.
-        assert restored._absorbed
 
     def test_checkpoint_format_is_identical_to_scalar_path(self, tmp_path):
-        """A kernel-run engine saves the exact checkpoint a scalar run saves."""
+        """A kernel-run engine checkpoints the state a scalar run does."""
         data = {f"m-{i}": fleet_series(i) for i in range(8)}
         fast, reference = engine_pair(8, track_latency=False)
         for batch in self.run_batches(data, 0, PERIOD * 8):
             fast.ingest(batch)
             reference.ingest(batch)
         assert fast._absorbed and not reference._absorbed
-        fast_path = tmp_path / "fast.ckpt"
-        reference_path = tmp_path / "reference.ckpt"
-        fast.save(fast_path)
-        reference.save(reference_path)
-        fast_engine = MultiSeriesEngine.load(fast_path)
-        reference_engine = MultiSeriesEngine.load(reference_path)
+        reopened = []
+        for name, engine in (("fast", fast), ("reference", reference)):
+            engine.attach_store(tmp_path / name)
+            engine.close()
+            reopened.append(MultiSeriesEngine.open(tmp_path / name))
+        fast_engine, reference_engine = reopened
         record_fast = fast_engine.process("m-0", 0.25)
         record_reference = reference_engine.process("m-0", 0.25)
         assert record_fast.record == record_reference.record

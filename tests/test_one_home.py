@@ -9,9 +9,9 @@ state where a boundary needs it.  Pinned here:
 * reads are pure: interleaving them changes no later output and no byte
   of the next checkpoint, and everything equals the scalar reference
   (``fleet_kernel_enabled = False``) float for float;
-* ``snapshot`` / ``save`` / ``extract_series`` still speak ``{key:
-  _SeriesState}``; a store segment (format 4) is the columns themselves,
-  and holds the same state whichever home wrote it.
+* ``snapshot`` still speaks ``{key: _SeriesState}``; a store segment
+  (format 4) -- and an ``extract_series`` payload, which is one -- is the
+  columns themselves, and holds the same state whichever home wrote it.
 """
 
 import gc
@@ -125,7 +125,7 @@ class TestAGroupHasNoDeadColumns:
         target.ingest_grid(locals_, STREAMS[: self.CUT, :8] + 1.0)
         moved = [KEYS[i] for i in self.MOVED]
         stayed = [KEYS[i] for i in self.STAYED]
-        target.adopt_series(pickle.loads(pickle.dumps(donor.extract_series(moved))))
+        target.adopt_series(donor.extract_series(moved))
 
         (group,) = donor._groups.values()
         assert group.keys == stayed and group.kernel.n_series == len(stayed)
@@ -336,10 +336,11 @@ class TestLatencyRingHasOneHome:
     def test_adopted_ring_of_another_capacity_keeps_the_newest_in_order(self):
         donor = MultiSeriesEngine.for_oneshotstl(PERIOD, latency_window=64)
         donor.ingest_grid(KEYS, STREAMS[: INIT + 40])
-        states = donor.extract_series(KEYS)
-        for position, state in enumerate(states.values()):
-            state.latencies.clear()
-            state.latencies.extend(position + np.arange(40.0))  # oldest first
+        for position, key in enumerate(KEYS):
+            group, column = donor._absorbed[key]
+            group.latency_values[column, :40] = position + np.arange(40.0)
+            group.latency_counts[column] = 40  # oldest first
+        payload = donor.extract_series(KEYS)
 
         # Narrower and wider than the donor's 64; an engine that records
         # nothing itself only allocates the ring because history arrived.
@@ -347,9 +348,9 @@ class TestLatencyRingHasOneHome:
             engine = MultiSeriesEngine.for_oneshotstl(
                 PERIOD, latency_window=window, track_latency=tracking
             )
-            engine.adopt_series(pickle.loads(pickle.dumps(states)))
+            engine.adopt_series(payload)
+            assert set(engine._absorbed) == set(KEYS)  # columns at once
             engine.ingest_grid(KEYS, STREAMS[INIT + 40 : INIT + 42])
-            assert set(engine._absorbed) == set(KEYS)
             recorded = 2 if tracking else 0
             kept = min(40 + recorded, window)
             for position, key in enumerate(KEYS):
@@ -407,10 +408,10 @@ class _RecordingUnpickler(pickle.Unpickler):
 
 
 class TestStoreFormatV3:
-    """What a segment's fallback section, a ``save`` file and an
-    ``extract_series`` payload name when unpickled -- the classes a
-    store written by an earlier build (all fallback) needs to find, where
-    it needs to find them.  A series that is a column names none."""
+    """What the fallback section of a segment or an ``extract_series``
+    payload names when unpickled -- the classes a store written by an
+    earlier build (all fallback) needs to find, where it needs to find
+    them.  A series that is a column names none."""
 
     GLOBALS = {
         "repro.streaming.engine._SeriesState",
@@ -461,12 +462,12 @@ class TestStoreFormatV3:
                 engine._store.read_segment(name), name
             )
             assert len(groups) == kernel
-            payloads = []
-            engine.save(tmp_path / "fleet.ckpt")
-            payloads.append((tmp_path / "fleet.ckpt").read_bytes())
-            payloads.append(pickle.dumps(engine.extract_series(KEYS[:3])))
-            for payload in payloads:
-                assert self.names(payload) == self.GLOBALS
+            # A handoff payload is a segment too, with the same split.
+            handoff, extracted = split_segment(
+                engine.extract_series([*KEYS[:3], "warming"]), "payload"
+            )
+            assert len(handoff) == kernel
+            assert self.names(extracted) == self.names(fallbacks[kernel])
             engine.close()
         # Columns name no class: only the warming key is pickled beside
         # them.  With every series in a scalar home the fallback *is* the

@@ -550,11 +550,14 @@ class TestElasticity:
             moved_in = router.add_shard(
                 ShardSpec("shard-xyz", str(tmp_path / "xyz"))
             )
-            assert moved_in > 0
+            # The count of series moved, not of bytes shipped.
+            assert moved_in == sum(router.shard_of(key) == "shard-xyz" for key in data)
+            assert 0 < moved_in < len(data)
             assert "shard-xyz" in router.shard_ids
 
+            resident = sum(router.shard_of(key) == "shard-000" for key in data)
             moved_out = router.remove_shard("shard-000")
-            assert moved_out > 0
+            assert moved_out == resident > 0
             assert "shard-000" not in router.shard_ids
 
             tail = slice_batch(data, cut, LENGTH)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.durability import CorruptCheckpointError
+from repro.durability.format import decode_segment
 from repro.solvers import (
     BandedLDLT,
     IncrementalBandedLDLT,
@@ -436,83 +438,33 @@ class TestRollback:
 
 
 class TestParentStoreMigration:
-    """A store written before the solver was born in Schur form pickled,
-    for a series with fewer than six online points, a dense-mode solver."""
+    """A solver pickled before it was born in Schur form -- in the dense
+    mode of a short system, or already incremental -- carries an
+    ``_incremental`` flag; it is refused, never installed as it is."""
 
-    @staticmethod
-    def _load(state):
-        solver = IncrementalBandedLDLT.__new__(IncrementalBandedLDLT)
-        solver.__setstate__(state)
-        return solver
-
-    @pytest.mark.parametrize("size", [2, 6, 10])
-    def test_dense_mode_state_folds_into_the_schur_form(self, size):
-        rng = np.random.default_rng(31 + size)
+    @pytest.mark.parametrize("incremental", [False, True], ids=["dense", "schur"])
+    def test_a_pre_schur_pickle_is_refused(self, incremental):
         w = 4
-        reference = DenseReference()
-        while reference.matrix.shape[0] < size:
-            updates, rhs_new = _random_growth_step(
-                rng, reference.matrix.shape[0], 2, w
-            )
-            reference.extend(2, updates, rhs_new)
-        solver = self._load(
-            {
-                "half_bandwidth": w,
-                "warmup_size": 3 * w,
-                "size": size,
-                "_dense_matrix": reference.matrix.copy(),
-                "_dense_rhs": reference.rhs.copy(),
-                "_incremental": False,
-                "_m_trail": [[0.0] * w for _ in range(w)],
-                "_bp_trail": [0.0] * w,
-                "_undo": (size - 2, False, np.zeros((0, 0)), np.zeros(0), [], []),
-            }
-        )
-        assert vars(solver).keys() == vars(IncrementalBandedLDLT(w)).keys()
-        assert solver.size == size
-        with pytest.raises(ValueError):
-            solver.rollback()  # the retired form's undo level is not kept
-        count = min(w, size)
-        np.testing.assert_allclose(
-            solver.tail_solution(count),
-            reference.tail_solution(count),
-            rtol=0,
-            atol=1e-12,
-        )
-        for _ in range(3):
-            updates, rhs_new = _random_growth_step(rng, solver.size, 2, w)
-            solver.extend(2, updates, rhs_new)
-            reference.extend(2, updates, rhs_new)
-            np.testing.assert_allclose(
-                solver.tail_solution(w), reference.tail_solution(w), rtol=0, atol=1e-12
-            )
-
-    def test_incremental_mode_state_loads_as_it_is(self):
-        rng = np.random.default_rng(37)
-        w = 4
-        live = IncrementalBandedLDLT(w)
-        for _ in range(8):
-            updates, rhs_new = _random_growth_step(rng, live.size, 2, w)
-            live.extend(2, updates, rhs_new)
-        solver = self._load(
-            {
-                "half_bandwidth": w,
-                "warmup_size": 3 * w,
-                "size": live.size,
-                "_dense_matrix": None,
-                "_dense_rhs": None,
-                "_incremental": True,
-                "_m_trail": [row[:] for row in live._m_trail],
-                "_bp_trail": live._bp_trail[:],
-                "_undo": None,
-            }
-        )
-        assert vars(solver).keys() == vars(live).keys()
-        assert (solver.size, solver._m_trail, solver._bp_trail) == (
-            live.size,
-            live._m_trail,
-            live._bp_trail,
-        )
+        state = {
+            "half_bandwidth": w,
+            "warmup_size": 3 * w,
+            "size": 2,
+            "_dense_matrix": None if incremental else np.eye(2),
+            "_dense_rhs": None if incremental else np.zeros(2),
+            "_incremental": incremental,
+            "_m_trail": [[0.0] * w for _ in range(w)],
+            "_bp_trail": [0.0] * w,
+            "_undo": None,
+        }
+        stale = IncrementalBandedLDLT(w)
+        vars(stale).update(state)  # the attributes an older build pickled
+        payload = pickle.dumps(stale)
+        with pytest.raises(ValueError, match="_incremental"):
+            pickle.loads(payload)
+        # ... which a store reader reports as an undecodable segment.
+        with pytest.raises(CorruptCheckpointError) as error:
+            decode_segment(pickle.dumps({"m": stale}), "seg")
+        assert error.value.problem == "undecodable"
 
     def test_current_pickle_round_trips_with_its_undo_level(self):
         rng = np.random.default_rng(38)
