@@ -22,6 +22,7 @@ RULES: dict[str, str] = {
     "SPEC001": "spec dataclass field is not a JSON primitive or nested spec",
     "PRIV001": "sharding/serving code reads a private attribute off another object",
     "PKL001": "module imports a pickle-family serializer outside the allowlist",
+    "MAT001": "kernel columns are materialized outside the scalar boundaries",
     "SUP001": "suppression names an unknown rule id",
     "SUP002": "suppression does not state a reason",
     "PARSE001": "source file does not parse",

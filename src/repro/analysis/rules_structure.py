@@ -1,4 +1,4 @@
-"""SLOTS001 / SPEC001 / PRIV001 / PKL001: structural discipline rules.
+"""SLOTS001 / SPEC001 / PRIV001 / PKL001 / MAT001: structural discipline rules.
 
 * **SLOTS001** -- dataclasses defined under ``core/``, ``solvers/`` or
   ``streaming/`` must declare ``slots=True``.  These are the modules whose
@@ -22,6 +22,12 @@
   (named arrays plus a JSON header); pickle is left only where
   ``durability/format.py`` encodes WAL records and a segment's fallback
   section, so a new serialization path has to say why it is not those.
+* **MAT001** -- ``_FleetGroup.materialize`` (any ``.materialize(...)``
+  call under ``repro``) may be called only from the functions in
+  :data:`MATERIALIZE_CALLERS`.  An absorbed series is its kernel column,
+  and every write advances the column; scalar state is built from it only
+  for ``snapshot`` and a segment's fallback section (``_materialized``)
+  and for the rare cell the kernel hands back (``_process_unlogged``).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from pathlib import PurePath
 
 from repro.analysis.findings import Finding
 
-__all__ = ["PICKLE_ALLOWLIST", "check"]
+__all__ = ["MATERIALIZE_CALLERS", "PICKLE_ALLOWLIST", "check"]
 
 _SLOTTED_DIRS = frozenset({"core", "solvers", "streaming"})
 _UPPER_TIER_DIRS = frozenset({"sharding", "serving"})
@@ -39,6 +45,8 @@ _PRIMITIVES = frozenset({"str", "int", "float", "bool", "dict", "list", "tuple"}
 _PICKLE_MODULES = frozenset({"pickle", "cPickle", "_pickle", "shelve", "marshal", "dill"})
 #: the modules under ``repro`` that may import one, as path-part suffixes
 PICKLE_ALLOWLIST = (("durability", "format.py"),)
+#: the functions that may build scalar state from kernel columns
+MATERIALIZE_CALLERS = frozenset({"_materialized", "_process_unlogged"})
 
 
 def _dataclass_decorator(cls: ast.ClassDef) -> ast.expr | ast.Call | None:
@@ -183,6 +191,35 @@ def _check_pickle_imports(tree: ast.AST, path: str, findings: list[Finding]) -> 
                 )
 
 
+def _check_materialize_calls(
+    node: ast.AST, function: str | None, path: str, findings: list[Finding]
+) -> None:
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # a function nested in an allowed caller is part of it
+            inner = function if function in MATERIALIZE_CALLERS else child.name
+            _check_materialize_calls(child, inner, path, findings)
+            continue
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Attribute)
+            and child.func.attr == "materialize"
+            and function not in MATERIALIZE_CALLERS
+        ):
+            findings.append(
+                Finding(
+                    path,
+                    child.lineno,
+                    "MAT001",
+                    f"'{ast.unparse(child.func)}' builds scalar state from "
+                    f"kernel columns in {function or 'module scope'}; only "
+                    f"{', '.join(sorted(MATERIALIZE_CALLERS))} may -- a "
+                    "write advances the columns",
+                )
+            )
+        _check_materialize_calls(child, function, path, findings)
+
+
 def check(tree: ast.AST, path: str) -> list[Finding]:
     """Run the structural rules that apply to ``path``."""
     findings: list[Finding] = []
@@ -195,6 +232,8 @@ def check(tree: ast.AST, path: str) -> list[Finding]:
         parts[-len(allowed) :] == allowed for allowed in PICKLE_ALLOWLIST
     ):
         _check_pickle_imports(tree, path, findings)
+    if "repro" in parts:
+        _check_materialize_calls(tree, None, path, findings)
     if parts and parts[-1] == "specs.py":
         _check_spec_fields(tree, path, findings)
     return findings

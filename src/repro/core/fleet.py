@@ -93,6 +93,7 @@ streaming engine (:mod:`repro.streaming.engine`).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from itertools import chain
@@ -129,6 +130,22 @@ _MAX_BLOCK_ROUNDS = 64
 _native_run: tuple | None = None
 #: :func:`kernel_backend`'s answer, None until the body has been chosen
 _backend: dict | None = None
+
+#: what :meth:`FleetKernel.select` hands a gathered copy as it is: the
+#: configuration, what the constructor derives from it, the native scratch
+_SHARED = (
+    "period",
+    "lambda1",
+    "lambda2",
+    "iterations",
+    "shift_window",
+    "shift_threshold",
+    "epsilon",
+    "_pair_steps",
+    "_pair_iterations",
+    "_shifts",
+    "_scratch",
+)
 
 
 def kernel_backend() -> dict:
@@ -214,6 +231,19 @@ def _same_bits(routines: tuple) -> bool:
             b"".join(array.tobytes() for array in (outputs, pairs, *working))
         )
     return images[0] == images[1]
+
+
+def _address(array: np.ndarray) -> int:
+    """``array.ctypes.data`` at a third of the cost.
+
+    ``ctypes`` reads the address off a zero-copy view of the buffer; an
+    array the buffer protocol will not export writable and whole (rows
+    with gaps, read-only, empty) takes the slow way.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError, BufferError):
+        return array.ctypes.data
 
 
 def _row_stride(block: np.ndarray) -> int:
@@ -333,9 +363,9 @@ class ColumnarNSigma:
         return ColumnarNSigma(
             self.threshold,
             self.minimum_std,
-            self.count[columns],
-            self.mean[columns],
-            self.m2[columns],
+            self.count.take(columns),
+            self.mean.take(columns),
+            self.m2.take(columns),
         )
 
     def copy(self) -> "ColumnarNSigma":
@@ -487,9 +517,11 @@ class FleetKernel:
         self._shifts = np.array(list(by_phase.values()))
         # Run workspaces (allocated lazily, sized to the widest run seen):
         # purely an allocation-avoidance cache -- no decomposition state
-        # lives here between runs.
+        # lives here between runs.  The native body's scratch depends on
+        # the iteration count alone, so a gathered sub-kernel shares it.
         self._workspaces: tuple | None = None
-        self._native_workspace: tuple | None = None
+        self._pairs_out: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
         if _backend is None:
             kernel_backend()
 
@@ -713,17 +745,30 @@ class FleetKernel:
         self._n += other._n
 
     def select(self, columns: np.ndarray) -> "FleetKernel":
-        """Gathered copy of the members at ``columns``."""
-        sub = FleetKernel(self.get_params(), len(columns))
-        sub.seasonal_buffer = self.seasonal_buffer[columns]
-        sub.global_index = self.global_index[columns]
-        sub.points_processed = self.points_processed[columns]
-        sub.last_trend = self.last_trend[columns]
-        sub.last_detection_residual = self.last_detection_residual[columns]
-        sub.last_applied_shift = self.last_applied_shift[columns]
+        """Gathered copy of the members at ``columns``.
+
+        Only their columns are copied (``columns`` index members,
+        ``[0, n_series)``).  The configuration and what the constructor
+        derives from it (the shift table, the pair steps) are immutable,
+        and the native scratch holds nothing between runs, so the copy
+        shares them instead of re-deriving them: a narrow advance costs
+        O(width), not O(configuration).
+        """
+        sub = FleetKernel.__new__(FleetKernel)
+        state = vars(self)
+        vars(sub).update({name: state[name] for name in _SHARED})
+        sub._n = len(columns)
+        sub._arange = sub._workspaces = sub._pairs_out = None
+        sub.seasonal_buffer = self.seasonal_buffer.take(columns, 0)
+        sub.global_index = self.global_index.take(columns)
+        sub.points_processed = self.points_processed.take(columns)
+        sub.last_trend = self.last_trend.take(columns)
+        sub.last_detection_residual = self.last_detection_residual.take(columns)
+        sub.last_applied_shift = self.last_applied_shift.take(columns)
         sub.monitor = self.monitor.select(columns)
         sub.solver = self.solver.select(columns)
-        sub._pairs = np.take(self.trend_pairs, columns, axis=-1)
+        # the capacity buffer: ``take`` copies a non-contiguous array whole
+        sub._pairs = self._pairs.take(columns, -1)
         return sub
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -860,9 +905,7 @@ class FleetKernel:
         """
         if columns is not None:
             columns = np.asarray(columns, dtype=np.intp)
-            member = np.zeros(self._n, dtype=bool)
-            member[columns] = True
-            if np.count_nonzero(member) != columns.size:
+            if columns.size > 1 and len(set(columns.tolist())) != columns.size:
                 # A repeated member would advance as two gathered copies,
                 # return two result columns and scatter one state back.
                 raise ValueError("columns must not repeat a member")
@@ -1102,13 +1145,12 @@ class FleetKernel:
         n = self._n
         advance_run, scratch_doubles = routines
         pairs_in = self._pairs
-        workspace = self._native_workspace
-        if workspace is None or workspace[0].shape != pairs_in.shape:
-            self._native_workspace = workspace = (
-                np.empty_like(pairs_in),
-                np.empty(scratch_doubles(self.iterations)),
-            )
-        pairs_out, scratch = workspace
+        pairs_out = self._pairs_out
+        if pairs_out is None or pairs_out.shape != pairs_in.shape:
+            self._pairs_out = pairs_out = np.empty_like(pairs_in)
+        scratch = self._scratch
+        if scratch is None:
+            self._scratch = scratch = np.empty(scratch_doubles(self.iterations))
         block = values[start:stop]
         trend_block = trend_out[start:stop]
         seasonal_block = seasonal_out[start:stop]
@@ -1123,25 +1165,25 @@ class FleetKernel:
             stop - start,
             self.iterations,
             n,
-            blocks_in.ctypes.data,
-            rhs_in.ctypes.data,
-            blocks_out.ctypes.data,
-            rhs_out.ctypes.data,
+            _address(blocks_in),
+            _address(rhs_in),
+            _address(blocks_out),
+            _address(rhs_out),
             blocks_in.shape[-1],
-            pairs_in.ctypes.data,
-            pairs_out.ctypes.data,
+            _address(pairs_in),
+            _address(pairs_out),
             pairs_in.shape[-1],
-            block.ctypes.data,
+            _address(block),
             _row_stride(block),
-            anchors.ctypes.data,
-            points_processed.ctypes.data,
+            _address(anchors),
+            _address(points_processed),
             self.lambda1,
             self.lambda2,
             self.epsilon,
-            trend_block.ctypes.data,
-            seasonal_block.ctypes.data,
+            _address(trend_block),
+            _address(seasonal_block),
             out_stride,
-            scratch.ctypes.data,
+            _address(scratch),
         )
         return pairs_out[..., :n]
 

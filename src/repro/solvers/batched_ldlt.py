@@ -114,6 +114,13 @@ class BatchedIncrementalLDLT:
             raise ValueError(f"bp_trail must have shape ({w}, {iterations}, {n})")
         if sizes.shape != (iterations, n):
             raise ValueError(f"sizes must have shape ({iterations}, {n})")
+        self._adopt(w, m_trail, bp_trail, sizes)
+
+    def _adopt(
+        self, w: int, m_trail: np.ndarray, bp_trail: np.ndarray, sizes: np.ndarray
+    ) -> None:
+        """Take checked contiguous state as the committed side."""
+        iterations, n = sizes.shape
         self.half_bandwidth = w
         self._iterations = iterations
         self._n = n
@@ -285,17 +292,24 @@ class BatchedIncrementalLDLT:
         self._n += other._n
 
     def select(self, columns: np.ndarray) -> "BatchedIncrementalLDLT":
-        """Gathered copy of the members at ``columns``."""
-        m_state, b_state, s_state = self.state()
-        sub = BatchedIncrementalLDLT(
+        """Gathered copy of the members at ``columns``.
+
+        Only their columns are copied: ``ndarray.take`` of the committed
+        buffers (contiguous, unlike their ``[..., :n]`` views, which it
+        would copy whole first) returns contiguous state of the right
+        shapes, so nothing is checked again.  Same half bandwidth, same
+        validated pattern: a gathered stack that is advanced right away
+        (the fleet kernel's narrow advances and replays) does not
+        validate it again.  ``columns`` index members, ``[0, n_series)``.
+        """
+        cur = self._cur
+        sub = BatchedIncrementalLDLT.__new__(BatchedIncrementalLDLT)
+        sub._adopt(
             self.half_bandwidth,
-            np.take(m_state, columns, axis=-1),
-            np.take(b_state, columns, axis=-1),
-            np.take(s_state, columns, axis=-1),
+            self._m_buffers[cur].take(columns, -1),
+            self._b_buffers[cur].take(columns, -1),
+            self._s_buffers[cur].take(columns, -1),
         )
-        # Same half bandwidth, same validated pattern: a gathered stack
-        # that is advanced right away (the fleet kernel's replays) does
-        # not validate it again.
         sub._pattern_cache = self._pattern_cache
         return sub
 

@@ -60,18 +60,18 @@ keyed streams over the shared fast kernel, with
   per-key update-latency percentiles (via
   :func:`repro.streaming.latency.summarize_latencies`) across the fleet.
 
-A series has exactly one home.  While it is warming, not kernel-eligible
-or in too small a cohort it is an ordinary
-:class:`~repro.streaming.pipeline.StreamingPipeline` (plus counters); once
-absorbed it is a column of its cohort's kernel arrays and nothing else --
-the scalar objects are consumed by the absorption, reads (``forecast``,
-``series_stats``, ``fleet_stats``) come straight off the columns, and
-scalar state is built afresh, by one function, only where a boundary
-needs it (``snapshot`` and the single-key ``process``; a durable
-``checkpoint`` and a shard handoff write the columns as they are, and
-``open`` and ``adopt_series`` read them back as columns).  Either way
-the outputs are *identical* to running N independent pipelines by hand
--- the test suite asserts this.
+A series has exactly one home.  While it is warming or not kernel-eligible
+it is an ordinary :class:`~repro.streaming.pipeline.StreamingPipeline`
+(plus counters); from its first online point, in a cohort of any width,
+it is a column of its cohort's kernel arrays and nothing else: absorption
+consumes the scalar objects, every write (a lone ``process`` too)
+advances the column, reads (``forecast``, ``series_stats``,
+``fleet_stats``) come straight off it, and scalar state is built afresh,
+by one function, only for ``snapshot`` and the rare cell the kernel hands
+back (a ``checkpoint`` and a shard handoff write the columns as they are,
+``open`` and ``adopt_series`` read them back as columns).  Either way the
+outputs are *identical* to running N independent pipelines by hand -- the
+test suite asserts this.
 """
 
 from __future__ import annotations
@@ -224,14 +224,14 @@ class IngestResult:
         self._keys_cycle = list(keys_cycle)
         self._rounds = int(rounds)
         self.index = np.zeros(size, dtype=np.int64)
-        self.value = np.full(size, np.nan)
-        self.trend = np.full(size, np.nan)
-        self.seasonal = np.full(size, np.nan)
-        self.residual = np.full(size, np.nan)
-        self.anomaly_score = np.full(size, np.nan)
-        self.is_anomaly = np.zeros(size, dtype=bool)
-        self.detection_residual = np.full(size, np.nan)
-        self.live = np.zeros(size, dtype=bool)
+        # rows of two allocations: a tiny result costs two, not nine
+        floats = np.empty((6, size))
+        floats.fill(np.nan)
+        self.value, self.trend, self.seasonal = floats[0], floats[1], floats[2]
+        self.residual, self.detection_residual = floats[3], floats[4]
+        self.anomaly_score = floats[5]
+        flags = np.zeros((2, size), dtype=bool)
+        self.is_anomaly, self.live = flags[0], flags[1]
         #: sparse {position: EngineRecord} for rows that were produced by
         #: the scalar path (warming rows, off-kernel series): those records
         #: are returned verbatim instead of being rebuilt from the arrays.
@@ -300,15 +300,16 @@ class IngestResult:
         key = self._keys_cycle[position % len(self._keys_cycle)]
         if not self.live[position]:
             return EngineRecord(key=key, status=SeriesStatus.WARMING, record=None)
+        # ``ndarray.item`` yields the exact Python scalar
         record = StreamRecord(
-            index=int(self.index[position]),
-            value=float(self.value[position]),
-            trend=float(self.trend[position]),
-            seasonal=float(self.seasonal[position]),
-            residual=float(self.residual[position]),
-            anomaly_score=float(self.anomaly_score[position]),
-            is_anomaly=bool(self.is_anomaly[position]),
-            detection_residual=float(self.detection_residual[position]),
+            index=self.index.item(position),
+            value=self.value.item(position),
+            trend=self.trend.item(position),
+            seasonal=self.seasonal.item(position),
+            residual=self.residual.item(position),
+            anomaly_score=self.anomaly_score.item(position),
+            is_anomaly=self.is_anomaly.item(position),
+            detection_residual=self.detection_residual.item(position),
         )
         return EngineRecord(key=key, status=SeriesStatus.LIVE, record=record)
 
@@ -454,8 +455,9 @@ class _FleetGroup:
     (:meth:`from_columns`, :meth:`extend`) without a scalar object in
     between, so the arrays named there are part of the store format.
     The one way to scalar form is :meth:`materialize`, which builds
-    *fresh* states for ``snapshot``, the fallback section and the
-    single-key detour, and :meth:`load` takes one back after that detour.
+    *fresh* states for ``snapshot``, the fallback section and the rare
+    cell the kernel hands back, and :meth:`load` takes one back after
+    that cell.
     """
 
     __slots__ = (
@@ -697,10 +699,10 @@ class _FleetGroup:
         :meth:`FleetKernel.extract_many`), whatever the size of the group
         around the columns.  The states alias nothing in the group, so
         the caller owns them -- a snapshot hands them out, the fallback
-        section pickles those whose keys JSON cannot carry, a single-key
-        detour (or the non-finite hand-back) advances one and
-        :meth:`load` takes it back.  (A checkpoint or a handoff does not
-        come this way: it writes the columns, :meth:`save_columns`.)
+        section pickles those whose keys JSON cannot carry, and the
+        kernel's non-finite hand-back or a suspect cell advances one
+        (:meth:`load` takes it back).  A checkpoint, a handoff or a write
+        does not come this way: they use the columns as they are.
         """
         columns = np.asarray(columns, dtype=np.intp)
         models = self.kernel.extract_many(columns)
@@ -889,9 +891,11 @@ class MultiSeriesEngine:
     live and at replay alike, so recovery is unaffected, though a caller
     retry-looping a rejected batch grows the log by one dead record per
     attempt.  :attr:`checkpoint_interval` is looked at after the call's
-    records are applied, never mid-batch.  Batches advance through one
-    grid routine; :meth:`process` is the single-observation scalar path,
-    and the reference every batch route equals float for float.
+    records are applied, never mid-batch.  Every form advances through
+    one grid routine (:meth:`process` is a 1 x 1 grid), and the
+    reference they all equal float for float is the engine's
+    ``fleet_kernel_enabled = False`` twin, which runs every series
+    through its own scalar pipeline.
 
     Parameters
     ----------
@@ -930,16 +934,11 @@ class MultiSeriesEngine:
         #: the fleet's roster in first-seen order: a key's scalar home, or
         #: None while the key lives in kernel columns (see ``_absorbed``)
         self._series: dict[Hashable, _SeriesState | None] = {}
-        #: routes batched ingest of same-spec live series through the
-        #: columnar fleet kernel; set to False to force the scalar path
-        #: (outputs are identical either way -- the oracle tests rely on
-        #: this toggle to compare the two paths).
+        #: routes every write to a live kernel-eligible series through the
+        #: columnar fleet kernel; False keeps every series on its scalar
+        #: pipeline -- the oracle twin the tests compare against (outputs
+        #: are identical either way).
         self.fleet_kernel_enabled = True
-        #: smallest same-spec cohort worth advancing through the kernel: a
-        #: NumPy array op on a handful of series costs more in dispatch
-        #: overhead than the scalar loop it replaces, so tiny fleets (and
-        #: single-key batches) stay on the scalar path.
-        self.kernel_min_cohort = 8
         self._groups: dict[str, _FleetGroup] = {}
         self._absorbed: dict[Hashable, tuple[_FleetGroup, int]] = {}
         self._never_absorb: set = set()
@@ -1029,11 +1028,11 @@ class MultiSeriesEngine:
         decomposition is part of the initialization result, not an online
         point).
 
-        A key that batched ingest absorbed into the fleet kernel keeps its
-        single-key semantics: a scalar state is built from its column,
-        advanced through the ordinary scalar pipeline, loaded back into
-        the column and dropped, so mixing ``process`` and ``ingest``
-        freely is safe (and exactly equal to never batching at all).
+        The observation is a 1 x 1 grid: a live kernel-eligible key is a
+        column from its first online point, whether it went live here or
+        in a batch, and advances as a one-column kernel run -- so mixing
+        ``process`` and ``ingest`` freely is safe (and exactly equal to
+        never batching at all).
 
         Journaled as one ``point`` record (see the class docstring for
         what a rejected observation leaves behind); a rejected *first*
@@ -1042,17 +1041,18 @@ class MultiSeriesEngine:
         (record,) = self._commit([("point", key, value)])
         return record
 
+    @hotpath
     def _process_unlogged(self, key: Hashable, value: float) -> EngineRecord:
-        """Apply one observation: a ``point`` record, a cell off the kernel,
-        or a cell the scalar path might reject."""
+        """Apply one observation off the kernel: a warming or never
+        absorbable key's, or -- through a fresh scalar state of its column
+        -- an absorbed key's cell the kernel hands back or the scalar path
+        might reject."""
         location = self._absorbed.get(key)
         if location is not None:
             group, column = location
             (state,) = group.materialize([column])
-            record = self._process_live(key, state, float(value))
-            group.load(column, state)
-            return record
-        state = self._series.get(key)
+        else:
+            state = self._series.get(key)
         if state is None or not state.live:
             # Validated before the key exists: a rejected first
             # observation must not leave a zero-point series behind.
@@ -1082,23 +1082,7 @@ class MultiSeriesEngine:
                 state.pipeline.initialize(window)
                 state.live = True
             return EngineRecord(key=key, status=SeriesStatus.WARMING, record=None)
-
-        return self._process_live(key, state, value)
-
-    def _track_latency_now(self) -> bool:
-        """Whether this observation's duration should be recorded.
-
-        WAL replay is excluded: replay-speed timings are not ingest
-        latencies and would corrupt the post-recovery percentiles.
-        """
-        return self.track_latency and not self._replaying
-
-    @hotpath
-    def _process_live(
-        self, key: Hashable, state: _SeriesState, value: float
-    ) -> EngineRecord:
-        """Scalar-path processing of one observation for a live series."""
-        if self._track_latency_now():
+        if self.track_latency and not self._replaying:
             start = time.perf_counter()
             record = state.pipeline.process(value)
             state.latencies.append(time.perf_counter() - start)
@@ -1107,6 +1091,8 @@ class MultiSeriesEngine:
         state.points += 1
         if record.is_anomaly:
             state.anomalies += 1
+        if location is not None:
+            group.load(column, state)
         return EngineRecord(key=key, status=SeriesStatus.LIVE, record=record)
 
     def ingest(
@@ -1270,13 +1256,16 @@ class MultiSeriesEngine:
 
         A validation error (``ValueError`` / ``TypeError``) leaves exactly
         the observations ahead of the rejected one applied, whoever calls.
+        A ``point`` is a 1 x 1 grid: on an absorbed key, a one-column
+        kernel run.
         """
         kind, *parts = record
         if kind == "grid":
             return self._ingest_grid(*parts)
         if kind == "rows":
             return self._ingest_rows(*parts)
-        return self._process_unlogged(*parts)
+        key, value = parts
+        return self._ingest_grid([key], np.array([[float(value)]]))[0]
 
     def _clean_spans(
         self, keys: list, grid: np.ndarray, result: IngestResult
@@ -1290,7 +1279,7 @@ class MultiSeriesEngine:
         by one.  Suspect is an infinity anywhere and NaN on a key that is
         not absorbed (it may be warming; on an absorbed series NaN is a
         missing point the kernel imputes).  Conservative is fine -- a
-        harmless cell costs one single-key update -- missing one is not.
+        harmless cell costs one scalar update -- missing one is not.
         """
         bad = ~np.isfinite(grid)
         suspects: list = []
@@ -1392,34 +1381,56 @@ class MultiSeriesEngine:
         is implied by the grid.  Each pass plans the current round
         (:meth:`_grid_plan`): keys on the kernel advance cohort by cohort
         through :meth:`_advance_cohort_block`, keys off it through the
-        single-key scalar path.  While any key is off the kernel the
-        rectangle advances one round per pass (the round that completes a
-        warming key's window initializes it, and the next pass's plan
-        absorbs it, so its first online point is already a kernel point);
-        once every key is routed, all remaining rounds advance as one
-        block of pure array operations.
+        scalar path first, in column order (one rejected there -- a warm-up
+        window that will not initialize -- cuts the round: only the kernel
+        cells left of it apply).  While any key is off the kernel the
+        rectangle advances a round per pass (the round that completes a
+        warming key's window initializes it, the next pass absorbs it);
+        then all remaining rounds advance as one block of array operations.
         """
         n_rounds = grid.shape[0]
         row = 0
         while row < n_rounds:
             cohorts, scalar = self._grid_plan(round_keys)
             stop = row + 1 if scalar else n_rounds
+            cut, error = self._apply_off_kernel(
+                scalar, grid[row], slots, row * stride, result
+            )
             offsets = stride * np.arange(row, stop, dtype=np.intp)[:, None]
             for group, columns, takes, full in cohorts:
-                self._advance_cohort_block(
-                    group,
-                    columns,
-                    grid[row:stop, takes],
-                    slots[takes] + offsets,
-                    full,
-                    result,
-                )
-            for key, j in scalar:
-                result._set_eager(
-                    slots[j] + row * stride,
-                    self._process_unlogged(key, grid[row, j]),
-                )
+                if error is not None:
+                    ahead = takes < cut
+                    columns, takes, full = columns[ahead], takes[ahead], False
+                if takes.size:
+                    self._advance_cohort_block(
+                        group,
+                        columns,
+                        grid[row:stop, takes],
+                        slots[takes] + offsets,
+                        full,
+                        result,
+                    )
+            if error is not None:
+                raise error
             row = stop
+
+    def _apply_off_kernel(
+        self,
+        scalar: list,
+        values: np.ndarray,
+        slots: np.ndarray,
+        offset: int,
+        result: IngestResult,
+    ) -> tuple[int, Exception | None]:
+        """Apply one round's off-kernel cells ``[(key, j), ...]`` in column
+        order; ``(j, error)`` of the first one rejected, else ``(n, None)``."""
+        for key, j in scalar:
+            try:
+                record = self._process_unlogged(key, values[j])
+                result._set_eager(slots[j] + offset, record)
+            except (ValueError, TypeError) as error:
+                return j, error
+        return values.size, None
 
     def _grid_plan(self, round_keys: list) -> tuple[list, list]:
         """Per-group routing of one round: ``(cohorts, scalar)``.
@@ -1428,16 +1439,15 @@ class MultiSeriesEngine:
         cohort enters the kernel in the pass after the round that
         initialized it).  ``cohorts`` is
         ``[(group, columns, takes, full), ...]`` for the keys the kernel
-        advances (``takes`` are their grid columns); ``scalar`` is
-        ``[(key, j), ...]`` for the keys off the kernel path -- warming,
-        never-absorbable, or in a cohort below the kernel minimum.
+        advances (``takes`` are their grid columns; a lone member of a wide
+        group is a one-column run); ``scalar`` is ``[(key, j), ...]`` for
+        the keys off the kernel path, warming or never absorbable.
         """
         if not self.fleet_kernel_enabled:
             return [], list(zip(round_keys, range(len(round_keys))))
         absorbed = self._absorbed
         pending = [key for key in round_keys if key not in absorbed]
-        # Fewer keys than the cohort minimum cannot found a group.
-        if pending and (self._groups or len(pending) >= self.kernel_min_cohort):
+        if pending:
             self._absorb_eligible(pending)
         parts: dict[int, tuple[_FleetGroup, list, list]] = {}
         scalar = []
@@ -1454,13 +1464,6 @@ class MultiSeriesEngine:
             part[2].append(j)
         cohorts = []
         for group, members, taken in parts.values():
-            if len(members) < min(self.kernel_min_cohort, len(group.keys)):
-                # A round touching only a few members of a large group is
-                # cheaper through the single-key path (which materializes
-                # and loads back just those columns) than through a
-                # gathered sub-kernel.
-                scalar.extend((round_keys[j], j) for j in taken)
-                continue
             columns = np.array(members, dtype=np.intp)
             takes = np.array(taken, dtype=np.intp)
             full = columns.size == len(group.keys)
@@ -1478,7 +1481,8 @@ class MultiSeriesEngine:
         """Absorb every newly eligible live series among ``keys``.
 
         Cohort-at-a-time, so a fleet that goes live together is packed in
-        one shot.
+        one shot; a cohort of any width founds its spec's group, so a key
+        fed alone is a column from its first online point.
         """
         to_absorb: dict[str, tuple[PipelineSpec, dict]] = {}
         for key in keys:
@@ -1496,11 +1500,6 @@ class MultiSeriesEngine:
         for spec_key, (spec, members) in to_absorb.items():
             group = self._groups.get(spec_key)
             if group is None:
-                if len(members) < self.kernel_min_cohort:
-                    # Too small a cohort to pay off; the keys stay on the
-                    # scalar path and are reconsidered on later rounds
-                    # (e.g. once more series of this spec go live).
-                    continue
                 group = self._groups[spec_key] = _FleetGroup(
                     spec, self.latency_window, self.track_latency
                 )
@@ -1545,7 +1544,7 @@ class MultiSeriesEngine:
         """
         kernel = group.kernel
         group_scorer = group.scorer
-        track_latency = self._track_latency_now()
+        track_latency = self.track_latency and not self._replaying
         while block_values.shape[0]:
             if track_latency:
                 start = time.perf_counter()
@@ -1883,10 +1882,10 @@ class MultiSeriesEngine:
         :meth:`checkpoint` persists dirty cohorts incrementally.
 
         Two caveats.  *Runtime tuning knobs* --
-        :attr:`checkpoint_interval`, :attr:`checkpoint_cohort_size`,
-        :attr:`kernel_min_cohort` -- are process-local, not part of the
-        stream's configuration, so they are not stored in the manifest:
-        re-set them after ``open()`` if you changed the defaults.  And
+        :attr:`checkpoint_interval`, :attr:`checkpoint_cohort_size` --
+        are process-local, not part of the stream's configuration, so
+        they are not stored in the manifest: re-set them after ``open()``
+        if you changed the defaults.  And
         pickle is still how two things travel: WAL records (their keys
         and values) and the fallback section of a segment -- series that
         are not kernel columns, in a store or an :meth:`extract_series`
@@ -2074,7 +2073,7 @@ class MultiSeriesEngine:
         engine._generation = manifest["generation"]
         engine._store = store
         walk = WalWalk(store, manifest["wal"])
-        # _replaying suspends latency recording (see _track_latency_now):
+        # _replaying suspends latency recording on every path:
         # the ring buffers hold *observed ingest* durations, and
         # replay-speed timings (on the record-free columnar path, usually
         # much faster) would fabricate post-recovery latency percentiles.
@@ -2310,7 +2309,7 @@ class MultiSeriesEngine:
         an absorbed series and nothing of it is pickled -- with the
         members' keys and their places in the cohort's order in the
         group's ``meta``.  The members that are not columns (warming,
-        never absorbable, below the cohort minimum) and the columns keyed
+        never absorbable) and the columns keyed
         by something JSON cannot carry ride in the fallback section as
         the scalar-state codec's ``{key: state}``, in cohort order.
         """

@@ -732,6 +732,65 @@ def test_pickle_import_suppressed_with_reason():
     assert findings == []
 
 
+# --------------------------------------------------------------- MAT001
+
+ENGINE_PATH = "src/repro/streaming/fixture.py"
+
+
+def test_materialize_on_a_write_path_is_flagged():
+    findings = run(
+        """
+        class Engine:
+            def _apply(self, key, value):
+                group, column = self._absorbed[key]
+                (state,) = group.materialize([column])
+                return state.pipeline.process(value)
+
+        states = group.materialize(columns)
+        """,
+        path=ENGINE_PATH,
+    )
+    assert rules(findings) == ["MAT001", "MAT001"]
+    assert "'group.materialize'" in findings[0].message
+    assert "in _apply" in findings[0].message
+    assert "module scope" in findings[1].message
+    assert [finding.line for finding in findings] == [5, 8]
+
+
+def test_the_scalar_boundaries_may_materialize():
+    findings = run(
+        """
+        class Engine:
+            def _materialized(self, keys):
+                return [group.materialize(columns) for group, columns in keys]
+
+            def _process_unlogged(self, key, value):
+                def fresh():
+                    return group.materialize([column])
+                return fresh()
+
+            def _materialize(self):
+                return self.records()
+        """,
+        path=ENGINE_PATH,
+    )
+    assert findings == []
+    # outside the package (tests, benchmarks) the rule does not apply
+    assert run("states = group.materialize([0])\n", path="tests/test_fixture.py") == []
+
+
+def test_materialize_suppressed_with_reason():
+    findings = run(
+        """
+        def dump(group):
+            # repro: allow[MAT001] a debugging dump of one group's states
+            return group.materialize(range(len(group.keys)))
+        """,
+        path=ENGINE_PATH,
+    )
+    assert findings == []
+
+
 # ------------------------------------------------------- suppressions
 
 

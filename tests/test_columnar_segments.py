@@ -479,7 +479,7 @@ SPEC_B = PipelineSpec(
 )
 #: a live series the kernel can never take (not a OneShotSTL)
 SPEC_NEVER = PipelineSpec(DecomposerSpec("online_stl", {"period": PERIOD}))
-#: a kernel-eligible spec with too few members to found a group
+#: a kernel-eligible spec of only two members: a group of two
 SPEC_FEW = PipelineSpec(
     DecomposerSpec("oneshotstl", {"period": PERIOD, "lambda1": 3.0, "shift_window": 0})
 )
@@ -563,18 +563,18 @@ class TestMixedCohortRoundTrip:
         assert len(ROSTER) + 1 <= durable.checkpoint_cohort_size == 64
         head = [feed(engine, 0, CUT) for engine in engines]
         assert head[0] == head[1] == head[2]
-        assert set(durable._absorbed) == set(A_KEYS + B_KEYS)
-        assert len(durable._groups) == 2
+        assert set(durable._absorbed) == set(A_KEYS + B_KEYS + FEW_KEYS)
+        assert len(durable._groups) == 3
         summary = durable.checkpoint()
         assert (summary.cohorts_written, summary.series_written) == (1, len(ROSTER) + 1)
 
-        # What the segment is: two column groups scattered over the
+        # What the segment is: three column groups scattered over the
         # cohort's order, and a fallback of exactly the scalar homes.
         (name,) = durable._store.list_segments()
         groups, fallback = split_segment(durable._store.read_segment(name), name)
-        assert sorted(len(group.meta["keys"]) for group in groups) == [8, 9]
+        assert sorted(len(group.meta["keys"]) for group in groups) == [2, 8, 9]
         assert list(pickle.loads(fallback)) == [
-            key for key in ["warming", *ROSTER] if key in FEW_KEYS + NEVER_KEYS + ["warming"]
+            key for key in ["warming", *ROSTER] if key in NEVER_KEYS + ["warming"]
         ]
         assert ("latency_values" in groups[0].arrays) == tracking
 
@@ -601,13 +601,12 @@ class TestMixedCohortRoundTrip:
         assert reopened.last_recovery.clean
         assert reopened.keys() == durable.keys() == ["warming", *ROSTER]
         # What was a column when saved is a column when opened -- the
-        # 8-wide group too, whatever kernel_min_cohort says -- and the
-        # scalar homes are scalar homes.
-        assert reopened.kernel_min_cohort == 8
-        assert set(reopened._absorbed) == set(A_KEYS + B_KEYS)
-        assert all(reopened._series[key] is None for key in A_KEYS + B_KEYS)
-        assert all(reopened._series[key] is not None for key in FEW_KEYS + NEVER_KEYS)
-        assert sorted(len(group.keys) for group in reopened._groups.values()) == [8, 9]
+        # group of two too -- and the scalar homes are scalar homes.
+        columns = A_KEYS + B_KEYS + FEW_KEYS
+        assert set(reopened._absorbed) == set(columns)
+        assert all(reopened._series[key] is None for key in columns)
+        assert all(reopened._series[key] is not None for key in NEVER_KEYS)
+        assert sorted(len(group.keys) for group in reopened._groups.values()) == [2, 8, 9]
         for key in reopened.keys():
             after = reopened.series_stats(key)
             assert (after.status, after.points, after.anomalies) == (
@@ -747,7 +746,7 @@ def handoff_engines():
         feed(engine, 0, CUT, keys)
         engines.append(engine)
     source, _twin, target = engines
-    assert set(source._absorbed) == {*A_KEYS, *B_KEYS, ODD}
+    assert set(source._absorbed) == {*A_KEYS, *B_KEYS, *FEW_KEYS, ODD}
     assert set(target._absorbed) == set(LOCALS)
     return engines
 
@@ -958,12 +957,14 @@ class TestAStoreWrittenByFormat3:
         assert engine.keys() == reference.keys()
         for key in engine.keys():
             assert engine.series_stats(key) == reference.series_stats(key)
-        # A v3 store is all fallback: nothing is a column yet.
-        assert not engine._absorbed
+        # A v3 store is all fallback; the keys its WAL tail touched went
+        # back into columns as the replay advanced them, "late" is warming.
+        touched = {V3_KEYS[column] for column in (0, 1, 2, 3, 8, 9)}
+        assert set(engine._absorbed) == touched
 
         # The first checkpoint of this build: dirty cohorts 0 and 2 become
-        # format-4 segments (still all fallback: nothing was absorbed by
-        # the replay's narrow batches), clean cohort 1 keeps its file.
+        # format-4 segments (columns, and the warming key in a fallback),
+        # clean cohort 1 keeps its file.
         summary = engine.checkpoint()
         assert (summary.cohorts_written, summary.cohorts_total) == (2, 3)
         manifest = store.read_manifest()
@@ -972,9 +973,11 @@ class TestAStoreWrittenByFormat3:
         assert names[1] == "seg-00000001-000001.pkl"
         assert store.read_segment(names[1]) == old_segments[names[1]]
         assert names[0].endswith(".seg") and names[2].endswith(".seg")
-        for name in (names[0], names[2]):
-            groups, fallback = split_segment(store.read_segment(name), name)
-            assert groups == [] and fallback
+        groups, fallback = split_segment(store.read_segment(names[0]), names[0])
+        assert [group.meta["keys"] for group in groups] == [V3_KEYS[:4]] and not fallback
+        groups, fallback = split_segment(store.read_segment(names[2]), names[2])
+        assert [group.meta["keys"] for group in groups] == [V3_KEYS[8:]]
+        assert list(pickle.loads(fallback)) == ["late"]
 
         # Full-width batches absorb the fleet ("late" goes live on the
         # way); the next checkpoint writes every cohort as columns.

@@ -706,7 +706,6 @@ def pristine(tmp_path_factory):
         store = DirectoryCheckpointStore(path, wal_segment_bytes=segment_bytes)
         engine = MultiSeriesEngine.open(store, spec=engine_spec())
         engine.checkpoint_cohort_size = 3
-        engine.kernel_min_cohort = 2  # six series are a kernel cohort
         engine.process(WARMING_KEY, 1.0)
         engine.ingest_columnar(slice_batch(data, 0, TAIL_CUT))
         assert set(engine._absorbed) == set(data)

@@ -1207,7 +1207,6 @@ def engine_pair(n_series, **engine_kwargs):
     for enabled in (True, False):
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD, **engine_kwargs)
         engine.fleet_kernel_enabled = enabled
-        engine.kernel_min_cohort = 2
         engines.append(engine)
     return engines
 
@@ -1351,7 +1350,6 @@ class TestEngineKernelOracle:
             for position in range(PERIOD * 8)
         ]
         fast = MultiSeriesEngine.from_spec(spec)
-        fast.kernel_min_cohort = 2
         reference = MultiSeriesEngine.from_spec(spec)
         reference.fleet_kernel_enabled = False
         assert live_records(fast, batches) == live_records(reference, batches)
@@ -1371,7 +1369,6 @@ class TestEngineKernelOracle:
             },
         )
         engine = MultiSeriesEngine.from_spec(spec)
-        engine.kernel_min_cohort = 2
         data = {f"slow-{i}": fleet_series(i) for i in range(2)}
         data.update({f"fast-{i}": fleet_series(5 + i) for i in range(4)})
         for batch in self.make_batches(data):
@@ -1606,7 +1603,6 @@ class TestColumnarResults:
         data = {f"plain-{i}": fleet_series(i) for i in range(4)}
         data.update({f"sensitive-{i}": fleet_series(10 + i) for i in range(4)})
         fast = MultiSeriesEngine.from_spec(spec)
-        fast.kernel_min_cohort = 2
         reference = MultiSeriesEngine.from_spec(spec)
         reference.fleet_kernel_enabled = False
         length = len(next(iter(data.values())))
@@ -1771,7 +1767,6 @@ class TestBatchedLatencyTracking:
             track_latency=True,
         )
         engine = MultiSeriesEngine.from_spec(spec)
-        engine.kernel_min_cohort = 2
         data = {f"m-{i}": fleet_series(i) for i in range(8)}
         length = len(next(iter(data.values())))
         for position in range(length):
@@ -1785,13 +1780,12 @@ class TestBatchedLatencyTracking:
 
     def test_latency_flush_interleaves_with_scalar_process(self):
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=True)
-        engine.kernel_min_cohort = 2
         data = {f"m-{i}": fleet_series(i) for i in range(8)}
         for position in range(INIT + 20):
             engine.ingest({key: values[position] for key, values in data.items()})
         assert engine._absorbed
-        # A single-key process() flushes the pending cohort ring first, so
-        # per-key order stays chronological and nothing is lost.
+        # A process() is a one-column run: its duration joins the column's
+        # ring after the batches', so nothing is lost.
         engine.process("m-0", 0.5)
         latency = engine.series_stats("m-0").latency
         assert latency is not None
@@ -1808,7 +1802,6 @@ class TestKernelCheckpointing:
     def test_checkpoint_open_round_trip_through_kernel(self, tmp_path):
         data = {f"m-{i}": fleet_series(i, length=PERIOD * 12) for i in range(8)}
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
-        engine.kernel_min_cohort = 2
         for batch in self.run_batches(data, 0, PERIOD * 8):
             engine.ingest(batch)
         assert engine._absorbed
@@ -1845,7 +1838,6 @@ class TestKernelCheckpointing:
     def test_snapshot_restore_through_kernel(self):
         data = {f"m-{i}": fleet_series(i, length=PERIOD * 12) for i in range(8)}
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
-        engine.kernel_min_cohort = 2
         for batch in self.run_batches(data, 0, PERIOD * 8):
             engine.ingest(batch)
         assert engine._absorbed
@@ -1894,7 +1886,6 @@ class TestLatencyEdgeCases:
     def test_kernel_path_latency_counts_every_point(self):
         data = {f"m-{i}": fleet_series(i) for i in range(8)}
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=True)
-        engine.kernel_min_cohort = 2
         length = len(next(iter(data.values())))
         for position in range(length):
             engine.ingest([(key, values[position]) for key, values in data.items()])
@@ -2053,7 +2044,6 @@ class TestTimeBlockedOracle:
     def test_blocked_latency_counts_every_round(self):
         data = {f"m-{i}": fleet_series(i) for i in range(8)}
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=True)
-        engine.kernel_min_cohort = 2
         length = len(next(iter(data.values())))
         for start in range(0, length, 40):
             engine.ingest({
@@ -2319,7 +2309,6 @@ class TestIngestFormsProperty:
         engines = {}
         for form in forms:
             engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
-            engine.kernel_min_cohort = 2
             engine.fleet_kernel_enabled = form != "scalar"
             engine.restore(self.warm_state())
             engines[form] = engine
@@ -2366,8 +2355,8 @@ class TestIngestFormsProperty:
     @classmethod
     def mixed_fleet(cls):
         """``(spec, snapshot)``: ten absorbable keys, one with a period of
-        its own (a cohort of one: scalar path for good) and one still
-        eight points short of its initialization window."""
+        its own (a cohort of one: a group of its own) and one still eight
+        points short of its initialization window."""
         if cls._mixed is None:
             base = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False).spec
             odd = PipelineSpec(
@@ -2467,7 +2456,6 @@ class TestIngestFormsProperty:
             engines = {}
             for form in forms:
                 engine = MultiSeriesEngine.from_spec(spec)
-                engine.kernel_min_cohort = 2
                 engine.restore(warm)
                 engine.attach_store(f"{root}/{form}")
                 engines[form] = engine
@@ -2499,7 +2487,10 @@ class TestIngestFormsProperty:
                     assert self.view(engine) == reference, form
             for form, engine in engines.items():
                 assert set(self.KEYS) <= set(engine._absorbed)
-                assert self.ODD not in engine._absorbed
+                # once a round of it has been advanced, the odd-period key
+                # is a column of a group of its own
+                odd = engine._absorbed.get(self.ODD)
+                assert odd is None or odd[0].keys == [self.ODD]
                 # killed: no close, no checkpoint -- the log is all there is
                 reopened = MultiSeriesEngine.open(f"{root}/{form}")
                 assert self.view(reopened) == reference, form
@@ -2509,19 +2500,21 @@ class TestIngestFormsProperty:
         self, monkeypatch
     ):
         """Cost, pinned by census rather than by clock: one NaN (or one
-        infinity) on a key that is off the kernel anyway must not send
-        the absorbed keys of the batch through materialize -> scalar
-        ``process`` -> load, which is what building these objects means."""
+        infinity) on one key must not send the other absorbed keys of the
+        batch through materialize -> scalar ``process`` -> load, which is
+        what building these objects means.  The odd-period key is a
+        one-column group of its own: its NaN is a missing point the
+        kernel imputes, and its infinity is the one cell that takes the
+        scalar route, to raise the scalar path's error."""
         spec, warm = self.mixed_fleet()
         engine = MultiSeriesEngine.from_spec(spec)
-        engine.kernel_min_cohort = 2
         engine.restore(warm)
         keys = self.KEYS + [self.ODD]
         block = np.column_stack(
             [fleet_series(i)[INIT + 12 : INIT + 21] for i in range(len(keys))]
         )
         engine.ingest_grid(keys, block[:1])
-        assert set(engine._absorbed) == set(self.KEYS)
+        assert set(engine._absorbed) == set(keys)
         built = []
         for scalar_type in (OneShotSTL, StreamingPipeline):
             original = scalar_type.__init__
@@ -2535,8 +2528,9 @@ class TestIngestFormsProperty:
         gap[2, -1] = np.nan
         poisoned[3, -1] = np.inf
         assert engine.ingest_grid(keys, gap).live.all()
+        assert built == []
         with pytest.raises(ValueError, match="non-finite"):
             engine.ingest_grid(keys, poisoned)
-        assert built == []
+        assert built == ["OneShotSTL", "StreamingPipeline"]
         points = [engine.series_stats(key).points for key in keys]
         assert points == [points[0]] * len(self.KEYS) + [points[0] - 1]

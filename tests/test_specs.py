@@ -258,7 +258,10 @@ class TestEngineSpecNative:
             engine.process("legacy", float(value))
             engine.process("modern", float(value))
         assert type(engine._series["legacy"].pipeline.decomposer) is OnlineSTL
-        assert type(engine._series["modern"].pipeline.decomposer) is OneShotSTL
+        # "modern" is a kernel column: its group runs the spec it resolved to
+        group, _column = engine._absorbed["modern"]
+        assert group.spec == spec.pipeline_for("modern")
+        assert group.spec.decomposer.component_class() is OneShotSTL
 
     def test_override_engine_matches_hand_run_pipelines(self):
         """Heterogeneous fleets in one engine equal independent pipelines."""

@@ -181,7 +181,10 @@ class TestBatchedIngestEquivalence:
             engine.process("slow", float(value))
             engine.process("fast", float(value))
         assert type(engine._series["slow"].pipeline.decomposer).__name__ == "OnlineSTL"
-        assert type(engine._series["fast"].pipeline.decomposer).__name__ == "OneShotSTL"
+        # "fast" is a kernel column: its group runs the spec it resolved to
+        group, _column = engine._absorbed["fast"]
+        assert group.spec == spec.pipeline_for("fast")
+        assert group.spec.decomposer.name == "oneshotstl"
 
 
 class TestCheckpointing:
