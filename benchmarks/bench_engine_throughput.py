@@ -158,7 +158,7 @@ def _bench_raw_single_series(online_points: int) -> dict:
 
 def _warmed_engine(data: dict) -> MultiSeriesEngine:
     """Engine with every series initialized and past the online warm-up."""
-    engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+    engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
     for position in range(INITIALIZATION + ONLINE_WARMUP):
         engine.ingest([(key, values[position]) for key, values in data.items()])
     return engine
@@ -550,7 +550,7 @@ def _bench_sharded(smoke: bool, n_workers: int = SHARDED_WORKERS) -> list[dict]:
 
     root = Path(tempfile.mkdtemp(prefix="bench-sharded-"))
     try:
-        spec = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False).spec
+        spec = MultiSeriesEngine.for_oneshotstl(PERIOD).spec
         cluster = ClusterSpec.for_root(spec, root, n_workers)
         router = ShardRouter(cluster)
         try:

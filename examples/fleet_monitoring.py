@@ -18,7 +18,8 @@ levels and noise -- and drives them through a single
 * the engine is checkpointed mid-stream and restored, demonstrating that
   a monitoring service can persist its state and resume deterministically;
 * at the end the fleet statistics report per-host anomaly counts and
-  update-latency percentiles.
+  update-latency percentiles (the hosts of one kernel cohort share their
+  cohort's: its blocks advance them together).
 
 Run with:  PYTHONPATH=src python examples/fleet_monitoring.py
 """

@@ -58,7 +58,7 @@ from typing import BinaryIO, Callable, Iterator
 from repro.durability.errors import CheckpointError, CorruptCheckpointError
 from repro.durability.format import next_wal_name, validate_manifest
 from repro.durability.lock import DEFAULT_STALE_AFTER, LOCK_FILE_NAME, StoreLock
-from repro.durability.recovery import WalWalk, read_cohort
+from repro.durability.recovery import WalWalk, check_components, read_cohort
 from repro.durability.scrub import ScrubFinding, ScrubReport
 from repro.durability.store import (
     CheckpointStore,
@@ -485,8 +485,9 @@ class DirectoryCheckpointStore(CheckpointStore):
         silently.  ``deep`` also decodes what the CRCs cover (a CRC
         cannot catch bytes written corrupt): a cohort segment's header
         and array sections are checked structurally -- lengths against
-        shapes, dtypes, names -- and only its fallback section and the
-        WAL records are unpickled.
+        shapes, dtypes, names -- only its fallback section and the WAL
+        records are unpickled, and the components the manifest's engine
+        spec names must then be registered.
         """
         try:
             manifest = self.read_manifest()
@@ -504,6 +505,11 @@ class DirectoryCheckpointStore(CheckpointStore):
                 findings.append(
                     ScrubFinding(cohort["segment"], error.problem, str(error))
                 )
+        if deep:
+            try:
+                check_components(manifest, self.manifest_path)
+            except CorruptCheckpointError as error:
+                findings.append(ScrubFinding("manifest", error.problem, str(error)))
         missing = sum(finding.problem == "missing" for finding in findings)
         walk = WalWalk(self, manifest["wal"], decode=deep)
         for _record in walk:

@@ -9,7 +9,8 @@ One format version covers every durable artifact the engine writes:
   :func:`next_wal_name`, through every rotated part that exists; only
   its final part may be torn or absent).  The manifest carries no
   checksum of its own: :func:`validate_manifest` checks its shape, its
-  types and its names, and a valid manifest is the store's truth;
+  types, its names and the shape of its engine spec, and a valid
+  manifest is the store's truth;
 * **cohort segments**: one cohort of series, as the state arrays of the
   members that live in kernel columns plus a pickle of ``{key: per-series
   state}`` for the members that do not
@@ -54,7 +55,11 @@ Version history
     second reader; its series re-enter the kernel at their first batch
     and the next checkpoint writes them as columns.  Manifests and WAL
     records are unchanged; a version-3 manifest reads by stamping the
-    version.
+    version.  The first version-4 builds also wrote each column's latency
+    ring, as two more sections per group (``latency_counts``,
+    ``latency_values``); latency is a measurement, not state, so those
+    sections are read and dropped, and no segment written since carries
+    them.
 
 The codecs here are pure data-plumbing -- they know nothing about the
 engine -- so the streaming layer can evolve independently of the bytes on
@@ -73,6 +78,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.durability.errors import CheckpointVersionError, CorruptCheckpointError
+from repro.specs import EngineSpec
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -180,9 +186,12 @@ def validate_manifest(manifest: Any, source: object) -> dict:
 
     What recovery reads as a number is one (``format_version``,
     ``generation``, cohort ``id`` and, when present, ``series`` and
-    ``crc``: integers >= 0), cohort ids are unique and the WAL chain
-    starts at the manifest's generation, so a manifest that passes
-    opens and keeps every series through its next checkpoint.  A version
+    ``crc``: integers >= 0), cohort ids are unique, the WAL chain
+    starts at the manifest's generation and ``engine_spec`` decodes to an
+    :class:`~repro.specs.EngineSpec`, so a manifest that passes opens and
+    keeps every series through its next checkpoint.  That the components
+    the spec names are registered is checked later, once the segments are
+    read (:func:`repro.durability.recovery.check_components`).  A version
     this build does not read is :class:`CheckpointVersionError`.
     """
     if not isinstance(manifest, Mapping):
@@ -244,6 +253,13 @@ def validate_manifest(manifest: Any, source: object) -> dict:
             f"{source}: manifest WAL chain starts at {chain[0]!r}, which "
             f"does not belong to generation {manifest['generation']}"
         )
+    try:
+        EngineSpec.from_dict(manifest["engine_spec"])
+    except (ValueError, TypeError, KeyError, AttributeError) as error:
+        raise CorruptCheckpointError(
+            f"{source}: manifest 'engine_spec' is not an engine spec "
+            f"({type(error).__name__}: {error})"
+        ) from error
     validated = dict(manifest)
     validated["format_version"] = CHECKPOINT_FORMAT_VERSION
     return validated

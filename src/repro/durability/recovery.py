@@ -18,6 +18,8 @@ recovery would succeed") holds because the two cannot walk differently.
   caller names a type) type-checked per series.  A segment of format 3
   is all fallback, and a shard handoff payload is a segment without a
   manifest; there is no second reader.
+* Once the cohorts are read, every component the manifest's engine spec
+  names must be registered (:func:`check_components`).
 * The chain is the manifest's parts extended by every rotated successor
   that *exists* -- a crash can land between opening a part and its first
   append, so record counts would miss the live tail.
@@ -44,8 +46,16 @@ from repro.durability.format import (
 )
 from repro.durability.segment import SEGMENT_MAGIC, ColumnGroup, split_segment
 from repro.durability.store import CheckpointStore
+from repro.specs import EngineSpec
 
-__all__ = ["WalStop", "WalWalk", "read_cohort", "unpack_cohort", "wal_chain"]
+__all__ = [
+    "WalStop",
+    "WalWalk",
+    "check_components",
+    "read_cohort",
+    "unpack_cohort",
+    "wal_chain",
+]
 
 
 def unpack_cohort(
@@ -104,6 +114,28 @@ def read_cohort(
     if not decode:
         return None
     return unpack_cohort(payload, source, state_type)
+
+
+def check_components(manifest: Mapping[str, Any], source: object) -> None:
+    """Raise ``CorruptCheckpointError`` unless every component a validated
+    manifest's engine spec names -- overrides included -- is registered.
+
+    Both readers call it once the cohorts are decoded, before the WAL: a
+    fallback section's unpickling imports the modules its states' classes
+    live in, and a module that registers a plugin component does so on
+    import, so a store whose spec names a plugin the reading process has
+    not imported yet still reads.
+    """
+    spec = EngineSpec.from_dict(manifest["engine_spec"])
+    try:
+        for pipeline in (spec.pipeline, *spec.overrides.values()):
+            pipeline.decomposer.component_class()
+            pipeline.detector.component_class()
+    except KeyError as error:
+        raise CorruptCheckpointError(
+            f"{source}: manifest 'engine_spec' names a component this "
+            f"process has not registered ({error})"
+        ) from error
 
 
 def wal_chain(

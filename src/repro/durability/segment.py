@@ -27,6 +27,11 @@ bytes, :func:`repro.durability.format.encode_segment`, for the series
 that are not columns) is the engine's business: this module knows nothing
 about it.
 
+The section names are the engine's too.  A column group written by the
+first format-4 builds may hold two sections no later build writes --
+``latency_counts`` and ``latency_values``, a per-column latency ring --
+which the engine reads and drops; the layout is the same either way.
+
 A segment says what it is by its first bytes, so a reader needs no
 version from outside: :func:`split_segment` hands back the groups and
 the fallback of a columnar segment, and treats any other payload as

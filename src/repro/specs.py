@@ -15,8 +15,8 @@ rebuild the live objects via :func:`build`:
 
 Because a spec is data, it can be shipped to a worker process, stored next
 to a checkpoint, diffed in code review, or templated per metric class --
-none of which a factory callable can do.  The engine checkpoint format
-(:meth:`repro.streaming.engine.MultiSeriesEngine.save`) embeds an
+none of which a factory callable can do.  A durable store's manifest
+(:meth:`repro.streaming.engine.MultiSeriesEngine.open`) embeds an
 :class:`EngineSpec` for exactly this reason.
 
 Spec params must be JSON primitives (``None``/bool/int/float/str and
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro import registry
+from repro.utils import check_positive_int
 
 __all__ = [
     "ComponentSpec",
@@ -233,6 +234,12 @@ class PipelineSpec:
 class EngineSpec:
     """Spec of a :class:`~repro.streaming.engine.MultiSeriesEngine`.
 
+    ``initialization_length`` (at least 2) is the number of leading
+    observations a series buffers before its batch initialization phase.
+    ``latency_window`` (at least 1) is the number of most recent per-point
+    update durations a latency ring keeps: one ring per kernel group,
+    shared by its columns, and one per series off the kernel.
+
     ``overrides`` maps *string* series keys to the :class:`PipelineSpec`
     used for that key instead of the fleet default, so heterogeneous fleets
     (different periods or thresholds per metric class) are one engine with
@@ -243,16 +250,16 @@ class EngineSpec:
     pipeline: PipelineSpec
     initialization_length: int
     latency_window: int = 1024
-    track_latency: bool = True
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.pipeline, PipelineSpec):
             raise ValueError("EngineSpec.pipeline must be a PipelineSpec")
-        if not isinstance(self.initialization_length, int) or isinstance(
-            self.initialization_length, bool
-        ):
-            raise ValueError("EngineSpec.initialization_length must be an int")
+        for name, minimum in (("initialization_length", 2), ("latency_window", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"EngineSpec.{name} must be an int, got {value!r}")
+            check_positive_int(value, f"EngineSpec.{name}", minimum=minimum)
         if not isinstance(self.overrides, Mapping):
             raise ValueError("EngineSpec.overrides must be a mapping")
         for key, value in self.overrides.items():
@@ -277,7 +284,6 @@ class EngineSpec:
             "pipeline": self.pipeline.to_dict(),
             "initialization_length": self.initialization_length,
             "latency_window": self.latency_window,
-            "track_latency": self.track_latency,
             "overrides": {
                 key: spec.to_dict() for key, spec in self.overrides.items()
             },
@@ -285,6 +291,11 @@ class EngineSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "EngineSpec":
+        """The inverse of :meth:`to_dict`.
+
+        A ``track_latency`` key -- what manifests written before latency
+        was always recorded carry -- is accepted and ignored.
+        """
         allowed = (
             "pipeline",
             "initialization_length",
@@ -302,8 +313,6 @@ class EngineSpec:
         }
         if "latency_window" in data:
             spec["latency_window"] = data["latency_window"]
-        if "track_latency" in data:
-            spec["track_latency"] = bool(data["track_latency"])
         if "overrides" in data:
             spec["overrides"] = {
                 key: PipelineSpec.from_dict(value)

@@ -57,21 +57,27 @@ keyed streams over the shared fast kernel, with
   :meth:`extract_series` / :meth:`adopt_series` move series between
   engines as the bytes of a store segment;
 * **fleet statistics** -- :meth:`fleet_stats` aggregates anomaly counts and
-  per-key update-latency percentiles (via
+  update-latency percentiles (via
   :func:`repro.streaming.latency.summarize_latencies`) across the fleet.
+  Latency is measured per kernel cohort: every kernel block records its
+  amortized per-point duration in its group's one ring, one sample per
+  round whatever the round's width, so a column reports its group's
+  latency, summarized once per group.
 
 A series has exactly one home.  While it is warming or not kernel-eligible
 it is an ordinary :class:`~repro.streaming.pipeline.StreamingPipeline`
-(plus counters); from its first online point, in a cohort of any width,
-it is a column of its cohort's kernel arrays and nothing else: absorption
-consumes the scalar objects, every write (a lone ``process`` too)
-advances the column, reads (``forecast``, ``series_stats``,
-``fleet_stats``) come straight off it, and scalar state is built afresh,
-by one function, only for ``snapshot`` and the rare cell the kernel hands
-back (a ``checkpoint`` and a shard handoff write the columns as they are,
-``open`` and ``adopt_series`` read them back as columns).  Either way the
-outputs are *identical* to running N independent pipelines by hand -- the
-test suite asserts this.
+(plus counters and a latency ring of its own); from its first online
+point, in a cohort of any width, it is a column of its cohort's kernel
+arrays and nothing else: absorption consumes the scalar objects, every
+write (a lone ``process`` too) advances the column, reads (``forecast``,
+``series_stats``, ``fleet_stats``) come straight off it, and scalar state
+is built afresh, by one function, only for ``snapshot`` and the rare cell
+the kernel hands back (a ``checkpoint`` and a shard handoff write the
+columns as they are, ``open`` and ``adopt_series`` read them back as
+columns).  Either way the outputs are *identical* to running N
+independent pipelines by hand -- the test suite asserts this.  Latency is
+a measurement, not state: no checkpoint, handoff or snapshot carries a
+column's.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ import gc
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -115,7 +121,12 @@ from repro.durability.format import (
     validate_manifest,
     wal_name,
 )
-from repro.durability.recovery import WalWalk, read_cohort, unpack_cohort
+from repro.durability.recovery import (
+    WalWalk,
+    check_components,
+    read_cohort,
+    unpack_cohort,
+)
 from repro.durability.segment import ColumnGroup, encode_columnar_segment
 from repro.specs import DecomposerSpec, DetectorSpec, EngineSpec, PipelineSpec
 from repro.streaming.buffer import RingBuffer
@@ -197,8 +208,10 @@ class IngestResult:
     ``keys``
         The row keys, as a list.
 
-    Per-row records are materialized *on demand* and are bit-identical to
-    the eager records the list-returning ``ingest`` produces:
+    The arrays are the one representation: a row the scalar path produced
+    is written into them field for field (:meth:`_write`), like a kernel
+    row.  Per-row records are materialized *on demand* from the arrays and
+    are bit-identical to the records the scalar path built:
     ``result[i]`` builds the i-th :class:`EngineRecord`, iteration and
     :meth:`records` materialize them all, so existing record-oriented
     consumers keep working against a columnar result.
@@ -217,7 +230,7 @@ class IngestResult:
         "detection_residual",
         "live",
     )
-    __slots__ = ("_keys_cycle", "_rounds", *FIELDS, "_eager", "_keys", "_status")
+    __slots__ = ("_keys_cycle", "_rounds", *FIELDS, "_keys", "_status")
 
     def __init__(self, keys_cycle: list, rounds: int):
         size = len(keys_cycle) * rounds
@@ -232,10 +245,6 @@ class IngestResult:
         self.anomaly_score = floats[5]
         flags = np.zeros((2, size), dtype=bool)
         self.is_anomaly, self.live = flags[0], flags[1]
-        #: sparse {position: EngineRecord} for rows that were produced by
-        #: the scalar path (warming rows, off-kernel series): those records
-        #: are returned verbatim instead of being rebuilt from the arrays.
-        self._eager: dict | None = None
         self._keys: list | None = None
         self._status: np.ndarray | None = None
 
@@ -263,11 +272,9 @@ class IngestResult:
 
     # -------------------------------------------------- records on demand
 
-    def _set_eager(self, position: int, engine_record: EngineRecord) -> None:
-        """Install a scalar-path record, mirroring its fields into the arrays."""
-        if self._eager is None:
-            self._eager = {}
-        self._eager[position] = engine_record
+    def _write(self, position: int, engine_record: EngineRecord) -> None:
+        """Write a scalar-path record's fields into the arrays at
+        ``position`` (a warming record leaves the warming defaults)."""
         record = engine_record.record
         if record is None:
             return
@@ -293,10 +300,6 @@ class IngestResult:
             position += size
         if not 0 <= position < size:
             raise IndexError("ingest result position out of range")
-        if self._eager is not None:
-            eager = self._eager.get(position)
-            if eager is not None:
-                return eager
         key = self._keys_cycle[position % len(self._keys_cycle)]
         if not self.live[position]:
             return EngineRecord(key=key, status=SeriesStatus.WARMING, record=None)
@@ -341,7 +344,6 @@ class IngestResult:
 
     def _materialize(self) -> "list[EngineRecord]":
         size = len(self)
-        eager = self._eager
         keys_cycle = self._keys_cycle
         n_keys = len(keys_cycle)
         index = self.index.tolist()
@@ -358,11 +360,6 @@ class IngestResult:
         records = []
         append = records.append
         for position in range(size):
-            if eager is not None:
-                record = eager.get(position)
-                if record is not None:
-                    append(record)
-                    continue
             key = keys_cycle[position % n_keys]
             if not live[position]:
                 append(EngineRecord(key=key, status=warming, record=None))
@@ -416,13 +413,15 @@ class FleetStats:
 
 
 class _SeriesState:
-    """Scalar home of one series: pipeline, warmup buffer and counters.
+    """Scalar home of one series: pipeline, warmup buffer, counters and
+    its own latency ring.
 
     What a series is while it is off the kernel, and the shape the
     scalar boundaries speak (``snapshot`` and the fallback section of a
     store segment or a handoff payload -- every segment of format 3 --
     are ``{key: _SeriesState}``): the module path and the slots are part
-    of the store format.
+    of the store format.  A state built from a kernel column carries an
+    empty ring: the column's latency is its group's.
     """
 
     __slots__ = ("pipeline", "warmup", "live", "points", "anomalies", "latencies")
@@ -436,9 +435,10 @@ class _SeriesState:
         self.latencies = RingBuffer(latency_window)
 
 
-#: per-column arrays a group saves beside its kernel's and its scorer's:
-#: the totals, and the latency ring when it keeps one
+#: per-column arrays a group saves beside its kernel's and its scorer's
 _TOTAL_ARRAYS = ("indices", "points", "anomalies")
+#: the per-column latency ring the first format-4 builds saved beside
+#: them: only the names of two sections a reader drops
 _RING_ARRAYS = ("latency_counts", "latency_values")
 
 
@@ -447,10 +447,10 @@ class _FleetGroup:
 
     An absorbed series *is* its column: the :class:`FleetKernel`, the
     columnar pipeline scorer and the per-column totals (record index,
-    points, anomalies, latency ring) are the only copy of its state --
-    :meth:`absorb` consumes the scalar objects it packs.  Reads index the
-    arrays, and so do the store and a shard handoff: a checkpoint or an
-    extraction writes a gathered copy of the columns themselves
+    points, anomalies) are the only copy of its state -- :meth:`absorb`
+    consumes the scalar objects it packs.  Reads index the arrays, and so
+    do the store and a shard handoff: a checkpoint or an extraction
+    writes a gathered copy of the columns themselves
     (:meth:`save_columns`), and recovery or adoption appends them back
     (:meth:`from_columns`, :meth:`extend`) without a scalar object in
     between, so the arrays named there are part of the store format.
@@ -458,6 +458,12 @@ class _FleetGroup:
     *fresh* states for ``snapshot``, the fallback section and the rare
     cell the kernel hands back, and :meth:`load` takes one back after
     that cell.
+
+    Latency is the group's, not a column's: a kernel block advances its
+    columns together, so its amortized per-point duration is theirs
+    alike, and :attr:`latencies` -- one ring -- records it once per round.
+    It is a measurement, not state: nothing saves it, and columns that
+    join a group bring none along.
     """
 
     __slots__ = (
@@ -468,12 +474,10 @@ class _FleetGroup:
         "indices",
         "points",
         "anomalies",
-        "latency_window",
-        "latency_values",
-        "latency_counts",
+        "latencies",
     )
 
-    def __init__(self, spec: PipelineSpec, latency_window: int, track_latency: bool):
+    def __init__(self, spec: PipelineSpec, latency_window: int):
         self.spec = spec
         self.keys: list[Hashable] = []
         self.kernel: FleetKernel | None = None
@@ -483,17 +487,9 @@ class _FleetGroup:
         self.indices = np.zeros(0, dtype=np.int64)
         self.points = np.zeros(0, dtype=np.int64)
         self.anomalies = np.zeros(0, dtype=np.int64)
-        self.latency_window = int(latency_window)
-        #: per-column latency ring, ``(n, window)``: column ``c`` has seen
-        #: ``latency_counts[c]`` durations, the k-th in slot ``k % window``,
-        #: so a cohort block records its shared per-point duration with a
-        #: few array writes.  None while nothing was ever recorded (an
-        #: engine that does not track latency, absorbing series that
-        #: carry no history either).
-        self.latency_values: np.ndarray | None = (
-            np.zeros((0, self.latency_window)) if track_latency else None
-        )
-        self.latency_counts = np.zeros(0, dtype=np.int64)
+        #: the newest ``latency_window`` per-point update durations of
+        #: the group's kernel blocks (and of the cells it handed back)
+        self.latencies = RingBuffer(latency_window)
 
     def absorb(self, members: dict[Hashable, _SeriesState]) -> None:
         """Move a cohort of live series into the columnar arrays at once.
@@ -505,10 +501,11 @@ class _FleetGroup:
         carry (capacity doubling, see :func:`repro.utils.amortized_append`
         and the solver's buffer pair), so even an adversarial arrival
         pattern -- one late series joining a large group per round --
-        costs O(total members), not one full-group copy per cohort.
+        costs O(total members), not one full-group copy per cohort.  The
+        states' latency rings are dropped with them.
         """
         states = list(members.values())
-        first = self._append(
+        self._append(
             list(members),
             FleetKernel.pack([state.pipeline.decomposer for state in states]),
             ColumnarNSigma.pack([state.pipeline.scorer for state in states]),
@@ -516,9 +513,6 @@ class _FleetGroup:
             [state.points for state in states],
             [state.anomalies for state in states],
         )
-        for column, state in enumerate(states, first):
-            if len(state.latencies):
-                self._store_latencies(column, state.latencies)
 
     def _append(
         self,
@@ -529,8 +523,7 @@ class _FleetGroup:
         points: Sequence[int] | np.ndarray,
         anomalies: Sequence[int] | np.ndarray,
     ) -> int:
-        """Append ``len(keys)`` columns with no latency history yet;
-        returns the first new column."""
+        """Append ``len(keys)`` columns; returns the first new column."""
         if self.kernel is None:
             self.kernel = kernel
             self.scorer = scorer
@@ -540,13 +533,6 @@ class _FleetGroup:
         self.indices = amortized_append(self.indices, indices)
         self.points = amortized_append(self.points, points)
         self.anomalies = amortized_append(self.anomalies, anomalies)
-        self.latency_counts = amortized_append(
-            self.latency_counts, np.zeros(len(keys), dtype=np.int64)
-        )
-        if self.latency_values is not None:
-            self.latency_values = amortized_append(
-                self.latency_values, np.zeros((len(keys), self.latency_window))
-            )
         first = len(self.keys)
         self.keys.extend(keys)
         return first
@@ -556,12 +542,9 @@ class _FleetGroup:
 
         One gathered copy per state array -- the kernel's
         (:meth:`FleetKernel.to_arrays`), the pipeline scorer's moments
-        (``scorer_*``), the totals and, when the group keeps one, the
-        latency ring -- and a ``meta`` naming the pipeline spec and the
-        resolved hyper-parameters the arrays belong to.  No scalar
-        object is built.  The ring is cut to the slots in use (``count %
-        window`` addressing never reaches past ``max(count)``), so a
-        young cohort does not carry a window of padding.
+        (``scorer_*``) and the totals -- and a ``meta`` naming the
+        pipeline spec and the resolved hyper-parameters the arrays belong
+        to.  No scalar object is built, and no latency is written.
         """
         columns = np.asarray(columns, dtype=np.intp)
         arrays = self.kernel.select(columns).to_arrays()
@@ -570,11 +553,6 @@ class _FleetGroup:
         arrays["indices"] = self.indices[columns]
         arrays["points"] = self.points[columns]
         arrays["anomalies"] = self.anomalies[columns]
-        if self.latency_values is not None:
-            counts = self.latency_counts[columns]
-            width = min(self.latency_window, int(counts.max(initial=0)))
-            arrays["latency_counts"] = counts
-            arrays["latency_values"] = self.latency_values[columns, :width]
         meta = {
             "spec": self.spec.to_dict(),
             "kernel": self.kernel.get_params(),
@@ -587,11 +565,7 @@ class _FleetGroup:
 
     @classmethod
     def from_columns(
-        cls,
-        keys: list,
-        saved: ColumnGroup,
-        latency_window: int,
-        track_latency: bool,
+        cls, keys: list, saved: ColumnGroup, latency_window: int
     ) -> "_FleetGroup":
         """A standalone group of ``keys`` from what :meth:`save_columns` wrote.
 
@@ -600,9 +574,9 @@ class _FleetGroup:
         everything is checked before it is believed -- the arrays present
         and their shapes against the key count and the hyper-parameters,
         those against what the pipeline spec states -- and a mismatch
-        raises ``ValueError`` / ``KeyError`` / ``TypeError``.  A ring
-        saved under another ``latency_window`` keeps its newest
-        ``min(count, window)`` durations, in order.
+        raises ``ValueError`` / ``KeyError`` / ``TypeError``.  The ring
+        sections an earlier build saved (:data:`_RING_ARRAYS`) are
+        dropped unread: the group starts with an empty ring.
         """
         meta = saved.meta
         spec = PipelineSpec.from_dict(meta["spec"])
@@ -627,13 +601,13 @@ class _FleetGroup:
         n = len(keys)
         kernel_arrays: dict[str, np.ndarray] = {}
         scorer_arrays: dict[str, np.ndarray] = {}
-        rest: dict[str, np.ndarray] = {}
+        totals: dict[str, np.ndarray] = {}
         for name, array in saved.arrays.items():
             if name.startswith("scorer_"):
                 scorer_arrays[name[len("scorer_") :]] = array
-            elif name in _TOTAL_ARRAYS or name in _RING_ARRAYS:
-                rest[name] = array
-            else:
+            elif name in _TOTAL_ARRAYS:
+                totals[name] = array
+            elif name not in _RING_ARRAYS:
                 kernel_arrays[name] = array
         kernel = FleetKernel.from_arrays(params, kernel_arrays)
         if kernel.n_series != n:
@@ -643,43 +617,17 @@ class _FleetGroup:
             float(scorer_params["minimum_std"]),
             scorer_arrays,
         )
-        layout: dict[str, tuple[type, tuple]] = dict.fromkeys(
-            _TOTAL_ARRAYS, (np.int64, (n,))
+        indices, points, anomalies = owned_arrays(
+            totals, dict.fromkeys(_TOTAL_ARRAYS, (np.int64, (n,)))
         )
-        if any(name in rest for name in _RING_ARRAYS):
-            values = rest.get("latency_values")
-            ragged = values is None or values.ndim != 2
-            width = 0 if ragged else values.shape[1]
-            layout["latency_counts"] = (np.int64, (n,))
-            layout["latency_values"] = (float, (n, width))
-        indices, points, anomalies, *ring = owned_arrays(rest, layout)
-        group = cls(spec, latency_window, track_latency)
+        group = cls(spec, latency_window)
         group._append(keys, kernel, scorer, indices, points, anomalies)
-        if ring:
-            group._restore_latencies(*ring)
         return group
 
-    def _restore_latencies(self, counts: np.ndarray, values: np.ndarray) -> None:
-        """Make a saved ring -- ``(n, width)`` slots addressed ``k % width``,
-        ``counts`` durations seen -- the history of this (fresh) group."""
-        if counts.min(initial=0) < 0:
-            raise ValueError("a latency ring cannot hold a negative count")
-        width = values.shape[1]
-        kept = np.minimum(counts, min(width, self.latency_window))
-        most = int(kept.max(initial=0))
-        if not most:
-            return
-        offsets = np.arange(most)
-        slots = ((counts - kept)[:, None] + offsets) % width
-        durations = values[np.arange(len(self.keys))[:, None], slots]
-        durations[offsets >= kept[:, None]] = 0.0
-        self._ring()[:, :most] = durations
-        self.latency_counts[:] = kept
-
     def extend(self, other: "_FleetGroup") -> int:
-        """Append every column of ``other`` (same spec, same latency
-        window; consumed); returns the first new column."""
-        first = self._append(
+        """Append every column of ``other`` (same spec; consumed, its ring
+        dropped); returns the first new column."""
+        return self._append(
             other.keys,
             other.kernel,
             other.scorer,
@@ -687,10 +635,6 @@ class _FleetGroup:
             other.points,
             other.anomalies,
         )
-        if other.latency_values is not None:
-            self._ring()[first:] = other.latency_values
-            self.latency_counts[first:] = other.latency_counts
-        return first
 
     def materialize(self, columns: Sequence[int] | np.ndarray) -> list[_SeriesState]:
         """Fresh scalar states of the members at ``columns``: the one way out.
@@ -701,8 +645,9 @@ class _FleetGroup:
         the caller owns them -- a snapshot hands them out, the fallback
         section pickles those whose keys JSON cannot carry, and the
         kernel's non-finite hand-back or a suspect cell advances one
-        (:meth:`load` takes it back).  A checkpoint, a handoff or a write
-        does not come this way: they use the columns as they are.
+        (:meth:`load` takes it back).  Their latency rings are empty: the
+        group's ring is the columns' latency.  A checkpoint, a handoff or
+        a write does not come this way: they use the columns as they are.
         """
         columns = np.asarray(columns, dtype=np.intp)
         models = self.kernel.extract_many(columns)
@@ -711,16 +656,15 @@ class _FleetGroup:
         points = self.points[columns].tolist()
         anomalies = self.anomalies[columns].tolist()
         states = []
-        for position, column in enumerate(columns.tolist()):
+        for position in range(columns.size):
             pipeline = StreamingPipeline(models[position], scorer=scorers[position])
             pipeline._index = indices[position]
             pipeline._initialized = True
             pipeline._spec = self.spec
-            state = _SeriesState(pipeline, self.latency_window)
+            state = _SeriesState(pipeline, self.latencies.capacity)
             state.live = True
             state.points = points[position]
             state.anomalies = anomalies[position]
-            state.latencies.extend(self.latencies(column))
             states.append(state)
         return states
 
@@ -738,58 +682,23 @@ class _FleetGroup:
         self.indices = self.indices[keep]
         self.points = self.points[keep]
         self.anomalies = self.anomalies[keep]
-        self.latency_counts = self.latency_counts[keep]
-        if self.latency_values is not None:
-            self.latency_values = self.latency_values[keep]
         self.keys = [self.keys[column] for column in keep.tolist()]
 
     def load(self, column: int, state: _SeriesState) -> None:
-        """Take a materialized (and since advanced) member back into ``column``."""
+        """Take a materialized (and since advanced) member back into
+        ``column``; the durations its ring recorded since join the group's."""
         pipeline = state.pipeline
         self.kernel.load(column, pipeline.decomposer)
         self.scorer.load(column, pipeline.scorer)
         self.indices[column] = pipeline._index
         self.points[column] = state.points
         self.anomalies[column] = state.anomalies
-        self._store_latencies(column, state.latencies)
+        self.latencies.extend(state.latencies.to_array())
 
-    def latencies(self, column: int) -> np.ndarray:
-        """The durations column ``column`` retains, oldest first."""
-        if self.latency_values is None:
-            return np.zeros(0)
-        count = int(self.latency_counts[column])
-        take = min(count, self.latency_window)
-        slots = np.arange(count - take, count) % self.latency_window
-        return self.latency_values[column, slots]
 
-    def _store_latencies(self, column: int, ring: RingBuffer) -> None:
-        """Make ``ring``'s most recent durations the history of ``column``."""
-        if self.latency_values is None and not len(ring):
-            return
-        durations = ring.to_array()[-self.latency_window :]
-        self._ring()[column, : durations.size] = durations
-        self.latency_counts[column] = durations.size
-
-    def _ring(self) -> np.ndarray:
-        """The latency ring, allocated when the first history arrives."""
-        if self.latency_values is None:
-            self.latency_values = np.zeros((len(self.keys), self.latency_window))
-        return self.latency_values
-
-    def record_latency_block(
-        self, columns: np.ndarray, per_point: float, rounds: int
-    ) -> None:
-        """Record a whole time-block's shared per-point duration.
-
-        A block advances ``rounds`` rounds in one kernel invocation, so
-        every round in it gets the same amortized per-point duration:
-        ``rounds`` consecutive ring slots per column are written at once.
-        """
-        slots = (
-            self.latency_counts[columns][:, None] + np.arange(rounds)
-        ) % self.latency_window
-        self.latency_values[columns[:, None], slots] = per_point
-        self.latency_counts[columns] += rounds
+def _latency_report(ring: RingBuffer, label: str) -> LatencyReport | None:
+    """``ring``'s durations summarized under ``label``; None while it is empty."""
+    return summarize_latencies(ring.to_array(), method=label) if len(ring) else None
 
 
 def grid_record(round_keys: Sequence[Hashable], grid: np.ndarray) -> tuple:
@@ -912,10 +821,12 @@ class MultiSeriesEngine:
           NaN gaps are handled by the decomposer's own missing-value
           imputation;
         * ``latency_window`` -- the number of most recent per-point
-          processing durations retained per series for the latency
-          percentiles in :meth:`fleet_stats`;
-        * ``track_latency`` -- False skips the two clock reads per point
-          (marginally faster ingest, no latency percentiles in the stats).
+          update durations a latency ring retains for the percentiles in
+          :meth:`series_stats` / :meth:`fleet_stats`.  Each kernel group
+          keeps one ring, recording every block it advances (a column
+          reports its group's), and each series off the kernel one of its
+          own.  Recording is two clock reads per block and stays on; WAL
+          replay records nothing.
     """
 
     def __init__(self, *, spec: EngineSpec):
@@ -924,13 +835,8 @@ class MultiSeriesEngine:
                 f"spec must be an EngineSpec, got {type(spec).__name__}"
             )
         self.spec = spec
-        self.initialization_length = check_positive_int(
-            spec.initialization_length, "initialization_length", minimum=2
-        )
-        self.latency_window = check_positive_int(
-            spec.latency_window, "latency_window"
-        )
-        self.track_latency = bool(spec.track_latency)
+        self.initialization_length = spec.initialization_length
+        self.latency_window = spec.latency_window
         #: the fleet's roster in first-seen order: a key's scalar home, or
         #: None while the key lives in kernel columns (see ``_absorbed``)
         self._series: dict[Hashable, _SeriesState | None] = {}
@@ -986,7 +892,6 @@ class MultiSeriesEngine:
         initialization_length: int | None = None,
         anomaly_threshold: float = 5.0,
         latency_window: int = 1024,
-        track_latency: bool = True,
         **oneshotstl_parameters,
     ) -> "MultiSeriesEngine":
         """Engine whose every series runs a OneShotSTL pipeline.
@@ -1012,7 +917,6 @@ class MultiSeriesEngine:
             ),
             initialization_length=int(initialization_length),
             latency_window=latency_window,
-            track_latency=track_latency,
         )
         return cls.from_spec(spec)
 
@@ -1082,12 +986,10 @@ class MultiSeriesEngine:
                 state.pipeline.initialize(window)
                 state.live = True
             return EngineRecord(key=key, status=SeriesStatus.WARMING, record=None)
-        if self.track_latency and not self._replaying:
-            start = time.perf_counter()
-            record = state.pipeline.process(value)
+        start = time.perf_counter()
+        record = state.pipeline.process(value)
+        if not self._replaying:
             state.latencies.append(time.perf_counter() - start)
-        else:
-            record = state.pipeline.process(value)
         state.points += 1
         if record.is_anomaly:
             state.anomalies += 1
@@ -1295,7 +1197,7 @@ class MultiSeriesEngine:
             yield start, stop
             if stop < grid.size:
                 row, column = divmod(stop, n)
-                result._set_eager(
+                result._write(
                     stop, self._process_unlogged(keys[column], grid[row, column])
                 )
             start = stop + 1
@@ -1427,7 +1329,7 @@ class MultiSeriesEngine:
         for key, j in scalar:
             try:
                 record = self._process_unlogged(key, values[j])
-                result._set_eager(slots[j] + offset, record)
+                result._write(slots[j] + offset, record)
             except (ValueError, TypeError) as error:
                 return j, error
         return values.size, None
@@ -1500,9 +1402,7 @@ class MultiSeriesEngine:
         for spec_key, (spec, members) in to_absorb.items():
             group = self._groups.get(spec_key)
             if group is None:
-                group = self._groups[spec_key] = _FleetGroup(
-                    spec, self.latency_window, self.track_latency
-                )
+                group = self._groups[spec_key] = _FleetGroup(spec, self.latency_window)
             first = len(group.keys)
             group.absorb(members)
             for column, key in enumerate(members, first):
@@ -1530,9 +1430,11 @@ class MultiSeriesEngine:
         into the :class:`IngestResult` is one 2-D fancy write at
         ``positions``, the block's ``(rounds, m)`` output slots.  The
         per-member bookkeeping -- record indices, point and anomaly
-        totals, latency accounting -- is all batched
-        array operations; no per-row Python objects are built here
-        (records are materialized lazily by the :class:`IngestResult`).
+        totals -- is all batched array operations, and the block's
+        amortized per-point duration goes into the group's latency ring
+        once per round it advanced; no per-row Python objects are built
+        here (records are materialized lazily by the
+        :class:`IngestResult`).
 
         A round that went non-finite under the kernel's unguarded solves
         (a shift-search candidate included) is left uncommitted and ends
@@ -1544,10 +1446,9 @@ class MultiSeriesEngine:
         """
         kernel = group.kernel
         group_scorer = group.scorer
-        track_latency = self.track_latency and not self._replaying
+        latencies = group.latencies
         while block_values.shape[0]:
-            if track_latency:
-                start = time.perf_counter()
+            start = time.perf_counter()
             if full:
                 out = kernel.update_block(block_values)
                 scores, flags = group_scorer.update_block(out.detection_residual)
@@ -1557,9 +1458,9 @@ class MultiSeriesEngine:
                 scores, flags = scorer.update_block(out.detection_residual)
                 group_scorer.assign(columns, scorer)
             rounds = scores.shape[0]
-            if track_latency and rounds:
+            if rounds and not self._replaying:
                 per_point = (time.perf_counter() - start) / (rounds * columns.size)
-                group.record_latency_block(columns, per_point, rounds)
+                latencies.extend(np.full(rounds, per_point))
             advanced = positions[:rounds]
             round_offsets = np.arange(rounds, dtype=np.int64)[:, None]
             result.index[advanced] = group.indices[columns][None, :] + round_offsets
@@ -1577,7 +1478,7 @@ class MultiSeriesEngine:
             if rounds == block_values.shape[0]:
                 return
             for j, column in enumerate(columns.tolist()):
-                result._set_eager(
+                result._write(
                     positions[rounds, j],
                     self._process_unlogged(
                         group.keys[column], block_values[rounds, j]
@@ -1675,34 +1576,58 @@ class MultiSeriesEngine:
         ]
 
     def series_stats(self, key: Hashable) -> SeriesStats:
-        """Statistics of a single series."""
+        """Statistics of a single series; a column's latency is its group's.
+
+        A group's ring holds one sample per round the group advanced,
+        whatever the round's width: a full-width round adds its amortized
+        per-point duration, a one-column :meth:`process` call its whole
+        duration.  So in a group that also serves subset or ``process``
+        traffic, every member's percentiles follow that call mix.
+        """
+        state = self._series[key]
+        home = self._absorbed[key][0] if state is None else state
+        return self._stats(key, _latency_report(home.latencies, f"series[{key!r}]"))
+
+    def _stats(self, key: Hashable, latency: LatencyReport | None) -> SeriesStats:
+        """:class:`SeriesStats` of ``key`` reporting ``latency``."""
         state = self._series[key]
         if state is None:
             group, column = self._absorbed[key]
             live = True
             points = int(group.points[column])
             anomalies = int(group.anomalies[column])
-            latencies = group.latencies(column)
         else:
             live = state.live
             points = state.points
             anomalies = state.anomalies
-            latencies = state.latencies.to_array()
         return SeriesStats(
             key=key,
             status=SeriesStatus.LIVE if live else SeriesStatus.WARMING,
             points=points,
             anomalies=anomalies,
-            latency=(
-                summarize_latencies(latencies, method=f"series[{key!r}]")
-                if latencies.size
-                else None
-            ),
+            latency=latency,
         )
 
     def fleet_stats(self) -> FleetStats:
-        """Aggregate statistics across every series in the fleet."""
-        per_series = {key: self.series_stats(key) for key in self._series}
+        """Aggregate statistics across every series in the fleet.
+
+        Each kernel group's latency ring is summarized once, and its
+        members share that report, each under its own ``series[key]``
+        label.
+        """
+        group_reports = {
+            id(group): _latency_report(group.latencies, "group")
+            for group in self._groups.values()
+        }
+        per_series = {}
+        for key, state in self._series.items():
+            label = f"series[{key!r}]"
+            if state is None:
+                report = group_reports[id(self._absorbed[key][0])]
+                latency = None if report is None else replace(report, method=label)
+            else:
+                latency = _latency_report(state.latencies, label)
+            per_series[key] = self._stats(key, latency)
         live = sum(
             1 for stats in per_series.values() if stats.status == SeriesStatus.LIVE
         )
@@ -2018,6 +1943,8 @@ class MultiSeriesEngine:
         engine = cls.from_spec(EngineSpec.from_dict(manifest["engine_spec"]))
         quarantined_cohorts: list[QuarantinedCohort] = []
         quarantined_keys: set = set()
+        #: damaged segments, moved aside only once recovery cannot refuse
+        damaged: list[str] = []
         for cohort in manifest["cohorts"]:
             cohort_id = cohort["id"]
             name = cohort["segment"]
@@ -2048,7 +1975,7 @@ class MultiSeriesEngine:
                         problem=error.problem,
                     ) from error
                 if error.problem != "missing":
-                    store.quarantine_segment(name)
+                    damaged.append(name)
                 quarantined_cohorts.append(
                     QuarantinedCohort(cohort_id, name, keys, str(error))
                 )
@@ -2067,6 +1994,11 @@ class MultiSeriesEngine:
             if cohort.get("crc") is not None:
                 engine._cohort_crcs[cohort_id] = cohort["crc"]
             engine._cohort_of.update(dict.fromkeys(members, cohort_id))
+        # Under every policy: a spec this process cannot run is the
+        # manifest's damage, not a cohort's.
+        check_components(manifest, source)
+        for name in damaged:
+            store.quarantine_segment(name)
         engine._next_cohort_id = (
             max(engine._cohort_members, default=-1) + 1
         )
@@ -2074,7 +2006,7 @@ class MultiSeriesEngine:
         engine._store = store
         walk = WalWalk(store, manifest["wal"])
         # _replaying suspends latency recording on every path:
-        # the ring buffers hold *observed ingest* durations, and
+        # the rings hold *observed ingest* durations, and
         # replay-speed timings (on the record-free columnar path, usually
         # much faster) would fabricate post-recovery latency percentiles.
         engine._replaying = True
@@ -2189,9 +2121,7 @@ class MultiSeriesEngine:
                 free -= taken
                 for position, key in zip(positions, keys):
                     members[position] = key
-                restored = _FleetGroup.from_columns(
-                    keys, columnar, self.latency_window, self.track_latency
-                )
+                restored = _FleetGroup.from_columns(keys, columnar, self.latency_window)
                 # The group these columns will join -- the engine's, or an
                 # earlier one of this segment -- must be able to take them.
                 peer = joined.setdefault(restored.spec.to_json(sort_keys=True), restored)
@@ -2464,7 +2394,8 @@ class MultiSeriesEngine:
         The checkpoint always holds plain per-series state -- the same
         shape whether or not batched ingest ever ran: a kernel-absorbed
         series is built fresh from its columns (already independent, so
-        it is not copied again), any other is deep-copied.
+        it is not copied again; its latency ring is empty, the group's
+        latency staying behind), any other is deep-copied.
         """
         states = self._materialized(self._series)
         scalar = {key: states[key] for key in states if key not in self._absorbed}

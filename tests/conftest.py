@@ -1,5 +1,6 @@
 """Shared fixtures for the OneShotSTL reproduction test suite."""
 
+import dataclasses
 import io
 import pickle
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.core.online_system import ContributionWorkspace
 from repro.solvers import IncrementalBandedLDLT
+from repro.streaming import RingBuffer
 
 
 class SimulatedCrash(RuntimeError):
@@ -28,14 +30,18 @@ class _CanonicalPickler(pickle.Pickler):
     """Pickles model state without the bytes that are not state.
 
     A ``ContributionWorkspace`` holds ``np.empty`` scratch (whatever the
-    allocator handed out) and a scalar solver keeps one undo level of its
-    last ``extend``; neither is decomposition state, and both differ
-    between two objects that are otherwise equal bit for bit.
+    allocator handed out), a scalar solver keeps one undo level of its
+    last ``extend`` and a latency ring holds wall-clock durations; none
+    is decomposition state, and each differs between two objects that
+    are otherwise equal bit for bit.  A ring pickles as an empty ring of
+    its capacity.
     """
 
     def reducer_override(self, obj):
         if isinstance(obj, ContributionWorkspace):
             return ContributionWorkspace, (obj.lambda1, obj.lambda2)
+        if isinstance(obj, RingBuffer):
+            return RingBuffer, (obj.capacity,)
         if isinstance(obj, IncrementalBandedLDLT):
             new, args, state = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:3]
             return new, args, dict(state, _undo=None)
@@ -43,13 +49,24 @@ class _CanonicalPickler(pickle.Pickler):
 
 
 def canonical_bytes(obj) -> bytes:
-    """``pickle.dumps(obj)`` modulo uninitialised scratch and undo levels.
+    """``pickle.dumps(obj)`` modulo uninitialised scratch, undo levels and
+    latency rings.
 
     Equal bytes mean equal types, attribute order, sharing and floats.
     """
     stream = io.BytesIO()
     _CanonicalPickler(stream, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
     return stream.getvalue()
+
+
+def without_latency(stats):
+    """A ``SeriesStats`` with its latency report dropped.
+
+    Latency is a wall-clock measurement, not state: a kernel column
+    reports its group's and a scalar home its own, so two engines that
+    hold the same series agree on everything else.
+    """
+    return dataclasses.replace(stats, latency=None)
 
 
 def make_seasonal_series(

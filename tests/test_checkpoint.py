@@ -22,13 +22,16 @@ rebuild are specified against.
 import json
 import pickle
 import shutil
+import sys
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.durability import (
+    RECOVERY_POLICIES,
     CheckpointVersionError,
     CorruptCheckpointError,
     DirectoryCheckpointStore,
@@ -46,6 +49,7 @@ from tests.conftest import (
     SimulatedCrash,
     canonical_bytes,
     make_seasonal_series,
+    without_latency,
 )
 
 PERIOD = 24
@@ -735,7 +739,9 @@ class TestEveryWalKindStillReplays:
             reference.process(key, float(value))
         assert recovered.keys() == reference.keys()
         for key in keys:
-            assert recovered.series_stats(key) == reference.series_stats(key)
+            assert without_latency(recovered.series_stats(key)) == without_latency(
+                reference.series_stats(key)
+            )
         tail = [[(key, data[t, j]) for j, key in enumerate(keys)] for t in range(15, 40)]
         _assert_continues_identically(recovered, reference, tail)
         recovered.close(checkpoint=False)
@@ -806,6 +812,15 @@ class TestManifestIsTypeChecked:
             lambda m: m.update(generation="x"),
             lambda m: m.update(generation=-1),
             lambda m: m.update(generation=m["generation"] - 1),
+            lambda m: m["engine_spec"].update(latency_window=0),
+            lambda m: m["engine_spec"].update(initialization_length="x"),
+            lambda m: m["engine_spec"].update(initialization_length=1),
+            lambda m: m["engine_spec"]["pipeline"]["decomposer"].update(name="nope"),
+            lambda m: m["engine_spec"].update(
+                overrides={"k": {"decomposer": {"name": "oneshotstl"},
+                                 "detector": {"name": "nope"}}}  # fmt: skip
+            ),
+            lambda m: m.update(engine_spec=[]),
         ],
         ids=[
             "id-str",
@@ -818,6 +833,12 @@ class TestManifestIsTypeChecked:
             "generation-str",
             "generation-negative",
             "generation-behind-its-wal",
+            "spec-latency-window-zero",
+            "spec-initialization-length-str",
+            "spec-initialization-length-one",
+            "spec-unknown-decomposer",
+            "spec-override-unknown-scorer",
+            "spec-not-an-object",
         ],
     )
     def test_verify_and_open_refuse_alike(self, tmp_path, edit):
@@ -828,10 +849,71 @@ class TestManifestIsTypeChecked:
         assert [(f.artifact, f.problem) for f in report.findings] == [
             ("manifest", "invalid")
         ]
-        with pytest.raises(CorruptCheckpointError) as error:
-            MultiSeriesEngine.open(tmp_path / "store")
-        assert error.value.problem == "invalid"
-        assert tree_bytes(tmp_path / "store") == before
+        for policy in RECOVERY_POLICIES:
+            with pytest.raises(CorruptCheckpointError) as error:
+                MultiSeriesEngine.open(tmp_path / "store", recovery=policy)
+            assert error.value.problem == "invalid"
+            assert tree_bytes(tmp_path / "store") == before
+
+    def test_a_plugin_that_only_the_fallback_pickle_imports_opens(
+        self, tmp_path, monkeypatch, request
+    ):
+        # A decomposer registered by a module nothing has imported yet
+        # when the store is read: unpickling its series' states does.
+        module = "checkpoint_plugin_decomposer"
+        (tmp_path / f"{module}.py").write_text(
+            "from repro.core import OneShotSTL\n"
+            "from repro.registry import register_decomposer\n\n\n"
+            f'@register_decomposer("{module}")\n'
+            "class PluginSTL(OneShotSTL):\n"
+            "    pass\n"
+        )
+        monkeypatch.syspath_prepend(tmp_path)
+        __import__(module)
+
+        def forget():
+            """Leave the process as if the plugin were never imported."""
+            sys.modules.pop(module, None)
+            registry._registry[registry.DECOMPOSER].pop(module, None)
+
+        request.addfinalizer(forget)
+
+        spec = EngineSpec(
+            pipeline=PipelineSpec(DecomposerSpec(module, {"period": PERIOD})),
+            initialization_length=INIT,
+        )
+        data = make_fleet_data(6, length=PERIOD * 6)
+        store = tmp_path / "store"
+        writer = MultiSeriesEngine.open(store, spec=spec)
+        reference = MultiSeriesEngine.from_spec(spec)
+        batches = list(interleaved_batches(data))
+        cut = len(batches) - 5
+        for batch in batches[:cut]:
+            writer.ingest(batch)
+            reference.ingest(batch)
+        writer.checkpoint()
+        writer.ingest(batches[cut])  # a WAL tail
+        reference.ingest(batches[cut])
+        writer.close(checkpoint=False)
+        assert not writer._absorbed  # every series is in the fallback pickle
+
+        forget()
+        assert DirectoryCheckpointStore(store).verify().ok
+        forget()
+        engine = MultiSeriesEngine.open(store, recovery="strict")
+        assert engine.last_recovery.clean
+        _assert_continues_identically(engine, reference, batches[cut + 1 :])
+        engine.close(checkpoint=False)
+
+    def test_a_stored_track_latency_key_is_ignored(self, tmp_path):
+        self._store(tmp_path / "store")
+        edit_manifest(
+            tmp_path / "store", lambda m: m["engine_spec"].update(track_latency="false")
+        )
+        assert DirectoryCheckpointStore(tmp_path / "store").verify().ok
+        engine = MultiSeriesEngine.open(tmp_path / "store", spec=uniform_spec())
+        assert engine.spec == uniform_spec()
+        engine.close(checkpoint=False)
 
     def test_a_valid_store_keeps_every_series_through_a_checkpoint(self, tmp_path):
         data = self._store(tmp_path / "store")

@@ -13,7 +13,10 @@ to the spec's group.  Pinned here:
   costs exactly its cohort, nothing half-registered;
 * a cohort mixing absorbed keys of two specs with warming,
   never-absorbable and below-minimum keys survives checkpoint -> kill ->
-  open float for float, under both kernel bodies, latency ring and all;
+  open float for float, under both kernel bodies; latency, a
+  measurement, is not in the segment and does not come back;
+* a column group carrying the per-column latency ring the first
+  format-4 builds wrote still opens, its ring sections dropped;
 * no scalar object is *constructed* for an absorbed series, neither by
   ``checkpoint()`` nor by ``open()``;
 * a shard handoff is the same codec: ``extract_series`` returns a
@@ -60,7 +63,7 @@ from repro.streaming import (
     StreamingPipeline,
 )
 
-from tests.conftest import make_seasonal_series
+from tests.conftest import make_seasonal_series, without_latency
 
 PERIOD = 8
 INIT = 2 * PERIOD
@@ -230,19 +233,6 @@ def _header_of_another_format(header, body):
     return header, body
 
 
-def _negative_latency_count(header, body):
-    sections = _first(header)["sections"]
-    offset = 0
-    for section in sections:
-        size = int(np.prod(section["shape"])) * 8
-        if section["name"] == "latency_counts":
-            lie = np.frombuffer(body[offset : offset + size], dtype="<i8").copy()
-            lie[0] = -5
-            return header, body[:offset] + lie.tobytes() + body[offset + size :]
-        offset += size
-    raise AssertionError("no latency_counts section")
-
-
 LIES = [
     _huge_shape,
     _unknown_dtype,
@@ -261,7 +251,6 @@ LIES = [
     _fallback_overstated,
     _trailing_bytes,
     _header_of_another_format,
-    _negative_latency_count,
 ]
 
 
@@ -388,7 +377,7 @@ class TestAHeaderThatLies:
         name = store.read_manifest()["cohorts"][0]["segment"]
         (group,), _fallback = split_segment(store.read_segment(name), name)
         params = dict(group.meta["kernel"], shift_window=10**15)
-        others = ("indices", "points", "anomalies", "latency_counts", "latency_values")
+        others = ("indices", "points", "anomalies")
         arrays = {
             name: array
             for name, array in group.arrays.items()
@@ -498,7 +487,7 @@ ROSTER = [
 ]
 
 
-def mixed_spec(latency_window: int, track_latency: bool) -> EngineSpec:
+def mixed_spec(latency_window: int) -> EngineSpec:
     overrides = {key: SPEC_B for key in B_KEYS}
     overrides.update({key: SPEC_FEW for key in FEW_KEYS})
     overrides.update({key: SPEC_NEVER for key in NEVER_KEYS})
@@ -507,7 +496,6 @@ def mixed_spec(latency_window: int, track_latency: bool) -> EngineSpec:
         overrides=overrides,
         initialization_length=INIT,
         latency_window=latency_window,
-        track_latency=track_latency,
     )
 
 
@@ -547,11 +535,10 @@ def feed(engine, start, stop, keys=ROSTER):
 
 @pytest.mark.usefixtures("kernel_body")
 class TestMixedCohortRoundTrip:
-    @pytest.mark.parametrize("tracking", [True, False], ids=["latency-on", "latency-off"])
     def test_checkpoint_kill_open_continue_equals_the_uninterrupted_run(
-        self, tmp_path, tracking, monkeypatch
+        self, tmp_path, monkeypatch
     ):
-        spec = mixed_spec(latency_window=32, track_latency=tracking)
+        spec = mixed_spec(latency_window=32)
         uninterrupted = MultiSeriesEngine.from_spec(spec)
         scalar = MultiSeriesEngine.from_spec(spec)
         scalar.fleet_kernel_enabled = False
@@ -576,14 +563,10 @@ class TestMixedCohortRoundTrip:
         assert list(pickle.loads(fallback)) == [
             key for key in ["warming", *ROSTER] if key in NEVER_KEYS + ["warming"]
         ]
-        assert ("latency_values" in groups[0].arrays) == tracking
+        assert not any(name.startswith("latency") for name in groups[0].arrays)
 
         middle = [feed(engine, CUT, KILL) for engine in engines]  # the WAL tail
         assert middle[0] == middle[1] == middle[2]
-        rings = {
-            key: group.latencies(column)
-            for key, (group, column) in durable._absorbed.items()
-        }
         stats = {key: durable.series_stats(key) for key in durable.keys()}
         durable.close(checkpoint=False)  # the kill: no final checkpoint
 
@@ -614,17 +597,11 @@ class TestMixedCohortRoundTrip:
                 stats[key].points,
                 stats[key].anomalies,
             )
-        # PR 21's rule: the newest min(count, window) durations, in order.
-        # (The tail was replayed, and replay records no latency: the ring
-        # is the checkpoint's.)
-        for key, (group, column) in reopened._absorbed.items():
-            kept = group.latencies(column)
-            if tracking:
-                at_checkpoint = rings[key][: -(KILL - CUT)]
-                assert kept.tolist() == at_checkpoint[-8:].tolist()
-                assert kept.size == 8
-            else:
-                assert kept.size == 0
+        # No latency came back (the segment holds none, and replay records
+        # none); the groups' rings are the reopened spec's.
+        for group in reopened._groups.values():
+            assert len(group.latencies) == 0 and group.latencies.capacity == 8
+        assert all(reopened.series_stats(key).latency is None for key in columns)
 
         tail = [feed(engine, KILL, END) for engine in (uninterrupted, scalar, reopened)]
         assert tail[0] == tail[1]
@@ -661,10 +638,79 @@ class TestMixedCohortRoundTrip:
         reopened.close(checkpoint=False)
 
 
+def with_ring_sections(store_path: Path) -> None:
+    """Give every column group of the store the two ring sections the
+    first format-4 builds wrote after the totals -- ``latency_counts``
+    ``(n,)`` and ``latency_values`` ``(n, width)``, ring slots addressed
+    ``count % width`` -- and make the manifest vouch for the new bytes."""
+    manifest_path = store_path / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text())
+    rng = np.random.default_rng(5)
+    for cohort in manifest["cohorts"]:
+        segment = store_path / "segments" / cohort["segment"]
+        groups, fallback = split_segment(segment.read_bytes(), segment)
+        ringed = []
+        for group in groups:
+            n = len(group.meta["keys"])
+            counts = rng.integers(0, 40, size=n)
+            arrays = dict(group.arrays)
+            arrays["latency_counts"] = counts
+            arrays["latency_values"] = rng.random((n, int(counts.max(initial=0))))
+            ringed.append(ColumnGroup(group.meta, arrays))
+        payload = encode_columnar_segment(ringed, fallback)
+        segment.write_bytes(payload)
+        cohort["crc"] = zlib.crc32(payload)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.usefixtures("kernel_body")
+class TestASegmentWithRingSections:
+    def test_opens_verifies_continues_and_is_rewritten_without_them(self, tmp_path):
+        spec = mixed_spec(latency_window=32)
+        store = tmp_path / "store"
+        durable = MultiSeriesEngine.open(store, spec=spec)
+        uninterrupted = MultiSeriesEngine.from_spec(spec)
+        for engine in (durable, uninterrupted):
+            engine.process("warming", float(STREAMS["warming"][0]))
+            feed(engine, 0, CUT)
+        durable.checkpoint_cohort_size = 7
+        durable.checkpoint()
+        feed(durable, CUT, KILL)  # the WAL tail
+        feed(uninterrupted, CUT, KILL)
+        durable.close(checkpoint=False)
+        with_ring_sections(store)
+        names = [
+            section["name"]
+            for cohort in json.loads((store / "MANIFEST.json").read_text())["cohorts"]
+            for section in unframe((store / "segments" / cohort["segment"]).read_bytes())[
+                0
+            ]["groups"][0]["sections"]
+        ]
+        assert {"latency_counts", "latency_values"} <= set(names)
+
+        assert DirectoryCheckpointStore(store).verify(deep=True).ok
+        reopened = MultiSeriesEngine.open(store, recovery="strict")
+        assert reopened.last_recovery.clean
+        assert set(reopened._absorbed) == set(uninterrupted._absorbed)
+        assert all(
+            reopened.series_stats(key).latency is None for key in reopened._absorbed
+        )
+        assert feed(reopened, KILL, END) == feed(uninterrupted, KILL, END)
+        reopened.checkpoint()
+        store_view = reopened._store
+        for name in store_view.list_segments():
+            groups, _fallback = split_segment(store_view.read_segment(name), name)
+            for group in groups:
+                assert not any(section.startswith("latency") for section in group.arrays)
+        reopened.close(checkpoint=False)
+
+
 # --------------------------------------------------------------------------
 # census: constructions, not survivors
 # --------------------------------------------------------------------------
 
+#: a latency ring is counted too: every scalar home builds one, and so
+#: does every kernel group -- and nothing else
 SCALAR_CLASSES = (OneShotSTL, StreamingPipeline, IncrementalBandedLDLT, NSigma, RingBuffer)
 
 
@@ -711,8 +757,13 @@ class TestNoScalarObjectIsBuilt:
         constructions.update(nothing)
 
         reopened = MultiSeriesEngine.open(tmp_path / "store")
-        assert constructions == nothing, "open() built scalar objects"
+        # one latency ring per restored column group, and nothing else
+        restored_groups = summary.cohorts_written
+        assert constructions == {**nothing, "RingBuffer": restored_groups}, (
+            "open() built scalar objects"
+        )
         assert set(reopened._absorbed) == set(keys)
+        constructions.update(nothing)
         reopened.ingest_grid(keys[10:], data[INIT + 12 : INIT + 13, 10:])
         reopened.checkpoint()
         assert constructions == nothing
@@ -740,7 +791,7 @@ def handoff_engines():
     ``latency_window`` is 8 against their 32, runs a cohort of its own."""
     engines = []
     for window, keys in ((32, [*ROSTER, ODD]), (32, [*ROSTER, ODD]), (8, LOCALS)):
-        engine = MultiSeriesEngine.from_spec(mixed_spec(window, track_latency=True))
+        engine = MultiSeriesEngine.from_spec(mixed_spec(window))
         if keys is not LOCALS:
             engine.process("warming", float(STREAMS["warming"][0]))
         feed(engine, 0, CUT, keys)
@@ -801,7 +852,7 @@ class TestHandoff:
         for key in STAYED:
             assert stayed[key] == expected[key], key
         # ... and the target's own cohort did not notice.
-        alone = MultiSeriesEngine.from_spec(mixed_spec(8, track_latency=True))
+        alone = MultiSeriesEngine.from_spec(mixed_spec(8))
         feed(alone, 0, CUT, LOCALS)
         reference = per_key(alone, LOCALS, CUT, END)
         assert all(moved[key] == reference[key] for key in LOCALS)
@@ -816,8 +867,16 @@ class TestHandoff:
         absorbed = [key for key in HANDED if key in source._absorbed and key != ODD]
         nothing = dict.fromkeys(constructions, 0)
         constructions.update(nothing)
-        target.adopt_series(source.extract_series([*absorbed, "warming"]))
-        assert constructions == nothing, "the handoff built scalar objects"
+        payload = source.extract_series([*absorbed, "warming"])
+        assert constructions == nothing, "extract_series() built scalar objects"
+        target.adopt_series(payload)
+        # one latency ring per adopted column group, and nothing else
+        adopted_groups = len(split_segment(payload, "payload")[0])
+        assert adopted_groups == 2
+        assert constructions == {**nothing, "RingBuffer": adopted_groups}, (
+            "adopt_series() built scalar objects"
+        )
+        constructions.update(nothing)
         packs = []
         monkeypatch.setattr(
             FleetKernel, "pack", classmethod(lambda cls, models: packs.append(len(models)))
@@ -886,9 +945,7 @@ V3_LATE = v3_stream(10)
 
 def v3_reference(with_tail: bool) -> MultiSeriesEngine:
     """What ``tests/data/make_v3_fixture.py`` fed its writer, cell by cell."""
-    reference = MultiSeriesEngine.for_oneshotstl(
-        PERIOD, initialization_length=INIT, track_latency=False
-    )
+    reference = MultiSeriesEngine.for_oneshotstl(PERIOD, initialization_length=INIT)
     reference.fleet_kernel_enabled = False
     for row in V3_DATA[:40]:
         for key, value in zip(V3_KEYS, row):
@@ -956,7 +1013,9 @@ class TestAStoreWrittenByFormat3:
         reference = v3_reference(with_tail=True)
         assert engine.keys() == reference.keys()
         for key in engine.keys():
-            assert engine.series_stats(key) == reference.series_stats(key)
+            assert without_latency(engine.series_stats(key)) == without_latency(
+                reference.series_stats(key)
+            )
         # A v3 store is all fallback; the keys its WAL tail touched went
         # back into columns as the replay advanced them, "late" is warming.
         touched = {V3_KEYS[column] for column in (0, 1, 2, 3, 8, 9)}

@@ -35,6 +35,14 @@ from repro.durability.format import (
     wal_name,
     wal_position,
 )
+from repro.durability.recovery import check_components
+from repro.specs import DecomposerSpec, EngineSpec, PipelineSpec
+
+#: the engine spec of a manifest that validates
+SPEC = EngineSpec(
+    pipeline=PipelineSpec(DecomposerSpec("oneshotstl", {"period": 4})),
+    initialization_length=8,
+)
 
 
 def wal_payloads(store, name) -> list:
@@ -234,7 +242,7 @@ class TestManifestAndSegments:
             {"id": 0, "segment": "seg-00000002-000000.seg", "series": 3, "crc": 7},
             {"id": 1, "segment": "seg-00000001-000001.seg", "series": 2},
         ]
-        return build_manifest(2, {}, cohorts, wal_name(2))
+        return build_manifest(2, SPEC.to_dict(), cohorts, wal_name(2))
 
     @pytest.mark.parametrize(
         "where, value",
@@ -256,6 +264,17 @@ class TestManifestAndSegments:
             pytest.param(("generation",), 1, id="generation-behind-its-wal"),
             pytest.param(("format_version",), "4", id="format-str"),
             pytest.param(("format_version",), True, id="format-bool"),
+            # ... and what it builds the engine from builds one
+            pytest.param(("engine_spec", "latency_window"), 0, id="spec-window-zero"),
+            pytest.param(
+                ("engine_spec", "initialization_length"), "x", id="spec-init-str"
+            ),
+            pytest.param(
+                ("engine_spec", "pipeline", "decomposer", "name"),
+                "",
+                id="spec-empty-decomposer-name",
+            ),
+            pytest.param(("engine_spec", "pipeline"), None, id="spec-no-pipeline"),
         ],
     )
     def test_what_recovery_reads_as_a_number_is_one(self, where, value):
@@ -270,6 +289,16 @@ class TestManifestAndSegments:
             validate_manifest(manifest, "store")
         assert error.value.problem == "invalid"
         assert "store" in str(error.value)
+
+    def test_component_names_are_resolved_after_the_segments(self):
+        # A plugin registers on import, and the fallback pickle may be
+        # what imports it: the manifest alone cannot tell.
+        manifest = self._two_cohorts()
+        manifest["engine_spec"]["pipeline"]["decomposer"]["name"] = "a-plugin"
+        validate_manifest(manifest, "store")
+        with pytest.raises(CorruptCheckpointError, match="a-plugin") as error:
+            check_components(manifest, "store")
+        assert error.value.problem == "invalid"
 
     def test_manifest_missing_keys_lists_them(self, tmp_path):
         with pytest.raises(CorruptCheckpointError, match="cohorts"):

@@ -12,7 +12,8 @@ Three tiers of evidence:
   must name exactly the cohort keys it dropped and serve the rest --
   and, because both read the store through one walk, a property over
   {artifact x flip/truncate/delete x offset, and manifest fields set to
-  what is not a number or a format this build reads}: ``verify().ok``
+  what is not a number, a format this build reads or an engine spec it
+  can run}: ``verify().ok``
   iff a strict open succeeds, what opens strictly keeps every series
   through a checkpoint and a reopen, and a tolerant recovery's state is
   the scalar reference fed exactly the replayed prefix;
@@ -728,8 +729,19 @@ def pristine(tmp_path_factory):
     return stores
 
 
-#: a manifest field set to what recovery cannot read as a number (or a
-#: format this build no longer reads): ``(field, value)``
+#: ``engine_spec`` entries no engine can be built from: ``{field: value}``
+SPEC_EDITS = {
+    "latency_window": 0,
+    "initialization_length": "x",
+    "pipeline": {"decomposer": {"name": "no-such-model"}},
+    "overrides": {
+        "k": {"decomposer": {"name": "oneshotstl"}, "detector": {"name": "no-such"}}
+    },
+}
+
+#: a manifest field set to what recovery cannot read as a number, a
+#: format this build no longer reads, or an engine spec it cannot run:
+#: ``(field, value)``
 MANIFEST_EDITS = st.one_of(
     st.tuples(
         st.just("cohort_id"), st.sampled_from(["x", None, True, 1.5, "duplicate"])
@@ -739,6 +751,7 @@ MANIFEST_EDITS = st.one_of(
         st.one_of(st.text(max_size=3), st.integers(max_value=-1)),
     ),
     st.tuples(st.just("format_version"), st.sampled_from([1, 2])),
+    st.tuples(st.just("engine_spec"), st.sampled_from(sorted(SPEC_EDITS))),
 )
 
 
@@ -748,6 +761,8 @@ def edit_manifest_field(path, edit: tuple) -> None:
     if field == "cohort_id":
         cohorts = manifest["cohorts"]
         cohorts[-1]["id"] = cohorts[0]["id"] if value == "duplicate" else value
+    elif field == "engine_spec":
+        manifest[field][value] = SPEC_EDITS[value]
     else:
         manifest[field] = value
     path.write_text(json.dumps(manifest))
@@ -933,8 +948,7 @@ class TestVerifyAgreesWithRecovery:
                     }
                     engine.close(checkpoint=False)
         assert {"frame", "header", "fallback", "seasonal_buffer", "solver_blocks",
-                "trend_pairs", "monitor_m2", "scorer_mean", "points",
-                "latency_values"} <= seen  # fmt: skip
+                "trend_pairs", "monitor_m2", "scorer_mean", "points"} <= seen  # fmt: skip
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ tests pin that promise at each layer.
 import contextlib
 import copy
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from repro.specs import DecomposerSpec, DetectorSpec, EngineSpec, PipelineSpec
 from repro.streaming import IngestResult, MultiSeriesEngine, StreamingPipeline
 from repro.streaming.latency import summarize_latencies
 
-from tests.conftest import make_seasonal_series
+from tests.conftest import make_seasonal_series, without_latency
 
 PERIOD = 24
 INIT = 4 * PERIOD
@@ -1755,6 +1756,19 @@ class TestAmortizedAbsorption:
         assert all(key in fast._absorbed for key in late)
 
 
+def assert_one_group_report(engine, keys):
+    """Every member of one kernel group reports the group's latency: the
+    same report under its own label.  Returns that report."""
+    assert len({id(engine._absorbed[key][0]) for key in keys}) == 1
+    reports = {key: engine.series_stats(key).latency for key in keys}
+    first = reports[keys[0]]
+    assert first is not None
+    for key, report in reports.items():
+        assert report.method == f"series[{key!r}]"
+        assert report == replace(first, method=report.method)
+    return first
+
+
 class TestBatchedLatencyTracking:
     def test_latency_ring_overflow_keeps_newest_window(self):
         spec = EngineSpec(
@@ -1764,31 +1778,31 @@ class TestBatchedLatencyTracking:
             ),
             initialization_length=INIT,
             latency_window=16,
-            track_latency=True,
         )
         engine = MultiSeriesEngine.from_spec(spec)
         data = {f"m-{i}": fleet_series(i) for i in range(8)}
         length = len(next(iter(data.values())))
         for position in range(length):
             engine.ingest({key: values[position] for key, values in data.items()})
-        assert engine._absorbed
-        for key in data:
-            latency = engine.series_stats(key).latency
-            assert latency is not None
-            assert latency.points == 16
-            assert latency.p99_seconds >= latency.median_seconds > 0
+        assert len(engine._absorbed) == len(data)
+        # One ring for the group, of the spec's window, full.
+        (group,) = engine._groups.values()
+        assert group.latencies.capacity == 16 and len(group.latencies) == 16
+        latency = assert_one_group_report(engine, list(data))
+        assert latency.points == 16
+        assert latency.p99_seconds >= latency.median_seconds > 0
 
     def test_latency_flush_interleaves_with_scalar_process(self):
-        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=True)
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
         data = {f"m-{i}": fleet_series(i) for i in range(8)}
         for position in range(INIT + 20):
             engine.ingest({key: values[position] for key, values in data.items()})
         assert engine._absorbed
-        # A process() is a one-column run: its duration joins the column's
-        # ring after the batches', so nothing is lost.
+        # A process() is a one-column run: its duration joins the group's
+        # ring after the batches', so nothing is lost -- and the members
+        # that sat it out report it too, the ring being the group's.
         engine.process("m-0", 0.5)
-        latency = engine.series_stats("m-0").latency
-        assert latency is not None
+        latency = assert_one_group_report(engine, list(data))
         assert latency.points == 21
 
 
@@ -1820,7 +1834,7 @@ class TestKernelCheckpointing:
     def test_checkpoint_format_is_identical_to_scalar_path(self, tmp_path):
         """A kernel-run engine checkpoints the state a scalar run does."""
         data = {f"m-{i}": fleet_series(i) for i in range(8)}
-        fast, reference = engine_pair(8, track_latency=False)
+        fast, reference = engine_pair(8)
         for batch in self.run_batches(data, 0, PERIOD * 8):
             fast.ingest(batch)
             reference.ingest(batch)
@@ -1884,17 +1898,21 @@ class TestLatencyEdgeCases:
         assert stats.anomalies_total == 0
 
     def test_kernel_path_latency_counts_every_point(self):
+        """Full-width rounds: the group ring holds one duration per round,
+        which is what each member's own ring held before."""
         data = {f"m-{i}": fleet_series(i) for i in range(8)}
-        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=True)
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
         length = len(next(iter(data.values())))
         for position in range(length):
             engine.ingest([(key, values[position]) for key, values in data.items()])
         assert engine._absorbed
-        for key in data:
-            latency = engine.fleet_stats().per_series[key].latency
-            assert latency is not None
-            assert latency.points == min(length - INIT, 1024)
-            assert latency.p99_seconds >= latency.median_seconds > 0
+        latency = assert_one_group_report(engine, list(data))
+        assert latency.points == min(length - INIT, 1024)
+        assert latency.p99_seconds >= latency.median_seconds > 0
+        stats = engine.fleet_stats().per_series
+        assert {key: stats[key].latency for key in data} == {
+            key: engine.series_stats(key).latency for key in data
+        }
 
 
 RESULT_FIELDS = (
@@ -2043,7 +2061,7 @@ class TestTimeBlockedOracle:
 
     def test_blocked_latency_counts_every_round(self):
         data = {f"m-{i}": fleet_series(i) for i in range(8)}
-        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=True)
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
         length = len(next(iter(data.values())))
         for start in range(0, length, 40):
             engine.ingest({
@@ -2098,7 +2116,7 @@ class TestNonFiniteSolveReplay:
     def test_overflowing_rounds_replay_to_the_same_values(self, returned_short, chunk):
         """Two 1e308 cells in one round overflow the kernel's screen."""
         data = {f"m-{i}": fleet_series(i) for i in range(6)}
-        fast, reference = self.warmed_pair(data, track_latency=False)
+        fast, reference = self.warmed_pair(data)
         keys = list(data)
         block = np.array(
             [data[key][INIT + 20 : INIT + 20 + PERIOD] for key in keys]
@@ -2129,7 +2147,9 @@ class TestNonFiniteSolveReplay:
             fast.ingest_columnar(tail), reference.ingest_columnar(tail)
         )
         for key in keys:
-            assert fast.series_stats(key) == reference.series_stats(key)
+            assert without_latency(fast.series_stats(key)) == without_latency(
+                reference.series_stats(key)
+            )
 
     @pytest.mark.parametrize("chunk", [1, 4, 12])
     @pytest.mark.parametrize("shift_window", [0, 20])
@@ -2138,9 +2158,7 @@ class TestNonFiniteSolveReplay:
     ):
         """Same error, same observation, same per-key progress afterwards."""
         data = {f"m-{i}": fleet_series(i) for i in range(6)}
-        fast, reference = self.warmed_pair(
-            data, shift_window=shift_window, track_latency=False
-        )
+        fast, reference = self.warmed_pair(data, shift_window=shift_window)
         keys = list(data)
         block = np.array(
             [data[key][INIT + 20 : INIT + 32] for key in keys]
@@ -2157,7 +2175,7 @@ class TestNonFiniteSolveReplay:
                     failure = (start, str(error))
                     break
             outcomes.append(
-                (failure, [engine.series_stats(key) for key in keys])
+                (failure, [without_latency(engine.series_stats(key)) for key in keys])
             )
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is not None, "the stream never poisoned the solver"
@@ -2211,7 +2229,7 @@ class TestNonFiniteSolveReplay:
     ):
         """Engine level: same error, same observation, same per-key progress."""
         data = {f"m-{i}": fleet_series(i) for i in range(6)}
-        fast, reference = self.warmed_pair(data, track_latency=False)
+        fast, reference = self.warmed_pair(data)
         keys = list(data)
         block = self.poisoned_after_a_trip(
             np.array([data[key][INIT + 20 : INIT + 32] for key in keys]).T
@@ -2222,7 +2240,10 @@ class TestNonFiniteSolveReplay:
             with pytest.raises(ValueError, match="pivot") as raised:
                 engine.ingest_grid(keys, block)
             outcomes.append(
-                (str(raised.value), [engine.series_stats(key) for key in keys])
+                (
+                    str(raised.value),
+                    [without_latency(engine.series_stats(key)) for key in keys],
+                )
             )
         assert outcomes[0] == outcomes[1]
         assert len(returned_short) == 1 and returned_short[0][0] == 12
@@ -2243,7 +2264,7 @@ class TestIngestFormsProperty:
     def warm_state(cls):
         """Snapshot of a fleet past warm-up (built once, restored per example)."""
         if cls._warm is None:
-            engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+            engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
             engine.ingest(
                 {
                     key: fleet_series(i)[: INIT + 12]
@@ -2308,7 +2329,7 @@ class TestIngestFormsProperty:
         forms = ("scalar", "rows", "parallel", "dict", "grid")
         engines = {}
         for form in forms:
-            engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+            engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
             engine.fleet_kernel_enabled = form != "scalar"
             engine.restore(self.warm_state())
             engines[form] = engine
@@ -2342,9 +2363,9 @@ class TestIngestFormsProperty:
             assert len(engines[form]._absorbed) == len(self.KEYS)
             assert collected[form] == collected["scalar"], form
             for key in self.KEYS:
-                assert engines[form].series_stats(key) == engines[
-                    "scalar"
-                ].series_stats(key)
+                assert without_latency(
+                    engines[form].series_stats(key)
+                ) == without_latency(engines["scalar"].series_stats(key))
 
     # ------------------------------------------------ cells the scalar path
     # might reject: the same forms against a per-cell ``process`` loop
@@ -2358,7 +2379,7 @@ class TestIngestFormsProperty:
         its own (a cohort of one: a group of its own) and one still eight
         points short of its initialization window."""
         if cls._mixed is None:
-            base = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False).spec
+            base = MultiSeriesEngine.for_oneshotstl(PERIOD).spec
             odd = PipelineSpec(
                 decomposer=DecomposerSpec("oneshotstl", {"period": 12}),
                 detector=base.pipeline.detector,
@@ -2368,7 +2389,6 @@ class TestIngestFormsProperty:
                 overrides={cls.ODD: odd},
                 initialization_length=base.initialization_length,
                 latency_window=base.latency_window,
-                track_latency=False,
             )
             engine = MultiSeriesEngine.from_spec(spec)
             engine.fleet_kernel_enabled = False

@@ -18,6 +18,7 @@ import gc
 import io
 import pickle
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,13 +37,14 @@ from repro.streaming import (
     StreamingPipeline,
 )
 from repro.streaming.engine import _FleetGroup, _SeriesState
+from repro.streaming.latency import summarize_latencies
 
-from tests.conftest import canonical_bytes, make_seasonal_series
+from tests.conftest import canonical_bytes, make_seasonal_series, without_latency
 
 PERIOD = 24
 INIT = 4 * PERIOD
 KEYS = [f"m-{i}" for i in range(10)]
-SCALAR_TYPES = (OneShotSTL, StreamingPipeline, IncrementalBandedLDLT, RingBuffer)
+SCALAR_TYPES = (OneShotSTL, StreamingPipeline, IncrementalBandedLDLT)
 
 #: every test here runs under both bodies of the kernel's run
 pytestmark = pytest.mark.usefixtures("kernel_body")
@@ -58,8 +60,13 @@ STREAMS = np.column_stack([stream(index) for index in range(len(KEYS))])
 
 
 def scalar_census():
+    """``(per-series scalar objects, latency rings)`` alive right now."""
     gc.collect()
-    return sum(isinstance(obj, SCALAR_TYPES) for obj in gc.get_objects())
+    objects = gc.get_objects()
+    return (
+        sum(isinstance(obj, SCALAR_TYPES) for obj in objects),
+        sum(isinstance(obj, RingBuffer) for obj in objects),
+    )
 
 
 class TestAbsorbedSeriesHaveNoScalarObjects:
@@ -67,12 +74,14 @@ class TestAbsorbedSeriesHaveNoScalarObjects:
         baseline = scalar_census()
         engine = MultiSeriesEngine.open(
             tmp_path / "store",
-            spec=MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=True).spec,
+            spec=MultiSeriesEngine.for_oneshotstl(PERIOD).spec,
         )
         # The round that completes the windows, then the first online
         # points: the cohort is absorbed inside this one batch.
         engine.ingest_grid(KEYS, STREAMS[: INIT + 4])
         assert set(engine._absorbed) == set(KEYS)
+        # ... but one latency ring: the group's
+        baseline = (baseline[0], baseline[1] + 1)
         assert scalar_census() == baseline
 
         calls = {
@@ -110,18 +119,18 @@ class TestAGroupHasNoDeadColumns:
 
     def test_both_halves_of_a_split_cohort_equal_the_unmoved_reference(self):
         baseline = scalar_census()
-        reference = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+        reference = MultiSeriesEngine.for_oneshotstl(PERIOD)
         reference.ingest_grid(KEYS, STREAMS[: self.CUT])
         expected = self.outputs(
             reference.ingest_grid(KEYS, STREAMS[self.CUT : self.END]), len(KEYS)
         )
 
-        donor = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+        donor = MultiSeriesEngine.for_oneshotstl(PERIOD)
         donor.ingest_grid(KEYS, STREAMS[: self.CUT])
         # The target already runs a cohort of its own: the newcomers
         # join its group, they do not found one.
         locals_ = [f"t-{i}" for i in range(8)]
-        target = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+        target = MultiSeriesEngine.for_oneshotstl(PERIOD)
         target.ingest_grid(locals_, STREAMS[: self.CUT, :8] + 1.0)
         moved = [KEYS[i] for i in self.MOVED]
         stayed = [KEYS[i] for i in self.STAYED]
@@ -160,10 +169,13 @@ class TestAGroupHasNoDeadColumns:
                 ), name
             assert set(engine._absorbed) == set(keys)
             for key, index in zip(keys[-len(members) :], members):
-                assert engine.series_stats(key) == reference.series_stats(KEYS[index])
+                assert without_latency(engine.series_stats(key)) == without_latency(
+                    reference.series_stats(KEYS[index])
+                )
         assert widths == [None], "the survivors left the full-width path"
         assert len(target._groups) == 1
-        assert scalar_census() == baseline
+        # no scalar object, and one latency ring per engine's group
+        assert scalar_census() == (baseline[0], baseline[1] + 3)
 
         # A group nobody is left in is dropped, not kept empty.
         donor.extract_series(stayed)
@@ -172,7 +184,7 @@ class TestAGroupHasNoDeadColumns:
 
 def warm_state():
     """A fleet past warm-up, as a scalar-path snapshot (restored per run)."""
-    engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+    engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
     engine.fleet_kernel_enabled = False
     engine.ingest_grid(KEYS, STREAMS[: INIT + 12])
     return engine.snapshot()
@@ -200,7 +212,7 @@ class Run:
     """One engine fed the shared write schedule."""
 
     def __init__(self, directory, kernel):
-        self.engine = MultiSeriesEngine.for_oneshotstl(PERIOD, track_latency=False)
+        self.engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
         self.engine.fleet_kernel_enabled = kernel
         self.engine.checkpoint_cohort_size = 4
         self.engine.restore(WARM)
@@ -232,7 +244,7 @@ class Run:
         if step[0] == "forecast":
             return engine.forecast(KEYS[step[1]], step[2]).tolist()
         if step[0] == "series_stats":
-            return engine.series_stats(KEYS[step[1]])
+            return without_latency(engine.series_stats(KEYS[step[1]]))
         if step[0] == "fleet_stats":
             stats = engine.fleet_stats()
             return stats.series_live, stats.points_total, stats.anomalies_total
@@ -263,7 +275,7 @@ def decoded_sections(store, cohort):
         assert not groups
         keys = list(states)
         spec = next(iter(states.values())).pipeline.spec
-        group = _FleetGroup(spec, latency_window=1, track_latency=False)
+        group = _FleetGroup(spec, latency_window=1)
         group.absorb(states)
         saved = group.save_columns(np.arange(len(keys)))
     else:
@@ -333,68 +345,99 @@ class TestForecastOffTheColumns:
 
 
 class TestLatencyRingHasOneHome:
-    def test_adopted_ring_of_another_capacity_keeps_the_newest_in_order(self):
+    """A column's latency is its group's: one ring per kernel group, fed
+    once per round a block advances, summarized once per group, and
+    carried by no checkpoint, handoff or snapshot."""
+
+    def test_every_member_of_a_full_width_fleet_reports_the_group(self):
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
+        engine.ingest_grid(KEYS, STREAMS[: INIT + 40])
+        (group,) = engine._groups.values()
+        # ... one ring, not a column's: forty rounds, forty durations
+        assert len(group.latencies) == 40
+        expected = summarize_latencies(group.latencies.to_array(), "group")
+        stats = engine.fleet_stats().per_series
+        for key in KEYS:
+            label = f"series[{key!r}]"
+            assert stats[key].latency == replace(expected, method=label)
+            assert engine.series_stats(key).latency == stats[key].latency
+
+    def test_adopted_and_restored_columns_report_none_until_their_group_advances(
+        self, tmp_path
+    ):
         donor = MultiSeriesEngine.for_oneshotstl(PERIOD, latency_window=64)
         donor.ingest_grid(KEYS, STREAMS[: INIT + 40])
-        for position, key in enumerate(KEYS):
-            group, column = donor._absorbed[key]
-            group.latency_values[column, :40] = position + np.arange(40.0)
-            group.latency_counts[column] = 40  # oldest first
+        assert donor.series_stats(KEYS[0]).latency.points == 40
         payload = donor.extract_series(KEYS)
-
-        # Narrower and wider than the donor's 64; an engine that records
-        # nothing itself only allocates the ring because history arrived.
-        for window, tracking in ((16, False), (16, True), (256, False), (256, True)):
-            engine = MultiSeriesEngine.for_oneshotstl(
-                PERIOD, latency_window=window, track_latency=tracking
-            )
+        # Narrower and wider than the donor's 64: the group's ring is the
+        # target's, and nothing of the donor's travelled.
+        for window in (16, 256):
+            engine = MultiSeriesEngine.for_oneshotstl(PERIOD, latency_window=window)
             engine.adopt_series(payload)
             assert set(engine._absorbed) == set(KEYS)  # columns at once
+            (group,) = engine._groups.values()
+            assert group.latencies.capacity == window
+            assert all(engine.series_stats(key).latency is None for key in KEYS)
             engine.ingest_grid(KEYS, STREAMS[INIT + 40 : INIT + 42])
-            recorded = 2 if tracking else 0
-            kept = min(40 + recorded, window)
-            for position, key in enumerate(KEYS):
-                adopted = (position + np.arange(40.0))[40 - (kept - recorded) :]
-                group, column = engine._absorbed[key]
-                durations = group.latencies(column)
-                assert durations.size == kept
-                assert durations[: kept - recorded].tolist() == adopted.tolist()
-                assert engine.series_stats(key).latency.points == kept
-                # ... and the way out carries the same ring.
+            for key in KEYS:
+                assert engine.series_stats(key).latency.points == 2
+                # ... and the way out carries no ring either
                 ring = engine.snapshot()[key].latencies
-                assert ring.capacity == window
-                assert ring.to_array().tolist() == durations.tolist()
+                assert ring.capacity == window and len(ring) == 0
 
-    def test_a_segment_carries_no_ring_padding(self, tmp_path):
-        # A default ring holds 1,024 durations; a series 40 points old (or
-        # one that records none) must not carry 8 KB of zeros per segment.
-        for tracking in (True, False):
-            engine = MultiSeriesEngine.open(
-                tmp_path / f"tracking-{tracking}",
-                spec=MultiSeriesEngine.for_oneshotstl(
-                    PERIOD, track_latency=tracking
-                ).spec,
-            )
-            engine.ingest_grid(KEYS, STREAMS[: INIT + 40])
-            engine.checkpoint()
-            store = engine._store
-            stored = sum(len(store.read_segment(name)) for name in store.list_segments())
-            assert stored / len(KEYS) < 4096
-            engine.close()
+        store = tmp_path / "store"
+        engine = MultiSeriesEngine.open(store, spec=donor.spec)
+        engine.ingest_grid(KEYS, STREAMS[: INIT + 40])
+        engine.checkpoint()
+        engine.ingest_grid(KEYS, STREAMS[INIT + 40 : INIT + 43])  # the WAL tail
+        engine.close(checkpoint=False)
+        reopened = MultiSeriesEngine.open(store)
+        assert set(reopened._absorbed) == set(KEYS)
+        assert all(reopened.series_stats(key).latency is None for key in KEYS)
+        reopened.ingest_grid(KEYS[:3], STREAMS[INIT + 43 : INIT + 44, :3])
+        # a subset round advances the group: every member reports it
+        assert all(reopened.series_stats(key).latency.points == 1 for key in KEYS)
+        reopened.close(checkpoint=False)
 
-    def test_single_key_process_appends_to_the_column_ring(self):
+    def test_a_segment_carries_no_ring(self, tmp_path):
+        engine = MultiSeriesEngine.open(
+            tmp_path / "store", spec=MultiSeriesEngine.for_oneshotstl(PERIOD).spec
+        )
+        engine.ingest_grid(KEYS, STREAMS[: INIT + 40])
+        engine.checkpoint()
+        (group,) = engine._groups.values()
+        expected = {
+            *group.kernel.to_arrays(),
+            *(f"scorer_{name}" for name in group.scorer.to_arrays()),
+            "indices",
+            "points",
+            "anomalies",
+        }
+        store = engine._store
+        stored = 0
+        for name in store.list_segments():
+            payload = store.read_segment(name)
+            stored += len(payload)
+            (columns,), _fallback = split_segment(payload, name)
+            assert set(columns.arrays) == expected
+        assert stored / len(KEYS) < 2500
+        engine.close()
+
+    def test_single_key_process_appends_to_the_group_ring(self):
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD, latency_window=8)
         engine.ingest_grid(KEYS, STREAMS[: INIT + 5])
-        group, column = engine._absorbed[KEYS[2]]
-        before = group.latencies(column)
+        group, _column = engine._absorbed[KEYS[2]]
+        before = group.latencies.to_array()
         assert before.size == 5
         engine.process(KEYS[2], 0.5)
-        after = group.latencies(column)
+        after = group.latencies.to_array()
         assert after[:-1].tolist() == before.tolist() and after.size == 6
         for _ in range(4):
             engine.process(KEYS[2], 0.5)
-        assert group.latencies(column).size == 8
-        assert group.latencies(column)[:4].tolist() == after[2:].tolist()
+        assert len(group.latencies) == 8
+        assert group.latencies.to_array()[:4].tolist() == after[2:].tolist()
+        # a key that sat the calls out reports them: the ring is the group's
+        assert engine.series_stats(KEYS[5]).latency.points == 8
 
 
 class _RecordingUnpickler(pickle.Unpickler):

@@ -101,7 +101,6 @@ class TestSpecRoundTrip:
             pipeline=PipelineSpec(DecomposerSpec("oneshotstl", {"period": PERIOD})),
             initialization_length=INIT,
             latency_window=256,
-            track_latency=False,
             overrides={
                 "slow": PipelineSpec(DecomposerSpec("online_stl", {"period": PERIOD}))
             },
@@ -136,6 +135,35 @@ class TestSpecRoundTrip:
             DecomposerSpec.from_dict({"params": {}})
         with pytest.raises(ValueError, match="pipeline"):
             EngineSpec.from_dict({"initialization_length": INIT})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("initialization_length", 1),
+            ("initialization_length", "x"),
+            ("initialization_length", True),
+            ("latency_window", 0),
+            ("latency_window", 2.5),
+            ("latency_window", False),
+        ],
+    )
+    def test_engine_sizes_are_checked_by_the_spec(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EngineSpec(
+                pipeline=PipelineSpec(DecomposerSpec("oneshotstl", {"period": 8})),
+                **{"initialization_length": 16, field: value},
+            )
+
+    def test_a_track_latency_key_is_accepted_and_ignored(self):
+        data = {
+            "pipeline": {"decomposer": {"name": "oneshotstl"}},
+            "initialization_length": INIT,
+        }
+        for flag in (False, "false", True):
+            assert EngineSpec.from_dict({**data, "track_latency": flag}) == (
+                EngineSpec.from_dict(data)
+            )
+        assert "track_latency" not in EngineSpec.from_dict(data).to_dict()
 
     def test_override_keys_must_be_strings(self):
         with pytest.raises(ValueError, match="strings"):

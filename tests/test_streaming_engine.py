@@ -1,6 +1,7 @@
 """Tests for the multi-series streaming engine."""
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,25 +253,26 @@ class TestFleetStats:
         assert stats.per_series["host-1"].anomalies == 0
 
     def test_per_key_latency_percentiles(self):
+        """The two keys are columns of one group: each reports the group's
+        ring -- one duration per round -- under its own label."""
         data = make_fleet_data(2, length=PERIOD * 6)
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
         for batch in interleaved_batches(data):
             engine.ingest(batch)
         stats = engine.fleet_stats()
-        for key in data:
-            latency = stats.per_series[key].latency
+        reports = [stats.per_series[key].latency for key in data]
+        for key, latency in zip(data, reports):
             assert latency is not None
+            assert latency.method == f"series[{key!r}]"
             assert latency.points == PERIOD * 2
             assert latency.p99_seconds >= latency.median_seconds > 0
-
-    def test_latency_tracking_can_be_disabled(self):
-        engine = MultiSeriesEngine.for_oneshotstl(
-            PERIOD, shift_window=0, track_latency=False
-        )
-        values = make_seasonal_series(PERIOD * 5, PERIOD, seed=7)["values"]
-        for value in values:
-            engine.process("m", float(value))
-        assert engine.series_stats("m").latency is None
+        assert replace(reports[0], method="") == replace(reports[1], method="")
+        # A scalar home keeps a ring of its own.
+        scalar = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
+        scalar.fleet_kernel_enabled = False
+        for batch in interleaved_batches(data):
+            scalar.ingest(batch)
+        assert scalar.series_stats("host-0").latency.points == PERIOD * 2
 
     def test_warming_series_counted(self):
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
@@ -287,9 +289,7 @@ class TestScale:
     def test_sustains_many_concurrent_series(self):
         """A large keyed fleet streams through one engine without issue."""
         n_series = 120
-        engine = MultiSeriesEngine.for_oneshotstl(
-            PERIOD, shift_window=0, iterations=1, track_latency=False
-        )
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0, iterations=1)
         base = make_seasonal_series(PERIOD * 5, PERIOD, seed=8)["values"]
         for position in range(base.size):
             engine.ingest(
