@@ -282,16 +282,6 @@ class ColumnarNSigma:
         self.m2 = np.asarray(m2, dtype=float)
 
     @classmethod
-    def empty(cls, threshold: float, minimum_std: float) -> "ColumnarNSigma":
-        return cls(
-            threshold,
-            minimum_std,
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0),
-            np.zeros(0),
-        )
-
-    @classmethod
     def pack(cls, scorers: Sequence[NSigma]) -> "ColumnarNSigma":
         """Lift scalar scorers into columnar form (scalars left untouched)."""
         if not scorers:
@@ -319,10 +309,6 @@ class ColumnarNSigma:
     def n_series(self) -> int:
         return self.count.shape[0]
 
-    def extract(self, index: int) -> NSigma:
-        """Materialize member ``index`` as an equivalent scalar scorer."""
-        return self.extract_many([index])[0]
-
     def extract_many(self, columns: Sequence[int] | np.ndarray) -> list[NSigma]:
         """Materialize the members at ``columns`` as fresh scalar scorers.
 
@@ -349,12 +335,7 @@ class ColumnarNSigma:
         self.m2[index] = scorer._m2
 
     def append(self, other: "ColumnarNSigma") -> None:
-        """Append members with amortized (capacity-doubling) growth."""
-        if (
-            other.threshold != self.threshold
-            or other.minimum_std != self.minimum_std
-        ):
-            raise ValueError("parameter mismatch between columnar batches")
+        """Append members (same parameters) with amortized growth."""
         self.count = amortized_append(self.count, other.count)
         self.mean = amortized_append(self.mean, other.mean)
         self.m2 = amortized_append(self.m2, other.m2)
@@ -383,14 +364,13 @@ class ColumnarNSigma:
 
     @classmethod
     def from_arrays(
-        cls, threshold: float, minimum_std: float, arrays: Mapping[str, np.ndarray]
+        cls, threshold: float, minimum_std: float, arrays: Mapping, n: int
     ) -> "ColumnarNSigma":
         """Inverse of :meth:`to_arrays`; the scorers own copies.
 
         Raises ``ValueError`` unless ``arrays`` is exactly the three
-        moments, equally long and correctly typed.
+        moments of ``n`` members (the caller's count), correctly typed.
         """
-        n = len(arrays["count"]) if "count" in arrays else 0
         layout = {"count": (np.int64, (n,)), "mean": (float, (n,)), "m2": (float, (n,))}
         return cls(threshold, minimum_std, *owned_arrays(arrays, layout))
 
@@ -428,9 +408,7 @@ class ColumnarNSigma:
         """Fold ``values`` into the Welford statistics without scoring.
 
         Exactly the mutation half of :meth:`update` (scoring reads but
-        never writes), so the statistics evolve identically whether or
-        not the caller wanted the scores -- the blocked kernel path
-        scores separately only when the shift search needs the verdicts.
+        never writes): a kernel run scores, then folds, round by round.
         """
         self.count += 1
         delta = values - self.mean
@@ -461,19 +439,21 @@ class FleetUpdate:
 
     All fields are ``(rounds, n)`` arrays over the updated columns, in
     column order: ``value`` carries the (possibly imputed) observation,
-    ``residual`` the post-shift-search residual and ``detection_residual``
+    ``residual`` the post-shift-search residual, ``detection_residual``
     the pre-search residual that downstream anomaly scorers must consume
-    (the same contract as the scalar model's ``last_detection_residual``).
+    (the same contract as the scalar model's ``last_detection_residual``)
+    and ``score`` its z-score against the monitor before the point.
     """
 
-    __slots__ = ("value", "trend", "seasonal", "residual", "detection_residual")
+    __slots__ = "value", "trend", "seasonal", "residual", "detection_residual", "score"
 
-    def __init__(self, value, trend, seasonal, residual, detection_residual):
+    def __init__(self, value, trend, seasonal, residual, detection_residual, score):
         self.value = value
         self.trend = trend
         self.seasonal = seasonal
         self.residual = residual
         self.detection_residual = detection_residual
+        self.score = score
 
 
 class FleetKernel:
@@ -849,7 +829,7 @@ class FleetKernel:
         ) = owned
         kernel.solver = BatchedIncrementalLDLT(w, *solver_state)
         kernel.monitor = ColumnarNSigma.from_arrays(
-            kernel.shift_threshold, DEFAULT_MINIMUM_STD, monitor
+            kernel.shift_threshold, DEFAULT_MINIMUM_STD, monitor, n
         )
         return kernel
 
@@ -926,6 +906,7 @@ class FleetKernel:
         seasonal_out = np.empty((n_rounds, n))
         residual_out = np.empty((n_rounds, n))
         detection_out = np.empty((n_rounds, n))
+        score_out = np.empty((n_rounds, n))
         finite = np.isfinite(values)
         clean = finite.all(axis=1)
         run_cap = min(self.period, _MAX_BLOCK_ROUNDS)
@@ -952,6 +933,7 @@ class FleetKernel:
                 seasonal_out,
                 residual_out,
                 detection_out,
+                score_out,
             )
             if not solved:
                 break
@@ -961,6 +943,7 @@ class FleetKernel:
             seasonal_out[:row],
             residual_out[:row],
             detection_out[:row],
+            score_out[:row],
         )
 
     # ------------------------------------------------------------- internals
@@ -1197,6 +1180,7 @@ class FleetKernel:
         seasonal_out: np.ndarray,
         residual_out: np.ndarray,
         detection_out: np.ndarray,
+        score_out: np.ndarray,
     ) -> tuple[int, bool]:
         """Advance the all-finite rounds ``[start, stop)`` as one run.
 
@@ -1207,8 +1191,9 @@ class FleetKernel:
         monitors, replays and commits around it -- none of which depends
         on the body: both produce the same bits.
 
-        A column whose monitor trips is marked and, once the run has
-        finished for everyone, replayed before the commit: searched in
+        Each round is scored against the monitor (``score_out``), then
+        folded in; a column whose monitor trips is marked and, once the
+        run has finished for everyone, replayed before the commit: searched in
         place when the run is one round long (:meth:`_search_shifts`),
         else advanced again in a narrow kernel that cuts the run at the
         tripped rounds (:meth:`_replay_marked`).
@@ -1231,6 +1216,7 @@ class FleetKernel:
         seasonal_block = seasonal_out[start:stop]
         residual_block = residual_out[start:stop]
         detection_block = detection_out[start:stop]
+        score_block = score_out[start:stop]
         np.subtract(values[start:stop], trend_block, out=residual_block)
         np.subtract(residual_block, seasonal_block, out=residual_block)
         detection_block[:] = residual_block
@@ -1255,18 +1241,17 @@ class FleetKernel:
                 bad = r
                 break
             detection_row = detection_block[r]
-            if search:
-                flagged = monitor.score(detection_row)[1]
-                if flagged.any():
-                    marked = flagged if marked is None else marked | flagged
-                    cuts += (r, r + 1)
+            score_block[r], flagged = monitor.score(detection_row)
+            if search and flagged.any():
+                marked = flagged if marked is None else marked | flagged
+                cuts += (r, r + 1)
             monitor.update_stats(detection_row)
         replayed = None
         if marked is not None and bad == n_rounds:
             columns = np.flatnonzero(marked)
             if n_rounds == 1:
                 replayed, points, bad = self._search_shifts(
-                    columns, values[start, columns]
+                    columns, values[start, columns], score_block[0, columns]
                 )
             else:
                 cuts.append(n_rounds)
@@ -1286,6 +1271,7 @@ class FleetKernel:
                     seasonal_out,
                     residual_out,
                     detection_out,
+                    score_out,
                 )[0],
                 False,
             )
@@ -1305,6 +1291,7 @@ class FleetKernel:
             seasonal_block[:, columns] = points[1]
             residual_block[:, columns] = points[2]
             detection_block[:, columns] = points[3]
+            score_block[:, columns] = points[4]
         return stop, True
 
     @hotpath
@@ -1330,8 +1317,8 @@ class FleetKernel:
         replays it the same way, on ever shorter runs.
 
         Returns ``(kernel, points, bad)``: the narrow kernel after the run,
-        its ``(4, rounds, k)`` trend / seasonal / residual / detection
-        residual, and the first round that went non-finite (the run
+        its own ``(5, rounds, k)`` trend / seasonal / residual / detection
+        residual / score, and the first round that went non-finite (the run
         length when none did).
         """
         sub = self.select(columns)
@@ -1340,7 +1327,7 @@ class FleetKernel:
         # column-major; rows must be contiguous for the native body (once
         # per replay -- every cut below reads this one block).
         values = np.ascontiguousarray(values)
-        points = np.empty((4,) + values.shape)
+        points = np.empty((5,) + values.shape)
         row = 0
         solved = True
         for stop in cuts:
@@ -1350,28 +1337,29 @@ class FleetKernel:
 
     @hotpath
     def _search_shifts(
-        self, columns: np.ndarray, values: np.ndarray
+        self, columns: np.ndarray, values: np.ndarray, scores: np.ndarray
     ) -> tuple["FleetKernel | None", np.ndarray | None, int]:
         """Seasonality-shift search (Section 3.4) of a one-round run.
 
         Every member of ``columns`` tripped the monitor on the run's only
-        round, on observation ``values[j]``.  Its candidate shifts are
-        independent trials from one pre-round state that differ only in
-        the anchor phase ``(global_index + c) % period``, so they become
-        columns: the pre-round state (the run is not committed yet) is
-        gathered once per candidate and the candidate rides in the
-        gathered ``global_index`` -- the anchor read *and* the seasonal
-        write at the shifted slot then fall out of the ordinary staging
-        and commit -- and one ``I``-step run advances them all.  The
-        winner is the first smallest ``|residual|`` in the scalar's
-        candidate order (its strict ``<``).
+        round, on observation ``values[j]`` with z-score ``scores[j]``.
+        Its candidate shifts are independent trials from one pre-round
+        state that differ only in the anchor phase ``(global_index + c) %
+        period``, so they become columns: the pre-round state (the run is
+        not committed yet) is gathered once per candidate and the
+        candidate rides in the gathered ``global_index`` -- the anchor read
+        *and* the seasonal write at the shifted slot then fall out of the
+        ordinary staging and commit -- and one ``I``-step run advances them
+        all.  The winner is the first smallest ``|residual|`` in the
+        scalar's candidate order (its strict ``<``).
 
         Returns ``(kernel, points, bad)`` like :meth:`_replay_marked`: the
         winners as a ``k``-column kernel with the scalar's bookkeeping --
         ``global_index`` advanced by one, ``last_applied_shift`` written
         only by a non-zero shift, ``last_detection_residual`` the
         candidate-0 (pre-search) residual the run's loop already fed the
-        monitor -- or ``(None, None, 0)`` when a candidate went non-finite.
+        monitor, and ``scores`` (the trials' monitors have folded the point
+        in) -- or ``(None, None, 0)`` when a candidate went non-finite.
         """
         shifts = self._shifts
         n_shifts = shifts.size
@@ -1379,7 +1367,7 @@ class FleetKernel:
         # A trial is a plain advance: candidates do not search.
         wide.shift_window = 0
         wide.global_index += np.tile(shifts, columns.size)
-        trials = np.empty((4, 1, wide._n))
+        trials = np.empty((5, 1, wide._n))
         observed = np.repeat(values, n_shifts)[None, :]
         if not wide._advance_run(observed, 0, 1, *trials)[1]:
             return None, None, 0
@@ -1396,6 +1384,7 @@ class FleetKernel:
         winners.monitor = self.monitor.select(columns)
         points = trials[:, :, picks]
         points[3, 0] = residual[:, 0]
+        points[4, 0] = scores
         return winners, points, 1
 
     def _run_workspaces(self, n_rounds: int) -> tuple:

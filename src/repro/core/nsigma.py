@@ -29,8 +29,10 @@ import numpy as np
 from repro.registry import register_scorer
 from repro.utils import as_float_array, check_positive
 
-__all__ = ["DEFAULT_MINIMUM_STD", "NSigma", "NSigmaVerdict"]
+__all__ = ["DEFAULT_MINIMUM_STD", "DEFAULT_THRESHOLD", "NSigma", "NSigmaVerdict"]
 
+#: flagging threshold unless a caller names another (the paper's ``n = 5``)
+DEFAULT_THRESHOLD = 5.0
 #: floor of the running standard deviation unless a caller names another
 #: (OneShotSTL's residual monitor never does)
 DEFAULT_MINIMUM_STD = 1e-12
@@ -59,7 +61,9 @@ class NSigma:
     """
 
     def __init__(
-        self, threshold: float = 5.0, minimum_std: float = DEFAULT_MINIMUM_STD
+        self,
+        threshold: float = DEFAULT_THRESHOLD,
+        minimum_std: float = DEFAULT_MINIMUM_STD,
     ):
         self.threshold = check_positive(threshold, "threshold")
         self.minimum_std = check_positive(minimum_std, "minimum_std")

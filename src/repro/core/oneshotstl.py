@@ -73,8 +73,9 @@ def _advance_states(
     This is the model's update math detached from any particular
     :class:`OneShotSTL` instance: it consumes only the iteration states,
     the observation, the seasonal anchor and the IRLS hyper-parameters, so
-    it is shared verbatim between the scalar model and the per-series
-    fallback path of the columnar :class:`repro.core.fleet.FleetKernel`.
+    the plain advance and every scalar shift-search trial run it (the
+    columnar :class:`repro.core.fleet.FleetKernel` repeats its operation
+    sequence column-wise; the oracle tests hold the two float for float).
     """
     next_p, next_q = 1.0, 1.0
     trend_value = seasonal_value = 0.0
@@ -229,10 +230,11 @@ class OneShotSTL(OnlineDecomposer):
         """Shift chosen by the most recent seasonality-shift search.
 
         The shift is a *per-point* correction: it is applied to the point
-        that triggered the search and then absorbed into the seasonal buffer
-        (Algorithm 5 writes ``v[t mod T] = s_t`` at the unshifted index), so
-        it is not carried forward as persistent state.  This property simply
-        reports the last non-trivial correction for introspection.
+        that triggered the search, whose seasonal estimate is written to the
+        slot it matched, ``v[(t + shift) mod T]`` (not ``v[t mod T]``; which
+        one Algorithm 5 means is ROADMAP.md open item 1), and it is not
+        carried forward as persistent state.  This property simply reports
+        the last non-trivial correction for introspection.
         """
         self._require_initialized()
         return self._last_applied_shift

@@ -65,6 +65,7 @@ from repro.durability.store import (
     atomic_write_bytes,
     fsync_directory,
 )
+from repro.specs import EngineSpec
 
 __all__ = ["DirectoryCheckpointStore"]
 
@@ -487,7 +488,8 @@ class DirectoryCheckpointStore(CheckpointStore):
         and array sections are checked structurally -- lengths against
         shapes, dtypes, names -- only its fallback section and the WAL
         records are unpickled, and the components the manifest's engine
-        spec names must then be registered.
+        spec names must then be registered; the column groups are decoded
+        and installed, as ``open()`` does, by a scratch engine of that spec.
         """
         try:
             manifest = self.read_manifest()
@@ -498,9 +500,17 @@ class DirectoryCheckpointStore(CheckpointStore):
         if manifest is None:
             return ScrubReport()
         findings: list[ScrubFinding] = []
+        if deep:
+            from repro.streaming.engine import MultiSeriesEngine  # imports us
+
+            spec = EngineSpec.from_dict(manifest["engine_spec"])
+            engine = MultiSeriesEngine(spec=spec)
         for cohort in manifest["cohorts"]:
             try:
-                read_cohort(self, cohort, decode=deep)
+                read = read_cohort(self, cohort, decode=deep)
+                if deep:
+                    source = f"{self.describe()}/{cohort['segment']}"
+                    engine._install(*engine._decode_cohort(source, *read), read[1])
             except CorruptCheckpointError as error:
                 findings.append(
                     ScrubFinding(cohort["segment"], error.problem, str(error))

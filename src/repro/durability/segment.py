@@ -27,10 +27,11 @@ bytes, :func:`repro.durability.format.encode_segment`, for the series
 that are not columns) is the engine's business: this module knows nothing
 about it.
 
-The section names are the engine's too.  A column group written by the
-first format-4 builds may hold two sections no later build writes --
-``latency_counts`` and ``latency_values``, a per-column latency ring --
-which the engine reads and drops; the layout is the same either way.
+The section names are the engine's too.  Earlier builds wrote sections
+no later one writes -- a per-column latency ring (``latency_counts``,
+``latency_values``) and the detector's moments (``scorer_*``, with a
+``meta["scorer"]``) -- which the engine reads and drops, the moments once
+checked against ``monitor_*`` byte for byte; the layout is the same.
 
 A segment says what it is by its first bytes, so a reader needs no
 version from outside: :func:`split_segment` hands back the groups and

@@ -94,8 +94,8 @@ from typing import Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.analysis import hotpath
-from repro.core.fleet import ColumnarNSigma, FleetKernel
-from repro.core.nsigma import NSigma
+from repro.core.fleet import FleetKernel
+from repro.core.nsigma import DEFAULT_MINIMUM_STD, DEFAULT_THRESHOLD, NSigma
 from repro.core.oneshotstl import OneShotSTL
 from repro.durability import (
     CHECKPOINT_FORMAT_VERSION,
@@ -435,7 +435,7 @@ class _SeriesState:
         self.latencies = RingBuffer(latency_window)
 
 
-#: per-column arrays a group saves beside its kernel's and its scorer's
+#: per-column arrays a group saves beside its kernel's
 _TOTAL_ARRAYS = ("indices", "points", "anomalies")
 #: the per-column latency ring the first format-4 builds saved beside
 #: them: only the names of two sections a reader drops
@@ -445,12 +445,13 @@ _RING_ARRAYS = ("latency_counts", "latency_values")
 class _FleetGroup:
     """Columnar home of one same-spec cohort of live series.
 
-    An absorbed series *is* its column: the :class:`FleetKernel`, the
-    columnar pipeline scorer and the per-column totals (record index,
-    points, anomalies) are the only copy of its state -- :meth:`absorb`
-    consumes the scalar objects it packs.  Reads index the arrays, and so
-    do the store and a shard handoff: a checkpoint or an extraction
-    writes a gathered copy of the columns themselves
+    An absorbed series *is* its column: the :class:`FleetKernel` and the
+    per-column totals (record index, points, anomalies) are the only copy
+    of its state -- :meth:`absorb` consumes the scalar objects it packs.
+    The detector's moments are the monitor's, so the kernel's score is
+    the detector's and the group keeps only its parameters.  Reads index
+    the arrays, and so do the store and a shard handoff: a checkpoint or
+    an extraction writes a gathered copy of the columns themselves
     (:meth:`save_columns`), and recovery or adoption appends them back
     (:meth:`from_columns`, :meth:`extend`) without a scalar object in
     between, so the arrays named there are part of the store format.
@@ -470,7 +471,8 @@ class _FleetGroup:
         "spec",
         "keys",
         "kernel",
-        "scorer",
+        "threshold",
+        "minimum_std",
         "indices",
         "points",
         "anomalies",
@@ -481,7 +483,10 @@ class _FleetGroup:
         self.spec = spec
         self.keys: list[Hashable] = []
         self.kernel: FleetKernel | None = None
-        self.scorer: ColumnarNSigma | None = None
+        #: the spec's NSigma threshold and floor, defaults filled in
+        detector = spec.detector.params
+        self.threshold = float(detector.get("threshold", DEFAULT_THRESHOLD))
+        self.minimum_std = float(detector.get("minimum_std", DEFAULT_MINIMUM_STD))
         #: per-column totals: next record index, points seen (warmup
         #: included) and anomalies flagged
         self.indices = np.zeros(0, dtype=np.int64)
@@ -508,7 +513,6 @@ class _FleetGroup:
         self._append(
             list(members),
             FleetKernel.pack([state.pipeline.decomposer for state in states]),
-            ColumnarNSigma.pack([state.pipeline.scorer for state in states]),
             [state.pipeline._index for state in states],
             [state.points for state in states],
             [state.anomalies for state in states],
@@ -518,7 +522,6 @@ class _FleetGroup:
         self,
         keys: list,
         kernel: FleetKernel,
-        scorer: ColumnarNSigma,
         indices: Sequence[int] | np.ndarray,
         points: Sequence[int] | np.ndarray,
         anomalies: Sequence[int] | np.ndarray,
@@ -526,10 +529,8 @@ class _FleetGroup:
         """Append ``len(keys)`` columns; returns the first new column."""
         if self.kernel is None:
             self.kernel = kernel
-            self.scorer = scorer
         else:
             self.kernel.append(kernel)
-            self.scorer.append(scorer)
         self.indices = amortized_append(self.indices, indices)
         self.points = amortized_append(self.points, points)
         self.anomalies = amortized_append(self.anomalies, anomalies)
@@ -541,26 +542,17 @@ class _FleetGroup:
         """The members at ``columns`` as the arrays a checkpoint writes.
 
         One gathered copy per state array -- the kernel's
-        (:meth:`FleetKernel.to_arrays`), the pipeline scorer's moments
-        (``scorer_*``) and the totals -- and a ``meta`` naming the
-        pipeline spec and the resolved hyper-parameters the arrays belong
-        to.  No scalar object is built, and no latency is written.
+        (:meth:`FleetKernel.to_arrays`, the monitor's moments included)
+        and the totals -- and a ``meta`` naming the pipeline spec and the
+        kernel's resolved hyper-parameters.  No scalar object is built,
+        and no latency is written.
         """
         columns = np.asarray(columns, dtype=np.intp)
         arrays = self.kernel.select(columns).to_arrays()
-        for name, array in self.scorer.select(columns).to_arrays().items():
-            arrays[f"scorer_{name}"] = array
         arrays["indices"] = self.indices[columns]
         arrays["points"] = self.points[columns]
         arrays["anomalies"] = self.anomalies[columns]
-        meta = {
-            "spec": self.spec.to_dict(),
-            "kernel": self.kernel.get_params(),
-            "scorer": {
-                "threshold": self.scorer.threshold,
-                "minimum_std": self.scorer.minimum_std,
-            },
-        }
+        meta = {"spec": self.spec.to_dict(), "kernel": self.kernel.get_params()}
         return ColumnGroup(meta, arrays)
 
     @classmethod
@@ -576,27 +568,25 @@ class _FleetGroup:
         those against what the pipeline spec states -- and a mismatch
         raises ``ValueError`` / ``KeyError`` / ``TypeError``.  The ring
         sections an earlier build saved (:data:`_RING_ARRAYS`) are
-        dropped unread: the group starts with an empty ring.
+        dropped unread: the group starts with an empty ring.  Those of
+        the detector's moments (``scorer_*``, ``meta["scorer"]``) must be
+        the monitor's byte for byte, and are dropped too.
         """
         meta = saved.meta
         spec = PipelineSpec.from_dict(meta["spec"])
         params = meta["kernel"]
-        scorer_params = meta["scorer"]
         if (
             spec.decomposer.component_class() is not OneShotSTL
             or spec.detector.component_class() is not NSigma
+            or not spec.detector.params.keys() <= {"threshold", "minimum_std"}
             or any(
                 params[name] != value
                 for name, value in spec.decomposer.params.items()
             )
-            or any(
-                scorer_params[name] != value
-                for name, value in spec.detector.params.items()
-            )
         ):
             raise ValueError(
-                f"columns of {params} / {scorer_params} do not belong to the "
-                f"pipeline spec {meta['spec']}"
+                f"columns of {params} do not belong to the pipeline spec "
+                f"{meta['spec']}"
             )
         n = len(keys)
         kernel_arrays: dict[str, np.ndarray] = {}
@@ -612,16 +602,16 @@ class _FleetGroup:
         kernel = FleetKernel.from_arrays(params, kernel_arrays)
         if kernel.n_series != n:
             raise ValueError(f"{kernel.n_series} columns for {n} keys")
-        scorer = ColumnarNSigma.from_arrays(
-            float(scorer_params["threshold"]),
-            float(scorer_params["minimum_std"]),
-            scorer_arrays,
-        )
+        monitor = kernel.monitor.to_arrays()
+        if ("scorer" in meta or scorer_arrays) and {
+            name: (array.dtype.str, array.tobytes()) for name, array in monitor.items()
+        } != {name: (a.dtype.str, a.tobytes()) for name, a in scorer_arrays.items()}:
+            raise ValueError("the detector's moments are not the monitor's")
         indices, points, anomalies = owned_arrays(
             totals, dict.fromkeys(_TOTAL_ARRAYS, (np.int64, (n,)))
         )
         group = cls(spec, latency_window)
-        group._append(keys, kernel, scorer, indices, points, anomalies)
+        group._append(keys, kernel, indices, points, anomalies)
         return group
 
     def extend(self, other: "_FleetGroup") -> int:
@@ -630,7 +620,6 @@ class _FleetGroup:
         return self._append(
             other.keys,
             other.kernel,
-            other.scorer,
             other.indices,
             other.points,
             other.anomalies,
@@ -645,19 +634,22 @@ class _FleetGroup:
         the caller owns them -- a snapshot hands them out, the fallback
         section pickles those whose keys JSON cannot carry, and the
         kernel's non-finite hand-back or a suspect cell advances one
-        (:meth:`load` takes it back).  Their latency rings are empty: the
-        group's ring is the columns' latency.  A checkpoint, a handoff or
-        a write does not come this way: they use the columns as they are.
+        (:meth:`load` takes it back).  A detector is its model's monitor
+        with the group's threshold and floor.  Their latency rings are
+        empty: the group's ring is the columns' latency.  A checkpoint, a
+        handoff or a write does not come this way: they use the columns as
+        they are.
         """
         columns = np.asarray(columns, dtype=np.intp)
         models = self.kernel.extract_many(columns)
-        scorers = self.scorer.extract_many(columns)
         indices = self.indices[columns].tolist()
         points = self.points[columns].tolist()
         anomalies = self.anomalies[columns].tolist()
         states = []
         for position in range(columns.size):
-            pipeline = StreamingPipeline(models[position], scorer=scorers[position])
+            scorer = models[position]._residual_monitor.copy()
+            scorer.threshold, scorer.minimum_std = self.threshold, self.minimum_std
+            pipeline = StreamingPipeline(models[position], scorer=scorer)
             pipeline._index = indices[position]
             pipeline._initialized = True
             pipeline._spec = self.spec
@@ -678,7 +670,6 @@ class _FleetGroup:
         """
         keep = np.setdiff1d(np.arange(len(self.keys)), columns)
         self.kernel = self.kernel.select(keep)
-        self.scorer = self.scorer.select(keep)
         self.indices = self.indices[keep]
         self.points = self.points[keep]
         self.anomalies = self.anomalies[keep]
@@ -689,7 +680,6 @@ class _FleetGroup:
         ``column``; the durations its ring recorded since join the group's."""
         pipeline = state.pipeline
         self.kernel.load(column, pipeline.decomposer)
-        self.scorer.load(column, pipeline.scorer)
         self.indices[column] = pipeline._index
         self.points[column] = state.points
         self.anomalies[column] = state.anomalies
@@ -1445,19 +1435,13 @@ class MultiSeriesEngine:
         the loop resubmits the rest of the block.
         """
         kernel = group.kernel
-        group_scorer = group.scorer
+        threshold = group.threshold
         latencies = group.latencies
         while block_values.shape[0]:
             start = time.perf_counter()
-            if full:
-                out = kernel.update_block(block_values)
-                scores, flags = group_scorer.update_block(out.detection_residual)
-            else:
-                out = kernel.update_block(block_values, columns=columns)
-                scorer = group_scorer.select(columns)
-                scores, flags = scorer.update_block(out.detection_residual)
-                group_scorer.assign(columns, scorer)
-            rounds = scores.shape[0]
+            out = kernel.update_block(block_values, columns=None if full else columns)
+            flags = out.score > threshold
+            rounds = flags.shape[0]
             if rounds and not self._replaying:
                 per_point = (time.perf_counter() - start) / (rounds * columns.size)
                 latencies.extend(np.full(rounds, per_point))
@@ -1468,7 +1452,7 @@ class MultiSeriesEngine:
             result.trend[advanced] = out.trend
             result.seasonal[advanced] = out.seasonal
             result.residual[advanced] = out.residual
-            result.anomaly_score[advanced] = scores
+            result.anomaly_score[advanced] = out.score
             result.is_anomaly[advanced] = flags
             result.detection_residual[advanced] = out.detection_residual
             result.live[advanced] = True
@@ -1491,13 +1475,18 @@ class MultiSeriesEngine:
         """Spec to group the live series ``key`` under, or None (never packable).
 
         A packable series is packable from the moment it is initialized,
-        so there is no "not yet": the answer is final either way.
+        so there is no "not yet": the answer is final either way.  A
+        column's detector must score like its monitor, moments included.
         """
         pipeline = state.pipeline
+        scorer = pipeline.scorer
         if (
             type(pipeline) is not StreamingPipeline
-            or type(pipeline.scorer) is not NSigma
+            or type(scorer) is not NSigma
             or not FleetKernel.eligible(pipeline.decomposer)
+            # the detector must be the monitor but for its threshold
+            or vars(scorer) | {"threshold": 0}
+            != vars(pipeline.decomposer._residual_monitor) | {"threshold": 0}
         ):
             self._never_absorb.add(key)
             return None
@@ -2101,9 +2090,11 @@ class MultiSeriesEngine:
         committed only once all of it decoded, so damage found in its
         last group cannot leave the first half-registered.  Everything
         wrong with what a header claims is
-        ``CorruptCheckpointError(problem="undecodable")``.
+        ``CorruptCheckpointError(problem="undecodable")``.  Columns saved
+        under another ``minimum_std`` join ``states`` as scalar states.
         """
         groups = []
+        scalar: dict = {}
         joined = dict(self._groups)
         try:
             n_columns = sum(len(columnar.meta["keys"]) for columnar in saved)
@@ -2122,14 +2113,14 @@ class MultiSeriesEngine:
                 for position, key in zip(positions, keys):
                     members[position] = key
                 restored = _FleetGroup.from_columns(keys, columnar, self.latency_window)
+                if restored.minimum_std != DEFAULT_MINIMUM_STD:
+                    # repro: allow[MAT001] decoded into scalar homes, never written
+                    scalar.update(zip(keys, restored.materialize(range(len(keys)))))
+                    continue
                 # The group these columns will join -- the engine's, or an
                 # earlier one of this segment -- must be able to take them.
                 peer = joined.setdefault(restored.spec.to_json(sort_keys=True), restored)
-                if (
-                    peer.kernel.get_params() != restored.kernel.get_params()
-                    or peer.scorer.threshold != restored.scorer.threshold
-                    or peer.scorer.minimum_std != restored.scorer.minimum_std
-                ):
+                if peer.kernel.get_params() != restored.kernel.get_params():
                     raise ValueError(
                         f"columns of {restored.kernel.get_params()} cannot join "
                         f"their spec's group of {peer.kernel.get_params()}"
@@ -2145,6 +2136,7 @@ class MultiSeriesEngine:
                 f"({type(error).__name__}: {error})",
                 problem="undecodable",
             ) from error
+        states.update(scalar)
         return members, groups
 
     @staticmethod

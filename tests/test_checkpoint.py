@@ -936,7 +936,7 @@ class TestBatchedStateExport:
         assert engine._absorbed, "fleet kernel should have engaged"
         (group,) = engine._groups.values()
         columns = [7, 2, 9, 0]
-        for columnar in (group.kernel, group.scorer, group.kernel.solver):
+        for columnar in (group.kernel, group.kernel.solver):
             batched = columnar.extract_many(np.array(columns))
             assert len(batched) == len(columns)
             for column, member in zip(columns, batched):

@@ -25,7 +25,12 @@ to the spec's group.  Pinned here:
   nothing constructed, nothing packed, and nothing installed from bytes
   that do not decode whole;
 * a store the parent commit (format 3) wrote keeps opening, and its
-  clean cohorts keep their pickled segments byte for byte.
+  clean cohorts keep their pickled segments byte for byte;
+* a moment section shorter than the key count is undecodable to
+  ``verify()`` and ``open()`` alike;
+* a format-4 store whose groups carry the detector's moments
+  (``scorer_*``) opens, continues and is rewritten without them, and is
+  refused when those moments are not the monitor's.
 """
 
 import json
@@ -33,6 +38,7 @@ import pickle
 import shutil
 import struct
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +365,32 @@ class TestAHeaderThatLies:
         assert group.keys == survivors == list(engine._absorbed)
         engine.close(checkpoint=False)
 
+    @pytest.mark.parametrize("section", ["monitor_count", "monitor_mean", "monitor_m2"])
+    def test_a_short_moment_section_is_undecodable_alike(self, lied_to, tmp_path, section):
+        # consistent framing, manifest CRC and all: only the column count
+        # the keys imply tells that three moments are not four columns'
+        source, keys, _data = lied_to
+        store = tmp_path / "store"
+        shutil.copytree(source, store)
+
+        def cut(group):
+            arrays = dict(group.arrays)
+            arrays[section] = arrays[section][:3]
+            return ColumnGroup(group.meta, arrays)
+
+        name = rewrite_groups(store, cut, index=0)
+        report = DirectoryCheckpointStore(store).verify()
+        assert [(f.artifact, f.problem) for f in report.findings if f.fatal] == [
+            (name, "undecodable")
+        ]
+        with pytest.raises(CorruptCheckpointError) as error:
+            MultiSeriesEngine.open(store, recovery="strict")
+        assert error.value.problem == "undecodable"
+        engine = MultiSeriesEngine.open(store, recovery="quarantine")
+        assert set(engine.last_recovery.affected_keys) == {"warming", *keys[:4]}
+        assert engine.keys() == keys[4:] == list(engine._absorbed)
+        engine.close(checkpoint=False)
+
     def test_a_lying_header_never_sizes_an_allocation(self, lied_to):
         source, _keys, _data = lied_to
         store = DirectoryCheckpointStore(source)
@@ -379,9 +411,7 @@ class TestAHeaderThatLies:
         params = dict(group.meta["kernel"], shift_window=10**15)
         others = ("indices", "points", "anomalies")
         arrays = {
-            name: array
-            for name, array in group.arrays.items()
-            if not name.startswith("scorer_") and name not in others
+            name: array for name, array in group.arrays.items() if name not in others
         }
         kernel = FleetKernel.from_arrays(params, arrays)
         assert sorted(kernel._shifts % PERIOD) == list(range(PERIOD))
@@ -638,29 +668,39 @@ class TestMixedCohortRoundTrip:
         reopened.close(checkpoint=False)
 
 
+def rewrite_groups(store_path: Path, edit, index: int | None = None) -> str:
+    """Re-encode the column groups of cohort ``index`` (of every cohort
+    when None) as ``edit(group)`` returns them, and make the manifest
+    vouch for the new bytes; returns the last cohort's segment name."""
+    manifest_path = store_path / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text())
+    cohorts = manifest["cohorts"] if index is None else [manifest["cohorts"][index]]
+    for cohort in cohorts:
+        segment = store_path / "segments" / cohort["segment"]
+        groups, fallback = split_segment(segment.read_bytes(), segment)
+        payload = encode_columnar_segment([edit(group) for group in groups], fallback)
+        segment.write_bytes(payload)
+        cohort["crc"] = zlib.crc32(payload)
+    manifest_path.write_text(json.dumps(manifest))
+    return cohort["segment"]
+
+
 def with_ring_sections(store_path: Path) -> None:
     """Give every column group of the store the two ring sections the
     first format-4 builds wrote after the totals -- ``latency_counts``
     ``(n,)`` and ``latency_values`` ``(n, width)``, ring slots addressed
-    ``count % width`` -- and make the manifest vouch for the new bytes."""
-    manifest_path = store_path / "MANIFEST.json"
-    manifest = json.loads(manifest_path.read_text())
+    ``count % width``."""
     rng = np.random.default_rng(5)
-    for cohort in manifest["cohorts"]:
-        segment = store_path / "segments" / cohort["segment"]
-        groups, fallback = split_segment(segment.read_bytes(), segment)
-        ringed = []
-        for group in groups:
-            n = len(group.meta["keys"])
-            counts = rng.integers(0, 40, size=n)
-            arrays = dict(group.arrays)
-            arrays["latency_counts"] = counts
-            arrays["latency_values"] = rng.random((n, int(counts.max(initial=0))))
-            ringed.append(ColumnGroup(group.meta, arrays))
-        payload = encode_columnar_segment(ringed, fallback)
-        segment.write_bytes(payload)
-        cohort["crc"] = zlib.crc32(payload)
-    manifest_path.write_text(json.dumps(manifest))
+
+    def ringed(group):
+        n = len(group.meta["keys"])
+        counts = rng.integers(0, 40, size=n)
+        arrays = dict(group.arrays)
+        arrays["latency_counts"] = counts
+        arrays["latency_values"] = rng.random((n, int(counts.max(initial=0))))
+        return ColumnGroup(group.meta, arrays)
+
+    rewrite_groups(store_path, ringed)
 
 
 @pytest.mark.usefixtures("kernel_body")
@@ -964,13 +1004,16 @@ def v3_reference(with_tail: bool) -> MultiSeriesEngine:
     return reference
 
 
-def v3_continue(engine, reference):
-    """Both take the same further rounds; outputs must be equal."""
+def v3_continue(engine, reference, cursor=None):
+    """Both take the same further rounds from ``cursor``, each key's next
+    stream position (by default where the v3 fixture's WAL tail left it);
+    outputs must be equal."""
     keys = V3_KEYS + ["late"]
-    # every key resumes where its own stream stands
-    cursor = {key: 40 for key in V3_KEYS}
-    cursor.update({V3_KEYS[c]: 44 for c in (1, 2, 3, 8)}, **{"m-00": 46, "m-09": 45})
-    cursor["late"] = 6
+    if cursor is None:
+        cursor = {key: 40 for key in V3_KEYS}
+        cursor.update({V3_KEYS[c]: 44 for c in (1, 2, 3, 8)}, **{"m-00": 46, "m-09": 45})
+        cursor["late"] = 6
+    cursor = dict(cursor)
     streams = dict(zip(V3_KEYS, V3_DATA.T), late=V3_LATE)
     for size in (1, 5, 20):
         block = np.column_stack(
@@ -1068,3 +1111,115 @@ class TestAStoreWrittenByFormat3:
         assert reopened.keys() == reference.keys()
         v3_continue(reopened, reference)
         reopened.close(checkpoint=False)
+
+
+# --------------------------------------------------------------------------
+# a format-4 store that still carries the detector's moments
+# --------------------------------------------------------------------------
+
+#: where ``tests/data/make_v4_fixture.py`` left every stream, WAL tail included
+V4_CURSOR = {**dict.fromkeys(V3_KEYS, 43), "late": 6}
+
+
+def v4_reference(overrides=None) -> MultiSeriesEngine:
+    """A scalar twin fed what ``tests/data/make_v4_fixture.py`` fed its
+    writer, checkpoint and tail alike."""
+    spec = MultiSeriesEngine.for_oneshotstl(PERIOD, initialization_length=INIT).spec
+    reference = MultiSeriesEngine.from_spec(replace(spec, overrides=overrides or {}))
+    reference.fleet_kernel_enabled = False
+    reference.ingest_grid(V3_KEYS, V3_DATA[:43])
+    for value in V3_LATE[:6]:
+        reference.process("late", float(value))
+    return reference
+
+
+def sections_and_meta(store: DirectoryCheckpointStore) -> list:
+    """``(section names, meta names)`` of every column group of the store."""
+    found = []
+    for name in store.list_segments():
+        groups, _fallback = split_segment(store.read_segment(name), name)
+        found += [(set(group.arrays), set(group.meta)) for group in groups]
+    return found
+
+
+@pytest.mark.usefixtures("kernel_body")
+class TestAStoreWithScorerSections:
+    """``tests/data/store_v4_scorer_sections``: written by a format-4 build
+    whose column groups carried the detector's moments beside the
+    monitor's (``tests/data/make_v4_fixture.py`` is the script) -- ten
+    absorbed keys in cohorts of four plus the warming key ``late``, and a
+    WAL tail of a three-round grid and a point."""
+
+    STORE = DATA / "store_v4_scorer_sections"
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        shutil.copytree(self.STORE, tmp_path / "store")
+        return tmp_path / "store"
+
+    def test_it_verifies_opens_strictly_and_continues_like_the_twin(self, store):
+        found = sections_and_meta(DirectoryCheckpointStore(store))
+        assert len(found) == 3
+        assert all(
+            {"scorer_count", "scorer_mean", "scorer_m2"} <= sections and "scorer" in meta
+            for sections, meta in found
+        )
+        assert DirectoryCheckpointStore(store).verify(deep=True).ok
+        engine = MultiSeriesEngine.open(store, recovery="strict")
+        assert engine.last_recovery.clean and engine.last_recovery.wal_records_replayed == 2
+        assert set(engine._absorbed) == set(V3_KEYS)
+        v3_continue(engine, v4_reference(), V4_CURSOR)
+        engine.close(checkpoint=False)
+
+    def test_its_next_checkpoint_writes_no_detector_moments(self, store):
+        engine = MultiSeriesEngine.open(store)
+        engine.checkpoint_cohort_size = 4
+        assert engine.checkpoint().cohorts_written == 3
+        found = sections_and_meta(engine._store)
+        assert len(found) == 3
+        for sections, meta in found:
+            assert not any(name.startswith("scorer") for name in sections)
+            assert "monitor_mean" in sections and "scorer" not in meta
+        engine.close(checkpoint=False)
+        reopened = MultiSeriesEngine.open(store, recovery="strict")
+        v3_continue(reopened, v4_reference(), V4_CURSOR)
+        reopened.close(checkpoint=False)
+
+    def test_detector_moments_that_are_not_the_monitors_are_refused_alike(self, store):
+        def nudged(group):
+            arrays = dict(group.arrays)
+            arrays["scorer_mean"] = arrays["scorer_mean"] + np.array([0.0, 2.0**-40, 0.0, 0.0])
+            return ColumnGroup(group.meta, arrays)
+
+        name = rewrite_groups(store, nudged, index=1)
+        report = DirectoryCheckpointStore(store).verify()
+        assert [(f.artifact, f.problem) for f in report.findings if f.fatal] == [
+            (name, "undecodable")
+        ]
+        with pytest.raises(CorruptCheckpointError, match="not the monitor") as error:
+            MultiSeriesEngine.open(store)
+        assert error.value.problem == "undecodable"
+
+    def test_columns_saved_under_another_minimum_std_open_on_the_scalar_path(self, store):
+        def floored(group):
+            meta = json.loads(json.dumps(group.meta))
+            meta["spec"]["detector"]["params"]["minimum_std"] = 0.1
+            meta["scorer"]["minimum_std"] = 0.1
+            return ColumnGroup(meta, group.arrays)
+
+        rewrite_groups(store, floored, index=0)
+        assert DirectoryCheckpointStore(store).verify(deep=True).ok
+        engine = MultiSeriesEngine.open(store, recovery="strict")
+        floored_keys = V3_KEYS[:4]
+        assert set(engine._absorbed) == set(V3_KEYS[4:])
+        assert all(engine._series[key].live for key in floored_keys)
+        base = engine.spec.pipeline
+        override = replace(
+            base,
+            detector=DetectorSpec("nsigma", dict(base.detector.params, minimum_std=0.1)),
+        )
+        reference = v4_reference(dict.fromkeys(floored_keys, override))
+        v3_continue(engine, reference, V4_CURSOR)
+        assert set(engine._absorbed) == {*V3_KEYS[4:], "late"}
+        assert set(floored_keys) <= engine._never_absorb
+        engine.close(checkpoint=False)

@@ -312,7 +312,9 @@ def assert_blocks_match_scalar(kernel, scalar, streams, start, block_sizes, colu
     """Drive ``update_block`` in the given block sizes against scalar models.
 
     Every output field of every round must equal the per-series scalar
-    ``OneShotSTL.update`` float for float, and after every block every
+    ``OneShotSTL.update`` float for float -- ``score`` the z-score of the
+    detection residual against the monitor as it was before the point,
+    searched or not -- and after every block every
     member must extract to its scalar model's full state (``columns``
     restricts the advance to a subset of members; the others must not
     move).  Returns the next stream position.
@@ -331,7 +333,10 @@ def assert_blocks_match_scalar(kernel, scalar, streams, start, block_sizes, colu
         assert out.value.shape == values.shape
         for step in range(rounds):
             for slot, member in enumerate(members):
+                monitor = scalar[member]._residual_monitor.copy()
                 point = scalar[member].update(float(values[step, slot]))
+                detection = scalar[member].last_detection_residual
+                assert monitor.score(detection).score == out.score[step, slot]
                 assert point.value == out.value[step, slot]
                 assert point.trend == out.trend[step, slot]
                 assert point.seasonal == out.seasonal[step, slot]
@@ -827,8 +832,8 @@ class TestMarkedColumns:
                 depth[0] -= 1
                 entry[2] = len(solves)
 
-        def search_spy(kernel, columns, values):
-            return nested(searches, columns.size, search, kernel, columns, values)
+        def search_spy(kernel, columns, *rest):
+            return nested(searches, columns.size, search, kernel, columns, *rest)
 
         def replay_spy(kernel, columns, monitor, values, cuts):
             cuts = list(cuts)
@@ -969,8 +974,8 @@ def recorded_searches():
     calls = []
     original = FleetKernel._search_shifts
 
-    def spy(kernel, columns, values):
-        winners, points, bad = original(kernel, columns, values)
+    def spy(kernel, columns, values, scores):
+        winners, points, bad = original(kernel, columns, values, scores)
         if winners is not None:
             written = winners.seasonal_buffer != kernel.seasonal_buffer[columns]
             shifts = (
@@ -1074,8 +1079,12 @@ class TestShiftSearchOracle:
         # A sentinel makes "written only by a non-zero shift" visible.
         kernel.last_applied_shift[:] = 99
         untouched = [kernel.extract(member) for member in range(kernel.n_series)]
-        winners, points, bad = kernel._search_shifts(columns, values)
-        assert bad == 1 and points.shape == (4, 1, columns.size)
+        # The score is the one that tripped the search, handed in: the
+        # trials' monitors have folded the point already.
+        scores = np.linspace(5.5, 9.5, columns.size)
+        winners, points, bad = kernel._search_shifts(columns, values, scores)
+        assert bad == 1 and points.shape == (5, 1, columns.size)
+        assert points[4, 0].tolist() == scores.tolist()
         assert_same_model_state(kernel, untouched, range(kernel.n_series))
         expected = []
         shifts = []
@@ -1200,6 +1209,83 @@ class TestColumnarNSigma:
     def test_pack_requires_uniform_parameters(self):
         with pytest.raises(ValueError, match="uniform"):
             ColumnarNSigma.pack([NSigma(3.0), NSigma(5.0)])
+
+
+def twin_records(spec, tamper=None):
+    """Live records of a kernel engine and its scalar twin, both built
+    from ``spec`` and fed the same blocks of spiked, gapped series;
+    ``tamper(engine)`` runs on both once every key is live.  Returns
+    ``(kernel engine, its records, the twin's records)``."""
+    data = {
+        f"m-{i}": fleet_series(
+            i,
+            spike=(INIT + 20 + i if i % 3 == 0 else None),
+            missing=(INIT + 33 if i == 4 else None),
+        )
+        for i in range(6)
+    }
+    engines = [MultiSeriesEngine.from_spec(spec) for _ in range(2)]
+    engines[1].fleet_kernel_enabled = False
+    records = []
+    for engine in engines:
+        collected = live_records(engine, [{key: values[:INIT] for key, values in data.items()}])
+        if tamper is not None:
+            tamper(engine)
+        position = INIT
+        for size in (1, 7, PERIOD * 2, 3, PERIOD):
+            batch = {key: values[position : position + size] for key, values in data.items()}
+            for key, rows in live_records(engine, [batch]).items():
+                collected.setdefault(key, []).extend(rows)
+            position += size
+        records.append(collected)
+    return engines[0], records[0], records[1]
+
+
+class TestOneSetOfMoments:
+    """A column keeps one Welford state, its monitor's, and the kernel's
+    score plane is what the pipeline's NSigma detector would score; a key
+    whose detector could score otherwise stays on the scalar path."""
+
+    @staticmethod
+    def spec(threshold=5.0, overrides=None):
+        return EngineSpec(
+            pipeline=PipelineSpec(
+                decomposer=DecomposerSpec("oneshotstl", {"period": PERIOD}),
+                detector=DetectorSpec("nsigma", {"threshold": threshold}),
+            ),
+            initialization_length=INIT,
+            overrides=overrides or {},
+        )
+
+    def test_a_detector_threshold_apart_from_the_shift_threshold(self):
+        fast, records, expected = twin_records(self.spec(threshold=3.0))
+        assert set(fast._absorbed) == set(expected)
+        assert records == expected
+        scores = [record.anomaly_score for rows in records.values() for record in rows]
+        # the detector's threshold decides, not the monitor's
+        assert any(3.0 < score <= 5.0 for score in scores)
+        assert any(score > 5.0 for score in scores)
+
+    def test_a_detector_with_another_minimum_std_is_never_absorbed(self):
+        floored = PipelineSpec(
+            decomposer=DecomposerSpec("oneshotstl", {"period": PERIOD}),
+            detector=DetectorSpec("nsigma", {"threshold": 5.0, "minimum_std": 0.1}),
+        )
+        spec = self.spec(overrides={"m-1": floored, "m-3": floored})
+        fast, records, expected = twin_records(spec)
+        assert records == expected
+        assert set(fast._absorbed) == {"m-0", "m-2", "m-4", "m-5"}
+        assert {"m-1", "m-3"} <= fast._never_absorb
+
+    def test_a_detector_whose_moments_are_not_the_monitors_is_never_absorbed(self):
+        def tamper(engine):
+            engine._series["m-2"].pipeline.scorer.update_stats(0.5)
+
+        spec = self.spec()
+        fast, records, expected = twin_records(spec, tamper)
+        assert records == expected
+        assert set(fast._absorbed) == {"m-0", "m-1", "m-3", "m-4", "m-5"}
+        assert "m-2" in fast._never_absorb
 
 
 def engine_pair(n_series, **engine_kwargs):

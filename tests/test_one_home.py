@@ -282,7 +282,7 @@ def decoded_sections(store, cohort):
         (saved,) = groups
         keys = list(decode_manifest_keys(saved.meta["keys"]))
         assert saved.meta["positions"] == list(range(len(keys)))
-    described = {name: saved.meta[name] for name in ("spec", "kernel", "scorer")}
+    described = {name: saved.meta[name] for name in ("spec", "kernel")}
     sections = {
         name: (array.dtype.str, array.shape, array.tobytes())
         for name, array in saved.arrays.items()
@@ -408,7 +408,6 @@ class TestLatencyRingHasOneHome:
         (group,) = engine._groups.values()
         expected = {
             *group.kernel.to_arrays(),
-            *(f"scorer_{name}" for name in group.scorer.to_arrays()),
             "indices",
             "points",
             "anomalies",
