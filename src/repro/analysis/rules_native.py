@@ -11,7 +11,8 @@ keep that mechanical:
   double`` (another precision), or a call of any ``<math.h>`` function
   other than ``fabs`` -- ``fma`` fuses two roundings into one, ``fmax`` /
   ``fmin`` drop the NaN that ``np.maximum`` propagates, and the rest are
-  libm routines whose last digit varies by build.  Comments and string
+  libm routines whose last digit varies by build.  A compiler builtin
+  (``__builtin_fma``) is read as the function it names.  Comments and string
   literals are not code and are not searched.  There is no ``allow[...]``
   for C: a finding is fixed, not excused.
 * the module-level ``FLAGS`` tuple under ``core/`` or ``solvers/`` --
@@ -99,8 +100,9 @@ def check_c_source(source: str, path: str) -> list[Finding]:
             report(match.start(), message)
     for match in _CALL.finditer(code):
         name = match.group(1)
-        if name in _MATH_CALLS:
-            base = name if name in _MATH_H else name[:-1]
+        function = name.removeprefix("__builtin_")
+        if function in _MATH_CALLS:
+            base = function if function in _MATH_H else function[:-1]
             why = _WHY.get(base, "libm's last digit varies by build")
             report(
                 match.start(),

@@ -36,8 +36,10 @@ SOURCE = Path(__file__).with_name("advance_run.c")
 #: candidates for ``shutil.which``, first found wins
 COMPILERS = ("cc", "gcc", "clang")
 #: fixed flags (rule HP006 reads this tuple): optimisation may reorder
-#: nothing observable -- no contraction of ``a - b * c`` into an fma, no
-#: value-changing math flags, no CPU-specific code in a shared cache
+#: nothing observable -- no contraction of ``a - b * c`` into an fma (in
+#: every ISA clone the source declares), no value-changing math flags, no
+#: ``-march``: the source's own clones are picked at load from ``cpuid``,
+#: so one cached library runs on every CPU of its architecture
 FLAGS = (
     "-O2",
     "-ftree-vectorize",
@@ -142,8 +144,13 @@ def _build(compiler: str, library: Path) -> str | None:
             os.unlink(scratch)
 
 
-def _open(library: Path):
-    """``(advance_run, scratch_doubles)`` of a built library (OSError if bad)."""
+def _open(library: Path) -> tuple[tuple, str]:
+    """``((advance_run, scratch_doubles), vector)`` of a built library.
+
+    ``vector`` names the clone of ``advance_run`` the dynamic loader
+    dispatched to on this CPU.  OSError or AttributeError if the file is
+    not a complete library of this source.
+    """
     handle = ctypes.CDLL(str(library))
     advance_run = handle.advance_run
     advance_run.argtypes = _ADVANCE_RUN_ARGUMENTS
@@ -151,7 +158,9 @@ def _open(library: Path):
     scratch_doubles = handle.advance_run_scratch
     scratch_doubles.argtypes = (_INT,)
     scratch_doubles.restype = _INT
-    return advance_run, scratch_doubles
+    vector = handle.advance_run_vector
+    vector.restype = ctypes.c_char_p
+    return (advance_run, scratch_doubles), vector().decode()
 
 
 def load() -> tuple[tuple | None, dict]:
@@ -160,12 +169,14 @@ def load() -> tuple[tuple | None, dict]:
     Returns ``(routines, report)``: ``routines`` is ``(advance_run,
     scratch_doubles)`` -- the ``ctypes`` functions of ``advance_run.c`` --
     or None, and ``report`` says why in ``{"reason", "compiler",
-    "flags"}``.  Never raises for anything the machine lacks.  The report
+    "flags", "vector"}`` -- ``vector`` the clone this CPU runs
+    (``"avx512f"``, ``"avx2"`` or ``"default"``), None without a library.
+    Never raises for anything the machine lacks.  The report
     is served on an unauthenticated ``/health``, so it names the compiler
     and the library (whose name carries the cache key) without the
     directories they live in.
     """
-    report = {"reason": "", "compiler": None, "flags": list(FLAGS)}
+    report = {"reason": "", "compiler": None, "flags": list(FLAGS), "vector": None}
     compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
     if compiler is None:
         report["reason"] = f"no C compiler on PATH (tried {', '.join(COMPILERS)})"
@@ -190,21 +201,23 @@ def load() -> tuple[tuple | None, dict]:
 def _load_from(compiler: str, library: Path, report: dict) -> tuple[tuple | None, dict]:
     if library.exists():
         try:
-            routines = _open(library)
+            routines, vector = _open(library)
         except (OSError, AttributeError):
             pass  # truncated or foreign file: rebuild over it
         else:
             report["reason"] = f"loaded {library.name}"
+            report["vector"] = vector
             return routines, report
     failure = _build(compiler, library)
     if failure is None:
         try:
-            routines = _open(library)
+            routines, vector = _open(library)
         except (OSError, AttributeError) as error:
             where = str(library.parent) + os.sep
             failure = f"built library does not load: {str(error).replace(where, '')}"
         else:
             report["reason"] = f"compiled {library.name}"
+            report["vector"] = vector
             return routines, report
     report["reason"] = failure
     return None, report

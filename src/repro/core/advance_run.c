@@ -12,6 +12,15 @@
  * walked in cannot change a bit; here a chunk of LANES columns walks it
  * round by round with its I x 22 doubles of state in cache for the whole run.
  *
+ * Width: on x86-64 glibc the routine is built as target clones (AVX-512F,
+ * AVX2, baseline) and the dynamic loader's ifunc resolver picks one from
+ * cpuid when the library is opened, so one cached library serves every
+ * x86-64 CPU; elsewhere it is one baseline build.  Sixteen lanes keep two
+ * independent 8-double AVX-512 chains in flight per loop, which hides the
+ * divide latency of the sweeps.  Every operation is correctly rounded per
+ * lane (add, sub, mul, div, compare/select, fabs as a sign mask), so the
+ * width a clone computes at cannot change a bit.
+ *
  * Bit-equality rules (checked by `python -m repro.analysis`, rule HP006):
  * doubles only; every multiply-then-subtract is two roundings (the loader
  * compiles with -ffp-contract=off); no reductions -- lanes never meet, the
@@ -30,7 +39,19 @@
 #include <math.h>
 #include <stdint.h>
 
-#define LANES 8
+/* __GLIBC__ (for ifunc) is known once a libc header is in. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define VECTOR_CLONES 1
+#endif
+#endif
+#ifdef VECTOR_CLONES
+#define CLONED __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONED
+#endif
+
+#define LANES 16
 #define W 4           /* half bandwidth */
 #define BLOCK 6       /* W + the 2 variables a point appends */
 #define RHS 6         /* column of the right-hand side in the augmented block */
@@ -55,6 +76,20 @@ int64_t advance_run_scratch(int64_t iterations)
     return iterations * STATE * LANES;
 }
 
+/* The clone the ifunc resolver picks in this process: the clone list
+ * above, first supported wins. */
+const char *advance_run_vector(void)
+{
+#ifdef VECTOR_CLONES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return "avx512f";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "default";
+}
+
 static inline void sweep(double a[BLOCK][BLOCK + 1][LANES], int k)
 {
     for (int row = k + 1; row < SWEEP_LIMIT[k]; row++) {
@@ -69,7 +104,7 @@ static inline void sweep(double a[BLOCK][BLOCK + 1][LANES], int k)
     }
 }
 
-void advance_run(
+CLONED void advance_run(
     int64_t n_rounds, int64_t n_iterations, int64_t n,
     const double *blocks_in, const double *rhs_in,
     double *blocks_out, double *rhs_out, int64_t capacity,

@@ -34,8 +34,12 @@ non-finite propagation included:
   with a chunk's ``I x 22`` doubles of state in cache for the whole run
   -- the computation moved to where the state lives, instead of the whole
   ``(6, 7, I, n)`` workspace swept past one NumPy operator at a time.
-  Lanes (columns) are its innermost loop, so the compiler may vectorise
-  across columns only; there is no reduction anywhere.
+  Lanes (16 columns a chunk) are its innermost loop, so the compiler may
+  vectorise across columns only; there is no reduction anywhere.  On
+  x86-64 glibc the routine is built as AVX-512F, AVX2 and baseline clones
+  and the dynamic loader picks the widest this CPU runs, once, when the
+  library is opened; every operation is correctly rounded per lane, so
+  the clone cannot change a bit.
 * the **NumPy wavefront** (:meth:`FleetKernel._run_wavefront`), the
   *reference schedule*: all solves on an anti-diagonal ``i + r = s`` are
   independent, so a run advances in ``T + I - 1`` steps, each one stacked
@@ -151,14 +155,17 @@ _SHARED = (
 def kernel_backend() -> dict:
     """Which body advances a run in this process, and why.
 
-    ``{"body": "native" | "numpy", "reason", "compiler", "flags"}``.  The
-    first call -- the first :class:`FleetKernel` constructed, if nobody
-    asked earlier -- chooses, for the life of the process and from what
-    the machine has alone: the native body when a C compiler is on PATH,
-    ``advance_run.c`` builds and loads (:mod:`repro.core._native`) and a
-    fixed small run comes out of it bit for bit as it comes out of the
-    NumPy wavefront; else the wavefront, with one warning.  No option,
-    argument or environment variable selects a body.
+    ``{"body": "native" | "numpy", "reason", "compiler", "flags",
+    "vector"}``; ``vector`` is the ISA clone of the native routine this
+    CPU dispatches to (``"avx512f"``, ``"avx2"``, ``"default"``; None when
+    no library loaded), whichever body was chosen.  The first call -- the
+    first :class:`FleetKernel` constructed, if nobody asked earlier --
+    chooses, for the life of the process and from what the machine has
+    alone: the native body when a C compiler is on PATH, ``advance_run.c``
+    builds and loads (:mod:`repro.core._native`) and a fixed small run
+    comes out of it bit for bit as it comes out of the NumPy wavefront;
+    else the wavefront, with one warning.  No option, argument or
+    environment variable selects a body.
     """
     global _native_run, _backend
     if _backend is None:
@@ -191,30 +198,34 @@ def kernel_backend() -> dict:
 
 
 def _same_bits(routines: tuple) -> bool:
-    """Solve one fixed tiny run under both bodies; whether every bit agrees.
+    """Solve one fixed small run under both bodies; whether every bit agrees.
 
-    Three columns (a last chunk narrower than the routine's lane count)
-    aged 0, 1 and 7 points take a three-round run -- both gated patterns,
-    the steady one, second and third rounds -- from a made-up positive
-    definite state that differs in every cell, iteration and column, so a
-    transposed index cannot hide.  Outputs, post-run trend pairs and the
-    solver's working side are compared as bytes, signs of zeros included.
+    Thirty-five columns -- two full chunks of the routine's 16 lanes and a
+    ragged tail of 3, so a chunk at a non-zero base and the spare lanes of
+    a last chunk are both exercised -- aged 0, 1 and 7 points in turn take
+    a three-round run (both gated patterns, the steady one, second and
+    third rounds) from a made-up positive definite state that differs in
+    every cell, iteration and column, so a transposed index cannot hide.
+    Outputs, post-run trend pairs and the solver's working side are
+    compared as bytes, signs of zeros included.
     """
-    n_rounds, n_iterations, n = 3, 3, 3
+    n_rounds, n_iterations, n = 3, 3, 35
     params = {
         "period": 4, "lambda1": 2.0, "lambda2": 3.0, "iterations": n_iterations,
         "shift_window": 0, "shift_threshold": 5.0, "epsilon": 1e-8,
     }  # fmt: skip
     ramp = np.arange(16.0 * n_iterations * n).reshape(4, 4, n_iterations, n)
-    blocks = (ramp + ramp.transpose(1, 0, 2, 3)) / 512.0
+    # Entries below 0.5 and a diagonal above 2: diagonally dominant.
+    blocks = (ramp + ramp.transpose(1, 0, 2, 3)) / (4.0 * ramp.size)
     blocks[np.arange(4), np.arange(4)] += 2.0
-    values = np.array([[0.5, -1.25, 3.0], [0.75, -1.0, 2.5], [0.25, -1.5, 3.5]])
+    ages = np.resize([0, 1, 7], n)
+    values = 3.0 * np.sin(np.arange(n_rounds * n) * 0.7).reshape(n_rounds, n)
     images = []
     for body in (None, routines):
         kernel = FleetKernel(params, n)
         kernel.seasonal_buffer = np.sin(np.arange(4.0 * n)).reshape(n, 4)
-        kernel.global_index = np.array([0, 1, 7])
-        kernel.points_processed = np.array([0, 1, 7])
+        kernel.global_index = ages.copy()
+        kernel.points_processed = ages.copy()
         kernel.solver = BatchedIncrementalLDLT(
             HALF_BANDWIDTH,
             blocks.copy(),

@@ -10,9 +10,10 @@ Sharded mode (front a whole cluster; workers are spawned per the spec)::
 
     python -m repro.serving --cluster cluster_spec.json --port 8080
 
-The process prints one ready line (``repro-serving (kernel: native) ready
-on http://HOST:PORT`` -- which body its fleet kernels, or with
-``--cluster`` its workers', run; port last)
+The process prints one ready line (``repro-serving (kernel: native)
+(vector: avx512f) ready on http://HOST:PORT`` -- which body its fleet
+kernels, or with ``--cluster`` its workers', run and which ISA clone of
+the native routine the CPU dispatched to; port last)
 once the socket is bound, serves until SIGTERM/SIGINT, then drains
 in-flight requests, checkpoints, releases the store lease, and exits 0.
 """

@@ -87,18 +87,20 @@ def _render(response: Response, *, keep_alive: bool) -> bytes:
     return head + response.body
 
 
-def _kernel_bodies(health: dict) -> str:
-    """The kernel bodies behind a backend's health: ``native``, ``native+numpy``.
+def _kernel_field(health: dict, field: str) -> str:
+    """One field of the kernel reports behind a backend's health.
 
-    An engine backend reports its own process; a cluster front builds no
-    kernel, so its line carries what its shards' workers reported.
+    ``field`` is ``"body"`` (``native``, ``native+numpy``) or ``"vector"``
+    (``avx512f``, ``avx2+default``).  An engine backend reports its own
+    process; a cluster front builds no kernel, so its line carries what
+    its shards' workers reported.
     """
     if "kernel" in health:
         reports = [health["kernel"]]
     else:
         reports = [shard["kernel"] for shard in health["shards"].values()]
-    bodies = {report["body"] for report in reports if report}
-    return "+".join(sorted(bodies)) or "unknown"
+    values = {report[field] for report in reports if report and report[field]}
+    return "+".join(sorted(values)) or "unknown"
 
 
 class ServingServer:
@@ -299,8 +301,10 @@ class ServingServer:
         self.port = server.sockets[0].getsockname()[1]
         stream = self._ready_stream if self._ready_stream is not None else sys.stdout
         # One line, port last: launchers parse it as ``...:PORT``.
+        health = self.app.backend.health()
         print(
-            f"repro-serving (kernel: {_kernel_bodies(self.app.backend.health())}) "
+            f"repro-serving (kernel: {_kernel_field(health, 'body')}) "
+            f"(vector: {_kernel_field(health, 'vector')}) "
             f"ready on http://{self.host}:{self.port}",
             file=stream,
             flush=True,

@@ -283,16 +283,23 @@ def test_value_changing_c_constructs_are_flagged():
                 a[l] = fma(a[l], b[l], 1.0);
                 a[l] = fmax (fabs(a[l]), eps);
                 a[l] = fmin(a[l], sqrt(b[l])) + expf(1.0f);
+                a[l] = __builtin_fma(a[l], b[l], 1.0) + __builtin_sqrt(a[l]);
             }
         }
         """,
         NATIVE_PATH,
     )
-    assert rules(findings) == ["HP006"] * 9
-    assert [finding.line for finding in findings] == [3, 4, 4, 4, 8, 9, 10, 10, 10]
+    assert rules(findings) == ["HP006"] * 11
+    assert [finding.line for finding in findings] == [
+        3, 4, 4, 4, 8, 9, 10, 10, 10, 11, 11
+    ]  # fmt: skip
     flagged = sorted(finding.message.split("'")[1] for finding in findings)
     assert flagged == sorted(
-        "#pragma|float|float|long double|fma(|fmax(|fmin(|sqrt(|expf(".split("|")
+        "#pragma|float|float|long double|fma(|fmax(|fmin(|sqrt(|expf("
+        "|__builtin_fma(|__builtin_sqrt(".split("|")
+    )
+    assert "fuses a multiply and an add" in next(
+        finding.message for finding in findings if "__builtin_fma(" in finding.message
     )
 
 
@@ -304,10 +311,16 @@ def test_plain_double_arithmetic_in_c_is_clean():
         #include <stdint.h>
         // d = fmax(d, eps) would drop the NaN
         static const char *NOTE = "float fmin( #pragma";
-        void step(double *a, const double *b, double eps, int64_t n)
+        #if defined(__has_attribute)
+        #if __has_attribute(target_clones)
+        #define CLONED __attribute__((target_clones("avx2", "default")))
+        #endif
+        #endif
+        int wide(void) { return __builtin_cpu_supports("avx2"); }
+        CLONED void step(double *a, const double *b, double eps, int64_t n)
         {
             for (int64_t l = 0; l < n; l++) {
-                double d = fabs(a[l] - b[l]);
+                double d = __builtin_fabs(a[l] - b[l]);
                 double product = d * b[l];
                 a[l] = (d >= eps || d != d) ? a[l] - product : eps;
             }

@@ -8,8 +8,10 @@ different bits) must end on the NumPy wavefront with the reason on
 record, never in an exception out of ``FleetKernel``.
 """
 
+import copy
 import ctypes
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -20,9 +22,16 @@ import numpy as np
 import pytest
 
 from repro.core import _native, fleet
-from repro.core.fleet import kernel_backend
+from repro.core.fleet import FleetKernel, kernel_backend
 
-from tests.test_fleet_kernel import INIT, assert_blocks_match_scalar, warm_fleet
+from tests.test_fleet_kernel import (
+    INIT,
+    PERIOD,
+    assert_blocks_match_scalar,
+    fleet_series,
+    warm_fleet,
+    warm_models,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 #: position of the ``trend_out`` pointer among ``advance_run``'s arguments
@@ -91,6 +100,7 @@ def test_cold_then_warm_and_a_warm_start_spawns_nothing(undecided, monkeypatch):
     assert backend["body"] == "native"
     assert backend["reason"] == f"loaded {library}"
     assert backend["compiler"] and "-ffp-contract=off" in backend["flags"]
+    assert backend["vector"] in CLONES
     # Served on /health: names, not the directories they live in.
     assert os.sep not in backend["reason"] + backend["compiler"]
 
@@ -214,3 +224,92 @@ def test_a_body_one_ulp_off_fails_the_self_check_and_is_refused(
     assert fleet._native_run is None
     streams, scalar, kernel = warm_fleet(3)
     assert_blocks_match_scalar(kernel, scalar, streams, INIT + 8, [4])
+
+
+# ----------------------------------------------------------- ISA clones
+
+#: the ISA clones ``advance_run.c`` declares, widest first
+CLONES = ("avx512f", "avx2", "default")
+CLONE_LIST = "target_clones(" + ", ".join(f'"{name}"' for name in CLONES) + ")"
+
+
+def _cpu_flags():
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {
+        flag
+        for line in text.splitlines()
+        if line.startswith("flags")
+        for flag in line.partition(":")[2].split()
+    }
+
+
+def _compiler():
+    return next(filter(None, map(shutil.which, _native.COMPILERS)))
+
+
+_SPIKED = {}
+
+
+def spiked_fleet(n_series):
+    """``(streams, scalar, kernel)``: a spike on every third series, H = 20."""
+    if n_series not in _SPIKED:
+        streams = [
+            fleet_series(i, spike=INIT + 20 + i if i % 3 == 0 else None)
+            for i in range(n_series)
+        ]
+        params = {"shift_window": 20, "shift_threshold": 5.0}
+        _SPIKED[n_series] = (streams, warm_models(streams, 8, **params))
+    streams, models = _SPIKED[n_series]
+    return streams, copy.deepcopy(models), FleetKernel.pack(copy.deepcopy(models))
+
+
+@needs_compiler
+@pytest.mark.parametrize("vector", CLONES)
+def test_every_clone_this_cpu_runs_computes_the_reference_bits(
+    vector, tmp_path, monkeypatch
+):
+    """Each clone, built alone, against the wavefront and the scalar model.
+
+    The dispatcher only ever hands out the widest clone the CPU has, so
+    the narrower ones are built here on their own -- the source with its
+    clone list replaced by one ``target`` -- and held to the same checks.
+    """
+    if vector != "default" and vector not in _cpu_flags():
+        pytest.skip(f"this CPU has no {vector} (not in /proc/cpuinfo flags)")
+    shipped = _native.SOURCE.read_text()
+    assert CLONE_LIST in shipped
+    source = tmp_path / "advance_run.c"
+    source.write_text(shipped.replace(CLONE_LIST, f'target("{vector}")'))
+    monkeypatch.setattr(_native, "SOURCE", source)
+    library = tmp_path / f"advance_run-{vector}.so"
+    assert _native._build(_compiler(), library) is None
+    routines, _dispatched = _native._open(library)
+    assert fleet._same_bits(routines)
+    monkeypatch.setattr(fleet, "_native_run", routines)
+    # Two full 16-lane chunks and a ragged tail of 5, shift searches included.
+    streams, scalar, kernel = spiked_fleet(37)
+    assert_blocks_match_scalar(
+        kernel, scalar, streams, INIT + 8, [1, 7, PERIOD, PERIOD]
+    )
+    assert any(model.current_shift != 0 for model in scalar)
+
+
+@needs_compiler
+@pytest.mark.skipif(shutil.which("objdump") is None, reason="no objdump on PATH")
+def test_no_clone_contains_a_fused_multiply_add(tmp_path):
+    """AVX-512F allows FMA instructions; only -ffp-contract=off keeps them out."""
+    library = tmp_path / "advance_run.so"
+    assert _native._build(_compiler(), library) is None
+    disassembly = subprocess.run(
+        ["objdump", "-d", str(library)], capture_output=True, text=True, check=True
+    ).stdout
+    assert "<advance_run" in disassembly
+    fused = [
+        line
+        for line in disassembly.splitlines()
+        if any(op in line for op in ("vfmadd", "vfmsub", "vfnmadd", "vfnmsub"))
+    ]
+    assert fused == []

@@ -207,7 +207,7 @@ class TestAppRouting:
         # times slower NumPy wavefront must be visible from outside.
         assert body["kernel"] == kernel_backend()
         assert body["kernel"]["body"] in ("native", "numpy")
-        assert set(body["kernel"]) == {"body", "reason", "compiler", "flags"}
+        assert set(body["kernel"]) == {"body", "reason", "compiler", "flags", "vector"}
         # Unauthenticated: names, never the directories they live in.
         assert os.sep not in body["kernel"]["reason"]
         assert os.sep not in (body["kernel"]["compiler"] or "")
@@ -495,7 +495,7 @@ class TestBackpressure:
 class TestRouterBackend:
     def test_cluster_serving_end_to_end(self, tmp_path, monkeypatch):
         from repro.serving import app as serving_app
-        from repro.serving.server import _kernel_bodies
+        from repro.serving.server import _kernel_field
         from repro.sharding import ClusterSpec, ShardRouter
 
         spec = fresh_engine().spec
@@ -527,7 +527,9 @@ class TestRouterBackend:
             )
             front = app.backend.health()
             assert "kernel" not in front
-            assert _kernel_bodies(front) == kernel_backend()["body"]
+            assert _kernel_field(front, "body") == kernel_backend()["body"]
+            vector = kernel_backend()["vector"] or "unknown"
+            assert _kernel_field(front, "vector") == vector
             listed = app.handle(Request.get("/v1/keys")).json()
             assert listed["keys"] == sorted(keys)
             for key in keys[:3]:
@@ -694,6 +696,7 @@ class TestServerLifecycle:
             ready = process.stdout.readline()
             assert "ready on http://" in ready, ready
             assert f"(kernel: {kernel_backend()['body']})" in ready, ready
+            assert f"(vector: {kernel_backend()['vector'] or 'unknown'})" in ready
             port = int(ready.rsplit(":", 1)[1])
             keys, grid = fleet_grid(6, PERIOD * 40, seed=61)
             rounds_per_batch = PERIOD
