@@ -9,12 +9,16 @@ keep that mechanical:
 * every ``*.c`` file under the analysed tree may not contain ``#pragma``
   (per-file fast-math / contraction switches), ``float`` or ``long
   double`` (another precision), or a call of any ``<math.h>`` function
-  other than ``fabs`` -- ``fma`` fuses two roundings into one, ``fmax`` /
-  ``fmin`` drop the NaN that ``np.maximum`` propagates, and the rest are
-  libm routines whose last digit varies by build.  A compiler builtin
-  (``__builtin_fma``) is read as the function it names.  Comments and string
-  literals are not code and are not searched.  There is no ``allow[...]``
-  for C: a finding is fixed, not excused.
+  other than ``fabs`` and ``sqrt`` -- ``fma`` fuses two roundings into
+  one, ``fmax`` / ``fmin`` drop the NaN that ``np.maximum`` propagates,
+  and the rest are libm routines whose last digit varies by build.
+  ``sqrt`` is admitted because IEEE 754 requires square root to be
+  correctly rounded, like ``+ - * /``, so no libm can vary its last digit
+  (``np.sqrt`` is the same operation); its ``float`` and ``long double``
+  forms ``sqrtf`` / ``sqrtl`` are other precisions and stay findings.  A
+  compiler builtin (``__builtin_fma``) is read as the function it names.
+  Comments and string literals are not code and are not searched.  There
+  is no ``allow[...]`` for C: a finding is fixed, not excused.
 * the module-level ``FLAGS`` tuple under ``core/`` or ``solvers/`` --
   the loader's compiler flags -- must contain
   ``-ffp-contract=off`` and none of the value-changing switches
@@ -56,11 +60,12 @@ _MATH_H = frozenset(
 )
 _MATH_CALLS = frozenset(
     name + suffix for name in _MATH_H for suffix in ("", "f", "l")
-) - {"fabs"}
+) - {"fabs", "sqrt"}
 _WHY = {
     "fma": "fuses a multiply and an add into one rounding",
     "fmax": "drops the NaN that np.maximum propagates",
     "fmin": "drops the NaN that np.minimum propagates",
+    "sqrt": "another precision; the kernel is doubles only",
 }
 
 _NOT_CODE = re.compile(r"/\*.*?\*/|//[^\n]*|\"(?:\\.|[^\"\\\n])*\"", re.DOTALL)
@@ -106,7 +111,7 @@ def check_c_source(source: str, path: str) -> list[Finding]:
             why = _WHY.get(base, "libm's last digit varies by build")
             report(
                 match.start(),
-                f"'{name}(' is a <math.h> call other than fabs ({why})",
+                f"'{name}(' is a <math.h> call other than fabs and sqrt ({why})",
             )
     findings.sort(key=lambda finding: finding.line)
     return findings

@@ -61,8 +61,10 @@ _ADVANCE_RUN_ARGUMENTS = (
     + (_POINTER, _INT)  # values, row stride
     + (_POINTER,) * 2  # anchors, points_processed
     + (_DOUBLE,) * 3  # lambda1, lambda2, epsilon
-    + (_POINTER,) * 2  # trend_out, seasonal_out
+    + (_POINTER,) * 5  # trend / seasonal / residual / detection / score out
     + (_INT,)  # their row stride
+    + (_POINTER,) * 3  # the monitor's count, mean, m2 (updated in place)
+    + (_DOUBLE,)  # the monitor's minimum_std
     + (_POINTER,)  # scratch
 )
 

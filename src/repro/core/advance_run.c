@@ -21,19 +21,30 @@
  * lane (add, sub, mul, div, compare/select, fabs as a sign mask), so the
  * width a clone computes at cannot change a bit.
  *
+ * After a round's last iteration each lane also runs the residual monitor
+ * as the NumPy body does, round by round: the residual (value - trend) -
+ * seasonal, its z-score against the monitor (ColumnarNSigma.score) and its
+ * Welford fold into the monitor (ColumnarNSigma.update_stats), with the
+ * chunk's moments in lanes for the whole run.  Every round is folded, a
+ * non-finite one and those after it included: the caller restores the
+ * pre-run moments whenever it returns short.
+ *
  * Bit-equality rules (checked by `python -m repro.analysis`, rule HP006):
  * doubles only; every multiply-then-subtract is two roundings (the loader
  * compiles with -ffp-contract=off); no reductions -- lanes never meet, the
  * lane loop is innermost so the compiler may vectorise across columns only;
- * nothing from <math.h> but fabs; np.maximum's NaN-propagating semantics are
- * spelled out; no guards -- a zero pivot propagates non-finite values that
- * the caller screens post hoc, as it does for the NumPy body.
+ * nothing from <math.h> but fabs and sqrt (correctly rounded by IEEE 754,
+ * like + - * /); np.maximum's NaN-propagating semantics are spelled out; no
+ * guards -- a zero pivot propagates non-finite values that the caller
+ * screens post hoc, as it does for the NumPy body.
  *
  * Layouts are the Python side's: blocks (4, 4, I, capacity), right-hand
  * sides (4, I, capacity), trend pairs (2, I, pair_capacity); `in` is the
  * committed side of the solver's ping-pong (never written), `out` the
  * working side.  `anchors` is (T, n) in REVERSED round order -- row
- * T - 1 - r is round r's, the order the kernel stages phases in.
+ * T - 1 - r is round r's, the order the kernel stages phases in.  The five
+ * output planes share one row stride; the monitor's `count` / `mean` /
+ * `m2` are (n,) and updated in place.
  */
 
 #include <math.h>
@@ -112,8 +123,10 @@ CLONED void advance_run(
     const double *values, int64_t value_stride,
     const double *anchors, const int64_t *points_processed,
     double lambda1, double lambda2, double epsilon,
-    double *trend_out, double *seasonal_out, int64_t out_stride,
-    double *restrict scratch)
+    double *trend_out, double *seasonal_out, double *residual_out,
+    double *detection_out, double *score_out, int64_t out_stride,
+    int64_t *monitor_count, double *monitor_mean, double *monitor_m2,
+    double minimum_std, double *restrict scratch)
 {
     const int64_t I = n_iterations;
     for (int64_t base = 0; base < n; base += LANES) {
@@ -121,6 +134,13 @@ CLONED void advance_run(
         int64_t column[LANES]; /* spare lanes of the last chunk redo lane 0 */
         for (int l = 0; l < LANES; l++)
             column[l] = base + (l < live ? l : 0);
+        int64_t count[LANES];
+        double mean[LANES], m2[LANES];
+        for (int l = 0; l < LANES; l++) {
+            count[l] = monitor_count[column[l]];
+            mean[l] = monitor_mean[column[l]];
+            m2[l] = monitor_m2[column[l]];
+        }
 
         /* Pre-run state of the chunk: committed side -> scratch. */
         for (int64_t i = 0; i < I; i++) {
@@ -252,10 +272,42 @@ CLONED void advance_run(
                     previous[l] = trend[l];
                 }
             }
-            for (int l = 0; l < live; l++) {
-                trend_out[r * out_stride + base + l] = trend[l];
-                seasonal_out[r * out_stride + base + l] = seasonal[l];
+
+            /* The residual monitor: score against the moments before the
+             * point, exactly ColumnarNSigma.score (0.0 for a monitor that
+             * has seen nothing; both maxima as np.maximum), then fold the
+             * point in, exactly ColumnarNSigma.update_stats. */
+            double residual[LANES], score[LANES];
+            for (int l = 0; l < LANES; l++) {
+                double d = value[l] - trend[l];
+                d = d - seasonal[l];
+                residual[l] = d;
+                double variance = m2[l] / (double)(count[l] > 1 ? count[l] : 1);
+                variance =
+                    (variance >= 0.0 || variance != variance) ? variance : 0.0;
+                double std = sqrt(variance);
+                std = (std >= minimum_std || std != std) ? std : minimum_std;
+                double z = fabs(d - mean[l]) / std;
+                score[l] = count[l] == 0 ? 0.0 : z;
+                count[l] = count[l] + 1;
+                double delta = d - mean[l];
+                mean[l] = mean[l] + delta / (double)count[l];
+                double spread = d - mean[l];
+                m2[l] = m2[l] + delta * spread;
             }
+            for (int l = 0; l < live; l++) {
+                const int64_t at = r * out_stride + base + l;
+                trend_out[at] = trend[l];
+                seasonal_out[at] = seasonal[l];
+                residual_out[at] = residual[l];
+                detection_out[at] = residual[l];
+                score_out[at] = score[l];
+            }
+        }
+        for (int l = 0; l < live; l++) {
+            monitor_count[base + l] = count[l];
+            monitor_mean[base + l] = mean[l];
+            monitor_m2[base + l] = m2[l];
         }
 
         /* Post-run state of the chunk: scratch -> working side. */

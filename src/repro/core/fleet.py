@@ -34,6 +34,10 @@ non-finite propagation included:
   with a chunk's ``I x 22`` doubles of state in cache for the whole run
   -- the computation moved to where the state lives, instead of the whole
   ``(6, 7, I, n)`` workspace swept past one NumPy operator at a time.
+  After a round's last iteration it also scores the round's residual
+  against the residual monitor and folds it in, the chunk's Welford
+  moments in lanes for the whole run (``sqrt`` is correctly rounded by
+  IEEE 754, like ``+ - * /``, so it cannot change a bit either).
   Lanes (16 columns a chunk) are its innermost loop, so the compiler may
   vectorise across columns only; there is no reduction anywhere.  On
   x86-64 glibc the routine is built as AVX-512F, AVX2 and baseline clones
@@ -45,9 +49,10 @@ non-finite propagation included:
   independent, so a run advances in ``T + I - 1`` steps, each one stacked
   extend -> eliminate -> tail-solve -> reweight over the slab of
   iterations active on that diagonal
-  (:meth:`~repro.solvers.batched_ldlt.BatchedIncrementalLDLT.extend_solve`).
-  It is what the native body is checked against and what runs on a
-  machine without a C compiler.
+  (:meth:`~repro.solvers.batched_ldlt.BatchedIncrementalLDLT.extend_solve`),
+  then the monitor scores and folds round by round.  It is what the
+  native body is checked against and what runs on a machine without a C
+  compiler.
 
 Which body a process runs is decided once, from what the machine has, by
 :func:`kernel_backend` at the first kernel construction: compiler found,
@@ -61,8 +66,11 @@ are tested against -- the oracle tests assert float-for-float equality,
 shift searches and all, under each.
 
 A run commits once, at its end; until then the committed state is the
-pre-run state.  A series whose residual monitor trips mid-run is only
-*marked*: the run finishes for everyone, and before the commit the marked
+pre-run state.  (The residual monitor's moments are the exception: the
+body folds every round into them in place, and a run that returns short
+puts back the copy taken before it.)  A series whose residual monitor
+trips mid-run is only *marked*: the run finishes for everyone, and
+before the commit the marked
 columns are gathered from the pre-run state into one *narrow* kernel that
 advances the run again itself, cut into shorter runs at the rounds that
 tripped (:meth:`FleetKernel._replay_marked`), and is scattered back over
@@ -206,7 +214,10 @@ def _same_bits(routines: tuple) -> bool:
     a three-round run (both gated patterns, the steady one, second and
     third rounds) from a made-up positive definite state that differs in
     every cell, iteration and column, so a transposed index cannot hide.
-    Outputs, post-run trend pairs and the solver's working side are
+    The residual monitor's moments differ in every column too: some have
+    seen nothing (score 0.0) and some have no spread (a floored standard
+    deviation, a score far past the threshold).  The five output planes,
+    the post-run moments, trend pairs and the solver's working side are
     compared as bytes, signs of zeros included.
     """
     n_rounds, n_iterations, n = 3, 3, 35
@@ -220,9 +231,18 @@ def _same_bits(routines: tuple) -> bool:
     blocks[np.arange(4), np.arange(4)] += 2.0
     ages = np.resize([0, 1, 7], n)
     values = 3.0 * np.sin(np.arange(n_rounds * n) * 0.7).reshape(n_rounds, n)
+    counts = np.resize([0, 3, 40, 9, 1], n)
+    spreads = np.resize([0.5, 0.0, 2.0, 0.1], n) * (1.0 + np.arange(n) / n)
     images = []
     for body in (None, routines):
         kernel = FleetKernel(params, n)
+        kernel.monitor = ColumnarNSigma(
+            params["shift_threshold"],
+            DEFAULT_MINIMUM_STD,
+            counts.copy(),
+            np.cos(np.arange(n) * 0.9),
+            spreads * counts,
+        )
         kernel.seasonal_buffer = np.sin(np.arange(4.0 * n)).reshape(n, 4)
         kernel.global_index = ages.copy()
         kernel.points_processed = ages.copy()
@@ -235,11 +255,14 @@ def _same_bits(routines: tuple) -> bool:
         kernel._pairs = np.sin(np.arange(2.0 * n_iterations * n)).reshape(
             2, n_iterations, n
         )
-        outputs = np.empty((2, n_rounds, n))
-        _phases, pairs = kernel._solve_run(body, values, 0, n_rounds, *outputs)
+        outputs = np.empty((5, n_rounds, n))
+        _phases, pairs = kernel._solve_run(body, values, 0, n_rounds, outputs)
         working = kernel.solver.run_buffers(2, n_rounds)[2:]
+        moments = kernel.monitor.to_arrays().values()
         images.append(
-            b"".join(array.tobytes() for array in (outputs, pairs, *working))
+            b"".join(
+                array.tobytes() for array in (outputs, *moments, pairs, *working)
+            )
         )
     return images[0] == images[1]
 
@@ -965,14 +988,18 @@ class FleetKernel:
         values: np.ndarray,
         start: int,
         stop: int,
-        trend_out: np.ndarray,
-        seasonal_out: np.ndarray,
+        outputs: Sequence[np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Stage and solve the ``T x I`` grid of the run ``[start, stop)``.
+        """Stage and solve the ``T x I`` grid of the run ``[start, stop)``,
+        and run the residual monitor over it.
 
         ``native`` is the body: the loaded routines, or None for the
-        reference wavefront.  Either writes the run's trends and seasonals
-        into rows ``[start, stop)`` of the outputs and leaves the solver
+        reference wavefront.  ``outputs`` are the five ``(rounds, n)``
+        planes trend, seasonal, residual, detection residual and score.
+        Either body writes rows ``[start, stop)`` of each -- the residual
+        ``(value - trend) - seasonal``, the detection residual a copy of
+        it, the score its z against the monitor before the point -- folds
+        every round into :attr:`monitor` in place, and leaves the solver
         with a complete, uncommitted run.  Returns ``(phases, pairs)``:
         the run's ``(T, n)`` seasonal phases in reversed round order (row
         ``T - 1 - r`` is round ``r``'s) and the post-run ``(2, I, n)``
@@ -982,13 +1009,9 @@ class FleetKernel:
         phases = (self.global_index[None, :] + reversed_rounds) % self.period
         anchors = self.seasonal_buffer[self._rows()[None, :], phases]
         if native is None:
-            pairs = self._run_wavefront(
-                values, start, stop, anchors, trend_out, seasonal_out
-            )
+            pairs = self._run_wavefront(values, start, stop, anchors, outputs)
         else:
-            pairs = self._run_native(
-                native, values, start, stop, anchors, trend_out, seasonal_out
-            )
+            pairs = self._run_native(native, values, start, stop, anchors, outputs)
         return phases, pairs
 
     @hotpath
@@ -998,8 +1021,7 @@ class FleetKernel:
         start: int,
         stop: int,
         anchors: np.ndarray,
-        trend_out: np.ndarray,
-        seasonal_out: np.ndarray,
+        outputs: Sequence[np.ndarray],
     ) -> np.ndarray:
         """The solve grid of a run on the NumPy wavefront (reference body).
 
@@ -1018,11 +1040,13 @@ class FleetKernel:
         (row 0 stays 1.0: ``x * 1.0 == x`` bit for bit, so the first
         iteration's raw lambdas need no special case).
 
-        Writes the run's trends and seasonals into rows ``[start, stop)``
-        of ``trend_out`` / ``seasonal_out``, leaves the solver with a
-        complete uncommitted run and returns the post-run ``(2, I, n)``
-        trend pairs.
+        The grid done, the residuals are two subtractions over the run and
+        the monitor scores, then folds, round by round
+        (:meth:`ColumnarNSigma.score`, :meth:`ColumnarNSigma.update_stats`).
+        Same contract as :meth:`_solve_run`; returns the post-run ``(2, I,
+        n)`` trend pairs.
         """
+        trend_out, seasonal_out, residual_out, detection_out, score_out = outputs
         n_rounds = stop - start
         n_iterations = self.iterations
         last = n_iterations - 1
@@ -1117,6 +1141,14 @@ class FleetKernel:
         trend_out[start:stop] = hist[
             n_iterations + 1 : n_iterations + 1 + n_rounds, last
         ]
+        residual_block = residual_out[start:stop]
+        np.subtract(values[start:stop], trend_out[start:stop], out=residual_block)
+        np.subtract(residual_block, seasonal_out[start:stop], out=residual_block)
+        detection_out[start:stop] = residual_block
+        monitor = self.monitor
+        for r in range(start, stop):
+            score_out[r] = monitor.score(residual_out[r])[0]
+            monitor.update_stats(residual_out[r])
         return hist[self._pair_steps + n_rounds, self._pair_iterations]
 
     def _run_native(
@@ -1126,18 +1158,22 @@ class FleetKernel:
         start: int,
         stop: int,
         anchors: np.ndarray,
-        trend_out: np.ndarray,
-        seasonal_out: np.ndarray,
+        outputs: Sequence[np.ndarray],
     ) -> np.ndarray:
-        """The solve grid of a run as one call into ``advance_run.c``.
+        """The solve grid of a run, and its monitor, as one call into
+        ``advance_run.c``.
 
         Same contract as :meth:`_run_wavefront`, same bits: the C routine
-        performs each solve's operations in the same order, per column,
-        reading the committed side of the solver's ping-pong and writing
-        the working side.
+        performs each solve's operations, and each round's scoring and
+        fold, in the same order, per column, reading the committed side
+        of the solver's ping-pong and writing the working side.
         """
         n = self._n
         advance_run, scratch_doubles = routines
+        monitor = self.monitor
+        moments = (monitor.count, monitor.mean, monitor.m2)
+        if not all(moment.flags.c_contiguous for moment in moments):
+            raise ValueError("a native run needs contiguous monitor moments")
         pairs_in = self._pairs
         pairs_out = self._pairs_out
         if pairs_out is None or pairs_out.shape != pairs_in.shape:
@@ -1146,11 +1182,10 @@ class FleetKernel:
         if scratch is None:
             self._scratch = scratch = np.empty(scratch_doubles(self.iterations))
         block = values[start:stop]
-        trend_block = trend_out[start:stop]
-        seasonal_block = seasonal_out[start:stop]
-        out_stride = _row_stride(trend_block)
-        if _row_stride(seasonal_block) != out_stride:
-            raise ValueError("trend and seasonal outputs must share a layout")
+        planes = [plane[start:stop] for plane in outputs]
+        out_stride = _row_stride(planes[0])
+        if any(_row_stride(plane) != out_stride for plane in planes):
+            raise ValueError("the output planes must share a layout")
         points_processed = np.ascontiguousarray(self.points_processed, dtype=np.int64)
         blocks_in, rhs_in, blocks_out, rhs_out = self.solver.run_buffers(
             2, stop - start
@@ -1174,9 +1209,10 @@ class FleetKernel:
             self.lambda1,
             self.lambda2,
             self.epsilon,
-            _address(trend_block),
-            _address(seasonal_block),
+            *map(_address, planes),
             out_stride,
+            *map(_address, moments),
+            monitor.minimum_std,
             _address(scratch),
         )
         return pairs_out[..., :n]
@@ -1196,18 +1232,21 @@ class FleetKernel:
         """Advance the all-finite rounds ``[start, stop)`` as one run.
 
         Stages the run's seasonal phases and anchors, hands the ``T x I``
-        solve grid to the body this process runs (:meth:`_run_native`, one
-        call into ``advance_run.c``, or the reference
-        :meth:`_run_wavefront`; see :func:`kernel_backend`), then screens,
-        monitors, replays and commits around it -- none of which depends
-        on the body: both produce the same bits.
+        solve grid and the residual monitor to the body this process runs
+        (:meth:`_run_native`, one call into ``advance_run.c``, or the
+        reference :meth:`_run_wavefront`; see :func:`kernel_backend`),
+        then screens, replays and commits around it -- none of which
+        depends on the body: both produce the same bits.
 
-        Each round is scored against the monitor (``score_out``), then
-        folded in; a column whose monitor trips is marked and, once the
-        run has finished for everyone, replayed before the commit: searched in
-        place when the run is one round long (:meth:`_search_shifts`),
-        else advanced again in a narrow kernel that cuts the run at the
-        tripped rounds (:meth:`_replay_marked`).
+        The body scores each round against the monitor (``score_out``),
+        then folds it in; a column whose score passes the threshold is
+        marked and, once the run has finished for everyone, replayed
+        before the commit: searched in place when the run is one round
+        long (:meth:`_search_shifts`), else advanced again in a narrow
+        kernel that cuts the run at the tripped rounds
+        (:meth:`_replay_marked`).  A run that returns short restores the
+        pre-run monitor: the body folded every round, the non-finite one
+        and those after it included.
 
         Returns ``(next_round, solved)``: ``(stop, True)`` normally.  A
         round that went non-finite on a column whose batched values are
@@ -1220,43 +1259,46 @@ class FleetKernel:
         """
         n_rounds = stop - start
         rows = self._rows()
+        monitor = self.monitor
+        pre_run_monitor = monitor.copy()
         phases, pairs = self._solve_run(
-            _native_run, values, start, stop, trend_out, seasonal_out
+            _native_run,
+            values,
+            start,
+            stop,
+            (trend_out, seasonal_out, residual_out, detection_out, score_out),
         )
         trend_block = trend_out[start:stop]
         seasonal_block = seasonal_out[start:stop]
         residual_block = residual_out[start:stop]
         detection_block = detection_out[start:stop]
         score_block = score_out[start:stop]
-        np.subtract(values[start:stop], trend_block, out=residual_block)
-        np.subtract(residual_block, seasonal_block, out=residual_block)
-        detection_block[:] = residual_block
-        # The residual monitor is scored and updated round by round; a
-        # column that trips it is marked for replay, and from then on its
-        # batched values (no longer used) are out of the screen.
-        monitor = self.monitor
-        pre_run_monitor = monitor.copy()
-        search = self.shift_window > 0
         finite = np.isfinite(trend_block.sum(axis=1) + seasonal_block.sum(axis=1))
+        # A column whose score passes the threshold is marked for replay,
+        # and from then on its batched values (no longer used) are out of
+        # the screen.  Rounds are walked only when one is non-finite or
+        # something tripped; the walk reads the body's outputs alone.
+        tripped = None
+        if self.shift_window > 0:
+            tripped = score_block > monitor.threshold
         marked = None
         cuts = []
         bad = n_rounds
-        for r in range(n_rounds):
-            if not finite[r] and (
-                marked is None
-                or not math.isfinite(
-                    float(trend_block[r, ~marked].sum())
-                    + float(seasonal_block[r, ~marked].sum())
-                )
-            ):
-                bad = r
-                break
-            detection_row = detection_block[r]
-            score_block[r], flagged = monitor.score(detection_row)
-            if search and flagged.any():
-                marked = flagged if marked is None else marked | flagged
-                cuts += (r, r + 1)
-            monitor.update_stats(detection_row)
+        if not finite.all() or (tripped is not None and tripped.any()):
+            for r in range(n_rounds):
+                if not finite[r] and (
+                    marked is None
+                    or not math.isfinite(
+                        float(trend_block[r, ~marked].sum())
+                        + float(seasonal_block[r, ~marked].sum())
+                    )
+                ):
+                    bad = r
+                    break
+                if tripped is not None and tripped[r].any():
+                    flagged = tripped[r]
+                    marked = flagged if marked is None else marked | flagged
+                    cuts += (r, r + 1)
         replayed = None
         if marked is not None and bad == n_rounds:
             columns = np.flatnonzero(marked)
@@ -1368,7 +1410,7 @@ class FleetKernel:
         winners as a ``k``-column kernel with the scalar's bookkeeping --
         ``global_index`` advanced by one, ``last_applied_shift`` written
         only by a non-zero shift, ``last_detection_residual`` the
-        candidate-0 (pre-search) residual the run's loop already fed the
+        candidate-0 (pre-search) residual the run's body already fed the
         monitor, and ``scores`` (the trials' monitors have folded the point
         in) -- or ``(None, None, 0)`` when a candidate went non-finite.
         """

@@ -838,6 +838,9 @@ class MultiSeriesEngine:
         self._groups: dict[str, _FleetGroup] = {}
         self._absorbed: dict[Hashable, tuple[_FleetGroup, int]] = {}
         self._never_absorb: set = set()
+        #: ``(round_keys, cohorts)`` of the last all-kernel round
+        #: :meth:`_grid_plan` built; None once membership changes
+        self._plan: tuple[list, list] | None = None
         # ----- durable-session state (inert until open()/attach_store()) --
         #: series per durable checkpoint cohort: an incremental checkpoint
         #: re-serializes state one cohort at a time, so this bounds both
@@ -1334,9 +1337,19 @@ class MultiSeriesEngine:
         advances (``takes`` are their grid columns; a lone member of a wide
         group is a one-column run); ``scalar`` is ``[(key, j), ...]`` for
         the keys off the kernel path, warming or never absorbable.
+
+        A producer sends the same key list round after round, so a round
+        with no key off the kernel keeps its plan: the next call with an
+        equal list -- compared key by key, identity then ``==``, as the
+        dict lookups it skips would -- gets the same cohorts until
+        membership changes (:meth:`_absorb_eligible`, :meth:`_install`,
+        :meth:`extract_series`, :meth:`_reset_fleet_groups` drop it).
         """
         if not self.fleet_kernel_enabled:
             return [], list(zip(round_keys, range(len(round_keys))))
+        plan = self._plan
+        if plan is not None and plan[0] == round_keys:
+            return plan[1], []
         absorbed = self._absorbed
         pending = [key for key in round_keys if key not in absorbed]
         if pending:
@@ -1367,6 +1380,9 @@ class MultiSeriesEngine:
                 columns = columns[order]
                 takes = takes[order]
             cohorts.append((group, columns, takes, full))
+        if not scalar:
+            # A copy: the caller may reorder or extend its own list.
+            self._plan = (list(round_keys), cohorts)
         return cohorts, scalar
 
     def _absorb_eligible(self, keys: list) -> None:
@@ -1389,6 +1405,8 @@ class MultiSeriesEngine:
                     spec.to_json(sort_keys=True), (spec, {})
                 )
                 members[key] = state
+        if to_absorb:
+            self._plan = None
         for spec_key, (spec, members) in to_absorb.items():
             group = self._groups.get(spec_key)
             if group is None:
@@ -1530,6 +1548,7 @@ class MultiSeriesEngine:
         at recovery and adoption alike: what was a column is a column,
         appended to its spec's group (or founding it), the rest are
         scalar homes."""
+        self._plan = None
         self._series.update((key, states.get(key)) for key in members)
         for restored in groups:
             spec_key = restored.spec.to_json(sort_keys=True)
@@ -1543,6 +1562,7 @@ class MultiSeriesEngine:
         self._groups = {}
         self._absorbed = {}
         self._never_absorb = set()
+        self._plan = None
 
     # ------------------------------------------------------------- fleet API
 
@@ -1676,6 +1696,7 @@ class MultiSeriesEngine:
         if len(set(keys)) != len(keys):
             raise ValueError("extract_series() keys must be unique")
         payload = self._encode_cohort(keys)
+        self._plan = None
         touched_cohorts = set()
         for key in keys:
             self._absorbed.pop(key, None)

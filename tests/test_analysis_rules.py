@@ -284,23 +284,43 @@ def test_value_changing_c_constructs_are_flagged():
                 a[l] = fmax (fabs(a[l]), eps);
                 a[l] = fmin(a[l], sqrt(b[l])) + expf(1.0f);
                 a[l] = __builtin_fma(a[l], b[l], 1.0) + __builtin_sqrt(a[l]);
+                a[l] = a[l] + sqrtf(1.0f);
             }
         }
         """,
         NATIVE_PATH,
     )
-    assert rules(findings) == ["HP006"] * 11
+    assert rules(findings) == ["HP006"] * 10
     assert [finding.line for finding in findings] == [
-        3, 4, 4, 4, 8, 9, 10, 10, 10, 11, 11
+        3, 4, 4, 4, 8, 9, 10, 10, 11, 12
     ]  # fmt: skip
     flagged = sorted(finding.message.split("'")[1] for finding in findings)
     assert flagged == sorted(
-        "#pragma|float|float|long double|fma(|fmax(|fmin(|sqrt(|expf("
-        "|__builtin_fma(|__builtin_sqrt(".split("|")
+        "#pragma|float|float|long double|fma(|fmax(|fmin(|expf("
+        "|__builtin_fma(|sqrtf(".split("|")
     )
     assert "fuses a multiply and an add" in next(
         finding.message for finding in findings if "__builtin_fma(" in finding.message
     )
+    assert "another precision" in next(
+        finding.message for finding in findings if "sqrtf(" in finding.message
+    )
+
+
+def test_fabs_and_sqrt_are_the_admitted_math_calls():
+    """Both are correctly rounded by IEEE 754, so libm cannot vary them."""
+    findings = run(
+        """
+        #include <math.h>
+        void scale(double *a, const double *b, int n)
+        {
+            for (int l = 0; l < n; l++)
+                a[l] = fabs(a[l]) / sqrt(b[l]) + __builtin_sqrt(__builtin_fabs(b[l]));
+        }
+        """,
+        NATIVE_PATH,
+    )
+    assert findings == []
 
 
 def test_plain_double_arithmetic_in_c_is_clean():

@@ -2272,6 +2272,26 @@ class TestNonFiniteSolveReplay:
         assert points[2] == points[3] == points[4] == points[5]
 
 
+    @pytest.mark.parametrize("shift_window", [0, 20])
+    def test_a_short_return_leaves_the_monitor_at_the_clean_prefix(
+        self, shift_window
+    ):
+        """The body folds every round of a run into the monitor, the
+        overflowing one and those after it included; returning short
+        must leave exactly the moments of the rounds it returns."""
+        streams, _scalar, kernel = warm_fleet(6, shift_window=shift_window)
+        _streams, _scalar, twin = warm_fleet(6, shift_window=shift_window)
+        block = np.array(streams)[:, INIT + 8 : INIT + 8 + 12].T.copy()
+        block[5, [1, 2]] = 1e308
+        out = kernel.update_block(block)
+        assert out.value.shape == (5, 6), "the run did not return short"
+        twin.update_block(block[:5])
+        moments = kernel.monitor.to_arrays()
+        expected = twin.monitor.to_arrays()
+        assert list(moments) == ["count", "mean", "m2"]
+        for name, array in moments.items():
+            assert array.tobytes() == expected[name].tobytes(), name
+
     def poisoned_after_a_trip(self, block):
         """Column 2 trips the monitor at round 2, then overflows from round 5."""
         rng = np.random.default_rng(3)

@@ -295,6 +295,22 @@ def test_every_clone_this_cpu_runs_computes_the_reference_bits(
         kernel, scalar, streams, INIT + 8, [1, 7, PERIOD, PERIOD]
     )
     assert any(model.current_shift != 0 for model in scalar)
+    # The residual monitor runs inside the clone: its residual, detection
+    # and score planes and the moments it leaves are the wavefront's bytes.
+    images = []
+    for body in (routines, None):
+        monkeypatch.setattr(fleet, "_native_run", body)
+        streams, _scalar, kernel = spiked_fleet(37)
+        position = INIT + 8
+        image = []
+        for rounds in (1, 7, PERIOD):
+            block = np.array(streams)[:, position : position + rounds].T.copy()
+            out = kernel.update_block(block)
+            image += [out.residual, out.detection_residual, out.score]
+            image += kernel.monitor.to_arrays().values()
+            position += rounds
+        images.append([array.tobytes() for array in image])
+    assert images[0] == images[1]
 
 
 @needs_compiler

@@ -11,6 +11,7 @@ from repro.specs import DecomposerSpec, EngineSpec, PipelineSpec
 from repro.streaming import MultiSeriesEngine, StreamingPipeline
 
 from tests.conftest import make_seasonal_series
+from tests.test_fleet_kernel import RESULT_FIELDS
 
 PERIOD = 24
 INIT = 4 * PERIOD
@@ -299,3 +300,144 @@ class TestScale:
         assert stats.series_total == n_series
         assert stats.series_live == n_series
         assert stats.points_total == n_series * base.size
+
+
+class PlanTwins:
+    """A kernel engine and its ``fleet_kernel_enabled = False`` twin, fed
+    alike; records every round plan the kernel engine builds or reuses."""
+
+    def __init__(self, monkeypatch, n_keys):
+        self.data = make_fleet_data(n_keys, length=PERIOD * 10)
+        self.cursor = dict.fromkeys(self.data, 0)
+        self.fast = MultiSeriesEngine.for_oneshotstl(PERIOD)
+        self.twin = MultiSeriesEngine.for_oneshotstl(PERIOD)
+        self.twin.fleet_kernel_enabled = False
+        self.plans = []
+        plan = MultiSeriesEngine._grid_plan
+
+        def spy(engine, round_keys):
+            cohorts, scalar = plan(engine, round_keys)
+            if engine is self.fast:
+                self.plans.append(cohorts)
+            return cohorts, scalar
+
+        monkeypatch.setattr(MultiSeriesEngine, "_grid_plan", spy)
+
+    def feed(self, keys, rounds=2):
+        """Feed ``rounds`` rounds of ``keys`` to both; the plans of the call.
+
+        The two results must agree byte for byte.
+        """
+        grid = np.array(
+            [self.data[key][self.cursor[key] : self.cursor[key] + rounds] for key in keys]
+        ).T
+        for key in keys:
+            self.cursor[key] += rounds
+        seen = len(self.plans)
+        got = self.fast.ingest_grid(keys, grid)
+        want = self.twin.ingest_grid(keys, grid)
+        assert got.keys == want.keys
+        for field in RESULT_FIELDS:
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        return self.plans[seen:]
+
+    def both(self, method, *args):
+        return [getattr(engine, method)(*args) for engine in (self.fast, self.twin)]
+
+    def warm(self, keys):
+        """Take ``keys`` live and onto the kernel; the plan they then use."""
+        self.feed(keys, INIT + 2)
+        assert all(key in self.fast._absorbed for key in keys)
+        return self.reused(keys)
+
+    def reused(self, keys):
+        """Feed ``keys`` twice: one plan, built by the first call at the latest."""
+        (first,) = self.feed(keys)
+        (second,) = self.feed(keys)
+        assert second is first and first
+        return first
+
+    def rebuilt(self, keys, stale):
+        """Feed ``keys`` after a membership change: a new plan, then reused."""
+        (plan,) = self.feed(keys)
+        assert plan is not stale
+        assert self.reused(keys) is plan
+        return plan
+
+
+@pytest.mark.usefixtures("kernel_body")
+class TestRoundPlanReuse:
+    """A repeated key list reuses its round plan until membership changes,
+    and every result equals the all-scalar twin's, float for float."""
+
+    KEYS = [f"host-{index}" for index in range(6)]
+
+    def test_absorbing_a_key_rebuilds_the_plan(self, monkeypatch):
+        twins = PlanTwins(monkeypatch, 8)
+        stale = twins.warm(self.KEYS)
+        twins.feed(["host-6"], INIT)
+        twins.feed(["host-7"], 1)
+        # host-6 is absorbed into the group while host-7 still warms: the
+        # round is not all-kernel and stores nothing, so only dropping
+        # the plan keeps the next keys list from advancing 7 columns.
+        twins.feed(["host-6", "host-7"], 1)
+        assert "host-6" in twins.fast._absorbed
+        stale = twins.rebuilt(self.KEYS, stale)
+        # A warming key in the list goes live, then is absorbed.
+        keys = self.KEYS + ["host-7"]
+        twins.feed(keys, INIT - 2)
+        assert "host-7" not in twins.fast._absorbed
+        twins.rebuilt(keys, stale)
+        assert "host-7" in twins.fast._absorbed
+
+    def test_extract_then_adopt_rebuilds_the_plan(self, monkeypatch):
+        twins = PlanTwins(monkeypatch, 7)
+        # host-6 is the group's column 0: extracting it renumbers the rest.
+        twins.warm(["host-6"])
+        stale = twins.warm(self.KEYS)
+        payloads = twins.both("extract_series", ["host-6"])
+        stale = twins.rebuilt(self.KEYS, stale)
+        for engine, payload in zip((twins.fast, twins.twin), payloads):
+            engine.adopt_series(payload)
+        # The adopted column joins the group the stored plan covered whole.
+        stale = twins.rebuilt(self.KEYS, stale)
+        twins.rebuilt(self.KEYS + ["host-6"], stale)
+
+    def test_restore_rebuilds_the_plan(self, monkeypatch):
+        twins = PlanTwins(monkeypatch, 6)
+        twins.warm(self.KEYS)
+        snapshots = twins.both("snapshot")
+        cursor = dict(twins.cursor)
+        stale = twins.reused(self.KEYS)
+        for engine, snapshot in zip((twins.fast, twins.twin), snapshots):
+            engine.restore(snapshot)
+        twins.cursor = cursor
+        twins.rebuilt(self.KEYS, stale)
+
+    def test_a_disabled_kernel_plans_nothing_and_keeps_the_plan(self, monkeypatch):
+        twins = PlanTwins(monkeypatch, 6)
+        stored = twins.warm(self.KEYS)
+        twins.fast.fleet_kernel_enabled = False
+        # Every key then takes the scalar path, a round per pass.
+        assert twins.feed(self.KEYS) == [[], []]
+        twins.fast.fleet_kernel_enabled = True
+        assert twins.reused(self.KEYS) is stored
+
+    def test_a_list_reordered_in_place_is_planned_afresh(self, monkeypatch):
+        twins = PlanTwins(monkeypatch, 6)
+        keys = list(self.KEYS)
+        stale = twins.warm(keys)
+        keys.reverse()
+        twins.rebuilt(keys, stale)
+        # The plan holds a copy of the list it was built for.
+        keys.reverse()
+        cohorts, _scalar = twins.fast._grid_plan(keys)
+        keys.reverse()
+        assert twins.fast._grid_plan(keys)[0] is not cohorts
+
+    def test_an_equal_list_of_new_strings_reuses_the_plan(self, monkeypatch):
+        twins = PlanTwins(monkeypatch, 6)
+        stored = twins.warm(self.KEYS)
+        fresh = ["".join(("host-", str(index))) for index in range(6)]
+        assert fresh == self.KEYS and fresh[0] is not self.KEYS[0]
+        assert twins.reused(fresh) is stored
