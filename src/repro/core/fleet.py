@@ -98,9 +98,13 @@ scalar models (:meth:`FleetKernel.pack`), builds fresh equivalent scalar
 models of any members (:meth:`FleetKernel.extract_many`; nothing is ever
 written back into an existing model), takes one back
 (:meth:`FleetKernel.load`), and advances all or a subset of columns
-(:meth:`FleetKernel.update_block`).  Grouping series by configuration,
-absorption and which boundary needs scalar state at all live in the
-streaming engine (:mod:`repro.streaming.engine`).
+(:meth:`FleetKernel.update_block`).  The arrays a column is made of are
+declared once, in ``FleetKernel.COLUMNS`` and ``ColumnarNSigma.COLUMNS``
+(and the solver's): that list is a store segment's section list, and
+:mod:`repro.utils.columns` walks it for every gather, scatter, append,
+copy, segment round trip and 1:1 scalar copy.  Grouping series by
+configuration, absorption and which boundary needs scalar state at all
+live in the streaming engine (:mod:`repro.streaming.engine`).
 """
 
 from __future__ import annotations
@@ -119,7 +123,8 @@ from repro.core.oneshotstl import OneShotSTL, _IterationState
 from repro.analysis import hotpath
 from repro.core.online_system import HALF_BANDWIDTH, ContributionWorkspace
 from repro.solvers.batched_ldlt import BatchedIncrementalLDLT
-from repro.utils import amortized_append, amortized_append_columns, owned_arrays
+from repro.utils import columns as columnar
+from repro.utils.columns import Array, Part
 
 __all__ = ["ColumnarNSigma", "FleetKernel", "FleetUpdate", "kernel_backend"]
 
@@ -144,7 +149,9 @@ _native_run: tuple | None = None
 _backend: dict | None = None
 
 #: what :meth:`FleetKernel.select` hands a gathered copy as it is: the
-#: configuration, what the constructor derives from it, the native scratch
+#: configuration and what the constructor derives from it (the shift
+#: table, the pair steps), immutable, and the native scratch, which holds
+#: nothing between runs
 _SHARED = (
     "period",
     "lambda1",
@@ -233,28 +240,24 @@ def _same_bits(routines: tuple) -> bool:
     values = 3.0 * np.sin(np.arange(n_rounds * n) * 0.7).reshape(n_rounds, n)
     counts = np.resize([0, 3, 40, 9, 1], n)
     spreads = np.resize([0.5, 0.0, 2.0, 0.1], n) * (1.0 + np.arange(n) / n)
+    state = {
+        "seasonal_buffer": np.sin(np.arange(4.0 * n)).reshape(n, 4),
+        "global_index": ages,
+        "points_processed": ages,
+        "last_trend": np.zeros(n),
+        "last_detection_residual": np.zeros(n),
+        "last_applied_shift": np.zeros(n, dtype=np.int64),
+        "trend_pairs": np.sin(np.arange(2.0 * n_iterations * n)).reshape(2, -1, n),
+        "solver_blocks": blocks,
+        "solver_rhs": np.cos(np.arange(4.0 * n_iterations * n)).reshape(4, -1, n),
+        "solver_sizes": np.zeros((n_iterations, n), dtype=np.int64),
+        "monitor_count": counts,
+        "monitor_mean": np.cos(np.arange(n) * 0.9),
+        "monitor_m2": spreads * counts,
+    }
     images = []
     for body in (None, routines):
-        kernel = FleetKernel(params, n)
-        kernel.monitor = ColumnarNSigma(
-            params["shift_threshold"],
-            DEFAULT_MINIMUM_STD,
-            counts.copy(),
-            np.cos(np.arange(n) * 0.9),
-            spreads * counts,
-        )
-        kernel.seasonal_buffer = np.sin(np.arange(4.0 * n)).reshape(n, 4)
-        kernel.global_index = ages.copy()
-        kernel.points_processed = ages.copy()
-        kernel.solver = BatchedIncrementalLDLT(
-            HALF_BANDWIDTH,
-            blocks.copy(),
-            np.cos(np.arange(4.0 * n_iterations * n)).reshape(4, n_iterations, n),
-            np.zeros((n_iterations, n), dtype=np.int64),
-        )
-        kernel._pairs = np.sin(np.arange(2.0 * n_iterations * n)).reshape(
-            2, n_iterations, n
-        )
+        kernel = FleetKernel.from_arrays(params, state)
         outputs = np.empty((5, n_rounds, n))
         _phases, pairs = kernel._solve_run(body, values, 0, n_rounds, outputs)
         working = kernel.solver.run_buffers(2, n_rounds)[2:]
@@ -301,117 +304,58 @@ class ColumnarNSigma:
     verdicts equal the scalar scorers' exactly.
     """
 
-    def __init__(
-        self,
-        threshold: float,
-        minimum_std: float,
-        count: np.ndarray,
-        mean: np.ndarray,
-        m2: np.ndarray,
-    ):
+    #: A member's Welford moments, in segment order (``monitor_*``
+    #: sections of a kernel), each a scalar scorer's attribute.
+    COLUMNS = (
+        Array("count", np.int64, scalar="_count"),
+        Array("mean", float, scalar="_mean"),
+        Array("m2", float, scalar="_m2"),
+    )
+
+    def __init__(self, threshold: float, minimum_std: float):
+        """Shared parameters only: :meth:`pack`, or a kernel's
+        :meth:`FleetKernel.from_arrays`, sets the moments."""
         self.threshold = float(threshold)
         self.minimum_std = float(minimum_std)
-        self.count = np.asarray(count, dtype=np.int64)
-        self.mean = np.asarray(mean, dtype=float)
-        self.m2 = np.asarray(m2, dtype=float)
 
     @classmethod
     def pack(cls, scorers: Sequence[NSigma]) -> "ColumnarNSigma":
         """Lift scalar scorers into columnar form (scalars left untouched)."""
         if not scorers:
             raise ValueError("pack() needs at least one scorer")
-        threshold = scorers[0].threshold
-        minimum_std = scorers[0].minimum_std
+        threshold, minimum_std = scorers[0].threshold, scorers[0].minimum_std
         for index, scorer in enumerate(scorers):
-            if (
-                scorer.threshold != threshold
-                or scorer.minimum_std != minimum_std
-            ):
+            if (scorer.threshold, scorer.minimum_std) != (threshold, minimum_std):
                 raise ValueError(
                     f"scorer {index} has different parameters; a columnar "
                     "batch requires a uniform threshold and minimum_std"
                 )
-        return cls(
-            threshold,
-            minimum_std,
-            np.array([scorer._count for scorer in scorers], dtype=np.int64),
-            np.array([scorer._mean for scorer in scorers], dtype=float),
-            np.array([scorer._m2 for scorer in scorers], dtype=float),
-        )
+        monitor = cls(threshold, minimum_std)
+        columnar.pack(monitor, scorers)
+        return monitor
+
+    def _blank(self, n: int) -> "ColumnarNSigma":
+        return ColumnarNSigma(self.threshold, self.minimum_std)
 
     @property
     def n_series(self) -> int:
         return self.count.shape[0]
 
     def extract_many(self, columns: Sequence[int] | np.ndarray) -> list[NSigma]:
-        """Materialize the members at ``columns`` as fresh scalar scorers.
-
-        One gather + bulk ``tolist`` per state array (exact Python
-        scalars) instead of three array indexings per member.
-        """
-        scorers = []
-        for count, mean, m2 in zip(
-            self.count[columns].tolist(),
-            self.mean[columns].tolist(),
-            self.m2[columns].tolist(),
-        ):
-            scorer = NSigma(self.threshold, self.minimum_std)
-            scorer._count = count
-            scorer._mean = mean
-            scorer._m2 = m2
-            scorers.append(scorer)
+        """Materialize the members at ``columns`` as fresh scalar scorers."""
+        columns = np.asarray(columns, dtype=np.intp)
+        scorers = [NSigma(self.threshold, self.minimum_std) for _ in columns]
+        columnar.unpack(self, columns, scorers)
         return scorers
 
-    def load(self, index: int, scorer: NSigma) -> None:
-        """Overwrite member ``index`` with a scalar scorer's state."""
-        self.count[index] = scorer._count
-        self.mean[index] = scorer._mean
-        self.m2[index] = scorer._m2
-
-    def append(self, other: "ColumnarNSigma") -> None:
-        """Append members (same parameters) with amortized growth."""
-        self.count = amortized_append(self.count, other.count)
-        self.mean = amortized_append(self.mean, other.mean)
-        self.m2 = amortized_append(self.m2, other.m2)
-
-    def select(self, columns: np.ndarray) -> "ColumnarNSigma":
-        return ColumnarNSigma(
-            self.threshold,
-            self.minimum_std,
-            self.count.take(columns),
-            self.mean.take(columns),
-            self.m2.take(columns),
-        )
-
-    def copy(self) -> "ColumnarNSigma":
-        return ColumnarNSigma(
-            self.threshold,
-            self.minimum_std,
-            self.count.copy(),
-            self.mean.copy(),
-            self.m2.copy(),
-        )
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The members' whole state as ordered named arrays (not copies)."""
-        return {"count": self.count, "mean": self.mean, "m2": self.m2}
-
-    @classmethod
-    def from_arrays(
-        cls, threshold: float, minimum_std: float, arrays: Mapping, n: int
-    ) -> "ColumnarNSigma":
-        """Inverse of :meth:`to_arrays`; the scorers own copies.
-
-        Raises ``ValueError`` unless ``arrays`` is exactly the three
-        moments of ``n`` members (the caller's count), correctly typed.
-        """
-        layout = {"count": (np.int64, (n,)), "mean": (float, (n,)), "m2": (float, (n,))}
-        return cls(threshold, minimum_std, *owned_arrays(arrays, layout))
-
-    def assign(self, columns, other: "ColumnarNSigma") -> None:
-        self.count[columns] = other.count
-        self.mean[columns] = other.mean
-        self.m2[columns] = other.m2
+    # Membership, persistence and loading one member back from its scalar
+    # scorer are the declaration's (same parameters).
+    load = columnar.load
+    append = columnar.append
+    select = columnar.select
+    copy = columnar.copy
+    assign = columnar.assign
+    to_arrays = columnar.to_arrays
 
     @hotpath
     def score(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -431,10 +375,7 @@ class ColumnarNSigma:
     def update(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Score then fold ``values`` into the running Welford statistics."""
         scores, flags = self.score(values)
-        self.count += 1
-        delta = values - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (values - self.mean)
+        self.update_stats(values)
         return scores, flags
 
     @hotpath
@@ -500,6 +441,22 @@ class FleetKernel:
     default (non-custom) initializer path.  :meth:`eligible` reports
     whether a model can be packed.
     """
+
+    #: A member's state, in segment order: the seasonal buffer and the
+    #: scalar model's bookkeeping (1:1 with its attributes), the
+    #: per-iteration ``(before_previous, previous)`` trend pairs, then the
+    #: solver's (``solver_*``) and the residual monitor's (``monitor_*``).
+    COLUMNS = (
+        Array("seasonal_buffer", float, cell=("T",), scalar="_seasonal_buffer"),
+        Array("global_index", np.int64, scalar="_global_index"),
+        Array("points_processed", np.int64, scalar="_points_processed"),
+        Array("last_trend", float, scalar="_last_trend"),
+        Array("last_detection_residual", float, scalar="_last_detection_residual"),
+        Array("last_applied_shift", np.int64, scalar="_last_applied_shift"),
+        Array("trend_pairs", float, -1, (2, "I")),
+        Part("solver", BatchedIncrementalLDLT, "solver_"),
+        Part("monitor", ColumnarNSigma, "monitor_"),
+    )
 
     def __init__(self, params: dict, n_series: int):
         self.period = int(params["period"])
@@ -580,45 +537,46 @@ class FleetKernel:
                     "kernel requires a uniform configuration"
                 )
         kernel = cls(reference, len(models))
-        kernel.seasonal_buffer = np.array(
-            [model._seasonal_buffer for model in models], dtype=float
-        )
-        kernel.global_index = np.array(
-            [model._global_index for model in models], dtype=np.int64
-        )
-        kernel.points_processed = np.array(
-            [model._points_processed for model in models], dtype=np.int64
-        )
-        kernel.last_trend = np.array(
-            [model._last_trend for model in models], dtype=float
-        )
-        kernel.last_detection_residual = np.array(
-            [model._last_detection_residual for model in models], dtype=float
-        )
-        kernel.last_applied_shift = np.array(
-            [model._last_applied_shift for model in models], dtype=np.int64
-        )
-        kernel.monitor = ColumnarNSigma.pack(
-            [model._residual_monitor for model in models]
-        )
+        columnar.pack(kernel, models)
+        kernel.monitor = ColumnarNSigma.pack([m._residual_monitor for m in models])
+        members = [model._iterations_state for model in models]
         kernel.solver = BatchedIncrementalLDLT.pack(
-            [
-                [state.solver for state in model._iterations_state]
-                for model in models
-            ]
+            [[state.solver for state in states] for states in members]
         )
-        kernel._pairs = np.ascontiguousarray(
-            np.array(
-                [
-                    [
-                        (state.before_previous_trend, state.previous_trend)
-                        for state in model._iterations_state
-                    ]
-                    for model in models
-                ],
-                dtype=float,
-            ).transpose(2, 1, 0)
-        )
+        pairs = [
+            [(state.before_previous_trend, state.previous_trend) for state in states]
+            for states in members
+        ]
+        kernel._trend_pairs = np.array(pairs, dtype=float).transpose(2, 1, 0).copy()
+        return kernel
+
+    @staticmethod
+    def _sizes(params: Mapping) -> dict:
+        """The cell dimensions :attr:`COLUMNS` names -- period ``T``,
+        iterations ``I``, half bandwidth ``w`` -- from ``params``, which
+        may come off a disk: not a parameter set at all raises."""
+        period, iterations = int(params["period"]), int(params["iterations"])
+        if period < 1 or iterations < 1 or int(params["shift_window"]) < 0:
+            raise ValueError(f"not a kernel parameter set: {dict(params)}")
+        return {"T": period, "I": iterations, "w": HALF_BANDWIDTH}
+
+    @classmethod
+    def _empty(cls, params: Mapping, n: int) -> "FleetKernel":
+        """A kernel of ``params`` for ``n`` members whose state the caller
+        sets (:func:`repro.utils.columns.from_arrays`)."""
+        kernel = cls(dict(params), n)
+        kernel.solver = BatchedIncrementalLDLT(HALF_BANDWIDTH, kernel.iterations, n)
+        kernel.monitor = ColumnarNSigma(kernel.shift_threshold, DEFAULT_MINIMUM_STD)
+        return kernel
+
+    def _blank(self, n: int) -> "FleetKernel":
+        """Shares :data:`_SHARED` instead of re-deriving it: a narrow
+        advance costs O(width), not O(configuration)."""
+        kernel = FleetKernel.__new__(FleetKernel)
+        state = vars(self)
+        vars(kernel).update({name: state[name] for name in _SHARED})
+        kernel._n = n
+        kernel._arange = kernel._workspaces = kernel._pairs_out = None
         return kernel
 
     @property
@@ -627,12 +585,9 @@ class FleetKernel:
 
     @property
     def trend_pairs(self) -> np.ndarray:
-        """Per-iteration ``(before_previous, previous)`` trends, ``(2, I, n)``.
-
-        A live view of a capacity-managed buffer (spare trailing columns
-        are append capacity).
-        """
-        return self._pairs[..., : self._n]
+        """Per-iteration ``(before_previous, previous)`` trends, ``(2, I, n)``:
+        a live view of the capacity buffer."""
+        return self._trend_pairs[..., : self._n]
 
     def get_params(self) -> dict:
         """The uniform OneShotSTL constructor parameters of the fleet."""
@@ -666,38 +621,22 @@ class FleetKernel:
         """
         columns = np.asarray(columns, dtype=np.intp)
         params = self.get_params()
-        seasonal = self.seasonal_buffer[columns]
-        solvers = self.solver.extract_many(columns)
         pairs = self.trend_pairs[..., columns].transpose(2, 1, 0).tolist()
-        global_index = self.global_index[columns].tolist()
-        last_shift = self.last_applied_shift[columns].tolist()
-        last_trend = self.last_trend[columns].tolist()
-        last_detection = self.last_detection_residual[columns].tolist()
-        monitors = self.monitor.extract_many(columns)
-        points_processed = self.points_processed[columns].tolist()
         models = []
-        for position in range(columns.size):
+        for monitor, solvers, member_pairs in zip(
+            self.monitor.extract_many(columns), self.solver.extract_many(columns), pairs
+        ):
             model = OneShotSTL(**params)
-            model._initialized = True
-            model._seasonal_buffer = seasonal[position].copy()
-            model._global_index = global_index[position]
-            model._last_applied_shift = last_shift[position]
-            model._last_trend = last_trend[position]
-            model._last_detection_residual = last_detection[position]
-            model._residual_monitor = monitors[position]
+            # initialize()'s attributes in its order, kept by the writes below
+            vars(model).update(dict.fromkeys(OneShotSTL._STATE), _initialized=True)
+            model._residual_monitor = monitor
             model._iterations_state = [
-                _IterationState(
-                    solver=solver,
-                    previous_trend=previous,
-                    before_previous_trend=before_previous,
-                )
-                for solver, (before_previous, previous) in zip(
-                    solvers[position], pairs[position]
-                )
+                _IterationState(solver, previous, before_previous)
+                for solver, (before_previous, previous) in zip(solvers, member_pairs)
             ]
             model._workspace = ContributionWorkspace(self.lambda1, self.lambda2)
-            model._points_processed = points_processed[position]
             models.append(model)
+        columnar.unpack(self, columns, models)
         return models
 
     def forecast(self, index: int, horizon: int) -> np.ndarray:
@@ -710,12 +649,7 @@ class FleetKernel:
 
     def load(self, index: int, model: OneShotSTL) -> None:
         """Overwrite member ``index`` with a scalar model's state."""
-        self.seasonal_buffer[index] = model._seasonal_buffer
-        self.global_index[index] = model._global_index
-        self.points_processed[index] = model._points_processed
-        self.last_trend[index] = model._last_trend
-        self.last_detection_residual[index] = model._last_detection_residual
-        self.last_applied_shift[index] = model._last_applied_shift
+        columnar.load(self, index, model)
         self.monitor.load(index, model._residual_monitor)
         states = model._iterations_state
         self.solver.load(index, [state.solver for state in states])
@@ -727,157 +661,37 @@ class FleetKernel:
     # ------------------------------------------------------ batch membership
 
     def append(self, other: "FleetKernel") -> None:
-        """Append the members of ``other`` (same configuration required).
-
-        Growth is amortized: every columnar array (and the stacked solver's
-        state buffers) carries hidden spare capacity that is doubled when
-        exhausted, so absorbing a trickle of late-joining series one
-        cohort at a time costs O(total members) instead of one full-fleet
-        copy per cohort.
-        """
+        """Append the members of ``other`` (same configuration required),
+        amortized: every declared array carries spare capacity, doubled
+        when exhausted, so a trickle of late joiners costs O(total)."""
         if other.get_params() != self.get_params():
             raise ValueError("configuration mismatch between fleet kernels")
-        self.seasonal_buffer = amortized_append(
-            self.seasonal_buffer, other.seasonal_buffer
-        )
-        self.global_index = amortized_append(self.global_index, other.global_index)
-        self.points_processed = amortized_append(
-            self.points_processed, other.points_processed
-        )
-        self.last_trend = amortized_append(self.last_trend, other.last_trend)
-        self.last_detection_residual = amortized_append(
-            self.last_detection_residual, other.last_detection_residual
-        )
-        self.last_applied_shift = amortized_append(
-            self.last_applied_shift, other.last_applied_shift
-        )
-        self.monitor.append(other.monitor)
-        self.solver.append(other.solver)
-        self._pairs = amortized_append_columns(
-            self._pairs, self._n, other.trend_pairs
-        )
+        columnar.append(self, other)
         self._n += other._n
 
-    def select(self, columns: np.ndarray) -> "FleetKernel":
-        """Gathered copy of the members at ``columns``.
-
-        Only their columns are copied (``columns`` index members,
-        ``[0, n_series)``).  The configuration and what the constructor
-        derives from it (the shift table, the pair steps) are immutable,
-        and the native scratch holds nothing between runs, so the copy
-        shares them instead of re-deriving them: a narrow advance costs
-        O(width), not O(configuration).
-        """
-        sub = FleetKernel.__new__(FleetKernel)
-        state = vars(self)
-        vars(sub).update({name: state[name] for name in _SHARED})
-        sub._n = len(columns)
-        sub._arange = sub._workspaces = sub._pairs_out = None
-        sub.seasonal_buffer = self.seasonal_buffer.take(columns, 0)
-        sub.global_index = self.global_index.take(columns)
-        sub.points_processed = self.points_processed.take(columns)
-        sub.last_trend = self.last_trend.take(columns)
-        sub.last_detection_residual = self.last_detection_residual.take(columns)
-        sub.last_applied_shift = self.last_applied_shift.take(columns)
-        sub.monitor = self.monitor.select(columns)
-        sub.solver = self.solver.select(columns)
-        # the capacity buffer: ``take`` copies a non-contiguous array whole
-        sub._pairs = self._pairs.take(columns, -1)
-        return sub
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The members' whole committed state as ordered named arrays.
-
-        Live arrays in the layout the kernel computes on, not copies (a
-        gathered sub-kernel, :meth:`select`, is the copy to ship); with
-        :meth:`get_params` they are everything :meth:`from_arrays` needs.
-        """
-        blocks, rhs, sizes = self.solver.state()
-        arrays = {
-            "seasonal_buffer": self.seasonal_buffer,
-            "global_index": self.global_index,
-            "points_processed": self.points_processed,
-            "last_trend": self.last_trend,
-            "last_detection_residual": self.last_detection_residual,
-            "last_applied_shift": self.last_applied_shift,
-            "trend_pairs": self.trend_pairs,
-            "solver_blocks": blocks,
-            "solver_rhs": rhs,
-            "solver_sizes": sizes,
-        }
-        for name, array in self.monitor.to_arrays().items():
-            arrays[f"monitor_{name}"] = array
-        return arrays
+    #: Gathered copies of members (only their columns are copied), the
+    #: scatter back, and the committed state as named arrays -- live, not
+    #: copies (a :meth:`select` is the copy to ship); with
+    #: :meth:`get_params` they are everything :meth:`from_arrays` needs.
+    select = columnar.select
+    assign = columnar.assign
+    to_arrays = columnar.to_arrays
 
     @classmethod
     def from_arrays(
         cls, params: Mapping, arrays: Mapping[str, np.ndarray]
     ) -> "FleetKernel":
-        """Inverse of :meth:`to_arrays`: a kernel that owns copies.
-
-        No scalar model is built on the way.  ``params`` and ``arrays``
-        may come off a disk: anything but exactly the named arrays, in
-        the shapes ``params`` implies -- ``(n, T)`` seasonal buffers,
-        ``(2, I, n)`` trend pairs, ``(w, w, I, n)`` solver blocks... --
-        raises ``ValueError`` (``KeyError`` / ``TypeError`` for a
-        ``params`` that is not a parameter set at all), before anything
-        is sized from ``params``.
-        """
-        period = int(params["period"])
-        iterations = int(params["iterations"])
-        if period < 1 or iterations < 1 or int(params["shift_window"]) < 0:
-            raise ValueError(f"not a kernel parameter set: {dict(params)}")
+        """Inverse of :meth:`to_arrays`: a kernel that owns copies, and no
+        scalar model built on the way.  ``params`` and ``arrays`` may come
+        off a disk: anything but exactly the declared sections, in the
+        shapes ``params`` implies, raises ``ValueError`` (``KeyError`` /
+        ``TypeError`` for ``params`` that are not a parameter set at all)
+        before anything is sized from ``params``."""
         index = arrays.get("global_index")
         n = len(index) if index is not None and index.ndim == 1 else 0
-        w = HALF_BANDWIDTH
-        layout = {
-            "seasonal_buffer": (float, (n, period)),
-            "global_index": (np.int64, (n,)),
-            "points_processed": (np.int64, (n,)),
-            "last_trend": (float, (n,)),
-            "last_detection_residual": (float, (n,)),
-            "last_applied_shift": (np.int64, (n,)),
-            "trend_pairs": (float, (2, iterations, n)),
-            "solver_blocks": (float, (w, w, iterations, n)),
-            "solver_rhs": (float, (w, iterations, n)),
-            "solver_sizes": (np.int64, (iterations, n)),
-        }
-        state: dict[str, np.ndarray] = {}
-        monitor: dict[str, np.ndarray] = {}
-        for name, array in arrays.items():
-            if name.startswith("monitor_"):
-                monitor[name[len("monitor_") :]] = array
-            else:
-                state[name] = array
-        owned = owned_arrays(state, layout)
-        kernel = cls(params, n)
-        (
-            kernel.seasonal_buffer,
-            kernel.global_index,
-            kernel.points_processed,
-            kernel.last_trend,
-            kernel.last_detection_residual,
-            kernel.last_applied_shift,
-            kernel._pairs,
-            *solver_state,
-        ) = owned
-        kernel.solver = BatchedIncrementalLDLT(w, *solver_state)
-        kernel.monitor = ColumnarNSigma.from_arrays(
-            kernel.shift_threshold, DEFAULT_MINIMUM_STD, monitor, n
+        return columnar.from_arrays(
+            cls, arrays, n, cls._sizes(params), lambda: cls._empty(params, n)
         )
-        return kernel
-
-    def assign(self, columns: np.ndarray, other: "FleetKernel") -> None:
-        """Scatter the members of ``other`` back into ``columns``."""
-        self.seasonal_buffer[columns] = other.seasonal_buffer
-        self.global_index[columns] = other.global_index
-        self.points_processed[columns] = other.points_processed
-        self.last_trend[columns] = other.last_trend
-        self.last_detection_residual[columns] = other.last_detection_residual
-        self.last_applied_shift[columns] = other.last_applied_shift
-        self.monitor.assign(columns, other.monitor)
-        self.solver.assign(columns, other.solver)
-        self.trend_pairs[..., columns] = other.trend_pairs
 
     # -------------------------------------------------------------- streaming
 
@@ -1174,7 +988,7 @@ class FleetKernel:
         moments = (monitor.count, monitor.mean, monitor.m2)
         if not all(moment.flags.c_contiguous for moment in moments):
             raise ValueError("a native run needs contiguous monitor moments")
-        pairs_in = self._pairs
+        pairs_in = self._trend_pairs
         pairs_out = self._pairs_out
         if pairs_out is None or pairs_out.shape != pairs_in.shape:
             self._pairs_out = pairs_out = np.empty_like(pairs_in)

@@ -177,6 +177,15 @@ class OneShotSTL(OnlineDecomposer):
         the batch variant of the same model.
     """
 
+    #: the online state :meth:`initialize` sets, in its order (a model the
+    #: fleet kernel builds from a column carries it in the same order, so
+    #: it pickles like one that never left scalar form)
+    _STATE = (
+        "_seasonal_buffer", "_global_index", "_last_applied_shift", "_last_trend",
+        "_last_detection_residual", "_residual_monitor", "_iterations_state",
+        "_workspace", "_points_processed",
+    )  # fmt: skip
+
     def __init__(
         self,
         period: int,

@@ -702,9 +702,9 @@ class ShardRouter:
         """Re-send a command under the retry policy after a transient error.
 
         An idempotent command is simply sent again.  A *mutating* one
-        (ingest/process) is not safe to re-send blind: the failure can
-        land *between* the worker's WAL append and its state advance,
-        leaving the record in the log with the state (and confirmed
+        (``ingest`` / ``ingest_rows``) is not safe to re-send blind: the
+        failure can land *between* the worker's WAL append and its state
+        advance, leaving the record in the log with the state (and confirmed
         count) unchanged -- a blind re-send would then apply the slice
         twice on the next crash recovery.  So each mutating retry first
         verifies the worker's durable count did not move (if it did,
@@ -750,10 +750,11 @@ class ShardRouter:
     ) -> Any:
         """Idempotent command with transient retry and one failover retry.
 
-        Used by ``series_stats``, the fleet-wide reads (``stats`` /
-        ``keys``) and ``checkpoint``: a worker death during one of these
-        is recovered in place (failover, then one re-send to the
-        replacement) instead of surfacing an internal exception.
+        Used by the reads (``series_stats``, ``forecast`` and the
+        fleet-wide ``stats`` / ``keys``) and ``checkpoint``: a worker death
+        during one of these is recovered in place (failover, then one
+        re-send to the replacement) instead of surfacing an internal
+        exception.
         ``in_flight`` says the command is already on the worker's pipe
         (:meth:`_request_fleet` sends to every shard before it waits):
         the first attempt then only awaits the reply.
@@ -1066,42 +1067,18 @@ class ShardRouter:
 
     # ------------------------------------------------------------ single-key
 
-    def _request_key(
-        self, key: Hashable, command: str, payload: Any, rows: int
-    ) -> Any:
-        """One series' command on its shard, applying ``rows`` points (0: a read).
-
-        A command that applies points is retried as a mutation, and its
-        points are in flight if the worker dies.
-        """
-        shard_id = self.shard_of(key)
-        health = self._health.get(shard_id)
-        if health is not None and health.down:
-            raise ShardDownError(
-                shard_id, health.last_error or "circuit breaker open", (key,)
-            )
-        worker = self._alive(shard_id)
-        try:
-            try:
-                reply = self._request(worker, command, payload)
-            except _TransientShardError as error:
-                reply = self._retry_request(worker, (command, payload), error, rows > 0)
-        except _WorkerDied as died:
-            self._handle_casualties(
-                {shard_id: (worker.points_confirmed, rows, died.cause, [key])},
-                allow_partial=False,
-            )
-            raise AssertionError("unreachable: strict casualties raise")
-        worker.points_confirmed += rows
-        return reply
-
     def process(self, key: Hashable, value: float) -> Any:
-        """Ingest one observation for one series on its shard."""
-        return self._request_key(key, "process", (key, value), 1)
+        """Ingest one observation for one series on its shard: a ``1 x 1``
+        grid, journaled, retried and failed over like any batch (a value
+        that does not convert to ``float`` is refused before it is sent)."""
+        return self._fan_out(grid_record([key], [[value]]), False)[0]
 
     def forecast(self, key: Hashable, horizon: int) -> np.ndarray:
-        """Forecast ``horizon`` values ahead for one live series."""
-        return self._request_key(key, "forecast", (key, int(horizon)), 0)
+        """Forecast ``horizon`` values ahead for one live series: a read,
+        failed over and re-sent like :meth:`series_stats`."""
+        return self._request_supervised(
+            self.shard_of(key), "forecast", (key, int(horizon))
+        )
 
     def series_stats(self, key: Hashable) -> Any:
         """One series' :class:`~repro.streaming.SeriesStats`, from its shard.

@@ -157,9 +157,6 @@ def worker_main(
                 keys, values = payload
                 result = engine.ingest((list(keys), values), columnar_results=True)
                 reply = _reply_arrays(result)
-            elif command == "process":
-                key, value = payload
-                reply = engine.process(key, value)
             elif command == "forecast":
                 key, horizon = payload
                 reply = engine.forecast(key, horizon)

@@ -24,10 +24,12 @@ iteration axis next to the series axis: the corrected trailing blocks are
 one ``(w, w, I, n)`` array -- entry ``(i, j)`` of every system is a
 contiguous ``(I, n)`` plane, a slab of iterations a contiguous piece of it
 -- the corrected right-hand sides ``(w, I, n)`` and the absolute system
-sizes ``(I, n)``.  Because every system is independent, each scalar
-operation of the sequential solver becomes one elementwise array operation
-over a ``(hi - lo, n)`` slab, applied in *exactly the same order* as the
-scalar kernel performs it.  Elementwise IEEE-754 double arithmetic is
+sizes ``(I, n)``, declared once in ``BatchedIncrementalLDLT.COLUMNS``
+(a kernel segment's ``solver_*`` sections; :mod:`repro.utils.columns`
+walks it for membership, persistence and scalar copies).  Because every
+system is independent, each scalar operation of the sequential solver
+becomes one elementwise array operation over a ``(hi - lo, n)`` slab,
+applied in *exactly the same order* as the scalar kernel performs it.  Elementwise IEEE-754 double arithmetic is
 identical between Python floats and NumPy float64 (both are
 round-to-nearest binary64, and no reductions or fused operations are
 involved), so the stacked solver reproduces the scalar solvers' results
@@ -68,7 +70,8 @@ import numpy as np
 
 from repro.analysis import hotpath
 from repro.solvers.incremental_ldlt import IncrementalBandedLDLT
-from repro.utils import amortized_append_columns
+from repro.utils import columns as columnar
+from repro.utils.columns import Array
 
 __all__ = ["BatchedIncrementalLDLT"]
 
@@ -77,62 +80,36 @@ class BatchedIncrementalLDLT:
     """``I x n`` independent incremental banded solvers in one stacked state.
 
     Instances are normally created with :meth:`pack` (from scalar
-    solvers of any size, empty ones included).  The constructor takes the
-    cell-major state itself and keeps the arrays it is given (when they
-    are contiguous float64 / int64).
-
-    Parameters
-    ----------
-    half_bandwidth:
-        Half bandwidth ``w`` shared by every member system.
-    m_trail:
-        Corrected trailing blocks, shape ``(w, w, I, n)``.
-    bp_trail:
-        Corrected trailing right-hand sides, shape ``(w, I, n)``.
-    sizes:
-        Absolute system size of each member, shape ``(I, n)`` (bookkeeping
-        only; the incremental representation itself is size independent).
+    solvers of any size, empty ones included), or from the named arrays
+    of a store segment (:func:`repro.utils.columns.from_arrays`).  The
+    constructor takes the shape -- half bandwidth ``w`` shared by every
+    member system, ``I`` systems per member, ``n`` members -- and leaves
+    the state to them.
     """
 
-    def __init__(
-        self,
-        half_bandwidth: int,
-        m_trail: np.ndarray,
-        bp_trail: np.ndarray,
-        sizes: np.ndarray,
-    ):
+    #: A member's state, in segment order (``solver_*`` sections of a
+    #: kernel): the corrected trailing blocks ``(w, w, I, n)``, their
+    #: right-hand sides ``(w, I, n)`` and the absolute system sizes ``(I,
+    #: n)`` (bookkeeping only), each a scalar solver's attribute per
+    #: iteration.  The committed side of the ping-pong below.
+    COLUMNS = (
+        Array("blocks", float, -1, ("w", "w", "I"), "_m_trail"),
+        Array("rhs", float, -1, ("w", "I"), "_bp_trail"),
+        Array("sizes", np.int64, -1, ("I",), "size"),
+    )
+
+    def __init__(self, half_bandwidth: int, iterations: int, n: int):
         if half_bandwidth < 1:
             raise ValueError("half_bandwidth must be at least 1")
-        w = int(half_bandwidth)
-        m_trail = np.ascontiguousarray(m_trail, dtype=float)
-        bp_trail = np.ascontiguousarray(bp_trail, dtype=float)
-        sizes = np.ascontiguousarray(sizes, dtype=np.int64)
-        if m_trail.ndim != 4 or m_trail.shape[:2] != (w, w):
-            raise ValueError(f"m_trail must have shape ({w}, {w}, I, n)")
-        iterations, n = m_trail.shape[2:]
-        if bp_trail.shape != (w, iterations, n):
-            raise ValueError(f"bp_trail must have shape ({w}, {iterations}, {n})")
-        if sizes.shape != (iterations, n):
-            raise ValueError(f"sizes must have shape ({iterations}, {n})")
-        self._adopt(w, m_trail, bp_trail, sizes)
-
-    def _adopt(
-        self, w: int, m_trail: np.ndarray, bp_trail: np.ndarray, sizes: np.ndarray
-    ) -> None:
-        """Take checked contiguous state as the committed side."""
-        iterations, n = sizes.shape
-        self.half_bandwidth = w
+        self.half_bandwidth = int(half_bandwidth)
         self._iterations = iterations
         self._n = n
-        #: ping-pong state buffers -- ``(w, w, I, cap)`` blocks, ``(w, I,
-        #: cap)`` right-hand sides, ``(I, cap)`` sizes: index ``_cur`` is
-        #: the committed state, the other side the run in progress (and
-        #: scratch between runs).  Spare trailing columns are append
-        #: capacity.
-        self._m_buffers: list[np.ndarray | None] = [m_trail, None]
-        self._b_buffers: list[np.ndarray | None] = [bp_trail, None]
-        self._s_buffers: list[np.ndarray | None] = [sizes, None]
-        self._cur = 0
+        #: the ping-pong: ``_blocks`` / ``_rhs`` / ``_sizes`` -- ``(w, w,
+        #: I, cap)``, ``(w, I, cap)``, ``(I, cap)`` -- are the committed
+        #: state, and this the other side of the same shapes, the run in
+        #: progress (and scratch between runs).  Spare trailing columns are
+        #: append capacity.
+        self._working: tuple | None = None
         #: last validated update pattern, keyed by argument identity (the
         #: fleet kernel passes the same module constants on every run)
         self._pattern_cache: tuple | None = None
@@ -154,19 +131,13 @@ class BatchedIncrementalLDLT:
         #: locality of a single system's workspace)
         self._slabs: tuple = ()
 
-    # ------------------------------------------------------- state plumbing
-
-    def state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Committed ``(blocks, right-hand sides, sizes)`` as live views:
-        ``(w, w, I, n)``, ``(w, I, n)`` and ``(I, n)``, the cell-major
-        arrays the constructor takes."""
-        n = self._n
-        cur = self._cur
-        return (
-            self._m_buffers[cur][..., :n],
-            self._b_buffers[cur][..., :n],
-            self._s_buffers[cur][..., :n],
-        )
+    def _blank(self, n: int) -> "BatchedIncrementalLDLT":
+        """Same shape and validated pattern: a gathered stack that is
+        advanced right away (the fleet kernel's narrow advances and
+        replays) does not validate it again."""
+        stack = BatchedIncrementalLDLT(self.half_bandwidth, self._iterations, n)
+        stack._pattern_cache = self._pattern_cache
+        return stack
 
     # ----------------------------------------------------------- construction
 
@@ -196,21 +167,9 @@ class BatchedIncrementalLDLT:
                         f"member {index} has half bandwidth "
                         f"{solver.half_bandwidth}, expected {w}"
                     )
-        m_trail = np.array(
-            [[solver._m_trail for solver in solvers] for solvers in members],
-            dtype=float,
-        )
-        bp_trail = np.array(
-            [[solver._bp_trail for solver in solvers] for solvers in members],
-            dtype=float,
-        )
-        sizes = np.array(
-            [[solver.size for solver in solvers] for solvers in members],
-            dtype=np.int64,
-        )
-        return cls(
-            w, m_trail.transpose(2, 3, 1, 0), bp_trail.transpose(2, 1, 0), sizes.T
-        )
+        stack = cls(w, iterations, len(members))
+        columnar.pack(stack, members)
+        return stack
 
     @property
     def n_series(self) -> int:
@@ -229,28 +188,14 @@ class BatchedIncrementalLDLT:
         return self.extract_many(np.array([index], dtype=np.intp))[0]
 
     def extract_many(self, columns: np.ndarray) -> list[list[IncrementalBandedLDLT]]:
-        """Materialize the members at ``columns`` as scalar solvers at once.
-
-        Each state array is gathered once and bulk-converted with a single
-        ``ndarray.tolist()`` (which yields exact Python floats -- no value
-        changes) instead of per-member strided conversions -- the hot piece
-        of exporting a dirty cohort's state for an incremental checkpoint.
-        """
+        """Materialize the members at ``columns`` as scalar solvers at once
+        (one gather per array, see :func:`repro.utils.columns.unpack`)."""
         columns = np.asarray(columns, dtype=np.intp)
-        m_state, b_state, s_state = self.state()
-        m_lists = m_state[..., columns].transpose(3, 2, 0, 1).tolist()
-        b_lists = b_state[..., columns].transpose(2, 1, 0).tolist()
-        sizes = s_state[..., columns].T.tolist()
-        members = []
-        for m_member, b_member, s_member in zip(m_lists, b_lists, sizes):
-            solvers = []
-            for m_trail, bp_trail, size in zip(m_member, b_member, s_member):
-                solver = IncrementalBandedLDLT(self.half_bandwidth)
-                solver.size = size
-                solver._m_trail = m_trail
-                solver._bp_trail = bp_trail
-                solvers.append(solver)
-            members.append(solvers)
+        w, iterations = self.half_bandwidth, self._iterations
+        members = [
+            [IncrementalBandedLDLT(w) for _ in range(iterations)] for _ in columns
+        ]
+        columnar.unpack(self, columns, members)
         return members
 
     def load(self, index: int, solvers: Sequence[IncrementalBandedLDLT]) -> None:
@@ -260,63 +205,25 @@ class BatchedIncrementalLDLT:
         for solver in solvers:
             if solver.half_bandwidth != self.half_bandwidth:
                 raise ValueError("half bandwidth mismatch")
-        m_state, b_state, s_state = self.state()
-        m_state[..., index] = np.array(
-            [solver._m_trail for solver in solvers], dtype=float
-        ).transpose(1, 2, 0)
-        b_state[..., index] = np.array(
-            [solver._bp_trail for solver in solvers], dtype=float
-        ).T
-        s_state[:, index] = [solver.size for solver in solvers]
+        columnar.load(self, index, solvers)
 
     # ------------------------------------------------------ batch membership
 
     def append(self, other: "BatchedIncrementalLDLT") -> None:
-        """Append the members of ``other`` (e.g. a freshly packed stack).
-
-        Appending is amortized O(members of ``other``): the state buffers
-        carry spare capacity (doubled whenever they fill up), so absorbing
-        a trickle of late-joining series one at a time costs O(total)
-        rather than one full-fleet copy per absorption.
-        """
+        """Append the members of ``other`` (e.g. a freshly packed stack),
+        amortized O(members of ``other``): the buffers' spare columns."""
         if (
             other.half_bandwidth != self.half_bandwidth
             or other._iterations != self._iterations
         ):
             raise ValueError("half bandwidth or iteration count mismatch")
-        cur = self._cur
-        for buffers, state in zip(
-            (self._m_buffers, self._b_buffers, self._s_buffers), other.state()
-        ):
-            buffers[cur] = amortized_append_columns(buffers[cur], self._n, state)
+        columnar.append(self, other)
         self._n += other._n
 
-    def select(self, columns: np.ndarray) -> "BatchedIncrementalLDLT":
-        """Gathered copy of the members at ``columns``.
-
-        Only their columns are copied: ``ndarray.take`` of the committed
-        buffers (contiguous, unlike their ``[..., :n]`` views, which it
-        would copy whole first) returns contiguous state of the right
-        shapes, so nothing is checked again.  Same half bandwidth, same
-        validated pattern: a gathered stack that is advanced right away
-        (the fleet kernel's narrow advances and replays) does not
-        validate it again.  ``columns`` index members, ``[0, n_series)``.
-        """
-        cur = self._cur
-        sub = BatchedIncrementalLDLT.__new__(BatchedIncrementalLDLT)
-        sub._adopt(
-            self.half_bandwidth,
-            self._m_buffers[cur].take(columns, -1),
-            self._b_buffers[cur].take(columns, -1),
-            self._s_buffers[cur].take(columns, -1),
-        )
-        sub._pattern_cache = self._pattern_cache
-        return sub
-
-    def assign(self, columns: np.ndarray, other: "BatchedIncrementalLDLT") -> None:
-        """Scatter the members of ``other`` back into ``columns``."""
-        for mine, theirs in zip(self.state(), other.state()):
-            mine[..., columns] = theirs
+    #: gathered copies of members (only their columns are copied; same
+    #: validated pattern, see ``_blank``) and the scatter back
+    select = columnar.select
+    assign = columnar.assign
 
     # -------------------------------------------------------------- advancing
 
@@ -420,15 +327,15 @@ class BatchedIncrementalLDLT:
         self._extends[:] = 0
         self._run = (num_new, cells, limits)
 
-    def _size_working_side(self) -> None:
-        """Give the working side of the ping-pong the committed side's shape."""
-        cur = self._cur
-        committed = self._m_buffers[cur]
-        working = self._m_buffers[1 - cur]
-        if working is None or working.shape != committed.shape:
-            self._m_buffers[1 - cur] = np.empty_like(committed)
-            self._b_buffers[1 - cur] = np.empty_like(self._b_buffers[cur])
-            self._s_buffers[1 - cur] = np.empty_like(self._s_buffers[cur])
+    def _size_working_side(self) -> tuple:
+        """Give the working side of the ping-pong the committed side's
+        shape; returns it."""
+        working = self._working
+        if working is None or working[0].shape != self._blocks.shape:
+            self._working = working = tuple(
+                map(np.empty_like, (self._blocks, self._rhs, self._sizes))
+            )
+        return working
 
     def run_buffers(
         self, num_new: int, n_extends: int
@@ -449,17 +356,11 @@ class BatchedIncrementalLDLT:
         """
         if not 1 <= num_new <= self.half_bandwidth or n_extends < 1:
             raise ValueError("num_new must be in [1, half_bandwidth], n_extends >= 1")
-        self._size_working_side()
+        working = self._size_working_side()
         self._entered = self._iterations
         self._extends[:] = n_extends
         self._run = (num_new, None, None)
-        cur = self._cur
-        return (
-            self._m_buffers[cur],
-            self._b_buffers[cur],
-            self._m_buffers[1 - cur],
-            self._b_buffers[1 - cur],
-        )
+        return self._blocks, self._rhs, working[0], working[1]
 
     @hotpath
     def extend_solve(
@@ -499,9 +400,7 @@ class BatchedIncrementalLDLT:
         num_new, cells, limits = self._run
         block = w + num_new
         n = self._n
-        cur = self._cur
-        m_work = self._m_buffers[1 - cur]
-        b_work = self._b_buffers[1 - cur]
+        m_work, b_work = self._working[:2]
         # The staged workspace is *augmented*: the right-hand side rides as
         # column ``block`` of the matrix, so each elimination sweep updates
         # matrix and RHS in one array operation (the per-element multiply
@@ -522,8 +421,8 @@ class BatchedIncrementalLDLT:
         if hi > warm:
             # First extend of these iterations in this run: their pre-run
             # state is on the committed side.
-            aug[:w, :w, warm - lo :] = self._m_buffers[cur][:, :, warm:hi, :n]
-            aug[:w, block, warm - lo :] = self._b_buffers[cur][:, warm:hi, :n]
+            aug[:w, :w, warm - lo :] = self._blocks[:, :, warm:hi, :n]
+            aug[:w, block, warm - lo :] = self._rhs[:, warm:hi, :n]
             self._entered = hi
         aug[w:, block] = rhs
         # Sequential per-entry accumulation -- cells hit by several pattern
@@ -576,12 +475,13 @@ class BatchedIncrementalLDLT:
         """
         if self._run is None or self._entered != self._iterations:
             raise ValueError("no complete run to commit")
-        cur = self._cur
         n = self._n
+        working = self._working
         np.add(
-            self._s_buffers[cur][:, :n],
+            self._sizes[:, :n],
             (self._run[0] * self._extends)[:, None],
-            out=self._s_buffers[1 - cur][:, :n],
+            out=working[2][:, :n],
         )
-        self._cur = 1 - cur
+        self._working = (self._blocks, self._rhs, self._sizes)
+        self._blocks, self._rhs, self._sizes = working
         self._run = None

@@ -132,7 +132,9 @@ from repro.specs import DecomposerSpec, DetectorSpec, EngineSpec, PipelineSpec
 from repro.streaming.buffer import RingBuffer
 from repro.streaming.latency import LatencyReport, summarize_latencies
 from repro.streaming.pipeline import StreamingPipeline, StreamRecord
-from repro.utils import amortized_append, check_positive_int, owned_arrays
+from repro.utils import check_positive_int
+from repro.utils import columns as columnar
+from repro.utils.columns import Array, Part
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -435,10 +437,8 @@ class _SeriesState:
         self.latencies = RingBuffer(latency_window)
 
 
-#: per-column arrays a group saves beside its kernel's
-_TOTAL_ARRAYS = ("indices", "points", "anomalies")
 #: the per-column latency ring the first format-4 builds saved beside
-#: them: only the names of two sections a reader drops
+#: a group's declared arrays: only the names of two sections a reader drops
 _RING_ARRAYS = ("latency_counts", "latency_values")
 
 
@@ -454,7 +454,7 @@ class _FleetGroup:
     an extraction writes a gathered copy of the columns themselves
     (:meth:`save_columns`), and recovery or adoption appends them back
     (:meth:`from_columns`, :meth:`extend`) without a scalar object in
-    between, so the arrays named there are part of the store format.
+    between, so :attr:`COLUMNS` is part of the store format.
     The one way to scalar form is :meth:`materialize`, which builds
     *fresh* states for ``snapshot``, the fallback section and the rare
     cell the kernel hands back, and :meth:`load` takes one back after
@@ -479,6 +479,16 @@ class _FleetGroup:
         "latencies",
     )
 
+    #: A column, in segment order: the kernel's sections, then the totals
+    #: -- next record index, points seen (warmup included) and anomalies
+    #: flagged -- each a scalar home's (:class:`_SeriesState`) attribute.
+    COLUMNS = (
+        Part("kernel", FleetKernel),
+        Array("indices", np.int64, scalar="pipeline._index"),
+        Array("points", np.int64, scalar="points"),
+        Array("anomalies", np.int64, scalar="anomalies"),
+    )
+
     def __init__(self, spec: PipelineSpec, latency_window: int):
         self.spec = spec
         self.keys: list[Hashable] = []
@@ -487,11 +497,7 @@ class _FleetGroup:
         detector = spec.detector.params
         self.threshold = float(detector.get("threshold", DEFAULT_THRESHOLD))
         self.minimum_std = float(detector.get("minimum_std", DEFAULT_MINIMUM_STD))
-        #: per-column totals: next record index, points seen (warmup
-        #: included) and anomalies flagged
-        self.indices = np.zeros(0, dtype=np.int64)
-        self.points = np.zeros(0, dtype=np.int64)
-        self.anomalies = np.zeros(0, dtype=np.int64)
+        columnar.pack(self, ())  # no columns yet
         #: the newest ``latency_window`` per-point update durations of
         #: the group's kernel blocks (and of the cells it handed back)
         self.latencies = RingBuffer(latency_window)
@@ -499,59 +505,33 @@ class _FleetGroup:
     def absorb(self, members: dict[Hashable, _SeriesState]) -> None:
         """Move a cohort of live series into the columnar arrays at once.
 
-        The states are consumed: everything they hold is copied into the
-        columns and the caller drops them.  Cohort absorption is
-        amortized O(cohort): members are packed with one array write per
-        state array into the hidden spare capacity the columnar arrays
-        carry (capacity doubling, see :func:`repro.utils.amortized_append`
-        and the solver's buffer pair), so even an adversarial arrival
-        pattern -- one late series joining a large group per round --
-        costs O(total members), not one full-group copy per cohort.  The
-        states' latency rings are dropped with them.
+        The states are consumed (their latency rings dropped with them):
+        packed into a joining group, one array per declared array, which
+        :meth:`extend` appends into the spare capacity the columns carry
+        -- one late series joining a large group per round costs O(total
+        members), not one full-group copy per cohort.
         """
         states = list(members.values())
-        self._append(
-            list(members),
-            FleetKernel.pack([state.pipeline.decomposer for state in states]),
-            [state.pipeline._index for state in states],
-            [state.points for state in states],
-            [state.anomalies for state in states],
-        )
+        joining = self._blank(len(states))
+        joining.keys = list(members)
+        joining.kernel = FleetKernel.pack([s.pipeline.decomposer for s in states])
+        columnar.pack(joining, states)
+        self.extend(joining)
 
-    def _append(
-        self,
-        keys: list,
-        kernel: FleetKernel,
-        indices: Sequence[int] | np.ndarray,
-        points: Sequence[int] | np.ndarray,
-        anomalies: Sequence[int] | np.ndarray,
-    ) -> int:
-        """Append ``len(keys)`` columns; returns the first new column."""
-        if self.kernel is None:
-            self.kernel = kernel
-        else:
-            self.kernel.append(kernel)
-        self.indices = amortized_append(self.indices, indices)
-        self.points = amortized_append(self.points, points)
-        self.anomalies = amortized_append(self.anomalies, anomalies)
-        first = len(self.keys)
-        self.keys.extend(keys)
-        return first
+    def _blank(self, n: int) -> "_FleetGroup":
+        """A keyless group of this spec sharing its ring: the gathered
+        copy a checkpoint saves, or the cohort :meth:`absorb` extends by."""
+        group = copy.copy(self)
+        group.keys, group.kernel = [], None
+        return group
 
     def save_columns(self, columns: Sequence[int] | np.ndarray) -> ColumnGroup:
-        """The members at ``columns`` as the arrays a checkpoint writes.
-
-        One gathered copy per state array -- the kernel's
-        (:meth:`FleetKernel.to_arrays`, the monitor's moments included)
-        and the totals -- and a ``meta`` naming the pipeline spec and the
-        kernel's resolved hyper-parameters.  No scalar object is built,
-        and no latency is written.
-        """
+        """The members at ``columns`` as the arrays a checkpoint writes:
+        one gathered copy per declared array, and a ``meta`` naming the
+        pipeline spec and the kernel's resolved hyper-parameters.  No
+        scalar object is built, and no latency is written."""
         columns = np.asarray(columns, dtype=np.intp)
-        arrays = self.kernel.select(columns).to_arrays()
-        arrays["indices"] = self.indices[columns]
-        arrays["points"] = self.points[columns]
-        arrays["anomalies"] = self.anomalies[columns]
+        arrays = columnar.to_arrays(columnar.select(self, columns))
         meta = {"spec": self.spec.to_dict(), "kernel": self.kernel.get_params()}
         return ColumnGroup(meta, arrays)
 
@@ -561,14 +541,12 @@ class _FleetGroup:
     ) -> "_FleetGroup":
         """A standalone group of ``keys`` from what :meth:`save_columns` wrote.
 
-        The inverse, through the constructors that take columnar state:
-        no scalar object is built.  ``saved`` comes off a disk, so
-        everything is checked before it is believed -- the arrays present
-        and their shapes against the key count and the hyper-parameters,
-        those against what the pipeline spec states -- and a mismatch
-        raises ``ValueError`` / ``KeyError`` / ``TypeError``.  The ring
-        sections an earlier build saved (:data:`_RING_ARRAYS`) are
-        dropped unread: the group starts with an empty ring.  Those of
+        No scalar object is built.  ``saved`` comes off a disk, so it is
+        checked before it is believed -- the sections and their shapes
+        against the declaration, the key count and the hyper-parameters,
+        those against the pipeline spec -- and a mismatch raises
+        ``ValueError`` / ``KeyError`` / ``TypeError``.  The ring sections
+        an earlier build saved (:data:`_RING_ARRAYS`) are dropped unread;
         the detector's moments (``scorer_*``, ``meta["scorer"]``) must be
         the monitor's byte for byte, and are dropped too.
         """
@@ -589,75 +567,59 @@ class _FleetGroup:
                 f"{meta['spec']}"
             )
         n = len(keys)
-        kernel_arrays: dict[str, np.ndarray] = {}
+        arrays: dict[str, np.ndarray] = {}
         scorer_arrays: dict[str, np.ndarray] = {}
-        totals: dict[str, np.ndarray] = {}
         for name, array in saved.arrays.items():
             if name.startswith("scorer_"):
                 scorer_arrays[name[len("scorer_") :]] = array
-            elif name in _TOTAL_ARRAYS:
-                totals[name] = array
             elif name not in _RING_ARRAYS:
-                kernel_arrays[name] = array
-        kernel = FleetKernel.from_arrays(params, kernel_arrays)
-        if kernel.n_series != n:
-            raise ValueError(f"{kernel.n_series} columns for {n} keys")
-        monitor = kernel.monitor.to_arrays()
+                arrays[name] = array
+
+        def build() -> "_FleetGroup":
+            group = cls(spec, latency_window)
+            group.kernel = FleetKernel._empty(params, n)
+            return group
+
+        group = columnar.from_arrays(cls, arrays, n, FleetKernel._sizes(params), build)
+        monitor = group.kernel.monitor.to_arrays()
         if ("scorer" in meta or scorer_arrays) and {
             name: (array.dtype.str, array.tobytes()) for name, array in monitor.items()
         } != {name: (a.dtype.str, a.tobytes()) for name, a in scorer_arrays.items()}:
             raise ValueError("the detector's moments are not the monitor's")
-        indices, points, anomalies = owned_arrays(
-            totals, dict.fromkeys(_TOTAL_ARRAYS, (np.int64, (n,)))
-        )
-        group = cls(spec, latency_window)
-        group._append(keys, kernel, indices, points, anomalies)
+        group.keys = list(keys)
         return group
 
     def extend(self, other: "_FleetGroup") -> int:
         """Append every column of ``other`` (same spec; consumed, its ring
         dropped); returns the first new column."""
-        return self._append(
-            other.keys,
-            other.kernel,
-            other.indices,
-            other.points,
-            other.anomalies,
-        )
+        columnar.append(self, other)
+        first = len(self.keys)
+        self.keys.extend(other.keys)
+        return first
 
     def materialize(self, columns: Sequence[int] | np.ndarray) -> list[_SeriesState]:
         """Fresh scalar states of the members at ``columns``: the one way out.
 
-        One gathered read per state array (see
-        :meth:`FleetKernel.extract_many`), whatever the size of the group
-        around the columns.  The states alias nothing in the group, so
-        the caller owns them -- a snapshot hands them out, the fallback
-        section pickles those whose keys JSON cannot carry, and the
-        kernel's non-finite hand-back or a suspect cell advances one
-        (:meth:`load` takes it back).  A detector is its model's monitor
-        with the group's threshold and floor.  Their latency rings are
-        empty: the group's ring is the columns' latency.  A checkpoint, a
-        handoff or a write does not come this way: they use the columns as
-        they are.
+        One gathered read per declared array, whatever the size of the
+        group.  The states alias nothing in the group: a snapshot hands
+        them out, the fallback section pickles those whose keys JSON
+        cannot carry, and the kernel's non-finite hand-back or a suspect
+        cell advances one (:meth:`load` takes it back).  A detector is its
+        model's monitor with the group's threshold and floor; the latency
+        rings are empty (the group's ring is the columns' latency).
         """
         columns = np.asarray(columns, dtype=np.intp)
-        models = self.kernel.extract_many(columns)
-        indices = self.indices[columns].tolist()
-        points = self.points[columns].tolist()
-        anomalies = self.anomalies[columns].tolist()
         states = []
-        for position in range(columns.size):
-            scorer = models[position]._residual_monitor.copy()
+        for model in self.kernel.extract_many(columns):
+            scorer = model._residual_monitor.copy()
             scorer.threshold, scorer.minimum_std = self.threshold, self.minimum_std
-            pipeline = StreamingPipeline(models[position], scorer=scorer)
-            pipeline._index = indices[position]
+            pipeline = StreamingPipeline(model, scorer=scorer)
             pipeline._initialized = True
             pipeline._spec = self.spec
             state = _SeriesState(pipeline, self.latencies.capacity)
             state.live = True
-            state.points = points[position]
-            state.anomalies = anomalies[position]
             states.append(state)
+        columnar.unpack(self, columns, states)
         return states
 
     def remove(self, columns: Sequence[int]) -> None:
@@ -669,20 +631,14 @@ class _FleetGroup:
         least one must stay: an emptied group is dropped instead.
         """
         keep = np.setdiff1d(np.arange(len(self.keys)), columns)
-        self.kernel = self.kernel.select(keep)
-        self.indices = self.indices[keep]
-        self.points = self.points[keep]
-        self.anomalies = self.anomalies[keep]
+        columnar.select(self, keep, into=self)
         self.keys = [self.keys[column] for column in keep.tolist()]
 
     def load(self, column: int, state: _SeriesState) -> None:
         """Take a materialized (and since advanced) member back into
         ``column``; the durations its ring recorded since join the group's."""
-        pipeline = state.pipeline
-        self.kernel.load(column, pipeline.decomposer)
-        self.indices[column] = pipeline._index
-        self.points[column] = state.points
-        self.anomalies[column] = state.anomalies
+        self.kernel.load(column, state.pipeline.decomposer)
+        columnar.load(self, column, state)
         self.latencies.extend(state.latencies.to_array())
 
 

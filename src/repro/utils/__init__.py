@@ -1,6 +1,5 @@
 """Small shared utilities used across the OneShotSTL reproduction."""
 
-from repro.utils.growable import amortized_append, amortized_append_columns
 from repro.utils.validation import (
     as_float_array,
     check_period,
@@ -12,8 +11,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "amortized_append",
-    "amortized_append_columns",
     "as_float_array",
     "check_period",
     "check_positive",

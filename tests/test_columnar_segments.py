@@ -1223,3 +1223,25 @@ class TestAStoreWithScorerSections:
         assert set(engine._absorbed) == {*V3_KEYS[4:], "late"}
         assert set(floored_keys) <= engine._never_absorb
         engine.close(checkpoint=False)
+
+
+class TestSegmentBytesArePinned:
+    """A current-format store (``store_v4_kernel_columns``, kernel columns
+    only, written by ``tests/data/make_v4_kernel_columns_fixture.py``) recovers
+    to columns that re-encode to its committed segment bytes: a build that
+    reorders, renames or retypes a section fails here, not in a user's store."""
+
+    def test_every_cohort_re_encodes_to_its_committed_bytes(self, tmp_path):
+        store = tmp_path / "store"
+        shutil.copytree(DATA / "store_v4_kernel_columns", store)
+        engine = MultiSeriesEngine.open(store, recovery="strict")
+        assert engine.last_recovery.clean
+        assert len(engine._groups) == 2 and set(engine._absorbed) == set(engine.keys())
+        segments = engine._cohort_segments
+        assert len(segments) == len(engine._cohort_members) == 3
+        for cohort_id, members in engine._cohort_members.items():
+            committed = engine._store.read_segment(segments[cohort_id])
+            groups, fallback = split_segment(committed, segments[cohort_id])
+            assert fallback == b"" and len(groups) == 2
+            assert engine._encode_cohort(members) == committed
+        engine.close(checkpoint=False)

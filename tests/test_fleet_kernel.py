@@ -1780,7 +1780,7 @@ class TestAmortizedAbsorption:
         base = kernel.seasonal_buffer.base
         assert base is not None and base.shape[0] > kernel.n_series
         assert kernel.last_trend.base is not None
-        assert kernel._pairs.shape[-1] > kernel.n_series
+        assert kernel._trend_pairs.shape[-1] > kernel.n_series
         # ...and advancing after growth still matches the scalar model
         # bit for bit (updates write in place, never rebinding the views).
         scalar = copy.deepcopy(prototype)

@@ -18,7 +18,9 @@ the whole module stays in tier-1 time budgets.
 
 import json
 import os
+import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,6 +661,53 @@ class TestFleetRequestsFanOut:
             assert_results_identical(
                 router.ingest(tail), reference.ingest_columnar(tail), "after failover"
             )
+        finally:
+            router.close(checkpoint=False)
+
+
+class TestSingleKeyRequests:
+    """A one-series read fails over like any read, and a point is a
+    ``1 x 1`` batch: journaled, applied and failed over like one."""
+
+    def test_a_forecast_after_the_only_worker_is_killed_equals_the_uninterrupted_run(
+        self, tmp_path
+    ):
+        data = fleet_data(6, length=PERIOD * 5)
+        router = ShardRouter(ClusterSpec.for_root(engine_spec(), tmp_path, 1))
+        try:
+            reference = MultiSeriesEngine.from_spec(engine_spec())
+            router.ingest(data)
+            reference.ingest_columnar(data)
+            (shard_id,) = router.shard_ids
+            worker = router._workers[shard_id].process
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join()
+            for key in data:
+                assert (
+                    router.forecast(key, PERIOD).tobytes()
+                    == reference.forecast(key, PERIOD).tobytes()
+                ), key
+            assert router.health()[shard_id].restarts == 1
+            probe = make_seasonal_series(1, PERIOD, seed=998)["values"][0]
+            for key in list(data)[:3]:
+                assert router.process(key, probe) == reference.process(key, probe)
+        finally:
+            router.close(checkpoint=False)
+
+    def test_a_point_that_is_not_a_number_is_refused_before_it_is_journaled(
+        self, tmp_path
+    ):
+        data = fleet_data(3, length=PERIOD * 3)
+        cluster = ClusterSpec.for_root(engine_spec(), tmp_path, 1)
+        router = ShardRouter(cluster)
+        try:
+            router.ingest(data)
+            wal = Path(cluster.shards[0].store_path) / "wal"
+            journaled = {path.name: path.read_bytes() for path in wal.iterdir()}
+            with pytest.raises(ValueError):
+                router.process("series-000", "not a number")
+            assert {path.name: path.read_bytes() for path in wal.iterdir()} == journaled
+            assert router.stats().points_total == 3 * PERIOD * 3
         finally:
             router.close(checkpoint=False)
 
