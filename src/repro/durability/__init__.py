@@ -1,13 +1,12 @@
-"""Durable engine sessions: checkpoint stores, segments and the WAL.
+"""Durable engine sessions: the checkpoint store, segments and the WAL.
 
 This package is the engine's one persistence format, run as a
 database-grade lifecycle (the Cambridge Report's log-structured
 durability, applied to streaming decomposition state):
 
-* :class:`CheckpointStore` -- the storage contract: an atomic manifest,
-  per-cohort state segments, and an appendable write-ahead log;
-* :class:`DirectoryCheckpointStore` -- the directory-backed
-  implementation (tmp-write + rename everywhere, CRC-framed WAL);
+* :class:`DirectoryCheckpointStore` -- the store: an atomic manifest,
+  per-cohort state segments and an appendable write-ahead log in one
+  directory (tmp-write + rename everywhere, CRC-framed WAL);
 * the format layer -- versioned manifest schema and the segment / WAL
   codecs (:mod:`repro.durability.segment` owns a segment's byte layout,
   which is also what a shard handoff ships);
@@ -41,12 +40,11 @@ from repro.durability.scrub import (
     ScrubFinding,
     ScrubReport,
 )
-from repro.durability.store import CheckpointStore, atomic_write_bytes
+from repro.durability.store import atomic_write_bytes
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointError",
-    "CheckpointStore",
     "CheckpointSummary",
     "CheckpointVersionError",
     "CorruptCheckpointError",

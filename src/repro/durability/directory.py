@@ -60,11 +60,7 @@ from repro.durability.format import next_wal_name, validate_manifest
 from repro.durability.lock import DEFAULT_STALE_AFTER, LOCK_FILE_NAME, StoreLock
 from repro.durability.recovery import WalWalk, check_components, read_cohort
 from repro.durability.scrub import ScrubFinding, ScrubReport
-from repro.durability.store import (
-    CheckpointStore,
-    atomic_write_bytes,
-    fsync_directory,
-)
+from repro.durability.store import atomic_write_bytes, fsync_directory
 from repro.specs import EngineSpec
 
 __all__ = ["DirectoryCheckpointStore"]
@@ -87,8 +83,8 @@ def _file_names(directory: Path) -> list[str]:
     )
 
 
-class DirectoryCheckpointStore(CheckpointStore):
-    """A :class:`CheckpointStore` over one local directory.
+class DirectoryCheckpointStore:
+    """A durable session's store: one manifest, cohort segments and a WAL.
 
     Parameters
     ----------
@@ -183,9 +179,6 @@ class DirectoryCheckpointStore(CheckpointStore):
         if hook is not None:
             hook(point)
 
-    def describe(self) -> str:
-        return str(self.root)
-
     def heartbeat(self) -> None:
         """Refresh the ownership lease mtime (no-op without a lock)."""
         if self.lock is not None:
@@ -198,6 +191,7 @@ class DirectoryCheckpointStore(CheckpointStore):
         return self.root / _MANIFEST_FILE
 
     def read_manifest(self) -> dict | None:
+        """The current manifest document, or ``None`` for an empty store."""
         try:
             text = self.manifest_path.read_text()
         except FileNotFoundError:
@@ -211,6 +205,7 @@ class DirectoryCheckpointStore(CheckpointStore):
             ) from error
 
     def write_manifest(self, manifest: dict) -> None:
+        """Atomically replace the manifest (the checkpoint commit point)."""
         self._fault("manifest.swap.before")
         atomic_write_bytes(
             self.manifest_path,
@@ -228,6 +223,7 @@ class DirectoryCheckpointStore(CheckpointStore):
         return path
 
     def write_segment(self, name: str, payload: bytes) -> None:
+        """Atomically write one cohort segment under ``name``."""
         self._fault("segment.write.before")
         atomic_write_bytes(
             self._segment_path(name),
@@ -238,6 +234,7 @@ class DirectoryCheckpointStore(CheckpointStore):
         self._fault("segment.write.after")
 
     def read_segment(self, name: str) -> bytes:
+        """One segment's bytes (``CorruptCheckpointError`` if absent)."""
         path = self._segment_path(name)
         try:
             return path.read_bytes()
@@ -249,6 +246,7 @@ class DirectoryCheckpointStore(CheckpointStore):
             ) from None
 
     def delete_segment(self, name: str) -> None:
+        """Delete one segment (a missing one is ignored)."""
         self._fault("delete.before")
         try:
             self._segment_path(name).unlink()
@@ -256,6 +254,7 @@ class DirectoryCheckpointStore(CheckpointStore):
             pass
 
     def list_segments(self) -> list[str]:
+        """Names of every stored segment, sorted."""
         return _file_names(self._segments)
 
     # ------------------------------------------------------------------ WAL
@@ -267,6 +266,11 @@ class DirectoryCheckpointStore(CheckpointStore):
         return path
 
     def wal_start(self, name: str) -> None:
+        """Open WAL part ``name`` for appending (created if missing).
+
+        Any previously open part is closed first.  Appending to an
+        existing part continues after its last complete record.
+        """
         self.close_wal()
         path = self._wal_path(name)
         # Drop a torn tail left by a crash mid-append *before* appending:
@@ -282,6 +286,10 @@ class DirectoryCheckpointStore(CheckpointStore):
         self._wal_open_name = name
         self._wal_good_offset = keep
         self._wal_torn = False
+
+    def wal_append(self, record: bytes) -> None:
+        """Append one record to the open WAL part and flush it."""
+        self.wal_append_many([record])
 
     def wal_append_many(self, records: list[bytes]) -> None:
         """Group-commit: frame every record, then one write/flush/fsync.
@@ -351,9 +359,12 @@ class DirectoryCheckpointStore(CheckpointStore):
         self._fault("wal.rotate.after")
 
     def wal_frames(self, name: str) -> Iterator[tuple[bytes, int]]:
-        """Stream ``(payload, end_offset)`` per complete frame.
+        """Stream ``(payload, end_offset)`` per complete frame of part ``name``.
 
         One frame is read at a time: a long WAL is never loaded whole.
+        It ends silently at the first incomplete or damaged frame, and a
+        missing part yields nothing: whether that is damage is
+        :mod:`repro.durability.recovery`'s call.
         """
         try:
             handle = open(self._wal_path(name), "rb")
@@ -374,10 +385,15 @@ class DirectoryCheckpointStore(CheckpointStore):
                 yield payload, offset
 
     def wal_size(self, name: str) -> int | None:
+        """Bytes stored in part ``name``, debris included; ``None`` if absent."""
         try:
             return self._wal_path(name).stat().st_size
         except FileNotFoundError:
             return None
+
+    def wal_exists(self, name: str) -> bool:
+        """Whether WAL part ``name`` is present (even if empty)."""
+        return self.wal_size(name) is not None
 
     def wal_tail(self, name: str) -> tuple[int, int, int]:
         """``(frames, good_offset, total_bytes)`` of one WAL segment.
@@ -396,9 +412,11 @@ class DirectoryCheckpointStore(CheckpointStore):
         return frames, good, self._wal_path(name).stat().st_size
 
     def list_wals(self) -> list[str]:
+        """Names of every WAL part present, sorted."""
         return _file_names(self._wals)
 
     def wal_delete(self, name: str) -> None:
+        """Delete one WAL part other than the open one (missing: ignored)."""
         if name == self._wal_open_name:
             raise ValueError(f"refusing to delete the open WAL segment {name!r}")
         self._fault("delete.before")
@@ -509,7 +527,7 @@ class DirectoryCheckpointStore(CheckpointStore):
             try:
                 read = read_cohort(self, cohort, decode=deep)
                 if deep:
-                    source = f"{self.describe()}/{cohort['segment']}"
+                    source = f"{self.root}/{cohort['segment']}"
                     engine._install(*engine._decode_cohort(source, *read), read[1])
             except CorruptCheckpointError as error:
                 findings.append(
@@ -559,6 +577,7 @@ class DirectoryCheckpointStore(CheckpointStore):
                 self._wal_torn = False
 
     def close(self) -> None:
+        """Close the WAL and release the lease (idempotent)."""
         self.close_wal()
         if self.lock is not None:
             self.lock.release()

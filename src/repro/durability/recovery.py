@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.durability.errors import CorruptCheckpointError
 from repro.durability.format import (
@@ -45,8 +45,10 @@ from repro.durability.format import (
     wal_position,
 )
 from repro.durability.segment import SEGMENT_MAGIC, ColumnGroup, split_segment
-from repro.durability.store import CheckpointStore
 from repro.specs import EngineSpec
+
+if TYPE_CHECKING:  # the store imports this module
+    from repro.durability.directory import DirectoryCheckpointStore
 
 __all__ = [
     "WalStop",
@@ -87,7 +89,7 @@ def unpack_cohort(
 
 
 def read_cohort(
-    store: CheckpointStore,
+    store: DirectoryCheckpointStore,
     cohort: Mapping[str, Any],
     decode: bool = True,
     state_type: type | None = None,
@@ -102,7 +104,7 @@ def read_cohort(
     the CRC (a shallow scrub) and returns ``None``.
     """
     name = cohort["segment"]
-    source = f"{store.describe()}/{name}"
+    source = f"{store.root}/{name}"
     payload = store.read_segment(name)
     expected = cohort.get("crc")
     if expected is not None and zlib.crc32(payload) != expected:
@@ -139,7 +141,7 @@ def check_components(manifest: Mapping[str, Any], source: object) -> None:
 
 
 def wal_chain(
-    store: CheckpointStore, manifest_chain: list[str]
+    store: DirectoryCheckpointStore, manifest_chain: list[str]
 ) -> tuple[list[str], list[str]]:
     """``(chain, stranded)``: the parts to replay, and those past a gap.
 
@@ -198,7 +200,10 @@ class WalWalk:
     """
 
     def __init__(
-        self, store: CheckpointStore, manifest_chain: list[str], decode: bool = True
+        self,
+        store: DirectoryCheckpointStore,
+        manifest_chain: list[str],
+        decode: bool = True,
     ):
         self.store = store
         self.decode = decode
@@ -209,7 +214,7 @@ class WalWalk:
         self.parts = 0
 
     def __iter__(self) -> Iterator[Any]:
-        source = self.store.describe()
+        source = self.store.root
         final = len(self.chain) - 1 if not self.stranded else -1
         for position, name in enumerate(self.chain):
             offset = 0

@@ -86,6 +86,10 @@ SORTS = ("-index", "index", "-score", "score", "key", "-key")
 #: position in the ``(index, key)`` order, which score sorts do not share)
 _CURSOR_SORTS = ("-index", "index")
 
+#: ``/v1/anomalies`` page size when ``limit`` is not given, and its ceiling
+_DEFAULT_LIMIT = 50
+_MAX_LIMIT = 1000
+
 
 class BackendUnavailableError(RuntimeError):
     """The backend cannot serve this request right now (maps to 503)."""
@@ -514,8 +518,6 @@ class ServingApp:
         ``Retry-After`` instead of queueing.
     anomaly_capacity:
         Size of the recent-anomaly ring behind ``/v1/anomalies``.
-    default_limit / max_limit:
-        Page-size defaults and ceiling for ``/v1/anomalies``.
     """
 
     def __init__(
@@ -524,14 +526,10 @@ class ServingApp:
         *,
         max_in_flight: int = 32,
         anomaly_capacity: int = 4096,
-        default_limit: int = 50,
-        max_limit: int = 1000,
     ):
         self.backend = backend
         self.ring = AnomalyRing(anomaly_capacity)
         self.gate = _InFlightGate(max_in_flight)
-        self.default_limit = int(default_limit)
-        self.max_limit = int(max_limit)
         #: set by the server at shutdown: reject new work, keep /health
         self.draining = False
         self._backend_lock = threading.Lock()
@@ -742,9 +740,7 @@ class ServingApp:
 
     def _handle_anomalies(self, query: dict) -> Response:
         try:
-            limit = _query_int(
-                query, "limit", self.default_limit, 1, self.max_limit
-            )
+            limit = _query_int(query, "limit", _DEFAULT_LIMIT, 1, _MAX_LIMIT)
             offset = _query_int(query, "offset", 0, 0, 10**9)
         except ValueError as error:
             return _error(400, "bad_query", str(error))

@@ -1,9 +1,9 @@
 """Sharded multi-process serving tier: route a keyed fleet across workers.
 
-PR 5 made an engine plain data -- a spec in the manifest plus segments
-and a WAL -- rebuildable on any worker from its
-:class:`~repro.durability.CheckpointStore` alone.  This package is the
-thing that contract was built for:
+A durable engine is plain data -- a spec in the manifest plus segments
+and a WAL -- rebuildable on any worker from its store directory
+(:class:`~repro.durability.DirectoryCheckpointStore`) alone.  This
+package is the thing that contract was built for:
 
 * :class:`ConsistentHashRing` -- process-independent (``blake2b``)
   consistent hashing of series keys onto shard ids, minimal remap on

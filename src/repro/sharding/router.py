@@ -114,6 +114,10 @@ _KNOWN_KINDS = {
 #: the default supervision retry policy (three attempts, 50 ms -> 200 ms)
 _DEFAULT_RETRY = RetryPolicy()
 
+#: grace seconds :meth:`ShardRouter.close` gives each worker to
+#: checkpoint and exit before escalating to SIGKILL
+_CLOSE_TIMEOUT = 30.0
+
 
 @dataclass(frozen=True, slots=True)
 class FailoverReport:
@@ -307,9 +311,6 @@ class ShardRouter:
         ``"quarantine"`` -- a serving tier should come up degraded and
         *say so* (see :meth:`health`) rather than refuse to start; the
         engine API itself defaults to ``"strict"``.
-    close_timeout:
-        Grace seconds :meth:`close` gives each worker to checkpoint and
-        exit before escalating to SIGKILL.
     fault_plans:
         Tests only: ``{shard_id: FaultPlan | dict | [FaultInjector]}``
         arms that worker with a deterministic
@@ -332,7 +333,6 @@ class ShardRouter:
         retry: RetryPolicy | None = _DEFAULT_RETRY,
         circuit_threshold: int = 3,
         recovery: str = "quarantine",
-        close_timeout: float = 30.0,
         fault_plans: dict | None = None,
     ):
         if not isinstance(cluster, ClusterSpec):
@@ -361,7 +361,6 @@ class ShardRouter:
         self._retry = retry
         self._circuit_threshold = int(circuit_threshold)
         self._recovery = str(recovery)
-        self._close_timeout = float(close_timeout)
         #: plans waiting to be shipped at the next spawn of their shard
         self._fault_plans: dict[str, Any] = dict(fault_plans or {})
         #: the plan currently armed in each live worker (for survivor
@@ -1308,7 +1307,7 @@ class ShardRouter:
     def close(self, checkpoint: bool = True) -> None:
         """Shut every worker down (checkpointing first by default).
 
-        Each worker gets one ``close_timeout`` grace window to
+        Each worker gets one grace window (``_CLOSE_TIMEOUT``) to
         checkpoint and exit; a worker still alive after it (hung, or
         stuck in an injected sleep) is SIGKILLed -- ``close`` always
         returns in bounded time.
@@ -1316,7 +1315,6 @@ class ShardRouter:
         if self._closed:
             return
         self._closed = True
-        grace = self._close_timeout
         for shard_id, worker in self._workers.items():
             health = self._health.get(shard_id)
             if health is not None and health.down:
@@ -1329,9 +1327,9 @@ class ShardRouter:
             health = self._health.get(shard_id)
             if health is not None and health.down:
                 continue
-            deadline = time.monotonic() + grace
+            deadline = time.monotonic() + _CLOSE_TIMEOUT
             try:
-                if worker.conn.poll(grace):
+                if worker.conn.poll(_CLOSE_TIMEOUT):
                     worker.conn.recv()
             except (EOFError, OSError):
                 pass

@@ -175,8 +175,6 @@ def worker_main(
             elif command == "adopt":
                 engine.adopt_series(payload)
                 reply = None
-            elif command == "ping":
-                reply = "pong"
             elif command == "close":
                 engine.close(checkpoint=bool(payload))
                 conn.send(("ok", None))

@@ -43,9 +43,9 @@ keyed streams over the shared fast kernel, with
   key creates its pipeline; values are buffered until the configured
   initialization window is full, then the batch initialization phase runs
   and the series goes live;
-* **durable sessions** -- :meth:`open` binds the engine to a
-  :class:`~repro.durability.CheckpointStore` (directory-backed by
-  default): every ingested batch is appended to a write-ahead log in
+* **durable sessions** -- :meth:`open` binds the engine to a store
+  directory (:class:`~repro.durability.DirectoryCheckpointStore`):
+  every ingested batch is appended to a write-ahead log in
   columnar form *before* state advances, :meth:`checkpoint` persists only
   the cohorts that changed since the last checkpoint (per-series progress
   markers make dirtiness detection O(fleet) array reads), and reopening
@@ -99,7 +99,6 @@ from repro.core.nsigma import DEFAULT_MINIMUM_STD, DEFAULT_THRESHOLD, NSigma
 from repro.core.oneshotstl import OneShotSTL
 from repro.durability import (
     CHECKPOINT_FORMAT_VERSION,
-    CheckpointStore,
     CheckpointSummary,
     CorruptCheckpointError,
     DirectoryCheckpointStore,
@@ -412,6 +411,23 @@ class FleetStats:
     points_total: int
     anomalies_total: int
     per_series: dict = field(default_factory=dict)
+
+
+@dataclass(slots=True)
+class _Cohort:
+    """One durable checkpoint cohort: its series and its segment.
+
+    ``segment`` and ``crc`` are the name and CRC32 of the segment last
+    written for it in this store (``None`` before that; ``crc`` also when
+    an older manifest recorded none), ``markers`` each member's progress
+    marker (:meth:`MultiSeriesEngine._series_marker`) at that write.
+    ``markers=None`` means dirty: the next checkpoint rewrites it.
+    """
+
+    members: list
+    segment: str | None = None
+    crc: int | None = None
+    markers: dict | None = None
 
 
 class _SeriesState:
@@ -806,17 +822,12 @@ class MultiSeriesEngine:
         #: auto-checkpoint after this many WAL records (None: manual only);
         #: checked after each completed ingest/process call, never mid-batch.
         self.checkpoint_interval: int | None = None
-        self._store: CheckpointStore | None = None
+        self._store: DirectoryCheckpointStore | None = None
         self._generation = 0
         self._replaying = False
         self._wal_records_pending = 0
         self._cohort_of: dict[Hashable, int] = {}
-        self._cohort_members: dict[int, list] = {}
-        self._cohort_segments: dict[int, str] = {}
-        self._cohort_markers: dict[int, dict] = {}
-        #: CRC32 of each clean cohort's segment payload, carried into the
-        #: manifest so store.verify() can check segments it cannot decode
-        self._cohort_crcs: dict[int, int] = {}
+        self._cohorts: dict[int, _Cohort] = {}
         self._next_cohort_id = 0
         #: what the last open()/recovery actually did (None before any
         #: recovery; a clean report on undamaged stores)
@@ -1043,7 +1054,7 @@ class MultiSeriesEngine:
         The difference is durability cadence: in a durable session every
         batch is normalized and encoded up front, the whole group of WAL
         records is appended with *one* flush (one ``fsync`` when the
-        store syncs) via ``CheckpointStore.wal_append_many``, and only
+        store syncs) via ``DirectoryCheckpointStore.wal_append_many``, and only
         then does any state advance.  A crash mid-commit loses at most a
         suffix of the group -- each surviving record is complete -- and
         replay applies the surviving prefix exactly as if those batches
@@ -1119,7 +1130,11 @@ class MultiSeriesEngine:
         return self._ingest_grid([key], np.array([[float(value)]]))[0]
 
     def _clean_spans(
-        self, keys: list, grid: np.ndarray, result: IngestResult
+        self,
+        keys: list,
+        grid: np.ndarray,
+        result: IngestResult,
+        cuts: Sequence[int] = (),
     ) -> Iterator[tuple[int, int]]:
         """Cut a batch *at* the cells the scalar path might reject.
 
@@ -1129,8 +1144,9 @@ class MultiSeriesEngine:
         same observation, with the same message, as feeding the cells one
         by one.  Suspect is an infinity anywhere and NaN on a key that is
         not absorbed (it may be warming; on an absorbed series NaN is a
-        missing point the kernel imputes).  Conservative is fine -- a
-        harmless cell costs one scalar update -- missing one is not.
+        missing point the kernel imputes), plus the row-major positions
+        in ``cuts``.  Conservative is fine -- a harmless cell costs one
+        scalar update -- missing one is not.
         """
         bad = ~np.isfinite(grid)
         suspects: list = []
@@ -1140,6 +1156,8 @@ class MultiSeriesEngine:
                 (key in absorbed for key in keys), dtype=bool, count=len(keys)
             )
             suspects = np.flatnonzero(bad & ~(np.isnan(grid) & imputed)).tolist()
+        if cuts:
+            suspects = sorted({*suspects, *cuts})
         n = grid.shape[1]
         start = 0
         for stop in (*suspects, grid.size):
@@ -1161,7 +1179,10 @@ class MultiSeriesEngine:
         occurrence (values for one key apply oldest first); every such
         round is a one-row grid whose outputs land at the rows' input
         positions.  Regrouping reorders rows across keys, so each clean
-        span (:meth:`_clean_spans`) regroups on its own.
+        span (:meth:`_clean_spans`) regroups on its own, and the rows of
+        a key off the kernel when the call starts -- the scalar path may
+        reject one, a warm-up window that will not initialize -- are cut
+        out to apply alone, in input order.
         """
         if not keys:
             return IngestResult([], 0)
@@ -1174,7 +1195,9 @@ class MultiSeriesEngine:
         if not ragged and len(set(cycle)) == width and keys == cycle * n_rounds:
             return self._ingest_grid(cycle, values.reshape(n_rounds, width))
         result = IngestResult(keys, 1)
-        for start, stop in self._clean_spans(keys, values[None, :], result):
+        absorbed = self._absorbed
+        cuts = [position for position, key in enumerate(keys) if key not in absorbed]
+        for start, stop in self._clean_spans(keys, values[None, :], result, cuts):
             occurrence: dict = {}
             rounds: list[tuple[list, list]] = []
             for position in range(start, stop):
@@ -1653,23 +1676,20 @@ class MultiSeriesEngine:
             raise ValueError("extract_series() keys must be unique")
         payload = self._encode_cohort(keys)
         self._plan = None
-        touched_cohorts = set()
         for key in keys:
             self._absorbed.pop(key, None)
             self._never_absorb.discard(key)
             del self._series[key]
             cohort_id = self._cohort_of.pop(key, None)
             if cohort_id is not None:
-                self._cohort_members[cohort_id].remove(key)
-                touched_cohorts.add(cohort_id)
-        for cohort_id in touched_cohorts:
-            # Dropping the cohort's markers forces it dirty: its existing
-            # segment still contains the extracted series, and a
-            # clean-reading cohort would let recovery resurrect them.
-            self._cohort_markers.pop(cohort_id, None)
-            if not self._cohort_members[cohort_id]:
-                del self._cohort_members[cohort_id]
-                self._cohort_segments.pop(cohort_id, None)
+                # The cohort goes dirty: its segment still contains the
+                # extracted series, and a clean-reading cohort would let
+                # recovery resurrect them.  An emptied one is gone.
+                cohort = self._cohorts[cohort_id]
+                cohort.members.remove(key)
+                cohort.markers = None
+                if not cohort.members:
+                    del self._cohorts[cohort_id]
         for spec_key, group in list(self._groups.items()):
             gone = [
                 column
@@ -1732,29 +1752,17 @@ class MultiSeriesEngine:
         # everything ingested before the failure replays on reopen.
         self.close(checkpoint=exc_type is None)
 
-    @staticmethod
-    def _coerce_store(store: "CheckpointStore | str | os.PathLike") -> CheckpointStore:
-        if isinstance(store, CheckpointStore):
-            return store
-        if isinstance(store, (str, os.PathLike)):
-            return DirectoryCheckpointStore(store)
-        raise TypeError(
-            "store must be a CheckpointStore or a path to a store "
-            f"directory, got {type(store).__name__}"
-        )
-
     @classmethod
     def open(
         cls,
-        store: "CheckpointStore | str | os.PathLike",
+        store: "DirectoryCheckpointStore | str | os.PathLike",
         spec: EngineSpec | None = None,
         recovery: str = "strict",
     ) -> "MultiSeriesEngine":
         """Open a durable engine session on ``store`` (create or recover).
 
-        ``store`` is a :class:`~repro.durability.CheckpointStore` or a
-        path (``str`` / :class:`os.PathLike`) to a
-        :class:`~repro.durability.DirectoryCheckpointStore` directory.
+        ``store`` is a :class:`~repro.durability.DirectoryCheckpointStore`
+        or the path (``str`` / :class:`os.PathLike`) of its directory.
 
         * **Empty store**: ``spec`` is required; the engine is built from
           it and the spec is committed to the store's manifest immediately,
@@ -1815,19 +1823,20 @@ class MultiSeriesEngine:
                 f"recovery must be one of {RECOVERY_POLICIES}, "
                 f"got {recovery!r}"
             )
-        store = cls._coerce_store(store)
+        if not isinstance(store, DirectoryCheckpointStore):
+            store = DirectoryCheckpointStore(store)
         manifest = store.read_manifest()
         if manifest is None:
             if spec is None:
                 raise ValueError(
-                    f"checkpoint store {store.describe()} is empty and no "
+                    f"checkpoint store {store.root} is empty and no "
                     "spec was given: opening a fresh durable session needs "
                     "an EngineSpec (recovery reads it from the manifest)"
                 )
             engine = cls.from_spec(spec)
             engine.attach_store(store, checkpoint=False)
             return engine
-        manifest = validate_manifest(manifest, store.describe())
+        manifest = validate_manifest(manifest, store.root)
         if spec is not None:
             # Cross-check before recovery runs: rebuilding segments and
             # replaying the WAL of a large store is expensive, and a
@@ -1836,7 +1845,7 @@ class MultiSeriesEngine:
             if stored != spec:
                 store.close()
                 raise ValueError(
-                    f"checkpoint store {store.describe()} already holds a "
+                    f"checkpoint store {store.root} already holds a "
                     "session with a different EngineSpec; recovery always "
                     "uses the stored spec.  Open without spec=, or use a "
                     f"fresh store.  stored={stored!r} given={spec!r}"
@@ -1844,7 +1853,9 @@ class MultiSeriesEngine:
         return cls._recover(store, manifest, recovery)
 
     def attach_store(
-        self, store: "CheckpointStore | str | os.PathLike", checkpoint: bool = True
+        self,
+        store: "DirectoryCheckpointStore | str | os.PathLike",
+        checkpoint: bool = True,
     ) -> None:
         """Bind this engine to an *empty* store and start journaling.
 
@@ -1859,10 +1870,11 @@ class MultiSeriesEngine:
                 "engine is already attached to a checkpoint store; close() "
                 "the current session first"
             )
-        store = self._coerce_store(store)
+        if not isinstance(store, DirectoryCheckpointStore):
+            store = DirectoryCheckpointStore(store)
         if store.read_manifest() is not None:
             raise ValueError(
-                f"checkpoint store {store.describe()} already holds a "
+                f"checkpoint store {store.root} already holds a "
                 "session; use MultiSeriesEngine.open(store) to recover it, "
                 "or point attach_store() at a fresh location"
             )
@@ -1870,9 +1882,8 @@ class MultiSeriesEngine:
         # Any bookkeeping from a previous session describes segments of the
         # *old* store: dropped, so every cohort reads as dirty and the
         # first checkpoint writes complete segments into this store.
-        self._cohort_segments = {}
-        self._cohort_markers = {}
-        self._cohort_crcs = {}
+        for cohort in self._cohorts.values():
+            cohort.segment = cohort.crc = cohort.markers = None
         # Without a manifest nothing in the store is reachable; a WAL part
         # left behind by a lost one would be replayed as this session's.
         for name in store.list_wals():
@@ -1889,7 +1900,7 @@ class MultiSeriesEngine:
     @classmethod
     def _recover(
         cls,
-        store: CheckpointStore,
+        store: DirectoryCheckpointStore,
         manifest: dict,
         recovery: str = "strict",
     ) -> "MultiSeriesEngine":
@@ -1899,13 +1910,7 @@ class MultiSeriesEngine:
         walk ``store.verify()`` reports from; ``recovery`` only decides
         what happens to a cohort error or a WAL stop (see :meth:`open`).
         """
-        source = store.describe()
-        if recovery == "quarantine" and not hasattr(store, "quarantine_segment"):
-            raise ValueError(
-                "recovery='quarantine' needs a store with quarantine "
-                f"support (a DirectoryCheckpointStore); "
-                f"{type(store).__name__} has none"
-            )
+        source = store.root
         engine = cls.from_spec(EngineSpec.from_dict(manifest["engine_spec"]))
         quarantined_cohorts: list[QuarantinedCohort] = []
         quarantined_keys: set = set()
@@ -1952,22 +1957,19 @@ class MultiSeriesEngine:
             # describe what the segment holds: replayed series drift past
             # their marker and read as dirty at the next checkpoint,
             # untouched series stay clean.
-            engine._cohort_members[cohort_id] = members
-            engine._cohort_segments[cohort_id] = name
-            engine._cohort_markers[cohort_id] = {
-                key: engine._series_marker(key) for key in members
-            }
-            if cohort.get("crc") is not None:
-                engine._cohort_crcs[cohort_id] = cohort["crc"]
+            engine._cohorts[cohort_id] = _Cohort(
+                members,
+                name,
+                cohort.get("crc"),
+                {key: engine._series_marker(key) for key in members},
+            )
             engine._cohort_of.update(dict.fromkeys(members, cohort_id))
         # Under every policy: a spec this process cannot run is the
         # manifest's damage, not a cohort's.
         check_components(manifest, source)
         for name in damaged:
             store.quarantine_segment(name)
-        engine._next_cohort_id = (
-            max(engine._cohort_members, default=-1) + 1
-        )
+        engine._next_cohort_id = max(engine._cohorts, default=-1) + 1
         engine._generation = manifest["generation"]
         engine._store = store
         walk = WalWalk(store, manifest["wal"])
@@ -2183,22 +2185,21 @@ class MultiSeriesEngine:
         for key in self._series:
             if key in self._cohort_of:
                 continue
-            members = self._cohort_members.get(newest)
-            if members is None or len(members) >= self.checkpoint_cohort_size:
+            cohort = self._cohorts.get(newest)
+            if cohort is None or len(cohort.members) >= self.checkpoint_cohort_size:
                 newest = self._next_cohort_id
                 self._next_cohort_id += 1
-                members = self._cohort_members[newest] = []
-            members.append(key)
+                cohort = self._cohorts[newest] = _Cohort([])
+            cohort.members.append(key)
             self._cohort_of[key] = newest
 
-    def _cohort_dirty(self, cohort_id: int) -> bool:
+    def _cohort_dirty(self, cohort: _Cohort) -> bool:
         """Whether a cohort changed since its segment was last written."""
-        markers = self._cohort_markers.get(cohort_id)
-        members = self._cohort_members[cohort_id]
-        if markers is None or len(markers) != len(members):
+        markers = cohort.markers
+        if markers is None or len(markers) != len(cohort.members):
             return True
         get = markers.get
-        return any(get(key) != self._series_marker(key) for key in members)
+        return any(get(key) != self._series_marker(key) for key in cohort.members)
 
     def _encode_cohort(self, members: list) -> bytes:
         """One cohort's segment: its kernel columns, gathered, as they are.
@@ -2264,32 +2265,26 @@ class MultiSeriesEngine:
             )
         self._assign_cohorts()
         generation = self._generation + 1
-        segments = dict(self._cohort_segments)
-        dirty = [
-            cohort_id
-            for cohort_id in self._cohort_members
-            if self._cohort_dirty(cohort_id)
-        ]
+        #: each dirty cohort's new ``(segment, crc, markers)``, assigned
+        #: only once the manifest naming them is committed
+        written: dict[int, tuple[str, int, dict]] = {}
         series_written = 0
-        new_markers: dict[int, dict] = {}
-        crcs = dict(self._cohort_crcs)
-        for cohort_id in dirty:
-            name = segment_name(generation, cohort_id)
-            members = self._cohort_members[cohort_id]
-            payload = self._encode_cohort(members)
-            store.write_segment(name, payload)
-            segments[cohort_id] = name
-            crcs[cohort_id] = zlib.crc32(payload)
-            series_written += len(members)
-            new_markers[cohort_id] = {
-                key: self._series_marker(key) for key in members
-            }
         cohorts = []
-        for cohort_id in sorted(self._cohort_members):
+        for cohort_id in sorted(self._cohorts):
+            cohort = self._cohorts[cohort_id]
+            segment, crc = cohort.segment, cohort.crc
+            if self._cohort_dirty(cohort):
+                segment = segment_name(generation, cohort_id)
+                payload = self._encode_cohort(cohort.members)
+                store.write_segment(segment, payload)
+                crc = zlib.crc32(payload)
+                markers = {key: self._series_marker(key) for key in cohort.members}
+                written[cohort_id] = (segment, crc, markers)
+                series_written += len(cohort.members)
             entry: dict = {
                 "id": cohort_id,
-                "segment": segments[cohort_id],
-                "series": len(self._cohort_members[cohort_id]),
+                "segment": segment,
+                "series": len(cohort.members),
             }
             # Scrub/quarantine metadata: the segment payload's CRC32 (so
             # store.verify() can check bytes it cannot decode) and the
@@ -2297,11 +2292,9 @@ class MultiSeriesEngine:
             # series without decoding the damaged segment).  Keys outside
             # the JSON-encodable family leave the list off -- visible as
             # "keys unknown", never wrong.
-            if cohort_id in crcs:
-                entry["crc"] = crcs[cohort_id]
-            encoded_keys = encode_manifest_keys(
-                self._cohort_members[cohort_id]
-            )
+            if crc is not None:
+                entry["crc"] = crc
+            encoded_keys = encode_manifest_keys(cohort.members)
             if encoded_keys is not None:
                 entry["keys"] = encoded_keys
             cohorts.append(entry)
@@ -2312,15 +2305,15 @@ class MultiSeriesEngine:
         )
         # -- the manifest rename above is the commit point ------------------
         self._generation = generation
-        self._cohort_segments = segments
-        self._cohort_crcs = crcs
-        self._cohort_markers.update(new_markers)
+        for cohort_id, (segment, crc, markers) in written.items():
+            cohort = self._cohorts[cohort_id]
+            cohort.segment, cohort.crc, cohort.markers = segment, crc, markers
         store.wal_start(wal_name(generation))
         self._wal_records_pending = 0
         # Garbage: segments/WALs the new manifest no longer references.
-        referenced = set(segments.values())
+        segments = {entry["segment"] for entry in cohorts}
         for name in store.list_segments():
-            if name not in referenced:
+            if name not in segments:
                 store.delete_segment(name)
         current_wal = wal_name(generation)
         for name in store.list_wals():
@@ -2328,8 +2321,8 @@ class MultiSeriesEngine:
                 store.wal_delete(name)
         return CheckpointSummary(
             generation=generation,
-            cohorts_total=len(self._cohort_members),
-            cohorts_written=len(dirty),
+            cohorts_total=len(self._cohorts),
+            cohorts_written=len(written),
             series_total=len(self._series),
             series_written=series_written,
         )
@@ -2396,7 +2389,5 @@ class MultiSeriesEngine:
         self._reset_fleet_groups()
         # Durable-cohort bookkeeping described the replaced fleet too.
         self._cohort_of = {}
-        self._cohort_members = {}
-        self._cohort_segments = {}
-        self._cohort_markers = {}
+        self._cohorts = {}
         self._next_cohort_id = 0

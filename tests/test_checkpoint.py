@@ -51,6 +51,7 @@ from tests.conftest import (
     make_seasonal_series,
     without_latency,
 )
+from tests.test_fleet_kernel import RESULT_FIELDS
 
 PERIOD = 24
 INIT = 4 * PERIOD
@@ -411,6 +412,74 @@ class TestDurableSession:
         _assert_continues_identically(
             recovered, oracle, [[(key, 1.0) for key in data] for _ in range(6)]
         )
+
+    def test_cohort_bookkeeping_across_extract_adopt_reopen_and_reattach(
+        self, tmp_path
+    ):
+        """Cohorts emptied, opened, refilled and re-attached keep the store
+        exact: segments match their manifest CRCs, a reopened session is
+        clean, and a fresh store gets every cohort at its first checkpoint."""
+        data = make_fleet_data(12, length=PERIOD * 7)
+        keys = list(data)
+        first, new = keys[:10], keys[10:]
+        cut = INIT + PERIOD
+
+        def feed(engine, members, start, stop):
+            engine.ingest_grid(
+                members, np.array([data[key][start:stop] for key in members]).T
+            )
+
+        reference = MultiSeriesEngine.from_spec(uniform_spec())
+        feed(reference, first, 0, cut)
+        feed(reference, new, 0, cut)
+        feed(reference, keys, cut, cut + 5)
+
+        path = tmp_path / "store"
+        engine = MultiSeriesEngine.open(path, spec=uniform_spec())
+        engine.checkpoint_cohort_size = 4  # 10 series -> cohorts of 4, 4, 2
+        feed(engine, first, 0, cut)
+        assert engine.checkpoint().cohorts_total == 3
+        payload = engine.extract_series(keys[8:10])  # empties the newest
+        feed(engine, new, 0, cut)
+        summary = engine.checkpoint()
+        assert (summary.cohorts_total, summary.cohorts_written) == (3, 1)
+        engine.adopt_series(payload)
+        feed(engine, keys, cut, cut + 5)
+        engine.close()
+
+        engine = MultiSeriesEngine.open(path)
+        engine.checkpoint_cohort_size = 4  # process-local, not in the store
+        assert engine.last_recovery.clean
+        store = DirectoryCheckpointStore(path)
+        assert store.verify(deep=True).ok
+        cohorts = store.read_manifest()["cohorts"]
+        assert [cohort["series"] for cohort in cohorts] == [4, 4, 4]
+        for cohort in cohorts:
+            assert cohort["crc"] == zlib.crc32(store.read_segment(cohort["segment"]))
+        assert engine.checkpoint().cohorts_written == 0
+        assert set(engine.keys()) == set(keys)
+        for key in keys:
+            assert without_latency(engine.series_stats(key)) == without_latency(
+                reference.series_stats(key)
+            )
+        want = reference.snapshot()
+        tail = np.array([data[key][cut + 5 :] for key in keys]).T
+        got, expected = engine.ingest_grid(keys, tail), reference.ingest_grid(keys, tail)
+        for field in RESULT_FIELDS:
+            assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
+        engine.close()
+
+        engine.attach_store(tmp_path / "again", checkpoint=False)
+        summary = engine.checkpoint()
+        assert summary.cohorts_written == summary.cohorts_total == 3
+        engine.close()
+        engine.restore(want)
+        engine.attach_store(tmp_path / "restored", checkpoint=False)
+        summary = engine.checkpoint()
+        assert summary.cohorts_written == summary.cohorts_total == 3
+        engine.close()
+        for name in ("again", "restored"):
+            assert DirectoryCheckpointStore(tmp_path / name).verify(deep=True).ok
 
     def test_marker_survives_failed_initialization_window(self, tmp_path):
         """A discarded first window must not let a marker alias later.

@@ -1237,11 +1237,10 @@ class TestSegmentBytesArePinned:
         engine = MultiSeriesEngine.open(store, recovery="strict")
         assert engine.last_recovery.clean
         assert len(engine._groups) == 2 and set(engine._absorbed) == set(engine.keys())
-        segments = engine._cohort_segments
-        assert len(segments) == len(engine._cohort_members) == 3
-        for cohort_id, members in engine._cohort_members.items():
-            committed = engine._store.read_segment(segments[cohort_id])
-            groups, fallback = split_segment(committed, segments[cohort_id])
+        assert len(engine._cohorts) == 3
+        for cohort in engine._cohorts.values():
+            committed = engine._store.read_segment(cohort.segment)
+            groups, fallback = split_segment(committed, cohort.segment)
             assert fallback == b"" and len(groups) == 2
-            assert engine._encode_cohort(members) == committed
+            assert engine._encode_cohort(cohort.members) == committed
         engine.close(checkpoint=False)

@@ -166,6 +166,48 @@ class TestBatchedIngestEquivalence:
         assert engine.series_stats("a").points == 2
         assert engine.series_stats("b").points == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "scalar"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [("a", 1.0), ("a", 2.0), ("c", 1e308)],
+            [("a", 1.0), ("c", 1e308), ("a", 2.0), ("b", 3.0)],
+            [("c", 1e308), ("a", 1.0), ("a", 2.0)],
+        ],
+        ids=["rejected-last", "rejected-between", "rejected-first"],
+    )
+    def test_row_batch_applies_rows_in_input_order(self, rows, kernel):
+        """A row batch is its rows fed one by one: a warm-up window that
+        will not initialize (``c``'s last value) is rejected after exactly
+        the rows ahead of it, on the kernel engine and its scalar twin."""
+
+        def build():
+            engine = MultiSeriesEngine.for_oneshotstl(4)
+            engine.fleet_kernel_enabled = kernel
+            rng = np.random.default_rng(3)
+            for key, count in (("a", 20), ("b", 18), ("c", 15)):
+                for value in rng.normal(size=count):
+                    engine.process(key, float(value))
+            return engine
+
+        batched, single = build(), build()
+        with pytest.raises(ValueError) as batched_error:
+            batched.ingest(rows)
+        for key, value in rows:
+            try:
+                single.process(key, value)
+            except ValueError as error:
+                assert str(error) == str(batched_error.value)
+                break
+        for key in ("a", "b", "c"):
+            assert batched.series_stats(key).points == single.series_stats(key).points
+        follow = np.random.default_rng(5).normal(size=(3, 2))
+        got = batched.ingest_grid(["a", "b"], follow)
+        want = single.ingest_grid(["a", "b"], follow)
+        for field in RESULT_FIELDS:
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
     def test_heterogeneous_spec_overrides(self):
         """Per-key configuration flows through ``EngineSpec.overrides``."""
         spec = EngineSpec(
