@@ -216,10 +216,9 @@ def _bench_engine_fleet(
         }
 
         def rewind():
-            # restore() drops the engine's columnar bookkeeping by design,
-            # so feed one untimed point to re-absorb the fleet -- otherwise
-            # the timed window would pay a one-off re-pack the row
-            # measurement never paid.
+            # restore() installs the snapshot's columns as columns; the
+            # stream's first point is then fed untimed, because the timed
+            # columnar feed below starts one point after it.
             engine.restore(checkpoint)
             engine.ingest(
                 {

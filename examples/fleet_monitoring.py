@@ -73,7 +73,7 @@ def main() -> None:
     for position in range(checkpoint_at):
         engine.ingest([(key, series[position]) for key, series in metrics.items()])
 
-    # Persist the fleet state mid-stream, then keep going.
+    # Take an in-memory rewind point mid-stream, then keep going.
     checkpoint = engine.snapshot()
     print(f"checkpoint taken after {checkpoint_at} points per host")
 
@@ -110,7 +110,10 @@ def main() -> None:
         ):
             if record.is_anomaly:
                 replayed_alerts.setdefault(record.key, []).append(position)
-    print(f"restore + replay reproduces alerts exactly: {alerts == replayed_alerts}")
+    identical = alerts == replayed_alerts
+    print(f"restore + replay reproduces alerts exactly: {identical}")
+    if not identical:
+        raise SystemExit("restore + replay diverged from the original alerts!")
 
     stats = engine.fleet_stats()
     print(

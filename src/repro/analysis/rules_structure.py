@@ -26,8 +26,13 @@
   call under ``repro``) may be called only from the functions in
   :data:`MATERIALIZE_CALLERS`.  An absorbed series is its kernel column,
   and every write advances the column; scalar state is built from it only
-  for ``snapshot`` and a segment's fallback section (``_materialized``)
-  and for the rare cell the kernel hands back (``_process_unlogged``).
+  for a segment's fallback section (``_materialized``), for the rare cell
+  the kernel hands back (``_process_unlogged``), and where saved columns
+  are decoded into scalar homes (``_decode_segment``): a snapshot's
+  mapping view, an engine whose kernel is disabled, columns saved under
+  another ``minimum_std``.  ``snapshot`` and ``restore`` build none.  The
+  rule matches a function by name alone, so each name here is one no
+  other function under ``repro`` has.
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ _PICKLE_MODULES = frozenset({"pickle", "cPickle", "_pickle", "shelve", "marshal"
 #: the modules under ``repro`` that may import one, as path-part suffixes
 PICKLE_ALLOWLIST = (("durability", "format.py"),)
 #: the functions that may build scalar state from kernel columns
-MATERIALIZE_CALLERS = frozenset({"_materialized", "_process_unlogged"})
+MATERIALIZE_CALLERS = frozenset(
+    {"_decode_segment", "_materialized", "_process_unlogged"}
+)
 
 
 def _dataclass_decorator(cls: ast.ClassDef) -> ast.expr | ast.Call | None:

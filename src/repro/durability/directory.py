@@ -528,7 +528,8 @@ class DirectoryCheckpointStore:
                 read = read_cohort(self, cohort, decode=deep)
                 if deep:
                     source = f"{self.root}/{cohort['segment']}"
-                    engine._install(*engine._decode_cohort(source, *read), read[1])
+                    decoded = engine._decode_cohort(source, *read, engine._groups)
+                    engine._install(*decoded, read[1])
             except CorruptCheckpointError as error:
                 findings.append(
                     ScrubFinding(cohort["segment"], error.problem, str(error))

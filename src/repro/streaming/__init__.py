@@ -4,6 +4,7 @@ from repro.streaming.buffer import RingBuffer
 from repro.streaming.engine import (
     CHECKPOINT_FORMAT_VERSION,
     EngineRecord,
+    EngineSnapshot,
     FleetStats,
     IngestResult,
     MultiSeriesEngine,
@@ -20,6 +21,7 @@ from repro.streaming.pipeline import StreamingPipeline, StreamRecord
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "EngineRecord",
+    "EngineSnapshot",
     "FleetStats",
     "IngestResult",
     "LatencyReport",

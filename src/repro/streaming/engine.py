@@ -71,9 +71,10 @@ point, in a cohort of any width, it is a column of its cohort's kernel
 arrays and nothing else: absorption consumes the scalar objects, every
 write (a lone ``process`` too) advances the column, reads (``forecast``,
 ``series_stats``, ``fleet_stats``) come straight off it, and scalar state
-is built afresh, by one function, only for ``snapshot`` and the rare cell
-the kernel hands back (a ``checkpoint`` and a shard handoff write the
-columns as they are, ``open`` and ``adopt_series`` read them back as
+is built afresh, by one function, only for the rare cell the kernel hands
+back and for a caller that reads a snapshot as a mapping (a
+``checkpoint``, a shard handoff and a ``snapshot`` write the columns as
+they are; ``open``, ``adopt_series`` and ``restore`` read them back as
 columns).  Either way the outputs are *identical* to running N
 independent pipelines by hand -- the test suite asserts this.  Latency is
 a measurement, not state: no checkpoint, handoff or snapshot carries a
@@ -88,6 +89,7 @@ import gc
 import os
 import time
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -138,6 +140,7 @@ from repro.utils.columns import Array, Part
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "EngineRecord",
+    "EngineSnapshot",
     "FleetStats",
     "IngestResult",
     "MultiSeriesEngine",
@@ -435,11 +438,12 @@ class _SeriesState:
     its own latency ring.
 
     What a series is while it is off the kernel, and the shape the
-    scalar boundaries speak (``snapshot`` and the fallback section of a
-    store segment or a handoff payload -- every segment of format 3 --
-    are ``{key: _SeriesState}``): the module path and the slots are part
-    of the store format.  A state built from a kernel column carries an
-    empty ring: the column's latency is its group's.
+    scalar boundaries speak (the fallback section of a store segment, a
+    handoff payload or a snapshot -- every segment of format 3 -- is
+    ``{key: _SeriesState}``, and so is a snapshot read as a mapping): the
+    module path and the slots are part of the store format.  A state
+    built from a kernel column carries an empty ring: the column's
+    latency is its group's.
     """
 
     __slots__ = ("pipeline", "warmup", "live", "points", "anomalies", "latencies")
@@ -472,9 +476,9 @@ class _FleetGroup:
     (:meth:`from_columns`, :meth:`extend`) without a scalar object in
     between, so :attr:`COLUMNS` is part of the store format.
     The one way to scalar form is :meth:`materialize`, which builds
-    *fresh* states for ``snapshot``, the fallback section and the rare
-    cell the kernel hands back, and :meth:`load` takes one back after
-    that cell.
+    *fresh* states for the fallback section, the rare cell the kernel
+    hands back and columns decoded where they cannot be columns, and
+    :meth:`load` takes one back after that cell.
 
     Latency is the group's, not a column's: a kernel block advances its
     columns together, so its amortized per-point duration is theirs
@@ -617,10 +621,11 @@ class _FleetGroup:
         """Fresh scalar states of the members at ``columns``: the one way out.
 
         One gathered read per declared array, whatever the size of the
-        group.  The states alias nothing in the group: a snapshot hands
-        them out, the fallback section pickles those whose keys JSON
-        cannot carry, and the kernel's non-finite hand-back or a suspect
-        cell advances one (:meth:`load` takes it back).  A detector is its
+        group.  The states alias nothing in the group: the fallback
+        section pickles those whose keys JSON cannot carry, the kernel's
+        non-finite hand-back or a suspect cell advances one (:meth:`load`
+        takes it back), and a snapshot's mapping view or an engine whose
+        kernel is disabled keeps those of a decoded group.  A detector is its
         model's monitor with the group's threshold and floor; the latency
         rings are empty (the group's ring is the columns' latency).
         """
@@ -656,6 +661,121 @@ class _FleetGroup:
         self.kernel.load(column, state.pipeline.decomposer)
         columnar.load(self, column, state)
         self.latencies.extend(state.latencies.to_array())
+
+
+def _decode_segment(
+    source: str,
+    saved: list[ColumnGroup],
+    states: dict,
+    latency_window: int,
+    peers: dict[str, _FleetGroup] | None,
+) -> tuple[list, list[_FleetGroup]]:
+    """``(members, groups)`` of one read segment, validated whole.
+
+    ``members`` is the segment's key order -- every column group's
+    ``positions``, the fallback ``states`` in the places left -- and
+    ``groups`` one standalone :class:`_FleetGroup` per saved column
+    group, each checked against the group of its spec it will join:
+    ``peers``' (by spec key; not changed) or an earlier one of this
+    segment.  ``peers=None`` -- an engine whose kernel is disabled, or a
+    snapshot's mapping view -- decodes every column into a scalar home
+    instead, and so do columns saved under another ``minimum_std``: they
+    join ``states``.  Nothing of an engine is touched, so a cohort is
+    committed only once all of it decoded, and damage found in its last
+    group cannot leave the first half-registered.  Everything wrong with
+    what a header claims is
+    ``CorruptCheckpointError(problem="undecodable")``.
+    """
+    groups = []
+    scalar: dict = {}
+    joined = None if peers is None else dict(peers)
+    try:
+        n_columns = sum(len(columnar.meta["keys"]) for columnar in saved)
+        members: list = [None] * (len(states) + n_columns)
+        free = set(range(len(members)))
+        for columnar in saved:
+            keys = list(decode_manifest_keys(columnar.meta["keys"]))
+            positions = columnar.meta["positions"]
+            taken = set(positions)
+            if not len(keys) == len(positions) == len(taken) or not taken <= free:
+                raise ValueError(
+                    f"positions {positions} do not place {len(keys)} keys "
+                    f"in a cohort of {len(members)}"
+                )
+            free -= taken
+            for position, key in zip(positions, keys):
+                members[position] = key
+            restored = _FleetGroup.from_columns(keys, columnar, latency_window)
+            if joined is None or restored.minimum_std != DEFAULT_MINIMUM_STD:
+                scalar.update(zip(keys, restored.materialize(range(len(keys)))))
+                continue
+            # The group these columns will join -- a peer, or an earlier
+            # one of this segment -- must be able to take them.
+            peer = joined.setdefault(restored.spec.to_json(sort_keys=True), restored)
+            if peer.kernel.get_params() != restored.kernel.get_params():
+                raise ValueError(
+                    f"columns of {restored.kernel.get_params()} cannot join "
+                    f"their spec's group of {peer.kernel.get_params()}"
+                )
+            groups.append(restored)
+        for position, key in zip(sorted(free), states):
+            members[position] = key
+        if len(set(members)) != len(members):
+            raise ValueError("a key appears twice in the cohort")
+    except (ValueError, KeyError, TypeError) as error:
+        raise CorruptCheckpointError(
+            f"{source}: cohort segment's columns are malformed "
+            f"({type(error).__name__}: {error})",
+            problem="undecodable",
+        ) from error
+    states.update(scalar)
+    return members, groups
+
+
+class EngineSnapshot(Mapping):
+    """A whole engine's in-memory rewind point (``MultiSeriesEngine.snapshot()``).
+
+    It holds the bytes of one store segment of every series, in the
+    engine's key order (``MultiSeriesEngine._encode_cohort``: the kernel
+    columns as they are, the other series in the fallback section), and
+    the engine's ``latency_window``, and pickles as those two values.
+    :meth:`MultiSeriesEngine.restore` installs the bytes: a column comes
+    back a column.
+
+    It is also a read-only ``{key: _SeriesState}`` mapping, in that
+    order, for callers that want scalar state: the states are decoded
+    once, on the first read, and alias nothing of any engine.  A column's
+    state carries an empty latency ring of ``latency_window``.
+    """
+
+    __slots__ = ("payload", "latency_window", "_states")
+
+    def __init__(self, payload: bytes, latency_window: int):
+        self.payload = payload
+        self.latency_window = latency_window
+        self._states: dict | None = None
+
+    def __reduce__(self):
+        return type(self), (self.payload, self.latency_window)
+
+    def __getitem__(self, key: Hashable) -> _SeriesState:
+        return self._scalar_view()[key]
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._scalar_view())
+
+    def __len__(self) -> int:
+        return len(self._scalar_view())
+
+    def _scalar_view(self) -> dict:
+        if self._states is None:
+            source = "snapshot"
+            saved, states = unpack_cohort(self.payload, source, _SeriesState)
+            members, _ = _decode_segment(
+                source, saved, states, self.latency_window, peers=None
+            )
+            self._states = {key: states[key] for key in members}
+        return self._states
 
 
 def _latency_report(ring: RingBuffer, label: str) -> LatencyReport | None:
@@ -1730,7 +1850,7 @@ class MultiSeriesEngine:
             )
         source = "adopt_series() payload"
         saved, states = unpack_cohort(bytes(payload), source, _SeriesState)
-        members, groups = self._decode_cohort(source, saved, states)
+        members, groups = self._decode_cohort(source, saved, states, self._groups)
         duplicates = [key for key in members if key in self._series]
         if duplicates:
             raise ValueError(
@@ -1926,7 +2046,7 @@ class MultiSeriesEngine:
             try:
                 saved, states = read_cohort(store, cohort, state_type=_SeriesState)
                 members, groups = engine._decode_cohort(
-                    f"{source}/{name}", saved, states
+                    f"{source}/{name}", saved, states, engine._groups
                 )
             except CorruptCheckpointError as error:
                 if recovery != "quarantine":
@@ -2058,65 +2178,19 @@ class MultiSeriesEngine:
         return engine
 
     def _decode_cohort(
-        self, source: str, saved: list[ColumnGroup], states: dict
+        self, source: str, saved: list[ColumnGroup], states: dict, peers: dict
     ) -> tuple[list, list[_FleetGroup]]:
-        """``(members, groups)`` of one read segment, validated whole.
-
-        ``members`` is the cohort's key order -- every column group's
-        ``positions``, the fallback ``states`` in the places left --
-        and ``groups`` one standalone :class:`_FleetGroup` per saved
-        column group.  Nothing of the engine is touched: a cohort is
-        committed only once all of it decoded, so damage found in its
-        last group cannot leave the first half-registered.  Everything
-        wrong with what a header claims is
-        ``CorruptCheckpointError(problem="undecodable")``.  Columns saved
-        under another ``minimum_std`` join ``states`` as scalar states.
-        """
-        groups = []
-        scalar: dict = {}
-        joined = dict(self._groups)
-        try:
-            n_columns = sum(len(columnar.meta["keys"]) for columnar in saved)
-            members: list = [None] * (len(states) + n_columns)
-            free = set(range(len(members)))
-            for columnar in saved:
-                keys = list(decode_manifest_keys(columnar.meta["keys"]))
-                positions = columnar.meta["positions"]
-                taken = set(positions)
-                if not len(keys) == len(positions) == len(taken) or not taken <= free:
-                    raise ValueError(
-                        f"positions {positions} do not place {len(keys)} keys "
-                        f"in a cohort of {len(members)}"
-                    )
-                free -= taken
-                for position, key in zip(positions, keys):
-                    members[position] = key
-                restored = _FleetGroup.from_columns(keys, columnar, self.latency_window)
-                if restored.minimum_std != DEFAULT_MINIMUM_STD:
-                    # repro: allow[MAT001] decoded into scalar homes, never written
-                    scalar.update(zip(keys, restored.materialize(range(len(keys)))))
-                    continue
-                # The group these columns will join -- the engine's, or an
-                # earlier one of this segment -- must be able to take them.
-                peer = joined.setdefault(restored.spec.to_json(sort_keys=True), restored)
-                if peer.kernel.get_params() != restored.kernel.get_params():
-                    raise ValueError(
-                        f"columns of {restored.kernel.get_params()} cannot join "
-                        f"their spec's group of {peer.kernel.get_params()}"
-                    )
-                groups.append(restored)
-            for position, key in zip(sorted(free), states):
-                members[position] = key
-            if len(set(members)) != len(members):
-                raise ValueError("a key appears twice in the cohort")
-        except (ValueError, KeyError, TypeError) as error:
-            raise CorruptCheckpointError(
-                f"{source}: cohort segment's columns are malformed "
-                f"({type(error).__name__}: {error})",
-                problem="undecodable",
-            ) from error
-        states.update(scalar)
-        return members, groups
+        """:func:`_decode_segment` for this engine: its latency window, and
+        no peers while its kernel is disabled, so a
+        ``fleet_kernel_enabled = False`` engine decodes every column into
+        a scalar home -- at recovery, adoption and restore alike."""
+        return _decode_segment(
+            source,
+            saved,
+            states,
+            self.latency_window,
+            peers if self.fleet_kernel_enabled else None,
+        )
 
     @staticmethod
     def _filter_wal_record(record: tuple, skip_keys: set) -> tuple | None:
@@ -2344,30 +2418,36 @@ class MultiSeriesEngine:
 
     # --------------------------------------------------------- checkpointing
 
-    def snapshot(self) -> dict:
-        """Capture the engine state as an in-memory checkpoint.
+    def snapshot(self) -> EngineSnapshot:
+        """Capture the engine state as an in-memory rewind point.
 
-        The checkpoint is an independent deep copy: later ingests do not
-        mutate it, and it can be restored any number of times (or pickled
-        to disk by the caller).  For a checkpoint that survives process
+        The snapshot is one store segment of every series
+        (:meth:`_encode_cohort`, what a checkpoint and
+        :meth:`extract_series` write): the kernel columns are gathered as
+        they are, and no scalar object is built for them.  Later ingests
+        do not change it; it can be restored any number of times, and
+        pickled by the caller.  For a checkpoint that survives process
         boundaries and carries its own configuration, use a durable
         session (:meth:`open` / :meth:`checkpoint`).
 
-        The checkpoint always holds plain per-series state -- the same
-        shape whether or not batched ingest ever ran: a kernel-absorbed
-        series is built fresh from its columns (already independent, so
-        it is not copied again; its latency ring is empty, the group's
-        latency staying behind), any other is deep-copied.
+        An :class:`EngineSnapshot` is also a read-only
+        ``{key: _SeriesState}`` mapping, decoded on its first read; no
+        latency travels with a column (its group's ring stays behind).
         """
-        states = self._materialized(self._series)
-        scalar = {key: states[key] for key in states if key not in self._absorbed}
-        return {**states, **copy.deepcopy(scalar)}
+        payload = self._encode_cohort(list(self._series))
+        return EngineSnapshot(payload, self.latency_window)
 
-    def restore(self, checkpoint: dict) -> None:
-        """Rewind the engine to a checkpoint taken with :meth:`snapshot`.
+    def restore(self, snapshot: EngineSnapshot) -> None:
+        """Rewind the engine to a snapshot taken with :meth:`snapshot`.
 
-        The checkpoint itself stays untouched (it is deep-copied in), so it
-        can be restored again later.
+        The snapshot's bytes are decoded and checked whole first: bytes
+        that do not decode raise
+        :class:`~repro.durability.CorruptCheckpointError` with the engine
+        untouched.  Then the fleet is replaced and the series installed as
+        recovery installs a cohort: what was a column is a column at once
+        -- no ``FleetKernel.pack`` on the next batch -- and the rest are
+        scalar homes (every series is, on a ``fleet_kernel_enabled =
+        False`` engine).  The snapshot itself is unchanged.
 
         Not available while a durable session is open: an in-memory rewind
         would silently diverge from the write-ahead log (the rewind is not
@@ -2380,14 +2460,18 @@ class MultiSeriesEngine:
                 "write-ahead log; close() the session first, restore, then "
                 "attach a fresh store"
             )
-        if not isinstance(checkpoint, dict) or not all(
-            isinstance(state, _SeriesState) for state in checkpoint.values()
-        ):
-            raise TypeError("checkpoint must come from MultiSeriesEngine.snapshot()")
-        self._series = copy.deepcopy(checkpoint)
-        # The columnar arrays described the replaced fleet; rebuild lazily.
+        if not isinstance(snapshot, EngineSnapshot):
+            raise TypeError(
+                "restore() takes what MultiSeriesEngine.snapshot() returned, "
+                f"got {type(snapshot).__name__}"
+            )
+        source = "restore() snapshot"
+        saved, states = unpack_cohort(snapshot.payload, source, _SeriesState)
+        members, groups = self._decode_cohort(source, saved, states, peers={})
+        self._series = {}
         self._reset_fleet_groups()
         # Durable-cohort bookkeeping described the replaced fleet too.
         self._cohort_of = {}
         self._cohorts = {}
         self._next_cohort_id = 0
+        self._install(members, groups, states)

@@ -790,6 +790,31 @@ def test_materialize_on_a_write_path_is_flagged():
     assert [finding.line for finding in findings] == [5, 8]
 
 
+def test_a_rewind_may_not_materialize():
+    # A snapshot is segment bytes and a restore installs columns: neither
+    # builds scalar state, however it reaches the groups.  Only the
+    # decoder a snapshot's mapping view reads through may.
+    findings = run(
+        """
+        def _decode_segment(source, saved, states, latency_window, peers):
+            return [group.materialize(range(len(group.keys))) for group in saved]
+
+        class Engine:
+            def snapshot(self):
+                absorbed = self._absorbed.items()
+                return {k: g.materialize([c]) for k, (g, c) in absorbed}
+
+            def restore(self, snapshot):
+                for group in self._groups.values():
+                    group.materialize(range(len(group.keys)))
+        """,
+        path=ENGINE_PATH,
+    )
+    assert rules(findings) == ["MAT001", "MAT001"]
+    assert "in snapshot" in findings[0].message
+    assert "in restore" in findings[1].message
+
+
 def test_the_scalar_boundaries_may_materialize():
     findings = run(
         """

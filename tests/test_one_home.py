@@ -249,7 +249,7 @@ class Run:
             stats = engine.fleet_stats()
             return stats.series_live, stats.points_total, stats.anomalies_total
         if step[0] == "snapshot":
-            return canonical_bytes(engine.snapshot())
+            return canonical_bytes(dict(engine.snapshot()))
         if step[0] == "checkpoint":
             return engine.checkpoint().cohorts_total
         return engine.live_keys()
