@@ -13,10 +13,7 @@ environment variable:
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from contextlib import contextmanager
 from pathlib import Path
 
 RESULTS_DIRECTORY = Path(__file__).parent / "results"
@@ -66,35 +63,6 @@ def report(name: str, title: str, rows: list[dict]) -> str:
     RESULTS_DIRECTORY.mkdir(exist_ok=True)
     (RESULTS_DIRECTORY / f"{name}.txt").write_text(text)
     return text
-
-
-def report_json(filename: str, benchmark: str, rows: list[dict], **extra) -> Path:
-    """Persist ``rows`` as a machine-readable JSON document.
-
-    The document is written to ``benchmarks/results/<filename>`` so that CI
-    can upload it as an artifact and the perf trajectory can be compared
-    across commits without scraping the text tables.  ``extra`` key/values
-    are merged into the top-level document (e.g. derived summary metrics).
-    """
-    RESULTS_DIRECTORY.mkdir(exist_ok=True)
-    path = RESULTS_DIRECTORY / filename
-    document = {
-        "benchmark": benchmark,
-        "schema_version": 1,
-        "scale": bench_scale(),
-        "rows": rows,
-        **extra,
-    }
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"[json] wrote {path}")
-    return path
-
-
-@contextmanager
-def stopwatch():
-    """Context manager yielding a callable that returns elapsed seconds."""
-    start = time.perf_counter()
-    yield lambda: time.perf_counter() - start
 
 
 def average_rank(per_key_scores: dict[str, dict[str, float]], higher_is_better: bool) -> dict[str, float]:

@@ -59,8 +59,7 @@ class ServingClient:
     """Blocking client over one keep-alive connection.
 
     Not thread-safe (``http.client`` connections are not); concurrent
-    load uses one client per thread, as ``benchmarks/bench_serving.py``
-    does.  Usable as a context manager.
+    load uses one client per thread.  Usable as a context manager.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 60.0):

@@ -953,7 +953,6 @@ class ShardRouter:
         :class:`~repro.streaming.IngestResult` comes back in round-major
         order.  Error/partial semantics are exactly :meth:`ingest`'s.
         """
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
         return self._fan_out(grid_record(round_keys, grid), allow_partial)
 
     def _fan_out(

@@ -155,7 +155,7 @@ def worker_main(
                 reply: Any = _reply_arrays(result)
             elif command == "ingest_rows":
                 keys, values = payload
-                result = engine.ingest((list(keys), values), columnar_results=True)
+                result = engine.ingest_columnar((list(keys), values))
                 reply = _reply_arrays(result)
             elif command == "forecast":
                 key, horizon = payload

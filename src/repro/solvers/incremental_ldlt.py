@@ -69,6 +69,7 @@ to machine precision, which is verified by the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
@@ -120,14 +121,18 @@ class IncrementalBandedLDLT:
         A solver pickled before it was born in Schur form carries an
         ``_incremental`` flag; installed as it is, it would solve the
         wrong system, so it raises ``ValueError`` (to a store reader, an
-        undecodable segment).
+        undecodable segment).  Attribute names are interned, as
+        ``__init__`` leaves them, so a loaded solver pickles like a built
+        one.
         """
         if "_incremental" in state:
             raise ValueError(
                 "an IncrementalBandedLDLT pickled in the retired dense form "
                 "(it carries '_incremental') is not readable by this build"
             )
-        self.__dict__.update(state)
+        self.__dict__.update(
+            (sys.intern(name), value) for name, value in state.items()
+        )
 
     # ------------------------------------------------------------------ API
 

@@ -31,8 +31,8 @@ keyed streams over the shared fast kernel, with
   shift-diverging series fall back per series, and a cell the scalar
   path might reject is applied on its own, in input order, so it raises
   at the same observation while the rest of the batch stays batched);
-* **columnar results** -- :meth:`ingest_columnar` (or ``ingest(...,
-  columnar_results=True)``) keeps the outputs in struct-of-arrays form as
+* **columnar results** -- :meth:`ingest_columnar`, :meth:`ingest_grid`
+  and :meth:`ingest_many` keep the outputs in struct-of-arrays form as
   an :class:`IngestResult`: parallel ``index``/``value``/``trend``/
   ``seasonal``/``residual``/``anomaly_score``/``is_anomaly``/
   ``detection_residual``/``live`` arrays, with per-row
@@ -1077,9 +1077,7 @@ class MultiSeriesEngine:
             group.load(column, state)
         return EngineRecord(key=key, status=SeriesStatus.LIVE, record=record)
 
-    def ingest(
-        self, batch: dict | tuple | Sequence, *, columnar_results: bool = False
-    ) -> "IngestResult | list[EngineRecord]":
+    def ingest(self, batch: dict | tuple | Sequence) -> list[EngineRecord]:
         """Ingest a batch of observations, batching same-spec series.
 
         ``batch`` may be
@@ -1096,14 +1094,10 @@ class MultiSeriesEngine:
           an equal-length NumPy array of values -- which also avoids
           per-record Python tuples on the way in.
 
-        Results come back in (the equivalent) input order; multiple values
-        for one key are processed oldest first.  By default a list of
-        :class:`EngineRecord` is returned; with ``columnar_results=True``
-        (or via :meth:`ingest_columnar`) the outcomes stay in
-        struct-of-arrays form as an :class:`IngestResult` -- parallel
-        NumPy arrays plus records materialized lazily on access -- which
-        skips the dominant per-row record construction cost on large
-        fleets.  Live series that share a
+        Results come back in (the equivalent) input order as a list of
+        :class:`EngineRecord`; multiple values for one key are processed
+        oldest first.  :meth:`ingest_columnar` takes the same batches and
+        keeps the outcomes columnar.  Live series that share a
         :class:`~repro.specs.PipelineSpec` are advanced together through
         the columnar fleet kernel -- one batched solver step per IRLS
         iteration for the whole cohort -- with results identical to
@@ -1118,28 +1112,24 @@ class MultiSeriesEngine:
         offending observation.  The batch is journaled in normalized,
         columnar form, one record per call.
         """
-        record, error = batch_record(batch)
-        (result,) = self._commit([record], error)
-        return result if columnar_results else result.records()
+        return self.ingest_columnar(batch).records()
 
     def ingest_columnar(self, batch: dict | tuple | Sequence) -> IngestResult:
         """Ingest a batch and keep the results columnar (arrays out).
 
-        Equivalent to ``ingest(batch, columnar_results=True)``: the
-        returned :class:`IngestResult` exposes the per-point outputs as
-        parallel NumPy arrays and materializes :class:`EngineRecord` rows
-        only on demand, which roughly halves steady-state large-fleet
-        ingest cost versus the eager record list.
+        Takes every batch :meth:`ingest` takes and advances state exactly
+        as it does; the returned :class:`IngestResult` exposes the
+        per-point outputs as parallel NumPy arrays and materializes
+        :class:`EngineRecord` rows (equal to :meth:`ingest`'s) only on
+        demand.
         """
-        return self.ingest(batch, columnar_results=True)
+        record, error = batch_record(batch)
+        (result,) = self._commit([record], error)
+        return result
 
     def ingest_grid(
-        self,
-        round_keys: Sequence[Hashable],
-        grid: np.ndarray,
-        *,
-        columnar_results: bool = True,
-    ) -> "IngestResult | list[EngineRecord]":
+        self, round_keys: Sequence[Hashable], grid: np.ndarray
+    ) -> IngestResult:
         """Ingest a pre-normalized round-major ``(L, n)`` value grid.
 
         Equivalent to ``ingest({key: grid[:, j] for j, key in
@@ -1149,27 +1139,22 @@ class MultiSeriesEngine:
         is the shard-transport entry point -- a
         :class:`~repro.sharding.ShardRouter` ships each worker its slice
         of a batch as a ``(keys, grid)`` pair, and the worker feeds it
-        straight to the engine's batch routine.  Results default to
-        columnar (:class:`IngestResult`), the form that fans back in as
-        arrays; the grid is journaled as one record.
+        straight to the engine's batch routine.  The result is an
+        :class:`IngestResult`, the form that fans back in as arrays; the
+        grid is journaled as one record.
         """
         (result,) = self._commit([grid_record(round_keys, grid)])
-        return result if columnar_results else result.records()
+        return result
 
-    def ingest_many(
-        self,
-        batches: Sequence,
-        *,
-        columnar_results: bool = True,
-    ) -> list:
+    def ingest_many(self, batches: Sequence) -> list[IngestResult]:
         """Ingest several batches with one WAL group commit.
 
         Each element of ``batches`` is a columnar batch accepted by
         :meth:`ingest` -- a ``{key: values}`` dict or a pre-normalized
         ``(round_keys, grid)`` pair as in :meth:`ingest_grid`.  State
         advances exactly as the equivalent sequence of :meth:`ingest`
-        calls would, and one :class:`IngestResult` (or record list) is
-        returned per batch, in order.
+        calls would, and one :class:`IngestResult` is returned per batch,
+        in order.
 
         The difference is durability cadence: in a durable session every
         batch is normalized and encoded up front, the whole group of WAL
@@ -1197,10 +1182,7 @@ class MultiSeriesEngine:
                     "(round_keys, grid) pairs; got "
                     f"{type(batch).__name__}"
                 )
-        results = self._commit(records)
-        if columnar_results:
-            return results
-        return [result.records() for result in results]
+        return self._commit(records)
 
     def _commit(self, records: list, error: Exception | None = None) -> list:
         """Journal ``records`` as one group, then apply each: the one way in.

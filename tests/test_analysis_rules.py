@@ -568,7 +568,7 @@ def test_the_engine_journals_through_one_writer_the_rule_sees():
                     committing.add(method.name)
     assert store_writers == {"_wal_append"}
     assert journaling == {"_commit"}
-    assert committing == {"process", "ingest", "ingest_grid", "ingest_many"}
+    assert committing == {"process", "ingest_columnar", "ingest_grid", "ingest_many"}
 
 
 def test_method_without_wal_append_is_not_checked():

@@ -1666,7 +1666,7 @@ class TestColumnarResults:
         fast, reference = engine_pair(8)
         batches = self.make_batches(data)
         for batch in batches:
-            result = fast.ingest(batch, columnar_results=True)
+            result = fast.ingest_columnar(batch)
             expected = reference.ingest(batch)
             self.assert_result_matches_records(result, expected)
 
@@ -1719,7 +1719,7 @@ class TestColumnarResults:
             )
             subset_keys = [keys[i] for i in chosen]
             values = np.array([data[key][position] for key in subset_keys])
-            result = fast.ingest((subset_keys, values), columnar_results=True)
+            result = fast.ingest_columnar((subset_keys, values))
             expected = reference.ingest((subset_keys, values))
             self.assert_result_matches_records(result, expected)
 
@@ -1731,7 +1731,7 @@ class TestColumnarResults:
         for position in range(length):
             row_batch = [(key, data[key][position]) for key in keys]
             values = np.array([data[key][position] for key in keys])
-            by_rows = engines[0].ingest(row_batch, columnar_results=True)
+            by_rows = engines[0].ingest_columnar(row_batch)
             by_dict = engines[1].ingest_columnar(
                 {key: data[key][position] for key in keys}
             )

@@ -363,6 +363,27 @@ class TestShardRouterParity:
                 assert sorted(sum(shard_keys.values(), [])) == ["a"]
                 assert router.stats().points_total == 1
 
+    @pytest.mark.parametrize(
+        "keys, grid",
+        [
+            (["a", "b"], [1.0, 2.0]),
+            (["a"], 1.0),
+            (["a", "b"], np.ones((3, 3))),
+            (["a", "a"], np.ones((3, 2))),
+        ],
+        ids=["1-D", "0-D", "wrong-width", "duplicate-key"],
+    )
+    def test_a_grid_the_engine_refuses_the_router_refuses(self, tmp_path, keys, grid):
+        """``grid_record`` is the one check: same message, nothing applied."""
+        engine = MultiSeriesEngine.from_spec(engine_spec())
+        with pytest.raises(ValueError) as refused:
+            engine.ingest_grid(keys, grid)
+        with ShardRouter(ClusterSpec.for_root(engine_spec(), tmp_path, 1)) as router:
+            with pytest.raises(ValueError) as routed:
+                router.ingest_grid(keys, grid)
+            assert str(routed.value) == str(refused.value)
+            assert router.stats().points_total == 0
+
     def test_restart_recovers_from_stores(self, tmp_path):
         data = fleet_data(12, length=PERIOD * 6)
         cluster = ClusterSpec.for_root(engine_spec(), tmp_path, 2)

@@ -476,3 +476,11 @@ class TestParentStoreMigration:
         assert vars(loaded) == vars(live)
         loaded.rollback()
         assert loaded.size == live.size - 2
+
+    def test_a_loaded_solver_pickles_like_a_built_one(self):
+        """Attribute names come back interned, as ``__init__`` leaves them:
+        a pickle shares one name string between a built solver and a
+        loaded one exactly as it does between two built ones."""
+        built = IncrementalBandedLDLT(4)
+        loaded = pickle.loads(pickle.dumps(built))
+        assert pickle.dumps([built, loaded]) == pickle.dumps([built, built.copy()])
