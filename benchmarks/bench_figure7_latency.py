@@ -99,7 +99,7 @@ def test_figure7_latency_scaling(run_once):
     # does not transfer to pure Python: OnlineSTL's per-point work is one
     # vectorized numpy reduction while OneShotSTL's constant work is
     # interpreted, so its ~1 ms floor dominates until T reaches tens of
-    # thousands -- see EXPERIMENTS.md.)
+    # thousands.)
     assert latencies["OneShotSTL"][largest] < latencies["Window-STL"][largest]
     damp_like = latencies.get("OnlineRobustSTL", {})
     if damp_like:

@@ -145,5 +145,5 @@ def test_table5_tsf_benchmark(run_once):
     assert wins >= len(traffic_settings) / 2, per_setting
     # The STD forecaster family is far faster than the trained proxies per
     # evaluation (OnlineSTL certainly; OneShotSTL pays the interpreted-Python
-    # constant discussed in EXPERIMENTS.md).
+    # constant of its per-point update, so it is not timed here).
     assert runtimes["OnlineSTL"] < runtimes["NBEATS-lite"]

@@ -2,8 +2,8 @@
 
 Every benchmark module regenerates one table or figure of the paper: it
 assembles the same rows/series the paper reports, prints them, and writes
-them to ``benchmarks/results/<name>.txt`` so that EXPERIMENTS.md can quote
-them.  Workload sizes are controlled by the ``REPRO_BENCH_SCALE``
+them to ``benchmarks/results/<name>.txt``, where a later run can be
+compared against them.  Workload sizes are controlled by the ``REPRO_BENCH_SCALE``
 environment variable:
 
 * ``small`` (default) -- reduced series lengths / counts so the full suite

@@ -18,6 +18,7 @@ __all__ = ["analyze_paths", "analyze_source", "iter_source_files", "main"]
 AST_RULES: tuple[Callable[[ast.AST, str], list[Finding]], ...] = (
     rules_hotpath.check,
     rules_native.check,
+    rules_native.check_signatures,
     rules_wal.check,
     rules_structure.check,
 )

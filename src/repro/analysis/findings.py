@@ -15,6 +15,7 @@ RULES: dict[str, str] = {
     "HP004": "@hotpath function forwards **kwargs",
     "HP005": "@hotpath core/solvers function calls a BLAS-backed reduction",
     "HP006": "native source or its compiler flags can change floating-point bits",
+    "HP007": "ctypes declaration does not match the C prototype it calls",
     "WAL001": "state mutation is not dominated by the _wal_append call",
     "REG001": "concrete component subclass is not registered",
     "REG002": "component spec does not round-trip to a fixed point",

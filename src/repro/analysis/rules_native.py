@@ -1,5 +1,7 @@
-"""HP006: the HP005 property for the one file NumPy's semantics do not protect.
+"""HP006 and HP007: the native source, its compiler flags and its ctypes binding.
 
+HP006 is the HP005 property for the one file NumPy's semantics do not
+protect.
 The fleet kernel's native body (``src/repro/core/advance_run.c``, built
 by :mod:`repro.core._native`) equals the NumPy wavefront bit for bit only
 while it performs the same elementwise IEEE-754 double operations in the
@@ -24,6 +26,20 @@ keep that mechanical:
   ``-ffp-contract=off`` and none of the value-changing switches
   (``-ffast-math``, ``-Ofast``, ``-funsafe-math-optimizations``,
   ``-ffinite-math-only``, ``-fassociative-math``).
+
+HP007 holds the loader's ``ctypes`` declarations to the C prototypes
+they call.  ``ctypes`` trusts ``argtypes`` and ``restype``: a declaration
+one parameter short, or with a pointer where the routine takes an
+``int64_t``, does not raise -- it passes the routine garbage, and the
+routine writes where the garbage points.  A module that assigns
+``ROUTINES = {name: (restype, argtypes), ...}`` and ``SOURCE =
+Path(__file__).with_name("<file>.c")`` at module level is read
+statically: the types are spelled from ``ctypes.c_int64``,
+``ctypes.c_double``, ``ctypes.c_void_p``, ``ctypes.c_char_p`` and
+``None``, through module-level names, tuples, ``+`` and ``* <int>``.
+Each routine's definition in the C file must take exactly as many
+parameters, each of the same kind (``int64_t``, ``double``, or any
+pointer), and return the same kind (``void`` for ``None``).
 """
 
 from __future__ import annotations
@@ -35,7 +51,7 @@ from pathlib import PurePath
 from repro.analysis.findings import Finding
 from repro.analysis.rules_hotpath import _BIT_EXACT_DIRS
 
-__all__ = ["check", "check_c_source"]
+__all__ = ["check", "check_c_source", "check_signatures"]
 
 _REQUIRED_FLAG = "-ffp-contract=off"
 _FORBIDDEN_FLAGS = frozenset(
@@ -162,4 +178,168 @@ def check(tree: ast.AST, path: str) -> list[Finding]:
                         "floating-point values",
                     )
                 )
+    return findings
+
+
+# ------------------------------------------------------------------ HP007
+
+#: the ctypes types a declaration may use, as the C kind each passes
+_CTYPES_KINDS = {
+    "c_int64": "int64_t",
+    "c_double": "double",
+    "c_void_p": "pointer",
+    "c_char_p": "pointer",
+}
+#: words of a C declaration that do not change what is passed
+_QUALIFIERS = frozenset({"const", "restrict", "volatile", "static", "inline", "extern"})
+_PREPROCESSOR = re.compile(r"^[ \t]*#[^\n]*", re.MULTILINE)
+_C_TOKEN = re.compile(r"[A-Za-z_]\w*|\*")
+
+
+class _Unreadable(Exception):
+    """An expression HP007 cannot evaluate statically."""
+
+
+def _kinds(node: ast.expr, names: dict, seen: frozenset = frozenset()):
+    """A ctypes declaration as C kinds: a kind, a tuple of kinds, or an int."""
+    if isinstance(node, ast.Constant) and (
+        node.value is None or type(node.value) is int
+    ):
+        return "void" if node.value is None else node.value
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ctypes"
+    ):
+        return _CTYPES_KINDS.get(node.attr, f"ctypes.{node.attr}")
+    if isinstance(node, ast.Name) and node.id in names and node.id not in seen:
+        return _kinds(names[node.id], names, seen | {node.id})
+    if isinstance(node, ast.Tuple):
+        elements = tuple(_kinds(element, names, seen) for element in node.elts)
+        if all(isinstance(element, str) for element in elements):
+            return elements
+    if isinstance(node, ast.BinOp):
+        left, right = _kinds(node.left, names, seen), _kinds(node.right, names, seen)
+        if isinstance(node.op, ast.Add) and type(left) is type(right) is tuple:
+            return left + right
+        if isinstance(node.op, ast.Mult):
+            if type(left) is tuple and type(right) is int:
+                return left * right
+            if type(left) is int and type(right) is tuple:
+                return right * left
+    raise _Unreadable(ast.unparse(node))
+
+
+def _c_kind(declaration: str) -> tuple[str, str]:
+    """``(kind, name)`` of a C parameter (or, name-less, a return type)."""
+    tokens = [
+        token for token in _C_TOKEN.findall(declaration) if token not in _QUALIFIERS
+    ]
+    # An all-capitals word is a macro, such as the clone attribute.
+    words = [token for token in tokens if token != "*" and not token.isupper()]
+    name = words.pop() if len(words) > 1 else ""
+    return ("pointer" if "*" in tokens else " ".join(words)), name
+
+
+def _prototype(code: str, routine: str) -> tuple[str, list] | None:
+    """``(return kind, [(kind, name), ...])`` of ``routine``'s definition."""
+    match = re.search(
+        r"([^;{}]*?)\b" + re.escape(routine) + r"\s*\(([^)]*)\)\s*\{", code
+    )
+    if match is None:
+        return None
+    parameters = match.group(2).strip()
+    listed = [] if parameters in ("", "void") else parameters.split(",")
+    return _c_kind(match.group(1))[0], [_c_kind(each) for each in listed]
+
+
+def _source_name(node: ast.expr) -> str | None:
+    """``"x.c"`` of ``Path(__file__).with_name("x.c")``, else None."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "with_name"
+        and len(node.args) == 1
+    ):
+        argument = node.args[0]
+        if isinstance(argument, ast.Constant) and isinstance(argument.value, str):
+            return argument.value
+    return None
+
+
+def _binding(value: ast.expr, names: dict) -> tuple[str, tuple]:
+    """``(restype kind, argtypes kinds)`` of one ROUTINES entry."""
+    if isinstance(value, ast.Tuple) and len(value.elts) == 2:
+        restype, argtypes = (_kinds(element, names) for element in value.elts)
+        if isinstance(restype, str) and type(argtypes) is tuple:
+            return restype, argtypes
+    raise _Unreadable(ast.unparse(value))
+
+
+def check_signatures(tree: ast.AST, path: str) -> list[Finding]:
+    """Run HP007 over one Python module (reads the C file it binds)."""
+    names: dict[str, ast.expr] = {}
+    for node in getattr(tree, "body", ()):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.value
+    routines = names.get("ROUTINES")
+    if not isinstance(routines, ast.Dict):
+        return []
+    findings: list[Finding] = []
+
+    def report(node: ast.expr, message: str) -> None:
+        findings.append(Finding(path, node.lineno, "HP007", message))
+
+    source = _source_name(names["SOURCE"]) if "SOURCE" in names else None
+    if source is None:
+        report(
+            routines, "ROUTINES without SOURCE = Path(__file__).with_name('<file>.c')"
+        )
+        return findings
+    try:
+        with open(PurePath(path).parent / source, encoding="utf-8") as handle:
+            code = handle.read()
+    except OSError as error:
+        report(routines, f"cannot read {source}, the source ROUTINES binds: {error}")
+        return findings
+    code = _PREPROCESSOR.sub(_blank, _NOT_CODE.sub(_blank, code))
+    for key, value in zip(routines.keys, routines.values):
+        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
+            report(value, "a ROUTINES key is not a routine name")
+            continue
+        routine = key.value
+        try:
+            restype, argtypes = _binding(value, names)
+        except _Unreadable as unreadable:
+            report(key, f"{routine}: cannot read '{unreadable}' as ctypes types")
+            continue
+        prototype = _prototype(code, routine)
+        if prototype is None:
+            report(key, f"{routine}: no definition in {source}")
+            continue
+        returns, parameters = prototype
+        if returns != restype:
+            report(
+                key,
+                f"{routine} returns {returns} in {source}, but its restype "
+                f"passes {restype}",
+            )
+        if len(parameters) != len(argtypes):
+            report(
+                key,
+                f"{routine} takes {len(parameters)} parameters in {source}, "
+                f"but argtypes declares {len(argtypes)}",
+            )
+        for position, ((kind, name), declared) in enumerate(
+            zip(parameters, argtypes), 1
+        ):
+            if kind != declared:
+                report(
+                    key,
+                    f"{routine} parameter {position} ({name or 'unnamed'}) is "
+                    f"{kind} in {source}, but argtypes passes {declared}",
+                )
+                break
     return findings

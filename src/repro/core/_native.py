@@ -29,7 +29,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["COMPILERS", "FLAGS", "SOURCE", "load"]
+__all__ = ["COMPILERS", "FLAGS", "ROUTINES", "SOURCE", "load"]
 
 #: the one native source, shipped beside this module as package data
 SOURCE = Path(__file__).with_name("advance_run.c")
@@ -53,20 +53,29 @@ _POINTER = ctypes.c_void_p
 _INT = ctypes.c_int64
 _DOUBLE = ctypes.c_double
 _ADVANCE_RUN_ARGUMENTS = (
-    (_INT,) * 3  # rounds, iterations, columns
+    (_INT,) * 3  # rounds, iterations, run width
+    + (_POINTER,)  # the run's kernel columns
     + (_POINTER,) * 4  # committed blocks / rhs, working blocks / rhs
     + (_INT,)  # their column capacity
     + (_POINTER,) * 2  # trend pairs in / out
     + (_INT,)  # their column capacity
-    + (_POINTER, _INT)  # values, row stride
-    + (_POINTER,) * 2  # anchors, points_processed
+    + (_POINTER, _INT, _INT)  # seasonal buffer, its row stride, the period
+    + (_POINTER,) * 2  # global_index, points_processed
     + (_DOUBLE,) * 3  # lambda1, lambda2, epsilon
-    + (_POINTER,) * 5  # trend / seasonal / residual / detection / score out
-    + (_INT,)  # their row stride
+    + (_POINTER, _INT, _INT)  # the six planes, their plane and row strides
     + (_POINTER,) * 3  # the monitor's count, mean, m2 (updated in place)
-    + (_DOUBLE,)  # the monitor's minimum_std
+    + (_POINTER,) * 2  # the saved pre-run count, and mean and m2
+    + (_DOUBLE,) * 2  # the monitor's minimum_std and threshold
     + (_POINTER,)  # scratch
 )
+#: every routine of :data:`SOURCE` this module calls, as ``name: (restype,
+#: argtypes)``; ``python -m repro.analysis`` holds each to its C prototype
+#: (rule HP007): a mismatch would corrupt memory, not raise
+ROUTINES = {
+    "advance_run": (_INT, _ADVANCE_RUN_ARGUMENTS),
+    "advance_run_scratch": (_INT, (_INT, _INT)),
+    "advance_run_vector": (ctypes.c_char_p, ()),
+}
 
 
 def _private_directory(path: Path) -> bool:
@@ -154,14 +163,12 @@ def _open(library: Path) -> tuple[tuple, str]:
     not a complete library of this source.
     """
     handle = ctypes.CDLL(str(library))
-    advance_run = handle.advance_run
-    advance_run.argtypes = _ADVANCE_RUN_ARGUMENTS
-    advance_run.restype = None
-    scratch_doubles = handle.advance_run_scratch
-    scratch_doubles.argtypes = (_INT,)
-    scratch_doubles.restype = _INT
-    vector = handle.advance_run_vector
-    vector.restype = ctypes.c_char_p
+    routines = []
+    for name, (restype, argtypes) in ROUTINES.items():
+        routine = getattr(handle, name)
+        routine.restype, routine.argtypes = restype, argtypes
+        routines.append(routine)
+    advance_run, scratch_doubles, vector = routines
     return (advance_run, scratch_doubles), vector().decode()
 
 

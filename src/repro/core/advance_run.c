@@ -26,25 +26,46 @@
  * seasonal, its z-score against the monitor (ColumnarNSigma.score) and its
  * Welford fold into the monitor (ColumnarNSigma.update_stats), with the
  * chunk's moments in lanes for the whole run.  Every round is folded, a
- * non-finite one and those after it included: the caller restores the
- * pre-run moments whenever it returns short.
+ * non-finite one and those after it included; the pre-run moments of every
+ * run position are saved first, and the caller puts them back whenever it
+ * returns short.
  *
  * Bit-equality rules (checked by `python -m repro.analysis`, rule HP006):
  * doubles only; every multiply-then-subtract is two roundings (the loader
- * compiles with -ffp-contract=off); no reductions -- lanes never meet, the
- * lane loop is innermost so the compiler may vectorise across columns only;
+ * compiles with -ffp-contract=off); no reductions -- lanes never meet but in
+ * the screen's sums, which decide the status and no value -- and the lane
+ * loop is innermost, so the compiler may vectorise across columns only;
  * nothing from <math.h> but fabs and sqrt (correctly rounded by IEEE 754,
  * like + - * /); np.maximum's NaN-propagating semantics are spelled out; no
  * guards -- a zero pivot propagates non-finite values that the caller
- * screens post hoc, as it does for the NumPy body.
+ * screens post hoc, as it does for the NumPy body.  The prototype below is
+ * the ctypes declaration's in repro.core._native (rule HP007).
  *
- * Layouts are the Python side's: blocks (4, 4, I, capacity), right-hand
- * sides (4, I, capacity), trend pairs (2, I, pair_capacity); `in` is the
- * committed side of the solver's ping-pong (never written), `out` the
- * working side.  `anchors` is (T, n) in REVERSED round order -- row
- * T - 1 - r is round r's, the order the kernel stages phases in.  The five
- * output planes share one row stride; the monitor's `count` / `mean` /
- * `m2` are (n,) and updated in place.
+ * Layouts are the Python side's.  A run advances `n` members of a cohort,
+ * each a kernel column: run position j is column `columns[j]` (any order,
+ * no repeats; all columns for a full-width run).  Everything the kernel
+ * keeps per column is read, and written, at the column:
+ *   - blocks (4, 4, I, capacity), right-hand sides (4, I, capacity), trend
+ *     pairs (2, I, pair_capacity); `in` is the committed side (never
+ *     written), `out` the working side;
+ *   - the seasonal buffer, rows of `period` doubles `seasonal_stride`
+ *     apart, with `global_index` (the anchor of round r is the slot
+ *     (global_index + r) mod period) and `points_processed`;
+ *   - the monitor's count / mean / m2, one entry per column, updated in
+ *     place.
+ * Values and outputs are indexed by run position: `planes` holds six
+ * planes `plane_stride` apart -- values (read), then trend, seasonal,
+ * residual, detection residual and score (written) -- each with rows of
+ * run positions `row_stride` apart.  The pre-run moments of run position j
+ * land in saved_count[j], saved_moments[j] (mean) and saved_moments[n + j]
+ * (m2).
+ *
+ * Returns 2 * bad + tripped: `bad` the first round whose screen -- the sum
+ * of its trend values plus the sum of its seasonal values, each summed in
+ * run order, the one place lanes meet -- is not finite (n_rounds if none),
+ * `tripped` 1 if some member's score passed `threshold` in any round.  A
+ * clean run -- status 2 * n_rounds -- needs nothing more from the caller
+ * than a commit.  `scratch` holds advance_run_scratch(I, n_rounds) doubles.
  */
 
 #include <math.h>
@@ -81,10 +102,11 @@ static const int CELL_VALUE[13] = {
  * yet carry an exact zero factor (BatchedIncrementalLDLT._staged_pattern). */
 static const int SWEEP_LIMIT[BLOCK - 1] = {5, 5, 5, 5, 6};
 
-/* Doubles of scratch a run of `iterations` IRLS iterations needs. */
-int64_t advance_run_scratch(int64_t iterations)
+/* Doubles of scratch a run of up to `rounds` rounds of `iterations` IRLS
+ * iterations needs: the lanes' state, then the screen's per-round sums. */
+int64_t advance_run_scratch(int64_t iterations, int64_t rounds)
 {
-    return iterations * STATE * LANES;
+    return iterations * STATE * LANES + 2 * rounds;
 }
 
 /* The clone the ifunc resolver picks in this process: the clone list
@@ -115,31 +137,52 @@ static inline void sweep(double a[BLOCK][BLOCK + 1][LANES], int k)
     }
 }
 
-CLONED void advance_run(
-    int64_t n_rounds, int64_t n_iterations, int64_t n,
+CLONED int64_t advance_run(
+    int64_t n_rounds, int64_t n_iterations, int64_t n, const int64_t *columns,
     const double *blocks_in, const double *rhs_in,
     double *blocks_out, double *rhs_out, int64_t capacity,
     const double *pairs_in, double *pairs_out, int64_t pair_capacity,
-    const double *values, int64_t value_stride,
-    const double *anchors, const int64_t *points_processed,
+    const double *seasonal_buffer, int64_t seasonal_stride, int64_t period,
+    const int64_t *global_index, const int64_t *points_processed,
     double lambda1, double lambda2, double epsilon,
-    double *trend_out, double *seasonal_out, double *residual_out,
-    double *detection_out, double *score_out, int64_t out_stride,
+    double *planes, int64_t plane_stride, int64_t row_stride,
     int64_t *monitor_count, double *monitor_mean, double *monitor_m2,
-    double minimum_std, double *restrict scratch)
+    int64_t *saved_count, double *saved_moments,
+    double minimum_std, double threshold, double *restrict scratch)
 {
     const int64_t I = n_iterations;
+    const double *values = planes;
+    double *trend_out = planes + plane_stride;
+    double *seasonal_out = trend_out + plane_stride;
+    double *residual_out = seasonal_out + plane_stride;
+    double *detection_out = residual_out + plane_stride;
+    double *score_out = detection_out + plane_stride;
+    double *trend_sum = scratch + I * STATE * LANES;
+    double *seasonal_sum = trend_sum + n_rounds;
+    for (int64_t r = 0; r < n_rounds; r++) {
+        trend_sum[r] = 0.0;
+        seasonal_sum[r] = 0.0;
+    }
+    int64_t tripped = 0;
     for (int64_t base = 0; base < n; base += LANES) {
         const int64_t live = n - base < LANES ? n - base : LANES;
-        int64_t column[LANES]; /* spare lanes of the last chunk redo lane 0 */
-        for (int l = 0; l < LANES; l++)
-            column[l] = base + (l < live ? l : 0);
+        /* Spare lanes of the last chunk redo position `base`. */
+        int64_t position[LANES], column[LANES];
+        for (int l = 0; l < LANES; l++) {
+            position[l] = base + (l < live ? l : 0);
+            column[l] = columns[position[l]];
+        }
         int64_t count[LANES];
         double mean[LANES], m2[LANES];
         for (int l = 0; l < LANES; l++) {
             count[l] = monitor_count[column[l]];
             mean[l] = monitor_mean[column[l]];
             m2[l] = monitor_m2[column[l]];
+        }
+        for (int l = 0; l < live; l++) {
+            saved_count[base + l] = count[l];
+            saved_moments[base + l] = mean[l];
+            saved_moments[n + base + l] = m2[l];
         }
 
         /* Pre-run state of the chunk: committed side -> scratch. */
@@ -164,9 +207,13 @@ CLONED void advance_run(
             double trend[LANES], seasonal[LANES];
             int no_first[LANES], no_second[LANES];
             for (int l = 0; l < LANES; l++) {
-                value[l] = values[r * value_stride + column[l]];
+                value[l] = values[r * row_stride + position[l]];
+                /* The seasonal anchor, phase as Python's % (never negative). */
+                int64_t phase = (global_index[column[l]] + r) % period;
+                if (phase < 0)
+                    phase += period;
                 anchored[l] =
-                    value[l] + anchors[(n_rounds - 1 - r) * n + column[l]];
+                    value[l] + seasonal_buffer[column[l] * seasonal_stride + phase];
                 /* A column's first online point has no trend-difference
                  * term and its second no second difference. */
                 int64_t age = points_processed[column[l]] + r;
@@ -296,18 +343,22 @@ CLONED void advance_run(
                 m2[l] = m2[l] + delta * spread;
             }
             for (int l = 0; l < live; l++) {
-                const int64_t at = r * out_stride + base + l;
+                const int64_t at = r * row_stride + base + l;
                 trend_out[at] = trend[l];
                 seasonal_out[at] = seasonal[l];
                 residual_out[at] = residual[l];
                 detection_out[at] = residual[l];
                 score_out[at] = score[l];
+                trend_sum[r] = trend_sum[r] + trend[l];
+                seasonal_sum[r] = seasonal_sum[r] + seasonal[l];
+                if (score[l] > threshold)
+                    tripped = 1;
             }
         }
         for (int l = 0; l < live; l++) {
-            monitor_count[base + l] = count[l];
-            monitor_mean[base + l] = mean[l];
-            monitor_m2[base + l] = m2[l];
+            monitor_count[column[l]] = count[l];
+            monitor_mean[column[l]] = mean[l];
+            monitor_m2[column[l]] = m2[l];
         }
 
         /* Post-run state of the chunk: scratch -> working side. */
@@ -315,16 +366,26 @@ CLONED void advance_run(
             const double *state = scratch + i * STATE * LANES;
             for (int cell = 0; cell < W * W; cell++)
                 for (int l = 0; l < live; l++)
-                    blocks_out[(cell * I + i) * capacity + base + l] =
+                    blocks_out[(cell * I + i) * capacity + column[l]] =
                         state[cell * LANES + l];
             for (int row = 0; row < W; row++)
                 for (int l = 0; l < live; l++)
-                    rhs_out[(row * I + i) * capacity + base + l] =
+                    rhs_out[(row * I + i) * capacity + column[l]] =
                         state[(16 + row) * LANES + l];
             for (int slot = 0; slot < 2; slot++)
                 for (int l = 0; l < live; l++)
-                    pairs_out[(slot * I + i) * pair_capacity + base + l] =
+                    pairs_out[(slot * I + i) * pair_capacity + column[l]] =
                         state[(20 + slot) * LANES + l];
         }
     }
+    int64_t bad = 0;
+    while (bad < n_rounds) {
+        /* x - x is NaN exactly when x is not finite. */
+        double screen = trend_sum[bad] + seasonal_sum[bad];
+        screen = screen - screen;
+        if (screen != screen)
+            break;
+        bad++;
+    }
+    return 2 * bad + tripped;
 }

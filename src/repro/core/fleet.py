@@ -65,10 +65,17 @@ stays pure Python on purpose: it is the independent oracle both bodies
 are tested against -- the oracle tests assert float-for-float equality,
 shift searches and all, under each.
 
-A run commits once, at its end; until then the committed state is the
-pre-run state.  (The residual monitor's moments are the exception: the
-body folds every round into them in place, and a run that returns short
-puts back the copy taken before it.)  A series whose residual monitor
+A run advances any member subset of the kernel -- all columns, or the
+columns its caller names, in any order -- *in place*: both bodies read
+and write each member's state at its own column, and every other column
+is left alone, so a subset costs its width, not a gather of a sub-kernel
+and a scatter back.  A run commits once, at its end; until then the
+committed state is the pre-run state.  (The residual monitor's moments
+are the exception: the body folds every round into them in place, after
+saving each member's pre-run moments, and a run that returns short puts
+those back.)  The body reports whether a round went non-finite and
+whether a score passed the threshold, so a clean run is one body call
+and a commit.  A series whose residual monitor
 trips mid-run is only *marked*: the run finishes for everyone, and
 before the commit the marked
 columns are gathered from the pre-run state into one *narrow* kernel that
@@ -102,7 +109,7 @@ written back into an existing model), takes one back
 declared once, in ``FleetKernel.COLUMNS`` and ``ColumnarNSigma.COLUMNS``
 (and the solver's): that list is a store segment's section list, and
 :mod:`repro.utils.columns` walks it for every gather, scatter, append,
-copy, segment round trip and 1:1 scalar copy.  Grouping series by
+segment round trip and 1:1 scalar copy.  Grouping series by
 configuration, absorption and which boundary needs scalar state at all
 live in the streaming engine (:mod:`repro.streaming.engine`).
 """
@@ -111,6 +118,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import warnings
 from itertools import chain
 from typing import Mapping, Sequence
@@ -139,6 +147,8 @@ _PATTERN_COLS = HALF_BANDWIDTH + ContributionWorkspace._COL_OFFSETS
 #: read a seasonal slot an earlier round of the same run wrote); the
 #: constant additionally bounds the run workspaces for huge periods.
 _MAX_BLOCK_ROUNDS = 64
+#: ``r`` in row ``r``: the round offsets of a run, as a column
+_ROUND_OFFSETS = np.arange(_MAX_BLOCK_ROUNDS)[:, None]
 
 #: The native body of a run -- ``(advance_run, scratch_doubles)``, the
 #: ``ctypes`` functions of ``advance_run.c`` -- or None for the NumPy
@@ -215,19 +225,21 @@ def kernel_backend() -> dict:
 def _same_bits(routines: tuple) -> bool:
     """Solve one fixed small run under both bodies; whether every bit agrees.
 
-    Thirty-five columns -- two full chunks of the routine's 16 lanes and a
-    ragged tail of 3, so a chunk at a non-zero base and the spare lanes of
-    a last chunk are both exercised -- aged 0, 1 and 7 points in turn take
-    a three-round run (both gated patterns, the steady one, second and
-    third rounds) from a made-up positive definite state that differs in
-    every cell, iteration and column, so a transposed index cannot hide.
-    The residual monitor's moments differ in every column too: some have
-    seen nothing (score 0.0) and some have no spread (a floored standard
-    deviation, a score far past the threshold).  The five output planes,
-    the post-run moments, trend pairs and the solver's working side are
-    compared as bytes, signs of zeros included.
+    Thirty-five of forty columns, in a shuffled order -- two full chunks of
+    the routine's 16 lanes and a ragged tail of 3, so a chunk at a non-zero
+    base and the spare lanes of a last chunk are both exercised, and every
+    gather and scatter goes through the run's column list -- aged 0, 1 and
+    7 points in turn take a three-round run (both gated patterns, the
+    steady one, second and third rounds) from a made-up positive definite
+    state that differs in every cell, iteration and column, so a
+    transposed index cannot hide.  The residual monitor's moments differ
+    in every column too: some have seen nothing (score 0.0) and some have
+    no spread (a floored standard deviation, a score far past the
+    threshold).  The six planes, the status, the saved and post-run
+    moments, and the run's columns of the trend pairs and of the solver's
+    working side are compared as bytes, signs of zeros included.
     """
-    n_rounds, n_iterations, n = 3, 3, 35
+    n_rounds, n_iterations, n = 3, 3, 40
     params = {
         "period": 4, "lambda1": 2.0, "lambda2": 3.0, "iterations": n_iterations,
         "shift_window": 0, "shift_threshold": 5.0, "epsilon": 1e-8,
@@ -237,7 +249,6 @@ def _same_bits(routines: tuple) -> bool:
     blocks = (ramp + ramp.transpose(1, 0, 2, 3)) / (4.0 * ramp.size)
     blocks[np.arange(4), np.arange(4)] += 2.0
     ages = np.resize([0, 1, 7], n)
-    values = 3.0 * np.sin(np.arange(n_rounds * n) * 0.7).reshape(n_rounds, n)
     counts = np.resize([0, 3, 40, 9, 1], n)
     spreads = np.resize([0.5, 0.0, 2.0, 0.1], n) * (1.0 + np.arange(n) / n)
     state = {
@@ -255,16 +266,26 @@ def _same_bits(routines: tuple) -> bool:
         "monitor_mean": np.cos(np.arange(n) * 0.9),
         "monitor_m2": spreads * counts,
     }
+    columns = np.random.default_rng(0).permutation(n)[:35]
     images = []
     for body in (None, routines):
         kernel = FleetKernel.from_arrays(params, state)
-        outputs = np.empty((5, n_rounds, n))
-        _phases, pairs = kernel._solve_run(body, values, 0, n_rounds, outputs)
+        planes = np.empty((6, n_rounds, columns.size))
+        planes[0] = 3.0 * np.sin(np.arange(planes[0].size) * 0.7).reshape(n_rounds, -1)
+        status = kernel._solve_run(body, planes, 0, n_rounds, columns)
         working = kernel.solver.run_buffers(2, n_rounds)[2:]
-        moments = kernel.monitor.to_arrays().values()
+        saved = kernel._saved_space(columns.size)
         images.append(
-            b"".join(
-                array.tobytes() for array in (outputs, *moments, pairs, *working)
+            repr(status).encode()
+            + b"".join(
+                np.ascontiguousarray(array).tobytes()
+                for array in (
+                    planes,
+                    *kernel.monitor.to_arrays().values(),
+                    *saved,
+                    kernel._pairs_out[..., columns],
+                    *(side[..., columns] for side in working),
+                )
             )
         )
     return images[0] == images[1]
@@ -283,6 +304,15 @@ def _address(array: np.ndarray) -> int:
         return array.ctypes.data
 
 
+def _screen(trend: np.ndarray, seasonal: np.ndarray) -> np.ndarray:
+    """Per round of a run's ``(rounds, m)`` trend and seasonal planes,
+    whether the sum of its trends plus the sum of its seasonals is finite,
+    each summed in run order (``np.cumsum`` is sequential), as the native
+    body sums them: a NaN, an infinity or an overflow makes a round bad."""
+    trends = np.cumsum(trend, axis=1)[:, -1]
+    return np.isfinite(trends + np.cumsum(seasonal, axis=1)[:, -1])
+
+
 def _row_stride(block: np.ndarray) -> int:
     """Elements between the rows of a 2-D float64 block with contiguous rows."""
     row_bytes, item_bytes = block.strides
@@ -293,6 +323,38 @@ def _row_stride(block: np.ndarray) -> int:
     ):
         raise ValueError("a native run needs float64 blocks with contiguous rows")
     return row_bytes // 8
+
+
+def _native_state(state: tuple) -> tuple:
+    """The arguments ``advance_run`` takes for a kernel's state arrays,
+    grouped as its parameter list does: ``(blocks and right-hand sides,
+    capacity, trend pairs, pair capacity, seasonal buffer, its row
+    stride)``, ``(global_index, points_processed)``, ``(the monitor's
+    moments, the saved moments)`` and the scratch.  They follow from the
+    arrays alone, so :meth:`FleetKernel._run_native` reuses them while
+    every array is the same object (an array's buffer never moves)."""
+    (
+        blocks_in, rhs_in, blocks_out, rhs_out, pairs_in, pairs_out,
+        seasonal_buffer, global_index, points_processed,
+        count, mean, m2, saved_count, saved_moments, scratch,
+    ) = state  # fmt: skip
+    flat = (global_index, points_processed, count, mean, m2)
+    if any(a.dtype.itemsize != 8 or not a.flags.c_contiguous for a in flat):
+        raise ValueError("a native run needs contiguous 64-bit per-column arrays")
+    return (
+        (
+            *map(_address, (blocks_in, rhs_in, blocks_out, rhs_out)),
+            blocks_in.shape[-1],
+            _address(pairs_in),
+            _address(pairs_out),
+            pairs_in.shape[-1],
+            _address(seasonal_buffer),
+            _row_stride(seasonal_buffer),
+        ),
+        (_address(global_index), _address(points_processed)),
+        tuple(map(_address, (count, mean, m2, saved_count, saved_moments))),
+        _address(scratch),
+    )
 
 
 class ColumnarNSigma:
@@ -353,7 +415,6 @@ class ColumnarNSigma:
     load = columnar.load
     append = columnar.append
     select = columnar.select
-    copy = columnar.copy
     assign = columnar.assign
     to_arrays = columnar.to_arrays
 
@@ -492,7 +553,10 @@ class FleetKernel:
         # the iteration count alone, so a gathered sub-kernel shares it.
         self._workspaces: tuple | None = None
         self._pairs_out: np.ndarray | None = None
+        self._saved: tuple | None = None
         self._scratch: np.ndarray | None = None
+        #: ``(arrays, arguments)`` of the last native run (_native_state)
+        self._addresses: tuple | None = None
         if _backend is None:
             kernel_backend()
 
@@ -577,7 +641,14 @@ class FleetKernel:
         vars(kernel).update({name: state[name] for name in _SHARED})
         kernel._n = n
         kernel._arange = kernel._workspaces = kernel._pairs_out = None
+        kernel._saved = kernel._addresses = None
         return kernel
+
+    def __getstate__(self) -> dict:
+        """The attributes but the native run's cached addresses: they
+        would point into the arrays of the kernel this one was copied
+        from."""
+        return {**vars(self), "_addresses": None}
 
     @property
     def n_series(self) -> int:
@@ -699,7 +770,7 @@ class FleetKernel:
     def update_block(
         self, values: np.ndarray, columns: np.ndarray | None = None
     ) -> FleetUpdate:
-        """Decompose a ``(rounds, n)`` block of observations.
+        """Decompose a ``(rounds, m)`` block of observations.
 
         Semantically identical (float for float, shift searches and all)
         to advancing every member's scalar :class:`OneShotSTL` once per row
@@ -715,7 +786,7 @@ class FleetKernel:
           the run: the marked members are replayed together, as one narrow
           kernel gathered from the pre-run state, before the commit --
           their candidate shifts searched as columns of a stacked solve in
-          the rounds that trip -- while the rest of the cohort keeps its
+          the rounds that trip -- while the rest of the run keeps its
           batched results;
         * a round that goes non-finite under the unguarded solves -- in
           the run, in a replay or in any *candidate* of a search -- ends
@@ -727,36 +798,62 @@ class FleetKernel:
           :meth:`load`) -- which is by definition the scalar behavior,
           pivot errors included -- before submitting the rest.
 
-        ``columns`` restricts the advance to a subset of members (no
-        repeats: a member advances once per round).  The returned
-        :class:`FleetUpdate` carries ``(rounds advanced, n)`` arrays.
+        ``columns`` restricts the advance to a subset of members, in any
+        order (no repeats: a member advances once per round); ``values``
+        column ``j`` is member ``columns[j]``'s.  The subset advances in
+        place: the run reads and writes those columns of the kernel's own
+        state, and every other column is left as it was, byte for byte.
+        The returned :class:`FleetUpdate` carries ``(rounds advanced, m)``
+        arrays.
         """
-        if columns is not None:
-            columns = np.asarray(columns, dtype=np.intp)
-            if columns.size > 1 and len(set(columns.tolist())) != columns.size:
-                # A repeated member would advance as two gathered copies,
-                # return two result columns and scatter one state back.
-                raise ValueError("columns must not repeat a member")
-            sub = self.select(columns)
-            result = sub.update_block(np.asarray(values, dtype=float))
-            self.assign(columns, sub)
-            return result
-        n = self._n
         values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != n:
-            raise ValueError(f"values must have shape (rounds, {n})")
+        if columns is not None:
+            columns = self._members(columns)
+        width = self._n if columns is None else columns.size
+        if values.ndim != 2 or values.shape[1] != width:
+            raise ValueError(f"values must have shape (rounds, {width})")
+        planes = np.empty((6,) + values.shape)
+        planes[0] = values
+        rounds = self._advance_planes(planes, columns) if width else len(values)
+        return FleetUpdate(*planes[:, :rounds])
+
+    def _members(self, columns) -> np.ndarray:
+        """``columns`` as the run's int64 column list, checked: every run
+        reads and writes the kernel's arrays at exactly these positions."""
+        columns = np.asarray(columns, dtype=np.int64).reshape(-1)
+        listed = columns.tolist()
+        n = self._n
+        if listed and not (-n <= min(listed) and max(listed) < n):
+            raise IndexError(f"columns must lie in [0, {n})")
+        if listed and min(listed) < 0:
+            columns = columns % n
+        if len(set(columns.tolist())) != columns.size:
+            # A repeated member would advance twice from one state.
+            raise ValueError("columns must not repeat a member")
+        return np.ascontiguousarray(columns)
+
+    @hotpath
+    def _advance_planes(
+        self, planes: np.ndarray, columns: np.ndarray | None = None
+    ) -> int:
+        """:meth:`update_block` into the caller's planes; the rounds advanced.
+
+        ``planes`` is ``(6, rounds, m)`` float64 with rows of contiguous
+        run positions, any plane and row strides -- value, trend,
+        seasonal, residual, detection residual and score,
+        :class:`FleetUpdate`'s order -- and holds the observations in its
+        value plane; ``columns`` is the run's int64 column list as
+        :meth:`_members` checks it, or None for every column in order.
+        Missing observations are imputed in the value plane, and the
+        other five planes are written for every round advanced.  The
+        engine passes views of its result arrays, so a batch's outputs
+        land where it reports them.
+        """
+        if columns is None:
+            columns = self._rows()
+        values = planes[0]
         n_rounds = values.shape[0]
-        # The call's one private block: row-contiguous whatever strides
-        # the caller's array had (``ndarray.copy`` is C-ordered), which
-        # is the layout every run below hands its body.
-        value_out = values.copy()
-        trend_out = np.empty((n_rounds, n))
-        seasonal_out = np.empty((n_rounds, n))
-        residual_out = np.empty((n_rounds, n))
-        detection_out = np.empty((n_rounds, n))
-        score_out = np.empty((n_rounds, n))
-        finite = np.isfinite(values)
-        clean = finite.all(axis=1)
+        clean = np.isfinite(values).all(axis=1).tolist()
         run_cap = min(self.period, _MAX_BLOCK_ROUNDS)
         row = 0
         while row < n_rounds:
@@ -769,110 +866,127 @@ class FleetKernel:
                 # Missing observations: impute with the model's own
                 # one-step forecast, which reads live state -- so the
                 # round is its own run.
-                phase = self.global_index % self.period
-                anchor = self.seasonal_buffer[self._rows(), phase]
-                forecast = self.last_trend + anchor
-                value_out[row] = np.where(finite[row], values[row], forecast)
-            row, solved = self._advance_run(
-                value_out,
-                row,
-                stop,
-                trend_out,
-                seasonal_out,
-                residual_out,
-                detection_out,
-                score_out,
-            )
+                phase = self.global_index[columns] % self.period
+                anchor = self.seasonal_buffer[columns, phase]
+                forecast = self.last_trend[columns] + anchor
+                missing = ~np.isfinite(values[row])
+                np.copyto(values[row], forecast, where=missing)
+            row, solved = self._advance_run(planes, row, stop, columns)
             if not solved:
                 break
-        return FleetUpdate(
-            value_out[:row],
-            trend_out[:row],
-            seasonal_out[:row],
-            residual_out[:row],
-            detection_out[:row],
-            score_out[:row],
-        )
+        return row
 
     # ------------------------------------------------------------- internals
 
     def _solve_run(
         self,
         native: tuple | None,
-        values: np.ndarray,
+        planes: np.ndarray,
         start: int,
         stop: int,
-        outputs: Sequence[np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stage and solve the ``T x I`` grid of the run ``[start, stop)``,
-        and run the residual monitor over it.
+        columns: np.ndarray,
+    ) -> int:
+        """Solve the ``T x I`` grid of the run ``[start, stop)`` of
+        ``columns``, and run the residual monitor over it.
 
         ``native`` is the body: the loaded routines, or None for the
-        reference wavefront.  ``outputs`` are the five ``(rounds, n)``
-        planes trend, seasonal, residual, detection residual and score.
-        Either body writes rows ``[start, stop)`` of each -- the residual
-        ``(value - trend) - seasonal``, the detection residual a copy of
-        it, the score its z against the monitor before the point -- folds
-        every round into :attr:`monitor` in place, and leaves the solver
-        with a complete, uncommitted run.  Returns ``(phases, pairs)``:
-        the run's ``(T, n)`` seasonal phases in reversed round order (row
-        ``T - 1 - r`` is round ``r``'s) and the post-run ``(2, I, n)``
-        trend pairs.
+        reference wavefront.  Both take the same contract, the one
+        ``advance_run.c`` states.  They read each member's committed state
+        at its column -- the solver's committed side, trend pairs,
+        seasonal anchors, ages -- and write its post-run solver state to
+        the working side and its trend pairs to :attr:`_pairs_out`, at the
+        column.  Of ``planes`` they read the value rows ``[start, stop)``
+        and write those rows of the other five: the residual ``(value -
+        trend) - seasonal``, the detection residual a copy of it, the
+        score its z against the monitor before the point.  They fold every
+        round into :attr:`monitor` in place, after saving each run
+        position's pre-run moments in :meth:`_saved_space`.
+
+        Returns ``2 * bad + tripped``: ``bad`` the first round (from
+        ``start``) that fails the screen -- the sum of its trends plus the
+        sum of its seasonals, each summed in run order (:func:`_screen`),
+        is not finite -- the run length if none; ``tripped`` whether any
+        score passed the monitor's threshold.
         """
-        reversed_rounds = np.arange(stop - start - 1, -1, -1)[:, None]
-        phases = (self.global_index[None, :] + reversed_rounds) % self.period
-        anchors = self.seasonal_buffer[self._rows()[None, :], phases]
         if native is None:
-            pairs = self._run_wavefront(values, start, stop, anchors, outputs)
-        else:
-            pairs = self._run_native(native, values, start, stop, anchors, outputs)
-        return phases, pairs
+            return self._run_wavefront(planes, start, stop, columns)
+        return self._run_native(native, planes, start, stop, columns)
+
+    def _saved_space(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(count (m,), mean and m2 (2m,))``: where a run of width ``m``
+        saves its pre-run moments (a workspace, sized to the widest run)."""
+        saved = self._saved
+        if saved is None or saved[0].size < m:
+            self._saved = saved = (
+                np.empty(m, dtype=np.int64),
+                np.empty(2 * m),
+            )
+        return saved[0][:m], saved[1][: 2 * m]
+
+    def _pair_buffer(self) -> np.ndarray:
+        """The working side of the trend pairs, shaped like
+        ``_trend_pairs`` (a run writes it; the commit takes it)."""
+        pairs_out = self._pairs_out
+        if pairs_out is None or pairs_out.shape != self._trend_pairs.shape:
+            self._pairs_out = pairs_out = np.empty_like(self._trend_pairs)
+        return pairs_out
 
     @hotpath
     def _run_wavefront(
         self,
-        values: np.ndarray,
+        planes: np.ndarray,
         start: int,
         stop: int,
-        anchors: np.ndarray,
-        outputs: Sequence[np.ndarray],
-    ) -> np.ndarray:
+        columns: np.ndarray,
+    ) -> int:
         """The solve grid of a run on the NumPy wavefront (reference body).
 
-        Solve ``(i, r)`` -- iteration ``i`` of round ``r`` -- needs only
-        ``(i - 1, r)`` and ``(i, r - 1)``, so step ``s`` of the run solves
-        the whole anti-diagonal ``i + r = s`` at once: iterations
-        ``[lo, hi)`` with ``lo = max(0, s - T + 1)`` and ``hi = min(I, s +
-        1)``, in ``T + I - 1`` steps.  Everything a step touches is laid
-        out so that slab is a plain slice: the trend history is kept in
-        *step* coordinates (``hist[s + 2, i]`` is the trend of ``(i, s -
-        i)``, so "previous round, same iteration" is ``hist[s + 1]`` and
-        the round before ``hist[s]``), the right-hand sides are staged in
-        reversed round order (iteration ``i`` of step ``s`` reads row ``T
-        - 1 - s + i``), and the reweighting of ``(i, r)`` lands in weight
-        row ``i + 1``, where ``(i + 1, r)`` picks it up on the next step
-        (row 0 stays 1.0: ``x * 1.0 == x`` bit for bit, so the first
-        iteration's raw lambdas need no special case).
+        A run of every column in order advances the kernel's own solver
+        stack and monitor; any other member list is gathered into a stack
+        and a monitor of its own, advanced there and scattered back, as the
+        contract of :meth:`_solve_run` says.  Solve ``(i, r)`` -- iteration ``i`` of
+        round ``r`` -- needs only ``(i - 1, r)`` and ``(i, r - 1)``, so
+        step ``s`` of the run solves the whole anti-diagonal ``i + r = s``
+        at once: iterations ``[lo, hi)`` with ``lo = max(0, s - T + 1)``
+        and ``hi = min(I, s + 1)``, in ``T + I - 1`` steps.  Everything a
+        step touches is laid out so that slab is a plain slice: the trend
+        history is kept in *step* coordinates (``hist[s + 2, i]`` is the
+        trend of ``(i, s - i)``, so "previous round, same iteration" is
+        ``hist[s + 1]`` and the round before ``hist[s]``), the right-hand
+        sides are staged in reversed round order (iteration ``i`` of step
+        ``s`` reads row ``T - 1 - s + i``), and the reweighting of ``(i,
+        r)`` lands in weight row ``i + 1``, where ``(i + 1, r)`` picks it
+        up on the next step (row 0 stays 1.0: ``x * 1.0 == x`` bit for
+        bit, so the first iteration's raw lambdas need no special case).
 
         The grid done, the residuals are two subtractions over the run and
         the monitor scores, then folds, round by round
         (:meth:`ColumnarNSigma.score`, :meth:`ColumnarNSigma.update_stats`).
-        Same contract as :meth:`_solve_run`; returns the post-run ``(2, I,
-        n)`` trend pairs.
         """
-        trend_out, seasonal_out, residual_out, detection_out, score_out = outputs
+        (
+            values,
+            trend_out,
+            seasonal_out,
+            residual_out,
+            detection_out,
+            score_out,
+        ) = planes[:, start:stop]
         n_rounds = stop - start
         n_iterations = self.iterations
         last = n_iterations - 1
-        hist, rhs, weights, pattern, seasonal = self._run_workspaces(n_rounds)
-        solver = self.solver
+        m = columns.size
+        hist, rhs, weights, pattern, seasonal = self._run_workspaces(n_rounds, m)
+        at = columnar.span(columns)
+        whole = m == self._n and isinstance(at, slice)
+        solver = self.solver if whole else self.solver.select(columns)
         # Seed every iteration's pre-run trend pair on its diagonal and
         # stage the right-hand sides of the whole run.
-        hist[self._pair_steps, self._pair_iterations] = self.trend_pairs
+        hist[self._pair_steps, self._pair_iterations] = self.trend_pairs[..., at]
         reversed_rounds = np.arange(n_rounds - 1, -1, -1)[:, None]
-        reversed_values = values[start:stop][::-1]
+        phases = (self.global_index[columns] + reversed_rounds) % self.period
+        reversed_values = values[::-1]
         rhs[0] = reversed_values
-        np.add(reversed_values, anchors, out=rhs[1])
+        np.add(reversed_values, self.seasonal_buffer[columns, phases], out=rhs[1])
         solver.begin_run(2, _PATTERN_ROWS, _PATTERN_COLS)
         # A column's first online point has no trend-difference term and
         # its second no second difference (the scalar model's reduced
@@ -880,8 +994,9 @@ class FleetKernel:
         # point, stage per (round, column) -- reversed rounds, like the
         # right-hand sides -- where each term's weight is gated to 0.0.
         young = None
-        if self.points_processed.min(initial=2) < 2:
-            age = self.points_processed[None, :] + reversed_rounds
+        ages = self.points_processed[columns]
+        if ages.min(initial=2) < 2:
+            age = ages[None, :] + reversed_rounds
             young = np.stack((age < 1, age < 2))
         lambda1 = self.lambda1
         lambda2 = self.lambda2
@@ -933,7 +1048,7 @@ class FleetKernel:
                 # The round's last iteration completed: its seasonal value
                 # is the round's output, and its reweighting is dead
                 # (weights restart at 1.0 each round).
-                seasonal_out[start + step - last] = seasonal[last]
+                seasonal_out[step - last] = seasonal[last]
                 hi = last
                 trend = trend[: hi - lo]
             if hi > lo:
@@ -952,115 +1067,131 @@ class FleetKernel:
                 np.absolute(weight_q, out=weight_q)
                 np.maximum(weight_q, epsilon, out=weight_q)
                 np.divide(0.5, weight_q, out=weight_q)
-        trend_out[start:stop] = hist[
-            n_iterations + 1 : n_iterations + 1 + n_rounds, last
-        ]
-        residual_block = residual_out[start:stop]
-        np.subtract(values[start:stop], trend_out[start:stop], out=residual_block)
-        np.subtract(residual_block, seasonal_out[start:stop], out=residual_block)
-        detection_out[start:stop] = residual_block
-        monitor = self.monitor
-        for r in range(start, stop):
+        trend_out[:] = hist[n_iterations + 1 : n_iterations + 1 + n_rounds, last]
+        np.subtract(values, trend_out, out=residual_out)
+        np.subtract(residual_out, seasonal_out, out=residual_out)
+        detection_out[:] = residual_out
+        monitor = self.monitor if whole else self.monitor.select(columns)
+        saved_count, saved_moments = self._saved_space(m)
+        saved_count[:] = monitor.count
+        saved_moments[:m] = monitor.mean
+        saved_moments[m:] = monitor.m2
+        for r in range(n_rounds):
             score_out[r] = monitor.score(residual_out[r])[0]
             monitor.update_stats(residual_out[r])
-        return hist[self._pair_steps + n_rounds, self._pair_iterations]
+        if not whole:
+            # Scatter: moments in place, post-run state to the working side.
+            self.monitor.assign(columns, monitor)
+            solver.commit_run()
+            blocks_out, rhs_out = self.solver.run_buffers(2, n_rounds)[2:]
+            advanced = columnar.to_arrays(solver)
+            blocks_out[..., columns] = advanced["blocks"]
+            rhs_out[..., columns] = advanced["rhs"]
+        self._pair_buffer()[..., at] = hist[
+            self._pair_steps + n_rounds, self._pair_iterations
+        ]
+        finite = _screen(trend_out, seasonal_out)
+        bad = n_rounds if finite.all() else int(finite.argmin())
+        return 2 * bad + bool((score_out > monitor.threshold).any())
 
     def _run_native(
         self,
         routines: tuple,
-        values: np.ndarray,
+        planes: np.ndarray,
         start: int,
         stop: int,
-        anchors: np.ndarray,
-        outputs: Sequence[np.ndarray],
-    ) -> np.ndarray:
+        columns: np.ndarray,
+    ) -> int:
         """The solve grid of a run, and its monitor, as one call into
         ``advance_run.c``.
 
         Same contract as :meth:`_run_wavefront`, same bits: the C routine
         performs each solve's operations, and each round's scoring and
-        fold, in the same order, per column, reading the committed side
-        of the solver's ping-pong and writing the working side.
+        fold, in the same order, per column, gathering each member's
+        state at its column and scattering it back there.
         """
-        n = self._n
         advance_run, scratch_doubles = routines
-        monitor = self.monitor
-        moments = (monitor.count, monitor.mean, monitor.m2)
-        if not all(moment.flags.c_contiguous for moment in moments):
-            raise ValueError("a native run needs contiguous monitor moments")
-        pairs_in = self._trend_pairs
-        pairs_out = self._pairs_out
-        if pairs_out is None or pairs_out.shape != pairs_in.shape:
-            self._pairs_out = pairs_out = np.empty_like(pairs_in)
+        if stop - start > _MAX_BLOCK_ROUNDS:
+            raise ValueError(f"a native run is at most {_MAX_BLOCK_ROUNDS} rounds")
+        plane_bytes, row_bytes, item_bytes = planes.strides
+        if (
+            planes.dtype != np.float64
+            or (planes.shape[2] > 1 and item_bytes != 8)
+            or (plane_bytes | row_bytes) % 8
+        ):
+            raise ValueError("a native run needs float64 planes with contiguous rows")
         scratch = self._scratch
         if scratch is None:
-            self._scratch = scratch = np.empty(scratch_doubles(self.iterations))
-        block = values[start:stop]
-        planes = [plane[start:stop] for plane in outputs]
-        out_stride = _row_stride(planes[0])
-        if any(_row_stride(plane) != out_stride for plane in planes):
-            raise ValueError("the output planes must share a layout")
-        points_processed = np.ascontiguousarray(self.points_processed, dtype=np.int64)
-        blocks_in, rhs_in, blocks_out, rhs_out = self.solver.run_buffers(
-            2, stop - start
+            self._scratch = scratch = np.empty(
+                scratch_doubles(self.iterations, _MAX_BLOCK_ROUNDS)
+            )
+        if self._saved is None or self._saved[0].size < columns.size:
+            self._saved_space(columns.size)
+        monitor = self.monitor
+        state = (
+            *self.solver.run_buffers(2, stop - start),
+            self._trend_pairs,
+            self._pair_buffer(),
+            self.seasonal_buffer,
+            self.global_index,
+            self.points_processed,
+            monitor.count,
+            monitor.mean,
+            monitor.m2,
+            *self._saved,
+            scratch,
         )
-        advance_run(
+        cached = self._addresses
+        if cached is None or not all(map(operator.is_, state, cached[0])):
+            self._addresses = cached = (state, _native_state(state))
+        kernel_state, index_state, moment_state, scratch_at = cached[1]
+        return advance_run(
             stop - start,
             self.iterations,
-            n,
-            _address(blocks_in),
-            _address(rhs_in),
-            _address(blocks_out),
-            _address(rhs_out),
-            blocks_in.shape[-1],
-            _address(pairs_in),
-            _address(pairs_out),
-            pairs_in.shape[-1],
-            _address(block),
-            _row_stride(block),
-            _address(anchors),
-            _address(points_processed),
+            columns.size,
+            _address(columns),
+            *kernel_state,
+            self.period,
+            *index_state,
             self.lambda1,
             self.lambda2,
             self.epsilon,
-            *map(_address, planes),
-            out_stride,
-            *map(_address, moments),
+            _address(planes[:, start]),
+            plane_bytes // 8,
+            row_bytes // 8,
+            *moment_state,
             monitor.minimum_std,
-            _address(scratch),
+            monitor.threshold,
+            scratch_at,
         )
-        return pairs_out[..., :n]
 
     @hotpath
     def _advance_run(
         self,
-        values: np.ndarray,
+        planes: np.ndarray,
         start: int,
         stop: int,
-        trend_out: np.ndarray,
-        seasonal_out: np.ndarray,
-        residual_out: np.ndarray,
-        detection_out: np.ndarray,
-        score_out: np.ndarray,
+        columns: np.ndarray,
     ) -> tuple[int, bool]:
-        """Advance the all-finite rounds ``[start, stop)`` as one run.
+        """Advance the all-finite rounds ``[start, stop)`` of ``columns`` as one run.
 
-        Stages the run's seasonal phases and anchors, hands the ``T x I``
-        solve grid and the residual monitor to the body this process runs
-        (:meth:`_run_native`, one call into ``advance_run.c``, or the
-        reference :meth:`_run_wavefront`; see :func:`kernel_backend`),
-        then screens, replays and commits around it -- none of which
-        depends on the body: both produce the same bits.
+        Hands the ``T x I`` solve grid and the residual monitor to the
+        body this process runs (:meth:`_run_native`, one call into
+        ``advance_run.c``, or the reference :meth:`_run_wavefront`; see
+        :func:`kernel_backend` and :meth:`_solve_run`), then commits --
+        which is all a clean run needs: the body's status says whether a
+        round went non-finite or a score passed the threshold, and only
+        then are the pre-run moments copied and the rounds walked, none
+        of which depends on the body: both produce the same bits.
 
-        The body scores each round against the monitor (``score_out``),
-        then folds it in; a column whose score passes the threshold is
-        marked and, once the run has finished for everyone, replayed
-        before the commit: searched in place when the run is one round
-        long (:meth:`_search_shifts`), else advanced again in a narrow
-        kernel that cuts the run at the tripped rounds
-        (:meth:`_replay_marked`).  A run that returns short restores the
-        pre-run monitor: the body folded every round, the non-finite one
-        and those after it included.
+        A column whose score passes the threshold is marked and, once the
+        run has finished for everyone, replayed before the commit:
+        searched in place when the run is one round long
+        (:meth:`_search_shifts`), else advanced again in a narrow kernel
+        that cuts the run at the tripped rounds (:meth:`_replay_marked`).
+        A run that returns short restores the run's pre-run moments: the
+        body folded every round, the non-finite one and those after it
+        included.
 
         Returns ``(next_round, solved)``: ``(stop, True)`` normally.  A
         round that went non-finite on a column whose batched values are
@@ -1068,98 +1199,99 @@ class FleetKernel:
         re-runs the rounds before it and returns ``(that round, False)``.
         ``stop - start`` never exceeds ``min(period, _MAX_BLOCK_ROUNDS)``,
         which guarantees no round of the run reads a seasonal slot an
-        earlier round wrote -- the precondition for staging anchors and
-        deferring the seasonal scatter to run end.
+        earlier round wrote -- the precondition for reading anchors from
+        the buffer and deferring the seasonal scatter to run end.
         """
         n_rounds = stop - start
-        rows = self._rows()
-        monitor = self.monitor
-        pre_run_monitor = monitor.copy()
-        phases, pairs = self._solve_run(
-            _native_run,
-            values,
-            start,
-            stop,
-            (trend_out, seasonal_out, residual_out, detection_out, score_out),
+        bad, tripped = divmod(
+            self._solve_run(_native_run, planes, start, stop, columns), 2
         )
-        trend_block = trend_out[start:stop]
-        seasonal_block = seasonal_out[start:stop]
-        residual_block = residual_out[start:stop]
-        detection_block = detection_out[start:stop]
-        score_block = score_out[start:stop]
-        finite = np.isfinite(trend_block.sum(axis=1) + seasonal_block.sum(axis=1))
+        searching = self.shift_window > 0
+        if bad == n_rounds and not (tripped and searching):
+            self._commit(planes, start, stop, columns)
+            return stop, True
+        m = columns.size
+        saved_count, saved_moments = (
+            array.copy() for array in self._saved_space(m)
+        )
+        block = planes[:, start:stop]
+        trend_block, seasonal_block, score_block = block[1], block[2], block[5]
+        finite = _screen(trend_block, seasonal_block)
         # A column whose score passes the threshold is marked for replay,
         # and from then on its batched values (no longer used) are out of
-        # the screen.  Rounds are walked only when one is non-finite or
-        # something tripped; the walk reads the body's outputs alone.
-        tripped = None
-        if self.shift_window > 0:
-            tripped = score_block > monitor.threshold
+        # the screen.  The walk reads the body's outputs alone.
+        flags = score_block > self.monitor.threshold if searching else None
         marked = None
         cuts = []
         bad = n_rounds
-        if not finite.all() or (tripped is not None and tripped.any()):
-            for r in range(n_rounds):
-                if not finite[r] and (
-                    marked is None
-                    or not math.isfinite(
-                        float(trend_block[r, ~marked].sum())
-                        + float(seasonal_block[r, ~marked].sum())
-                    )
-                ):
-                    bad = r
-                    break
-                if tripped is not None and tripped[r].any():
-                    flagged = tripped[r]
-                    marked = flagged if marked is None else marked | flagged
-                    cuts += (r, r + 1)
+        for r in range(n_rounds):
+            if not finite[r] and (
+                marked is None
+                or not math.isfinite(
+                    float(trend_block[r, ~marked].sum())
+                    + float(seasonal_block[r, ~marked].sum())
+                )
+            ):
+                bad = r
+                break
+            if flags is not None and flags[r].any():
+                marked = flags[r] if marked is None else marked | flags[r]
+                cuts += (r, r + 1)
         replayed = None
         if marked is not None and bad == n_rounds:
-            columns = np.flatnonzero(marked)
+            positions = np.flatnonzero(marked)
+            members = columns[positions]
             if n_rounds == 1:
                 replayed, points, bad = self._search_shifts(
-                    columns, values[start, columns], score_block[0, columns]
+                    members, block[0, 0, positions], score_block[0, positions]
                 )
             else:
                 cuts.append(n_rounds)
+                pre_run_monitor = self.monitor._blank(positions.size)
+                pre_run_monitor.count = saved_count[positions]
+                pre_run_monitor.mean = saved_moments[positions]
+                pre_run_monitor.m2 = saved_moments[m + positions]
                 replayed, points, bad = self._replay_marked(
-                    columns, pre_run_monitor, values[start:stop, columns], cuts
+                    members, pre_run_monitor, block[0][:, positions], cuts
                 )
         if bad < n_rounds:
-            monitor.assign(slice(None), pre_run_monitor)
+            monitor = self.monitor
+            monitor.count[columns] = saved_count
+            monitor.mean[columns] = saved_moments[:m]
+            monitor.m2[columns] = saved_moments[m:]
             if bad == 0:
                 return start, False
-            return (
-                self._advance_run(
-                    values,
-                    start,
-                    start + bad,
-                    trend_out,
-                    seasonal_out,
-                    residual_out,
-                    detection_out,
-                    score_out,
-                )[0],
-                False,
-            )
-        # Commit: within a run every series writes ``n_rounds`` distinct
-        # seasonal slots (runs never exceed ``period`` rounds), so one
-        # fancy scatter equals the per-round scatters.
-        self.seasonal_buffer[rows[None, :], phases] = seasonal_block[::-1]
-        self.global_index += n_rounds
-        self.points_processed += n_rounds
-        self.trend_pairs[...] = pairs
-        np.copyto(self.last_trend, trend_block[-1])
-        np.copyto(self.last_detection_residual, detection_block[-1])
-        self.solver.commit_run()
+            return self._advance_run(planes, start, start + bad, columns)[0], False
+        self._commit(planes, start, stop, columns)
         if replayed is not None:
-            self.assign(columns, replayed)
-            trend_block[:, columns] = points[0]
-            seasonal_block[:, columns] = points[1]
-            residual_block[:, columns] = points[2]
-            detection_block[:, columns] = points[3]
-            score_block[:, columns] = points[4]
+            self.assign(members, replayed)
+            block[1:, :, positions] = points
         return stop, True
+
+    def _commit(
+        self, planes: np.ndarray, start: int, stop: int, columns: np.ndarray
+    ) -> None:
+        """Make the finished run ``[start, stop)`` of ``columns`` the
+        committed state: a full-width run flips the solver's and the trend
+        pairs' ping-pong, a subset copies its columns from the working
+        side.  Within a run every member writes ``stop - start`` distinct
+        seasonal slots (runs never exceed ``period`` rounds), so one fancy
+        scatter equals the per-round scatters."""
+        n_rounds = stop - start
+        at = columnar.span(columns)
+        index = self.global_index[at]
+        phases = (index + _ROUND_OFFSETS[:n_rounds]) % self.period
+        self.seasonal_buffer[columns, phases] = planes[2, start:stop]
+        self.global_index[at] = index + n_rounds
+        self.points_processed[at] = self.points_processed[at] + n_rounds
+        self.last_trend[at] = planes[1, stop - 1]
+        self.last_detection_residual[at] = planes[4, stop - 1]
+        if columns.size == self._n:
+            self._trend_pairs, self._pairs_out = self._pairs_out, self._trend_pairs
+            self.solver.commit_run()
+        else:
+            self._trend_pairs[..., at] = self._pairs_out[..., at]
+            self.solver.commit_run(at)
 
     @hotpath
     def _replay_marked(
@@ -1172,16 +1304,16 @@ class FleetKernel:
         """Replay the marked columns of a finished, uncommitted run.
 
         The columns are gathered from the pre-run state (nothing of the
-        run is committed yet; the monitor, updated in place, comes from
-        its pre-run copy) into one narrow kernel that advances the run's
-        ``(rounds, k)`` ``values`` itself.  ``cuts`` is its schedule:
-        ascending, ``r`` and ``r + 1`` for every round ``r`` the
-        speculative run saw trip, then the run length.  Each such round
-        becomes a one-round run, which searches what trips in place
-        (:meth:`_search_shifts`); the rounds between advance as ordinary
-        runs.  A column that a search moved off its speculative trajectory
-        may trip elsewhere: the narrow kernel's own run then marks and
-        replays it the same way, on ever shorter runs.
+        run is committed yet; the monitor, updated in place, comes as
+        ``pre_run_monitor``, their moments before the run) into one narrow
+        kernel that advances the run's ``(rounds, k)`` ``values`` itself.
+        ``cuts`` is its schedule: ascending, ``r`` and ``r + 1`` for every
+        round ``r`` the speculative run saw trip, then the run length.
+        Each such round becomes a one-round run, which searches what trips
+        in place (:meth:`_search_shifts`); the rounds between advance as
+        ordinary runs.  A column that a search moved off its speculative
+        trajectory may trip elsewhere: the narrow kernel's own run then
+        marks and replays it the same way, on ever shorter runs.
 
         Returns ``(kernel, points, bad)``: the narrow kernel after the run,
         its own ``(5, rounds, k)`` trend / seasonal / residual / detection
@@ -1189,18 +1321,16 @@ class FleetKernel:
         length when none did).
         """
         sub = self.select(columns)
-        sub.monitor = pre_run_monitor.select(columns)
-        # The caller's ``block[start:stop, columns]`` gather comes out
-        # column-major; rows must be contiguous for the native body (once
-        # per replay -- every cut below reads this one block).
-        values = np.ascontiguousarray(values)
-        points = np.empty((5,) + values.shape)
+        sub.monitor = pre_run_monitor
+        points = np.empty((6,) + values.shape)
+        points[0] = values
+        members = sub._rows()
         row = 0
         solved = True
         for stop in cuts:
             if solved and row < stop:
-                row, solved = sub._advance_run(values, row, stop, *points)
-        return sub, points, values.shape[0] if solved else row
+                row, solved = sub._advance_run(points, row, stop, members)
+        return sub, points[1:], values.shape[0] if solved else row
 
     @hotpath
     def _search_shifts(
@@ -1234,11 +1364,11 @@ class FleetKernel:
         # A trial is a plain advance: candidates do not search.
         wide.shift_window = 0
         wide.global_index += np.tile(shifts, columns.size)
-        trials = np.empty((5, 1, wide._n))
-        observed = np.repeat(values, n_shifts)[None, :]
-        if not wide._advance_run(observed, 0, 1, *trials)[1]:
+        trials = np.empty((6, 1, wide._n))
+        trials[0, 0] = np.repeat(values, n_shifts)
+        if not wide._advance_run(trials, 0, 1, wide._rows())[1]:
             return None, None, 0
-        residual = trials[2, 0].reshape(columns.size, n_shifts)
+        residual = trials[3, 0].reshape(columns.size, n_shifts)
         best = np.abs(residual).argmin(axis=1)
         picks = best + np.arange(0, wide._n, n_shifts)
         chosen = shifts[best]
@@ -1249,37 +1379,37 @@ class FleetKernel:
         )
         winners.last_detection_residual[:] = residual[:, 0]
         winners.monitor = self.monitor.select(columns)
-        points = trials[:, :, picks]
+        points = trials[1:, :, picks]
         points[3, 0] = residual[:, 0]
         points[4, 0] = scores
         return winners, points, 1
 
-    def _run_workspaces(self, n_rounds: int) -> tuple:
-        """(Re)size the wavefront's workspaces; returns views for an ``n_rounds`` run.
+    def _run_workspaces(self, n_rounds: int, m: int) -> tuple:
+        """(Re)size the wavefront's workspaces; returns views for an
+        ``n_rounds`` run of width ``m``.
 
         ``(hist, rhs, weights, pattern, seasonal)``: the skewed trend
-        history ``(T + I + 1, I, n)``, the reversed-round right-hand sides
-        ``(2, T, n)``, the IRLS weights ``(2, I, n)`` (row 0 is the
+        history ``(T + I + 1, I, m)``, the reversed-round right-hand sides
+        ``(2, T, m)``, the IRLS weights ``(2, I, m)`` (row 0 is the
         constant 1.0 of a round's first iteration), the five distinct
-        weighted pattern values ``(5, I, n)`` and the per-iteration
-        seasonal scratch ``(I, n)``.
+        weighted pattern values ``(5, I, m)`` and the per-iteration
+        seasonal scratch ``(I, m)``.
         """
-        n = self._n
         n_iterations = self.iterations
         workspaces = self._workspaces
         if (
             workspaces is None
-            or workspaces[0].shape[2] != n
+            or workspaces[0].shape[2] != m
             or workspaces[1].shape[1] < n_rounds
         ):
-            weights = np.empty((2, n_iterations, n))
+            weights = np.empty((2, n_iterations, m))
             weights[:, 0] = 1.0
             self._workspaces = workspaces = (
-                np.empty((n_rounds + n_iterations + 1, n_iterations, n)),
-                np.empty((2, n_rounds, n)),
+                np.empty((n_rounds + n_iterations + 1, n_iterations, m)),
+                np.empty((2, n_rounds, m)),
                 weights,
-                np.empty((5, n_iterations, n)),
-                np.empty((n_iterations, n)),
+                np.empty((5, n_iterations, m)),
+                np.empty((n_iterations, m)),
             )
         hist, rhs, weights, pattern, seasonal = workspaces
         return hist, rhs[:, :n_rounds], weights, pattern, seasonal

@@ -10,8 +10,9 @@ a train prefix, online scoring, VUS-ROC evaluation -- and preserve the
 qualitative contrasts the paper draws (e.g. ECG-like series favour matrix
 profile methods, IoT/AIOps-like series favour the STD-based detectors).
 
-Obviously the absolute VUS-ROC numbers differ from the paper's; see
-EXPERIMENTS.md for the shape comparison.
+Obviously the absolute VUS-ROC numbers differ from the paper's: only the
+qualitative shape carries over, and that is what
+``benchmarks/bench_table3_tsad.py`` asserts (its docstring lists it).
 """
 
 from __future__ import annotations

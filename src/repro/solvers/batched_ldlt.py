@@ -12,7 +12,9 @@ every kernel: the committed / working ping-pong below is where a fleet's
 solver state lives, whichever body advances it -- the kernel's native run
 (``repro/core/advance_run.c``) borrows both sides through
 :meth:`BatchedIncrementalLDLT.run_buffers`, reads the committed one,
-writes the working one, and :meth:`commit_run` flips them as for any run.
+writes the working one -- for every member, or for the subset of members
+the run names -- and :meth:`commit_run` flips them as for any run, or
+copies the subset's columns across.
 And :meth:`extend_solve` is the *reference arithmetic*: the NumPy body
 whose wavefront schedule solves one anti-diagonal of the (round x
 iteration) grid per call (``T + I - 1`` stacked steps a run, not ``T *
@@ -467,21 +469,27 @@ class BatchedIncrementalLDLT:
         np.subtract(aug[block - 2, block], out_trend, out=out_trend)
         np.divide(out_trend, aug[block - 2, block - 2], out=out_trend)
 
-    def commit_run(self) -> None:
-        """Make the open run's state the committed state (a buffer flip).
+    def commit_run(self, columns: "np.ndarray | slice | None" = None) -> None:
+        """Make the open run's state the committed state.
 
-        Every iteration must have been extended at least once (the working
-        side holds nothing for an iteration the run never entered).
+        A run of every member is a buffer flip; every iteration must have
+        been extended at least once (the working side holds nothing for an
+        iteration the run never entered).  A run that a routine outside
+        this class advanced on a subset of members passes their
+        ``columns``: those are copied from the working side, and every
+        other member's committed state is left as it was.
         """
         if self._run is None or self._entered != self._iterations:
             raise ValueError("no complete run to commit")
-        n = self._n
         working = self._working
-        np.add(
-            self._sizes[:, :n],
-            (self._run[0] * self._extends)[:, None],
-            out=working[2][:, :n],
-        )
+        grown = (self._run[0] * self._extends)[:, None]
+        self._run = None
+        if columns is not None:
+            self._blocks[..., columns] = working[0][..., columns]
+            self._rhs[..., columns] = working[1][..., columns]
+            self._sizes[:, columns] += grown
+            return
+        n = self._n
+        np.add(self._sizes[:, :n], grown, out=working[2][:, :n])
         self._working = (self._blocks, self._rhs, self._sizes)
         self._blocks, self._rhs, self._sizes = working
-        self._run = None

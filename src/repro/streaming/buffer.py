@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.streaming.latency import LatencyReport, summarize_latencies
 from repro.utils import check_positive_int
 
 __all__ = ["RingBuffer"]
@@ -13,7 +14,8 @@ class RingBuffer:
     """A fixed-capacity float ring buffer backed by a numpy array.
 
     Appending is O(1); :meth:`to_array` materializes the contents in
-    insertion order (oldest first).
+    insertion order (oldest first), and :meth:`summary` summarizes them
+    once per write.
     """
 
     def __init__(self, capacity: int):
@@ -21,6 +23,8 @@ class RingBuffer:
         self._storage = np.zeros(self.capacity)
         self._next = 0
         self._count = 0
+        #: :meth:`summary` of the contents, None until asked after a write
+        self._summary: LatencyReport | None = None
 
     def __getstate__(self) -> dict:
         """The attributes, with the storage cut to the values it retains.
@@ -45,6 +49,7 @@ class RingBuffer:
         storage = np.zeros(self.capacity)
         storage[: self._storage.size] = self._storage
         self._storage = storage
+        self._summary = None
 
     def __len__(self) -> int:
         return self._count
@@ -54,6 +59,7 @@ class RingBuffer:
         return self._count == self.capacity
 
     def append(self, value: float) -> None:
+        self._summary = None
         self._storage[self._next] = float(value)
         self._next = (self._next + 1) % self.capacity
         self._count = min(self._count + 1, self.capacity)
@@ -63,6 +69,7 @@ class RingBuffer:
         if not isinstance(values, np.ndarray):
             values = list(values)
         values = np.asarray(values, dtype=float).reshape(-1)[-self.capacity :]
+        self._summary = None
         # At most two slice writes: up to the end of the storage, then
         # the wrapped remainder from its start.
         head = min(values.size, self.capacity - self._next)
@@ -84,5 +91,17 @@ class RingBuffer:
         )
 
     def clear(self) -> None:
+        self._summary = None
         self._next = 0
         self._count = 0
+
+    def summary(self) -> LatencyReport:
+        """:func:`~repro.streaming.latency.summarize_latencies` of the
+        contents, as durations in seconds, labelled ``"ring"`` (relabel
+        with :func:`dataclasses.replace`).  Memoised: a ring read more
+        often than written -- a group's, read once per member -- is
+        summarized once per write."""
+        report = self._summary
+        if report is None:
+            self._summary = report = summarize_latencies(self.to_array(), "ring")
+        return report

@@ -90,7 +90,7 @@ import os
 import time
 import zlib
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -131,7 +131,7 @@ from repro.durability.recovery import (
 from repro.durability.segment import ColumnGroup, encode_columnar_segment
 from repro.specs import DecomposerSpec, DetectorSpec, EngineSpec, PipelineSpec
 from repro.streaming.buffer import RingBuffer
-from repro.streaming.latency import LatencyReport, summarize_latencies
+from repro.streaming.latency import LatencyReport
 from repro.streaming.pipeline import StreamingPipeline, StreamRecord
 from repro.utils import check_positive_int
 from repro.utils import columns as columnar
@@ -186,6 +186,10 @@ class EngineRecord:
         return self.record is not None and self.record.is_anomaly
 
 
+#: :class:`StreamRecord`'s fields in its positional order
+_RECORD_FIELDS = tuple(each.name for each in fields(StreamRecord))
+
+
 class IngestResult:
     """Struct-of-arrays view of one batched ingest: arrays out, records on demand.
 
@@ -234,7 +238,9 @@ class IngestResult:
         "detection_residual",
         "live",
     )
-    __slots__ = ("_keys_cycle", "_rounds", *FIELDS, "_keys", "_status")
+    __slots__ = (
+        "_keys_cycle", "_rounds", *FIELDS, "_floats", "_flags", "_keys", "_status"
+    )
 
     def __init__(self, keys_cycle: list, rounds: int):
         size = len(keys_cycle) * rounds
@@ -242,12 +248,11 @@ class IngestResult:
         self._rounds = int(rounds)
         self.index = np.zeros(size, dtype=np.int64)
         # rows of two allocations: a tiny result costs two, not nine
-        floats = np.empty((6, size))
-        floats.fill(np.nan)
+        self._floats = floats = np.full((6, size), np.nan)
         self.value, self.trend, self.seasonal = floats[0], floats[1], floats[2]
         self.residual, self.detection_residual = floats[3], floats[4]
         self.anomaly_score = floats[5]
-        flags = np.zeros((2, size), dtype=bool)
+        self._flags = flags = np.zeros((2, size), dtype=bool)
         self.is_anomaly, self.live = flags[0], flags[1]
         self._keys: list | None = None
         self._status: np.ndarray | None = None
@@ -273,6 +278,20 @@ class IngestResult:
             status[self.live] = SeriesStatus.LIVE
             self._status = status
         return self._status
+
+    def _grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arrays as ``(rounds, width)`` grids of their rows, for a
+        kernel block to write by cell: the six float fields stacked in
+        :class:`~repro.core.fleet.FleetUpdate`'s order (``value``,
+        ``trend``, ``seasonal``, ``residual``, ``detection_residual``,
+        ``anomaly_score``), ``index``, and ``is_anomaly`` / ``live``."""
+        width = len(self._keys_cycle)
+        rounds = len(self) // width
+        return (
+            self._floats.reshape(6, rounds, width),
+            self.index.reshape(rounds, width),
+            self._flags.reshape(2, rounds, width),
+        )
 
     # -------------------------------------------------- records on demand
 
@@ -305,20 +324,24 @@ class IngestResult:
         if not 0 <= position < size:
             raise IndexError("ingest result position out of range")
         key = self._keys_cycle[position % len(self._keys_cycle)]
-        if not self.live[position]:
+        is_anomaly, live = self._flags[:, position].tolist()
+        if not live:
             return EngineRecord(key=key, status=SeriesStatus.WARMING, record=None)
-        # ``ndarray.item`` yields the exact Python scalar
+        # ``tolist`` and ``item`` yield the exact Python scalars
+        value, trend, seasonal, residual, detection, score = self._floats[
+            :, position
+        ].tolist()
         record = StreamRecord(
-            index=self.index.item(position),
-            value=self.value.item(position),
-            trend=self.trend.item(position),
-            seasonal=self.seasonal.item(position),
-            residual=self.residual.item(position),
-            anomaly_score=self.anomaly_score.item(position),
-            is_anomaly=self.is_anomaly.item(position),
-            detection_residual=self.detection_residual.item(position),
+            self.index.item(position),
+            value,
+            trend,
+            seasonal,
+            residual,
+            score,
+            is_anomaly,
+            detection,
         )
-        return EngineRecord(key=key, status=SeriesStatus.LIVE, record=record)
+        return EngineRecord(key, SeriesStatus.LIVE, record)
 
     def __iter__(self) -> Iterator[EngineRecord]:
         return iter(self.records())
@@ -347,44 +370,22 @@ class IngestResult:
         return self._materialize()
 
     def _materialize(self) -> "list[EngineRecord]":
-        size = len(self)
-        keys_cycle = self._keys_cycle
-        n_keys = len(keys_cycle)
-        index = self.index.tolist()
-        value = self.value.tolist()
-        trend = self.trend.tolist()
-        seasonal = self.seasonal.tolist()
-        residual = self.residual.tolist()
-        anomaly_score = self.anomaly_score.tolist()
-        is_anomaly = self.is_anomaly.tolist()
-        detection_residual = self.detection_residual.tolist()
-        live = self.live.tolist()
+        # The live rows' records are built positionally, field by field
+        # in StreamRecord's order, then matched to the rows in order.
+        live = self.live
+        streams = map(
+            StreamRecord,
+            *(getattr(self, name)[live].tolist() for name in _RECORD_FIELDS),
+        )
+        next_stream = streams.__next__
         warming = SeriesStatus.WARMING
         live_status = SeriesStatus.LIVE
-        records = []
-        append = records.append
-        for position in range(size):
-            key = keys_cycle[position % n_keys]
-            if not live[position]:
-                append(EngineRecord(key=key, status=warming, record=None))
-                continue
-            append(
-                EngineRecord(
-                    key=key,
-                    status=live_status,
-                    record=StreamRecord(
-                        index=index[position],
-                        value=value[position],
-                        trend=trend[position],
-                        seasonal=seasonal[position],
-                        residual=residual[position],
-                        anomaly_score=anomaly_score[position],
-                        is_anomaly=is_anomaly[position],
-                        detection_residual=detection_residual[position],
-                    ),
-                )
-            )
-        return records
+        return [
+            EngineRecord(key, live_status, next_stream())
+            if flag
+            else EngineRecord(key, warming, None)
+            for key, flag in zip(self.keys, live.tolist())
+        ]
 
     def __repr__(self) -> str:
         return (
@@ -778,9 +779,14 @@ class EngineSnapshot(Mapping):
         return self._states
 
 
+#: where :attr:`MultiSeriesEngine._plans` keeps the plan of a round of
+#: several keys (no key of a one-key round can be this object)
+_WIDE = object()
+
+
 def _latency_report(ring: RingBuffer, label: str) -> LatencyReport | None:
     """``ring``'s durations summarized under ``label``; None while it is empty."""
-    return summarize_latencies(ring.to_array(), method=label) if len(ring) else None
+    return replace(ring.summary(), method=label) if len(ring) else None
 
 
 def grid_record(round_keys: Sequence[Hashable], grid: np.ndarray) -> tuple:
@@ -930,9 +936,10 @@ class MultiSeriesEngine:
         self._groups: dict[str, _FleetGroup] = {}
         self._absorbed: dict[Hashable, tuple[_FleetGroup, int]] = {}
         self._never_absorb: set = set()
-        #: ``(round_keys, cohorts)`` of the last all-kernel round
-        #: :meth:`_grid_plan` built; None once membership changes
-        self._plan: tuple[list, list] | None = None
+        #: all-kernel rounds :meth:`_grid_plan` routed since membership
+        #: last changed: a one-key round's cohorts under its key, and the
+        #: last wider round's ``(round_keys, cohorts)`` under ``_WIDE``
+        self._plans: dict = {}
         # ----- durable-session state (inert until open()/attach_store()) --
         #: series per durable checkpoint cohort: an incremental checkpoint
         #: re-serializes state one cohort at a time, so this bounds both
@@ -1016,7 +1023,12 @@ class MultiSeriesEngine:
         column from its first online point, whether it went live here or
         in a batch, and advances as a one-column kernel run -- so mixing
         ``process`` and ``ingest`` freely is safe (and exactly equal to
-        never batching at all).
+        never batching at all).  The run is the column's own, in place:
+        one native call reads and writes that column of its group's
+        kernel and writes its outputs into the one-row result, and a
+        clean run commits by copying the column from the working side --
+        nothing else of the group is gathered, copied or scattered, and
+        the key's route is planned once until membership changes.
 
         Journaled as one ``point`` record (see the class docstring for
         what a rejected observation leaves behind); a rejected *first*
@@ -1250,9 +1262,10 @@ class MultiSeriesEngine:
         in ``cuts``.  Conservative is fine -- a harmless cell costs one
         scalar update -- missing one is not.
         """
-        bad = ~np.isfinite(grid)
+        finite = np.isfinite(grid)
         suspects: list = []
-        if bad.any():
+        if not finite.all():
+            bad = ~finite
             absorbed = self._absorbed
             imputed = np.fromiter(
                 (key in absorbed for key in keys), dtype=bool, count=len(keys)
@@ -1369,10 +1382,11 @@ class MultiSeriesEngine:
         while row < n_rounds:
             cohorts, scalar = self._grid_plan(round_keys)
             stop = row + 1 if scalar else n_rounds
-            cut, error = self._apply_off_kernel(
-                scalar, grid[row], slots, row * stride, result
+            cut, error = (
+                self._apply_off_kernel(scalar, grid[row], slots, row * stride, result)
+                if scalar
+                else (len(round_keys), None)
             )
-            offsets = stride * np.arange(row, stop, dtype=np.intp)[:, None]
             for group, columns, takes, full in cohorts:
                 if error is not None:
                     ahead = takes < cut
@@ -1382,7 +1396,8 @@ class MultiSeriesEngine:
                         group,
                         columns,
                         grid[row:stop, takes],
-                        slots[takes] + offsets,
+                        slots[takes] + row * stride,
+                        stride,
                         full,
                         result,
                     )
@@ -1419,18 +1434,27 @@ class MultiSeriesEngine:
         group is a one-column run); ``scalar`` is ``[(key, j), ...]`` for
         the keys off the kernel path, warming or never absorbable.
 
-        A producer sends the same key list round after round, so a round
-        with no key off the kernel keeps its plan: the next call with an
-        equal list -- compared key by key, identity then ``==``, as the
-        dict lookups it skips would -- gets the same cohorts until
-        membership changes (:meth:`_absorb_eligible`, :meth:`_install`,
-        :meth:`extract_series`, :meth:`_reset_fleet_groups` drop it).
+        A producer sends the same key list round after round, and
+        ``process`` one key at a time, so a round with no key off the
+        kernel keeps its plan: the next call with an equal list --
+        compared key by key, identity then ``==``, as the dict lookups it
+        skips would -- or with the same single key gets the same cohorts
+        until membership changes (:meth:`_absorb_eligible`,
+        :meth:`_install`, :meth:`extract_series`,
+        :meth:`_reset_fleet_groups` drop them).
         """
         if not self.fleet_kernel_enabled:
             return [], list(zip(round_keys, range(len(round_keys))))
-        plan = self._plan
-        if plan is not None and plan[0] == round_keys:
-            return plan[1], []
+        plans = self._plans
+        single = len(round_keys) == 1
+        if single:
+            cohorts = plans.get(round_keys[0])
+            if cohorts is not None:
+                return cohorts, []
+        else:
+            plan = plans.get(_WIDE)
+            if plan is not None and plan[0] == round_keys:
+                return plan[1], []
         absorbed = self._absorbed
         pending = [key for key in round_keys if key not in absorbed]
         if pending:
@@ -1450,20 +1474,25 @@ class MultiSeriesEngine:
             part[2].append(j)
         cohorts = []
         for group, members, taken in parts.values():
-            columns = np.array(members, dtype=np.intp)
-            takes = np.array(taken, dtype=np.intp)
-            full = columns.size == len(group.keys)
-            if full:
-                # Whole-group rounds take the in-place (no gather/scatter)
-                # kernel path; results are scattered back by position, so
-                # sorting into column order is free for the caller.
-                order = np.argsort(columns)
-                columns = columns[order]
-                takes = takes[order]
-            cohorts.append((group, columns, takes, full))
+            # A whole group in column order is the kernel's full width;
+            # any other member list advances in place, in grid order.
+            full = len(members) == len(group.keys) and members == list(
+                range(len(members))
+            )
+            cohorts.append(
+                (
+                    group,
+                    np.array(members, dtype=np.int64),
+                    np.array(taken, dtype=np.intp),
+                    full,
+                )
+            )
         if not scalar:
-            # A copy: the caller may reorder or extend its own list.
-            self._plan = (list(round_keys), cohorts)
+            if single:
+                plans[round_keys[0]] = cohorts
+            else:
+                # A copy: the caller may reorder or extend its own list.
+                plans[_WIDE] = (list(round_keys), cohorts)
         return cohorts, scalar
 
     def _absorb_eligible(self, keys: list) -> None:
@@ -1487,7 +1516,7 @@ class MultiSeriesEngine:
                 )
                 members[key] = state
         if to_absorb:
-            self._plan = None
+            self._plans.clear()
         for spec_key, (spec, members) in to_absorb.items():
             group = self._groups.get(spec_key)
             if group is None:
@@ -1505,25 +1534,34 @@ class MultiSeriesEngine:
         group: _FleetGroup,
         columns: np.ndarray,
         block_values: np.ndarray,
-        positions: np.ndarray,
+        targets: np.ndarray,
+        stride: int,
         full: bool,
         result: IngestResult,
     ) -> None:
         """Advance one kernel cohort through a ``(rounds, m)`` value block.
 
-        One :meth:`FleetKernel.update_block` call moves the whole cohort
-        through every round of the block (splitting internally on NaN
-        rounds and replaying the members whose shift search triggers as
-        one narrow kernel, their candidate shifts as columns of a stacked
-        solve -- bit-identically to the scalar path), and every scatter
-        into the :class:`IngestResult` is one 2-D fancy write at
-        ``positions``, the block's ``(rounds, m)`` output slots.  The
-        per-member bookkeeping -- record indices, point and anomaly
-        totals -- is all batched array operations, and the block's
-        amortized per-point duration goes into the group's latency ring
-        once per round it advanced; no per-row Python objects are built
-        here (records are materialized lazily by the
-        :class:`IngestResult`).
+        Cell ``(r, j)`` of the block is member ``columns[j]``'s round
+        ``r`` and lands at ``result`` position ``targets[j] + r * stride``
+        (``targets`` ascend).  One kernel call
+        (:meth:`FleetKernel._advance_planes`, the body of
+        :meth:`FleetKernel.update_block`) moves the members through every
+        round of the block in place -- the whole group as its full width
+        when ``full``, else exactly those columns -- splitting internally
+        on NaN rounds and replaying the members whose shift search
+        triggers as one narrow kernel, their candidate shifts as columns
+        of a stacked solve, bit-identically to the scalar path.  When the
+        targets are one run of consecutive positions (the cohort's keys
+        side by side in the key list: every ``process`` call, every grid
+        over one group in column order) the block's cells are a rectangle
+        of the result's arrays read as ``(rounds, width)`` grids, and the
+        kernel writes its output planes right there; else it writes
+        planes of its own, scattered by cell.  The per-member bookkeeping
+        -- record indices, point and anomaly totals -- is all batched
+        array operations, and the block's amortized per-point duration
+        goes into the group's latency ring once per round it advanced; no
+        per-row Python objects are built here (records are materialized
+        lazily by the :class:`IngestResult`).
 
         A round that went non-finite under the kernel's unguarded solves
         (a shift-search candidate included) is left uncommitted and ends
@@ -1536,39 +1574,65 @@ class MultiSeriesEngine:
         kernel = group.kernel
         threshold = group.threshold
         latencies = group.latencies
-        while block_values.shape[0]:
+        floats, index, flags = result._grids()
+        width = index.shape[1]
+        n_rounds = block_values.shape[0]
+        m = columns.size
+        first = targets.item(0)
+        row, column = divmod(first, width)
+        if targets.item(-1) - first == m - 1 and (n_rounds == 1 or stride == width):
+            # The block's cells are a rectangle of the result: the kernel
+            # writes its planes in place.
+            rectangle = slice(column, column + m)
+            planes = floats[:, row : row + n_rounds, rectangle]
+        else:
+            rectangle = None
+            planes = np.empty((6, n_rounds, m))
+            offsets = stride * np.arange(n_rounds)[:, None]
+            cells = np.divmod(targets + offsets, width)
+        planes[0] = block_values
+        members = None if full else columns
+        at = columnar.span(columns)
+        done = 0
+        while True:
             start = time.perf_counter()
-            out = kernel.update_block(block_values, columns=None if full else columns)
-            flags = out.score > threshold
-            rounds = flags.shape[0]
-            if rounds and not self._replaying:
-                per_point = (time.perf_counter() - start) / (rounds * columns.size)
-                latencies.extend(np.full(rounds, per_point))
-            advanced = positions[:rounds]
-            round_offsets = np.arange(rounds, dtype=np.int64)[:, None]
-            result.index[advanced] = group.indices[columns][None, :] + round_offsets
-            result.value[advanced] = out.value
-            result.trend[advanced] = out.trend
-            result.seasonal[advanced] = out.seasonal
-            result.residual[advanced] = out.residual
-            result.anomaly_score[advanced] = out.score
-            result.is_anomaly[advanced] = flags
-            result.detection_residual[advanced] = out.detection_residual
-            result.live[advanced] = True
-            group.indices[columns] += rounds
-            group.points[columns] += rounds
-            group.anomalies[columns] += flags.sum(axis=0)
-            if rounds == block_values.shape[0]:
+            rounds = kernel._advance_planes(planes[:, done:], members)
+            if rounds:
+                if not self._replaying:
+                    per_point = (time.perf_counter() - start) / (rounds * m)
+                    if rounds == 1:
+                        latencies.append(per_point)
+                    else:
+                        latencies.extend(np.full(rounds, per_point))
+                block = planes[:, done : done + rounds]
+                if rectangle is not None:
+                    where = (slice(row + done, row + done + rounds), rectangle)
+                else:
+                    advanced = slice(done, done + rounds)
+                    where = (cells[0][advanced], cells[1][advanced])
+                    for plane, values in zip(floats, block):
+                        plane[where] = values
+                hits = block[5] > threshold
+                first_index = group.indices[at]
+                index[where] = first_index + np.arange(rounds)[:, None]
+                flags[0][where] = hits
+                flags[1][where] = True
+                group.indices[at] = first_index + rounds
+                group.points[at] = group.points[at] + rounds
+                group.anomalies[at] = group.anomalies[at] + hits.sum(axis=0)
+            done += rounds
+            if done == n_rounds:
                 return
-            for j, column in enumerate(columns.tolist()):
+            for j, key_column in enumerate(columns.tolist()):
                 result._write(
-                    positions[rounds, j],
+                    int(targets[j]) + done * stride,
                     self._process_unlogged(
-                        group.keys[column], block_values[rounds, j]
+                        group.keys[key_column], block_values[done, j]
                     ),
                 )
-            block_values = block_values[rounds + 1 :]
-            positions = positions[rounds + 1 :]
+            done += 1
+            if done == n_rounds:
+                return
 
     def _absorption_spec(self, key: Hashable, state: _SeriesState):
         """Spec to group the live series ``key`` under, or None (never packable).
@@ -1629,7 +1693,7 @@ class MultiSeriesEngine:
         at recovery and adoption alike: what was a column is a column,
         appended to its spec's group (or founding it), the rest are
         scalar homes."""
-        self._plan = None
+        self._plans.clear()
         self._series.update((key, states.get(key)) for key in members)
         for restored in groups:
             spec_key = restored.spec.to_json(sort_keys=True)
@@ -1643,7 +1707,7 @@ class MultiSeriesEngine:
         self._groups = {}
         self._absorbed = {}
         self._never_absorb = set()
-        self._plan = None
+        self._plans.clear()
 
     # ------------------------------------------------------------- fleet API
 
@@ -1777,7 +1841,7 @@ class MultiSeriesEngine:
         if len(set(keys)) != len(keys):
             raise ValueError("extract_series() keys must be unique")
         payload = self._encode_cohort(keys)
-        self._plan = None
+        self._plans.clear()
         for key in keys:
             self._absorbed.pop(key, None)
             self._never_absorb.discard(key)

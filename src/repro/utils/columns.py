@@ -7,10 +7,10 @@ engine's kernel groups keep one column per member series, and each names
 the arrays of a column once, in segment order, in a class attribute
 ``COLUMNS`` of :class:`Array` entries and :class:`Part` entries (a nested
 columnar object).  Everything that moves whole columns is a loop over
-those lists here: :func:`select`, :func:`assign`, :func:`append`,
-:func:`copy`, the named arrays a store segment writes (:func:`to_arrays`)
-and their checked inverse (:func:`from_arrays`), and the 1:1 copies to and
-from scalar objects (:func:`pack`, :func:`unpack`, :func:`load`).  A new
+those lists here: :func:`select`, :func:`assign`, :func:`append`, the
+named arrays a store segment writes (:func:`to_arrays`) and their checked
+inverse (:func:`from_arrays`), and the 1:1 copies to and from scalar
+objects (:func:`pack`, :func:`unpack`, :func:`load`).  A new
 per-column array is one declaration line; the flattened declarations are
 a segment's section list.
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.utils.validation import owned_arrays
 
-__all__ = ["Array", "Part", "amortized_append", "from_arrays", "layout", "walk"]
+__all__ = ["Array", "Part", "amortized_append", "from_arrays", "layout", "span", "walk"]
 
 #: smallest base allocation (columns) created when capacity is first needed
 _MIN_CAPACITY = 8
@@ -136,6 +136,18 @@ def walk(obj, prefix: str = "") -> Iterator[tuple[str, Any, Array]]:
             yield prefix + entry.name, obj, entry
 
 
+def span(columns: np.ndarray) -> "slice | np.ndarray":
+    """A non-empty list of distinct columns as a slice when it is
+    consecutive and ascending -- every index through it is then a view,
+    not a gather or a scatter -- else as it is."""
+    first, m = columns.item(0), columns.size
+    if columns.item(-1) - first == m - 1 and (
+        m < 3 or bool((np.diff(columns) == 1).all())
+    ):
+        return slice(first, first + m)
+    return columns
+
+
 # ------------------------------------------------------------ membership
 
 
@@ -148,19 +160,6 @@ def select(obj, columns, into=None):
         value = getattr(obj, name)
         value = select(value, columns) if axis is None else value.take(columns, axis)
         setattr(sub, name, value)
-    return sub
-
-
-def copy(obj):
-    """An independent copy of every member."""
-    n = obj.n_series
-    sub = obj._blank(n)
-    for name, axis in _plan(type(obj)):
-        value = getattr(obj, name)
-        if axis is None:
-            setattr(sub, name, copy(value))
-        else:
-            setattr(sub, name, (value if axis == 0 else value[..., :n]).copy())
     return sub
 
 

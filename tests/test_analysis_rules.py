@@ -394,6 +394,111 @@ def test_the_shipped_native_source_and_flags_are_read(tmp_path):
     ]
 
 
+# --------------------------------------------------------------- HP007
+
+BOUND_C = """
+#include <stdint.h>
+#define CLONED __attribute__((target_clones("avx2", "default")))
+/* a comment naming step(double x) { is not a definition */
+int64_t step_scratch(int64_t n) { return n; }
+const char *step_vector(void) { return "default"; }
+CLONED int64_t step(
+    int64_t n, const int64_t *columns, double scale,
+    double *restrict out, int64_t stride)
+{
+    return n + (int64_t)(scale * out[columns[0] * stride]);
+}
+void reset(double *out) { out[0] = 0.0; }
+"""
+
+BINDING = """
+import ctypes
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("step.c")
+_POINTER = ctypes.c_void_p
+_INT = ctypes.c_int64
+_STEP = (_INT, _POINTER) + (ctypes.c_double,) + (_POINTER, _INT) * 1
+ROUTINES = {{
+    "step": ({restype}, {argtypes}),
+    "step_scratch": (_INT, (_INT,)),
+    "step_vector": (ctypes.c_char_p, ()),
+    "reset": (None, (_POINTER,)),
+}}
+"""
+
+
+def bind(tmp_path, restype="_INT", argtypes="_STEP", c_source=BOUND_C):
+    """Findings of a loader module and the C file beside it."""
+    (tmp_path / "step.c").write_text(c_source)
+    module = tmp_path / "_loader.py"
+    source = BINDING.format(restype=restype, argtypes=argtypes)
+    module.write_text(source)
+    return analyze_source(source, str(module))
+
+
+def test_ctypes_declarations_that_match_their_prototypes_are_clean(tmp_path):
+    assert bind(tmp_path) == []
+
+
+def test_a_dropped_parameter_is_flagged_with_where_the_list_shifts(tmp_path):
+    findings = bind(tmp_path, argtypes="(_INT, _POINTER, _POINTER, _INT)")
+    assert rules(findings) == ["HP007", "HP007"]
+    assert "takes 5 parameters in step.c, but argtypes declares 4" in (
+        findings[0].message
+    )
+    assert "parameter 3 (scale) is double" in findings[1].message
+    assert all(finding.line == 10 for finding in findings)  # the "step" entry
+
+
+def test_a_wrong_kind_or_return_type_is_flagged(tmp_path):
+    findings = bind(tmp_path, argtypes="(_INT, _INT, ctypes.c_double, _POINTER, _INT)")
+    assert rules(findings) == ["HP007"]
+    assert "parameter 2 (columns) is pointer in step.c" in findings[0].message
+    assert "passes int64_t" in findings[0].message
+    findings = bind(tmp_path, restype="None")
+    assert rules(findings) == ["HP007"]
+    assert "step returns int64_t in step.c, but its restype passes void" in (
+        findings[0].message
+    )
+    # A ctypes type outside the four kinds matches no C parameter.
+    findings = bind(
+        tmp_path, argtypes="(_INT, _POINTER, ctypes.c_float, _POINTER, _INT)"
+    )
+    assert "parameter 3 (scale) is double" in findings[0].message
+    assert "ctypes.c_float" in findings[0].message
+
+
+def test_a_missing_definition_or_source_is_flagged(tmp_path):
+    renamed = BOUND_C.replace("int64_t step(", "int64_t walk(")
+    findings = bind(tmp_path, c_source=renamed)
+    assert [finding.message for finding in findings] == [
+        "step: no definition in step.c"
+    ]
+    module = tmp_path / "elsewhere" / "_loader.py"
+    source = BINDING.format(restype="_INT", argtypes="_STEP")
+    findings = analyze_source(source, str(module))
+    assert rules(findings) == ["HP007"] and "cannot read step.c" in findings[0].message
+    unreadable = source.replace("* 1", "* len(())")
+    findings = analyze_source(unreadable, str(tmp_path / "_loader.py"))
+    assert rules(findings) == ["HP007"] and "cannot read" in findings[0].message
+
+
+def test_the_shipped_loader_matches_advance_run_c():
+    """The real binding, read from the tree: every routine, clean."""
+    from repro.analysis.rules_native import check_signatures
+    from repro.core import _native
+
+    path = Path(_native.__file__)
+    tree = ast.parse(path.read_text())
+    assert check_signatures(tree, str(path)) == []
+    assert set(_native.ROUTINES) == {
+        "advance_run",
+        "advance_run_scratch",
+        "advance_run_vector",
+    }
+
+
 # --------------------------------------------------------------- WAL001
 
 

@@ -780,10 +780,10 @@ class TestMarkedColumns:
         assert [columns for columns, _ in spies["replays"][:2]] == [[2], [3]]
 
     def test_trips_in_a_column_subset(self, spies):
-        # Columns are positions in the gathered sub-kernel.
+        # The subset advances in place: replays name kernel columns.
         self.check([(2, 6), (5, 11)], columns=np.array([0, 2, 5]))
         assert spies["runs"][0] == (0, PERIOD)
-        assert spies["replays"][0][0] == [1, 2]
+        assert spies["replays"][0][0] == [2, 5]
 
     @pytest.mark.parametrize("rounds_per_block", [1, PERIOD])
     def test_tripped_columns_are_searched_as_columns_of_one_stacked_solve(
@@ -2177,17 +2177,21 @@ class TestNonFiniteSolveReplay:
 
     @pytest.fixture
     def returned_short(self, monkeypatch):
-        """``(rounds submitted, rounds returned)`` of every short kernel call."""
+        """``(rounds submitted, rounds returned)`` of every short kernel call.
+
+        The engine advances a cohort into its result's planes
+        (``_advance_planes``, which ``update_block`` wraps).
+        """
         calls = []
-        original = FleetKernel.update_block
+        original = FleetKernel._advance_planes
 
-        def spy(kernel, values, columns=None):
-            out = original(kernel, values, columns)
-            if columns is None and out.value.shape[0] < len(values):
-                calls.append((len(values), out.value.shape[0]))
-            return out
+        def spy(kernel, planes, columns=None):
+            rounds = original(kernel, planes, columns)
+            if columns is None and rounds < planes.shape[1]:
+                calls.append((planes.shape[1], rounds))
+            return rounds
 
-        monkeypatch.setattr(FleetKernel, "update_block", spy)
+        monkeypatch.setattr(FleetKernel, "_advance_planes", spy)
         return calls
 
     def warmed_pair(self, data, **engine_kwargs):

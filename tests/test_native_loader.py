@@ -34,8 +34,9 @@ from tests.test_fleet_kernel import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-#: position of the ``trend_out`` pointer among ``advance_run``'s arguments
-TREND_OUT = 18
+#: positions of the planes pointer and of their plane stride among
+#: ``advance_run``'s arguments (the trend plane is the second)
+PLANES, PLANE_STRIDE = 20, 21
 
 needs_compiler = pytest.mark.skipif(
     kernel_backend()["body"] != "native",
@@ -211,14 +212,17 @@ def test_a_body_one_ulp_off_fails_the_self_check_and_is_refused(
         (advance_run, scratch_doubles), report = load()
 
         def one_ulp_off(*arguments):
-            advance_run(*arguments)
-            first_trend = ctypes.c_double.from_address(arguments[TREND_OUT])
+            status = advance_run(*arguments)
+            first_trend = ctypes.c_double.from_address(
+                arguments[PLANES] + 8 * arguments[PLANE_STRIDE]
+            )
             first_trend.value = np.nextafter(first_trend.value, np.inf)
+            return status
 
         return (one_ulp_off, scratch_doubles), report
 
     monkeypatch.setattr(_native, "load", perturbed_load)
-    with pytest.warns(RuntimeWarning, match="self-check failed"):
+    with pytest.warns(RuntimeWarning, match="self-check failed.*different bits"):
         backend = kernel_backend()
     assert backend["body"] == "numpy"
     assert fleet._native_run is None

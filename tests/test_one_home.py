@@ -143,13 +143,13 @@ class TestAGroupHasNoDeadColumns:
             key: (group, column) for column, key in enumerate(stayed)
         }
         widths = []
-        advance = group.kernel.update_block
+        advance = group.kernel._advance_planes
 
-        def spy(values, columns=None):
+        def spy(planes, columns=None):
             widths.append(columns)
-            return advance(values, columns)
+            return advance(planes, columns)
 
-        group.kernel.update_block = spy
+        group.kernel._advance_planes = spy
         window = STREAMS[self.CUT : self.END]
         halves = (
             (donor, stayed, window[:, self.STAYED], self.STAYED),

@@ -136,6 +136,36 @@ class TestRingBuffer:
         with pytest.raises(ValueError):
             buffer.latest()
 
+    def test_summary_is_memoised_until_a_write_and_pickles_unchanged(self):
+        buffer = RingBuffer(6)
+        buffer.extend([3e-6, 1e-6, 2e-6])
+        report = buffer.summary()
+        assert report == summarize_latencies(buffer.to_array(), "ring")
+        assert buffer.summary() is report  # memoised: not summarized again
+        writes = (
+            lambda ring: ring.append(5e-6),
+            lambda ring: ring.extend([4e-6, 9e-6, 7e-6, 8e-6]),  # wraps around
+            lambda ring: ring.clear(),
+            lambda ring: ring.extend(np.array([6e-6, 1e-5])),
+        )
+        for write in writes:
+            before = buffer.summary()
+            write(buffer)
+            after = buffer.summary()
+            assert after == summarize_latencies(buffer.to_array(), "ring")
+            assert after != before
+        # The memo is not state: no pickled byte carries it, and a copy
+        # summarizes to the same report.
+        assert set(buffer.__getstate__()) == {"capacity", "_storage", "_next", "_count"}
+        fresh = RingBuffer(6)
+        fresh.extend(buffer.to_array())
+        assert pickle.dumps(buffer) == pickle.dumps(fresh)
+        copied = pickle.loads(pickle.dumps(buffer))
+        assert copied.summary() == buffer.summary()
+        copied.append(2e-5)
+        assert copied.summary() != buffer.summary()
+        assert copied.summary() == summarize_latencies(copied.to_array(), "ring")
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             RingBuffer(0)

@@ -9,6 +9,8 @@ import pytest
 from repro.core import OneShotSTL
 from repro.specs import DecomposerSpec, EngineSpec, PipelineSpec
 from repro.streaming import MultiSeriesEngine, StreamingPipeline
+from repro.streaming.engine import EngineRecord, SeriesStatus
+from repro.streaming.pipeline import StreamRecord
 
 from tests.conftest import make_seasonal_series
 from tests.test_fleet_kernel import RESULT_FIELDS
@@ -317,6 +319,37 @@ class TestFleetStats:
             scalar.ingest(batch)
         assert scalar.series_stats("host-0").latency.points == PERIOD * 2
 
+    def test_a_group_report_is_summarized_once_per_write_and_relabelled(
+        self, monkeypatch
+    ):
+        from repro.streaming import buffer as ring_module
+
+        data = make_fleet_data(3, length=PERIOD * 6)
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
+        for batch in interleaved_batches(data):
+            engine.ingest(batch)
+        summaries = []
+        original = ring_module.summarize_latencies
+
+        def counted(durations, method):
+            summaries.append(method)
+            return original(durations, method)
+
+        monkeypatch.setattr(ring_module, "summarize_latencies", counted)
+        (group,) = engine._groups.values()
+        expected = original(group.latencies.to_array(), "ring")
+        reports = [engine.series_stats(key).latency for key in data]
+        assert summaries == ["ring"]
+        for key, report in zip(data, reports):
+            assert report == replace(expected, method=f"series[{key!r}]")
+        engine.process("host-1", float(data["host-1"][-1]))
+        changed = engine.series_stats("host-0").latency
+        assert summaries == ["ring", "ring"]
+        assert changed.points == expected.points + 1
+        assert changed == replace(
+            original(group.latencies.to_array(), "x"), method="series['host-0']"
+        )
+
     def test_warming_series_counted(self):
         engine = MultiSeriesEngine.for_oneshotstl(PERIOD, shift_window=0)
         engine.process("m", 1.0)
@@ -324,6 +357,57 @@ class TestFleetStats:
         assert stats.series_warming == 1
         assert stats.series_live == 0
         assert stats.points_total == 1
+
+
+def reference_records(result):
+    """The records of a result as a per-row keyword loop builds them."""
+    records = []
+    for position in range(len(result)):
+        key = result.keys[position]
+        if not result.live[position]:
+            records.append(
+                EngineRecord(key=key, status=SeriesStatus.WARMING, record=None)
+            )
+            continue
+        fields = {
+            name: getattr(result, name).tolist()[position]
+            for name in (
+                "index", "value", "trend", "seasonal", "residual",
+                "anomaly_score", "is_anomaly", "detection_residual",
+            )
+        }  # fmt: skip
+        record = StreamRecord(**fields)
+        records.append(EngineRecord(key=key, status=SeriesStatus.LIVE, record=record))
+    return records
+
+
+def test_records_are_the_per_row_loops_for_warming_and_live_rows():
+    """Positional construction builds equal records of the same types."""
+    data = make_fleet_data(3, length=PERIOD * 6)
+    engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
+    live = {key: values[: PERIOD * 5] for key, values in data.items()}
+    engine.ingest_columnar(live)
+    keys = ["host-1", "new-a", "host-0", "new-b", "host-2"]
+    grid = np.array(
+        [
+            [data["host-1"][position], 1.0, data["host-0"][position], 2.0, np.nan]
+            for position in range(PERIOD * 5, PERIOD * 5 + 3)
+        ]
+    )
+    result = engine.ingest_grid(keys, grid)
+    assert 0 < int(result.live.sum()) < len(result)
+    expected = reference_records(result)
+    records = result.records()
+    assert records == expected
+    for got, want in zip(records, expected):
+        assert type(got.status) is type(want.status)
+        assert type(got.record) is type(want.record)
+        if want.record is not None:
+            for name in ("index", "value", "trend", "is_anomaly", "detection_residual"):
+                kind = type(getattr(want.record, name))
+                assert type(getattr(got.record, name)) is kind
+    assert [result[i] for i in range(len(result))] == expected
+    assert list(result) == expected
 
 
 #: the one class here whose series are absorbed into a FleetKernel
