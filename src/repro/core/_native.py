@@ -163,13 +163,11 @@ def _open(library: Path) -> tuple[tuple, str]:
     not a complete library of this source.
     """
     handle = ctypes.CDLL(str(library))
-    routines = []
     for name, (restype, argtypes) in ROUTINES.items():
         routine = getattr(handle, name)
         routine.restype, routine.argtypes = restype, argtypes
-        routines.append(routine)
-    advance_run, scratch_doubles, vector = routines
-    return (advance_run, scratch_doubles), vector().decode()
+    routines = (handle.advance_run, handle.advance_run_scratch)
+    return routines, handle.advance_run_vector().decode()
 
 
 def load() -> tuple[tuple | None, dict]:

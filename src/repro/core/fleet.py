@@ -331,8 +331,10 @@ def _native_state(state: tuple) -> tuple:
     capacity, trend pairs, pair capacity, seasonal buffer, its row
     stride)``, ``(global_index, points_processed)``, ``(the monitor's
     moments, the saved moments)`` and the scratch.  They follow from the
-    arrays alone, so :meth:`FleetKernel._run_native` reuses them while
-    every array is the same object (an array's buffer never moves)."""
+    arrays alone: an array's buffer never moves (growing a kernel's
+    columns replaces its arrays, :func:`repro.utils.columns.append`), so
+    :meth:`FleetKernel._run_native` reuses them while every array is the
+    same object."""
     (
         blocks_in, rhs_in, blocks_out, rhs_out, pairs_in, pairs_out,
         seasonal_buffer, global_index, points_processed,
@@ -415,6 +417,7 @@ class ColumnarNSigma:
     load = columnar.load
     append = columnar.append
     select = columnar.select
+    copy = columnar.copy
     assign = columnar.assign
     to_arrays = columnar.to_arrays
 
@@ -555,8 +558,10 @@ class FleetKernel:
         self._pairs_out: np.ndarray | None = None
         self._saved: tuple | None = None
         self._scratch: np.ndarray | None = None
-        #: ``(arrays, arguments)`` of the last native run (_native_state)
-        self._addresses: tuple | None = None
+        #: ``(arrays, arguments)`` of the last two native runs' distinct
+        #: states (_native_state), newest first: a full-width commit swaps
+        #: the solver's and the trend pairs' sides, so runs alternate two
+        self._addresses: tuple = ()
         if _backend is None:
             kernel_backend()
 
@@ -640,15 +645,15 @@ class FleetKernel:
         state = vars(self)
         vars(kernel).update({name: state[name] for name in _SHARED})
         kernel._n = n
-        kernel._arange = kernel._workspaces = kernel._pairs_out = None
-        kernel._saved = kernel._addresses = None
+        kernel._arange = kernel._workspaces = kernel._pairs_out = kernel._saved = None
+        kernel._addresses = ()
         return kernel
 
     def __getstate__(self) -> dict:
         """The attributes but the native run's cached addresses: they
         would point into the arrays of the kernel this one was copied
         from."""
-        return {**vars(self), "_addresses": None}
+        return {**vars(self), "_addresses": ()}
 
     @property
     def n_series(self) -> int:
@@ -1142,9 +1147,13 @@ class FleetKernel:
             scratch,
         )
         cached = self._addresses
-        if cached is None or not all(map(operator.is_, state, cached[0])):
-            self._addresses = cached = (state, _native_state(state))
-        kernel_state, index_state, moment_state, scratch_at = cached[1]
+        for arrays, arguments in cached:
+            if all(map(operator.is_, state, arrays)):
+                break
+        else:
+            arguments = _native_state(state)
+            self._addresses = ((state, arguments), *cached[:1])
+        kernel_state, index_state, moment_state, scratch_at = arguments
         return advance_run(
             stop - start,
             self.iterations,

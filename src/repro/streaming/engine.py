@@ -779,9 +779,10 @@ class EngineSnapshot(Mapping):
         return self._states
 
 
-#: where :attr:`MultiSeriesEngine._plans` keeps the plan of a round of
-#: several keys (no key of a one-key round can be this object)
-_WIDE = object()
+#: the grid column of a one-key round's one cell (read-only: every such
+#: round's plan shares it)
+_LONE_TAKE = np.zeros(1, dtype=np.intp)
+_LONE_TAKE.flags.writeable = False
 
 
 def _latency_report(ring: RingBuffer, label: str) -> LatencyReport | None:
@@ -936,10 +937,10 @@ class MultiSeriesEngine:
         self._groups: dict[str, _FleetGroup] = {}
         self._absorbed: dict[Hashable, tuple[_FleetGroup, int]] = {}
         self._never_absorb: set = set()
-        #: all-kernel rounds :meth:`_grid_plan` routed since membership
-        #: last changed: a one-key round's cohorts under its key, and the
-        #: last wider round's ``(round_keys, cohorts)`` under ``_WIDE``
-        self._plans: dict = {}
+        #: ``(round_keys, cohorts)`` of the last all-kernel one-key round
+        #: (under True) and of the last wider one (under False)
+        #: :meth:`_grid_plan` built; emptied once membership changes
+        self._plans: dict[bool, tuple[list, list]] = {}
         # ----- durable-session state (inert until open()/attach_store()) --
         #: series per durable checkpoint cohort: an incremental checkpoint
         #: re-serializes state one cohort at a time, so this bounds both
@@ -1434,28 +1435,31 @@ class MultiSeriesEngine:
         group is a one-column run); ``scalar`` is ``[(key, j), ...]`` for
         the keys off the kernel path, warming or never absorbable.
 
-        A producer sends the same key list round after round, and
-        ``process`` one key at a time, so a round with no key off the
-        kernel keeps its plan: the next call with an equal list --
-        compared key by key, identity then ``==``, as the dict lookups it
-        skips would -- or with the same single key gets the same cohorts
-        until membership changes (:meth:`_absorb_eligible`,
-        :meth:`_install`, :meth:`extract_series`,
-        :meth:`_reset_fleet_groups` drop them).
+        A producer sends the same key list round after round, so a round
+        with no key off the kernel keeps its plan: the next call with an
+        equal list -- compared key by key, identity then ``==``, as the
+        dict lookups it skips would -- gets the same cohorts until
+        membership changes (:meth:`_absorb_eligible`, :meth:`_install`,
+        :meth:`extract_series`, :meth:`_reset_fleet_groups` drop them).
+        One-key rounds -- ``process`` calls -- keep theirs in a slot of
+        their own, so they never evict a wider list's plan, and a key
+        absorbed already is planned straight from ``_absorbed``.
         """
         if not self.fleet_kernel_enabled:
             return [], list(zip(round_keys, range(len(round_keys))))
-        plans = self._plans
         single = len(round_keys) == 1
-        if single:
-            cohorts = plans.get(round_keys[0])
-            if cohorts is not None:
-                return cohorts, []
-        else:
-            plan = plans.get(_WIDE)
-            if plan is not None and plan[0] == round_keys:
-                return plan[1], []
+        plan = self._plans.get(single)
+        if plan is not None and plan[0] == round_keys:
+            return plan[1], []
         absorbed = self._absorbed
+        location = absorbed.get(round_keys[0]) if single else None
+        if location is not None:
+            group, column = location
+            full = column == 0 and len(group.keys) == 1
+            columns = np.array((column,), dtype=np.int64)
+            cohorts = [(group, columns, _LONE_TAKE, full)]
+            self._plans[True] = (list(round_keys), cohorts)
+            return cohorts, []
         pending = [key for key in round_keys if key not in absorbed]
         if pending:
             self._absorb_eligible(pending)
@@ -1488,11 +1492,8 @@ class MultiSeriesEngine:
                 )
             )
         if not scalar:
-            if single:
-                plans[round_keys[0]] = cohorts
-            else:
-                # A copy: the caller may reorder or extend its own list.
-                plans[_WIDE] = (list(round_keys), cohorts)
+            # A copy: the caller may reorder or extend its own list.
+            self._plans[single] = (list(round_keys), cohorts)
         return cohorts, scalar
 
     def _absorb_eligible(self, keys: list) -> None:

@@ -7,10 +7,10 @@ engine's kernel groups keep one column per member series, and each names
 the arrays of a column once, in segment order, in a class attribute
 ``COLUMNS`` of :class:`Array` entries and :class:`Part` entries (a nested
 columnar object).  Everything that moves whole columns is a loop over
-those lists here: :func:`select`, :func:`assign`, :func:`append`, the
-named arrays a store segment writes (:func:`to_arrays`) and their checked
-inverse (:func:`from_arrays`), and the 1:1 copies to and from scalar
-objects (:func:`pack`, :func:`unpack`, :func:`load`).  A new
+those lists here: :func:`select`, :func:`assign`, :func:`append`,
+:func:`copy`, the named arrays a store segment writes (:func:`to_arrays`)
+and their checked inverse (:func:`from_arrays`), and the 1:1 copies to and
+from scalar objects (:func:`pack`, :func:`unpack`, :func:`load`).  A new
 per-column array is one declaration line; the flattened declarations are
 a segment's section list.
 
@@ -84,7 +84,10 @@ def amortized_append(view: np.ndarray, new, axis: int = 0) -> np.ndarray:
     with room, ``new`` lands in the spare capacity and nothing is copied;
     otherwise a base of twice the required size is allocated once, so
     ``m`` one-column appends copy O(m) in total, not O(m^2).  The caller
-    must drop ``view`` and only ever mutate the result in place.
+    must drop ``view`` and only ever mutate the result in place.  No
+    array's buffer moves: growth is a new array object, never an
+    in-place ``ndarray.resize``, so a buffer address is valid for as long
+    as its array object lives (the native run caches them per object).
     """
     new = np.asarray(new, dtype=view.dtype)
     cell = view.shape[1:] if axis == 0 else view.shape[:-1]
@@ -160,6 +163,19 @@ def select(obj, columns, into=None):
         value = getattr(obj, name)
         value = select(value, columns) if axis is None else value.take(columns, axis)
         setattr(sub, name, value)
+    return sub
+
+
+def copy(obj):
+    """An independent copy of every member."""
+    n = obj.n_series
+    sub = obj._blank(n)
+    for name, axis in _plan(type(obj)):
+        value = getattr(obj, name)
+        if axis is None:
+            setattr(sub, name, copy(value))
+        else:
+            setattr(sub, name, (value if axis == 0 else value[..., :n]).copy())
     return sub
 
 

@@ -187,3 +187,48 @@ class TestAGatheredSubKernelCannotComeBack:
             kernel.update_block(values, columns=[1, 4])
         with pytest.raises(ValueError, match="repeat"):
             kernel.update_block(values, columns=[3, -1])
+
+
+class TestNativeArgumentsFollowTheArrays:
+    """The native run reuses its state arguments while the arrays are the
+    same objects, for both sides of the ping-pong, and never across a
+    copy of the kernel."""
+
+    @pytest.fixture(autouse=True)
+    def native_only(self, kernel_body):
+        if kernel_body != "native":
+            pytest.skip("the argument cache is the native body's")
+
+    def test_full_width_runs_reuse_both_sides_arguments(self, monkeypatch):
+        from repro.core import fleet
+
+        streams, _scalar, kernel = warm_fleet(N)
+        built = []
+        original = fleet._native_state
+
+        def counted(state):
+            built.append(len(state))
+            return original(state)
+
+        monkeypatch.setattr(fleet, "_native_state", counted)
+        values = np.array(streams)[:, INIT + 8 : INIT + 14].T.copy()
+        for row in range(values.shape[0]):
+            kernel.update_block(values[row : row + 1])
+        assert len(built) == 2
+
+    def test_a_pickled_copy_runs_on_its_own_arrays(self):
+        import pickle
+
+        streams, _scalar, kernel = warm_fleet(N)
+        values = np.array(streams)[:, INIT + 8 : INIT + 12].T.copy()
+        kernel.update_block(values[:1])
+        kernel.update_block(values[1:2])
+        copied = pickle.loads(pickle.dumps(kernel))
+        before = sections(kernel)
+        advanced = copied.update_block(values[2:])
+        after = sections(kernel)
+        for column in range(N):
+            assert column_bytes(after, column) == column_bytes(before, column), column
+        expected = kernel.update_block(values[2:])
+        assert advanced.trend.tobytes() == expected.trend.tobytes()
+        assert column_bytes(sections(copied), 3) == column_bytes(sections(kernel), 3)
