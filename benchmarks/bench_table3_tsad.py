@@ -10,7 +10,8 @@ OneShotSTL has the best (lowest) average rank and ties the best average
 VUS-ROC, NSigma is surprisingly competitive and by far the fastest, and the
 matrix-profile methods win the ECG-like families while the STD methods win
 the IoT/AIOps-like families.  Absolute values differ because the data are
-synthetic stand-ins (see DESIGN.md).
+synthetic stand-ins (one generated family per TSB-UAD benchmark name, from
+:mod:`repro.datasets.tsad_benchmark`, in place of the archive's files).
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ Subpackages: ``core``, ``decomposition``, ``anomaly``, ``forecasting``,
 crash recovery behind ``MultiSeriesEngine.open``), ``sharding``
 (consistent-hash routing of the fleet across durable worker processes
 with checkpoint-handoff failover), ``utils``, plus the flat ``registry``
-and ``specs`` modules.  See README.md and DESIGN.md for the full map.
+and ``specs`` modules.  See README.md for the full map.
 """
 
 from repro.core import JointSTL, ModifiedJointSTL, NSigma, OneShotSTL, select_lambda

@@ -8,7 +8,7 @@ the anomaly-free prefix whose reconstruction error is the anomaly score.
 It exercises the same code path as the deep baselines -- train on the
 prefix, slide over the test region, score each point -- and shows the same
 qualitative behaviour (good on point/collective outliers, weaker on subtle
-pattern drift).  See DESIGN.md for the substitution rationale.
+pattern drift), a CPU stand-in where no GPU or framework is available.
 """
 
 from __future__ import annotations

@@ -255,13 +255,11 @@ def _same_bits(routines: tuple) -> bool:
         "seasonal_buffer": np.sin(np.arange(4.0 * n)).reshape(n, 4),
         "global_index": ages,
         "points_processed": ages,
-        "last_trend": np.zeros(n),
         "last_detection_residual": np.zeros(n),
         "last_applied_shift": np.zeros(n, dtype=np.int64),
         "trend_pairs": np.sin(np.arange(2.0 * n_iterations * n)).reshape(2, -1, n),
         "solver_blocks": blocks,
         "solver_rhs": np.cos(np.arange(4.0 * n_iterations * n)).reshape(4, -1, n),
-        "solver_sizes": np.zeros((n_iterations, n), dtype=np.int64),
         "monitor_count": counts,
         "monitor_mean": np.cos(np.arange(n) * 0.9),
         "monitor_m2": spreads * counts,
@@ -273,7 +271,7 @@ def _same_bits(routines: tuple) -> bool:
         planes = np.empty((6, n_rounds, columns.size))
         planes[0] = 3.0 * np.sin(np.arange(planes[0].size) * 0.7).reshape(n_rounds, -1)
         status = kernel._solve_run(body, planes, 0, n_rounds, columns)
-        working = kernel.solver.run_buffers(2, n_rounds)[2:]
+        working = kernel.solver.run_buffers()[2:]
         saved = kernel._saved_space(columns.size)
         images.append(
             repr(status).encode()
@@ -417,7 +415,6 @@ class ColumnarNSigma:
     load = columnar.load
     append = columnar.append
     select = columnar.select
-    copy = columnar.copy
     assign = columnar.assign
     to_arrays = columnar.to_arrays
 
@@ -510,11 +507,12 @@ class FleetKernel:
     #: scalar model's bookkeeping (1:1 with its attributes), the
     #: per-iteration ``(before_previous, previous)`` trend pairs, then the
     #: solver's (``solver_*``) and the residual monitor's (``monitor_*``).
+    #: Derived, not stored: :attr:`last_trend`, and each solver's size,
+    #: ``2 * points_processed``.
     COLUMNS = (
         Array("seasonal_buffer", float, cell=("T",), scalar="_seasonal_buffer"),
         Array("global_index", np.int64, scalar="_global_index"),
         Array("points_processed", np.int64, scalar="_points_processed"),
-        Array("last_trend", float, scalar="_last_trend"),
         Array("last_detection_residual", float, scalar="_last_detection_residual"),
         Array("last_applied_shift", np.int64, scalar="_last_applied_shift"),
         Array("trend_pairs", float, -1, (2, "I")),
@@ -665,6 +663,14 @@ class FleetKernel:
         a live view of the capacity buffer."""
         return self._trend_pairs[..., : self._n]
 
+    @property
+    def last_trend(self) -> np.ndarray:
+        """Each member's most recent trend, ``(n,)``: a read-only view of
+        its last iteration's previous trend, which it always equals."""
+        view = self._trend_pairs[1, -1, : self._n]
+        view.flags.writeable = False
+        return view
+
     def get_params(self) -> dict:
         """The uniform OneShotSTL constructor parameters of the fleet."""
         return {
@@ -713,6 +719,11 @@ class FleetKernel:
             model._workspace = ContributionWorkspace(self.lambda1, self.lambda2)
             models.append(model)
         columnar.unpack(self, columns, models)
+        for model in models:  # the derived facts
+            states = model._iterations_state
+            model._last_trend = states[-1].previous_trend
+            for state in states:
+                state.solver.size = 2 * model._points_processed
         return models
 
     def forecast(self, index: int, horizon: int) -> np.ndarray:
@@ -1088,7 +1099,7 @@ class FleetKernel:
             # Scatter: moments in place, post-run state to the working side.
             self.monitor.assign(columns, monitor)
             solver.commit_run()
-            blocks_out, rhs_out = self.solver.run_buffers(2, n_rounds)[2:]
+            blocks_out, rhs_out = self.solver.run_buffers()[2:]
             advanced = columnar.to_arrays(solver)
             blocks_out[..., columns] = advanced["blocks"]
             rhs_out[..., columns] = advanced["rhs"]
@@ -1134,7 +1145,7 @@ class FleetKernel:
             self._saved_space(columns.size)
         monitor = self.monitor
         state = (
-            *self.solver.run_buffers(2, stop - start),
+            *self.solver.run_buffers(),
             self._trend_pairs,
             self._pair_buffer(),
             self.seasonal_buffer,
@@ -1293,7 +1304,6 @@ class FleetKernel:
         self.seasonal_buffer[columns, phases] = planes[2, start:stop]
         self.global_index[at] = index + n_rounds
         self.points_processed[at] = self.points_processed[at] + n_rounds
-        self.last_trend[at] = planes[1, stop - 1]
         self.last_detection_residual[at] = planes[4, stop - 1]
         if columns.size == self._n:
             self._trend_pairs, self._pairs_out = self._pairs_out, self._trend_pairs

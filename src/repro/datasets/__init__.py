@@ -1,8 +1,8 @@
 """Dataset generators and loaders for every experiment in the paper.
 
 Synthetic substitutes are provided for all proprietary or non-downloadable
-data (see DESIGN.md for the substitution table); loaders are provided for
-users who have the real benchmark files locally.
+data (each module names the paper dataset it stands in for); loaders are
+provided for users who have the real benchmark files locally.
 """
 
 from repro.datasets.anomalies import (

@@ -29,9 +29,10 @@ about it.
 
 The section names are the engine's too.  Earlier builds wrote sections
 no later one writes -- a per-column latency ring (``latency_counts``,
-``latency_values``) and the detector's moments (``scorer_*``, with a
-``meta["scorer"]``) -- which the engine reads and drops, the moments once
-checked against ``monitor_*`` byte for byte; the layout is the same.
+``latency_values``), the detector's moments (``scorer_*``, with a
+``meta["scorer"]``) and copies of derived facts (``indices``,
+``last_trend``, ``solver_sizes``) -- which the engine reads and drops,
+all but the ring once checked byte for byte; the layout is the same.
 
 A segment says what it is by its first bytes, so a reader needs no
 version from outside: :func:`split_segment` hands back the groups and

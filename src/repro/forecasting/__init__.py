@@ -14,8 +14,8 @@ Classical
 :class:`NaiveForecaster`, :class:`SeasonalNaiveForecaster`, :class:`DriftForecaster`
     Sanity baselines.
 
-Learned proxies (stand-ins for the GPU deep baselines, see DESIGN.md)
-----------------------------------------------------------------------
+Learned proxies (small CPU-trained models standing in for the GPU deep baselines)
+----------------------------------------------------------------------------------
 :class:`DirectRidgeForecaster`
     Direct multi-horizon ridge regression ("DLinear-style").
 :class:`NBeatsLiteForecaster`

@@ -3,8 +3,8 @@
 A classical statistical forecaster with level, trend and seasonal states.
 It serves two roles: a strong non-deep baseline in its own right, and part
 of the proxy family standing in for the paper's GPU-trained forecasters
-(see DESIGN.md).  The three smoothing factors are selected with a small
-grid search on the training split.
+(no GPU or deep-learning framework is available).  The three smoothing
+factors are selected with a small grid search on the training split.
 """
 
 from __future__ import annotations

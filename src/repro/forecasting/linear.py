@@ -1,11 +1,11 @@
 """Direct multi-horizon ridge regression ("DLinear-style" proxy).
 
 One of the two learned proxies standing in for the paper's GPU deep
-forecasters (DESIGN.md documents the substitution).  The model maps the
-last ``input_window`` (train-standardized) values directly to all
-``horizon`` outputs with a ridge-regularized linear layer -- the same family
-of simple direct linear forecasters that has repeatedly been shown to match
-transformer models on these benchmarks.
+forecasters (a ridge layer solved in closed form replaces a GPU-trained
+network).  The model maps the last ``input_window`` (train-standardized)
+values directly to all ``horizon`` outputs with a ridge-regularized linear
+layer -- the same family of simple direct linear forecasters that has
+repeatedly been shown to match transformer models on these benchmarks.
 """
 
 from __future__ import annotations

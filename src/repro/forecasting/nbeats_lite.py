@@ -5,7 +5,7 @@ blocks where each block produces a *backcast* that is subtracted from the
 input before the next block, and a *forecast* that is added to the running
 prediction -- trained with the in-repo numpy neural substrate.  Together
 with :class:`~repro.forecasting.linear.DirectRidgeForecaster` it stands in
-for the GPU deep baselines of Table 5 (see DESIGN.md).
+for the GPU deep baselines of Table 5 (a CPU-trained MLP in their place).
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ This implementation follows the construction above, which preserves the
 metric's two defining properties (tolerance to small localization errors
 and robustness to label noise).  The original also adds an
 existence-reward term per anomaly event; omitting it changes absolute
-values only marginally and none of the method rankings, and is documented
-in DESIGN.md as a substitution.
+values only marginally and none of the method rankings, so this module
+substitutes the plain buffered R-AUC-ROC volume for the rewarded one.
 """
 
 from __future__ import annotations

@@ -25,12 +25,13 @@ The state layout is columnar (struct of arrays) and *cell-major*, with the
 iteration axis next to the series axis: the corrected trailing blocks are
 one ``(w, w, I, n)`` array -- entry ``(i, j)`` of every system is a
 contiguous ``(I, n)`` plane, a slab of iterations a contiguous piece of it
--- the corrected right-hand sides ``(w, I, n)`` and the absolute system
-sizes ``(I, n)``, declared once in ``BatchedIncrementalLDLT.COLUMNS``
-(a kernel segment's ``solver_*`` sections; :mod:`repro.utils.columns`
-walks it for membership, persistence and scalar copies).  Because every
-system is independent, each scalar operation of the sequential solver
-becomes one elementwise array operation over a ``(hi - lo, n)`` slab,
+-- and the corrected right-hand sides ``(w, I, n)``, declared once in
+``BatchedIncrementalLDLT.COLUMNS`` (a kernel segment's ``solver_*``
+sections; :mod:`repro.utils.columns` walks it for membership, persistence
+and scalar copies).  No system size is stored: the arithmetic never reads
+one, and a fleet kernel derives it.  Because every system is independent,
+each scalar operation of the sequential solver becomes one elementwise
+array operation over a ``(hi - lo, n)`` slab,
 applied in *exactly the same order* as the scalar kernel performs it.  Elementwise IEEE-754 double arithmetic is
 identical between Python floats and NumPy float64 (both are
 round-to-nearest binary64, and no reductions or fused operations are
@@ -90,14 +91,12 @@ class BatchedIncrementalLDLT:
     """
 
     #: A member's state, in segment order (``solver_*`` sections of a
-    #: kernel): the corrected trailing blocks ``(w, w, I, n)``, their
-    #: right-hand sides ``(w, I, n)`` and the absolute system sizes ``(I,
-    #: n)`` (bookkeeping only), each a scalar solver's attribute per
-    #: iteration.  The committed side of the ping-pong below.
+    #: kernel): the corrected trailing blocks ``(w, w, I, n)`` and their
+    #: right-hand sides ``(w, I, n)``, each a scalar solver's attribute
+    #: per iteration.  The committed side of the ping-pong below.
     COLUMNS = (
         Array("blocks", float, -1, ("w", "w", "I"), "_m_trail"),
         Array("rhs", float, -1, ("w", "I"), "_bp_trail"),
-        Array("sizes", np.int64, -1, ("I",), "size"),
     )
 
     def __init__(self, half_bandwidth: int, iterations: int, n: int):
@@ -106,23 +105,20 @@ class BatchedIncrementalLDLT:
         self.half_bandwidth = int(half_bandwidth)
         self._iterations = iterations
         self._n = n
-        #: the ping-pong: ``_blocks`` / ``_rhs`` / ``_sizes`` -- ``(w, w,
-        #: I, cap)``, ``(w, I, cap)``, ``(I, cap)`` -- are the committed
-        #: state, and this the other side of the same shapes, the run in
-        #: progress (and scratch between runs).  Spare trailing columns are
-        #: append capacity.
+        #: the ping-pong: ``_blocks`` / ``_rhs`` -- ``(w, w, I, cap)``,
+        #: ``(w, I, cap)`` -- are the committed state, and this the other
+        #: side of the same shapes, the run in progress (and scratch
+        #: between runs).  Spare trailing columns are append capacity.
         self._working: tuple | None = None
         #: last validated update pattern, keyed by argument identity (the
         #: fleet kernel passes the same module constants on every run)
         self._pattern_cache: tuple | None = None
         #: the staged run: ``(num_new, cells, limits)`` between
-        #: begin_run and commit_run, else None
+        #: begin_run and commit_run, ``()`` for a run_buffers run, else None
         self._run: tuple | None = None
         #: iterations ``[0, _entered)`` have been extended in this run (and
-        #: read their state from the working side), each ``_extends[i]``
-        #: times
+        #: read their state from the working side)
         self._entered = 0
-        self._extends = np.zeros(iterations, dtype=np.int64)
         #: augmented elimination workspaces, one view per slab width:
         #: ``_slabs[k - 1]`` is a compact ``(block, block + 1, k, n)`` view
         #: of one shared allocation -- the extended block with the
@@ -186,12 +182,13 @@ class BatchedIncrementalLDLT:
     # ------------------------------------------------ scalar interoperability
 
     def extract(self, index: int) -> list[IncrementalBandedLDLT]:
-        """Materialize member ``index`` as its ``I`` equivalent scalar solvers."""
+        """Materialize member ``index`` as its ``I`` scalar solvers, sizes unset."""
         return self.extract_many(np.array([index], dtype=np.intp))[0]
 
     def extract_many(self, columns: np.ndarray) -> list[list[IncrementalBandedLDLT]]:
         """Materialize the members at ``columns`` as scalar solvers at once
-        (one gather per array, see :func:`repro.utils.columns.unpack`)."""
+        (one gather per array, see :func:`repro.utils.columns.unpack`).
+        Their ``size`` is the caller's to set: the stack holds none."""
         columns = np.asarray(columns, dtype=np.intp)
         w, iterations = self.half_bandwidth, self._iterations
         members = [
@@ -326,7 +323,6 @@ class BatchedIncrementalLDLT:
             )
         self._size_working_side()
         self._entered = 0
-        self._extends[:] = 0
         self._run = (num_new, cells, limits)
 
     def _size_working_side(self) -> tuple:
@@ -335,13 +331,11 @@ class BatchedIncrementalLDLT:
         working = self._working
         if working is None or working[0].shape != self._blocks.shape:
             self._working = working = tuple(
-                map(np.empty_like, (self._blocks, self._rhs, self._sizes))
+                map(np.empty_like, (self._blocks, self._rhs))
             )
         return working
 
-    def run_buffers(
-        self, num_new: int, n_extends: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def run_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Open a run that a routine outside this class advances.
 
         Returns the full-capacity ``(committed blocks, committed
@@ -351,18 +345,14 @@ class BatchedIncrementalLDLT:
         caller promises what a run of :meth:`extend_solve` calls
         guarantees by construction: it only *reads* the committed side,
         and before :meth:`commit_run` it has written the working side of
-        every iteration of every member with that system's state after
-        ``n_extends`` extends of ``num_new`` variables each.  Until the
-        commit every read-back still sees the pre-run state, and opening
-        another run abandons this one.
+        every iteration of every member it advances with that system's
+        post-run state.  Until the commit every read-back still sees the
+        pre-run state, and opening another run abandons this one.
         """
-        if not 1 <= num_new <= self.half_bandwidth or n_extends < 1:
-            raise ValueError("num_new must be in [1, half_bandwidth], n_extends >= 1")
         working = self._size_working_side()
         self._entered = self._iterations
-        self._extends[:] = n_extends
-        self._run = (num_new, None, None)
-        return self._blocks, self._rhs, working[0], working[1]
+        self._run = ()
+        return self._blocks, self._rhs, *working
 
     @hotpath
     def extend_solve(
@@ -402,7 +392,7 @@ class BatchedIncrementalLDLT:
         num_new, cells, limits = self._run
         block = w + num_new
         n = self._n
-        m_work, b_work = self._working[:2]
+        m_work, b_work = self._working
         # The staged workspace is *augmented*: the right-hand side rides as
         # column ``block`` of the matrix, so each elimination sweep updates
         # matrix and RHS in one array operation (the per-element multiply
@@ -453,7 +443,6 @@ class BatchedIncrementalLDLT:
         # it in the scratch.
         m_work[:, :, lo:hi, :n] = aug[num_new:, num_new:block]
         b_work[:, lo:hi, :n] = aug[num_new:, block]
-        self._extends[lo:hi] += 1
         # Fused tail: continuing the elimination over the trailing block in
         # the same scratch performs exactly the scalar tail_solution's sweep
         # (its final pivot iteration touches no rows and is skipped).
@@ -482,14 +471,10 @@ class BatchedIncrementalLDLT:
         if self._run is None or self._entered != self._iterations:
             raise ValueError("no complete run to commit")
         working = self._working
-        grown = (self._run[0] * self._extends)[:, None]
         self._run = None
         if columns is not None:
             self._blocks[..., columns] = working[0][..., columns]
             self._rhs[..., columns] = working[1][..., columns]
-            self._sizes[:, columns] += grown
             return
-        n = self._n
-        np.add(self._sizes[:, :n], grown, out=working[2][:, :n])
-        self._working = (self._blocks, self._rhs, self._sizes)
-        self._blocks, self._rhs, self._sizes = working
+        self._working = (self._blocks, self._rhs)
+        self._blocks, self._rhs = working

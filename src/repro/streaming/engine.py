@@ -461,14 +461,28 @@ class _SeriesState:
 #: the per-column latency ring the first format-4 builds saved beside
 #: a group's declared arrays: only the names of two sections a reader drops
 _RING_ARRAYS = ("latency_counts", "latency_values")
+#: what earlier builds also saved, as the kernel state each copies
+_COPIES = {
+    "indices": lambda kernel: kernel.global_index,
+    "last_trend": lambda kernel: kernel.last_trend,
+    "solver_sizes": lambda kernel: np.broadcast_to(
+        2 * kernel.points_processed, (kernel.iterations, kernel.n_series)
+    ),
+}
+
+
+def _image(array: np.ndarray) -> tuple:
+    """What a byte-for-byte check of two arrays compares."""
+    return array.dtype.str, array.shape, array.tobytes()
 
 
 class _FleetGroup:
     """Columnar home of one same-spec cohort of live series.
 
     An absorbed series *is* its column: the :class:`FleetKernel` and the
-    per-column totals (record index, points, anomalies) are the only copy
-    of its state -- :meth:`absorb` consumes the scalar objects it packs.
+    per-column totals (points, anomalies) are the only copy of its state
+    -- :meth:`absorb` consumes the scalar objects it packs; its next
+    record index is its kernel's ``global_index``.
     The detector's moments are the monitor's, so the kernel's score is
     the detector's and the group keeps only its parameters.  Reads index
     the arrays, and so do the store and a shard handoff: a checkpoint or
@@ -494,18 +508,16 @@ class _FleetGroup:
         "kernel",
         "threshold",
         "minimum_std",
-        "indices",
         "points",
         "anomalies",
         "latencies",
     )
 
     #: A column, in segment order: the kernel's sections, then the totals
-    #: -- next record index, points seen (warmup included) and anomalies
-    #: flagged -- each a scalar home's (:class:`_SeriesState`) attribute.
+    #: -- points seen (warmup included) and anomalies flagged -- each a
+    #: scalar home's (:class:`_SeriesState`) attribute.
     COLUMNS = (
         Part("kernel", FleetKernel),
-        Array("indices", np.int64, scalar="pipeline._index"),
         Array("points", np.int64, scalar="points"),
         Array("anomalies", np.int64, scalar="anomalies"),
     )
@@ -569,7 +581,8 @@ class _FleetGroup:
         ``ValueError`` / ``KeyError`` / ``TypeError``.  The ring sections
         an earlier build saved (:data:`_RING_ARRAYS`) are dropped unread;
         the detector's moments (``scorer_*``, ``meta["scorer"]``) must be
-        the monitor's byte for byte, and are dropped too.
+        the monitor's byte for byte, the sections of :data:`_COPIES` what
+        they copy, and are dropped too.
         """
         meta = saved.meta
         spec = PipelineSpec.from_dict(meta["spec"])
@@ -595,6 +608,7 @@ class _FleetGroup:
                 scorer_arrays[name[len("scorer_") :]] = array
             elif name not in _RING_ARRAYS:
                 arrays[name] = array
+        copies = {name: arrays.pop(name) for name in _COPIES if name in arrays}
 
         def build() -> "_FleetGroup":
             group = cls(spec, latency_window)
@@ -604,9 +618,12 @@ class _FleetGroup:
         group = columnar.from_arrays(cls, arrays, n, FleetKernel._sizes(params), build)
         monitor = group.kernel.monitor.to_arrays()
         if ("scorer" in meta or scorer_arrays) and {
-            name: (array.dtype.str, array.tobytes()) for name, array in monitor.items()
-        } != {name: (a.dtype.str, a.tobytes()) for name, a in scorer_arrays.items()}:
+            name: _image(array) for name, array in monitor.items()
+        } != {name: _image(array) for name, array in scorer_arrays.items()}:
             raise ValueError("the detector's moments are not the monitor's")
+        for name, array in copies.items():
+            if _image(array) != _image(_COPIES[name](group.kernel)):
+                raise ValueError(f"section {name!r} is not what it copies")
         group.keys = list(keys)
         return group
 
@@ -636,6 +653,7 @@ class _FleetGroup:
             scorer = model._residual_monitor.copy()
             scorer.threshold, scorer.minimum_std = self.threshold, self.minimum_std
             pipeline = StreamingPipeline(model, scorer=scorer)
+            pipeline._index = model._global_index
             pipeline._initialized = True
             pipeline._spec = self.spec
             state = _SeriesState(pipeline, self.latencies.capacity)
@@ -1614,11 +1632,10 @@ class MultiSeriesEngine:
                     for plane, values in zip(floats, block):
                         plane[where] = values
                 hits = block[5] > threshold
-                first_index = group.indices[at]
+                first_index = kernel.global_index[at] - rounds
                 index[where] = first_index + np.arange(rounds)[:, None]
                 flags[0][where] = hits
                 flags[1][where] = True
-                group.indices[at] = first_index + rounds
                 group.points[at] = group.points[at] + rounds
                 group.anomalies[at] = group.anomalies[at] + hits.sum(axis=0)
             done += rounds

@@ -7,10 +7,10 @@ engine's kernel groups keep one column per member series, and each names
 the arrays of a column once, in segment order, in a class attribute
 ``COLUMNS`` of :class:`Array` entries and :class:`Part` entries (a nested
 columnar object).  Everything that moves whole columns is a loop over
-those lists here: :func:`select`, :func:`assign`, :func:`append`,
-:func:`copy`, the named arrays a store segment writes (:func:`to_arrays`)
-and their checked inverse (:func:`from_arrays`), and the 1:1 copies to and
-from scalar objects (:func:`pack`, :func:`unpack`, :func:`load`).  A new
+those lists here: :func:`select`, :func:`assign`, :func:`append`, the
+named arrays a store segment writes (:func:`to_arrays`) and their checked
+inverse (:func:`from_arrays`), and the 1:1 copies to and from scalar
+objects (:func:`pack`, :func:`unpack`, :func:`load`).  A new
 per-column array is one declaration line; the flattened declarations are
 a segment's section list.
 
@@ -43,9 +43,9 @@ class Array(NamedTuple):
     """One per-column array: its section ``name`` (after the prefixes of
     the parts it sits in), ``dtype``, column ``axis`` (0 or -1), ``cell``
     -- the other dimensions, each an ``int`` or the name of a size -- and
-    the ``scalar`` object's attribute a column maps 1:1 onto (a dotted
-    path, or None).  An axis ``-1`` column maps onto a sequence of scalar
-    objects along its last-but-one axis (one per IRLS iteration)."""
+    the ``scalar`` object's attribute a column maps 1:1 onto (or None).
+    An axis ``-1`` column maps onto a sequence of scalar objects along its
+    last-but-one axis (one per IRLS iteration)."""
 
     name: str
     dtype: type
@@ -166,19 +166,6 @@ def select(obj, columns, into=None):
     return sub
 
 
-def copy(obj):
-    """An independent copy of every member."""
-    n = obj.n_series
-    sub = obj._blank(n)
-    for name, axis in _plan(type(obj)):
-        value = getattr(obj, name)
-        if axis is None:
-            setattr(sub, name, copy(value))
-        else:
-            setattr(sub, name, (value if axis == 0 else value[..., :n]).copy())
-    return sub
-
-
 def assign(obj, columns, other) -> None:
     """Scatter the members of ``other`` into ``columns``."""
     for name, axis in _plan(type(obj)):
@@ -275,8 +262,6 @@ def unpack(obj, columns: np.ndarray, scalars: Sequence) -> None:
     fresh array).  The attributes must exist already -- overwriting keeps
     their order, and so their pickles."""
     for entry in _scalar_entries(obj):
-        head, _, name = entry.scalar.rpartition(".")
-        owner = attrgetter(head) if head else (lambda scalar: scalar)
         if entry.axis == 0:
             gathered = _live(obj, entry)[columns]
             if gathered.ndim == 1:
@@ -290,7 +275,7 @@ def unpack(obj, columns: np.ndarray, scalars: Sequence) -> None:
             values = gathered.transpose(last, last - 1, *range(last - 1)).tolist()
             pairs = (pair for group in zip(scalars, values) for pair in zip(*group))
         for scalar, value in pairs:
-            setattr(owner(scalar), name, value)
+            setattr(scalar, entry.scalar, value)
 
 
 def load(obj, index: int, scalar) -> None:

@@ -1,11 +1,18 @@
-"""Writes tests/data/store_v4_kernel_columns: a current-format store whose
+"""Writes tests/data/store_v4_derived_columns: a current-format store whose
 segments hold kernel columns only -- every key absorbed and JSON-encodable,
 two column groups (the fleet spec and a 3-iteration override), no fallback
 states and no legacy sections -- checkpointed with nothing after it in the
 WAL.  Recovering it and re-encoding each cohort must give the committed
 segment bytes back, which pins the section list, order and dtypes across
-builds (tests/test_columnar_segments.py).  Run with PYTHONPATH=<that
-build>/src; argument: output directory."""
+builds (tests/test_columnar_segments.py), and so must running this script
+again (a CI step compares the two).  Run with PYTHONPATH=<that build>/src;
+argument: output directory.
+
+tests/data/store_v4_kernel_columns is this script's store as a build
+wrote it whose columns still stored copies of three facts (``indices``,
+``last_trend`` and ``solver_sizes``, now derived from ``global_index``,
+the trend pairs and ``points_processed``); it is kept as an old-layout
+fixture."""
 import dataclasses
 import sys
 from pathlib import Path
@@ -44,7 +51,7 @@ override = dataclasses.replace(
     ),
 )
 spec = dataclasses.replace(spec, overrides=dict.fromkeys(OVERRIDDEN, override))
-store = DirectoryCheckpointStore(out / "store_v4_kernel_columns")
+store = DirectoryCheckpointStore(out / "store_v4_derived_columns")
 engine = MultiSeriesEngine.open(store, spec=spec)
 engine.checkpoint_cohort_size = 4
 engine.ingest_grid(KEYS, DATA[:70])

@@ -30,7 +30,10 @@ to the spec's group.  Pinned here:
   ``verify()`` and ``open()`` alike;
 * a format-4 store whose groups carry the detector's moments
   (``scorer_*``) opens, continues and is rewritten without them, and is
-  refused when those moments are not the monitor's.
+  refused when those moments are not the monitor's;
+* so does one whose columns still store ``indices``, ``last_trend`` and
+  ``solver_sizes`` (copies of derived facts), and it re-encodes to the
+  pinned store's bytes.
 """
 
 import json
@@ -154,16 +157,16 @@ def _duplicate_name(header, body):
 
 
 def _missing_section(header, body):
-    # drop ``last_trend`` and its bytes: every length still adds up
+    # drop ``last_detection_residual`` and its bytes: every length still adds up
     sections = _first(header)["sections"]
     offset = 0
     for index, section in enumerate(sections):
         size = int(np.prod(section["shape"])) * 8
-        if section["name"] == "last_trend":
+        if section["name"] == "last_detection_residual":
             del sections[index]
             return header, body[:offset] + body[offset + size :]
         offset += size
-    raise AssertionError("no last_trend section")
+    raise AssertionError("no last_detection_residual section")
 
 
 def _renamed_section(header, body):
@@ -409,7 +412,7 @@ class TestAHeaderThatLies:
         name = store.read_manifest()["cohorts"][0]["segment"]
         (group,), _fallback = split_segment(store.read_segment(name), name)
         params = dict(group.meta["kernel"], shift_window=10**15)
-        others = ("indices", "points", "anomalies")
+        others = ("points", "anomalies")
         arrays = {
             name: array for name, array in group.arrays.items() if name not in others
         }
@@ -1225,15 +1228,63 @@ class TestAStoreWithScorerSections:
         engine.close(checkpoint=False)
 
 
+# --------------------------------------------------------------------------
+# the pinned store, and the same store as a build wrote it that kept copies
+# --------------------------------------------------------------------------
+
+#: what ``tests/data/make_v4_kernel_columns_fixture.py`` feeds its writer
+PINNED_KEYS = [f"m-{i:02d}" for i in range(10)]
+
+
+def pinned_stream(k, length=120):
+    steps = np.arange(length)
+    values = (
+        1 + 0.5 * k + 0.01 * steps + np.sin(2 * np.pi * steps / PERIOD)
+        + 0.05 * (((steps * 7 + k * 3) % 11) - 5) / 5
+    )
+    values[INIT + 9 + 3 * k :: 37] += 3.0
+    return values
+
+
+PINNED_DATA = np.column_stack([pinned_stream(k) for k in range(len(PINNED_KEYS))])
+#: the rounds the writer ingested before its checkpoint
+PINNED_ROUNDS = 70
+
+
+def pinned_reference() -> MultiSeriesEngine:
+    """A scalar twin of the pinned store's writer: its spec, a 3-iteration
+    override on every third key, the same rounds."""
+    spec = MultiSeriesEngine.for_oneshotstl(
+        PERIOD, initialization_length=INIT, shift_window=2
+    ).spec
+    override = replace(
+        spec.pipeline,
+        decomposer=DecomposerSpec(
+            "oneshotstl", {**spec.pipeline.decomposer.params, "iterations": 3}
+        ),
+    )
+    spec = replace(spec, overrides=dict.fromkeys(PINNED_KEYS[3::3], override))
+    reference = MultiSeriesEngine.from_spec(spec)
+    reference.fleet_kernel_enabled = False
+    reference.ingest_grid(PINNED_KEYS, PINNED_DATA[:PINNED_ROUNDS])
+    return reference
+
+
+#: the sections a column stored until its record index, solver sizes and
+#: last trend were derived from ``global_index``, ``points_processed`` and
+#: the trend pairs
+COPIED_SECTIONS = ("indices", "last_trend", "solver_sizes")
+
+
 class TestSegmentBytesArePinned:
-    """A current-format store (``store_v4_kernel_columns``, kernel columns
+    """A current-format store (``store_v4_derived_columns``, kernel columns
     only, written by ``tests/data/make_v4_kernel_columns_fixture.py``) recovers
     to columns that re-encode to its committed segment bytes: a build that
     reorders, renames or retypes a section fails here, not in a user's store."""
 
     def test_every_cohort_re_encodes_to_its_committed_bytes(self, tmp_path):
         store = tmp_path / "store"
-        shutil.copytree(DATA / "store_v4_kernel_columns", store)
+        shutil.copytree(DATA / "store_v4_derived_columns", store)
         engine = MultiSeriesEngine.open(store, recovery="strict")
         assert engine.last_recovery.clean
         assert len(engine._groups) == 2 and set(engine._absorbed) == set(engine.keys())
@@ -1242,5 +1293,70 @@ class TestSegmentBytesArePinned:
             committed = engine._store.read_segment(cohort.segment)
             groups, fallback = split_segment(committed, cohort.segment)
             assert fallback == b"" and len(groups) == 2
+            assert not any(set(COPIED_SECTIONS) & set(g.arrays) for g in groups)
             assert engine._encode_cohort(cohort.members) == committed
         engine.close(checkpoint=False)
+
+
+@pytest.mark.usefixtures("kernel_body")
+class TestAStoreWithCopiedSections:
+    """``tests/data/store_v4_kernel_columns``: the pinned store's script run
+    by a build whose columns also stored ``indices`` (the next record
+    index), ``last_trend`` and ``solver_sizes``.  Each is checked byte for
+    byte against what it copies and dropped; one that disagrees makes its
+    cohort undecodable."""
+
+    STORE = DATA / "store_v4_kernel_columns"
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        shutil.copytree(self.STORE, tmp_path / "store")
+        return tmp_path / "store"
+
+    def test_it_opens_re_encodes_as_the_pinned_store_and_continues_like_the_twin(
+        self, store
+    ):
+        found = sections_and_meta(DirectoryCheckpointStore(store))
+        assert len(found) == 6
+        assert all(set(COPIED_SECTIONS) <= sections for sections, _meta in found)
+        assert DirectoryCheckpointStore(store).verify(deep=True).ok
+        engine = MultiSeriesEngine.open(store, recovery="strict")
+        assert engine.last_recovery.clean
+        assert set(engine._absorbed) == set(PINNED_KEYS)
+        # What the old columns decode to is what this build writes.
+        pinned = DirectoryCheckpointStore(DATA / "store_v4_derived_columns")
+        for cohort in engine._cohorts.values():
+            assert engine._encode_cohort(cohort.members) == pinned.read_segment(
+                cohort.segment
+            )
+        reference = pinned_reference()
+        for key in PINNED_KEYS:
+            assert without_latency(engine.series_stats(key)) == without_latency(
+                reference.series_stats(key)
+            )
+        cursor = PINNED_ROUNDS
+        for size in (1, 5, 20, 24):
+            block = PINNED_DATA[cursor : cursor + size]
+            cursor += size
+            assert outputs(engine.ingest_grid(PINNED_KEYS, block)) == outputs(
+                reference.ingest_grid(PINNED_KEYS, block)
+            )
+        engine.close(checkpoint=False)
+
+    @pytest.mark.parametrize("name", COPIED_SECTIONS)
+    def test_a_copy_that_disagrees_is_undecodable(self, store, name):
+        def nudged(group):
+            arrays = dict(group.arrays)
+            copy = arrays[name].copy()
+            copy.reshape(-1)[-1] += 1 if copy.dtype.kind == "i" else 2.0**-40
+            arrays[name] = copy
+            return ColumnGroup(group.meta, arrays)
+
+        segment = rewrite_groups(store, nudged, index=1)
+        report = DirectoryCheckpointStore(store).verify(deep=True)
+        assert [(f.artifact, f.problem) for f in report.findings if f.fatal] == [
+            (segment, "undecodable")
+        ]
+        with pytest.raises(CorruptCheckpointError, match="not what it copies") as error:
+            MultiSeriesEngine.open(store)
+        assert error.value.problem == "undecodable"

@@ -168,13 +168,3 @@ def test_removing_group_columns_keeps_the_survivors():
     group.remove(removed)
     assert_declared(group, keep.size)
     assert state(group) == expected and group.keys == keys
-
-
-@pytest.mark.parametrize("cls", CLASSES[:3], ids=lambda cls: cls.__name__)
-def test_a_copy_is_equal_and_independent(cls):
-    obj = distinct(cls)
-    copied = columnar.copy(obj)
-    assert_declared(copied, N)
-    assert state(copied) == state(obj)
-    columnar.assign(copied, np.arange(N), distinct(cls, offset=0.5))
-    assert state(copied) != state(obj) == state(distinct(cls))

@@ -85,12 +85,13 @@ PATTERN_COLS = HALF_BANDWIDTH + ContributionWorkspace._COL_OFFSETS
 
 
 def assert_same_trailing_state(batch, members):
-    """Every system's trailing state equals its scalar solver's, exactly."""
+    """Every system's trailing state equals its scalar solver's, exactly.
+    (The stack holds no system size: a kernel derives it, and
+    ``assert_same_model_state`` compares it.)"""
     for index, solvers in enumerate(members):
         extracted = batch.extract(index)
         assert len(extracted) == len(solvers)
         for mine, solver in zip(extracted, solvers):
-            assert mine.size == solver.size
             assert mine._m_trail == solver._m_trail
             assert mine._bp_trail == solver._bp_trail
 
@@ -228,6 +229,7 @@ class TestBatchedSolverOracle:
         assert_same_trailing_state(batch, members)
         for index, solvers in enumerate(members):
             for mine, solver in zip(batch.extract(index), solvers):
+                mine.size = solver.size  # the caller's to set, as a kernel does
                 assert np.array_equal(mine.tail_solution(2), solver.tail_solution(2))
 
     def test_pack_takes_fresh_solvers_and_rejects_ragged_members(self):

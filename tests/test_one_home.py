@@ -138,7 +138,7 @@ class TestAGroupHasNoDeadColumns:
 
         (group,) = donor._groups.values()
         assert group.keys == stayed and group.kernel.n_series == len(stayed)
-        assert group.points.shape == group.indices.shape == (len(stayed),)
+        assert group.points.shape == group.anomalies.shape == (len(stayed),)
         assert donor._absorbed == {
             key: (group, column) for column, key in enumerate(stayed)
         }
@@ -406,12 +406,7 @@ class TestLatencyRingHasOneHome:
         engine.ingest_grid(KEYS, STREAMS[: INIT + 40])
         engine.checkpoint()
         (group,) = engine._groups.values()
-        expected = {
-            *group.kernel.to_arrays(),
-            "indices",
-            "points",
-            "anomalies",
-        }
+        expected = {*group.kernel.to_arrays(), "points", "anomalies"}
         store = engine._store
         stored = 0
         for name in store.list_segments():
