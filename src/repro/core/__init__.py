@@ -19,7 +19,7 @@ Public classes
     The paper's training-window procedure for choosing ``lambda``.
 """
 
-from repro.core.fleet import ColumnarNSigma, FleetKernel
+from repro.core.fleet import FleetKernel
 from repro.core.joint_stl import JointSTL
 from repro.core.lambda_selection import DEFAULT_LAMBDA_GRID, select_lambda
 from repro.core.modified_joint_stl import ModifiedJointSTL
@@ -32,7 +32,6 @@ from repro.core.online_system import (
 from repro.core.oneshotstl import OneShotSTL
 
 __all__ = [
-    "ColumnarNSigma",
     "FleetKernel",
     "JointSTL",
     "ModifiedJointSTL",

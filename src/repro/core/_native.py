@@ -63,8 +63,8 @@ _ADVANCE_RUN_ARGUMENTS = (
     + (_POINTER,) * 2  # global_index, points_processed
     + (_DOUBLE,) * 3  # lambda1, lambda2, epsilon
     + (_POINTER, _INT, _INT)  # the six planes, their plane and row strides
-    + (_POINTER,) * 3  # the monitor's count, mean, m2 (updated in place)
-    + (_POINTER,) * 2  # the saved pre-run count, and mean and m2
+    + (_POINTER,) * 2  # the monitor's mean and m2 (updated in place)
+    + (_POINTER,)  # the saved pre-run mean and m2
     + (_DOUBLE,) * 2  # the monitor's minimum_std and threshold
     + (_POINTER,)  # scratch
 )

@@ -23,11 +23,11 @@
  *
  * After a round's last iteration each lane also runs the residual monitor
  * as the NumPy body does, round by round: the residual (value - trend) -
- * seasonal, its z-score against the monitor (ColumnarNSigma.score) and its
- * Welford fold into the monitor (ColumnarNSigma.update_stats), with the
- * chunk's moments in lanes for the whole run.  Every round is folded, a
- * non-finite one and those after it included; the pre-run moments of every
- * run position are saved first, and the caller puts them back whenever it
+ * seasonal, its z-score against the monitor (fleet._welford_score) and its
+ * Welford fold into the monitor (fleet._welford_fold), with the chunk's
+ * moments in lanes for the whole run.  Every round is folded, a non-finite
+ * one and those after it included; the pre-run moments of every run
+ * position are saved first, and the caller puts them back whenever it
  * returns short.
  *
  * Bit-equality rules (checked by `python -m repro.analysis`, rule HP006):
@@ -50,15 +50,14 @@
  *     written), `out` the working side;
  *   - the seasonal buffer, rows of `period` doubles `seasonal_stride`
  *     apart, with `global_index` (the anchor of round r is the slot
- *     (global_index + r) mod period) and `points_processed`;
- *   - the monitor's count / mean / m2, one entry per column, updated in
- *     place.
+ *     (global_index + r) mod period, and the monitor's count before round
+ *     r is global_index + r) and `points_processed`;
+ *   - the monitor's mean / m2, one entry per column, updated in place.
  * Values and outputs are indexed by run position: `planes` holds six
  * planes `plane_stride` apart -- values (read), then trend, seasonal,
  * residual, detection residual and score (written) -- each with rows of
  * run positions `row_stride` apart.  The pre-run moments of run position j
- * land in saved_count[j], saved_moments[j] (mean) and saved_moments[n + j]
- * (m2).
+ * land in saved_moments[j] (mean) and saved_moments[n + j] (m2).
  *
  * Returns 2 * bad + tripped: `bad` the first round whose screen -- the sum
  * of its trend values plus the sum of its seasonal values, each summed in
@@ -146,8 +145,7 @@ CLONED int64_t advance_run(
     const int64_t *global_index, const int64_t *points_processed,
     double lambda1, double lambda2, double epsilon,
     double *planes, int64_t plane_stride, int64_t row_stride,
-    int64_t *monitor_count, double *monitor_mean, double *monitor_m2,
-    int64_t *saved_count, double *saved_moments,
+    double *monitor_mean, double *monitor_m2, double *saved_moments,
     double minimum_std, double threshold, double *restrict scratch)
 {
     const int64_t I = n_iterations;
@@ -175,12 +173,11 @@ CLONED int64_t advance_run(
         int64_t count[LANES];
         double mean[LANES], m2[LANES];
         for (int l = 0; l < LANES; l++) {
-            count[l] = monitor_count[column[l]];
+            count[l] = global_index[column[l]];
             mean[l] = monitor_mean[column[l]];
             m2[l] = monitor_m2[column[l]];
         }
         for (int l = 0; l < live; l++) {
-            saved_count[base + l] = count[l];
             saved_moments[base + l] = mean[l];
             saved_moments[n + base + l] = m2[l];
         }
@@ -321,9 +318,9 @@ CLONED int64_t advance_run(
             }
 
             /* The residual monitor: score against the moments before the
-             * point, exactly ColumnarNSigma.score (0.0 for a monitor that
-             * has seen nothing; both maxima as np.maximum), then fold the
-             * point in, exactly ColumnarNSigma.update_stats. */
+             * point, exactly _welford_score (0.0 for a monitor that has
+             * seen nothing; both maxima as np.maximum), then fold the point
+             * in, exactly _welford_fold. */
             double residual[LANES], score[LANES];
             for (int l = 0; l < LANES; l++) {
                 double d = value[l] - trend[l];
@@ -356,7 +353,6 @@ CLONED int64_t advance_run(
             }
         }
         for (int l = 0; l < live; l++) {
-            monitor_count[column[l]] = count[l];
             monitor_mean[column[l]] = mean[l];
             monitor_m2[column[l]] = m2[l];
         }

@@ -12,7 +12,8 @@ to the series axis:
   (``(w, w, I, n)`` corrected trailing blocks), the per-iteration trend
   pairs one ``(2, I, n)`` array;
 * seasonal buffers, trends, phase counters and the residual monitor's
-  Welford statistics are contiguous ``(n, ...)`` arrays.
+  Welford mean and m2 (its count is ``global_index``) are contiguous
+  ``(n, ...)`` arrays.
 
 The paper's update is ``I`` chained solves per point, and solve ``(i, r)``
 -- IRLS iteration ``i`` of round ``r`` -- reads only ``(i - 1, r)`` (its
@@ -106,12 +107,12 @@ models of any members (:meth:`FleetKernel.extract_many`; nothing is ever
 written back into an existing model), takes one back
 (:meth:`FleetKernel.load`), and advances all or a subset of columns
 (:meth:`FleetKernel.update_block`).  The arrays a column is made of are
-declared once, in ``FleetKernel.COLUMNS`` and ``ColumnarNSigma.COLUMNS``
-(and the solver's): that list is a store segment's section list, and
-:mod:`repro.utils.columns` walks it for every gather, scatter, append,
-segment round trip and 1:1 scalar copy.  Grouping series by
-configuration, absorption and which boundary needs scalar state at all
-live in the streaming engine (:mod:`repro.streaming.engine`).
+declared once, in ``FleetKernel.COLUMNS`` (and the solver's): that list
+is a store segment's section list, and :mod:`repro.utils.columns` walks
+it for every gather, scatter, append, segment round trip and 1:1 scalar
+copy.  Grouping series by configuration, absorption and which boundary
+needs scalar state at all live in the streaming engine
+(:mod:`repro.streaming.engine`).
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ from repro.solvers.batched_ldlt import BatchedIncrementalLDLT
 from repro.utils import columns as columnar
 from repro.utils.columns import Array, Part
 
-__all__ = ["ColumnarNSigma", "FleetKernel", "FleetUpdate", "kernel_backend"]
+__all__ = ["FleetKernel", "FleetUpdate", "kernel_backend"]
 
 #: local trailing-block coordinates of the per-point update pattern
 #: (ContributionWorkspace offsets shifted to the appended trend variable,
@@ -233,7 +234,8 @@ def _same_bits(routines: tuple) -> bool:
     steady one, second and third rounds) from a made-up positive definite
     state that differs in every cell, iteration and column, so a
     transposed index cannot hide.  The residual monitor's moments differ
-    in every column too: some have seen nothing (score 0.0) and some have
+    in every column too, and its counts follow the ages (the count is
+    ``global_index``): some have seen nothing (score 0.0) and some have
     no spread (a floored standard deviation, a score far past the
     threshold).  The six planes, the status, the saved and post-run
     moments, and the run's columns of the trend pairs and of the solver's
@@ -249,7 +251,6 @@ def _same_bits(routines: tuple) -> bool:
     blocks = (ramp + ramp.transpose(1, 0, 2, 3)) / (4.0 * ramp.size)
     blocks[np.arange(4), np.arange(4)] += 2.0
     ages = np.resize([0, 1, 7], n)
-    counts = np.resize([0, 3, 40, 9, 1], n)
     spreads = np.resize([0.5, 0.0, 2.0, 0.1], n) * (1.0 + np.arange(n) / n)
     state = {
         "seasonal_buffer": np.sin(np.arange(4.0 * n)).reshape(n, 4),
@@ -260,9 +261,8 @@ def _same_bits(routines: tuple) -> bool:
         "trend_pairs": np.sin(np.arange(2.0 * n_iterations * n)).reshape(2, -1, n),
         "solver_blocks": blocks,
         "solver_rhs": np.cos(np.arange(4.0 * n_iterations * n)).reshape(4, -1, n),
-        "monitor_count": counts,
         "monitor_mean": np.cos(np.arange(n) * 0.9),
-        "monitor_m2": spreads * counts,
+        "monitor_m2": spreads * ages,
     }
     columns = np.random.default_rng(0).permutation(n)[:35]
     images = []
@@ -279,8 +279,9 @@ def _same_bits(routines: tuple) -> bool:
                 np.ascontiguousarray(array).tobytes()
                 for array in (
                     planes,
-                    *kernel.monitor.to_arrays().values(),
-                    *saved,
+                    kernel.monitor_mean,
+                    kernel.monitor_m2,
+                    saved,
                     kernel._pairs_out[..., columns],
                     *(side[..., columns] for side in working),
                 )
@@ -328,7 +329,7 @@ def _native_state(state: tuple) -> tuple:
     grouped as its parameter list does: ``(blocks and right-hand sides,
     capacity, trend pairs, pair capacity, seasonal buffer, its row
     stride)``, ``(global_index, points_processed)``, ``(the monitor's
-    moments, the saved moments)`` and the scratch.  They follow from the
+    mean and m2, the saved moments)`` and the scratch.  They follow from the
     arrays alone: an array's buffer never moves (growing a kernel's
     columns replaces its arrays, :func:`repro.utils.columns.append`), so
     :meth:`FleetKernel._run_native` reuses them while every array is the
@@ -336,9 +337,9 @@ def _native_state(state: tuple) -> tuple:
     (
         blocks_in, rhs_in, blocks_out, rhs_out, pairs_in, pairs_out,
         seasonal_buffer, global_index, points_processed,
-        count, mean, m2, saved_count, saved_moments, scratch,
+        mean, m2, saved_moments, scratch,
     ) = state  # fmt: skip
-    flat = (global_index, points_processed, count, mean, m2)
+    flat = (global_index, points_processed, mean, m2)
     if any(a.dtype.itemsize != 8 or not a.flags.c_contiguous for a in flat):
         raise ValueError("a native run needs contiguous 64-bit per-column arrays")
     return (
@@ -352,9 +353,42 @@ def _native_state(state: tuple) -> tuple:
             _row_stride(seasonal_buffer),
         ),
         (_address(global_index), _address(points_processed)),
-        tuple(map(_address, (count, mean, m2, saved_count, saved_moments))),
+        tuple(map(_address, (mean, m2, saved_moments))),
         _address(scratch),
     )
+
+
+def _welford_score(
+    values: np.ndarray,
+    count: np.ndarray,
+    mean: np.ndarray,
+    m2: np.ndarray,
+    minimum_std: float = DEFAULT_MINIMUM_STD,
+) -> np.ndarray:
+    """The z-scores of ``values`` against Welford moments of ``count``
+    points each, without updating them: :meth:`NSigma.score`'s operations,
+    per element (0.0 where nothing has been seen yet)."""
+    variance = m2 / np.maximum(count, 1)
+    std = np.sqrt(np.maximum(variance, 0.0))
+    std = np.maximum(std, minimum_std)
+    scores = np.abs(values - mean) / std
+    # A scorer that has seen nothing yet returns (0.0, False), exactly
+    # like the scalar scorer's count == 0 guard.
+    fresh = count == 0
+    if fresh.any():
+        scores = np.where(fresh, 0.0, scores)
+    return scores
+
+
+def _welford_fold(
+    values: np.ndarray, count: np.ndarray, mean: np.ndarray, m2: np.ndarray
+) -> None:
+    """Fold ``values`` into ``mean`` and ``m2`` in place, ``count`` being
+    the points each holds *after* the fold: :meth:`NSigma.update_stats`'s
+    operations, per element."""
+    delta = values - mean
+    mean += delta / count
+    m2 += delta * (values - mean)
 
 
 class ColumnarNSigma:
@@ -363,20 +397,12 @@ class ColumnarNSigma:
     All members must share ``threshold`` and ``minimum_std`` (they come
     from one pipeline spec).  ``score``/``update`` vectorize the scalar
     scorer's exact operation sequence over the series axis, so scores and
-    verdicts equal the scalar scorers' exactly.
+    verdicts equal the scalar scorers' exactly (the fleet kernel's
+    monitor runs the same two functions on two of its own columns).
     """
 
-    #: A member's Welford moments, in segment order (``monitor_*``
-    #: sections of a kernel), each a scalar scorer's attribute.
-    COLUMNS = (
-        Array("count", np.int64, scalar="_count"),
-        Array("mean", float, scalar="_mean"),
-        Array("m2", float, scalar="_m2"),
-    )
-
     def __init__(self, threshold: float, minimum_std: float):
-        """Shared parameters only: :meth:`pack`, or a kernel's
-        :meth:`FleetKernel.from_arrays`, sets the moments."""
+        """Shared parameters only: :meth:`pack` sets the moments."""
         self.threshold = float(threshold)
         self.minimum_std = float(minimum_std)
 
@@ -393,63 +419,25 @@ class ColumnarNSigma:
                     "batch requires a uniform threshold and minimum_std"
                 )
         monitor = cls(threshold, minimum_std)
-        columnar.pack(monitor, scorers)
+        monitor.count = np.array([each._count for each in scorers], np.int64)
+        monitor.mean = np.array([each._mean for each in scorers], float)
+        monitor.m2 = np.array([each._m2 for each in scorers], float)
         return monitor
-
-    def _blank(self, n: int) -> "ColumnarNSigma":
-        return ColumnarNSigma(self.threshold, self.minimum_std)
-
-    @property
-    def n_series(self) -> int:
-        return self.count.shape[0]
-
-    def extract_many(self, columns: Sequence[int] | np.ndarray) -> list[NSigma]:
-        """Materialize the members at ``columns`` as fresh scalar scorers."""
-        columns = np.asarray(columns, dtype=np.intp)
-        scorers = [NSigma(self.threshold, self.minimum_std) for _ in columns]
-        columnar.unpack(self, columns, scorers)
-        return scorers
-
-    # Membership, persistence and loading one member back from its scalar
-    # scorer are the declaration's (same parameters).
-    load = columnar.load
-    append = columnar.append
-    select = columnar.select
-    assign = columnar.assign
-    to_arrays = columnar.to_arrays
 
     @hotpath
     def score(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Score without updating; returns ``(scores, is_anomaly)`` arrays."""
-        variance = self.m2 / np.maximum(self.count, 1)
-        std = np.sqrt(np.maximum(variance, 0.0))
-        std = np.maximum(std, self.minimum_std)
-        scores = np.abs(values - self.mean) / std
-        # A scorer that has seen nothing yet returns (0.0, False), exactly
-        # like the scalar scorer's count == 0 guard.
-        fresh = self.count == 0
-        if fresh.any():
-            scores = np.where(fresh, 0.0, scores)
+        minimum_std = self.minimum_std
+        scores = _welford_score(values, self.count, self.mean, self.m2, minimum_std)
         return scores, scores > self.threshold
 
     @hotpath
     def update(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Score then fold ``values`` into the running Welford statistics."""
         scores, flags = self.score(values)
-        self.update_stats(values)
-        return scores, flags
-
-    @hotpath
-    def update_stats(self, values: np.ndarray) -> None:
-        """Fold ``values`` into the Welford statistics without scoring.
-
-        Exactly the mutation half of :meth:`update` (scoring reads but
-        never writes): a kernel run scores, then folds, round by round.
-        """
         self.count += 1
-        delta = values - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (values - self.mean)
+        _welford_fold(values, self.count, self.mean, self.m2)
+        return scores, flags
 
     @hotpath
     def update_block(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -505,10 +493,12 @@ class FleetKernel:
 
     #: A member's state, in segment order: the seasonal buffer and the
     #: scalar model's bookkeeping (1:1 with its attributes), the
-    #: per-iteration ``(before_previous, previous)`` trend pairs, then the
-    #: solver's (``solver_*``) and the residual monitor's (``monitor_*``).
-    #: Derived, not stored: :attr:`last_trend`, and each solver's size,
-    #: ``2 * points_processed``.
+    #: per-iteration ``(before_previous, previous)`` trend pairs, the
+    #: solver's (``solver_*``), then the residual monitor's moments.
+    #: Derived, not stored: :attr:`last_trend`, each solver's size, ``2 *
+    #: points_processed``, and the monitor's count, ``global_index``
+    #: (``initialize`` folds ``W`` residuals and sets the index to ``W``;
+    #: every point adds one to both).
     COLUMNS = (
         Array("seasonal_buffer", float, cell=("T",), scalar="_seasonal_buffer"),
         Array("global_index", np.int64, scalar="_global_index"),
@@ -517,7 +507,8 @@ class FleetKernel:
         Array("last_applied_shift", np.int64, scalar="_last_applied_shift"),
         Array("trend_pairs", float, -1, (2, "I")),
         Part("solver", BatchedIncrementalLDLT, "solver_"),
-        Part("monitor", ColumnarNSigma, "monitor_"),
+        Array("monitor_mean", float),
+        Array("monitor_m2", float),
     )
 
     def __init__(self, params: dict, n_series: int):
@@ -574,11 +565,14 @@ class FleetKernel:
 
     @staticmethod
     def eligible(model) -> bool:
-        """Whether ``model`` is an initialized default-initializer OneShotSTL."""
+        """Whether ``model`` is an initialized default-initializer OneShotSTL
+        whose residual monitor is counted by its ``global_index`` (a column
+        derives the count)."""
         return (
             type(model) is OneShotSTL
             and model._initialized
             and model._initializer is None
+            and model._residual_monitor._count == model._global_index
         )
 
     @classmethod
@@ -596,7 +590,8 @@ class FleetKernel:
             if not cls.eligible(model):
                 raise ValueError(
                     f"model {index} is not packable (must be an initialized "
-                    "OneShotSTL without a custom initializer)"
+                    "OneShotSTL without a custom initializer, its residual "
+                    "monitor counted by its global index)"
                 )
             if model.get_params() != reference:
                 raise ValueError(
@@ -605,7 +600,9 @@ class FleetKernel:
                 )
         kernel = cls(reference, len(models))
         columnar.pack(kernel, models)
-        kernel.monitor = ColumnarNSigma.pack([m._residual_monitor for m in models])
+        monitors = [model._residual_monitor for model in models]
+        kernel.monitor_mean = np.array([each._mean for each in monitors], float)
+        kernel.monitor_m2 = np.array([each._m2 for each in monitors], float)
         members = [model._iterations_state for model in models]
         kernel.solver = BatchedIncrementalLDLT.pack(
             [[state.solver for state in states] for states in members]
@@ -633,7 +630,6 @@ class FleetKernel:
         sets (:func:`repro.utils.columns.from_arrays`)."""
         kernel = cls(dict(params), n)
         kernel.solver = BatchedIncrementalLDLT(HALF_BANDWIDTH, kernel.iterations, n)
-        kernel.monitor = ColumnarNSigma(kernel.shift_threshold, DEFAULT_MINIMUM_STD)
         return kernel
 
     def _blank(self, n: int) -> "FleetKernel":
@@ -704,14 +700,17 @@ class FleetKernel:
         columns = np.asarray(columns, dtype=np.intp)
         params = self.get_params()
         pairs = self.trend_pairs[..., columns].transpose(2, 1, 0).tolist()
+        means = self.monitor_mean[columns].tolist()
+        m2s = self.monitor_m2[columns].tolist()
         models = []
-        for monitor, solvers, member_pairs in zip(
-            self.monitor.extract_many(columns), self.solver.extract_many(columns), pairs
+        for mean, m2, solvers, member_pairs in zip(
+            means, m2s, self.solver.extract_many(columns), pairs
         ):
             model = OneShotSTL(**params)
             # initialize()'s attributes in its order, kept by the writes below
             vars(model).update(dict.fromkeys(OneShotSTL._STATE), _initialized=True)
-            model._residual_monitor = monitor
+            monitor = model._residual_monitor = NSigma(self.shift_threshold)
+            monitor._mean, monitor._m2 = mean, m2
             model._iterations_state = [
                 _IterationState(solver, previous, before_previous)
                 for solver, (before_previous, previous) in zip(solvers, member_pairs)
@@ -720,6 +719,7 @@ class FleetKernel:
             models.append(model)
         columnar.unpack(self, columns, models)
         for model in models:  # the derived facts
+            model._residual_monitor._count = model._global_index
             states = model._iterations_state
             model._last_trend = states[-1].previous_trend
             for state in states:
@@ -737,7 +737,8 @@ class FleetKernel:
     def load(self, index: int, model: OneShotSTL) -> None:
         """Overwrite member ``index`` with a scalar model's state."""
         columnar.load(self, index, model)
-        self.monitor.load(index, model._residual_monitor)
+        self.monitor_mean[index] = model._residual_monitor._mean
+        self.monitor_m2[index] = model._residual_monitor._m2
         states = model._iterations_state
         self.solver.load(index, [state.solver for state in states])
         self.trend_pairs[..., index] = [
@@ -914,9 +915,10 @@ class FleetKernel:
         column.  Of ``planes`` they read the value rows ``[start, stop)``
         and write those rows of the other five: the residual ``(value -
         trend) - seasonal``, the detection residual a copy of it, the
-        score its z against the monitor before the point.  They fold every
-        round into :attr:`monitor` in place, after saving each run
-        position's pre-run moments in :meth:`_saved_space`.
+        score its z against the monitor before the point, whose count is
+        the column's ``global_index`` plus the rounds before it.  They fold
+        every round into ``monitor_mean`` / ``monitor_m2`` in place, after
+        saving each run position's pre-run moments in :meth:`_saved_space`.
 
         Returns ``2 * bad + tripped``: ``bad`` the first round (from
         ``start``) that fails the screen -- the sum of its trends plus the
@@ -928,16 +930,13 @@ class FleetKernel:
             return self._run_wavefront(planes, start, stop, columns)
         return self._run_native(native, planes, start, stop, columns)
 
-    def _saved_space(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(count (m,), mean and m2 (2m,))``: where a run of width ``m``
-        saves its pre-run moments (a workspace, sized to the widest run)."""
+    def _saved_space(self, m: int) -> np.ndarray:
+        """Mean then m2, ``(2m,)``: where a run of width ``m`` saves its
+        pre-run moments (a workspace, sized to the widest run)."""
         saved = self._saved
-        if saved is None or saved[0].size < m:
-            self._saved = saved = (
-                np.empty(m, dtype=np.int64),
-                np.empty(2 * m),
-            )
-        return saved[0][:m], saved[1][: 2 * m]
+        if saved is None or saved.size < 2 * m:
+            self._saved = saved = np.empty(2 * m)
+        return saved[: 2 * m]
 
     def _pair_buffer(self) -> np.ndarray:
         """The working side of the trend pairs, shaped like
@@ -958,12 +957,12 @@ class FleetKernel:
         """The solve grid of a run on the NumPy wavefront (reference body).
 
         A run of every column in order advances the kernel's own solver
-        stack and monitor; any other member list is gathered into a stack
-        and a monitor of its own, advanced there and scattered back, as the
-        contract of :meth:`_solve_run` says.  Solve ``(i, r)`` -- iteration ``i`` of
-        round ``r`` -- needs only ``(i - 1, r)`` and ``(i, r - 1)``, so
-        step ``s`` of the run solves the whole anti-diagonal ``i + r = s``
-        at once: iterations ``[lo, hi)`` with ``lo = max(0, s - T + 1)``
+        stack; any other member list is gathered into a stack of its own,
+        advanced there and scattered back, and so are the monitor's moments
+        of every run, as the contract of :meth:`_solve_run` says.  Solve
+        ``(i, r)`` -- iteration ``i`` of round ``r`` -- needs only ``(i -
+        1, r)`` and ``(i, r - 1)``, so step ``s`` of the run solves the
+        whole anti-diagonal ``i + r = s`` at once: iterations ``[lo, hi)`` with ``lo = max(0, s - T + 1)``
         and ``hi = min(I, s + 1)``, in ``T + I - 1`` steps.  Everything a
         step touches is laid out so that slab is a plain slice: the trend
         history is kept in *step* coordinates (``hist[s + 2, i]`` is the
@@ -977,7 +976,8 @@ class FleetKernel:
 
         The grid done, the residuals are two subtractions over the run and
         the monitor scores, then folds, round by round
-        (:meth:`ColumnarNSigma.score`, :meth:`ColumnarNSigma.update_stats`).
+        (:func:`_welford_score`, :func:`_welford_fold`), its count the
+        column's ``global_index`` plus the rounds before.
         """
         (
             values,
@@ -1087,17 +1087,19 @@ class FleetKernel:
         np.subtract(values, trend_out, out=residual_out)
         np.subtract(residual_out, seasonal_out, out=residual_out)
         detection_out[:] = residual_out
-        monitor = self.monitor if whole else self.monitor.select(columns)
-        saved_count, saved_moments = self._saved_space(m)
-        saved_count[:] = monitor.count
-        saved_moments[:m] = monitor.mean
-        saved_moments[m:] = monitor.m2
+        mean, m2 = self.monitor_mean[columns], self.monitor_m2[columns]
+        saved = self._saved_space(m)
+        saved[:m] = mean
+        saved[m:] = m2
+        counts = self.global_index[columns] + _ROUND_OFFSETS[: n_rounds + 1]
         for r in range(n_rounds):
-            score_out[r] = monitor.score(residual_out[r])[0]
-            monitor.update_stats(residual_out[r])
+            residual = residual_out[r]
+            score_out[r] = _welford_score(residual, counts[r], mean, m2)
+            _welford_fold(residual, counts[r + 1], mean, m2)
+        self.monitor_mean[columns] = mean
+        self.monitor_m2[columns] = m2
         if not whole:
-            # Scatter: moments in place, post-run state to the working side.
-            self.monitor.assign(columns, monitor)
+            # Scatter the post-run state to the working side.
             solver.commit_run()
             blocks_out, rhs_out = self.solver.run_buffers()[2:]
             advanced = columnar.to_arrays(solver)
@@ -1108,7 +1110,7 @@ class FleetKernel:
         ]
         finite = _screen(trend_out, seasonal_out)
         bad = n_rounds if finite.all() else int(finite.argmin())
-        return 2 * bad + bool((score_out > monitor.threshold).any())
+        return 2 * bad + bool((score_out > self.shift_threshold).any())
 
     def _run_native(
         self,
@@ -1141,9 +1143,8 @@ class FleetKernel:
             self._scratch = scratch = np.empty(
                 scratch_doubles(self.iterations, _MAX_BLOCK_ROUNDS)
             )
-        if self._saved is None or self._saved[0].size < columns.size:
+        if self._saved is None or self._saved.size < 2 * columns.size:
             self._saved_space(columns.size)
-        monitor = self.monitor
         state = (
             *self.solver.run_buffers(),
             self._trend_pairs,
@@ -1151,10 +1152,9 @@ class FleetKernel:
             self.seasonal_buffer,
             self.global_index,
             self.points_processed,
-            monitor.count,
-            monitor.mean,
-            monitor.m2,
-            *self._saved,
+            self.monitor_mean,
+            self.monitor_m2,
+            self._saved,
             scratch,
         )
         cached = self._addresses
@@ -1180,8 +1180,8 @@ class FleetKernel:
             plane_bytes // 8,
             row_bytes // 8,
             *moment_state,
-            monitor.minimum_std,
-            monitor.threshold,
+            DEFAULT_MINIMUM_STD,
+            self.shift_threshold,
             scratch_at,
         )
 
@@ -1231,16 +1231,14 @@ class FleetKernel:
             self._commit(planes, start, stop, columns)
             return stop, True
         m = columns.size
-        saved_count, saved_moments = (
-            array.copy() for array in self._saved_space(m)
-        )
+        saved = self._saved_space(m).copy()
         block = planes[:, start:stop]
         trend_block, seasonal_block, score_block = block[1], block[2], block[5]
         finite = _screen(trend_block, seasonal_block)
         # A column whose score passes the threshold is marked for replay,
         # and from then on its batched values (no longer used) are out of
         # the screen.  The walk reads the body's outputs alone.
-        flags = score_block > self.monitor.threshold if searching else None
+        flags = score_block > self.shift_threshold if searching else None
         marked = None
         cuts = []
         bad = n_rounds
@@ -1267,18 +1265,13 @@ class FleetKernel:
                 )
             else:
                 cuts.append(n_rounds)
-                pre_run_monitor = self.monitor._blank(positions.size)
-                pre_run_monitor.count = saved_count[positions]
-                pre_run_monitor.mean = saved_moments[positions]
-                pre_run_monitor.m2 = saved_moments[m + positions]
+                moments = saved.reshape(2, m).take(positions, 1)
                 replayed, points, bad = self._replay_marked(
-                    members, pre_run_monitor, block[0][:, positions], cuts
+                    members, moments, block[0][:, positions], cuts
                 )
         if bad < n_rounds:
-            monitor = self.monitor
-            monitor.count[columns] = saved_count
-            monitor.mean[columns] = saved_moments[:m]
-            monitor.m2[columns] = saved_moments[m:]
+            self.monitor_mean[columns] = saved[:m]
+            self.monitor_m2[columns] = saved[m:]
             if bad == 0:
                 return start, False
             return self._advance_run(planes, start, start + bad, columns)[0], False
@@ -1316,16 +1309,17 @@ class FleetKernel:
     def _replay_marked(
         self,
         columns: np.ndarray,
-        pre_run_monitor: ColumnarNSigma,
+        moments: np.ndarray,
         values: np.ndarray,
         cuts: list,
     ) -> tuple["FleetKernel", np.ndarray, int]:
         """Replay the marked columns of a finished, uncommitted run.
 
         The columns are gathered from the pre-run state (nothing of the
-        run is committed yet; the monitor, updated in place, comes as
-        ``pre_run_monitor``, their moments before the run) into one narrow
-        kernel that advances the run's ``(rounds, k)`` ``values`` itself.
+        run is committed yet; the monitor's moments, updated in place,
+        come as ``moments``, their ``(2, k)`` mean and m2 before the run)
+        into one narrow kernel that advances the run's ``(rounds, k)``
+        ``values`` itself.
         ``cuts`` is its schedule: ascending, ``r`` and ``r + 1`` for every
         round ``r`` the speculative run saw trip, then the run length.
         Each such round becomes a one-round run, which searches what trips
@@ -1340,7 +1334,7 @@ class FleetKernel:
         length when none did).
         """
         sub = self.select(columns)
-        sub.monitor = pre_run_monitor
+        sub.monitor_mean, sub.monitor_m2 = moments
         points = np.empty((6,) + values.shape)
         points[0] = values
         members = sub._rows()
@@ -1374,8 +1368,9 @@ class FleetKernel:
         ``global_index`` advanced by one, ``last_applied_shift`` written
         only by a non-zero shift, ``last_detection_residual`` the
         candidate-0 (pre-search) residual the run's body already fed the
-        monitor, and ``scores`` (the trials' monitors have folded the point
-        in) -- or ``(None, None, 0)`` when a candidate went non-finite.
+        monitor, its moments the run's and ``scores`` (a trial counts from
+        its shifted ``global_index``) -- or ``(None, None, 0)`` when a
+        candidate went non-finite.
         """
         shifts = self._shifts
         n_shifts = shifts.size
@@ -1385,8 +1380,10 @@ class FleetKernel:
         wide.global_index += np.tile(shifts, columns.size)
         trials = np.empty((6, 1, wide._n))
         trials[0, 0] = np.repeat(values, n_shifts)
-        if not wide._advance_run(trials, 0, 1, wide._rows())[1]:
-            return None, None, 0
+        # A shifted count may be 0: moments nobody reads need not warn.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if not wide._advance_run(trials, 0, 1, wide._rows())[1]:
+                return None, None, 0
         residual = trials[3, 0].reshape(columns.size, n_shifts)
         best = np.abs(residual).argmin(axis=1)
         picks = best + np.arange(0, wide._n, n_shifts)
@@ -1397,7 +1394,8 @@ class FleetKernel:
             chosen != 0, chosen, winners.last_applied_shift
         )
         winners.last_detection_residual[:] = residual[:, 0]
-        winners.monitor = self.monitor.select(columns)
+        winners.monitor_mean = self.monitor_mean[columns]
+        winners.monitor_m2 = self.monitor_m2[columns]
         points = trials[1:, :, picks]
         points[3, 0] = residual[:, 0]
         points[4, 0] = scores

@@ -240,10 +240,11 @@ class OneShotSTL(OnlineDecomposer):
 
         The shift is a *per-point* correction: it is applied to the point
         that triggered the search, whose seasonal estimate is written to the
-        slot it matched, ``v[(t + shift) mod T]`` (not ``v[t mod T]``; which
-        one Algorithm 5 means is ROADMAP.md open item 1), and it is not
-        carried forward as persistent state.  This property simply reports
-        the last non-trivial correction for introspection.
+        slot it matched, ``v[(t + shift) mod T]`` (not ``v[t mod T]``; the
+        paper does not settle which slot Algorithm 5 writes, and this
+        reproduction chose the matched one), and it is not carried forward
+        as persistent state.  This property simply reports the last
+        non-trivial correction for introspection.
         """
         self._require_initialized()
         return self._last_applied_shift

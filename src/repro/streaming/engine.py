@@ -464,6 +464,7 @@ _RING_ARRAYS = ("latency_counts", "latency_values")
 #: what earlier builds also saved, as the kernel state each copies
 _COPIES = {
     "indices": lambda kernel: kernel.global_index,
+    "monitor_count": lambda kernel: kernel.global_index,
     "last_trend": lambda kernel: kernel.last_trend,
     "solver_sizes": lambda kernel: np.broadcast_to(
         2 * kernel.points_processed, (kernel.iterations, kernel.n_series)
@@ -581,8 +582,9 @@ class _FleetGroup:
         ``ValueError`` / ``KeyError`` / ``TypeError``.  The ring sections
         an earlier build saved (:data:`_RING_ARRAYS`) are dropped unread;
         the detector's moments (``scorer_*``, ``meta["scorer"]``) must be
-        the monitor's byte for byte, the sections of :data:`_COPIES` what
-        they copy, and are dropped too.
+        the monitor's byte for byte (its count the kernel's
+        ``global_index``), the sections of :data:`_COPIES` what they copy,
+        and are dropped too.
         """
         meta = saved.meta
         spec = PipelineSpec.from_dict(meta["spec"])
@@ -616,13 +618,14 @@ class _FleetGroup:
             return group
 
         group = columnar.from_arrays(cls, arrays, n, FleetKernel._sizes(params), build)
-        monitor = group.kernel.monitor.to_arrays()
+        kernel = group.kernel
+        monitor = kernel.global_index, kernel.monitor_mean, kernel.monitor_m2
         if ("scorer" in meta or scorer_arrays) and {
-            name: _image(array) for name, array in monitor.items()
+            name: _image(array) for name, array in zip(("count", "mean", "m2"), monitor)
         } != {name: _image(array) for name, array in scorer_arrays.items()}:
             raise ValueError("the detector's moments are not the monitor's")
         for name, array in copies.items():
-            if _image(array) != _image(_COPIES[name](group.kernel)):
+            if _image(array) != _image(_COPIES[name](kernel)):
                 raise ValueError(f"section {name!r} is not what it copies")
         group.keys = list(keys)
         return group

@@ -1,7 +1,7 @@
 """Per-column array declarations, and the one implementation that walks them.
 
-The fleet kernel (:class:`repro.core.fleet.FleetKernel`), its residual
-monitor (:class:`~repro.core.fleet.ColumnarNSigma`), its stacked solver
+The fleet kernel (:class:`repro.core.fleet.FleetKernel`, its residual
+monitor's moments included), its stacked solver
 (:class:`~repro.solvers.batched_ldlt.BatchedIncrementalLDLT`) and the
 engine's kernel groups keep one column per member series, and each names
 the arrays of a column once, in segment order, in a class attribute

@@ -1,4 +1,4 @@
-"""Writes tests/data/store_v4_derived_columns: a current-format store whose
+"""Writes tests/data/store_v4_monitor_moments: a current-format store whose
 segments hold kernel columns only -- every key absorbed and JSON-encodable,
 two column groups (the fleet spec and a 3-iteration override), no fallback
 states and no legacy sections -- checkpointed with nothing after it in the
@@ -8,11 +8,13 @@ builds (tests/test_columnar_segments.py), and so must running this script
 again (a CI step compares the two).  Run with PYTHONPATH=<that build>/src;
 argument: output directory.
 
-tests/data/store_v4_kernel_columns is this script's store as a build
-wrote it whose columns still stored copies of three facts (``indices``,
-``last_trend`` and ``solver_sizes``, now derived from ``global_index``,
-the trend pairs and ``points_processed``); it is kept as an old-layout
-fixture."""
+Two older layouts of this script's store are kept as fixtures:
+tests/data/store_v4_kernel_columns, as a build wrote it whose columns
+still stored copies of three facts (``indices``, ``last_trend`` and
+``solver_sizes``, now derived from ``global_index``, the trend pairs and
+``points_processed``) and the residual monitor's count, and
+tests/data/store_v4_derived_columns, as a build wrote it that stored the
+monitor's count (``monitor_count``, now ``global_index``) alone of those."""
 import dataclasses
 import sys
 from pathlib import Path
@@ -51,7 +53,7 @@ override = dataclasses.replace(
     ),
 )
 spec = dataclasses.replace(spec, overrides=dict.fromkeys(OVERRIDDEN, override))
-store = DirectoryCheckpointStore(out / "store_v4_derived_columns")
+store = DirectoryCheckpointStore(out / "store_v4_monitor_moments")
 engine = MultiSeriesEngine.open(store, spec=spec)
 engine.checkpoint_cohort_size = 4
 engine.ingest_grid(KEYS, DATA[:70])

@@ -30,10 +30,12 @@ to the spec's group.  Pinned here:
   ``verify()`` and ``open()`` alike;
 * a format-4 store whose groups carry the detector's moments
   (``scorer_*``) opens, continues and is rewritten without them, and is
-  refused when those moments are not the monitor's;
+  refused when those moments are not the monitor's -- its count the
+  kernel's ``global_index``;
 * so does one whose columns still store ``indices``, ``last_trend`` and
-  ``solver_sizes`` (copies of derived facts), and it re-encodes to the
-  pinned store's bytes.
+  ``solver_sizes`` (copies of derived facts), and one that still stores
+  the monitor's count (``monitor_count``, a copy of ``global_index``),
+  and each re-encodes to the pinned store's bytes.
 """
 
 import json
@@ -368,7 +370,7 @@ class TestAHeaderThatLies:
         assert group.keys == survivors == list(engine._absorbed)
         engine.close(checkpoint=False)
 
-    @pytest.mark.parametrize("section", ["monitor_count", "monitor_mean", "monitor_m2"])
+    @pytest.mark.parametrize("section", ["monitor_mean", "monitor_m2"])
     def test_a_short_moment_section_is_undecodable_alike(self, lied_to, tmp_path, section):
         # consistent framing, manifest CRC and all: only the column count
         # the keys imply tells that three moments are not four columns'
@@ -1203,6 +1205,24 @@ class TestAStoreWithScorerSections:
             MultiSeriesEngine.open(store)
         assert error.value.problem == "undecodable"
 
+    def test_a_detector_count_that_is_not_the_global_index_is_refused(self, store):
+        # The detector's count and the monitor's agree with each other,
+        # not with the column's global_index, which is the count.
+        def recounted(group):
+            arrays = dict(group.arrays)
+            for name in ("scorer_count", "monitor_count"):
+                arrays[name] = arrays[name] + np.array([0, 0, 1, 0])
+            return ColumnGroup(group.meta, arrays)
+
+        name = rewrite_groups(store, recounted, index=1)
+        report = DirectoryCheckpointStore(store).verify(deep=True)
+        assert [(f.artifact, f.problem) for f in report.findings if f.fatal] == [
+            (name, "undecodable")
+        ]
+        with pytest.raises(CorruptCheckpointError, match="not the monitor") as error:
+            MultiSeriesEngine.open(store)
+        assert error.value.problem == "undecodable"
+
     def test_columns_saved_under_another_minimum_std_open_on_the_scalar_path(self, store):
         def floored(group):
             meta = json.loads(json.dumps(group.meta))
@@ -1274,37 +1294,68 @@ def pinned_reference() -> MultiSeriesEngine:
 #: last trend were derived from ``global_index``, ``points_processed`` and
 #: the trend pairs
 COPIED_SECTIONS = ("indices", "last_trend", "solver_sizes")
+#: the pinned store: what this build writes
+PINNED = DATA / "store_v4_monitor_moments"
 
 
 class TestSegmentBytesArePinned:
-    """A current-format store (``store_v4_derived_columns``, kernel columns
+    """A current-format store (``store_v4_monitor_moments``, kernel columns
     only, written by ``tests/data/make_v4_kernel_columns_fixture.py``) recovers
     to columns that re-encode to its committed segment bytes: a build that
     reorders, renames or retypes a section fails here, not in a user's store."""
 
     def test_every_cohort_re_encodes_to_its_committed_bytes(self, tmp_path):
         store = tmp_path / "store"
-        shutil.copytree(DATA / "store_v4_derived_columns", store)
+        shutil.copytree(PINNED, store)
         engine = MultiSeriesEngine.open(store, recovery="strict")
         assert engine.last_recovery.clean
         assert len(engine._groups) == 2 and set(engine._absorbed) == set(engine.keys())
         assert len(engine._cohorts) == 3
+        copied = {*COPIED_SECTIONS, "monitor_count"}
         for cohort in engine._cohorts.values():
             committed = engine._store.read_segment(cohort.segment)
             groups, fallback = split_segment(committed, cohort.segment)
             assert fallback == b"" and len(groups) == 2
-            assert not any(set(COPIED_SECTIONS) & set(g.arrays) for g in groups)
+            assert not any(copied & set(g.arrays) for g in groups)
             assert engine._encode_cohort(cohort.members) == committed
         engine.close(checkpoint=False)
+
+
+def assert_continues_as_the_pinned_store(store: Path) -> None:
+    """An old layout of the pinned store's script: it opens strictly, each
+    cohort re-encodes to the pinned store's bytes, and the engine holds and
+    then computes what the script's scalar twin does, float for float."""
+    engine = MultiSeriesEngine.open(store, recovery="strict")
+    assert engine.last_recovery.clean
+    assert set(engine._absorbed) == set(PINNED_KEYS)
+    # What the old columns decode to is what this build writes.
+    pinned = DirectoryCheckpointStore(PINNED)
+    for cohort in engine._cohorts.values():
+        assert engine._encode_cohort(cohort.members) == pinned.read_segment(
+            cohort.segment
+        )
+    reference = pinned_reference()
+    for key in PINNED_KEYS:
+        assert without_latency(engine.series_stats(key)) == without_latency(
+            reference.series_stats(key)
+        )
+    cursor = PINNED_ROUNDS
+    for size in (1, 5, 20, 24):
+        block = PINNED_DATA[cursor : cursor + size]
+        cursor += size
+        assert outputs(engine.ingest_grid(PINNED_KEYS, block)) == outputs(
+            reference.ingest_grid(PINNED_KEYS, block)
+        )
+    engine.close(checkpoint=False)
 
 
 @pytest.mark.usefixtures("kernel_body")
 class TestAStoreWithCopiedSections:
     """``tests/data/store_v4_kernel_columns``: the pinned store's script run
     by a build whose columns also stored ``indices`` (the next record
-    index), ``last_trend`` and ``solver_sizes``.  Each is checked byte for
-    byte against what it copies and dropped; one that disagrees makes its
-    cohort undecodable."""
+    index), ``last_trend`` and ``solver_sizes``, and the monitor's count.
+    Each is checked byte for byte against what it copies and dropped; one
+    that disagrees makes its cohort undecodable."""
 
     STORE = DATA / "store_v4_kernel_columns"
 
@@ -1318,30 +1369,11 @@ class TestAStoreWithCopiedSections:
     ):
         found = sections_and_meta(DirectoryCheckpointStore(store))
         assert len(found) == 6
-        assert all(set(COPIED_SECTIONS) <= sections for sections, _meta in found)
+        assert all(
+            {*COPIED_SECTIONS, "monitor_count"} <= sections for sections, _meta in found
+        )
         assert DirectoryCheckpointStore(store).verify(deep=True).ok
-        engine = MultiSeriesEngine.open(store, recovery="strict")
-        assert engine.last_recovery.clean
-        assert set(engine._absorbed) == set(PINNED_KEYS)
-        # What the old columns decode to is what this build writes.
-        pinned = DirectoryCheckpointStore(DATA / "store_v4_derived_columns")
-        for cohort in engine._cohorts.values():
-            assert engine._encode_cohort(cohort.members) == pinned.read_segment(
-                cohort.segment
-            )
-        reference = pinned_reference()
-        for key in PINNED_KEYS:
-            assert without_latency(engine.series_stats(key)) == without_latency(
-                reference.series_stats(key)
-            )
-        cursor = PINNED_ROUNDS
-        for size in (1, 5, 20, 24):
-            block = PINNED_DATA[cursor : cursor + size]
-            cursor += size
-            assert outputs(engine.ingest_grid(PINNED_KEYS, block)) == outputs(
-                reference.ingest_grid(PINNED_KEYS, block)
-            )
-        engine.close(checkpoint=False)
+        assert_continues_as_the_pinned_store(store)
 
     @pytest.mark.parametrize("name", COPIED_SECTIONS)
     def test_a_copy_that_disagrees_is_undecodable(self, store, name):
@@ -1353,6 +1385,55 @@ class TestAStoreWithCopiedSections:
             return ColumnGroup(group.meta, arrays)
 
         segment = rewrite_groups(store, nudged, index=1)
+        report = DirectoryCheckpointStore(store).verify(deep=True)
+        assert [(f.artifact, f.problem) for f in report.findings if f.fatal] == [
+            (segment, "undecodable")
+        ]
+        with pytest.raises(CorruptCheckpointError, match="not what it copies") as error:
+            MultiSeriesEngine.open(store)
+        assert error.value.problem == "undecodable"
+
+
+@pytest.mark.usefixtures("kernel_body")
+class TestAStoreWithAStoredCount:
+    """``tests/data/store_v4_derived_columns``: the pinned store's script
+    run by a build whose columns stored the residual monitor's count
+    (``monitor_count``) beside its mean and m2.  The count is the column's
+    ``global_index``: the section is checked byte for byte against it and
+    dropped, and one that disagrees makes its cohort undecodable."""
+
+    STORE = DATA / "store_v4_derived_columns"
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        shutil.copytree(self.STORE, tmp_path / "store")
+        return tmp_path / "store"
+
+    def test_it_opens_re_encodes_as_the_pinned_store_and_continues_like_the_twin(
+        self, store
+    ):
+        found = sections_and_meta(DirectoryCheckpointStore(store))
+        assert len(found) == 6
+        for sections, _meta in found:
+            assert "monitor_count" in sections
+            assert not set(COPIED_SECTIONS) & sections
+        assert DirectoryCheckpointStore(store).verify(deep=True).ok
+        assert_continues_as_the_pinned_store(store)
+
+    @pytest.mark.parametrize("damage", ["nudged", "short"])
+    def test_a_count_that_is_not_the_global_index_is_undecodable(self, store, damage):
+        # consistent framing, manifest CRC and all: a count one off the
+        # global index, or three counts for four columns
+        def recounted(group):
+            arrays = dict(group.arrays)
+            count = arrays["monitor_count"]
+            if damage == "short":
+                arrays["monitor_count"] = count[:-1]
+            else:
+                arrays["monitor_count"] = count + np.eye(1, count.size, 1, np.int64)[0]
+            return ColumnGroup(group.meta, arrays)
+
+        segment = rewrite_groups(store, recounted, index=1)
         report = DirectoryCheckpointStore(store).verify(deep=True)
         assert [(f.artifact, f.problem) for f in report.findings if f.fatal] == [
             (segment, "undecodable")

@@ -1,7 +1,7 @@
 """One declaration per columnar class, and the operations that walk it.
 
-``FleetKernel``, ``ColumnarNSigma``, ``BatchedIncrementalLDLT`` and the
-engine's ``_FleetGroup`` each name their per-column arrays once
+``FleetKernel``, ``BatchedIncrementalLDLT`` and the engine's
+``_FleetGroup`` each name their per-column arrays once
 (``COLUMNS``); every membership and persistence operation is a loop over
 that list (:mod:`repro.utils.columns`).  Pinned here, for each class, with
 every declared array holding values that differ in every column and cell:
@@ -15,7 +15,7 @@ array added to a declaration later is covered here without a new test.
 import numpy as np
 import pytest
 
-from repro.core.fleet import ColumnarNSigma, FleetKernel
+from repro.core.fleet import FleetKernel
 from repro.durability.segment import ColumnGroup
 from repro.solvers.batched_ldlt import BatchedIncrementalLDLT
 from repro.specs import DecomposerSpec, DetectorSpec, PipelineSpec
@@ -42,8 +42,6 @@ SPEC = PipelineSpec(
 
 def build(cls, arrays: dict, n: int):
     """An instance of ``cls`` holding ``arrays``, through its own loader."""
-    if cls is ColumnarNSigma:
-        return columnar.from_arrays(cls, arrays, n, SIZES, lambda: cls(5.0, 1e-8))
     if cls is BatchedIncrementalLDLT:
         return columnar.from_arrays(
             cls, arrays, n, SIZES, lambda: cls(SIZES["w"], SIZES["I"], n)
@@ -112,7 +110,7 @@ def assert_declared(obj, n: int) -> None:
         assert wide <= names, f"{type(holder).__name__} keeps undeclared {wide - names}"
 
 
-CLASSES = [ColumnarNSigma, BatchedIncrementalLDLT, FleetKernel, _FleetGroup]
+CLASSES = [BatchedIncrementalLDLT, FleetKernel, _FleetGroup]
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)

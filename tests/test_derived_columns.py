@@ -1,21 +1,25 @@
 """A kernel column stores each fact once.
 
 A column's next record index is its kernel's ``global_index``, each of its
-solvers holds ``2 * points_processed`` variables and its last trend is the
-last iteration's previous trend: the scalar objects keep all three
+solvers holds ``2 * points_processed`` variables, its last trend is the
+last iteration's previous trend and its residual monitor's count is
+``global_index`` too: the scalar objects keep all four
 (``StreamingPipeline._index``, ``IncrementalBandedLDLT.size``,
-``OneShotSTL._last_trend``), a column derives them.  Pinned here, under
-both kernel bodies: at every boundary where a column turns into scalar
-state or back -- checkpoint -> reopen, extract -> adopt, snapshot ->
-restore, a snapshot's mapping view, and the round the kernel hands back
-as non-finite -- the derived values equal what the ``fleet_kernel_enabled
-= False`` twin's scalar objects hold, bit for bit, and a segment this
-build writes carries no copy of them.
+``OneShotSTL._last_trend``, ``NSigma._count``), a column derives them and
+stores only the monitor's mean and m2.  Pinned here, under both kernel
+bodies: at every boundary where a column turns into scalar state or back
+-- checkpoint -> reopen, extract -> adopt, snapshot -> restore, a
+snapshot's mapping view, and the round the kernel hands back as
+non-finite -- the derived values and the monitor's moments equal what the
+``fleet_kernel_enabled = False`` twin's scalar objects hold, bit for bit,
+and a segment this build writes carries no copy of them.  A model whose
+monitor count is not its global index is never a column.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.fleet import FleetKernel
 from repro.durability import DirectoryCheckpointStore
 from repro.durability.segment import split_segment
 from repro.streaming import IngestResult, MultiSeriesEngine
@@ -54,23 +58,31 @@ def outputs(result: IngestResult) -> list:
 
 
 def scalar_facts(state) -> tuple:
-    """``(record index, last trend's bits, solver sizes)`` of a scalar state."""
+    """``(record index, last trend's bits, solver sizes, the residual
+    monitor's count and the bits of its mean and m2)`` of a scalar state."""
     model = state.pipeline.decomposer
+    monitor = model._residual_monitor
     return (
         state.pipeline._index,
         model._last_trend.hex(),
         [iteration.solver.size for iteration in model._iterations_state],
+        (monitor._count, monitor._mean.hex(), monitor._m2.hex()),
     )
 
 
 def column_facts(engine: MultiSeriesEngine, key) -> tuple:
-    """The same three, derived from the key's column."""
+    """The same, derived from (or, for the moments, read off) the key's column."""
     group, column = engine._absorbed[key]
     kernel = group.kernel
     return (
         int(kernel.global_index[column]),
         float(kernel.last_trend[column]).hex(),
         [2 * int(kernel.points_processed[column])] * kernel.iterations,
+        (
+            int(kernel.global_index[column]),
+            float(kernel.monitor_mean[column]).hex(),
+            float(kernel.monitor_m2[column]).hex(),
+        ),
     )
 
 
@@ -96,7 +108,9 @@ def test_checkpoint_then_reopen(tmp_path):
         groups, _fallback = split_segment(store.read_segment(name), name)
         assert groups
         for group in groups:
-            assert not {"indices", "last_trend", "solver_sizes"} & set(group.arrays)
+            assert not {
+                "indices", "last_trend", "solver_sizes", "monitor_count"
+            } & set(group.arrays)
     for source in (engine, reference):
         source.ingest_grid(KEYS, DATA[60:64])  # the WAL tail
     engine.close(checkpoint=False)
@@ -169,3 +183,30 @@ def test_a_non_finite_hand_back(monkeypatch):
         reference.ingest_grid(KEYS, DATA[48:60])
     )
     assert_same_facts(engine, reference, KEYS)
+
+
+def test_a_model_whose_count_is_not_its_global_index_stays_scalar():
+    """Its own count is kept, not re-counted: it advances on the scalar
+    path, float for float with a twin tampered the same way, while the
+    keys around it become columns."""
+    engine, reference = twin(), twin()
+    tampered = KEYS[2]
+    for source in (engine, reference):
+        source.ingest_grid(KEYS, DATA[:40])
+        pipeline = source._series[tampered].pipeline
+        # the detector must stay the monitor but for its threshold
+        for monitor in (pipeline.decomposer._residual_monitor, pipeline.scorer):
+            monitor._count += 1
+    model = engine._series[tampered].pipeline.decomposer
+    assert not FleetKernel.eligible(model)
+    with pytest.raises(ValueError, match="not packable"):
+        FleetKernel.pack([model])
+    engine.fleet_kernel_enabled = True
+    assert outputs(engine.ingest_grid(KEYS, DATA[40:80])) == outputs(
+        reference.ingest_grid(KEYS, DATA[40:80])
+    )
+    assert set(engine._absorbed) == set(KEYS) - {tampered}
+    assert tampered in engine._never_absorb
+    model = engine._series[tampered].pipeline.decomposer
+    assert model._residual_monitor._count == model._global_index + 1
+    assert_same_facts(engine, reference, set(KEYS) - {tampered})
