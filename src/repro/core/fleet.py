@@ -148,8 +148,8 @@ _PATTERN_COLS = HALF_BANDWIDTH + ContributionWorkspace._COL_OFFSETS
 #: read a seasonal slot an earlier round of the same run wrote); the
 #: constant additionally bounds the run workspaces for huge periods.
 _MAX_BLOCK_ROUNDS = 64
-#: ``r`` in row ``r``: the round offsets of a run, as a column
-_ROUND_OFFSETS = np.arange(_MAX_BLOCK_ROUNDS)[:, None]
+#: ``r`` in row ``r``, ``0 <= r <= _MAX_BLOCK_ROUNDS``: a run's round offsets
+_ROUND_OFFSETS = np.arange(_MAX_BLOCK_ROUNDS + 1)[:, None]
 
 #: The native body of a run -- ``(advance_run, scratch_doubles)``, the
 #: ``ctypes`` functions of ``advance_run.c`` -- or None for the NumPy
@@ -234,12 +234,13 @@ def _same_bits(routines: tuple) -> bool:
     steady one, second and third rounds) from a made-up positive definite
     state that differs in every cell, iteration and column, so a
     transposed index cannot hide.  The residual monitor's moments differ
-    in every column too, and its counts follow the ages (the count is
-    ``global_index``): some have seen nothing (score 0.0) and some have
-    no spread (a floored standard deviation, a score far past the
-    threshold).  The six planes, the status, the saved and post-run
-    moments, and the run's columns of the trend pairs and of the solver's
-    working side are compared as bytes, signs of zeros included.
+    in every column too, and its counts (``global_index``, set apart from
+    the gating ages) reach far past the run's length: some have seen
+    nothing (score 0.0) and some have no spread (a floored standard
+    deviation, a score far past the threshold).  The six planes, the
+    status, the saved and post-run moments, and the run's columns of the
+    trend pairs and of the solver's working side are compared as bytes,
+    signs of zeros included.
     """
     n_rounds, n_iterations, n = 3, 3, 40
     params = {
@@ -251,10 +252,11 @@ def _same_bits(routines: tuple) -> bool:
     blocks = (ramp + ramp.transpose(1, 0, 2, 3)) / (4.0 * ramp.size)
     blocks[np.arange(4), np.arange(4)] += 2.0
     ages = np.resize([0, 1, 7], n)
+    counts = np.resize([0, 3, 40, 9, 1], n)
     spreads = np.resize([0.5, 0.0, 2.0, 0.1], n) * (1.0 + np.arange(n) / n)
     state = {
         "seasonal_buffer": np.sin(np.arange(4.0 * n)).reshape(n, 4),
-        "global_index": ages,
+        "global_index": counts,
         "points_processed": ages,
         "last_detection_residual": np.zeros(n),
         "last_applied_shift": np.zeros(n, dtype=np.int64),
@@ -262,7 +264,7 @@ def _same_bits(routines: tuple) -> bool:
         "solver_blocks": blocks,
         "solver_rhs": np.cos(np.arange(4.0 * n_iterations * n)).reshape(4, -1, n),
         "monitor_mean": np.cos(np.arange(n) * 0.9),
-        "monitor_m2": spreads * ages,
+        "monitor_m2": spreads * counts,
     }
     columns = np.random.default_rng(0).permutation(n)[:35]
     images = []
@@ -448,13 +450,10 @@ class ColumnarNSigma:
         ``(rounds, n)`` scores and verdicts equal per-round calls float
         for float.
         """
-        n_rounds = values.shape[0]
         scores = np.empty(values.shape)
         flags = np.empty(values.shape, dtype=bool)
-        for index in range(n_rounds):
-            row_scores, row_flags = self.update(values[index])
-            scores[index] = row_scores
-            flags[index] = row_flags
+        for index, row in enumerate(values):
+            scores[index], flags[index] = self.update(row)
         return scores, flags
 
 
@@ -566,13 +565,15 @@ class FleetKernel:
     @staticmethod
     def eligible(model) -> bool:
         """Whether ``model`` is an initialized default-initializer OneShotSTL
-        whose residual monitor is counted by its ``global_index`` (a column
-        derives the count)."""
+        whose residual monitor is what a column derives: counted by its
+        ``global_index``, threshold ``shift_threshold``, default minimum_std."""
         return (
             type(model) is OneShotSTL
             and model._initialized
             and model._initializer is None
             and model._residual_monitor._count == model._global_index
+            and model._residual_monitor.threshold == model.shift_threshold
+            and model._residual_monitor.minimum_std == DEFAULT_MINIMUM_STD
         )
 
     @classmethod
@@ -591,7 +592,7 @@ class FleetKernel:
                 raise ValueError(
                     f"model {index} is not packable (must be an initialized "
                     "OneShotSTL without a custom initializer, its residual "
-                    "monitor counted by its global index)"
+                    "monitor one a column derives, see eligible())"
                 )
             if model.get_params() != reference:
                 raise ValueError(
@@ -960,19 +961,20 @@ class FleetKernel:
         stack; any other member list is gathered into a stack of its own,
         advanced there and scattered back, and so are the monitor's moments
         of every run, as the contract of :meth:`_solve_run` says.  Solve
-        ``(i, r)`` -- iteration ``i`` of round ``r`` -- needs only ``(i -
-        1, r)`` and ``(i, r - 1)``, so step ``s`` of the run solves the
-        whole anti-diagonal ``i + r = s`` at once: iterations ``[lo, hi)`` with ``lo = max(0, s - T + 1)``
-        and ``hi = min(I, s + 1)``, in ``T + I - 1`` steps.  Everything a
-        step touches is laid out so that slab is a plain slice: the trend
-        history is kept in *step* coordinates (``hist[s + 2, i]`` is the
-        trend of ``(i, s - i)``, so "previous round, same iteration" is
-        ``hist[s + 1]`` and the round before ``hist[s]``), the right-hand
-        sides are staged in reversed round order (iteration ``i`` of step
-        ``s`` reads row ``T - 1 - s + i``), and the reweighting of ``(i,
-        r)`` lands in weight row ``i + 1``, where ``(i + 1, r)`` picks it
-        up on the next step (row 0 stays 1.0: ``x * 1.0 == x`` bit for
-        bit, so the first iteration's raw lambdas need no special case).
+        ``(i, r)`` -- iteration ``i`` of round ``r`` -- needs only ``(i - 1,
+        r)`` and ``(i, r - 1)``, so step ``s`` of the run solves the whole
+        anti-diagonal ``i + r = s`` at once: iterations ``[lo, hi)`` with
+        ``lo = max(0, s - T + 1)`` and ``hi = min(I, s + 1)``, in ``T + I -
+        1`` steps.  Everything a step touches is laid out so that slab is a
+        plain slice: the trend history is kept in *step* coordinates
+        (``hist[s + 2, i]`` is the trend of ``(i, s - i)``, so "previous
+        round, same iteration" is ``hist[s + 1]`` and the round before
+        ``hist[s]``), the right-hand sides are staged in reversed round order
+        (iteration ``i`` of step ``s`` reads row ``T - 1 - s + i``), and the
+        reweighting of ``(i, r)`` lands in weight row ``i + 1``, where ``(i +
+        1, r)`` picks it up on the next step (row 0 stays 1.0: ``x * 1.0 ==
+        x`` bit for bit, so the first iteration's raw lambdas need no special
+        case).
 
         The grid done, the residuals are two subtractions over the run and
         the monitor scores, then folds, round by round

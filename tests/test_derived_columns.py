@@ -13,7 +13,8 @@ snapshot's mapping view, and the round the kernel hands back as
 non-finite -- the derived values and the monitor's moments equal what the
 ``fleet_kernel_enabled = False`` twin's scalar objects hold, bit for bit,
 and a segment this build writes carries no copy of them.  A model whose
-monitor count is not its global index is never a column.
+monitor is not counted by its global index, or has a threshold or
+minimum_std a column does not assume, is never a column.
 """
 
 import numpy as np
@@ -185,10 +186,22 @@ def test_a_non_finite_hand_back(monkeypatch):
     assert_same_facts(engine, reference, KEYS)
 
 
-def test_a_model_whose_count_is_not_its_global_index_stays_scalar():
-    """Its own count is kept, not re-counted: it advances on the scalar
-    path, float for float with a twin tampered the same way, while the
-    keys around it become columns."""
+@pytest.mark.parametrize(
+    "field, tamper",
+    [
+        ("_count", lambda count: count + 1),
+        ("threshold", lambda threshold: threshold + 1.0),
+        ("minimum_std", lambda minimum_std: 2.0 * minimum_std),
+    ],
+    ids=["count", "threshold", "minimum_std"],
+)
+def test_a_model_whose_monitor_a_column_cannot_hold_stays_scalar(field, tamper):
+    """A column holds a monitor counted by ``global_index`` with the
+    model's ``shift_threshold`` and the default ``minimum_std``.  A model
+    whose monitor differs in any of these keeps its own values, not
+    re-counted or reset: it advances on the scalar path, float for float
+    with a twin tampered the same way, while the keys around it become
+    columns."""
     engine, reference = twin(), twin()
     tampered = KEYS[2]
     for source in (engine, reference):
@@ -196,7 +209,7 @@ def test_a_model_whose_count_is_not_its_global_index_stays_scalar():
         pipeline = source._series[tampered].pipeline
         # the detector must stay the monitor but for its threshold
         for monitor in (pipeline.decomposer._residual_monitor, pipeline.scorer):
-            monitor._count += 1
+            setattr(monitor, field, tamper(getattr(monitor, field)))
     model = engine._series[tampered].pipeline.decomposer
     assert not FleetKernel.eligible(model)
     with pytest.raises(ValueError, match="not packable"):
@@ -207,6 +220,11 @@ def test_a_model_whose_count_is_not_its_global_index_stays_scalar():
     )
     assert set(engine._absorbed) == set(KEYS) - {tampered}
     assert tampered in engine._never_absorb
+    mine = engine._series[tampered].pipeline.decomposer._residual_monitor
+    theirs = reference._series[tampered].pipeline.decomposer._residual_monitor
+    assert vars(mine) == vars(theirs)
     model = engine._series[tampered].pipeline.decomposer
-    assert model._residual_monitor._count == model._global_index + 1
+    assert (model._residual_monitor._count == model._global_index) == (
+        field != "_count"
+    )
     assert_same_facts(engine, reference, set(KEYS) - {tampered})

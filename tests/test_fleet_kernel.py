@@ -656,6 +656,24 @@ class TestRunBoundary:
         assert kernel.points_processed.tolist() == list(ages)
         assert_blocks_match_scalar(kernel, scalar, streams, INIT + 500, [3])
 
+    @pytest.mark.parametrize("period", [fleet._MAX_BLOCK_ROUNDS, 96])
+    def test_the_longest_run_matches(self, monkeypatch, period):
+        """At a period of at least ``_MAX_BLOCK_ROUNDS`` a clean block runs
+        in runs of exactly that many rounds, the longest a run can be; the
+        monitor's counts reach one past its last round."""
+        longest = fleet._MAX_BLOCK_ROUNDS
+        streams, scalar, kernel = period_fleet(period, iterations=3)
+        runs = []
+        solve = FleetKernel._solve_run
+
+        def spy(kernel, native, planes, start, stop, columns):
+            runs.append(stop - start)
+            return solve(kernel, native, planes, start, stop, columns)
+
+        monkeypatch.setattr(FleetKernel, "_solve_run", spy)
+        assert_blocks_match_scalar(kernel, scalar, streams, 0, [longest + 3])
+        assert runs == [longest, 3]
+
     @pytest.mark.parametrize("iterations", [1, 2, 8, 40])
     def test_any_iteration_count(self, iterations):
         """The body's scratch is sized from I: no count switches bodies."""
