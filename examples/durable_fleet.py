@@ -124,7 +124,7 @@ def main() -> None:
     assert mismatches == 0, "recovery must be bit-identical"
 
     recovered.close()  # final checkpoint; WAL is now empty
-    print(f"closed cleanly; store at {root} survives for the next run")
+    print(f"closed cleanly; removing the example's store at {root}")
     shutil.rmtree(root.parent, ignore_errors=True)
 
 

@@ -6,7 +6,8 @@ Layout under the root directory::
     segments/seg-*           -- per-cohort state blobs (``.seg``; a
                                 cohort untouched since a format-3 build
                                 wrote it keeps its ``.pkl`` file)
-    wal/wal-*.log            -- write-ahead-log segments
+    wal/wal-*.log            -- the write-ahead log, one file per
+                                checkpoint generation
 
 Durability model
 ----------------
@@ -17,9 +18,7 @@ Durability model
   manifest are garbage, never half-adopted state.
 * **WAL appends** are length- and CRC-framed.  Reading a part stops at
   the first incomplete or checksum-failing frame, so a crash mid-append
-  costs at most the in-flight record and can never corrupt recovery
-  (such a torn tail is only legitimate on the chain's *final* part;
-  :mod:`repro.durability.recovery` treats it as damage elsewhere).
+  costs at most the in-flight record and can never corrupt recovery.
   Appends are flushed to the OS on every record (surviving a process
   crash); pass ``wal_sync=True`` to also ``fsync`` per append and survive
   host power loss at a substantial throughput cost.
@@ -28,10 +27,10 @@ Durability model
   when ``wal_sync=True``).  Framing is identical to per-record appends,
   so replay cannot tell the difference; a crash mid-batch loses only a
   suffix of the batch (each surviving record is complete).
-* **Segment rotation**: with ``wal_segment_bytes`` set, an append that
-  pushes the open segment past the limit seals it and opens the next
-  part (``format.next_wal_name``).  Recovery replays the ordered chain,
-  so rotation bounds the size of any one file without unbounding replay.
+* **One file per generation**: the WAL grows until the next checkpoint,
+  which starts ``format.wal_name(generation)`` and prunes the old one,
+  so replay after a crash is bounded by the data since the last
+  checkpoint.
 
 Fault injection
 ---------------
@@ -39,7 +38,7 @@ Fault injection
 name at every interesting moment -- ``wal.append.before/torn/after``
 (once per batch for group commits; the torn simulation persists half the
 *batch*, i.e. some complete frames then a torn one),
-``wal.rotate.before/after``, ``segment.write.before/tmp/after``,
+``segment.write.before/tmp/after``,
 ``manifest.swap.before/tmp/after``, ``delete.before`` -- and may raise to
 simulate a crash at exactly that window.  The durability oracle tests
 drive recovery through every one of these points; the hook costs one
@@ -56,9 +55,15 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
 from repro.durability.errors import CheckpointError, CorruptCheckpointError
-from repro.durability.format import next_wal_name, validate_manifest
+from repro.durability.format import validate_manifest, wal_name
 from repro.durability.lock import DEFAULT_STALE_AFTER, LOCK_FILE_NAME, StoreLock
-from repro.durability.recovery import WalWalk, check_components, read_cohort
+from repro.durability.recovery import (
+    STRAY_PART,
+    WalWalk,
+    check_components,
+    read_cohort,
+    stray_wal_parts,
+)
 from repro.durability.scrub import ScrubFinding, ScrubReport
 from repro.durability.store import atomic_write_bytes, fsync_directory
 from repro.specs import EngineSpec
@@ -108,11 +113,6 @@ class DirectoryCheckpointStore:
         Heartbeat-staleness horizon in seconds for ``exclusive`` mode
         (``None`` disables the mtime horizon; only a provably dead holder
         is then stale).
-    wal_segment_bytes:
-        ``None`` (default): one WAL segment grows until the next
-        checkpoint.  A positive byte count: an append that pushes the
-        open segment past the limit seals it and rotates to the next
-        part, bounding any single file; recovery replays the chain.
     """
 
     def __init__(
@@ -121,15 +121,9 @@ class DirectoryCheckpointStore:
         wal_sync: bool = False,
         exclusive: bool = False,
         stale_after: float | None = DEFAULT_STALE_AFTER,
-        wal_segment_bytes: int | None = None,
     ):
         self.root = Path(os.fspath(root))
         self.wal_sync = bool(wal_sync)
-        if wal_segment_bytes is not None and wal_segment_bytes <= 0:
-            raise ValueError(
-                f"wal_segment_bytes must be positive, got {wal_segment_bytes}"
-            )
-        self.wal_segment_bytes = wal_segment_bytes
         self._segments = self.root / _SEGMENT_DIRECTORY
         self._wals = self.root / _WAL_DIRECTORY
         self._wals.mkdir(parents=True, exist_ok=True)
@@ -343,20 +337,6 @@ class DirectoryCheckpointStore:
             raise
         self._wal_good_offset += len(batch)
         self._fault("wal.append.after")
-        self._maybe_rotate()
-
-    def _maybe_rotate(self) -> None:
-        """Seal the open segment and open the next part when over-size."""
-        if (
-            self.wal_segment_bytes is None
-            or self._wal_open_name is None
-            or self._wal_good_offset < self.wal_segment_bytes
-        ):
-            return
-        successor = next_wal_name(self._wal_open_name)
-        self._fault("wal.rotate.before")
-        self.wal_start(successor)
-        self._fault("wal.rotate.after")
 
     def wal_frames(self, name: str) -> Iterator[tuple[bytes, int]]:
         """Stream ``(payload, end_offset)`` per complete frame of part ``name``.
@@ -461,17 +441,15 @@ class DirectoryCheckpointStore:
         the readable prefix stays in place (its frames replayed fine);
         the damaged suffix is copied to quarantine and truncated away so
         later appends cannot sit beyond unreadable bytes.  Returns the
-        number of bytes quarantined (0 for a part that does not exist).
+        number of bytes quarantined.
         """
         if name == self._wal_open_name:
             raise ValueError(
                 f"refusing to edit the open WAL segment {name!r}"
             )
         path = self._wal_path(name)
-        size = self.wal_size(name)
-        if size is None:
-            return 0
         if from_offset == 0:
+            size = path.stat().st_size
             os.replace(path, self._quarantine_target(name))
             return size
         with open(path, "rb") as handle:
@@ -494,15 +472,15 @@ class DirectoryCheckpointStore:
     # ----------------------------------------------------------------- scrub
 
     def verify(self, deep: bool = True) -> ScrubReport:
-        """Scrub manifest -> segments -> WAL chain; report every problem.
+        """Scrub manifest -> segments -> WAL; report every problem.
 
         Read-only: nothing is repaired or quarantined.  The walk is
         :mod:`repro.durability.recovery`'s, the one ``open()`` recovers
         through, so a fatal finding is exactly what a strict recovery
-        raises on; a torn tail on the *final* WAL part is reported
-        non-fatal -- ordinary crash debris that recovery truncates
-        silently.  ``deep`` also decodes what the CRCs cover (a CRC
-        cannot catch bytes written corrupt): a cohort segment's header
+        raises on; a torn tail on the WAL is reported non-fatal --
+        ordinary crash debris that recovery truncates silently.  ``deep``
+        also decodes what the CRCs cover (a CRC cannot catch bytes
+        written corrupt): a cohort segment's header
         and array sections are checked structurally -- lengths against
         shapes, dtypes, names -- only its fallback section and the WAL
         records are unpickled, and the components the manifest's engine
@@ -540,7 +518,10 @@ class DirectoryCheckpointStore:
             except CorruptCheckpointError as error:
                 findings.append(ScrubFinding("manifest", error.problem, str(error)))
         missing = sum(finding.problem == "missing" for finding in findings)
-        walk = WalWalk(self, manifest["wal"], decode=deep)
+        generation = manifest["generation"]
+        for name in stray_wal_parts(self, generation):
+            findings.append(ScrubFinding(name, "stray_part", STRAY_PART))
+        walk = WalWalk(self, wal_name(generation), decode=deep)
         for _record in walk:
             pass
         if walk.stop is not None:
@@ -562,7 +543,7 @@ class DirectoryCheckpointStore:
         return ScrubReport(
             findings=tuple(findings),
             segments_checked=len(manifest["cohorts"]) - missing,
-            wal_segments_checked=walk.parts,
+            wal_segments_checked=int(self.wal_exists(walk.name)),
             wal_frames_checked=walk.frames,
         )
 

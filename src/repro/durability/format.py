@@ -4,10 +4,9 @@ One format version covers every durable artifact the engine writes:
 
 * the **store manifest** (``MANIFEST.json`` of a directory store): JSON of
   ``{format_version, generation, engine_spec, cohorts, wal}`` -- the root
-  of a durable session, naming the per-cohort segment files and the WAL
-  chain that together reconstruct the engine (the chain continues, by
-  :func:`next_wal_name`, through every rotated part that exists; only
-  its final part may be torn or absent).  The manifest carries no
+  of a durable session, naming the per-cohort segment files and the
+  generation's one WAL file that together reconstruct the engine (the
+  file may be torn at its end or absent).  The manifest carries no
   checksum of its own: :func:`validate_manifest` checks its shape, its
   types, its names and the shape of its engine spec, and a valid
   manifest is the store's truth;
@@ -29,12 +28,15 @@ Version history
     :class:`CheckpointVersionError` naming the found and the expected
     version, and nothing on disk is touched.
 3
-    The manifest's ``wal`` entry is an ordered *chain* of WAL parts
-    (``wal-GGGGGGGG-PPPP.log``; size-based rotation seals one and opens
-    the next), starting at the manifest's generation.  Every segment is
-    a pickle of ``{key: per-series state}`` -- version 4's fallback
-    section, read by the same code -- and the WAL may hold ``raw_rows``
-    records, which still replay.  The oldest store that opens.  A solver
+    The manifest's ``wal`` entry is a list of WAL part names
+    (``wal-GGGGGGGG-PPPP.log``) and every build names one part,
+    :func:`wal_name` of the manifest's generation: the ``PPPP`` field is
+    always ``0000``.  (Builds of format 3 and 4 could rotate the log into
+    further parts of one generation when asked to; this build refuses a
+    store holding such a part, see :mod:`repro.durability.recovery`.)
+    Every segment is a pickle of ``{key: per-series state}`` --
+    version 4's fallback section, read by the same code -- and the WAL
+    may hold ``raw_rows`` records, which still replay.  The oldest store that opens.  A solver
     pickled in the dense form that preceded the Schur form (a state
     carrying ``_incremental``) is refused as undecodable, not replayed.
 4
@@ -89,7 +91,6 @@ __all__ = [
     "decode_wal_record",
     "encode_segment",
     "encode_wal_record",
-    "next_wal_name",
     "segment_name",
     "validate_manifest",
     "wal_name",
@@ -128,28 +129,24 @@ def segment_name(generation: int, cohort_id: int) -> str:
     return f"seg-{generation:08d}-{cohort_id:06d}.seg"
 
 
-def wal_name(generation: int, part: int = 0) -> str:
-    """Canonical file name of WAL part ``part`` following ``generation``."""
-    return f"wal-{generation:08d}-{part:04d}.log"
+def wal_name(generation: int) -> str:
+    """File name of the WAL that follows checkpoint ``generation``."""
+    return f"wal-{generation:08d}-0000.log"
 
 
 _WAL_NAME = re.compile(r"^wal-(\d{8})-(\d{4})\.log$")
 
 
 def wal_position(name: str) -> tuple[int, int] | None:
-    """``(generation, part)`` of a WAL part name; ``None`` for any other file."""
+    """``(generation, part)`` of a WAL file name; ``None`` for any other file.
+
+    This build writes part 0 alone; a later part is what an older build
+    that rotated the log left behind.
+    """
     match = _WAL_NAME.match(name)
     if match is None:
         return None
     return int(match.group(1)), int(match.group(2))
-
-
-def next_wal_name(name: str) -> str:
-    """Name of the WAL part that follows ``name`` after a rotation."""
-    position = wal_position(name)
-    if position is None:
-        raise ValueError(f"not a WAL segment name: {name!r}")
-    return wal_name(position[0], position[1] + 1)
 
 
 # ----------------------------------------------------------------- manifest
@@ -159,20 +156,14 @@ def build_manifest(
     generation: int,
     engine_spec: dict,
     cohorts: list[dict],
-    wal: str | list[str],
 ) -> dict:
-    """Assemble a manifest document (plain JSON-able data).
-
-    ``wal`` is the ordered chain of WAL segment names to replay; a bare
-    string is normalized into a length-1 chain.
-    """
-    chain = [wal] if isinstance(wal, str) else list(wal)
+    """Assemble a manifest document (plain JSON-able data)."""
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "generation": int(generation),
         "engine_spec": engine_spec,
         "cohorts": cohorts,
-        "wal": chain,
+        "wal": [wal_name(generation)],
     }
 
 
@@ -186,8 +177,8 @@ def validate_manifest(manifest: Any, source: object) -> dict:
 
     What recovery reads as a number is one (``format_version``,
     ``generation``, cohort ``id`` and, when present, ``series`` and
-    ``crc``: integers >= 0), cohort ids are unique, the WAL chain
-    starts at the manifest's generation and ``engine_spec`` decodes to an
+    ``crc``: integers >= 0), cohort ids are unique, ``wal`` names the
+    generation's one WAL file and ``engine_spec`` decodes to an
     :class:`~repro.specs.EngineSpec`, so a manifest that passes opens and
     keeps every series through its next checkpoint.  That the components
     the spec names are registered is checked later, once the segments are
@@ -235,23 +226,11 @@ def validate_manifest(manifest: Any, source: object) -> dict:
         raise CorruptCheckpointError(
             f"{source}: manifest cohort ids must be unique, found {ids}"
         )
-    chain = manifest["wal"]
-    if not (
-        isinstance(chain, list)
-        and chain
-        and all(isinstance(name, str) and wal_position(name) for name in chain)
-    ):
+    expected = [wal_name(manifest["generation"])]
+    if manifest["wal"] != expected:
         raise CorruptCheckpointError(
-            f"{source}: manifest 'wal' must be a non-empty ordered list of "
-            f"WAL segment names, found {chain!r}"
-        )
-    first = wal_position(chain[0])
-    if first is None or first[0] != manifest["generation"]:
-        # A checkpoint of generation g always starts the chain at
-        # wal_name(g); the next one would reopen a replayed part.
-        raise CorruptCheckpointError(
-            f"{source}: manifest WAL chain starts at {chain[0]!r}, which "
-            f"does not belong to generation {manifest['generation']}"
+            f"{source}: manifest 'wal' must name its generation's one WAL "
+            f"file, {expected!r}, found {manifest['wal']!r}"
         )
     try:
         EngineSpec.from_dict(manifest["engine_spec"])

@@ -1,4 +1,4 @@
-"""The one reader of a durable store: cohort segments, then the WAL chain.
+"""The one reader of a durable store: cohort segments, then the WAL.
 
 A series' state is the product of *every* point in order, so a log
 replayed with a hole in it yields state the algorithm never produces.
@@ -20,13 +20,14 @@ recovery would succeed") holds because the two cannot walk differently.
   manifest; there is no second reader.
 * Once the cohorts are read, every component the manifest's engine spec
   names must be registered (:func:`check_components`).
-* The chain is the manifest's parts extended by every rotated successor
-  that *exists* -- a crash can land between opening a part and its first
-  append, so record counts would miss the live tail.
-* Unread bytes after the last complete frame are crash debris on the
-  chain's *final* part and damage anywhere else; so is a sealed part
-  that is empty or absent (rotation only seals a part that holds a
-  frame), and a frame that passes its CRC but does not decode.
+* A generation's WAL is one file, :func:`~repro.durability.format.wal_name`
+  of its generation.  Unread bytes after its last complete frame are
+  crash debris (a kill mid-append); a frame that passes its CRC but does
+  not decode is damage, and the walk stops there.
+* A later part of the same generation (:func:`stray_wal_parts`) can only
+  have been left by a build that rotated the log and crashed before its
+  next checkpoint.  Its records follow the file's, so no policy replays
+  the file without them: the store is refused, whatever the policy.
 
 The reader never repairs, moves or truncates anything.
 """
@@ -41,7 +42,6 @@ from repro.durability.errors import CorruptCheckpointError
 from repro.durability.format import (
     decode_segment,
     decode_wal_record,
-    next_wal_name,
     wal_position,
 )
 from repro.durability.segment import SEGMENT_MAGIC, ColumnGroup, split_segment
@@ -51,12 +51,13 @@ if TYPE_CHECKING:  # the store imports this module
     from repro.durability.directory import DirectoryCheckpointStore
 
 __all__ = [
+    "STRAY_PART",
     "WalStop",
     "WalWalk",
     "check_components",
     "read_cohort",
+    "stray_wal_parts",
     "unpack_cohort",
-    "wal_chain",
 ]
 
 
@@ -140,44 +141,31 @@ def check_components(manifest: Mapping[str, Any], source: object) -> None:
         ) from error
 
 
-def wal_chain(
-    store: DirectoryCheckpointStore, manifest_chain: list[str]
-) -> tuple[list[str], list[str]]:
-    """``(chain, stranded)``: the parts to replay, and those past a gap.
+#: what is wrong with a part :func:`stray_wal_parts` names
+STRAY_PART = (
+    "a WAL part past its generation's one file: a build that rotated the "
+    "log left it, and every recovery policy refuses the store unchanged "
+    "(open and checkpoint it with that build first)"
+)
 
-    ``stranded`` are parts of the chain's generation that exist beyond
-    its last member; when there are any, the absent part they follow
-    joins ``chain``, so the walk ends *on the gap* instead of taking the
-    part before it for the live tail.
-    """
-    chain = list(manifest_chain)
-    while True:
-        successor = next_wal_name(chain[-1])
-        if not store.wal_exists(successor):
-            break
-        chain.append(successor)
-    tail = wal_position(chain[-1])
-    stranded = sorted(
+
+def stray_wal_parts(store: DirectoryCheckpointStore, generation: int) -> list[str]:
+    """Names of the WAL parts of ``generation`` past its one file, sorted."""
+    return [
         name
         for name in store.list_wals()
         if (position := wal_position(name)) is not None
-        and tail is not None
-        and position[0] == tail[0]
-        and position[1] > tail[1]
-    )
-    if stranded:
-        chain.append(successor)
-    return chain, stranded
+        and position[0] == generation
+        and position[1] > 0
+    ]
 
 
 @dataclass(frozen=True, slots=True)
 class WalStop:
-    """Where a chain stopped being readable, and what lies beyond.
+    """Where the WAL stopped being readable.
 
-    ``later`` are the parts after ``segment`` that exist on disk.
-    ``frames_lost`` counts what can no longer be replayed: an undecodable
-    frame and the complete ones after it, or one for a run of unreadable
-    bytes (a lower bound), plus every complete frame of the later parts.
+    ``frames_lost`` counts what can no longer be replayed: the
+    undecodable frame and the complete ones after it.
     """
 
     segment: str
@@ -185,81 +173,47 @@ class WalStop:
     problem: str
     reason: str
     frames_lost: int
-    later: tuple[str, ...]
 
 
 class WalWalk:
-    """One in-order pass over a store's WAL chain.
+    """One in-order pass over the WAL file ``name``.
 
     Iterating yields each record (decoded, or the raw payload with
-    ``decode=False``) up to the end of the chain or the first damage;
-    afterwards ``stop`` says where and why the walk ended early (``None``:
-    it did not), ``torn`` is the ``(segment, offset, n_bytes)`` of crash
-    debris on the final part, ``frames`` the number of records yielded
-    and ``parts`` the number of chain parts found on disk.
+    ``decode=False``) up to the end of the file or its first undecodable
+    frame; afterwards ``stop`` says where and why the walk ended early
+    (``None``: it did not), ``torn`` is the ``(name, offset, n_bytes)``
+    of crash debris after the last complete frame and ``frames`` the
+    number of records yielded.  An absent file holds nothing: it is the
+    window between a checkpoint's manifest swap and the new file's
+    creation.
     """
 
     def __init__(
-        self,
-        store: DirectoryCheckpointStore,
-        manifest_chain: list[str],
-        decode: bool = True,
+        self, store: DirectoryCheckpointStore, name: str, decode: bool = True
     ):
         self.store = store
+        self.name = name
         self.decode = decode
-        self.chain, self.stranded = wal_chain(store, manifest_chain)
         self.stop: WalStop | None = None
         self.torn: tuple[str, int, int] | None = None
         self.frames = 0
-        self.parts = 0
 
     def __iter__(self) -> Iterator[Any]:
-        source = self.store.root
-        final = len(self.chain) - 1 if not self.stranded else -1
-        for position, name in enumerate(self.chain):
-            offset = 0
-            frames = self.store.wal_frames(name)
-            for payload, end in frames:
-                record: Any = payload
-                if self.decode:
-                    try:
-                        record = decode_wal_record(payload, f"{source}/{name}")
-                    except CorruptCheckpointError as error:
-                        lost = 1 + sum(1 for _ in frames)
-                        self._stopped(position, offset, error.problem, str(error), lost)
-                        return
-                self.frames += 1
-                offset = end
-                yield record
-            size = self.store.wal_size(name)
-            self.parts += size is not None
-            unread = (size or 0) - offset
-            if position == final:
-                if unread:
-                    self.torn = (name, offset, unread)
-            elif unread:
-                reason = (
-                    f"{unread} unreadable bytes at offset {offset} of a "
-                    "non-final chain part"
-                )
-                self._stopped(position, offset, "trailing_bytes", reason, 1)
-                return
-            elif not offset:
-                # rotation only seals a part after an append
-                problem = "missing" if size is None else "empty"
-                reason = "a sealed chain part holds no record: the chain has a gap"
-                self._stopped(position, 0, problem, reason, 0)
-                return
-
-    def _stopped(
-        self, position: int, offset: int, problem: str, reason: str, lost: int
-    ) -> None:
-        later = tuple(
-            name
-            for name in (*self.chain[position + 1 :], *self.stranded)
-            if self.store.wal_exists(name)
-        )
-        lost += sum(1 for name in later for _ in self.store.wal_frames(name))
-        self.stop = WalStop(
-            self.chain[position], offset, problem, reason, lost, later
-        )
+        name = self.name
+        offset = 0
+        frames = self.store.wal_frames(name)
+        for payload, end in frames:
+            record: Any = payload
+            if self.decode:
+                try:
+                    record = decode_wal_record(payload, f"{self.store.root}/{name}")
+                except CorruptCheckpointError as error:
+                    lost = 1 + sum(1 for _ in frames)
+                    self.stop = WalStop(name, offset, error.problem, str(error), lost)
+                    return
+            self.frames += 1
+            offset = end
+            yield record
+        unread = (self.store.wal_size(name) or 0) - offset
+        if unread:
+            self.torn = (name, offset, unread)

@@ -35,7 +35,7 @@ __all__ = [
 
 #: recovery policies accepted by ``MultiSeriesEngine.open(recovery=...)``
 #: -- ``strict`` raises on any damage ``store.verify()`` calls fatal,
-#: ``truncate`` ends WAL replay where the chain stops being readable but
+#: ``truncate`` ends WAL replay where the log stops being readable but
 #: still raises on segment damage, ``quarantine`` moves damaged artifacts
 #: aside and serves every unaffected series.
 RECOVERY_POLICIES = ("strict", "truncate", "quarantine")
@@ -50,11 +50,10 @@ class ScrubFinding:
 
     ``artifact`` is the file (or ``"manifest"``); ``problem`` is a stable
     machine-readable slug (``missing``, ``crc_mismatch``, ``undecodable``,
-    ``trailing_bytes``, ``empty``, ``torn_tail``, ``invalid``);
-    ``detail`` is the human sentence.  ``fatal`` findings mean a strict
-    recovery of this store raises; a non-fatal finding (the torn tail of
-    the *final* WAL part) is ordinary crash debris that recovery repairs
-    silently.
+    ``stray_part``, ``torn_tail``, ``invalid``); ``detail`` is the human
+    sentence.  ``fatal`` findings mean a strict recovery of this store
+    raises; a non-fatal finding (the WAL's torn tail) is ordinary crash
+    debris that recovery repairs silently.
     """
 
     artifact: str
@@ -114,13 +113,11 @@ class QuarantinedCohort:
 
 @dataclass(frozen=True, slots=True)
 class QuarantinedWalSuffix:
-    """A WAL suffix (bad frame onward, plus any later chain segments)
-    moved aside instead of replayed.
+    """A WAL suffix (the undecodable frame onward) moved aside instead of
+    replayed.
 
-    ``from_offset`` is the byte offset of the first unreadable frame in
-    ``segment``; everything before it replayed normally.  A part the
-    chain is *missing* is listed with zero bytes, ahead of the parts
-    stranded behind it.
+    ``from_offset`` is the byte offset of that frame in ``segment``;
+    everything before it replayed normally.
     """
 
     segment: str

@@ -20,7 +20,7 @@ into a composable harness plus the policies that survive it:
 
 Boundary names come from two layers: the checkpoint store's kill points
 (``wal.append.before/torn/after``, ``segment.write.*``,
-``manifest.swap.*``, ``wal.rotate.*``, ``delete.before``) and the shard
+``manifest.swap.*``, ``delete.before``) and the shard
 worker's command loop (:data:`WORKER_RECV`, :data:`WORKER_REPLY`).
 """
 

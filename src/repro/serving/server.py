@@ -44,7 +44,8 @@ __all__ = ["ServingServer"]
 _MAX_HEADER_BYTES = 64 * 1024
 #: default ceiling on a request body (a 1000-key x 4096-round grid is ~32 MB)
 _MAX_BODY_BYTES = 256 * 1024 * 1024
-#: idle keep-alive connections are dropped after this many seconds
+#: a request must arrive whole within this many seconds of the server
+#: starting to wait for it; an idle or stalled connection is dropped
 _KEEPALIVE_IDLE_SECONDS = 120.0
 
 _REASONS = {
@@ -147,18 +148,18 @@ class ServingServer:
 
     # ------------------------------------------------------------- codec
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader, *, first: bool
-    ) -> Request | None:
-        """Parse one request; ``None`` on clean EOF / idle timeout."""
+    async def _read_request(self, reader: asyncio.StreamReader) -> Request | None:
+        """Parse one request; ``None`` on clean EOF or an idle connection.
+
+        Head and body share one deadline, so a client cannot hold a
+        connection by sending nothing, nor by stopping mid-body (that
+        one is answered 408).
+        """
+        deadline = asyncio.get_running_loop().time() + _KEEPALIVE_IDLE_SECONDS
         try:
-            timeout = None if first else _KEEPALIVE_IDLE_SECONDS
-            head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=timeout
-            )
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return None
-        except asyncio.TimeoutError:
+            async with asyncio.timeout_at(deadline):
+                head = await reader.readuntil(b"\r\n\r\n")
+        except (asyncio.IncompleteReadError, ConnectionResetError, TimeoutError):
             return None
         except asyncio.LimitOverrunError:
             raise _BadRequest(431, "request head exceeds the header limit")
@@ -201,9 +202,16 @@ class ServingServer:
                     f"{self.max_body_bytes}-byte limit",
                 )
             try:
-                body = await reader.readexactly(length)
+                async with asyncio.timeout_at(deadline):
+                    body = await reader.readexactly(length)
             except (asyncio.IncompleteReadError, ConnectionResetError):
                 return None
+            except TimeoutError:
+                raise _BadRequest(
+                    408,
+                    f"body of {length} bytes not received within "
+                    f"{_KEEPALIVE_IDLE_SECONDS:g} s",
+                ) from None
         elif "chunked" in headers.get("transfer-encoding", "").lower():
             raise _BadRequest(
                 400, "chunked bodies are not supported; send Content-Length"
@@ -224,11 +232,10 @@ class ServingServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         loop = asyncio.get_running_loop()
-        first = True
         try:
             while True:
                 try:
-                    request = await self._read_request(reader, first=first)
+                    request = await self._read_request(reader)
                 except _BadRequest as error:
                     from repro.serving.protocol import dump_json
 
@@ -243,7 +250,6 @@ class ServingServer:
                     return
                 if request is None:
                     return
-                first = False
                 self._busy += 1
                 try:
                     response = await loop.run_in_executor(

@@ -123,9 +123,11 @@ from repro.durability.format import (
     wal_name,
 )
 from repro.durability.recovery import (
+    STRAY_PART,
     WalWalk,
     check_components,
     read_cohort,
+    stray_wal_parts,
     unpack_cohort,
 )
 from repro.durability.segment import ColumnGroup, encode_columnar_segment
@@ -1986,15 +1988,17 @@ class MultiSeriesEngine:
         ``recovery`` selects the corruption policy.  Every policy reads
         the store through the walk ``store.verify()`` reports from
         (:mod:`repro.durability.recovery`), so they differ only in what
-        they do about a damaged cohort segment or a WAL chain that stops
-        being readable anywhere but at the torn tail of its *final* part:
+        they do about a damaged cohort segment or a WAL record that does
+        not decode (a torn tail is crash debris under every policy, and a
+        WAL part past the generation's one file, which only a build that
+        rotated the log wrote, is refused by every policy):
 
         * ``"strict"`` (default): raises
           :class:`~repro.durability.CorruptCheckpointError` naming the
           artifact (and byte offset) -- nothing is modified, nothing is
           silently lost, and ``store.verify().ok`` says beforehand
           whether it will.
-        * ``"truncate"``: a broken WAL chain ends replay there (the
+        * ``"truncate"``: an undecodable WAL record ends replay there (the
           readable prefix is kept, the rest is dropped and pruned by the
           immediate re-checkpoint); segment damage still raises.
         * ``"quarantine"``: damaged cohort segments and the unreadable
@@ -2076,7 +2080,7 @@ class MultiSeriesEngine:
         for name in store.list_wals():
             store.wal_delete(name)
         store.write_manifest(
-            build_manifest(0, self.spec.to_dict(), [], wal_name(0))
+            build_manifest(0, self.spec.to_dict(), [])
         )
         store.wal_start(wal_name(0))
         self._store = store
@@ -2098,6 +2102,14 @@ class MultiSeriesEngine:
         what happens to a cohort error or a WAL stop (see :meth:`open`).
         """
         source = store.root
+        generation = manifest["generation"]
+        stray = stray_wal_parts(store, generation)
+        if stray:
+            # Its records follow the generation's file: replaying the file
+            # alone would drop them, under any policy.
+            raise CorruptCheckpointError(
+                f"{source}/wal/{stray[0]}: {STRAY_PART}", problem="stray_part"
+            )
         engine = cls.from_spec(EngineSpec.from_dict(manifest["engine_spec"]))
         quarantined_cohorts: list[QuarantinedCohort] = []
         quarantined_keys: set = set()
@@ -2157,9 +2169,9 @@ class MultiSeriesEngine:
         for name in damaged:
             store.quarantine_segment(name)
         engine._next_cohort_id = max(engine._cohorts, default=-1) + 1
-        engine._generation = manifest["generation"]
+        engine._generation = generation
         engine._store = store
-        walk = WalWalk(store, manifest["wal"])
+        walk = WalWalk(store, wal_name(generation))
         # _replaying suspends latency recording on every path:
         # the rings hold *observed ingest* durations, and
         # replay-speed timings (on the record-free columnar path, usually
@@ -2195,29 +2207,22 @@ class MultiSeriesEngine:
             # Records after a hole would replay into a stream missing its
             # middle.  Nothing on disk has been touched.
             raise CorruptCheckpointError(
-                f"{source}/{stop.segment}: WAL chain is unreadable from "
+                f"{source}/{stop.segment}: WAL is unreadable from "
                 f"byte offset {stop.offset}: {stop.reason}.  {walk.frames} "
                 f"records precede it, at least {stop.frames_lost} are "
                 "unreachable; recovery='truncate' or 'quarantine' keeps "
                 "the prefix",
                 problem=stop.problem,
             )
-        if stop is not None:
-            remainder = [(stop.segment, stop.offset, stop.reason)]
-            remainder += [
-                (later, 0, "follows a damaged chain segment")
-                for later in stop.later
-            ]
-            for name, offset, reason in remainder:
-                if recovery == "quarantine":
-                    moved = store.quarantine_wal_suffix(name, offset)
-                    quarantined_wal.append(
-                        QuarantinedWalSuffix(name, offset, moved, reason)
-                    )
-                else:  # truncate: drop without preserving
-                    findings.append(
-                        ScrubFinding(name, "truncated", reason, fatal=False)
-                    )
+        if stop is not None and recovery == "quarantine":
+            moved = store.quarantine_wal_suffix(stop.segment, stop.offset)
+            quarantined_wal.append(
+                QuarantinedWalSuffix(stop.segment, stop.offset, moved, stop.reason)
+            )
+        elif stop is not None:  # truncate: drop without preserving
+            findings.append(
+                ScrubFinding(stop.segment, "truncated", stop.reason, fatal=False)
+            )
         engine.last_recovery = RecoveryReport(
             policy=recovery,
             quarantined_cohorts=tuple(quarantined_cohorts),
@@ -2234,13 +2239,13 @@ class MultiSeriesEngine:
             # anything.
             engine.checkpoint()
         else:
-            # Reopen the chain's tail segment for appending: new records
-            # extend the replayed prefix.  The replayed records still
+            # Reopen the WAL for appending: new records extend the
+            # replayed prefix.  The replayed records still
             # count toward checkpoint_interval -- they are real
             # un-checkpointed WAL backlog, and a crash-looping process
             # would otherwise reset the counter on every restart and
             # never auto-checkpoint.
-            store.wal_start(walk.chain[-1])
+            store.wal_start(walk.name)
             engine._wal_records_pending = walk.frames
         return engine
 
@@ -2440,9 +2445,7 @@ class MultiSeriesEngine:
                 entry["keys"] = encoded_keys
             cohorts.append(entry)
         store.write_manifest(
-            build_manifest(
-                generation, self.spec.to_dict(), cohorts, wal_name(generation)
-            )
+            build_manifest(generation, self.spec.to_dict(), cohorts)
         )
         # -- the manifest rename above is the commit point ------------------
         self._generation = generation

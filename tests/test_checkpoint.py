@@ -36,7 +36,7 @@ from repro.durability import (
     CorruptCheckpointError,
     DirectoryCheckpointStore,
 )
-from repro.durability.format import decode_wal_record, encode_wal_record
+from repro.durability.format import decode_wal_record, encode_wal_record, wal_name
 from repro.specs import DecomposerSpec, EngineSpec, PipelineSpec
 from repro.streaming import (
     CHECKPOINT_FORMAT_VERSION,
@@ -533,11 +533,10 @@ class TestDurableSession:
         store = DirectoryCheckpointStore(tmp_path / "store")
         manifest = store.read_manifest()
         assert manifest["generation"] == 1
-        # Clean close leaves an empty WAL chain: everything lives in
-        # segments (the manifest's wal entry is the ordered chain).
-        assert isinstance(manifest["wal"], list)
-        for name in manifest["wal"]:
-            assert [payload for payload, _ in store.wal_frames(name)] == []
+        # Clean close leaves the generation's one WAL file empty:
+        # everything lives in segments.
+        assert manifest["wal"] == [wal_name(1)]
+        assert list(store.wal_frames(wal_name(1))) == []
         recovered = MultiSeriesEngine.open(store)
         assert recovered.fleet_stats().points_total == PERIOD * 5 * 3
 
@@ -1147,41 +1146,16 @@ class TestGroupCommitDurability:
         _assert_continues_identically(recovered, oracle, tail)
 
 
-class TestWalRotationRecovery:
-    """Recovery replays the rotated segment chain; checkpoint prunes it."""
-
-    def _rotating_session(self, tmp_path, **store_kwargs):
-        store = DirectoryCheckpointStore(
-            tmp_path / "store", wal_segment_bytes=4096, **store_kwargs
-        )
+class TestWalPruning:
+    def test_checkpoint_prunes_the_previous_wal(self, tmp_path):
+        store = DirectoryCheckpointStore(tmp_path / "store")
         engine = MultiSeriesEngine.open(store, spec=uniform_spec())
-        return store, engine
-
-    def test_recovery_replays_the_whole_chain(self, tmp_path):
-        data = make_fleet_data(10)
-        store, engine = self._rotating_session(tmp_path)
-        batches = list(interleaved_batches(data))
-        for batch in batches:
+        for batch in interleaved_batches(make_fleet_data(10)):
             engine.ingest(batch)
-        assert len(store.list_wals()) > 1, "rotation never triggered"
-        recovered = MultiSeriesEngine.open(
-            DirectoryCheckpointStore(tmp_path / "store")
-        )
-        oracle = MultiSeriesEngine.from_spec(uniform_spec())
-        for batch in batches:
-            oracle.ingest(batch)
-        tail = list(interleaved_batches(make_fleet_data(10, length=PERIOD)))
-        _assert_continues_identically(recovered, oracle, tail)
-
-    def test_checkpoint_prunes_sealed_segments(self, tmp_path):
-        data = make_fleet_data(10)
-        store, engine = self._rotating_session(tmp_path)
-        for batch in interleaved_batches(data):
-            engine.ingest(batch)
-        assert len(store.list_wals()) > 1
+        assert store.list_wals() == [wal_name(0)]
         engine.checkpoint()
         # Everything lives in segments now: one fresh (empty) WAL remains.
-        assert len(store.list_wals()) == 1
+        assert store.list_wals() == [wal_name(1)]
         recovered = MultiSeriesEngine.open(
             DirectoryCheckpointStore(tmp_path / "store")
         )

@@ -30,7 +30,6 @@ from repro.durability.format import (
     build_manifest,
     decode_wal_record,
     encode_wal_record,
-    next_wal_name,
     validate_manifest,
     wal_name,
     wal_position,
@@ -213,7 +212,7 @@ class TestManifestAndSegments:
 
     def test_manifest_round_trip(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
-        manifest = build_manifest(3, {"fake": "spec"}, [], wal_name(3))
+        manifest = build_manifest(3, {"fake": "spec"}, [])
         store.write_manifest(manifest)
         assert store.read_manifest() == manifest
 
@@ -226,7 +225,7 @@ class TestManifestAndSegments:
         assert "JSON" in str(error.value)
 
     def test_manifest_version_mismatch_says_found_and_expected(self, tmp_path):
-        manifest = build_manifest(0, {}, [], wal_name(0))
+        manifest = build_manifest(0, {}, [])
         manifest["format_version"] = 99
         with pytest.raises(CheckpointVersionError) as error:
             validate_manifest(manifest, "some/store")
@@ -242,7 +241,7 @@ class TestManifestAndSegments:
             {"id": 0, "segment": "seg-00000002-000000.seg", "series": 3, "crc": 7},
             {"id": 1, "segment": "seg-00000001-000001.seg", "series": 2},
         ]
-        return build_manifest(2, SPEC.to_dict(), cohorts, wal_name(2))
+        return build_manifest(2, SPEC.to_dict(), cohorts)
 
     @pytest.mark.parametrize(
         "where, value",
@@ -260,7 +259,7 @@ class TestManifestAndSegments:
             pytest.param(("generation",), "x", id="generation-str"),
             pytest.param(("generation",), -2, id="generation-negative"),
             pytest.param(("generation",), False, id="generation-bool"),
-            # the chain still starts at generation 2's part
+            # the WAL entry still names generation 2's file
             pytest.param(("generation",), 1, id="generation-behind-its-wal"),
             pytest.param(("format_version",), "4", id="format-str"),
             pytest.param(("format_version",), True, id="format-bool"),
@@ -530,98 +529,29 @@ class TestWalGroupCommit:
         assert wal_payloads(store, wal_name(0)) == [b"one", b"two"]
 
 
-class TestWalRotation:
-    def test_next_wal_name_increments_the_part(self):
-        assert next_wal_name(wal_name(3)) == wal_name(3, 1)
-        assert next_wal_name(wal_name(3, 41)) == wal_name(3, 42)
-
+class TestWalNames:
     def test_a_name_without_a_part_is_no_wal_part(self):
         # Format 2 named one WAL file per generation, wal-GGGGGGGG.log;
         # no store this build opens can name one.
         assert wal_position("wal-00000007.log") is None
-        with pytest.raises(ValueError, match="WAL segment name"):
-            next_wal_name("wal-00000007.log")
-
-    def test_next_wal_name_rejects_foreign_names(self):
-        with pytest.raises(ValueError, match="WAL segment name"):
-            next_wal_name("journal.log")
-
-    def test_oversize_append_rotates_to_the_next_part(self, tmp_path):
-        store = DirectoryCheckpointStore(
-            tmp_path / "store", wal_segment_bytes=64
-        )
-        store.wal_start(wal_name(0))
-        for index in range(4):
-            store.wal_append(b"x" * 40)
-        names = store.list_wals()
-        assert len(names) > 1
-        assert names[0] == wal_name(0)
-        assert names == [wal_name(0, part) for part in range(len(names))]
-        # Every record is readable, in order, across the chain.
-        collected = [
-            record for name in names for record, _ in store.wal_frames(name)
-        ]
-        assert collected == [b"x" * 40] * 4
-
-    def test_group_commit_rotates_after_the_batch(self, tmp_path):
-        store = DirectoryCheckpointStore(
-            tmp_path / "store", wal_segment_bytes=64
-        )
-        store.wal_start(wal_name(0))
-        store.wal_append_many([b"y" * 30] * 5)
-        names = store.list_wals()
-        # The batch lands whole in the first segment (group commit is one
-        # write); rotation seals it afterwards.
-        assert wal_payloads(store, wal_name(0)) == [b"y" * 30] * 5
-        assert names == [wal_name(0), wal_name(0, 1)]
-        store.wal_append(b"tail")
-        assert wal_payloads(store, wal_name(0, 1)) == [b"tail"]
+        assert wal_position("journal.log") is None
+        assert wal_position(wal_name(7)) == (7, 0)
 
     def test_wal_exists_sees_empty_segments(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
         assert not store.wal_exists(wal_name(0))
         store.wal_start(wal_name(0))
         assert store.wal_exists(wal_name(0))
-        assert not store.wal_exists(wal_name(0, 1))
-
-    def test_rotation_requires_positive_limit(self, tmp_path):
-        with pytest.raises(ValueError, match="positive"):
-            DirectoryCheckpointStore(tmp_path / "store", wal_segment_bytes=0)
-
-    def test_kill_between_rotation_and_first_append(self, tmp_path):
-        """A crash right after rotation leaves an empty live tail segment."""
-        store = DirectoryCheckpointStore(
-            tmp_path / "store", wal_segment_bytes=32
-        )
-        store.wal_start(wal_name(0))
-
-        def hook(point):
-            if point == "wal.rotate.after":
-                raise SimulatedCrash(point)
-
-        store.fault_hook = hook
-        with pytest.raises(SimulatedCrash):
-            store.wal_append(b"z" * 40)
-        store.close()
-        fresh = DirectoryCheckpointStore(tmp_path / "store")
-        assert fresh.wal_exists(wal_name(0, 1))
-        assert wal_payloads(fresh, wal_name(0, 1)) == []
-        assert wal_payloads(fresh, wal_name(0)) == [b"z" * 40]
 
 
-class TestManifestWalChain:
-    def test_build_manifest_normalizes_a_bare_name(self):
-        manifest = build_manifest(3, {}, [], wal_name(3))
+class TestManifestWal:
+    def test_build_manifest_names_the_generations_one_wal(self):
+        manifest = build_manifest(3, {}, [])
         assert manifest["wal"] == [wal_name(3)]
-
-    def test_build_manifest_keeps_a_chain_ordered(self):
-        chain = [wal_name(2, part) for part in range(3)]
-        manifest = build_manifest(2, {}, [], chain)
-        assert manifest["wal"] == chain
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_a_manifest_of_format_1_or_2_is_refused_by_name(self, version):
-        manifest = build_manifest(1, {"fake": "spec"}, [], wal_name(1))
+        manifest = build_manifest(1, {"fake": "spec"}, [])
         manifest["format_version"] = version
         with pytest.raises(CheckpointVersionError) as error:
             validate_manifest(manifest, "store")
@@ -631,11 +561,16 @@ class TestManifestWalChain:
         )
         assert "store" in str(error.value)
 
-    def test_malformed_wal_chain_rejected(self):
-        manifest = build_manifest(0, {}, [], wal_name(0))
-        manifest["wal"] = []
-        with pytest.raises(CorruptCheckpointError, match="non-empty"):
-            validate_manifest(manifest, "store")
-        manifest["wal"] = [wal_name(0), 7]
-        with pytest.raises(CorruptCheckpointError, match="WAL segment names"):
-            validate_manifest(manifest, "store")
+    def test_malformed_wal_entry_rejected(self):
+        manifest = build_manifest(0, SPEC.to_dict(), [])
+        validate_manifest(manifest, "store")
+        for wal in (
+            [],
+            wal_name(0),
+            [wal_name(0), 7],
+            [wal_name(0), "wal-00000000-0001.log"],
+            [wal_name(1)],
+        ):
+            manifest["wal"] = wal
+            with pytest.raises(CorruptCheckpointError, match="one WAL file"):
+                validate_manifest(manifest, "store")

@@ -48,6 +48,7 @@ from repro.durability import (
     CorruptCheckpointError,
     DirectoryCheckpointStore,
 )
+from repro.durability.format import wal_name
 from repro.durability.scrub import decode_manifest_keys
 from repro.durability.segment import SEGMENT_MAGIC
 from repro.faults import (
@@ -257,14 +258,10 @@ def populate_store(
     n_series: int = 8,
     cohort_size: int | None = None,
     wal_batches: int = 2,
-    wal_segment_bytes: int | None = None,
 ) -> dict:
     """Build a store with a committed checkpoint plus a live WAL tail."""
     data = fleet_data(n_series)
-    store_kwargs = {}
-    if wal_segment_bytes is not None:
-        store_kwargs["wal_segment_bytes"] = wal_segment_bytes
-    store = DirectoryCheckpointStore(path, **store_kwargs)
+    store = DirectoryCheckpointStore(path)
     engine = MultiSeriesEngine.open(store, spec=engine_spec())
     if cohort_size is not None:
         engine.checkpoint_cohort_size = cohort_size
@@ -422,54 +419,53 @@ class TestRecoveryPolicies:
                 recovery="quarantine",
             )
 
-    def _corrupt_mid_chain(self, tmp_path):
-        """Populate a multi-segment WAL chain and damage a middle segment.
+    def _undecodable_mid_wal(self, tmp_path) -> tuple[str, int]:
+        """A store whose WAL holds, between two batches, a frame that
+        passes its CRC but does not decode, and two batches after it.
 
-        Returns ``(damaged_name, frames_by_segment)`` where the frame map
-        was taken *before* the corruption.
+        Returns ``(wal file, offset of that frame)``; what precedes the
+        frame is ``fleet_data(8)`` through ``PERIOD * 6`` rounds.
         """
-        populate_store(
-            tmp_path, wal_batches=3, wal_segment_bytes=1
-        )  # 1-byte cap: every append rotates -> one record per segment
+        data = fleet_data(8)
         store = DirectoryCheckpointStore(tmp_path)
-        frames = {
-            name: list(store.wal_frames(name)) for name in store.list_wals()
-        }
-        chain = [name for name in sorted(frames) if frames[name]]
-        assert len(chain) >= 3
-        damaged = chain[1]
-        first_end = frames[damaged][0][1]
-        # Flip a payload byte of the segment's first frame: its CRC fails,
-        # so the whole segment (and everything after it) is unreadable.
-        flip_byte(tmp_path / "wal" / damaged, offset=first_end - 2)
-        return damaged, frames, chain
+        engine = MultiSeriesEngine.open(store, spec=engine_spec())
+        cut = PERIOD * 5
+        engine.ingest_columnar(slice_batch(data, 0, cut))
+        engine.checkpoint()
+        engine.ingest_columnar(slice_batch(data, cut, cut + PERIOD))
+        name = wal_name(1)
+        _frames, offset, _size = store.wal_tail(name)
+        store.wal_append(b"not a record")
+        for start in (cut + PERIOD, cut + PERIOD + 2):
+            engine.ingest_columnar(slice_batch(data, start, start + 2))
+        engine.close(checkpoint=False)
+        return name, offset
 
     def test_quarantine_preserves_a_damaged_wal_suffix(self, tmp_path):
-        damaged, frames, chain = self._corrupt_mid_chain(tmp_path)
+        name, offset = self._undecodable_mid_wal(tmp_path)
+        before = tree_bytes(tmp_path)
+        with pytest.raises(CorruptCheckpointError) as error:
+            strict_open(tmp_path)
+        assert name in str(error.value) and f"offset {offset}" in str(error.value)
+        assert error.value.problem == "undecodable"
+        assert tree_bytes(tmp_path) == before
+
         store = DirectoryCheckpointStore(tmp_path)
         engine = MultiSeriesEngine.open(
             store, spec=engine_spec(), recovery="quarantine"
         )
         report = engine.last_recovery
-        assert report is not None
-        before = sum(len(frames[name]) for name in chain[: chain.index(damaged)])
-        after = sum(
-            len(frames[name]) for name in chain[chain.index(damaged) + 1 :]
-        )
-        assert report.wal_records_replayed == before
-        assert report.wal_records_lost >= after
-        assert report.quarantined_wal[0].segment == damaged
-        assert report.quarantined_wal[0].from_offset == 0
-        # Damaged bytes and unreachable later segments are all preserved.
-        quarantined = store.list_quarantined()
-        assert any(name.startswith(damaged) for name in quarantined)
-        for later in chain[chain.index(damaged) + 1 :]:
-            assert later in quarantined
+        assert report.wal_records_replayed == 1
+        assert report.wal_records_lost == 3  # the bad frame and the two after it
+        (suffix,) = report.quarantined_wal
+        assert (suffix.segment, suffix.from_offset) == (name, offset)
+        assert store.list_quarantined() == [f"{name}.suffix@{offset}"]
+        assert engine.fleet_stats().points_total == 8 * PERIOD * 6
         assert store.verify().ok  # the recovery re-checkpointed
         engine.close(checkpoint=False)
 
     def test_truncate_drops_the_suffix_without_preserving(self, tmp_path):
-        damaged, frames, chain = self._corrupt_mid_chain(tmp_path)
+        name, _offset = self._undecodable_mid_wal(tmp_path)
         store = DirectoryCheckpointStore(tmp_path)
         engine = MultiSeriesEngine.open(
             store, spec=engine_spec(), recovery="truncate"
@@ -477,8 +473,9 @@ class TestRecoveryPolicies:
         report = engine.last_recovery
         assert report is not None
         assert report.quarantined_wal == ()
+        assert (report.wal_records_replayed, report.wal_records_lost) == (1, 3)
         assert any(
-            finding.problem == "truncated" and finding.artifact == damaged
+            finding.problem == "truncated" and finding.artifact == name
             for finding in report.findings
         )
         assert store.list_quarantined() == []
@@ -508,81 +505,46 @@ def strict_open(path, check_spec: bool = True) -> MultiSeriesEngine:
     )
 
 
-class TestChainDamage:
-    """A WAL chain may only be torn or absent at its *final* part."""
+class TestWalParts:
+    """A generation's WAL is one file, which may be torn at its end or
+    absent; a later part of the same generation is refused."""
 
-    def _chain(self, tmp_path) -> tuple[list, dict]:
-        """One record per part (a 1-byte cap rotates on every append)."""
-        populate_store(tmp_path, wal_batches=3, wal_segment_bytes=1)
-        store = DirectoryCheckpointStore(tmp_path)
-        ends = {
-            name: [end for _payload, end in store.wal_frames(name)]
-            for name in store.list_wals()
-        }
-        chain = sorted(ends)
-        assert [len(ends[name]) for name in chain] == [1, 1, 1, 0]
-        return chain, ends
-
-    @pytest.mark.parametrize("damage", ["crc", "truncated", "garbage"])
-    def test_strict_raises_on_a_damaged_non_final_part(self, tmp_path, damage):
-        chain, ends = self._chain(tmp_path)
-        damaged = tmp_path / "wal" / chain[1]
-        raw = damaged.read_bytes()
-        if damage == "crc":
-            flip_byte(damaged, offset=len(raw) - 2)
-            offset, problem = 0, "trailing_bytes"
-        elif damage == "truncated":
-            damaged.write_bytes(raw[: len(raw) // 2])
-            offset, problem = 0, "trailing_bytes"
-        else:  # a frame whose CRC holds but whose payload is no record
-            store = DirectoryCheckpointStore(tmp_path)
-            store.wal_start(chain[1])
-            store.wal_append(pickle.dumps(42))
-            store.close()
-            offset, problem = len(raw), "undecodable"
+    @pytest.mark.parametrize("policy", RECOVERY_POLICIES)
+    def test_a_stray_part_is_refused_by_every_policy(self, tmp_path, policy):
+        populate_store(tmp_path)
+        generation = read_manifest_json(tmp_path)["generation"]
+        # What a build that rotated the log and crashed before its next
+        # checkpoint left: a later part holding records.
+        stray = f"wal-{generation:08d}-0001.log"
+        shutil.copy(tmp_path / "wal" / wal_name(generation), tmp_path / "wal" / stray)
         before = tree_bytes(tmp_path)
         report = DirectoryCheckpointStore(tmp_path).verify()
         assert not report.ok
-        assert [(f.artifact, f.problem) for f in report.findings] == [
-            (chain[1], problem)
+        assert [(f.artifact, f.problem, f.fatal) for f in report.findings] == [
+            (stray, "stray_part", True)
         ]
-        with pytest.raises(CorruptCheckpointError) as error:
-            strict_open(tmp_path)
-        assert chain[1] in str(error.value)
-        assert f"offset {offset}" in str(error.value)
-        assert error.value.problem == problem
+        with pytest.raises(CorruptCheckpointError, match=stray) as error:
+            MultiSeriesEngine.open(
+                DirectoryCheckpointStore(tmp_path),
+                spec=engine_spec(),
+                recovery=policy,
+            )
+        assert error.value.problem == "stray_part"
         assert tree_bytes(tmp_path) == before
 
-    def test_a_gap_in_the_chain_is_never_a_clean_recovery(self, tmp_path):
-        chain, _ends = self._chain(tmp_path)
-        (tmp_path / "wal" / chain[1]).unlink()
-        before = tree_bytes(tmp_path)
-        report = DirectoryCheckpointStore(tmp_path).verify()
-        assert not report.ok
-        assert [(f.artifact, f.problem) for f in report.findings] == [
-            (chain[1], "missing")
-        ]
-        with pytest.raises(CorruptCheckpointError, match=chain[1]):
-            strict_open(tmp_path)
-        assert tree_bytes(tmp_path) == before
+    def test_a_part_of_an_earlier_generation_is_pruned_debris(self, tmp_path):
+        populate_store(tmp_path)
+        generation = read_manifest_json(tmp_path)["generation"]
+        earlier = f"wal-{generation - 1:08d}-0001.log"
+        (tmp_path / "wal" / earlier).write_bytes(b"left by a crashed prune")
+        assert DirectoryCheckpointStore(tmp_path).verify().findings == ()
+        engine = strict_open(tmp_path)
+        engine.close(checkpoint=True)
+        assert earlier not in DirectoryCheckpointStore(tmp_path).list_wals()
 
-        store = DirectoryCheckpointStore(tmp_path)
-        engine = MultiSeriesEngine.open(
-            store, spec=engine_spec(), recovery="quarantine"
-        )
-        recovery = engine.last_recovery
-        assert not recovery.clean
-        assert recovery.wal_records_replayed == 1
-        assert recovery.wal_records_lost == 1  # the part past the gap
-        assert [suffix.segment for suffix in recovery.quarantined_wal] == chain[1:]
-        # The unreachable parts (one with a record, one empty) moved aside.
-        assert set(chain[2:]) <= set(store.list_quarantined())
-        assert store.verify().ok
-        engine.close(checkpoint=False)
-
-    def test_a_missing_final_part_is_the_checkpoint_crash_window(self, tmp_path):
+    def test_a_missing_wal_is_the_checkpoint_crash_window(self, tmp_path):
         # A crash between the manifest swap and wal_start leaves the
-        # manifest naming a part that was never created.
+        # manifest naming a file that was never created.
         populate_store(tmp_path, wal_batches=1)
         engine = strict_open(tmp_path)
         engine.close(checkpoint=True)
@@ -592,17 +554,13 @@ class TestChainDamage:
         strict_open(tmp_path).close(checkpoint=False)
 
 
-# One pristine store per layout, copied and damaged once per example:
-# "sealed" holds one record per part (every part but the empty last one
-# is sealed, so any damage to a record is a stop); "tail" packs several
-# records per part and leaves records in the final part (damage there is
-# crash debris).  The tail mixes every WAL record kind a build writes.
+# One pristine store, copied and damaged once per example.  Its WAL tail
+# mixes every WAL record kind a build writes.
 # The checkpointed fleet is six absorbed series and one warming one in
 # cohorts of three, so the segments are columnar: a header, one section
 # per state array and -- in the cohort of the warming key -- a fallback.
 
 TAIL_CUT = PERIOD * 5
-LAYOUTS = {"sealed": 1, "tail": 700}
 WARMING_KEY = "a-warming-key"
 
 
@@ -689,7 +647,7 @@ def series_view(engine: MultiSeriesEngine) -> dict:
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
-    """``{layout: (path, tail frame ends by part, reference views)}``.
+    """``(path, reference views)``.
 
     ``reference views[k]`` is the per-key state of a scalar engine fed the
     checkpointed prefix plus the first ``k`` tail batches.
@@ -703,32 +661,20 @@ def pristine(tmp_path_factory):
     for form, payload in batches:
         apply_scalar(reference, form, payload)
         views.append(series_view(reference))
-    stores = {}
-    for layout, segment_bytes in LAYOUTS.items():
-        path = tmp_path_factory.mktemp(layout)
-        store = DirectoryCheckpointStore(path, wal_segment_bytes=segment_bytes)
-        engine = MultiSeriesEngine.open(store, spec=engine_spec())
-        engine.checkpoint_cohort_size = 3
-        engine.process(WARMING_KEY, 1.0)
-        engine.ingest_columnar(slice_batch(data, 0, TAIL_CUT))
-        assert set(engine._absorbed) == set(data)
-        engine.checkpoint()
-        for form, payload in batches:
-            apply_batch(engine, form, payload)
-        engine.close(checkpoint=False)
-        store = DirectoryCheckpointStore(path)
-        ends = {
-            name: [end for _payload, end in store.wal_frames(name)]
-            for name in sorted(store.list_wals())
-        }
-        assert sum(map(len, ends.values())) == len(batches)
-        stores[layout] = (path, ends, views)
-    # the layouts are what the comment above says they are
-    sealed = list(stores["sealed"][1].values())
-    assert all(len(part) == 1 for part in sealed[:-1]) and sealed[-1] == []
-    tail = list(stores["tail"][1].values())
-    assert max(map(len, tail[:-1])) >= 2 and len(tail[-1]) >= 1
-    return stores
+    path = tmp_path_factory.mktemp("pristine")
+    store = DirectoryCheckpointStore(path)
+    engine = MultiSeriesEngine.open(store, spec=engine_spec())
+    engine.checkpoint_cohort_size = 3
+    engine.process(WARMING_KEY, 1.0)
+    engine.ingest_columnar(slice_batch(data, 0, TAIL_CUT))
+    assert set(engine._absorbed) == set(data)
+    engine.checkpoint()
+    for form, payload in batches:
+        apply_batch(engine, form, payload)
+    engine.close(checkpoint=False)
+    assert store.list_wals() == [wal_name(1)]
+    assert store.wal_tail(wal_name(1))[0] == len(batches)
+    return path, views
 
 
 #: ``engine_spec`` entries no engine can be built from: ``{field: value}``
@@ -786,8 +732,7 @@ class TestVerifyAgreesWithRecovery:
     def test_verify_ok_iff_strict_opens_and_tolerant_state_is_a_prefix(
         self, pristine, data
     ):
-        layout = data.draw(st.sampled_from(sorted(LAYOUTS)), label="layout")
-        source, ends, views = pristine[layout]
+        source, views = pristine
         artifacts = sorted(
             str(path.relative_to(source))
             for path in source.rglob("*")
@@ -863,9 +808,6 @@ class TestVerifyAgreesWithRecovery:
             assert ok == opened
             assert not (opened and edit is not None)
 
-            part = Path(artifact).name
-            frames = ends.get(part, [])
-            sealed = part in ends and part != list(ends)[-1]
             for policy, path in zip(RECOVERY_POLICIES[1:], tolerant):
                 store = DirectoryCheckpointStore(path)
                 try:
@@ -898,18 +840,9 @@ class TestVerifyAgreesWithRecovery:
                 assert DirectoryCheckpointStore(path).verify().ok
                 replayed, lost = report.wal_records_replayed, report.wal_records_lost
                 assert replayed + lost <= written
-                if layout == "sealed" and sealed and (
-                    kind == "flip" or (kind == "truncate" and offset)
-                ):
-                    assert replayed + lost == written
                 # A manifest carries no checksum: a flip that leaves it
-                # valid *is* the store's truth.  A sealed part cut at a
-                # frame boundary is a shorter, fully readable part; only
-                # a frame header carrying its sequence number could tell.
-                silent = manifest or (
-                    kind == "truncate" and sealed and offset in frames[:-1]
-                )
-                if not silent:
+                # valid *is* the store's truth.
+                if not manifest:
                     expected = {
                         key: state
                         for key, state in views[replayed].items()
@@ -923,7 +856,7 @@ class TestVerifyAgreesWithRecovery:
         the framing, the header, every array section and the fallback of
         every segment -- each is fatal to ``verify()`` and to a strict
         open, and costs a quarantine open exactly that cohort."""
-        source, _ends, views = pristine["tail"]
+        source, views = pristine
         cohorts = read_manifest_json(source)["cohorts"]
         seen = set()
         for cohort in cohorts:

@@ -793,3 +793,31 @@ class TestServerLifecycle:
             raw.close()
         finally:
             server.stop()
+
+    def test_a_stalled_client_is_let_go(self, monkeypatch):
+        """A client that sends nothing is closed, and one that stops
+        mid-body is answered 408, once the request's deadline passes."""
+        import socket as socket_module
+
+        from repro.serving import server as server_module
+
+        monkeypatch.setattr(server_module, "_KEEPALIVE_IDLE_SECONDS", 0.3)
+        server = ServingServer(make_app(), ready_stream=open(os.devnull, "w"))
+        host, port = server.start_in_thread()
+        try:
+            silent = socket_module.create_connection((host, port), timeout=10)
+            stalled = socket_module.create_connection((host, port), timeout=10)
+            stalled.sendall(
+                b"POST /v1/ingest HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                + b"x" * 10
+            )
+            started = time.monotonic()
+            assert silent.recv(4096) == b""  # closed without a reply
+            reply = stalled.recv(4096)
+            assert reply.startswith(b"HTTP/1.1 408 Request Timeout")
+            assert b"Connection: close" in reply
+            assert time.monotonic() - started < 5
+            silent.close()
+            stalled.close()
+        finally:
+            server.stop()
