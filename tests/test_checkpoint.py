@@ -1146,7 +1146,33 @@ class TestGroupCommitDurability:
         _assert_continues_identically(recovered, oracle, tail)
 
 
-class TestWalPruning:
+class TestOneWalFile:
+    """Each checkpoint generation journals to exactly one WAL file."""
+
+    def test_a_reopened_session_journals_to_the_same_file(self, tmp_path):
+        batches = list(interleaved_batches(make_fleet_data(10)))
+        half = len(batches) // 2
+        engine = MultiSeriesEngine.open(
+            DirectoryCheckpointStore(tmp_path / "store"), spec=uniform_spec()
+        )
+        for batch in batches[:half]:
+            engine.ingest(batch)
+        engine.close(checkpoint=False)
+        store = DirectoryCheckpointStore(tmp_path / "store")
+        engine = MultiSeriesEngine.open(store)
+        for batch in batches[half:]:
+            engine.ingest(batch)
+        assert store.list_wals() == [wal_name(store.read_manifest()["generation"])]
+        engine.close(checkpoint=False)
+        recovered = MultiSeriesEngine.open(
+            DirectoryCheckpointStore(tmp_path / "store")
+        )
+        oracle = MultiSeriesEngine.from_spec(uniform_spec())
+        for batch in batches:
+            oracle.ingest(batch)
+        tail = list(interleaved_batches(make_fleet_data(10, length=PERIOD)))
+        _assert_continues_identically(recovered, oracle, tail)
+
     def test_checkpoint_prunes_the_previous_wal(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
         engine = MultiSeriesEngine.open(store, spec=uniform_spec())

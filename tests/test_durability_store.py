@@ -528,6 +528,23 @@ class TestWalGroupCommit:
         store.wal_append_many([b"one", b"two"])
         assert wal_payloads(store, wal_name(0)) == [b"one", b"two"]
 
+    def test_appends_never_leave_the_generations_file(self, tmp_path):
+        store = DirectoryCheckpointStore(tmp_path / "store")
+        store.wal_start(wal_name(0))
+        records = [bytes([index]) * 4096 for index in range(64)]
+        for record in records:
+            store.wal_append(record)
+        assert store.list_wals() == [wal_name(0)]
+        assert wal_payloads(store, wal_name(0)) == records
+
+    def test_a_batch_and_the_appends_after_it_share_the_file(self, tmp_path):
+        store = DirectoryCheckpointStore(tmp_path / "store")
+        store.wal_start(wal_name(0))
+        store.wal_append_many([b"y" * 30] * 5)
+        store.wal_append(b"tail")
+        assert store.list_wals() == [wal_name(0)]
+        assert wal_payloads(store, wal_name(0)) == [b"y" * 30] * 5 + [b"tail"]
+
 
 class TestWalNames:
     def test_a_name_without_a_part_is_no_wal_part(self):
@@ -537,6 +554,12 @@ class TestWalNames:
         assert wal_position("journal.log") is None
         assert wal_position(wal_name(7)) == (7, 0)
 
+    def test_a_later_part_name_is_still_recognised(self):
+        # Older builds rotated the log into parts 1, 2, ...; recovery
+        # must see such a part to refuse it.
+        assert wal_position("wal-00000003-0002.log") == (3, 2)
+        assert wal_position("wal-00000003-0002.log.suffix@12") is None
+
     def test_wal_exists_sees_empty_segments(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "store")
         assert not store.wal_exists(wal_name(0))
@@ -544,7 +567,7 @@ class TestWalNames:
         assert store.wal_exists(wal_name(0))
 
 
-class TestManifestWal:
+class TestManifestWalChain:
     def test_build_manifest_names_the_generations_one_wal(self):
         manifest = build_manifest(3, {}, [])
         assert manifest["wal"] == [wal_name(3)]
@@ -561,7 +584,7 @@ class TestManifestWal:
         )
         assert "store" in str(error.value)
 
-    def test_malformed_wal_entry_rejected(self):
+    def test_malformed_wal_chain_rejected(self):
         manifest = build_manifest(0, SPEC.to_dict(), [])
         validate_manifest(manifest, "store")
         for wal in (

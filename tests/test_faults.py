@@ -505,9 +505,30 @@ def strict_open(path, check_spec: bool = True) -> MultiSeriesEngine:
     )
 
 
-class TestWalParts:
-    """A generation's WAL is one file, which may be torn at its end or
-    absent; a later part of the same generation is refused."""
+class TestChainDamage:
+    """A generation's WAL chain is one part, wal_name(generation), which
+    may be torn at its end or absent; a later part of the same
+    generation is refused."""
+
+    @staticmethod
+    def _refused_untouched(path, stray: str, policies=RECOVERY_POLICIES) -> None:
+        """Each of ``policies`` refuses the store, naming ``stray``, and
+        ``verify()`` reports it as fatal; nothing in the tree changes."""
+        before = tree_bytes(path)
+        report = DirectoryCheckpointStore(path).verify()
+        assert not report.ok
+        assert [(f.artifact, f.problem, f.fatal) for f in report.findings] == [
+            (stray, "stray_part", True)
+        ]
+        for policy in policies:
+            with pytest.raises(CorruptCheckpointError, match=stray) as error:
+                MultiSeriesEngine.open(
+                    DirectoryCheckpointStore(path),
+                    spec=engine_spec(),
+                    recovery=policy,
+                )
+            assert error.value.problem == "stray_part"
+        assert tree_bytes(path) == before
 
     @pytest.mark.parametrize("policy", RECOVERY_POLICIES)
     def test_a_stray_part_is_refused_by_every_policy(self, tmp_path, policy):
@@ -517,20 +538,7 @@ class TestWalParts:
         # checkpoint left: a later part holding records.
         stray = f"wal-{generation:08d}-0001.log"
         shutil.copy(tmp_path / "wal" / wal_name(generation), tmp_path / "wal" / stray)
-        before = tree_bytes(tmp_path)
-        report = DirectoryCheckpointStore(tmp_path).verify()
-        assert not report.ok
-        assert [(f.artifact, f.problem, f.fatal) for f in report.findings] == [
-            (stray, "stray_part", True)
-        ]
-        with pytest.raises(CorruptCheckpointError, match=stray) as error:
-            MultiSeriesEngine.open(
-                DirectoryCheckpointStore(tmp_path),
-                spec=engine_spec(),
-                recovery=policy,
-            )
-        assert error.value.problem == "stray_part"
-        assert tree_bytes(tmp_path) == before
+        self._refused_untouched(tmp_path, stray, (policy,))
 
     def test_a_part_of_an_earlier_generation_is_pruned_debris(self, tmp_path):
         populate_store(tmp_path)
@@ -542,9 +550,27 @@ class TestWalParts:
         engine.close(checkpoint=True)
         assert earlier not in DirectoryCheckpointStore(tmp_path).list_wals()
 
-    def test_a_missing_wal_is_the_checkpoint_crash_window(self, tmp_path):
+    def test_a_gap_in_the_chain_is_never_a_clean_recovery(self, tmp_path):
+        # The manifest's part is gone and a later one holds records: no
+        # policy may replay around the hole.
+        populate_store(tmp_path)
+        generation = read_manifest_json(tmp_path)["generation"]
+        stray = f"wal-{generation:08d}-0001.log"
+        (tmp_path / "wal" / wal_name(generation)).rename(tmp_path / "wal" / stray)
+        self._refused_untouched(tmp_path, stray)
+
+    def test_an_empty_stray_part_is_refused_too(self, tmp_path):
+        # A build that rotated the log and crashed before the first
+        # append to the new part left it empty.
+        populate_store(tmp_path)
+        generation = read_manifest_json(tmp_path)["generation"]
+        stray = f"wal-{generation:08d}-0001.log"
+        (tmp_path / "wal" / stray).write_bytes(b"")
+        self._refused_untouched(tmp_path, stray)
+
+    def test_a_missing_final_part_is_the_checkpoint_crash_window(self, tmp_path):
         # A crash between the manifest swap and wal_start leaves the
-        # manifest naming a file that was never created.
+        # manifest naming a part that was never created.
         populate_store(tmp_path, wal_batches=1)
         engine = strict_open(tmp_path)
         engine.close(checkpoint=True)

@@ -821,3 +821,57 @@ class TestServerLifecycle:
             stalled.close()
         finally:
             server.stop()
+
+    def test_head_and_body_share_one_deadline(self, monkeypatch):
+        """A head sent slowly leaves the body only what remains of the
+        request's deadline, not a fresh one."""
+        import socket as socket_module
+
+        from repro.serving import server as server_module
+
+        monkeypatch.setattr(server_module, "_KEEPALIVE_IDLE_SECONDS", 1.0)
+        server = ServingServer(make_app(), ready_stream=open(os.devnull, "w"))
+        host, port = server.start_in_thread()
+        try:
+            raw = socket_module.create_connection((host, port), timeout=10)
+            head = b"POST /v1/ingest HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+            started = time.monotonic()
+            for start in range(0, len(head), 8):
+                raw.sendall(head[start : start + 8])
+                time.sleep(0.1)
+            raw.sendall(b"x" * 10)
+            reply = raw.recv(4096)
+            elapsed = time.monotonic() - started
+            assert reply.startswith(b"HTTP/1.1 408 Request Timeout")
+            # A deadline per read would have let the body wait a whole
+            # second after the head's last byte.
+            assert elapsed < 1.45
+            raw.close()
+        finally:
+            server.stop()
+
+    def test_each_request_on_a_connection_gets_its_own_deadline(
+        self, monkeypatch
+    ):
+        """A keep-alive client that pauses less than the deadline between
+        requests is answered every time, however long it stays."""
+        import http.client
+
+        from repro.serving import server as server_module
+
+        monkeypatch.setattr(server_module, "_KEEPALIVE_IDLE_SECONDS", 0.3)
+        server = ServingServer(make_app(), ready_stream=open(os.devnull, "w"))
+        host, port = server.start_in_thread()
+        try:
+            connection = http.client.HTTPConnection(host, port, timeout=10)
+            started = time.monotonic()
+            for _ in range(4):
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                time.sleep(0.15)
+            assert time.monotonic() - started > 0.3
+            connection.close()
+        finally:
+            server.stop()
