@@ -26,12 +26,15 @@ Implementation notes
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from repro.decomposition.base import BatchDecomposer, DecompositionResult
 from repro.utils import as_float_array, check_period, check_positive, check_positive_int
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["JointSTL"]
 
@@ -75,6 +78,11 @@ class JointSTL(BatchDecomposer):
     # ------------------------------------------------------------------ API
 
     def decompose(self, values) -> DecompositionResult:
+        # scipy is imported here, not at module level, so the online
+        # import path (repro.core, repro.streaming) never loads it.
+        from scipy import sparse
+        from scipy.sparse.linalg import splu
+
         values = as_float_array(values, "values", min_length=self.period + 3)
         n = values.size
         period = self.period
@@ -113,6 +121,8 @@ class JointSTL(BatchDecomposer):
 
     def _design_matrices(self, n: int, period: int):
         """Build the sparse design matrices B1, B2, B3, B4 of Eq. (6)."""
+        from scipy import sparse
+
         identity = sparse.identity(n, format="csr")
         fit_block = sparse.hstack([identity, identity], format="csr")
 
@@ -151,5 +161,7 @@ class JointSTL(BatchDecomposer):
         return fit_block, seasonal_diff, first_diff, second_diff
 
     def _ridge(self, n: int) -> sparse.spmatrix:
+        from scipy import sparse
+
         diagonal = np.concatenate([np.zeros(n), np.full(n, self.seasonal_ridge)])
         return sparse.diags(diagonal)

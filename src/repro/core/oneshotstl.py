@@ -79,14 +79,24 @@ def _advance_states(
     """
     next_p, next_q = 1.0, 1.0
     trend_value = seasonal_value = 0.0
+    lambda1, lambda2 = workspace.lambda1, workspace.lambda2
     for state in states:
-        updates, rhs_new = workspace.fill(point_index, value, anchor, next_p, next_q)
-        # The workspace emits the same statically valid banded pattern
-        # for every point, so per-entry index validation is skipped.
-        state.solver.extend(2, updates, rhs_new, check_indices=False)
-        tail = state.solver.tail_solution(2)
-        trend_value = float(tail[0])
-        seasonal_value = float(tail[1])
+        if point_index >= 2:
+            # The steady-state pattern, fused with the tail solve on floats
+            # (the same operations as the fill/extend/tail_solution below).
+            trend_value, seasonal_value = state.solver.append_point(
+                value, anchor, lambda1 * next_p, lambda2 * next_q
+            )
+        else:
+            updates, rhs_new = workspace.fill(
+                point_index, value, anchor, next_p, next_q
+            )
+            # The workspace emits a statically valid banded pattern, so
+            # per-entry index validation is skipped.
+            state.solver.extend(2, updates, rhs_new, check_indices=False)
+            tail = state.solver.tail_solution(2)
+            trend_value = float(tail[0])
+            seasonal_value = float(tail[1])
         next_p = 0.5 / max(abs(trend_value - state.previous_trend), epsilon)
         next_q = 0.5 / max(
             abs(

@@ -23,10 +23,14 @@ right-hand-side entries of one point as a plain list of triples -- the
 readable reference form consumed by the exact Algorithm-2 implementation
 (:class:`repro.core.modified_joint_stl.ModifiedJointSTL`).
 :class:`ContributionWorkspace` produces the *same* contributions, but
-writes them into preallocated NumPy arrays so that the per-point hot path
-of OneShotSTL allocates no tuple lists; the test suite asserts the two
-forms agree entry for entry, which is what keeps the "OneShotSTL equals
-the reference to machine precision" test meaningful.
+writes them into preallocated NumPy arrays, the form
+:meth:`repro.solvers.IncrementalBandedLDLT.extend` takes; the test suite
+asserts the two forms agree entry for entry, which is what keeps the
+"OneShotSTL equals the reference to machine precision" test meaningful.
+OneShotSTL feeds the workspace to ``extend`` for a stream's first two
+points; from the third on it calls
+:meth:`~repro.solvers.IncrementalBandedLDLT.append_point`, which adds
+the workspace's steady-state pattern, in its order, on local floats.
 """
 
 from __future__ import annotations
@@ -137,7 +141,9 @@ class ContributionWorkspace:
 
     The first two points of the window (which lack one or both trend
     difference terms) fall back to the reference :func:`point_contributions`
-    -- a cold path that runs at most twice per stream.
+    -- a cold path that runs at most twice per stream.  The steady-state
+    arrays are the reference :meth:`IncrementalBandedLDLT.append_point`
+    is tested against; OneShotSTL no longer fills them per point.
     """
 
     #: row/column positions of the steady-state pattern, relative to the
@@ -148,12 +154,15 @@ class ContributionWorkspace:
     def __init__(self, lambda1: float, lambda2: float):
         self.lambda1 = float(lambda1)
         self.lambda2 = float(lambda2)
-        self._rows = np.empty(13, dtype=np.intp)
-        self._columns = np.empty(13, dtype=np.intp)
-        self._values = np.empty(13)
+        # Zeroed, not empty: OneShotSTL's steady-state step is
+        # append_point, so only tests fill them, and a model pickles its
+        # workspace -- uninitialised memory would reach its bytes.
+        self._rows = np.zeros(13, dtype=np.intp)
+        self._columns = np.zeros(13, dtype=np.intp)
+        self._values = np.zeros(13)
         # Fit + seasonal anchor entries are weight independent.
         self._values[:4] = 1.0
-        self._rhs = np.empty(2)
+        self._rhs = np.zeros(2)
 
     def fill(
         self,

@@ -16,16 +16,21 @@ useful on its own.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from repro.utils import as_float_array, check_positive, check_positive_int
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["l1_trend_filter"]
 
 
 def _second_difference_matrix(n: int) -> sparse.csr_matrix:
+    from scipy import sparse
+
     rows = np.arange(n - 2)
     data = np.concatenate([np.ones(n - 2), -2.0 * np.ones(n - 2), np.ones(n - 2)])
     columns = np.concatenate([rows, rows + 1, rows + 2])
@@ -68,6 +73,10 @@ def l1_trend_filter(
     if loss not in ("l1", "l2"):
         raise ValueError("loss must be 'l1' or 'l2'")
     epsilon = check_positive(epsilon, "epsilon")
+    # scipy is imported here, not at module level, so the online
+    # import path (repro.core, repro.streaming) never loads it.
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
 
     n = values.size
     second_diff = _second_difference_matrix(n)

@@ -23,8 +23,6 @@ dependency footprint to numpy/scipy.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from repro.decomposition.base import BatchDecomposer, DecompositionResult
 from repro.utils import as_float_array, check_period, check_positive, check_positive_int
@@ -163,6 +161,11 @@ class RobustSTL(BatchDecomposer):
         its slow variation), so the fit term sees only the trend change
         across one period and sharp trend breaks are preserved.
         """
+        # scipy is imported here, not at module level, so the online
+        # import path (repro.core, repro.streaming) never loads it.
+        from scipy import sparse
+        from scipy.sparse.linalg import splu
+
         n = denoised.size
         period = self.period
         seasonal_difference = denoised[period:] - denoised[:-period]

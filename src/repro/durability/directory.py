@@ -338,9 +338,10 @@ class DirectoryCheckpointStore:
         self._wal_good_offset += len(batch)
         self._fault("wal.append.after")
 
-    def wal_frames(self, name: str) -> Iterator[tuple[bytes, int]]:
+    def wal_frames(self, name: str, start: int = 0) -> Iterator[tuple[bytes, int]]:
         """Stream ``(payload, end_offset)`` per complete frame of part ``name``.
 
+        The walk begins at byte ``start``, which must be a frame boundary.
         One frame is read at a time: a long WAL is never loaded whole.
         It ends silently at the first incomplete or damaged frame, and a
         missing part yields nothing: whether that is damage is
@@ -351,8 +352,9 @@ class DirectoryCheckpointStore:
         except FileNotFoundError:
             return
         header_size = _FRAME_HEADER.size
-        offset = 0
+        offset = start
         with handle:
+            handle.seek(start)
             while True:
                 header = handle.read(header_size)
                 if len(header) < header_size:
@@ -363,6 +365,25 @@ class DirectoryCheckpointStore:
                     return
                 offset += header_size + length
                 yield payload, offset
+
+    def wal_frame_end(self, name: str, offset: int) -> int | None:
+        """End offset of the frame whose header starts at byte ``offset``.
+
+        ``None`` unless part ``name`` holds that frame's header and all
+        of its payload; its CRC is not checked.
+        """
+        header_size = _FRAME_HEADER.size
+        try:
+            with open(self._wal_path(name), "rb") as handle:
+                handle.seek(offset)
+                header = handle.read(header_size)
+                size = os.fstat(handle.fileno()).st_size
+        except FileNotFoundError:
+            return None
+        if len(header) < header_size:
+            return None
+        end = offset + header_size + _FRAME_HEADER.unpack(header)[0]
+        return end if end <= size else None
 
     def wal_size(self, name: str) -> int | None:
         """Bytes stored in part ``name``, debris included; ``None`` if absent."""

@@ -23,7 +23,9 @@ recovery would succeed") holds because the two cannot walk differently.
 * A generation's WAL is one file, :func:`~repro.durability.format.wal_name`
   of its generation.  Unread bytes after its last complete frame are
   crash debris (a kill mid-append); a frame that passes its CRC but does
-  not decode is damage, and the walk stops there.
+  not decode is damage, and the walk stops there.  So is a complete
+  frame that fails its CRC with a readable frame after it: a crash tears
+  only the end of the file, so what follows it was acknowledged.
 * A later part of the same generation (:func:`stray_wal_parts`) can only
   have been left by a build that rotated the log and crashed before its
   next checkpoint.  Its records follow the file's, so no policy replays
@@ -165,7 +167,7 @@ class WalStop:
     """Where the WAL stopped being readable.
 
     ``frames_lost`` counts what can no longer be replayed: the
-    undecodable frame and the complete ones after it.
+    damaged frame and the readable ones after it.
     """
 
     segment: str
@@ -179,13 +181,14 @@ class WalWalk:
     """One in-order pass over the WAL file ``name``.
 
     Iterating yields each record (decoded, or the raw payload with
-    ``decode=False``) up to the end of the file or its first undecodable
-    frame; afterwards ``stop`` says where and why the walk ended early
-    (``None``: it did not), ``torn`` is the ``(name, offset, n_bytes)``
-    of crash debris after the last complete frame and ``frames`` the
-    number of records yielded.  An absent file holds nothing: it is the
-    window between a checkpoint's manifest swap and the new file's
-    creation.
+    ``decode=False``) up to the end of the file or its first damaged
+    frame -- one that does not decode, or one that fails its CRC and is
+    followed by a readable frame.  Afterwards ``stop`` says where and
+    why the walk ended early (``None``: it did not), ``torn`` is the
+    ``(name, offset, n_bytes)`` of crash debris after the last complete
+    frame and ``frames`` the number of records yielded.  An absent file
+    holds nothing: it is the window between a checkpoint's manifest swap
+    and the new file's creation.
     """
 
     def __init__(
@@ -215,5 +218,17 @@ class WalWalk:
             offset = end
             yield record
         unread = (self.store.wal_size(name) or 0) - offset
-        if unread:
+        if not unread:
+            return
+        # The frame's length field is intact if the frame that follows it
+        # reads: then its CRC failure is damage, not a torn last append.
+        end = self.store.wal_frame_end(name, offset)
+        later = 0 if end is None else sum(1 for _ in self.store.wal_frames(name, end))
+        if later:
+            reason = (
+                f"the frame at byte offset {offset} fails its CRC and "
+                f"{later} readable frame(s) follow it"
+            )
+            self.stop = WalStop(name, offset, "crc_mismatch", reason, 1 + later)
+        else:
             self.torn = (name, offset, unread)

@@ -52,6 +52,13 @@ get two further conveniences:
   references.  OneShotSTL's seasonality-shift search uses this to retry a
   point with candidate shifts without paying for a deep snapshot on the
   (overwhelmingly common) points where the search never triggers.
+* :meth:`IncrementalBandedLDLT.append_point` is the OneShotSTL step
+  itself: ``extend`` of the steady-state 13-entry pattern plus
+  ``tail_solution(2)``, fused and unrolled on local floats.  It runs the
+  same operations in the same order, so it matches the generic pair bit
+  for bit, pivot errors included, at about a fifth of its cost; the
+  model's first two points, whose pattern lacks difference terms, and
+  every other caller use the generic pair.
 
 A fresh solver already *is* that Schur form: the corrected block starts
 as the ``w x w`` identity with a zero right-hand side.  Read as a system,
@@ -142,12 +149,16 @@ class IncrementalBandedLDLT:
         Copies are cheap (``O(w^2)`` memory) and are used by OneShotSTL's
         seasonality-shift search to evaluate candidate shifts without
         committing their effect.  The pending :meth:`rollback` level, if
-        any, is not carried over.
+        any, is not carried over.  The clone skips ``__init__`` (whose
+        identity block it would throw away) but sets the attributes in its
+        order, so a copy pickles like a built solver.
         """
-        clone = IncrementalBandedLDLT(self.half_bandwidth)
+        clone = object.__new__(IncrementalBandedLDLT)
+        clone.half_bandwidth = self.half_bandwidth
         clone.size = self.size
         clone._m_trail = [row[:] for row in self._m_trail]
         clone._bp_trail = self._bp_trail[:]
+        clone._undo = None
         return clone
 
     @hotpath
@@ -278,6 +289,194 @@ class IncrementalBandedLDLT:
         self._m_trail = [row[num_new:] for row in matrix[num_new:]]
         self._bp_trail = rhs[num_new:]
         self.size = new_size
+
+    @hotpath
+    def append_point(
+        self,
+        value: float,
+        anchor: float,
+        first_weight: float,
+        second_weight: float,
+    ) -> tuple[float, float]:
+        """Append one OneShotSTL point and return its ``(trend, seasonal)``.
+
+        The fused steady-state step of the online model: exactly
+        ``extend(2, updates, [value, value + anchor], check_indices=False)``
+        followed by ``tail_solution(2)``, where ``updates`` is the 13-entry
+        pattern of :class:`repro.core.online_system.ContributionWorkspace`
+        for the point whose trend variable is index ``size`` (weights
+        ``first_weight = lambda1 * p`` and ``second_weight = lambda2 * q``).
+        It runs the same IEEE operations in the same order on local floats
+        -- the entries are added in pattern order, every cell of both
+        sweeps is computed and the ``factor != 0.0`` skip is kept -- so
+        state and result match that pair bit for bit, ``-0.0`` and NaN
+        included.  The only eliminations left out are those of rows whose
+        factor is a structural ``0.0`` divided by a checked non-zero
+        finite pivot: the generic sweep computes ``±0.0`` there and skips
+        them.  Pivot errors are the pair's too: a finalizing pivot raises
+        before anything is committed, a trailing one after the append is
+        (and :meth:`rollback` undoes it).  Only for a half bandwidth of 4,
+        the OneShotSTL system's.
+        """
+        if self.half_bandwidth != 4:
+            raise ValueError(
+                "append_point needs the OneShotSTL half bandwidth 4, "
+                f"got {self.half_bandwidth}"
+            )
+        old_size = self.size
+        # The extended 6x6 block over absolute indices [size - 4, size + 2):
+        # old trailing rows 0-3 padded with two zero columns, the new trend
+        # (4) and seasonal (5) rows zero, then the pattern added entry by
+        # entry (sums of constants are folded: they are exact).
+        row0, row1, row2, row3 = self._m_trail
+        m00, m01, m02, m03 = row0
+        m10, m11, m12, m13 = row1
+        m20, m21, m22, m23 = row2
+        m30, m31, m32, m33 = row3
+        r0, r1, r2, r3 = self._bp_trail
+        m05 = m14 = m15 = m25 = m34 = m35 = m41 = m43 = 0.0
+        negative_first = -first_weight
+        fourfold_second = 4.0 * second_weight
+        negative_twice_second = -2.0 * second_weight
+        m44 = 1.0 + first_weight
+        m45 = 1.0
+        m55 = 2.0
+        m22 += first_weight
+        m42 = 0.0 + negative_first
+        m24 = 0.0 + negative_first
+        m44 += second_weight
+        m22 += fourfold_second
+        m00 += second_weight
+        m42 += negative_twice_second
+        m24 += negative_twice_second
+        m40 = 0.0 + second_weight
+        m04 = 0.0 + second_weight
+        m20 += negative_twice_second
+        m02 += negative_twice_second
+        r4 = value
+        r5 = value + anchor
+
+        # Finalize index size - 4 (the seasonal row 5 has a structural zero
+        # in column 0, so its factor is ±0.0 and the sweep skips it).
+        pivot = m00
+        if pivot == 0.0 or not math.isfinite(pivot):
+            raise ValueError(
+                f"zero or invalid pivot while finalizing index {old_size - 4}"
+            )
+        factor = m10 / pivot
+        if factor != 0.0:
+            m11 -= factor * m01
+            m12 -= factor * m02
+            m13 -= factor * m03
+            m14 -= factor * m04
+            m15 -= factor * m05
+            r1 -= factor * r0
+        factor = m20 / pivot
+        if factor != 0.0:
+            m21 -= factor * m01
+            m22 -= factor * m02
+            m23 -= factor * m03
+            m24 -= factor * m04
+            m25 -= factor * m05
+            r2 -= factor * r0
+        factor = m30 / pivot
+        if factor != 0.0:
+            m31 -= factor * m01
+            m32 -= factor * m02
+            m33 -= factor * m03
+            m34 -= factor * m04
+            m35 -= factor * m05
+            r3 -= factor * r0
+        factor = m40 / pivot
+        if factor != 0.0:
+            m41 -= factor * m01
+            m42 -= factor * m02
+            m43 -= factor * m03
+            m44 -= factor * m04
+            m45 -= factor * m05
+            r4 -= factor * r0
+
+        # Finalize index size - 3 (row 5's column 1 is still the zero).
+        pivot = m11
+        if pivot == 0.0 or not math.isfinite(pivot):
+            raise ValueError(
+                f"zero or invalid pivot while finalizing index {old_size - 3}"
+            )
+        factor = m21 / pivot
+        if factor != 0.0:
+            m22 -= factor * m12
+            m23 -= factor * m13
+            m24 -= factor * m14
+            m25 -= factor * m15
+            r2 -= factor * r1
+        factor = m31 / pivot
+        if factor != 0.0:
+            m32 -= factor * m12
+            m33 -= factor * m13
+            m34 -= factor * m14
+            m35 -= factor * m15
+            r3 -= factor * r1
+        factor = m41 / pivot
+        if factor != 0.0:
+            m42 -= factor * m12
+            m43 -= factor * m13
+            m44 -= factor * m14
+            m45 -= factor * m15
+            r4 -= factor * r1
+
+        # Commit exactly as extend does: rebind, never mutate.  The seasonal
+        # row was never eliminated into, so it is still 0, 0, 1, 2.
+        self._undo = (old_size, self._m_trail, self._bp_trail)
+        self._m_trail = [
+            [m22, m23, m24, m25],
+            [m32, m33, m34, m35],
+            [m42, m43, m44, m45],
+            [0.0, 0.0, 1.0, m55],
+        ]
+        self._bp_trail = [r2, r3, r4, r5]
+        self.size = old_size + 2
+
+        # tail_solution(2) on the new trailing block: rows 2-5 above are
+        # its rows 0-3.  Row 3 keeps its structural zeros in columns 0 and
+        # 1, so it is eliminated into only by pivot 2.
+        pivot = m22
+        if pivot == 0.0 or not math.isfinite(pivot):
+            raise ValueError("singular trailing system at pivot 0")
+        factor = m32 / pivot
+        if factor != 0.0:
+            m33 -= factor * m23
+            m34 -= factor * m24
+            m35 -= factor * m25
+            r3 -= factor * r2
+        factor = m42 / pivot
+        if factor != 0.0:
+            m43 -= factor * m23
+            m44 -= factor * m24
+            m45 -= factor * m25
+            r4 -= factor * r2
+        pivot = m33
+        if pivot == 0.0 or not math.isfinite(pivot):
+            raise ValueError("singular trailing system at pivot 1")
+        factor = m43 / pivot
+        if factor != 0.0:
+            m44 -= factor * m34
+            m45 -= factor * m35
+            r4 -= factor * r3
+        pivot = m44
+        if pivot == 0.0 or not math.isfinite(pivot):
+            raise ValueError("singular trailing system at pivot 2")
+        factor = 1.0 / pivot
+        if factor != 0.0:
+            m55 -= factor * m45
+            r5 -= factor * r4
+        pivot = m55
+        if pivot == 0.0 or not math.isfinite(pivot):
+            raise ValueError("singular trailing system at pivot 3")
+        # Back substitution of the two returned entries; the other two are
+        # never read, and no division by a checked pivot can raise.
+        seasonal = r5 / pivot
+        trend = (r4 - m45 * seasonal) / m44
+        return trend, seasonal
 
     @hotpath
     def tail_solution(self, count: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Tests of the core contribution: JointSTL, the Algorithm-2 reference and OneShotSTL."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,23 @@ class TestContributionWorkspace:
         (rows_b, _, values_b), _ = workspace.fill(6, 2.0, 0.5, 3.0, 4.0)
         assert rows_a is rows_b
         assert values_a is values_b
+
+    def test_a_model_pickles_no_uninitialised_memory(self, small_seasonal):
+        """OneShotSTL never fills the steady-state arrays (its step is
+        ``append_point``), so they must start defined: two models fed the
+        same stream pickle to the same bytes."""
+        values = small_seasonal["values"]
+        blobs = []
+        for _ in range(2):
+            # other arrays come and go in between, as in a live process
+            scratch = [np.full(13, float(index)) for index in range(50)]
+            model = OneShotSTL(24)
+            model.initialize(values[:96])
+            for value in values[96:110]:
+                model.update(value)
+            blobs.append(pickle.dumps(model))
+            del scratch
+        assert blobs[0] == blobs[1]
 
 
 class TestJointSTL:

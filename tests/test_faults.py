@@ -342,6 +342,62 @@ class TestStoreVerify:
         assert notes[0].artifact == last_wal
 
 
+class TestWalCrcDamage:
+    """A complete WAL frame that fails its CRC is damage when a readable
+    frame follows it (a crash tears only the end of the file), and crash
+    debris only when it is the last thing in the file."""
+
+    def _flipped(self, tmp_path, frame: int) -> tuple[str, int]:
+        """A store with four WAL batches, one bit of ``frame`` flipped in
+        its payload; returns ``(wal file, offset of that frame)``."""
+        populate_store(tmp_path, wal_batches=4)
+        store = DirectoryCheckpointStore(tmp_path)
+        (name,) = store.list_wals()
+        ends = [0] + [end for _payload, end in store.wal_frames(name)]
+        assert len(ends) == 5
+        flip_byte(tmp_path / "wal" / name, ends[frame] + 20)
+        return name, ends[frame]
+
+    def test_an_early_flip_is_fatal_and_strict_refuses_it_untouched(self, tmp_path):
+        name, offset = self._flipped(tmp_path, 0)
+        report = DirectoryCheckpointStore(tmp_path).verify()
+        assert not report.ok
+        assert [(f.artifact, f.problem, f.fatal) for f in report.findings] == [
+            (name, "crc_mismatch", True)
+        ]
+        before = tree_bytes(tmp_path)
+        with pytest.raises(CorruptCheckpointError) as error:
+            strict_open(tmp_path)
+        assert error.value.problem == "crc_mismatch"
+        assert f"offset {offset}" in str(error.value)
+        assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("policy", ["truncate", "quarantine"])
+    def test_tolerant_policies_cut_at_the_bad_frame(self, tmp_path, policy):
+        name, offset = self._flipped(tmp_path, 1)
+        store = DirectoryCheckpointStore(tmp_path)
+        engine = MultiSeriesEngine.open(store, spec=engine_spec(), recovery=policy)
+        report = engine.last_recovery
+        # the bad frame and the two readable ones after it
+        assert (report.wal_records_replayed, report.wal_records_lost) == (1, 3)
+        assert engine.fleet_stats().points_total == 8 * PERIOD * 6
+        quarantined = [f"{name}.suffix@{offset}"] if policy == "quarantine" else []
+        assert store.list_quarantined() == quarantined
+        assert store.verify().ok  # the recovery re-checkpointed
+        engine.close(checkpoint=False)
+
+    def test_a_flip_in_the_last_frame_stays_a_torn_tail(self, tmp_path):
+        name, offset = self._flipped(tmp_path, 3)
+        report = DirectoryCheckpointStore(tmp_path).verify()
+        assert report.ok
+        assert [(f.artifact, f.problem, f.fatal) for f in report.findings] == [
+            (name, "torn_tail", False)
+        ]
+        engine = strict_open(tmp_path)
+        assert engine.last_recovery.wal_records_replayed == 3
+        engine.close(checkpoint=False)
+
+
 class TestRecoveryPolicies:
     def test_open_rejects_unknown_policy(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path)

@@ -1,5 +1,9 @@
 """Tests for the shared data containers and interfaces."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -125,3 +129,32 @@ class TestForecasterValidation:
         with pytest.raises(ValueError):
             model.forecast([1.0], 0)
         np.testing.assert_allclose(model.forecast([1.0, 5.0], 3), [5.0, 5.0, 5.0])
+
+
+ONLINE_PACKAGES = (
+    "repro",
+    "repro.streaming",
+    "repro.durability",
+    "repro.sharding",
+    "repro.serving",
+)
+
+
+def test_the_online_import_path_does_not_load_scipy():
+    """Only the batch decomposers (JointSTL, RobustSTL, the l1 trend
+    filter) use scipy, and they import it when they solve: an engine, a
+    worker or a server process never carries it."""
+    source = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        f"import {', '.join(ONLINE_PACKAGES)}\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(source), "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -4,9 +4,10 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.online_system import ContributionWorkspace
 from repro.durability import CorruptCheckpointError
 from repro.durability.format import decode_segment
 from repro.solvers import (
@@ -206,6 +207,23 @@ class TestIncrementalBandedLDLT:
         np.testing.assert_allclose(solver.tail_solution(2), before)
         assert clone.size == solver.size + 2
 
+    def test_copy_pickles_like_a_built_solver(self):
+        """A copy skips ``__init__`` but has its attributes in that order,
+        so it pickles byte for byte like a built solver of the same state
+        (a winning shift-search trial becomes the model's state)."""
+        rng = np.random.default_rng(5)
+        solver = IncrementalBandedLDLT(4)
+        for _ in range(7):
+            updates, rhs_new = _random_growth_step(rng, solver.size, 2, 4)
+            solver.extend(2, updates, rhs_new)
+        built = IncrementalBandedLDLT(4)
+        built.size = solver.size
+        built._m_trail = [row[:] for row in solver._m_trail]
+        built._bp_trail = solver._bp_trail[:]
+        clone = solver.copy()
+        assert list(vars(clone)) == list(vars(built))
+        assert pickle.dumps(clone) == pickle.dumps(built)
+
     def test_rejects_update_outside_mutable_region(self):
         rng = np.random.default_rng(4)
         solver = IncrementalBandedLDLT(3)
@@ -358,6 +376,139 @@ class TestArrayFastPath:
         np.testing.assert_allclose(
             solver.tail_solution(4), reference.tail_solution(4), atol=1e-8
         )
+
+
+def generic_point(solver, value, anchor, first_weight, second_weight):
+    """``append_point`` spelled as the generic pair it fuses: the
+    workspace's steady-state pattern (lambdas of 1.0 pass the weights
+    through unchanged), moved to the point whose trend variable is index
+    ``size``, then ``extend`` and ``tail_solution(2)``."""
+    workspace = ContributionWorkspace(1.0, 1.0)
+    (rows, columns, values), rhs = workspace.fill(
+        2, value, anchor, first_weight, second_weight
+    )
+    shift = solver.size - 4
+    solver.extend(2, (rows + shift, columns + shift, values), rhs, check_indices=False)
+    tail = solver.tail_solution(2)
+    return float(tail[0]), float(tail[1])
+
+
+def run_point(step, solver, *arguments):
+    """``(returned pair or the ValueError's message, pickled solver)``."""
+    try:
+        outcome = step(solver, *arguments)
+    except ValueError as error:
+        outcome = str(error)
+    return pickle.dumps(outcome), pickle.dumps(solver)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf")]
+
+
+class TestAppendPoint:
+    """``append_point`` is ``extend`` + ``tail_solution(2)`` on the
+    steady-state pattern, fused; both are compared as pickles, so every
+    float of the state and the result is compared bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(st.sampled_from([1, 2]), max_size=8),
+        value=st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(-1e6, 1e6)),
+        anchor=st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(-1e6, 1e6)),
+        first_weight=st.one_of(
+            st.sampled_from(_SPECIAL_FLOATS), st.floats(1e-300, 1e300)
+        ),
+        second_weight=st.one_of(
+            st.sampled_from(_SPECIAL_FLOATS), st.floats(1e-300, 1e300)
+        ),
+        damage=st.one_of(
+            st.none(),
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(0, 3),
+                st.sampled_from(_SPECIAL_FLOATS + [1e300, -1.0, 5e-324]),
+            ),
+        ),
+        pending_undo=st.booleans(),
+    )
+    # an infinite coupling to a phantom pivot: the new trend row's
+    # structurally zero seasonal cell becomes inf * 0.0 = NaN, and a
+    # trailing pivot error commits it
+    @example(0, [], 1.0, 0.0, 1.0, 1.0, (0, 1, float("inf")), True)
+    def test_equals_the_generic_pair(
+        self,
+        seed,
+        steps,
+        value,
+        anchor,
+        first_weight,
+        second_weight,
+        damage,
+        pending_undo,
+    ):
+        """From sizes 0 (all phantom pivots) up past the band, with
+        weights across the float range (and the 0.0, inf and NaN a trend
+        of inf or NaN makes of the IRLS weights), special values, and a
+        trailing cell overwritten so that pivots go zero or non-finite."""
+        rng = np.random.default_rng(seed)
+        solver = IncrementalBandedLDLT(4)
+        for num_new in steps:
+            updates, rhs_new = _random_growth_step(rng, solver.size, num_new, 4)
+            solver.extend(num_new, updates, rhs_new)
+        if damage is not None:
+            row, column, cell = damage
+            solver._m_trail[row][column] = cell
+        if steps and not pending_undo:
+            solver.rollback()
+        twin = pickle.loads(pickle.dumps(solver))
+        arguments = (value, anchor, first_weight, second_weight)
+        fused = run_point(IncrementalBandedLDLT.append_point, solver, *arguments)
+        assert fused == run_point(generic_point, twin, *arguments)
+        outcome = pickle.loads(fused[0])
+        if not (isinstance(outcome, str) and "finalizing" in outcome):
+            # committed, so the undo level is the pre-point state
+            solver.rollback()
+            twin.rollback()
+            assert pickle.dumps(solver) == pickle.dumps(twin)
+
+    @pytest.mark.parametrize(
+        "diagonal,first_weight,second_weight,message",
+        [
+            ((0.0, 1.0, 1.0, 1.0), 1.0, 0.0, "finalizing index 6"),
+            ((float("nan"), 1.0, 1.0, 1.0), 1.0, 1.0, "finalizing index 6"),
+            ((1.0, 0.0, 1.0, 1.0), 1.0, 1.0, "finalizing index 7"),
+            ((1.0, 1.0, -1.0, 1.0), 1.0, 0.0, "singular trailing system at pivot 0"),
+            ((1.0, 1.0, 1.0, 0.0), 1.0, 0.0, "singular trailing system at pivot 1"),
+            ((1.0, 1.0, -0.5, 1.0), 1.0, 0.0, "singular trailing system at pivot 2"),
+            ((1.0, 1.0, -0.25, 1.0), 0.5, 0.0, "singular trailing system at pivot 3"),
+        ],
+    )
+    def test_each_pivot_error_is_the_generic_pairs(
+        self, diagonal, first_weight, second_weight, message
+    ):
+        """A finalizing pivot raises with nothing committed, a trailing
+        one after the append is: both as the generic pair does."""
+        solver = IncrementalBandedLDLT(4)
+        solver.size = 10
+        solver._m_trail = [
+            [diagonal[row] if row == column else 0.0 for column in range(4)]
+            for row in range(4)
+        ]
+        solver._bp_trail = [0.5, -0.5, 1.0, 2.0]
+        twin = solver.copy()
+        before = pickle.dumps(solver)
+        arguments = (1.5, -0.25, first_weight, second_weight)
+        fused = run_point(IncrementalBandedLDLT.append_point, solver, *arguments)
+        assert fused == run_point(generic_point, twin, *arguments)
+        assert message in pickle.loads(fused[0])
+        committed = "trailing" in message
+        assert solver.size == (12 if committed else 10)
+        assert (fused[1] == before) is not committed
+
+    def test_needs_the_oneshotstl_half_bandwidth(self):
+        with pytest.raises(ValueError, match="half bandwidth 4"):
+            IncrementalBandedLDLT(3).append_point(1.0, 0.0, 1.0, 1.0)
 
 
 class TestRollback:
