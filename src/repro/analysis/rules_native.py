@@ -39,7 +39,12 @@ statically: the types are spelled from ``ctypes.c_int64``,
 ``None``, through module-level names, tuples, ``+`` and ``* <int>``.
 Each routine's definition in the C file must take exactly as many
 parameters, each of the same kind (``int64_t``, ``double``, or any
-pointer), and return the same kind (``void`` for ``None``).
+pointer), and return the same kind (``void`` for ``None``).  A routine
+that takes a structure by pointer trusts its layout the same way, so a
+module-level ``STRUCTS = {"<C tag>": <class>, ...}`` is read too: each
+class is a module-level ``ctypes.Structure`` whose ``_fields_`` list of
+``(name, type)`` pairs must name the fields of ``struct <C tag> { ... };``
+in the C file in the same order, each of the same kind.
 """
 
 from __future__ import annotations
@@ -276,14 +281,105 @@ def _binding(value: ast.expr, names: dict) -> tuple[str, tuple]:
     raise _Unreadable(ast.unparse(value))
 
 
+def _c_fields(code: str, tag: str) -> list | None:
+    """``[(kind, name), ...]`` of ``struct tag``'s declaration, in order."""
+    match = re.search(r"\bstruct\s+" + re.escape(tag) + r"\s*\{([^}]*)\}\s*;", code)
+    if match is None:
+        return None
+    fields = []
+    for declaration in match.group(1).split(";"):
+        if not declaration.strip():
+            continue
+        # "double *a, b;" declares a pointer and a double.
+        first, *more = declaration.split(",")
+        fields.append(_c_kind(first))
+        base = _c_kind(first.replace("*", " "))[0]
+        for declarator in more:
+            name = [token for token in _C_TOKEN.findall(declarator) if token != "*"]
+            fields.append(("pointer" if "*" in declarator else base, name[-1]))
+    return fields
+
+
+def _struct_fields(node: ast.ClassDef, names: dict) -> list:
+    """``[(name, kind), ...]`` of a ctypes Structure's ``_fields_``."""
+    for statement in node.body:
+        if (
+            isinstance(statement, ast.Assign)
+            and any(
+                isinstance(target, ast.Name) and target.id == "_fields_"
+                for target in statement.targets
+            )
+            and isinstance(statement.value, (ast.List, ast.Tuple))
+        ):
+            fields = []
+            for element in statement.value.elts:
+                if not (
+                    isinstance(element, ast.Tuple)
+                    and len(element.elts) == 2
+                    and isinstance(element.elts[0], ast.Constant)
+                    and isinstance(element.elts[0].value, str)
+                ):
+                    raise _Unreadable(ast.unparse(element))
+                kind = _kinds(element.elts[1], names)
+                if not isinstance(kind, str):
+                    raise _Unreadable(ast.unparse(element.elts[1]))
+                fields.append((element.elts[0].value, kind))
+            return fields
+    raise _Unreadable(f"class {node.name} without a _fields_ list")
+
+
+def _check_structs(
+    structs: ast.Dict, classes: dict, names: dict, code: str, source: str, report
+) -> None:
+    """HP007 for every ``STRUCTS`` entry against ``code``."""
+    for key, value in zip(structs.keys, structs.values):
+        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
+            report(value, "a STRUCTS key is not a C struct tag")
+            continue
+        tag = key.value
+        if not (isinstance(value, ast.Name) and value.id in classes):
+            report(
+                key, f"struct {tag}: '{ast.unparse(value)}' is not a module-level class"
+            )
+            continue
+        try:
+            declared = _struct_fields(classes[value.id], names)
+        except _Unreadable as unreadable:
+            report(key, f"struct {tag}: cannot read '{unreadable}' as ctypes fields")
+            continue
+        fields = _c_fields(code, tag)
+        if fields is None:
+            report(key, f"struct {tag}: no declaration in {source}")
+            continue
+        if len(fields) != len(declared):
+            report(
+                key,
+                f"struct {tag} has {len(fields)} fields in {source}, but "
+                f"{value.id}._fields_ declares {len(declared)}",
+            )
+        for position, ((kind, name), (field, declared_kind)) in enumerate(
+            zip(fields, declared), 1
+        ):
+            if (name, kind) != (field, declared_kind):
+                report(
+                    key,
+                    f"struct {tag} field {position} is {kind} {name} in {source}, "
+                    f"but {value.id}._fields_ declares {declared_kind} {field}",
+                )
+                break
+
+
 def check_signatures(tree: ast.AST, path: str) -> list[Finding]:
     """Run HP007 over one Python module (reads the C file it binds)."""
     names: dict[str, ast.expr] = {}
+    classes: dict[str, ast.ClassDef] = {}
     for node in getattr(tree, "body", ()):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     names[target.id] = node.value
+        elif isinstance(node, ast.ClassDef):
+            classes[node.name] = node
     routines = names.get("ROUTINES")
     if not isinstance(routines, ast.Dict):
         return []
@@ -342,4 +438,7 @@ def check_signatures(tree: ast.AST, path: str) -> list[Finding]:
                     f"{kind} in {source}, but argtypes passes {declared}",
                 )
                 break
+    structs = names.get("STRUCTS")
+    if isinstance(structs, ast.Dict):
+        _check_structs(structs, classes, names, code, source, report)
     return findings

@@ -1,4 +1,4 @@
-"""Build and load the fleet kernel's native run routine (``advance_run.c``).
+"""Build and load the fleet kernel's native run routines (``advance_run.c``).
 
 :func:`load` finds a C compiler, compiles the one source file beside this
 module into a per-user cache directory and opens the result with
@@ -7,6 +7,18 @@ downloaded.  It reports instead of raising: a machine without a compiler,
 a compile error or an unloadable library all come back as ``(None,
 reason)`` and the caller (:func:`repro.core.fleet.kernel_backend`, the one
 place that decides which body runs) stays on the NumPy wavefront.
+
+A run crosses into C as two pointers, to the structures declared here
+beside their C declarations: a :class:`Side` -- one orientation of a
+kernel's state, its arrays' addresses, capacities and strides and its
+configuration, which a kernel builds twice (one per side of its
+ping-pong) and keeps until its arrays are replaced -- and a :class:`Run`,
+the run's rounds, width, columns and planes.  ``advance_run`` solves the
+run, runs the residual monitor over it and, when it is clean, commits it;
+``advance_commit`` commits a run the caller replayed or searched first.
+``python -m repro.analysis`` holds every prototype and both layouts to
+these declarations (rule HP007): a mismatch would corrupt memory, not
+raise.
 
 A warm start spawns no process (a child of a large process would count
 into its peak memory): the cache key hashes the source, the flags, the
@@ -29,7 +41,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["COMPILERS", "FLAGS", "ROUTINES", "SOURCE", "load"]
+__all__ = ["COMPILERS", "FLAGS", "ROUTINES", "STRUCTS", "SOURCE", "Run", "Side", "load"]
 
 #: the one native source, shipped beside this module as package data
 SOURCE = Path(__file__).with_name("advance_run.c")
@@ -52,30 +64,69 @@ FLAGS = (
 _POINTER = ctypes.c_void_p
 _INT = ctypes.c_int64
 _DOUBLE = ctypes.c_double
-_ADVANCE_RUN_ARGUMENTS = (
-    (_INT,) * 3  # rounds, iterations, run width
-    + (_POINTER,)  # the run's kernel columns
-    + (_POINTER,) * 4  # committed blocks / rhs, working blocks / rhs
-    + (_INT,)  # their column capacity
-    + (_POINTER,) * 2  # trend pairs in / out
-    + (_INT,)  # their column capacity
-    + (_POINTER, _INT, _INT)  # seasonal buffer, its row stride, the period
-    + (_POINTER,) * 2  # global_index, points_processed
-    + (_DOUBLE,) * 3  # lambda1, lambda2, epsilon
-    + (_POINTER, _INT, _INT)  # the six planes, their plane and row strides
-    + (_POINTER,) * 2  # the monitor's mean and m2 (updated in place)
-    + (_POINTER,)  # the saved pre-run mean and m2
-    + (_DOUBLE,) * 2  # the monitor's minimum_std and threshold
-    + (_POINTER,)  # scratch
-)
+
+
+class Side(ctypes.Structure):
+    """``struct advance_side``: one orientation of a kernel's state."""
+
+    _fields_ = [
+        ("blocks_in", _POINTER),  # committed blocks / rhs, working blocks / rhs
+        ("rhs_in", _POINTER),
+        ("blocks_out", _POINTER),
+        ("rhs_out", _POINTER),
+        ("capacity", _INT),  # their column capacity
+        ("pairs_in", _POINTER),  # trend pairs, committed and working
+        ("pairs_out", _POINTER),
+        ("pair_capacity", _INT),
+        ("seasonal_buffer", _POINTER),
+        ("seasonal_stride", _INT),  # its row stride, in doubles
+        ("period", _INT),
+        ("global_index", _POINTER),
+        ("points_processed", _POINTER),
+        ("last_detection_residual", _POINTER),
+        ("monitor_mean", _POINTER),  # the monitor's moments, updated in place
+        ("monitor_m2", _POINTER),
+        ("saved_moments", _POINTER),  # a run's pre-run mean and m2
+        ("scratch", _POINTER),
+        ("iterations", _INT),
+        ("members", _INT),  # the kernel's columns: a run this wide flips
+        ("searching", _INT),  # whether tripped columns are searched
+        ("lambda1", _DOUBLE),
+        ("lambda2", _DOUBLE),
+        ("epsilon", _DOUBLE),
+        ("minimum_std", _DOUBLE),
+        ("threshold", _DOUBLE),
+    ]
+
+
+class Run(ctypes.Structure):
+    """``struct advance_run_args``: one run of a kernel."""
+
+    _fields_ = [
+        ("rounds", _INT),
+        ("width", _INT),
+        ("columns", _POINTER),  # the run's int64 kernel columns
+        ("planes", _POINTER),  # the six planes at the run's first round
+        ("plane_stride", _INT),  # in doubles
+        ("row_stride", _INT),
+    ]
+
+
+#: what ``advance_run`` / ``advance_commit`` return for a run they
+#: committed: a subset, or a full-width run whose sides the caller flips
+COMMITTED, FLIP = -1, -2
+_RUN = (_POINTER, _POINTER)  # a Side, a Run
 #: every routine of :data:`SOURCE` this module calls, as ``name: (restype,
-#: argtypes)``; ``python -m repro.analysis`` holds each to its C prototype
-#: (rule HP007): a mismatch would corrupt memory, not raise
+#: argtypes)``, and every structure they take, as ``C tag: class``;
+#: ``python -m repro.analysis`` holds each to its C declaration (rule
+#: HP007): a mismatch would corrupt memory, not raise
 ROUTINES = {
-    "advance_run": (_INT, _ADVANCE_RUN_ARGUMENTS),
+    "advance_run": (_INT, _RUN),
+    "advance_commit": (_INT, _RUN),
     "advance_run_scratch": (_INT, (_INT, _INT)),
     "advance_run_vector": (ctypes.c_char_p, ()),
 }
+STRUCTS = {"advance_side": Side, "advance_run_args": Run}
 
 
 def _private_directory(path: Path) -> bool:
@@ -156,7 +207,8 @@ def _build(compiler: str, library: Path) -> str | None:
 
 
 def _open(library: Path) -> tuple[tuple, str]:
-    """``((advance_run, scratch_doubles), vector)`` of a built library.
+    """``((advance_run, advance_commit, scratch_doubles), vector)`` of a
+    built library.
 
     ``vector`` names the clone of ``advance_run`` the dynamic loader
     dispatched to on this CPU.  OSError or AttributeError if the file is
@@ -166,7 +218,7 @@ def _open(library: Path) -> tuple[tuple, str]:
     for name, (restype, argtypes) in ROUTINES.items():
         routine = getattr(handle, name)
         routine.restype, routine.argtypes = restype, argtypes
-    routines = (handle.advance_run, handle.advance_run_scratch)
+    routines = (handle.advance_run, handle.advance_commit, handle.advance_run_scratch)
     return routines, handle.advance_run_vector().decode()
 
 
@@ -174,8 +226,8 @@ def load() -> tuple[tuple | None, dict]:
     """Build (once per cache) and load the native routines.
 
     Returns ``(routines, report)``: ``routines`` is ``(advance_run,
-    scratch_doubles)`` -- the ``ctypes`` functions of ``advance_run.c`` --
-    or None, and ``report`` says why in ``{"reason", "compiler",
+    advance_commit, scratch_doubles)`` -- the ``ctypes`` functions of
+    ``advance_run.c`` -- or None, and ``report`` says why in ``{"reason", "compiler",
     "flags", "vector"}`` -- ``vector`` the clone this CPU runs
     (``"avx512f"``, ``"avx2"`` or ``"default"``), None without a library.
     Never raises for anything the machine lacks.  The report

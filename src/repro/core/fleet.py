@@ -30,21 +30,29 @@ non-finite propagation included:
 * the **native run** (:meth:`FleetKernel._run_native`): one call into
   ``advance_run.c``, a C routine beside this module that
   :mod:`repro.core._native` compiles on first use (``-ffp-contract=off``,
-  never ``-ffast-math``) and loads with ``ctypes``.  It walks the grid
+  never ``-ffast-math``) and loads with ``ctypes``.  The call takes two
+  pointers: one of the kernel's two side structures (its state's
+  addresses and its configuration, one per side of the ping-pong, built
+  once and rebuilt only when growing the columns replaces an array) and
+  the run's (rounds, width, columns, planes).  It walks the grid
   column-chunk by column-chunk, round by round, iteration by iteration,
   with a chunk's ``I x 22`` doubles of state in cache for the whole run
   -- the computation moved to where the state lives, instead of the whole
   ``(6, 7, I, n)`` workspace swept past one NumPy operator at a time.
+  One iteration is written once, with every cell of the augmented block
+  a local, and instantiated at two widths: 16 columns a chunk, and one
+  for a one-column run and a chunk's short ragged tail.
   After a round's last iteration it also scores the round's residual
   against the residual monitor and folds it in, the chunk's Welford
   moments in lanes for the whole run (``sqrt`` is correctly rounded by
   IEEE 754, like ``+ - * /``, so it cannot change a bit either).
-  Lanes (16 columns a chunk) are its innermost loop, so the compiler may
-  vectorise across columns only; there is no reduction anywhere.  On
-  x86-64 glibc the routine is built as AVX-512F, AVX2 and baseline clones
-  and the dynamic loader picks the widest this CPU runs, once, when the
-  library is opened; every operation is correctly rounded per lane, so
-  the clone cannot change a bit.
+  Lanes are vector elements, so the compiler vectorises across columns
+  only; there is no reduction anywhere.  On x86-64 glibc the routine is
+  built as AVX-512F, AVX2 and baseline clones and the dynamic loader
+  picks the widest this CPU runs, once, when the library is opened; every
+  operation is correctly rounded per lane, so neither the width nor the
+  clone can change a bit.  A clean run is committed before the call
+  returns.
 * the **NumPy wavefront** (:meth:`FleetKernel._run_wavefront`), the
   *reference schedule*: all solves on an anti-diagonal ``i + r = s`` are
   independent, so a run advances in ``T + I - 1`` steps, each one stacked
@@ -74,9 +82,11 @@ and a scatter back.  A run commits once, at its end; until then the
 committed state is the pre-run state.  (The residual monitor's moments
 are the exception: the body folds every round into them in place, after
 saving each member's pre-run moments, and a run that returns short puts
-those back.)  The body reports whether a round went non-finite and
-whether a score passed the threshold, so a clean run is one body call
-and a commit.  A series whose residual monitor
+those back.)  The body commits a clean run itself -- no round went
+non-finite, and no score passed the threshold where tripped columns are
+searched -- so a clean run is one body call; otherwise it reports which
+round went non-finite and whether a score passed the threshold.  A
+series whose residual monitor
 trips mid-run is only *marked*: the run finishes for everyone, and
 before the commit the marked
 columns are gathered from the pre-run state into one *narrow* kernel that
@@ -119,7 +129,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import operator
 import warnings
 from itertools import chain
 from typing import Mapping, Sequence
@@ -151,13 +160,27 @@ _MAX_BLOCK_ROUNDS = 64
 #: ``r`` in row ``r``, ``0 <= r <= _MAX_BLOCK_ROUNDS``: a run's round offsets
 _ROUND_OFFSETS = np.arange(_MAX_BLOCK_ROUNDS + 1)[:, None]
 
-#: The native body of a run -- ``(advance_run, scratch_doubles)``, the
-#: ``ctypes`` functions of ``advance_run.c`` -- or None for the NumPy
-#: wavefront.  Written once, by :func:`kernel_backend`; the test suite
-#: runs every oracle under both bodies by patching this one attribute.
+#: The native body of a run -- ``(advance_run, advance_commit,
+#: scratch_doubles)``, the ``ctypes`` functions of ``advance_run.c`` -- or
+#: None for the NumPy wavefront.  Written once, by :func:`kernel_backend`;
+#: the test suite runs every oracle under both bodies by patching this one
+#: attribute.
 _native_run: tuple | None = None
 #: :func:`kernel_backend`'s answer, None until the body has been chosen
 _backend: dict | None = None
+#: what a body returns for a run it committed (see :meth:`FleetKernel.
+#: _solve_run`), and what the native one returns for a committed
+#: full-width run before the kernel flips its sides
+_COMMITTED, _FLIP = _native.COMMITTED, _native.FLIP
+#: the per-column arrays a :class:`~repro.core._native.Side` points into
+#: under their own names
+_PER_COLUMN = (
+    "global_index",
+    "points_processed",
+    "last_detection_residual",
+    "monitor_mean",
+    "monitor_m2",
+)
 
 #: what :meth:`FleetKernel.select` hands a gathered copy as it is: the
 #: configuration and what the constructor derives from it (the shift
@@ -238,9 +261,9 @@ def _same_bits(routines: tuple) -> bool:
     the gating ages) reach far past the run's length: some have seen
     nothing (score 0.0) and some have no spread (a floored standard
     deviation, a score far past the threshold).  The six planes, the
-    status, the saved and post-run moments, and the run's columns of the
-    trend pairs and of the solver's working side are compared as bytes,
-    signs of zeros included.
+    status, the saved moments and every committed section of the kernel
+    after the run -- the body commits it -- are compared as bytes, signs of
+    zeros included.
     """
     n_rounds, n_iterations, n = 3, 3, 40
     params = {
@@ -273,21 +296,11 @@ def _same_bits(routines: tuple) -> bool:
         planes = np.empty((6, n_rounds, columns.size))
         planes[0] = 3.0 * np.sin(np.arange(planes[0].size) * 0.7).reshape(n_rounds, -1)
         status = kernel._solve_run(body, planes, 0, n_rounds, columns)
-        working = kernel.solver.run_buffers()[2:]
         saved = kernel._saved_space(columns.size)
+        arrays = (planes, saved, *kernel.to_arrays().values())
         images.append(
             repr(status).encode()
-            + b"".join(
-                np.ascontiguousarray(array).tobytes()
-                for array in (
-                    planes,
-                    kernel.monitor_mean,
-                    kernel.monitor_m2,
-                    saved,
-                    kernel._pairs_out[..., columns],
-                    *(side[..., columns] for side in working),
-                )
-            )
+            + b"".join(np.ascontiguousarray(array).tobytes() for array in arrays)
         )
     return images[0] == images[1]
 
@@ -326,38 +339,36 @@ def _row_stride(block: np.ndarray) -> int:
     return row_bytes // 8
 
 
-def _native_state(state: tuple) -> tuple:
-    """The arguments ``advance_run`` takes for a kernel's state arrays,
-    grouped as its parameter list does: ``(blocks and right-hand sides,
-    capacity, trend pairs, pair capacity, seasonal buffer, its row
-    stride)``, ``(global_index, points_processed)``, ``(the monitor's
-    mean and m2, the saved moments)`` and the scratch.  They follow from the
-    arrays alone: an array's buffer never moves (growing a kernel's
-    columns replaces its arrays, :func:`repro.utils.columns.append`), so
-    :meth:`FleetKernel._run_native` reuses them while every array is the
-    same object."""
-    (
-        blocks_in, rhs_in, blocks_out, rhs_out, pairs_in, pairs_out,
-        seasonal_buffer, global_index, points_processed,
-        mean, m2, saved_moments, scratch,
-    ) = state  # fmt: skip
-    flat = (global_index, points_processed, mean, m2)
-    if any(a.dtype.itemsize != 8 or not a.flags.c_contiguous for a in flat):
-        raise ValueError("a native run needs contiguous 64-bit per-column arrays")
-    return (
-        (
-            *map(_address, (blocks_in, rhs_in, blocks_out, rhs_out)),
-            blocks_in.shape[-1],
-            _address(pairs_in),
-            _address(pairs_out),
-            pairs_in.shape[-1],
-            _address(seasonal_buffer),
-            _row_stride(seasonal_buffer),
-        ),
-        (_address(global_index), _address(points_processed)),
-        tuple(map(_address, (mean, m2, saved_moments))),
-        _address(scratch),
+def _native_side(committed: tuple, working: tuple, common: dict) -> _native.Side:
+    """One orientation of a kernel's state: ``committed`` and ``working``
+    are the ``(blocks, rhs, trend pairs)`` of the side a run reads and of
+    the side it writes, ``common`` the fields every orientation shares."""
+    blocks_in, rhs_in, pairs_in = committed
+    blocks_out, rhs_out, pairs_out = working
+    return _native.Side(
+        *map(_address, (blocks_in, rhs_in, blocks_out, rhs_out)),
+        blocks_in.shape[-1],
+        _address(pairs_in),
+        _address(pairs_out),
+        pairs_in.shape[-1],
+        **common,
     )
+
+
+class _Handle:
+    """A kernel's way into the native body: the addresses of the
+    :class:`~repro.core._native.Side` of its committed orientation
+    (``side``) and of the other one (``other``), the
+    :class:`~repro.core._native.Run` each run fills in (``run``, at
+    ``run_at``), and everything they point into, kept alive."""
+
+    __slots__ = "side", "other", "run", "run_at", "_keep"
+
+    def __init__(self, orientations: list, run, arrays: tuple):
+        self.side, self.other = map(ctypes.addressof, orientations)
+        self.run = run
+        self.run_at = ctypes.addressof(run)
+        self._keep = orientations, arrays
 
 
 def _welford_score(
@@ -544,12 +555,12 @@ class FleetKernel:
         # the iteration count alone, so a gathered sub-kernel shares it.
         self._workspaces: tuple | None = None
         self._pairs_out: np.ndarray | None = None
-        self._saved: tuple | None = None
+        self._saved: np.ndarray | None = None
         self._scratch: np.ndarray | None = None
-        #: ``(arrays, arguments)`` of the last two native runs' distinct
-        #: states (_native_state), newest first: a full-width commit swaps
-        #: the solver's and the trend pairs' sides, so runs alternate two
-        self._addresses: tuple = ()
+        #: the native body's :class:`_Handle` into this kernel's arrays,
+        #: built by the first native run; dropped whenever an array it
+        #: points into is replaced
+        self._handle: _Handle | None = None
         if _backend is None:
             kernel_backend()
 
@@ -641,14 +652,13 @@ class FleetKernel:
         vars(kernel).update({name: state[name] for name in _SHARED})
         kernel._n = n
         kernel._arange = kernel._workspaces = kernel._pairs_out = kernel._saved = None
-        kernel._addresses = ()
+        kernel._handle = None
         return kernel
 
     def __getstate__(self) -> dict:
-        """The attributes but the native run's cached addresses: they
-        would point into the arrays of the kernel this one was copied
-        from."""
-        return {**vars(self), "_addresses": ()}
+        """The attributes but the native run's handle: it would point into
+        the arrays of the kernel this one was copied from."""
+        return {**vars(self), "_handle": None}
 
     @property
     def n_series(self) -> int:
@@ -757,6 +767,7 @@ class FleetKernel:
             raise ValueError("configuration mismatch between fleet kernels")
         columnar.append(self, other)
         self._n += other._n
+        self._handle = None  # the arrays are new objects
 
     #: Gathered copies of members (only their columns are copied), the
     #: scatter back, and the committed state as named arrays -- live, not
@@ -921,11 +932,14 @@ class FleetKernel:
         every round into ``monitor_mean`` / ``monitor_m2`` in place, after
         saving each run position's pre-run moments in :meth:`_saved_space`.
 
-        Returns ``2 * bad + tripped``: ``bad`` the first round (from
-        ``start``) that fails the screen -- the sum of its trends plus the
-        sum of its seasonals, each summed in run order (:func:`_screen`),
-        is not finite -- the run length if none; ``tripped`` whether any
-        score passed the monitor's threshold.
+        A clean run -- every round passes the screen, and no score passed
+        the threshold or tripped columns are not searched -- is committed
+        (:meth:`_commit`) and returns :data:`_COMMITTED`.  Any other
+        returns ``2 * bad + tripped``, committing nothing: ``bad`` the
+        first round (from ``start``) that fails the screen -- the sum of
+        its trends plus the sum of its seasonals, each summed in run order
+        (:func:`_screen`), is not finite -- the run length if none;
+        ``tripped`` whether any score passed the monitor's threshold.
         """
         if native is None:
             return self._run_wavefront(planes, start, stop, columns)
@@ -1103,7 +1117,7 @@ class FleetKernel:
         if not whole:
             # Scatter the post-run state to the working side.
             solver.commit_run()
-            blocks_out, rhs_out = self.solver.run_buffers()[2:]
+            blocks_out, rhs_out = self.solver.sides()[2:]
             advanced = columnar.to_arrays(solver)
             blocks_out[..., columns] = advanced["blocks"]
             rhs_out[..., columns] = advanced["rhs"]
@@ -1112,7 +1126,11 @@ class FleetKernel:
         ]
         finite = _screen(trend_out, seasonal_out)
         bad = n_rounds if finite.all() else int(finite.argmin())
-        return 2 * bad + bool((score_out > self.shift_threshold).any())
+        tripped = bool((score_out > self.shift_threshold).any())
+        if bad == n_rounds and not (tripped and self.shift_window > 0):
+            self._commit(None, planes, start, stop, columns)
+            return _COMMITTED
+        return 2 * bad + tripped
 
     def _run_native(
         self,
@@ -1122,15 +1140,20 @@ class FleetKernel:
         stop: int,
         columns: np.ndarray,
     ) -> int:
-        """The solve grid of a run, and its monitor, as one call into
-        ``advance_run.c``.
+        """The solve grid of a run, its monitor and, when it is clean, its
+        commit, as one call into ``advance_run.c``.
 
         Same contract as :meth:`_run_wavefront`, same bits: the C routine
-        performs each solve's operations, and each round's scoring and
-        fold, in the same order, per column, gathering each member's
-        state at its column and scattering it back there.
+        performs each solve's operations, each round's scoring and fold,
+        and the commit in the same order, per column, gathering each
+        member's state at its column and scattering it back there.  It
+        takes the kernel's handle (:meth:`_native_handle`) and the run,
+        and a committed full-width run comes back as a flip for
+        :meth:`_flip`.
         """
-        advance_run, scratch_doubles = routines
+        handle = self._handle
+        if handle is None:
+            handle = self._handle = self._native_handle(routines[2])
         if stop - start > _MAX_BLOCK_ROUNDS:
             raise ValueError(f"a native run is at most {_MAX_BLOCK_ROUNDS} rounds")
         plane_bytes, row_bytes, item_bytes = planes.strides
@@ -1140,52 +1163,78 @@ class FleetKernel:
             or (plane_bytes | row_bytes) % 8
         ):
             raise ValueError("a native run needs float64 planes with contiguous rows")
-        scratch = self._scratch
-        if scratch is None:
-            self._scratch = scratch = np.empty(
-                scratch_doubles(self.iterations, _MAX_BLOCK_ROUNDS)
-            )
-        if self._saved is None or self._saved.size < 2 * columns.size:
-            self._saved_space(columns.size)
-        state = (
-            *self.solver.run_buffers(),
-            self._trend_pairs,
-            self._pair_buffer(),
-            self.seasonal_buffer,
+        run = handle.run
+        run.rounds = stop - start
+        run.width = columns.size
+        run.columns = _address(columns)
+        run.planes = _address(planes) + start * row_bytes
+        run.plane_stride = plane_bytes >> 3
+        run.row_stride = row_bytes >> 3
+        status = routines[0](handle.side, handle.run_at)
+        if status == _FLIP:
+            self._flip()
+            return _COMMITTED
+        return status
+
+    def _native_handle(self, scratch_doubles) -> "_Handle":
+        """The native body's view of this kernel: both orientations of its
+        state as :class:`~repro.core._native.Side` structures and the
+        :class:`~repro.core._native.Run` each run fills in.
+
+        Built once (the working sides and workspaces sized on the way) and
+        kept while the arrays it points into are the kernel's: every array
+        a kernel holds is replaced, never resized (:meth:`append` drops the
+        handle), and the handle keeps each one alive.
+        """
+        blocks, rhs, working_blocks, working_rhs = self.solver.sides()
+        committed = (blocks, rhs, self._trend_pairs)
+        working = (working_blocks, working_rhs, self._pair_buffer())
+        self._saved_space(self._n)  # room for the widest run
+        saved = self._saved
+        if self._scratch is None:
+            doubles = scratch_doubles(self.iterations, _MAX_BLOCK_ROUNDS)
+            self._scratch = np.empty(doubles)
+        per_column = (
             self.global_index,
             self.points_processed,
+            self.last_detection_residual,
             self.monitor_mean,
             self.monitor_m2,
-            self._saved,
-            scratch,
         )
-        cached = self._addresses
-        for arrays, arguments in cached:
-            if all(map(operator.is_, state, arrays)):
-                break
-        else:
-            arguments = _native_state(state)
-            self._addresses = ((state, arguments), *cached[:1])
-        kernel_state, index_state, moment_state, scratch_at = arguments
-        return advance_run(
-            stop - start,
-            self.iterations,
-            columns.size,
-            _address(columns),
-            *kernel_state,
-            self.period,
-            *index_state,
-            self.lambda1,
-            self.lambda2,
-            self.epsilon,
-            _address(planes[:, start]),
-            plane_bytes // 8,
-            row_bytes // 8,
-            *moment_state,
-            DEFAULT_MINIMUM_STD,
-            self.shift_threshold,
-            scratch_at,
-        )
+        arrays = (*committed, *working, *per_column, saved, self._scratch)
+        if any(a.dtype.itemsize != 8 or not a.flags.c_contiguous for a in arrays):
+            raise ValueError("a native run needs contiguous 64-bit state arrays")
+        common = {
+            "seasonal_buffer": _address(self.seasonal_buffer),
+            "seasonal_stride": _row_stride(self.seasonal_buffer),
+            "period": self.period,
+            **dict(zip(_PER_COLUMN, map(_address, per_column))),
+            "saved_moments": _address(saved),
+            "scratch": _address(self._scratch),
+            "iterations": self.iterations,
+            "members": self._n,
+            "searching": self.shift_window > 0,
+            "lambda1": self.lambda1,
+            "lambda2": self.lambda2,
+            "epsilon": self.epsilon,
+            "minimum_std": DEFAULT_MINIMUM_STD,
+            "threshold": self.shift_threshold,
+        }
+        orientations = [
+            _native_side(committed, working, common),
+            _native_side(working, committed, common),
+        ]
+        return _Handle(orientations, _native.Run(), arrays + (self.seasonal_buffer,))
+
+    def _flip(self) -> None:
+        """Make the working sides of a full-width run the committed ones:
+        the solver's and the trend pairs' ping-pong swap, and so do the
+        handle's orientations."""
+        self._trend_pairs, self._pairs_out = self._pairs_out, self._trend_pairs
+        self.solver.flip()
+        handle = self._handle
+        if handle is not None:
+            handle.side, handle.other = handle.other, handle.side
 
     @hotpath
     def _advance_run(
@@ -1197,14 +1246,14 @@ class FleetKernel:
     ) -> tuple[int, bool]:
         """Advance the all-finite rounds ``[start, stop)`` of ``columns`` as one run.
 
-        Hands the ``T x I`` solve grid and the residual monitor to the
-        body this process runs (:meth:`_run_native`, one call into
-        ``advance_run.c``, or the reference :meth:`_run_wavefront`; see
-        :func:`kernel_backend` and :meth:`_solve_run`), then commits --
-        which is all a clean run needs: the body's status says whether a
-        round went non-finite or a score passed the threshold, and only
-        then are the pre-run moments copied and the rounds walked, none
-        of which depends on the body: both produce the same bits.
+        Hands the ``T x I`` solve grid, the residual monitor and the
+        commit to the body this process runs (:meth:`_run_native`, one
+        call into ``advance_run.c``, or the reference
+        :meth:`_run_wavefront`; see :func:`kernel_backend` and
+        :meth:`_solve_run`) -- which is all a clean run needs.  Only when
+        the body leaves the run uncommitted are the pre-run moments copied
+        and the rounds walked, none of which depends on the body: both
+        produce the same bits.
 
         A column whose score passes the threshold is marked and, once the
         run has finished for everyone, replayed before the commit:
@@ -1224,14 +1273,11 @@ class FleetKernel:
         earlier round wrote -- the precondition for reading anchors from
         the buffer and deferring the seasonal scatter to run end.
         """
-        n_rounds = stop - start
-        bad, tripped = divmod(
-            self._solve_run(_native_run, planes, start, stop, columns), 2
-        )
-        searching = self.shift_window > 0
-        if bad == n_rounds and not (tripped and searching):
-            self._commit(planes, start, stop, columns)
+        native = _native_run
+        if self._solve_run(native, planes, start, stop, columns) == _COMMITTED:
             return stop, True
+        n_rounds = stop - start
+        searching = self.shift_window > 0
         m = columns.size
         saved = self._saved_space(m).copy()
         block = planes[:, start:stop]
@@ -1277,21 +1323,34 @@ class FleetKernel:
             if bad == 0:
                 return start, False
             return self._advance_run(planes, start, start + bad, columns)[0], False
-        self._commit(planes, start, stop, columns)
+        self._commit(native, planes, start, stop, columns)
         if replayed is not None:
             self.assign(members, replayed)
             block[1:, :, positions] = points
         return stop, True
 
     def _commit(
-        self, planes: np.ndarray, start: int, stop: int, columns: np.ndarray
+        self,
+        native: tuple | None,
+        planes: np.ndarray,
+        start: int,
+        stop: int,
+        columns: np.ndarray,
     ) -> None:
         """Make the finished run ``[start, stop)`` of ``columns`` the
         committed state: a full-width run flips the solver's and the trend
         pairs' ping-pong, a subset copies its columns from the working
-        side.  Within a run every member writes ``stop - start`` distinct
-        seasonal slots (runs never exceed ``period`` rounds), so one fancy
-        scatter equals the per-round scatters."""
+        side.  The native body commits through ``advance_commit``, which
+        takes the run :meth:`_run_native` last handed ``advance_run``
+        (replays and searches run on kernels of their own); the NumPy body
+        commits here.  Within a run every member writes ``stop - start``
+        distinct seasonal slots (runs never exceed ``period`` rounds), so
+        one fancy scatter equals the per-round scatters."""
+        if native is not None:
+            handle = self._handle
+            if native[1](handle.side, handle.run_at) == _FLIP:
+                self._flip()
+            return
         n_rounds = stop - start
         at = columnar.span(columns)
         index = self.global_index[at]
@@ -1301,11 +1360,10 @@ class FleetKernel:
         self.points_processed[at] = self.points_processed[at] + n_rounds
         self.last_detection_residual[at] = planes[4, stop - 1]
         if columns.size == self._n:
-            self._trend_pairs, self._pairs_out = self._pairs_out, self._trend_pairs
-            self.solver.commit_run()
+            self._flip()
         else:
             self._trend_pairs[..., at] = self._pairs_out[..., at]
-            self.solver.commit_run(at)
+            self.solver.take(at)
 
     @hotpath
     def _replay_marked(

@@ -387,12 +387,7 @@ class OneShotSTL(OnlineDecomposer):
         self._global_index += 1
         self._points_processed += 1
         self._last_trend = trend_value
-        return DecompositionPoint(
-            value=value,
-            trend=trend_value,
-            seasonal=seasonal_value,
-            residual=residual,
-        )
+        return DecompositionPoint(value, trend_value, seasonal_value, residual)
 
     def forecast(self, horizon: int) -> np.ndarray:
         """Forecast the next ``horizon`` values (paper Section 4).

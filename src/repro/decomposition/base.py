@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +36,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecompositionPoint:
-    """Decomposition of a single observation."""
+class DecompositionPoint(NamedTuple):
+    """Decomposition of a single observation.
+
+    A named tuple (one is built per online update): it also compares equal
+    to ``(value, trend, seasonal, residual)`` and unpacks like it.
+    """
 
     value: float
     trend: float

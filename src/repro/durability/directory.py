@@ -263,7 +263,10 @@ class DirectoryCheckpointStore:
         """Open WAL part ``name`` for appending (created if missing).
 
         Any previously open part is closed first.  Appending to an
-        existing part continues after its last complete record.
+        existing part continues after its last complete record.  Under
+        ``wal_sync`` the truncation of a torn tail is fsynced, and so is
+        ``wal/`` when the part is created: an fsynced append survives a
+        power cut only if the directory entry of its file does too.
         """
         self.close_wal()
         path = self._wal_path(name)
@@ -273,10 +276,15 @@ class DirectoryCheckpointStore:
         keep = 0
         for _payload, keep in self.wal_frames(name):
             pass
-        if keep < (self.wal_size(name) or 0):
+        size = self.wal_size(name)
+        if keep < (size or 0):
             with open(path, "r+b") as handle:
                 handle.truncate(keep)
+                if self.wal_sync:
+                    os.fsync(handle.fileno())
         self._wal_handle = open(path, "ab")
+        if size is None and self.wal_sync:
+            fsync_directory(self._wals)
         self._wal_open_name = name
         self._wal_good_offset = keep
         self._wal_torn = False

@@ -10,11 +10,11 @@ It plays two roles for the fleet kernel
 (:class:`repro.core.fleet.FleetKernel`).  It is the *state container* of
 every kernel: the committed / working ping-pong below is where a fleet's
 solver state lives, whichever body advances it -- the kernel's native run
-(``repro/core/advance_run.c``) borrows both sides through
-:meth:`BatchedIncrementalLDLT.run_buffers`, reads the committed one,
-writes the working one -- for every member, or for the subset of members
-the run names -- and :meth:`commit_run` flips them as for any run, or
-copies the subset's columns across.
+(``repro/core/advance_run.c``) holds the addresses of both sides
+(:meth:`BatchedIncrementalLDLT.sides`), reads the committed one and writes
+the working one -- for every member, or for the subset of members the run
+names -- and commits a subset's columns across itself; a full-width run
+ends in :meth:`flip`, as any run of the stack's own does.
 And :meth:`extend_solve` is the *reference arithmetic*: the NumPy body
 whose wavefront schedule solves one anti-diagonal of the (round x
 iteration) grid per call (``T + I - 1`` stacked steps a run, not ``T *
@@ -49,8 +49,9 @@ unit pivots (see :mod:`repro.solvers.incremental_ldlt`), which a caller
 may only ever add ``+-0.0`` to.
 
 Advancing is transactional per *run* (:meth:`begin_run` ...
-:meth:`extend_solve` ... :meth:`commit_run`, or :meth:`run_buffers` ...
-:meth:`commit_run` when a routine outside this class does the extends).  The state lives in a pair
+:meth:`extend_solve` ... :meth:`commit_run`, or :meth:`sides` ...
+:meth:`flip` / :meth:`take` when a routine outside this class does the
+extends).  The state lives in a pair
 of capacity-managed *ping-pong* buffers: a run reads each iteration's
 pre-run state from the committed side the first time that iteration is
 extended and keeps all of its progress on the other side, so the
@@ -114,7 +115,7 @@ class BatchedIncrementalLDLT:
         #: fleet kernel passes the same module constants on every run)
         self._pattern_cache: tuple | None = None
         #: the staged run: ``(num_new, cells, limits)`` between
-        #: begin_run and commit_run, ``()`` for a run_buffers run, else None
+        #: begin_run and commit_run, else None
         self._run: tuple | None = None
         #: iterations ``[0, _entered)`` have been extended in this run (and
         #: read their state from the working side)
@@ -335,24 +336,21 @@ class BatchedIncrementalLDLT:
             )
         return working
 
-    def run_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Open a run that a routine outside this class advances.
+    def sides(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Both sides of the ping-pong, for a routine outside this class.
 
         Returns the full-capacity ``(committed blocks, committed
         right-hand sides, working blocks, working right-hand sides)``
         buffers -- ``(w, w, I, capacity)`` and ``(w, I, capacity)``, C
-        contiguous, members in the leading ``n_series`` columns.  The
-        caller promises what a run of :meth:`extend_solve` calls
-        guarantees by construction: it only *reads* the committed side,
-        and before :meth:`commit_run` it has written the working side of
-        every iteration of every member it advances with that system's
-        post-run state.  Until the commit every read-back still sees the
-        pre-run state, and opening another run abandons this one.
+        contiguous, members in the leading ``n_series`` columns; the
+        working side is sized first.  Such a routine promises what a run
+        of :meth:`extend_solve` calls guarantees by construction: it only
+        *reads* the committed side until it commits, and before
+        :meth:`flip` it has written the working side of every iteration of
+        every member, before :meth:`take` of the members taken.  Every
+        read-back before that still sees the pre-run state.
         """
-        working = self._size_working_side()
-        self._entered = self._iterations
-        self._run = ()
-        return self._blocks, self._rhs, *working
+        return self._blocks, self._rhs, *self._size_working_side()
 
     @hotpath
     def extend_solve(
@@ -458,23 +456,30 @@ class BatchedIncrementalLDLT:
         np.subtract(aug[block - 2, block], out_trend, out=out_trend)
         np.divide(out_trend, aug[block - 2, block - 2], out=out_trend)
 
-    def commit_run(self, columns: "np.ndarray | slice | None" = None) -> None:
-        """Make the open run's state the committed state.
+    def commit_run(self) -> None:
+        """Make the open run's state the committed state: a buffer flip.
 
-        A run of every member is a buffer flip; every iteration must have
-        been extended at least once (the working side holds nothing for an
-        iteration the run never entered).  A run that a routine outside
-        this class advanced on a subset of members passes their
-        ``columns``: those are copied from the working side, and every
-        other member's committed state is left as it was.
+        Every iteration must have been extended at least once (the
+        working side holds nothing for an iteration the run never
+        entered).
         """
         if self._run is None or self._entered != self._iterations:
             raise ValueError("no complete run to commit")
+        self.flip()
+
+    def flip(self) -> None:
+        """Swap the committed and the working side (closing any open run):
+        the commit of a run that wrote the working side of every member."""
         working = self._working
         self._run = None
-        if columns is not None:
-            self._blocks[..., columns] = working[0][..., columns]
-            self._rhs[..., columns] = working[1][..., columns]
-            return
         self._working = (self._blocks, self._rhs)
         self._blocks, self._rhs = working
+
+    def take(self, columns: "np.ndarray | slice") -> None:
+        """Copy the members at ``columns`` from the working side to the
+        committed side, every other member's committed state left as it
+        was: the commit of a run a routine outside this class advanced on
+        those members (:meth:`sides`)."""
+        working = self._working
+        self._blocks[..., columns] = working[0][..., columns]
+        self._rhs[..., columns] = working[1][..., columns]

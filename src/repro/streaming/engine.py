@@ -90,8 +90,9 @@ import os
 import time
 import zlib
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, replace
-from typing import Hashable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,13 +171,13 @@ class SeriesStatus(str, enum.Enum):
     __format__ = str.__format__
 
 
-@dataclass(frozen=True, slots=True)
-class EngineRecord:
+class EngineRecord(NamedTuple):
     """Outcome of ingesting one observation for one key.
 
     ``record`` is ``None`` while the series is still warming (the value was
     buffered for the initialization window); once the series is live it
-    carries the full per-point :class:`StreamRecord`.
+    carries the full per-point :class:`StreamRecord`.  A named tuple, like
+    the record it carries.
     """
 
     key: Hashable
@@ -188,8 +189,9 @@ class EngineRecord:
         return self.record is not None and self.record.is_anomaly
 
 
-#: :class:`StreamRecord`'s fields in its positional order
-_RECORD_FIELDS = tuple(each.name for each in fields(StreamRecord))
+#: a named tuple from the tuple of its fields, in one C call (the class's
+#: own ``__new__`` does just that, in Python)
+_new = tuple.__new__
 
 
 class IngestResult:
@@ -250,7 +252,8 @@ class IngestResult:
         self._rounds = int(rounds)
         self.index = np.zeros(size, dtype=np.int64)
         # rows of two allocations: a tiny result costs two, not nine
-        self._floats = floats = np.full((6, size), np.nan)
+        self._floats = floats = np.empty((6, size))
+        floats.fill(np.nan)
         self.value, self.trend, self.seasonal = floats[0], floats[1], floats[2]
         self.residual, self.detection_residual = floats[3], floats[4]
         self.anomaly_score = floats[5]
@@ -328,12 +331,12 @@ class IngestResult:
         key = self._keys_cycle[position % len(self._keys_cycle)]
         is_anomaly, live = self._flags[:, position].tolist()
         if not live:
-            return EngineRecord(key=key, status=SeriesStatus.WARMING, record=None)
+            return _new(EngineRecord, (key, SeriesStatus.WARMING, None))
         # ``tolist`` and ``item`` yield the exact Python scalars
         value, trend, seasonal, residual, detection, score = self._floats[
             :, position
         ].tolist()
-        record = StreamRecord(
+        record = (
             self.index.item(position),
             value,
             trend,
@@ -343,7 +346,7 @@ class IngestResult:
             is_anomaly,
             detection,
         )
-        return EngineRecord(key, SeriesStatus.LIVE, record)
+        return _new(EngineRecord, (key, SeriesStatus.LIVE, _new(StreamRecord, record)))
 
     def __iter__(self) -> Iterator[EngineRecord]:
         return iter(self.records())
@@ -356,7 +359,7 @@ class IngestResult:
         bit-identical to eagerly built ones) -- substantially faster than
         per-row array indexing.  For large results the cyclic garbage
         collector is suspended around the loop: the records are acyclic
-        (plain frozen dataclasses of scalars), but allocating tens of
+        (named tuples of scalars), but allocating tens of
         thousands of young objects into one long-lived list otherwise
         triggers repeated generational scans that can double the cost.
         """
@@ -372,20 +375,18 @@ class IngestResult:
         return self._materialize()
 
     def _materialize(self) -> "list[EngineRecord]":
-        # The live rows' records are built positionally, field by field
-        # in StreamRecord's order, then matched to the rows in order.
+        # The live rows' records are built from their fields in
+        # StreamRecord's order, then matched to the rows in order.
         live = self.live
-        streams = map(
-            StreamRecord,
-            *(getattr(self, name)[live].tolist() for name in _RECORD_FIELDS),
-        )
+        fields = (getattr(self, name)[live].tolist() for name in StreamRecord._fields)
+        streams = map(partial(_new, StreamRecord), zip(*fields))
         next_stream = streams.__next__
         warming = SeriesStatus.WARMING
         live_status = SeriesStatus.LIVE
         return [
-            EngineRecord(key, live_status, next_stream())
+            _new(EngineRecord, (key, live_status, next_stream()))
             if flag
-            else EngineRecord(key, warming, None)
+            else _new(EngineRecord, (key, warming, None))
             for key, flag in zip(self.keys, live.tolist())
         ]
 
@@ -1101,7 +1102,7 @@ class MultiSeriesEngine:
                 state.warmup = []
                 state.pipeline.initialize(window)
                 state.live = True
-            return EngineRecord(key=key, status=SeriesStatus.WARMING, record=None)
+            return EngineRecord(key, SeriesStatus.WARMING, None)
         start = time.perf_counter()
         record = state.pipeline.process(value)
         if not self._replaying:
@@ -1111,7 +1112,7 @@ class MultiSeriesEngine:
             state.anomalies += 1
         if location is not None:
             group.load(column, state)
-        return EngineRecord(key=key, status=SeriesStatus.LIVE, record=record)
+        return EngineRecord(key, SeriesStatus.LIVE, record)
 
     def ingest(self, batch: dict | tuple | Sequence) -> list[EngineRecord]:
         """Ingest a batch of observations, batching same-spec series.
@@ -1598,6 +1599,7 @@ class MultiSeriesEngine:
         kernel = group.kernel
         threshold = group.threshold
         latencies = group.latencies
+        count = np.add.reduce
         floats, index, flags = result._grids()
         width = index.shape[1]
         n_rounds = block_values.shape[0]
@@ -1637,12 +1639,12 @@ class MultiSeriesEngine:
                     for plane, values in zip(floats, block):
                         plane[where] = values
                 hits = block[5] > threshold
-                first_index = kernel.global_index[at] - rounds
-                index[where] = first_index + np.arange(rounds)[:, None]
+                # The record index of round r is global_index before it.
+                index[where] = kernel.global_index[at] + np.arange(-rounds, 0)[:, None]
                 flags[0][where] = hits
                 flags[1][where] = True
-                group.points[at] = group.points[at] + rounds
-                group.anomalies[at] = group.anomalies[at] + hits.sum(axis=0)
+                group.points[at] += rounds
+                group.anomalies[at] += count(hits)
             done += rounds
             if done == n_rounds:
                 return

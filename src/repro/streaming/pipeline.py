@@ -16,9 +16,9 @@ checkpoint.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import NamedTuple
 
-from dataclasses import dataclass
+import numpy as np
 
 from repro.analysis import hotpath
 from repro.anomaly.nsigma import NSigma
@@ -28,8 +28,7 @@ from repro.utils import as_float_array, check_positive_int
 __all__ = ["StreamRecord", "StreamingPipeline"]
 
 
-@dataclass(frozen=True, slots=True)
-class StreamRecord:
+class StreamRecord(NamedTuple):
     """Everything the pipeline derives from one observation.
 
     ``residual`` is the residual of the returned decomposition (for
@@ -38,11 +37,13 @@ class StreamRecord:
     the pre-correction value when the decomposer exposes one, otherwise
     identical to ``residual``.
 
-    Slotted (no per-instance ``__dict__``): records are built once per
-    observation per series, so their construction cost and memory footprint
-    sit directly on the engine's hot path -- and the columnar
-    :class:`~repro.streaming.engine.IngestResult` materializes them lazily
-    for exactly that reason.
+    A named tuple: records are built once per observation per series, so
+    their construction cost sits directly on the engine's hot path (the
+    columnar :class:`~repro.streaming.engine.IngestResult` materializes
+    them lazily for the same reason), and a tuple is built by one C call.
+    A record therefore also compares equal to the plain tuple of its
+    fields, unpacks and has a ``len()``; ``_fields`` / ``_replace`` /
+    ``_asdict`` are its field helpers.
     """
 
     index: int
@@ -166,14 +167,14 @@ class StreamingPipeline:
         detection_residual = float(detection_residual)
         verdict = self.scorer.update(detection_residual)
         record = StreamRecord(
-            index=self._index,
-            value=point.value,
-            trend=point.trend,
-            seasonal=point.seasonal,
-            residual=point.residual,
-            anomaly_score=verdict.score,
-            is_anomaly=verdict.is_anomaly,
-            detection_residual=detection_residual,
+            self._index,
+            point.value,
+            point.trend,
+            point.seasonal,
+            point.residual,
+            verdict.score,
+            verdict.is_anomaly,
+            detection_residual,
         )
         self._index += 1
         return record

@@ -484,8 +484,89 @@ def test_a_missing_definition_or_source_is_flagged(tmp_path):
     assert rules(findings) == ["HP007"] and "cannot read" in findings[0].message
 
 
+STRUCT_C = """
+#include <stdint.h>
+struct step_args {
+    int64_t n;
+    const int64_t *columns;
+    double scale, *out;
+};
+int64_t step(const struct step_args *args) { return args->n; }
+"""
+
+STRUCT_BINDING = """
+import ctypes
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("step.c")
+_INT = ctypes.c_int64
+
+
+class StepArgs(ctypes.Structure):
+    _fields_ = [{fields}]
+
+
+ROUTINES = {{"step": (_INT, (ctypes.c_void_p,))}}
+STRUCTS = {{"step_args": {cls}}}
+"""
+
+STEP_FIELDS = (
+    '("n", _INT), ("columns", ctypes.c_void_p), '
+    '("scale", ctypes.c_double), ("out", ctypes.c_void_p)'
+)
+
+
+def bind_struct(tmp_path, fields=STEP_FIELDS, cls="StepArgs", c_source=STRUCT_C):
+    """Findings of a loader module declaring a structure, and its C file."""
+    (tmp_path / "step.c").write_text(c_source)
+    module = tmp_path / "_loader.py"
+    source = STRUCT_BINDING.format(fields=fields, cls=cls)
+    module.write_text(source)
+    return analyze_source(source, str(module))
+
+
+def test_a_structure_that_matches_its_c_declaration_is_clean(tmp_path):
+    assert bind_struct(tmp_path) == []
+
+
+def test_a_structure_out_of_order_or_of_another_kind_is_flagged(tmp_path):
+    swapped = (
+        '("n", _INT), ("columns", ctypes.c_void_p), '
+        '("out", ctypes.c_void_p), ("scale", ctypes.c_double)'
+    )
+    findings = bind_struct(tmp_path, fields=swapped)
+    assert rules(findings) == ["HP007"]
+    assert (
+        "struct step_args field 3 is double scale in step.c, but "
+        "StepArgs._fields_ declares pointer out"
+    ) in findings[0].message
+    retyped = STEP_FIELDS.replace('("n", _INT)', '("n", ctypes.c_double)')
+    findings = bind_struct(tmp_path, fields=retyped)
+    assert rules(findings) == ["HP007"]
+    assert "field 1 is int64_t n in step.c" in findings[0].message
+    assert "declares double n" in findings[0].message
+
+
+def test_a_structure_a_field_short_or_without_a_declaration_is_flagged(tmp_path):
+    short = STEP_FIELDS.rsplit(", (", 1)[0]
+    findings = bind_struct(tmp_path, fields=short)
+    assert rules(findings) == ["HP007"]
+    assert "has 4 fields in step.c, but StepArgs._fields_ declares 3" in (
+        findings[0].message
+    )
+    renamed = STRUCT_C.replace("struct step_args {", "struct other {")
+    findings = bind_struct(tmp_path, c_source=renamed)
+    assert [finding.message for finding in findings] == [
+        "struct step_args: no declaration in step.c"
+    ]
+    findings = bind_struct(tmp_path, cls="Missing")
+    assert rules(findings) == ["HP007"]
+    assert "'Missing' is not a module-level class" in findings[0].message
+
+
 def test_the_shipped_loader_matches_advance_run_c():
-    """The real binding, read from the tree: every routine, clean."""
+    """The real binding, read from the tree: every routine and every
+    structure, clean."""
     from repro.analysis.rules_native import check_signatures
     from repro.core import _native
 
@@ -494,8 +575,13 @@ def test_the_shipped_loader_matches_advance_run_c():
     assert check_signatures(tree, str(path)) == []
     assert set(_native.ROUTINES) == {
         "advance_run",
+        "advance_commit",
         "advance_run_scratch",
         "advance_run_vector",
+    }
+    assert _native.STRUCTS == {
+        "advance_side": _native.Side,
+        "advance_run_args": _native.Run,
     }
 
 

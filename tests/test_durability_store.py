@@ -546,6 +546,65 @@ class TestWalGroupCommit:
         assert wal_payloads(store, wal_name(0)) == [b"y" * 30] * 5 + [b"tail"]
 
 
+class TestWalDirectoryEntry:
+    """Under ``wal_sync`` an fsynced append survives a power cut only if the
+    directory entry of its file does: ``wal/`` is fsynced when a
+    generation's file is created, and a torn tail's truncation is fsynced,
+    before anything is appended."""
+
+    def test_wal_is_synced_before_the_first_acknowledged_append_returns(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.durability import directory
+        from repro.streaming import MultiSeriesEngine
+
+        synced = []
+        monkeypatch.setattr(directory, "fsync_directory", synced.append)
+        store = DirectoryCheckpointStore(tmp_path / "store", wal_sync=True)
+        wal = tmp_path / "store" / "wal"
+        engine = MultiSeriesEngine.open(
+            store, spec=MultiSeriesEngine.for_oneshotstl(8).spec
+        )
+        engine.process("a", 1.0)  # acknowledged: its frame is fsynced
+        # open() created the generation's file and entered it first.
+        assert synced.count(wal) == 1
+        engine.checkpoint()  # the next generation's file
+        engine.process("a", 2.0)
+        assert synced.count(wal) == 2
+        engine.close(checkpoint=False)
+
+    def test_a_created_file_is_entered_and_a_truncation_synced(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.durability import directory
+
+        synced, fsynced = [], []
+        monkeypatch.setattr(directory, "fsync_directory", synced.append)
+        real_fsync = os.fsync
+
+        def recording_fsync(descriptor):
+            fsynced.append(os.fstat(descriptor).st_size)
+            real_fsync(descriptor)
+
+        monkeypatch.setattr(directory.os, "fsync", recording_fsync)
+        store = DirectoryCheckpointStore(tmp_path / "store", wal_sync=True)
+        store.wal_start(wal_name(0))
+        assert synced == [tmp_path / "store" / "wal"] and fsynced == []
+        store.wal_append(b"kept")
+        store.close_wal()
+        path = tmp_path / "store" / "wal" / wal_name(0)
+        complete = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(b"\x07torn")
+        store.wal_start(wal_name(0))
+        assert fsynced[-1] == complete  # the cut, synced before any append
+        assert synced == [tmp_path / "store" / "wal"]  # no second entry
+        store.close_wal()
+        unsynced = DirectoryCheckpointStore(tmp_path / "plain")
+        unsynced.wal_start(wal_name(0))
+        assert synced == [tmp_path / "store" / "wal"]
+
+
 class TestWalNames:
     def test_a_name_without_a_part_is_no_wal_part(self):
         # Format 2 named one WAL file per generation, wal-GGGGGGGG.log;

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import OneShotSTL, fleet
+from repro.core import OneShotSTL, _native, fleet
 from repro.core.fleet import ColumnarNSigma, FleetKernel, FleetUpdate
 from repro.core.oneshotstl import _search_best_shift
 from repro.decomposition import STL
@@ -104,17 +104,23 @@ def wavefront(n_rounds, n_iterations):
     ]
 
 
+def native_run_shape(side, run):
+    """``(T, I, n)`` of a native call, read off the structures it takes."""
+    run = _native.Run.from_address(run)
+    return run.rounds, _native.Side.from_address(side).iterations, run.width
+
+
 def spy_on_native_runs(monkeypatch):
     """Record ``(T, I, n)`` of every native run from here on (if one is loaded)."""
     calls = []
     if fleet._native_run is not None:
-        advance_run, scratch_doubles = fleet._native_run
+        advance_run, *rest = fleet._native_run
 
-        def spy(n_rounds, n_iterations, n, *rest):
-            calls.append((n_rounds, n_iterations, n))
-            return advance_run(n_rounds, n_iterations, n, *rest)
+        def spy(side, run):
+            calls.append(native_run_shape(side, run))
+            return advance_run(side, run)
 
-        monkeypatch.setattr(fleet, "_native_run", (spy, scratch_doubles))
+        monkeypatch.setattr(fleet, "_native_run", (spy, *rest))
     return calls
 
 
@@ -867,13 +873,14 @@ class TestMarkedColumns:
         monkeypatch.setattr(FleetKernel, "_replay_marked", replay_spy)
         monkeypatch.setattr(BatchedIncrementalLDLT, "extend_solve", extend_spy)
         if kernel_body == "native":
-            advance_run, scratch_doubles = fleet._native_run
+            advance_run, *rest = fleet._native_run
 
-            def native_spy(n_rounds, n_iterations, n, *rest):
+            def native_spy(side, run):
+                n_rounds, n_iterations, n = native_run_shape(side, run)
                 solves.append((depth[0], n, n_rounds, n_iterations))
-                return advance_run(n_rounds, n_iterations, n, *rest)
+                return advance_run(side, run)
 
-            monkeypatch.setattr(fleet, "_native_run", (native_spy, scratch_doubles))
+            monkeypatch.setattr(fleet, "_native_run", (native_spy, *rest))
         for start in range(0, PERIOD, rounds_per_block):
             rounds = block[start : start + rounds_per_block]
             assert kernel.update_block(rounds).value.shape == rounds.shape

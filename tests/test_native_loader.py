@@ -11,6 +11,7 @@ record, never in an exception out of ``FleetKernel``.
 import copy
 import ctypes
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -34,9 +35,6 @@ from tests.test_fleet_kernel import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-#: positions of the planes pointer and of their plane stride among
-#: ``advance_run``'s arguments (the trend plane is the second)
-PLANES, PLANE_STRIDE = 20, 21
 
 needs_compiler = pytest.mark.skipif(
     kernel_backend()["body"] != "native",
@@ -188,12 +186,12 @@ def test_a_body_that_cannot_be_called_is_refused_not_raised(undecided, monkeypat
     load = _native.load
 
     def uncallable_load():
-        (_advance_run, scratch_doubles), report = load()
+        (_advance_run, *rest), report = load()
 
         def rejects(*arguments):
-            raise ctypes.ArgumentError("argument 4: wrong type")
+            raise ctypes.ArgumentError("argument 2: wrong type")
 
-        return (rejects, scratch_doubles), report
+        return (rejects, *rest), report
 
     monkeypatch.setattr(_native, "load", uncallable_load)
     with pytest.warns(RuntimeWarning, match="self-check failed.*ArgumentError"):
@@ -209,17 +207,19 @@ def test_a_body_one_ulp_off_fails_the_self_check_and_is_refused(
     load = _native.load
 
     def perturbed_load():
-        (advance_run, scratch_doubles), report = load()
+        (advance_run, *rest), report = load()
 
-        def one_ulp_off(*arguments):
-            status = advance_run(*arguments)
+        def one_ulp_off(side, run):
+            status = advance_run(side, run)
+            # The trend plane is the second.
+            planes = _native.Run.from_address(run)
             first_trend = ctypes.c_double.from_address(
-                arguments[PLANES] + 8 * arguments[PLANE_STRIDE]
+                planes.planes + 8 * planes.plane_stride
             )
             first_trend.value = np.nextafter(first_trend.value, np.inf)
             return status
 
-        return (one_ulp_off, scratch_doubles), report
+        return (one_ulp_off, *rest), report
 
     monkeypatch.setattr(_native, "load", perturbed_load)
     with pytest.warns(RuntimeWarning, match="self-check failed.*different bits"):
@@ -333,3 +333,159 @@ def test_no_clone_contains_a_fused_multiply_add(tmp_path):
         if any(op in line for op in ("vfmadd", "vfmsub", "vfnmadd", "vfnmsub"))
     ]
     assert fused == []
+
+
+# ------------------------------------------------------- two widths
+
+
+#: the narrow cut's definition in ``advance_run.c``
+NARROW_CUT = re.compile(r"#define NARROW_BELOW \d+")
+
+
+@pytest.fixture(scope="module")
+def widths(tmp_path_factory):
+    """``{name: routines}``: the shipped library and the source built with
+    every chunk on the 16-lane body (``wide``) or on the 1-lane body
+    (``narrow``) -- the narrow cut set to 0 and to 17."""
+    if kernel_backend()["body"] != "native":
+        pytest.skip(f"no native body on this machine: {kernel_backend()['reason']}")
+    shipped = _native.SOURCE.read_text()
+    assert len(NARROW_CUT.findall(shipped)) == 1
+    built = {"shipped": fleet._native_run}
+    for name, cut in (("wide", 0), ("narrow", 17)):
+        directory = tmp_path_factory.mktemp(name)
+        source = directory / "advance_run.c"
+        source.write_text(NARROW_CUT.sub(f"#define NARROW_BELOW {cut}", shipped))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_native, "SOURCE", source)
+            library = directory / f"advance_run-{name}.so"
+            assert _native._build(_compiler(), library) is None
+            built[name] = _native._open(library)[0]
+    return built
+
+
+def made_up_state(n, iterations=3, period=4):
+    """A positive definite state that differs in every cell, iteration and
+    column; ages 0, 1 and 7 in turn (both gated patterns and the steady
+    one) and monitor counts from nothing seen to far past a run."""
+    ramp = np.arange(16.0 * iterations * n).reshape(4, 4, iterations, n)
+    blocks = (ramp + ramp.transpose(1, 0, 2, 3)) / (4.0 * ramp.size)
+    blocks[np.arange(4), np.arange(4)] += 2.0
+    counts = np.resize([0, 3, 40, 9, 1], n)
+    spreads = np.resize([0.5, 0.0, 2.0, 0.1], n) * (1.0 + np.arange(n) / n)
+    return {
+        "seasonal_buffer": np.sin(np.arange(period * n)).reshape(n, period),
+        "global_index": counts,
+        "points_processed": np.resize([0, 1, 7], n),
+        "last_detection_residual": np.zeros(n),
+        "last_applied_shift": np.zeros(n, dtype=np.int64),
+        "trend_pairs": np.sin(np.arange(2.0 * iterations * n)).reshape(2, -1, n),
+        "solver_blocks": blocks,
+        "solver_rhs": np.cos(np.arange(4.0 * iterations * n)).reshape(4, -1, n),
+        "monitor_mean": np.cos(np.arange(n) * 0.9),
+        "monitor_m2": spreads * counts,
+    }
+
+
+def kernel_params(shift_window, iterations=3, period=4):
+    return {
+        "period": period, "lambda1": 2.0, "lambda2": 3.0, "iterations": iterations,
+        "shift_window": shift_window, "shift_threshold": 5.0, "epsilon": 1e-8,
+    }  # fmt: skip
+
+
+def run_image(kernel, body, values, columns):
+    """``(status, [bytes])`` of one run through ``_solve_run``: the planes,
+    the saved moments and every committed section after it -- the
+    monitor's moments, the trend pairs and the solver's committed side
+    included -- and, for a run left uncommitted, the run's columns of the
+    working side and of the working trend pairs.
+
+    Every NaN is compared as one: a NaN's sign and payload are no value
+    (IEEE 754 leaves them to the implementation, and which of two NaN
+    operands an x86 instruction passes on follows an operand order the
+    compiler may swap), and a run that makes one is never committed.
+    Signed zeros and infinities are compared as they are."""
+    planes = np.empty((6,) + values.shape)
+    planes[0] = values
+    status = kernel._solve_run(body, planes, 0, values.shape[0], columns)
+    arrays = [planes, kernel._saved_space(columns.size), *kernel.to_arrays().values()]
+    if status != fleet._COMMITTED:
+        arrays += [side[..., columns] for side in kernel.solver.sides()[2:]]
+        arrays.append(kernel._pairs_out[..., columns])
+    return status, [
+        np.where(np.isnan(array), np.nan, array).tobytes()
+        if array.dtype.kind == "f"
+        else np.ascontiguousarray(array).tobytes()
+        for array in arrays
+    ]
+
+
+@needs_compiler
+@pytest.mark.parametrize("variant", ["shipped", "wide", "narrow"])
+@pytest.mark.parametrize("full", [False, True], ids=["subset", "full_width"])
+@pytest.mark.parametrize("width", [1, 2, 15, 16, 17, 35])
+@pytest.mark.parametrize("case", ["clean", "trip", "non_finite"])
+def test_narrow_and_wide_give_the_numpy_bodys_bits(widths, variant, full, width, case):
+    """Either instance of the iteration, alone or mixed as shipped, on any
+    width and shuffled columns, equals the NumPy body byte for byte: a
+    clean run as committed, a run that trips while tripped columns are
+    searched and one with a non-finite round as left uncommitted."""
+    n = width if full else width + 5
+    columns = np.random.default_rng(width).permutation(n)[:width]
+    values = 3.0 * np.sin(np.arange(3.0 * width) * 0.7).reshape(3, width)
+    if case == "non_finite":
+        values[1, width // 2] = np.inf
+    params = kernel_params(shift_window=2 if case == "trip" else 0)
+    state = made_up_state(n)
+    if case == "trip":
+        # No spread seen: every residual is far past the floored std.
+        state["monitor_m2"] = np.zeros(n)
+        state["global_index"] = state["global_index"] + 1
+    with np.errstate(invalid="ignore", over="ignore"):  # the non-finite round
+        images = [
+            run_image(FleetKernel.from_arrays(params, state), body, values, columns)
+            for body in (widths[variant], None)
+        ]
+    status = images[0][0]
+    expected = {
+        "clean": fleet._COMMITTED,
+        "trip": 2 * 3 + 1,
+        "non_finite": 2 * 1 + (status & 1),
+    }[case]
+    assert status == expected, (status, images[1][0])
+    assert images[0] == images[1]
+
+
+@needs_compiler
+@pytest.mark.parametrize("variant", ["shipped", "wide", "narrow"])
+def test_a_kernel_grown_between_runs_rebuilds_its_handle(widths, variant, monkeypatch):
+    """Growing the columns (``columnar.append``, arrays replaced) drops the
+    handle: the next run builds both sides afresh, on the new arrays, and
+    the runs before and after equal the NumPy body's."""
+    built = []
+    original = fleet._native_side
+
+    def counted(committed, working, common):
+        built.append(common["members"])
+        return original(committed, working, common)
+
+    monkeypatch.setattr(fleet, "_native_side", counted)
+    params = kernel_params(shift_window=0)
+    images = []
+    for body in (widths[variant], None):
+        rng = np.random.default_rng(3)
+        kernel = FleetKernel.from_arrays(params, made_up_state(10))
+        image = []
+        for grow in (False, True):
+            if grow:
+                joining = made_up_state(30)
+                joining["monitor_mean"] = joining["monitor_mean"] + 1.0
+                kernel.append(FleetKernel.from_arrays(params, joining))
+            n = kernel.n_series
+            for columns in (np.arange(n), rng.permutation(n)[: n // 2], np.arange(n)):
+                values = rng.normal(size=(2, columns.size))
+                image.append(run_image(kernel, body, values, columns))
+        images.append(image)
+    assert images[0] == images[1]
+    assert built == [10, 10, 40, 40]

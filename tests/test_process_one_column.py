@@ -10,7 +10,6 @@ every test here compares against, float for float.
 
 import math
 import tempfile
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -98,7 +97,7 @@ def warm(name: str) -> dict:
 
 def plain(records) -> list:
     """Records as data that compares floats by their bits (NaN == NaN)."""
-    names = [field.name for field in fields(StreamRecord)]
+    names = StreamRecord._fields
     out = []
     for record in records:
         point = record.record
@@ -423,3 +422,58 @@ class TestADurableProcessSession:
                     == twin.forecast(key, PERIOD).tobytes()
                 )
             reopened.close(checkpoint=False)
+
+
+class TestCallCount:
+    """What a warmed clean ``process`` costs the interpreter, counted.
+
+    The pattern of a mixed-forms cycle: a wide fleet, and a few absorbed
+    keys fed one value each in rotation.  ``sys.setprofile`` counts the
+    Python and the C calls of one such call on the native body; the bounds
+    are what the one-key path takes now, so a change that adds interpreter
+    work to it has to say so here.
+    """
+
+    #: Python calls / C calls of one warmed clean ``process`` (the
+    #: build before the native handle took 36 / 52)
+    PYTHON_CALLS = 25
+    C_CALLS = 49
+
+    def test_a_warmed_clean_process_stays_within_its_call_counts(self, kernel_body):
+        if kernel_body != "native":
+            pytest.skip("the counts are the native body's")
+        import sys
+        from collections import Counter
+
+        keys = [f"m-{index:02d}" for index in range(60)]
+        data = np.stack(
+            [
+                make_seasonal_series(INIT + 60, PERIOD, seed=500 + index)["values"]
+                for index in range(len(keys))
+            ],
+            axis=1,
+        )
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
+        engine.ingest_grid(keys, data[: INIT + 8])
+        rotating = keys[:20]
+        events = Counter()
+
+        def count(frame, event, argument):
+            events[event] += 1
+
+        for round_index in range(INIT + 8, INIT + 12):
+            for column, key in enumerate(rotating):
+                value = float(data[round_index, column])
+                if round_index == INIT + 11 and column == 7:
+                    sys.setprofile(count)
+                    record = engine.process(key, value)
+                    sys.setprofile(None)
+                else:
+                    record = engine.process(key, value)
+                assert record.record is not None and not record.is_anomaly
+            engine.ingest_grid(keys[20:], data[round_index : round_index + 1, 20:])
+        assert engine._absorbed.keys() == set(keys)
+        python_calls = events["call"]
+        c_calls = events["c_call"] - 1  # sys.setprofile(None)
+        assert python_calls <= self.PYTHON_CALLS, python_calls
+        assert c_calls <= self.C_CALLS, c_calls

@@ -190,27 +190,27 @@ class TestAGatheredSubKernelCannotComeBack:
 
 
 class TestNativeArgumentsFollowTheArrays:
-    """The native run reuses its state arguments while the arrays are the
-    same objects, for both sides of the ping-pong, and never across a
-    copy of the kernel."""
+    """The native run's handle is built once for both sides of the
+    ping-pong and kept while the arrays are the same objects, and never
+    across a copy of the kernel."""
 
     @pytest.fixture(autouse=True)
     def native_only(self, kernel_body):
         if kernel_body != "native":
-            pytest.skip("the argument cache is the native body's")
+            pytest.skip("the handle is the native body's")
 
     def test_full_width_runs_reuse_both_sides_arguments(self, monkeypatch):
         from repro.core import fleet
 
         streams, _scalar, kernel = warm_fleet(N)
         built = []
-        original = fleet._native_state
+        original = fleet._native_side
 
-        def counted(state):
-            built.append(len(state))
-            return original(state)
+        def counted(committed, working, common):
+            built.append(len(common))
+            return original(committed, working, common)
 
-        monkeypatch.setattr(fleet, "_native_state", counted)
+        monkeypatch.setattr(fleet, "_native_side", counted)
         values = np.array(streams)[:, INIT + 8 : INIT + 14].T.copy()
         for row in range(values.shape[0]):
             kernel.update_block(values[row : row + 1])
