@@ -198,6 +198,23 @@ const char *advance_run_vector(void)
     return "default";
 }
 
+/* Row k of iteration i of a column's 22 doubles of state on the committed
+ * (`working` 0) or the working side: block cell k (k < 16), right-hand side
+ * k - 16 (k < 20) or trend slot k - 20, `capacity` doubles a row apart. */
+static inline double *state_row(
+    const struct advance_side *side, int working, int64_t i, int k)
+{
+    const int64_t I = side->iterations;
+    if (k < W * W)
+        return (working ? side->blocks_out : side->blocks_in)
+            + (k * I + i) * side->capacity;
+    if (k < W * W + W)
+        return (working ? side->rhs_out : side->rhs_in)
+            + ((k - W * W) * I + i) * side->capacity;
+    return (working ? side->pairs_out : side->pairs_in)
+        + ((k - W * W - W) * I + i) * side->pair_capacity;
+}
+
 /* The anchor phase of round r, as Python's % (never negative). */
 static inline int64_t phase_of(int64_t index, int64_t r, int64_t period)
 {
@@ -250,15 +267,9 @@ static int64_t commit(
             detection_out[(rounds - 1) * row_stride + j];
         if (full)
             continue;
-        for (int64_t k = 0; k < W * W * I; k++)
-            side->blocks_in[k * side->capacity + column] =
-                side->blocks_out[k * side->capacity + column];
-        for (int64_t k = 0; k < W * I; k++)
-            side->rhs_in[k * side->capacity + column] =
-                side->rhs_out[k * side->capacity + column];
-        for (int64_t k = 0; k < 2 * I; k++)
-            side->pairs_in[k * side->pair_capacity + column] =
-                side->pairs_out[k * side->pair_capacity + column];
+        for (int64_t i = 0; i < I; i++)
+            for (int k = 0; k < STATE; k++)
+                state_row(side, 0, i, k)[column] = state_row(side, 1, i, k)[column];
     }
     return full ? ADVANCE_FLIP : ADVANCE_COMMITTED;
 }
@@ -319,7 +330,6 @@ INLINE int64_t CHUNK(
     /* Unaligned vectors: the scratch is a plain double buffer. */
     typedef double unaligned __attribute__((vector_size(L * sizeof(double)), aligned(8)));
     const int64_t I = side->iterations, rounds = run->rounds, n = run->width;
-    const int64_t capacity = side->capacity, pair_capacity = side->pair_capacity;
     const int64_t plane_stride = run->plane_stride, row_stride = run->row_stride;
     const double *values = run->planes;
     double *trend_out = run->planes + plane_stride;
@@ -352,21 +362,14 @@ INLINE int64_t CHUNK(
 
     /* Pre-run state of the chunk: committed side -> scratch, 22 vectors
      * per iteration (16 block cells, 4 right-hand sides, 2 trends). */
-    for (int64_t i = 0; i < I; i++) {
-        VEC state[STATE];
-        for (int cell = 0; cell < W * W; cell++)
+    for (int64_t i = 0; i < I; i++)
+        for (int k = 0; k < STATE; k++) {
+            const double *row = state_row(side, 0, i, k);
+            VEC state;
             for (int l = 0; l < L; l++)
-                state[cell][l] = side->blocks_in[(cell * I + i) * capacity + column[l]];
-        for (int row = 0; row < W; row++)
-            for (int l = 0; l < L; l++)
-                state[16 + row][l] = side->rhs_in[(row * I + i) * capacity + column[l]];
-        for (int slot = 0; slot < 2; slot++)
-            for (int l = 0; l < L; l++)
-                state[20 + slot][l] =
-                    side->pairs_in[(slot * I + i) * pair_capacity + column[l]];
-        for (int k = 0; k < STATE; k++)
-            scratch[i * STATE + k] = state[k];
-    }
+                state[l] = row[column[l]];
+            scratch[i * STATE + k] = state;
+        }
 
     int64_t tripped = 0;
     for (int64_t r = 0; r < rounds; r++) {
@@ -530,21 +533,13 @@ INLINE int64_t CHUNK(
     }
 
     /* Post-run state of the chunk: scratch -> working side. */
-    for (int64_t i = 0; i < I; i++) {
-        VEC state[STATE];
-        for (int k = 0; k < STATE; k++)
-            state[k] = scratch[i * STATE + k];
-        for (int cell = 0; cell < W * W; cell++)
+    for (int64_t i = 0; i < I; i++)
+        for (int k = 0; k < STATE; k++) {
+            double *row = state_row(side, 1, i, k);
+            const VEC state = scratch[i * STATE + k];
             for (int l = 0; l < live; l++)
-                side->blocks_out[(cell * I + i) * capacity + column[l]] = state[cell][l];
-        for (int row = 0; row < W; row++)
-            for (int l = 0; l < live; l++)
-                side->rhs_out[(row * I + i) * capacity + column[l]] = state[16 + row][l];
-        for (int slot = 0; slot < 2; slot++)
-            for (int l = 0; l < live; l++)
-                side->pairs_out[(slot * I + i) * pair_capacity + column[l]] =
-                    state[20 + slot][l];
-    }
+                row[column[l]] = state[l];
+        }
     return tripped;
 }
 
