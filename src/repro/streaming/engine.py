@@ -92,6 +92,7 @@ import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import repeat
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -380,6 +381,9 @@ class IngestResult:
         live = self.live
         fields = (getattr(self, name)[live].tolist() for name in StreamRecord._fields)
         streams = map(partial(_new, StreamRecord), zip(*fields))
+        if live.all():  # a fleet past its warm-up: no Python-level loop
+            rows = zip(self.keys, repeat(SeriesStatus.LIVE), streams)
+            return list(map(partial(_new, EngineRecord), rows))
         next_stream = streams.__next__
         warming = SeriesStatus.WARMING
         live_status = SeriesStatus.LIVE

@@ -98,15 +98,28 @@ def test_every_way_out_gives_the_scalar_pipelines_records():
     ]
     assert all(type(row) is EngineRecord for row in rows)
     warming, live = rows[: len(KEYS)], rows[len(KEYS) :]
-    assert all(row.record is None and row.status == SeriesStatus.WARMING for row in warming)
+    assert all(
+        row.record is None and row.status == SeriesStatus.WARMING for row in warming
+    )
     expected = [
         pipelines[key].process(float(value))
         for row in grid[INIT : INIT + 20]
         for key, value in zip(KEYS, row)
     ]
-    assert [exact(row.record) for row in live] == [exact(record) for record in expected]
+    assert [exact(row.record) for row in live] == list(map(exact, expected))
     assert all(type(row.record) is StreamRecord for row in live)
-    for offset in range(20, 30):
+    # Rows past warm-up take records() another way: the same records.
+    result = engine.ingest_grid(KEYS, grid[INIT + 20 : INIT + 24])
+    assert result.live.all()
+    assert [exact(row.record) for row in result.records()] == [
+        exact(result[position].record) for position in range(len(result))
+    ] == [
+        exact(pipelines[key].process(float(value)))
+        for row in grid[INIT + 20 : INIT + 24]
+        for key, value in zip(KEYS, row)
+    ]
+    assert all(type(row) is EngineRecord for row in result.records())
+    for offset in range(24, 30):
         for key in KEYS:
             value = float(data[key][INIT + offset])
             got = engine.process(key, value)
