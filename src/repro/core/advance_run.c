@@ -254,7 +254,6 @@ static int64_t commit(
     const int64_t I = side->iterations, row_stride = run->row_stride;
     const double *seasonal_out = run->planes + 2 * run->plane_stride;
     const double *detection_out = run->planes + 4 * run->plane_stride;
-    const int full = n == side->members;
     for (int64_t j = 0; j < n; j++) {
         const int64_t column = run->columns[j];
         const int64_t index = side->global_index[column];
@@ -265,13 +264,18 @@ static int64_t commit(
         side->points_processed[column] = side->points_processed[column] + rounds;
         side->last_detection_residual[column] =
             detection_out[(rounds - 1) * row_stride + j];
-        if (full)
-            continue;
-        for (int64_t i = 0; i < I; i++)
-            for (int k = 0; k < STATE; k++)
-                state_row(side, 0, i, k)[column] = state_row(side, 1, i, k)[column];
     }
-    return full ? ADVANCE_FLIP : ADVANCE_COMMITTED;
+    if (n == side->members)
+        return ADVANCE_FLIP;
+    /* Row by row, so the run's columns of a row are copied together. */
+    for (int64_t i = 0; i < I; i++)
+        for (int k = 0; k < STATE; k++) {
+            double *to = state_row(side, 0, i, k);
+            const double *from = state_row(side, 1, i, k);
+            for (int64_t j = 0; j < n; j++)
+                to[run->columns[j]] = from[run->columns[j]];
+        }
+    return ADVANCE_COMMITTED;
 }
 
 CLONED int64_t advance_run(
