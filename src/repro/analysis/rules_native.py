@@ -248,14 +248,14 @@ def _c_kind(declaration: str) -> tuple[str, str]:
 
 def _prototype(code: str, routine: str) -> tuple[str, list] | None:
     """``(return kind, [(kind, name), ...])`` of ``routine``'s definition."""
-    match = re.search(
-        r"([^;{}]*?)\b" + re.escape(routine) + r"\s*\(([^)]*)\)\s*\{", code
-    )
+    match = re.search(r"\b" + re.escape(routine) + r"\s*\(([^)]*)\)\s*\{", code)
     if match is None:
         return None
-    parameters = match.group(2).strip()
+    # The return type runs back to the end of the statement or block before.
+    start = max(code.rfind(mark, 0, match.start()) for mark in ";{}") + 1
+    parameters = match.group(1).strip()
     listed = [] if parameters in ("", "void") else parameters.split(",")
-    return _c_kind(match.group(1))[0], [_c_kind(each) for each in listed]
+    return _c_kind(code[start : match.start()])[0], [_c_kind(each) for each in listed]
 
 
 def _source_name(node: ast.expr) -> str | None:

@@ -59,6 +59,7 @@ FLAGS = (
     "-ffp-contract=off",
     "-fPIC",
     "-shared",
+    "-pthread",
 )
 
 _POINTER = ctypes.c_void_p
@@ -123,7 +124,8 @@ _RUN = (_POINTER, _POINTER)  # a Side, a Run
 ROUTINES = {
     "advance_run": (_INT, _RUN),
     "advance_commit": (_INT, _RUN),
-    "advance_run_scratch": (_INT, (_INT, _INT)),
+    "advance_run_scratch": (_INT, (_INT,)),
+    "advance_run_helped": (_INT, ()),
     "advance_run_vector": (ctypes.c_char_p, ()),
 }
 STRUCTS = {"advance_side": Side, "advance_run_args": Run}
@@ -207,18 +209,25 @@ def _build(compiler: str, library: Path) -> str | None:
 
 
 def _open(library: Path) -> tuple[tuple, str]:
-    """``((advance_run, advance_commit, scratch_doubles), vector)`` of a
-    built library.
+    """``((advance_run, advance_commit, scratch_doubles, helped), vector)``
+    of a built library.
 
     ``vector`` names the clone of ``advance_run`` the dynamic loader
-    dispatched to on this CPU.  OSError or AttributeError if the file is
-    not a complete library of this source.
+    dispatched to on this CPU; ``helped()`` counts the chunks the
+    routine's helper thread has run in this process (-1: it has none).
+    OSError or AttributeError if the file is not a complete library of
+    this source.
     """
     handle = ctypes.CDLL(str(library))
     for name, (restype, argtypes) in ROUTINES.items():
         routine = getattr(handle, name)
         routine.restype, routine.argtypes = restype, argtypes
-    routines = (handle.advance_run, handle.advance_commit, handle.advance_run_scratch)
+    routines = (
+        handle.advance_run,
+        handle.advance_commit,
+        handle.advance_run_scratch,
+        handle.advance_run_helped,
+    )
     return routines, handle.advance_run_vector().decode()
 
 
@@ -226,7 +235,7 @@ def load() -> tuple[tuple | None, dict]:
     """Build (once per cache) and load the native routines.
 
     Returns ``(routines, report)``: ``routines`` is ``(advance_run,
-    advance_commit, scratch_doubles)`` -- the ``ctypes`` functions of
+    advance_commit, scratch_doubles, helped)`` -- the ``ctypes`` functions of
     ``advance_run.c`` -- or None, and ``report`` says why in ``{"reason", "compiler",
     "flags", "vector"}`` -- ``vector`` the clone this CPU runs
     (``"avx512f"``, ``"avx2"`` or ``"default"``), None without a library.

@@ -11,7 +11,13 @@
  * trailing block, tail-sweep, back-substitute two rows, reweight.  Solve
  * (i, r) reads only (i - 1, r) and (i, r - 1), so the order the grid is
  * walked in cannot change a bit; here a chunk of columns walks it round by
- * round with its I x 22 doubles of state in cache for the whole run.
+ * round with its I x 22 doubles of state in cache for the whole run, and
+ * no chunk reads what another writes, so chunks may run in any order, on
+ * any thread.  Before its first round a chunk gathers its columns' state
+ * from the committed side into its lanes, after its last it scatters it to
+ * the working side; when its 16 columns are consecutive (every whole chunk
+ * of a full-width run) a state row moves as one unaligned vector load or
+ * store instead of 16 scalar inserts or extracts.
  *
  * The handle.  A call takes two pointers.  `struct advance_side` is one
  * orientation of a kernel's state: the addresses of its arrays, their
@@ -45,13 +51,39 @@
  * zeros and NaN propagate as they do there).  As locals the
  * cells are the compiler's to keep in registers, where a staged block in
  * memory would send every sweep step through a load and a store.  On
- * x86-64 glibc `advance_run` is built as target clones (AVX-512F, AVX2,
- * baseline), the chunk bodies inlined into each, and the dynamic loader's
- * ifunc resolver picks one from cpuid when the library is opened, so one
- * cached library serves every x86-64 CPU; elsewhere it is one baseline
- * build.  Every operation is correctly rounded per lane (add, sub, mul,
- * div, compare/select, fabs as a sign mask), so neither the lane count nor
- * the clone can change a bit.
+ * x86-64 glibc `advance_run` and the chunk loop both threads run
+ * (`run_claimed`) are built as target clones (AVX-512F, AVX2, baseline),
+ * the chunk bodies inlined into each, and the dynamic loader's ifunc
+ * resolver picks one from cpuid when the library is opened, so one cached
+ * library serves every x86-64 CPU; elsewhere it is one baseline build.
+ * Every operation is correctly rounded per lane (add, sub, mul, div,
+ * compare/select, fabs as a sign mask), so neither the lane count, the
+ * clone nor the thread can change a bit.
+ *
+ * The split.  A run of at least SPLIT_FROM chunk-rounds (a measured cut,
+ * see there) is split between the calling thread and a helper: one thread
+ * per process, started by the first such run, asleep on a condition
+ * variable between runs -- it never spins.  Chunks are claimed one at a
+ * time through one atomic counter, the caller's from the front and the
+ * helper's from the back, so however late the helper wakes (or if it
+ * never gets a CPU) every chunk runs exactly once and the caller pays only
+ * the wake: once the counter is spent it withdraws a job the helper never
+ * took up, or waits out the helper's last chunk.  The helper's lanes are
+ * the second half of the kernel's scratch.  A run that finds the helper
+ * busy (another thread's run; ctypes lets go of the GIL) runs alone, and
+ * so does every run of a process allowed one CPU, which has no helper.
+ * Where the helper runs decides whether the halves overlap.  Measured on
+ * a 2-vCPU Xeon, 181 8-round runs over 500 columns: left unpinned, the
+ * helper took up 107-110 of the jobs, every one on the caller's CPU, and
+ * wall time equalled process CPU time (183-195 against 179-190 ms) -- the
+ * halves ran one after the other; kept off the caller's CPU, it took up
+ * 180-181, none there, in 109-129 ms of wall time for 205-240 ms of CPU.
+ * So its mask is the CPUs the process may use minus the caller's
+ * (sched_getaffinity, sched_getcpu), re-pointed -- inside that set, and
+ * only the helper's own mask -- when a run finds the caller on one of the
+ * helper's (no re-pin in those 181 runs).  A forked child has no helper
+ * (fork copies the calling thread alone): pthread_atfork resets the pool
+ * and the child's first split run starts its own.
  *
  * After a round's last iteration each lane also runs the residual monitor
  * as the NumPy body does, round by round: the residual (value - trend) -
@@ -97,14 +129,25 @@
  * screen -- the sum of its trend values plus the sum of its seasonal
  * values, each summed in run order, the one place lanes meet -- is not
  * finite (the run's length if none), `tripped` 1 if some member's score
- * passed `threshold` in any round.  `scratch` holds
- * advance_run_scratch(I, rounds) doubles.
+ * passed `threshold` in any round.  The screen is one pass over the trend
+ * and seasonal planes once every chunk has written them, on either thread:
+ * the same additions in the same order as if the chunks summed them in
+ * turn.  `scratch` holds advance_run_scratch(I) doubles.
  */
 
 #ifndef CHUNK_LANES /* ------------------------- the routines, first pass */
 
+#ifdef __linux__
+#define _GNU_SOURCE /* sched_getcpu, CPU sets, pthread_setaffinity_np */
+#define HELPER_THREAD 1
+#endif
 #include <math.h>
 #include <stdint.h>
+#ifdef HELPER_THREAD
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#endif
 
 /* __GLIBC__ (for ifunc) is known once a libc header is in. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
@@ -126,6 +169,15 @@
  * count, a one-lane column ~6.1 us, so a tail of 1 to 4 is cheaper
  * narrow (4 columns: 29.8 against 31.4 us a run; 5: 35.7 against 32.9). */
 #define NARROW_BELOW 5
+/* A run of at least this many chunk-rounds (chunks times rounds) is split
+ * with the helper thread.  Measured on a 2-vCPU AVX-512 Xeon, I = 8, a
+ * full-width run through update_block, split against not: a split costs
+ * ~35-50 us (the helper picks the job up ~15-20 us after it is posted,
+ * and the caller waits ~20-30 us for the helper's last chunk), and it
+ * wins past ~32 -- 8 rounds: 3 chunks 1.00x, 4 0.93x, 8 0.81x, 16 0.63x;
+ * 4 rounds: 6 chunks 1.02x, 8 0.92x; 2 rounds: 8 chunks 1.01x, 16 0.75x;
+ * 1 round: 12 chunks 0.99x, 24 0.76x. */
+#define SPLIT_FROM 32
 #define W 4           /* half bandwidth */
 #define STATE 22      /* per (iteration, lane): 16 block + 4 rhs + 2 trends */
 
@@ -177,11 +229,27 @@ struct advance_run_args {
     int64_t row_stride;
 };
 
-/* Doubles of scratch a run of up to `rounds` rounds of `iterations` IRLS
- * iterations needs: the lanes' state, then the screen's per-round sums. */
-int64_t advance_run_scratch(int64_t iterations, int64_t rounds)
+/* A run's chunks, claimed one at a time through `claimed` from the front
+ * (the calling thread) and from the back (the helper). */
+struct job {
+    const struct advance_side *side;
+    const struct advance_run_args *run;
+    int64_t chunks;
+    int64_t claimed;  /* chunks handed out from either end, atomically */
+    int64_t tripped;  /* the helper's: whether a live score of its chunks passed */
+};
+
+/* Doubles of lane state one thread's chunks need. */
+static inline int64_t lane_doubles(int64_t iterations)
 {
-    return iterations * STATE * LANES + 2 * rounds;
+    return iterations * STATE * LANES;
+}
+
+/* Doubles of scratch a run of `iterations` IRLS iterations needs: the
+ * calling thread's lanes, then the helper's. */
+int64_t advance_run_scratch(int64_t iterations)
+{
+    return 2 * lane_doubles(iterations);
 }
 
 /* The clone the ifunc resolver picks in this process: the clone list
@@ -242,6 +310,233 @@ static inline int64_t phase_of(int64_t index, int64_t r, int64_t period)
 #undef MASK
 #undef CHUNK
 
+/* Chunk `chunk` of a run -- run positions from 16 * chunk -- on the lanes
+ * in `lanes`: 16 wide, or one by one when fewer than NARROW_BELOW are
+ * live.  Returns 1 if a live lane's score passed the threshold. */
+INLINE int64_t run_chunk(
+    const struct advance_side *side, const struct advance_run_args *run,
+    int64_t chunk, double *lanes)
+{
+    const int64_t base = chunk * LANES;
+    const int64_t live = run->width - base < LANES ? run->width - base : LANES;
+    if (live >= NARROW_BELOW)
+        return chunk16(side, run, base, live, lanes);
+    int64_t tripped = 0;
+    for (int64_t position = base; position < base + live; position++)
+        tripped |= chunk1(side, run, position, 1, lanes);
+    return tripped;
+}
+
+/* Claim chunks of `job` until none is left -- the next from the front, or
+ * from the back for the helper -- and run each on the lanes in `lanes`;
+ * ORs whether a score passed into *tripped, returns the chunks run. */
+CLONED static int64_t run_claimed(
+    struct job *job, int from_back, double *lanes, int64_t *tripped)
+{
+    int64_t mine = 0;
+    while (__atomic_fetch_add(&job->claimed, 1, __ATOMIC_RELAXED) < job->chunks) {
+        const int64_t chunk = from_back ? job->chunks - 1 - mine : mine;
+        *tripped |= run_chunk(job->side, job->run, chunk, lanes);
+        mine++;
+    }
+    return mine;
+}
+
+#ifdef HELPER_THREAD
+/* The helper: at most one thread, started by the first split run, asleep
+ * on `wake` between runs.  `busy` gives it to one run at a time. */
+static struct {
+    pthread_mutex_t lock;
+    pthread_cond_t wake;  /* a job was posted */
+    pthread_cond_t left;  /* the helper left its job */
+    pthread_t thread;
+    int started;          /* 1 running; -1 none: one allowed CPU, or no thread */
+    int busy;             /* a run holds the helper */
+    int working;          /* the helper is in a job */
+    struct job *posted;   /* a job the helper has not taken up */
+    int64_t helped;       /* chunks the helper has run */
+    cpu_set_t cpus;       /* the helper's mask */
+} helper = {
+    PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER, PTHREAD_COND_INITIALIZER
+};
+
+static void *helper_main(void *unused)
+{
+    (void)unused;
+    pthread_mutex_lock(&helper.lock);
+    for (;;) {
+        while (helper.posted == 0)
+            pthread_cond_wait(&helper.wake, &helper.lock);
+        struct job *job = helper.posted;
+        helper.posted = 0;
+        helper.working = 1;
+        pthread_mutex_unlock(&helper.lock);
+        double *lanes = job->side->scratch + lane_doubles(job->side->iterations);
+        int64_t tripped = 0;
+        const int64_t ran = run_claimed(job, 1, lanes, &tripped);
+        pthread_mutex_lock(&helper.lock);
+        job->tripped = tripped;
+        helper.helped += ran;
+        helper.working = 0;
+        pthread_cond_signal(&helper.left);
+    }
+    return 0;
+}
+
+static void fork_prepare(void)
+{
+    pthread_mutex_lock(&helper.lock);
+}
+
+static void fork_parent(void)
+{
+    pthread_mutex_unlock(&helper.lock);
+}
+
+/* A forked child has the forking thread alone: no helper, until its own
+ * first split run starts one. */
+static void fork_child(void)
+{
+    pthread_mutex_unlock(&helper.lock);
+    pthread_cond_init(&helper.wake, 0);
+    pthread_cond_init(&helper.left, 0);
+    helper.started = helper.busy = helper.working = 0;
+    helper.posted = 0;
+    helper.helped = 0;
+}
+
+/* Start the helper (under the lock), its mask the CPUs this thread may run
+ * on but the one it runs on; with no other CPU there is none. */
+static void helper_start(void)
+{
+    static int forks_handled;
+    cpu_set_t cpus;
+    sigset_t every, kept;
+    pthread_attr_t attributes;
+    const int cpu = sched_getcpu();
+    helper.started = -1;
+    if (cpu < 0 || sched_getaffinity(0, sizeof cpus, &cpus) != 0)
+        return;
+    CPU_CLR(cpu, &cpus);
+    if (CPU_COUNT(&cpus) == 0 || pthread_attr_init(&attributes) != 0)
+        return;
+    if (!forks_handled)
+        forks_handled = pthread_atfork(fork_prepare, fork_parent, fork_child) == 0;
+    pthread_attr_setdetachstate(&attributes, PTHREAD_CREATE_DETACHED);
+    pthread_attr_setaffinity_np(&attributes, sizeof cpus, &cpus);
+    /* Signals are left to the interpreter's threads. */
+    sigfillset(&every);
+    pthread_sigmask(SIG_SETMASK, &every, &kept);
+    if (forks_handled
+        && pthread_create(&helper.thread, &attributes, helper_main, 0) == 0) {
+        helper.started = 1;
+        helper.cpus = cpus;
+    }
+    pthread_sigmask(SIG_SETMASK, &kept, 0);
+    pthread_attr_destroy(&attributes);
+}
+
+/* Keep the helper off the calling thread's CPU (under the lock): its mask
+ * is re-pointed, inside the CPUs this thread may run on, only when the
+ * caller is on one of the helper's. */
+static void helper_place(void)
+{
+    cpu_set_t cpus;
+    const int cpu = sched_getcpu();
+    if (cpu < 0 || !CPU_ISSET(cpu, &helper.cpus)
+        || sched_getaffinity(0, sizeof cpus, &cpus) != 0)
+        return;
+    CPU_CLR(cpu, &cpus);
+    if (CPU_COUNT(&cpus) > 0
+        && pthread_setaffinity_np(helper.thread, sizeof cpus, &cpus) == 0)
+        helper.cpus = cpus;
+}
+
+/* Post `job` to the helper; 0 when the process has none or another run
+ * holds it, and the caller runs every chunk itself. */
+static int helper_post(struct job *job)
+{
+    pthread_mutex_lock(&helper.lock);
+    if (helper.started == 0)
+        helper_start();
+    const int posted = helper.started > 0 && !helper.busy;
+    if (posted) {
+        helper.busy = 1;
+        helper.posted = job;
+        helper_place();
+    }
+    pthread_mutex_unlock(&helper.lock);
+    if (posted)
+        pthread_cond_signal(&helper.wake);
+    return posted;
+}
+
+/* Once every chunk is claimed: withdraw the job if the helper never took
+ * it up, else wait out its last chunk.  Whether the helper's chunks
+ * tripped. */
+static int64_t helper_collect(struct job *job)
+{
+    pthread_mutex_lock(&helper.lock);
+    helper.posted = 0;
+    while (helper.working)
+        pthread_cond_wait(&helper.left, &helper.lock);
+    helper.busy = 0;
+    pthread_mutex_unlock(&helper.lock);
+    return job->tripped;
+}
+
+/* Chunks the helper has run in this process; -1 when there is none (one
+ * allowed CPU, or no thread could be started). */
+int64_t advance_run_helped(void)
+{
+    pthread_mutex_lock(&helper.lock);
+    const int64_t helped = helper.started < 0 ? -1 : helper.helped;
+    pthread_mutex_unlock(&helper.lock);
+    return helped;
+}
+#else
+static int helper_post(struct job *job)
+{
+    (void)job;
+    return 0;
+}
+
+static int64_t helper_collect(struct job *job)
+{
+    return job->tripped;
+}
+
+int64_t advance_run_helped(void)
+{
+    return -1;
+}
+#endif
+
+/* The first round whose screen is not finite, the run's length if none:
+ * its trend values summed in run order plus its seasonal values summed in
+ * run order, read off the planes once every chunk has written them. */
+static int64_t first_bad(const struct advance_run_args *run)
+{
+    const double *trend = run->planes + run->plane_stride;
+    const double *seasonal = trend + run->plane_stride;
+    int64_t r = 0;
+    for (; r < run->rounds; r++) {
+        const double *trends = trend + r * run->row_stride;
+        const double *seasonals = seasonal + r * run->row_stride;
+        double trend_sum = 0.0, seasonal_sum = 0.0;
+        for (int64_t j = 0; j < run->width; j++) {
+            trend_sum = trend_sum + trends[j];
+            seasonal_sum = seasonal_sum + seasonals[j];
+        }
+        /* x - x is NaN exactly when x is not finite. */
+        double screen = trend_sum + seasonal_sum;
+        screen = screen - screen;
+        if (screen != screen)
+            break;
+    }
+    return r;
+}
+
 /* Make a finished run the committed state; a full-width run returns
  * ADVANCE_FLIP for the caller to swap its sides, a subset ADVANCE_COMMITTED
  * once its columns are copied from the working side.  Within a run every
@@ -281,33 +576,14 @@ static int64_t commit(
 CLONED int64_t advance_run(
     const struct advance_side *side, const struct advance_run_args *run)
 {
-    const int64_t rounds = run->rounds, n = run->width;
-    double *trend_sum = side->scratch + side->iterations * STATE * LANES;
-    double *seasonal_sum = trend_sum + rounds;
-    for (int64_t r = 0; r < rounds; r++) {
-        trend_sum[r] = 0.0;
-        seasonal_sum[r] = 0.0;
-    }
+    struct job job = {side, run, (run->width + LANES - 1) / LANES, 0, 0};
+    const int split = job.chunks * run->rounds >= SPLIT_FROM && helper_post(&job);
     int64_t tripped = 0;
-    for (int64_t base = 0; base < n; base += LANES) {
-        const int64_t live = n - base < LANES ? n - base : LANES;
-        if (live >= NARROW_BELOW) {
-            tripped |= chunk16(side, run, base, live, trend_sum, seasonal_sum);
-            continue;
-        }
-        for (int64_t position = base; position < base + live; position++)
-            tripped |= chunk1(side, run, position, 1, trend_sum, seasonal_sum);
-    }
-    int64_t bad = 0;
-    while (bad < rounds) {
-        /* x - x is NaN exactly when x is not finite. */
-        double screen = trend_sum[bad] + seasonal_sum[bad];
-        screen = screen - screen;
-        if (screen != screen)
-            break;
-        bad++;
-    }
-    if (bad == rounds && !(tripped && side->searching))
+    run_claimed(&job, 0, side->scratch, &tripped);
+    if (split)
+        tripped |= helper_collect(&job);
+    const int64_t bad = first_bad(run);
+    if (bad == run->rounds && !(tripped && side->searching))
         return commit(side, run);
     return 2 * bad + tripped;
 }
@@ -328,10 +604,10 @@ int64_t advance_commit(
  * lane's score passed the threshold. */
 INLINE int64_t CHUNK(
     const struct advance_side *side, const struct advance_run_args *run,
-    int64_t base, int64_t live, double *trend_sum, double *seasonal_sum)
+    int64_t base, int64_t live, double *lanes)
 {
     enum { L = CHUNK_LANES };
-    /* Unaligned vectors: the scratch is a plain double buffer. */
+    /* Unaligned vectors: the scratch and the state are plain doubles. */
     typedef double unaligned __attribute__((vector_size(L * sizeof(double)), aligned(8)));
     const int64_t I = side->iterations, rounds = run->rounds, n = run->width;
     const int64_t plane_stride = run->plane_stride, row_stride = run->row_stride;
@@ -345,7 +621,7 @@ INLINE int64_t CHUNK(
     const double minimum_std = side->minimum_std, threshold = side->threshold;
     const VEC zero = {0.0}, one = zero + 1.0, epsilon = zero + side->epsilon;
     const MASK magnitude = (MASK){0} + INT64_MAX; /* every bit but the sign */
-    unaligned *scratch = (unaligned *)side->scratch;
+    unaligned *scratch = (unaligned *)lanes;
 
     int64_t position[L], column[L];
     for (int l = 0; l < L; l++) {
@@ -365,10 +641,19 @@ INLINE int64_t CHUNK(
     }
 
     /* Pre-run state of the chunk: committed side -> scratch, 22 vectors
-     * per iteration (16 block cells, 4 right-hand sides, 2 trends). */
+     * per iteration (16 block cells, 4 right-hand sides, 2 trends).  A
+     * chunk of consecutive columns -- every whole chunk of a full-width
+     * run -- moves a state row as one vector, any other lane by lane. */
+    int consecutive = live == L;
+    for (int l = 1; l < L; l++)
+        consecutive &= column[l] == column[0] + l;
     for (int64_t i = 0; i < I; i++)
         for (int k = 0; k < STATE; k++) {
             const double *row = state_row(side, 0, i, k);
+            if (consecutive) {
+                scratch[i * STATE + k] = *(const unaligned *)(row + column[0]);
+                continue;
+            }
             VEC state;
             for (int l = 0; l < L; l++)
                 state[l] = row[column[l]];
@@ -525,8 +810,6 @@ INLINE int64_t CHUNK(
             residual_out[at] = residual[l];
             detection_out[at] = residual[l];
             score_out[at] = score[l];
-            trend_sum[r] = trend_sum[r] + trend[l];
-            seasonal_sum[r] = seasonal_sum[r] + seasonal[l];
             if (score[l] > threshold)
                 tripped = 1;
         }
@@ -541,6 +824,10 @@ INLINE int64_t CHUNK(
         for (int k = 0; k < STATE; k++) {
             double *row = state_row(side, 1, i, k);
             const VEC state = scratch[i * STATE + k];
+            if (consecutive) {
+                *(unaligned *)(row + column[0]) = state;
+                continue;
+            }
             for (int l = 0; l < live; l++)
                 row[column[l]] = state[l];
         }

@@ -41,7 +41,12 @@ non-finite propagation included:
   ``(6, 7, I, n)`` workspace swept past one NumPy operator at a time.
   One iteration is written once, with every cell of the augmented block
   a local, and instantiated at two widths: 16 columns a chunk, and one
-  for a one-column run and a chunk's short ragged tail.
+  for a one-column run and a chunk's short ragged tail.  A run wide
+  enough (a measured cut in chunks times rounds) is split between the
+  calling thread and one helper thread per process, which the routine
+  starts on first need and keeps off the caller's CPU; each chunk runs
+  once, on whichever thread claims it, so the split cannot change a bit
+  either.
   After a round's last iteration it also scores the round's residual
   against the residual monitor and folds it in, the chunk's Welford
   moments in lanes for the whole run (``sqrt`` is correctly rounded by
@@ -161,13 +166,18 @@ _MAX_BLOCK_ROUNDS = 64
 _ROUND_OFFSETS = np.arange(_MAX_BLOCK_ROUNDS + 1)[:, None]
 
 #: The native body of a run -- ``(advance_run, advance_commit,
-#: scratch_doubles)``, the ``ctypes`` functions of ``advance_run.c`` -- or
-#: None for the NumPy wavefront.  Written once, by :func:`kernel_backend`;
+#: scratch_doubles, helped)``, the ``ctypes`` functions of
+#: ``advance_run.c`` -- or None for the NumPy wavefront.  Written once, by
+#: :func:`kernel_backend`;
 #: the test suite runs every oracle under both bodies by patching this one
 #: attribute.
 _native_run: tuple | None = None
 #: :func:`kernel_backend`'s answer, None until the body has been chosen
 _backend: dict | None = None
+#: native runs :func:`_same_bits` makes at most for the helper thread to
+#: take part in one (on an idle 2-vCPU machine it runs a chunk of nearly
+#: every one)
+_HELPED_TRIES = 20
 #: what a body returns for a run it committed (see :meth:`FleetKernel.
 #: _solve_run`), and what the native one returns for a committed
 #: full-width run before the kernel flips its sides
@@ -249,23 +259,27 @@ def kernel_backend() -> dict:
 def _same_bits(routines: tuple) -> bool:
     """Solve one fixed small run under both bodies; whether every bit agrees.
 
-    Thirty-five of forty columns, in a shuffled order -- two full chunks of
-    the routine's 16 lanes and a ragged tail of 3, so a chunk at a non-zero
+    163 of 168 columns, in a shuffled order -- ten full chunks of the
+    routine's 16 lanes and a ragged tail of 3, so a chunk at a non-zero
     base and the spare lanes of a last chunk are both exercised, and every
-    gather and scatter goes through the run's column list -- aged 0, 1 and
-    7 points in turn take a three-round run (both gated patterns, the
-    steady one, second and third rounds) from a made-up positive definite
-    state that differs in every cell, iteration and column, so a
-    transposed index cannot hide.  The residual monitor's moments differ
-    in every column too, and its counts (``global_index``, set apart from
-    the gating ages) reach far past the run's length: some have seen
-    nothing (score 0.0) and some have no spread (a floored standard
-    deviation, a score far past the threshold).  The six planes, the
-    status, the saved moments and every committed section of the kernel
-    after the run -- the body commits it -- are compared as bytes, signs of
-    zeros included.
+    gather and scatter goes through the run's column list -- aged 0, 1
+    and 7 points in turn take a four-round run (both gated patterns, the
+    steady one, later rounds), 44 chunk-rounds, past the cut from which
+    the routine splits a run with its helper thread.  The state is a
+    made-up positive definite one that differs in every cell, iteration
+    and column, so a transposed index cannot hide.  The residual monitor's
+    moments differ in every column too, and its counts (``global_index``,
+    set apart from the gating ages) reach far past the run's length: some
+    have seen nothing (score 0.0) and some have no spread (a floored
+    standard deviation, a score far past the threshold).  The six planes,
+    the status, the saved moments and every committed section of the
+    kernel after the run -- the body commits it -- are compared as bytes,
+    signs of zeros included.  Which chunks the helper takes is the
+    scheduler's to say, so the native run is made afresh, up to
+    :data:`_HELPED_TRIES` times, until the helper has run a chunk of one
+    (at once in a process without a helper: one allowed CPU).
     """
-    n_rounds, n_iterations, n = 3, 3, 40
+    n_rounds, n_iterations, n = 4, 3, 168
     params = {
         "period": 4, "lambda1": 2.0, "lambda2": 3.0, "iterations": n_iterations,
         "shift_window": 0, "shift_threshold": 5.0, "epsilon": 1e-8,
@@ -289,20 +303,29 @@ def _same_bits(routines: tuple) -> bool:
         "monitor_mean": np.cos(np.arange(n) * 0.9),
         "monitor_m2": spreads * counts,
     }
-    columns = np.random.default_rng(0).permutation(n)[:35]
-    images = []
-    for body in (None, routines):
+    columns = np.random.default_rng(0).permutation(n)[:163]
+
+    def image(body) -> bytes:
         kernel = FleetKernel.from_arrays(params, state)
         planes = np.empty((6, n_rounds, columns.size))
         planes[0] = 3.0 * np.sin(np.arange(planes[0].size) * 0.7).reshape(n_rounds, -1)
         status = kernel._solve_run(body, planes, 0, n_rounds, columns)
         saved = kernel._saved_space(columns.size)
         arrays = (planes, saved, *kernel.to_arrays().values())
-        images.append(
-            repr(status).encode()
-            + b"".join(np.ascontiguousarray(array).tobytes() for array in arrays)
+        return repr(status).encode() + b"".join(
+            np.ascontiguousarray(array).tobytes() for array in arrays
         )
-    return images[0] == images[1]
+
+    expected = image(None)
+    helped = routines[3]
+    for _ in range(_HELPED_TRIES):
+        before = helped()
+        if image(routines) != expected:
+            return False
+        after = helped()
+        if after < 0 or after > before:
+            break
+    return True
 
 
 def _address(array: np.ndarray) -> int:
@@ -863,7 +886,10 @@ class FleetKernel:
 
     @hotpath
     def _advance_planes(
-        self, planes: np.ndarray, columns: np.ndarray | None = None
+        self,
+        planes: np.ndarray,
+        columns: np.ndarray | None = None,
+        clean: list | None = None,
     ) -> int:
         """:meth:`update_block` into the caller's planes; the rounds advanced.
 
@@ -873,6 +899,9 @@ class FleetKernel:
         :class:`FleetUpdate`'s order -- and holds the observations in its
         value plane; ``columns`` is the run's int64 column list as
         :meth:`_members` checks it, or None for every column in order.
+        ``clean`` is the caller's screen of the value plane, one flag per
+        round, True for a round of finite values only; without one, or
+        when a round may hold a missing value, the plane is screened here.
         Missing observations are imputed in the value plane, and the
         other five planes are written for every round advanced.  The
         engine passes views of its result arrays, so a batch's outputs
@@ -882,7 +911,8 @@ class FleetKernel:
             columns = self._rows()
         values = planes[0]
         n_rounds = values.shape[0]
-        clean = np.isfinite(values).all(axis=1).tolist()
+        if clean is None or False in clean:
+            clean = np.isfinite(values).all(axis=1).tolist()
         run_cap = min(self.period, _MAX_BLOCK_ROUNDS)
         row = 0
         while row < n_rounds:
@@ -1192,7 +1222,7 @@ class FleetKernel:
         self._saved_space(self._n)  # room for the widest run
         saved = self._saved
         if self._scratch is None:
-            doubles = scratch_doubles(self.iterations, _MAX_BLOCK_ROUNDS)
+            doubles = scratch_doubles(self.iterations)
             self._scratch = np.empty(doubles)
         per_column = (
             self.global_index,

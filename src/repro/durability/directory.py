@@ -54,6 +54,8 @@ import zlib
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
+import numpy as np
+
 from repro.durability.errors import CheckpointError, CorruptCheckpointError
 from repro.durability.format import validate_manifest, wal_name
 from repro.durability.lock import DEFAULT_STALE_AFTER, LOCK_FILE_NAME, StoreLock
@@ -393,6 +395,44 @@ class DirectoryCheckpointStore:
         end = offset + header_size + _FRAME_HEADER.unpack(header)[0]
         return end if end <= size else None
 
+    def wal_resync(self, name: str, offset: int) -> tuple[int, int] | None:
+        """``(start, frames)``: the first byte past ``offset`` of part
+        ``name`` from which ``frames`` CRC-valid frames run exactly to its
+        end, else ``None``.
+
+        An empty frame is no record (every record encodes to bytes), so a
+        run of zero bytes never counts.  Only the damage path asks -- the
+        frame at ``offset`` does not read -- so the rest of the part is
+        read whole, once, and every later byte tried as a frame start.
+        """
+        try:
+            with open(self._wal_path(name), "rb") as handle:
+                handle.seek(offset)
+                rest = memoryview(handle.read())
+        except FileNotFoundError:
+            return None
+        header_size = _FRAME_HEADER.size
+        size = len(rest)
+        # The length field read at every byte: a start whose frame would be
+        # empty or run past the end is no start, and most are not.
+        count = max(size - header_size, 0)
+        lengths = np.ndarray((count,), "<u4", rest, 1, (1,))
+        room = size - header_size - np.arange(1, count + 1)
+        for start in (np.flatnonzero((lengths > 0) & (lengths <= room)) + 1).tolist():
+            at = start
+            frames = 0
+            while at + header_size <= size:
+                length, checksum = _FRAME_HEADER.unpack_from(rest, at)
+                end = at + header_size + length
+                payload = rest[at + header_size : end]
+                if not length or end > size or checksum != zlib.crc32(payload):
+                    break
+                at = end
+                frames += 1
+            if frames and at == size:
+                return offset + start, frames
+        return None
+
     def wal_size(self, name: str) -> int | None:
         """Bytes stored in part ``name``, debris included; ``None`` if absent."""
         try:
@@ -558,17 +598,14 @@ class DirectoryCheckpointStore:
                 ScrubFinding(walk.stop.segment, walk.stop.problem, walk.stop.reason)
             )
         if walk.torn is not None:
-            name, offset, unread = walk.torn
-            findings.append(
-                ScrubFinding(
-                    name,
-                    "torn_tail",
-                    f"{unread} torn bytes after the last complete frame "
-                    f"(offset {offset}) -- crash debris, repaired on next "
-                    "recovery",
-                    fatal=False,
-                )
+            name, offset, unread, lost = walk.torn
+            detail = (
+                f"{unread} torn bytes after the last readable frame (offset "
+                f"{offset}) -- crash debris, repaired on next recovery"
             )
+            if lost:
+                detail += "; they hold a whole frame that fails its CRC: 1 record lost"
+            findings.append(ScrubFinding(name, "torn_tail", detail, fatal=False))
         return ScrubReport(
             findings=tuple(findings),
             segments_checked=len(manifest["cohorts"]) - missing,

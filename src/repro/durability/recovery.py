@@ -21,11 +21,13 @@ recovery would succeed") holds because the two cannot walk differently.
 * Once the cohorts are read, every component the manifest's engine spec
   names must be registered (:func:`check_components`).
 * A generation's WAL is one file, :func:`~repro.durability.format.wal_name`
-  of its generation.  Unread bytes after its last complete frame are
-  crash debris (a kill mid-append); a frame that passes its CRC but does
-  not decode is damage, and the walk stops there.  So is a complete
-  frame that fails its CRC with a readable frame after it: a crash tears
-  only the end of the file, so what follows it was acknowledged.
+  of its generation.  Unread bytes after its last readable frame are
+  crash debris (a kill mid-append) -- unless, from some later byte,
+  CRC-valid frames run exactly to the end of the file: a crash tears only
+  the end, so those were acknowledged after a damaged frame (its length
+  field included), and the walk stops at it.  So it does at a frame that
+  passes its CRC but does not decode.  A whole last frame that fails its
+  CRC is debris too, but it was acknowledged: one record lost.
 * A later part of the same generation (:func:`stray_wal_parts`) can only
   have been left by a build that rotated the log and crashed before its
   next checkpoint.  Its records follow the file's, so no policy replays
@@ -182,13 +184,15 @@ class WalWalk:
 
     Iterating yields each record (decoded, or the raw payload with
     ``decode=False``) up to the end of the file or its first damaged
-    frame -- one that does not decode, or one that fails its CRC and is
-    followed by a readable frame.  Afterwards ``stop`` says where and
-    why the walk ended early (``None``: it did not), ``torn`` is the
-    ``(name, offset, n_bytes)`` of crash debris after the last complete
-    frame and ``frames`` the number of records yielded.  An absent file
-    holds nothing: it is the window between a checkpoint's manifest swap
-    and the new file's creation.
+    frame -- one that does not decode, or one that does not read while
+    CRC-valid frames run from a later byte to the end of the file
+    (``DirectoryCheckpointStore.wal_resync``).  Afterwards ``stop`` says
+    where and why the walk ended early (``None``: it did not), ``torn``
+    is the ``(name, offset, n_bytes, frames_lost)`` of crash debris after
+    the last readable frame -- ``frames_lost`` 1 when the debris is a
+    whole frame that fails its CRC, else 0 -- and ``frames`` the number
+    of records yielded.  An absent file holds nothing: it is the window
+    between a checkpoint's manifest swap and the new file's creation.
     """
 
     def __init__(
@@ -198,7 +202,7 @@ class WalWalk:
         self.name = name
         self.decode = decode
         self.stop: WalStop | None = None
-        self.torn: tuple[str, int, int] | None = None
+        self.torn: tuple[str, int, int, int] | None = None
         self.frames = 0
 
     def __iter__(self) -> Iterator[Any]:
@@ -220,15 +224,18 @@ class WalWalk:
         unread = (self.store.wal_size(name) or 0) - offset
         if not unread:
             return
-        # The frame's length field is intact if the frame that follows it
-        # reads: then its CRC failure is damage, not a torn last append.
-        end = self.store.wal_frame_end(name, offset)
-        later = 0 if end is None else sum(1 for _ in self.store.wal_frames(name, end))
-        if later:
+        # Whatever of the frame is damaged -- its length field included --
+        # frames that read on to the end of the file were acknowledged
+        # after it: damage, not a torn last append.
+        resync = self.store.wal_resync(name, offset)
+        if resync is not None:
+            start, later = resync
             reason = (
-                f"the frame at byte offset {offset} fails its CRC and "
-                f"{later} readable frame(s) follow it"
+                f"the frame at byte offset {offset} does not read (its CRC "
+                f"or its length is damaged) and {later} readable frame(s) "
+                f"from byte {start} run to the end of the file after it"
             )
             self.stop = WalStop(name, offset, "crc_mismatch", reason, 1 + later)
         else:
-            self.torn = (name, offset, unread)
+            whole = self.store.wal_frame_end(name, offset) is not None
+            self.torn = (name, offset, unread, int(whole))

@@ -1276,6 +1276,8 @@ class MultiSeriesEngine:
         self,
         keys: list,
         grid: np.ndarray,
+        finite: np.ndarray,
+        clean: list,
         result: IngestResult,
         cuts: Sequence[int] = (),
     ) -> Iterator[tuple[int, int]]:
@@ -1289,11 +1291,12 @@ class MultiSeriesEngine:
         not absorbed (it may be warming; on an absorbed series NaN is a
         missing point the kernel imputes), plus the row-major positions
         in ``cuts``.  Conservative is fine -- a harmless cell costs one
-        scalar update -- missing one is not.
+        scalar update -- missing one is not.  ``finite`` is
+        ``np.isfinite(grid)`` and ``clean`` its per-row ``all``: the
+        batch's one screen, whose row flags the caller hands the kernel.
         """
-        finite = np.isfinite(grid)
         suspects: list = []
-        if not finite.all():
+        if False in clean:
             bad = ~finite
             absorbed = self._absorbed
             imputed = np.fromiter(
@@ -1341,7 +1344,10 @@ class MultiSeriesEngine:
         result = IngestResult(keys, 1)
         absorbed = self._absorbed
         cuts = [position for position, key in enumerate(keys) if key not in absorbed]
-        for start, stop in self._clean_spans(keys, values[None, :], result, cuts):
+        batch = values[None, :]
+        finite = np.isfinite(batch)
+        clean = finite.all(axis=1).tolist()
+        for start, stop in self._clean_spans(keys, batch, finite, clean, result, cuts):
             occurrence: dict = {}
             rounds: list[tuple[list, list]] = []
             for position in range(start, stop):
@@ -1355,7 +1361,7 @@ class MultiSeriesEngine:
             for round_keys, taken in rounds:
                 slots = np.array(taken, dtype=np.intp)
                 self._advance_grid(
-                    round_keys, values[slots][None, :], result, slots, 0
+                    round_keys, values[slots][None, :], result, slots, 0, clean
                 )
         return result
 
@@ -1364,11 +1370,14 @@ class MultiSeriesEngine:
 
         Each clean span (:meth:`_clean_spans`; almost always the whole
         grid) advances as rectangles: its whole rows as one, and the part
-        of a row on either side of a cut.
+        of a row on either side of a cut.  The grid is screened for
+        non-finite values once, here: a rectangle carries its rows' flags.
         """
         n_rounds, n = grid.shape
         result = IngestResult(round_keys, n_rounds)
-        for start, stop in self._clean_spans(round_keys, grid, result):
+        finite = np.isfinite(grid)
+        clean = finite.all(axis=1).tolist()
+        for start, stop in self._clean_spans(round_keys, grid, finite, clean, result):
             while start < stop:
                 row, column = divmod(start, n)
                 width = min(stop - start, n - column)
@@ -1379,6 +1388,7 @@ class MultiSeriesEngine:
                     result,
                     np.arange(start, start + width, dtype=np.intp),
                     n,
+                    clean[row : row + rows],
                 )
                 start += rows * width
         return result
@@ -1391,9 +1401,13 @@ class MultiSeriesEngine:
         result: IngestResult,
         slots: np.ndarray,
         stride: int,
+        clean: list,
     ) -> None:
         """Advance a clean ``(L, n)`` rectangle; cell ``(l, j)`` lands at
-        ``result`` position ``slots[j] + l * stride``.
+        ``result`` position ``slots[j] + l * stride``.  ``clean[l]`` is
+        True when row ``l`` of the batch the rectangle comes from is all
+        finite (False: it may hold a missing value for the kernel to
+        impute, and the kernel screens it again).
 
         Every key appears exactly once per round, so the round structure
         is implied by the grid.  Each pass plans the current round
@@ -1429,6 +1443,7 @@ class MultiSeriesEngine:
                         stride,
                         full,
                         result,
+                        clean[row:stop],
                     )
             if error is not None:
                 raise error
@@ -1567,6 +1582,7 @@ class MultiSeriesEngine:
         stride: int,
         full: bool,
         result: IngestResult,
+        clean: list,
     ) -> None:
         """Advance one kernel cohort through a ``(rounds, m)`` value block.
 
@@ -1626,7 +1642,9 @@ class MultiSeriesEngine:
         done = 0
         while True:
             start = time.perf_counter()
-            rounds = kernel._advance_planes(planes[:, done:], members)
+            rounds = kernel._advance_planes(
+                planes[:, done:], members, clean[done:]
+            )
             if rounds:
                 if not self._replaying:
                     per_point = (time.perf_counter() - start) / (rounds * m)
@@ -2229,12 +2247,18 @@ class MultiSeriesEngine:
             findings.append(
                 ScrubFinding(stop.segment, "truncated", stop.reason, fatal=False)
             )
+        if stop is not None:
+            lost = stop.frames_lost
+        else:
+            # Crash debris under every policy, but a whole last frame that
+            # fails its CRC was acknowledged: it counts as lost.
+            lost = walk.torn[3] if walk.torn else 0
         engine.last_recovery = RecoveryReport(
             policy=recovery,
             quarantined_cohorts=tuple(quarantined_cohorts),
             quarantined_wal=tuple(quarantined_wal),
             wal_records_replayed=walk.frames,
-            wal_records_lost=0 if stop is None else stop.frames_lost,
+            wal_records_lost=lost,
             findings=tuple(findings),
         )
         if quarantined_cohorts or stop is not None:

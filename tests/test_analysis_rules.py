@@ -577,6 +577,7 @@ def test_the_shipped_loader_matches_advance_run_c():
         "advance_run",
         "advance_commit",
         "advance_run_scratch",
+        "advance_run_helped",
         "advance_run_vector",
     }
     assert _native.STRUCTS == {

@@ -398,6 +398,61 @@ class TestWalCrcDamage:
         engine.close(checkpoint=False)
 
 
+class TestWalEveryByte:
+    """Bits 0 and 7 of every byte of a four-frame WAL, one flip at a time
+    (a damage claim holds at every offset, not at chosen ones): in frames
+    0-2 -- length field, CRC field or payload -- the flip is fatal to
+    ``verify()`` and refused by a strict open; in the last frame it is a
+    torn tail, and the complete frame it was (its length field still
+    inside the file) counts as 1 record lost."""
+
+    def test_every_flip_is_found_or_counted(self, tmp_path):
+        populate_store(tmp_path, wal_batches=4)
+        store = DirectoryCheckpointStore(tmp_path)
+        (name,) = store.list_wals()
+        ends = [0] + [end for _payload, end in store.wal_frames(name)]
+        assert len(ends) == 5
+        path = tmp_path / "wal" / name
+        pristine = path.read_bytes()
+        assert len(pristine) == ends[-1]
+        others = {key: value for key, value in tree_bytes(tmp_path).items()}
+        wrong = []
+        for position in range(len(pristine)):
+            frame = np.searchsorted(ends, position, side="right") - 1
+            for bit in (0, 7):
+                raw = bytearray(pristine)
+                raw[position] ^= 1 << bit
+                path.write_bytes(bytes(raw))
+                report = DirectoryCheckpointStore(tmp_path).verify()
+                found = [(f.artifact, f.problem, f.fatal) for f in report.findings]
+                if frame < 3:
+                    refused = found == [(name, "crc_mismatch", True)]
+                    try:
+                        strict_open(tmp_path).close(checkpoint=False)
+                    except CorruptCheckpointError as error:
+                        refused &= error.problem == "crc_mismatch"
+                    else:
+                        refused = False
+                    if not refused:
+                        wrong.append((position, bit, found))
+                else:
+                    length = struct.unpack_from("<I", raw, ends[3])[0]
+                    whole = ends[3] + 8 + length <= len(raw)
+                    engine = strict_open(tmp_path)
+                    recovery = engine.last_recovery
+                    engine.close(checkpoint=False)
+                    if not (
+                        report.ok
+                        and found == [(name, "torn_tail", False)]
+                        and recovery.wal_records_replayed == 3
+                        and recovery.wal_records_lost == int(whole)
+                    ):
+                        wrong.append((position, bit, found, recovery))
+                path.write_bytes(pristine)
+        assert wrong == []
+        assert tree_bytes(tmp_path) == others
+
+
 class TestRecoveryPolicies:
     def test_open_rejects_unknown_policy(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path)

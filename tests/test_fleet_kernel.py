@@ -1822,28 +1822,36 @@ class TestAmortizedAbsorption:
         base_after = kernel.seasonal_buffer.base
         assert base_after is base  # capacity survived the updates
 
-    def test_one_at_a_time_absorption_is_not_quadratic(self):
-        """Structural check: repeated single appends copy O(1) rows each."""
-        import time
+    def test_one_at_a_time_absorption_is_not_quadratic(self, monkeypatch):
+        """Structural check: repeated single appends copy O(1) rows each --
+        counted as the base arrays ``amortized_append`` allocates."""
+        from repro.utils import columns as columnar
 
         prototype = self._warm_prototype(iterations=1)
         packs = [
             FleetKernel.pack([copy.deepcopy(prototype)]) for _ in range(96)
         ]
+        amortized = columnar.amortized_append
+        calls = allocations = 0
 
-        def absorb(count):
-            kernel = FleetKernel.pack([copy.deepcopy(prototype)])
-            start = time.perf_counter()
-            for single in packs[:count]:
-                kernel.append(single)
-            return time.perf_counter() - start
+        def counted(view, new, axis=0):
+            nonlocal calls, allocations
+            grown = amortized(view, new, axis)
+            calls += 1
+            allocations += grown.base is not view.base
+            return grown
 
-        absorb(4)  # warm caches
-        first = min(absorb(48) for _ in range(3))
-        second = min(absorb(96) for _ in range(3))
-        # Quadratic growth would make the doubled batch ~4x slower; the
-        # amortized path is ~2x with generous headroom for timer noise.
-        assert second < 3.2 * first
+        monkeypatch.setattr(columnar, "amortized_append", counted)
+        kernel = FleetKernel.pack([copy.deepcopy(prototype)])
+        for single in packs:
+            kernel.append(single)
+        assert kernel.n_series == 97
+        arrays, remainder = divmod(calls, len(packs))
+        assert arrays and not remainder
+        # Doubling from the minimum capacity of 8, an array is allocated at
+        # 2, 9, 19, 39 and 79 members: five bases for 96 appends, O(log n),
+        # where a copy on every append would allocate 96.
+        assert allocations == 5 * arrays
 
     def test_engine_trickle_absorption_matches_scalar(self):
         """Series joining a live group one at a time stay bit-identical."""
@@ -2214,8 +2222,8 @@ class TestNonFiniteSolveReplay:
         calls = []
         original = FleetKernel._advance_planes
 
-        def spy(kernel, planes, columns=None):
-            rounds = original(kernel, planes, columns)
+        def spy(kernel, planes, columns=None, clean=None):
+            rounds = original(kernel, planes, columns, clean)
             if columns is None and rounds < planes.shape[1]:
                 calls.append((planes.shape[1], rounds))
             return rounds

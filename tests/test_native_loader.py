@@ -12,10 +12,13 @@ import copy
 import ctypes
 import os
 import re
+import select
 import shutil
+import signal
 import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -338,29 +341,44 @@ def test_no_clone_contains_a_fused_multiply_add(tmp_path):
 # ------------------------------------------------------- two widths
 
 
-#: the narrow cut's definition in ``advance_run.c``
+#: the narrow cut's and the split cut's definitions in ``advance_run.c``
 NARROW_CUT = re.compile(r"#define NARROW_BELOW \d+")
+SPLIT_CUT = re.compile(r"#define SPLIT_FROM \d+")
+#: the variants the ``widths`` fixture builds: ``(name, pattern, value)``
+VARIANTS = (
+    ("wide", NARROW_CUT, "#define NARROW_BELOW 0"),
+    ("narrow", NARROW_CUT, "#define NARROW_BELOW 17"),
+    ("split", SPLIT_CUT, "#define SPLIT_FROM 0"),
+    ("whole", SPLIT_CUT, "#define SPLIT_FROM 1000000000"),
+)
+
+
+def build_variant(directory, name, source_text):
+    """The routines of ``source_text`` built in ``directory``."""
+    source = directory / "advance_run.c"
+    source.write_text(source_text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_native, "SOURCE", source)
+        library = directory / f"advance_run-{name}.so"
+        assert _native._build(_compiler(), library) is None
+        return _native._open(library)[0]
 
 
 @pytest.fixture(scope="module")
 def widths(tmp_path_factory):
     """``{name: routines}``: the shipped library and the source built with
     every chunk on the 16-lane body (``wide``) or on the 1-lane body
-    (``narrow``) -- the narrow cut set to 0 and to 17."""
+    (``narrow``) -- the narrow cut set to 0 and to 17 -- and with every run
+    split with the helper thread (``split``) or none (``whole``) -- the
+    split cut set to 0 and past any run."""
     if kernel_backend()["body"] != "native":
         pytest.skip(f"no native body on this machine: {kernel_backend()['reason']}")
     shipped = _native.SOURCE.read_text()
-    assert len(NARROW_CUT.findall(shipped)) == 1
     built = {"shipped": fleet._native_run}
-    for name, cut in (("wide", 0), ("narrow", 17)):
+    for name, pattern, value in VARIANTS:
+        assert len(pattern.findall(shipped)) == 1
         directory = tmp_path_factory.mktemp(name)
-        source = directory / "advance_run.c"
-        source.write_text(NARROW_CUT.sub(f"#define NARROW_BELOW {cut}", shipped))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_native, "SOURCE", source)
-            library = directory / f"advance_run-{name}.so"
-            assert _native._build(_compiler(), library) is None
-            built[name] = _native._open(library)[0]
+        built[name] = build_variant(directory, name, pattern.sub(value, shipped))
     return built
 
 
@@ -421,16 +439,11 @@ def run_image(kernel, body, values, columns):
     ]
 
 
-@needs_compiler
-@pytest.mark.parametrize("variant", ["shipped", "wide", "narrow"])
-@pytest.mark.parametrize("full", [False, True], ids=["subset", "full_width"])
-@pytest.mark.parametrize("width", [1, 2, 15, 16, 17, 35])
-@pytest.mark.parametrize("case", ["clean", "trip", "non_finite"])
-def test_narrow_and_wide_give_the_numpy_bodys_bits(widths, variant, full, width, case):
-    """Either instance of the iteration, alone or mixed as shipped, on any
-    width and shuffled columns, equals the NumPy body byte for byte: a
-    clean run as committed, a run that trips while tripped columns are
-    searched and one with a non-finite round as left uncommitted."""
+def case_run(width, full, case):
+    """``(params, state, values, columns)`` of a three-round run of
+    ``width`` shuffled columns (of ``width + 5``, or all of them when
+    ``full``) aged 0, 1 and 7: ``clean``, one that trips while tripped
+    columns are searched, or one with a non-finite round."""
     n = width if full else width + 5
     columns = np.random.default_rng(width).permutation(n)[:width]
     values = 3.0 * np.sin(np.arange(3.0 * width) * 0.7).reshape(3, width)
@@ -442,6 +455,22 @@ def test_narrow_and_wide_give_the_numpy_bodys_bits(widths, variant, full, width,
         # No spread seen: every residual is far past the floored std.
         state["monitor_m2"] = np.zeros(n)
         state["global_index"] = state["global_index"] + 1
+    return params, state, values, columns
+
+
+@needs_compiler
+@pytest.mark.parametrize("variant", ["shipped", "wide", "narrow", "split", "whole"])
+@pytest.mark.parametrize("full", [False, True], ids=["subset", "full_width"])
+@pytest.mark.parametrize("width", [1, 2, 15, 16, 17, 35, 160, 163])
+@pytest.mark.parametrize("case", ["clean", "trip", "non_finite"])
+def test_narrow_and_wide_give_the_numpy_bodys_bits(widths, variant, full, width, case):
+    """Either instance of the iteration, alone or mixed as shipped, on any
+    width and shuffled columns, split with the helper thread or not (160
+    and 163 columns fall either side of the shipped cut at three rounds),
+    equals the NumPy body byte for byte: a clean run as committed, a run
+    that trips while tripped columns are searched and one with a
+    non-finite round as left uncommitted."""
+    params, state, values, columns = case_run(width, full, case)
     with np.errstate(invalid="ignore", over="ignore"):  # the non-finite round
         images = [
             run_image(FleetKernel.from_arrays(params, state), body, values, columns)
@@ -457,8 +486,148 @@ def test_narrow_and_wide_give_the_numpy_bodys_bits(widths, variant, full, width,
     assert images[0] == images[1]
 
 
+# ------------------------------------------------------- the helper thread
+
+#: how often a split run is made afresh for the helper to take part in one
+TRIES = 50
+
+
+def helped_images(routines, params, state, values, columns):
+    """``(image, helped)``: :func:`run_image` of a run made afresh until the
+    helper has run a chunk of it (``helped`` True), or :data:`TRIES`
+    times; every image is the first one."""
+    helped = routines[3]
+    first = None
+    for _ in range(TRIES):
+        before = helped()
+        with np.errstate(invalid="ignore", over="ignore"):
+            kernel = FleetKernel.from_arrays(params, state)
+            image = run_image(kernel, routines, values, columns)
+        assert first is None or image == first
+        first = image
+        if helped() > before:
+            return image, True
+    return first, False
+
+
+def needs_helper(routines):
+    if routines[3]() < 0:
+        pytest.skip("no helper thread in this process (one allowed CPU)")
+
+
 @needs_compiler
-@pytest.mark.parametrize("variant", ["shipped", "wide", "narrow"])
+@pytest.mark.parametrize("full", [False, True], ids=["subset", "full_width"])
+@pytest.mark.parametrize("width", [67, 160, 163])
+@pytest.mark.parametrize("case", ["clean", "trip", "non_finite"])
+def test_chunks_the_helper_runs_are_the_numpy_bodys_bits(widths, full, width, case):
+    """Every run split: runs the helper took part in -- its chunks from the
+    back, a ragged tail first among them, consecutive columns moved as
+    vectors or shuffled ones lane by lane -- equal the NumPy body byte
+    for byte."""
+    routines = widths["split"]
+    params, state, values, columns = case_run(width, full, case)
+    with np.errstate(invalid="ignore", over="ignore"):
+        kernel = FleetKernel.from_arrays(params, state)
+        expected = run_image(kernel, None, values, columns)
+    image, helped = helped_images(routines, params, state, values, columns)
+    assert image == expected
+    needs_helper(routines)
+    assert helped, f"the helper ran no chunk of {TRIES} runs"
+
+
+@needs_compiler
+def test_a_split_kernel_gives_the_same_bits_in_a_forked_child(widths):
+    """The parent's helper does not survive ``fork``: the child's first
+    split run starts its own (``pthread_atfork`` reset the pool) instead of
+    waiting on a thread that is not there -- under a timeout -- and its
+    bits are the parent's."""
+    routines = widths["split"]
+    params, state, values, columns = case_run(163, False, "clean")
+    image, _helped = helped_images(routines, params, state, values, columns)
+    needs_helper(routines)
+    reading, writing = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report, never return into pytest
+        code = 1
+        try:
+            child, helped = helped_images(routines, params, state, values, columns)
+            os.write(writing, b"%d %d" % (child == image, helped))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(writing)
+    try:
+        ready, _, _ = select.select([reading], [], [], 60)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        assert ready, "the forked child hung in its split run"
+        report = os.read(reading, 64)
+    finally:
+        os.close(reading)
+        os.waitpid(pid, 0)
+    assert report == b"1 1"
+
+
+@needs_compiler
+def test_two_threads_running_two_kernels_give_the_sequential_bits(widths):
+    """ctypes lets go of the GIL: two threads' runs overlap, one holds the
+    helper and the other, finding it busy, runs alone -- each equal to
+    the same runs made one after the other."""
+    routines = widths["split"]
+    cases = [case_run(163, False, "clean"), case_run(160, True, "trip")]
+    expected = [
+        [run_image(FleetKernel.from_arrays(p, s), routines, v, c) for _ in range(20)]
+        for p, s, v, c in cases
+    ]
+    barrier = threading.Barrier(len(cases))
+    images = [None] * len(cases)
+
+    def run(index):
+        params, state, values, columns = cases[index]
+        barrier.wait()
+        images[index] = [
+            run_image(FleetKernel.from_arrays(params, state), routines, values, columns)
+            for _ in range(20)
+        ]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert images == expected
+
+
+#: the helper's end of the split in ``advance_run.c``: chunk ``chunks - 1``
+#: first, then down
+HELPER_RANGE = "job->chunks - 1 - mine"
+
+
+@needs_compiler
+def test_a_helper_handed_the_wrong_range_fails_the_self_check(
+    undecided, monkeypatch, tmp_path
+):
+    """A mutant whose helper starts one chunk past the end (and so never
+    runs the last chunk the caller leaves it) computes other bits: the
+    self-check, which crosses the split, refuses it."""
+    shipped = _native.SOURCE.read_text()
+    assert shipped.count(HELPER_RANGE) == 1
+    mutant = build_variant(
+        tmp_path, "mutant", shipped.replace(HELPER_RANGE, "job->chunks - mine")
+    )
+    monkeypatch.setattr(_native, "load", lambda: (mutant, {
+        "reason": "loaded mutant", "compiler": "cc", "flags": [], "vector": None,
+    }))  # fmt: skip
+    with pytest.warns(RuntimeWarning, match="self-check failed.*different bits"):
+        backend = kernel_backend()
+    needs_helper(mutant)
+    assert backend["body"] == "numpy"
+    assert fleet._native_run is None
+
+
+@needs_compiler
+@pytest.mark.parametrize("variant", ["shipped", "wide", "narrow", "split"])
 def test_a_kernel_grown_between_runs_rebuilds_its_handle(widths, variant, monkeypatch):
     """Growing the columns (``columnar.append``, arrays replaced) drops the
     handle: the next run builds both sides afresh, on the new arrays, and

@@ -145,9 +145,9 @@ class TestAGroupHasNoDeadColumns:
         widths = []
         advance = group.kernel._advance_planes
 
-        def spy(planes, columns=None):
+        def spy(planes, columns=None, clean=None):
             widths.append(columns)
-            return advance(planes, columns)
+            return advance(planes, columns, clean)
 
         group.kernel._advance_planes = spy
         window = STREAMS[self.CUT : self.END]

@@ -91,9 +91,9 @@ class TestEngineSubsetsMatchTheScalarTwin:
         runs = []
         advance = FleetKernel._advance_planes
 
-        def spy(kernel, planes, members=None):
+        def spy(kernel, planes, members=None, clean=None):
             runs.append(None if members is None else members.tolist())
-            return advance(kernel, planes, members)
+            return advance(kernel, planes, members, clean)
 
         monkeypatch.setattr(FleetKernel, "_advance_planes", spy)
         with recorded_searches() as searches:
