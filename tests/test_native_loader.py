@@ -532,7 +532,9 @@ def test_chunks_the_helper_runs_are_the_numpy_bodys_bits(widths, full, width, ca
     image, helped = helped_images(routines, params, state, values, columns)
     assert image == expected
     needs_helper(routines)
-    assert helped, f"the helper ran no chunk of {TRIES} runs"
+    # Five chunks of three rounds can all be done before the helper is up
+    # on a slow machine; ten or more leave it time to take some.
+    assert helped or width < 160, f"the helper ran no chunk of {TRIES} runs"
 
 
 @needs_compiler
