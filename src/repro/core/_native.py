@@ -14,8 +14,9 @@ kernel's state, its arrays' addresses, capacities and strides and its
 configuration, which a kernel builds twice (one per side of its
 ping-pong) and keeps until its arrays are replaced -- and a :class:`Run`,
 the run's rounds, width, columns and planes.  ``advance_run`` solves the
-run, runs the residual monitor over it and, when it is clean, commits it;
-``advance_commit`` commits a run the caller replayed or searched first.
+run, runs the residual monitor over it, searches the candidate shifts of
+every point that trips the monitor and, unless a round fails its screen,
+commits it: a run is one call, tripped or not.
 ``python -m repro.analysis`` holds every prototype and both layouts to
 these declarations (rule HP007): a mismatch would corrupt memory, not
 raise.
@@ -85,6 +86,7 @@ class Side(ctypes.Structure):
         ("global_index", _POINTER),
         ("points_processed", _POINTER),
         ("last_detection_residual", _POINTER),
+        ("last_applied_shift", _POINTER),  # written by a non-zero winner
         ("monitor_mean", _POINTER),  # the monitor's moments, updated in place
         ("monitor_m2", _POINTER),
         ("saved_moments", _POINTER),  # a run's pre-run mean and m2
@@ -92,6 +94,8 @@ class Side(ctypes.Structure):
         ("iterations", _INT),
         ("members", _INT),  # the kernel's columns: a run this wide flips
         ("searching", _INT),  # whether tripped columns are searched
+        ("shifts", _POINTER),  # the int64 candidate shifts, 0 first
+        ("shift_count", _INT),
         ("lambda1", _DOUBLE),
         ("lambda2", _DOUBLE),
         ("epsilon", _DOUBLE),
@@ -113,8 +117,8 @@ class Run(ctypes.Structure):
     ]
 
 
-#: what ``advance_run`` / ``advance_commit`` return for a run they
-#: committed: a subset, or a full-width run whose sides the caller flips
+#: what ``advance_run`` returns for a run it committed: a subset, or a
+#: full-width run whose sides the caller flips
 COMMITTED, FLIP = -1, -2
 _RUN = (_POINTER, _POINTER)  # a Side, a Run
 #: every routine of :data:`SOURCE` this module calls, as ``name: (restype,
@@ -123,7 +127,6 @@ _RUN = (_POINTER, _POINTER)  # a Side, a Run
 #: HP007): a mismatch would corrupt memory, not raise
 ROUTINES = {
     "advance_run": (_INT, _RUN),
-    "advance_commit": (_INT, _RUN),
     "advance_run_scratch": (_INT, (_INT,)),
     "advance_run_helped": (_INT, ()),
     "advance_run_vector": (ctypes.c_char_p, ()),
@@ -209,8 +212,8 @@ def _build(compiler: str, library: Path) -> str | None:
 
 
 def _open(library: Path) -> tuple[tuple, str]:
-    """``((advance_run, advance_commit, scratch_doubles, helped), vector)``
-    of a built library.
+    """``((advance_run, scratch_doubles, helped), vector)`` of a built
+    library.
 
     ``vector`` names the clone of ``advance_run`` the dynamic loader
     dispatched to on this CPU; ``helped()`` counts the chunks the
@@ -224,7 +227,6 @@ def _open(library: Path) -> tuple[tuple, str]:
         routine.restype, routine.argtypes = restype, argtypes
     routines = (
         handle.advance_run,
-        handle.advance_commit,
         handle.advance_run_scratch,
         handle.advance_run_helped,
     )
@@ -235,7 +237,7 @@ def load() -> tuple[tuple | None, dict]:
     """Build (once per cache) and load the native routines.
 
     Returns ``(routines, report)``: ``routines`` is ``(advance_run,
-    advance_commit, scratch_doubles, helped)`` -- the ``ctypes`` functions of
+    scratch_doubles, helped)`` -- the ``ctypes`` functions of
     ``advance_run.c`` -- or None, and ``report`` says why in ``{"reason", "compiler",
     "flags", "vector"}`` -- ``vector`` the clone this CPU runs
     (``"avx512f"``, ``"avx2"`` or ``"default"``), None without a library.

@@ -1,6 +1,6 @@
 /*
  * advance_run: one run of the fleet kernel's T x I solve grid, per column,
- * and its commit.
+ * its seasonality-shift searches and its commit.
  *
  * The native body of repro.core.fleet.FleetKernel._advance_run.  For every
  * column, round r = 0 .. T-1 and IRLS iteration i = 0 .. I-1 it performs
@@ -23,29 +23,60 @@
  * orientation of a kernel's state: the addresses of its arrays, their
  * capacities and strides, and the configuration (period, lambdas, epsilon,
  * the monitor's minimum std and threshold, whether tripped columns are
- * searched).  A kernel keeps two, one per side of its solver's and trend
- * pairs' ping-pong, and rebuilds them only when growing its columns
- * replaces an array.  `struct advance_run_args` is the run: rounds, width,
- * the run's columns and the planes with their strides.  The prototypes and
- * both layouts are the ctypes declarations in repro.core._native (rule
- * HP007 holds each field's order and kind to the declaration below).
+ * searched and the candidate shifts they try).  A kernel keeps two, one
+ * per side of its solver's and trend pairs' ping-pong, and rebuilds them
+ * only when growing its columns replaces an array.  `struct
+ * advance_run_args` is the run: rounds, width, the run's columns and the
+ * planes with their strides.  The prototypes and both layouts are the
+ * ctypes declarations in repro.core._native (rule HP007 holds each field's
+ * order and kind to the declaration below).
  *
- * The commit.  A clean run -- no round went non-finite, and no score passed
- * the threshold while tripped columns are searched -- is committed here
- * before the call returns: each member's seasonal values scattered into
- * its buffer, global_index, points_processed and last_detection_residual
- * advanced, and for a subset its columns of the blocks, right-hand sides
- * and trend pairs copied from the working side.  A full-width run copies
- * nothing: it reports that the caller must flip the ping-pong, a swap of
- * references.  A run that is not clean commits nothing; once the caller
- * has replayed or searched what tripped, advance_commit ends it in the
- * same commit.
+ * The search (the paper's Section 3.4).  When tripped columns are searched
+ * (`searching`), every run position whose score passed `threshold` in the
+ * chunks' pass is run again, alone, once the chunks are done: from its
+ * committed state and its saved pre-run moments, through the one-lane
+ * body, round by round, on the calling thread.  A round whose score
+ * passes the threshold there tries the candidate shifts `shifts[0 ..
+ * shift_count)` (FleetKernel._shifts: 0 first, then each further anchor
+ * phase once, in the scalar search's order), each from the lane's
+ * pre-round state with the anchor read at the slot (global_index + r + c)
+ * mod period; the first smallest |residual| wins (a strict <, so a later
+ * candidate wins only by doing strictly better), its state carries the
+ * lane on and its trend, seasonal and residual are the round's outputs.
+ * The detection residual, the score and the monitor's fold are candidate
+ * 0's, as in the scalar model, and global_index still advances by one a
+ * round.  The winner's seasonal value belongs at its shifted slot, so a
+ * later round of the same lane may read a slot an earlier one wrote (a
+ * positive shift writes ahead; a negative candidate reads behind): the
+ * lane reads every slot through an overlay, the latest earlier round of
+ * the run that wrote it, else the buffer.  Each lane's rounds are the
+ * scalar model's rounds, one after the other, whatever the other lanes do.
+ *
+ * The screen, the one place lanes meet and the one definition of a bad
+ * round: round r is bad when the sum of its final trend values plus the
+ * sum of its final seasonal values -- each summed in run order, over the
+ * planes once every chunk and every searched lane has written them -- is
+ * not finite, or when a candidate of a search in round r (candidate 0
+ * included) has a trend plus seasonal that is not finite.  It decides
+ * where a run stops, never a value: a run with a bad round is handed back
+ * and the caller takes that round through the scalar model.
+ *
+ * The commit.  A run with no bad round is committed here before the call
+ * returns: each member's seasonal values scattered into its buffer, round
+ * by round, each at its round's slot (a searched round's winner at its
+ * shifted one), global_index, points_processed and last_detection_residual
+ * advanced, last_applied_shift set by the last non-zero winner, and for a
+ * subset its columns of the blocks, right-hand sides and trend pairs
+ * copied from the working side.  A full-width run copies nothing: it
+ * reports that the caller must flip the ping-pong, a swap of references.
+ * A run with a bad round commits nothing.
  *
  * Two widths.  The iteration is written once below, over a GCC vector of
  * CHUNK_LANES doubles, and the file includes itself twice to instantiate
  * it: 16 lanes for chunks of columns, 1 lane for narrow runs -- a
- * one-column `process`, and a chunk's ragged tail of fewer than
- * NARROW_BELOW columns.  Each cell of the augmented block is a local, the
+ * one-column `process`, a chunk's ragged tail of fewer than NARROW_BELOW
+ * columns, and a searched lane and its candidates.  Each cell of the
+ * augmented block is a local, the
  * fold and the five sweeps unrolled in the per-cell operation order of the
  * reference, every cell computed (a structural zero included, so signed
  * zeros and NaN propagate as they do there).  As locals the
@@ -115,8 +146,8 @@
  *   - the seasonal buffer, rows of `period` doubles `seasonal_stride`
  *     apart, with `global_index` (the anchor of round r is the slot
  *     (global_index + r) mod period, and the monitor's count before round
- *     r is global_index + r), `points_processed` and
- *     `last_detection_residual`;
+ *     r is global_index + r), `points_processed`,
+ *     `last_detection_residual` and `last_applied_shift`;
  *   - the monitor's mean / m2, one entry per column, updated in place.
  * Values and outputs are indexed by run position: `planes` holds six
  * planes `plane_stride` apart -- values (read), then trend, seasonal,
@@ -125,14 +156,13 @@
  * land in saved_moments[j] (mean) and saved_moments[width + j] (m2).
  *
  * advance_run returns ADVANCE_COMMITTED, or ADVANCE_FLIP for a committed
- * full-width run, else 2 * bad + tripped: `bad` the first round whose
- * screen -- the sum of its trend values plus the sum of its seasonal
- * values, each summed in run order, the one place lanes meet -- is not
- * finite (the run's length if none), `tripped` 1 if some member's score
- * passed `threshold` in any round.  The screen is one pass over the trend
- * and seasonal planes once every chunk has written them, on either thread:
- * the same additions in the same order as if the chunks summed them in
- * turn.  `scratch` holds advance_run_scratch(I) doubles.
+ * full-width run, else 2 * bad: `bad` the run's first bad round (see the
+ * screen).  The screen's sums are one pass over the trend and seasonal
+ * planes once every chunk and every searched lane has written them, on
+ * the calling thread: the same additions in the same order as if the
+ * chunks summed them in turn.  `scratch` holds advance_run_scratch(I)
+ * doubles.  A run that cannot have the little memory that records its
+ * searched lanes' slots returns 2 * 0: round 0 goes to the scalar model.
  */
 
 #ifndef CHUNK_LANES /* ------------------------- the routines, first pass */
@@ -143,6 +173,7 @@
 #endif
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #ifdef HELPER_THREAD
 #include <pthread.h>
 #include <sched.h>
@@ -205,6 +236,7 @@ struct advance_side {
     int64_t *global_index;
     int64_t *points_processed;
     double *last_detection_residual;
+    int64_t *last_applied_shift;
     double *monitor_mean;
     double *monitor_m2;
     double *saved_moments;
@@ -212,6 +244,8 @@ struct advance_side {
     int64_t iterations;
     int64_t members;
     int64_t searching;
+    const int64_t *shifts;  /* the candidate shifts, 0 first */
+    int64_t shift_count;
     double lambda1;
     double lambda2;
     double epsilon;
@@ -290,25 +324,57 @@ static inline int64_t phase_of(int64_t index, int64_t r, int64_t period)
     return phase < 0 ? phase + period : phase;
 }
 
+/* The residual monitor on one residual d: its z-score against the moments
+ * of *count points, exactly fleet._welford_score (0.0 for a monitor that
+ * has seen nothing; both maxima as np.maximum), then d folded in, exactly
+ * fleet._welford_fold.  Returns the score. */
+static inline double monitor_step(
+    double d, int64_t *count, double *mean, double *m2, double minimum_std)
+{
+    double variance = *m2 / (double)(*count > 1 ? *count : 1);
+    variance = (variance >= 0.0 || variance != variance) ? variance : 0.0;
+    double std = sqrt(variance);
+    std = (std >= minimum_std || std != std) ? std : minimum_std;
+    double z = fabs(d - *mean) / std;
+    const double score = *count == 0 ? 0.0 : z;
+    *count = *count + 1;
+    double delta = d - *mean;
+    *mean = *mean + delta / (double)*count;
+    double spread = d - *mean;
+    *m2 = *m2 + delta * spread;
+    return score;
+}
+
+/* Whether x is finite: x - x is NaN exactly when it is not. */
+static inline int is_finite(double x)
+{
+    x = x - x;
+    return x == x;
+}
+
 #define CHUNK_LANES 16
 #define VEC vec16
 #define MASK mask16
 #define CHUNK chunk16
+#define ROUND round16
 #include __FILE__
 #undef CHUNK_LANES
 #undef VEC
 #undef MASK
 #undef CHUNK
+#undef ROUND
 
 #define CHUNK_LANES 1
 #define VEC vec1
 #define MASK mask1
 #define CHUNK chunk1
+#define ROUND round1
 #include __FILE__
 #undef CHUNK_LANES
 #undef VEC
 #undef MASK
 #undef CHUNK
+#undef ROUND
 
 /* Chunk `chunk` of a run -- run positions from 16 * chunk -- on the lanes
  * in `lanes`: 16 wide, or one by one when fewer than NARROW_BELOW are
@@ -512,9 +578,10 @@ int64_t advance_run_helped(void)
 }
 #endif
 
-/* The first round whose screen is not finite, the run's length if none:
+/* The first round whose sums fail the screen, the run's length if none:
  * its trend values summed in run order plus its seasonal values summed in
- * run order, read off the planes once every chunk has written them. */
+ * run order, read off the planes once every chunk and every searched lane
+ * has written them. */
 static int64_t first_bad(const struct advance_run_args *run)
 {
     const double *trend = run->planes + run->plane_stride;
@@ -528,22 +595,176 @@ static int64_t first_bad(const struct advance_run_args *run)
             trend_sum = trend_sum + trends[j];
             seasonal_sum = seasonal_sum + seasonals[j];
         }
-        /* x - x is NaN exactly when x is not finite. */
-        double screen = trend_sum + seasonal_sum;
-        screen = screen - screen;
-        if (screen != screen)
+        if (!is_finite(trend_sum + seasonal_sum))
             break;
     }
     return r;
 }
 
+/* The seasonal value a lane's round r reads at `slot`: that of the latest
+ * earlier round of the run that wrote the slot (`written` holds each
+ * earlier round's slot), else the committed buffer's. */
+static inline double seasonal_at(
+    const double *buffer, const int64_t *written, const double *seasonal_out,
+    int64_t row_stride, int64_t r, int64_t slot)
+{
+    for (int64_t earlier = r - 1; earlier >= 0; earlier--)
+        if (written[earlier] == slot)
+            return seasonal_out[earlier * row_stride];
+    return buffer[slot];
+}
+
+/* One round of the one-lane state in `state`, updated in place, at age
+ * `age` with seasonal anchor `anchor`: trend and seasonal come back in
+ * *trend and *seasonal. */
+static inline void lane_round(
+    const struct advance_side *side, double *state, double value, double anchor,
+    int64_t age, double *trend, double *seasonal)
+{
+    vec1 lane_trend, lane_seasonal;
+    round1(state, side->iterations, (vec1){value}, (vec1){value + anchor},
+        (mask1){age < 1 ? -1 : 0}, (mask1){age < 2 ? -1 : 0}, side->lambda1,
+        side->lambda2, side->epsilon, &lane_trend, &lane_seasonal);
+    *trend = lane_trend[0];
+    *seasonal = lane_seasonal[0];
+}
+
+/* Run position j of a run again, alone, searching the rounds whose score
+ * passes the threshold (see the header): from the committed state and the
+ * saved pre-run moments, with its outputs written over the chunks' pass's,
+ * its state scattered to the working side and its moments to the monitor.
+ * `record` receives the last non-zero winning shift (0 if none), then the
+ * slot each round writes.  Returns the first round a candidate's trend
+ * plus seasonal is not finite, the run's length if none. */
+static int64_t search_lane(
+    const struct advance_side *side, const struct advance_run_args *run,
+    int64_t j, int64_t *record)
+{
+    const int64_t I = side->iterations, rounds = run->rounds, period = side->period;
+    const int64_t plane_stride = run->plane_stride, row_stride = run->row_stride;
+    const double *values = run->planes + j;
+    double *trend_out = run->planes + plane_stride + j;
+    double *seasonal_out = trend_out + plane_stride;
+    double *residual_out = seasonal_out + plane_stride;
+    double *detection_out = residual_out + plane_stride;
+    double *score_out = detection_out + plane_stride;
+    const int64_t column = run->columns[j], size = I * STATE;
+    const int64_t index = side->global_index[column];
+    const int64_t age = side->points_processed[column];
+    const double *buffer = side->seasonal_buffer + column * side->seasonal_stride;
+    int64_t *written = record + 1;
+    double *state = side->scratch, *before = state + size, *trial = before + size;
+    int64_t count = index;
+    double mean = side->saved_moments[j], m2 = side->saved_moments[run->width + j];
+    int64_t bad = rounds;
+    record[0] = 0;
+
+    for (int64_t i = 0; i < I; i++)
+        for (int k = 0; k < STATE; k++)
+            state[i * STATE + k] = state_row(side, 0, i, k)[column];
+    for (int64_t r = 0; r < rounds; r++) {
+        const int64_t at = r * row_stride;
+        const double value = values[at];
+        for (int64_t cell = 0; cell < size; cell++)
+            before[cell] = state[cell];
+        const int64_t slot = phase_of(index, r, period);
+        double trend, seasonal;
+        lane_round(side, state,
+            value, seasonal_at(buffer, written, seasonal_out, row_stride, r, slot),
+            age + r, &trend, &seasonal);
+        double residual = value - trend;
+        residual = residual - seasonal;
+        const double score = monitor_step(residual, &count, &mean, &m2, side->minimum_std);
+        detection_out[at] = residual;
+        score_out[at] = score;
+        written[r] = slot;
+        if (score > side->threshold) {
+            int64_t shift = 0;
+            double best = fabs(residual);
+            if (!is_finite(trend + seasonal) && r < bad)
+                bad = r;
+            for (int64_t c = 1; c < side->shift_count; c++) {
+                for (int64_t cell = 0; cell < size; cell++)
+                    trial[cell] = before[cell];
+                const int64_t shifted = phase_of(index, r + side->shifts[c], period);
+                double trial_trend, trial_seasonal;
+                lane_round(side, trial,
+                    value,
+                    seasonal_at(buffer, written, seasonal_out, row_stride, r, shifted),
+                    age + r, &trial_trend, &trial_seasonal);
+                if (!is_finite(trial_trend + trial_seasonal) && r < bad)
+                    bad = r;
+                double trial_residual = value - trial_trend;
+                trial_residual = trial_residual - trial_seasonal;
+                if (fabs(trial_residual) < best) {
+                    best = fabs(trial_residual);
+                    double *won = trial;
+                    trial = state;
+                    state = won;
+                    trend = trial_trend;
+                    seasonal = trial_seasonal;
+                    residual = trial_residual;
+                    shift = side->shifts[c];
+                    written[r] = shifted;
+                }
+            }
+            if (shift != 0)
+                record[0] = shift;
+        }
+        trend_out[at] = trend;
+        seasonal_out[at] = seasonal;
+        residual_out[at] = residual;
+    }
+    side->monitor_mean[column] = mean;
+    side->monitor_m2[column] = m2;
+    for (int64_t i = 0; i < I; i++)
+        for (int k = 0; k < STATE; k++)
+            state_row(side, 1, i, k)[column] = state[i * STATE + k];
+    return bad;
+}
+
+/* Whether run position j's score passed the threshold in some round of
+ * the chunks' pass. */
+static int tripped_at(
+    const struct advance_side *side, const struct advance_run_args *run, int64_t j)
+{
+    const double *score = run->planes + 5 * run->plane_stride + j;
+    for (int64_t r = 0; r < run->rounds; r++)
+        if (score[r * run->row_stride] > side->threshold)
+            return 1;
+    return 0;
+}
+
+/* Search every run position that tripped in the chunks' pass: `records`
+ * receives, per searched position in run order, its position and
+ * search_lane's record.  Returns the first round a candidate was not
+ * finite, the run's length if none. */
+static int64_t search_tripped(
+    const struct advance_side *side, const struct advance_run_args *run,
+    int64_t *records)
+{
+    int64_t bad = run->rounds;
+    for (int64_t j = 0; j < run->width; j++) {
+        if (!tripped_at(side, run, j))
+            continue;
+        records[0] = j;
+        const int64_t found = search_lane(side, run, j, records + 1);
+        if (found < bad)
+            bad = found;
+        records += 2 + run->rounds;
+    }
+    return bad;
+}
+
 /* Make a finished run the committed state; a full-width run returns
  * ADVANCE_FLIP for the caller to swap its sides, a subset ADVANCE_COMMITTED
- * once its columns are copied from the working side.  Within a run every
- * member writes `rounds` distinct seasonal slots (runs never exceed
- * `period` rounds). */
+ * once its columns are copied from the working side.  `records` are
+ * search_tripped's, `searched` of them.  A lane that was not searched
+ * writes `rounds` distinct seasonal slots (runs never exceed `period`
+ * rounds); a searched one writes its rounds' slots in round order. */
 static int64_t commit(
-    const struct advance_side *side, const struct advance_run_args *run)
+    const struct advance_side *side, const struct advance_run_args *run,
+    const int64_t *records, int64_t searched)
 {
     const int64_t rounds = run->rounds, n = run->width;
     const int64_t I = side->iterations, row_stride = run->row_stride;
@@ -553,8 +774,17 @@ static int64_t commit(
         const int64_t column = run->columns[j];
         const int64_t index = side->global_index[column];
         double *slots = side->seasonal_buffer + column * side->seasonal_stride;
-        for (int64_t r = 0; r < rounds; r++)
-            slots[phase_of(index, r, side->period)] = seasonal_out[r * row_stride + j];
+        if (searched > 0 && records[0] == j) {
+            for (int64_t r = 0; r < rounds; r++)
+                slots[records[2 + r]] = seasonal_out[r * row_stride + j];
+            if (records[1] != 0)
+                side->last_applied_shift[column] = records[1];
+            records += 2 + rounds;
+            searched--;
+        } else {
+            for (int64_t r = 0; r < rounds; r++)
+                slots[phase_of(index, r, side->period)] = seasonal_out[r * row_stride + j];
+        }
         side->global_index[column] = index + rounds;
         side->points_processed[column] = side->points_processed[column] + rounds;
         side->last_detection_residual[column] =
@@ -582,22 +812,147 @@ CLONED int64_t advance_run(
     run_claimed(&job, 0, side->scratch, &tripped);
     if (split)
         tripped |= helper_collect(&job);
-    const int64_t bad = first_bad(run);
-    if (bad == run->rounds && !(tripped && side->searching))
-        return commit(side, run);
-    return 2 * bad + tripped;
-}
-
-/* The commit of a run advance_run left uncommitted, once the caller has
- * replayed or searched what tripped (the planes then hold the run's final
- * outputs): ADVANCE_FLIP or ADVANCE_COMMITTED, as advance_run returns. */
-int64_t advance_commit(
-    const struct advance_side *side, const struct advance_run_args *run)
-{
-    return commit(side, run);
+    int64_t bad = run->rounds, searched = 0, *records = 0;
+    if (tripped && side->searching) {
+        for (int64_t j = 0; j < run->width; j++)
+            searched += tripped_at(side, run, j);
+        records = malloc(searched * (2 + run->rounds) * sizeof *records);
+        if (records == 0)
+            return 0;
+        bad = search_tripped(side, run, records);
+    }
+    const int64_t screened = first_bad(run);
+    if (screened < bad)
+        bad = screened;
+    const int64_t status = bad == run->rounds ? commit(side, run, records, searched) : 2 * bad;
+    free(records);
+    return status;
 }
 
 #else /* ------------------------ one chunk, CHUNK_LANES wide: second pass */
+
+/* The I IRLS iterations of one round on the lanes' I x 22 state in
+ * `lanes`, updated in place: the round's trend and seasonal -- its last
+ * iteration's -- come back in *trend_out and *seasonal_out. */
+INLINE void ROUND(
+    double *lanes, int64_t I, VEC value, VEC anchored, MASK no_first,
+    MASK no_second, double lambda1, double lambda2, double epsilon_value,
+    VEC *trend_out, VEC *seasonal_out)
+{
+    enum { L = CHUNK_LANES };
+    typedef double unaligned __attribute__((vector_size(L * sizeof(double)), aligned(8)));
+    const VEC zero = {0.0}, one = zero + 1.0, epsilon = zero + epsilon_value;
+    const MASK magnitude = (MASK){0} + INT64_MAX; /* every bit but the sign */
+    unaligned *scratch = (unaligned *)lanes;
+    VEC weight_p = one, weight_q = one, trend = zero, seasonal = zero;
+    for (int64_t i = 0; i < I; i++) {
+        unaligned *state = scratch + i * STATE;
+        /* The six distinct values of the pattern (a gated term is
+         * exactly +0.0, as np.copyto writes it). */
+        VEC first = weight_p * lambda1, second = weight_q * lambda2;
+        first = (VEC)((MASK)first & ~no_first);
+        second = (VEC)((MASK)second & ~no_second);
+        const VEC minus_first = -first;
+        const VEC four_second = second * 4.0;
+        const VEC minus_two_second = second * -2.0;
+
+        /* Stage: trailing block and its right-hand side top left,
+         * zeros in the appended rows and columns, the point's two
+         * right-hand sides below. */
+        VEC a00 = state[0], a01 = state[1], a02 = state[2], a03 = state[3];
+        VEC a10 = state[4], a11 = state[5], a12 = state[6], a13 = state[7];
+        VEC a20 = state[8], a21 = state[9], a22 = state[10], a23 = state[11];
+        VEC a30 = state[12], a31 = state[13], a32 = state[14], a33 = state[15];
+        VEC a04 = zero, a05 = zero, a06 = state[16];
+        VEC a14 = zero, a15 = zero, a16 = state[17];
+        VEC a24 = zero, a25 = zero, a26 = state[18];
+        VEC a34 = zero, a35 = zero, a36 = state[19];
+        VEC a40 = zero, a41 = zero, a42 = zero, a43 = zero, a44 = zero, a45 = zero;
+        /* Row 5 couples in at pivot 4 alone: cells (5, 0) and (5, 1)
+         * are never read. */
+        VEC a52 = zero, a53 = zero, a54 = zero, a55 = zero;
+        VEC a46 = value, a56 = anchored;
+        const VEC before_previous = state[20], previous = state[21];
+
+        /* Fold the pattern, entry by entry in caller order (each
+         * off-diagonal entry also mirrored). */
+        a44 = a44 + one;
+        a55 = a55 + one;
+        a54 = a54 + one;
+        a45 = a45 + one;
+        a55 = a55 + one;
+        a44 = a44 + first;
+        a22 = a22 + first;
+        a42 = a42 + minus_first;
+        a24 = a24 + minus_first;
+        a44 = a44 + second;
+        a22 = a22 + four_second;
+        a00 = a00 + second;
+        a42 = a42 + minus_two_second;
+        a24 = a24 + minus_two_second;
+        a40 = a40 + second;
+        a04 = a04 + second;
+        a20 = a20 + minus_two_second;
+        a02 = a02 + minus_two_second;
+
+        /* Sweep on pivot k: rows k + 1 up to the appended rows that
+         * have coupled in (BatchedIncrementalLDLT._staged_pattern),
+         * columns k + 1 .. 6, factor row / pivot, cell - factor * the
+         * pivot row's. */
+        VEC f;
+#define ELIMINATE(row, k, col) a##row##col = a##row##col - f * a##k##col
+#define SWEEP0(row) f = a##row##0 / a00; ELIMINATE(row, 0, 1); \
+    ELIMINATE(row, 0, 2); ELIMINATE(row, 0, 3); ELIMINATE(row, 0, 4); \
+    ELIMINATE(row, 0, 5); ELIMINATE(row, 0, 6)
+#define SWEEP1(row) f = a##row##1 / a11; ELIMINATE(row, 1, 2); \
+    ELIMINATE(row, 1, 3); ELIMINATE(row, 1, 4); ELIMINATE(row, 1, 5); \
+    ELIMINATE(row, 1, 6)
+#define SWEEP2(row) f = a##row##2 / a22; ELIMINATE(row, 2, 3); \
+    ELIMINATE(row, 2, 4); ELIMINATE(row, 2, 5); ELIMINATE(row, 2, 6)
+        SWEEP0(1); SWEEP0(2); SWEEP0(3); SWEEP0(4);
+        SWEEP1(2); SWEEP1(3); SWEEP1(4);
+        /* The new trailing state is final here; the tail sweeps
+         * below destroy it. */
+        state[0] = a22; state[1] = a23; state[2] = a24; state[3] = a25;
+        state[4] = a32; state[5] = a33; state[6] = a34; state[7] = a35;
+        state[8] = a42; state[9] = a43; state[10] = a44; state[11] = a45;
+        state[12] = a52; state[13] = a53; state[14] = a54; state[15] = a55;
+        state[16] = a26; state[17] = a36; state[18] = a46; state[19] = a56;
+        SWEEP2(3); SWEEP2(4);
+        f = a43 / a33; ELIMINATE(4, 3, 4); ELIMINATE(4, 3, 5); ELIMINATE(4, 3, 6);
+        f = a54 / a44; ELIMINATE(5, 4, 5); ELIMINATE(5, 4, 6);
+#undef SWEEP2
+#undef SWEEP1
+#undef SWEEP0
+#undef ELIMINATE
+
+        /* Back substitution of the last two rows. */
+        seasonal = a56 / a55;
+        VEC t = a45 * seasonal;
+        t = a46 - t;
+        trend = t / a44;
+
+        /* IRLS weights of the round's next iteration:
+         * 0.5 / max(|diff|, epsilon), max as np.maximum (a NaN
+         * difference stays NaN). */
+        VEC d = trend - previous;
+        d = (VEC)((MASK)d & magnitude);
+        MASK keep = (d >= epsilon) | (d != d);
+        d = (VEC)(((MASK)d & keep) | ((MASK)epsilon & ~keep));
+        weight_p = 0.5 / d;
+        VEC e = previous * 2.0;
+        e = trend - e;
+        e = e + before_previous;
+        e = (VEC)((MASK)e & magnitude);
+        keep = (e >= epsilon) | (e != e);
+        e = (VEC)(((MASK)e & keep) | ((MASK)epsilon & ~keep));
+        weight_q = 0.5 / e;
+        state[20] = previous;
+        state[21] = trend;
+    }
+    *trend_out = trend;
+    *seasonal_out = seasonal;
+}
 
 /* Lanes [0, live) of a chunk are run positions base + l; spare lanes redo
  * position `base`, and nothing of theirs is stored.  Returns 1 if a live
@@ -619,8 +974,6 @@ INLINE int64_t CHUNK(
     double *score_out = detection_out + plane_stride;
     const double lambda1 = side->lambda1, lambda2 = side->lambda2;
     const double minimum_std = side->minimum_std, threshold = side->threshold;
-    const VEC zero = {0.0}, one = zero + 1.0, epsilon = zero + side->epsilon;
-    const MASK magnitude = (MASK){0} + INT64_MAX; /* every bit but the sign */
     unaligned *scratch = (unaligned *)lanes;
 
     int64_t position[L], column[L];
@@ -675,133 +1028,18 @@ INLINE int64_t CHUNK(
             no_first[l] = age < 1 ? -1 : 0;
             no_second[l] = age < 2 ? -1 : 0;
         }
-        VEC weight_p = one, weight_q = one, trend = zero, seasonal = zero;
-        for (int64_t i = 0; i < I; i++) {
-            unaligned *state = scratch + i * STATE;
-            /* The six distinct values of the pattern (a gated term is
-             * exactly +0.0, as np.copyto writes it). */
-            VEC first = weight_p * lambda1, second = weight_q * lambda2;
-            first = (VEC)((MASK)first & ~no_first);
-            second = (VEC)((MASK)second & ~no_second);
-            const VEC minus_first = -first;
-            const VEC four_second = second * 4.0;
-            const VEC minus_two_second = second * -2.0;
-
-            /* Stage: trailing block and its right-hand side top left,
-             * zeros in the appended rows and columns, the point's two
-             * right-hand sides below. */
-            VEC a00 = state[0], a01 = state[1], a02 = state[2], a03 = state[3];
-            VEC a10 = state[4], a11 = state[5], a12 = state[6], a13 = state[7];
-            VEC a20 = state[8], a21 = state[9], a22 = state[10], a23 = state[11];
-            VEC a30 = state[12], a31 = state[13], a32 = state[14], a33 = state[15];
-            VEC a04 = zero, a05 = zero, a06 = state[16];
-            VEC a14 = zero, a15 = zero, a16 = state[17];
-            VEC a24 = zero, a25 = zero, a26 = state[18];
-            VEC a34 = zero, a35 = zero, a36 = state[19];
-            VEC a40 = zero, a41 = zero, a42 = zero, a43 = zero, a44 = zero, a45 = zero;
-            /* Row 5 couples in at pivot 4 alone: cells (5, 0) and (5, 1)
-             * are never read. */
-            VEC a52 = zero, a53 = zero, a54 = zero, a55 = zero;
-            VEC a46 = value, a56 = anchored;
-            const VEC before_previous = state[20], previous = state[21];
-
-            /* Fold the pattern, entry by entry in caller order (each
-             * off-diagonal entry also mirrored). */
-            a44 = a44 + one;
-            a55 = a55 + one;
-            a54 = a54 + one;
-            a45 = a45 + one;
-            a55 = a55 + one;
-            a44 = a44 + first;
-            a22 = a22 + first;
-            a42 = a42 + minus_first;
-            a24 = a24 + minus_first;
-            a44 = a44 + second;
-            a22 = a22 + four_second;
-            a00 = a00 + second;
-            a42 = a42 + minus_two_second;
-            a24 = a24 + minus_two_second;
-            a40 = a40 + second;
-            a04 = a04 + second;
-            a20 = a20 + minus_two_second;
-            a02 = a02 + minus_two_second;
-
-            /* Sweep on pivot k: rows k + 1 up to the appended rows that
-             * have coupled in (BatchedIncrementalLDLT._staged_pattern),
-             * columns k + 1 .. 6, factor row / pivot, cell - factor * the
-             * pivot row's. */
-            VEC f;
-#define ELIMINATE(row, k, col) a##row##col = a##row##col - f * a##k##col
-#define SWEEP0(row) f = a##row##0 / a00; ELIMINATE(row, 0, 1); \
-    ELIMINATE(row, 0, 2); ELIMINATE(row, 0, 3); ELIMINATE(row, 0, 4); \
-    ELIMINATE(row, 0, 5); ELIMINATE(row, 0, 6)
-#define SWEEP1(row) f = a##row##1 / a11; ELIMINATE(row, 1, 2); \
-    ELIMINATE(row, 1, 3); ELIMINATE(row, 1, 4); ELIMINATE(row, 1, 5); \
-    ELIMINATE(row, 1, 6)
-#define SWEEP2(row) f = a##row##2 / a22; ELIMINATE(row, 2, 3); \
-    ELIMINATE(row, 2, 4); ELIMINATE(row, 2, 5); ELIMINATE(row, 2, 6)
-            SWEEP0(1); SWEEP0(2); SWEEP0(3); SWEEP0(4);
-            SWEEP1(2); SWEEP1(3); SWEEP1(4);
-            /* The new trailing state is final here; the tail sweeps
-             * below destroy it. */
-            state[0] = a22; state[1] = a23; state[2] = a24; state[3] = a25;
-            state[4] = a32; state[5] = a33; state[6] = a34; state[7] = a35;
-            state[8] = a42; state[9] = a43; state[10] = a44; state[11] = a45;
-            state[12] = a52; state[13] = a53; state[14] = a54; state[15] = a55;
-            state[16] = a26; state[17] = a36; state[18] = a46; state[19] = a56;
-            SWEEP2(3); SWEEP2(4);
-            f = a43 / a33; ELIMINATE(4, 3, 4); ELIMINATE(4, 3, 5); ELIMINATE(4, 3, 6);
-            f = a54 / a44; ELIMINATE(5, 4, 5); ELIMINATE(5, 4, 6);
-#undef SWEEP2
-#undef SWEEP1
-#undef SWEEP0
-#undef ELIMINATE
-
-            /* Back substitution of the last two rows. */
-            seasonal = a56 / a55;
-            VEC t = a45 * seasonal;
-            t = a46 - t;
-            trend = t / a44;
-
-            /* IRLS weights of the round's next iteration:
-             * 0.5 / max(|diff|, epsilon), max as np.maximum (a NaN
-             * difference stays NaN). */
-            VEC d = trend - previous;
-            d = (VEC)((MASK)d & magnitude);
-            MASK keep = (d >= epsilon) | (d != d);
-            d = (VEC)(((MASK)d & keep) | ((MASK)epsilon & ~keep));
-            weight_p = 0.5 / d;
-            VEC e = previous * 2.0;
-            e = trend - e;
-            e = e + before_previous;
-            e = (VEC)((MASK)e & magnitude);
-            keep = (e >= epsilon) | (e != e);
-            e = (VEC)(((MASK)e & keep) | ((MASK)epsilon & ~keep));
-            weight_q = 0.5 / e;
-            state[20] = previous;
-            state[21] = trend;
-        }
+        VEC trend, seasonal;
+        ROUND(lanes, I, value, anchored, no_first, no_second, lambda1, lambda2,
+            side->epsilon, &trend, &seasonal);
 
         /* The residual monitor: score against the moments before the
-         * point, exactly _welford_score (0.0 for a monitor that has seen
-         * nothing; both maxima as np.maximum), then fold the point in,
-         * exactly _welford_fold. */
+         * point, then fold the point in. */
         double residual[L], score[L];
         for (int l = 0; l < L; l++) {
             double d = value[l] - trend[l];
             d = d - seasonal[l];
             residual[l] = d;
-            double variance = m2[l] / (double)(count[l] > 1 ? count[l] : 1);
-            variance = (variance >= 0.0 || variance != variance) ? variance : 0.0;
-            double std = sqrt(variance);
-            std = (std >= minimum_std || std != std) ? std : minimum_std;
-            double z = fabs(d - mean[l]) / std;
-            score[l] = count[l] == 0 ? 0.0 : z;
-            count[l] = count[l] + 1;
-            double delta = d - mean[l];
-            mean[l] = mean[l] + delta / (double)count[l];
-            double spread = d - mean[l];
-            m2[l] = m2[l] + delta * spread;
+            score[l] = monitor_step(d, &count[l], &mean[l], &m2[l], minimum_std);
         }
         for (int l = 0; l < live; l++) {
             const int64_t at = r * row_stride + base + l;

@@ -56,8 +56,9 @@ non-finite propagation included:
   built as AVX-512F, AVX2 and baseline clones and the dynamic loader
   picks the widest this CPU runs, once, when the library is opened; every
   operation is correctly rounded per lane, so neither the width nor the
-  clone can change a bit.  A clean run is committed before the call
-  returns.
+  clone can change a bit.  A member that trips the monitor is searched
+  inside the same call (see below), and a run is committed before the
+  call returns unless a round fails the screen.
 * the **NumPy wavefront** (:meth:`FleetKernel._run_wavefront`), the
   *reference schedule*: all solves on an anti-diagonal ``i + r = s`` are
   independent, so a run advances in ``T + I - 1`` steps, each one stacked
@@ -87,25 +88,26 @@ and a scatter back.  A run commits once, at its end; until then the
 committed state is the pre-run state.  (The residual monitor's moments
 are the exception: the body folds every round into them in place, after
 saving each member's pre-run moments, and a run that returns short puts
-those back.)  The body commits a clean run itself -- no round went
-non-finite, and no score passed the threshold where tripped columns are
-searched -- so a clean run is one body call; otherwise it reports which
-round went non-finite and whether a score passed the threshold.  A
-series whose residual monitor
-trips mid-run is only *marked*: the run finishes for everyone, and
-before the commit the marked
-columns are gathered from the pre-run state into one *narrow* kernel that
-advances the run again itself, cut into shorter runs at the rounds that
-tripped (:meth:`FleetKernel._replay_marked`), and is scattered back over
-their speculative results.  A one-round run that trips is the base case,
-and there the paper's seasonality-shift search (Section 3.4) is a kernel
-run too: its ``2H + 1`` trials start from one pre-point state and differ
-only in the seasonal anchor ``v[(t + c) mod T]``, so the tripped columns x
-their candidate shifts are the columns of one stacked ``T = 1`` solve
-(:meth:`FleetKernel._search_shifts`) -- one native call (``I`` wavefront
-steps), not ``(2H + 1) x I`` scalar advances on copies.  The scalar
-:func:`repro.core.oneshotstl._search_best_shift` is not called from here;
-it stays the sequential reference the oracle tests compare against.
+those back.)  A series whose residual monitor trips mid-run -- the
+paper's trigger for its seasonality-shift search (Section 3.4) -- is
+searched inside the body, so a run is one body call, tripped or not:
+once the run has finished for everyone, each member that tripped advances
+the run again on its own from its pre-run state, and in every round
+whose score passes there it tries the candidate shifts, ``2H + 1`` trials
+from one pre-point state that differ only in the seasonal anchor ``v[(t
++ c) mod T]``; the winner carries the member on, its seasonal value
+written to the shifted slot, which a later round of the same run reads.
+The native body runs a searched member and its candidates through its
+one-lane body (:meth:`FleetKernel._run_native`); the reference gathers
+the tripped members into one *narrow* kernel cut at the rounds that
+tripped (:meth:`FleetKernel._replay_marked`) and a tripped round's
+members x candidates into the columns of one stacked ``T = 1`` solve
+(:meth:`FleetKernel._search_shifts`).  The body commits the run unless a
+round fails its screen -- a routing decision, never a value (see
+:meth:`FleetKernel._solve_run`) -- and then reports that round.  The
+scalar :func:`repro.core.oneshotstl._search_best_shift` is not called
+from here; it stays the sequential reference the oracle tests compare
+against.
 
 A series is on the kernel from its first online point.  The solver is
 born in the Schur form the stacked state holds (a fresh block is ``w``
@@ -133,7 +135,6 @@ needs scalar state at all live in the streaming engine
 from __future__ import annotations
 
 import ctypes
-import math
 import warnings
 from itertools import chain
 from typing import Mapping, Sequence
@@ -165,9 +166,9 @@ _MAX_BLOCK_ROUNDS = 64
 #: ``r`` in row ``r``, ``0 <= r <= _MAX_BLOCK_ROUNDS``: a run's round offsets
 _ROUND_OFFSETS = np.arange(_MAX_BLOCK_ROUNDS + 1)[:, None]
 
-#: The native body of a run -- ``(advance_run, advance_commit,
-#: scratch_doubles, helped)``, the ``ctypes`` functions of
-#: ``advance_run.c`` -- or None for the NumPy wavefront.  Written once, by
+#: The native body of a run -- ``(advance_run, scratch_doubles, helped)``,
+#: the ``ctypes`` functions of ``advance_run.c`` -- or None for the NumPy
+#: wavefront.  Written once, by
 #: :func:`kernel_backend`;
 #: the test suite runs every oracle under both bodies by patching this one
 #: attribute.
@@ -188,6 +189,7 @@ _PER_COLUMN = (
     "global_index",
     "points_processed",
     "last_detection_residual",
+    "last_applied_shift",
     "monitor_mean",
     "monitor_m2",
 )
@@ -271,7 +273,9 @@ def _same_bits(routines: tuple) -> bool:
     moments differ in every column too, and its counts (``global_index``,
     set apart from the gating ages) reach far past the run's length: some
     have seen nothing (score 0.0) and some have no spread (a floored
-    standard deviation, a score far past the threshold).  The six planes,
+    standard deviation, a score far past the threshold), so 64 columns
+    trip and are searched, and their searches pick shifts of 1 or -1,
+    whose slots other rounds of the four-round run read.  The six planes,
     the status, the saved moments and every committed section of the
     kernel after the run -- the body commits it -- are compared as bytes,
     signs of zeros included.  Which chunks the helper takes is the
@@ -282,7 +286,7 @@ def _same_bits(routines: tuple) -> bool:
     n_rounds, n_iterations, n = 4, 3, 168
     params = {
         "period": 4, "lambda1": 2.0, "lambda2": 3.0, "iterations": n_iterations,
-        "shift_window": 0, "shift_threshold": 5.0, "epsilon": 1e-8,
+        "shift_window": 1, "shift_threshold": 5.0, "epsilon": 1e-8,
     }  # fmt: skip
     ramp = np.arange(16.0 * n_iterations * n).reshape(4, 4, n_iterations, n)
     # Entries below 0.5 and a diagonal above 2: diagonally dominant.
@@ -317,7 +321,7 @@ def _same_bits(routines: tuple) -> bool:
         )
 
     expected = image(None)
-    helped = routines[3]
+    helped = routines[2]
     for _ in range(_HELPED_TRIES):
         before = helped()
         if image(routines) != expected:
@@ -571,7 +575,7 @@ class FleetKernel:
             by_phase.setdefault(shift % self.period, shift)
             if len(by_phase) == self.period:
                 break  # every phase has its first occurrence
-        self._shifts = np.array(list(by_phase.values()))
+        self._shifts = np.array(list(by_phase.values()), dtype=np.int64)
         # Run workspaces (allocated lazily, sized to the widest run seen):
         # purely an allocation-avoidance cache -- no decomposition state
         # lives here between runs.  The native body's scratch depends on
@@ -835,20 +839,20 @@ class FleetKernel:
           (latest trend + seasonal buffer at the current phase, exactly
           like the scalar model) and advances as a one-round run;
         * a member that trips the seasonality-shift search does *not* end
-          the run: the marked members are replayed together, as one narrow
-          kernel gathered from the pre-run state, before the commit --
-          their candidate shifts searched as columns of a stacked solve in
-          the rounds that trip -- while the rest of the run keeps its
+          the run: inside the same body call it advances the run again on
+          its own from the pre-run state, its candidate shifts searched in
+          every round that trips, while the rest of the run keeps its
           batched results;
-        * a round that goes non-finite under the unguarded solves -- in
-          the run, in a replay or in any *candidate* of a search -- ends
-          the *call*: nothing of that run is committed, its clean prefix
-          is re-run, the returned arrays then cover only the rounds before
-          the offending one, the kernel holds exactly the state after
-          those rounds, and the caller must advance that round member by
-          member through the scalar models (:meth:`extract` /
-          :meth:`load`) -- which is by definition the scalar behavior,
-          pivot errors included -- before submitting the rest.
+        * a round that fails the screen -- it went non-finite under the
+          unguarded solves, in the run or in any *candidate* of a search
+          (see :meth:`_solve_run`) -- ends the *call*: nothing of that run
+          is committed, its clean prefix is re-run, the returned arrays
+          then cover only the rounds before the offending one, the kernel
+          holds exactly the state after those rounds, and the caller must
+          advance that round member by member through the scalar models
+          (:meth:`extract` / :meth:`load`) -- which is by definition the
+          scalar behavior, pivot errors included -- before submitting the
+          rest.
 
         ``columns`` restricts the advance to a subset of members, in any
         order (no repeats: a member advances once per round); ``values``
@@ -946,33 +950,47 @@ class FleetKernel:
         columns: np.ndarray,
     ) -> int:
         """Solve the ``T x I`` grid of the run ``[start, stop)`` of
-        ``columns``, and run the residual monitor over it.
+        ``columns``, run the residual monitor over it, search what trips
+        it, and commit the run unless a round fails the screen.
 
-        ``native`` is the body: the loaded routines, or None for the
-        reference wavefront.  Both take the same contract, the one
-        ``advance_run.c`` states.  They read each member's committed state
-        at its column -- the solver's committed side, trend pairs,
-        seasonal anchors, ages -- and write its post-run solver state to
-        the working side and its trend pairs to :attr:`_pairs_out`, at the
-        column.  Of ``planes`` they read the value rows ``[start, stop)``
-        and write those rows of the other five: the residual ``(value -
-        trend) - seasonal``, the detection residual a copy of it, the
-        score its z against the monitor before the point, whose count is
-        the column's ``global_index`` plus the rounds before it.  They fold
-        every round into ``monitor_mean`` / ``monitor_m2`` in place, after
-        saving each run position's pre-run moments in :meth:`_saved_space`.
+        ``native`` is the body: the loaded routines (:meth:`_run_native`),
+        or None for the reference (:meth:`_run_numpy`).  Both take the same
+        contract, the one ``advance_run.c`` states.  They read each
+        member's committed state at its column -- the solver's committed
+        side, trend pairs, seasonal anchors, ages -- and write its post-run
+        solver state to the working side and its trend pairs to
+        :attr:`_pairs_out`, at the column.  Of ``planes`` they read the
+        value rows ``[start, stop)`` and write those rows of the other
+        five: the residual ``(value - trend) - seasonal``, the detection
+        residual, the score -- the detection residual's z against the
+        monitor before the point, whose count is the column's
+        ``global_index`` plus the rounds before it.  They fold every round
+        into ``monitor_mean`` / ``monitor_m2`` in place, after saving each
+        run position's pre-run moments in :meth:`_saved_space`.
 
-        A clean run -- every round passes the screen, and no score passed
-        the threshold or tripped columns are not searched -- is committed
-        (:meth:`_commit`) and returns :data:`_COMMITTED`.  Any other
-        returns ``2 * bad + tripped``, committing nothing: ``bad`` the
-        first round (from ``start``) that fails the screen -- the sum of
-        its trends plus the sum of its seasonals, each summed in run order
-        (:func:`_screen`), is not finite -- the run length if none;
-        ``tripped`` whether any score passed the monitor's threshold.
+        Where tripped columns are searched (``shift_window > 0``), each
+        member whose score passes the threshold in some round advances
+        the run again on its own, round by round, from its pre-run state:
+        a round whose score passes there tries the candidate shifts
+        (:attr:`_shifts`) of the paper's Section 3.4, exactly as the
+        scalar model does -- the first smallest ``|residual|`` wins and
+        carries the member on, its trend, seasonal and residual are the
+        round's outputs and its seasonal value goes to the shifted slot,
+        which a later round of the run reads; the detection residual, the
+        score and the monitor's fold stay candidate 0's, and a non-zero
+        winner sets ``last_applied_shift``.
+
+        A run whose rounds all pass the screen is committed and returns
+        :data:`_COMMITTED`.  Any other returns ``2 * bad``, committing
+        nothing: ``bad`` the first round (from ``start``) that fails it.
+        The screen is a routing decision, never a value: a round fails
+        when the sum of its final trends plus the sum of its final
+        seasonals, each summed in run order (:func:`_screen`), is not
+        finite, or when a candidate of a search in it has a trend plus
+        seasonal that is not finite.
         """
         if native is None:
-            return self._run_wavefront(planes, start, stop, columns)
+            return self._run_numpy(planes, start, stop, columns)
         return self._run_native(native, planes, start, stop, columns)
 
     def _saved_space(self, m: int) -> np.ndarray:
@@ -998,8 +1016,10 @@ class FleetKernel:
         start: int,
         stop: int,
         columns: np.ndarray,
-    ) -> int:
-        """The solve grid of a run on the NumPy wavefront (reference body).
+    ) -> bool:
+        """The solve grid of a run on the NumPy wavefront, and its monitor:
+        the reference body's first pass over every member, which commits
+        nothing.
 
         A run of every column in order advances the kernel's own solver
         stack; any other member list is gathered into a stack of its own,
@@ -1023,7 +1043,8 @@ class FleetKernel:
         The grid done, the residuals are two subtractions over the run and
         the monitor scores, then folds, round by round
         (:func:`_welford_score`, :func:`_welford_fold`), its count the
-        column's ``global_index`` plus the rounds before.
+        column's ``global_index`` plus the rounds before.  Returns whether
+        a score passed the threshold where tripped columns are searched.
         """
         (
             values,
@@ -1154,13 +1175,7 @@ class FleetKernel:
         self._pair_buffer()[..., at] = hist[
             self._pair_steps + n_rounds, self._pair_iterations
         ]
-        finite = _screen(trend_out, seasonal_out)
-        bad = n_rounds if finite.all() else int(finite.argmin())
-        tripped = bool((score_out > self.shift_threshold).any())
-        if bad == n_rounds and not (tripped and self.shift_window > 0):
-            self._commit(None, planes, start, stop, columns)
-            return _COMMITTED
-        return 2 * bad + tripped
+        return self.shift_window > 0 and bool((score_out > self.shift_threshold).any())
 
     def _run_native(
         self,
@@ -1170,20 +1185,20 @@ class FleetKernel:
         stop: int,
         columns: np.ndarray,
     ) -> int:
-        """The solve grid of a run, its monitor and, when it is clean, its
-        commit, as one call into ``advance_run.c``.
+        """The native body: the solve grid of a run, its monitor, its
+        searches and its commit, as one call into ``advance_run.c``.
 
-        Same contract as :meth:`_run_wavefront`, same bits: the C routine
+        Same contract as :meth:`_run_numpy`, same bits: the C routine
         performs each solve's operations, each round's scoring and fold,
-        and the commit in the same order, per column, gathering each
-        member's state at its column and scattering it back there.  It
-        takes the kernel's handle (:meth:`_native_handle`) and the run,
-        and a committed full-width run comes back as a flip for
-        :meth:`_flip`.
+        each search's candidates and the commit in the same order, per
+        column, gathering each member's state at its column and scattering
+        it back there.  It takes the kernel's handle
+        (:meth:`_native_handle`) and the run, and a committed full-width
+        run comes back as a flip for :meth:`_flip`.
         """
         handle = self._handle
         if handle is None:
-            handle = self._handle = self._native_handle(routines[2])
+            handle = self._handle = self._native_handle(routines[1])
         if stop - start > _MAX_BLOCK_ROUNDS:
             raise ValueError(f"a native run is at most {_MAX_BLOCK_ROUNDS} rounds")
         plane_bytes, row_bytes, item_bytes = planes.strides
@@ -1224,14 +1239,9 @@ class FleetKernel:
         if self._scratch is None:
             doubles = scratch_doubles(self.iterations)
             self._scratch = np.empty(doubles)
-        per_column = (
-            self.global_index,
-            self.points_processed,
-            self.last_detection_residual,
-            self.monitor_mean,
-            self.monitor_m2,
-        )
-        arrays = (*committed, *working, *per_column, saved, self._scratch)
+        per_column = tuple(getattr(self, name) for name in _PER_COLUMN)
+        shifts = self._shifts
+        arrays = (*committed, *working, *per_column, saved, self._scratch, shifts)
         if any(a.dtype.itemsize != 8 or not a.flags.c_contiguous for a in arrays):
             raise ValueError("a native run needs contiguous 64-bit state arrays")
         common = {
@@ -1244,6 +1254,8 @@ class FleetKernel:
             "iterations": self.iterations,
             "members": self._n,
             "searching": self.shift_window > 0,
+            "shifts": _address(shifts),
+            "shift_count": shifts.size,
             "lambda1": self.lambda1,
             "lambda2": self.lambda2,
             "epsilon": self.epsilon,
@@ -1276,92 +1288,115 @@ class FleetKernel:
     ) -> tuple[int, bool]:
         """Advance the all-finite rounds ``[start, stop)`` of ``columns`` as one run.
 
-        Hands the ``T x I`` solve grid, the residual monitor and the
-        commit to the body this process runs (:meth:`_run_native`, one
-        call into ``advance_run.c``, or the reference
-        :meth:`_run_wavefront`; see :func:`kernel_backend` and
-        :meth:`_solve_run`) -- which is all a clean run needs.  Only when
-        the body leaves the run uncommitted are the pre-run moments copied
-        and the rounds walked, none of which depends on the body: both
-        produce the same bits.
-
-        A column whose score passes the threshold is marked and, once the
-        run has finished for everyone, replayed before the commit:
-        searched in place when the run is one round long
-        (:meth:`_search_shifts`), else advanced again in a narrow kernel
-        that cuts the run at the tripped rounds (:meth:`_replay_marked`).
-        A run that returns short restores the run's pre-run moments: the
-        body folded every round, the non-finite one and those after it
-        included.
+        Hands the ``T x I`` solve grid, the residual monitor, the shift
+        searches and the commit to the body this process runs
+        (:meth:`_run_native`, one call into ``advance_run.c``, or the
+        reference :meth:`_run_numpy`; see :func:`kernel_backend` and
+        :meth:`_solve_run`) -- which is all a run needs unless a round
+        fails the screen.
 
         Returns ``(next_round, solved)``: ``(stop, True)`` normally.  A
-        round that went non-finite on a column whose batched values are
-        used, in a replay or in a candidate of a search commits nothing,
-        re-runs the rounds before it and returns ``(that round, False)``.
-        ``stop - start`` never exceeds ``min(period, _MAX_BLOCK_ROUNDS)``,
-        which guarantees no round of the run reads a seasonal slot an
-        earlier round wrote -- the precondition for reading anchors from
-        the buffer and deferring the seasonal scatter to run end.
+        run with a round that fails the screen commits nothing: the run's
+        pre-run moments are put back (the body folded every round, the
+        bad one and those after it included), the rounds before it re-run,
+        and ``(that round, False)`` comes back.  ``stop - start`` never
+        exceeds ``min(period, _MAX_BLOCK_ROUNDS)``, so a round of the run
+        reads a seasonal slot an earlier round wrote only through a search
+        -- a candidate's shifted anchor, or a slot an earlier search moved
+        a write to -- which the bodies serve from the run's own outputs.
         """
-        native = _native_run
-        if self._solve_run(native, planes, start, stop, columns) == _COMMITTED:
+        status = self._solve_run(_native_run, planes, start, stop, columns)
+        if status == _COMMITTED:
             return stop, True
-        n_rounds = stop - start
-        searching = self.shift_window > 0
         m = columns.size
-        saved = self._saved_space(m).copy()
+        saved = self._saved_space(m)
+        self.monitor_mean[columns] = saved[:m]
+        self.monitor_m2[columns] = saved[m:]
+        bad = status >> 1
+        if bad == 0:
+            return start, False
+        return self._advance_run(planes, start, start + bad, columns)[0], False
+
+    def _run_numpy(
+        self,
+        planes: np.ndarray,
+        start: int,
+        stop: int,
+        columns: np.ndarray,
+    ) -> int:
+        """The reference body of :meth:`_solve_run`: the run on the NumPy
+        wavefront with its tripped members searched (:meth:`_walk`), the
+        screen, and the commit (:meth:`_settle`)."""
+        bad, searched = self._walk(planes, start, stop, columns)
+        finite = _screen(planes[1, start:stop], planes[2, start:stop])
+        if not finite[:bad].all():
+            bad = int(finite.argmin())
+        if bad < stop - start:
+            return 2 * bad
+        self._settle(planes, start, stop, columns, searched)
+        return _COMMITTED
+
+    @hotpath
+    def _walk(
+        self,
+        planes: np.ndarray,
+        start: int,
+        stop: int,
+        columns: np.ndarray,
+    ) -> tuple[int, tuple | None]:
+        """A run's final outputs in ``planes``, nothing committed.
+
+        The wavefront advances every member (:meth:`_run_wavefront`); a
+        member whose score passed the threshold where tripped columns are
+        searched is then advanced again from its pre-run state, as every
+        member of such a run together: searched in place when the run is
+        one round long (:meth:`_search_shifts`), else in a narrow kernel
+        that cuts the run at the rounds that tripped
+        (:meth:`_replay_marked`).  Their outputs replace the wavefront's.
+
+        Returns ``(bad, searched)``: the first round (from ``start``) in
+        which a candidate of a search went non-finite, the run length if
+        none, and ``(members, kernel)`` -- the searched members and their
+        state after the run, for :meth:`_settle` -- or None.
+        """
+        n_rounds = stop - start
+        if not self._run_wavefront(planes, start, stop, columns):
+            return n_rounds, None
         block = planes[:, start:stop]
-        trend_block, seasonal_block, score_block = block[1], block[2], block[5]
-        finite = _screen(trend_block, seasonal_block)
-        # A column whose score passes the threshold is marked for replay,
-        # and from then on its batched values (no longer used) are out of
-        # the screen.  The walk reads the body's outputs alone.
-        flags = score_block > self.shift_threshold if searching else None
-        marked = None
-        cuts = []
-        bad = n_rounds
-        for r in range(n_rounds):
-            if not finite[r] and (
-                marked is None
-                or not math.isfinite(
-                    float(trend_block[r, ~marked].sum())
-                    + float(seasonal_block[r, ~marked].sum())
-                )
-            ):
-                bad = r
-                break
-            if flags is not None and flags[r].any():
-                marked = flags[r] if marked is None else marked | flags[r]
-                cuts += (r, r + 1)
-        replayed = None
-        if marked is not None and bad == n_rounds:
-            positions = np.flatnonzero(marked)
-            members = columns[positions]
-            if n_rounds == 1:
-                replayed, points, bad = self._search_shifts(
-                    members, block[0, 0, positions], score_block[0, positions]
-                )
-            else:
-                cuts.append(n_rounds)
-                moments = saved.reshape(2, m).take(positions, 1)
-                replayed, points, bad = self._replay_marked(
-                    members, moments, block[0][:, positions], cuts
-                )
-        if bad < n_rounds:
-            self.monitor_mean[columns] = saved[:m]
-            self.monitor_m2[columns] = saved[m:]
-            if bad == 0:
-                return start, False
-            return self._advance_run(planes, start, start + bad, columns)[0], False
-        self._commit(native, planes, start, stop, columns)
-        if replayed is not None:
-            self.assign(members, replayed)
-            block[1:, :, positions] = points
-        return stop, True
+        flags = block[5] > self.shift_threshold
+        positions = np.flatnonzero(flags.any(axis=0))
+        members = columns[positions]
+        if n_rounds == 1:
+            kernel, points, bad = self._search_shifts(
+                members, block[0, 0, positions], block[5, 0, positions]
+            )
+        else:
+            cuts = [cut for r in np.flatnonzero(flags.any(axis=1)).tolist() for cut in (r, r + 1)]
+            cuts.append(n_rounds)
+            m = columns.size
+            moments = self._saved_space(m).reshape(2, m).take(positions, 1)
+            kernel, points, bad = self._replay_marked(
+                members, moments, block[0][:, positions], cuts
+            )
+        block[1:, :, positions] = points
+        return bad, (members, kernel)
+
+    def _settle(
+        self,
+        planes: np.ndarray,
+        start: int,
+        stop: int,
+        columns: np.ndarray,
+        searched: tuple | None,
+    ) -> None:
+        """Commit a walked run (:meth:`_commit`), then its searched
+        members' own state over what the wavefront left them."""
+        self._commit(planes, start, stop, columns)
+        if searched is not None:
+            self.assign(*searched)
 
     def _commit(
         self,
-        native: tuple | None,
         planes: np.ndarray,
         start: int,
         stop: int,
@@ -1370,17 +1405,11 @@ class FleetKernel:
         """Make the finished run ``[start, stop)`` of ``columns`` the
         committed state: a full-width run flips the solver's and the trend
         pairs' ping-pong, a subset copies its columns from the working
-        side.  The native body commits through ``advance_commit``, which
-        takes the run :meth:`_run_native` last handed ``advance_run``
-        (replays and searches run on kernels of their own); the NumPy body
-        commits here.  Within a run every member writes ``stop - start``
-        distinct seasonal slots (runs never exceed ``period`` rounds), so
-        one fancy scatter equals the per-round scatters."""
-        if native is not None:
-            handle = self._handle
-            if native[1](handle.side, handle.run_at) == _FLIP:
-                self._flip()
-            return
+        side (the native body commits itself).  Within a run every member
+        writes ``stop - start`` distinct seasonal slots (runs never exceed
+        ``period`` rounds), so one fancy scatter equals the per-round
+        scatters; a searched member's shifted writes are its own kernel's,
+        which :meth:`_settle` assigns afterwards."""
         n_rounds = stop - start
         at = columnar.span(columns)
         index = self.global_index[at]
@@ -1403,7 +1432,7 @@ class FleetKernel:
         values: np.ndarray,
         cuts: list,
     ) -> tuple["FleetKernel", np.ndarray, int]:
-        """Replay the marked columns of a finished, uncommitted run.
+        """Advance the searched members of a walked, uncommitted run again.
 
         The columns are gathered from the pre-run state (nothing of the
         run is committed yet; the monitor's moments, updated in place,
@@ -1411,34 +1440,41 @@ class FleetKernel:
         into one narrow kernel that advances the run's ``(rounds, k)``
         ``values`` itself.
         ``cuts`` is its schedule: ascending, ``r`` and ``r + 1`` for every
-        round ``r`` the speculative run saw trip, then the run length.
+        round ``r`` the wavefront saw trip, then the run length.
         Each such round becomes a one-round run, which searches what trips
         in place (:meth:`_search_shifts`); the rounds between advance as
-        ordinary runs.  A column that a search moved off its speculative
-        trajectory may trip elsewhere: the narrow kernel's own run then
-        marks and replays it the same way, on ever shorter runs.
+        ordinary runs.  A column that a search moved off its wavefront
+        trajectory may trip elsewhere: the narrow kernel's own walk then
+        advances it again the same way, on ever shorter runs.  Every cut
+        is walked and committed whatever its screen (the caller screens
+        the run's final planes), so each member's rounds are the scalar
+        model's, one after the other.
 
         Returns ``(kernel, points, bad)``: the narrow kernel after the run,
         its own ``(5, rounds, k)`` trend / seasonal / residual / detection
-        residual / score, and the first round that went non-finite (the run
-        length when none did).
+        residual / score, and the first round in which a candidate of a
+        search went non-finite (the run length when none did).
         """
         sub = self.select(columns)
         sub.monitor_mean, sub.monitor_m2 = moments
         points = np.empty((6,) + values.shape)
         points[0] = values
         members = sub._rows()
+        bad = values.shape[0]
         row = 0
-        solved = True
         for stop in cuts:
-            if solved and row < stop:
-                row, solved = sub._advance_run(points, row, stop, members)
-        return sub, points[1:], values.shape[0] if solved else row
+            if row < stop:
+                found, searched = sub._walk(points, row, stop, members)
+                sub._settle(points, row, stop, members, searched)
+                if found < stop - row:
+                    bad = min(bad, row + found)
+                row = stop
+        return sub, points[1:], bad
 
     @hotpath
     def _search_shifts(
         self, columns: np.ndarray, values: np.ndarray, scores: np.ndarray
-    ) -> tuple["FleetKernel | None", np.ndarray | None, int]:
+    ) -> tuple["FleetKernel", np.ndarray, int]:
         """Seasonality-shift search (Section 3.4) of a one-round run.
 
         Every member of ``columns`` tripped the monitor on the run's only
@@ -1449,9 +1485,9 @@ class FleetKernel:
         not committed yet) is gathered once per candidate and the
         candidate rides in the gathered ``global_index`` -- the anchor read
         *and* the seasonal write at the shifted slot then fall out of the
-        ordinary staging and commit -- and one ``I``-step run advances them
-        all.  The winner is the first smallest ``|residual|`` in the
-        scalar's candidate order (its strict ``<``).
+        ordinary staging and commit -- and one ``I``-step wavefront
+        advances them all.  The winner is the first smallest
+        ``|residual|`` in the scalar's candidate order (its strict ``<``).
 
         Returns ``(kernel, points, bad)`` like :meth:`_replay_marked`: the
         winners as a ``k``-column kernel with the scalar's bookkeeping --
@@ -1459,21 +1495,21 @@ class FleetKernel:
         only by a non-zero shift, ``last_detection_residual`` the
         candidate-0 (pre-search) residual the run's body already fed the
         monitor, its moments the run's and ``scores`` (a trial counts from
-        its shifted ``global_index``) -- or ``(None, None, 0)`` when a
-        candidate went non-finite.
+        its shifted ``global_index``) -- and 0 when a candidate's trend
+        plus seasonal is not finite, else 1.
         """
         shifts = self._shifts
         n_shifts = shifts.size
         wide = self.select(np.repeat(columns, n_shifts))
-        # A trial is a plain advance: candidates do not search.
-        wide.shift_window = 0
         wide.global_index += np.tile(shifts, columns.size)
         trials = np.empty((6, 1, wide._n))
         trials[0, 0] = np.repeat(values, n_shifts)
+        rows = wide._rows()
         # A shifted count may be 0: moments nobody reads need not warn.
         with np.errstate(divide="ignore", invalid="ignore"):
-            if not wide._advance_run(trials, 0, 1, wide._rows())[1]:
-                return None, None, 0
+            wide._run_wavefront(trials, 0, 1, rows)
+        wide._commit(trials, 0, 1, rows)
+        bad = int(np.isfinite(trials[1, 0] + trials[2, 0]).all())
         residual = trials[3, 0].reshape(columns.size, n_shifts)
         best = np.abs(residual).argmin(axis=1)
         picks = best + np.arange(0, wide._n, n_shifts)
@@ -1489,7 +1525,7 @@ class FleetKernel:
         points = trials[1:, :, picks]
         points[3, 0] = residual[:, 0]
         points[4, 0] = scores
-        return winners, points, 1
+        return winners, points, bad
 
     def _run_workspaces(self, n_rounds: int, m: int) -> tuple:
         """(Re)size the wavefront's workspaces; returns views for an

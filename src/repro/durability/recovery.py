@@ -19,7 +19,8 @@ recovery would succeed") holds because the two cannot walk differently.
   is all fallback, and a shard handoff payload is a segment without a
   manifest; there is no second reader.
 * Once the cohorts are read, every component the manifest's engine spec
-  names must be registered (:func:`check_components`).
+  names must be registered and take the parameters the spec gives it
+  (:func:`check_components`).
 * A generation's WAL is one file, :func:`~repro.durability.format.wal_name`
   of its generation.  Unread bytes after its last readable frame are
   crash debris (a kill mid-append) -- unless, from some later byte,
@@ -38,6 +39,7 @@ The reader never repairs, moves or truncates anything.
 
 from __future__ import annotations
 
+import inspect
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
@@ -125,7 +127,9 @@ def read_cohort(
 
 def check_components(manifest: Mapping[str, Any], source: object) -> None:
     """Raise ``CorruptCheckpointError`` unless every component a validated
-    manifest's engine spec names -- overrides included -- is registered.
+    manifest's engine spec names -- overrides included -- is registered
+    and its parameters bind to its class's signature, as building it
+    (``registered_class(**params)``) will bind them.
 
     Both readers call it once the cohorts are decoded, before the WAL: a
     fallback section's unpickling imports the modules its states' classes
@@ -134,15 +138,22 @@ def check_components(manifest: Mapping[str, Any], source: object) -> None:
     not imported yet still reads.
     """
     spec = EngineSpec.from_dict(manifest["engine_spec"])
-    try:
-        for pipeline in (spec.pipeline, *spec.overrides.values()):
-            pipeline.decomposer.component_class()
-            pipeline.detector.component_class()
-    except KeyError as error:
-        raise CorruptCheckpointError(
-            f"{source}: manifest 'engine_spec' names a component this "
-            f"process has not registered ({error})"
-        ) from error
+    for pipeline in (spec.pipeline, *spec.overrides.values()):
+        for component in (pipeline.decomposer, pipeline.detector):
+            try:
+                signature = inspect.signature(component.component_class())
+            except KeyError as error:
+                raise CorruptCheckpointError(
+                    f"{source}: manifest 'engine_spec' names a component this "
+                    f"process has not registered ({error})"
+                ) from error
+            try:
+                signature.bind(**component.params)
+            except TypeError as error:
+                raise CorruptCheckpointError(
+                    f"{source}: manifest 'engine_spec' gives component "
+                    f"{component.name!r} parameters it does not take ({error})"
+                ) from error
 
 
 #: what is wrong with a part :func:`stray_wal_parts` names

@@ -575,7 +575,6 @@ def test_the_shipped_loader_matches_advance_run_c():
     assert check_signatures(tree, str(path)) == []
     assert set(_native.ROUTINES) == {
         "advance_run",
-        "advance_commit",
         "advance_run_scratch",
         "advance_run_helped",
         "advance_run_vector",

@@ -329,6 +329,29 @@ class TestStoreVerify:
         assert not report.ok
         assert report.findings[0].artifact == "manifest"
 
+    @pytest.mark.parametrize("component", ["detector", "decomposer"])
+    def test_a_parameter_its_component_does_not_take_is_fatal_and_refused_untouched(
+        self, tmp_path, component
+    ):
+        """A manifest whose spec renames a component's parameter is
+        corrupt: building the component would raise ``TypeError`` at the
+        first ingest, so ``verify()`` files it as fatal and a strict open
+        refuses the store without touching a byte of it."""
+        populate_store(tmp_path)
+        manifest = read_manifest_json(tmp_path)
+        params = manifest["engine_spec"]["pipeline"][component]["params"]
+        name = next(iter(params))
+        params[name[:3] + "d" + name[3:]] = params.pop(name)
+        (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
+        report = DirectoryCheckpointStore(tmp_path).verify()
+        assert not report.ok
+        assert [(f.artifact, f.fatal) for f in report.findings] == [("manifest", True)]
+        assert "does not take" in report.findings[0].detail
+        before = tree_bytes(tmp_path)
+        with pytest.raises(CorruptCheckpointError, match="does not take"):
+            strict_open(tmp_path, check_spec=False)
+        assert tree_bytes(tmp_path) == before
+
     def test_torn_wal_tail_is_a_nonfatal_note(self, tmp_path):
         populate_store(tmp_path)
         store = DirectoryCheckpointStore(tmp_path)

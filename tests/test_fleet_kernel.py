@@ -719,51 +719,38 @@ class TestRunBoundary:
 class TestMarkedColumns:
     """A tripped monitor marks a column; the run finishes for everyone.
 
-    Marked columns are replayed together, as one narrow kernel gathered
-    from the pre-run state, before the run commits; a round that trips
-    there searches its candidate shifts as columns.  Outputs and full
+    Marked columns advance the run again, each from its pre-run state,
+    inside the run's body call and before it commits, and every round
+    that trips there searches its candidate shifts.  Outputs and full
     state equal the scalar path wherever and however often the monitor
     trips.
     """
 
     @pytest.fixture
     def spies(self, monkeypatch):
-        """Record the block's own runs, its replays and their searches.
-
-        A replay advances a narrow kernel through the same methods, so
-        only calls made outside any replay or search count as the block's.
-        """
-        seen = {"runs": [], "replays": [], "searches": 0, "depth": 0}
-        search = FleetKernel._search_shifts
+        """Record the block's runs and, per committed run that searched,
+        its searched members (kernel columns, in run order) and the number
+        of its rounds that searched -- read off the run's outputs, whichever
+        body ran it (a searched round is one whose pre-search score passed
+        the threshold)."""
+        seen = {"runs": [], "searched": []}
         advance = FleetKernel._advance_run
-        replay = FleetKernel._replay_marked
-
-        def nested(call, *args):
-            seen["depth"] += 1
-            try:
-                return call(*args)
-            finally:
-                seen["depth"] -= 1
-
-        def search_spy(*args):
-            seen["searches"] += 1
-            return nested(search, *args)
+        solve = FleetKernel._solve_run
 
         def advance_spy(kernel, values, start, stop, *rest):
-            if not seen["depth"]:
-                seen["runs"].append((start, stop))
+            seen["runs"].append((start, stop))
             return advance(kernel, values, start, stop, *rest)
 
-        def replay_spy(kernel, columns, *rest):
-            before = seen["searches"]
-            result = nested(replay, kernel, columns, *rest)
-            if not seen["depth"]:
-                seen["replays"].append((columns.tolist(), seen["searches"] - before))
-            return result
+        def solve_spy(kernel, native, planes, start, stop, columns):
+            status = solve(kernel, native, planes, start, stop, columns)
+            tripped = planes[5, start:stop] > kernel.shift_threshold
+            if status == fleet._COMMITTED and tripped.any():
+                members = columns[tripped.any(axis=0)].tolist()
+                seen["searched"].append((members, int(tripped.any(axis=1).sum())))
+            return status
 
-        monkeypatch.setattr(FleetKernel, "_search_shifts", search_spy)
         monkeypatch.setattr(FleetKernel, "_advance_run", advance_spy)
-        monkeypatch.setattr(FleetKernel, "_replay_marked", replay_spy)
+        monkeypatch.setattr(FleetKernel, "_solve_run", solve_spy)
         return seen
 
     def check(self, spikes, n_series=6, nan_cells=(), columns=None):
@@ -779,46 +766,46 @@ class TestMarkedColumns:
 
     def test_two_columns_tripping_at_different_rounds_of_one_run(self, spies):
         self.check([(1, 3), (4, 17)])
-        # The tripped block stayed one run; both columns replayed in it.
+        # The tripped block stayed one run; both columns searched in it.
         assert spies["runs"] == [(0, PERIOD), (0, 5)]
-        assert [columns for columns, _ in spies["replays"]] == [[1, 4]]
+        assert [columns for columns, _ in spies["searched"]] == [[1, 4]]
 
     def test_one_column_tripping_twice_in_a_run(self, spies):
         self.check([(2, 5), (2, 14)])
         assert spies["runs"][0] == (0, PERIOD)
-        columns, searches = spies["replays"][0]
+        columns, searches = spies["searched"][0]
         assert columns == [2] and searches >= 2
 
     def test_trips_in_the_first_and_the_last_round(self, spies):
         self.check([(0, 0), (3, PERIOD - 1)])
         assert spies["runs"][0] == (0, PERIOD)
-        assert spies["replays"][0][0] == [0, 3]
+        assert spies["searched"][0][0] == [0, 3]
 
     def test_every_column_tripping_in_one_round(self, spies):
         self.check([(column, 9) for column in range(6)])
         assert spies["runs"][0] == (0, PERIOD)
-        assert spies["replays"][0][0] == list(range(6))
+        assert spies["searched"][0][0] == list(range(6))
 
     def test_trip_in_a_block_that_also_has_a_nan_round(self, spies):
         self.check([(2, 4), (3, 15)], nan_cells=[(1, 10)])
         # The NaN round is its own run; the trips end none.
         assert spies["runs"][:3] == [(0, 10), (10, 11), (11, PERIOD)]
-        assert [columns for columns, _ in spies["replays"][:2]] == [[2], [3]]
+        assert [columns for columns, _ in spies["searched"][:2]] == [[2], [3]]
 
     def test_trips_in_a_column_subset(self, spies):
-        # The subset advances in place: replays name kernel columns.
+        # The subset advances in place: searches name kernel columns.
         self.check([(2, 6), (5, 11)], columns=np.array([0, 2, 5]))
         assert spies["runs"][0] == (0, PERIOD)
-        assert spies["replays"][0][0] == [2, 5]
+        assert spies["searched"][0][0] == [2, 5]
 
     @pytest.mark.parametrize("rounds_per_block", [1, PERIOD])
     def test_tripped_columns_are_searched_as_columns_of_one_stacked_solve(
         self, monkeypatch, kernel_body, rounds_per_block
     ):
-        """No scalar model anywhere; k trips in a round cost I widened solves.
-
-        On the native body a search is ONE ``T = 1`` call of width ``tripped
-        x phases``, and a replay one call per cut of its schedule.
+        """No scalar model anywhere.  On the native body a tripped run is
+        ONE call, its searches inside it; on the NumPy body k trips in a
+        round cost I widened solves, and a replay one narrow run per cut
+        of its schedule.
         """
         from repro.core import oneshotstl
 
@@ -881,36 +868,37 @@ class TestMarkedColumns:
                 return advance_run(side, run)
 
             monkeypatch.setattr(fleet, "_native_run", (native_spy, *rest))
-        for start in range(0, PERIOD, rounds_per_block):
-            rounds = block[start : start + rounds_per_block]
-            assert kernel.update_block(rounds).value.shape == rounds.shape
+        with recorded_searches() as found:
+            for start in range(0, PERIOD, rounds_per_block):
+                rounds = block[start : start + rounds_per_block]
+                assert kernel.update_block(rounds).value.shape == rounds.shape
         # The three spiked columns tripped together in round 9 and were
-        # searched together; every search, whatever it found, is I steps
-        # -- or one native T = 1 call -- on k x (distinct candidate
-        # phases) columns.
+        # searched together.
+        assert 3 in [len(members) for members, _shifts in found]
+        if kernel_body == "native":
+            # One call per block, searches and all: the Python search and
+            # replay never ran.
+            assert searches == [] and replays == []
+            lengths = [len(block[start : start + rounds_per_block])
+                       for start in range(0, PERIOD, rounds_per_block)]  # fmt: skip
+            assert solves == [(0, 6, n, kernel.iterations) for n in lengths]
+            return
+        # Every search, whatever it found, is I steps on k x (distinct
+        # candidate phases) columns.
         phases = min(2 * kernel.shift_window + 1, PERIOD)
-        assert 3 in [tripped for _level, _first, _last, tripped in searches]
         for level, first, last, tripped in searches:
             own = [solve[1:] for solve in solves[first:last] if solve[0] == level + 1]
-            if kernel_body == "native":
-                assert own == [(tripped * phases, 1, kernel.iterations)]
-            else:
-                assert own == [
-                    (tripped * phases, iteration, iteration + 1)
-                    for iteration in range(kernel.iterations)
-                ]
+            assert own == [
+                (tripped * phases, iteration, iteration + 1)
+                for iteration in range(kernel.iterations)
+            ]
         # A replay is one narrow run per cut of its schedule (what trips
-        # inside a cut nests one level deeper): one native call each.
+        # inside a cut nests one level deeper).
         assert bool(replays) == (rounds_per_block > 1)
         for level, first, last, cuts in replays:
             own = [solve[1:] for solve in solves[first:last] if solve[0] == level + 1]
             lengths = [b - a for a, b in zip([0] + cuts, cuts) if b > a]
-            if kernel_body == "native":
-                assert [n_rounds for _n, n_rounds, _i in own] == lengths
-            else:
-                assert len(own) == sum(
-                    length + kernel.iterations - 1 for length in lengths
-                )
+            assert len(own) == sum(length + kernel.iterations - 1 for length in lengths)
 
     @pytest.mark.parametrize("period,shift_window", [(8, 20), (8, 3), (50, 20)])
     def test_trips_match_at_other_periods(self, period, shift_window):
@@ -956,9 +944,12 @@ class TestMarkedColumns:
         consecutive rounds and choose non-zero shifts, so a later round of
         the same block reads a seasonal slot the search wrote.  Every case
         runs full width, through a ``columns=`` subset and on a width-1
-        kernel (which takes every event on its one member).
+        kernel (which takes every event on its one member).  On the width-1
+        kernel the searches read off the runs' outputs are the scalar
+        model's, round for round, with the same shifts wherever the
+        outputs show them.
         """
-        searched = {}
+        searched, found = {}, {}
         for mode, n_series, columns in (
             ("full", 5, None),
             ("subset", 5, np.array([0, 1, 3])),
@@ -974,16 +965,20 @@ class TestMarkedColumns:
                 streams[column % n_series][INIT + 8 + offset] += 10.0
             for column, offset in gaps:
                 streams[column % n_series][INIT + 8 + offset] = np.nan
-            with recorded_searches() as searched[mode]:
+            with recorded_searches() as searched[mode], scalar_searches() as found[mode]:
                 assert_blocks_match_scalar(
                     kernel, scalar, streams, INIT + 8, lengths, columns=columns
                 )
+        seen = [(rounds[0], shifts[0]) for rounds, shifts in searched["single"]]
+        assert [r for r, _ in seen] == [r for r, _ in found["single"]]
+        for (_, shift), (_, chosen) in zip(seen, found["single"]):
+            assert shift in (None, chosen)
         if (lengths, spikes, gaps, episodes) == self.PINNED:
-            # The pinned case really is the shape the docstring describes.
+            # The pinned case really is the shape the docstring describes
+            # (a shift a later round reads was written over by that round,
+            # so the scalar model's searches tell the shifts).
             assert any(len(rounds) > 1 for rounds, _ in searched["full"])
-            shifted = {
-                rounds[0]: shifts[0] for rounds, shifts in searched["single"] if shifts[0]
-            }
+            shifted = {r: shift for r, shift in found["single"] if shift}
             first_run = [r for r in shifted if r < PERIOD]
             assert {0, PERIOD - 1} <= set(first_run)
             assert any(r + 1 in shifted for r in first_run)
@@ -992,31 +987,84 @@ class TestMarkedColumns:
 
 @contextlib.contextmanager
 def recorded_searches():
-    """Collect ``(rounds, shifts)`` of every ``FleetKernel._search_shifts`` call.
+    """Collect ``(rounds, shifts)`` of every round a committed run searched.
 
-    Per searched column, the round of the test stream it was searched in
-    and the chosen shift modulo the period (read off the seasonal slot the
-    search wrote).
+    Observed through the run's outputs, whichever body ran it: a member
+    searched round ``r`` of a run exactly when its score there -- the
+    pre-search one, which triggers the search -- passed the threshold of
+    a kernel that searches.  Per searched round, each searched member's
+    round of the test stream (its ``points_processed`` then, less 8 warm
+    points) and the shift it chose: 0 when its residual is its detection
+    residual (a non-zero winner has a strictly smaller ``|residual|``),
+    else read off the seasonal slot it wrote, or -- when a later round of
+    the run wrote over that slot -- off ``last_applied_shift`` if it was
+    the member's last non-zero winner of the run, else None.
     """
     calls = []
-    original = FleetKernel._search_shifts
+    solve = FleetKernel._solve_run
 
-    def spy(kernel, columns, values, scores):
-        winners, points, bad = original(kernel, columns, values, scores)
-        if winners is not None:
-            written = winners.seasonal_buffer != kernel.seasonal_buffer[columns]
-            shifts = (
-                written.argmax(axis=1) - kernel.global_index[columns]
-            ) % kernel.period
-            rounds = kernel.points_processed[columns] - 8
-            calls.append((rounds.tolist(), shifts.tolist()))
-        return winners, points, bad
+    def spy(kernel, native, planes, start, stop, columns):
+        index = kernel.global_index[columns].copy()
+        ages = kernel.points_processed[columns].copy()
+        status = solve(kernel, native, planes, start, stop, columns)
+        if status == fleet._COMMITTED and kernel.shift_window > 0:
+            calls.extend(searched_rounds(kernel, planes[:, start:stop], columns, index, ages))
+        return status
 
-    FleetKernel._search_shifts = spy
+    FleetKernel._solve_run = spy
     try:
         yield calls
     finally:
-        FleetKernel._search_shifts = original
+        FleetKernel._solve_run = solve
+
+
+def searched_rounds(kernel, block, columns, index, ages):
+    """:func:`recorded_searches`' entries of one committed run's ``block``
+    of planes, ``index`` and ``ages`` its members' pre-run bookkeeping."""
+    _values, _trend, seasonal, residual, detection, score = block
+    searched = score > kernel.shift_threshold
+    moved = searched & (residual.view(np.int64) != detection.view(np.int64))
+    by_phase = {int(shift) % kernel.period: int(shift) for shift in kernel._shifts}
+    entries = []
+    for r in np.flatnonzero(searched.any(axis=1)).tolist():
+        positions = np.flatnonzero(searched[r])
+        shifts = []
+        for j in positions.tolist():
+            shift = 0
+            if moved[r, j]:
+                row = kernel.seasonal_buffer[columns[j]].view(np.int64)
+                slots = np.flatnonzero(row == seasonal[r, j : j + 1].view(np.int64))
+                if slots.size == 1:
+                    shift = by_phase[int(slots[0] - index[j] - r) % kernel.period]
+                elif not moved[r + 1 :, j].any():
+                    shift = int(kernel.last_applied_shift[columns[j]])
+                else:
+                    shift = None
+            shifts.append(shift)
+        entries.append(((ages[positions] + r - 8).tolist(), shifts))
+    return entries
+
+
+@contextlib.contextmanager
+def scalar_searches():
+    """Collect ``(round, shift)`` of every search the scalar models make:
+    the round of the test stream (``points_processed`` less 8 warm
+    points) and the signed shift ``_search_best_shift`` chose."""
+    from repro.core import oneshotstl
+
+    calls = []
+    search = oneshotstl._search_best_shift
+
+    def spy(states, value, buffer, global_index, period, window, point_index, *rest):
+        found = search(states, value, buffer, global_index, period, window, point_index, *rest)
+        calls.append((point_index - 8, found[3]))
+        return found
+
+    oneshotstl._search_best_shift = spy
+    try:
+        yield calls
+    finally:
+        oneshotstl._search_best_shift = search
 
 
 _PERIOD_FLEETS = {}
@@ -1088,6 +1136,246 @@ def scalar_search(kernel, column, value):
     model._last_trend = trend
     point = DecompositionPoint(value, trend, seasonal, value - trend - seasonal)
     return model, point, shift
+
+
+class TestSearchInsideTheRun:
+    """Both bodies search a tripped run inside it, and agree to the bit.
+
+    The native body reruns each tripped member alone through its one-lane
+    body and tries its candidates there; the NumPy body replays the
+    tripped members as a narrow kernel and stacks their candidates as
+    columns.  Across periods at and past the run cap and shift windows
+    whose ``2H + 1`` falls below and above the period, both give the same
+    ``_solve_run`` status for every run, the same outputs and the same
+    committed state, and those are the scalar model's -- a round a run
+    hands back is advanced through extracted scalar models, as
+    :meth:`FleetKernel.update_block`'s caller must, and raises where the
+    scalar model raises.
+    """
+
+    N_SERIES = 3
+    #: the outputs compared, in :meth:`scalar_round`'s row order
+    FIELDS = ("trend", "seasonal", "residual", "detection_residual", "score")
+
+    def advance(self, kernel, block):
+        """``block`` through ``update_block`` as its caller must: a round
+        it hands back goes member by member through extracted scalar
+        models, loaded back.  Returns ``(statuses, outputs, error)``:
+        every ``_solve_run`` status, the ``(5, rounds, n)`` trend /
+        seasonal / residual / detection residual / score of every round
+        advanced, and ``(member, message)`` of the ``ValueError`` a
+        handed-back round raised (its members before it took the round;
+        the rounds stop there)."""
+        statuses = []
+        solve = FleetKernel._solve_run
+
+        def spy(kernel, native, planes, start, stop, columns):
+            status = solve(kernel, native, planes, start, stop, columns)
+            statuses.append((stop - start, status))
+            return status
+
+        rows = [np.empty((5, 0, kernel.n_series))]
+        position, error = 0, None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FleetKernel, "_solve_run", spy)
+            while position < len(block) and error is None:
+                out = kernel.update_block(block[position:])
+                rows.append(np.stack([getattr(out, name) for name in self.FIELDS]))
+                position += out.value.shape[0]
+                if position < len(block):
+                    row, error = self.scalar_round(
+                        [kernel.extract(m) for m in range(kernel.n_series)],
+                        block[position],
+                        loaded=kernel,
+                    )
+                    rows.append(row)
+                    position += 1
+        return statuses, np.concatenate(rows, axis=1), error
+
+    @staticmethod
+    def scalar_round(models, values, loaded=None):
+        """One round of ``values`` through ``models`` in member order (each
+        loaded into the kernel ``loaded`` once it took it): ``(row,
+        error)``, the row empty when a member raised."""
+        row = np.empty((5, 1, len(models)))
+        for member, model in enumerate(models):
+            monitor = model._residual_monitor.copy()
+            try:
+                point = model.update(float(values[member]))
+            except ValueError as error:
+                return row[:, :0], (member, str(error))
+            detection = model.last_detection_residual
+            score = monitor.score(detection).score
+            row[:, 0, member] = point.trend, point.seasonal, point.residual, detection, score
+            if loaded is not None:
+                loaded.load(member, model)
+        return row, None
+
+    @staticmethod
+    def image(kernel) -> bytes:
+        """The committed state, every NaN as one (see ``run_image``)."""
+        return b"".join(
+            np.where(np.isnan(array), np.nan, array).tobytes()
+            if array.dtype.kind == "f"
+            else np.ascontiguousarray(array).tobytes()
+            for array in kernel.to_arrays().values()
+        )
+
+    #: pinned cases, each with the shape it must show (see ``check_shape``)
+    PINNED = {
+        # Trips in a run's first and last round, and twice in one lane.
+        "first-last-twice": (24, 20, [24, 6], [(0, 0, 25.0), (1, 23, 25.0), (2, 4, 25.0), (2, 15, 25.0)], [], None, []),
+        # A 5-sample advance: a positive shift whose slot a later round reads.
+        "positive": (24, 3, [24], [], [(0, 3, 30, 5)], None, []),
+        # A 5-sample delay: negative shifts reading slots the run wrote.
+        "negative": (24, 20, [24], [], [(1, 3, 30, -5)], None, []),
+        # A candidate whose anchor is not finite: the round is handed back.
+        "candidate": (24, 20, [8, 8], [(0, 5, 25.0)], [], (0, 12, np.inf), []),
+        # Values near the float64 ceiling in the block and in the buffer.
+        "ceiling": (8, 20, [8, 8], [(1, 2, 25.0)], [], (2, 3, 1.7e308), [(0, 5, 1e308), (1, 6, -1e308)]),
+        # The longest run, 2H + 1 below the period: trips in its first
+        # and last round.
+        "long-wide": (96, 40, [64, 10], [(0, 0, 25.0), (1, 63, -25.0)], [], None, []),
+        # 2H + 1 above the period, both kinds of shift in one run.
+        "long-narrow": (64, 40, [64], [], [(0, 3, 30, 24), (1, 30, 30, -24)], None, []),
+        "short-narrow": (8, 3, [8, 8, 3], [(0, 7, 25.0)], [(2, 1, 12, 3)], None, []),
+        "no-search": (64, 0, [64], [(0, 10, 25.0)], [], None, []),
+    }
+
+    @given(
+        st.sampled_from([8, 24, 64, 96]),
+        st.sampled_from([0, 3, 20, 40]),
+        st.lists(st.integers(1, 70), min_size=1, max_size=3),
+        st.lists(
+            st.tuples(
+                st.integers(0, 2), st.integers(0, 69), st.sampled_from([10.0, 25.0, -25.0])
+            ),
+            max_size=4,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(0, 2), st.integers(0, 60), st.integers(2, 30),
+                st.sampled_from([3, -3, 5]),
+            ),
+            max_size=2,
+        ),
+        st.one_of(
+            st.none(),
+            st.tuples(
+                st.integers(0, 2), st.integers(0, 95),
+                st.sampled_from([np.inf, 1e308, -1.7e308]),
+            ),
+        ),
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 69), st.sampled_from([1e308, -1e308])),
+            max_size=1,
+        ),
+        st.just(None),
+    )  # fmt: skip
+    @example(*PINNED["first-last-twice"], "first-last-twice")
+    @example(*PINNED["positive"], "positive")
+    @example(*PINNED["negative"], "negative")
+    @example(*PINNED["candidate"], "candidate")
+    @example(*PINNED["ceiling"], "ceiling")
+    @example(*PINNED["long-wide"], "long-wide")
+    @example(*PINNED["long-narrow"], "long-narrow")
+    @example(*PINNED["short-narrow"], "short-narrow")
+    @example(*PINNED["no-search"], "no-search")
+    @settings(max_examples=20, deadline=None)
+    def test_both_bodies_and_the_scalar_model_agree(
+        self, period, shift_window, lengths, spikes, episodes, poison, huge, shape
+    ):
+        native = fleet._native_run
+        if native is None:  # the kernel_body fixture's NumPy pass
+            pytest.skip("runs both bodies itself, the native one first")
+        streams, models, _kernel = period_fleet(
+            period, self.N_SERIES, iterations=2, shift_window=shift_window
+        )
+        for member, start, length, lag in episodes:
+            stream = streams[member]
+            start = max(start, -lag)
+            stop = min(start + length, stream.size - max(lag, 0))
+            stream[start:stop] = stream[start + lag : stop + lag].copy()
+        total = min(sum(lengths), min(stream.size for stream in streams))
+        block = np.array([stream[:total] for stream in streams]).T.copy()
+        for member, r, delta in spikes:
+            block[r % total, member] += delta
+        for member, r, value in huge:
+            block[r % total, member] = value
+        if poison is not None:
+            member, offset, value = poison
+            model = models[member]
+            model._seasonal_buffer[(model._global_index + offset) % period] = value
+        with np.errstate(all="ignore"):
+            outcomes = {}
+            for name, body in (("native", native), ("numpy", None)):
+                kernel = FleetKernel.pack(copy.deepcopy(models))
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(fleet, "_native_run", body)
+                    statuses, outputs, error = self.advance(kernel, block)
+                outcomes[name] = (statuses, outputs.tobytes(), error, self.image(kernel))
+            reference = copy.deepcopy(models)
+            rows, error = [np.empty((5, 0, self.N_SERIES))], None
+            with self.searches_of(reference) as searches:
+                for values in block:
+                    row, error = self.scalar_round(reference, values)
+                    rows.append(row)
+                    if error is not None:
+                        break
+        assert outcomes["native"] == outcomes["numpy"]
+        statuses, outputs, kernel_error, _image = outcomes["native"]
+        assert kernel_error == error
+        assert outputs == np.concatenate(rows, axis=1).tobytes()
+        if error is None:  # the scalar state, NaN included, as the kernel holds it
+            assert outcomes["native"][3] == self.image(FleetKernel.pack(reference))
+        if shape is not None:
+            self.check_shape(shape, period, statuses, searches)
+
+    @staticmethod
+    @contextlib.contextmanager
+    def searches_of(models):
+        """Collect ``(member, round, shift)`` of every search ``models``
+        make: the round counted from their next point, the signed shift
+        ``_search_best_shift`` chose."""
+        from repro.core import oneshotstl
+
+        owners = {id(model._seasonal_buffer): m for m, model in enumerate(models)}
+        starts = [model._points_processed for model in models]
+        found = []
+        search = oneshotstl._search_best_shift
+
+        def spy(states, value, buffer, index, period, window, point, *rest):
+            result = search(states, value, buffer, index, period, window, point, *rest)
+            member = owners[id(buffer)]
+            found.append((member, point - starts[member], result[3]))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oneshotstl, "_search_best_shift", spy)
+            yield found
+
+    @staticmethod
+    def check_shape(shape, period, statuses, searches):
+        """The pinned case ``shape`` really is what its comment says:
+        ``statuses`` are the runs', ``searches`` the scalar model's."""
+        cap = min(period, fleet._MAX_BLOCK_ROUNDS)
+
+        def in_run(r, shift):  # the shifted slot is a round of r's run
+            return r + shift >= 0 and (r + shift) // cap == r // cap
+
+        searched = {(member, r) for member, r, _ in searches}
+        if shape == "first-last-twice":
+            assert {(0, 0), (1, cap - 1), (2, 4), (2, 15)} <= searched
+        elif shape == "long-wide":
+            assert {(0, 0), (1, cap - 1)} <= searched
+        if shape in ("positive", "long-narrow", "short-narrow"):
+            assert any(shift > 0 and in_run(r, shift) for _, r, shift in searches)
+        if shape in ("negative", "long-narrow"):
+            assert any(shift < 0 and in_run(r, shift) for _, r, shift in searches)
+        if shape in ("candidate", "ceiling"):
+            assert any(status >= 0 for _rounds, status in statuses), statuses
+        if shape == "no-search":
+            assert searches == []
 
 
 class TestShiftSearchOracle:
@@ -2391,19 +2679,21 @@ class TestNonFiniteSolveReplay:
         block = self.poisoned_after_a_trip(
             np.array(streams)[:, INIT + 8 : INIT + 8 + 12].T.copy()
         )
-        replays = []
-        original = kernel._replay_marked
+        runs = []
+        solve = FleetKernel._solve_run
 
-        def spy(columns, monitor, values, cuts):
-            result = original(columns, monitor, values, cuts)
-            replays.append((columns.tolist(), len(values), result[2]))
-            return result
+        def spy(kernel, native, planes, start, stop, columns):
+            status = solve(kernel, native, planes, start, stop, columns)
+            runs.append((stop - start, status, planes[5, 2, 2] > kernel.shift_threshold))
+            return status
 
-        kernel._replay_marked = spy
-        out = kernel.update_block(block)
-        # The batch itself never stopped: column 2 was marked at round 2,
-        # its replay raised at round 7, and the 7-round prefix re-ran.
-        assert replays == [([2], 12, 7), ([2], 7, 7)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FleetKernel, "_solve_run", spy)
+            out = kernel.update_block(block)
+        # The batch itself never stopped: column 2 tripped at round 2 and
+        # was searched, its own rounds went non-finite at round 7 (the run
+        # came back 2 * 7), and the 7-round prefix re-ran and committed.
+        assert runs == [(12, 2 * 7, True), (7, fleet._COMMITTED, True)]
         assert out.value.shape == (7, 6)
         for step in range(7):
             for member, model in enumerate(scalar):

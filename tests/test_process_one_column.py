@@ -425,56 +425,117 @@ class TestADurableProcessSession:
 
 
 class TestCallCount:
-    """What a warmed clean ``process`` costs the interpreter, counted.
+    """What a warmed ``process`` and a warmed grid cost the interpreter,
+    counted.
 
     The pattern of a mixed-forms cycle: a wide fleet, and a few absorbed
     keys fed one value each in rotation.  ``sys.setprofile`` counts the
     Python and the C calls of one such call on the native body; the bounds
-    are what the one-key path takes now, so a change that adds interpreter
-    work to it has to say so here.
+    are what the path takes now, so a change that adds interpreter work to
+    it has to say so here.  A point that trips the residual monitor is
+    searched inside the native run, so it costs what a clean one does (the
+    build that searched in Python took 154 / 226 for the tripped
+    ``process`` and 373 / 564 for the tripped grid below).
     """
 
-    #: Python calls / C calls of one warmed clean ``process`` (the
-    #: build before the native handle took 36 / 52, the one before the
-    #: batch's single screen 25 / 49)
+    #: Python calls / C calls of one warmed ``process``, clean or tripped
+    #: (the build before the native handle took 36 / 52, the one before
+    #: the batch's single screen 25 / 49)
     PYTHON_CALLS = 24
     C_CALLS = 47
+    #: the same of one warmed 8-round, 60-wide ``ingest_grid``
+    GRID_PYTHON_CALLS = 31
+    GRID_C_CALLS = 52
 
-    def test_a_warmed_clean_process_stays_within_its_call_counts(self, kernel_body):
-        if kernel_body != "native":
-            pytest.skip("the counts are the native body's")
+    @staticmethod
+    def counted(call, *args):
+        """``(result, Python calls, C calls)`` of ``call(*args)``, during which
+        the kernel's Python search path must not run: no gathered or
+        scattered sub-kernel, no second native handle."""
         import sys
         from collections import Counter
 
-        keys = [f"m-{index:02d}" for index in range(60)]
-        data = np.stack(
-            [
-                make_seasonal_series(INIT + 60, PERIOD, seed=500 + index)["values"]
-                for index in range(len(keys))
-            ],
-            axis=1,
-        )
-        engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
-        engine.ingest_grid(keys, data[: INIT + 8])
-        rotating = keys[:20]
+        def forbidden(name):
+            def called(*args, **kwargs):
+                raise AssertionError(f"FleetKernel.{name} ran in a native run")
+
+            return called
+
         events = Counter()
 
         def count(frame, event, argument):
             events[event] += 1
 
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("select", "assign", "_native_handle"):
+                patch.setattr(FleetKernel, name, forbidden(name))
+            sys.setprofile(count)
+            result = call(*args)
+            sys.setprofile(None)
+        return result, events["call"], events["c_call"] - 1  # sys.setprofile(None)
+
+    @staticmethod
+    def fleet_data(n_keys=60, rounds=60):
+        keys = [f"m-{index:02d}" for index in range(n_keys)]
+        data = np.stack(
+            [
+                make_seasonal_series(INIT + rounds, PERIOD, seed=500 + index)["values"]
+                for index in range(len(keys))
+            ],
+            axis=1,
+        )
+        return keys, data
+
+    def process_counts(self, spike):
+        """``(Python calls, C calls)`` of one warmed ``process`` of a
+        rotating key, its value raised by ``spike``."""
+        keys, data = self.fleet_data()
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
+        engine.ingest_grid(keys, data[: INIT + 8])
+        rotating = keys[:20]
         for round_index in range(INIT + 8, INIT + 12):
             for column, key in enumerate(rotating):
                 value = float(data[round_index, column])
                 if round_index == INIT + 11 and column == 7:
-                    sys.setprofile(count)
-                    record = engine.process(key, value)
-                    sys.setprofile(None)
+                    record, python_calls, c_calls = self.counted(
+                        engine.process, key, value + spike
+                    )
+                    # The scorer is the kernel's monitor: a flag is a trip,
+                    # and the key's kernel searches (shift_window 20).
+                    assert record.record is not None
+                    assert record.is_anomaly == bool(spike)
                 else:
                     record = engine.process(key, value)
-                assert record.record is not None and not record.is_anomaly
+                    assert record.record is not None and not record.is_anomaly
             engine.ingest_grid(keys[20:], data[round_index : round_index + 1, 20:])
         assert engine._absorbed.keys() == set(keys)
-        python_calls = events["call"]
-        c_calls = events["c_call"] - 1  # sys.setprofile(None)
+        return python_calls, c_calls
+
+    def test_a_warmed_clean_process_stays_within_its_call_counts(self, kernel_body):
+        if kernel_body != "native":
+            pytest.skip("the counts are the native body's")
+        python_calls, c_calls = self.process_counts(0.0)
         assert python_calls <= self.PYTHON_CALLS, python_calls
         assert c_calls <= self.C_CALLS, c_calls
+
+    def test_a_warmed_tripped_process_stays_within_the_clean_counts(self, kernel_body):
+        if kernel_body != "native":
+            pytest.skip("the counts are the native body's")
+        python_calls, c_calls = self.process_counts(25.0)
+        assert python_calls <= self.PYTHON_CALLS, python_calls
+        assert c_calls <= self.C_CALLS, c_calls
+
+    @pytest.mark.parametrize("spike", [0.0, 25.0], ids=["clean", "tripped"])
+    def test_a_warmed_8_round_grid_stays_within_its_call_counts(self, kernel_body, spike):
+        if kernel_body != "native":
+            pytest.skip("the counts are the native body's")
+        keys, data = self.fleet_data()
+        engine = MultiSeriesEngine.for_oneshotstl(PERIOD)
+        engine.ingest_grid(keys, data[: INIT + 8])
+        engine.ingest_grid(keys, data[INIT + 8 : INIT + 16])
+        block = data[INIT + 16 : INIT + 24].copy()
+        block[3, 7] += spike
+        result, python_calls, c_calls = self.counted(engine.ingest_grid, keys, block)
+        assert result.is_anomaly.any() == bool(spike)
+        assert python_calls <= self.GRID_PYTHON_CALLS, python_calls
+        assert c_calls <= self.GRID_C_CALLS, c_calls
